@@ -3,7 +3,10 @@
 //! its own inlined helpers).
 //!
 //! The field is GF(2)\[x\] / (x⁸ + x⁴ + x³ + x + 1), i.e. the AES polynomial
-//! 0x11b.  Multiplication uses log/antilog tables built at first use.
+//! 0x11b.  Scalar multiplication uses log/antilog tables built at compile
+//! time; bulk coding multiplies a whole slice by one coefficient through a
+//! 256-entry [`product_row`], which needs neither the zero test nor the two
+//! table loads of the scalar form.
 
 /// The reduction polynomial (x⁸ + x⁴ + x³ + x + 1).
 const POLY: u16 = 0x11b;
@@ -16,28 +19,29 @@ struct Tables {
     exp: [u8; 512],
 }
 
-fn tables() -> &'static Tables {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<Tables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut log = [0u8; 256];
-        let mut exp = [0u8; 512];
-        let mut x: u8 = 1;
-        for (i, e) in exp.iter_mut().enumerate().take(255) {
-            *e = x;
-            log[x as usize] = i as u8;
-            x = mul_slow(x, GENERATOR);
-        }
-        for i in 255..512usize {
-            exp[i] = exp[i - 255];
-        }
-        Tables { log, exp }
-    })
+static TABLES: Tables = build_tables();
+
+const fn build_tables() -> Tables {
+    let mut log = [0u8; 256];
+    let mut exp = [0u8; 512];
+    let mut x: u8 = 1;
+    let mut i = 0;
+    while i < 255 {
+        exp[i] = x;
+        log[x as usize] = i as u8;
+        x = mul_slow(x, GENERATOR);
+        i += 1;
+    }
+    while i < 512 {
+        exp[i] = exp[i - 255];
+        i += 1;
+    }
+    Tables { log, exp }
 }
 
 /// Bitwise (carry-less, reduced) multiplication — used to build the tables
 /// and as an independent cross-check in tests.
-pub fn mul_slow(a: u8, b: u8) -> u8 {
+pub const fn mul_slow(a: u8, b: u8) -> u8 {
     let mut a = a as u16;
     let mut b = b as u16;
     let mut p = 0u16;
@@ -66,8 +70,14 @@ pub fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         return 0;
     }
-    let t = tables();
-    t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
+    TABLES.exp[TABLES.log[a as usize] as usize + TABLES.log[b as usize] as usize]
+}
+
+/// Every multiple of `c`: `product_row(c)[x] == mul(c, x)`.  One row per
+/// matrix coefficient turns a slice-wide multiply-accumulate into one table
+/// load and one XOR per byte.
+pub fn product_row(c: u8) -> [u8; 256] {
+    std::array::from_fn(|x| mul(c, x as u8))
 }
 
 /// Multiplicative inverse.
@@ -77,8 +87,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 #[inline]
 pub fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no multiplicative inverse in GF(256)");
-    let t = tables();
-    t.exp[255 - t.log[a as usize] as usize]
+    TABLES.exp[255 - TABLES.log[a as usize] as usize]
 }
 
 /// Division `a / b`.
@@ -105,7 +114,9 @@ pub fn pow(a: u8, mut e: u32) -> u8 {
 }
 
 /// Evaluate the polynomial `coeffs[0] + coeffs[1] x + …` at `x` (Horner).
-pub fn poly_eval(coeffs: &[u8], x: u8) -> u8 {
+/// One share byte of the per-byte IDA the slice kernels are tested against.
+#[cfg(test)]
+pub(crate) fn poly_eval(coeffs: &[u8], x: u8) -> u8 {
     let mut acc = 0u8;
     for &c in coeffs.iter().rev() {
         acc = add(mul(acc, x), c);
@@ -113,9 +124,40 @@ pub fn poly_eval(coeffs: &[u8], x: u8) -> u8 {
     acc
 }
 
+/// Gauss–Jordan elimination over GF(2⁸), in place: reduce the leading
+/// `n × n` part of `m` (`n = m.len()`) to the identity, carrying every
+/// further column of each row along.  Returns `None` if that part is
+/// singular.
+fn eliminate(m: &mut [Vec<u8>]) -> Option<()> {
+    let n = m.len();
+    for col in 0..n {
+        // Find a pivot.
+        let pivot = (col..n).find(|&r| m[r][col] != 0)?;
+        m.swap(col, pivot);
+        // Normalise the pivot row.
+        let p_inv = inv(m[col][col]);
+        for v in m[col].iter_mut() {
+            *v = mul(*v, p_inv);
+        }
+        // Eliminate the column from all other rows.
+        let pivot_row = m[col].clone();
+        for (row, row_vals) in m.iter_mut().enumerate() {
+            if row != col && row_vals[col] != 0 {
+                let factor = row_vals[col];
+                for (cell, &pv) in row_vals.iter_mut().zip(&pivot_row) {
+                    *cell = add(*cell, mul(factor, pv));
+                }
+            }
+        }
+    }
+    Some(())
+}
+
 /// Solve the linear system `M · a = y` over GF(2⁸) by Gaussian elimination,
 /// where `M` is given in row-major order.  Returns `None` if `M` is singular.
-pub fn solve(matrix: &[Vec<u8>], rhs: &[u8]) -> Option<Vec<u8>> {
+/// One byte tuple of the per-byte IDA the slice kernels are tested against.
+#[cfg(test)]
+pub(crate) fn solve(matrix: &[Vec<u8>], rhs: &[u8]) -> Option<Vec<u8>> {
     let n = rhs.len();
     assert_eq!(matrix.len(), n, "matrix must be square");
     let mut m: Vec<Vec<u8>> = matrix
@@ -128,28 +170,26 @@ pub fn solve(matrix: &[Vec<u8>], rhs: &[u8]) -> Option<Vec<u8>> {
             r
         })
         .collect();
-
-    for col in 0..n {
-        // Find a pivot.
-        let pivot = (col..n).find(|&r| m[r][col] != 0)?;
-        m.swap(col, pivot);
-        // Normalise the pivot row.
-        let p = m[col][col];
-        for v in m[col].iter_mut() {
-            *v = div(*v, p);
-        }
-        // Eliminate the column from all other rows.
-        let pivot_row = m[col].clone();
-        for (row, row_vals) in m.iter_mut().enumerate().take(n) {
-            if row != col && row_vals[col] != 0 {
-                let factor = row_vals[col];
-                for (cell, &pv) in row_vals.iter_mut().zip(&pivot_row) {
-                    *cell = add(*cell, mul(factor, pv));
-                }
-            }
-        }
-    }
+    eliminate(&mut m)?;
     Some(m.iter().map(|row| row[n]).collect())
+}
+
+/// Invert the square matrix `M` (row-major) over GF(2⁸).  Returns `None` if
+/// `M` is singular.
+pub fn invert(matrix: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {
+    let n = matrix.len();
+    let mut m: Vec<Vec<u8>> = matrix
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            assert_eq!(row.len(), n, "matrix must be square");
+            let mut r = row.clone();
+            r.extend((0..n).map(|j| u8::from(i == j)));
+            r
+        })
+        .collect();
+    eliminate(&mut m)?;
+    Some(m.into_iter().map(|mut row| row.split_off(n)).collect())
 }
 
 #[cfg(test)]
@@ -239,6 +279,38 @@ mod tests {
             .map(|&x| (0..3).map(|i| pow(x, i as u32)).collect())
             .collect();
         assert_eq!(solve(&matrix, &ys).unwrap(), coeffs.to_vec());
+    }
+
+    #[test]
+    fn product_rows_match_scalar_mul() {
+        for c in 0..=255u8 {
+            let row = product_row(c);
+            for x in 0..=255u8 {
+                assert_eq!(row[x as usize], mul_slow(c, x), "{c} * {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn invert_times_matrix_is_identity() {
+        let xs = [1u8, 4, 9, 200];
+        let matrix: Vec<Vec<u8>> = xs
+            .iter()
+            .map(|&x| (0..4).map(|i| pow(x, i)).collect())
+            .collect();
+        let inverse = invert(&matrix).unwrap();
+        for (i, inv_row) in inverse.iter().enumerate() {
+            // Row i of M⁻¹ · M, accumulated one scaled row of M at a time.
+            let mut product = [0u8; 4];
+            for (&weight, row) in inv_row.iter().zip(&matrix) {
+                for (cell, &v) in product.iter_mut().zip(row) {
+                    *cell = add(*cell, mul(weight, v));
+                }
+            }
+            let identity: Vec<u8> = (0..4).map(|j| u8::from(i == j)).collect();
+            assert_eq!(product[..], identity[..], "row {i}");
+        }
+        assert!(invert(&[vec![1, 2], vec![1, 2]]).is_none());
     }
 
     #[test]

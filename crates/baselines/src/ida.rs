@@ -11,15 +11,39 @@
 //!
 //! Storage blow-up is `n / m` (compared with `r` for `r`-way replication),
 //! which is where Mnemosyne's space advantage over plain StegRand comes from.
+//!
+//! Both directions run slice at a time.  The `n × m` Vandermonde encode
+//! matrix (one row per share) is fixed by `(m, n)` and built with the codec;
+//! the `m × m` decode matrix is its inverse restricted to the shares at hand
+//! and built once per share-index subset (a [`Decoder`]).  Every matrix
+//! coefficient is held as a 256-entry [`gf256::product_row`], so encoding a
+//! share — or decoding one coefficient position — is a handful of
+//! multiply-accumulate passes over whole slices: one table load and one XOR
+//! per byte, nothing allocated per byte tuple.
 
 use crate::gf256;
 use crate::{BaselineError, BaselineResult};
 
+/// All multiples of one matrix coefficient.
+type Row = [u8; 256];
+
 /// An (m, n) information dispersal codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Ida {
     m: usize,
     n: usize,
+    /// Product rows of the Vandermonde matrix, share-major: entry
+    /// `j * m + i` multiplies by `(j + 1)^i`.
+    encode: Vec<Row>,
+}
+
+impl std::fmt::Debug for Ida {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ida")
+            .field("m", &self.m)
+            .field("n", &self.n)
+            .finish()
+    }
 }
 
 /// One share produced by [`Ida::split`].
@@ -29,6 +53,19 @@ pub struct Share {
     pub index: u8,
     /// Share payload; `ceil(data_len / m)` bytes.
     pub data: Vec<u8>,
+}
+
+/// The decode matrix for one subset of share indices (see [`Ida::decoder`]).
+pub struct Decoder {
+    indices: Vec<u8>,
+    /// Product rows of the inverted Vandermonde submatrix: entry `i * m + k`
+    /// is the weight of share `indices[k]` in coefficient position `i`.
+    decode: Vec<Row>,
+}
+
+/// `[1, x, x², …, x^(m-1)]`: the Vandermonde row of evaluation point `x`.
+fn vandermonde_row(x: u8, m: usize) -> Vec<u8> {
+    (0..m).map(|i| gf256::pow(x, i as u32)).collect()
 }
 
 impl Ida {
@@ -44,7 +81,11 @@ impl Ida {
                 "at most 255 shares are supported, got n={n}"
             )));
         }
-        Ok(Ida { m, n })
+        let encode = (1..=n as u8)
+            .flat_map(|x| vandermonde_row(x, m))
+            .map(gf256::product_row)
+            .collect();
+        Ok(Ida { m, n, encode })
     }
 
     /// Number of shares required for reconstruction.
@@ -64,19 +105,194 @@ impl Ida {
 
     /// Split `data` into `n` shares.
     pub fn split(&self, data: &[u8]) -> Vec<Share> {
-        let groups = data.len().div_ceil(self.m);
-        let mut shares: Vec<Share> = (0..self.n)
+        let share_len = data.len().div_ceil(self.m);
+        (0..self.n)
+            .map(|j| {
+                let mut share = vec![0u8; share_len];
+                self.encode_share(j, data, &mut share);
+                Share {
+                    index: (j + 1) as u8,
+                    data: share,
+                }
+            })
+            .collect()
+    }
+
+    /// Split `data` into `n` equally long shares written back to back into
+    /// `out` (share 1 first).  Each share is `out.len() / n` bytes, which
+    /// must be at least `ceil(data.len() / m)`; a longer share is the share
+    /// of `data` zero padded to `m` times that length.
+    ///
+    /// # Panics
+    /// Panics if `out` does not divide into `n` shares long enough for
+    /// `data`.
+    pub fn split_into(&self, data: &[u8], out: &mut [u8]) {
+        let share_len = out.len() / self.n;
+        assert!(
+            out.len() == share_len * self.n && share_len * self.m >= data.len(),
+            "{} bytes do not split into {} shares of {share_len}",
+            data.len(),
+            self.n
+        );
+        if share_len == 0 {
+            return;
+        }
+        for (j, share) in out.chunks_exact_mut(share_len).enumerate() {
+            share.fill(0);
+            self.encode_share(j, data, share);
+        }
+    }
+
+    /// Accumulate share `j` of `data` into the zeroed `share`: one pass per
+    /// coefficient position `i`, adding `(j + 1)^i · data[g·m + i]` to byte
+    /// `g`.  Bytes past the end of `data` are zero and add nothing.
+    fn encode_share(&self, j: usize, data: &[u8], share: &mut [u8]) {
+        let rows = &self.encode[j * self.m..(j + 1) * self.m];
+        for (i, row) in rows.iter().enumerate() {
+            let coeffs = data.iter().skip(i).step_by(self.m);
+            for (acc, &c) in share.iter_mut().zip(coeffs) {
+                *acc ^= row[c as usize];
+            }
+        }
+    }
+
+    /// The first `m` of `indices`, once they are known to be usable: rejects
+    /// fewer than `m`, the reserved index 0 and duplicates.
+    fn check_indices<'a>(&self, indices: &'a [u8]) -> BaselineResult<&'a [u8]> {
+        if indices.len() < self.m {
+            return Err(BaselineError::Invalid(format!(
+                "need at least {} shares, got {}",
+                self.m,
+                indices.len()
+            )));
+        }
+        let indices = &indices[..self.m];
+        let mut seen = [false; 256];
+        for &index in indices {
+            if index == 0 {
+                return Err(BaselineError::Invalid("share index 0 is reserved".into()));
+            }
+            if seen[index as usize] {
+                return Err(BaselineError::Invalid(format!(
+                    "duplicate share index {index}"
+                )));
+            }
+            seen[index as usize] = true;
+        }
+        Ok(indices)
+    }
+
+    /// The decode matrix for the shares numbered `indices` (the first `m` of
+    /// them; fewer, a zero or a duplicate is an error): the Vandermonde
+    /// submatrix is inverted once, and the [`Decoder`] then serves every
+    /// share set with these indices.
+    pub fn decoder(&self, indices: &[u8]) -> BaselineResult<Decoder> {
+        self.check_indices(indices).map(Decoder::for_points)
+    }
+
+    /// Reconstruct the original data (of known length `data_len`) from any
+    /// `m` or more shares.
+    pub fn reconstruct(&self, shares: &[Share], data_len: usize) -> BaselineResult<Vec<u8>> {
+        // Everything that can be wrong with the shares is rejected before
+        // the first field operation.
+        let indices: Vec<u8> = shares.iter().map(|s| s.index).collect();
+        let indices = self.check_indices(&indices)?;
+        let selected: Vec<&[u8]> = shares[..self.m].iter().map(|s| &s.data[..]).collect();
+        check_lengths(indices, &selected, data_len)?;
+        let mut out = vec![0u8; data_len];
+        Decoder::for_points(indices).reconstruct_into(&selected, &mut out)?;
+        Ok(out)
+    }
+}
+
+/// Every share must hold one byte per `m`-byte tuple of the data.
+fn check_lengths(indices: &[u8], shares: &[&[u8]], data_len: usize) -> BaselineResult<()> {
+    let groups = data_len.div_ceil(indices.len());
+    for (share, index) in shares.iter().zip(indices) {
+        if share.len() < groups {
+            return Err(BaselineError::Invalid(format!(
+                "share {index} is too short ({} < {groups})",
+                share.len()
+            )));
+        }
+    }
+    Ok(())
+}
+
+impl Decoder {
+    /// Invert the Vandermonde matrix of `indices`: distinct non-zero
+    /// evaluation points, which is what makes it invertible.
+    fn for_points(indices: &[u8]) -> Decoder {
+        let m = indices.len();
+        let matrix: Vec<Vec<u8>> = indices.iter().map(|&x| vandermonde_row(x, m)).collect();
+        let inverse = gf256::invert(&matrix).expect("distinct evaluation points");
+        Decoder {
+            indices: indices.to_vec(),
+            decode: inverse
+                .into_iter()
+                .flatten()
+                .map(gf256::product_row)
+                .collect(),
+        }
+    }
+
+    /// The share indices this decoder was built for, in the order
+    /// [`reconstruct_into`](Self::reconstruct_into) expects their shares.
+    pub fn indices(&self) -> &[u8] {
+        &self.indices
+    }
+
+    /// Reconstruct `out.len()` bytes of data into `out` from `shares`, given
+    /// in the order of [`indices`](Self::indices).  Each share must hold at
+    /// least `ceil(out.len() / m)` bytes.
+    pub fn reconstruct_into(&self, shares: &[&[u8]], out: &mut [u8]) -> BaselineResult<()> {
+        let m = self.indices.len();
+        if shares.len() != m {
+            return Err(BaselineError::Invalid(format!(
+                "decoder takes {m} shares, got {}",
+                shares.len()
+            )));
+        }
+        check_lengths(&self.indices, shares, out.len())?;
+        // One pass per (coefficient position, share) pair: byte `g·m + i` of
+        // the data collects `decode[i][k] · shares[k][g]`.
+        out.fill(0);
+        for (i, rows) in self.decode.chunks_exact(m).enumerate() {
+            for (row, share) in rows.iter().zip(shares) {
+                let coeffs = out.iter_mut().skip(i).step_by(m);
+                for (acc, &s) in coeffs.zip(share.iter()) {
+                    *acc ^= row[s as usize];
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn sample_data(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    /// The per-byte codec the slice kernels replaced, kept as their oracle:
+    /// one Horner evaluation per share byte.
+    fn split_per_byte(m: usize, n: usize, data: &[u8]) -> Vec<Share> {
+        let groups = data.len().div_ceil(m);
+        let mut shares: Vec<Share> = (0..n)
             .map(|j| Share {
                 index: (j + 1) as u8,
                 data: Vec::with_capacity(groups),
             })
             .collect();
-
         for g in 0..groups {
             // Coefficients of this group's polynomial (zero padded).
-            let mut coeffs = vec![0u8; self.m];
+            let mut coeffs = vec![0u8; m];
             for (i, c) in coeffs.iter_mut().enumerate() {
-                if let Some(&b) = data.get(g * self.m + i) {
+                if let Some(&b) = data.get(g * m + i) {
                     *c = b;
                 }
             }
@@ -87,67 +303,166 @@ impl Ida {
         shares
     }
 
-    /// Reconstruct the original data (of known length `data_len`) from any
-    /// `m` or more shares.
-    pub fn reconstruct(&self, shares: &[Share], data_len: usize) -> BaselineResult<Vec<u8>> {
-        if shares.len() < self.m {
-            return Err(BaselineError::Invalid(format!(
-                "need at least {} shares, got {}",
-                self.m,
-                shares.len()
-            )));
-        }
-        let selected = &shares[..self.m];
-        // All selected shares must have distinct indices and equal length.
-        let groups = data_len.div_ceil(self.m);
-        for s in selected {
-            if s.index == 0 {
-                return Err(BaselineError::Invalid("share index 0 is reserved".into()));
-            }
-            if s.data.len() < groups {
-                return Err(BaselineError::Invalid(format!(
-                    "share {} is too short ({} < {groups})",
-                    s.index,
-                    s.data.len()
-                )));
-            }
-        }
-        let mut seen = [false; 256];
-        for s in selected {
-            if seen[s.index as usize] {
-                return Err(BaselineError::Invalid(format!(
-                    "duplicate share index {}",
-                    s.index
-                )));
-            }
-            seen[s.index as usize] = true;
-        }
-
-        // Vandermonde matrix rows: [1, x, x^2, ..., x^(m-1)] for each share.
+    /// The oracle's other half: one Gaussian elimination per byte tuple
+    /// over the first `m` of `shares` (assumed valid).
+    fn reconstruct_per_byte(m: usize, shares: &[Share], data_len: usize) -> Vec<u8> {
+        let selected = &shares[..m];
         let matrix: Vec<Vec<u8>> = selected
             .iter()
-            .map(|s| (0..self.m).map(|i| gf256::pow(s.index, i as u32)).collect())
+            .map(|s| vandermonde_row(s.index, m))
             .collect();
-
-        let mut out = Vec::with_capacity(groups * self.m);
-        for g in 0..groups {
+        let mut out = Vec::new();
+        for g in 0..data_len.div_ceil(m) {
             let rhs: Vec<u8> = selected.iter().map(|s| s.data[g]).collect();
-            let coeffs = gf256::solve(&matrix, &rhs).ok_or_else(|| {
-                BaselineError::Invalid("share indices form a singular system".into())
-            })?;
-            out.extend_from_slice(&coeffs);
+            out.extend(gf256::solve(&matrix, &rhs).expect("distinct evaluation points"));
         }
         out.truncate(data_len);
-        Ok(out)
+        out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Every ordered selection of `m` of `0..n`.
+    fn ordered_subsets(n: usize, m: usize) -> Vec<Vec<usize>> {
+        if m == 0 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for head in ordered_subsets(n, m - 1) {
+            for next in (0..n).filter(|j| !head.contains(j)) {
+                let mut subset = head.clone();
+                subset.push(next);
+                all.push(subset);
+            }
+        }
+        all
+    }
 
-    fn sample_data(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    #[test]
+    fn kernels_match_the_per_byte_oracle_for_every_small_code() {
+        for n in 1..=6usize {
+            for m in 1..=n {
+                let ida = Ida::new(m, n).unwrap();
+                let long = [1024 * m, 1024 * m + 3];
+                let short = [0, 1, m - 1, m, m + 1];
+                for (len, is_long) in short
+                    .iter()
+                    .map(|&l| (l, false))
+                    .chain(long.map(|l| (l, true)))
+                {
+                    let data = sample_data(len);
+                    let shares = ida.split(&data);
+                    assert_eq!(
+                        shares,
+                        split_per_byte(m, n, &data),
+                        "split ({m},{n}) len {len}"
+                    );
+
+                    let mut flat = vec![0xa5u8; n * len.div_ceil(m)];
+                    ida.split_into(&data, &mut flat);
+                    let joined: Vec<u8> = shares.iter().flat_map(|s| s.data.clone()).collect();
+                    assert_eq!(flat, joined, "split_into ({m},{n}) len {len}");
+
+                    for subset in ordered_subsets(n, m) {
+                        let picked: Vec<Share> =
+                            subset.iter().map(|&j| shares[j].clone()).collect();
+                        let rebuilt = ida.reconstruct(&picked, len).unwrap();
+                        assert_eq!(rebuilt, data, "({m},{n}) len {len} shares {subset:?}");
+                        // The per-tuple oracle is slow: on the long inputs it
+                        // checks each subset in one order only.
+                        if !is_long || subset.is_sorted() {
+                            assert_eq!(rebuilt, reconstruct_per_byte(m, &picked, len));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_into_pads_long_shares_like_zero_padded_data() {
+        let ida = Ida::new(3, 5).unwrap();
+        let data = sample_data(100);
+        let share_len = 64;
+        let mut padded = data.clone();
+        padded.resize(3 * share_len, 0);
+        let mut out = vec![0xffu8; 5 * share_len];
+        ida.split_into(&data, &mut out);
+        for (share, expected) in out.chunks_exact(share_len).zip(ida.split(&padded)) {
+            assert_eq!(share, &expected.data[..]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn kernels_match_the_per_byte_oracle_on_random_codes(
+            m in 1usize..=8,
+            extra in 0usize..=4,
+            data in proptest::collection::vec(any::<u8>(), 0..1500),
+            pick_seed in any::<u64>()
+        ) {
+            let n = m + extra;
+            let ida = Ida::new(m, n).unwrap();
+            let mut shares = ida.split(&data);
+            prop_assert_eq!(&shares, &split_per_byte(m, n, &data));
+            // Keep a pseudo-random ordered selection of m shares.
+            let mut s = pick_seed;
+            for i in (1..n).rev() {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                shares.swap(i, (s >> 33) as usize % (i + 1));
+            }
+            shares.truncate(m);
+            let rebuilt = ida.reconstruct(&shares, data.len()).unwrap();
+            prop_assert_eq!(&rebuilt, &data);
+            prop_assert_eq!(rebuilt, reconstruct_per_byte(m, &shares, data.len()));
+        }
+    }
+
+    #[test]
+    fn bad_share_sets_are_rejected_by_every_entry_point() {
+        let ida = Ida::new(3, 5).unwrap();
+        let data = sample_data(300);
+        let shares = ida.split(&data);
+        let with = |edit: &dyn Fn(&mut Vec<Share>)| {
+            let mut s = shares.clone();
+            edit(&mut s);
+            ida.reconstruct(&s, data.len()).unwrap_err().to_string()
+        };
+        assert!(with(&|s| s.truncate(2)).contains("at least 3"));
+        assert!(with(&|s| s[1].index = 0).contains("reserved"));
+        assert!(with(&|s| s[2].index = s[0].index).contains("duplicate"));
+        assert!(with(&|s| s[1].data.truncate(99)).contains("too short"));
+        // A bad index is named even when a share is also short: the whole
+        // selection is validated before any of it is decoded.
+        assert!(with(&|s| {
+            s[0].data.clear();
+            s[2].index = 0;
+        })
+        .contains("reserved"));
+        // Shares past the first m are never looked at.
+        let mut spare_damaged = shares.clone();
+        spare_damaged[4] = Share {
+            index: 0,
+            data: Vec::new(),
+        };
+        assert_eq!(ida.reconstruct(&spare_damaged, data.len()).unwrap(), data);
+
+        assert!(ida.decoder(&[1, 2]).is_err());
+        assert!(ida.decoder(&[1, 0, 3]).is_err());
+        assert!(ida.decoder(&[4, 2, 4]).is_err());
+        let decoder = ida.decoder(&[5, 1, 3]).unwrap();
+        assert_eq!(decoder.indices(), [5, 1, 3]);
+        let picked = [&shares[4].data[..], &shares[0].data, &shares[2].data];
+        let mut out = vec![0u8; data.len()];
+        assert!(decoder.reconstruct_into(&picked[..2], &mut out).is_err());
+        let short = [picked[0], &picked[1][..99], picked[2]];
+        assert!(decoder.reconstruct_into(&short, &mut out).is_err());
+        assert!(
+            out.iter().all(|&b| b == 0),
+            "a rejected call decodes nothing"
+        );
+        decoder.reconstruct_into(&picked, &mut out).unwrap();
+        assert_eq!(out, data);
     }
 
     #[test]

@@ -22,6 +22,20 @@
 //!   `m` reconstruct (expansion `n / m` — Mnemosyne's space advantage over
 //!   replication).
 //!
+//! **What it costs.**  One `GroupCodec` is built per operation and runs
+//! the slice-wise kernels of [`stegfs_baselines::ida`]: encoding is one
+//! table load and XOR per byte per share, decoding the same per byte per
+//! required share, straight between the batched block buffers and the
+//! caller's buffer — nothing is allocated or solved per byte tuple, and the
+//! decode matrix is inverted once per distinct subset of surviving shares.
+//! An in-place patch decodes only the partially covered edge groups (see
+//! `hidden::write_range_coded`); groups it covers completely are re-encoded
+//! from the new bytes without reading a share.  What remains on top of a
+//! plain object is the SHA-256 share checksum of every share read or
+//! written, AES-CTR over `n / m` times the bytes, and — under replicated
+//! metadata — the checksum cascade from each patched chain node back to the
+//! header.
+//!
 //! **Deniability is unchanged.**  Shares are AES-CTR'd per block with the
 //! object key exactly like plain hidden blocks, so on the raw device a
 //! share extent is the same uniformly-random ciphertext as any other hidden
@@ -30,7 +44,7 @@
 //! the access key reveals.  Wrong key still reads as never-existed.
 
 use crate::error::{StegError, StegResult};
-use stegfs_baselines::ida::Share;
+use stegfs_baselines::ida::Decoder;
 use stegfs_baselines::Ida;
 use stegfs_crypto::sha256::sha256_concat;
 
@@ -144,72 +158,93 @@ pub(crate) fn share_checksum(share: &[u8]) -> u64 {
     u64::from_be_bytes(digest[..8].try_into().expect("8-byte prefix"))
 }
 
-/// Split one group's `m * block_size` plaintext bytes into `n` shares of
-/// exactly `block_size` bytes each.  Deterministic: re-splitting the same
-/// plaintext reproduces the original shares byte for byte, which is what
-/// lets the scavenger rewrite a damaged share without touching the others.
-pub(crate) fn split_group(group: &[u8], m: usize, n: usize) -> Vec<Share> {
-    debug_assert_eq!(group.len() % m, 0);
-    Ida::new(m, n).expect("validated policy").split(group)
+/// The `(m, n)` codec of one coded operation over `block_size`-byte shares.
+///
+/// Built once per read, write or repair: it owns the encode matrix's product
+/// rows, and remembers the decode matrix of the share subset it last
+/// reconstructed from — every undamaged group of an object decodes from the
+/// same (primary) subset, so the matrix is inverted once per operation, not
+/// once per group.
+pub(crate) struct GroupCodec {
+    ida: Ida,
+    block_size: usize,
+    decoder: Option<Decoder>,
 }
 
-/// Reconstruct one group's `m * block_size` plaintext bytes from at least
-/// `m` checksum-verified shares (`(1-based share index, share bytes)`).
-pub(crate) fn reconstruct_group(
-    good: &[(u8, Vec<u8>)],
-    m: usize,
-    n: usize,
-    block_size: usize,
-) -> StegResult<Vec<u8>> {
-    if good.len() < m {
-        return Err(damage(format!(
-            "share group has {} live shares, {m} required",
-            good.len()
-        )));
-    }
-    let ida = Ida::new(m, n).map_err(|e| damage(e.to_string()))?;
-    let shares: Vec<Share> = good[..m]
-        .iter()
-        .map(|(index, data)| Share {
-            index: *index,
-            data: data.clone(),
-        })
-        .collect();
-    ida.reconstruct(&shares, m * block_size)
-        .map_err(|e| damage(e.to_string()))
-}
-
-/// Encode `data` into the concatenated share stream of a coded object:
-/// `groups * n` blocks of `block_size` bytes, group-major (group 0's shares
-/// 1..=n, then group 1's, ...), plus one checksum per share block.  The last
-/// group is zero padded, exactly like the tail of a plain object's last
-/// block.
-pub(crate) fn encode_groups(
-    data: &[u8],
-    block_size: usize,
-    m: usize,
-    n: usize,
-) -> (Vec<u8>, Vec<u64>) {
-    use crate::readcache::scratch;
-    let group_bytes = m * block_size;
-    let groups = data.len().div_ceil(group_bytes);
-    let mut out = scratch::take(groups * n * block_size);
-    let mut csums = Vec::with_capacity(groups * n);
-    let mut group_buf = scratch::take(group_bytes);
-    for g in 0..groups {
-        let start = g * group_bytes;
-        let end = (start + group_bytes).min(data.len());
-        group_buf[..end - start].copy_from_slice(&data[start..end]);
-        group_buf[end - start..].fill(0);
-        for (j, share) in split_group(&group_buf, m, n).into_iter().enumerate() {
-            debug_assert_eq!(share.data.len(), block_size);
-            csums.push(share_checksum(&share.data));
-            out[(g * n + j) * block_size..(g * n + j + 1) * block_size]
-                .copy_from_slice(&share.data);
+impl GroupCodec {
+    /// The codec of a (header-validated) coded policy.
+    pub(crate) fn new(m: usize, n: usize, block_size: usize) -> Self {
+        GroupCodec {
+            ida: Ida::new(m, n).expect("validated policy"),
+            block_size,
+            decoder: None,
         }
     }
-    scratch::put(group_buf);
-    (out, csums)
+
+    /// `(m, n)`: shares required / shares stored per group.
+    pub(crate) fn shares(&self) -> (usize, usize) {
+        (self.ida.threshold(), self.ida.share_count())
+    }
+
+    /// Split one group's (up to) `m * block_size` plaintext bytes into its
+    /// `n` shares of exactly `block_size` bytes each, back to back in
+    /// `shares`; a short group is zero padded.  Deterministic: re-splitting
+    /// the same plaintext reproduces the original shares byte for byte,
+    /// which is what lets the scavenger rewrite a damaged share without
+    /// touching the others.
+    pub(crate) fn split_group(&self, group: &[u8], shares: &mut [u8]) {
+        debug_assert_eq!(shares.len(), self.ida.share_count() * self.block_size);
+        self.ida.split_into(group, shares);
+    }
+
+    /// Reconstruct one group's `m * block_size` plaintext bytes into `out`
+    /// from at least `m` checksum-verified shares, borrowed as `(1-based
+    /// share index, share bytes)`.
+    pub(crate) fn reconstruct_group(
+        &mut self,
+        good: &[(u8, &[u8])],
+        out: &mut [u8],
+    ) -> StegResult<()> {
+        let m = self.ida.threshold();
+        if good.len() < m {
+            return Err(damage(format!(
+                "share group has {} live shares, {m} required",
+                good.len()
+            )));
+        }
+        debug_assert_eq!(out.len(), m * self.block_size);
+        let good = &good[..m];
+        let indices = || good.iter().map(|(index, _)| *index);
+        let cached = self.decoder.as_ref();
+        if !cached.is_some_and(|d| d.indices().iter().copied().eq(indices())) {
+            let decoder = self.ida.decoder(&indices().collect::<Vec<u8>>());
+            self.decoder = Some(decoder.map_err(|e| damage(e.to_string()))?);
+        }
+        let shares: Vec<&[u8]> = good.iter().map(|(_, share)| *share).collect();
+        self.decoder
+            .as_ref()
+            .expect("installed above")
+            .reconstruct_into(&shares, out)
+            .map_err(|e| damage(e.to_string()))
+    }
+
+    /// Encode `data` into the concatenated share stream of a coded object:
+    /// `groups * n` blocks of `block_size` bytes, group-major (group 0's
+    /// shares 1..=n, then group 1's, ...), plus one checksum per share
+    /// block.  The last group is zero padded, exactly like the tail of a
+    /// plain object's last block.  The stream is a scratch-pool buffer.
+    pub(crate) fn encode_groups(&self, data: &[u8]) -> (Vec<u8>, Vec<u64>) {
+        let (m, n) = self.shares();
+        let bs = self.block_size;
+        let groups = data.len().div_ceil(m * bs);
+        let mut out = crate::readcache::scratch::take(groups * n * bs);
+        let mut csums = Vec::with_capacity(groups * n);
+        for (group, shares) in data.chunks(m * bs).zip(out.chunks_exact_mut(n * bs)) {
+            self.split_group(group, shares);
+            csums.extend(shares.chunks_exact(bs).map(share_checksum));
+        }
+        (out, csums)
+    }
 }
 
 /// The error family for unrecoverable damage: a clean failure, carrying no
@@ -271,21 +306,25 @@ mod tests {
         let bs = 64;
         let (m, n) = (3, 5);
         let data: Vec<u8> = (0..bs * 7 + 13).map(|i| (i * 37 % 251) as u8).collect();
-        let (stream, csums) = encode_groups(&data, bs, m, n);
+        let mut codec = GroupCodec::new(m, n, bs);
+        let (stream, csums) = codec.encode_groups(&data);
         let groups = data.len().div_ceil(m * bs);
         assert_eq!(stream.len(), groups * n * bs);
         assert_eq!(csums.len(), groups * n);
-        let mut decoded = Vec::new();
-        for g in 0..groups {
-            // Any m of the n shares reconstruct — take the *last* m here.
-            let good: Vec<(u8, Vec<u8>)> = (n - m..n)
+        let mut decoded = vec![0u8; groups * m * bs];
+        for (g, out) in decoded.chunks_exact_mut(m * bs).enumerate() {
+            // Any m of the n shares reconstruct — alternate between the last
+            // m and the first m, so the remembered decode matrix is replaced
+            // whenever the subset changes.
+            let first = if g % 2 == 0 { n - m } else { 0 };
+            let good: Vec<(u8, &[u8])> = (first..first + m)
                 .map(|j| {
                     let block = &stream[(g * n + j) * bs..(g * n + j + 1) * bs];
                     assert_eq!(csums[g * n + j], share_checksum(block));
-                    ((j + 1) as u8, block.to_vec())
+                    ((j + 1) as u8, block)
                 })
                 .collect();
-            decoded.extend(reconstruct_group(&good, m, n, bs).unwrap());
+            codec.reconstruct_group(&good, out).unwrap();
         }
         decoded.truncate(data.len());
         assert_eq!(decoded, data);
@@ -294,8 +333,8 @@ mod tests {
     #[test]
     fn encode_is_deterministic() {
         let data: Vec<u8> = (0..1000).map(|i| (i % 256) as u8).collect();
-        let a = encode_groups(&data, 128, 2, 4);
-        let b = encode_groups(&data, 128, 2, 4);
+        let a = GroupCodec::new(2, 4, 128).encode_groups(&data);
+        let b = GroupCodec::new(2, 4, 128).encode_groups(&data);
         assert_eq!(a, b);
     }
 
@@ -303,17 +342,21 @@ mod tests {
     fn too_few_shares_fail_closed() {
         let bs = 32;
         let data = vec![0xabu8; bs * 2];
-        let (stream, _) = encode_groups(&data, bs, 2, 3);
-        let one = vec![(1u8, stream[..bs].to_vec())];
-        let err = reconstruct_group(&one, 2, 3, bs).unwrap_err();
+        let mut codec = GroupCodec::new(2, 3, bs);
+        let (stream, _) = codec.encode_groups(&data);
+        let mut out = vec![0u8; 2 * bs];
+        let err = codec
+            .reconstruct_group(&[(1u8, &stream[..bs])], &mut out)
+            .unwrap_err();
         assert!(err.to_string().contains("live shares"));
+        assert!(out.iter().all(|&b| b == 0), "no partial plaintext");
     }
 
     #[test]
     fn replication_shares_are_full_copies() {
         let bs = 16;
         let data = vec![7u8; bs];
-        let (stream, _) = encode_groups(&data, bs, 1, 3);
+        let (stream, _) = GroupCodec::new(1, 3, bs).encode_groups(&data);
         assert_eq!(stream.len(), 3 * bs);
         for j in 0..3 {
             assert_eq!(&stream[j * bs..(j + 1) * bs], &data[..]);

@@ -19,7 +19,7 @@
 //! the survivors.  On the raw device shares are indistinguishable from any
 //! other hidden block.
 
-use crate::coding::{self, Policy};
+use crate::coding::{self, GroupCodec, Policy};
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
 use crate::header::{HiddenHeader, InodeChainBlock, ObjectKind, NO_BLOCK};
@@ -622,6 +622,11 @@ fn read_chain<D: BlockDevice>(
     Ok((data_blocks, chain_blocks, share_csums))
 }
 
+/// Block `i` of a buffer of concatenated `bs`-byte blocks.
+fn nth_block(buf: &[u8], i: usize, bs: usize) -> &[u8] {
+    &buf[i * bs..(i + 1) * bs]
+}
+
 /// Decode the requested groups of a coded object, returning `m * block_size`
 /// plaintext bytes per group in `groups` order (a scratch-pool buffer).
 ///
@@ -631,18 +636,21 @@ fn read_chain<D: BlockDevice>(
 /// falls back through its remaining shares — again one batch for all
 /// degraded groups — instead of erroring.  A group with fewer than `m`
 /// surviving shares fails closed: the error carries no partial plaintext.
-#[allow(clippy::too_many_arguments)]
+///
+/// Shares are never copied: each group is reconstructed from slices of the
+/// two batched read buffers straight into its place in the output.
 fn decode_groups<D: BlockDevice>(
     fs: &PlainFs<D>,
     keys: &ObjectKeys,
+    codec: &mut GroupCodec,
     data_blocks: &[u64],
     share_csums: &[u64],
-    m: usize,
-    n: usize,
     groups: &[usize],
     health: Option<&ReadHealth>,
 ) -> StegResult<Vec<u8>> {
     let bs = fs.block_size();
+    let (m, n) = codec.shares();
+    let extra = n - m;
     if data_blocks.len() != share_csums.len() || !data_blocks.len().is_multiple_of(n) {
         return Err(coding::damage(
             "coded chain does not pair every share with a checksum".into(),
@@ -652,65 +660,87 @@ fn decode_groups<D: BlockDevice>(
         .iter()
         .flat_map(|&g| data_blocks[g * n..g * n + m].iter().copied())
         .collect();
-    let buf = read_decrypted_many(fs, keys, &primary)?;
-    let mut good: Vec<Vec<(u8, Vec<u8>)>> = vec![Vec::new(); groups.len()];
+    let primary_buf = read_decrypted_many(fs, keys, &primary)?;
+    // Per requested group, the (0-based) shares whose checksum verified.
+    let mut live: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
     let mut degraded: Vec<usize> = Vec::new();
     for (gi, &g) in groups.iter().enumerate() {
-        for j in 0..m {
-            let share = &buf[(gi * m + j) * bs..(gi * m + j + 1) * bs];
-            if coding::share_checksum(share) == share_csums[g * n + j] {
-                good[gi].push(((j + 1) as u8, share.to_vec()));
-            }
-        }
-        if good[gi].len() < m {
+        let ok = |&j: &usize| {
+            coding::share_checksum(nth_block(&primary_buf, gi * m + j, bs))
+                == share_csums[g * n + j]
+        };
+        live.push((0..m).filter(ok).collect());
+        if live[gi].len() < m {
             degraded.push(gi);
         }
     }
-    scratch::put(buf);
     if !degraded.is_empty() {
         // The read will be served (or fail closed) below, but either way the
         // primary shares alone no longer carry the object.
         mark(health);
     }
-    if !degraded.is_empty() && n > m {
-        let extra = n - m;
-        let fallback: Vec<u64> = degraded
-            .iter()
-            .flat_map(|&gi| {
-                let g = groups[gi];
-                data_blocks[g * n + m..(g + 1) * n].iter().copied()
-            })
-            .collect();
-        let buf = read_decrypted_many(fs, keys, &fallback)?;
-        for (di, &gi) in degraded.iter().enumerate() {
+    let fallback: Vec<u64> = degraded
+        .iter()
+        .flat_map(|&gi| {
             let g = groups[gi];
-            for j in 0..extra {
-                let share = &buf[(di * extra + j) * bs..(di * extra + j + 1) * bs];
-                if coding::share_checksum(share) == share_csums[g * n + m + j] {
-                    good[gi].push(((m + j + 1) as u8, share.to_vec()));
-                }
-            }
+            data_blocks[g * n + m..(g + 1) * n].iter().copied()
+        })
+        .collect();
+    let fallback_buf = match read_decrypted_many(fs, keys, &fallback) {
+        Ok(buf) => buf,
+        Err(e) => {
+            scratch::put(primary_buf);
+            return Err(e);
         }
-        scratch::put(buf);
+    };
+    // A degraded group's fallback shares sit at its rank among the degraded
+    // groups; every group's primary shares sit at its own position.
+    let mut rank = vec![0; groups.len()];
+    for (di, &gi) in degraded.iter().enumerate() {
+        rank[gi] = di;
+    }
+    let share_at = |gi: usize, j: usize| {
+        if j < m {
+            nth_block(&primary_buf, gi * m + j, bs)
+        } else {
+            nth_block(&fallback_buf, rank[gi] * extra + j - m, bs)
+        }
+    };
+    for &gi in &degraded {
+        let g = groups[gi];
+        let ok = |&j: &usize| coding::share_checksum(share_at(gi, j)) == share_csums[g * n + j];
+        live[gi].extend((m..n).filter(ok));
     }
     let mut out = scratch::take(groups.len() * m * bs);
-    for (gi, &g) in groups.iter().enumerate() {
-        if good[gi].len() < m {
-            scratch::put(out);
-            return Err(coding::damage(format!(
-                "share group {g} has {} live shares, {m} required",
-                good[gi].len()
-            )));
-        }
-        match coding::reconstruct_group(&good[gi], m, n, bs) {
-            Ok(plain) => out[gi * m * bs..(gi + 1) * m * bs].copy_from_slice(&plain),
-            Err(e) => {
-                scratch::put(out);
-                return Err(e);
+    let mut decode = || -> StegResult<()> {
+        let mut good: Vec<(u8, &[u8])> = Vec::with_capacity(m);
+        for (gi, (&g, plain)) in groups.iter().zip(out.chunks_exact_mut(m * bs)).enumerate() {
+            if live[gi].len() < m {
+                return Err(coding::damage(format!(
+                    "share group {g} has {} live shares, {m} required",
+                    live[gi].len()
+                )));
             }
+            good.clear();
+            good.extend(
+                live[gi][..m]
+                    .iter()
+                    .map(|&j| ((j + 1) as u8, share_at(gi, j))),
+            );
+            codec.reconstruct_group(&good, plain)?;
+        }
+        Ok(())
+    };
+    let decoded = decode();
+    scratch::put(primary_buf);
+    scratch::put(fallback_buf);
+    match decoded {
+        Ok(()) => Ok(out),
+        Err(e) => {
+            scratch::put(out);
+            Err(e)
         }
     }
-    Ok(out)
 }
 
 /// Read logical blocks `first..=last` of a coded object, serving what it can
@@ -751,13 +781,13 @@ fn read_coded_range<D: BlockDevice>(
         }
     }
     if !missing.is_empty() {
+        let mut codec = GroupCodec::new(m, n, bs);
         let decoded = match decode_groups(
             fs,
             keys,
+            &mut codec,
             &extents.data_blocks,
             &extents.share_csums,
-            m,
-            n,
             &missing,
             health,
         ) {
@@ -929,11 +959,13 @@ pub fn write_range<D: BlockDevice>(
 
 /// [`write_range`], accelerated by the read cache: the extent map comes
 /// from the cache when warm, and since an in-place patch leaves the chain
-/// untouched the *same* extent list is re-installed after the commit — only
-/// the plaintext blocks drop (their generation dies with the invalidation),
-/// which is exactly the set the patch made stale.  Coded objects rewrite
-/// their chain nodes' checksums, so their entry is invalidated without a
-/// re-install (the next operation walks cold).
+/// where it is the extent list is re-installed after the commit — only the
+/// plaintext blocks drop (their generation dies with the invalidation),
+/// which is exactly the set the patch made stale.  A coded patch walks its
+/// chain on disk (it rewrites the nodes it patches) and re-installs the
+/// same blocks with the refreshed share checksums, so the next read of the
+/// object does not walk and re-verify the chain again.  Any failure only
+/// invalidates.
 pub fn write_range_cached<D: BlockDevice>(
     fs: &PlainFs<D>,
     keys: &ObjectKeys,
@@ -953,9 +985,8 @@ pub fn write_range_cached<D: BlockDevice>(
         }));
     }
     if let Some((m, n)) = obj.header.policy.coding() {
-        let result = write_range_coded(fs, keys, obj, offset, data, m, n);
-        cache.invalidate(keys.signature());
-        return result;
+        let outcome = write_range_coded(fs, keys, obj, offset, data, m, n);
+        return republish(keys, obj, outcome, cache);
     }
     let (_, extents) = match cached_chain(fs, keys, obj, cache, None) {
         Ok(hit) => hit,
@@ -1009,16 +1040,26 @@ fn write_range_plain<D: BlockDevice>(
     Ok(())
 }
 
-/// [`write_range`] for coded objects: decode the affected groups (with the
-/// usual fall-back through surviving shares), patch the plaintext, re-encode
-/// and rewrite those groups' full share extents together with every chain
-/// node whose checksum entries they own — one transaction, so a crash never
-/// leaves a group whose shares disagree with its recorded checksums.
+/// [`write_range`] for coded objects: decode the partially covered edge
+/// groups (with the usual fall-back through surviving shares), rebuild every
+/// fully covered group from `data` alone — the same edge-only
+/// [`stegfs_fs::rmw`] plan as the plain path, at group granularity, so an
+/// aligned patch reads no share at all — then re-encode and rewrite those
+/// groups' full share extents together with every chain node whose checksum
+/// entries they own.  One transaction, so a crash never leaves a group whose
+/// shares disagree with its recorded checksums.
+///
+/// A group damaged beyond tolerance therefore heals when a patch covers it
+/// completely, while a patch that needs any of its old bytes still fails
+/// closed before anything is written.
 ///
 /// Under replicated metadata a patched node's new plaintext changes the
 /// checksum its *predecessor* records, so the rewrite cascades from the last
 /// affected node back to the head and into the header (`chain_csum`) — which
 /// is why this path takes `&mut` and refreshes the caller's header snapshot.
+///
+/// Returns the object's extent list as the patch leaves it: the blocks the
+/// walk found, with the patched groups' fresh share checksums.
 fn write_range_coded<D: BlockDevice>(
     fs: &PlainFs<D>,
     keys: &ObjectKeys,
@@ -1027,7 +1068,7 @@ fn write_range_coded<D: BlockDevice>(
     data: &[u8],
     m: usize,
     n: usize,
-) -> StegResult<()> {
+) -> StegResult<ExtentList> {
     let bs = fs.block_size();
     let end = offset + data.len() as u64;
     let copies = effective_meta_copies(&obj.header);
@@ -1036,23 +1077,40 @@ fn write_range_coded<D: BlockDevice>(
         .iter()
         .flat_map(|nd| nd.node.pointers.iter().copied())
         .collect();
-    let share_csums: Vec<u64> = nodes
+    let mut share_csums: Vec<u64> = nodes
         .iter()
         .flat_map(|nd| nd.node.csums.iter().copied())
         .collect();
-    let group_bytes = (m * bs) as u64;
-    let g0 = (offset / group_bytes) as usize;
-    let g1 = ((end - 1) / group_bytes) as usize;
+    let group_bytes = m * bs;
+    let g0 = (offset / group_bytes as u64) as usize;
+    let g1 = ((end - 1) / group_bytes as u64) as usize;
     if g1 >= data_blocks.len() / n.max(1) {
         return Err(StegError::Fs(stegfs_fs::FsError::Corrupt(
             "hidden object shorter than its size field".into(),
         )));
     }
-    let groups: Vec<usize> = (g0..=g1).collect();
-    let mut plain = decode_groups(fs, keys, &data_blocks, &share_csums, m, n, &groups, None)?;
-    let from = (offset - g0 as u64 * group_bytes) as usize;
+    // The plan's "blocks" are group indices: its edges are the (at most two)
+    // groups whose old plaintext the patch keeps part of.
+    let groups: Vec<u64> = (g0 as u64..=g1 as u64).collect();
+    let span_start = (g0 * group_bytes) as u64;
+    let plan = stegfs_fs::rmw::plan(&groups, offset, end, span_start, group_bytes);
+    let edges: Vec<usize> = plan.edges.iter().map(|&g| g as usize).collect();
+    let mut codec = GroupCodec::new(m, n, bs);
+    let edge_plain = decode_groups(
+        fs,
+        keys,
+        &mut codec,
+        &data_blocks,
+        &share_csums,
+        &edges,
+        None,
+    )?;
+    let mut plain = scratch::take(groups.len() * group_bytes);
+    plan.seed_edges(&edge_plain, &mut plain, group_bytes);
+    scratch::put(edge_plain);
+    let from = (offset - span_start) as usize;
     plain[from..from + data.len()].copy_from_slice(data);
-    let (payload, new_csums) = coding::encode_groups(&plain, bs, m, n);
+    let (payload, new_csums) = codec.encode_groups(&plain);
     scratch::put(plain);
 
     let first_entry = g0 * n;
@@ -1077,7 +1135,7 @@ fn write_range_coded<D: BlockDevice>(
             }
         }
     }
-    if copies == 1 {
+    let new_header = if copies == 1 {
         for nd in nodes.iter().take(last_node + 1).skip(first_node) {
             write_encrypted(
                 &mut txn,
@@ -1086,6 +1144,7 @@ fn write_range_coded<D: BlockDevice>(
                 &nd.node.serialize_meta(bs, true, 1),
             )?;
         }
+        None
     } else {
         // Cascade: rewrite nodes `last_node..=0` back to front so each
         // predecessor records its successor's fresh checksum, then republish
@@ -1109,12 +1168,19 @@ fn write_range_coded<D: BlockDevice>(
         let mut header = obj.header.clone();
         header.chain_csum = child_csum.expect("coded patch touches at least one node");
         publish_header(&mut txn, keys, obj.header_block, &header)?;
-        txn.commit()?;
-        obj.header = header;
-        return Ok(());
-    }
+        Some(header)
+    };
     txn.commit()?;
-    Ok(())
+    if let Some(header) = new_header {
+        obj.header = header;
+    }
+    share_csums[first_entry..=last_entry].copy_from_slice(&new_csums);
+    Ok(ExtentList {
+        chain_blocks: nodes.into_iter().flat_map(|nd| nd.blocks).collect(),
+        data_blocks,
+        share_csums,
+        coding: Some((m, n)),
+    })
 }
 
 /// Take one block for new data: prefer the internal free pool (choosing a
@@ -1256,7 +1322,7 @@ fn write_with_extents<D: BlockDevice>(
     // one `ceil(len / bs)` data blocks (the zero tail pads the final block
     // or group either way).
     let (payload, csums) = match obj.header.policy.coding() {
-        Some((m, n)) => coding::encode_groups(data, bs, m, n),
+        Some((m, n)) => GroupCodec::new(m, n, bs).encode_groups(data),
         None => {
             let mut padded = scratch::take(data.len().div_ceil(bs) * bs);
             padded[..data.len()].copy_from_slice(data);
@@ -1725,44 +1791,53 @@ pub fn repair<D: BlockDevice>(
     }
     let buf = read_decrypted_many(fs, keys, &data_blocks)?;
     let groups = data_blocks.len() / n;
-    let mut good: Vec<Vec<(u8, Vec<u8>)>> = vec![Vec::new(); groups];
+    // Per group, the verified shares (borrowed from the batched read) and
+    // the 0-based numbers of the damaged ones.
+    let mut good: Vec<Vec<(u8, &[u8])>> = vec![Vec::new(); groups];
     let mut bad: Vec<Vec<usize>> = vec![Vec::new(); groups];
     for g in 0..groups {
         for j in 0..n {
             let idx = g * n + j;
-            let share = &buf[idx * bs..(idx + 1) * bs];
+            let share = nth_block(&buf, idx, bs);
             if coding::share_checksum(share) == share_csums[idx] {
-                good[g].push(((j + 1) as u8, share.to_vec()));
+                good[g].push(((j + 1) as u8, share));
             } else {
                 bad[g].push(j);
             }
         }
     }
-    scratch::put(buf);
     let groups_lost = good.iter().filter(|g| g.len() < m).count();
-    if groups_lost > 0 {
-        return Ok(RepairOutcome::Lost { groups_lost });
-    }
     let shares_rebuilt: usize = bad.iter().map(|b| b.len()).sum::<usize>() + meta_rewrites.len();
-    if shares_rebuilt == 0 {
-        return Ok(RepairOutcome::Intact);
-    }
-    let mut txn = fs.begin_txn();
-    for (b, plain) in &meta_rewrites {
-        write_encrypted(&mut txn, keys, *b, plain)?;
-    }
-    for g in 0..groups {
-        if bad[g].is_empty() {
-            continue;
+    let rewrite = || -> StegResult<()> {
+        let mut txn = fs.begin_txn();
+        for (b, plain) in &meta_rewrites {
+            write_encrypted(&mut txn, keys, *b, plain)?;
         }
-        let plain = coding::reconstruct_group(&good[g], m, n, bs)?;
-        let shares = coding::split_group(&plain, m, n);
-        for &j in &bad[g] {
-            write_encrypted(&mut txn, keys, data_blocks[g * n + j], &shares[j].data)?;
+        let mut codec = GroupCodec::new(m, n, bs);
+        let mut plain = scratch::take(m * bs);
+        let mut shares = scratch::take(n * bs);
+        for g in (0..groups).filter(|&g| !bad[g].is_empty()) {
+            codec.reconstruct_group(&good[g], &mut plain)?;
+            codec.split_group(&plain, &mut shares);
+            for &j in &bad[g] {
+                let share = nth_block(&shares, j, bs);
+                write_encrypted(&mut txn, keys, data_blocks[g * n + j], share)?;
+            }
         }
-    }
-    txn.commit()?;
-    Ok(RepairOutcome::Repaired { shares_rebuilt })
+        scratch::put(plain);
+        scratch::put(shares);
+        txn.commit()?;
+        Ok(())
+    };
+    let outcome = if groups_lost > 0 {
+        Ok(RepairOutcome::Lost { groups_lost })
+    } else if shares_rebuilt == 0 {
+        Ok(RepairOutcome::Intact)
+    } else {
+        rewrite().map(|()| RepairOutcome::Repaired { shares_rebuilt })
+    };
+    scratch::put(buf);
+    outcome
 }
 
 /// Last-resort teardown for an object whose chain can no longer be walked:
@@ -2428,6 +2503,46 @@ mod tests {
         let groups = share_extents(&fs, &keys, &obj).unwrap();
         smash(&fs, groups[0][1], 7);
         assert_eq!(read(&fs, &keys, &obj).unwrap(), expected);
+    }
+
+    #[test]
+    fn coded_patch_reinstalls_its_extent_list_and_only_invalidates_on_failure() {
+        let policy = Policy::Disperse { m: 2, n: 3 };
+        let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "warm-patch");
+        let data: Vec<u8> = (0..8 * 1024u32).map(|i| (i % 253) as u8).collect();
+        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        let cache = ReadCache::new(64);
+        assert_eq!(read_cached(&fs, &keys, &obj, &cache).unwrap(), data);
+
+        // A patch drops the object's decoded blocks but leaves its extent
+        // list installed, carrying the checksums of the rewritten shares:
+        // the next read misses no extent lookup and verifies every share.
+        write_range_cached(&fs, &keys, &mut obj, 1000, &[0xee; 3000], &cache).unwrap();
+        let mut expected = data.clone();
+        expected[1000..4000].copy_from_slice(&[0xee; 3000]);
+        let misses = cache.stats().extent_misses;
+        assert_eq!(read_cached(&fs, &keys, &obj, &cache).unwrap(), expected);
+        assert_eq!(
+            cache.stats().extent_misses,
+            misses,
+            "patched object went cold"
+        );
+        let (_, walked, walked_csums) = read_chain(&fs, &keys, &obj, None).unwrap();
+        let (_, cached) = cached_chain(&fs, &keys, &obj, &cache, None).unwrap();
+        assert_eq!(cached.chain_blocks, walked);
+        assert_eq!(cached.share_csums, walked_csums);
+
+        // A patch that fails closed leaves no entry behind.
+        let groups = share_extents(&fs, &keys, &obj).unwrap();
+        smash(&fs, groups[0][0], 1);
+        smash(&fs, groups[0][1], 2);
+        assert!(write_range_cached(&fs, &keys, &mut obj, 10, &[1; 10], &cache).is_err());
+        let entry = cache.lookup_extents(
+            keys.signature(),
+            obj.header.inode_chain,
+            obj.header.data_block_count,
+        );
+        assert!(entry.is_none());
     }
 
     #[test]

@@ -1,0 +1,258 @@
+//! The coded hidden write path, from outside the engine: the on-disk image a
+//! fixed sequence of coded operations produces is pinned to a constant, and
+//! in-place patches of coded objects follow the edge-only group plan — a
+//! fully covered group is encoded straight from the caller's bytes (no share
+//! of it is read), a partially covered one is decoded first and therefore
+//! still fails closed when damaged beyond tolerance.
+
+use stegfs_blockdev::{BlockDevice, CorruptingDevice, MemBlockDevice, MeteredDevice};
+use stegfs_core::hidden::RepairOutcome;
+use stegfs_core::{ObjectKind, Policy, StegFs};
+use stegfs_crypto::sha256::sha256;
+use stegfs_tests::{full_feature_params, payload};
+
+const OWNER: &str = "the real key";
+const BS: usize = 1024;
+
+const POLICIES: [(&str, Policy); 3] = [
+    ("d23", Policy::Disperse { m: 2, n: 3 }),
+    ("d35", Policy::Disperse { m: 3, n: 5 }),
+    ("r2", Policy::Replicate(2)),
+];
+
+type CodedVolume = StegFs<CorruptingDevice<MemBlockDevice>>;
+
+fn volume() -> CodedVolume {
+    StegFs::format(
+        CorruptingDevice::new(MemBlockDevice::new(BS, 8192)),
+        full_feature_params(),
+    )
+    .expect("format")
+}
+
+fn raw_image<D: BlockDevice>(fs: &StegFs<D>) -> Vec<u8> {
+    let dev = fs.plain_fs().device();
+    let mut image = Vec::with_capacity(dev.total_blocks() as usize * dev.block_size());
+    for b in 0..dev.total_blocks() {
+        image.extend(dev.read_block_vec(b).expect("raw read"));
+    }
+    image
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The five ways a patch can sit relative to the `m * BS`-byte groups of an
+/// object `size` bytes long (`size` is not a group multiple and spans at
+/// least six groups): `(offset, len)`.
+fn alignment_matrix(group: usize, size: usize) -> [(usize, usize); 5] {
+    [
+        // Inside one group.
+        (group + 100, group / 2),
+        // Straddling two groups, covering neither.
+        (2 * group - 17, 40),
+        // Aligned full cover of two groups.
+        (group, 2 * group),
+        // Partial head + two full middle groups + partial tail.
+        (group - 5, 3 * group + 16),
+        // Ending at EOF, inside the (partial) last group.
+        (size - group - 3, group + 3),
+    ]
+}
+
+/// Patch `name` in place and mirror the patch in `model`.
+fn patch<D: BlockDevice>(
+    fs: &StegFs<D>,
+    name: &str,
+    model: &mut [u8],
+    offset: usize,
+    len: usize,
+    seed: u64,
+) {
+    let bytes = payload(seed, len);
+    model[offset..offset + len].copy_from_slice(&bytes);
+    fs.write_hidden_range_with_key(name, OWNER, offset as u64, &bytes)
+        .expect("patch");
+}
+
+/// Zero `losses` shares (the first ones) of group `g` of `name`.
+fn zero_shares(fs: &CodedVolume, name: &str, g: usize, losses: usize) {
+    let dev = fs.plain_fs().device().clone();
+    let groups = fs.hidden_share_extents(name, OWNER).expect("extents");
+    for &b in &groups[g][..losses] {
+        dev.zero_block(b).expect("zero");
+    }
+    fs.purge_read_caches();
+}
+
+/// SHA-256 of the raw device after the fixed operation sequence below,
+/// recorded from the commit that still decoded every group it overwrote and
+/// ran the per-byte IDA: the slice kernels and the edge-only plan must leave
+/// every share, checksum, chain node and header byte where that code put it.
+const GOLDEN_IMAGE_SHA256: &str =
+    "f06c183a68522d69e206f6dcdbe042d29d092d57c04b9665d8d9f7f2f06a9855";
+
+#[test]
+fn golden_coded_volume_image_is_bit_identical() {
+    let fs = volume();
+    for (i, (name, policy)) in POLICIES.iter().enumerate() {
+        let seed = 1000 * (i as u64 + 1);
+        let (m, n) = policy.shares();
+        let group = m * BS;
+        fs.steg_create_with_policy(name, OWNER, ObjectKind::File, *policy)
+            .unwrap();
+
+        // Written: a size that is neither a block nor a group multiple.
+        let mut model = payload(seed, 7 * group + 333 + i);
+        fs.write_hidden_with_key(name, OWNER, &model).unwrap();
+
+        // Partially patched, in every alignment.
+        for (k, (offset, len)) in alignment_matrix(group, model.len()).into_iter().enumerate() {
+            patch(&fs, name, &mut model, offset, len, seed + 1 + k as u64);
+        }
+
+        // Resized: grown through a handle write past EOF (leaving a zero
+        // gap), shrunk by a truncate, then patched up to the new EOF.
+        let mut handle = fs.open_hidden(name, OWNER).unwrap();
+        let tail = payload(seed + 10, 2 * group + 9);
+        let at = model.len() + 700;
+        fs.write_at_handle(&mut handle, at as u64, &tail).unwrap();
+        model.resize(at, 0);
+        model.extend_from_slice(&tail);
+        let cut = 5 * group + 41;
+        fs.truncate_handle(&mut handle, cut as u64).unwrap();
+        model.truncate(cut);
+        let bytes = payload(seed + 11, group + 50);
+        fs.write_at_handle(&mut handle, (cut - bytes.len()) as u64, &bytes)
+            .unwrap();
+        model[cut - bytes.len()..].copy_from_slice(&bytes);
+
+        // Repaired: every group loses as many shares as the code tolerates.
+        let groups = fs.hidden_share_extents(name, OWNER).unwrap().len();
+        for g in 0..groups {
+            zero_shares(&fs, name, g, n - m);
+        }
+        let entry = fs.lookup_entry(name, OWNER).unwrap();
+        assert_eq!(
+            fs.scavenge_entry(&entry).unwrap(),
+            RepairOutcome::Repaired {
+                shares_rebuilt: groups * (n - m)
+            }
+        );
+        fs.purge_read_caches();
+        assert_eq!(fs.read_hidden_with_key(name, OWNER).unwrap(), model);
+    }
+    assert_eq!(hex(&sha256(&raw_image(&fs))), GOLDEN_IMAGE_SHA256);
+}
+
+#[test]
+fn patch_alignment_matrix_matches_a_byte_model() {
+    for (i, (name, policy)) in POLICIES.iter().enumerate() {
+        let fs = volume();
+        let group = policy.shares().0 * BS;
+        fs.steg_create_with_policy(name, OWNER, ObjectKind::File, *policy)
+            .unwrap();
+        let mut model = payload(i as u64, 6 * group + 777);
+        fs.write_hidden_with_key(name, OWNER, &model).unwrap();
+        for (k, (offset, len)) in alignment_matrix(group, model.len()).into_iter().enumerate() {
+            patch(&fs, name, &mut model, offset, len, 50 + k as u64);
+            // Warm: through whatever the patch left in the read cache.
+            assert_eq!(
+                fs.read_hidden_with_key(name, OWNER).unwrap(),
+                model,
+                "{name} case {k}, warm"
+            );
+            assert_eq!(
+                fs.read_hidden_range_with_key(name, OWNER, offset as u64, len)
+                    .unwrap(),
+                model[offset..offset + len],
+                "{name} case {k}, warm range"
+            );
+            // Cold: from the shares and checksums the patch committed.
+            fs.purge_read_caches();
+            assert_eq!(
+                fs.read_hidden_with_key(name, OWNER).unwrap(),
+                model,
+                "{name} case {k}, cold"
+            );
+        }
+        // Every patched share still matches its recorded checksum.
+        let entry = fs.lookup_entry(name, OWNER).unwrap();
+        assert_eq!(fs.scavenge_entry(&entry).unwrap(), RepairOutcome::Intact);
+    }
+}
+
+#[test]
+fn aligned_full_cover_patch_reads_no_share_blocks() {
+    let dev = MeteredDevice::new(MemBlockDevice::new(BS, 8192));
+    let stats = dev.stats_handle();
+    let fs = StegFs::format(dev, full_feature_params()).unwrap();
+    let policy = Policy::Disperse { m: 2, n: 3 };
+    let group = 2 * BS;
+    fs.steg_create_with_policy("obj", OWNER, ObjectKind::File, policy)
+        .unwrap();
+    // Four groups = 12 share entries: one chain node, so a patch's chain
+    // walk reads exactly one block.
+    let mut model = payload(9, 4 * group);
+    fs.write_hidden_with_key("obj", OWNER, &model).unwrap();
+    let mut handle = fs.open_hidden("obj", OWNER).unwrap();
+
+    let reads_of = |fs: &StegFs<_>, handle: &mut _, offset: usize, bytes: &[u8]| {
+        fs.purge_read_caches();
+        stats.reset();
+        fs.write_range_at(handle, offset as u64, bytes).unwrap();
+        stats.snapshot().reads
+    };
+
+    // Groups 1 and 2, fully covered: the chain node and nothing else.
+    let bytes = payload(10, 2 * group);
+    model[group..3 * group].copy_from_slice(&bytes);
+    assert_eq!(reads_of(&fs, &mut handle, group, &bytes), 1);
+
+    // One byte short at either end: that edge group's `m` primary shares
+    // come up, the covered group's still do not.
+    let bytes = payload(11, 2 * group - 1);
+    model[group + 1..3 * group].copy_from_slice(&bytes);
+    assert_eq!(reads_of(&fs, &mut handle, group + 1, &bytes), 1 + 2);
+    model[group..3 * group - 1].copy_from_slice(&bytes);
+    assert_eq!(reads_of(&fs, &mut handle, group, &bytes), 1 + 2);
+
+    fs.purge_read_caches();
+    assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), model);
+}
+
+#[test]
+fn full_cover_heals_a_lost_group_but_a_partial_patch_fails_closed() {
+    let fs = volume();
+    let policy = Policy::Disperse { m: 2, n: 3 };
+    let group = 2 * BS;
+    fs.steg_create_with_policy("obj", OWNER, ObjectKind::File, policy)
+        .unwrap();
+    let mut model = payload(21, 4 * group + 100);
+    fs.write_hidden_with_key("obj", OWNER, &model).unwrap();
+
+    // Group 1 loses two of its three shares: one more than 2-of-3 tolerates.
+    zero_shares(&fs, "obj", 1, 2);
+    assert!(fs.read_hidden_with_key("obj", OWNER).is_err());
+
+    // A patch that needs the group's old bytes cannot have them: a clean
+    // error in the damage family, and not one block written.
+    let before = raw_image(&fs);
+    for (offset, len) in [(group + 1, group - 1), (group, group - 1), (group - 10, 20)] {
+        let err = fs
+            .write_hidden_range_with_key("obj", OWNER, offset as u64, &payload(22, len))
+            .unwrap_err();
+        assert!(err.to_string().contains("live shares"), "got: {err}");
+        assert_eq!(raw_image(&fs), before, "failed patch wrote something");
+    }
+
+    // A patch that replaces the whole group needs none of them, and leaves
+    // the group with three fresh, checksummed shares.
+    patch(&fs, "obj", &mut model, group, group, 23);
+    assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), model);
+    fs.purge_read_caches();
+    assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), model);
+    let entry = fs.lookup_entry("obj", OWNER).unwrap();
+    assert_eq!(fs.scavenge_entry(&entry).unwrap(), RepairOutcome::Intact);
+}
