@@ -57,21 +57,31 @@ impl DirectoryEntry {
     }
 
     /// Parse one entry starting at `data[*off..]`, advancing `off`.
+    ///
+    /// Fields are read as borrowed slices of `data`; the only allocations
+    /// are the two `String`s the entry owns.
     pub fn deserialize(data: &[u8], off: &mut usize) -> StegResult<Self> {
-        let corrupt = || StegError::Fs(stegfs_fs::FsError::Corrupt("bad directory entry".into()));
-        let take = |data: &[u8], off: &mut usize, n: usize| -> StegResult<Vec<u8>> {
-            if data.len() < *off + n {
-                return Err(corrupt());
-            }
-            let v = data[*off..*off + n].to_vec();
-            *off += n;
-            Ok(v)
-        };
-        let name_len = u16::from_be_bytes(take(data, off, 2)?.try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(data, off, name_len)?).map_err(|_| corrupt())?;
-        let phys_len = u16::from_be_bytes(take(data, off, 2)?.try_into().unwrap()) as usize;
-        let physical_name = String::from_utf8(take(data, off, phys_len)?).map_err(|_| corrupt())?;
-        let fak: [u8; FAK_LEN] = take(data, off, FAK_LEN)?.try_into().unwrap();
+        fn corrupt() -> StegError {
+            StegError::Fs(stegfs_fs::FsError::Corrupt("bad directory entry".into()))
+        }
+        fn take<'a>(data: &'a [u8], off: &mut usize, n: usize) -> StegResult<&'a [u8]> {
+            let end = off.checked_add(n).ok_or_else(corrupt)?;
+            let field = data.get(*off..end).ok_or_else(corrupt)?;
+            *off = end;
+            Ok(field)
+        }
+        fn take_string(data: &[u8], off: &mut usize) -> StegResult<String> {
+            let len = take(data, off, 2)?;
+            let len = u16::from_be_bytes([len[0], len[1]]) as usize;
+            std::str::from_utf8(take(data, off, len)?)
+                .map(str::to_owned)
+                .map_err(|_| corrupt())
+        }
+        let name = take_string(data, off)?;
+        let physical_name = take_string(data, off)?;
+        let fak: [u8; FAK_LEN] = take(data, off, FAK_LEN)?
+            .try_into()
+            .map_err(|_| corrupt())?;
         let kind = match take(data, off, 1)?[0] {
             1 => ObjectKind::File,
             2 => ObjectKind::Directory,
@@ -219,6 +229,22 @@ mod tests {
                 DirectoryEntry::deserialize(&bytes[..cut], &mut off).is_err(),
                 "cut at {cut}"
             );
+        }
+    }
+
+    #[test]
+    fn entry_rejects_bad_utf8_and_bad_kind() {
+        let good = entry("ab", 1).serialize();
+        let mut bad_utf8 = good.clone();
+        bad_utf8[2] = 0xff; // first byte of the name
+        assert!(DirectoryEntry::deserialize(&bad_utf8, &mut 0).is_err());
+        let mut bad_kind = good.clone();
+        *bad_kind.last_mut().unwrap() = 3;
+        assert!(DirectoryEntry::deserialize(&bad_kind, &mut 0).is_err());
+        // A failed parse never reads past the buffer, whatever the offset.
+        for start in [good.len() + 1, usize::MAX] {
+            let mut off = start;
+            assert!(DirectoryEntry::deserialize(&good, &mut off).is_err());
         }
     }
 

@@ -14,10 +14,16 @@
 //! run of the same workload produce byte-identical disk images (asserted by
 //! `tests/readpath_cache.rs`).
 //!
-//! Two things are cached, both keyed by material derived from the object's
+//! Three things are cached, all keyed by material derived from the object's
 //! access key (so a cache entry is exactly as secret as the key that created
 //! it):
 //!
+//! * **Derived key sets** — the [`ObjectKeys`] of a `(physical name, FAK)`
+//!   pair, keyed by a digest of the pair ([`ReadCache::keys_for`]).  The
+//!   paper's `steg_connect` resolves an object's keys once per session; a
+//!   hit skips the 1 000-iteration PBKDF2 (≈ 0.6 ms) that every other step
+//!   of an `open` is small next to.  Bounded at [`KEY_CACHE_ENTRIES`]
+//!   entries (under 1 MiB), least recently used evicted first.
 //! * **Per-object header + extent maps** — the decrypted
 //!   [`HiddenHeader`] and the data/chain block lists of the inode chain,
 //!   keyed by the object's 256-bit signature.  A hit skips the
@@ -35,23 +41,33 @@
 //!   bump cannot install a stale entry afterwards (the insert is rejected),
 //!   and plaintext blocks cached under the dead entry generation become
 //!   unreachable even if the same physical block is later recycled into
-//!   another object.
+//!   another object.  A key set is a pure function of `(physical name,
+//!   FAK)`, so content mutations leave it alone; it is dropped when that
+//!   pair stops naming the object — unlink, rename, re-key
+//!   ([`ReadCache::drop_keys`]).
 //! * **Session sign-off** — the VFS purges the departing session's scope
 //!   ([`ReadCache::purge_scope`]): every entry tagged with that session's
 //!   keys, plus every entry whose owner was never established, is removed
-//!   and zeroed, so no decrypted byte outlives the session that could
-//!   legitimately read it.  Entries other live sessions resolved through
-//!   their own keys stay warm.  `disconnect_all` and unmount still purge
-//!   *everything* ([`ReadCache::purge`]).  Purged and evicted plaintext
-//!   buffers are zeroed before they are freed ([`zeroize`]).
+//!   and zeroed, so no decrypted byte — and no key schedule — outlives the
+//!   session that could legitimately use it.  Entries other live sessions
+//!   resolved through their own keys stay warm.  `disconnect_all` and
+//!   unmount still purge *everything* ([`ReadCache::purge`]);
+//!   [`ReadCache::purge_decrypted`] is the narrower "make every read cold"
+//!   hook that leaves key sets connected.  Purged and
+//!   evicted plaintext buffers are zeroed before they are freed
+//!   ([`zeroize`]); a derived key set zeroes itself when its last holder
+//!   (the cache, or an open handle that outlived the cache entry) lets go.
 //! * **Remount** — the cache lives inside the mounted [`crate::StegFs`]
 //!   value and is never persisted, so a crash-replay remount starts provably
 //!   empty.
 //!
 //! The cache never makes a *negative* claim: a miss falls through to the
-//! normal locator/decrypt path, so wrong-key lookups behave exactly as
-//! before (deniable not-found), and nothing about timing distinguishes "no
-//! such object" from "not cached".
+//! normal derive/locator/decrypt path, so wrong-key lookups behave exactly
+//! as before (deniable not-found), and nothing about timing distinguishes
+//! "no such object" from "not cached".  In particular the key cache is
+//! filled *before* anything is known about whether the pair names a live
+//! object: a wrong FAK and a never-created name both derive, both miss the
+//! locator, and a repeat of either hits the key cache the same way.
 //!
 //! # Coherence model
 //!
@@ -62,17 +78,25 @@
 //! bypasses invalidation and is unsupported (the same pre-existing rule as
 //! bypassing the object shards).
 
-use crate::crypt::SIGNATURE_LEN;
+use crate::crypt::{ObjectKeys, SIGNATURE_LEN};
 use crate::header::HiddenHeader;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use stegfs_crypto::ct::zeroize;
+use stegfs_crypto::sha256::sha256_concat;
 use stegfs_obs::{span, ReadCacheStats};
 
 /// Number of independently locked shards for each of the two maps.
 const SHARDS: usize = 16;
+
+/// Capacity of the derived-key cache, in entries.  One [`ObjectKeys`] is
+/// about 0.7 KiB (three 32-byte keys and both 60-word AES-256 schedules), so
+/// a full cache stays under 1 MiB.  A constant, not a knob: it only has to
+/// exceed the number of objects one sign-on touches between purges.
+pub const KEY_CACHE_ENTRIES: usize = 1024;
 
 /// Entry generation that never matches a live entry: block lookups and
 /// inserts under it are no-ops.  Used when an insert lost against a
@@ -165,6 +189,28 @@ struct BlockShard {
     bytes: u64,
 }
 
+struct KeyEntry {
+    keys: Arc<ObjectKeys>,
+    tick: u64,
+}
+
+/// The derived-key map: a digest of `(physical name, FAK)` to the key set.
+#[derive(Default)]
+struct KeyCache {
+    map: HashMap<[u8; 32], KeyEntry>,
+    tick: u64,
+}
+
+fn key_id(physical_name: &str, fak: &[u8]) -> [u8; 32] {
+    // Length-prefixed so no (name, FAK) split is ambiguous.
+    sha256_concat(&[
+        b"stegfs-key-cache",
+        &(physical_name.len() as u64).to_be_bytes(),
+        physical_name.as_bytes(),
+        fak,
+    ])
+}
+
 /// Snapshot of the cache counters, printed by the benches next to the
 /// device-level `IoStats`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -181,6 +227,10 @@ pub struct CacheStats {
     pub block_hits: u64,
     /// Plaintext data blocks that had to be read and decrypted.
     pub block_misses: u64,
+    /// Key-set lookups served from the cache (PBKDF2 skipped).
+    pub key_hits: u64,
+    /// Key-set lookups that ran the derivation.
+    pub key_misses: u64,
     /// Plaintext blocks evicted (zeroed) to stay within capacity.
     pub evictions: u64,
     /// Object invalidations (mutations observed).
@@ -197,6 +247,8 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// Object header/extent entries currently resident.
     pub resident_objects: u64,
+    /// Derived key sets currently resident.
+    pub resident_keys: u64,
 }
 
 #[derive(Default)]
@@ -207,20 +259,13 @@ struct Counters {
     extent_misses: AtomicU64,
     block_hits: AtomicU64,
     block_misses: AtomicU64,
+    key_hits: AtomicU64,
+    key_misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
     rejected_inserts: AtomicU64,
     purges: AtomicU64,
     scoped_purges: AtomicU64,
-}
-
-/// Overwrite a buffer with zeros in a way the optimiser cannot elide, then
-/// let it drop.  Used for every evicted, purged or pooled plaintext buffer.
-pub fn zeroize(buf: &mut [u8]) {
-    buf.fill(0);
-    // The black_box makes the zeroed contents observable, so the fill above
-    // cannot be removed as a dead store ahead of the deallocation.
-    std::hint::black_box(&*buf);
 }
 
 /// The read-path cache of one mounted volume.  See the module docs for the
@@ -243,6 +288,14 @@ pub struct ReadCache {
     /// know which access key resolved the object ([`Self::tag_scope`]).
     /// Consulted on insert so cached entries carry their owning session.
     scopes: Mutex<HashMap<ObjectSig, u64>>,
+    /// Derived key sets ([`Self::keys_for`]).  A leaf lock: nothing is
+    /// acquired while it is held, and it is never held across a derivation.
+    keys: Mutex<KeyCache>,
+    /// [`KEY_CACHE_ENTRIES`] (a field only so the eviction test can shrink it).
+    key_capacity: usize,
+    /// Bumped by every purge (scoped or full) before it sweeps `keys`: a
+    /// derivation that started before the purge does not install after it.
+    key_epoch: AtomicU64,
     /// Latency histograms of the volume's observability registry (disabled
     /// handle until [`Self::set_obs`]).
     obs: Arc<ReadCacheStats>,
@@ -273,6 +326,9 @@ impl ReadCache {
                 .collect(),
             counters: Counters::default(),
             scopes: Mutex::new(HashMap::new()),
+            keys: Mutex::new(KeyCache::default()),
+            key_capacity: KEY_CACHE_ENTRIES,
+            key_epoch: AtomicU64::new(0),
             obs: Arc::new(ReadCacheStats::new(false)),
         }
     }
@@ -305,6 +361,76 @@ impl ReadCache {
 
     fn fresh_entry_gen(&self) -> u64 {
         self.next_entry_gen.fetch_add(1, Ordering::Relaxed)
+    }
+
+    // ------------------------------------------------------------------
+    // Derived key sets
+    // ------------------------------------------------------------------
+
+    /// The key set of `(physical_name, fak)`: from the cache when this mount
+    /// already derived it, else derived now (the one production call of
+    /// [`ObjectKeys::derive`]) and remembered.  The derivation runs with no
+    /// lock held; racing first lookups of one pair may each derive, and all
+    /// but the first to finish adopt the installed set.
+    pub fn keys_for(&self, physical_name: &str, fak: &[u8]) -> Arc<ObjectKeys> {
+        let derive = || {
+            let _s = span::span(span::Phase::KeyDerive);
+            Arc::new(ObjectKeys::derive(physical_name, fak))
+        };
+        if !self.enabled() {
+            return derive();
+        }
+        let id = key_id(physical_name, fak);
+        let epoch = self.key_epoch.load(Ordering::Acquire);
+        {
+            let mut cache = self.keys.lock();
+            cache.tick += 1;
+            let tick = cache.tick;
+            if let Some(entry) = cache.map.get_mut(&id) {
+                entry.tick = tick;
+                self.counters.key_hits.fetch_add(1, Ordering::Relaxed);
+                self.obs.key_hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(&entry.keys);
+            }
+        }
+        self.counters.key_misses.fetch_add(1, Ordering::Relaxed);
+        self.obs.key_misses.fetch_add(1, Ordering::Relaxed);
+        self.install_keys(id, derive(), epoch)
+    }
+
+    /// Second half of a [`Self::keys_for`] miss: remember `keys`, derived
+    /// since `epoch` was read, unless a purge ran meanwhile; returns the set
+    /// the caller should use (an earlier racer's, if one got here first).
+    fn install_keys(&self, id: [u8; 32], keys: Arc<ObjectKeys>, epoch: u64) -> Arc<ObjectKeys> {
+        let mut cache = self.keys.lock();
+        // Purges bump the epoch before taking this lock, so either the bump
+        // is visible here or the purge sweeps what is installed below.
+        if self.key_epoch.load(Ordering::Acquire) != epoch {
+            return keys;
+        }
+        cache.tick += 1;
+        let tick = cache.tick;
+        let keys = Arc::clone(&cache.map.entry(id).or_insert(KeyEntry { keys, tick }).keys);
+        if cache.map.len() > self.key_capacity {
+            // A min-scan over a thousand ticks is noise next to the
+            // derivation this miss just paid.
+            let victim = cache
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.tick)
+                .map(|(k, _)| *k)
+                .expect("non-empty map");
+            cache.map.remove(&victim);
+        }
+        keys
+    }
+
+    /// Forget the key set of `(physical_name, fak)` — the pair no longer
+    /// names the object (unlink, rename, re-key).
+    pub fn drop_keys(&self, physical_name: &str, fak: &[u8]) {
+        if self.enabled() {
+            self.keys.lock().map.remove(&key_id(physical_name, fak));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -631,9 +757,9 @@ impl ReadCache {
         }
     }
 
-    /// Drop and zero every entry belonging to the departing session `scope`
-    /// — plus every *unscoped* entry, so nothing whose owner is unknown can
-    /// outlive a sign-off.  Entries other live sessions resolved through
+    /// Drop and zero every entry (key sets included) belonging to the
+    /// departing session `scope` — plus every *unscoped* entry, so nothing
+    /// whose owner is unknown can outlive a sign-off.  Entries other live sessions resolved through
     /// their own keys stay warm; the volume-wide [`Self::purge`] remains the
     /// unmount/disconnect-all hammer.
     pub fn purge_scope(&self, scope: u64) {
@@ -644,8 +770,19 @@ impl ReadCache {
         // Bump first, same ordering argument as `invalidate`: in-flight
         // walks that started before the sign-off cannot install afterwards.
         self.global_gen.fetch_add(1, Ordering::AcqRel);
+        self.key_epoch.fetch_add(1, Ordering::AcqRel);
         self.counters.scoped_purges.fetch_add(1, Ordering::Relaxed);
-        self.scopes.lock().retain(|_, s| *s != scope);
+        {
+            // Key sets follow the scope table directly: one dies with the
+            // session its signature is tagged to, or when no session ever
+            // claimed it.  (Scope table < key cache, the only nesting.)
+            let mut scopes = self.scopes.lock();
+            self.keys
+                .lock()
+                .map
+                .retain(|_, e| scopes.get(e.keys.signature()).is_some_and(|s| *s != scope));
+            scopes.retain(|_, s| *s != scope);
+        }
         // Sweep matching (and unscoped) object entries, collecting their
         // generations; then sweep the block shards by generation so no
         // plaintext survives even if an extent list was never installed.
@@ -684,18 +821,33 @@ impl ReadCache {
         }
     }
 
-    /// Drop and zero **everything** — the sign-off/unmount hook.  After this
-    /// returns, [`CacheStats::resident_blocks`] and
-    /// [`CacheStats::resident_bytes`] are zero and no decrypted byte from
-    /// before the purge is reachable through the cache.
+    /// Drop and zero **everything** — the `disconnect_all`/unmount hook.
+    /// After this returns, [`CacheStats::resident_blocks`],
+    /// [`CacheStats::resident_bytes`] and [`CacheStats::resident_keys`] are
+    /// zero and no decrypted byte or key set from before the purge is
+    /// reachable through the cache.
     pub fn purge(&self) {
+        if !self.enabled() {
+            return;
+        }
+        self.key_epoch.fetch_add(1, Ordering::AcqRel);
+        self.scopes.lock().clear();
+        self.keys.lock().map.clear();
+        self.purge_decrypted();
+    }
+
+    /// The decrypted half of [`Self::purge`]: drop and zero every header,
+    /// extent map and plaintext block, volume-wide, so the next read of
+    /// anything comes from the device.  Derived key sets (and the scope
+    /// table that says whose they are) stay connected — they hold no
+    /// decrypted byte, and their lifetime is the session's, not a read's.
+    pub fn purge_decrypted(&self) {
         if !self.enabled() {
             return;
         }
         let start = self.clock();
         self.global_gen.fetch_add(1, Ordering::AcqRel);
         self.counters.purges.fetch_add(1, Ordering::Relaxed);
-        self.scopes.lock().clear();
         for shard in &self.objects {
             shard.lock().clear();
         }
@@ -728,6 +880,7 @@ impl ReadCache {
             .iter()
             .map(|s| s.lock().len() as u64)
             .sum::<u64>();
+        let resident_keys = self.keys.lock().map.len() as u64;
         let c = &self.counters;
         CacheStats {
             header_hits: c.header_hits.load(Ordering::Relaxed),
@@ -736,6 +889,8 @@ impl ReadCache {
             extent_misses: c.extent_misses.load(Ordering::Relaxed),
             block_hits: c.block_hits.load(Ordering::Relaxed),
             block_misses: c.block_misses.load(Ordering::Relaxed),
+            key_hits: c.key_hits.load(Ordering::Relaxed),
+            key_misses: c.key_misses.load(Ordering::Relaxed),
             evictions: c.evictions.load(Ordering::Relaxed),
             invalidations: c.invalidations.load(Ordering::Relaxed),
             rejected_inserts: c.rejected_inserts.load(Ordering::Relaxed),
@@ -744,6 +899,7 @@ impl ReadCache {
             resident_blocks,
             resident_bytes,
             resident_objects,
+            resident_keys,
         }
     }
 
@@ -789,7 +945,7 @@ pub(crate) mod scratch {
 
     /// Zero `v` and return it to the pool (or drop it if the pool is full).
     pub fn put(mut v: Vec<u8>) {
-        super::zeroize(&mut v);
+        stegfs_crypto::ct::zeroize(&mut v);
         v.clear();
         if v.capacity() == 0 || v.capacity() > MAX_POOLED_CAPACITY {
             return;
@@ -1063,6 +1219,119 @@ mod tests {
         assert!(c.lookup_header(&sig).is_none());
         let mut out = [0u8; 16];
         assert!(!c.get_block_into(gen, 60, &mut out));
+    }
+
+    // ------------------------------------------------------------------
+    // Derived key sets
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn keys_are_derived_once_and_shared() {
+        let c = ReadCache::new(64);
+        let first = c.keys_for("u1:/budget", b"fak");
+        let again = c.keys_for("u1:/budget", b"fak");
+        assert!(Arc::ptr_eq(&first, &again), "a hit shares the cached set");
+        // Same bytes as the uncached reference derivation.
+        let reference = ObjectKeys::derive("u1:/budget", b"fak");
+        assert_eq!(first.signature(), reference.signature());
+        assert_eq!(first.locator_seed(), reference.locator_seed());
+        // Name and key both select the entry; the split is unambiguous.
+        assert!(!Arc::ptr_eq(&first, &c.keys_for("u1:/budget", b"fak2")));
+        assert!(!Arc::ptr_eq(&first, &c.keys_for("u1:/budgetf", b"ak")));
+        let s = c.stats();
+        assert_eq!((s.key_hits, s.key_misses, s.resident_keys), (1, 3, 3));
+    }
+
+    #[test]
+    fn disabled_cache_retains_no_keys() {
+        let c = ReadCache::new(0);
+        let a = c.keys_for("obj", b"fak");
+        let b = c.keys_for("obj", b"fak");
+        assert!(!Arc::ptr_eq(&a, &b), "every call derives afresh");
+        assert_eq!(a.signature(), b.signature());
+        let s = c.stats();
+        assert_eq!((s.key_hits, s.key_misses, s.resident_keys), (0, 0, 0));
+    }
+
+    #[test]
+    fn scoped_purge_sweeps_own_and_unscoped_keys_only() {
+        let c = ReadCache::new(64);
+        let (alice, bob) = (11u64, 22u64);
+        let ka = c.keys_for("a", b"fak-a");
+        let kb = c.keys_for("b", b"fak-b");
+        let _unscoped = c.keys_for("u", b"fak-u");
+        c.tag_scope(ka.signature(), alice);
+        c.tag_scope(kb.signature(), bob);
+        assert_eq!(c.stats().resident_keys, 3);
+
+        c.purge_scope(alice);
+
+        assert_eq!(c.stats().resident_keys, 1, "only Bob's key set stays");
+        assert!(Arc::ptr_eq(&kb, &c.keys_for("b", b"fak-b")));
+        assert!(!Arc::ptr_eq(&ka, &c.keys_for("a", b"fak-a")));
+        c.purge();
+        assert_eq!(c.stats().resident_keys, 0);
+    }
+
+    #[test]
+    fn dropped_keys_are_rederived_not_served() {
+        let c = ReadCache::new(64);
+        let old = c.keys_for("doc", b"fak");
+        c.drop_keys("doc", b"fak");
+        assert_eq!(c.stats().resident_keys, 0);
+        assert!(!Arc::ptr_eq(&old, &c.keys_for("doc", b"fak")));
+    }
+
+    #[test]
+    fn key_cache_evicts_least_recently_used() {
+        let mut c = ReadCache::new(64);
+        c.key_capacity = 2;
+        let a = c.keys_for("a", b"k");
+        let _b = c.keys_for("b", b"k");
+        let _ = c.keys_for("a", b"k"); // touch: b is now the oldest
+        let _c = c.keys_for("c", b"k");
+        assert_eq!(c.stats().resident_keys, 2);
+        assert!(Arc::ptr_eq(&a, &c.keys_for("a", b"k")), "a survived");
+        let misses = c.stats().key_misses;
+        let _ = c.keys_for("b", b"k");
+        assert_eq!(c.stats().key_misses, misses + 1, "b was evicted");
+    }
+
+    #[test]
+    fn derivation_in_flight_across_a_purge_is_not_installed() {
+        let c = ReadCache::new(64);
+        let epoch = c.key_epoch.load(Ordering::Acquire);
+        let keys = Arc::new(ObjectKeys::derive("late", b"fak"));
+        c.purge_scope(7); // the session signs off while the derive runs
+        let used = c.install_keys(key_id("late", b"fak"), Arc::clone(&keys), epoch);
+        assert!(Arc::ptr_eq(&used, &keys), "the caller still gets its keys");
+        assert_eq!(c.stats().resident_keys, 0, "but nothing was remembered");
+    }
+
+    #[test]
+    fn racing_first_lookups_converge_on_one_key_set() {
+        let c = ReadCache::new(64);
+        let barrier = std::sync::Barrier::new(8);
+        let sets: Vec<Arc<ObjectKeys>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        c.keys_for("raced", b"fak")
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let installed = c.keys_for("raced", b"fak");
+        for k in &sets {
+            assert_eq!(k.signature(), installed.signature());
+            assert_eq!(k.locator_seed(), installed.locator_seed());
+        }
+        let s = c.stats();
+        assert_eq!(s.resident_keys, 1);
+        assert!((1..=8).contains(&s.key_misses), "{s:?}");
+        assert_eq!(s.key_hits + s.key_misses, 9);
     }
 
     #[test]

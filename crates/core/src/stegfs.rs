@@ -24,7 +24,9 @@
 //!   its physical name), so a rewrite that relocates blocks through the free
 //!   pool cannot interleave with another rewrite of the same object;
 //! * the session table, the FAK generator and the RNG have their own tiny
-//!   locks and are never held across I/O.
+//!   locks and are never held across I/O;
+//! * the read cache's locks (shards, scope table, derived-key map) sit below
+//!   everything here and are never held across I/O or a key derivation.
 //!
 //! Lock order (outer to inner): `UAK shard < object shard <` the `PlainFs`
 //! locks (`namespace < inode-stripe < inode-table-stripe < allocator-meta <
@@ -33,7 +35,12 @@
 //! once.  The hidden-directory child operations
 //! ([`StegFs::remove_dir_child`]) are the one case that needs *two object
 //! shards* (the parent's listing and the child object); they acquire the
-//! pair in ascending shard-index order, so no cycle can form.
+//! pair in ascending shard-index order, so no cycle can form.  The
+//! derived-key cache lock ([`StegFs::keys_for`]) is a **leaf**: it may be
+//! taken under any lock above, nothing is acquired while it is held, and the
+//! derivation a miss pays runs with it released.  Key sets are fetched
+//! *before* a UAK shard is taken wherever the pair is known up front, so the
+//! shard is held for a cached directory read, not for hashing.
 //!
 //! The handle-based operations ([`StegFs::read_range_at`],
 //! [`StegFs::write_range_at`], [`StegFs::write_at_handle`],
@@ -57,6 +64,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
+use stegfs_crypto::ct::zeroize;
 use stegfs_crypto::prng::DeterministicRng;
 use stegfs_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use stegfs_crypto::sha256::sha256_concat;
@@ -148,8 +156,14 @@ pub struct HiddenHandle {
     /// read through the handle can queue a repair ticket.
     physical_name: String,
     fak: [u8; FAK_LEN],
-    keys: ObjectKeys,
+    keys: Arc<ObjectKeys>,
     object: HiddenObject,
+}
+
+impl Drop for HiddenHandle {
+    fn drop(&mut self) {
+        zeroize(&mut self.fak);
+    }
 }
 
 impl HiddenHandle {
@@ -171,6 +185,8 @@ impl HiddenHandle {
 struct RepairTicket {
     physical_name: String,
     fak: [u8; FAK_LEN],
+    /// Dedup key in [`RepairQueue::enqueued`].
+    signature: [u8; crate::crypt::SIGNATURE_LEN],
 }
 
 /// RAM-only queue of repair tickets, deduplicated by object signature (a
@@ -358,18 +374,21 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Drop and zero every cached decrypted byte (headers, extent maps and
-    /// plaintext blocks), volume-wide.  Part of [`Self::disconnect_all`] and
-    /// [`Self::unmount`]; per-session sign-off uses the narrower
-    /// [`Self::purge_session_caches`].
+    /// plaintext blocks), volume-wide, so the next read of anything comes
+    /// from the device.  Derived key sets stay connected: they hold no
+    /// decrypted byte and die with their session
+    /// ([`Self::purge_session_caches`]), at [`Self::disconnect_all`] and at
+    /// [`Self::unmount`], which purge those too.
     pub fn purge_read_caches(&self) {
-        self.read_cache.purge();
+        self.read_cache.purge_decrypted();
     }
 
     /// Drop and zero the cached decrypted state a departing session could
-    /// reach through `uak`: every cache entry resolved through this key —
-    /// plus any entry whose owning session was never established — is
-    /// swept, while entries other live sessions loaded through their own
-    /// keys stay warm.  The VFS calls this on every sign-off.
+    /// reach through `uak`: every cache entry — derived key sets included —
+    /// resolved through this key, plus any entry whose owning session was
+    /// never established, is swept, while entries other live sessions
+    /// loaded through their own keys stay warm.  The VFS calls this on
+    /// every sign-off.
     pub fn purge_session_caches(&self, uak: &str) {
         self.read_cache.purge_scope(Self::session_scope(uak));
     }
@@ -466,6 +485,29 @@ impl<D: BlockDevice> StegFs<D> {
         u64::from_be_bytes(digest[..8].try_into().expect("8 bytes")) | 1
     }
 
+    /// The derived key set of the object `(physical_name, fak)` names.
+    ///
+    /// The paper's `steg_connect` resolves an object's keys once and keeps
+    /// them until logoff; this is that: the first call per mount pays the
+    /// pass-phrase derivation (≈ 0.6 ms), later calls share the cached
+    /// `Arc` until the owning session signs off, the pair stops naming the
+    /// object (unlink, rename, re-key) or the volume unmounts.  Nothing is
+    /// learned or remembered about whether the pair names a live object, so
+    /// a wrong key costs exactly what a never-created name does.  With
+    /// `readpath_cache_blocks: 0` nothing is retained and every call
+    /// derives.
+    pub fn keys_for(&self, physical_name: &str, fak: &[u8]) -> Arc<ObjectKeys> {
+        self.read_cache.keys_for(physical_name, fak)
+    }
+
+    /// Drop everything cached for an object whose `(physical name, FAK)`
+    /// binding just changed or died (unlink, rename, re-key): header,
+    /// extents, plaintext and the derived key set.
+    fn forget_object(&self, physical_name: &str, fak: &[u8], keys: &ObjectKeys) {
+        self.read_cache.invalidate(keys.signature());
+        self.read_cache.drop_keys(physical_name, fak);
+    }
+
     fn store_config(&self) -> StegResult<()> {
         let bytes = self.config.serialize();
         self.fs.write_file(CONFIG_PATH, &bytes)?;
@@ -503,7 +545,7 @@ impl<D: BlockDevice> StegFs<D> {
     fn create_dummy_files(&self) -> StegResult<()> {
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
-            let keys = ObjectKeys::derive(&name, &fak);
+            let keys = self.keys_for(&name, &fak);
             let mut obj = hidden::create(&self.fs, &name, &keys, ObjectKind::File, &self.params)?;
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size.min(usize::MAX as u64) as usize);
@@ -519,7 +561,7 @@ impl<D: BlockDevice> StegFs<D> {
         let mut touched = 0;
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
-            let keys = ObjectKeys::derive(&name, &fak);
+            let keys = self.keys_for(&name, &fak);
             let _obj_lock = self.object_guard(&name);
             let mut obj = match hidden::open(&self.fs, &name, &keys, &self.params) {
                 Ok(o) => o,
@@ -586,31 +628,37 @@ impl<D: BlockDevice> StegFs<D> {
     // UAK directories
     // ------------------------------------------------------------------
 
-    fn uak_keys(uak: &str) -> ObjectKeys {
-        ObjectKeys::derive(UAK_DIRECTORY_NAME, uak.as_bytes())
+    /// Key set of `uak`'s directory object, scoped to the session: sign-off
+    /// sweeps it along with everything the directory walk caches.  Callers
+    /// fetch it *before* taking the UAK shard, so a first-use derivation
+    /// never runs under the shard.
+    fn uak_keys(&self, uak: &str) -> Arc<ObjectKeys> {
+        let keys = self.keys_for(UAK_DIRECTORY_NAME, uak.as_bytes());
+        self.read_cache
+            .tag_scope(keys.signature(), Self::session_scope(uak));
+        keys
     }
 
-    /// Load the UAK directory.  Caller holds the UAK shard lock.
+    /// Load the UAK directory stored under `keys` ([`Self::uak_keys`]).
+    /// Caller holds the UAK shard lock.
     ///
     /// UAK directories are themselves hidden objects and the hottest read
     /// path of all (every name lookup walks one), so they go through the
     /// read cache like any other object; [`Self::save_uak_directory`]
     /// invalidates.
-    fn load_uak_directory(&self, uak: &str) -> StegResult<(UakDirectory, Option<HiddenObject>)> {
-        let keys = Self::uak_keys(uak);
-        // Tag before the walk so entries installed by it carry the session
-        // scope (sign-off sweeps exactly this session's entries).
-        self.read_cache
-            .tag_scope(keys.signature(), Self::session_scope(uak));
+    fn load_uak_directory(
+        &self,
+        keys: &ObjectKeys,
+    ) -> StegResult<(UakDirectory, Option<HiddenObject>)> {
         match hidden::open_cached(
             &self.fs,
             UAK_DIRECTORY_NAME,
-            &keys,
+            keys,
             &self.params,
             &self.read_cache,
         ) {
             Ok(obj) => {
-                let raw = hidden::read_cached(&self.fs, &keys, &obj, &self.read_cache)?;
+                let raw = hidden::read_cached(&self.fs, keys, &obj, &self.read_cache)?;
                 let dir = if raw.is_empty() {
                     UakDirectory::new()
                 } else {
@@ -623,20 +671,20 @@ impl<D: BlockDevice> StegFs<D> {
         }
     }
 
-    /// Persist the UAK directory.  Caller holds the UAK shard lock.
+    /// Persist the UAK directory stored under `keys`.  Caller holds the UAK
+    /// shard lock.
     fn save_uak_directory(
         &self,
-        uak: &str,
+        keys: &ObjectKeys,
         dir: &UakDirectory,
         existing: Option<HiddenObject>,
     ) -> StegResult<()> {
-        let keys = Self::uak_keys(uak);
         let mut obj = match existing {
             Some(obj) => obj,
             None => hidden::create(
                 &self.fs,
                 UAK_DIRECTORY_NAME,
-                &keys,
+                keys,
                 ObjectKind::Directory,
                 &self.params,
             )?,
@@ -648,7 +696,7 @@ impl<D: BlockDevice> StegFs<D> {
         // the new map on success — a failed attempt leaves a safe miss.
         hidden::write_cached(
             &self.fs,
-            &keys,
+            keys,
             &mut obj,
             &dir.serialize(),
             &self.params,
@@ -659,8 +707,9 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// The names (and kinds) of all hidden objects registered under `uak`.
     pub fn list_hidden(&self, uak: &str) -> StegResult<Vec<(String, ObjectKind)>> {
+        let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
-        let (dir, _) = self.load_uak_directory(uak)?;
+        let (dir, _) = self.load_uak_directory(&uak_keys)?;
         Ok(dir
             .entries
             .iter()
@@ -689,15 +738,19 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     fn entry_for(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
-        let _uak_lock = self.uak_guard(uak);
-        let (dir, _) = self.load_uak_directory(uak)?;
-        let entry = dir
-            .find(objname)
-            .cloned()
-            .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
+        let uak_keys = self.uak_keys(uak);
+        let entry = {
+            let _uak_lock = self.uak_guard(uak);
+            let (dir, _) = self.load_uak_directory(&uak_keys)?;
+            dir.find(objname)
+                .cloned()
+                .ok_or_else(|| StegError::NotFound(objname.to_string()))?
+        };
         // The object is about to be opened through this session's keys:
-        // scope whatever the read paths cache for it to this session.
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        // resolve them once (shard already released — a first-use derivation
+        // must not convoy other lookups) and scope whatever the read paths
+        // cache for the object to this session.
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         self.read_cache
             .tag_scope(keys.signature(), Self::session_scope(uak));
         Ok(entry)
@@ -733,7 +786,7 @@ impl<D: BlockDevice> StegFs<D> {
         // directory rewrite, not on whole-object I/O.
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}", Self::owner_tag(uak), objname);
-        let keys = ObjectKeys::derive(&physical_name, &fak);
+        let keys = self.keys_for(&physical_name, &fak);
         let mut obj = hidden::create_with_policy(
             &self.fs,
             &physical_name,
@@ -754,14 +807,16 @@ impl<D: BlockDevice> StegFs<D> {
                 &mut rng,
             )?;
         }
+        let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(uak)?;
+        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
         if dir.find(objname).is_some() {
             // Lost the publish race (or the name predates us): unwind the
             // never-published object.  Its keys never left this call, so
             // deleting it returns the blocks with no visible trace.
             let mut rng = self.fork_rng();
             let _ = hidden::delete(&self.fs, &keys, &obj, &mut rng);
+            self.read_cache.drop_keys(&physical_name, &fak);
             return Err(StegError::AlreadyExists(objname.to_string()));
         }
         dir.insert(DirectoryEntry {
@@ -770,7 +825,7 @@ impl<D: BlockDevice> StegFs<D> {
             fak,
             kind,
         })?;
-        self.save_uak_directory(uak, &dir, existing)
+        self.save_uak_directory(&uak_keys, &dir, existing)
     }
 
     /// Verify and, where possible, repair one hidden object in place from
@@ -779,7 +834,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// objects report [`RepairOutcome::Intact`](hidden::RepairOutcome)
     /// untouched; an unrecoverable object writes nothing.
     pub fn scavenge_entry(&self, entry: &DirectoryEntry) -> StegResult<hidden::RepairOutcome> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
         let outcome = hidden::repair(&self.fs, &keys, &obj)?;
@@ -793,16 +848,22 @@ impl<D: BlockDevice> StegFs<D> {
     /// Queue a self-healing ticket for the object when `health` reports the
     /// preceding read was served degraded (fallback shares or metadata
     /// replicas).  Deduplicated per object; cheap no-op on healthy reads.
-    fn note_degraded(&self, physical_name: &str, fak: &[u8; FAK_LEN], health: &hidden::ReadHealth) {
+    fn note_degraded(
+        &self,
+        physical_name: &str,
+        fak: &[u8; FAK_LEN],
+        keys: &ObjectKeys,
+        health: &hidden::ReadHealth,
+    ) {
         if !health.is_degraded() {
             return;
         }
-        let keys = ObjectKeys::derive(physical_name, fak);
         let mut queue = self.repair_queue.lock();
         if queue.enqueued.insert(*keys.signature()) {
             queue.tickets.push_back(RepairTicket {
                 physical_name: physical_name.to_string(),
                 fak: *fak,
+                signature: *keys.signature(),
             });
             self.obs.repair.queued.fetch_add(1, Ordering::Relaxed);
         }
@@ -829,15 +890,14 @@ impl<D: BlockDevice> StegFs<D> {
             let Some(ticket) = ({
                 let mut queue = self.repair_queue.lock();
                 queue.tickets.pop_front().inspect(|t| {
-                    let keys = ObjectKeys::derive(&t.physical_name, &t.fak);
-                    queue.enqueued.remove(keys.signature());
+                    queue.enqueued.remove(&t.signature);
                 })
             }) else {
                 break;
             };
             drain.processed += 1;
             let _span = span::span(span::Phase::Repair);
-            let keys = ObjectKeys::derive(&ticket.physical_name, &ticket.fak);
+            let keys = self.keys_for(&ticket.physical_name, &ticket.fak);
             let _obj_lock = self.object_guard(&ticket.physical_name);
             let outcome = hidden::open(&self.fs, &ticket.physical_name, &keys, &self.params)
                 .and_then(|obj| hidden::repair(&self.fs, &keys, &obj));
@@ -872,7 +932,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// shares per group.
     pub fn hidden_share_extents(&self, objname: &str, uak: &str) -> StegResult<Vec<Vec<u64>>> {
         let entry = self.entry_for(objname, uak)?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
         hidden::share_extents(&self.fs, &keys, &obj)
@@ -892,7 +952,7 @@ impl<D: BlockDevice> StegFs<D> {
                 expected: ObjectKind::File,
             });
         }
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let mut obj = hidden::open_cached(
             &self.fs,
@@ -929,7 +989,7 @@ impl<D: BlockDevice> StegFs<D> {
         len: usize,
     ) -> StegResult<Vec<u8>> {
         let entry = self.entry_for(objname, uak)?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let health = hidden::ReadHealth::new();
         let out = hidden::open_cached_observed(
@@ -952,7 +1012,7 @@ impl<D: BlockDevice> StegFs<D> {
                 Some(&health),
             )
         });
-        self.note_degraded(&entry.physical_name, &entry.fak, &health);
+        self.note_degraded(&entry.physical_name, &entry.fak, &keys, &health);
         out
     }
 
@@ -966,7 +1026,7 @@ impl<D: BlockDevice> StegFs<D> {
         data: &[u8],
     ) -> StegResult<()> {
         let entry = self.entry_for(objname, uak)?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let mut object = hidden::open_cached(
             &self.fs,
@@ -1027,7 +1087,7 @@ impl<D: BlockDevice> StegFs<D> {
             &self.read_cache,
             Some(&health),
         );
-        self.note_degraded(&handle.physical_name, &handle.fak, &health);
+        self.note_degraded(&handle.physical_name, &handle.fak, &handle.keys, &health);
         out
     }
 
@@ -1062,7 +1122,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// entry, skipping the UAK-directory walk that [`Self::open_hidden`]
     /// performs.
     pub fn open_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<HiddenHandle> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let object = hidden::open_cached(
             &self.fs,
@@ -1169,8 +1229,9 @@ impl<D: BlockDevice> StegFs<D> {
         if newname.is_empty() || newname.contains('\0') {
             return Err(StegError::InvalidName(newname.to_string()));
         }
+        let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(uak)?;
+        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
         if dir.find(newname).is_some() {
             return Err(StegError::AlreadyExists(newname.to_string()));
         }
@@ -1180,15 +1241,15 @@ impl<D: BlockDevice> StegFs<D> {
         entry.name = newname.to_string();
         // The object itself is untouched by a rename, but the conservative
         // contract is that *every* namespace mutation invalidates.
-        self.read_cache
-            .invalidate(ObjectKeys::derive(&entry.physical_name, &entry.fak).signature());
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
+        self.forget_object(&entry.physical_name, &entry.fak, &keys);
         dir.insert(entry)?;
         self.session.lock().disconnect(objname);
-        self.save_uak_directory(uak, &dir, existing)
+        self.save_uak_directory(&uak_keys, &dir, existing)
     }
 
     fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let health = hidden::ReadHealth::new();
         let out = hidden::open_cached_observed(
@@ -1202,7 +1263,7 @@ impl<D: BlockDevice> StegFs<D> {
         .and_then(|obj| {
             hidden::read_cached_observed(&self.fs, &keys, &obj, &self.read_cache, Some(&health))
         });
-        self.note_degraded(&entry.physical_name, &entry.fak, &health);
+        self.note_degraded(&entry.physical_name, &entry.fak, &keys, &health);
         out
     }
 
@@ -1212,12 +1273,13 @@ impl<D: BlockDevice> StegFs<D> {
     /// removed entry so callers that track objects by physical name (the
     /// VFS object cache) need not re-walk the directory just to learn it.
     pub fn delete_hidden(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
+        let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(uak)?;
+        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
         let entry = dir
             .remove(objname)
             .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         {
             let _obj_lock = self.object_guard(&entry.physical_name);
             let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
@@ -1228,14 +1290,14 @@ impl<D: BlockDevice> StegFs<D> {
             }
             let mut rng = self.fork_rng();
             let result = hidden::delete(&self.fs, &keys, &obj, &mut rng);
-            self.read_cache.invalidate(keys.signature());
+            self.forget_object(&entry.physical_name, &entry.fak, &keys);
             result?;
             if entry.kind == ObjectKind::Directory {
                 self.delete_shadow_listing(&entry.physical_name, &entry.fak);
             }
         }
         self.session.lock().disconnect(objname);
-        self.save_uak_directory(uak, &dir, existing)?;
+        self.save_uak_directory(&uak_keys, &dir, existing)?;
         Ok(entry)
     }
 
@@ -1339,7 +1401,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// As [`Self::read_directory_listing`] but with the object shard already
     /// held by the caller.
     fn read_listing_locked(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let health = hidden::ReadHealth::new();
         let raw = hidden::open_cached_observed(
             &self.fs,
@@ -1352,7 +1414,7 @@ impl<D: BlockDevice> StegFs<D> {
         .and_then(|obj| {
             hidden::read_cached_observed(&self.fs, &keys, &obj, &self.read_cache, Some(&health))
         });
-        self.note_degraded(&entry.physical_name, &entry.fak, &health);
+        self.note_degraded(&entry.physical_name, &entry.fak, &keys, &health);
         let raw = raw?;
         if raw.is_empty() {
             Ok(UakDirectory::new())
@@ -1383,7 +1445,7 @@ impl<D: BlockDevice> StegFs<D> {
         parent: &DirectoryEntry,
         children: &UakDirectory,
     ) -> StegResult<()> {
-        let parent_keys = ObjectKeys::derive(&parent.physical_name, &parent.fak);
+        let parent_keys = self.keys_for(&parent.physical_name, &parent.fak);
         let mut parent_obj = hidden::open_cached(
             &self.fs,
             &parent.physical_name,
@@ -1419,7 +1481,7 @@ impl<D: BlockDevice> StegFs<D> {
         }
         let (shadow_physical, shadow_fak) =
             Self::shadow_identity(&parent.physical_name, &parent.fak);
-        let shadow_keys = ObjectKeys::derive(&shadow_physical, &shadow_fak);
+        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
         let mut shadow_obj =
             match hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params) {
                 Ok(obj) => obj,
@@ -1449,12 +1511,13 @@ impl<D: BlockDevice> StegFs<D> {
     /// a listing mutation) is not an error.
     fn delete_shadow_listing(&self, physical: &str, fak: &[u8; FAK_LEN]) {
         let (shadow_physical, shadow_fak) = Self::shadow_identity(physical, fak);
-        let shadow_keys = ObjectKeys::derive(&shadow_physical, &shadow_fak);
+        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
         if let Ok(shadow_obj) = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)
         {
             let mut rng = self.fork_rng();
             let _ = hidden::delete(&self.fs, &shadow_keys, &shadow_obj, &mut rng);
         }
+        self.read_cache.drop_keys(&shadow_physical, &shadow_fak);
     }
 
     /// Rebuild a hidden directory whose header/chain damage exceeds its
@@ -1478,7 +1541,7 @@ impl<D: BlockDevice> StegFs<D> {
             });
         }
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
         if let Ok(obj) = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params) {
             if hidden::read(&self.fs, &keys, &obj).is_ok() {
                 return Err(StegError::AlreadyExists(entry.name.clone()));
@@ -1488,7 +1551,7 @@ impl<D: BlockDevice> StegFs<D> {
         // Read the recovery source first: no teardown unless the shadow is
         // actually usable.
         let (shadow_physical, shadow_fak) = Self::shadow_identity(&entry.physical_name, &entry.fak);
-        let shadow_keys = ObjectKeys::derive(&shadow_physical, &shadow_fak);
+        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
         let shadow_obj = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)?;
         let raw = hidden::read(&self.fs, &shadow_keys, &shadow_obj)?;
         let listing = if raw.is_empty() {
@@ -1501,7 +1564,7 @@ impl<D: BlockDevice> StegFs<D> {
         let mut kept = UakDirectory::new();
         let mut dropped = Vec::new();
         for child in listing.entries {
-            let child_keys = ObjectKeys::derive(&child.physical_name, &child.fak);
+            let child_keys = self.keys_for(&child.physical_name, &child.fak);
             if hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params).is_ok() {
                 kept.insert(child)?;
             } else {
@@ -1606,7 +1669,7 @@ impl<D: BlockDevice> StegFs<D> {
         // Create the child object itself.
         let fak = self.generate_fak(child_name);
         let physical_name = format!("{}/{}", parent.physical_name, child_name);
-        let child_keys = ObjectKeys::derive(&physical_name, &fak);
+        let child_keys = self.keys_for(&physical_name, &fak);
         let mut child_obj = hidden::create_with_policy(
             &self.fs,
             &physical_name,
@@ -1752,7 +1815,7 @@ impl<D: BlockDevice> StegFs<D> {
         _parent_shard: TimedMutexGuard<'_, ()>,
         _child_shard: Option<TimedMutexGuard<'_, ()>>,
     ) -> StegResult<DirectoryEntry> {
-        let child_keys = ObjectKeys::derive(&child.physical_name, &child.fak);
+        let child_keys = self.keys_for(&child.physical_name, &child.fak);
         let child_obj = hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params)?;
         if child.kind == ObjectKind::Directory {
             self.ensure_hidden_dir_empty(&child_keys, &child_obj, &child.name)?;
@@ -1763,7 +1826,7 @@ impl<D: BlockDevice> StegFs<D> {
         self.save_listing_locked(parent, &children)?;
         let mut rng = self.fork_rng();
         let result = hidden::delete(&self.fs, &child_keys, &child_obj, &mut rng);
-        self.read_cache.invalidate(child_keys.signature());
+        self.forget_object(&child.physical_name, &child.fak, &child_keys);
         result?;
         if child.kind == ObjectKind::Directory {
             self.delete_shadow_listing(&child.physical_name, &child.fak);
@@ -1800,8 +1863,8 @@ impl<D: BlockDevice> StegFs<D> {
             .remove(old)
             .ok_or_else(|| StegError::NotFound(old.to_string()))?;
         entry.name = new.to_string();
-        self.read_cache
-            .invalidate(ObjectKeys::derive(&entry.physical_name, &entry.fak).signature());
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
+        self.forget_object(&entry.physical_name, &entry.fak, &keys);
         children.insert(entry)?;
         self.save_listing_locked(parent, &children)?;
         self.session.lock().disconnect(old);
@@ -1860,11 +1923,12 @@ impl<D: BlockDevice> StegFs<D> {
         uak: &str,
     ) -> StegResult<String> {
         let entry = envelope.open(private_key)?;
+        let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(uak)?;
+        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
         let name = entry.name.clone();
         dir.insert(entry)?;
-        self.save_uak_directory(uak, &dir, existing)?;
+        self.save_uak_directory(&uak_keys, &dir, existing)?;
         Ok(name)
     }
 
@@ -1872,14 +1936,15 @@ impl<D: BlockDevice> StegFs<D> {
     /// fresh physical name) so that recipients of the old `(name, FAK)` pair
     /// lose access, as described at the end of §3.2.
     pub fn revoke_sharing(&self, objname: &str, uak: &str) -> StegResult<()> {
+        let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(uak)?;
+        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
         let entry = dir
             .remove(objname)
             .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
 
         // Read the current contents with the old key.
-        let old_keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let old_keys = self.keys_for(&entry.physical_name, &entry.fak);
         let data = {
             let _obj_lock = self.object_guard(&entry.physical_name);
             let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
@@ -1890,7 +1955,7 @@ impl<D: BlockDevice> StegFs<D> {
         let revision = self.fak_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision);
-        let new_keys = ObjectKeys::derive(&physical_name, &fak);
+        let new_keys = self.keys_for(&physical_name, &fak);
         let mut new_obj = hidden::create(
             &self.fs,
             &physical_name,
@@ -1914,7 +1979,7 @@ impl<D: BlockDevice> StegFs<D> {
             let _obj_lock = self.object_guard(&entry.physical_name);
             let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
             let result = hidden::delete(&self.fs, &old_keys, &old_obj, &mut rng);
-            self.read_cache.invalidate(old_keys.signature());
+            self.forget_object(&entry.physical_name, &entry.fak, &old_keys);
             result?;
         }
 
@@ -1924,7 +1989,7 @@ impl<D: BlockDevice> StegFs<D> {
             fak,
             kind: entry.kind,
         })?;
-        self.save_uak_directory(uak, &dir, existing)
+        self.save_uak_directory(&uak_keys, &dir, existing)
     }
 
     // ------------------------------------------------------------------
@@ -2313,7 +2378,7 @@ mod tests {
             .cloned()
             .unwrap();
         // Nest a grandchild through the entry-based API.
-        let child_dir_keys = ObjectKeys::derive(&sub.physical_name, &sub.fak);
+        let child_dir_keys = fs.keys_for(&sub.physical_name, &sub.fak);
         let mut sub_obj = hidden::open(
             fs.plain_fs(),
             &sub.physical_name,
@@ -2857,7 +2922,7 @@ mod tests {
         let data = vec![0x5au8; 5 * 1024];
         fs.write_hidden_with_key("meta.dat", UAK, &data).unwrap();
         let entry = fs.lookup_entry("meta.dat", UAK).unwrap();
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = fs.keys_for(&entry.physical_name, &entry.fak);
         let obj = hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params()).unwrap();
         let victims = [obj.header.header_replicas[0], obj.header.inode_chain];
         let before = raw_bytes(&fs, &victims);
@@ -2954,7 +3019,7 @@ mod tests {
 
         // Destroy every header replica of the directory object: damage past
         // the metadata redundancy, so the listing is unreachable by key.
-        let keys = ObjectKeys::derive(&parent.physical_name, &parent.fak);
+        let keys = fs.keys_for(&parent.physical_name, &parent.fak);
         let obj = hidden::open(fs.plain_fs(), &parent.physical_name, &keys, fs.params()).unwrap();
         let headers = if obj.header.header_replicas.is_empty() {
             vec![obj.header_block]
@@ -2979,7 +3044,7 @@ mod tests {
         // Lose the directory again *and* child b's object: the rebuild
         // re-links the survivor and reports the dangling child by name.
         let b = listing.find("b").cloned().unwrap();
-        let b_keys = ObjectKeys::derive(&b.physical_name, &b.fak);
+        let b_keys = fs.keys_for(&b.physical_name, &b.fak);
         let b_obj = hidden::open(fs.plain_fs(), &b.physical_name, &b_keys, fs.params()).unwrap();
         let b_headers = if b_obj.header.header_replicas.is_empty() {
             vec![b_obj.header_block]

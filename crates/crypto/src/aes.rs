@@ -154,12 +154,20 @@ static KEY_EXPANSIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 ///
 /// Holds both schedules: the encryption round keys as big-endian words, and
 /// the equivalent-inverse-cipher keys (round keys passed through
-/// InvMixColumns) that the T-table decryption rounds consume.
+/// InvMixColumns) that the T-table decryption rounds consume.  Both are
+/// zeroed on drop: a round key is as good as the key.
 #[derive(Clone)]
 pub struct Aes {
     enc_keys: Vec<u32>,
     dec_keys: Vec<u32>,
     rounds: usize,
+}
+
+impl Drop for Aes {
+    fn drop(&mut self) {
+        crate::ct::zeroize(&mut self.enc_keys);
+        crate::ct::zeroize(&mut self.dec_keys);
+    }
 }
 
 impl Aes {
@@ -222,6 +230,7 @@ impl Aes {
         }
 
         let enc_keys: Vec<u32> = w.iter().map(|word| u32::from_be_bytes(*word)).collect();
+        crate::ct::zeroize(&mut w);
 
         // Equivalent inverse cipher: dk[0] = rk[last], middle round keys are
         // InvMixColumns(rk[mirror]), dk[last] = rk[0].

@@ -1,9 +1,10 @@
-//! Constant-time comparison helpers.
+//! Constant-time comparison and secret-wiping helpers.
 //!
 //! Signature matching during hidden-file lookup compares attacker-influenced
 //! bytes against a secret-derived value; doing that with early-exit `==`
 //! would leak how many leading bytes matched.  These helpers compare entire
-//! slices regardless of where the first difference occurs.
+//! slices regardless of where the first difference occurs.  [`zeroize`] is
+//! the one wipe every layer uses for key material and cached plaintext.
 
 /// Compare two byte slices in time dependent only on their lengths.
 /// Returns `false` immediately if the lengths differ (length is not secret).
@@ -25,6 +26,16 @@ pub fn ct_select(choice: bool, a: u8, b: u8) -> u8 {
     (a & mask) | (b & !mask)
 }
 
+/// Overwrite a buffer with zeros (`T::default()`) in a way the optimiser
+/// cannot elide.  Used for every evicted, purged or pooled plaintext buffer
+/// and by the `Drop` of every type that holds key material.
+pub fn zeroize<T: Copy + Default>(buf: &mut [T]) {
+    buf.fill(T::default());
+    // The black_box makes the zeroed contents observable, so the fill above
+    // cannot be removed as a dead store ahead of a deallocation.
+    std::hint::black_box(&*buf);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,6 +55,16 @@ mod tests {
         // Differences at every position are detected, not just the first.
         assert!(!ct_eq(b"xbc", b"abc"));
         assert!(!ct_eq(b"abx", b"abc"));
+    }
+
+    #[test]
+    fn zeroize_clears_bytes_and_words() {
+        let mut bytes = vec![0xa5u8; 100];
+        zeroize(&mut bytes);
+        assert_eq!(bytes, vec![0u8; 100]);
+        let mut words = [0xdead_beefu32; 8];
+        zeroize(&mut words);
+        assert_eq!(words, [0u32; 8]);
     }
 
     #[test]

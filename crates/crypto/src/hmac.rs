@@ -3,6 +3,12 @@
 //! StegFS uses HMAC in two supporting roles: authenticating backup images so
 //! that a corrupted restore is detected rather than silently applied, and as
 //! the pseudorandom function inside the key-derivation routine in [`crate::kdf`].
+//!
+//! [`HmacSha256`] keeps the two SHA-256 *midstates* — the hash states after
+//! absorbing `key ^ ipad` and `key ^ opad`.  Keying costs two compressions
+//! once; the keyed instance then MACs a short message in two more (one
+//! inner, one outer) instead of four, which is what lets PBKDF2's thousand
+//! iterations under one pass-phrase run at half the cost.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
@@ -13,36 +19,37 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     hmac.finalize()
 }
 
-/// Incremental HMAC-SHA256.
+/// Incremental HMAC-SHA256.  `Clone` copies the keyed midstates, so one
+/// keyed instance can authenticate many messages; the states are wiped on
+/// drop (they are as secret as the key).
+#[derive(Clone)]
 pub struct HmacSha256 {
+    /// State after absorbing `key ^ ipad`, plus any message bytes so far.
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    /// State after absorbing `key ^ opad`.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
     /// Start a new MAC computation keyed by `key` (any length).
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK_LEN];
+        let mut pad = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             let digest = crate::sha256::sha256(key);
-            key_block[..DIGEST_LEN].copy_from_slice(&digest);
+            pad[..DIGEST_LEN].copy_from_slice(&digest);
         } else {
-            key_block[..key.len()].copy_from_slice(key);
+            pad[..key.len()].copy_from_slice(key);
         }
 
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
-        }
-
+        // `pad` holds the zero-extended key; turn it into ipad, then opad.
+        pad.iter_mut().for_each(|b| *b ^= 0x36);
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key: opad,
-        }
+        inner.update(&pad);
+        pad.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        let mut outer = Sha256::new();
+        outer.update(&pad);
+        crate::ct::zeroize(&mut pad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb more message bytes.
@@ -50,19 +57,55 @@ impl HmacSha256 {
         self.inner.update(message);
     }
 
+    /// Tag of the digest-sized message `msg` under this key, leaving the
+    /// keyed instance untouched: exactly two compressions with no state
+    /// copies — the PBKDF2 inner loop.
+    ///
+    /// # Panics
+    /// Panics if message bytes were already absorbed with [`Self::update`].
+    pub fn mac_digest(&self, msg: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN] {
+        self.outer
+            .digest_with_tail(&self.inner.digest_with_tail(msg))
+    }
+
     /// Finish and return the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
+    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // `take` leaves fresh unkeyed states behind for `drop` to wipe.
+        let inner_digest = std::mem::take(&mut self.inner).finalize();
+        let mut outer = std::mem::take(&mut self.outer);
         outer.update(&inner_digest);
         outer.finalize()
     }
 }
 
+impl Drop for HmacSha256 {
+    fn drop(&mut self) {
+        self.inner.wipe();
+        self.outer.wipe();
+    }
+}
+
+/// The textbook four-compression HMAC, rebuilt from the key on every call
+/// with no midstate reuse: the oracle the midstate code is tested against
+/// (here and in [`crate::kdf`]).
+#[cfg(test)]
+pub(crate) fn hmac_sha256_oracle(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut key_block = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        key_block[..DIGEST_LEN].copy_from_slice(&crate::sha256::sha256(key));
+    } else {
+        key_block[..key.len()].copy_from_slice(key);
+    }
+    let ipad = key_block.map(|b| b ^ 0x36);
+    let opad = key_block.map(|b| b ^ 0x5c);
+    let inner = crate::sha256::sha256_concat(&[&ipad, message]);
+    crate::sha256::sha256_concat(&[&opad, &inner])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -132,6 +175,49 @@ mod tests {
             mac.update(chunk);
         }
         assert_eq!(mac.finalize(), hmac_sha256(key, &msg));
+    }
+
+    #[test]
+    fn keyed_instance_macs_many_messages() {
+        let key = b"one key, many messages";
+        let keyed = HmacSha256::new(key);
+        for msg in [&b""[..], b"a", &[0x5a; 64], &[0xa5; 200]] {
+            let mut mac = keyed.clone();
+            mac.update(msg);
+            assert_eq!(mac.finalize(), hmac_sha256_oracle(key, msg));
+        }
+        for fill in [0u8, 0x5a, 0xff] {
+            let msg = [fill; DIGEST_LEN];
+            assert_eq!(keyed.mac_digest(&msg), hmac_sha256_oracle(key, &msg));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "block-aligned")]
+    fn mac_digest_rejects_a_partially_fed_instance() {
+        let mut mac = HmacSha256::new(b"k");
+        mac.update(b"already absorbing");
+        mac.mac_digest(&[0u8; DIGEST_LEN]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Midstate HMAC equals the four-compression oracle for keys on both
+        /// sides of the 64-byte hash-the-key boundary and messages on both
+        /// sides of the block boundaries.
+        #[test]
+        fn midstate_matches_four_compression_oracle(
+            key in proptest::collection::vec(any::<u8>(), 0..200),
+            msg in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            prop_assert_eq!(hmac_sha256(&key, &msg), hmac_sha256_oracle(&key, &msg));
+            let digest = hmac_sha256_oracle(&msg, &key);
+            prop_assert_eq!(
+                HmacSha256::new(&key).mac_digest(&digest),
+                hmac_sha256_oracle(&key, &digest)
+            );
+        }
     }
 
     #[test]

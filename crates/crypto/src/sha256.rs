@@ -77,7 +77,7 @@ impl Sha256 {
             input = &input[take..];
             if self.buffer_len == BLOCK_LEN {
                 let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &block);
                 self.buffer_len = 0;
             }
         }
@@ -85,7 +85,7 @@ impl Sha256 {
         while input.len() >= BLOCK_LEN {
             let mut block = [0u8; BLOCK_LEN];
             block.copy_from_slice(&input[..BLOCK_LEN]);
-            self.compress(&block);
+            compress(&mut self.state, &block);
             input = &input[BLOCK_LEN..];
         }
 
@@ -111,60 +111,102 @@ impl Sha256 {
         self.update(&bit_len.to_be_bytes());
         debug_assert_eq!(self.buffer_len, 0);
 
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        digest_bytes(&self.state)
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+    /// Digest of everything absorbed so far followed by the 32-byte `tail`,
+    /// without consuming (or copying) `self`: the tail, the padding and the
+    /// length fit one block, so this is exactly one compression.  This is the
+    /// shape of both halves of an HMAC over a digest-sized message.
+    ///
+    /// # Panics
+    /// Panics unless the absorbed input ends on a block boundary.
+    pub(crate) fn digest_with_tail(&self, tail: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN] {
+        assert_eq!(self.buffer_len, 0, "absorbed input must be block-aligned");
+        let bit_len = self
+            .total_len
+            .wrapping_add(DIGEST_LEN as u64)
+            .wrapping_mul(8);
+        let mut block = [0u8; BLOCK_LEN];
+        block[..DIGEST_LEN].copy_from_slice(tail);
+        block[DIGEST_LEN] = 0x80;
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        let mut state = self.state;
+        compress(&mut state, &block);
+        digest_bytes(&state)
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+    /// Zero the chaining state and the buffered input.  A keyed hash state
+    /// (HMAC's absorbed pads) is as secret as the key; its owner wipes it on
+    /// drop.
+    pub(crate) fn wipe(&mut self) {
+        crate::ct::zeroize(&mut self.state);
+        crate::ct::zeroize(&mut self.buffer);
+    }
+}
 
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
+fn digest_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The SHA-256 compression function: fold one input block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    // One round with the working variables passed by name: rotating the
+    // names over eight consecutive rounds replaces the textbook
+    // `h = g; g = f; ...` shuffle, so no register moves are spent on it.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = ($e & $f) ^ ((!$e) & $g);
+            let temp1 = $h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+                .wrapping_add(K[$i])
+                .wrapping_add(w[$i]);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(temp1);
+            $h = temp1.wrapping_add(s0.wrapping_add(maj));
+        };
     }
+    for i in (0..64).step_by(8) {
+        round!(a, b, c, d, e, f, g, h, i);
+        round!(h, a, b, c, d, e, f, g, i + 1);
+        round!(g, h, a, b, c, d, e, f, i + 2);
+        round!(f, g, h, a, b, c, d, e, i + 3);
+        round!(e, f, g, h, a, b, c, d, i + 4);
+        round!(d, e, f, g, h, a, b, c, i + 5);
+        round!(c, d, e, f, g, h, a, b, i + 6);
+        round!(b, c, d, e, f, g, h, a, i + 7);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 /// One-shot SHA-256 over `data`.

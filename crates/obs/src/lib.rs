@@ -241,12 +241,17 @@ impl GateSummary {
 }
 
 /// Read-cache operation latencies. Hit/miss/evict/zeroize counts are the
-/// `count` fields of the respective histograms.
+/// `count` fields of the respective histograms; derived-key lookups are
+/// plain counts (a miss's latency is the `key_derive` phase).
 pub struct ReadCacheStats {
     pub hit_ns: Histogram,
     pub miss_ns: Histogram,
     pub evict_ns: Histogram,
     pub zeroize_ns: Histogram,
+    /// Key-set lookups served from the derived-key cache.
+    pub key_hits: AtomicU64,
+    /// Key-set lookups that ran the pass-phrase derivation.
+    pub key_misses: AtomicU64,
 }
 
 impl ReadCacheStats {
@@ -266,6 +271,8 @@ impl ReadCacheStats {
             miss_ns: Histogram::maybe(enabled),
             evict_ns: Histogram::maybe(enabled),
             zeroize_ns: Histogram::maybe(enabled),
+            key_hits: AtomicU64::new(0),
+            key_misses: AtomicU64::new(0),
         }
     }
 
@@ -274,6 +281,8 @@ impl ReadCacheStats {
         self.miss_ns.reset();
         self.evict_ns.reset();
         self.zeroize_ns.reset();
+        self.key_hits.store(0, Ordering::Relaxed);
+        self.key_misses.store(0, Ordering::Relaxed);
     }
 
     pub fn summary(&self) -> ReadCacheSummary {
@@ -282,6 +291,8 @@ impl ReadCacheStats {
             miss_ns: self.miss_ns.summary(),
             evict_ns: self.evict_ns.summary(),
             zeroize_ns: self.zeroize_ns.summary(),
+            key_hits: self.key_hits.load(Ordering::Relaxed),
+            key_misses: self.key_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -292,16 +303,20 @@ pub struct ReadCacheSummary {
     pub miss_ns: HistSummary,
     pub evict_ns: HistSummary,
     pub zeroize_ns: HistSummary,
+    pub key_hits: u64,
+    pub key_misses: u64,
 }
 
 impl ReadCacheSummary {
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"hit\": {}, \"miss\": {}, \"evict\": {}, \"zeroize\": {}}}",
+            "{{\"hit\": {}, \"miss\": {}, \"evict\": {}, \"zeroize\": {}, \"key_hits\": {}, \"key_misses\": {}}}",
             self.hit_ns.to_json(),
             self.miss_ns.to_json(),
             self.evict_ns.to_json(),
-            self.zeroize_ns.to_json()
+            self.zeroize_ns.to_json(),
+            self.key_hits,
+            self.key_misses
         )
     }
 }

@@ -61,10 +61,13 @@ pub enum Phase {
     /// Read-repair: rewriting damaged shares/replicas after a degraded read
     /// (the convergence work, not the degraded read itself).
     Repair = 11,
+    /// Pass-phrase key derivation (PBKDF2) on a key-cache miss; a cached
+    /// key set records nothing.
+    KeyDerive = 12,
 }
 
 /// Number of phases in the taxonomy.
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 13;
 
 /// Static phase labels, indexed by `Phase as usize`.
 pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
@@ -80,6 +83,7 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "cache_hit",
     "cache_miss",
     "repair",
+    "key_derive",
 ];
 
 /// Every phase, in index order (for fixed-shape iteration).
@@ -96,6 +100,7 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::CacheHit,
     Phase::CacheMiss,
     Phase::Repair,
+    Phase::KeyDerive,
 ];
 
 impl Phase {

@@ -238,7 +238,7 @@ mod tests {
 
         // Destroy every header replica of the interior directory "d":
         // damage past its metadata redundancy, so it cannot even be opened.
-        let keys = stegfs_core::crypt::ObjectKeys::derive(&d.physical_name, &d.fak);
+        let keys = fs.keys_for(&d.physical_name, &d.fak);
         let obj =
             stegfs_core::hidden::open(fs.plain_fs(), &d.physical_name, &keys, fs.params()).unwrap();
         let dev = fs.plain_fs().device().clone();
@@ -278,7 +278,7 @@ mod tests {
 
         let dev = fs.plain_fs().device().clone();
         for entry in [&d, &gone] {
-            let keys = stegfs_core::crypt::ObjectKeys::derive(&entry.physical_name, &entry.fak);
+            let keys = fs.keys_for(&entry.physical_name, &entry.fak);
             let obj =
                 stegfs_core::hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params())
                     .unwrap();

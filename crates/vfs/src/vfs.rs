@@ -317,9 +317,10 @@ impl<D: BlockDevice> Vfs<D> {
     /// Sign a session off: every handle it still holds is closed, its
     /// connected-object table is dropped (the paper disconnects all objects
     /// at logoff), and every read-cache entry the session's keys could
-    /// reach is **purged and zeroed** — no decrypted byte may outlive a
-    /// session that could read it, while entries other live sessions
-    /// resolved through their own keys stay warm (see
+    /// reach — decrypted headers, extents and blocks, and the derived key
+    /// sets themselves — is **purged and zeroed**: no decrypted byte and no
+    /// key schedule may outlive a session that could use it, while entries
+    /// other live sessions resolved through their own keys stay warm (see
     /// `stegfs_core::readcache`).  The RAM-only observability trace ring is
     /// zeroed as well, so no record of the departing session's activity
     /// pattern survives it.

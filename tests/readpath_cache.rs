@@ -1,15 +1,19 @@
 //! Cache-coherence and deniability tests for the read-path cache.
 //!
 //! The contract under test (see `stegfs_core::readcache`): decrypted state
-//! may be cached in RAM only as long as (a) every mutation through the
-//! public API invalidates it, (b) sign-off purges and zeroes everything,
-//! and (c) nothing about the on-disk image changes — a cached volume and an
-//! uncached volume running the same workload are bit-identical on disk.
+//! and derived key sets may be cached in RAM only as long as (a) every
+//! mutation through the public API invalidates what it staled, (b) sign-off
+//! purges and zeroes everything the departing session could use, and (c)
+//! nothing about the on-disk image — or about what a wrong key observes —
+//! changes: a cached volume and an uncached volume running the same
+//! workload are bit-identical on disk.
 
 #![forbid(unsafe_code)]
 
+use std::sync::{Arc, Barrier};
 use stegfs_blockdev::{BlockDevice, BufferCache, CrashDevice, MemBlockDevice};
-use stegfs_core::{ObjectKind, StegFs, StegParams};
+use stegfs_core::{DirectoryEntry, ObjectKind, StegFs, StegParams};
+use stegfs_crypto::kdf;
 use stegfs_tests::{journaled_params, payload};
 use stegfs_vfs::{OpenOptions, Vfs};
 
@@ -221,6 +225,7 @@ fn signoff_purges_every_cached_plaintext_byte() {
     );
     assert_eq!(stats.resident_bytes, 0);
     assert_eq!(stats.resident_objects, 0);
+    assert_eq!(stats.resident_keys, 0, "sign-off left key sets: {stats:?}");
     // Sign-off is a *scoped* purge (this session's entries plus any
     // unscoped stragglers); the volume-wide purge counter is reserved for
     // unmount/disconnect_all.
@@ -235,10 +240,12 @@ fn disconnect_all_and_unmount_purge_at_core_level() {
         .unwrap();
     let _ = fs.read_hidden_with_key("s", OWNER).unwrap();
     assert!(fs.cache_stats().resident_blocks > 0);
+    assert!(fs.cache_stats().resident_keys > 0);
     fs.disconnect_all();
     let stats = fs.cache_stats();
     assert_eq!(stats.resident_blocks, 0);
     assert_eq!(stats.resident_objects, 0);
+    assert_eq!(stats.resident_keys, 0);
 }
 
 // ----------------------------------------------------------------------
@@ -318,6 +325,13 @@ fn run_workload(fs: &StegFs<MemBlockDevice>) {
     fs.rename_hidden("obj-0", "obj-renamed", OWNER).unwrap();
     let _ = fs.read_hidden_with_key("obj-renamed", OWNER).unwrap();
     fs.delete_hidden("obj-renamed", OWNER).unwrap();
+    // Re-key and recreate-under-the-same-name: the key cache's own
+    // invalidation points.
+    fs.revoke_sharing("obj-1", OWNER).unwrap();
+    fs.steg_create("obj-0", OWNER, ObjectKind::File).unwrap();
+    fs.write_hidden_with_key("obj-0", OWNER, &payload(41, 5_000))
+        .unwrap();
+    let _ = fs.read_hidden_with_key("obj-0", OWNER).unwrap();
     let _ = fs.list_hidden(OWNER).unwrap();
     fs.touch_dummy_files().unwrap();
     let _ = fs.read_hidden_with_key("obj-1", OWNER).unwrap();
@@ -348,6 +362,9 @@ fn disk_image_bit_identical_with_and_without_cache() {
     // proves nothing.
     assert!(with_cache.cache_stats().block_hits > 0);
     assert_eq!(without_cache.cache_stats().block_hits, 0);
+    assert!(with_cache.cache_stats().key_hits > 0);
+    let off = without_cache.cache_stats();
+    assert_eq!((off.key_hits, off.resident_keys), (0, 0), "{off:?}");
 
     let dev_a = with_cache.unmount().unwrap();
     let dev_b = without_cache.unmount().unwrap();
@@ -359,6 +376,254 @@ fn disk_image_bit_identical_with_and_without_cache() {
         dev_b.read_block(block, &mut buf_b).unwrap();
         assert_eq!(buf_a, buf_b, "divergence at block {block}");
     }
+}
+
+// ----------------------------------------------------------------------
+// Derived-key cache: derive once per connect, die with the session
+// ----------------------------------------------------------------------
+
+/// Smallest growth of the process-wide derivation counter over several runs
+/// of `f`.  Other tests in this binary derive concurrently and noise only
+/// ever *adds*, so the quietest window is the honest reading.
+fn quietest_derivation_delta(mut f: impl FnMut()) -> u64 {
+    (0..5)
+        .map(|_| {
+            let before = kdf::derivations();
+            f();
+            kdf::derivations() - before
+        })
+        .min()
+        .expect("five windows")
+}
+
+fn reopen(vfs: &Vfs<MemBlockDevice>, s: stegfs_vfs::SessionId, path: &str) {
+    let h = vfs.open(s, path, OpenOptions::read_only()).unwrap();
+    assert!(!vfs.read_at(h, 0, 64).unwrap().is_empty());
+    vfs.close(h).unwrap();
+}
+
+#[test]
+fn reopening_a_connected_file_runs_no_derivation() {
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), cached_params()).unwrap();
+    let s = vfs.signon(OWNER);
+    let h = vfs
+        .open(s, "/hidden/doc", OpenOptions::read_write())
+        .unwrap();
+    vfs.write_at(h, 0, &payload(70, 6_000)).unwrap();
+    vfs.close(h).unwrap();
+    reopen(&vfs, s, "/hidden/doc");
+
+    let before = vfs.cache_stats();
+    let delta = quietest_derivation_delta(|| reopen(&vfs, s, "/hidden/doc"));
+    let after = vfs.cache_stats();
+    assert_eq!(delta, 0, "an open of a connected file re-derived its keys");
+    assert_eq!(after.key_misses, before.key_misses, "{after:?}");
+    assert!(after.key_hits > before.key_hits);
+    // The cached header served the open too: no locator walk either.
+    assert_eq!(after.header_misses, before.header_misses);
+}
+
+#[test]
+fn signoff_sweeps_the_departing_sessions_keys_only() {
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), cached_params()).unwrap();
+    let alice = vfs.signon("alice's key");
+    let bob = vfs.signon("bob's key");
+    for (s, path) in [(alice, "/hidden/a-doc"), (bob, "/hidden/b-doc")] {
+        let h = vfs.open(s, path, OpenOptions::read_write()).unwrap();
+        vfs.write_at(h, 0, &payload(71, 3_000)).unwrap();
+        vfs.close(h).unwrap();
+        reopen(&vfs, s, path);
+    }
+    let both = vfs.cache_stats().resident_keys;
+
+    vfs.signoff(alice).unwrap();
+
+    let stats = vfs.cache_stats();
+    assert!(
+        0 < stats.resident_keys && stats.resident_keys < both,
+        "Alice's (and unscoped) key sets go, Bob's stay: {both} -> {stats:?}"
+    );
+    // Bob's keys are still connected: his reopen derives nothing...
+    reopen(&vfs, bob, "/hidden/b-doc");
+    assert_eq!(vfs.cache_stats().key_misses, stats.key_misses);
+    // ...while Alice, signing on again, pays her derivations afresh.
+    let alice = vfs.signon("alice's key");
+    reopen(&vfs, alice, "/hidden/a-doc");
+    assert!(vfs.cache_stats().key_misses > stats.key_misses);
+
+    vfs.signoff(bob).unwrap();
+    vfs.signoff(alice).unwrap();
+    assert_eq!(vfs.cache_stats().resident_keys, 0);
+}
+
+#[test]
+fn disabled_cache_retains_no_keys() {
+    let vfs = Vfs::format(
+        MemBlockDevice::new(1024, 8192),
+        StegParams {
+            readpath_cache_blocks: 0,
+            ..StegParams::for_tests()
+        },
+    )
+    .unwrap();
+    let s = vfs.signon(OWNER);
+    let h = vfs
+        .open(s, "/hidden/doc", OpenOptions::read_write())
+        .unwrap();
+    vfs.write_at(h, 0, &payload(72, 2_000)).unwrap();
+    vfs.close(h).unwrap();
+    let before = kdf::derivations();
+    reopen(&vfs, s, "/hidden/doc");
+    assert!(
+        kdf::derivations() > before,
+        "nothing cached: a reopen derives"
+    );
+    let stats = vfs.cache_stats();
+    assert_eq!(
+        (stats.key_hits, stats.key_misses, stats.resident_keys),
+        (0, 0, 0),
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn rename_rekey_and_recreate_never_serve_the_old_key_set() {
+    let fs = small_fs();
+    fs.steg_create("doc", OWNER, ObjectKind::File).unwrap();
+    let v1 = payload(73, 7_000);
+    fs.write_hidden_with_key("doc", OWNER, &v1).unwrap();
+    let original = fs.lookup_entry("doc", OWNER).unwrap();
+    let original_keys = fs.keys_for(&original.physical_name, &original.fak);
+
+    // Rename keeps the pair, so the keys are equal — but freshly derived:
+    // the namespace mutation dropped the cached set.
+    fs.rename_hidden("doc", "doc2", OWNER).unwrap();
+    let renamed = fs.lookup_entry("doc2", OWNER).unwrap();
+    assert_eq!(renamed.fak, original.fak);
+    let renamed_keys = fs.keys_for(&renamed.physical_name, &renamed.fak);
+    assert!(!Arc::ptr_eq(&original_keys, &renamed_keys));
+    assert_eq!(original_keys.signature(), renamed_keys.signature());
+
+    // Re-key: new pair, new keys, same bytes; the old pair is dead in the
+    // not-found family however warm its key set was.
+    fs.revoke_sharing("doc2", OWNER).unwrap();
+    let rekeyed = fs.lookup_entry("doc2", OWNER).unwrap();
+    assert_ne!(rekeyed.fak, original.fak);
+    assert_ne!(
+        fs.keys_for(&rekeyed.physical_name, &rekeyed.fak)
+            .signature(),
+        original_keys.signature()
+    );
+    assert_eq!(fs.read_hidden_with_key("doc2", OWNER).unwrap(), v1);
+    assert!(fs
+        .open_hidden_entry(&renamed)
+        .is_err_and(|e| e.is_not_found()));
+
+    // Unlink, then recreate under the same name: a new FAK, so a new key
+    // set; neither earlier pair resolves.
+    fs.delete_hidden("doc2", OWNER).unwrap();
+    fs.steg_create("doc2", OWNER, ObjectKind::File).unwrap();
+    let v2 = payload(74, 2_500);
+    fs.write_hidden_with_key("doc2", OWNER, &v2).unwrap();
+    let recreated = fs.lookup_entry("doc2", OWNER).unwrap();
+    assert_ne!(recreated.fak, rekeyed.fak);
+    assert_eq!(fs.read_hidden_with_key("doc2", OWNER).unwrap(), v2);
+    for dead in [&renamed, &rekeyed] {
+        assert!(fs.open_hidden_entry(dead).is_err_and(|e| e.is_not_found()));
+    }
+}
+
+#[test]
+fn stale_vfs_handle_stays_not_found_across_unlink_and_recreate() {
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), cached_params()).unwrap();
+    let s = vfs.signon(OWNER);
+    let old = vfs
+        .open(s, "/hidden/doc", OpenOptions::read_write())
+        .unwrap();
+    vfs.write_at(old, 0, &payload(75, 4_000)).unwrap();
+    vfs.unlink(s, "/hidden/doc").unwrap();
+    assert!(vfs.read_at(old, 0, 16).unwrap_err().is_not_found());
+
+    let new = vfs
+        .open(s, "/hidden/doc", OpenOptions::read_write())
+        .unwrap();
+    let v2 = payload(76, 1_500);
+    vfs.write_at(new, 0, &v2).unwrap();
+    assert_eq!(vfs.read_at(new, 0, v2.len()).unwrap(), v2);
+    assert!(vfs.read_at(old, 0, 16).unwrap_err().is_not_found());
+}
+
+#[test]
+fn wrong_key_and_never_existed_fail_identically_cold_and_warm() {
+    // The same `(physical name, FAK)` lookups against a volume where the
+    // object exists under another FAK and one where it never existed.
+    let has = small_fs();
+    let never = small_fs();
+    has.steg_create("doc", OWNER, ObjectKind::File).unwrap();
+    has.write_hidden_with_key("doc", OWNER, b"present").unwrap();
+    let entry = has.lookup_entry("doc", OWNER).unwrap();
+    let wrong = DirectoryEntry {
+        fak: [0x5a; 32],
+        ..entry.clone()
+    };
+    let failure = |fs: &StegFs<MemBlockDevice>, e: &DirectoryEntry| {
+        let err = fs.open_hidden_entry(e).err().expect("must not open");
+        assert!(err.is_not_found());
+        err.to_string()
+    };
+
+    has.disconnect_all();
+    let cold = (failure(&has, &wrong), failure(&never, &wrong));
+    assert_eq!(cold.0, cold.1, "wrong key vs never existed, cold");
+
+    // A correct open warms header, extents and keys; the failed lookups
+    // above already warmed their own key sets.
+    assert_eq!(
+        has.read_range_at(&has.open_hidden_entry(&entry).unwrap(), 0, 7)
+            .unwrap(),
+        b"present"
+    );
+    let warm = (failure(&has, &wrong), failure(&never, &wrong));
+    assert_eq!(warm, cold, "a warm cache changed what a wrong key sees");
+    // Both volumes answered the repeat from the key cache alike.
+    let (a, b) = (has.cache_stats(), never.cache_stats());
+    assert!(a.key_hits > 0 && b.key_hits > 0, "{a:?} {b:?}");
+}
+
+#[test]
+fn racing_first_opens_of_one_object_share_one_key_set() {
+    let fs = Arc::new(small_fs());
+    fs.steg_create("raced", OWNER, ObjectKind::File).unwrap();
+    let data = payload(77, 5_000);
+    fs.write_hidden_with_key("raced", OWNER, &data).unwrap();
+    let entry = fs.lookup_entry("raced", OWNER).unwrap();
+    fs.disconnect_all();
+    let before = fs.cache_stats();
+
+    const THREADS: usize = 8;
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let workers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (fs, barrier, entry) = (Arc::clone(&fs), Arc::clone(&barrier), entry.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                let h = fs.open_hidden_entry(&entry).unwrap();
+                fs.read_range_at(&h, 0, 5_000).unwrap()
+            })
+        })
+        .collect();
+    for w in workers {
+        assert_eq!(w.join().unwrap(), data);
+    }
+    let after = fs.cache_stats();
+    let derived = after.key_misses - before.key_misses;
+    assert!((1..=THREADS as u64).contains(&derived), "{after:?}");
+    assert_eq!(after.resident_keys, 1, "racers converged on one entry");
+    // From here on every open shares that one set.
+    let a = fs.keys_for(&entry.physical_name, &entry.fak);
+    let b = fs.keys_for(&entry.physical_name, &entry.fak);
+    assert!(Arc::ptr_eq(&a, &b));
+    assert_eq!(fs.cache_stats().key_misses, after.key_misses);
 }
 
 // ----------------------------------------------------------------------
