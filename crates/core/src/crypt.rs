@@ -31,6 +31,35 @@
 //! ([`crate::readcache::ReadCache::keys_for`], reached through
 //! `StegFs::keys_for`).  Every other layer holds the resulting
 //! `Arc<ObjectKeys>`.  A key set is zeroed when its last holder drops it.
+//! (With the SHA-NI compression function a cold derivation is ≈ 0.15 ms.)
+//!
+//! # What a block costs
+//!
+//! [`ObjectKeys::encrypt_block`] is one SHA-256 compression (the IV) plus
+//! AES-CTR over the block, and `stegfs-crypto` picks the round functions at
+//! run time from what the CPU reports.  Measured on the reference host, per
+//! 16-byte cipher block and per 1 KiB disk block:
+//!
+//! | path                         | AES-CTR       | IV derivation | 1 KiB block |
+//! |------------------------------|---------------|---------------|-------------|
+//! | AES-NI + SHA-NI (x86-64)     | 4 ns/block    | 95 ns         | ≈ 0.35 µs   |
+//! | T-tables + scalar (portable) | 81–94 ns/block| 300 ns        | ≈ 6.2 µs    |
+//!
+//! so a cold 64 KiB hidden read spends ≈ 25 µs in here on the hardware path
+//! against ≈ 400 µs on the portable one, and the rest of a cold read (device
+//! submissions, extent walk, cache inserts) is what the higher rungs of the
+//! layer ladder now measure.  Every byte written is the same on both paths:
+//! the choice changes how fast a block is produced, never its content, so a
+//! volume moves freely between hosts.
+//!
+//! The two paths also differ in what they leak to a co-resident observer.
+//! The T-table rounds index 4 KiB of lookup tables with bytes of the secret
+//! cipher state, so which cache lines they touch depends on key and data —
+//! the classic AES cache-timing channel.  The hardware rounds read no
+//! secret-indexed memory at all.  (Key expansion uses the S-box on every
+//! host; it runs once per key, not per block.)  StegFS's threat model is the
+//! seized disk, not the shared cache, but the portable path should not be
+//! mistaken for a constant-time cipher.
 
 use stegfs_crypto::ct::zeroize;
 use stegfs_crypto::kdf::{derive_key, derive_subkey};

@@ -33,20 +33,33 @@ pub struct HmacSha256 {
 impl HmacSha256 {
     /// Start a new MAC computation keyed by `key` (any length).
     pub fn new(key: &[u8]) -> Self {
+        Self::keyed(key, Sha256::new())
+    }
+
+    /// [`HmacSha256::new`] over the scalar SHA-256 whatever the CPU offers:
+    /// the oracle side of the hardware-equivalence tests.
+    #[cfg(test)]
+    pub(crate) fn portable(key: &[u8]) -> Self {
+        Self::keyed(key, Sha256::portable())
+    }
+
+    /// Key a MAC whose three hash computations all start from `fresh`.
+    fn keyed(key: &[u8], fresh: Sha256) -> Self {
         let mut pad = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let digest = crate::sha256::sha256(key);
-            pad[..DIGEST_LEN].copy_from_slice(&digest);
+            let mut hashed_key = fresh.clone();
+            hashed_key.update(key);
+            pad[..DIGEST_LEN].copy_from_slice(&hashed_key.finalize());
         } else {
             pad[..key.len()].copy_from_slice(key);
         }
 
         // `pad` holds the zero-extended key; turn it into ipad, then opad.
         pad.iter_mut().for_each(|b| *b ^= 0x36);
-        let mut inner = Sha256::new();
+        let mut inner = fresh.clone();
         inner.update(&pad);
         pad.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
-        let mut outer = Sha256::new();
+        let mut outer = fresh;
         outer.update(&pad);
         crate::ct::zeroize(&mut pad);
         HmacSha256 { inner, outer }
@@ -111,58 +124,58 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Known-answer check over both SHA-256 compression functions: the one
+    /// this host's [`HmacSha256::new`] picks, and the scalar one.
+    fn known_answer(key: &[u8], msg: &[u8], tag: &str) {
+        assert_eq!(hex(&hmac_sha256(key, msg)), tag);
+        let mut scalar = HmacSha256::portable(key);
+        scalar.update(msg);
+        assert_eq!(hex(&scalar.finalize()), tag);
+    }
+
     // Test vectors from RFC 4231.
     #[test]
     fn rfc4231_case_1() {
-        let key = [0x0bu8; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        known_answer(
+            &[0x0bu8; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case_2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        known_answer(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case_3() {
-        let key = [0xaau8; 20];
-        let msg = [0xddu8; 50];
-        let tag = hmac_sha256(&key, &msg);
-        assert_eq!(
-            hex(&tag),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        known_answer(
+            &[0xaau8; 20],
+            &[0xddu8; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case_6_long_key() {
-        let key = [0xaau8; 131];
-        let tag = hmac_sha256(
-            &key,
+        known_answer(
+            &[0xaau8; 131],
             b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            hex(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
     #[test]
     fn rfc4231_case_7_long_key_and_data() {
-        let key = [0xaau8; 131];
-        let msg = b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
-        let tag = hmac_sha256(&key, msg);
-        assert_eq!(
-            hex(&tag),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        known_answer(
+            &[0xaau8; 131],
+            b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
         );
     }
 

@@ -1,0 +1,43 @@
+//! Stand-in for `hw.rs` on targets with no hardware back end: the same
+//! names, but the tokens are uninhabited, so `detect` can only say `None`
+//! and every caller's hardware branch is dead code the compiler removes.
+
+/// Never constructed on this target.
+#[derive(Clone, Copy)]
+pub(crate) enum AesNi {}
+
+/// Never constructed on this target.
+#[derive(Clone, Copy)]
+pub(crate) enum ShaNi {}
+
+impl AesNi {
+    pub(crate) fn detect() -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn encrypt_block(self, _rk: &[[u8; 16]], _block: &mut [u8; 16]) {
+        match self {}
+    }
+
+    pub(crate) fn decrypt_block(self, _dk: &[[u8; 16]], _block: &mut [u8; 16]) {
+        match self {}
+    }
+
+    pub(crate) fn ctr_apply(self, _rk: &[[u8; 16]], _nonce: &[u8; 16], _data: &mut [u8]) {
+        match self {}
+    }
+
+    pub(crate) fn cbc_decrypt(self, _dk: &[[u8; 16]], _iv: &[u8; 16], _blocks: &mut [[u8; 16]]) {
+        match self {}
+    }
+}
+
+impl ShaNi {
+    pub(crate) fn detect() -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn compress(self, _state: &mut [u32; 8], _blocks: &[[u8; 64]]) {
+        match self {}
+    }
+}

@@ -47,10 +47,13 @@ pub fn derive_key_with_iterations(
 ) -> [u8; DIGEST_LEN] {
     assert!(iterations > 0, "iteration count must be positive");
     DERIVATIONS.fetch_add(1, Ordering::Relaxed);
+    pbkdf2(HmacSha256::new(passphrase), context, salt, iterations)
+}
 
-    // PBKDF2-HMAC-SHA256 with a single output block (block index 1), with the
-    // context label folded into the salt: U1 = PRF(context ‖ 0 ‖ salt ‖ 1).
-    let keyed = HmacSha256::new(passphrase);
+/// PBKDF2-HMAC-SHA256 with a single output block (block index 1), with the
+/// context label folded into the salt: U1 = PRF(context ‖ 0 ‖ salt ‖ 1).
+/// `keyed` is the PRF already keyed by the pass-phrase.
+fn pbkdf2(keyed: HmacSha256, context: &[u8], salt: &[u8], iterations: u32) -> [u8; DIGEST_LEN] {
     let mut first = keyed.clone();
     first.update(context);
     first.update(&[0u8]);
@@ -100,9 +103,46 @@ mod tests {
         // The published PBKDF2-HMAC-SHA256 vector P = "pass\0word",
         // S = "sa\0lt", c = 4096, dkLen = 16; the context/salt split puts
         // the NUL exactly where this module's separator goes.
+        let hex =
+            |out: [u8; 32]| -> String { out[..16].iter().map(|b| format!("{b:02x}")).collect() };
         let out = derive_key_with_iterations(b"pass\0word", b"sa", b"lt", 4096);
-        let hex: String = out[..16].iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "89b69d0516f829893c696226650a8687");
+        assert_eq!(hex(out), "89b69d0516f829893c696226650a8687");
+        // And over the scalar SHA-256, whatever this host's default is.
+        let out = pbkdf2(HmacSha256::portable(b"pass\0word"), b"sa", b"lt", 4096);
+        assert_eq!(hex(out), "89b69d0516f829893c696226650a8687");
+    }
+
+    #[test]
+    fn object_key_schedule_matches_the_recorded_golden_values_on_both_back_ends() {
+        // The hidden-object key schedule of `stegfs-core` (`crypt.rs`:
+        // master = KDF(FAK, "stegfs/object", physical name), signature =
+        // HMAC(master, "signature"), locator seed = master) with the golden
+        // values that file pins, spelled out here so that both compression
+        // functions are held to them: every signature and locator seed on
+        // existing volumes depends on these not moving.
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let context = b"stegfs/object";
+        let hw_master = derive_key(b"fak", context, b"u1:/budget");
+        let hw_signature = derive_subkey(&hw_master, b"signature");
+        let master = pbkdf2(
+            HmacSha256::portable(b"fak"),
+            context,
+            b"u1:/budget",
+            DEFAULT_ITERATIONS,
+        );
+        let mut mac = HmacSha256::portable(&master);
+        mac.update(b"signature");
+        let signature = mac.finalize();
+        for (master, signature) in [(hw_master, hw_signature), (master, signature)] {
+            assert_eq!(
+                hex(&signature),
+                "1f472ffb42cdf37dd6da22f630f05caeb5e36c91963ca43e3f6644c22356ec96"
+            );
+            assert_eq!(
+                hex(&master),
+                "dc5b56d30d1eb6a7042fa537c8b8c7d8e10a34299b18dbef45b86af9401a63bd"
+            );
+        }
     }
 
     proptest! {

@@ -36,14 +36,35 @@
 //! * [`bignum`] — fixed-capacity big unsigned integers.
 //! * [`rsa`] — textbook RSA key generation, encryption and decryption.
 //! * [`ct`] — constant-time comparison helpers.
+//! * `hw` (private, x86-64 only) — the AES-NI and SHA-NI round functions
+//!   under [`aes`], [`modes`] and [`mod@sha256`], picked at run time from what
+//!   the CPU reports; the T-table AES and scalar SHA-256 remain the path on
+//!   every other host and the oracle `hw` is tested against.
+//!
+//! # `unsafe`
+//!
+//! The crate denies `unsafe_code` everywhere except `hw.rs`, the one file in
+//! the workspace that contains any.  Its header carries the full argument;
+//! in short: every function that executes an AES or SHA instruction is
+//! `#[target_feature]`-gated and reachable only through a token whose sole
+//! constructor is the CPU feature check, and every vector load or store is
+//! an unaligned `loadu`/`storeu` through a `&[u8; 16]` that safe slice
+//! methods cut from the caller's buffer.  The other modules call safe
+//! methods on the token and contain no `unsafe` block.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
 pub mod bignum;
 pub mod ct;
 pub mod hmac;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod hw;
+#[cfg(not(target_arch = "x86_64"))]
+#[path = "hw_none.rs"]
+mod hw;
 pub mod kdf;
 pub mod modes;
 pub mod prng;

@@ -61,6 +61,12 @@ impl CbcCipher {
         CbcCipher { aes: Aes::new(key) }
     }
 
+    /// Wrap an already expanded AES key schedule.
+    #[cfg(test)]
+    pub(crate) fn from_aes(aes: Aes) -> Self {
+        CbcCipher { aes }
+    }
+
     /// Encrypt `plaintext` with the given IV.  The output length is always a
     /// non-zero multiple of 16 bytes (PKCS#7 adds a full block when the input
     /// is already aligned).
@@ -84,6 +90,14 @@ impl CbcCipher {
     pub fn decrypt(&self, iv: &[u8; BLOCK_LEN], ciphertext: &[u8]) -> Result<Vec<u8>, CipherError> {
         if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_LEN) {
             return Err(CipherError::BadLength);
+        }
+        if let Some((hw, dec)) = self.aes.hw_decryptor() {
+            // Decryption does not chain through the cipher, so the hardware
+            // path runs eight blocks at once, in place over a copy.
+            let mut out = ciphertext.to_vec();
+            hw.cbc_decrypt(dec, iv, out.as_chunks_mut().0);
+            pkcs7_unpad(&mut out)?;
+            return Ok(out);
         }
         let mut out = Vec::with_capacity(ciphertext.len());
         let mut prev = *iv;
@@ -133,6 +147,9 @@ impl CtrCipher {
     /// XOR `data` in place with the keystream generated from `nonce`.
     /// Encryption and decryption are the same operation.
     pub fn apply(&self, nonce: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        if let Some((hw, enc)) = self.aes.hw_encryptor() {
+            return hw.ctr_apply(enc, nonce, data);
+        }
         let mut counter_block = *nonce;
         let mut offset = 0usize;
         while offset < data.len() {
@@ -188,6 +205,8 @@ fn pkcs7_unpad(data: &mut Vec<u8>) -> Result<(), CipherError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn from_hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -206,8 +225,11 @@ mod tests {
         let plaintext =
             from_hex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
         let expected = from_hex("601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5");
-        let ctr = CtrCipher::new(&key);
-        assert_eq!(ctr.transform(&nonce, &plaintext), expected);
+        // On the back end `new` picks for this host, and on the T-tables.
+        for aes in [Aes::new(&key), Aes::portable(&key)] {
+            let ctr = CtrCipher::from_aes(aes);
+            assert_eq!(ctr.transform(&nonce, &plaintext), expected);
+        }
     }
 
     #[test]
@@ -304,5 +326,124 @@ mod tests {
         let xored: Vec<u8> = c1.iter().zip(&c2).map(|(a, b)| a ^ b).collect();
         let expected: Vec<u8> = m1.iter().zip(&m2).map(|(a, b)| a ^ b).collect();
         assert_eq!(xored, expected);
+    }
+
+    // --- hardware ≡ portable ----------------------------------------------
+    //
+    // `Aes::new` picks the round function this CPU offers; `Aes::portable`
+    // is always the T-tables with the byte-wise counter increment above.  On
+    // a host with AES-NI the pairs below compare the two code paths; on any
+    // other host both sides are the portable one and the tests still hold.
+
+    /// The same key as (host's choice, T-tables).
+    fn ctr_pair(key: &[u8]) -> (CtrCipher, CtrCipher) {
+        (CtrCipher::new(key), CtrCipher::from_aes(Aes::portable(key)))
+    }
+
+    fn cbc_pair(key: &[u8]) -> (CbcCipher, CbcCipher) {
+        (CbcCipher::new(key), CbcCipher::from_aes(Aes::portable(key)))
+    }
+
+    fn pattern(len: usize, salt: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(151).wrapping_add(salt))
+            .collect()
+    }
+
+    #[test]
+    fn ctr_back_ends_agree_on_every_batch_and_tail_shape() {
+        // 0..=300 covers every residue mod 128 (the eight-block batch) and
+        // mod 16 (the block) at least twice; the rest sit around 4 KiB.
+        let (hw, oracle) = ctr_pair(&[0x42u8; 32]);
+        let nonce = [0x9cu8; 16];
+        for len in (0..=300).chain([4094, 4095, 4096, 4097, 4100]) {
+            let data = pattern(len, 7);
+            assert_eq!(
+                hw.transform(&nonce, &data),
+                oracle.transform(&nonce, &data),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn ctr_back_ends_carry_the_counter_alike() {
+        // Start the counter 0..=8 steps short of a carry out of the low 64
+        // bits (…ff f9 and neighbours) and out of all 128 (wrap to zero), so
+        // the carry lands on each lane of one eight-block batch, in the
+        // one-block remainder loop, and in the partial tail.
+        let (hw, oracle) = ctr_pair(&[0x17u8; 16]);
+        for high in [[0x3cu8; 8], [0xffu8; 8]] {
+            for short_of_carry in 0..=8u8 {
+                let mut nonce = [0xffu8; 16];
+                nonce[..8].copy_from_slice(&high);
+                nonce[15] = 0xff - short_of_carry;
+                for len in [128, 3 * 128 + 16 * 5 + 3, 16 * 3, 9] {
+                    let data = pattern(len, short_of_carry);
+                    assert_eq!(
+                        hw.transform(&nonce, &data),
+                        oracle.transform(&nonce, &data),
+                        "nonce {nonce:02x?} len {len}"
+                    );
+                }
+            }
+        }
+        // And the oracle's own definition of the wrap: block 1 of an
+        // all-ones nonce is the encryption of the zero block.
+        let mut zero_block = [0u8; 16];
+        Aes::portable(&[0x17u8; 16]).encrypt_block(&mut zero_block);
+        let out = hw.transform(&[0xffu8; 16], &[0u8; 32]);
+        assert_eq!(out[16..], zero_block);
+    }
+
+    #[test]
+    fn cbc_back_ends_agree_on_every_batch_and_tail_shape() {
+        let (hw, oracle) = cbc_pair(&[0x6bu8; 24]);
+        let iv = [0xe1u8; 16];
+        for len in (0..=300).chain([1999, 2000]) {
+            let data = pattern(len, 3);
+            let sealed = oracle.encrypt(&iv, &data);
+            assert_eq!(hw.encrypt(&iv, &data), sealed, "len {len}");
+            assert_eq!(hw.decrypt(&iv, &sealed).unwrap(), data, "len {len}");
+            assert_eq!(oracle.decrypt(&iv, &sealed).unwrap(), data, "len {len}");
+        }
+        // Malformed input fails the same way on both.
+        let mut sealed = oracle.encrypt(&iv, &pattern(200, 3));
+        *sealed.last_mut().unwrap() ^= 0x55;
+        assert_eq!(hw.decrypt(&iv, &sealed), oracle.decrypt(&iv, &sealed));
+        assert_eq!(hw.decrypt(&iv, &sealed[..17]), Err(CipherError::BadLength));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn ctr_back_ends_agree(
+            key in vec(any::<u8>(), 32),
+            key_words in 2usize..=4,
+            nonce in vec(any::<u8>(), 16),
+            data in vec(any::<u8>(), 0..=4100),
+        ) {
+            let (hw, oracle) = ctr_pair(&key[..8 * key_words]);
+            let nonce: [u8; 16] = nonce.try_into().expect("sixteen bytes");
+            let sealed = oracle.transform(&nonce, &data);
+            prop_assert_eq!(&hw.transform(&nonce, &data), &sealed);
+            prop_assert_eq!(hw.transform(&nonce, &sealed), data);
+        }
+
+        #[test]
+        fn cbc_back_ends_agree(
+            key in vec(any::<u8>(), 32),
+            key_words in 2usize..=4,
+            iv in vec(any::<u8>(), 16),
+            data in vec(any::<u8>(), 0..=2000),
+        ) {
+            let (hw, oracle) = cbc_pair(&key[..8 * key_words]);
+            let iv: [u8; 16] = iv.try_into().expect("sixteen bytes");
+            let sealed = oracle.encrypt(&iv, &data);
+            prop_assert_eq!(&hw.encrypt(&iv, &data), &sealed);
+            prop_assert_eq!(hw.decrypt(&iv, &sealed), Ok(data.clone()));
+            prop_assert_eq!(oracle.decrypt(&iv, &sealed), Ok(data));
+        }
     }
 }

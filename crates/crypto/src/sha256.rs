@@ -3,8 +3,13 @@
 //! The paper uses SHA-256 for two purposes: deriving the hidden-file
 //! signature from `(file name, access key)` and, by recursive hashing of a
 //! seed, generating the pseudorandom block numbers that locate a hidden-file
-//! header.  Both uses only need a correct, reasonably fast software
-//! implementation, which this module provides.
+//! header.  Since then the hash has also become a per-block cost — the block
+//! IV derivation, the journal's slot and payload checks, the share checksums
+//! of coded objects — so the compression function has two implementations
+//! under the one [`Sha256`] interface: the SHA-NI instructions where the CPU
+//! reports them (`crate::hw`, ≈ 1.3 GB/s), and the scalar rounds below
+//! everywhere else (≈ 240 MB/s), which are also the oracle the hardware path
+//! is tested against.
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -12,7 +17,9 @@ pub const DIGEST_LEN: usize = 32;
 /// Number of bytes in a SHA-256 input block.
 pub const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+use crate::hw::ShaNi;
+
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -45,6 +52,8 @@ pub struct Sha256 {
     buffer: [u8; BLOCK_LEN],
     buffer_len: usize,
     total_len: u64,
+    /// The hardware compression function, when this CPU has one.
+    hw: Option<ShaNi>,
 }
 
 impl Default for Sha256 {
@@ -61,6 +70,17 @@ impl Sha256 {
             buffer: [0u8; BLOCK_LEN],
             buffer_len: 0,
             total_len: 0,
+            hw: ShaNi::detect(),
+        }
+    }
+
+    /// [`Sha256::new`] pinned to the scalar compression function whatever
+    /// the CPU offers: the oracle side of the hardware-equivalence tests.
+    #[cfg(test)]
+    pub(crate) fn portable() -> Self {
+        Sha256 {
+            hw: None,
+            ..Self::new()
         }
     }
 
@@ -75,24 +95,19 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                compress(&mut self.state, &block);
-                self.buffer_len = 0;
+            if self.buffer_len < BLOCK_LEN {
+                return;
             }
+            compress(self.hw, &mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer_len = 0;
         }
 
-        while input.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&input[..BLOCK_LEN]);
-            compress(&mut self.state, &block);
-            input = &input[BLOCK_LEN..];
-        }
-
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        // Every whole block goes to the compression function as one run,
+        // straight from the caller's slice; only the ragged end is buffered.
+        let (blocks, rest) = input.as_chunks::<BLOCK_LEN>();
+        compress(self.hw, &mut self.state, blocks);
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Finish the computation and return the digest.
@@ -132,7 +147,7 @@ impl Sha256 {
         block[DIGEST_LEN] = 0x80;
         block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let mut state = self.state;
-        compress(&mut state, &block);
+        compress(self.hw, &mut state, &[block]);
         digest_bytes(&state)
     }
 
@@ -153,8 +168,19 @@ fn digest_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
     out
 }
 
-/// The SHA-256 compression function: fold one input block into `state`.
-fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+/// The SHA-256 compression function over a run of input blocks, on the
+/// hardware rounds when `hw` proves the CPU has them.
+fn compress(hw: Option<ShaNi>, state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    match hw {
+        Some(hw) if !blocks.is_empty() => hw.compress(state, blocks),
+        _ => blocks
+            .iter()
+            .for_each(|block| compress_portable(state, block)),
+    }
+}
+
+/// The scalar compression function: fold one input block into `state`.
+pub(crate) fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -230,54 +256,61 @@ pub fn sha256_concat(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Known-answer check on every compression function this host can run:
+    /// the one [`Sha256::new`] picks (hardware where the CPU has it) and the
+    /// scalar rounds.
+    fn known_answer(data: &[u8], digest: &str) {
+        assert_eq!(hex(&sha256(data)), digest);
+        let mut scalar = Sha256::portable();
+        scalar.update(data);
+        assert_eq!(hex(&scalar.finalize()), digest);
+    }
+
     #[test]
     fn empty_string() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        known_answer(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn fips_vector_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        known_answer(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn fips_vector_448_bits() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        known_answer(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn fips_vector_896_bits() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
-            )),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        known_answer(
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+              hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        known_answer(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -324,5 +357,37 @@ mod tests {
     fn distinct_inputs_distinct_digests() {
         assert_ne!(sha256(b"stegfs-a"), sha256(b"stegfs-b"));
         assert_ne!(sha256(b""), sha256(b"\0"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// However a message is cut into `update` calls — runs of whole
+        /// blocks taken straight from the caller's slice, ragged ends
+        /// buffered, a buffered block completed mid-call — the digest is the
+        /// one-shot digest, on this host's compression function and on the
+        /// scalar one.
+        #[test]
+        fn digest_is_independent_of_how_updates_split_the_message(
+            message in vec(any::<u8>(), 0..=1000),
+            cuts in vec(any::<usize>(), 0..8),
+        ) {
+            let mut oneshot = Sha256::portable();
+            oneshot.update(&message);
+            let want = oneshot.finalize();
+            prop_assert_eq!(sha256(&message), want);
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (message.len() + 1)).collect();
+            cuts.push(message.len());
+            cuts.sort_unstable();
+            for mut hasher in [Sha256::new(), Sha256::portable()] {
+                let mut at = 0;
+                for &cut in &cuts {
+                    hasher.update(&message[at..cut]);
+                    at = cut;
+                }
+                prop_assert_eq!(hasher.finalize(), want);
+            }
+        }
     }
 }

@@ -97,16 +97,29 @@ impl SlotKind {
 /// ciphertext (the journal never sees hidden plaintext), and hidden-update
 /// records are structurally identical to the dummy-file maintenance records
 /// that churn constantly, so observed journal activity attributes to nothing.
+///
+/// Like `ObjectKeys`, the key set holds the **expanded** AES-CTR schedule:
+/// key expansion runs once per mount in [`JournalKeys::derive`], not once per
+/// slot, and both the raw key and the round keys are zeroed on drop.
 pub struct JournalKeys {
     enc_key: [u8; DIGEST_LEN],
+    cipher: CtrCipher,
+}
+
+impl Drop for JournalKeys {
+    fn drop(&mut self) {
+        stegfs_crypto::ct::zeroize(&mut self.enc_key);
+    }
 }
 
 impl JournalKeys {
     /// Derive the journal key set from the volume's journal salt.
     pub fn derive(salt: u64) -> Self {
         let master = derive_key(&salt.to_be_bytes(), b"stegfs/journal", b"journal-region");
+        let enc_key = derive_subkey(&master, b"journal-slot-encryption");
         JournalKeys {
-            enc_key: derive_subkey(&master, b"journal-slot-encryption"),
+            cipher: CtrCipher::new(&enc_key),
+            enc_key,
         }
     }
 
@@ -118,9 +131,8 @@ impl JournalKeys {
     /// resulting multi-snapshot distinguishability is an accepted modelling
     /// assumption (a single seized image reveals nothing).
     pub fn apply(&self, abs_block: u64, data: &mut [u8]) {
-        let cipher = CtrCipher::new(&self.enc_key);
         let iv = derive_iv(&self.enc_key, abs_block);
-        cipher.apply(&iv, data);
+        self.cipher.apply(&iv, data);
     }
 
     /// Truncated integrity check of a payload image at sequence `seq`.
@@ -441,6 +453,33 @@ mod tests {
         let sealed = seal_payload(&keys, 100, &image);
         assert_ne!(sealed, image);
         assert_eq!(open_payload(&keys, 100, &sealed), image);
+    }
+
+    #[test]
+    fn one_key_expansion_per_mount_not_per_slot() {
+        use stegfs_crypto::aes::Aes;
+        let keys = JournalKeys::derive(0xabcd);
+        let image = vec![0x3cu8; 1024];
+        // The counter is process-global and other tests expand keys
+        // concurrently; noise only ever adds, so the quietest of several
+        // windows is the journal's own count.  Per-slot expansion would make
+        // every window read at least 512.
+        let min_delta = (0..5u64)
+            .map(|round| {
+                let before = Aes::key_expansions();
+                for slot in 0..256u64 {
+                    let abs = round * 1000 + slot;
+                    let sealed = seal_payload(&keys, abs, &image);
+                    assert_eq!(open_payload(&keys, abs, &sealed), image);
+                }
+                Aes::key_expansions() - before
+            })
+            .min()
+            .expect("five rounds");
+        assert_eq!(
+            min_delta, 0,
+            "sealing and opening 256 slots re-expanded the journal key"
+        );
     }
 
     #[test]

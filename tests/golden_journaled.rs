@@ -1,0 +1,98 @@
+//! The journaled write-back stack, pinned bit for bit: `StegFs` with a
+//! write-ahead journal over a write-back `BufferCache`, driven through a
+//! fixed sequence (format, plain write, hidden create/write/patch, commit,
+//! more of each, clean unmount), must leave the raw device — superblock,
+//! bitmap, journal ring, plain and hidden blocks — exactly where the commit
+//! that recorded the constant below left it.  `tests/coded_rmw.rs` pins the
+//! coded hidden path on an unjournaled volume; this pins what it does not
+//! reach: the ring's AES-CTR slots, their SHA-256 slot and payload checks,
+//! and the anchor the final checkpoint writes.
+
+use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice};
+use stegfs_core::{ObjectKind, StegFs};
+use stegfs_crypto::sha256::sha256;
+use stegfs_tests::{journaled_params, payload};
+
+const OWNER: &str = "the real key";
+const BS: usize = 1024;
+const CACHE_BLOCKS: usize = 64;
+
+/// SHA-256 of the raw device after [`drive`], recorded at the last commit
+/// whose only cipher was the T-table AES and whose only hash was the scalar
+/// SHA-256: a hardware back end changes how fast these bytes are produced,
+/// never which bytes.
+const GOLDEN_IMAGE_SHA256: &str =
+    "8d6874858bf6366bb895a42a933e05185b408433f736686bf9051f35a063c383";
+
+type Stack = StegFs<BufferCache<MemBlockDevice>>;
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The fixed operation sequence; returns the flushed bare device.
+fn drive() -> MemBlockDevice {
+    let fs: Stack = StegFs::format(
+        BufferCache::new_write_back(MemBlockDevice::new(BS, 8192), CACHE_BLOCKS),
+        journaled_params(160),
+    )
+    .expect("format journaled volume");
+
+    let notes = payload(1, 20_000);
+    fs.write_plain("/notes.txt", &notes).unwrap();
+
+    fs.steg_create("budget", OWNER, ObjectKind::File).unwrap();
+    let mut budget = payload(2, 40 * BS + 123);
+    fs.write_hidden_with_key("budget", OWNER, &budget).unwrap();
+    let patch = payload(3, 9 * BS + 77);
+    fs.write_hidden_range_with_key("budget", OWNER, 5000, &patch)
+        .unwrap();
+    budget[5000..5000 + patch.len()].copy_from_slice(&patch);
+
+    // Commit: checkpoint the ring, then keep going so the final image holds
+    // both reclaimed and freshly written slots.
+    fs.sync().unwrap();
+
+    let memo = payload(4, 3 * BS + 5);
+    fs.write_plain("/memo.txt", &memo).unwrap();
+    fs.steg_create("ledger", OWNER, ObjectKind::File).unwrap();
+    let ledger = payload(5, 11 * BS);
+    fs.write_hidden_with_key("ledger", OWNER, &ledger).unwrap();
+    // Grown through a handle write that straddles the old end of file.
+    let tail = payload(6, 2 * BS + 9);
+    let at = budget.len() - BS;
+    let mut handle = fs.open_hidden("budget", OWNER).unwrap();
+    fs.write_at_handle(&mut handle, at as u64, &tail).unwrap();
+    budget.truncate(at);
+    budget.extend_from_slice(&tail);
+
+    assert_eq!(fs.read_plain("/notes.txt").unwrap(), notes);
+    assert_eq!(fs.read_plain("/memo.txt").unwrap(), memo);
+    assert_eq!(fs.read_hidden_with_key("budget", OWNER).unwrap(), budget);
+    assert_eq!(fs.read_hidden_with_key("ledger", OWNER).unwrap(), ledger);
+
+    // Clean unmount: final sync flushes the write-back cache to the device.
+    fs.unmount().expect("unmount").into_inner()
+}
+
+#[test]
+fn golden_journaled_volume_image_is_bit_identical() {
+    let dev = drive();
+    let mut image = Vec::with_capacity(dev.total_blocks() as usize * BS);
+    for b in 0..dev.total_blocks() {
+        image.extend(dev.read_block_vec(b).expect("raw read"));
+    }
+    assert_eq!(hex(&sha256(&image)), GOLDEN_IMAGE_SHA256);
+
+    // The flushed device mounts cleanly and serves the same bytes back.
+    let fs: Stack = StegFs::mount(
+        BufferCache::new_write_back(dev, CACHE_BLOCKS),
+        journaled_params(160),
+    )
+    .expect("remount");
+    assert_eq!(fs.read_plain("/memo.txt").unwrap(), payload(4, 3 * BS + 5));
+    assert_eq!(
+        fs.read_hidden_with_key("ledger", OWNER).unwrap(),
+        payload(5, 11 * BS)
+    );
+}
