@@ -20,11 +20,36 @@
 //!   device submission — the write-back win `repro --durability` measures.
 //!   Crash consistency in this mode comes entirely from the journal: the
 //!   cache itself promises only that a successful `flush` is a barrier.
+//!
+//! # What a call costs, and what it evicts
+//!
+//! Residents sit in an [`LruMap`]: eviction is **exact LRU** — hits are
+//! touched in call order, then misses are inserted in call order; writing or
+//! re-reading a resident block makes it the most recent — and picking the
+//! victim is O(1), so every call costs O(blocks in the call) whatever the
+//! capacity and however full the cache is.  A miss on a full cache reuses
+//! the victim's buffer for the incoming block and allocates nothing.  The
+//! dirty residents are also kept in an ascending index, so
+//! [`flush`](BlockDevice::flush) is O(dirty blocks) — it never looks at a
+//! clean entry — and still emits one ascending batch, and
+//! [`dirty_blocks`](BufferCache::dirty_blocks) and
+//! [`len`](BufferCache::len) are O(1).
+//!
+//! # When a write-back fails
+//!
+//! A dirty block leaves the cache only after the device accepted it.  If
+//! the write of an eviction victim fails, the victim stays resident and
+//! dirty, the call that needed its slot returns the error without caching
+//! its own block (a batch stops there; blocks it already placed stay), and
+//! a later eviction or flush writes the victim again.  If the batched write
+//! of a flush fails, every dirty block stays dirty and the flush returns
+//! the error before the inner barrier.
 
 use crate::device::{check_batch, BlockDevice, BlockId};
 use crate::error::{BlockError, BlockResult};
+use crate::lru::LruMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Write policy of a [`BufferCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,16 +74,13 @@ pub struct CacheStats {
     pub write_backs: u64,
 }
 
-struct Entry {
-    data: Vec<u8>,
-    tick: u64,
-    dirty: bool,
-}
-
 #[derive(Default)]
 struct CacheState {
-    entries: HashMap<BlockId, Entry>,
-    tick: u64,
+    /// Resident block images, in exact LRU order.
+    entries: LruMap<BlockId, Vec<u8>>,
+    /// Which residents are dirty (always a subset of `entries`' keys; empty
+    /// in write-through mode), ascending — the batch a flush submits.
+    dirty: BTreeSet<BlockId>,
     stats: CacheStats,
 }
 
@@ -130,12 +152,7 @@ impl<D: BlockDevice> BufferCache<D> {
 
     /// Number of dirty blocks awaiting write-back.
     pub fn dirty_blocks(&self) -> usize {
-        self.state
-            .lock()
-            .entries
-            .values()
-            .filter(|e| e.dirty)
-            .count()
+        self.state.lock().dirty.len()
     }
 
     /// Drop all cached blocks.  In write-back mode, dirty blocks are first
@@ -158,62 +175,60 @@ impl<D: BlockDevice> BufferCache<D> {
         self.inner
     }
 
-    /// Write every dirty block down in one batched submission (no barrier).
-    /// Caller holds the state lock.
+    /// Write every dirty block down in one ascending batched submission (no
+    /// barrier); on an error they all stay dirty.  Caller holds the state
+    /// lock.
     fn write_back_dirty(&self, state: &mut CacheState) -> BlockResult<()> {
-        let bs = self.inner.block_size();
-        let mut dirty: Vec<BlockId> = state
-            .entries
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(&b, _)| b)
-            .collect();
-        if dirty.is_empty() {
+        if state.dirty.is_empty() {
             return Ok(());
         }
-        dirty.sort_unstable();
-        let mut buf = vec![0u8; dirty.len() * bs];
-        for (i, b) in dirty.iter().enumerate() {
-            buf[i * bs..(i + 1) * bs].copy_from_slice(&state.entries[b].data);
+        let dirty: Vec<BlockId> = state.dirty.iter().copied().collect();
+        let mut buf = Vec::with_capacity(dirty.len() * self.inner.block_size());
+        for b in &dirty {
+            buf.extend_from_slice(state.entries.peek(b).expect("dirty blocks are resident"));
         }
         self.inner.write_blocks(&dirty, &buf)?;
-        for b in &dirty {
-            if let Some(e) = state.entries.get_mut(b) {
-                e.dirty = false;
-            }
-        }
+        state.dirty.clear();
         state.stats.write_backs += dirty.len() as u64;
         Ok(())
     }
 
-    /// Insert (or refresh) an entry, evicting the LRU victim if needed.  A
-    /// dirty victim is written to the device first, so eviction never loses
-    /// data.  Caller holds the state lock.
+    /// Make `data` the cached image of `block` and the most recently used
+    /// entry (a block that was dirty stays dirty), evicting the LRU victim
+    /// first if `block` is new and the cache is full.  A dirty victim is
+    /// written to the device *before* it is unlinked, so a failed write-back
+    /// drops nothing (module docs).  Caller holds the state lock.
     fn insert(
         &self,
         state: &mut CacheState,
         block: BlockId,
-        data: Vec<u8>,
+        data: &[u8],
         dirty: bool,
     ) -> BlockResult<()> {
-        state.tick += 1;
-        let tick = state.tick;
-        if state.entries.len() >= self.capacity && !state.entries.contains_key(&block) {
-            if let Some((&victim, _)) = state.entries.iter().min_by_key(|(_, e)| e.tick) {
-                let entry = state.entries.remove(&victim).expect("victim exists");
-                if entry.dirty {
-                    self.inner.write_block(victim, &entry.data)?;
+        if let Some(buf) = state.entries.get(&block) {
+            buf.clear();
+            buf.extend_from_slice(data);
+        } else {
+            let mut buf = if state.entries.len() >= self.capacity {
+                let (&victim, image) = state.entries.peek_lru().expect("capacity is non-zero");
+                if state.dirty.contains(&victim) {
+                    self.inner.write_block(victim, image)?;
+                    state.dirty.remove(&victim);
                     state.stats.write_backs += 1;
                 }
                 state.stats.evictions += 1;
-            }
+                // The victim's buffer carries the incoming block.
+                state.entries.pop_lru().expect("victim exists").1
+            } else {
+                Vec::new()
+            };
+            buf.clear();
+            buf.extend_from_slice(data);
+            state.entries.insert(block, buf);
         }
-        let dirty = dirty
-            || state
-                .entries
-                .get(&block)
-                .is_some_and(|e| e.dirty && self.mode == CacheMode::WriteBack);
-        state.entries.insert(block, Entry { data, tick, dirty });
+        if dirty {
+            state.dirty.insert(block);
+        }
         Ok(())
     }
 
@@ -236,16 +251,6 @@ impl<D: BlockDevice> BufferCache<D> {
     }
 }
 
-impl CacheState {
-    fn touch(&mut self, block: BlockId) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.entries.get_mut(&block) {
-            entry.tick = tick;
-        }
-    }
-}
-
 impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     fn block_size(&self) -> usize {
         self.inner.block_size()
@@ -258,17 +263,15 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
         let mut state = self.state.lock();
         if buf.len() == self.inner.block_size() {
-            if let Some(entry) = state.entries.get(&block) {
-                buf.copy_from_slice(&entry.data);
+            if let Some(data) = state.entries.get(&block) {
+                buf.copy_from_slice(data);
                 state.stats.hits += 1;
-                state.touch(block);
                 return Ok(());
             }
         }
         self.inner.read_block(block, buf)?;
         state.stats.misses += 1;
-        self.insert(&mut state, block, buf.to_vec(), false)?;
-        Ok(())
+        self.insert(&mut state, block, buf, false)
     }
 
     fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
@@ -280,11 +283,11 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
                 // held across the transfer so a racing miss cannot resurrect
                 // pre-write data.
                 self.inner.write_block(block, buf)?;
-                self.insert(&mut state, block, buf.to_vec(), false)
+                self.insert(&mut state, block, buf, false)
             }
             CacheMode::WriteBack => {
                 self.check_write(block, buf.len())?;
-                self.insert(&mut state, block, buf.to_vec(), true)
+                self.insert(&mut state, block, buf, true)
             }
         }
     }
@@ -303,10 +306,9 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
         let mut state = self.state.lock();
         let mut missing: Vec<(usize, BlockId)> = Vec::new();
         for (i, &block) in blocks.iter().enumerate() {
-            if let Some(entry) = state.entries.get(&block) {
-                buf[i * bs..(i + 1) * bs].copy_from_slice(&entry.data);
+            if let Some(data) = state.entries.get(&block) {
+                buf[i * bs..(i + 1) * bs].copy_from_slice(data);
                 state.stats.hits += 1;
-                state.touch(block);
             } else {
                 missing.push((i, block));
             }
@@ -321,7 +323,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             let data = &miss_buf[j * bs..(j + 1) * bs];
             buf[i * bs..(i + 1) * bs].copy_from_slice(data);
             state.stats.misses += 1;
-            self.insert(&mut state, block, data.to_vec(), false)?;
+            self.insert(&mut state, block, data, false)?;
         }
         Ok(())
     }
@@ -334,7 +336,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
                 self.inner.write_blocks(blocks, buf)?;
                 if buf.len() == blocks.len() * bs {
                     for (i, &block) in blocks.iter().enumerate() {
-                        self.insert(&mut state, block, buf[i * bs..(i + 1) * bs].to_vec(), false)?;
+                        self.insert(&mut state, block, &buf[i * bs..(i + 1) * bs], false)?;
                     }
                 }
                 Ok(())
@@ -345,7 +347,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
                     self.check_write(block, bs)?;
                 }
                 for (i, &block) in blocks.iter().enumerate() {
-                    self.insert(&mut state, block, buf[i * bs..(i + 1) * bs].to_vec(), true)?;
+                    self.insert(&mut state, block, &buf[i * bs..(i + 1) * bs], true)?;
                 }
                 Ok(())
             }
@@ -366,8 +368,11 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::MemBlockDevice;
+    use crate::device::{MemBlockDevice, SharedDevice};
+    use crate::flaky::FlakyDevice;
     use crate::metered::MeteredDevice;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn repeated_reads_hit_cache() {
@@ -569,5 +574,566 @@ mod tests {
         assert_eq!(cache.total_blocks(), 4);
         assert_eq!(cache.capacity_bytes(), 256);
         cache.flush().unwrap();
+    }
+
+    // ------------------------------------------------------------------
+    // A failed write-back never drops a dirty block
+    // ------------------------------------------------------------------
+
+    /// Reads go straight to the store; writes and flushes pass a
+    /// [`FlakyDevice`], so `script_failures(1)` fails exactly the next
+    /// *write* submission — also one that follows a device read inside the
+    /// same cache call.
+    struct FlakyWrites {
+        store: SharedDevice,
+        writes: FlakyDevice<SharedDevice>,
+    }
+
+    impl FlakyWrites {
+        fn new(blocks: u64) -> (Self, SharedDevice, FlakyDevice<SharedDevice>) {
+            let store = SharedDevice::new(MemBlockDevice::new(64, blocks));
+            let writes = FlakyDevice::new(store.clone(), 1, 0, 1);
+            let dev = FlakyWrites {
+                store: store.clone(),
+                writes: writes.clone(),
+            };
+            (dev, store, writes)
+        }
+    }
+
+    impl BlockDevice for FlakyWrites {
+        fn block_size(&self) -> usize {
+            self.store.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.store.total_blocks()
+        }
+        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+            self.store.read_block(block, buf)
+        }
+        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+            self.writes.write_block(block, buf)
+        }
+        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
+            self.store.read_blocks(blocks, buf)
+        }
+        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+            self.writes.write_blocks(blocks, buf)
+        }
+        fn flush(&self) -> BlockResult<()> {
+            self.writes.flush()
+        }
+    }
+
+    /// A 2-block write-back cache holding dirty blocks 0 (the LRU) and 1.
+    fn two_dirty_blocks() -> (
+        BufferCache<FlakyWrites>,
+        SharedDevice,
+        FlakyDevice<SharedDevice>,
+    ) {
+        let (dev, store, flaky) = FlakyWrites::new(16);
+        let cache = BufferCache::new_write_back(dev, 2);
+        cache.write_block(0, &[1; 64]).unwrap();
+        cache.write_block(1, &[2; 64]).unwrap();
+        (cache, store, flaky)
+    }
+
+    /// After a failed eviction of block 0: it is still cached and dirty,
+    /// nothing was counted as written, and a flush lands both blocks.
+    fn assert_victim_survived(cache: &BufferCache<FlakyWrites>, store: &SharedDevice) {
+        assert_eq!((cache.len(), cache.dirty_blocks()), (2, 2));
+        let stats = cache.stats();
+        assert_eq!((stats.write_backs, stats.evictions), (0, 0));
+        assert_eq!(store.read_block_vec(0).unwrap(), vec![0; 64], "not yet");
+        cache.flush().expect("the retry succeeds");
+        assert_eq!(cache.dirty_blocks(), 0);
+        assert_eq!(cache.stats().write_backs, 2);
+        assert_eq!(store.read_block_vec(0).unwrap(), vec![1; 64]);
+        assert_eq!(store.read_block_vec(1).unwrap(), vec![2; 64]);
+    }
+
+    #[test]
+    fn failed_eviction_write_back_keeps_the_victim_dirty() {
+        let (cache, store, flaky) = two_dirty_blocks();
+        // A write and a read miss both need block 0's slot.
+        flaky.script_failures(1);
+        assert!(matches!(
+            cache.write_block(2, &[3; 64]),
+            Err(BlockError::Io(_))
+        ));
+        flaky.script_failures(1);
+        assert!(cache.read_block(5, &mut [0u8; 64]).is_err());
+        assert_victim_survived(&cache, &store);
+        // The write that failed can simply be reissued.
+        cache.write_block(2, &[3; 64]).unwrap();
+        assert_eq!(cache.stats().evictions, 1);
+        cache.flush().unwrap();
+        assert_eq!(store.read_block_vec(2).unwrap(), vec![3; 64]);
+        assert_eq!(flaky.injected(), 2);
+    }
+
+    #[test]
+    fn failed_eviction_mid_write_batch_keeps_the_victim_dirty() {
+        let (dev, store, flaky) = FlakyWrites::new(16);
+        let cache = BufferCache::new_write_back(dev, 2);
+        flaky.script_failures(1);
+        // Blocks 0 and 1 fill the cache; placing 2 must evict dirty 0.
+        let batch: Vec<u8> = [1u8, 2, 3, 4].iter().flat_map(|&v| [v; 64]).collect();
+        assert!(cache.write_blocks(&[0, 1, 2, 3], &batch).is_err());
+        assert_victim_survived(&cache, &store);
+        assert_eq!(
+            store.read_block_vec(2).unwrap(),
+            vec![0; 64],
+            "never placed"
+        );
+    }
+
+    #[test]
+    fn failed_eviction_mid_read_batch_keeps_the_victim_dirty() {
+        let (cache, store, flaky) = two_dirty_blocks();
+        flaky.script_failures(1);
+        // The device read of the two misses succeeds; caching the first of
+        // them must evict dirty 0, and that write fails.
+        let mut buf = vec![0u8; 128];
+        assert!(cache.read_blocks(&[5, 6], &mut buf).is_err());
+        assert_victim_survived(&cache, &store);
+    }
+
+    #[test]
+    fn failed_flush_keeps_every_block_dirty() {
+        let (cache, store, flaky) = two_dirty_blocks();
+        flaky.script_failures(1);
+        assert!(cache.flush().is_err());
+        assert_victim_survived(&cache, &store);
+    }
+
+    // ------------------------------------------------------------------
+    // Equivalence with the tick + min-scan design this cache replaced
+    // ------------------------------------------------------------------
+
+    /// One submission as the inner device saw it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Submission {
+        Read(BlockId),
+        Write(BlockId, Vec<u8>),
+        ReadBatch(Vec<BlockId>),
+        WriteBatch(Vec<BlockId>, Vec<u8>),
+        Flush,
+    }
+
+    struct Recorder {
+        mem: MemBlockDevice,
+        log: Mutex<Vec<Submission>>,
+    }
+
+    impl Recorder {
+        fn new(block_size: usize, blocks: u64) -> Self {
+            Recorder {
+                mem: MemBlockDevice::new(block_size, blocks),
+                log: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl BlockDevice for Recorder {
+        fn block_size(&self) -> usize {
+            self.mem.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.mem.total_blocks()
+        }
+        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+            self.log.lock().push(Submission::Read(block));
+            self.mem.read_block(block, buf)
+        }
+        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+            self.log.lock().push(Submission::Write(block, buf.to_vec()));
+            self.mem.write_block(block, buf)
+        }
+        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
+            self.log.lock().push(Submission::ReadBatch(blocks.to_vec()));
+            self.mem.read_blocks(blocks, buf)
+        }
+        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+            self.log
+                .lock()
+                .push(Submission::WriteBatch(blocks.to_vec(), buf.to_vec()));
+            self.mem.write_blocks(blocks, buf)
+        }
+        fn flush(&self) -> BlockResult<()> {
+            self.log.lock().push(Submission::Flush);
+            self.mem.flush()
+        }
+    }
+
+    struct TickEntry {
+        data: Vec<u8>,
+        tick: u64,
+        dirty: bool,
+    }
+
+    /// The oracle: the previous `BufferCache`, statement for statement but
+    /// for the lock and the shared geometry check — a tick per entry, a min-scan of every entry for the
+    /// victim, a filter + sort of every entry for the flush batch.  Only
+    /// ever run over devices that do not fail: on an eviction error it drops
+    /// the victim, the bug the tests above pin.
+    struct TickCache<D: BlockDevice> {
+        inner: D,
+        capacity: usize,
+        mode: CacheMode,
+        entries: HashMap<BlockId, TickEntry>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl<D: BlockDevice> TickCache<D> {
+        fn new(inner: D, capacity: usize, mode: CacheMode) -> Self {
+            TickCache {
+                inner,
+                capacity,
+                mode,
+                entries: HashMap::new(),
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn dirty_blocks(&self) -> usize {
+            self.entries.values().filter(|e| e.dirty).count()
+        }
+
+        fn invalidate(&mut self) -> BlockResult<()> {
+            self.write_back_dirty()?;
+            self.entries.clear();
+            Ok(())
+        }
+
+        fn write_back_dirty(&mut self) -> BlockResult<()> {
+            let bs = self.inner.block_size();
+            let mut dirty: Vec<BlockId> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.dirty)
+                .map(|(&b, _)| b)
+                .collect();
+            if dirty.is_empty() {
+                return Ok(());
+            }
+            dirty.sort_unstable();
+            let mut buf = vec![0u8; dirty.len() * bs];
+            for (i, b) in dirty.iter().enumerate() {
+                buf[i * bs..(i + 1) * bs].copy_from_slice(&self.entries[b].data);
+            }
+            self.inner.write_blocks(&dirty, &buf)?;
+            for b in &dirty {
+                if let Some(e) = self.entries.get_mut(b) {
+                    e.dirty = false;
+                }
+            }
+            self.stats.write_backs += dirty.len() as u64;
+            Ok(())
+        }
+
+        fn insert(&mut self, block: BlockId, data: Vec<u8>, dirty: bool) -> BlockResult<()> {
+            self.tick += 1;
+            let tick = self.tick;
+            if self.entries.len() >= self.capacity && !self.entries.contains_key(&block) {
+                if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.tick) {
+                    let entry = self.entries.remove(&victim).expect("victim exists");
+                    if entry.dirty {
+                        self.inner.write_block(victim, &entry.data)?;
+                        self.stats.write_backs += 1;
+                    }
+                    self.stats.evictions += 1;
+                }
+            }
+            let dirty = dirty
+                || self
+                    .entries
+                    .get(&block)
+                    .is_some_and(|e| e.dirty && self.mode == CacheMode::WriteBack);
+            self.entries.insert(block, TickEntry { data, tick, dirty });
+            Ok(())
+        }
+
+        fn check_write(&self, block: BlockId, len: usize) -> BlockResult<()> {
+            let (total, bs) = (self.inner.total_blocks(), self.inner.block_size());
+            crate::device::check_access(block, total, len, bs)
+        }
+
+        fn touch(&mut self, block: BlockId) {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(entry) = self.entries.get_mut(&block) {
+                entry.tick = tick;
+            }
+        }
+
+        fn read_block(&mut self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+            if buf.len() == self.inner.block_size() {
+                if let Some(entry) = self.entries.get(&block) {
+                    buf.copy_from_slice(&entry.data);
+                    self.stats.hits += 1;
+                    self.touch(block);
+                    return Ok(());
+                }
+            }
+            self.inner.read_block(block, buf)?;
+            self.stats.misses += 1;
+            self.insert(block, buf.to_vec(), false)?;
+            Ok(())
+        }
+
+        fn write_block(&mut self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+            match self.mode {
+                CacheMode::WriteThrough => {
+                    self.inner.write_block(block, buf)?;
+                    self.insert(block, buf.to_vec(), false)
+                }
+                CacheMode::WriteBack => {
+                    self.check_write(block, buf.len())?;
+                    self.insert(block, buf.to_vec(), true)
+                }
+            }
+        }
+
+        fn read_blocks(&mut self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
+            let bs = self.inner.block_size();
+            if buf.len() != blocks.len() * bs {
+                return self.inner.read_blocks(blocks, buf);
+            }
+            let mut missing: Vec<(usize, BlockId)> = Vec::new();
+            for (i, &block) in blocks.iter().enumerate() {
+                if let Some(entry) = self.entries.get(&block) {
+                    buf[i * bs..(i + 1) * bs].copy_from_slice(&entry.data);
+                    self.stats.hits += 1;
+                    self.touch(block);
+                } else {
+                    missing.push((i, block));
+                }
+            }
+            if missing.is_empty() {
+                return Ok(());
+            }
+            let miss_blocks: Vec<BlockId> = missing.iter().map(|&(_, b)| b).collect();
+            let mut miss_buf = vec![0u8; miss_blocks.len() * bs];
+            self.inner.read_blocks(&miss_blocks, &mut miss_buf)?;
+            for (j, &(i, block)) in missing.iter().enumerate() {
+                let data = &miss_buf[j * bs..(j + 1) * bs];
+                buf[i * bs..(i + 1) * bs].copy_from_slice(data);
+                self.stats.misses += 1;
+                self.insert(block, data.to_vec(), false)?;
+            }
+            Ok(())
+        }
+
+        fn write_blocks(&mut self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+            let bs = self.inner.block_size();
+            match self.mode {
+                CacheMode::WriteThrough => {
+                    self.inner.write_blocks(blocks, buf)?;
+                    if buf.len() == blocks.len() * bs {
+                        for (i, &block) in blocks.iter().enumerate() {
+                            self.insert(block, buf[i * bs..(i + 1) * bs].to_vec(), false)?;
+                        }
+                    }
+                    Ok(())
+                }
+                CacheMode::WriteBack => {
+                    check_batch(blocks.len(), buf.len(), bs)?;
+                    for &block in blocks {
+                        self.check_write(block, bs)?;
+                    }
+                    for (i, &block) in blocks.iter().enumerate() {
+                        self.insert(block, buf[i * bs..(i + 1) * bs].to_vec(), true)?;
+                    }
+                    Ok(())
+                }
+            }
+        }
+
+        fn flush(&mut self) -> BlockResult<()> {
+            self.write_back_dirty()?;
+            self.inner.flush()
+        }
+    }
+
+    const ORACLE_BS: usize = 16;
+
+    /// `len` block ids below `universe`, scattered by `seed` (small
+    /// universes make repeats within one batch common).
+    fn scatter(seed: u64, len: usize, universe: u64) -> Vec<BlockId> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % universe
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn every_call_matches_the_tick_oracle(
+            write_back in any::<bool>(),
+            capacity in (0usize..4),
+            ops in proptest::collection::vec((0u8..16, any::<u64>(), any::<u16>()), 1..120),
+        ) {
+            let capacity = [1usize, 2, 7, 64][capacity];
+            let mode = if write_back { CacheMode::WriteBack } else { CacheMode::WriteThrough };
+            // Twice the capacity: about every other access misses; batches
+            // run up to twice the capacity too, so they overflow the cache.
+            let universe = 2 * capacity as u64 + 2;
+            let cache = BufferCache::with_mode(Recorder::new(ORACLE_BS, universe), capacity, mode);
+            let mut oracle = TickCache::new(Recorder::new(ORACLE_BS, universe), capacity, mode);
+            for (op, seed, len) in ops {
+                let (block, fill) = (seed % universe, (seed >> 40) as u8);
+                let batch = scatter(seed, len as usize % (2 * capacity + 3), universe);
+                let image = |n: usize| -> Vec<u8> {
+                    (0..n * ORACLE_BS).map(|i| fill.wrapping_add((i / ORACLE_BS) as u8)).collect()
+                };
+                let (got, want) = match op {
+                    0..=3 => {
+                        let (mut a, mut b) = (image(1), image(1));
+                        (cache.read_block(block, &mut a).map(|()| a),
+                         oracle.read_block(block, &mut b).map(|()| b))
+                    }
+                    4..=6 => {
+                        let data = image(1);
+                        (cache.write_block(block, &data).map(|()| data.clone()),
+                         oracle.write_block(block, &data).map(|()| data))
+                    }
+                    7..=9 => {
+                        let (mut a, mut b) = (image(batch.len()), image(batch.len()));
+                        (cache.read_blocks(&batch, &mut a).map(|()| a),
+                         oracle.read_blocks(&batch, &mut b).map(|()| b))
+                    }
+                    10..=12 => {
+                        let data = image(batch.len());
+                        (cache.write_blocks(&batch, &data).map(|()| data.clone()),
+                         oracle.write_blocks(&batch, &data).map(|()| data))
+                    }
+                    13 => (cache.flush().map(|()| Vec::new()), oracle.flush().map(|()| Vec::new())),
+                    14 => (cache.invalidate().map(|()| Vec::new()),
+                           oracle.invalidate().map(|()| Vec::new())),
+                    // Bad geometry: rejected alike, and alike without effect.
+                    _ => {
+                        let data = image(1);
+                        let (bad_block, bad_len) = (universe + block, ORACLE_BS - 1);
+                        let mut short = vec![0u8; bad_len];
+                        prop_assert!(cache.read_block(block, &mut short).is_err());
+                        prop_assert!(oracle.read_block(block, &mut short).is_err());
+                        prop_assert!(cache.write_block(block, &data[..bad_len]).is_err());
+                        prop_assert!(oracle.write_block(block, &data[..bad_len]).is_err());
+                        prop_assert!(cache.write_blocks(&[block, bad_block], &image(2)).is_err());
+                        prop_assert!(oracle.write_blocks(&[block, bad_block], &image(2)).is_err());
+                        (cache.write_block(bad_block, &data).map(|()| data.clone()),
+                         oracle.write_block(bad_block, &data).map(|()| data))
+                    }
+                };
+                prop_assert_eq!(got.map_err(|e| e.to_string()), want.map_err(|e| e.to_string()));
+                prop_assert_eq!(cache.stats(), oracle.stats.clone());
+                prop_assert_eq!(cache.len(), oracle.entries.len());
+                prop_assert_eq!(cache.dirty_blocks(), oracle.dirty_blocks());
+                prop_assert_eq!(
+                    cache.inner.log.lock().len(),
+                    oracle.inner.log.lock().len(),
+                    "op {} diverged on the device", op
+                );
+            }
+            prop_assert!(*cache.inner.log.lock() == *oracle.inner.log.lock(), "same submissions");
+            // What is still dirty reaches the device the same way, too.
+            cache.flush().unwrap();
+            oracle.flush().unwrap();
+            prop_assert!(*cache.inner.log.lock() == *oracle.inner.log.lock(), "same final flush");
+            for b in 0..universe {
+                prop_assert_eq!(cache.inner.mem.read_block_vec(b).unwrap(),
+                                oracle.inner.mem.read_block_vec(b).unwrap());
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Cost does not grow with capacity
+    // ------------------------------------------------------------------
+
+    /// Fastest of three runs of `work`, in nanoseconds.
+    fn min_of_3(mut work: impl FnMut()) -> u128 {
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                work();
+                start.elapsed().as_nanos()
+            })
+            .min()
+            .expect("three runs")
+    }
+
+    /// A full write-through cache of `capacity` blocks over twice as many
+    /// device blocks, every resident clean.
+    fn full_cache(capacity: usize) -> BufferCache<MemBlockDevice> {
+        let cache = BufferCache::new(MemBlockDevice::new(64, 2 * capacity as u64), capacity);
+        let mut buf = [0u8; 64];
+        for b in 0..capacity as u64 {
+            cache.read_block(b, &mut buf).unwrap();
+        }
+        assert_eq!(cache.len(), capacity);
+        cache
+    }
+
+    #[test]
+    fn an_evicting_miss_costs_the_same_in_a_small_and_a_large_cache() {
+        // A cyclic scan over twice the capacity misses and evicts every time.
+        let time = |capacity: usize| {
+            let cache = full_cache(capacity);
+            let mut next = capacity as u64;
+            let mut buf = [0u8; 64];
+            let ns = min_of_3(|| {
+                for _ in 0..50_000 {
+                    cache.read_block(next, &mut buf).unwrap();
+                    next = (next + 1) % (2 * capacity as u64);
+                }
+            });
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.evictions), (0, 150_000));
+            ns
+        };
+        let (small, large) = (time(256), time(16_384));
+        // A victim scan is 64x here; list, index and CPU-cache effects 1-2x.
+        assert!(
+            large < 8 * small,
+            "50 000 evicting misses: {large} ns at 16 384 blocks vs {small} ns at 256"
+        );
+    }
+
+    #[test]
+    fn a_flush_costs_its_dirty_blocks_not_the_cache() {
+        let time = |capacity: usize| {
+            let cache =
+                BufferCache::new_write_back(MemBlockDevice::new(64, capacity as u64), capacity);
+            let mut buf = [0u8; 64];
+            for b in 0..capacity as u64 {
+                cache.read_block(b, &mut buf).unwrap();
+            }
+            let dirty: Vec<BlockId> = (0..16).map(|i| i * (capacity as u64 / 16)).collect();
+            let ns = min_of_3(|| {
+                for round in 0..2_000u32 {
+                    cache.write_blocks(&dirty, &[round as u8; 16 * 64]).unwrap();
+                    cache.flush().unwrap();
+                }
+            });
+            let stats = cache.stats();
+            assert_eq!((stats.evictions, stats.write_backs), (0, 3 * 2_000 * 16));
+            ns
+        };
+        let (small, large) = (time(256), time(16_384));
+        assert!(
+            large < 8 * small,
+            "2 000 flushes of 16 dirty blocks: {large} ns at 16 384 blocks vs {small} ns at 256"
+        );
     }
 }

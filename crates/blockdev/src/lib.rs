@@ -31,6 +31,9 @@
 //!   buffer cache in Figure 5 of the paper; write-through by default, with a
 //!   write-back mode ([`CacheMode`]) for the journaled stack, where the
 //!   journal's group-commit flushes provide the barriers.
+//! * [`LruMap`] — the exact-LRU map, O(1) per operation, that orders
+//!   eviction under [`BufferCache`] and under the hidden read cache's block
+//!   shards and key cache in `stegfs-core`.
 //! * [`CrashDevice`] — fault injection for the durability tests: buffers
 //!   unsynced writes, and `crash()` applies, drops or tears an arbitrary
 //!   seeded subset of them (including mid-batch) before remount.
@@ -68,6 +71,7 @@ pub mod error;
 pub mod file;
 pub mod flaky;
 pub mod latency;
+pub mod lru;
 pub mod metered;
 pub mod observed;
 pub mod retry;
@@ -81,6 +85,7 @@ pub use error::{BlockError, BlockResult};
 pub use file::FileBlockDevice;
 pub use flaky::FlakyDevice;
 pub use latency::LatencyDevice;
+pub use lru::LruMap;
 pub use metered::{IoStats, MeteredDevice};
 pub use observed::ObservedDevice;
 pub use retry::RetryDevice;

@@ -23,7 +23,7 @@
 //!   paper's `steg_connect` resolves an object's keys once per session; a
 //!   hit skips the 1 000-iteration PBKDF2 (≈ 0.6 ms) that every other step
 //!   of an `open` is small next to.  Bounded at [`KEY_CACHE_ENTRIES`]
-//!   entries (under 1 MiB), least recently used evicted first.
+//!   entries (under 1 MiB).
 //! * **Per-object header + extent maps** — the decrypted
 //!   [`HiddenHeader`] and the data/chain block lists of the inode chain,
 //!   keyed by the object's 256-bit signature.  A hit skips the
@@ -31,6 +31,15 @@
 //! * **Decrypted data blocks** — a sharded LRU of plaintext block images,
 //!   keyed by `(entry generation, physical block)`.  A hit skips both the
 //!   device read and the AES-CTR pass.
+//!
+//! What orders eviction: the key cache and each of the 16 block shards is
+//! an exact-LRU [`LruMap`], the same mechanism as the buffer
+//! cache — O(1) per lookup, insert and eviction, whatever the capacity.  A
+//! hit ([`ReadCache::get_block_into`], [`ReadCache::keys_for`]) and an
+//! insert make an entry the most recent of its map; an over-full map drops
+//! its least recent.  Probes are not uses: [`ReadCache::contains_block`]
+//! (the readahead filter) and a racing derivation adopting the set another
+//! thread installed first leave the order alone.
 //!
 //! When entries must die:
 //!
@@ -85,6 +94,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use stegfs_blockdev::LruMap;
 use stegfs_crypto::ct::zeroize;
 use stegfs_crypto::sha256::sha256_concat;
 use stegfs_obs::{span, ReadCacheStats};
@@ -177,29 +187,27 @@ pub struct CachedOpen {
     pub header: HiddenHeader,
 }
 
-struct BlockEntry {
-    data: Vec<u8>,
-    tick: u64,
-}
-
+/// One shard of the plaintext-block cache: `(entry generation, block)` to
+/// the decrypted image, least recently used first out.
 #[derive(Default)]
 struct BlockShard {
-    map: HashMap<(u64, u64), BlockEntry>,
-    tick: u64,
+    map: LruMap<(u64, u64), Vec<u8>>,
     bytes: u64,
 }
 
-struct KeyEntry {
-    keys: Arc<ObjectKeys>,
-    tick: u64,
+/// Zero a plaintext image that is leaving a shard — replaced, evicted,
+/// invalidated or purged: every exit comes through here — and take it off
+/// the shard's byte count.
+fn retire(resident_bytes: &mut u64, data: &mut [u8]) {
+    *resident_bytes -= data.len() as u64;
+    zeroize(data);
+    #[cfg(test)]
+    tests::RETIRED.with(|r| r.borrow_mut().push(data.to_vec()));
 }
 
-/// The derived-key map: a digest of `(physical name, FAK)` to the key set.
-#[derive(Default)]
-struct KeyCache {
-    map: HashMap<[u8; 32], KeyEntry>,
-    tick: u64,
-}
+/// The derived-key map: a digest of `(physical name, FAK)` to the key set,
+/// least recently used first out.
+type KeyCache = LruMap<[u8; 32], Arc<ObjectKeys>>;
 
 fn key_id(physical_name: &str, fak: &[u8]) -> [u8; 32] {
     // Length-prefixed so no (name, FAK) split is ambiguous.
@@ -382,16 +390,11 @@ impl ReadCache {
         }
         let id = key_id(physical_name, fak);
         let epoch = self.key_epoch.load(Ordering::Acquire);
-        {
-            let mut cache = self.keys.lock();
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some(entry) = cache.map.get_mut(&id) {
-                entry.tick = tick;
-                self.counters.key_hits.fetch_add(1, Ordering::Relaxed);
-                self.obs.key_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.keys);
-            }
+        let hit = self.keys.lock().get(&id).map(|keys| Arc::clone(keys));
+        if let Some(keys) = hit {
+            self.counters.key_hits.fetch_add(1, Ordering::Relaxed);
+            self.obs.key_hits.fetch_add(1, Ordering::Relaxed);
+            return keys;
         }
         self.counters.key_misses.fetch_add(1, Ordering::Relaxed);
         self.obs.key_misses.fetch_add(1, Ordering::Relaxed);
@@ -408,19 +411,13 @@ impl ReadCache {
         if self.key_epoch.load(Ordering::Acquire) != epoch {
             return keys;
         }
-        cache.tick += 1;
-        let tick = cache.tick;
-        let keys = Arc::clone(&cache.map.entry(id).or_insert(KeyEntry { keys, tick }).keys);
-        if cache.map.len() > self.key_capacity {
-            // A min-scan over a thousand ticks is noise next to the
-            // derivation this miss just paid.
-            let victim = cache
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| *k)
-                .expect("non-empty map");
-            cache.map.remove(&victim);
+        if let Some(first) = cache.peek(&id) {
+            // Adopting a racer's set is not a use: it keeps its LRU place.
+            return Arc::clone(first);
+        }
+        cache.insert(id, Arc::clone(&keys));
+        if cache.len() > self.key_capacity {
+            cache.pop_lru();
         }
         keys
     }
@@ -429,7 +426,7 @@ impl ReadCache {
     /// names the object (unlink, rename, re-key).
     pub fn drop_keys(&self, physical_name: &str, fak: &[u8]) {
         if self.enabled() {
-            self.keys.lock().map.remove(&key_id(physical_name, fak));
+            self.keys.lock().remove(&key_id(physical_name, fak));
         }
     }
 
@@ -621,12 +618,9 @@ impl ReadCache {
         }
         let start = self.clock();
         let mut shard = self.blocks[block_shard(block)].lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(&(gen, block)) {
-            Some(entry) => {
-                entry.tick = tick;
-                out.copy_from_slice(&entry.data);
+        match shard.map.get(&(gen, block)) {
+            Some(data) => {
+                out.copy_from_slice(data);
                 drop(shard);
                 self.counters.block_hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(start) = start {
@@ -686,30 +680,14 @@ impl ReadCache {
         }
         let per_shard = (self.capacity_blocks / SHARDS).max(1);
         let mut shard = self.blocks[block_shard(block)].lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        let entry = BlockEntry {
-            data: data.to_vec(),
-            tick,
-        };
-        shard.bytes += entry.data.len() as u64;
-        if let Some(mut old) = shard.map.insert((gen, block), entry) {
-            shard.bytes -= old.data.len() as u64;
-            zeroize(&mut old.data);
+        shard.bytes += data.len() as u64;
+        if let Some(mut old) = shard.map.insert((gen, block), data.to_vec()) {
+            retire(&mut shard.bytes, &mut old);
         }
         while shard.map.len() > per_shard {
             let start = self.clock();
-            // Per-shard maps are small (capacity / SHARDS), so a min-scan
-            // eviction is noise next to the AES work a miss costs.
-            let victim = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| *k)
-                .expect("non-empty map");
-            if let Some(mut evicted) = shard.map.remove(&victim) {
-                shard.bytes -= evicted.data.len() as u64;
-                zeroize(&mut evicted.data);
+            if let Some((_, mut evicted)) = shard.map.pop_lru() {
+                retire(&mut shard.bytes, &mut evicted);
                 self.counters.evictions.fetch_add(1, Ordering::Relaxed);
                 if let Some(start) = start {
                     self.obs.evict_ns.record(start.elapsed().as_nanos() as u64);
@@ -742,9 +720,8 @@ impl ReadCache {
             if let Some(ext) = obj.extents {
                 for block in ext.block_cache_keys() {
                     let mut shard = self.blocks[block_shard(block)].lock();
-                    if let Some(mut e) = shard.map.remove(&(obj.gen, block)) {
-                        shard.bytes -= e.data.len() as u64;
-                        zeroize(&mut e.data);
+                    if let Some(mut data) = shard.map.remove(&(obj.gen, block)) {
+                        retire(&mut shard.bytes, &mut data);
                     }
                 }
             }
@@ -779,8 +756,7 @@ impl ReadCache {
             let mut scopes = self.scopes.lock();
             self.keys
                 .lock()
-                .map
-                .retain(|_, e| scopes.get(e.keys.signature()).is_some_and(|s| *s != scope));
+                .retain(|_, keys| scopes.get(keys.signature()).is_some_and(|s| *s != scope));
             scopes.retain(|_, s| *s != scope);
         }
         // Sweep matching (and unscoped) object entries, collecting their
@@ -799,19 +775,14 @@ impl ReadCache {
         }
         if !dead_gens.is_empty() {
             for shard in &self.blocks {
-                let mut shard = shard.lock();
-                let victims: Vec<(u64, u64)> = shard
-                    .map
-                    .keys()
-                    .filter(|(gen, _)| dead_gens.contains(gen))
-                    .copied()
-                    .collect();
-                for key in victims {
-                    if let Some(mut e) = shard.map.remove(&key) {
-                        shard.bytes -= e.data.len() as u64;
-                        zeroize(&mut e.data);
+                let BlockShard { map, bytes } = &mut *shard.lock();
+                map.retain(|(gen, _), data| {
+                    let dies = dead_gens.contains(gen);
+                    if dies {
+                        retire(bytes, data);
                     }
-                }
+                    !dies
+                });
             }
         }
         if let Some(start) = start {
@@ -832,7 +803,7 @@ impl ReadCache {
         }
         self.key_epoch.fetch_add(1, Ordering::AcqRel);
         self.scopes.lock().clear();
-        self.keys.lock().map.clear();
+        self.keys.lock().clear();
         self.purge_decrypted();
     }
 
@@ -852,12 +823,11 @@ impl ReadCache {
             shard.lock().clear();
         }
         for shard in &self.blocks {
-            let mut shard = shard.lock();
-            for (_, entry) in shard.map.iter_mut() {
-                zeroize(&mut entry.data);
+            let BlockShard { map, bytes } = &mut *shard.lock();
+            for data in map.values_mut() {
+                retire(bytes, data);
             }
-            shard.map.clear();
-            shard.bytes = 0;
+            map.clear();
         }
         if let Some(start) = start {
             self.obs
@@ -880,7 +850,7 @@ impl ReadCache {
             .iter()
             .map(|s| s.lock().len() as u64)
             .sum::<u64>();
-        let resident_keys = self.keys.lock().map.len() as u64;
+        let resident_keys = self.keys.lock().len() as u64;
         let c = &self.counters;
         CacheStats {
             header_hits: c.header_hits.load(Ordering::Relaxed),
@@ -1332,6 +1302,220 @@ mod tests {
         assert_eq!(s.resident_keys, 1);
         assert!((1..=8).contains(&s.key_misses), "{s:?}");
         assert_eq!(s.key_hits + s.key_misses, 9);
+    }
+
+    // ------------------------------------------------------------------
+    // Eviction order: the LRU lists against the tick model they replaced
+    // ------------------------------------------------------------------
+
+    thread_local! {
+        /// Every buffer [`retire`] has zeroed on this test's thread, as it
+        /// left the cache.
+        pub(super) static RETIRED: std::cell::RefCell<Vec<Vec<u8>>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// The block shards' previous eviction order, kept as the oracle: every
+    /// resident carries the shard tick of its last put or hit, and the
+    /// victim is found by a min-scan.
+    struct TickShards {
+        /// `(gen, block)` to `(length, tick)`.
+        shards: Vec<HashMap<(u64, u64), (usize, u64)>>,
+        ticks: Vec<u64>,
+        per_shard: usize,
+        evictions: u64,
+    }
+
+    impl TickShards {
+        fn new(per_shard: usize) -> Self {
+            TickShards {
+                shards: vec![HashMap::new(); SHARDS],
+                ticks: vec![0; SHARDS],
+                per_shard,
+                evictions: 0,
+            }
+        }
+
+        fn tick(&mut self, block: u64) -> (usize, u64) {
+            let shard = block_shard(block);
+            self.ticks[shard] += 1;
+            (shard, self.ticks[shard])
+        }
+
+        fn get(&mut self, gen: u64, block: u64) -> bool {
+            let (shard, tick) = self.tick(block);
+            match self.shards[shard].get_mut(&(gen, block)) {
+                Some(entry) => {
+                    entry.1 = tick;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn put(&mut self, gen: u64, block: u64, len: usize) {
+            let (shard, tick) = self.tick(block);
+            let map = &mut self.shards[shard];
+            map.insert((gen, block), (len, tick));
+            while map.len() > self.per_shard {
+                let victim = *map.iter().min_by_key(|(_, e)| e.1).expect("non-empty").0;
+                map.remove(&victim);
+                self.evictions += 1;
+            }
+        }
+
+        fn drop_gens(&mut self, dead: &[u64]) {
+            for map in &mut self.shards {
+                map.retain(|(gen, _), _| !dead.contains(gen));
+            }
+        }
+
+        fn residents(&self) -> impl Iterator<Item = (&(u64, u64), &(usize, u64))> {
+            self.shards.iter().flatten()
+        }
+    }
+
+    #[test]
+    fn block_shards_evict_what_the_tick_model_evicts() {
+        const PER_SHARD: usize = 3;
+        const BLOCKS: u64 = 40;
+        let (alice, bob) = (11u64, 22u64);
+        let c = ReadCache::new(PER_SHARD * SHARDS);
+        let mut model = TickShards::new(PER_SHARD);
+        // Three objects on disjoint block ranges: Alice's, Bob's, nobody's.
+        let sigs = [
+            [1u8; SIGNATURE_LEN],
+            [2u8; SIGNATURE_LEN],
+            [3u8; SIGNATURE_LEN],
+        ];
+        let blocks_of =
+            |obj: usize| -> Vec<u64> { (0..BLOCKS).map(|b| obj as u64 * 100 + b).collect() };
+        c.tag_scope(&sigs[0], alice);
+        c.tag_scope(&sigs[1], bob);
+        let mut gens: Vec<u64> = (0..3)
+            .map(|o| live_entry(&c, &sigs[o], &blocks_of(o)))
+            .collect();
+        let mut ever: Vec<(u64, u64)> = Vec::new(); // every (gen, block) ever put
+        let mut put_bytes = 0u64;
+        let mut rng = stegfs_crypto::prng::XorShiftRng::new(17);
+        let mut out = [0u8; 48];
+        for _ in 0..4000 {
+            let obj = rng.next_below(3) as usize;
+            let block = obj as u64 * 100 + rng.next_below(BLOCKS);
+            match rng.next_below(1000) {
+                0..=549 => {
+                    let len = if rng.next_below(2) == 0 { 32 } else { 48 };
+                    c.put_block(&sigs[obj], gens[obj], block, &vec![0xa5; len]);
+                    model.put(gens[obj], block, len);
+                    ever.push((gens[obj], block));
+                    put_bytes += len as u64;
+                }
+                550..=929 => {
+                    // Entries hold 32 or 48 bytes; probe only, then read.
+                    let want = model.shards[block_shard(block)]
+                        .get(&(gens[obj], block))
+                        .map(|e| e.0);
+                    let hit = match want {
+                        Some(len) => c.get_block_into(gens[obj], block, &mut out[..len]),
+                        None => c.get_block_into(gens[obj], block, &mut out),
+                    };
+                    assert_eq!(hit, model.get(gens[obj], block));
+                }
+                930..=989 => {
+                    // A probe must not count as a use in either.
+                    let resident =
+                        model.shards[block_shard(block)].contains_key(&(gens[obj], block));
+                    assert_eq!(c.contains_block(gens[obj], block), resident);
+                }
+                990..=995 => {
+                    c.invalidate(&sigs[obj]);
+                    model.drop_gens(&[gens[obj]]);
+                    gens[obj] = live_entry(&c, &sigs[obj], &blocks_of(obj));
+                }
+                996..=998 => {
+                    // Alice leaves: her object and the unscoped one die.
+                    c.purge_scope(alice);
+                    model.drop_gens(&[gens[0], gens[2]]);
+                    c.tag_scope(&sigs[0], alice);
+                    for o in [0, 2] {
+                        gens[o] = live_entry(&c, &sigs[o], &blocks_of(o));
+                    }
+                }
+                _ => {
+                    c.purge_decrypted();
+                    model.drop_gens(&gens);
+                    for o in 0..3 {
+                        gens[o] = live_entry(&c, &sigs[o], &blocks_of(o));
+                    }
+                }
+            }
+            let s = c.stats();
+            assert_eq!(s.resident_blocks, model.residents().count() as u64);
+            assert_eq!(
+                s.resident_bytes,
+                model.residents().map(|(_, e)| e.0 as u64).sum::<u64>()
+            );
+            assert_eq!(s.evictions, model.evictions);
+        }
+        assert!(
+            model.evictions > 500,
+            "the script must evict: {}",
+            model.evictions
+        );
+        // Exactly the model's residents, and nothing that ever left.
+        for key in &ever {
+            let resident = model.shards[block_shard(key.1)].contains_key(key);
+            assert_eq!(c.contains_block(key.0, key.1), resident, "{key:?}");
+        }
+        // Every byte that went in is resident or was zeroed on the way out.
+        RETIRED.with(|retired| {
+            let retired = retired.borrow();
+            assert!(retired.iter().flatten().all(|b| *b == 0), "un-zeroed exit");
+            let gone: u64 = retired.iter().map(|d| d.len() as u64).sum();
+            assert_eq!(put_bytes, c.stats().resident_bytes + gone);
+            assert_eq!(
+                ever.len() as u64,
+                c.stats().resident_blocks + retired.len() as u64
+            );
+        });
+    }
+
+    #[test]
+    fn key_cache_evicts_what_the_tick_model_evicts() {
+        const CAPACITY: usize = 4;
+        let mut c = ReadCache::new(64);
+        c.key_capacity = CAPACITY;
+        // Name index to the tick of its last `keys_for`.
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut rng = stegfs_crypto::prng::XorShiftRng::new(5);
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for tick in 1..=120u64 {
+            let name = rng.next_below(7);
+            let physical = format!("object-{name}");
+            if rng.next_below(8) == 0 && model.contains_key(&name) {
+                // A racer arriving second adopts the resident set; that is
+                // not a use, in either design: the model's tick stays.
+                let epoch = c.key_epoch.load(Ordering::Acquire);
+                let late = Arc::new(ObjectKeys::derive(&physical, b"k"));
+                let used = c.install_keys(key_id(&physical, b"k"), Arc::clone(&late), epoch);
+                assert!(!Arc::ptr_eq(&used, &late), "adopted the resident set");
+                continue;
+            }
+            c.keys_for(&physical, b"k");
+            if model.insert(name, tick).is_some() {
+                hits += 1;
+            } else {
+                misses += 1;
+                if model.len() > CAPACITY {
+                    let victim = *model.iter().min_by_key(|(_, t)| **t).expect("non-empty").0;
+                    model.remove(&victim);
+                }
+            }
+            let s = c.stats();
+            assert_eq!((s.key_hits, s.key_misses), (hits, misses), "call {tick}");
+            assert_eq!(s.resident_keys, model.len() as u64);
+        }
+        assert!(misses > CAPACITY as u64 + 10, "the script must evict");
     }
 
     #[test]

@@ -1,0 +1,219 @@
+//! Same victims, same submissions, same bytes — as one constant.
+//!
+//! Every cache in the stack evicts in exact LRU order, and which block a
+//! cache evicts decides what the device underneath is asked next: a
+//! different victim is a different miss later, a different write-back, a
+//! different batch.  This test drives a fixed script through `Vfs` on the
+//! journaled stack with caches small enough to evict on nearly every
+//! operation — a 64-block write-back `BufferCache` and a 256-block hidden
+//! read cache — and pins one SHA-256 over the ordered traffic the device
+//! below the `BufferCache` saw (kind and block list of every submission),
+//! the `IoStats` totals, and the raw image.  The constant was recorded when
+//! the caches still chose victims by a min-scan over per-entry ticks; an
+//! eviction mechanism that reproduces it chose every victim the same way.
+
+use std::sync::{Arc, Mutex};
+use stegfs_blockdev::{
+    BlockDevice, BlockId, BlockResult, BufferCache, IoStats, MemBlockDevice, MeteredDevice,
+};
+use stegfs_core::StegParams;
+use stegfs_crypto::sha256::{sha256, Sha256};
+use stegfs_tests::{journaled_params, payload};
+use stegfs_vfs::{OpenOptions, SessionId, Vfs};
+
+const OWNER: &str = "the real key";
+const BS: usize = 1024;
+const BUFFER_CACHE_BLOCKS: usize = 64;
+
+/// SHA-256 over traffic digest, `IoStats` totals and image digest of
+/// [`run_script`], recorded at the last commit whose caches evicted by
+/// tick + min-scan.
+const PINNED: &str = "2cccb419ad462d56d77f62252518939edd513bdd227d50e1e3723274dadef57b";
+
+/// The device under the cache: hashes what it is asked, in order.
+struct Tape {
+    mem: MemBlockDevice,
+    traffic: Arc<Mutex<Sha256>>,
+}
+
+impl Tape {
+    fn record(&self, kind: u8, blocks: &[BlockId]) {
+        let mut sha = self.traffic.lock().unwrap();
+        sha.update(&[kind]);
+        sha.update(&(blocks.len() as u64).to_be_bytes());
+        for b in blocks {
+            sha.update(&b.to_be_bytes());
+        }
+    }
+}
+
+impl BlockDevice for Tape {
+    fn block_size(&self) -> usize {
+        self.mem.block_size()
+    }
+    fn total_blocks(&self) -> u64 {
+        self.mem.total_blocks()
+    }
+    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+        self.record(b'r', &[block]);
+        self.mem.read_block(block, buf)
+    }
+    fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+        self.record(b'w', &[block]);
+        self.mem.write_block(block, buf)
+    }
+    fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
+        self.record(b'R', blocks);
+        self.mem.read_blocks(blocks, buf)
+    }
+    fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+        self.record(b'W', blocks);
+        self.mem.write_blocks(blocks, buf)
+    }
+    fn flush(&self) -> BlockResult<()> {
+        self.record(b'F', &[]);
+        self.mem.flush()
+    }
+}
+
+type Disk = MeteredDevice<Tape>;
+type Stack = Vfs<BufferCache<Disk>>;
+
+fn params() -> StegParams {
+    StegParams {
+        readpath_cache_blocks: 256,
+        ..journaled_params(160)
+    }
+}
+
+fn cached(disk: Disk) -> BufferCache<Disk> {
+    BufferCache::new_write_back(disk, BUFFER_CACHE_BLOCKS)
+}
+
+fn put(vfs: &Stack, s: SessionId, path: &str, offset: u64, data: &[u8]) {
+    let h = vfs.open(s, path, OpenOptions::read_write()).unwrap();
+    vfs.write_at(h, offset, data).unwrap();
+    vfs.close(h).unwrap();
+}
+
+fn check(vfs: &Stack, s: SessionId, path: &str, want: &[u8]) {
+    let h = vfs.open(s, path, OpenOptions::read_only()).unwrap();
+    assert_eq!(vfs.read_at(h, 0, want.len() + 1).unwrap(), want, "{path}");
+    vfs.close(h).unwrap();
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The fixed script; returns (traffic digest, device totals, image digest).
+fn run_script() -> (String, IoStats, String) {
+    let traffic = Arc::new(Mutex::new(Sha256::new()));
+    let disk = MeteredDevice::new(Tape {
+        mem: MemBlockDevice::new(BS, 8192),
+        traffic: Arc::clone(&traffic),
+    });
+    let io = disk.stats_handle();
+    let vfs: Stack = Vfs::format(cached(disk), params()).expect("format");
+    let s = vfs.signon(OWNER);
+
+    // Create: two plain files and six hidden ones, ~300 hidden blocks in
+    // all — more than either cache holds.
+    let mut files: Vec<(String, Vec<u8>)> = vec![
+        ("/plain/a.bin".into(), payload(1, 48 * BS)),
+        ("/plain/b.bin".into(), payload(2, 30 * BS + 500)),
+    ];
+    for i in 0..6u64 {
+        let len = 50 * BS + i as usize * 1000;
+        files.push((format!("/hidden/doc-{i}"), payload(10 + i, len)));
+    }
+    for (path, data) in &files {
+        put(&vfs, s, path, 0, data);
+    }
+
+    // Overwrite one of each whole, patch one of each in the middle.
+    for (idx, seed) in [(0usize, 20u64), (3, 21)] {
+        let fresh = payload(seed, files[idx].1.len());
+        put(&vfs, s, &files[idx].0, 0, &fresh);
+        files[idx].1 = fresh;
+    }
+    for (idx, seed, at) in [(1usize, 30u64, 3000usize), (4, 31, 5000)] {
+        let patch = payload(seed, 9 * BS + 77);
+        put(&vfs, s, &files[idx].0, at as u64, &patch);
+        files[idx].1[at..at + patch.len()].copy_from_slice(&patch);
+    }
+
+    // Re-read everything, forwards then backwards, through caches that
+    // cannot hold it; then make it durable through a handle and the volume.
+    for (path, data) in files.iter().chain(files.iter().rev()) {
+        check(&vfs, s, path, data);
+    }
+    let h = vfs
+        .open(s, "/hidden/doc-5", OpenOptions::read_write())
+        .unwrap();
+    let tail = payload(40, 2 * BS + 9);
+    let at = files[7].1.len() - BS;
+    vfs.write_at(h, at as u64, &tail).unwrap();
+    vfs.fsync(h).unwrap();
+    vfs.close(h).unwrap();
+    files[7].1.truncate(at);
+    files[7].1.extend_from_slice(&tail);
+    vfs.sync().unwrap();
+    assert!(
+        vfs.cache_stats().evictions > 0,
+        "the read cache never evicted"
+    );
+
+    // Sign-off purges the session's cached plaintext; the next session
+    // reads cold through the same buffer cache.
+    vfs.signoff(s).unwrap();
+    assert_eq!(vfs.cache_stats().resident_blocks, 0);
+    let s = vfs.signon(OWNER);
+    for (path, data) in &files[4..] {
+        check(&vfs, s, path, data);
+    }
+    vfs.signoff(s).unwrap();
+
+    let cache = vfs.unmount().expect("unmount");
+    assert!(cache.stats().evictions > 500, "{:?}", cache.stats());
+    assert_eq!(cache.dirty_blocks(), 0);
+
+    // Remount over a fresh cache: everything is served back.
+    let vfs: Stack = Vfs::mount(cached(cache.into_inner()), params()).expect("remount");
+    let s = vfs.signon(OWNER);
+    for (path, data) in &files {
+        check(&vfs, s, path, data);
+    }
+    vfs.signoff(s).unwrap();
+    let tape = vfs.unmount().expect("unmount").into_inner().into_inner();
+
+    let mut image = Vec::with_capacity(tape.mem.total_blocks() as usize * BS);
+    for b in 0..tape.mem.total_blocks() {
+        image.extend(tape.mem.read_block_vec(b).expect("raw read"));
+    }
+    let traffic = traffic.lock().unwrap().clone().finalize();
+    (hex(&traffic), io.snapshot(), hex(&sha256(&image)))
+}
+
+#[test]
+fn evicting_stack_is_pinned_submission_for_submission() {
+    let (traffic, io, image) = run_script();
+    let mut all = Sha256::new();
+    all.update(traffic.as_bytes());
+    for total in [
+        io.reads,
+        io.writes,
+        io.bytes_read,
+        io.bytes_written,
+        io.read_submissions,
+        io.write_submissions,
+    ] {
+        all.update(&total.to_be_bytes());
+    }
+    all.update(image.as_bytes());
+    assert_eq!(
+        hex(&all.finalize()),
+        PINNED,
+        "traffic {traffic}, image {image}, {io:?}"
+    );
+}
