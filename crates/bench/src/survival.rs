@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use stegfs_blockdev::{CorruptingDevice, FlakyDevice, MemBlockDevice, RetryDevice};
 use stegfs_core::crypt::ObjectKeys;
-use stegfs_core::{hidden, ObjectKind, Policy, StegFs, StegParams};
+use stegfs_core::{ObjectKind, Policy, StegFs, StegParams};
 use stegfs_survival::scavenge;
 
 /// Access key owning the sweep's working set.
@@ -151,24 +151,13 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// The metadata replica groups of `name`: its header-replica set and its
-/// head inode-chain replica set, each `n - m + 1` deep for coded policies.
+/// The metadata replica groups of `name` (see
+/// [`HiddenObject::metadata_groups`](stegfs_core::hidden::HiddenObject::metadata_groups)).
 fn metadata_groups(fs: &StegFs<CorruptingDevice<MemBlockDevice>>, name: &str) -> Vec<Vec<u64>> {
     let entry = fs.lookup_entry(name, UAK).expect("entry");
     let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
-    let obj = hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params()).expect("open");
-    let mut groups = Vec::new();
-    if obj.header.header_replicas.is_empty() {
-        groups.push(vec![obj.header_block]);
-    } else {
-        groups.push(obj.header.header_replicas.clone());
-    }
-    if obj.header.inode_chain != stegfs_core::header::NO_BLOCK {
-        let mut chain = vec![obj.header.inode_chain];
-        chain.extend(obj.header.chain_replicas.iter().copied());
-        groups.push(chain);
-    }
-    groups
+    let obj = fs.object_io(&keys).open(&entry.physical_name);
+    obj.expect("open").metadata_groups()
 }
 
 /// One redundant policy's metadata-damage point: header/chain replicas *and*

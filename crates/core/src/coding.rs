@@ -29,7 +29,7 @@
 //! caller's buffer — nothing is allocated or solved per byte tuple, and the
 //! decode matrix is inverted once per distinct subset of surviving shares.
 //! An in-place patch decodes only the partially covered edge groups (see
-//! `hidden::write_range_coded`); groups it covers completely are re-encoded
+//! `ObjectIo::patch_coded`); groups it covers completely are re-encoded
 //! from the new bytes without reading a share.  What remains on top of a
 //! plain object is the SHA-256 share checksum of every share read or
 //! written, AES-CTR over `n / m` times the bytes, and — under replicated

@@ -23,6 +23,11 @@
 //!   same ([`stegfs::StegFs::format`]).
 //! * **Internal free-block pools** inside each hidden file defeat
 //!   bitmap-snapshot differencing ([`hidden`]).
+//! * **One object-I/O surface.**  Every operation on a hidden object —
+//!   create, open, read, write, resize, repair, delete — is one method of
+//!   one borrowed context, [`hidden::ObjectIo`]; "uncached" and
+//!   "unobserved" are values that context is handed, not variants of the
+//!   functions.
 //! * **UAK/FAK key hierarchy and sharing.**  Each hidden file is protected by
 //!   its own random File Access Key; per-User Access Key directories map
 //!   names to FAKs and are themselves hidden files ([`keys`], [`sharing`]).

@@ -82,10 +82,12 @@
 //!
 //! The cache is coherent for every mutation that goes through
 //! [`crate::StegFs`] — which is every mutation the public API can express.
-//! Writing to a hidden object by calling [`crate::hidden`] functions
-//! directly on the underlying `PlainFs` of a *live, cached* `StegFs`
-//! bypasses invalidation and is unsupported (the same pre-existing rule as
-//! bypassing the object shards).
+//! Writing to a hidden object through an
+//! [`ObjectIo`](crate::hidden::ObjectIo) built directly on the underlying
+//! `PlainFs` of a *live, cached* `StegFs` (or handed out by
+//! [`StegFs::object_io`](crate::StegFs::object_io)) bypasses invalidation
+//! and is unsupported (the same pre-existing rule as bypassing the object
+//! shards).
 
 use crate::crypt::{ObjectKeys, SIGNATURE_LEN};
 use crate::header::HiddenHeader;
@@ -435,7 +437,7 @@ impl ReadCache {
     // ------------------------------------------------------------------
 
     /// The cached header of `sig` without touching the hit/miss counters —
-    /// the freshness probe `hidden::cached_chain` uses to decide whether a
+    /// the freshness probe `ObjectIo::cached_chain` uses to decide whether a
     /// caller-supplied header may be (re)installed.
     pub fn peek_header(&self, sig: &ObjectSig) -> Option<(u64, HiddenHeader)> {
         if !self.enabled() {
@@ -873,8 +875,9 @@ impl ReadCache {
         }
     }
 
-    /// A shared always-empty cache for callers of the pre-cache `hidden::*`
-    /// API (capacity 0: every lookup misses, every insert is a no-op).
+    /// A shared always-empty cache (capacity 0: every lookup misses, every
+    /// insert is a no-op) — what "uncached" is for an
+    /// [`ObjectIo`](crate::hidden::ObjectIo).
     pub fn disabled() -> &'static ReadCache {
         static DISABLED: std::sync::OnceLock<ReadCache> = std::sync::OnceLock::new();
         DISABLED.get_or_init(|| ReadCache::new(0))

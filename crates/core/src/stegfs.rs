@@ -54,7 +54,7 @@ use crate::coding::Policy;
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
 use crate::header::ObjectKind;
-use crate::hidden::{self, HiddenObject};
+use crate::hidden::{HiddenObject, ObjectIo, ReadHealth, RepairOutcome};
 use crate::keys::{DirectoryEntry, UakDirectory, FAK_LEN, UAK_DIRECTORY_NAME};
 use crate::params::StegParams;
 use crate::readcache::{CacheStats, ReadCache};
@@ -226,6 +226,26 @@ fn shard_index(key: &str, len: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) % len
+}
+
+fn require_kind(name: &str, actual: ObjectKind, expected: ObjectKind) -> StegResult<()> {
+    if actual == expected {
+        return Ok(());
+    }
+    Err(StegError::WrongObjectKind {
+        name: name.to_string(),
+        expected,
+    })
+}
+
+/// A listing as stored in a directory object: a never-written (empty) object
+/// is an empty listing.
+fn parse_listing(raw: &[u8]) -> StegResult<UakDirectory> {
+    if raw.is_empty() {
+        Ok(UakDirectory::new())
+    } else {
+        UakDirectory::deserialize(raw)
+    }
 }
 
 /// A mounted StegFS volume.
@@ -451,6 +471,22 @@ impl<D: BlockDevice> StegFs<D> {
         &self.fs
     }
 
+    /// The I/O context of the object `keys` belongs to, served through the
+    /// volume's read cache.
+    fn io<'a>(&'a self, keys: &'a ObjectKeys) -> ObjectIo<'a, D> {
+        ObjectIo::new(&self.fs, &self.params, &self.read_cache, keys)
+    }
+
+    /// The same context **bypassing the read cache**: every call walks the
+    /// locator and the chain on the device.  The maintenance paths in here
+    /// use it where a cached snapshot must not vouch for the device (see
+    /// [`crate::hidden`]); the experiments and tests outside this crate use
+    /// it to inspect an object's blocks.  Mutating a live object through it
+    /// bypasses invalidation and is unsupported (see [`crate::readcache`]).
+    pub fn object_io<'a>(&'a self, keys: &'a ObjectKeys) -> ObjectIo<'a, D> {
+        ObjectIo::new(&self.fs, &self.params, ReadCache::disabled(), keys)
+    }
+
     /// Fork an independent byte generator off the volume RNG.  The fork
     /// happens under the RNG lock; the returned generator is then used
     /// without any lock, so long-running writes do not serialise on shared
@@ -546,10 +582,11 @@ impl<D: BlockDevice> StegFs<D> {
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
             let keys = self.keys_for(&name, &fak);
-            let mut obj = hidden::create(&self.fs, &name, &keys, ObjectKind::File, &self.params)?;
+            let io = self.object_io(&keys);
+            let mut obj = io.create(&name, ObjectKind::File, Policy::Plain)?;
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size.min(usize::MAX as u64) as usize);
-            hidden::write(&self.fs, &keys, &mut obj, &content, &self.params, &mut rng)?;
+            io.write(&mut obj, &content, &mut rng)?;
         }
         Ok(())
     }
@@ -563,22 +600,14 @@ impl<D: BlockDevice> StegFs<D> {
             let (name, fak) = self.dummy_identity(i);
             let keys = self.keys_for(&name, &fak);
             let _obj_lock = self.object_guard(&name);
-            let mut obj = match hidden::open(&self.fs, &name, &keys, &self.params) {
+            let mut obj = match self.object_io(&keys).open(&name) {
                 Ok(o) => o,
                 Err(StegError::NotFound(_)) => continue,
                 Err(e) => return Err(e),
             };
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size as usize);
-            hidden::write_cached(
-                &self.fs,
-                &keys,
-                &mut obj,
-                &content,
-                &self.params,
-                &mut rng,
-                &self.read_cache,
-            )?;
+            self.io(&keys).write(&mut obj, &content, &mut rng)?;
             touched += 1;
         }
         Ok(touched)
@@ -650,22 +679,9 @@ impl<D: BlockDevice> StegFs<D> {
         &self,
         keys: &ObjectKeys,
     ) -> StegResult<(UakDirectory, Option<HiddenObject>)> {
-        match hidden::open_cached(
-            &self.fs,
-            UAK_DIRECTORY_NAME,
-            keys,
-            &self.params,
-            &self.read_cache,
-        ) {
-            Ok(obj) => {
-                let raw = hidden::read_cached(&self.fs, keys, &obj, &self.read_cache)?;
-                let dir = if raw.is_empty() {
-                    UakDirectory::new()
-                } else {
-                    UakDirectory::deserialize(&raw)?
-                };
-                Ok((dir, Some(obj)))
-            }
+        let io = self.io(keys);
+        match io.open(UAK_DIRECTORY_NAME) {
+            Ok(obj) => Ok((parse_listing(&io.read(&obj)?)?, Some(obj))),
             Err(StegError::NotFound(_)) => Ok((UakDirectory::new(), None)),
             Err(e) => Err(e),
         }
@@ -679,30 +695,17 @@ impl<D: BlockDevice> StegFs<D> {
         dir: &UakDirectory,
         existing: Option<HiddenObject>,
     ) -> StegResult<()> {
+        let io = self.io(keys);
         let mut obj = match existing {
             Some(obj) => obj,
-            None => hidden::create(
-                &self.fs,
-                UAK_DIRECTORY_NAME,
-                keys,
-                ObjectKind::Directory,
-                &self.params,
-            )?,
+            None => io.create(UAK_DIRECTORY_NAME, ObjectKind::Directory, Policy::Plain)?,
         };
         let mut rng = self.fork_rng();
         // The cache-aware write serves the rewrite's chain walk from the
         // cached extent map (the directory was just read through it, so the
         // map is warm), invalidates before touching anything and republishes
         // the new map on success — a failed attempt leaves a safe miss.
-        hidden::write_cached(
-            &self.fs,
-            keys,
-            &mut obj,
-            &dir.serialize(),
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )
+        io.write(&mut obj, &dir.serialize(), &mut rng)
     }
 
     /// The names (and kinds) of all hidden objects registered under `uak`.
@@ -756,6 +759,25 @@ impl<D: BlockDevice> StegFs<D> {
         Ok(entry)
     }
 
+    /// Create the (not yet published) object `physical_name` under its
+    /// freshly generated `keys`.  A hidden directory starts out as an empty
+    /// child listing.
+    fn create_object(
+        &self,
+        physical_name: &str,
+        keys: &ObjectKeys,
+        kind: ObjectKind,
+        policy: Policy,
+    ) -> StegResult<HiddenObject> {
+        let io = self.object_io(keys);
+        let mut obj = io.create(physical_name, kind, policy)?;
+        if kind == ObjectKind::Directory {
+            let mut rng = self.fork_rng();
+            io.write(&mut obj, &UakDirectory::new().serialize(), &mut rng)?;
+        }
+        Ok(obj)
+    }
+
     /// `steg_create`: create an empty hidden file or directory named
     /// `objname`, registered under `uak`.  The object gets the volume's
     /// default durability policy
@@ -787,26 +809,7 @@ impl<D: BlockDevice> StegFs<D> {
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}", Self::owner_tag(uak), objname);
         let keys = self.keys_for(&physical_name, &fak);
-        let mut obj = hidden::create_with_policy(
-            &self.fs,
-            &physical_name,
-            &keys,
-            kind,
-            policy,
-            &self.params,
-        )?;
-        if kind == ObjectKind::Directory {
-            // A hidden directory starts out as an empty child listing.
-            let mut rng = self.fork_rng();
-            hidden::write(
-                &self.fs,
-                &keys,
-                &mut obj,
-                &UakDirectory::new().serialize(),
-                &self.params,
-                &mut rng,
-            )?;
-        }
+        let obj = self.create_object(&physical_name, &keys, kind, policy)?;
         let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
         let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
@@ -815,7 +818,7 @@ impl<D: BlockDevice> StegFs<D> {
             // never-published object.  Its keys never left this call, so
             // deleting it returns the blocks with no visible trace.
             let mut rng = self.fork_rng();
-            let _ = hidden::delete(&self.fs, &keys, &obj, &mut rng);
+            let _ = self.object_io(&keys).delete(&obj, &mut rng);
             self.read_cache.drop_keys(&physical_name, &fak);
             return Err(StegError::AlreadyExists(objname.to_string()));
         }
@@ -830,43 +833,53 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Verify and, where possible, repair one hidden object in place from
     /// its surviving shares (the scavenger's per-object step; see
-    /// [`hidden::repair`] for the byte-identical-rewrite argument).  Plain
-    /// objects report [`RepairOutcome::Intact`](hidden::RepairOutcome)
-    /// untouched; an unrecoverable object writes nothing.
-    pub fn scavenge_entry(&self, entry: &DirectoryEntry) -> StegResult<hidden::RepairOutcome> {
+    /// [`ObjectIo::repair`] for the byte-identical-rewrite argument).  Plain
+    /// objects report [`RepairOutcome::Intact`] untouched; an unrecoverable
+    /// object writes nothing.
+    pub fn scavenge_entry(&self, entry: &DirectoryEntry) -> StegResult<RepairOutcome> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
-        let outcome = hidden::repair(&self.fs, &keys, &obj)?;
-        if matches!(outcome, hidden::RepairOutcome::Repaired { .. }) {
+        let io = self.object_io(&keys);
+        let outcome = io.repair(&io.open(&entry.physical_name)?)?;
+        if matches!(outcome, RepairOutcome::Repaired { .. }) {
             // Any cached plaintext decoded from the damaged shares is stale.
             self.read_cache.invalidate(keys.signature());
         }
         Ok(outcome)
     }
 
-    /// Queue a self-healing ticket for the object when `health` reports the
-    /// preceding read was served degraded (fallback shares or metadata
-    /// replicas).  Deduplicated per object; cheap no-op on healthy reads.
-    fn note_degraded(
+    /// Run `read` against the cached, health-observing context of the object
+    /// `(physical_name, fak)`, and queue a self-healing ticket for it when
+    /// the read was served degraded (fallback shares or metadata replicas).
+    /// Deduplicated per object; healthy reads pay one flag test.
+    fn observed<T>(
         &self,
         physical_name: &str,
         fak: &[u8; FAK_LEN],
         keys: &ObjectKeys,
-        health: &hidden::ReadHealth,
-    ) {
-        if !health.is_degraded() {
-            return;
+        read: impl FnOnce(ObjectIo<'_, D>) -> StegResult<T>,
+    ) -> StegResult<T> {
+        let health = ReadHealth::new();
+        let out = read(self.io(keys).observed(&health));
+        if health.is_degraded() {
+            let mut queue = self.repair_queue.lock();
+            if queue.enqueued.insert(*keys.signature()) {
+                queue.tickets.push_back(RepairTicket {
+                    physical_name: physical_name.to_string(),
+                    fak: *fak,
+                    signature: *keys.signature(),
+                });
+                self.obs.repair.queued.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        let mut queue = self.repair_queue.lock();
-        if queue.enqueued.insert(*keys.signature()) {
-            queue.tickets.push_back(RepairTicket {
-                physical_name: physical_name.to_string(),
-                fak: *fak,
-                signature: *keys.signature(),
-            });
-            self.obs.repair.queued.fetch_add(1, Ordering::Relaxed);
-        }
+        out
+    }
+
+    /// The full contents of the object behind `entry` (shard held by the
+    /// caller), with degradation observed.
+    fn read_observed(&self, entry: &DirectoryEntry, keys: &ObjectKeys) -> StegResult<Vec<u8>> {
+        let name = &entry.physical_name;
+        self.observed(name, &entry.fak, keys, |io| io.read(&io.open(name)?))
     }
 
     /// Number of repair tickets waiting to be drained.
@@ -875,7 +888,7 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Drain up to `limit` queued read-repair tickets: each object is
-    /// re-opened **fresh** and run through [`hidden::repair`], rewriting
+    /// re-opened **fresh** and run through [`ObjectIo::repair`], rewriting
     /// damaged shares and metadata replicas byte-identically in place, so
     /// the volume converges back to full redundancy under live traffic.
     ///
@@ -899,17 +912,19 @@ impl<D: BlockDevice> StegFs<D> {
             let _span = span::span(span::Phase::Repair);
             let keys = self.keys_for(&ticket.physical_name, &ticket.fak);
             let _obj_lock = self.object_guard(&ticket.physical_name);
-            let outcome = hidden::open(&self.fs, &ticket.physical_name, &keys, &self.params)
-                .and_then(|obj| hidden::repair(&self.fs, &keys, &obj));
+            let io = self.object_io(&keys);
+            let outcome = io
+                .open(&ticket.physical_name)
+                .and_then(|obj| io.repair(&obj));
             match outcome {
-                Ok(hidden::RepairOutcome::Repaired { .. }) => {
+                Ok(RepairOutcome::Repaired { .. }) => {
                     // Cached plaintext may have been decoded from the damaged
                     // shares; drop it with the rewrite.
                     self.read_cache.invalidate(keys.signature());
                     drain.completed += 1;
                     self.obs.repair.completed.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(hidden::RepairOutcome::Intact) => {
+                Ok(RepairOutcome::Intact) => {
                     drain.completed += 1;
                     self.obs.repair.completed.fetch_add(1, Ordering::Relaxed);
                 }
@@ -917,7 +932,7 @@ impl<D: BlockDevice> StegFs<D> {
                     drain.completed += 1;
                     self.obs.repair.completed.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(hidden::RepairOutcome::Lost { .. }) | Err(_) => {
+                Ok(RepairOutcome::Lost { .. }) | Err(_) => {
                     drain.failed += 1;
                     self.obs.repair.failed.fetch_add(1, Ordering::Relaxed);
                 }
@@ -934,8 +949,8 @@ impl<D: BlockDevice> StegFs<D> {
         let entry = self.entry_for(objname, uak)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
-        hidden::share_extents(&self.fs, &keys, &obj)
+        let io = self.object_io(&keys);
+        io.share_extents(&io.open(&entry.physical_name)?)
     }
 
     /// Write the full contents of the hidden file `objname` (registered under
@@ -946,31 +961,13 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     fn write_hidden_entry(&self, entry: &DirectoryEntry, data: &[u8]) -> StegResult<()> {
-        if entry.kind != ObjectKind::File {
-            return Err(StegError::WrongObjectKind {
-                name: entry.name.clone(),
-                expected: ObjectKind::File,
-            });
-        }
+        require_kind(&entry.name, entry.kind, ObjectKind::File)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let mut obj = hidden::open_cached(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-        )?;
+        let io = self.io(&keys);
+        let mut obj = io.open(&entry.physical_name)?;
         let mut rng = self.fork_rng();
-        hidden::write_cached(
-            &self.fs,
-            &keys,
-            &mut obj,
-            data,
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )
+        io.write(&mut obj, data, &mut rng)
     }
 
     /// Read the full contents of the hidden file `objname` (registered under
@@ -991,29 +988,10 @@ impl<D: BlockDevice> StegFs<D> {
         let entry = self.entry_for(objname, uak)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let health = hidden::ReadHealth::new();
-        let out = hidden::open_cached_observed(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-            Some(&health),
-        )
-        .and_then(|object| {
-            hidden::read_range_cached_observed(
-                &self.fs,
-                &keys,
-                &object,
-                offset,
-                len,
-                0,
-                &self.read_cache,
-                Some(&health),
-            )
-        });
-        self.note_degraded(&entry.physical_name, &entry.fak, &keys, &health);
-        out
+        let name = &entry.physical_name;
+        self.observed(name, &entry.fak, &keys, |io| {
+            io.read_range(&io.open(name)?, offset, len, 0)
+        })
     }
 
     /// Overwrite part of the hidden file `objname` in place (the range must
@@ -1028,14 +1006,9 @@ impl<D: BlockDevice> StegFs<D> {
         let entry = self.entry_for(objname, uak)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let mut object = hidden::open_cached(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-        )?;
-        hidden::write_range_cached(&self.fs, &keys, &mut object, offset, data, &self.read_cache)
+        let io = self.io(&keys);
+        let mut object = io.open(&entry.physical_name)?;
+        io.write_range(&mut object, offset, data)
     }
 
     /// Open a hidden file once and keep a handle for repeated positional
@@ -1076,19 +1049,9 @@ impl<D: BlockDevice> StegFs<D> {
         len: usize,
         readahead_blocks: usize,
     ) -> StegResult<Vec<u8>> {
-        let health = hidden::ReadHealth::new();
-        let out = hidden::read_range_cached_observed(
-            &self.fs,
-            &handle.keys,
-            &handle.object,
-            offset,
-            len,
-            readahead_blocks,
-            &self.read_cache,
-            Some(&health),
-        );
-        self.note_degraded(&handle.physical_name, &handle.fak, &handle.keys, &health);
-        out
+        self.observed(&handle.physical_name, &handle.fak, &handle.keys, |io| {
+            io.read_range(&handle.object, offset, len, readahead_blocks)
+        })
     }
 
     /// Overwrite bytes at `offset` through an open handle (in place; the
@@ -1101,14 +1064,8 @@ impl<D: BlockDevice> StegFs<D> {
         offset: u64,
         data: &[u8],
     ) -> StegResult<()> {
-        hidden::write_range_cached(
-            &self.fs,
-            &handle.keys,
-            &mut handle.object,
-            offset,
-            data,
-            &self.read_cache,
-        )
+        self.io(&handle.keys)
+            .write_range(&mut handle.object, offset, data)
     }
 
     /// Public form of the UAK-directory lookup: resolve `objname` under
@@ -1124,13 +1081,7 @@ impl<D: BlockDevice> StegFs<D> {
     pub fn open_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<HiddenHandle> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let object = hidden::open_cached(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-        )?;
+        let object = self.io(&keys).open(&entry.physical_name)?;
         Ok(HiddenHandle {
             name: entry.name.clone(),
             physical_name: entry.physical_name.clone(),
@@ -1153,72 +1104,34 @@ impl<D: BlockDevice> StegFs<D> {
         offset: u64,
         data: &[u8],
     ) -> StegResult<()> {
-        if handle.object.kind() != ObjectKind::File {
-            return Err(StegError::WrongObjectKind {
-                name: handle.name.clone(),
-                expected: ObjectKind::File,
-            });
-        }
+        require_kind(&handle.name, handle.object.kind(), ObjectKind::File)?;
         if data.is_empty() {
             return Ok(());
         }
         let end = offset
             .checked_add(data.len() as u64)
             .ok_or(StegError::NoSpace)?;
-        if end <= handle.object.size() {
-            return hidden::write_range_cached(
-                &self.fs,
-                &handle.keys,
-                &mut handle.object,
-                offset,
-                data,
-                &self.read_cache,
-            );
+        let io = self.io(&handle.keys);
+        if end > handle.object.size() {
+            // Grow to `end` at block granularity (zero-filling any gap),
+            // then patch the written range in place — O(append), not
+            // O(file).
+            let mut rng = self.fork_rng();
+            io.resize(&mut handle.object, end, &mut rng)?;
         }
-        // Grow to `end` at block granularity (zero-filling any gap), then
-        // patch the written range in place — O(append), not O(file).
-        let mut rng = self.fork_rng();
-        hidden::resize_cached(
-            &self.fs,
-            &handle.keys,
-            &mut handle.object,
-            end,
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )?;
-        hidden::write_range_cached(
-            &self.fs,
-            &handle.keys,
-            &mut handle.object,
-            offset,
-            data,
-            &self.read_cache,
-        )
+        io.write_range(&mut handle.object, offset, data)
     }
 
     /// Set the size of the object behind `handle` to `new_len`, truncating or
     /// zero-extending as needed.
     pub fn truncate_handle(&self, handle: &mut HiddenHandle, new_len: u64) -> StegResult<()> {
-        if handle.object.kind() != ObjectKind::File {
-            return Err(StegError::WrongObjectKind {
-                name: handle.name.clone(),
-                expected: ObjectKind::File,
-            });
-        }
+        require_kind(&handle.name, handle.object.kind(), ObjectKind::File)?;
         if new_len == handle.object.size() {
             return Ok(());
         }
         let mut rng = self.fork_rng();
-        hidden::resize_cached(
-            &self.fs,
-            &handle.keys,
-            &mut handle.object,
-            new_len,
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )
+        self.io(&handle.keys)
+            .resize(&mut handle.object, new_len, &mut rng)
     }
 
     /// Rename the hidden object `objname` to `newname` within `uak`'s
@@ -1251,20 +1164,7 @@ impl<D: BlockDevice> StegFs<D> {
     fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let health = hidden::ReadHealth::new();
-        let out = hidden::open_cached_observed(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-            Some(&health),
-        )
-        .and_then(|obj| {
-            hidden::read_cached_observed(&self.fs, &keys, &obj, &self.read_cache, Some(&health))
-        });
-        self.note_degraded(&entry.physical_name, &entry.fak, &keys, &health);
-        out
+        self.read_observed(entry, &keys)
     }
 
     /// Delete the hidden object `objname` and remove it from the UAK
@@ -1272,6 +1172,12 @@ impl<D: BlockDevice> StegFs<D> {
     /// listing would orphan its children's blocks forever).  Returns the
     /// removed entry so callers that track objects by physical name (the
     /// VFS object cache) need not re-walk the directory just to learn it.
+    ///
+    /// As in [`Self::remove_dir_child`], the name is unpublished *before*
+    /// the object is destroyed — two transactions, in the order whose
+    /// interruption leaks the object's blocks (allocated, unreferenced)
+    /// rather than leaving a name that lists but can be neither read,
+    /// re-created nor deleted.
     pub fn delete_hidden(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
         let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
@@ -1280,24 +1186,12 @@ impl<D: BlockDevice> StegFs<D> {
             .remove(objname)
             .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        {
-            let _obj_lock = self.object_guard(&entry.physical_name);
-            let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
-            if entry.kind == ObjectKind::Directory {
-                // The on-disk UAK directory is only rewritten below, so
-                // refusing here leaves the object fully intact.
-                self.ensure_hidden_dir_empty(&keys, &obj, objname)?;
-            }
-            let mut rng = self.fork_rng();
-            let result = hidden::delete(&self.fs, &keys, &obj, &mut rng);
-            self.forget_object(&entry.physical_name, &entry.fak, &keys);
-            result?;
-            if entry.kind == ObjectKind::Directory {
-                self.delete_shadow_listing(&entry.physical_name, &entry.fak);
-            }
-        }
-        self.session.lock().disconnect(objname);
+        let _obj_lock = self.object_guard(&entry.physical_name);
+        // The on-disk UAK directory is only rewritten below, so a refusal
+        // here leaves the object fully intact.
+        let obj = self.open_for_removal(&entry, &keys)?;
         self.save_uak_directory(&uak_keys, &dir, existing)?;
+        self.destroy_entry(&entry, &keys, &obj)?;
         Ok(entry)
     }
 
@@ -1402,25 +1296,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// held by the caller.
     fn read_listing_locked(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let health = hidden::ReadHealth::new();
-        let raw = hidden::open_cached_observed(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-            Some(&health),
-        )
-        .and_then(|obj| {
-            hidden::read_cached_observed(&self.fs, &keys, &obj, &self.read_cache, Some(&health))
-        });
-        self.note_degraded(&entry.physical_name, &entry.fak, &keys, &health);
-        let raw = raw?;
-        if raw.is_empty() {
-            Ok(UakDirectory::new())
-        } else {
-            Ok(UakDirectory::deserialize(&raw)?)
-        }
+        parse_listing(&self.read_observed(entry, &keys)?)
     }
 
     /// Identity (physical name, FAK) of a directory's shadow-listing object.
@@ -1446,23 +1322,10 @@ impl<D: BlockDevice> StegFs<D> {
         children: &UakDirectory,
     ) -> StegResult<()> {
         let parent_keys = self.keys_for(&parent.physical_name, &parent.fak);
-        let mut parent_obj = hidden::open_cached(
-            &self.fs,
-            &parent.physical_name,
-            &parent_keys,
-            &self.params,
-            &self.read_cache,
-        )?;
+        let io = self.io(&parent_keys);
+        let mut parent_obj = io.open(&parent.physical_name)?;
         let mut rng = self.fork_rng();
-        hidden::write_cached(
-            &self.fs,
-            &parent_keys,
-            &mut parent_obj,
-            &children.serialize(),
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )?;
+        io.write(&mut parent_obj, &children.serialize(), &mut rng)?;
         self.save_shadow_listing(parent, children)
     }
 
@@ -1482,28 +1345,18 @@ impl<D: BlockDevice> StegFs<D> {
         let (shadow_physical, shadow_fak) =
             Self::shadow_identity(&parent.physical_name, &parent.fak);
         let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
-        let mut shadow_obj =
-            match hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params) {
-                Ok(obj) => obj,
-                Err(e) if e.is_not_found() => hidden::create_with_policy(
-                    &self.fs,
-                    &shadow_physical,
-                    &shadow_keys,
-                    ObjectKind::File,
-                    self.params.hidden_policy,
-                    &self.params,
-                )?,
-                Err(e) => return Err(e),
-            };
+        let io = self.object_io(&shadow_keys);
+        let mut shadow_obj = match io.open(&shadow_physical) {
+            Ok(obj) => obj,
+            Err(e) if e.is_not_found() => io.create(
+                &shadow_physical,
+                ObjectKind::File,
+                self.params.hidden_policy,
+            )?,
+            Err(e) => return Err(e),
+        };
         let mut rng = self.fork_rng();
-        hidden::write(
-            &self.fs,
-            &shadow_keys,
-            &mut shadow_obj,
-            &children.serialize(),
-            &self.params,
-            &mut rng,
-        )
+        io.write(&mut shadow_obj, &children.serialize(), &mut rng)
     }
 
     /// Best-effort removal of a directory's shadow listing when the
@@ -1512,10 +1365,10 @@ impl<D: BlockDevice> StegFs<D> {
     fn delete_shadow_listing(&self, physical: &str, fak: &[u8; FAK_LEN]) {
         let (shadow_physical, shadow_fak) = Self::shadow_identity(physical, fak);
         let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
-        if let Ok(shadow_obj) = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)
-        {
+        let io = self.object_io(&shadow_keys);
+        if let Ok(shadow_obj) = io.open(&shadow_physical) {
             let mut rng = self.fork_rng();
-            let _ = hidden::delete(&self.fs, &shadow_keys, &shadow_obj, &mut rng);
+            let _ = io.delete(&shadow_obj, &mut rng);
         }
         self.read_cache.drop_keys(&shadow_physical, &shadow_fak);
     }
@@ -1534,16 +1387,12 @@ impl<D: BlockDevice> StegFs<D> {
     /// header no longer reaches stay allocated — a bounded leak,
     /// indistinguishable from abandoned blocks (§3.4).
     pub fn rebuild_dir_from_shadow(&self, entry: &DirectoryEntry) -> StegResult<DirRebuild> {
-        if entry.kind != ObjectKind::Directory {
-            return Err(StegError::WrongObjectKind {
-                name: entry.name.clone(),
-                expected: ObjectKind::Directory,
-            });
-        }
+        require_kind(&entry.name, entry.kind, ObjectKind::Directory)?;
         let _obj_lock = self.object_guard(&entry.physical_name);
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        if let Ok(obj) = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params) {
-            if hidden::read(&self.fs, &keys, &obj).is_ok() {
+        let io = self.object_io(&keys);
+        if let Ok(obj) = io.open(&entry.physical_name) {
+            if io.read(&obj).is_ok() {
                 return Err(StegError::AlreadyExists(entry.name.clone()));
             }
         }
@@ -1552,20 +1401,19 @@ impl<D: BlockDevice> StegFs<D> {
         // actually usable.
         let (shadow_physical, shadow_fak) = Self::shadow_identity(&entry.physical_name, &entry.fak);
         let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
-        let shadow_obj = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)?;
-        let raw = hidden::read(&self.fs, &shadow_keys, &shadow_obj)?;
-        let listing = if raw.is_empty() {
-            UakDirectory::new()
-        } else {
-            UakDirectory::deserialize(&raw)?
-        };
+        let shadow_io = self.object_io(&shadow_keys);
+        let listing = parse_listing(&shadow_io.read(&shadow_io.open(&shadow_physical)?)?)?;
 
         // Re-link only children whose objects still probe under their keys.
         let mut kept = UakDirectory::new();
         let mut dropped = Vec::new();
         for child in listing.entries {
             let child_keys = self.keys_for(&child.physical_name, &child.fak);
-            if hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params).is_ok() {
+            if self
+                .object_io(&child_keys)
+                .open(&child.physical_name)
+                .is_ok()
+            {
                 kept.insert(child)?;
             } else {
                 dropped.push(child.name.clone());
@@ -1577,29 +1425,16 @@ impl<D: BlockDevice> StegFs<D> {
         // the chain does not, scrub the header replicas so the re-creation's
         // probes cannot resurrect it.
         let mut rng = self.fork_rng();
-        if let Ok(old) = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params) {
-            if hidden::delete(&self.fs, &keys, &old, &mut rng).is_err() {
-                hidden::destroy_unreadable(&self.fs, &old, &mut rng)?;
+        if let Ok(old) = io.open(&entry.physical_name) {
+            if io.delete(&old, &mut rng).is_err() {
+                io.destroy_unreadable(&old, &mut rng)?;
             }
         }
         self.read_cache.invalidate(keys.signature());
 
-        let mut obj = hidden::create_with_policy(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            ObjectKind::Directory,
-            self.params.hidden_policy,
-            &self.params,
-        )?;
-        hidden::write(
-            &self.fs,
-            &keys,
-            &mut obj,
-            &kept.serialize(),
-            &self.params,
-            &mut rng,
-        )?;
+        let policy = self.params.hidden_policy;
+        let mut obj = io.create(&entry.physical_name, ObjectKind::Directory, policy)?;
+        io.write(&mut obj, &kept.serialize(), &mut rng)?;
         Ok(DirRebuild {
             children_relinked: kept.entries.len(),
             children_dropped: dropped,
@@ -1610,12 +1445,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// This is the building block the VFS uses to resolve `/hidden/dir/child`
     /// paths from cached entries without re-walking the UAK directory.
     pub fn read_hidden_dir_listing(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
-        if entry.kind != ObjectKind::Directory {
-            return Err(StegError::WrongObjectKind {
-                name: entry.name.clone(),
-                expected: ObjectKind::Directory,
-            });
-        }
+        require_kind(&entry.name, entry.kind, ObjectKind::Directory)?;
         self.read_directory_listing(entry)
     }
 
@@ -1645,12 +1475,7 @@ impl<D: BlockDevice> StegFs<D> {
         child_name: &str,
         kind: ObjectKind,
     ) -> StegResult<()> {
-        if parent.kind != ObjectKind::Directory {
-            return Err(StegError::WrongObjectKind {
-                name: parent.name.clone(),
-                expected: ObjectKind::Directory,
-            });
-        }
+        require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
         if child_name.is_empty()
             || child_name.contains('\0')
             || child_name.contains('/')
@@ -1670,25 +1495,7 @@ impl<D: BlockDevice> StegFs<D> {
         let fak = self.generate_fak(child_name);
         let physical_name = format!("{}/{}", parent.physical_name, child_name);
         let child_keys = self.keys_for(&physical_name, &fak);
-        let mut child_obj = hidden::create_with_policy(
-            &self.fs,
-            &physical_name,
-            &child_keys,
-            kind,
-            self.params.hidden_policy,
-            &self.params,
-        )?;
-        if kind == ObjectKind::Directory {
-            let mut rng = self.fork_rng();
-            hidden::write(
-                &self.fs,
-                &child_keys,
-                &mut child_obj,
-                &UakDirectory::new().serialize(),
-                &self.params,
-                &mut rng,
-            )?;
-        }
+        self.create_object(&physical_name, &child_keys, kind, self.params.hidden_policy)?;
         children.insert(DirectoryEntry {
             name: child_name.to_string(),
             physical_name,
@@ -1707,12 +1514,7 @@ impl<D: BlockDevice> StegFs<D> {
         uak: &str,
     ) -> StegResult<Vec<(String, ObjectKind)>> {
         let parent_entry = self.entry_for(parent, uak)?;
-        if parent_entry.kind != ObjectKind::Directory {
-            return Err(StegError::WrongObjectKind {
-                name: parent.to_string(),
-                expected: ObjectKind::Directory,
-            });
-        }
+        require_kind(parent, parent_entry.kind, ObjectKind::Directory)?;
         let children = self.read_directory_listing(&parent_entry)?;
         Ok(children
             .entries
@@ -1721,26 +1523,44 @@ impl<D: BlockDevice> StegFs<D> {
             .collect())
     }
 
-    /// Refuse to destroy a hidden directory that still lists children
-    /// (destroying a populated listing would orphan their blocks forever).
-    /// Caller holds the object's shard and has already opened `obj`.
-    fn ensure_hidden_dir_empty(
+    /// Open the object behind `entry` — on the device, not from the cache —
+    /// ahead of its removal, refusing a hidden directory that still lists
+    /// children (destroying a populated listing would orphan their blocks
+    /// forever).  Caller holds the object's shard.
+    fn open_for_removal(
         &self,
+        entry: &DirectoryEntry,
         keys: &ObjectKeys,
-        obj: &HiddenObject,
-        name: &str,
-    ) -> StegResult<()> {
-        let raw = hidden::read(&self.fs, keys, obj)?;
-        let listing = if raw.is_empty() {
-            UakDirectory::new()
-        } else {
-            UakDirectory::deserialize(&raw)?
-        };
-        if !listing.entries.is_empty() {
+    ) -> StegResult<HiddenObject> {
+        let io = self.object_io(keys);
+        let obj = io.open(&entry.physical_name)?;
+        if entry.kind == ObjectKind::Directory
+            && !parse_listing(&io.read(&obj)?)?.entries.is_empty()
+        {
             return Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(
-                name.to_string(),
+                entry.name.clone(),
             )));
         }
+        Ok(obj)
+    }
+
+    /// Destroy the already unpublished object behind `entry` (opened as
+    /// `obj`, its shard held) together with everything cached for the dead
+    /// binding, a directory's shadow listing and the session's connection.
+    fn destroy_entry(
+        &self,
+        entry: &DirectoryEntry,
+        keys: &ObjectKeys,
+        obj: &HiddenObject,
+    ) -> StegResult<()> {
+        let mut rng = self.fork_rng();
+        let result = self.object_io(keys).delete(obj, &mut rng);
+        self.forget_object(&entry.physical_name, &entry.fak, keys);
+        result?;
+        if entry.kind == ObjectKind::Directory {
+            self.delete_shadow_listing(&entry.physical_name, &entry.fak);
+        }
+        self.session.lock().disconnect(&entry.name);
         Ok(())
     }
 
@@ -1765,12 +1585,7 @@ impl<D: BlockDevice> StegFs<D> {
         parent: &DirectoryEntry,
         child_name: &str,
     ) -> StegResult<DirectoryEntry> {
-        if parent.kind != ObjectKind::Directory {
-            return Err(StegError::WrongObjectKind {
-                name: parent.name.clone(),
-                expected: ObjectKind::Directory,
-            });
-        }
+        require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
         let pidx = shard_index(&parent.physical_name, self.object_locks.len());
         loop {
             let pguard = self.object_guard_at(pidx);
@@ -1816,22 +1631,12 @@ impl<D: BlockDevice> StegFs<D> {
         _child_shard: Option<TimedMutexGuard<'_, ()>>,
     ) -> StegResult<DirectoryEntry> {
         let child_keys = self.keys_for(&child.physical_name, &child.fak);
-        let child_obj = hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params)?;
-        if child.kind == ObjectKind::Directory {
-            self.ensure_hidden_dir_empty(&child_keys, &child_obj, &child.name)?;
-        }
+        let child_obj = self.open_for_removal(&child, &child_keys)?;
 
         // Unpublish, then destroy.
         children.remove(&child.name);
         self.save_listing_locked(parent, &children)?;
-        let mut rng = self.fork_rng();
-        let result = hidden::delete(&self.fs, &child_keys, &child_obj, &mut rng);
-        self.forget_object(&child.physical_name, &child.fak, &child_keys);
-        result?;
-        if child.kind == ObjectKind::Directory {
-            self.delete_shadow_listing(&child.physical_name, &child.fak);
-        }
-        self.session.lock().disconnect(&child.name);
+        self.destroy_entry(&child, &child_keys, &child_obj)?;
         Ok(child)
     }
 
@@ -1845,12 +1650,7 @@ impl<D: BlockDevice> StegFs<D> {
         old: &str,
         new: &str,
     ) -> StegResult<()> {
-        if parent.kind != ObjectKind::Directory {
-            return Err(StegError::WrongObjectKind {
-                name: parent.name.clone(),
-                expected: ObjectKind::Directory,
-            });
-        }
+        require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
         if new.is_empty() || new.contains('\0') || new.contains('\u{1}') {
             return Err(StegError::InvalidName(new.to_string()));
         }
@@ -1934,7 +1734,13 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Revoke a previously shared object: re-key it under a fresh FAK (and a
     /// fresh physical name) so that recipients of the old `(name, FAK)` pair
-    /// lose access, as described at the end of §3.2.
+    /// lose access, as described at the end of §3.2.  The replacement keeps
+    /// the object's durability policy.
+    ///
+    /// The old object is destroyed before the new binding is published, in
+    /// two transactions: an interruption between them leaves the name bound
+    /// to an object that is gone (the window [`Self::delete_hidden`] no
+    /// longer has).  Closing it needs both steps in one transaction.
     pub fn revoke_sharing(&self, objname: &str, uak: &str) -> StegResult<()> {
         let uak_keys = self.uak_keys(uak);
         let _uak_lock = self.uak_guard(uak);
@@ -1945,10 +1751,11 @@ impl<D: BlockDevice> StegFs<D> {
 
         // Read the current contents with the old key.
         let old_keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let data = {
+        let old_io = self.object_io(&old_keys);
+        let (data, policy) = {
             let _obj_lock = self.object_guard(&entry.physical_name);
-            let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
-            hidden::read(&self.fs, &old_keys, &old_obj)?
+            let old_obj = old_io.open(&entry.physical_name)?;
+            (old_io.read(&old_obj)?, old_obj.header.policy)
         };
 
         // Create the replacement under a fresh FAK and physical name.
@@ -1956,29 +1763,17 @@ impl<D: BlockDevice> StegFs<D> {
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision);
         let new_keys = self.keys_for(&physical_name, &fak);
-        let mut new_obj = hidden::create(
-            &self.fs,
-            &physical_name,
-            &new_keys,
-            entry.kind,
-            &self.params,
-        )?;
+        let new_io = self.object_io(&new_keys);
+        let mut new_obj = new_io.create(&physical_name, entry.kind, policy)?;
         let mut rng = self.fork_rng();
-        hidden::write(
-            &self.fs,
-            &new_keys,
-            &mut new_obj,
-            &data,
-            &self.params,
-            &mut rng,
-        )?;
+        new_io.write(&mut new_obj, &data, &mut rng)?;
 
         // Destroy the old object, invalidating every outstanding copy of the
         // old FAK.
         {
             let _obj_lock = self.object_guard(&entry.physical_name);
-            let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
-            let result = hidden::delete(&self.fs, &old_keys, &old_obj, &mut rng);
+            let old_obj = old_io.open(&entry.physical_name)?;
+            let result = old_io.delete(&old_obj, &mut rng);
             self.forget_object(&entry.physical_name, &entry.fak, &old_keys);
             result?;
         }
@@ -2379,13 +2174,8 @@ mod tests {
             .unwrap();
         // Nest a grandchild through the entry-based API.
         let child_dir_keys = fs.keys_for(&sub.physical_name, &sub.fak);
-        let mut sub_obj = hidden::open(
-            fs.plain_fs(),
-            &sub.physical_name,
-            &child_dir_keys,
-            fs.params(),
-        )
-        .unwrap();
+        let sub_io = fs.object_io(&child_dir_keys);
+        let mut sub_obj = sub_io.open(&sub.physical_name).unwrap();
         let mut listing = UakDirectory::new();
         listing
             .insert(DirectoryEntry {
@@ -2396,15 +2186,9 @@ mod tests {
             })
             .unwrap();
         let mut rng = stegfs_crypto::prng::DeterministicRng::new(b"t");
-        hidden::write(
-            fs.plain_fs(),
-            &child_dir_keys,
-            &mut sub_obj,
-            &listing.serialize(),
-            fs.params(),
-            &mut rng,
-        )
-        .unwrap();
+        sub_io
+            .write(&mut sub_obj, &listing.serialize(), &mut rng)
+            .unwrap();
 
         assert!(matches!(
             fs.delete_in_hidden_dir("vault", "sub", UAK),
@@ -2499,6 +2283,43 @@ mod tests {
             .read_hidden_with_key("contract", recipient_uak)
             .unwrap_err()
             .is_not_found());
+    }
+
+    #[test]
+    fn revocation_keeps_the_durability_policy() {
+        let fs = small_fs();
+        let policy = Policy::Disperse { m: 2, n: 3 };
+        fs.steg_create_with_policy("deed", UAK, ObjectKind::File, policy)
+            .unwrap();
+        let data: Vec<u8> = (0..7 * 1024 + 99u32).map(|i| (i % 241) as u8).collect();
+        fs.write_hidden_with_key("deed", UAK, &data).unwrap();
+        let old = fs.lookup_entry("deed", UAK).unwrap();
+
+        fs.revoke_sharing("deed", UAK).unwrap();
+
+        // The re-keyed object is still 2-of-3 ...
+        let new = fs.lookup_entry("deed", UAK).unwrap();
+        let new_keys = fs.keys_for(&new.physical_name, &new.fak);
+        let reopened = fs.object_io(&new_keys).open(&new.physical_name).unwrap();
+        assert_eq!(reopened.header.policy, policy);
+        // ... so it still absorbs `n - m` lost shares in every group ...
+        for (g, group) in fs
+            .hidden_share_extents("deed", UAK)
+            .unwrap()
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(group.len(), 3);
+            fs.plain_fs()
+                .write_raw_block(group[g % 3], &[0u8; 1024])
+                .unwrap();
+        }
+        fs.purge_read_caches();
+        assert_eq!(fs.read_hidden_with_key("deed", UAK).unwrap(), data);
+        // ... and the old (physical name, FAK) pair opens nothing.
+        let old_keys = fs.keys_for(&old.physical_name, &old.fak);
+        let stale = fs.object_io(&old_keys).open(&old.physical_name);
+        assert!(stale.unwrap_err().is_not_found());
     }
 
     #[test]
@@ -2923,7 +2744,7 @@ mod tests {
         fs.write_hidden_with_key("meta.dat", UAK, &data).unwrap();
         let entry = fs.lookup_entry("meta.dat", UAK).unwrap();
         let keys = fs.keys_for(&entry.physical_name, &entry.fak);
-        let obj = hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params()).unwrap();
+        let obj = fs.object_io(&keys).open(&entry.physical_name).unwrap();
         let victims = [obj.header.header_replicas[0], obj.header.inode_chain];
         let before = raw_bytes(&fs, &victims);
         for (i, &v) in victims.iter().enumerate() {
@@ -3020,12 +2841,8 @@ mod tests {
         // Destroy every header replica of the directory object: damage past
         // the metadata redundancy, so the listing is unreachable by key.
         let keys = fs.keys_for(&parent.physical_name, &parent.fak);
-        let obj = hidden::open(fs.plain_fs(), &parent.physical_name, &keys, fs.params()).unwrap();
-        let headers = if obj.header.header_replicas.is_empty() {
-            vec![obj.header_block]
-        } else {
-            obj.header.header_replicas.clone()
-        };
+        let obj = fs.object_io(&keys).open(&parent.physical_name).unwrap();
+        let headers = obj.header_blocks().to_vec();
         for (i, &h) in headers.iter().enumerate() {
             smash_raw(&fs, h, i as u8);
         }
@@ -3045,21 +2862,13 @@ mod tests {
         // re-links the survivor and reports the dangling child by name.
         let b = listing.find("b").cloned().unwrap();
         let b_keys = fs.keys_for(&b.physical_name, &b.fak);
-        let b_obj = hidden::open(fs.plain_fs(), &b.physical_name, &b_keys, fs.params()).unwrap();
-        let b_headers = if b_obj.header.header_replicas.is_empty() {
-            vec![b_obj.header_block]
-        } else {
-            b_obj.header.header_replicas.clone()
-        };
+        let b_obj = fs.object_io(&b_keys).open(&b.physical_name).unwrap();
+        let b_headers = b_obj.header_blocks().to_vec();
         for (i, &h) in b_headers.iter().enumerate() {
             smash_raw(&fs, h, 0x40 + i as u8);
         }
-        let obj = hidden::open(fs.plain_fs(), &parent.physical_name, &keys, fs.params()).unwrap();
-        let headers = if obj.header.header_replicas.is_empty() {
-            vec![obj.header_block]
-        } else {
-            obj.header.header_replicas.clone()
-        };
+        let obj = fs.object_io(&keys).open(&parent.physical_name).unwrap();
+        let headers = obj.header_blocks().to_vec();
         for (i, &h) in headers.iter().enumerate() {
             smash_raw(&fs, h, 0x80 + i as u8);
         }

@@ -239,8 +239,7 @@ mod tests {
         // Destroy every header replica of the interior directory "d":
         // damage past its metadata redundancy, so it cannot even be opened.
         let keys = fs.keys_for(&d.physical_name, &d.fak);
-        let obj =
-            stegfs_core::hidden::open(fs.plain_fs(), &d.physical_name, &keys, fs.params()).unwrap();
+        let obj = fs.object_io(&keys).open(&d.physical_name).unwrap();
         let dev = fs.plain_fs().device().clone();
         for &h in &obj.header.header_replicas {
             dev.zero_block(h).unwrap();
@@ -279,9 +278,7 @@ mod tests {
         let dev = fs.plain_fs().device().clone();
         for entry in [&d, &gone] {
             let keys = fs.keys_for(&entry.physical_name, &entry.fak);
-            let obj =
-                stegfs_core::hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params())
-                    .unwrap();
+            let obj = fs.object_io(&keys).open(&entry.physical_name).unwrap();
             for &h in &obj.header.header_replicas {
                 dev.zero_block(h).unwrap();
             }

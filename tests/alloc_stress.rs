@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread;
 use stegfs_blockdev::MemBlockDevice;
 use stegfs_core::crypt::ObjectKeys;
-use stegfs_core::{hidden, ObjectKind, StegFs, StegParams};
+use stegfs_core::{ObjectKind, StegFs, StegParams};
 use stegfs_tests::payload;
 
 /// Parameters with a *deterministic* free-pool size (`FB_min == FB_max`), so
@@ -71,8 +71,8 @@ fn live_owned_blocks(fs: &StegFs<MemBlockDevice>, uaks: &[String]) -> HashMap<u6
     let mut owner_of: HashMap<u64, String> = HashMap::new();
     let mut claim = |fs: &StegFs<MemBlockDevice>, label: String, physical: &str, key: &[u8]| {
         let keys = ObjectKeys::derive(physical, key);
-        let obj = hidden::open(fs.plain_fs(), physical, &keys, fs.params()).unwrap();
-        for b in hidden::owned_blocks(fs.plain_fs(), &keys, &obj).unwrap() {
+        let io = fs.object_io(&keys);
+        for b in io.owned_blocks(&io.open(physical).unwrap()).unwrap() {
             assert!(
                 fs.plain_fs().is_block_allocated(b),
                 "{label}: owned block {b} not marked allocated"

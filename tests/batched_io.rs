@@ -18,7 +18,9 @@ use stegfs_blockdev::{
     MemBlockDevice, MeteredDevice, RetryDevice, SharedDevice, SimDisk,
 };
 use stegfs_core::crypt::ObjectKeys;
-use stegfs_core::{hidden, ObjectKind, StegParams};
+use stegfs_core::hidden::ObjectIo;
+use stegfs_core::readcache::ReadCache;
+use stegfs_core::{ObjectKind, Policy, StegParams};
 use stegfs_crypto::prng::DeterministicRng;
 use stegfs_fs::{FormatOptions, PlainFs};
 
@@ -217,14 +219,17 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
     let keys = ObjectKeys::derive("batched", b"fak");
     let params = StegParams::for_tests();
     let mut rng = DeterministicRng::new(b"batched-io");
-    let mut obj = hidden::create(&fs, "batched", &keys, ObjectKind::File, &params).unwrap();
+    let io = ObjectIo::new(&fs, &params, ReadCache::disabled(), &keys);
+    let mut obj = io
+        .create("batched", ObjectKind::File, Policy::Plain)
+        .unwrap();
     let data = vec![0x3cu8; OBJECT_BLOCKS * 1024];
-    hidden::write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+    io.write(&mut obj, &data, &mut rng).unwrap();
 
     // Rewrite: 16 data blocks in ONE submission, one chain block and the
     // header as further submissions, and the old chain read as one single.
     stats.reset();
-    hidden::write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+    io.write(&mut obj, &data, &mut rng).unwrap();
     let s = stats.snapshot();
     assert_eq!(s.writes, 18, "16 data + 1 chain + 1 header: {s:?}");
     assert_eq!(
@@ -235,7 +240,7 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
     // Read: one single for the chain block, ONE batch for all 16 data
     // blocks.
     stats.reset();
-    assert_eq!(hidden::read(&fs, &keys, &obj).unwrap(), data);
+    assert_eq!(io.read(&obj).unwrap(), data);
     let s = stats.snapshot();
     assert_eq!(s.reads, 17, "1 chain + 16 data: {s:?}");
     assert_eq!(

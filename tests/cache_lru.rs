@@ -13,12 +13,10 @@
 //! eviction mechanism that reproduces it chose every victim the same way.
 
 use std::sync::{Arc, Mutex};
-use stegfs_blockdev::{
-    BlockDevice, BlockId, BlockResult, BufferCache, IoStats, MemBlockDevice, MeteredDevice,
-};
+use stegfs_blockdev::{BlockDevice, BufferCache, IoStats, MemBlockDevice, MeteredDevice};
 use stegfs_core::StegParams;
 use stegfs_crypto::sha256::{sha256, Sha256};
-use stegfs_tests::{journaled_params, payload};
+use stegfs_tests::{journaled_params, payload, Tape};
 use stegfs_vfs::{OpenOptions, SessionId, Vfs};
 
 const OWNER: &str = "the real key";
@@ -29,52 +27,6 @@ const BUFFER_CACHE_BLOCKS: usize = 64;
 /// [`run_script`], recorded at the last commit whose caches evicted by
 /// tick + min-scan.
 const PINNED: &str = "2cccb419ad462d56d77f62252518939edd513bdd227d50e1e3723274dadef57b";
-
-/// The device under the cache: hashes what it is asked, in order.
-struct Tape {
-    mem: MemBlockDevice,
-    traffic: Arc<Mutex<Sha256>>,
-}
-
-impl Tape {
-    fn record(&self, kind: u8, blocks: &[BlockId]) {
-        let mut sha = self.traffic.lock().unwrap();
-        sha.update(&[kind]);
-        sha.update(&(blocks.len() as u64).to_be_bytes());
-        for b in blocks {
-            sha.update(&b.to_be_bytes());
-        }
-    }
-}
-
-impl BlockDevice for Tape {
-    fn block_size(&self) -> usize {
-        self.mem.block_size()
-    }
-    fn total_blocks(&self) -> u64 {
-        self.mem.total_blocks()
-    }
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-        self.record(b'r', &[block]);
-        self.mem.read_block(block, buf)
-    }
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-        self.record(b'w', &[block]);
-        self.mem.write_block(block, buf)
-    }
-    fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
-        self.record(b'R', blocks);
-        self.mem.read_blocks(blocks, buf)
-    }
-    fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-        self.record(b'W', blocks);
-        self.mem.write_blocks(blocks, buf)
-    }
-    fn flush(&self) -> BlockResult<()> {
-        self.record(b'F', &[]);
-        self.mem.flush()
-    }
-}
 
 type Disk = MeteredDevice<Tape>;
 type Stack = Vfs<BufferCache<Disk>>;

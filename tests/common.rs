@@ -2,8 +2,10 @@
 
 #![forbid(unsafe_code)]
 
-use stegfs_blockdev::MemBlockDevice;
+use std::sync::{Arc, Mutex};
+use stegfs_blockdev::{BlockDevice, BlockId, BlockResult, MemBlockDevice};
 use stegfs_core::{Policy, StegFs, StegParams};
+use stegfs_crypto::sha256::Sha256;
 
 /// Parameters small enough for integration tests but with every feature
 /// (abandoned blocks, dummy files, random fill) switched on, so the tests
@@ -59,4 +61,53 @@ pub fn payload(seed: u64, len: usize) -> Vec<u8> {
     let mut data = vec![0u8; len];
     rng.fill(&mut data);
     data
+}
+
+/// A device that hashes what it is asked, in order — kind and block list of
+/// every submission — for the tests that pin a stack's ordered traffic.
+pub struct Tape {
+    /// The backing store.
+    pub mem: MemBlockDevice,
+    /// Running digest of the traffic seen so far.
+    pub traffic: Arc<Mutex<Sha256>>,
+}
+
+impl Tape {
+    fn record(&self, kind: u8, blocks: &[BlockId]) {
+        let mut sha = self.traffic.lock().unwrap();
+        sha.update(&[kind]);
+        sha.update(&(blocks.len() as u64).to_be_bytes());
+        for b in blocks {
+            sha.update(&b.to_be_bytes());
+        }
+    }
+}
+
+impl BlockDevice for Tape {
+    fn block_size(&self) -> usize {
+        self.mem.block_size()
+    }
+    fn total_blocks(&self) -> u64 {
+        self.mem.total_blocks()
+    }
+    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+        self.record(b'r', &[block]);
+        self.mem.read_block(block, buf)
+    }
+    fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+        self.record(b'w', &[block]);
+        self.mem.write_block(block, buf)
+    }
+    fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
+        self.record(b'R', blocks);
+        self.mem.read_blocks(blocks, buf)
+    }
+    fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+        self.record(b'W', blocks);
+        self.mem.write_blocks(blocks, buf)
+    }
+    fn flush(&self) -> BlockResult<()> {
+        self.record(b'F', &[]);
+        self.mem.flush()
+    }
 }

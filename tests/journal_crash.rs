@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use stegfs_blockdev::{BufferCache, CrashDevice, MemBlockDevice};
 use stegfs_core::crypt::ObjectKeys;
-use stegfs_core::{hidden, ObjectKind, StegFs, StegParams};
+use stegfs_core::{ObjectKind, StegFs, StegParams};
 use stegfs_tests::{journaled_params, payload};
 
 const OWNER: &str = "crash-harness key";
@@ -193,6 +193,18 @@ fn read_hidden(fs: &Stack, name: &str) -> Result<Vec<u8>, stegfs_core::StegError
     fs.read_hidden_with_key(name, OWNER)
 }
 
+/// No ghost names: every name the UAK directory lists must open and read.
+/// Returns the listed names.
+fn assert_listed_names_open(fs: &Stack) -> Vec<String> {
+    let listed = fs.list_hidden(OWNER).unwrap();
+    for (name, _) in &listed {
+        if let Err(e) = read_hidden(fs, name) {
+            panic!("{name} is listed but cannot be read: {e}");
+        }
+    }
+    listed.into_iter().map(|(name, _)| name).collect()
+}
+
 /// Owned-block accounting: every live object's blocks (data, chain, header,
 /// free pool) must be allocated and owned exactly once, disjoint from every
 /// plain block and from the metadata + journal regions.
@@ -205,14 +217,15 @@ fn assert_no_double_ownership(fs: &Stack) {
     }
     let mut claim = |physical: &str, key: &[u8], label: String| {
         let keys = ObjectKeys::derive(physical, key);
-        let obj = match hidden::open(fs.plain_fs(), physical, &keys, fs.params()) {
+        let io = fs.object_io(&keys);
+        let obj = match io.open(physical) {
             Ok(obj) => obj,
             // The object (e.g. the UAK directory before any hidden create
             // committed) does not exist — nothing to claim.
             Err(e) if e.is_not_found() => return,
             Err(e) => panic!("{label}: open failed: {e}"),
         };
-        for b in hidden::owned_blocks(fs.plain_fs(), &keys, &obj).unwrap() {
+        for b in io.owned_blocks(&obj).unwrap() {
             assert!(
                 fs.plain_fs().is_block_allocated(b),
                 "{label}: owned block {b} not marked allocated"
@@ -323,6 +336,10 @@ proptest! {
                 );
             }
         }
+
+        // No interrupted operation — a delete least of all — leaves a name
+        // that lists but does not open.
+        assert_listed_names_open(&fs);
 
         // The allocator owns every live block exactly once.
         assert_no_double_ownership(&fs);
@@ -475,6 +492,53 @@ fn torn_hidden_rewrite_preserves_old_contents() {
     }
 }
 
+/// An interrupted `delete_hidden` never wedges the name.  The delete is two
+/// committed transactions — unpublish the name, then destroy the object — so
+/// the device is made to die at every write of the sequence in turn; whichever
+/// prefix survived, every name the directory still lists reads back, and every
+/// name it no longer lists is free to be created again.  (In the opposite
+/// order a crash between the two left `budget` listed, unreadable,
+/// `AlreadyExists` to `steg_create` and `NotFound` to `delete_hidden`.)
+#[test]
+fn interrupted_delete_never_leaves_a_ghost_name() {
+    let keep = payload(11, 6 * 1024);
+    let budget = payload(12, 20 * 1024);
+    for trip in 0u64.. {
+        let dev = CrashDevice::new(MemBlockDevice::new(1024, 2048));
+        let fs = StegFs::format(
+            BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
+            params(),
+        )
+        .unwrap();
+        for (name, data) in [("keep", &keep), ("budget", &budget)] {
+            fs.steg_create(name, OWNER, ObjectKind::File).unwrap();
+            fs.write_hidden_with_key(name, OWNER, data).unwrap();
+        }
+        fs.sync().unwrap();
+
+        dev.fail_after_writes(trip);
+        let completed = fs.delete_hidden("budget", OWNER).is_ok();
+        drop(fs);
+        dev.crash(0x6e05 ^ trip);
+
+        let fs = mount_stack(&dev);
+        let listed = assert_listed_names_open(&fs);
+        assert_eq!(read_hidden(&fs, "keep").unwrap(), keep, "trip {trip}");
+        if listed.iter().any(|name| name == "budget") {
+            assert!(!completed, "trip {trip}: a completed delete rolled back");
+            assert_eq!(read_hidden(&fs, "budget").unwrap(), budget, "trip {trip}");
+        } else {
+            fs.steg_create("budget", OWNER, ObjectKind::File)
+                .unwrap_or_else(|e| panic!("trip {trip}: unlisted name not creatable: {e}"));
+        }
+        assert_no_double_ownership(&fs);
+        if completed {
+            assert!(trip > 2, "the delete never met the trip wire");
+            return;
+        }
+    }
+}
+
 /// Crash-consistency for the self-healing paths: an in-place repair — the
 /// online read-repair drain rewriting damaged shares and metadata replicas
 /// — interrupted at an arbitrary write must replay all-or-nothing.  After
@@ -509,7 +573,7 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
         }
         let entry = fs.lookup_entry("heal", OWNER).unwrap();
         let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
-        let obj = hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params()).unwrap();
+        let obj = fs.object_io(&keys).open(&entry.physical_name).unwrap();
         fs.plain_fs()
             .write_raw_block(obj.header.header_replicas[1], &junk)
             .unwrap();

@@ -78,20 +78,8 @@ fn destroy_shares(fs: &CodedVolume, name: &str, losses: usize, seed: u64) -> usi
 fn metadata_groups(fs: &CodedVolume, name: &str) -> Vec<Vec<u64>> {
     let entry = fs.lookup_entry(name, OWNER).expect("entry");
     let keys = stegfs_core::crypt::ObjectKeys::derive(&entry.physical_name, &entry.fak);
-    let obj = stegfs_core::hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params())
-        .expect("open");
-    let mut groups = Vec::new();
-    if obj.header.header_replicas.is_empty() {
-        groups.push(vec![obj.header_block]);
-    } else {
-        groups.push(obj.header.header_replicas.clone());
-    }
-    if obj.header.inode_chain != stegfs_core::header::NO_BLOCK {
-        let mut chain = vec![obj.header.inode_chain];
-        chain.extend(obj.header.chain_replicas.iter().copied());
-        groups.push(chain);
-    }
-    groups
+    let obj = fs.object_io(&keys).open(&entry.physical_name);
+    obj.expect("open").metadata_groups()
 }
 
 /// Destroy `losses` pseudorandomly chosen replicas in every metadata group
