@@ -4,9 +4,9 @@
 //!
 //! The field is GF(2)\[x\] / (x⁸ + x⁴ + x³ + x + 1), i.e. the AES polynomial
 //! 0x11b.  Scalar multiplication uses log/antilog tables built at compile
-//! time; bulk coding multiplies a whole slice by one coefficient through a
-//! 256-entry [`product_row`], which needs neither the zero test nor the two
-//! table loads of the scalar form.
+//! time and is what builds and inverts the coding matrices here; the bulk
+//! work — a whole slice times one matrix coefficient — is
+//! [`stegfs_crypto::gf256::Multiplier`], over the same field.
 
 /// The reduction polynomial (x⁸ + x⁴ + x³ + x + 1).
 const POLY: u16 = 0x11b;
@@ -71,13 +71,6 @@ pub fn mul(a: u8, b: u8) -> u8 {
         return 0;
     }
     TABLES.exp[TABLES.log[a as usize] as usize + TABLES.log[b as usize] as usize]
-}
-
-/// Every multiple of `c`: `product_row(c)[x] == mul(c, x)`.  One row per
-/// matrix coefficient turns a slice-wide multiply-accumulate into one table
-/// load and one XOR per byte.
-pub fn product_row(c: u8) -> [u8; 256] {
-    std::array::from_fn(|x| mul(c, x as u8))
 }
 
 /// Multiplicative inverse.
@@ -279,16 +272,6 @@ mod tests {
             .map(|&x| (0..3).map(|i| pow(x, i as u32)).collect())
             .collect();
         assert_eq!(solve(&matrix, &ys).unwrap(), coeffs.to_vec());
-    }
-
-    #[test]
-    fn product_rows_match_scalar_mul() {
-        for c in 0..=255u8 {
-            let row = product_row(c);
-            for x in 0..=255u8 {
-                assert_eq!(row[x as usize], mul_slow(c, x), "{c} * {x}");
-            }
-        }
     }
 
     #[test]

@@ -12,29 +12,44 @@
 //! Storage blow-up is `n / m` (compared with `r` for `r`-way replication),
 //! which is where Mnemosyne's space advantage over plain StegRand comes from.
 //!
-//! Both directions run slice at a time.  The `n × m` Vandermonde encode
-//! matrix (one row per share) is fixed by `(m, n)` and built with the codec;
-//! the `m × m` decode matrix is its inverse restricted to the shares at hand
-//! and built once per share-index subset (a [`Decoder`]).  Every matrix
-//! coefficient is held as a 256-entry [`gf256::product_row`], so encoding a
-//! share — or decoding one coefficient position — is a handful of
-//! multiply-accumulate passes over whole slices: one table load and one XOR
-//! per byte, nothing allocated per byte tuple.
+//! Both directions are a matrix product over planes.  The `n × m`
+//! Vandermonde encode matrix (one row per share) is fixed by `(m, n)` and
+//! built with the codec; the `m × m` decode matrix is its inverse restricted
+//! to the shares at hand and built once per share-index subset (a
+//! [`Decoder`]).  Every matrix coefficient is held as a [`Multiplier`].  The
+//! data is taken a strip at a time: its `m`-byte tuples are de-interleaved
+//! into `m` contiguous planes — the layout shares already have — so that
+//! each coefficient is one `dst[k] ^= c · src[k]` pass over contiguous bytes
+//! (two `vpshufb` per 32 bytes where the CPU has AVX2, one table load per
+//! byte elsewhere; see [`stegfs_crypto::gf256`]), and decoded planes are
+//! interleaved back.  The planes of a strip live in a fixed block on the
+//! stack that is wiped before it is given up: nothing is allocated per call
+//! and no plaintext stays behind.
 
 use crate::gf256;
 use crate::{BaselineError, BaselineResult};
+use std::ops::Range;
+use stegfs_crypto::ct::zeroize;
+use stegfs_crypto::gf256::{deinterleave, interleave, Multiplier};
 
-/// All multiples of one matrix coefficient.
-type Row = [u8; 256];
+/// Stack bytes the `m` planes of one strip share: small enough to stay in
+/// the L1 cache next to the shares it is coded against, and still a whole
+/// 32-byte vector per plane at `m = 255`.
+const STRIP_BYTES: usize = 8192;
+
+/// Tuples per strip, i.e. bytes per plane: whole 32-byte vectors.
+fn strip_tuples(m: usize) -> usize {
+    (STRIP_BYTES / m) & !31
+}
 
 /// An (m, n) information dispersal codec.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Ida {
     m: usize,
     n: usize,
-    /// Product rows of the Vandermonde matrix, share-major: entry
-    /// `j * m + i` multiplies by `(j + 1)^i`.
-    encode: Vec<Row>,
+    /// The Vandermonde matrix, share-major: entry `j * m + i` multiplies by
+    /// `(j + 1)^i`.
+    encode: Vec<Multiplier>,
 }
 
 impl std::fmt::Debug for Ida {
@@ -58,9 +73,9 @@ pub struct Share {
 /// The decode matrix for one subset of share indices (see [`Ida::decoder`]).
 pub struct Decoder {
     indices: Vec<u8>,
-    /// Product rows of the inverted Vandermonde submatrix: entry `i * m + k`
-    /// is the weight of share `indices[k]` in coefficient position `i`.
-    decode: Vec<Row>,
+    /// The inverted Vandermonde submatrix: entry `i * m + k` is the weight
+    /// of share `indices[k]` in coefficient position `i`.
+    decode: Vec<Multiplier>,
 }
 
 /// `[1, x, x², …, x^(m-1)]`: the Vandermonde row of evaluation point `x`.
@@ -83,7 +98,7 @@ impl Ida {
         }
         let encode = (1..=n as u8)
             .flat_map(|x| vandermonde_row(x, m))
-            .map(gf256::product_row)
+            .map(Multiplier::new)
             .collect();
         Ok(Ida { m, n, encode })
     }
@@ -106,16 +121,16 @@ impl Ida {
     /// Split `data` into `n` shares.
     pub fn split(&self, data: &[u8]) -> Vec<Share> {
         let share_len = data.len().div_ceil(self.m);
-        (0..self.n)
-            .map(|j| {
-                let mut share = vec![0u8; share_len];
-                self.encode_share(j, data, &mut share);
-                Share {
-                    index: (j + 1) as u8,
-                    data: share,
-                }
+        let mut shares: Vec<Share> = (1..=self.n as u8)
+            .map(|index| Share {
+                index,
+                data: vec![0u8; share_len],
             })
-            .collect()
+            .collect();
+        self.for_each_strip(data, |at, planes| {
+            self.encode_strip(planes, shares.iter_mut().map(|s| &mut s.data[at.clone()]));
+        });
+        shares
     }
 
     /// Split `data` into `n` equally long shares written back to back into
@@ -137,21 +152,34 @@ impl Ida {
         if share_len == 0 {
             return;
         }
-        for (j, share) in out.chunks_exact_mut(share_len).enumerate() {
-            share.fill(0);
-            self.encode_share(j, data, share);
-        }
+        out.fill(0);
+        self.for_each_strip(data, |at, planes| {
+            let shares = out.chunks_exact_mut(share_len);
+            self.encode_strip(planes, shares.map(|s| &mut s[at.clone()]));
+        });
     }
 
-    /// Accumulate share `j` of `data` into the zeroed `share`: one pass per
-    /// coefficient position `i`, adding `(j + 1)^i · data[g·m + i]` to byte
-    /// `g`.  Bytes past the end of `data` are zero and add nothing.
-    fn encode_share(&self, j: usize, data: &[u8], share: &mut [u8]) {
-        let rows = &self.encode[j * self.m..(j + 1) * self.m];
-        for (i, row) in rows.iter().enumerate() {
-            let coeffs = data.iter().skip(i).step_by(self.m);
-            for (acc, &c) in share.iter_mut().zip(coeffs) {
-                *acc ^= row[c as usize];
+    /// De-interleave `data` a strip at a time and hand `each` the strip's
+    /// `m` planes, back to back, with the range of every share they code.
+    /// A last, short tuple reads as zero padded.
+    fn for_each_strip(&self, data: &[u8], mut each: impl FnMut(Range<usize>, &[u8])) {
+        let tuples = strip_tuples(self.m);
+        let mut scratch = [0u8; STRIP_BYTES];
+        for (strip, chunk) in data.chunks(self.m * tuples).enumerate() {
+            let len = chunk.len().div_ceil(self.m);
+            let planes = &mut scratch[..self.m * len];
+            deinterleave(chunk, self.m, planes);
+            each(strip * tuples..strip * tuples + len, planes);
+        }
+        zeroize(&mut scratch);
+    }
+
+    /// Accumulate one strip into its (zeroed) range of every share, given in
+    /// share order: plane `i` adds `(j + 1)^i` times itself to share `j`.
+    fn encode_strip<'a>(&self, planes: &[u8], shares: impl Iterator<Item = &'a mut [u8]>) {
+        for (share, row) in shares.zip(self.encode.chunks_exact(self.m)) {
+            for (weight, plane) in row.iter().zip(planes.chunks_exact(share.len())) {
+                weight.mul_acc(share, plane);
             }
         }
     }
@@ -228,11 +256,7 @@ impl Decoder {
         let inverse = gf256::invert(&matrix).expect("distinct evaluation points");
         Decoder {
             indices: indices.to_vec(),
-            decode: inverse
-                .into_iter()
-                .flatten()
-                .map(gf256::product_row)
-                .collect(),
+            decode: inverse.into_iter().flatten().map(Multiplier::new).collect(),
         }
     }
 
@@ -254,17 +278,26 @@ impl Decoder {
             )));
         }
         check_lengths(&self.indices, shares, out.len())?;
-        // One pass per (coefficient position, share) pair: byte `g·m + i` of
-        // the data collects `decode[i][k] · shares[k][g]`.
-        out.fill(0);
-        for (i, rows) in self.decode.chunks_exact(m).enumerate() {
-            for (row, share) in rows.iter().zip(shares) {
-                let coeffs = out.iter_mut().skip(i).step_by(m);
-                for (acc, &s) in coeffs.zip(share.iter()) {
-                    *acc ^= row[s as usize];
+        // A strip at a time: plane `i` of the data collects
+        // `decode[i][k] · shares[k]`, and the planes interleave into `out`.
+        let tuples = strip_tuples(m);
+        let mut scratch = [0u8; STRIP_BYTES];
+        for (strip, chunk) in out.chunks_mut(m * tuples).enumerate() {
+            let len = chunk.len().div_ceil(m);
+            let at = strip * tuples..strip * tuples + len;
+            let planes = &mut scratch[..m * len];
+            planes.fill(0);
+            for (plane, row) in planes
+                .chunks_exact_mut(len)
+                .zip(self.decode.chunks_exact(m))
+            {
+                for (weight, share) in row.iter().zip(shares) {
+                    weight.mul_acc(plane, &share[at.clone()]);
                 }
             }
+            interleave(planes, m, chunk);
         }
+        zeroize(&mut scratch);
         Ok(())
     }
 }
@@ -388,6 +421,64 @@ mod tests {
         ida.split_into(&data, &mut out);
         for (share, expected) in out.chunks_exact(share_len).zip(ida.split(&padded)) {
             assert_eq!(share, &expected.data[..]);
+        }
+    }
+
+    #[test]
+    fn several_strips_and_a_ragged_last_one_match_the_oracle() {
+        for (m, n) in [(2usize, 3usize), (3, 5), (5, 7)] {
+            let ida = Ida::new(m, n).unwrap();
+            let data = sample_data(100_000);
+            assert!(data.len() > 2 * STRIP_BYTES);
+            assert!(!data.len().is_multiple_of(m * strip_tuples(m)));
+            let shares = ida.split(&data);
+            assert_eq!(shares, split_per_byte(m, n, &data), "split ({m},{n})");
+            let mut flat = vec![0xa5u8; n * data.len().div_ceil(m)];
+            ida.split_into(&data, &mut flat);
+            let joined: Vec<u8> = shares.iter().flat_map(|s| s.data.clone()).collect();
+            assert_eq!(flat, joined, "split_into ({m},{n})");
+            let last = &shares[n - m..];
+            let rebuilt = ida.reconstruct(last, data.len()).unwrap();
+            assert_eq!(rebuilt, data, "({m},{n})");
+            assert_eq!(rebuilt, reconstruct_per_byte(m, last, data.len()));
+        }
+    }
+
+    #[test]
+    fn shares_around_one_vector_match_the_oracle() {
+        // One byte, a vector less one and a vector plus one per share: the
+        // multiply's ragged tail with and without a whole vector before it.
+        for share_len in [1usize, 31, 33] {
+            for (m, n) in [(2usize, 3usize), (3, 5), (5, 7)] {
+                let ida = Ida::new(m, n).unwrap();
+                // The last tuple full, and one byte short of it.
+                for len in [share_len * m, share_len * m - 1] {
+                    let data = sample_data(len);
+                    let shares = ida.split(&data);
+                    assert!(shares.iter().all(|s| s.data.len() == share_len));
+                    assert_eq!(shares, split_per_byte(m, n, &data), "({m},{n}) len {len}");
+                    let first = &shares[..m];
+                    let rebuilt = ida.reconstruct(first, len).unwrap();
+                    assert_eq!(rebuilt, data, "({m},{n}) len {len}");
+                    assert_eq!(rebuilt, reconstruct_per_byte(m, first, len));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_into_pads_long_shares_past_several_strips() {
+        // Shares longer than ceil(len / m), the data itself several strips:
+        // what the strips never reach must still read as zero padding.
+        let ida = Ida::new(2, 3).unwrap();
+        let data = sample_data(20_001);
+        let share_len = 10_040;
+        let mut out = vec![0xffu8; 3 * share_len];
+        ida.split_into(&data, &mut out);
+        for (share, expected) in out.chunks_exact(share_len).zip(split_per_byte(2, 3, &data)) {
+            let (coded, padding) = share.split_at(expected.data.len());
+            assert_eq!(coded, &expected.data[..]);
+            assert!(padding.iter().all(|&b| b == 0));
         }
     }
 

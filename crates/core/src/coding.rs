@@ -23,11 +23,15 @@
 //!   replication).
 //!
 //! **What it costs.**  One `GroupCodec` is built per operation and runs
-//! the slice-wise kernels of [`stegfs_baselines::ida`]: encoding is one
-//! table load and XOR per byte per share, decoding the same per byte per
-//! required share, straight between the batched block buffers and the
-//! caller's buffer — nothing is allocated or solved per byte tuple, and the
-//! decode matrix is inverted once per distinct subset of surviving shares.
+//! the plane kernels of [`stegfs_baselines::ida`]: a group's `m`-byte tuples
+//! are de-interleaved into `m` planes on the stack, and every share is `m`
+//! contiguous multiply-accumulate passes over them — two `vpshufb` per 32
+//! bytes where the CPU has AVX2, one table load and XOR per byte elsewhere
+//! ([`stegfs_crypto::gf256`]); decoding is the same `m` passes per plane
+//! and one interleave, straight between the batched block buffers and the
+//! caller's buffer — nothing is allocated or solved per byte tuple, the
+//! planes are wiped before the call returns, and the decode matrix is
+//! inverted once per distinct subset of surviving shares.
 //! An in-place patch decodes only the partially covered edge groups (see
 //! `ObjectIo::patch_coded`); groups it covers completely are re-encoded
 //! from the new bytes without reading a share.  What remains on top of a
@@ -160,8 +164,8 @@ pub(crate) fn share_checksum(share: &[u8]) -> u64 {
 
 /// The `(m, n)` codec of one coded operation over `block_size`-byte shares.
 ///
-/// Built once per read, write or repair: it owns the encode matrix's product
-/// rows, and remembers the decode matrix of the share subset it last
+/// Built once per read, write or repair: it owns the encode matrix's
+/// multipliers, and remembers the decode matrix of the share subset it last
 /// reconstructed from — every undamaged group of an object decodes from the
 /// same (primary) subset, so the matrix is inverted once per operation, not
 /// once per group.

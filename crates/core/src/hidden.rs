@@ -622,7 +622,12 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         );
         if !fetch.is_empty() {
             let mut buf = scratch::take(fetch.len() * bs);
-            self.fs.read_raw_blocks_into(&fetch, &mut buf)?;
+            if let Err(e) = self.fs.read_raw_blocks_into(&fetch, &mut buf) {
+                // `out` already holds the cache hits' plaintext.
+                scratch::put(buf);
+                scratch::put(out);
+                return Err(e.into());
+            }
             for (j, &block) in fetch.iter().enumerate() {
                 let chunk = &mut buf[j * bs..(j + 1) * bs];
                 keys.decrypt_block(block, chunk);
@@ -1656,16 +1661,21 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             let mut codec = GroupCodec::new(m, n, bs);
             let mut plain = scratch::take(m * bs);
             let mut shares = scratch::take(n * bs);
-            for g in (0..groups).filter(|&g| !bad[g].is_empty()) {
-                codec.reconstruct_group(&good[g], &mut plain)?;
-                codec.split_group(&plain, &mut shares);
-                for &j in &bad[g] {
-                    let share = nth_block(&shares, j, bs);
-                    self.write_encrypted(&mut txn, data_blocks[g * n + j], share)?;
+            let mut rebuild = || -> StegResult<()> {
+                for g in (0..groups).filter(|&g| !bad[g].is_empty()) {
+                    codec.reconstruct_group(&good[g], &mut plain)?;
+                    codec.split_group(&plain, &mut shares);
+                    for &j in &bad[g] {
+                        let share = nth_block(&shares, j, bs);
+                        self.write_encrypted(&mut txn, data_blocks[g * n + j], share)?;
+                    }
                 }
-            }
+                Ok(())
+            };
+            let rebuilt = rebuild();
             scratch::put(plain);
             scratch::put(shares);
+            rebuilt?;
             txn.commit()?;
             Ok(())
         };
@@ -1758,7 +1768,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::MemBlockDevice;
+    use stegfs_blockdev::{CrashDevice, FlakyDevice, MemBlockDevice};
     use stegfs_fs::{FormatOptions, PlainFs};
 
     /// The cache-bypassing, unobserved context of the object under `keys`.
@@ -2254,6 +2264,66 @@ mod tests {
         let mut after = vec![0u8; 3 * bs];
         fs.read_raw_blocks_into(&groups[0], &mut after).unwrap();
         assert_eq!(before, after, "lost repair must not write");
+    }
+
+    #[test]
+    fn failed_repair_write_returns_its_plaintext_scratch() {
+        let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+        let fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
+        let keys = ObjectKeys::derive("leak-repair", b"coded key");
+        let params = StegParams::for_tests();
+        let mut rng = DeterministicRng::new(b"hidden-tests");
+        let io = ObjectIo::new(&fs, &params, ReadCache::disabled(), &keys);
+        let policy = Policy::Disperse { m: 2, n: 3 };
+        let mut obj = io.create("leak-repair", ObjectKind::File, policy).unwrap();
+        let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 241) as u8).collect();
+        io.write(&mut obj, &data, &mut rng).unwrap();
+        let victim = io.share_extents(&obj).unwrap()[0][1];
+        let mut txn = fs.begin_txn();
+        txn.write_raw_block(victim, &vec![0u8; fs.block_size()])
+            .unwrap();
+        txn.commit().unwrap();
+
+        // The sweep's reads succeed; the rebuilt share's write fails while
+        // the decoded group and its re-split shares sit in scratch.
+        let outstanding = scratch::outstanding();
+        dev.fail_after_writes(0);
+        assert!(io.repair(&obj).is_err());
+        assert_eq!(scratch::outstanding(), outstanding);
+        // Nothing was written; once the device takes writes again the same
+        // repair goes through.
+        dev.clear_failure();
+        assert_eq!(
+            io.repair(&obj).unwrap(),
+            RepairOutcome::Repaired { shares_rebuilt: 1 }
+        );
+        assert_eq!(io.read(&obj).unwrap(), data);
+    }
+
+    #[test]
+    fn failed_fetch_returns_the_cache_hits_it_already_copied() {
+        let dev = FlakyDevice::new(MemBlockDevice::new(1024, 8192), 1, 0, 1);
+        let fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
+        let keys = ObjectKeys::derive("leak-read", b"plain key");
+        let params = StegParams::for_tests();
+        let mut rng = DeterministicRng::new(b"hidden-tests");
+        let cache = ReadCache::new(64);
+        let io = ObjectIo::new(&fs, &params, &cache, &keys);
+        let mut obj = io
+            .create("leak-read", ObjectKind::File, Policy::Plain)
+            .unwrap();
+        let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 241) as u8).collect();
+        io.write(&mut obj, &data, &mut rng).unwrap();
+        // Block 0 and the extent list become resident; blocks 1..4 do not.
+        assert_eq!(io.read_range(&obj, 0, 1024, 0).unwrap(), &data[..1024]);
+
+        let outstanding = scratch::outstanding();
+        let hits = cache.stats().block_hits;
+        dev.script_failures(1);
+        assert!(io.read(&obj).is_err());
+        assert_eq!(cache.stats().block_hits, hits + 1, "block 0 was a hit");
+        assert_eq!(scratch::outstanding(), outstanding);
+        assert_eq!(io.read(&obj).unwrap(), data);
     }
 
     #[test]

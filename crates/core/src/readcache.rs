@@ -895,6 +895,19 @@ pub(crate) mod scratch {
         static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
     }
 
+    #[cfg(test)]
+    thread_local! {
+        static OUTSTANDING: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Buffers this thread has taken and not put back (takes − puts).  A
+    /// path that puts back everything it takes leaves it where it was,
+    /// whichever way it returns.
+    #[cfg(test)]
+    pub fn outstanding() -> isize {
+        OUTSTANDING.get()
+    }
+
     /// Buffers retained per thread; engine workers are a fixed pool, so this
     /// bounds the idle footprint.
     const MAX_POOLED: usize = 8;
@@ -904,6 +917,8 @@ pub(crate) mod scratch {
     /// Take a zero-filled buffer of exactly `len` bytes, reusing a pooled
     /// allocation when one is available.
     pub fn take(len: usize) -> Vec<u8> {
+        #[cfg(test)]
+        OUTSTANDING.set(OUTSTANDING.get() + 1);
         let pooled = POOL.with(|p| p.borrow_mut().pop());
         match pooled {
             Some(mut v) => {
@@ -918,6 +933,8 @@ pub(crate) mod scratch {
 
     /// Zero `v` and return it to the pool (or drop it if the pool is full).
     pub fn put(mut v: Vec<u8>) {
+        #[cfg(test)]
+        OUTSTANDING.set(OUTSTANDING.get() - 1);
         stegfs_crypto::ct::zeroize(&mut v);
         v.clear();
         if v.capacity() == 0 || v.capacity() > MAX_POOLED_CAPACITY {

@@ -72,8 +72,9 @@ const fn xtime(x: u8) -> u8 {
     (x << 1) ^ (((x >> 7) & 1) * 0x1b)
 }
 
+/// `a · b` in GF(2⁸) modulo x⁸ + x⁴ + x³ + x + 1, one bit of `b` at a time.
 #[inline]
-const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+pub(crate) const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
     let mut i = 0;
     while i < 8 {

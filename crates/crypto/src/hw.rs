@@ -1,9 +1,11 @@
-//! Hardware round functions: AES-NI and SHA-NI behind runtime detection.
+//! Hardware round functions and slice kernels: AES-NI, SHA-NI and the AVX2
+//! GF(2⁸) multiply behind runtime detection.
 //!
 //! This is the workspace's only `unsafe` code.  It exists for a measured
-//! gain (a 64 KiB CBC decrypt 354 → 13 µs, a 64 KiB SHA-256 272 → 47 µs on
-//! the reference host) that safe Rust has no operation for, and it adds no
-//! dependency: the intrinsics are `core::arch::x86_64`.
+//! gain (a 64 KiB CBC decrypt 354 → 13 µs, a 64 KiB SHA-256 272 → 47 µs, a
+//! 64 KiB 2-of-3 IDA split 122 → 11 µs on the reference host) that safe Rust
+//! has no operation for, and it adds no dependency: the intrinsics are
+//! `core::arch::x86_64`.
 //!
 //! # Safety argument
 //!
@@ -11,26 +13,34 @@
 //! sound:
 //!
 //! * **Calling a `#[target_feature]` function.**  Every function that
-//!   executes an AES or SHA instruction is gated by
-//!   `#[target_feature(enable = ...)]`, and the only calls into them from
-//!   ungated code are the methods of [`AesNi`] and [`ShaNi`].  Those tokens
-//!   have a private field and exactly one constructor each, `detect`, which
-//!   returns `Some` only after `is_x86_feature_detected!` has seen every
-//!   feature the gated functions enable.  Holding a token is therefore proof
-//!   that the instructions exist on this CPU; nothing outside this file can
-//!   make one.
+//!   executes an AES, SHA or AVX2 instruction is gated by
+//!   `#[target_feature(enable = ...)]` — for AVX2 that is [`mul_acc`], the
+//!   two transposes [`deinterleave`] and [`interleave`], and the
+//!   [`load256`] / [`store256`] they use — and the only calls into them
+//!   from ungated code are the methods of [`AesNi`], [`ShaNi`] and
+//!   [`Avx2`].  Those tokens have a private field and exactly one
+//!   constructor each, `detect`, which returns `Some` only after
+//!   `is_x86_feature_detected!` has seen every feature the gated functions
+//!   enable.  Holding a token is therefore proof that the instructions
+//!   exist on this CPU; nothing outside this file can make one.
 //! * **Unaligned vector loads and stores.**  All of them go through
-//!   [`load`] and [`store`], which take a `&[u8; 16]` / `&mut [u8; 16]`: the
-//!   reference guarantees sixteen readable (writable) in-bounds bytes, and
+//!   [`load`] and [`store`] (`&[u8; 16]` / `&mut [u8; 16]`) or [`load256`]
+//!   and [`store256`] (`&[u8; 32]` / `&mut [u8; 32]`): the reference
+//!   guarantees that many readable (writable) in-bounds bytes, and
 //!   `loadu`/`storeu` have no alignment requirement.  No pointer arithmetic
-//!   happens anywhere; buffers are cut into 16-byte arrays by safe slice
-//!   methods first.
+//!   happens anywhere; buffers are cut into 16- or 32-byte arrays by safe
+//!   slice methods first, and a ragged tail is copied through an array on
+//!   the stack.
 //!
 //! Everything else — the counter arithmetic, the batching, the key and state
-//! layout — is safe code, and a bug there is a wrong answer that the
-//! equivalence tests against the portable code catch, not undefined
-//! behaviour.  The tests at the bottom run every entry point against the
-//! T-table AES and the scalar SHA-256 on any host that has the features.
+//! layout, the nibble tables — is safe code, and a bug there is a wrong
+//! answer that the equivalence tests against the portable code catch, not
+//! undefined behaviour.  The two transposes contain no `unsafe` at all: they
+//! are `crate::gf256`'s safe loops, `inline(always)`, instantiated a second
+//! time inside a gated wrapper so that the compiler may use 32-byte shuffles
+//! for them.  The tests at the bottom run every entry point against the
+//! T-table AES, the scalar SHA-256 and the bit-serial GF(2⁸) multiply on any
+//! host that has the features.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -51,6 +61,10 @@ pub(crate) struct AesNi(());
 #[derive(Clone, Copy)]
 pub(crate) struct ShaNi(());
 
+/// Proof that this CPU executes the AVX2 instructions.
+#[derive(Clone, Copy)]
+pub(crate) struct Avx2(());
+
 #[inline(always)]
 fn load(bytes: &[u8; 16]) -> __m128i {
     // SAFETY: `bytes` is a reference to 16 in-bounds readable bytes and the
@@ -63,6 +77,22 @@ fn store(bytes: &mut [u8; 16], v: __m128i) {
     // SAFETY: `bytes` is a unique reference to 16 in-bounds writable bytes
     // and the store is the unaligned form.
     unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), v) }
+}
+
+#[target_feature(enable = "avx2")]
+#[inline]
+fn load256(bytes: &[u8; 32]) -> __m256i {
+    // SAFETY: `bytes` is a reference to 32 in-bounds readable bytes and the
+    // load is the unaligned form.
+    unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) }
+}
+
+#[target_feature(enable = "avx2")]
+#[inline]
+fn store256(bytes: &mut [u8; 32], v: __m256i) {
+    // SAFETY: `bytes` is a unique reference to 32 in-bounds writable bytes
+    // and the store is the unaligned form.
+    unsafe { _mm256_storeu_si256(bytes.as_mut_ptr().cast(), v) }
 }
 
 impl AesNi {
@@ -297,13 +327,85 @@ fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     .map(|w| w as u32);
 }
 
-/// The tokens' own entry points against the portable code.  The mode loops
-/// and the incremental hasher built on them are compared in
-/// `crate::modes` and `crate::sha256`, whose tests run on every target.
+impl Avx2 {
+    /// The token, if the CPU reports AVX2.
+    pub(crate) fn detect() -> Option<Self> {
+        std::is_x86_feature_detected!("avx2").then_some(Avx2(()))
+    }
+
+    /// `dst[k] ^= c · src[k]` over equally long slices, where `lo` and `hi`
+    /// hold `c` times every low and every high nibble.
+    pub(crate) fn mul_acc(self, lo: &[u8; 16], hi: &[u8; 16], dst: &mut [u8], src: &[u8]) {
+        // SAFETY: `self` exists only if `detect` saw the `avx2` feature.
+        unsafe { mul_acc(lo, hi, dst, src) }
+    }
+
+    /// [`crate::gf256::deinterleave`] with 32-byte shuffles.
+    pub(crate) fn deinterleave(self, data: &[u8], m: usize, planes: &mut [u8]) {
+        // SAFETY: `self` exists only if `detect` saw the `avx2` feature.
+        unsafe { deinterleave(data, m, planes) }
+    }
+
+    /// [`crate::gf256::interleave`] with 32-byte shuffles.
+    pub(crate) fn interleave(self, planes: &[u8], m: usize, out: &mut [u8]) {
+        // SAFETY: `self` exists only if `detect` saw the `avx2` feature.
+        unsafe { interleave(planes, m, out) }
+    }
+}
+
+#[target_feature(enable = "avx2")]
+fn mul_acc(lo: &[u8; 16], hi: &[u8; 16], dst: &mut [u8], src: &[u8]) {
+    // `vpshufb` looks sixteen bytes up in a sixteen-entry table, in each
+    // 128-bit half on its own: both halves carry the same table.
+    let lo = _mm256_broadcastsi128_si256(load(lo));
+    let hi = _mm256_broadcastsi128_si256(load(hi));
+    let nibble = _mm256_set1_epi8(0x0f);
+    let product = |v: __m256i| {
+        // There is no byte-wise shift; the mask drops what the 64-bit one
+        // carries in from the byte above.
+        let high = _mm256_and_si256(_mm256_srli_epi64::<4>(v), nibble);
+        _mm256_xor_si256(
+            _mm256_shuffle_epi8(lo, _mm256_and_si256(v, nibble)),
+            _mm256_shuffle_epi8(hi, high),
+        )
+    };
+
+    let (dst_blocks, dst_tail) = dst.as_chunks_mut::<32>();
+    let (src_blocks, src_tail) = src.as_chunks::<32>();
+    for (d, s) in dst_blocks.iter_mut().zip(src_blocks) {
+        store256(d, _mm256_xor_si256(load256(d), product(load256(s))));
+    }
+    // Under 32 bytes left: through a zero-padded block of their own.
+    if !src_tail.is_empty() {
+        let mut block = [0u8; 32];
+        block[..src_tail.len()].copy_from_slice(src_tail);
+        let products = product(load256(&block));
+        store256(&mut block, products);
+        for (d, p) in dst_tail.iter_mut().zip(block) {
+            *d ^= p;
+        }
+    }
+}
+
+#[target_feature(enable = "avx2")]
+fn deinterleave(data: &[u8], m: usize, planes: &mut [u8]) {
+    crate::gf256::deinterleave_body(data, m, planes)
+}
+
+#[target_feature(enable = "avx2")]
+fn interleave(planes: &[u8], m: usize, out: &mut [u8]) {
+    crate::gf256::interleave_body(planes, m, out)
+}
+
+/// The tokens' own entry points against the portable code.  The mode loops,
+/// the incremental hasher and the slice kernels built on them are compared
+/// in `crate::modes`, `crate::sha256` and `crate::gf256`, whose tests run on
+/// every target.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aes::Aes;
+    use crate::aes::{gf_mul, Aes};
+    use crate::gf256::{deinterleave_body, interleave_body};
     use crate::sha256::compress_portable;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -359,6 +461,50 @@ mod tests {
                 compress_portable(&mut want, block);
             }
             prop_assert_eq!(got, want);
+        }
+
+        /// `vpshufb` products ≡ bit-serial multiply: every byte of slices
+        /// that start off a vector boundary and end in a ragged tail.
+        #[test]
+        fn avx2_mul_acc_matches_the_bit_serial_multiply(
+            c in any::<u8>(),
+            dst in vec(any::<u8>(), 0..200),
+            src in vec(any::<u8>(), 201),
+        ) {
+            let Some(hw) = Avx2::detect() else {
+                return Ok(()); // no AVX2 on this CPU: nothing to compare
+            };
+            let lo: [u8; 16] = std::array::from_fn(|v| gf_mul(c, v as u8));
+            let hi: [u8; 16] = std::array::from_fn(|v| gf_mul(c, (v as u8) << 4));
+            let src = &src[1..1 + dst.len()];
+            let want: Vec<u8> = dst.iter().zip(src).map(|(d, &s)| d ^ gf_mul(c, s)).collect();
+            let mut got = dst;
+            hw.mul_acc(&lo, &hi, &mut got, src);
+            prop_assert_eq!(got, want);
+        }
+
+        /// The transposes compiled for AVX2 ≡ the same source compiled for
+        /// the baseline, short last tuple and over-long planes included.
+        #[test]
+        fn avx2_transposes_match_the_baseline_build(
+            m in 1usize..=6,
+            data in vec(any::<u8>(), 0..700),
+            slack in 0usize..=3,
+        ) {
+            let Some(hw) = Avx2::detect() else {
+                return Ok(()); // no AVX2 on this CPU: nothing to compare
+            };
+            let len = data.len().div_ceil(m) + slack;
+            let (mut planes, mut want) = (vec![0xa5u8; m * len], vec![0xa5u8; m * len]);
+            hw.deinterleave(&data, m, &mut planes);
+            deinterleave_body(&data, m, &mut want);
+            prop_assert_eq!(&planes, &want);
+
+            let (mut back, mut want) = (vec![0xa5u8; data.len()], vec![0xa5u8; data.len()]);
+            hw.interleave(&planes, m, &mut back);
+            interleave_body(&planes, m, &mut want);
+            prop_assert_eq!(&back, &want);
+            prop_assert_eq!(back, data);
         }
     }
 }

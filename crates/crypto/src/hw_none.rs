@@ -10,6 +10,10 @@ pub(crate) enum AesNi {}
 #[derive(Clone, Copy)]
 pub(crate) enum ShaNi {}
 
+/// Never constructed on this target.
+#[derive(Clone, Copy)]
+pub(crate) enum Avx2 {}
+
 impl AesNi {
     pub(crate) fn detect() -> Option<Self> {
         None
@@ -38,6 +42,24 @@ impl ShaNi {
     }
 
     pub(crate) fn compress(self, _state: &mut [u32; 8], _blocks: &[[u8; 64]]) {
+        match self {}
+    }
+}
+
+impl Avx2 {
+    pub(crate) fn detect() -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn mul_acc(self, _lo: &[u8; 16], _hi: &[u8; 16], _dst: &mut [u8], _src: &[u8]) {
+        match self {}
+    }
+
+    pub(crate) fn deinterleave(self, _data: &[u8], _m: usize, _planes: &mut [u8]) {
+        match self {}
+    }
+
+    pub(crate) fn interleave(self, _planes: &[u8], _m: usize, _out: &mut [u8]) {
         match self {}
     }
 }

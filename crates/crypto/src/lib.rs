@@ -36,21 +36,28 @@
 //! * [`bignum`] — fixed-capacity big unsigned integers.
 //! * [`rsa`] — textbook RSA key generation, encryption and decryption.
 //! * [`ct`] — constant-time comparison helpers.
+//! * [`gf256`] — multiply-accumulate and (de)interleave over slices in
+//!   GF(2⁸), the kernels under the information dispersal codec of
+//!   `stegfs-baselines`.
 //! * `hw` (private, x86-64 only) — the AES-NI and SHA-NI round functions
-//!   under [`aes`], [`modes`] and [`mod@sha256`], picked at run time from what
-//!   the CPU reports; the T-table AES and scalar SHA-256 remain the path on
-//!   every other host and the oracle `hw` is tested against.
+//!   under [`aes`], [`modes`] and [`mod@sha256`] and the AVX2 bodies under
+//!   [`gf256`], picked at run time from what the CPU reports; the T-table
+//!   AES, scalar SHA-256 and table-row multiply remain the path on every
+//!   other host and the oracle `hw` is tested against.
 //!
 //! # `unsafe`
 //!
 //! The crate denies `unsafe_code` everywhere except `hw.rs`, the one file in
 //! the workspace that contains any.  Its header carries the full argument;
-//! in short: every function that executes an AES or SHA instruction is
-//! `#[target_feature]`-gated and reachable only through a token whose sole
-//! constructor is the CPU feature check, and every vector load or store is
-//! an unaligned `loadu`/`storeu` through a `&[u8; 16]` that safe slice
-//! methods cut from the caller's buffer.  The other modules call safe
-//! methods on the token and contain no `unsafe` block.
+//! in short: every function that executes an AES, SHA or AVX2 instruction
+//! is `#[target_feature]`-gated and reachable only through one of three
+//! tokens (`AesNi`, `ShaNi`, `Avx2`) whose sole constructor is the CPU
+//! feature check, and every vector load or store is an unaligned
+//! `loadu`/`storeu` through a `&[u8; 16]` or `&[u8; 32]` that safe slice
+//! methods cut from the caller's buffer.  The AVX2 transposes under
+//! [`gf256`] contain no `unsafe` at all: they are that module's safe loops
+//! compiled a second time inside a gated wrapper.  The other modules call
+//! safe methods on the token and contain no `unsafe` block.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,6 +65,7 @@
 pub mod aes;
 pub mod bignum;
 pub mod ct;
+pub mod gf256;
 pub mod hmac;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
