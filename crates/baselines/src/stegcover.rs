@@ -10,10 +10,10 @@
 //! source of the order-of-magnitude I/O penalty measured in §5.3 of the
 //! StegFS paper.
 //!
-//! Simplifications relative to the original construction (documented in
-//! DESIGN.md): the subset consists of a fixed set of *mask covers* (never
-//! used as homes) plus one home cover chosen by keyed probing, and a MAC
-//! embedded in the plaintext confirms reconstruction.  This keeps multiple
+//! Simplifications relative to the original construction: the subset
+//! consists of a fixed set of *mask covers* (never used as homes) plus one
+//! home cover chosen by keyed probing, and a MAC embedded in the plaintext
+//! confirms reconstruction.  This keeps multiple
 //! hidden files independent without the linear-algebra machinery of the
 //! original scheme while preserving its I/O and space behaviour, which is
 //! what the benchmarks measure.

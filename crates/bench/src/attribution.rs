@@ -1,10 +1,10 @@
 //! Phase-attribution sweep: *where* does a request's latency go?
 //!
-//! The engine sweeps measure end-to-end percentiles; this sweep answers the
-//! follow-up question by running a journaled multi-user workload — the
-//! durability sweep's configuration (write-back cache, priced flush
-//! barrier, checkpoint daemon on) with reads mixed in — with causal span
-//! tracing active, and rolling each request type's span trees up into a
+//! The gating benchmark measures end-to-end percentiles; this sweep answers
+//! the follow-up question by running a journaled multi-user workload — the
+//! `engine_mixed_io` device shape (write-back cache over a 50 µs / 500 µs
+//! latency device, checkpoint daemon on) with reads mixed in — with causal
+//! span tracing active, and rolling each request type's span trees up into a
 //! per-phase table: p50/p99 self-time and share-of-total for `queue_wait`,
 //! `uak_shard`, `journal_stage`, `gate_flush`, `device_io`, `crypto`, and
 //! the rest of [`stegfs_obs::PHASE_NAMES`].  Because phases record *self*
@@ -12,12 +12,10 @@
 //! measured wall time — the per-phase sums stay consistent with the
 //! end-to-end totals by construction.
 //!
-//! `repro --attribution` records the table as the `attribution` section of
-//! `BENCH.json`; `repro --trace-export` replays the same workload with the
-//! chrome-trace capture buffer active and writes the resulting
-//! `chrome://tracing` / Perfetto JSON.
+//! `repro --attribution` prints the table; `repro --trace-export` replays
+//! the same workload with the chrome-trace capture buffer active and writes
+//! the resulting `chrome://tracing` / Perfetto JSON.
 
-use crate::durability::{BLOCK_LATENCY, FLUSH_LATENCY};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
@@ -27,25 +25,21 @@ use stegfs_engine::{Client, Engine, Request, Response};
 use stegfs_obs::{HistSummary, WatchdogSummary, ENGINE_OPS};
 use stegfs_vfs::{OpenOptions, Vfs, VfsHandle};
 
+/// Per-submission service time of the modelled disk.
+const BLOCK_LATENCY: Duration = Duration::from_micros(50);
+
+/// Per-barrier (flush) service time: the cache-flush + FUA cost a real disk
+/// charges for durability.
+const FLUSH_LATENCY: Duration = Duration::from_micros(500);
+
 /// Size of each write (bytes).
 const WRITE_SIZE: usize = 4 * 1024;
 
 /// Size of each prefilled file (bytes).
 const FILE_SIZE: usize = 16 * 1024;
 
-/// The device stack under test (same as the durability sweep).
+/// The device stack under test.
 pub type SweepDevice = BufferCache<LatencyDevice<MemBlockDevice>>;
-
-/// One phase's roll-up within one request type.
-#[derive(Debug, Clone)]
-pub struct PhaseRow {
-    /// Phase name (one of [`stegfs_obs::PHASE_NAMES`]).
-    pub phase: &'static str,
-    /// Self-time summary across the pass's requests of this type.
-    pub summary: HistSummary,
-    /// This phase's share of the op's total attributed time (0..=1).
-    pub share: f64,
-}
 
 /// One request type's attribution table.
 #[derive(Debug, Clone)]
@@ -56,8 +50,9 @@ pub struct OpRow {
     pub e2e: HistSummary,
     /// Sum of every phase's total self-time for this op (ns).
     pub phase_total_ns: u64,
-    /// Every phase, in [`stegfs_obs::PHASE_NAMES`] order (fixed shape).
-    pub phases: Vec<PhaseRow>,
+    /// Every phase's self-time summary across the pass's requests of this
+    /// type, in [`stegfs_obs::PHASE_NAMES`] order (fixed shape).
+    pub phases: Vec<(&'static str, HistSummary)>,
 }
 
 /// Result of [`run`]: one row per exercised request type, plus the stall
@@ -84,12 +79,12 @@ fn params() -> StegParams {
     }
 }
 
-fn plain_path(client: usize) -> String {
-    format!("/plain/attr-{client}.dat")
-}
-
-fn hidden_path(client: usize) -> String {
-    format!("/hidden/attr-{client}")
+/// A client's plain and hidden file.
+fn paths(client: usize) -> [String; 2] {
+    [
+        format!("/plain/attr-{client}.dat"),
+        format!("/hidden/attr-{client}"),
+    ]
 }
 
 fn build_volume(clients: usize) -> Arc<Vfs<SweepDevice>> {
@@ -99,7 +94,7 @@ fn build_volume(clients: usize) -> Arc<Vfs<SweepDevice>> {
     let vfs = Vfs::format(dev, params()).expect("format");
     for c in 0..clients {
         let s = vfs.signon("attribution key");
-        for path in [plain_path(c), hidden_path(c)] {
+        for path in paths(c) {
             let h = vfs
                 .open(s, &path, OpenOptions::read_write().create(true))
                 .expect("create");
@@ -138,33 +133,22 @@ fn open_through_engine(client: &Client<SweepDevice>, path: &str) -> VfsHandle {
 /// With `signoff = false` the sessions are left signed on — sign-off
 /// zeroizes the slow-request and chrome-trace captures (deniability
 /// contract), so the trace exporter must read them out first.
-fn one_pass(
-    engine: &Arc<Engine<SweepDevice>>,
-    clients: usize,
-    ops_per_client: usize,
-    signoff: bool,
-) {
-    let barrier = Arc::new(Barrier::new(clients));
-    let threads: Vec<_> = (0..clients)
-        .map(|c| {
-            let engine = Arc::clone(engine);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
+fn one_pass(engine: &Engine<SweepDevice>, clients: usize, ops_per_client: usize, signoff: bool) {
+    let barrier = &Barrier::new(clients);
+    thread::scope(|scope| {
+        for c in 0..clients {
+            scope.spawn(move || {
                 let client = engine.client("attribution key");
+                let paths = paths(c);
                 barrier.wait();
                 let mut appends = 0u64;
                 for op in 0..ops_per_client {
-                    let path = if op % 2 == 0 {
-                        plain_path(c)
-                    } else {
-                        hidden_path(c)
-                    };
-                    let h = open_through_engine(&client, &path);
+                    let h = open_through_engine(&client, &paths[op % 2]);
+                    let in_place = ((op % (FILE_SIZE / WRITE_SIZE)) * WRITE_SIZE) as u64;
                     if op % 4 == 3 {
-                        let offset = ((op % (FILE_SIZE / WRITE_SIZE)) * WRITE_SIZE) as u64;
                         let completion = client.call(Request::ReadAt {
                             handle: h,
-                            offset,
+                            offset: in_place,
                             len: WRITE_SIZE,
                         });
                         match completion.result.expect("read") {
@@ -177,7 +161,7 @@ fn one_pass(
                             appends += 1;
                             FILE_SIZE as u64 + appends * WRITE_SIZE as u64
                         } else {
-                            ((op % (FILE_SIZE / WRITE_SIZE)) * WRITE_SIZE) as u64
+                            in_place
                         };
                         let completion = client.call(Request::WriteAt {
                             handle: h,
@@ -194,12 +178,9 @@ fn one_pass(
                 if signoff {
                     client.signoff().expect("signoff");
                 }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("attribution client");
-    }
+            });
+        }
+    });
 }
 
 /// Run the attribution pass: build the journaled volume, warm up, reset the
@@ -207,7 +188,7 @@ fn one_pass(
 /// histograms up into [`OpRow`]s.
 pub fn run(clients: usize, ops_per_client: usize, workers: usize) -> AttributionRun {
     let vfs = build_volume(clients);
-    let engine = Arc::new(Engine::start(vfs, workers));
+    let engine = Engine::start(vfs, workers);
     one_pass(&engine, clients, ops_per_client / 4 + 1, true);
     let obs = Arc::clone(engine.vfs().obs());
     obs.reset();
@@ -217,9 +198,7 @@ pub fn run(clients: usize, ops_per_client: usize, workers: usize) -> Attribution
     thread::sleep(Duration::from_millis(60));
     let snapshot = obs.snapshot();
     let attribution = obs.attribution.summary();
-    Arc::try_unwrap(engine)
-        .unwrap_or_else(|_| panic!("engine still shared"))
-        .shutdown();
+    engine.shutdown();
 
     let mut ops = Vec::new();
     for (i, name) in ENGINE_OPS.iter().enumerate() {
@@ -227,25 +206,15 @@ pub fn run(clients: usize, ops_per_client: usize, workers: usize) -> Attribution
         if e2e.count == 0 {
             continue;
         }
-        let table = attribution.op(name).expect("fixed-shape attribution");
-        let phase_total_ns: u64 = table.phases.iter().map(|(_, s)| s.total).sum();
-        let phases = table
+        let phases = attribution
+            .op(name)
+            .expect("fixed-shape attribution")
             .phases
-            .iter()
-            .map(|&(phase, summary)| PhaseRow {
-                phase,
-                summary,
-                share: if phase_total_ns == 0 {
-                    0.0
-                } else {
-                    summary.total as f64 / phase_total_ns as f64
-                },
-            })
-            .collect();
+            .clone();
         ops.push(OpRow {
             op: name,
             e2e,
-            phase_total_ns,
+            phase_total_ns: phases.iter().map(|(_, s)| s.total).sum(),
             phases,
         });
     }
@@ -267,15 +236,13 @@ pub fn trace_export(
     capacity: usize,
 ) -> (String, u64) {
     let vfs = build_volume(clients);
-    let engine = Arc::new(Engine::start(vfs, workers));
+    let engine = Engine::start(vfs, workers);
     let obs = Arc::clone(engine.vfs().obs());
     obs.capture.begin(capacity);
     // No signoff: signing off would zeroize the capture before `take`.
     one_pass(&engine, clients, ops_per_client, false);
     let (events, dropped) = obs.capture.take();
-    Arc::try_unwrap(engine)
-        .unwrap_or_else(|_| panic!("engine still shared"))
-        .shutdown();
+    engine.shutdown();
     (stegfs_obs::chrome_trace_json(&events), dropped)
 }
 
@@ -294,18 +261,15 @@ pub fn render(run: &AttributionRun) -> String {
             op.e2e.p50 as f64 / 1e6,
             op.e2e.p99 as f64 / 1e6,
         ));
-        for row in &op.phases {
-            if row.summary.count == 0 {
-                continue;
-            }
+        for (phase, summary) in op.phases.iter().filter(|(_, s)| s.count > 0) {
             s.push_str(&format!(
                 "{:<14} {:>7} {:>11.1} {:>11.1} {:>11.2} {:>6.1}%\n",
-                row.phase,
-                row.summary.count,
-                row.summary.p50 as f64 / 1e3,
-                row.summary.p99 as f64 / 1e3,
-                row.summary.total as f64 / 1e6,
-                row.share * 100.0
+                phase,
+                summary.count,
+                summary.p50 as f64 / 1e3,
+                summary.p99 as f64 / 1e3,
+                summary.total as f64 / 1e6,
+                summary.total as f64 * 100.0 / op.phase_total_ns.max(1) as f64
             ));
         }
     }
@@ -320,55 +284,13 @@ pub fn render(run: &AttributionRun) -> String {
     s
 }
 
-/// Serialise the run to the `attribution` JSON section.
-pub fn section_json(run: &AttributionRun) -> String {
-    let mut s = String::from("{\n    \"ops\": [\n");
-    for (i, op) in run.ops.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"op\": \"{}\", \"clients\": {}, \"workers\": {}, \"e2e\": {}, \
-             \"phase_total_ns\": {}, \"phases\": {{",
-            op.op,
-            run.clients,
-            run.workers,
-            op.e2e.to_json(),
-            op.phase_total_ns
-        ));
-        for (j, row) in op.phases.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "\"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                 \"total_ns\": {}, \"share\": {:.4}}}",
-                row.phase,
-                row.summary.count,
-                row.summary.p50,
-                row.summary.p99,
-                row.summary.total,
-                row.share
-            ));
-        }
-        s.push_str(&format!(
-            "}}}}{}\n",
-            if i + 1 == run.ops.len() { "" } else { "," }
-        ));
-    }
-    s.push_str(&format!(
-        "    ],\n    \"watchdog\": {}\n  }}",
-        run.watchdog.to_json()
-    ));
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn phase<'a>(op: &'a OpRow, name: &str) -> &'a PhaseRow {
-        op.phases
-            .iter()
-            .find(|r| r.phase == name)
-            .expect("fixed phase set")
+    fn phase(op: &OpRow, name: &str) -> HistSummary {
+        let found = op.phases.iter().find(|(phase, _)| *phase == name);
+        found.expect("fixed phase set").1
     }
 
     #[test]
@@ -383,11 +305,11 @@ mod tests {
         // The journaled write path must attribute across the named phases.
         for required in ["queue_wait", "journal_stage", "gate_flush", "device_io"] {
             assert!(
-                phase(write, required).summary.count > 0,
+                phase(write, required).count > 0,
                 "phase {required} unpopulated on the write path"
             );
         }
-        let populated = write.phases.iter().filter(|r| r.summary.count > 0).count();
+        let populated = write.phases.iter().filter(|(_, s)| s.count > 0).count();
         assert!(populated >= 6, "only {populated} phases populated");
         // Hidden opens resolve the UAK directory under the uak shard locks.
         let open = run
@@ -396,42 +318,60 @@ mod tests {
             .find(|o| o.op == "open")
             .expect("open exercised");
         assert!(
-            phase(open, "uak_shard").summary.count > 0,
+            phase(open, "uak_shard").count > 0,
             "uak_shard unpopulated on the open path"
         );
-        // Self-time partitions wall time: phase sums cannot exceed the
-        // end-to-end total.
-        assert!(write.phase_total_ns <= write.e2e.total);
-        assert!(write.phase_total_ns > 0);
-        for row in &write.phases {
-            assert!(row.summary.p50 <= row.summary.p99);
+        // Self-time partitions wall time: on every exercised op row the
+        // phase sums cannot exceed the end-to-end total, and every populated
+        // cell is a well-formed distribution.
+        for op in &run.ops {
+            let name = op.op;
+            assert!(op.e2e.count > 0 && op.e2e.p50 > 0, "{name}: empty e2e");
+            assert!(op.e2e.p50 <= op.e2e.p99, "{name}: e2e p99 < p50");
+            assert!(
+                op.phase_total_ns <= op.e2e.total,
+                "{name}: phase self-times exceed end-to-end wall time"
+            );
+            for (phase, s) in op.phases.iter().filter(|(_, s)| s.count > 0) {
+                assert!(s.p50 <= s.p99, "{name}/{phase}: p99 < p50");
+            }
         }
-        let share_sum: f64 = write.phases.iter().map(|r| r.share).sum();
-        assert!((share_sum - 1.0).abs() < 1e-6);
+        assert!(write.phase_total_ns > 0);
+        // Sign-off purged the warm-up's keys, so the measured pass derives
+        // each client's hidden-object keys afresh on its first open.
+        let derive = phase(open, "key_derive");
+        assert!(derive.count > 0, "key_derive unpopulated on the open path");
+        assert!(derive.p50 > 0, "key_derive recorded zero-length spans");
         assert!(run.watchdog.samples > 0, "daemon must sample the watchdog");
-    }
-
-    #[test]
-    fn section_json_merges() {
-        let run = run(2, 4, 2);
-        let json = section_json(&run);
-        assert!(json.contains("\"ops\""));
-        assert!(json.contains("\"watchdog\""));
-        assert!(json.contains("\"uak_shard\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let merged = crate::bench_json::merge_section(None, "attribution", &json);
-        assert!(merged.contains("\"attribution\""));
     }
 
     #[test]
     fn trace_export_is_chrome_trace_shaped() {
         let (json, _dropped) = trace_export(2, 4, 2, 4096);
-        assert!(json.starts_with("{\"displayTimeUnit\": \"ms\", \"traceEvents\": ["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"cat\": \"request\""));
-        assert!(json.contains("\"cat\": \"phase\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let body = json
+            .strip_prefix("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [")
+            .and_then(|rest| rest.strip_suffix("]}"))
+            .expect("trace-event envelope");
+        // Every event closes its `args` object and itself, so "}}" ends one.
+        let (mut requests, mut phases) = (0, 0);
+        for ev in body.split_inclusive("}}") {
+            for field in ["{\"name\": \"", "\"ph\": \"X\"", "\"tid\": "] {
+                assert!(ev.contains(field), "no {field} in {ev}");
+            }
+            if ev.contains("\"cat\": \"request\"") {
+                requests += 1;
+            } else {
+                assert!(ev.contains("\"cat\": \"phase\""), "unknown cat in {ev}");
+                phases += 1;
+            }
+            let dur = ev.split("\"dur\": ").nth(1).expect("dur field");
+            let dur: f64 = dur.split(',').next().unwrap().parse().expect("numeric dur");
+            assert!(dur >= 0.0, "negative dur in {ev}");
+        }
+        assert!(
+            requests > 0 && phases > 0,
+            "{requests} requests, {phases} phases"
+        );
     }
 
     #[test]

@@ -1,159 +1,78 @@
-//! `repro` — regenerate the tables and figures of the StegFS paper.
+//! `repro` — regenerate the tables and figures of the StegFS paper
+//! (`repro --help` lists the options).
 //!
-//! ```text
-//! repro [--full] [--smoke] [--table N] [--fig N] [--space-summary]
-//!       [--vfs-scaling] [--engine-scaling] [--readpath] [--writepath]
-//!       [--survival] [--scavenge] [--attribution] [--trace-export [PATH]]
-//!       [--all]
-//! ```
+//! With no arguments (or `--all`) the tables, every figure, the space
+//! summary and the survival and attribution sweeps are produced.  The
+//! default scale is a 64 MB volume with proportionally scaled files, which
+//! reproduces the *shapes* of every figure in a couple of minutes; `--full`
+//! switches to the paper's 1 GB / 100 × (1–2 MB) configuration (expect a
+//! long run).
 //!
-//! With no arguments (or `--all`) every artefact is produced.  The default
-//! scale is a 64 MB volume with proportionally scaled files, which reproduces
-//! the *shapes* of every figure in a couple of minutes; `--full` switches to
-//! the paper's 1 GB / 100 × (1–2 MB) configuration (expect a long run).
+//! Everything is printed; nothing is recorded.  The exit status is non-zero
+//! if any selected artefact failed to produce.
 
+use stegfs_bench::{attribution, survival};
 use stegfs_sim::experiments::{
     figure6, figure7, figure8, figure9, render_access_rows, render_figure6, render_space_summary,
     space_summary, tables,
 };
 use stegfs_sim::WorkloadParams;
 
+#[derive(Default)]
 struct Options {
     full: bool,
     smoke: bool,
     tables: bool,
     figures: Vec<u32>,
     space: bool,
-    vfs_scaling: bool,
-    engine_scaling: bool,
-    durability: bool,
-    readpath: bool,
-    writepath: bool,
     survival: bool,
     scavenge_demo: bool,
     attribution: bool,
     trace_export: Option<String>,
 }
 
+impl Options {
+    /// What `--all` (and an empty command line) selects.
+    fn select_all(&mut self) {
+        self.tables = true;
+        self.figures = vec![6, 7, 8, 9];
+        self.space = true;
+        self.survival = true;
+        self.attribution = true;
+    }
+}
+
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Options {
-        full: false,
-        smoke: false,
-        tables: false,
-        figures: Vec::new(),
-        space: false,
-        vfs_scaling: false,
-        engine_scaling: false,
-        durability: false,
-        readpath: false,
-        writepath: false,
-        survival: false,
-        scavenge_demo: false,
-        attribution: false,
-        trace_export: None,
-    };
+    let mut opts = Options::default();
     let mut any_selection = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1).peekable();
+    while let Some(arg) = args.next() {
+        // `--full` and `--smoke` change the scale; everything else selects.
+        any_selection |= !matches!(arg.as_str(), "--full" | "--smoke");
+        match arg.as_str() {
             "--full" => opts.full = true,
             "--smoke" => opts.smoke = true,
-            "--all" => {
-                opts.tables = true;
-                opts.figures = vec![6, 7, 8, 9];
-                opts.space = true;
-                opts.vfs_scaling = true;
-                opts.engine_scaling = true;
-                opts.durability = true;
-                opts.readpath = true;
-                opts.writepath = true;
-                opts.survival = true;
-                opts.attribution = true;
-                any_selection = true;
-            }
-            "--table" => {
-                opts.tables = true;
-                any_selection = true;
-                i += 1; // the table number is accepted but all four print together
-            }
-            "--tables" => {
-                opts.tables = true;
-                any_selection = true;
-            }
-            "--fig" | "--figure" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--fig requires a number (6-9)"));
-                opts.figures.push(n);
-                any_selection = true;
-            }
-            "--space-summary" => {
-                opts.space = true;
-                any_selection = true;
-            }
-            "--vfs-scaling" => {
-                opts.vfs_scaling = true;
-                any_selection = true;
-            }
-            "--engine-scaling" => {
-                opts.engine_scaling = true;
-                any_selection = true;
-            }
-            "--durability" => {
-                opts.durability = true;
-                any_selection = true;
-            }
-            "--readpath" => {
-                opts.readpath = true;
-                any_selection = true;
-            }
-            "--writepath" => {
-                opts.writepath = true;
-                any_selection = true;
-            }
-            "--survival" => {
-                opts.survival = true;
-                any_selection = true;
-            }
-            "--scavenge" => {
-                opts.scavenge_demo = true;
-                any_selection = true;
-            }
-            "--attribution" => {
-                opts.attribution = true;
-                any_selection = true;
-            }
+            "--all" => opts.select_all(),
+            "--tables" => opts.tables = true,
+            "--fig" => match args.next().and_then(|s| s.parse().ok()) {
+                Some(n @ 6..=9) => opts.figures.push(n),
+                _ => usage("--fig requires a figure number (6-9)"),
+            },
+            "--space-summary" => opts.space = true,
+            "--survival" => opts.survival = true,
+            "--scavenge" => opts.scavenge_demo = true,
+            "--attribution" => opts.attribution = true,
             "--trace-export" => {
                 // Optional PATH operand; defaults to TRACE.json.
-                let path = match args.get(i + 1) {
-                    Some(p) if !p.starts_with("--") => {
-                        i += 1;
-                        p.clone()
-                    }
-                    _ => "TRACE.json".to_string(),
-                };
-                opts.trace_export = Some(path);
-                any_selection = true;
+                let path = args.next_if(|p| !p.starts_with("--"));
+                opts.trace_export = Some(path.unwrap_or_else(|| "TRACE.json".to_string()));
             }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
     if !any_selection {
-        opts.tables = true;
-        opts.figures = vec![6, 7, 8, 9];
-        opts.space = true;
-        opts.vfs_scaling = true;
-        opts.engine_scaling = true;
-        opts.durability = true;
-        opts.readpath = true;
-        opts.writepath = true;
-        opts.survival = true;
-        opts.attribution = true;
+        opts.select_all();
     }
     opts
 }
@@ -164,49 +83,21 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--full] [--smoke] [--all] [--tables] [--fig N]... [--space-summary]\n\
-         \t[--vfs-scaling] [--engine-scaling] [--durability] [--readpath]\n\
-         \t[--writepath] [--survival] [--scavenge] [--attribution]\n\
-         \t[--trace-export [PATH]]\n\
+         \t[--survival] [--scavenge] [--attribution] [--trace-export [PATH]]\n\
          \n\
          Regenerates the tables and figures of 'StegFS: A Steganographic File\n\
          System' (Pang, Tan, Zhou — ICDE 2003).  Default scale is a 64 MB\n\
          volume; --full uses the paper's 1 GB configuration; --smoke shrinks\n\
-         the scaling sweeps to a seconds-long CI-sized run."
+         the survival and attribution sweeps to a seconds-long CI-sized run\n\
+         and adds the k-of-n boundary check to --survival.  Exits non-zero if\n\
+         anything selected fails."
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
-/// One `percentiles` entry: a sweep point's latency distribution, keyed by
-/// the sweep it came from.  Collected across whichever sweeps ran and merged
-/// into `BENCH.json` as one section so CI can assert on it.
-struct PercentileEntry {
-    sweep: &'static str,
-    concurrency: usize,
-    op: &'static str,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-fn percentiles_json(entries: &[PercentileEntry]) -> String {
-    let mut s = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"sweep\": \"{}\", \"concurrency\": {}, \"op\": \"{}\", \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            e.sweep,
-            e.concurrency,
-            e.op,
-            e.p50_ms,
-            e.p99_ms,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]");
-    s
-}
-
 fn main() {
     let opts = parse_args();
-    let mut percentiles: Vec<PercentileEntry> = Vec::new();
+    let mut failures: Vec<String> = Vec::new();
 
     let (params, fig6_volume_mb, fig6_trials, space_volume_mb) = if opts.full {
         (WorkloadParams::paper_defaults(), 1024, 3, 1024)
@@ -229,261 +120,60 @@ fn main() {
         println!("{}", tables());
     }
 
-    for fig in &opts.figures {
-        match fig {
-            6 => {
-                let rows = figure6(fig6_volume_mb, fig6_trials, params.seed);
-                println!("{}", render_figure6(&rows));
-            }
-            7 => {
-                let user_counts = [1usize, 2, 4, 8, 16, 32];
-                match figure7(&params, &user_counts) {
-                    Ok(rows) => println!(
-                        "{}",
-                        render_access_rows(
-                            "Figure 7: multiple concurrent users",
-                            "users",
-                            &rows,
-                            false
-                        )
-                    ),
-                    Err(e) => eprintln!("figure 7 failed: {e}"),
-                }
-            }
-            8 => {
-                // File sizes scaled with the volume: the paper sweeps
-                // 200..2000 KB on a 1 GB volume.
-                let sizes: Vec<u64> = if opts.full {
-                    vec![200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000]
-                } else {
-                    vec![64, 128, 192, 256, 320, 384, 448, 512]
-                };
-                match figure8(&params, &sizes, 8) {
-                    Ok(rows) => println!(
-                        "{}",
-                        render_access_rows(
-                            "Figure 8: sensitivity to file size (8 users)",
-                            "file size (KB)",
-                            &rows,
-                            true
-                        )
-                    ),
-                    Err(e) => eprintln!("figure 8 failed: {e}"),
-                }
-            }
-            9 => {
-                let block_sizes = [512usize, 1024, 2048, 4096, 8192, 16384, 32768, 65536];
-                match figure9(&params, &block_sizes) {
-                    Ok(rows) => println!(
-                        "{}",
-                        render_access_rows(
-                            "Figure 9: serial file operations (1 user)",
-                            "block size (KB)",
-                            &rows,
-                            false
-                        )
-                    ),
-                    Err(e) => eprintln!("figure 9 failed: {e}"),
-                }
-            }
-            other => eprintln!("unknown figure {other} (expected 6-9)"),
+    // Figure 8's file sizes scale with the volume: the paper sweeps
+    // 200..2000 KB on a 1 GB volume.
+    let fig8_sizes_kb: &[u64] = if opts.full {
+        &[200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000]
+    } else {
+        &[64, 128, 192, 256, 320, 384, 448, 512]
+    };
+    let access_table = |title, x_label, rows: Result<Vec<_>, String>, normalized| {
+        rows.map(|rows| render_access_rows(title, x_label, &rows, normalized))
+    };
+    for &fig in &opts.figures {
+        let seed = params.seed;
+        let rendered = match fig {
+            6 => Ok(render_figure6(&figure6(fig6_volume_mb, fig6_trials, seed))),
+            7 => access_table(
+                "Figure 7: multiple concurrent users",
+                "users",
+                figure7(&params, &[1, 2, 4, 8, 16, 32]),
+                false,
+            ),
+            8 => access_table(
+                "Figure 8: sensitivity to file size (8 users)",
+                "file size (KB)",
+                figure8(&params, fig8_sizes_kb, 8),
+                true,
+            ),
+            9 => access_table(
+                "Figure 9: serial file operations (1 user)",
+                "block size (KB)",
+                figure9(&params, &[512, 1024, 2048, 4096, 8192, 16384, 32768, 65536]),
+                false,
+            ),
+            _ => unreachable!("parse_args admits figures 6-9 only"),
+        };
+        match rendered {
+            Ok(text) => println!("{text}"),
+            Err(e) => failures.push(format!("figure {fig}: {e}")),
         }
     }
 
     if opts.space {
         match space_summary(space_volume_mb, params.seed) {
             Ok(rows) => println!("{}", render_space_summary(&rows)),
-            Err(e) => eprintln!("space summary failed: {e}"),
-        }
-    }
-
-    if opts.vfs_scaling {
-        // Thread-scaling sweep through the shared-reference VFS front-end:
-        // disjoint-object throughput should rise with thread count now that
-        // the global volume write lock is gone.  The trajectory is recorded
-        // in BENCH.json so successive PRs can be compared.
-        let (ops_per_thread, counts): (usize, &[usize]) = if opts.smoke {
-            (8, &[1, 4])
-        } else if opts.full {
-            (256, &stegfs_bench::vfs_scaling::THREAD_COUNTS)
-        } else {
-            (64, &stegfs_bench::vfs_scaling::THREAD_COUNTS)
-        };
-        let points = stegfs_bench::vfs_scaling::run_sweep_over(ops_per_thread, counts);
-        println!("{}", stegfs_bench::vfs_scaling::render(&points));
-        percentiles.extend(points.iter().map(|p| PercentileEntry {
-            sweep: "vfs_scaling",
-            concurrency: p.threads,
-            op: p.op,
-            p50_ms: p.p50_us / 1000.0,
-            p99_ms: p.p99_us / 1000.0,
-        }));
-        let section = stegfs_bench::vfs_scaling::section_json(&points);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "vfs_scaling", &section) {
-            Ok(()) => println!(
-                "merged vfs_scaling into BENCH.json ({} points)",
-                points.len()
-            ),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
-    }
-
-    if opts.engine_scaling {
-        // Worker-scaling sweep through the request engine: the same
-        // LatencyDevice configuration as the VFS sweep, but requests flow
-        // from 12 depth-1 clients through the engine's queue and worker
-        // pool, and the batched I/O path serves each ~64 KiB operation with
-        // one overlapped device submission.
-        use stegfs_bench::engine_scaling as es;
-        let (clients, ops_per_client, counts): (usize, usize, &[usize]) = if opts.smoke {
-            (4, 4, &[1, 4])
-        } else if opts.full {
-            (es::CLIENTS, 128, &es::WORKER_COUNTS)
-        } else {
-            (es::CLIENTS, 32, &es::WORKER_COUNTS)
-        };
-        let sweep = es::run_sweep(clients, ops_per_client, counts);
-        println!("{}", es::render(&sweep.points));
-        percentiles.extend(sweep.points.iter().map(|p| PercentileEntry {
-            sweep: "engine_scaling",
-            concurrency: p.workers,
-            op: p.op,
-            p50_ms: p.p50_ms,
-            p99_ms: p.p99_ms,
-        }));
-        let section = es::section_json(&sweep.points);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "engine_scaling", &section) {
-            Ok(()) => println!(
-                "merged engine_scaling into BENCH.json ({} points)",
-                sweep.points.len()
-            ),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
-        if !sweep.contention.is_empty() {
-            for contention in &sweep.contention {
-                let (source, wait_ns) = contention.dominant();
-                println!(
-                    "contention profile ({} @ {} workers): dominant wait source {} ({:.1} ms total wait)",
-                    contention.op,
-                    contention.workers,
-                    source,
-                    wait_ns as f64 / 1e6
-                );
-            }
-            match stegfs_bench::bench_json::update_file(
-                "BENCH.json",
-                "contention",
-                &es::contention_section_json(&sweep.contention),
-            ) {
-                Ok(()) => println!(
-                    "merged contention into BENCH.json ({} passes)",
-                    sweep.contention.len()
-                ),
-                Err(e) => eprintln!("could not write BENCH.json: {e}"),
-            }
-        }
-    }
-
-    if opts.readpath {
-        // Read-path cache sweep: disabled / cold / warm whole-file hidden
-        // reads on the standard LatencyDevice.  Warm rounds must beat cold
-        // rounds by well over the 1.5x acceptance bar; the hit/miss deltas
-        // land in BENCH.json alongside the throughput.
-        use stegfs_bench::readpath as rp;
-        let (files, rounds) = if opts.smoke {
-            (4, 2)
-        } else if opts.full {
-            (rp::FILES, 2 * rp::ROUNDS)
-        } else {
-            (rp::FILES, rp::ROUNDS)
-        };
-        let points = rp::run_sweep(files, rounds);
-        println!("{}", rp::render(&points));
-        let section = rp::section_json(&points);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "readpath", &section) {
-            Ok(()) => println!("merged readpath into BENCH.json ({} points)", points.len()),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
-    }
-
-    if opts.writepath {
-        // Write-path sweep: cold vs warm-chain full rewrites (the
-        // cache-aware write path) and sharded vs globally serialized
-        // disjoint rewrites (the sharded allocator vs the old single-lock
-        // baseline).  Both phases land in BENCH.json as `writepath`, and
-        // the rewrite percentiles join the `percentiles` section CI
-        // asserts on.
-        use stegfs_bench::writepath as wp;
-        let (rounds, ops_per_thread, counts): (usize, usize, &[usize]) = if opts.smoke {
-            (6, 4, &[1, 4])
-        } else if opts.full {
-            (64, 48, &wp::THREAD_COUNTS)
-        } else {
-            (24, 16, &wp::THREAD_COUNTS)
-        };
-        let points = wp::run_sweep(rounds, ops_per_thread, counts);
-        println!("{}", wp::render(&points));
-        percentiles.extend(
-            points
-                .iter()
-                .filter(|p| p.phase == "rewrite" || p.variant == "sharded")
-                .map(|p| PercentileEntry {
-                    sweep: "writepath",
-                    concurrency: p.threads,
-                    op: p.variant,
-                    p50_ms: p.p50_us / 1000.0,
-                    p99_ms: p.p99_us / 1000.0,
-                }),
-        );
-        let section = wp::section_json(&points);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "writepath", &section) {
-            Ok(()) => println!("merged writepath into BENCH.json ({} points)", points.len()),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
-    }
-
-    if opts.durability {
-        // Durability sweep: the same engine workload over three stacks —
-        // no journal (write-through), journal + write-through cache, and
-        // journal + write-back cache with group commit — on a LatencyDevice
-        // that prices the flush barrier.  Write-back + group commit must
-        // recover most of the unjournaled throughput while staying
-        // crash-consistent.
-        use stegfs_bench::durability as dur;
-        let (clients, ops_per_client, workers) = if opts.smoke {
-            (4, 6, 4)
-        } else if opts.full {
-            (dur::CLIENTS, 96, dur::WORKERS)
-        } else {
-            (dur::CLIENTS, 48, dur::WORKERS)
-        };
-        let points = dur::run_sweep(clients, ops_per_client, workers);
-        println!("{}", dur::render(&points));
-        let section = dur::section_json(&points);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "durability", &section) {
-            Ok(()) => println!(
-                "merged durability into BENCH.json ({} points)",
-                points.len()
-            ),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
+            Err(e) => failures.push(format!("space summary: {e}")),
         }
     }
 
     if opts.survival {
-        // Survivability sweep: write amplification vs survival rate under
-        // randomized share damage, one point per durability policy, with an
-        // offline scavenge pass between damage and the verdict reads.  The
-        // smoke variant additionally pins the exact k-of-n boundary
-        // (destroy n-m shares per group -> byte-identical; one more ->
-        // fail closed), which is what CI asserts on.
-        use stegfs_bench::survival as sv;
+        // The smoke variant first pins the exact k-of-n boundary (destroy
+        // n-m shares per group -> byte-identical; one more -> fail closed).
         if opts.smoke {
-            match sv::smoke() {
+            match survival::smoke() {
                 Ok(()) => println!("survival smoke: k-of-n boundary holds (recover at n-m losses, fail closed beyond)"),
-                Err(e) => {
-                    eprintln!("survival smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
+                Err(e) => failures.push(format!("survival smoke: {e}")),
             }
         }
         let (files, file_kb, damage_frac) = if opts.smoke {
@@ -493,46 +183,19 @@ fn main() {
         } else {
             (6, 32, 0.15)
         };
-        let points = sv::run_sweep(files, file_kb, damage_frac, 0x5743_2003);
-        println!("{}", sv::render(&points));
-        let section = sv::section_json(&points);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "survival", &section) {
-            Ok(()) => println!("merged survival into BENCH.json ({} points)", points.len()),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
-
-        // Metadata-damage sweep: header/chain replicas and data shares
-        // destroyed within tolerance per coded policy, healed by the online
-        // read-repair queue and verified converged by a scavenge pass.
-        let meta_points = sv::run_metadata_sweep(files, file_kb, 0x4d45_5441);
-        println!("{}", sv::render_metadata(&meta_points));
-        let section = sv::metadata_section_json(&meta_points);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "survival_metadata", &section) {
-            Ok(()) => println!(
-                "merged survival_metadata into BENCH.json ({} points)",
-                meta_points.len()
-            ),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
-
-        // Transient-fault point: a FlakyDevice injecting error-then-succeed
-        // streaks under a RetryDevice that must absorb every one of them.
-        let transient = sv::transient_point(files, file_kb, 0x464c_4159);
-        println!("{}", sv::render_transient(&transient));
-        let section = sv::transient_section_json(&transient);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "survival_transient", &section) {
-            Ok(()) => println!("merged survival_transient into BENCH.json"),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
+        // Randomized share damage then scavenge, per policy; metadata damage
+        // healed by online read-repair; transient faults absorbed by retry.
+        let points = survival::run_sweep(files, file_kb, damage_frac, 0x5743_2003);
+        println!("{}", survival::render(&points));
+        let meta_points = survival::run_metadata_sweep(files, file_kb, 0x4d45_5441);
+        println!("{}", survival::render_metadata(&meta_points));
+        let transient = survival::transient_point(files, file_kb, 0x464c_4159);
+        println!("{}", survival::render_transient(&transient));
     }
 
     if opts.attribution {
-        // Phase-attribution pass: the durability sweep's journaled
-        // write-back configuration with causal span tracing on, rolled up
-        // into a per-request-type table of where the latency went
-        // (queue wait, shard locks, journal staging, the commit gate's
-        // group flush, raw device time, crypto, cache hits/misses).
-        use stegfs_bench::attribution as attr;
+        // Where each request type's latency went, phase by phase, on a
+        // journaled write-back volume behind the engine.
         let (clients, ops_per_client, workers) = if opts.smoke {
             (4, 8, 4)
         } else if opts.full {
@@ -540,51 +203,34 @@ fn main() {
         } else {
             (12, 48, 8)
         };
-        let run = attr::run(clients, ops_per_client, workers);
-        println!("{}", attr::render(&run));
-        let section = attr::section_json(&run);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "attribution", &section) {
-            Ok(()) => println!(
-                "merged attribution into BENCH.json ({} request types)",
-                run.ops.len()
-            ),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
-        }
+        let run = attribution::run(clients, ops_per_client, workers);
+        println!("{}", attribution::render(&run));
     }
 
     if let Some(path) = &opts.trace_export {
-        // Chrome-trace export: the attribution workload again, but with the
-        // whole-tree capture buffer active; the result loads directly into
-        // chrome://tracing or ui.perfetto.dev.
-        use stegfs_bench::attribution as attr;
+        // The attribution workload again with the whole-tree capture buffer
+        // active; the file loads into chrome://tracing or ui.perfetto.dev.
         let (clients, ops_per_client, workers) = if opts.smoke { (4, 8, 4) } else { (8, 24, 8) };
-        let (json, dropped) = attr::trace_export(clients, ops_per_client, workers, 65536);
+        let (json, dropped) = attribution::trace_export(clients, ops_per_client, workers, 65536);
         match std::fs::write(path, &json) {
             Ok(()) => println!(
                 "wrote chrome trace to {path} ({} bytes, {} events dropped)",
                 json.len(),
                 dropped
             ),
-            Err(e) => eprintln!("could not write {path}: {e}"),
+            Err(e) => failures.push(format!("could not write {path}: {e}")),
         }
     }
 
     if opts.scavenge_demo {
-        // Offline scavenger walk-through: damage a coded volume beyond what
-        // a plain one could take, then repair it in place and print the
-        // report — the operator-facing view of `stegfs_survival::scavenge`.
-        use stegfs_bench::survival as sv;
-        println!("{}", sv::scavenge_demo());
+        // Damage a coded volume, repair it in place, print the report.
+        println!("{}", survival::scavenge_demo());
     }
 
-    if !percentiles.is_empty() {
-        let section = percentiles_json(&percentiles);
-        match stegfs_bench::bench_json::update_file("BENCH.json", "percentiles", &section) {
-            Ok(()) => println!(
-                "merged percentiles into BENCH.json ({} entries)",
-                percentiles.len()
-            ),
-            Err(e) => eprintln!("could not write BENCH.json: {e}"),
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("FAILED: {failure}");
         }
+        std::process::exit(1);
     }
 }

@@ -1,71 +1,24 @@
 //! # stegfs-bench
 //!
-//! Shared configuration for the benchmark harness.
+//! The library half of the **`repro` binary**
+//! (`cargo run -p stegfs-bench --bin repro --release`), which regenerates
+//! every table and figure of the paper's evaluation as text tables (the
+//! README's "Reproducing the paper" section describes the scaling) and
+//! prints the two sweeps nothing else covers:
 //!
-//! Two kinds of artefacts live in this crate:
+//! * [`survival`] — write amplification vs survival under damage, online
+//!   metadata self-healing, transient-fault absorption, and the k-of-n
+//!   boundary check behind `repro --survival --smoke`;
+//! * [`attribution`] — where a request's latency goes, phase by phase, and
+//!   the chrome-trace export of the same workload.
 //!
-//! * the **`repro` binary** (`cargo run -p stegfs-bench --bin repro --release`),
-//!   which regenerates every table and figure of the paper's evaluation and
-//!   prints them as text tables (see `EXPERIMENTS.md` at the workspace root
-//!   for the recorded output and the paper-vs-measured comparison), and
-//! * **Criterion benches** (`cargo bench`), one per figure plus
-//!   micro-benchmarks of the cryptographic and file-system building blocks
-//!   and an ablation bench for StegFS design choices.
-//!
-//! Benchmarks run at a scaled-down volume by default so that `cargo bench`
-//! terminates in minutes; the `repro` binary accepts `--full` for the paper's
-//! original 1 GB / 100-file configuration.
+//! `repro` only prints.  What a sweep must *guarantee* is asserted on its
+//! result structs by this crate's own `#[test]`s, which `cargo test` runs.
+//! Throughput and latency are measured by the gating benchmark under
+//! `benchmark/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use stegfs_sim::WorkloadParams;
-
-/// Workload used by the Criterion benches: small enough to keep a bench run
-/// short, large enough that the disk model dominates (which is the regime the
-/// paper measures).
-pub fn bench_workload() -> WorkloadParams {
-    let mut p = WorkloadParams::scaled_quick();
-    p.volume_mb = 32;
-    p.file_count = 8;
-    p.file_size_min = 128 * 1024;
-    p.file_size_max = 256 * 1024;
-    p
-}
-
-/// The user counts swept by the concurrency experiments.
-pub const USER_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
 pub mod attribution;
-pub mod bench_json;
-pub mod durability;
-pub mod engine_scaling;
-pub mod readpath;
 pub mod survival;
-pub mod vfs_scaling;
-pub mod writepath;
-
-/// The block sizes swept by the serial-access experiment (bytes).
-pub const BLOCK_SIZES: [usize; 8] = [512, 1024, 2048, 4096, 8192, 16384, 32768, 65536];
-
-/// The file sizes swept by the file-size sensitivity experiment (KB).
-pub const FILE_SIZES_KB: [u64; 10] = [200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_workload_is_valid() {
-        assert!(bench_workload().validate().is_ok());
-    }
-
-    #[test]
-    fn sweeps_match_the_paper() {
-        assert_eq!(USER_COUNTS.to_vec(), vec![1, 2, 4, 8, 16, 32]);
-        assert_eq!(BLOCK_SIZES[0], 512);
-        assert_eq!(*BLOCK_SIZES.last().unwrap(), 64 * 1024);
-        assert_eq!(FILE_SIZES_KB[0], 200);
-        assert_eq!(*FILE_SIZES_KB.last().unwrap(), 2000);
-    }
-}

@@ -13,14 +13,14 @@
 //! 3. runs the keyed scavenger and then re-reads every file, counting how
 //!    many come back **byte-identical** — the survival rate.
 //!
-//! `smoke()` is the CI gate: it pins the exact k-of-n boundary — destroying
-//! any `n - m` shares of every group must leave every byte recoverable
-//! (warm read *and* offline repair), and destroying one more share must
-//! fail closed with no partial plaintext.
+//! `smoke()` is what `repro --survival --smoke` exits non-zero on: it pins
+//! the exact k-of-n boundary — destroying any `n - m` shares of every group
+//! must leave every byte recoverable (warm read *and* offline repair), and
+//! destroying one more share must fail closed with no partial plaintext.
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use stegfs_blockdev::{CorruptingDevice, FlakyDevice, MemBlockDevice, RetryDevice};
+use stegfs_blockdev::{BlockDevice, CorruptingDevice, FlakyDevice, MemBlockDevice, RetryDevice};
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{ObjectKind, Policy, StegFs, StegParams};
 use stegfs_survival::scavenge;
@@ -78,21 +78,52 @@ fn content(index: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-fn build_volume(
-    policy: Policy,
-    files: usize,
-    file_kb: usize,
-) -> StegFs<CorruptingDevice<MemBlockDevice>> {
+/// The damageable volume every sweep but the transient one runs on.
+type Volume = StegFs<CorruptingDevice<MemBlockDevice>>;
+
+fn name(index: usize) -> String {
+    format!("survival-{index}")
+}
+
+fn build_volume(policy: Policy, files: usize, file_kb: usize) -> Volume {
     let dev = CorruptingDevice::new(MemBlockDevice::new(1024, 16384));
     let fs = StegFs::format(dev, params(policy)).expect("format");
     for i in 0..files {
-        let name = format!("survival-{i}");
-        fs.steg_create(&name, UAK, ObjectKind::File)
+        fs.steg_create(&name(i), UAK, ObjectKind::File)
             .expect("create");
-        fs.write_hidden_with_key(&name, UAK, &content(i, file_kb * 1024))
+        fs.write_hidden_with_key(&name(i), UAK, &content(i, file_kb * 1024))
             .expect("write");
     }
     fs
+}
+
+/// Every share block of the working set.
+fn all_shares(fs: &Volume, files: usize) -> Vec<u64> {
+    let extents = |i| fs.hidden_share_extents(&name(i), UAK).expect("extents");
+    (0..files).flat_map(extents).flatten().collect()
+}
+
+/// How many of the working set's files read back byte-identical.
+fn count_identical<D: BlockDevice>(fs: &StegFs<D>, files: usize, file_kb: usize) -> usize {
+    (0..files)
+        .filter(|&i| check_identical(fs, i, file_kb, "").is_ok())
+        .count()
+}
+
+/// `Err` unless file `index` reads back byte-identical; `what` names the
+/// read in the message.
+fn check_identical<D: BlockDevice>(
+    fs: &StegFs<D>,
+    index: usize,
+    file_kb: usize,
+    what: &str,
+) -> Result<(), String> {
+    let file = name(index);
+    match fs.read_hidden_with_key(&file, UAK) {
+        Ok(got) if got == content(index, file_kb * 1024) => Ok(()),
+        Ok(_) => Err(format!("{what} read of {file} is not byte-identical")),
+        Err(e) => Err(format!("{what} read of {file} failed: {e}")),
+    }
 }
 
 /// Run the sweep: `files` hidden files of `file_kb` KiB per policy, with
@@ -106,13 +137,7 @@ pub fn run_sweep(files: usize, file_kb: usize, damage_frac: f64, seed: u64) -> V
             let fs = build_volume(policy, files, file_kb);
             let (m, n) = policy.shares();
 
-            let mut all_shares: Vec<u64> = Vec::new();
-            for i in 0..files {
-                let groups = fs
-                    .hidden_share_extents(&format!("survival-{i}"), UAK)
-                    .expect("extents");
-                all_shares.extend(groups.into_iter().flatten());
-            }
+            let all_shares = all_shares(&fs, files);
             let write_amp = all_shares.len() as f64 / (files * logical_per_file) as f64;
 
             let damage_count = ((all_shares.len() as f64) * damage_frac).round() as usize;
@@ -122,12 +147,7 @@ pub fn run_sweep(files: usize, file_kb: usize, damage_frac: f64, seed: u64) -> V
             fs.purge_read_caches();
 
             let report = scavenge(&fs, &[UAK]).expect("scavenge");
-            let survived = (0..files)
-                .filter(|&i| {
-                    fs.read_hidden_with_key(&format!("survival-{i}"), UAK)
-                        .is_ok_and(|got| got == content(i, file_kb * 1024))
-                })
-                .count();
+            let survived = count_identical(&fs, files, file_kb);
 
             SurvivalPoint {
                 policy: label,
@@ -153,7 +173,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// The metadata replica groups of `name` (see
 /// [`HiddenObject::metadata_groups`](stegfs_core::hidden::HiddenObject::metadata_groups)).
-fn metadata_groups(fs: &StegFs<CorruptingDevice<MemBlockDevice>>, name: &str) -> Vec<Vec<u64>> {
+fn metadata_groups(fs: &Volume, name: &str) -> Vec<Vec<u64>> {
     let entry = fs.lookup_entry(name, UAK).expect("entry");
     let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
     let obj = fs.object_io(&keys).open(&entry.physical_name);
@@ -205,47 +225,34 @@ pub fn run_metadata_sweep(files: usize, file_kb: usize, seed: u64) -> Vec<Metada
             let tol = n - m;
             let dev = fs.plain_fs().device().clone();
             let mut rng = seed ^ 0x6d65_7461;
+            // Zero `tol` random blocks of every group, never its last copy.
+            let mut destroy = |groups: Vec<Vec<u64>>| {
+                let mut destroyed = 0usize;
+                for mut pool in groups {
+                    for _ in 0..tol.min(pool.len().saturating_sub(1)) {
+                        let pick = (xorshift(&mut rng) % pool.len() as u64) as usize;
+                        dev.zero_block(pool.swap_remove(pick)).expect("zero");
+                        destroyed += 1;
+                    }
+                }
+                destroyed
+            };
             let mut metadata_replicas_damaged = 0usize;
             let mut shares_damaged = 0usize;
             for i in 0..files {
-                let name = format!("survival-{i}");
-                for group in metadata_groups(&fs, &name) {
-                    let mut pool = group;
-                    for _ in 0..tol.min(pool.len().saturating_sub(1)) {
-                        let pick = (xorshift(&mut rng) % pool.len() as u64) as usize;
-                        dev.zero_block(pool.swap_remove(pick)).expect("zero");
-                        metadata_replicas_damaged += 1;
-                    }
-                }
-                for group in fs.hidden_share_extents(&name, UAK).expect("extents") {
-                    let mut pool = group;
-                    for _ in 0..tol.min(pool.len().saturating_sub(1)) {
-                        let pick = (xorshift(&mut rng) % pool.len() as u64) as usize;
-                        dev.zero_block(pool.swap_remove(pick)).expect("zero");
-                        shares_damaged += 1;
-                    }
-                }
+                metadata_replicas_damaged += destroy(metadata_groups(&fs, &name(i)));
+                shares_damaged += destroy(fs.hidden_share_extents(&name(i), UAK).expect("extents"));
             }
             fs.purge_read_caches();
             fs.obs().repair.reset();
 
-            let degraded_reads_ok = (0..files)
-                .filter(|&i| {
-                    fs.read_hidden_with_key(&format!("survival-{i}"), UAK)
-                        .is_ok_and(|got| got == content(i, file_kb * 1024))
-                })
-                .count();
+            let degraded_reads_ok = count_identical(&fs, files, file_kb);
             let _ = fs.process_repairs(files * 2);
             let repairs = fs.obs().repair.summary();
 
             let report = scavenge(&fs, &[UAK]).expect("scavenge");
             fs.purge_read_caches();
-            let byte_identical = (0..files)
-                .filter(|&i| {
-                    fs.read_hidden_with_key(&format!("survival-{i}"), UAK)
-                        .is_ok_and(|got| got == content(i, file_kb * 1024))
-                })
-                .count();
+            let byte_identical = count_identical(&fs, files, file_kb);
 
             MetadataPoint {
                 policy: label,
@@ -294,26 +301,12 @@ pub fn transient_point(files: usize, file_kb: usize, seed: u64) -> TransientPoin
         .expect("format over flaky device");
     let mut operations_ok = 0usize;
     for i in 0..files {
-        let name = format!("transient-{i}");
-        if fs.steg_create(&name, UAK, ObjectKind::File).is_ok() {
-            operations_ok += 1;
-        }
-        if fs
-            .write_hidden_with_key(&name, UAK, &content(i, file_kb * 1024))
-            .is_ok()
-        {
-            operations_ok += 1;
-        }
+        let data = content(i, file_kb * 1024);
+        operations_ok += usize::from(fs.steg_create(&name(i), UAK, ObjectKind::File).is_ok());
+        operations_ok += usize::from(fs.write_hidden_with_key(&name(i), UAK, &data).is_ok());
     }
     fs.purge_read_caches();
-    for i in 0..files {
-        if fs
-            .read_hidden_with_key(&format!("transient-{i}"), UAK)
-            .is_ok_and(|got| got == content(i, file_kb * 1024))
-        {
-            operations_ok += 1;
-        }
-    }
+    operations_ok += count_identical(&fs, files, file_kb);
     TransientPoint {
         device_ops: flaky.ops(),
         faults_injected: flaky.injected(),
@@ -364,51 +357,7 @@ pub fn render_transient(p: &TransientPoint) -> String {
     )
 }
 
-/// Serialise the metadata sweep to the `survival_metadata` JSON section.
-pub fn metadata_section_json(points: &[MetadataPoint]) -> String {
-    let mut s = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"policy\": \"{}\", \"m\": {}, \"n\": {}, \"objects\": {}, \
-             \"metadata_replicas_damaged\": {}, \"shares_damaged\": {}, \
-             \"degraded_reads_ok\": {}, \"repairs_queued\": {}, \
-             \"repairs_completed\": {}, \"repairs_failed\": {}, \
-             \"scavenge_intact_after\": {}, \"byte_identical\": {}}}{}",
-            p.policy,
-            p.m,
-            p.n,
-            p.objects,
-            p.metadata_replicas_damaged,
-            p.shares_damaged,
-            p.degraded_reads_ok,
-            p.repairs_queued,
-            p.repairs_completed,
-            p.repairs_failed,
-            p.scavenge_intact_after,
-            p.byte_identical,
-            if i + 1 == points.len() { "" } else { "," }
-        );
-    }
-    s.push_str("  ]");
-    s
-}
-
-/// Serialise the transient point to the `survival_transient` JSON section.
-pub fn transient_section_json(p: &TransientPoint) -> String {
-    format!(
-        "{{\n    \"device_ops\": {}, \"faults_injected\": {}, \"retries_absorbed\": {}, \
-         \"retries_exhausted\": {}, \"operations_ok\": {}, \"operations_total\": {}\n  }}",
-        p.device_ops,
-        p.faults_injected,
-        p.retries_absorbed,
-        p.retries_exhausted,
-        p.operations_ok,
-        p.operations_total,
-    )
-}
-
-/// CI smoke: pin the exact k-of-n recovery boundary for `Disperse{2,4}`.
+/// Pin the exact k-of-n recovery boundary for `Disperse{2,4}`.
 ///
 /// Destroying any `n - m` shares of *every* group must leave every byte
 /// recoverable both by a warm (degraded) read and by offline repair; one
@@ -422,18 +371,20 @@ pub fn smoke() -> Result<(), String> {
     let file_kb = 8usize;
     let fs = build_volume(policy, files, file_kb);
     let dev = fs.plain_fs().device().clone();
+    let zero = |block| dev.zero_block(block).map_err(|e| format!("zero: {e}"));
+    let extents = |file: &str| {
+        fs.hidden_share_extents(file, UAK)
+            .map_err(|e| format!("extents: {e}"))
+    };
 
     // Phase 1: exactly n - m shares of every group destroyed.
     for i in 0..files {
-        let groups = fs
-            .hidden_share_extents(&format!("survival-{i}"), UAK)
-            .map_err(|e| format!("extents: {e}"))?;
-        for (g, group) in groups.iter().enumerate() {
+        for (g, group) in extents(&name(i))?.iter().enumerate() {
             for k in 0..(n - m) {
                 // Mix the damage modes across groups.
                 let victim = group[(g + k) % n];
                 if k % 2 == 0 {
-                    dev.zero_block(victim).map_err(|e| format!("zero: {e}"))?;
+                    zero(victim)?;
                 } else {
                     dev.overwrite_region(victim, 1, victim ^ 0xdead)
                         .map_err(|e| format!("junk: {e}"))?;
@@ -445,14 +396,7 @@ pub fn smoke() -> Result<(), String> {
 
     // Degraded reads must already be byte-identical (checksum fallback).
     for i in 0..files {
-        let got = fs
-            .read_hidden_with_key(&format!("survival-{i}"), UAK)
-            .map_err(|e| format!("degraded read of survival-{i} failed: {e}"))?;
-        if got != content(i, file_kb * 1024) {
-            return Err(format!(
-                "degraded read of survival-{i} is not byte-identical"
-            ));
-        }
+        check_identical(&fs, i, file_kb, "degraded")?;
     }
 
     // Offline repair must rebuild every destroyed share and leave nothing
@@ -463,34 +407,20 @@ pub fn smoke() -> Result<(), String> {
     }
     fs.purge_read_caches();
     for i in 0..files {
-        let got = fs
-            .read_hidden_with_key(&format!("survival-{i}"), UAK)
-            .map_err(|e| format!("post-repair read of survival-{i} failed: {e}"))?;
-        if got != content(i, file_kb * 1024) {
-            return Err(format!(
-                "post-repair read of survival-{i} is not byte-identical"
-            ));
-        }
+        check_identical(&fs, i, file_kb, "post-repair")?;
     }
 
     // Phase 2: one more share destroyed in one group of file 0 — beyond
     // tolerance.  The read must fail closed and the scavenger must report
     // the object lost without writing anything.
-    let groups = fs
-        .hidden_share_extents("survival-0", UAK)
-        .map_err(|e| format!("extents: {e}"))?;
-    for &b in groups[0].iter().take(n - m + 1) {
-        dev.zero_block(b).map_err(|e| format!("zero: {e}"))?;
+    for &b in extents("survival-0")?[0].iter().take(n - m + 1) {
+        zero(b)?;
     }
     fs.purge_read_caches();
     match fs.read_hidden_with_key("survival-0", UAK) {
         Ok(_) => return Err("read beyond tolerance returned data".into()),
-        Err(e) => {
-            let msg = e.to_string();
-            if !msg.contains("live shares") {
-                return Err(format!("expected a fail-closed share error, got: {msg}"));
-            }
-        }
+        Err(e) if e.to_string().contains("live shares") => {}
+        Err(e) => return Err(format!("expected a fail-closed share error, got: {e}")),
     }
     let report = scavenge(&fs, &[UAK]).map_err(|e| format!("scavenge: {e}"))?;
     if report.objects_lost != 1 || report.lost != vec!["survival-0".to_string()] {
@@ -498,12 +428,7 @@ pub fn smoke() -> Result<(), String> {
     }
     // The other files are untouched by the second round of damage.
     for i in 1..files {
-        let got = fs
-            .read_hidden_with_key(&format!("survival-{i}"), UAK)
-            .map_err(|e| format!("bystander read of survival-{i} failed: {e}"))?;
-        if got != content(i, file_kb * 1024) {
-            return Err(format!("bystander survival-{i} is not byte-identical"));
-        }
+        check_identical(&fs, i, file_kb, "bystander")?;
     }
 
     // Phase 3: metadata damage within tolerance on survival-1 — n-m header
@@ -517,20 +442,13 @@ pub fn smoke() -> Result<(), String> {
     // would otherwise heal the freshly-zeroed replicas during the drain.
     let _ = fs.process_repairs(usize::MAX);
     fs.obs().repair.reset();
-    let dev2 = fs.plain_fs().device().clone();
-    let groups = metadata_groups(&fs, "survival-1");
-    for group in &groups {
+    for group in &metadata_groups(&fs, "survival-1") {
         for &b in group.iter().take(n - m) {
-            dev2.zero_block(b).map_err(|e| format!("zero meta: {e}"))?;
+            zero(b)?;
         }
     }
     fs.purge_read_caches();
-    let got = fs
-        .read_hidden_with_key("survival-1", UAK)
-        .map_err(|e| format!("metadata-degraded read failed: {e}"))?;
-    if got != content(1, file_kb * 1024) {
-        return Err("metadata-degraded read is not byte-identical".into());
-    }
+    check_identical(&fs, 1, file_kb, "metadata-degraded")?;
     let drain = fs.process_repairs(8);
     let repairs = fs.obs().repair.summary();
     if repairs.queued < 1 || repairs.failed != 0 || repairs.completed != repairs.queued {
@@ -541,21 +459,18 @@ pub fn smoke() -> Result<(), String> {
     let entry = fs
         .lookup_entry("survival-1", UAK)
         .map_err(|e| format!("entry: {e}"))?;
-    match fs.scavenge_entry(&entry) {
-        Ok(stegfs_core::RepairOutcome::Intact) => {}
-        other => {
-            return Err(format!(
-                "online repair left survival-1 not fully redundant: {other:?}"
-            ))
-        }
+    let outcome = fs.scavenge_entry(&entry);
+    if !matches!(outcome, Ok(stegfs_core::RepairOutcome::Intact)) {
+        return Err(format!(
+            "online repair left survival-1 not fully redundant: {outcome:?}"
+        ));
     }
 
     // Phase 4: metadata damage beyond tolerance on survival-2 — every
     // header replica destroyed.  The read must fail closed in the deniable
     // absent-object family and the scavenger must report it lost.
     for &b in &metadata_groups(&fs, "survival-2")[0] {
-        dev2.zero_block(b)
-            .map_err(|e| format!("zero header: {e}"))?;
+        zero(b)?;
     }
     fs.purge_read_caches();
     match fs.read_hidden_with_key("survival-2", UAK) {
@@ -584,13 +499,7 @@ pub fn scavenge_demo() -> String {
     let fs = build_volume(policy, files, file_kb);
     let dev = fs.plain_fs().device().clone();
 
-    let mut all_shares: Vec<u64> = Vec::new();
-    for i in 0..files {
-        let groups = fs
-            .hidden_share_extents(&format!("survival-{i}"), UAK)
-            .expect("extents");
-        all_shares.extend(groups.into_iter().flatten());
-    }
+    let all_shares = all_shares(&fs, files);
     let damage = dev
         .corrupt_random_in(&all_shares, all_shares.len() / 5, 0xda_ba_9e)
         .expect("damage");
@@ -618,12 +527,7 @@ pub fn scavenge_demo() -> String {
     for name in &report.lost {
         let _ = writeln!(s, "  lost: {name}");
     }
-    let survived = (0..files)
-        .filter(|&i| {
-            fs.read_hidden_with_key(&format!("survival-{i}"), UAK)
-                .is_ok_and(|got| got == content(i, file_kb * 1024))
-        })
-        .count();
+    let survived = count_identical(&fs, files, file_kb);
     let _ = writeln!(
         s,
         "post-repair verification: {survived}/{files} byte-identical"
@@ -655,32 +559,6 @@ pub fn render(points: &[SurvivalPoint]) -> String {
     s
 }
 
-/// Serialise the sweep to the `survival` JSON section (an array; the caller
-/// merges it into `BENCH.json` next to the other sections).
-pub fn section_json(points: &[SurvivalPoint]) -> String {
-    let mut s = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"policy\": \"{}\", \"m\": {}, \"n\": {}, \"write_amp\": {:.3}, \
-             \"objects\": {}, \"blocks_damaged\": {}, \"objects_repaired\": {}, \
-             \"objects_lost\": {}, \"survival_rate\": {:.3}}}{}",
-            p.policy,
-            p.m,
-            p.n,
-            p.write_amp,
-            p.objects,
-            p.blocks_damaged,
-            p.objects_repaired,
-            p.objects_lost,
-            p.survival_rate,
-            if i + 1 == points.len() { "" } else { "," }
-        );
-    }
-    s.push_str("  ]");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,12 +583,49 @@ mod tests {
         assert_eq!(by("plain").objects_repaired, 0);
     }
 
+    // The two tests below run the sweeps at `repro --survival --smoke` size
+    // (2 files x 4 KiB) and hold the result structs to what the sweeps exist
+    // to show; `repro` itself only prints them.
+
     #[test]
-    fn section_json_is_well_formed_enough() {
-        let json = section_json(&run_sweep(1, 2, 0.1, 7));
-        assert!(json.contains("\"policy\": \"disperse-2of4\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let merged = crate::bench_json::merge_section(None, "survival", &json);
-        assert!(merged.contains("\"survival\""));
+    fn metadata_damage_heals_online_under_every_coded_policy() {
+        let points = run_metadata_sweep(2, 4, 0x4d45_5441);
+        assert_eq!(points.len(), POLICIES.len() - 1, "every policy but plain");
+        for p in &points {
+            assert!(p.metadata_replicas_damaged > 0, "no metadata damage: {p:?}");
+            assert!(p.repairs_queued > 0, "no repair ticket queued: {p:?}");
+            assert_eq!(p.repairs_failed, 0, "repairs failed: {p:?}");
+            assert_eq!(
+                p.repairs_completed, p.repairs_queued,
+                "drain incomplete: {p:?}"
+            );
+            assert_eq!(
+                p.degraded_reads_ok, p.objects,
+                "degraded read lost bytes: {p:?}"
+            );
+            assert_eq!(p.byte_identical, p.objects, "healed read differs: {p:?}");
+            assert_eq!(
+                p.scavenge_intact_after, p.objects,
+                "online repair left replicas thin: {p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn transient_faults_are_absorbed_by_retry() {
+        let p = transient_point(2, 4, 0x464c_4159);
+        assert!(
+            p.faults_injected > 0,
+            "flaky device injected nothing: {p:?}"
+        );
+        assert!(
+            p.retries_absorbed >= p.faults_injected,
+            "faults leaked past retry: {p:?}"
+        );
+        assert_eq!(p.retries_exhausted, 0, "retry budget exhausted: {p:?}");
+        assert_eq!(
+            p.operations_ok, p.operations_total,
+            "operations failed: {p:?}"
+        );
     }
 }

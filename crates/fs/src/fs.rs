@@ -191,8 +191,8 @@ pub struct PlainFs<D: BlockDevice> {
 
 /// Fast non-cryptographic fill used to write "randomly generated patterns"
 /// into every block at format time (§3.1).  Indistinguishability from AES
-/// ciphertext is a modelling assumption documented in DESIGN.md; the fill
-/// only needs to look uniform, not be cryptographically strong.
+/// ciphertext is a modelling assumption, not something this fill provides:
+/// it only needs to look uniform, not be cryptographically strong.
 fn fill_pseudorandom(buf: &mut [u8], mut state: u64) {
     if state == 0 {
         state = 0x9e37_79b9_7f4a_7c15;

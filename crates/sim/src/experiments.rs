@@ -1,9 +1,9 @@
 //! One driver function per table/figure of the paper's evaluation.
 //!
 //! Each function returns structured rows plus a `render_*` helper that turns
-//! them into the text tables printed by the `repro` binary.  The
-//! per-experiment index in DESIGN.md maps every figure/table to the function
-//! here that regenerates it.
+//! them into the text tables printed by the `repro` binary.  The crate
+//! documentation indexes every figure/table by the function here that
+//! regenerates it.
 
 use crate::driver::{run_access, AccessResult, Operation};
 use crate::report::{fmt_f64, format_table};

@@ -23,8 +23,7 @@
 //! * [`experiments::space_summary`] — the §5.2 utilization comparison.
 //! * [`experiments::tables`] — Tables 1–4 (parameter/notation tables).
 //!
-//! The `stegfs-bench` crate exposes all of these through the `repro` binary
-//! and Criterion benches.
+//! The `stegfs-bench` crate exposes all of these through the `repro` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -70,8 +70,8 @@ impl WorkloadParams {
 
     /// A scaled-down workload with the same *shape* (same file-size-to-volume
     /// ratio, same relative metadata overheads) that runs in seconds rather
-    /// than minutes: 64 MB volume, 24 files of (256, 512] KB.
-    /// EXPERIMENTS.md documents the scaling.
+    /// than minutes: 64 MB volume, 24 files of (256, 512] KB — the paper's
+    /// volume divided by sixteen, its file count and file sizes by four each.
     pub fn scaled_quick() -> Self {
         WorkloadParams {
             block_size: 1024,

@@ -3,7 +3,7 @@
 //! The obs registry trades visibility for nothing: an adversary who can read
 //! the metrics output (or image RAM after a sign-off, or image the disk with
 //! instrumentation on) must learn exactly what they would learn without it.
-//! These tests pin the three load-bearing claims:
+//! These tests pin the four load-bearing claims:
 //!
 //! 1. The snapshot's *shape* — every key, label, and metric name — is a
 //!    static property of the binary, identical whether or not hidden objects
@@ -17,12 +17,15 @@
 //!    with tracing on and off: nothing about the registry is ever persisted.
 //! 4. Request ids in span trees come from a process-global monotonic
 //!    counter, never from key material.
+//!
+//! One more pin rides on the same engine workload: every lock family of the
+//! static vocabulary resolves by name and is populated by real traffic.
 
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, MemBlockDevice, SharedDevice};
 use stegfs_core::{ObjectKind, StegFs, StegParams};
 use stegfs_engine::{Client, Engine, Request, Response};
-use stegfs_tests::{full_feature_params, payload};
+use stegfs_tests::{full_feature_params, journaled_params, payload};
 use stegfs_vfs::{OpenOptions, Vfs, VfsHandle};
 
 const OWNER: &str = "the real key";
@@ -166,24 +169,29 @@ fn trace_slow_and_capture_rings_are_zeroized_on_signoff() {
         .shutdown();
 }
 
-/// Drive a fixed engine request sequence (optionally touching a hidden
-/// object) and return the attribution-table shape plus the run's
-/// chrome-trace JSON.
+/// The fixed engine request sequence: a plain file opened, written, read and
+/// closed, then (optionally) the same on a hidden object.
+fn drive_requests<D: BlockDevice + Send + Sync + 'static>(client: &Client<D>, hidden: bool) {
+    let h = eng_open(client, "/plain/cover.dat");
+    eng_write(client, h, payload(21, 16 * 1024));
+    eng_read(client, h, 16 * 1024);
+    eng_close(client, h);
+    if hidden {
+        let h = eng_open(client, "/hidden/secret-a");
+        eng_write(client, h, payload(22, 16 * 1024));
+        eng_read(client, h, 16 * 1024);
+        eng_close(client, h);
+    }
+}
+
+/// Drive the fixed engine request sequence and return the attribution-table
+/// shape plus the run's chrome-trace JSON.
 fn span_layer_run(key: &str, hidden: bool) -> (String, String) {
     let vfs = Arc::new(Vfs::format(MemBlockDevice::new(1024, 8192), obs_params()).unwrap());
     let engine = Arc::new(Engine::start(Arc::clone(&vfs), 1));
     vfs.obs().capture.begin(4096);
     let client = engine.client(key);
-    let h = eng_open(&client, "/plain/cover.dat");
-    eng_write(&client, h, payload(21, 16 * 1024));
-    eng_read(&client, h, 16 * 1024);
-    eng_close(&client, h);
-    if hidden {
-        let h = eng_open(&client, "/hidden/secret-a");
-        eng_write(&client, h, payload(22, 16 * 1024));
-        eng_read(&client, h, 16 * 1024);
-        eng_close(&client, h);
-    }
+    drive_requests(&client, hidden);
     let (events, _) = vfs.obs().capture.take();
     let json = stegfs_obs::chrome_trace_json(&events);
     let shape = vfs.obs().attribution.summary().shape();
@@ -234,6 +242,36 @@ fn span_layer_shape_is_independent_of_hidden_activity() {
         let end = rest.find('"').expect("cat string terminated");
         assert!(matches!(&rest[..end], "request" | "phase"));
         rest = &rest[end..];
+    }
+}
+
+#[test]
+fn lock_families_are_named_and_populated_by_engine_traffic() {
+    // The gating benchmark reads its per-layer wait metrics by string
+    // (`snapshot().lock("core.uak_shards")`, 0 if the family is absent), so
+    // a renamed or unwired family would silently zero them.  On a journaled
+    // volume the request sequence must resolve every name and leave traffic
+    // in each family it crosses.
+    let dev = MemBlockDevice::new(1024, 8192);
+    let vfs = Arc::new(Vfs::format(dev, journaled_params(256)).unwrap());
+    let engine = Engine::start(Arc::clone(&vfs), 2);
+    let client = engine.client(OWNER);
+    drive_requests(&client, true);
+    let snapshot = vfs.obs().snapshot();
+    client.signoff().unwrap();
+    engine.shutdown();
+    for name in stegfs_obs::LOCK_NAMES {
+        assert!(snapshot.lock(name).is_some(), "lock family {name} absent");
+    }
+    for name in [
+        "engine.queue",
+        "fs.alloc",
+        "journal.state",
+        "core.uak_shards",
+        "core.object_shards",
+    ] {
+        let acquisitions = snapshot.lock(name).map_or(0, |l| l.acquisitions);
+        assert!(acquisitions > 0, "lock family {name} saw no traffic");
     }
 }
 

@@ -128,8 +128,8 @@ fn space_summary_reproduces_the_order_of_magnitude_claim() {
     // utilization is flattered — files are only a few dozen blocks, so the
     // first unrecoverable collision arrives later in relative terms than it
     // does at the paper's 1 GB scale.  The full 10x-plus gap is reproduced by
-    // the repro binary at its default scale (see EXPERIMENTS.md: 94.6% vs
-    // 7.6%); here we check the ordering and a conservative 4x margin.
+    // the repro binary at its default scale (`repro --space-summary`, 64 MB:
+    // 94.6% vs 7.6%); here we check the ordering and a conservative 4x margin.
     let rows = space_summary(24, 3).unwrap();
     let util = |name: &str| rows.iter().find(|r| r.scheme == name).unwrap().utilization;
     assert!(util("StegFS") > 0.6);
