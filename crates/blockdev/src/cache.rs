@@ -35,6 +35,31 @@
 //! [`dirty_blocks`](BufferCache::dirty_blocks) and
 //! [`len`](BufferCache::len) are O(1).
 //!
+//! # What runs under the lock
+//!
+//! One lock guards the whole cache.  A **read miss does not hold it across
+//! its device transfer**: under the lock it registers its blocks as
+//! *filling*, drops the lock for the device read, and re-takes it to finish.
+//! A write to a filling block marks the fill *clobbered*, because the
+//! device image the miss is fetching may predate the write.  On finishing,
+//! a miss whose block became resident meanwhile returns the resident image;
+//! otherwise it caches its device image unless the fill was clobbered.  So
+//! a racing read can never re-insert pre-write data over a fresh write, and
+//! hits, writes and other misses proceed while a miss waits on the device.
+//! Two misses on the same block both read the device.  With one caller at
+//! a time nothing happens in the gap, so the device sees the same
+//! submissions in the same order, and the LRU order and statistics are
+//! those of a cache that held the lock throughout.
+//!
+//! Three transfers stay under the lock, because they publish cache state
+//! the device must agree with: a write-through write (device first, then
+//! the resident image), the write-back of a dirty eviction victim (it must
+//! land before the victim is unlinked), and a flush's batched write-back
+//! (no dirty block may change between its image being gathered and being
+//! marked clean).  Each one stalls every other caller for one device
+//! submission.  On the journaled write-back stack only the last two occur,
+//! once per group flush and once per dirty eviction.
+//!
 //! # When a write-back fails
 //!
 //! A dirty block leaves the cache only after the device accepted it.  If
@@ -43,7 +68,8 @@
 //! its own block (a batch stops there; blocks it already placed stay), and
 //! a later eviction or flush writes the victim again.  If the batched write
 //! of a flush fails, every dirty block stays dirty and the flush returns
-//! the error before the inner barrier.
+//! the error before the inner barrier.  A failed device read caches nothing
+//! and leaves no fill registered.
 
 use crate::device::{check_batch, BlockDevice, BlockId};
 use crate::error::{BlockError, BlockResult};
@@ -81,17 +107,61 @@ struct CacheState {
     /// Which residents are dirty (always a subset of `entries`' keys; empty
     /// in write-through mode), ascending — the batch a flush submits.
     dirty: BTreeSet<BlockId>,
+    /// Misses reading the device with the lock dropped (empty but for the
+    /// gaps of concurrent calls).
+    fills: Vec<Fill>,
+    next_fill: u64,
     stats: CacheStats,
 }
 
-/// LRU cache over a [`BlockDevice`]; see the module docs for the two modes.
-///
-/// One lock guards the whole cache, held across the device transfer on the
-/// miss/write paths: consistency requires that a racing read cannot
-/// re-insert pre-write data over a fresh write.  Workloads that need
-/// parallel device I/O talk to the device directly (the VFS stack does not
-/// use this cache for content I/O; the journaled write path and the
-/// single-threaded simulation harness do).
+/// One miss call out on the device.
+struct Fill {
+    id: u64,
+    /// Bounds of the blocks it reads: a prefilter for writes.
+    lo: BlockId,
+    hi: BlockId,
+    /// Blocks within the bounds written since the fill began: its device
+    /// images of these may predate the write, so they are not cached.
+    clobbered: Vec<BlockId>,
+}
+
+impl CacheState {
+    /// Register a miss call reading `blocks` (non-empty); returns its id.
+    fn begin_fill(&mut self, blocks: &[BlockId]) -> u64 {
+        let id = self.next_fill;
+        self.next_fill += 1;
+        let lo = blocks.iter().copied().min().expect("a fill reads a block");
+        let hi = blocks.iter().copied().max().expect("a fill reads a block");
+        self.fills.push(Fill {
+            id,
+            lo,
+            hi,
+            clobbered: Vec::new(),
+        });
+        id
+    }
+
+    /// Unregister fill `id`; returns the blocks written while it was out.
+    fn end_fill(&mut self, id: u64) -> Vec<BlockId> {
+        let at = self.fills.iter().position(|f| f.id == id);
+        self.fills
+            .swap_remove(at.expect("the fill was registered"))
+            .clobbered
+    }
+
+    /// A write is about to change `block`: fills reading it must not cache.
+    fn clobber(&mut self, block: BlockId) {
+        for fill in &mut self.fills {
+            if (fill.lo..=fill.hi).contains(&block) {
+                fill.clobbered.push(block);
+            }
+        }
+    }
+}
+
+/// LRU cache over a [`BlockDevice`], shared by reference across threads.
+/// See the module docs for the two modes and for which device transfers
+/// run under the cache's lock (read misses do not).
 pub struct BufferCache<D: BlockDevice> {
     inner: D,
     capacity: usize,
@@ -232,6 +302,28 @@ impl<D: BlockDevice> BufferCache<D> {
         Ok(())
     }
 
+    /// Second half of a miss on `block`, whose device image is in `image`,
+    /// under the re-taken lock: count it; then if another call made `block`
+    /// resident meanwhile, hand back that newer image instead, else cache
+    /// the device image unless the fill was `clobbered`.
+    fn finish_fill(
+        &self,
+        state: &mut CacheState,
+        block: BlockId,
+        clobbered: bool,
+        image: &mut [u8],
+    ) -> BlockResult<()> {
+        state.stats.misses += 1;
+        match state.entries.get(&block) {
+            Some(resident) if resident.len() == image.len() => {
+                image.copy_from_slice(resident);
+                Ok(())
+            }
+            _ if clobbered => Ok(()),
+            _ => self.insert(state, block, image, false),
+        }
+    }
+
     /// Validate a write's geometry against the inner device so write-back
     /// mode reports errors at write time, like write-through does.
     fn check_write(&self, block: BlockId, len: usize) -> BlockResult<()> {
@@ -269,13 +361,18 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
                 return Ok(());
             }
         }
-        self.inner.read_block(block, buf)?;
-        state.stats.misses += 1;
-        self.insert(&mut state, block, buf, false)
+        let fill = state.begin_fill(&[block]);
+        drop(state);
+        let read = self.inner.read_block(block, buf);
+        let mut state = self.state.lock();
+        let clobbered = !state.end_fill(fill).is_empty();
+        read?;
+        self.finish_fill(&mut state, block, clobbered, buf)
     }
 
     fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
         let mut state = self.state.lock();
+        state.clobber(block);
         match self.mode {
             CacheMode::WriteThrough => {
                 // Device first so a device error leaves the cache consistent
@@ -293,10 +390,9 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     }
 
     // Batched reads serve hits from the cache and gather every miss into one
-    // inner submission; batched writes go through in one submission
-    // (write-through) or dirty the cache (write-back).  Both run under one
-    // hold of the cache lock, the same consistency rule as the single-block
-    // paths.
+    // inner submission, filled like a single miss; batched writes go through
+    // in one submission (write-through) or dirty the cache (write-back),
+    // under one hold of the lock.
     fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
         let bs = self.inner.block_size();
         if buf.len() != blocks.len() * bs {
@@ -317,13 +413,17 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             return Ok(());
         }
         let miss_blocks: Vec<BlockId> = missing.iter().map(|&(_, b)| b).collect();
+        let fill = state.begin_fill(&miss_blocks);
+        drop(state);
         let mut miss_buf = vec![0u8; miss_blocks.len() * bs];
-        self.inner.read_blocks(&miss_blocks, &mut miss_buf)?;
+        let read = self.inner.read_blocks(&miss_blocks, &mut miss_buf);
+        let mut state = self.state.lock();
+        let clobbered = state.end_fill(fill);
+        read?;
         for (j, &(i, block)) in missing.iter().enumerate() {
-            let data = &miss_buf[j * bs..(j + 1) * bs];
+            let data = &mut miss_buf[j * bs..(j + 1) * bs];
+            self.finish_fill(&mut state, block, clobbered.contains(&block), data)?;
             buf[i * bs..(i + 1) * bs].copy_from_slice(data);
-            state.stats.misses += 1;
-            self.insert(&mut state, block, data, false)?;
         }
         Ok(())
     }
@@ -331,6 +431,9 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
         let bs = self.inner.block_size();
         let mut state = self.state.lock();
+        for &block in blocks {
+            state.clobber(block);
+        }
         match self.mode {
             CacheMode::WriteThrough => {
                 self.inner.write_blocks(blocks, buf)?;
@@ -373,6 +476,7 @@ mod tests {
     use crate::metered::MeteredDevice;
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     #[test]
     fn repeated_reads_hit_cache() {
@@ -705,6 +809,207 @@ mod tests {
         flaky.script_failures(1);
         assert!(cache.flush().is_err());
         assert_victim_survived(&cache, &store);
+    }
+
+    // ------------------------------------------------------------------
+    // A miss holds no lock across its device read
+    // ------------------------------------------------------------------
+
+    #[derive(Default)]
+    struct Park {
+        armed: Option<BlockId>,
+        /// Fail reads of the armed block at once instead of parking them.
+        fail: bool,
+        parked: usize,
+        open: bool,
+    }
+
+    /// Reads go to the store; a read that includes the armed block then
+    /// parks until [`release`](Self::release) (or fails), holding the image
+    /// it already fetched — a transfer overtaken by anything that happens
+    /// while it is parked.
+    #[derive(Clone)]
+    struct ParkingDevice {
+        store: SharedDevice,
+        park: Arc<(std::sync::Mutex<Park>, std::sync::Condvar)>,
+    }
+
+    impl ParkingDevice {
+        fn new(blocks: u64) -> Self {
+            ParkingDevice {
+                store: SharedDevice::new(MemBlockDevice::new(64, blocks)),
+                park: Arc::default(),
+            }
+        }
+
+        fn arm(&self, block: BlockId, fail: bool) {
+            *self.park.0.lock().unwrap() = Park {
+                armed: Some(block),
+                fail,
+                ..Park::default()
+            };
+        }
+
+        fn wait_parked(&self, readers: usize) {
+            let (lock, cv) = &*self.park;
+            let mut p = lock.lock().unwrap();
+            while p.parked < readers {
+                p = cv.wait(p).unwrap();
+            }
+        }
+
+        fn release(&self) {
+            self.park.0.lock().unwrap().open = true;
+            self.park.1.notify_all();
+        }
+
+        fn pass(&self, blocks: &[BlockId]) -> BlockResult<()> {
+            let (lock, cv) = &*self.park;
+            let mut p = lock.lock().unwrap();
+            if !p.armed.is_some_and(|b| blocks.contains(&b)) {
+                return Ok(());
+            }
+            if p.fail {
+                return Err(std::io::Error::other("scripted read failure").into());
+            }
+            p.parked += 1;
+            cv.notify_all();
+            while !p.open {
+                p = cv.wait(p).unwrap();
+            }
+            Ok(())
+        }
+    }
+
+    impl BlockDevice for ParkingDevice {
+        fn block_size(&self) -> usize {
+            self.store.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.store.total_blocks()
+        }
+        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+            self.store.read_block(block, buf)?;
+            self.pass(&[block])
+        }
+        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+            self.store.write_block(block, buf)
+        }
+        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
+            self.store.read_blocks(blocks, buf)?;
+            self.pass(blocks)
+        }
+        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+            self.store.write_blocks(blocks, buf)
+        }
+    }
+
+    /// Run `work` on another thread and fail, instead of hanging, if it
+    /// cannot finish (it would be stuck behind a lock a parked miss holds).
+    fn finishes<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(work()).unwrap());
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("blocked behind a parked miss")
+    }
+
+    fn parked_read(
+        cache: &Arc<BufferCache<ParkingDevice>>,
+        block: BlockId,
+    ) -> std::thread::JoinHandle<BlockResult<Vec<u8>>> {
+        let cache = Arc::clone(cache);
+        std::thread::spawn(move || {
+            let mut buf = vec![0u8; 64];
+            cache.read_block(block, &mut buf).map(|()| buf)
+        })
+    }
+
+    #[test]
+    fn hits_and_writes_complete_while_a_miss_is_on_the_device() {
+        for mode in [CacheMode::WriteThrough, CacheMode::WriteBack] {
+            let dev = ParkingDevice::new(16);
+            dev.store.write_block(1, &[1; 64]).unwrap();
+            let cache = Arc::new(BufferCache::with_mode(dev.clone(), 8, mode));
+            cache.read_block(1, &mut [0u8; 64]).unwrap();
+
+            dev.arm(5, false);
+            let reader = parked_read(&cache, 5);
+            dev.wait_parked(1);
+            let other = Arc::clone(&cache);
+            finishes(move || {
+                let mut buf = [0u8; 64];
+                other.read_block(1, &mut buf).unwrap();
+                assert_eq!(buf, [1; 64], "a hit on another block");
+                other.write_block(5, &[0xee; 64]).unwrap();
+            });
+            dev.release();
+
+            // The parked transfer fetched the old bytes; the miss hands back
+            // the resident image the write left instead.
+            assert_eq!(reader.join().unwrap().unwrap(), vec![0xee; 64], "{mode:?}");
+            let hits = cache.stats().hits;
+            let mut buf = [0u8; 64];
+            cache.read_block(5, &mut buf).unwrap();
+            assert_eq!((buf, cache.stats().hits), ([0xee; 64], hits + 1));
+            cache.flush().unwrap();
+            assert_eq!(dev.store.read_block_vec(5).unwrap(), vec![0xee; 64]);
+            assert!(cache.state.lock().fills.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_fill_overtaken_by_a_write_is_not_cached() {
+        // One block of capacity: the write to 5 is evicted (written back) by
+        // a write to 6 before the parked miss on 5 returns with old bytes.
+        let dev = ParkingDevice::new(16);
+        let cache = Arc::new(BufferCache::new_write_back(dev.clone(), 1));
+        dev.arm(5, false);
+        let reader = parked_read(&cache, 5);
+        dev.wait_parked(1);
+        let other = Arc::clone(&cache);
+        finishes(move || {
+            other.write_block(5, &[0xee; 64]).unwrap();
+            other.write_block(6, &[0xdd; 64]).unwrap();
+        });
+        dev.release();
+        // The read overlapped the write, so the old bytes are a legal answer
+        // — but they must not become the cached image of block 5.
+        assert_eq!(reader.join().unwrap().unwrap(), vec![0; 64]);
+        let mut buf = [0u8; 64];
+        cache.read_block(5, &mut buf).unwrap();
+        assert_eq!(buf, [0xee; 64]);
+        assert!(cache.state.lock().fills.is_empty());
+    }
+
+    #[test]
+    fn two_misses_on_one_block_both_return_its_bytes() {
+        let dev = ParkingDevice::new(16);
+        dev.store.write_block(7, &[0x77; 64]).unwrap();
+        let cache = Arc::new(BufferCache::new_write_back(dev.clone(), 4));
+        dev.arm(7, false);
+        let readers = [parked_read(&cache, 7), parked_read(&cache, 7)];
+        dev.wait_parked(2);
+        dev.release();
+        for r in readers {
+            assert_eq!(r.join().unwrap().unwrap(), vec![0x77; 64]);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, cache.len()), (2, 0, 1));
+        assert!(cache.state.lock().fills.is_empty());
+    }
+
+    #[test]
+    fn a_failed_fill_caches_nothing_and_unregisters() {
+        let dev = ParkingDevice::new(16);
+        let cache = BufferCache::new_write_back(dev.clone(), 4);
+        dev.arm(3, true);
+        assert!(cache.read_block(3, &mut [0u8; 64]).is_err());
+        assert!(cache.read_blocks(&[2, 3, 4], &mut [0u8; 3 * 64]).is_err());
+        assert_eq!((cache.len(), cache.stats().misses), (0, 0));
+        assert!(cache.state.lock().fills.is_empty());
+        dev.arm(15, true);
+        cache.read_blocks(&[2, 3, 4], &mut [0u8; 3 * 64]).unwrap();
+        assert_eq!((cache.len(), cache.stats().misses), (3, 3));
     }
 
     // ------------------------------------------------------------------

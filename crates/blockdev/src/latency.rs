@@ -7,8 +7,12 @@
 //! threads issue block I/O to independent objects their service times
 //! overlap on the wall clock — exactly the effect the paper's Figure 7
 //! measures against a real drive, and the effect the thread-scaling bench
-//! quantifies.  The sleep happens outside every lock in this crate, so the
-//! device admits as much request concurrency as the caller offers.
+//! quantifies.  The wrapper itself takes no lock, so the device admits as
+//! much request concurrency as the caller offers.  Stacked under a
+//! [`BufferCache`](crate::BufferCache), read misses sleep with the cache
+//! unlocked, but write-through writes, dirty-victim write-backs and a
+//! flush's write-back batch sleep under the cache's lock (see its module
+//! docs).
 //!
 //! Batched submissions ([`BlockDevice::read_blocks`] /
 //! [`BlockDevice::write_blocks`]) overlap the same way *within one caller*:

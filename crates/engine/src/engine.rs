@@ -1,15 +1,22 @@
-//! The engine proper: the shared job queue, the worker pool, and the
-//! per-client completion queues.
+//! The engine proper: the shared job queue, the thread pool and its slots,
+//! and the per-client completion queues.
 
 use crate::request::{Completion, Request, RequestId, Response};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use stegfs_blockdev::BlockDevice;
-use stegfs_obs::{span, LockStats, Obs, ENGINE_OPS};
+use stegfs_obs::blocking::{self, BlockingHook};
+use stegfs_obs::{span, Obs, ENGINE_OPS};
 use stegfs_vfs::{SessionId, Vfs, VfsError, VfsResult};
+
+/// Accepted-but-uncompleted requests the engine admits per worker slot;
+/// beyond `workers * IN_FLIGHT_PER_WORKER` a submission is refused.  Every
+/// such request may hold a thread (parked in the commit gate), so this also
+/// bounds the pool.
+pub const IN_FLIGHT_PER_WORKER: usize = 64;
 
 /// One queued unit of work.
 struct Job {
@@ -20,10 +27,31 @@ struct Job {
     submitted: Instant,
 }
 
-/// State shared between the engine handle, its workers and every client.
+/// The queue and the pool's bookkeeping, under one lock.
+struct Pool {
+    jobs: VecDeque<Job>,
+    /// Threads executing a request outside a blocking section — the slots
+    /// `workers` bounds.  A thread leaving the commit gate takes its slot
+    /// back without waiting, so this can exceed `workers` for a moment.
+    running: usize,
+    /// Threads parked on `job_ready`.
+    idle: usize,
+    /// Parked threads notified but not yet awake.
+    notified: usize,
+    /// Threads started but not yet at their first pick.
+    starting: usize,
+    /// Every thread started, joined at shutdown.
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// State shared between the engine handle, its threads and every client.
 struct EngineShared {
-    queue: Mutex<VecDeque<Job>>,
+    pool: Mutex<Pool>,
     job_ready: Condvar,
+    /// Requests allowed to execute at once outside the commit gate.
+    workers: usize,
+    /// Accepted requests not yet completed (queued, executing or in the gate).
+    in_flight: AtomicUsize,
     shutting_down: AtomicBool,
     /// Set when a request panicked mid-execution.  A panic can unwind out of
     /// a core critical section with the protected state half-mutated
@@ -37,30 +65,94 @@ struct EngineShared {
     obs: Arc<Obs>,
 }
 
-/// Lock the engine queue, feeding the wait into the registry's
-/// `engine.queue` lock family.  The engine queue pairs a std `Mutex` with a
-/// `Condvar`, so it cannot adopt `TimedMutex` wholesale; this helper covers
-/// the acquisition (the contended part — `Condvar` re-locks are wake-ups,
-/// not competition).
-fn lock_queue<'a>(
-    queue: &'a Mutex<VecDeque<Job>>,
-    stats: &LockStats,
-) -> MutexGuard<'a, VecDeque<Job>> {
-    if !stats.is_enabled() {
-        return queue.lock().expect("engine queue poisoned");
+impl EngineShared {
+    /// Lock the pool, feeding the wait into the registry's `engine.queue`
+    /// lock family.  The pool pairs a std `Mutex` with a `Condvar`, so it
+    /// cannot adopt `TimedMutex` wholesale; this covers the acquisition (the
+    /// contended part — `Condvar` re-locks are wake-ups, not competition).
+    /// Poisoning is ignored: the gate hook re-locks during an unwind.
+    fn lock_pool(&self) -> MutexGuard<'_, Pool> {
+        let stats = &self.obs.engine_queue;
+        if !stats.is_enabled() {
+            return self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        }
+        match self.pool.try_lock() {
+            Ok(g) => {
+                stats.note_uncontended();
+                g
+            }
+            Err(TryLockError::WouldBlock) => {
+                let start = Instant::now();
+                let g = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+                stats.note_contended(start.elapsed().as_nanos() as u64);
+                g
+            }
+            Err(TryLockError::Poisoned(g)) => g.into_inner(),
+        }
     }
-    match queue.try_lock() {
-        Ok(g) => {
-            stats.note_uncontended();
-            g
-        }
-        Err(TryLockError::WouldBlock) => {
-            let start = Instant::now();
-            let g = queue.lock().expect("engine queue poisoned");
-            stats.note_contended(start.elapsed().as_nanos() as u64);
-            g
-        }
-        Err(TryLockError::Poisoned(_)) => panic!("engine queue poisoned"),
+}
+
+/// Start one pool thread; it counts as `starting` until its first pick.
+/// Caller holds the pool lock, so the handle is recorded before shutdown
+/// can look for it.
+fn spawn_thread<D: BlockDevice + Send + Sync + 'static>(
+    vfs: &Arc<Vfs<D>>,
+    shared: &Arc<EngineShared>,
+    pool: &mut Pool,
+) -> std::io::Result<()> {
+    let tid = pool.threads.len() as u32;
+    let (vfs, shared) = (Arc::clone(vfs), Arc::clone(shared));
+    let handle = std::thread::Builder::new().spawn(move || worker_loop(&vfs, &shared, tid))?;
+    pool.starting += 1;
+    pool.threads.push(handle);
+    Ok(())
+}
+
+/// Called with the pool lock after a job was queued or a slot freed by a
+/// thread that will not pick the next job itself: if a queued job could run
+/// now and no thread is already on its way to it, wake a parked thread, or
+/// start one when none is parked.  The wake-up is sent after the lock is
+/// released, so the woken thread does not block on it straight away.
+fn dispatch<D: BlockDevice + Send + Sync + 'static>(
+    vfs: &Arc<Vfs<D>>,
+    shared: &Arc<EngineShared>,
+    mut pool: MutexGuard<'_, Pool>,
+) {
+    let runnable = pool
+        .jobs
+        .len()
+        .min(shared.workers.saturating_sub(pool.running));
+    if runnable <= pool.notified + pool.starting {
+        return;
+    }
+    if pool.idle > pool.notified {
+        pool.notified += 1;
+        drop(pool);
+        shared.job_ready.notify_one();
+    } else {
+        // On failure the job stays queued for the next thread that frees
+        // a slot.
+        let _ = spawn_thread(vfs, shared, &mut pool);
+    }
+}
+
+/// Installed on every pool thread: a request that parks in the journal's
+/// commit gate hands its slot to the queue, and takes it back on the way out
+/// without waiting (a gate waiter may hold file-system locks).
+struct GateSlot<D: BlockDevice + Send + Sync + 'static> {
+    vfs: Arc<Vfs<D>>,
+    shared: Arc<EngineShared>,
+}
+
+impl<D: BlockDevice + Send + Sync + 'static> BlockingHook for GateSlot<D> {
+    fn enter(&self) {
+        let mut pool = self.shared.lock_pool();
+        pool.running -= 1;
+        dispatch(&self.vfs, &self.shared, pool);
+    }
+
+    fn leave(&self) {
+        self.shared.lock_pool().running += 1;
     }
 }
 
@@ -90,42 +182,47 @@ struct ClientShared {
 
 /// The thread-pool request engine.  See the crate docs for the lifecycle.
 ///
-/// Holds one `Arc<Vfs>` and N worker threads; dropping the engine (or
-/// calling [`Engine::shutdown`]) refuses further submissions, drains the
-/// queue, and joins the workers.
+/// Holds one `Arc<Vfs>` and a pool of threads of which at most `workers`
+/// execute requests outside the commit gate at once; dropping the engine
+/// (or calling [`Engine::shutdown`]) refuses further submissions, drains
+/// the queue, and joins every thread.
 pub struct Engine<D: BlockDevice + Send + Sync + 'static> {
     vfs: Arc<Vfs<D>>,
     shared: Arc<EngineShared>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl<D: BlockDevice + Send + Sync + 'static> Engine<D> {
-    /// Start `workers` worker threads over the shared volume.
+    /// Start a pool with `workers` slots over the shared volume.
     ///
     /// # Panics
-    /// Panics if `workers` is zero (nothing would ever complete).
+    /// Panics if `workers` is zero (nothing would ever complete), or if the
+    /// first `workers` threads cannot be started.
     pub fn start(vfs: Arc<Vfs<D>>, workers: usize) -> Self {
         assert!(workers > 0, "an engine needs at least one worker");
         let shared = Arc::new(EngineShared {
-            queue: Mutex::new(VecDeque::new()),
+            pool: Mutex::new(Pool {
+                jobs: VecDeque::new(),
+                running: 0,
+                idle: 0,
+                notified: 0,
+                starting: 0,
+                threads: Vec::new(),
+            }),
             job_ready: Condvar::new(),
+            workers,
+            in_flight: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             completed: AtomicU64::new(0),
             obs: Arc::clone(vfs.obs()),
         });
-        let workers = (0..workers)
-            .map(|worker| {
-                let vfs = Arc::clone(&vfs);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&vfs, &shared, worker as u32))
-            })
-            .collect();
-        Engine {
-            vfs,
-            shared,
-            workers,
+        {
+            let mut pool = shared.lock_pool();
+            for _ in 0..workers {
+                spawn_thread(&vfs, &shared, &mut pool).expect("start an engine worker");
+            }
         }
+        Engine { vfs, shared }
     }
 
     /// The served volume (e.g. for direct administrative access).
@@ -133,9 +230,10 @@ impl<D: BlockDevice + Send + Sync + 'static> Engine<D> {
         &self.vfs
     }
 
-    /// Number of worker threads.
+    /// Number of worker slots: requests that may execute at once outside the
+    /// commit gate.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.shared.workers
     }
 
     /// Total number of requests completed so far.
@@ -161,22 +259,30 @@ impl<D: BlockDevice + Send + Sync + 'static> Engine<D> {
     }
 
     /// Stop accepting submissions, complete everything already accepted, and
-    /// join the workers.  `Drop` does the same, so letting the engine fall
-    /// out of scope is equivalent.
+    /// join the pool.  `Drop` does the same, so letting the engine fall out
+    /// of scope is equivalent.
     pub fn shutdown(self) {
         // Drop runs the teardown.
     }
 
     fn stop_and_join(&mut self) {
         {
-            // Flip the flag under the queue lock so it serialises against
+            // Flip the flag under the pool lock so it serialises against
             // in-flight `submit` calls (see `Client::submit`).
-            let _q = self.shared.queue.lock().expect("engine queue poisoned");
+            let _pool = self.shared.lock_pool();
             self.shared.shutting_down.store(true, Ordering::Release);
         }
         self.shared.job_ready.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        // A thread may start another while draining; it records the handle
+        // under the pool lock before it exits, so the next pass finds it.
+        loop {
+            let threads = std::mem::take(&mut self.shared.lock_pool().threads);
+            if threads.is_empty() {
+                break;
+            }
+            for t in threads {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -204,8 +310,11 @@ impl<D: BlockDevice + Send + Sync + 'static> Client<D> {
         self.session
     }
 
-    /// Enqueue a request; returns its id immediately.  Fails only when the
-    /// engine is shutting down (accepted work is always completed).
+    /// Enqueue a request; returns its id immediately.  Fails, without
+    /// waiting, when the engine is shutting down or poisoned, or when it
+    /// already holds `workers *` [`IN_FLIGHT_PER_WORKER`] uncompleted
+    /// requests — whatever the request or its namespace.  Accepted work is
+    /// always completed.
     pub fn submit(&self, request: Request) -> VfsResult<RequestId> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let job = Job {
@@ -215,25 +324,29 @@ impl<D: BlockDevice + Send + Sync + 'static> Client<D> {
             request,
             submitted: Instant::now(),
         };
-        {
-            // The shutdown check and the push share one queue-lock hold (and
-            // shutdown flips the flag under the same lock): a job accepted
-            // here is therefore always visible to a still-running worker —
-            // it can never slip into a queue whose pool has already drained
-            // and exited.
-            let mut q = lock_queue(&self.engine.queue, &self.engine.obs.engine_queue);
-            if self.engine.shutting_down.load(Ordering::Acquire) {
-                return Err(VfsError::Unsupported("engine is shut down".into()));
-            }
-            if self.engine.poisoned.load(Ordering::Acquire) {
-                return Err(VfsError::Unsupported(
-                    "engine poisoned by an earlier panicking request".into(),
-                ));
-            }
-            q.push_back(job);
-            self.engine.obs.engine.note_queue_depth(q.len() as u64);
+        // The shutdown check and the push share one pool-lock hold (and
+        // shutdown flips the flag under the same lock): a job accepted here
+        // is therefore always visible to a still-running thread — it can
+        // never slip into a queue whose pool has already drained and exited.
+        let engine = &self.engine;
+        let mut pool = engine.lock_pool();
+        if engine.shutting_down.load(Ordering::Acquire) {
+            return Err(VfsError::Unsupported("engine is shut down".into()));
         }
-        self.engine.job_ready.notify_one();
+        if engine.poisoned.load(Ordering::Acquire) {
+            return Err(VfsError::Unsupported(
+                "engine poisoned by an earlier panicking request".into(),
+            ));
+        }
+        // Only submissions raise the count, all under this lock, so the
+        // check cannot be overtaken.
+        if engine.in_flight.load(Ordering::Relaxed) >= engine.workers * IN_FLIGHT_PER_WORKER {
+            return Err(VfsError::Unsupported("engine queue is full".into()));
+        }
+        engine.in_flight.fetch_add(1, Ordering::Relaxed);
+        pool.jobs.push_back(job);
+        engine.obs.engine.note_queue_depth(pool.jobs.len() as u64);
+        dispatch(&self.vfs, engine, pool);
         Ok(id)
     }
 
@@ -272,9 +385,9 @@ impl<D: BlockDevice + Send + Sync + 'static> Client<D> {
     /// Submit and wait: the blocking convenience for depth-1 clients.
     ///
     /// # Panics
-    /// Panics if the engine refused the submission (it is shutting down).
+    /// Panics if the engine refused the submission (see [`Client::submit`]).
     pub fn call(&self, request: Request) -> Completion {
-        let id = self.submit(request).expect("engine is shut down");
+        let id = self.submit(request).expect("engine refused the request");
         self.wait_for(id)
     }
 
@@ -291,98 +404,125 @@ impl<D: BlockDevice + Send + Sync + 'static> Client<D> {
     }
 }
 
-/// Worker body: pop, execute, complete; exit once shut down *and* drained.
-/// `worker` is the pool index, used as the `tid` for captured trace events.
-fn worker_loop<D: BlockDevice + Send + Sync>(vfs: &Vfs<D>, shared: &EngineShared, worker: u32) {
+/// Pool thread body: take a job when a slot is free, execute, complete;
+/// exit once shut down *and* drained.  `tid` is the thread's start index,
+/// used as the `tid` of captured trace events.
+fn worker_loop<D: BlockDevice + Send + Sync + 'static>(
+    vfs: &Arc<Vfs<D>>,
+    shared: &Arc<EngineShared>,
+    tid: u32,
+) {
+    let _hook = blocking::install(Box::new(GateSlot {
+        vfs: Arc::clone(vfs),
+        shared: Arc::clone(shared),
+    }));
+    let mut pool = shared.lock_pool();
+    pool.starting -= 1;
     loop {
-        let job = {
-            let mut q = lock_queue(&shared.queue, &shared.obs.engine_queue);
-            loop {
-                if let Some(job) = q.pop_front() {
+        let job = loop {
+            if pool.running < shared.workers {
+                if let Some(job) = pool.jobs.pop_front() {
+                    pool.running += 1;
+                    if pool.jobs.is_empty() && shared.shutting_down.load(Ordering::Acquire) {
+                        // Threads parked for a slot can now exit.
+                        shared.job_ready.notify_all();
+                    }
                     break job;
                 }
-                if shared.shutting_down.load(Ordering::Acquire) {
-                    return;
-                }
-                q = shared.job_ready.wait(q).expect("engine queue poisoned");
             }
-            // Queue lock dropped here: execution holds no engine lock.
-        };
-        let started = Instant::now();
-        // A panicking request must not shrink the pool or strand its client:
-        // catch the unwind, deliver an error completion, and *poison* the
-        // engine.  The unwind may have left the shared volume's invariants
-        // half-mutated (parking_lot locks do not poison), so after the
-        // catch no request *begins executing* against the volume — queued
-        // work drains as errors and new submissions are refused.  Requests
-        // already mid-execution on sibling workers do run to completion
-        // (there is no cooperative cancellation), so poisoning bounds the
-        // exposure to the in-flight window rather than eliminating it; the
-        // `AssertUnwindSafe` is justified by that bound plus the error-only
-        // drain, not by any stronger isolation.
-        let request = job.request;
-        let op = op_index(&request);
-        let enabled = shared.obs.is_enabled();
-        // Flat metrics follow `obs_enabled`; the causal span layer is
-        // additionally gated on a non-zero trace capacity.
-        let tracing = shared.obs.is_tracing();
-        if tracing {
-            // Admission: every span opened anywhere below (vfs, core, fs,
-            // journal, blockdev) attaches to this request until request_end.
-            span::request_begin(op);
-            span::note(
-                span::Phase::QueueWait,
-                started.saturating_duration_since(job.submitted).as_nanos() as u64,
-            );
-        }
-        let result = if shared.poisoned.load(Ordering::Acquire) {
-            Err(VfsError::Unsupported(
-                "engine poisoned by an earlier panicking request".into(),
-            ))
-        } else {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute(vfs, job.session, request)
-            }))
-            .unwrap_or_else(|_| {
-                shared.poisoned.store(true, Ordering::Release);
-                Err(VfsError::Unsupported("request panicked".into()))
-            })
-        };
-        let completion = Completion {
-            id: job.id,
-            result,
-            latency: job.submitted.elapsed(),
-            service: started.elapsed(),
-        };
-        if enabled {
-            let service_ns = completion.service.as_nanos() as u64;
-            shared.obs.engine.record_completion(
-                op,
-                completion.latency.as_nanos() as u64,
-                service_ns,
-            );
-            shared.obs.trace_span("engine", ENGINE_OPS[op], service_ns);
-        }
-        if tracing {
-            // request_end force-closes anything a panicking request left
-            // open, so the worker's context never leaks into the next job.
-            if let Some(finished) = span::request_end() {
-                shared.obs.complete_request(
-                    &finished,
-                    completion.latency.as_nanos() as u64,
-                    worker,
-                );
+            if pool.jobs.is_empty() && shared.shutting_down.load(Ordering::Acquire) {
+                return;
             }
-        }
-        // Count before delivering: a client that has received every one of
-        // its completions must observe the full count.
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut c = job.client.completions.lock().expect("client queue");
-            c.push_back(completion);
-        }
-        job.client.ready.notify_all();
+            pool.idle += 1;
+            pool = shared
+                .job_ready
+                .wait(pool)
+                .unwrap_or_else(PoisonError::into_inner);
+            pool.idle -= 1;
+            pool.notified = pool.notified.saturating_sub(1);
+        };
+        // Execution holds no engine lock.
+        drop(pool);
+        run(vfs, shared, job, tid);
+        pool = shared.lock_pool();
+        pool.running -= 1;
     }
+}
+
+/// Execute one job and deliver its completion.
+fn run<D: BlockDevice>(vfs: &Vfs<D>, shared: &EngineShared, job: Job, tid: u32) {
+    let started = Instant::now();
+    // A panicking request must not shrink the pool or strand its client:
+    // catch the unwind, deliver an error completion, and *poison* the
+    // engine.  The unwind may have left the shared volume's invariants
+    // half-mutated (parking_lot locks do not poison), so after the catch no
+    // request *begins executing* against the volume — queued work drains as
+    // errors and new submissions are refused.  Requests already
+    // mid-execution on sibling threads do run to completion (there is no
+    // cooperative cancellation), so poisoning bounds the exposure to the
+    // in-flight window rather than eliminating it; the `AssertUnwindSafe` is
+    // justified by that bound plus the error-only drain, not by any
+    // stronger isolation.
+    let request = job.request;
+    let op = op_index(&request);
+    let enabled = shared.obs.is_enabled();
+    // Flat metrics follow `obs_enabled`; the causal span layer is
+    // additionally gated on a non-zero trace capacity.
+    let tracing = shared.obs.is_tracing();
+    if tracing {
+        // Admission: every span opened anywhere below (vfs, core, fs,
+        // journal, blockdev) attaches to this request until request_end.
+        span::request_begin(op);
+        span::note(
+            span::Phase::QueueWait,
+            started.saturating_duration_since(job.submitted).as_nanos() as u64,
+        );
+    }
+    let result = if shared.poisoned.load(Ordering::Acquire) {
+        Err(VfsError::Unsupported(
+            "engine poisoned by an earlier panicking request".into(),
+        ))
+    } else {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(vfs, job.session, request)
+        }))
+        .unwrap_or_else(|_| {
+            shared.poisoned.store(true, Ordering::Release);
+            Err(VfsError::Unsupported("request panicked".into()))
+        })
+    };
+    let completion = Completion {
+        id: job.id,
+        result,
+        latency: job.submitted.elapsed(),
+        service: started.elapsed(),
+    };
+    if enabled {
+        let service_ns = completion.service.as_nanos() as u64;
+        shared
+            .obs
+            .engine
+            .record_completion(op, completion.latency.as_nanos() as u64, service_ns);
+        shared.obs.trace_span("engine", ENGINE_OPS[op], service_ns);
+    }
+    if tracing {
+        // request_end force-closes anything a panicking request left open,
+        // so the thread's context never leaks into the next job.
+        if let Some(finished) = span::request_end() {
+            shared
+                .obs
+                .complete_request(&finished, completion.latency.as_nanos() as u64, tid);
+        }
+    }
+    // Count before delivering: a client that has received every one of its
+    // completions must observe the full count, and may submit again.
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+    {
+        let mut c = job.client.completions.lock().expect("client queue");
+        c.push_back(completion);
+    }
+    job.client.ready.notify_all();
 }
 
 /// Dispatch one request against the volume.

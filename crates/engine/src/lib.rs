@@ -2,13 +2,32 @@
 //!
 //! A thread-pool request engine in front of [`stegfs_vfs::Vfs`] — the role
 //! the paper's kernel driver plays for its multi-user server experiments
-//! (§5.3/§5.4): any number of clients submit file-system requests, N worker
-//! threads execute them against one shared volume, and every request comes
-//! back as a completion carrying its own latency.
+//! (§5.3/§5.4): any number of clients submit file-system requests, a pool
+//! of threads executes them against one shared volume, and every request
+//! comes back as a completion carrying its own latency.
 //!
 //! The whole stack below is shared-reference (`&self` end to end since the
 //! core redesign), so the engine holds exactly one `Arc<Vfs>` and nothing
-//! else global: adding workers adds parallelism, not lock traffic.
+//! else global.
+//!
+//! ## Workers are slots, not threads
+//!
+//! `Engine::start(vfs, workers)` bounds how many requests **execute outside
+//! the journal's group-commit gate** at once.  A request that reaches the
+//! gate (a journaled write's commit point, `Fsync`, `SyncAll`) spends a
+//! whole device flush there doing no work, so the thread carrying it gives
+//! its slot back to the queue for the duration: a parked thread, or a spare
+//! started on demand, runs the next queued request meanwhile.  Leaving the
+//! gate takes the slot back **without waiting** — the waiter may hold
+//! file-system locks — so the pool can briefly run more than `workers`
+//! requests; the surplus threads park as they finish.  The gate reports
+//! visits through [`stegfs_obs::blocking`], a thread-local hook only pool
+//! threads install.
+//!
+//! Admission is bounded: at `workers *` [`IN_FLIGHT_PER_WORKER`] accepted,
+//! uncompleted requests, [`Client::submit`] returns an error at once, the
+//! same error for `/plain` and `/hidden` requests.  Since every pool thread
+//! beyond the slots carries one such request, the bound caps the pool too.
 //!
 //! ## Request/completion lifecycle
 //!
@@ -19,23 +38,23 @@
 //! 2. [`Client::submit`] stamps the request with a per-client
 //!    [`RequestId`] and a submission time, and pushes it onto the engine's
 //!    shared queue.  Submission never blocks on I/O.
-//! 3. A worker pops the job, executes it against the `Vfs` (this is where
-//!    all file-system locking and block I/O happens), and pushes a
-//!    [`Completion`] — result, queue-to-completion latency, and pure service
-//!    time — onto the submitting client's completion queue.
+//! 3. A pool thread with a free slot pops the job, executes it against the
+//!    `Vfs` (this is where all file-system locking and block I/O happens),
+//!    and pushes a [`Completion`] — result, queue-to-completion latency, and
+//!    pure service time — onto the submitting client's completion queue.
 //! 4. [`Client::recv`] / [`Client::try_recv`] / [`Client::wait_for`] drain
 //!    completions; [`Client::call`] is the blocking submit-and-wait
 //!    convenience.  Completions of *different* requests may arrive out of
-//!    submission order (that is the point of N workers).
+//!    submission order (that is the point of a pool).
 //!
 //! [`Engine::shutdown`] (and `Drop`) stops accepting submissions, lets the
-//! workers **drain the queue**, then joins them — every accepted request is
-//! completed, so a client that receives one completion per submission can
-//! never hang.  A request that *panics* mid-execution poisons the engine:
+//! pool **drain the queue**, then joins every thread — every accepted
+//! request is completed, so a client that receives one completion per
+//! submission can never hang.  A request that *panics* mid-execution poisons the engine:
 //! its unwind may have left volume invariants half-mutated, so no further
 //! request **begins executing** against the volume — queued work drains as
 //! error completions and new submissions are refused.  Requests already
-//! running on sibling workers at the moment of the panic do finish (there
+//! running on sibling threads at the moment of the panic do finish (there
 //! is no cooperative cancellation); poisoning bounds the exposure to that
 //! in-flight window.  Fail-stop, not limp-on.
 //!
@@ -44,12 +63,16 @@
 //! The engine adds two leaf locks to the stack and holds neither across
 //! file-system work:
 //!
-//! * the **job queue lock** — taken by `submit` (push) and by idle workers
-//!   (pop); released before the request executes;
-//! * each client's **completion queue lock** — taken by the finishing worker
+//! * the **pool lock** (job queue plus slot bookkeeping) — taken by `submit`
+//!   (push), by threads picking or finishing a job, and by the gate hook
+//!   when a request enters or leaves the commit gate.  The hook takes it
+//!   from *inside* the `Vfs`, below whatever file-system and journal locks
+//!   the request holds, and takes nothing under it (it may start a thread),
+//!   so it stays a leaf;
+//! * each client's **completion queue lock** — taken by the finishing thread
 //!   (push) and by `recv` (pop).
 //!
-//! A worker executing a request therefore holds *no* engine lock; inside the
+//! A thread executing a request therefore holds *no* engine lock; inside the
 //! `Vfs` the documented order `table shard < per-handle offset lock < object
 //! registry < per-object lock < core locks` applies unchanged.  Handles are
 //! capabilities: they are valid engine-wide, and a client is expected to use
@@ -62,24 +85,27 @@
 mod engine;
 mod request;
 
-pub use engine::{Client, Engine};
+pub use engine::{Client, Engine, IN_FLIGHT_PER_WORKER};
 pub use request::{Completion, Request, RequestId, Response};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
-    use stegfs_blockdev::MemBlockDevice;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
+    use stegfs_blockdev::{
+        BlockDevice, BlockId, BlockResult, BufferCache, LatencyDevice, MemBlockDevice,
+    };
     use stegfs_core::StegParams;
-    use stegfs_vfs::{OpenOptions, Vfs, VfsHandle};
+    use stegfs_vfs::{OpenOptions, Vfs, VfsError, VfsHandle};
 
     fn small_engine(workers: usize) -> Engine<MemBlockDevice> {
         let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), StegParams::for_tests()).unwrap();
         Engine::start(Arc::new(vfs), workers)
     }
 
-    fn opened(c: &Client<MemBlockDevice>, path: &str) -> VfsHandle {
+    fn opened<D: BlockDevice + Send + Sync + 'static>(c: &Client<D>, path: &str) -> VfsHandle {
         match c
             .call(Request::Open {
                 path: path.into(),
@@ -225,6 +251,248 @@ mod tests {
         assert!(c.result.is_ok());
         assert!(c.latency >= c.service);
         assert!(c.latency < Duration::from_secs(5));
+        engine.shutdown();
+    }
+
+    // ------------------------------------------------------------------
+    // Slots, spares and admission
+    // ------------------------------------------------------------------
+
+    /// What a test can do to the top of its stack.
+    #[derive(Default)]
+    struct Controls {
+        /// Panic the next read submission.
+        panic_next_read: AtomicBool,
+        /// While set, read submissions park; `parked` counts them.
+        hold_reads: Mutex<bool>,
+        released: Condvar,
+        parked: AtomicUsize,
+        /// Flushes currently inside the device.
+        flushing: AtomicUsize,
+    }
+
+    impl Controls {
+        fn hold_reads(&self, hold: bool) {
+            *self.hold_reads.lock().unwrap() = hold;
+            self.released.notify_all();
+        }
+
+        /// Poll `ready` for up to ten seconds.
+        fn wait_until(&self, ready: impl Fn(&Self) -> bool) {
+            let start = Instant::now();
+            while !ready(self) {
+                assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    /// The top device of the test stacks: passes everything through, obeying
+    /// its [`Controls`].
+    struct Trapped<D> {
+        inner: D,
+        controls: Arc<Controls>,
+    }
+
+    impl<D> Trapped<D> {
+        fn before_read(&self) {
+            let c = &self.controls;
+            if c.panic_next_read.swap(false, Ordering::SeqCst) {
+                panic!("a trapped read");
+            }
+            let mut held = c.hold_reads.lock().unwrap();
+            if *held {
+                c.parked.fetch_add(1, Ordering::SeqCst);
+                while *held {
+                    held = c.released.wait(held).unwrap();
+                }
+            }
+        }
+    }
+
+    impl<D: BlockDevice> BlockDevice for Trapped<D> {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.inner.total_blocks()
+        }
+        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+            self.before_read();
+            self.inner.read_block(block, buf)
+        }
+        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+            self.inner.write_block(block, buf)
+        }
+        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
+            self.before_read();
+            self.inner.read_blocks(blocks, buf)
+        }
+        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+            self.inner.write_blocks(blocks, buf)
+        }
+        fn flush(&self) -> BlockResult<()> {
+            self.controls.flushing.fetch_add(1, Ordering::SeqCst);
+            let flushed = self.inner.flush();
+            self.controls.flushing.fetch_sub(1, Ordering::SeqCst);
+            flushed
+        }
+    }
+
+    type Stack = Trapped<BufferCache<LatencyDevice<MemBlockDevice>>>;
+
+    /// A journaled write-back volume whose device flush sleeps `flush`
+    /// (formatted without the sleep, then remounted with it).
+    fn journaled(flush: Duration) -> (Arc<Vfs<Stack>>, Arc<Controls>) {
+        let params = StegParams {
+            dummy_file_count: 0,
+            journal_blocks: 256,
+            ..StegParams::for_tests()
+        };
+        let stack = |mem: MemBlockDevice, flush: Duration| Trapped {
+            inner: BufferCache::new_write_back(
+                LatencyDevice::new(mem, Duration::ZERO, Duration::ZERO).with_flush_latency(flush),
+                256,
+            ),
+            controls: Arc::default(),
+        };
+        let formatted = stack(MemBlockDevice::new(1024, 8192), Duration::ZERO);
+        let vfs = Vfs::format(formatted, params.clone()).unwrap();
+        let mem = vfs.unmount().unwrap().inner.into_inner().into_inner();
+        let dev = stack(mem, flush);
+        let controls = Arc::clone(&dev.controls);
+        (Arc::new(Vfs::mount(dev, params).unwrap()), controls)
+    }
+
+    fn write_at(handle: VfsHandle, fill: u8) -> Request {
+        Request::WriteAt {
+            handle,
+            offset: 0,
+            data: vec![fill; 4096],
+        }
+    }
+
+    fn read_at(handle: VfsHandle) -> Request {
+        Request::ReadAt {
+            handle,
+            offset: 0,
+            len: 4096,
+        }
+    }
+
+    #[test]
+    fn a_read_behind_a_write_overtakes_its_flush() {
+        let (vfs, _) = journaled(Duration::from_millis(50));
+        let engine = Engine::start(vfs, 1);
+        let client = engine.client("k");
+        let (a, b) = (opened(&client, "/plain/a"), opened(&client, "/plain/b"));
+        client.call(write_at(b, 2)).result.unwrap();
+
+        let write = client.submit(write_at(a, 1)).unwrap();
+        let read = client.submit(read_at(b)).unwrap();
+        // One slot: the read can finish first only if the write handed the
+        // slot back while it waited out its 50 ms flush.
+        let first = client.recv();
+        assert_eq!(first.id, read);
+        assert!(matches!(first.result, Ok(Response::Data(d)) if d == vec![2; 4096]));
+        let second = client.recv();
+        assert_eq!(second.id, write);
+        assert!(matches!(second.result, Ok(Response::Written(4096))));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn shutdown_drains_every_request_while_spares_run() {
+        let (vfs, _) = journaled(Duration::from_millis(50));
+        let engine = Engine::start(Arc::clone(&vfs), 1);
+        let client = engine.client("k");
+        let files: Vec<VfsHandle> = (0..4)
+            .map(|i| opened(&client, &format!("/plain/f{i}")))
+            .collect();
+        let mut ids = Vec::new();
+        for (i, &h) in files.iter().enumerate() {
+            ids.push(client.submit(write_at(h, i as u8 + 1)).unwrap());
+            ids.push(client.submit(read_at(files[(i + 1) % 4])).unwrap());
+        }
+        engine.shutdown();
+
+        let done: Vec<Completion> = ids.iter().map(|_| client.recv()).collect();
+        assert!(done.iter().all(|c| c.result.is_ok()));
+        assert_eq!(
+            done[0].id, ids[1],
+            "the first read overtook the first write"
+        );
+        let mut got: Vec<RequestId> = done.iter().map(|c| c.id).collect();
+        got.sort_unstable();
+        assert_eq!(got, ids);
+        drop(client);
+        assert_eq!(Arc::strong_count(&vfs), 1, "every pool thread was joined");
+    }
+
+    #[test]
+    fn a_panicking_request_poisons_the_engine_and_leaves_no_thread() {
+        let (vfs, controls) = journaled(Duration::from_millis(50));
+        let engine = Engine::start(Arc::clone(&vfs), 1);
+        let client = engine.client("k");
+        let (a, b) = (opened(&client, "/plain/a"), opened(&client, "/plain/b"));
+        client.call(write_at(b, 2)).result.unwrap();
+
+        let write = client.submit(write_at(a, 1)).unwrap();
+        // Once the write is in its flush, the read runs on a spare thread
+        // and panics there.
+        controls.wait_until(|c| c.flushing.load(Ordering::SeqCst) > 0);
+        controls.panic_next_read.store(true, Ordering::SeqCst);
+        let read = client.submit(read_at(b)).unwrap();
+        match client.wait_for(read).result {
+            Err(VfsError::Unsupported(m)) => assert_eq!(m, "request panicked"),
+            other => panic!("expected the panic's completion, got {other:?}"),
+        }
+        assert!(client.submit(read_at(b)).is_err(), "poisoned");
+        assert!(client.wait_for(write).result.is_ok(), "already running");
+
+        drop(client);
+        engine.shutdown();
+        assert_eq!(Arc::strong_count(&vfs), 1, "every pool thread was joined");
+    }
+
+    #[test]
+    fn a_full_engine_refuses_at_once_and_alike_for_both_namespaces() {
+        // A client keeping 8 requests in flight on one slot is never refused.
+        const { assert!(IN_FLIGHT_PER_WORKER > 8) };
+        let (vfs, controls) = journaled(Duration::ZERO);
+        let engine = Engine::start(vfs, 1);
+        let client = engine.client("k");
+        let a = opened(&client, "/plain/a");
+        client.call(write_at(a, 7)).result.unwrap();
+
+        // The only slot parks on a device read, outside the commit gate, so
+        // everything after it queues.
+        controls.hold_reads(true);
+        let mut accepted = vec![client.submit(read_at(a)).unwrap()];
+        controls.wait_until(|c| c.parked.load(Ordering::SeqCst) > 0);
+        let refused = loop {
+            match client.submit(Request::Stat {
+                path: "/plain/a".into(),
+            }) {
+                Ok(id) => accepted.push(id),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(accepted.len(), IN_FLIGHT_PER_WORKER);
+        for path in ["/hidden/secret", "/plain/a"] {
+            let start = Instant::now();
+            let again = client.submit(Request::Stat { path: path.into() });
+            assert!(start.elapsed() < Duration::from_secs(1), "did not wait");
+            let again = again.expect_err("still full");
+            assert!(matches!(again, VfsError::Unsupported(_)));
+            assert_eq!(again.to_string(), refused.to_string(), "{path}");
+        }
+
+        controls.hold_reads(false);
+        for id in accepted {
+            assert!(client.wait_for(id).result.is_ok());
+        }
+        assert!(client.call(read_at(a)).result.is_ok(), "admits again");
         engine.shutdown();
     }
 }

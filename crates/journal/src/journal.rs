@@ -36,9 +36,12 @@
 //!    flushes; held only around bookkeeping, never across the flush itself.
 //!
 //! The log state mutex may take the commit gate; the gate never takes the
-//! log state.  Checkpointing never reuses a ring slot until an anchor
-//! recording a tail past it has been flushed, so replay can trust that any
-//! slot at or after the durable anchor tail belongs to the current log.
+//! log state.  A gate visit is a `stegfs_obs::blocking` section: on an
+//! engine thread, entering and leaving it takes the engine's pool lock, a
+//! leaf below both, outside the gate mutex.  Checkpointing never reuses a
+//! ring slot until an anchor recording a tail past it has been flushed, so
+//! replay can trust that any slot at or after the durable anchor tail
+//! belongs to the current log.
 
 use crate::record::{
     intent_capacity, open_payload, open_slot, seal_payload, seal_slot, slots_for, JournalKeys,
@@ -50,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Instant;
 use stegfs_blockdev::{BlockDevice, BlockError};
-use stegfs_obs::{span, GateStats, Obs, TimedMutex};
+use stegfs_obs::{blocking, span, GateStats, Obs, TimedMutex};
 
 /// Result alias for journal operations.
 pub type JournalResult<T> = Result<T, JournalError>;
@@ -200,11 +203,20 @@ struct LogState {
 }
 
 struct GateState {
+    /// Successful flushes.
     completed: u64,
     flushing: bool,
-    /// Callers currently inside `flush_covering` (metrics only: the batch
-    /// size a finishing flush reports is the number of callers it covers).
-    waiters: u64,
+    /// Flushes started, successful or not; the running one is number
+    /// `started`.
+    started: u64,
+    /// Start number of the newest successful flush: every caller that
+    /// arrived before it started is covered.
+    covered: u64,
+    /// Callers that arrived since the last flush started, plus those a
+    /// failed flush left uncovered (metrics only).  The next flush to start
+    /// covers exactly these, so it takes them as its batch and, if it
+    /// succeeds, records that count.
+    unstarted: u64,
 }
 
 /// Group-commit gate: one flush serves every committer that arrived before
@@ -224,7 +236,9 @@ impl CommitGate {
             state: StdMutex::new(GateState {
                 completed: 0,
                 flushing: false,
-                waiters: 0,
+                started: 0,
+                covered: 0,
+                unstarted: 0,
             }),
             cv: Condvar::new(),
             completed: AtomicU64::new(0),
@@ -246,38 +260,49 @@ impl CommitGate {
     /// Block until a device flush that *started after this call* has
     /// completed.  Whoever finds the gate idle becomes the leader and
     /// flushes once for every waiter.
+    ///
+    /// The whole visit is a [`blocking`] section, so a thread pool that
+    /// installed a hook (the engine) can run other work in the caller's slot
+    /// meanwhile.
     fn flush_covering<D: BlockDevice>(&self, dev: &D) -> JournalResult<()> {
         // Covers the whole gate visit: leading the flush or stalling behind
         // someone else's both attribute to `gate_flush` (the nested device
         // flush shows up as `device_io` self-time).
         let _s = span::span(span::Phase::GateFlush);
+        let _blocked = blocking::section();
         let stall_timer = if self.stats.is_enabled() {
             Some(Instant::now())
         } else {
             None
         };
         let mut g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        g.waiters += 1;
-        let need = g.completed + 1 + u64::from(g.flushing);
+        g.unstarted += 1;
+        let need = g.started + 1;
         let outcome = loop {
-            if g.completed >= need {
+            if g.covered >= need {
                 break Ok(());
             }
             if !g.flushing {
                 g.flushing = true;
+                g.started += 1;
+                let number = g.started;
+                let batch = std::mem::take(&mut g.unstarted);
                 drop(g);
                 let result = dev.flush();
                 g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                 g.flushing = false;
                 if result.is_ok() {
+                    g.covered = number;
                     g.completed += 1;
                     self.completed.store(g.completed, Ordering::Release);
                     if stall_timer.is_some() {
                         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                        // Everyone currently inside the gate (leader
-                        // included) is covered by this flush.
-                        self.stats.batch.record(g.waiters);
+                        self.stats.batch.record(batch);
                     }
+                } else {
+                    // The leader leaves with the error; the rest of its
+                    // batch waits for the next flush to start.
+                    g.unstarted += batch - 1;
                 }
                 self.cv.notify_all();
                 if let Err(e) = result {
@@ -287,7 +312,6 @@ impl CommitGate {
                 g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        g.waiters -= 1;
         drop(g);
         if let Some(start) = stall_timer {
             self.stats
@@ -1364,5 +1388,127 @@ mod tests {
                 vec![t as u8; BS]
             );
         }
+    }
+
+    /// A memory device whose flushes take `delay`, so concurrent gate
+    /// visitors pile up behind them, and fail when their 1-based number
+    /// (the format's flush is number 1) is listed in `fail`.
+    struct SlowFlush {
+        mem: MemBlockDevice,
+        delay: std::time::Duration,
+        flushes: AtomicU64,
+        fail: Vec<u64>,
+    }
+
+    impl BlockDevice for SlowFlush {
+        fn block_size(&self) -> usize {
+            self.mem.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.mem.total_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> stegfs_blockdev::BlockResult<()> {
+            self.mem.read_block(block, buf)
+        }
+        fn write_block(&self, block: u64, buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
+            self.mem.write_block(block, buf)
+        }
+        fn flush(&self) -> stegfs_blockdev::BlockResult<()> {
+            let n = self.flushes.fetch_add(1, Ordering::SeqCst) + 1;
+            std::thread::sleep(self.delay);
+            if self.fail.contains(&n) {
+                return Err(std::io::Error::other("scripted flush failure").into());
+            }
+            Ok(())
+        }
+    }
+
+    /// A formatted journal over a [`SlowFlush`], its gate metrics enabled.
+    fn slow_gate(delay_ms: u64, fail: Vec<u64>) -> (Arc<SlowFlush>, Arc<Journal>) {
+        let dev = Arc::new(SlowFlush {
+            mem: MemBlockDevice::new(BS, 128),
+            delay: std::time::Duration::from_millis(delay_ms),
+            flushes: AtomicU64::new(0),
+            fail,
+        });
+        let geo = JournalGeometry {
+            start: 1,
+            blocks: 32,
+            block_size: BS,
+        };
+        let mut journal = Journal::format(geo, 1, dev.as_ref()).unwrap();
+        journal.gate.stats = Arc::new(GateStats::new(true));
+        (dev, Arc::new(journal))
+    }
+
+    fn barrier_on_a_thread(
+        dev: &Arc<SlowFlush>,
+        journal: &Arc<Journal>,
+    ) -> std::thread::JoinHandle<JournalResult<()>> {
+        let (dev, journal) = (Arc::clone(dev), Arc::clone(journal));
+        std::thread::spawn(move || journal.flush_barrier(dev.as_ref()))
+    }
+
+    /// 8 threads x 12 barriers through one gate: `(successful visits, all
+    /// visits)` and the gate's metrics.
+    fn hammer_the_gate(fail: Vec<u64>) -> (u64, u64, stegfs_obs::GateSummary) {
+        let (dev, journal) = slow_gate(1, fail);
+        let ok: u64 = (0..8)
+            .map(|_| {
+                let (dev, journal) = (Arc::clone(&dev), Arc::clone(&journal));
+                std::thread::spawn(move || {
+                    (0..12)
+                        .filter(|_| journal.flush_barrier(dev.as_ref()).is_ok())
+                        .count() as u64
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .sum();
+        (ok, 8 * 12, journal.gate.stats.summary())
+    }
+
+    #[test]
+    fn a_caller_is_released_by_the_first_good_flush_that_started_after_it() {
+        // Flush 2 (the gate's first) fails while a second caller waits on
+        // it; that caller leads flush 3 and must leave when it succeeds.
+        let (dev, journal) = slow_gate(50, vec![2]);
+        let leader = barrier_on_a_thread(&dev, &journal);
+        while dev.flushes.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        let waiter = barrier_on_a_thread(&dev, &journal);
+        assert!(leader.join().unwrap().is_err());
+        assert!(waiter.join().unwrap().is_ok());
+        assert_eq!(dev.flushes.load(Ordering::SeqCst), 3, "no extra flush");
+        let gate = journal.gate.stats.summary();
+        assert_eq!((gate.flushes, gate.batch.total), (1, 1));
+    }
+
+    #[test]
+    fn the_batch_histogram_counts_every_covered_caller_once() {
+        let (ok, visits, gate) = hammer_the_gate(Vec::new());
+        assert_eq!(ok, visits);
+        assert_eq!(
+            gate.batch.total, visits,
+            "callers covered, summed over flushes"
+        );
+        assert_eq!(gate.stall_ns.count, visits);
+        assert_eq!(gate.batch.count, gate.flushes, "one batch per flush");
+        assert!(gate.flushes < visits, "callers shared flushes");
+    }
+
+    #[test]
+    fn a_failed_flush_hands_its_batch_to_the_next() {
+        let (ok, visits, gate) = hammer_the_gate(vec![2, 5, 6]);
+        assert_eq!(
+            ok,
+            visits - 3,
+            "only the three failed leaders see the error"
+        );
+        assert_eq!(gate.batch.total, ok);
+        assert_eq!(gate.stall_ns.count, visits);
+        assert_eq!(gate.batch.count, gate.flushes);
     }
 }

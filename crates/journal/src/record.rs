@@ -463,8 +463,9 @@ mod tests {
         // The counter is process-global and other tests expand keys
         // concurrently; noise only ever adds, so the quietest of several
         // windows is the journal's own count.  Per-slot expansion would make
-        // every window read at least 512.
-        let min_delta = (0..5u64)
+        // every window read at least 512.  Five windows all caught noise
+        // about one run in thirty.
+        let min_delta = (0..20u64)
             .map(|round| {
                 let before = Aes::key_expansions();
                 for slot in 0..256u64 {
@@ -475,7 +476,7 @@ mod tests {
                 Aes::key_expansions() - before
             })
             .min()
-            .expect("five rounds");
+            .expect("twenty rounds");
         assert_eq!(
             min_delta, 0,
             "sealing and opening 256 slots re-expanded the journal key"

@@ -11,7 +11,9 @@
 //! `uak_shard`, `journal_stage`, `gate_flush`, `device_io`, ...) that
 //! feeds the per-op [`AttributionStats`] table, the worst-N
 //! [`SlowCapture`] ring, and the chrome://tracing exporter
-//! ([`TraceCapture`] + [`chrome_trace_json`]).
+//! ([`TraceCapture`] + [`chrome_trace_json`]). One more thread-local,
+//! [`blocking`], lets the engine's pool hear when a worker parks in the
+//! journal's commit gate.
 //!
 //! # Deniability contract
 //!
@@ -52,6 +54,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod blocking;
 mod capture;
 mod hist;
 mod lock;
