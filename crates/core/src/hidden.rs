@@ -384,7 +384,10 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     fn read_decrypted_many(&self, blocks: &[u64]) -> StegResult<Vec<u8>> {
         let bs = self.fs.block_size();
         let mut buf = scratch::take(blocks.len() * bs);
-        self.fs.read_raw_blocks_into(blocks, &mut buf)?;
+        if let Err(e) = self.fs.read_raw_blocks_into(blocks, &mut buf) {
+            scratch::put(buf);
+            return Err(e.into());
+        }
         {
             let _s = span::span(span::Phase::Crypto);
             for (&block, chunk) in blocks.iter().zip(buf.chunks_exact_mut(bs)) {
@@ -482,13 +485,14 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// the header the caller holds.
     fn header_matches_disk(&self, obj: &HiddenObject) -> StegResult<bool> {
         let mut raw = scratch::take(self.fs.block_size());
-        self.fs
-            .read_raw_blocks_into(&[obj.header_block], &mut raw)?;
-        self.keys.decrypt_block(obj.header_block, &mut raw);
-        let total = self.fs.superblock().total_blocks;
-        let parsed = HiddenHeader::parse_if_match(&raw, self.keys.signature(), total);
+        let read = self.fs.read_raw_blocks_into(&[obj.header_block], &mut raw);
+        let parsed = read.map(|()| {
+            self.keys.decrypt_block(obj.header_block, &mut raw);
+            let total = self.fs.superblock().total_blocks;
+            HiddenHeader::parse_if_match(&raw, self.keys.signature(), total)
+        });
         scratch::put(raw);
-        Ok(parsed.is_some_and(|h| h == obj.header))
+        Ok(parsed?.is_some_and(|h| h == obj.header))
     }
 
     /// Walk the inode chain, falling back through each node's replicas.
@@ -605,40 +609,38 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let (cache, keys) = (self.cache, self.keys);
         let bs = self.fs.block_size();
         let mut out = scratch::take(span.len() * bs);
-        let mut fetch: Vec<u64> = Vec::new();
-        let mut fetch_slot: Vec<usize> = Vec::new();
-        for (i, &block) in span.iter().enumerate() {
-            if !cache.get_block_into(gen, block, &mut out[i * bs..(i + 1) * bs]) {
-                fetch.push(block);
-                fetch_slot.push(i);
-            }
+        let missed = cache.get_blocks_into(gen, span, &mut out);
+        let resident = cache.contains_blocks(gen, readahead);
+        let fetch: Vec<u64> = missed
+            .iter()
+            .map(|&slot| span[slot])
+            .chain(
+                readahead
+                    .iter()
+                    .zip(&resident)
+                    .filter(|(_, &cached)| !cached)
+                    .map(|(&block, _)| block),
+            )
+            .collect();
+        if fetch.is_empty() {
+            return Ok(out);
         }
-        let demand = fetch.len();
-        fetch.extend(
-            readahead
-                .iter()
-                .copied()
-                .filter(|&b| !cache.contains_block(gen, b)),
-        );
-        if !fetch.is_empty() {
-            let mut buf = scratch::take(fetch.len() * bs);
-            if let Err(e) = self.fs.read_raw_blocks_into(&fetch, &mut buf) {
-                // `out` already holds the cache hits' plaintext.
-                scratch::put(buf);
-                scratch::put(out);
-                return Err(e.into());
-            }
-            for (j, &block) in fetch.iter().enumerate() {
-                let chunk = &mut buf[j * bs..(j + 1) * bs];
-                keys.decrypt_block(block, chunk);
-                cache.put_block(keys.signature(), gen, block, chunk);
-            }
-            for (j, &slot) in fetch_slot.iter().enumerate() {
-                debug_assert!(j < demand);
-                out[slot * bs..(slot + 1) * bs].copy_from_slice(nth_block(&buf, j, bs));
-            }
+        let mut buf = scratch::take(fetch.len() * bs);
+        if let Err(e) = self.fs.read_raw_blocks_into(&fetch, &mut buf) {
+            // `out` already holds the cache hits' plaintext.
             scratch::put(buf);
+            scratch::put(out);
+            return Err(e.into());
         }
+        for (&block, chunk) in fetch.iter().zip(buf.chunks_exact_mut(bs)) {
+            keys.decrypt_block(block, chunk);
+        }
+        cache.put_blocks(keys.signature(), gen, &fetch, &buf);
+        // The demand misses lead `fetch`, in slot order.
+        for (j, &slot) in missed.iter().enumerate() {
+            out[slot * bs..(slot + 1) * bs].copy_from_slice(nth_block(&buf, j, bs));
+        }
+        scratch::put(buf);
         Ok(out)
     }
 
@@ -778,18 +780,13 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         if last >= logical_count {
             return Err(shorter_than_size());
         }
-        let mut out = scratch::take((last - first + 1) * bs);
+        let logical: Vec<u64> = (first as u64..=last as u64).collect();
+        let mut out = scratch::take(logical.len() * bs);
         let mut missing: Vec<usize> = Vec::new();
-        for i in first..=last {
-            let slot = (i - first) * bs;
-            if !self
-                .cache
-                .get_block_into(gen, i as u64, &mut out[slot..slot + bs])
-            {
-                let g = i / m;
-                if missing.last() != Some(&g) {
-                    missing.push(g);
-                }
+        for slot in self.cache.get_blocks_into(gen, &logical, &mut out) {
+            let g = (first + slot) / m;
+            if missing.last() != Some(&g) {
+                missing.push(g);
             }
         }
         if !missing.is_empty() {
@@ -801,16 +798,17 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                     return Err(e);
                 }
             };
-            for (gi, &g) in missing.iter().enumerate() {
-                for k in 0..m {
-                    let logical = g * m + k;
-                    let chunk = nth_block(&decoded, gi * m + k, bs);
-                    self.cache
-                        .put_block(self.keys.signature(), gen, logical as u64, chunk);
-                    if logical >= first && logical <= last {
-                        let slot = (logical - first) * bs;
-                        out[slot..slot + bs].copy_from_slice(chunk);
-                    }
+            let decoded_blocks: Vec<u64> = missing
+                .iter()
+                .flat_map(|&g| (g * m) as u64..((g + 1) * m) as u64)
+                .collect();
+            self.cache
+                .put_blocks(self.keys.signature(), gen, &decoded_blocks, &decoded);
+            for (j, &block) in decoded_blocks.iter().enumerate() {
+                let logical = block as usize;
+                if logical >= first && logical <= last {
+                    let slot = (logical - first) * bs;
+                    out[slot..slot + bs].copy_from_slice(nth_block(&decoded, j, bs));
                 }
             }
             scratch::put(decoded);
@@ -973,10 +971,10 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         if obj.header.size == 0 {
             return Ok(Vec::new());
         }
-        let last = (obj.header.size as usize - 1) / self.fs.block_size();
-        let mut out = self.read_span(obj, chain, 0, last, 0)?;
-        out.truncate(obj.header.size as usize);
-        Ok(out)
+        let bs = self.fs.block_size();
+        let last = (obj.header.size as usize - 1) / bs;
+        let plain = self.read_span(obj, chain, 0, last, 0)?;
+        Ok(scratch::hand_out(plain, obj.header.size as usize, bs))
     }
 
     /// Read `len` bytes starting at `offset` (clamped to the object size),
@@ -1002,6 +1000,10 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let plain = self.read_span(obj, chain, first, last, readahead_blocks)?;
         let from = (offset - first as u64 * bs) as usize;
         let to = (end - first as u64 * bs) as usize;
+        if from == 0 {
+            // Block-aligned: the span already starts with the caller's bytes.
+            return Ok(scratch::hand_out(plain, to, bs as usize));
+        }
         let out = plain[from..to].to_vec();
         scratch::put(plain);
         Ok(out)
@@ -2324,6 +2326,77 @@ mod tests {
         assert_eq!(cache.stats().block_hits, hits + 1, "block 0 was a hit");
         assert_eq!(scratch::outstanding(), outstanding);
         assert_eq!(io.read(&obj).unwrap(), data);
+    }
+
+    #[test]
+    fn every_read_range_returns_or_hands_out_its_scratch() {
+        let dev = FlakyDevice::new(MemBlockDevice::new(1024, 8192), 1, 0, 1);
+        let fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
+        let keys = ObjectKeys::derive("balance", b"plain key");
+        let params = StegParams::for_tests();
+        let mut rng = DeterministicRng::new(b"hidden-tests");
+        let cache = ReadCache::new(64);
+        let io = ObjectIo::new(&fs, &params, &cache, &keys);
+        let mut obj = io
+            .create("balance", ObjectKind::File, Policy::Plain)
+            .unwrap();
+        let data: Vec<u8> = (0..4 * 1024u32 - 300).map(|i| (i % 239) as u8).collect();
+        io.write(&mut obj, &data, &mut rng).unwrap();
+
+        let outstanding = scratch::outstanding();
+        for (offset, len) in [(0, 2048), (1024, 5000), (100, 2000), (3000, 10)] {
+            let (from, to) = (offset, (offset + len).min(data.len()));
+            let got = io.read_range(&obj, offset as u64, len, 2).unwrap();
+            assert_eq!(got, &data[from..to], "({offset}, {len})");
+            assert_eq!(scratch::outstanding(), outstanding, "({offset}, {len})");
+        }
+        assert_eq!(io.read(&obj).unwrap(), data);
+        assert_eq!(scratch::outstanding(), outstanding);
+        for offset in [0, 100] {
+            cache.purge_decrypted();
+            dev.script_failures(1);
+            assert!(io.read_range(&obj, offset, 1024, 0).is_err());
+            assert_eq!(scratch::outstanding(), outstanding, "failed at {offset}");
+        }
+    }
+
+    #[test]
+    fn a_hidden_read_hands_out_at_most_one_block_of_spare_capacity() {
+        let (fs, keys, params, mut rng) = fixture();
+        let cache = ReadCache::new(64);
+        let io = ObjectIo::new(&fs, &params, &cache, &keys);
+        let bs = fs.block_size();
+        let mut small = io.create("small", ObjectKind::File, Policy::Plain).unwrap();
+        io.write(&mut small, &[0x42; 100], &mut rng).unwrap();
+        let big_keys = ObjectKeys::derive("big", b"another key");
+        let big_io = ObjectIo::new(&fs, &params, &cache, &big_keys);
+        let mut big = big_io
+            .create("big", ObjectKind::File, Policy::Plain)
+            .unwrap();
+        big_io
+            .write(&mut big, &vec![0x77; 1 << 20], &mut rng)
+            .unwrap();
+
+        // The thread's most recent pooled buffer is a 1 MiB one, as the
+        // write leaves it: neither read path may hand it to the caller.
+        let reads: [&dyn Fn() -> Vec<u8>; 2] = [&|| io.read(&small).unwrap(), &|| {
+            io.read_range(&small, 0, 100, 0).unwrap()
+        }];
+        for read in reads {
+            scratch::put(scratch::take(1 << 20));
+            let got = read();
+            assert_eq!(got, [0x42; 100]);
+            assert!(got.capacity() <= 100 + bs, "capacity {}", got.capacity());
+        }
+        // With a pool that has nothing to offer, the read's own one-block
+        // buffer is what the caller gets — handed over, not copied.
+        let hoard: Vec<Vec<u8>> = (0..16).map(|_| scratch::take(0)).collect();
+        for read in reads {
+            let got = read();
+            assert_eq!(got, [0x42; 100]);
+            assert_eq!(got.capacity(), bs);
+        }
+        hoard.into_iter().for_each(scratch::put);
     }
 
     #[test]

@@ -93,7 +93,10 @@ pub fn locate_header<D: BlockDevice>(
         // stack-allocated prefix, so walking past other objects' blocks
         // allocates nothing.
         let mut raw = scratch::take(block_size);
-        fs.read_raw_blocks_into(&[candidate], &mut raw)?;
+        if let Err(e) = fs.read_raw_blocks_into(&[candidate], &mut raw) {
+            scratch::put(raw);
+            return Err(e.into());
+        }
         // Cheap first pass: decrypt only the signature prefix.
         let take = PROBE_PREFIX.min(block_size);
         let mut prefix = [0u8; PROBE_PREFIX];

@@ -178,6 +178,12 @@ impl HiddenHandle {
     }
 }
 
+/// Most repair tickets queued at once; a degraded read that finds the queue
+/// full queues nothing and counts in `obs.repair.refused`.  A constant, not
+/// a knob: a ticket is a name and a key, and the queue only has to hold the
+/// damaged objects read between two drains.
+const REPAIR_QUEUE_CAPACITY: usize = 1024;
+
 /// One queued self-healing ticket: enough to re-derive the object's keys
 /// and re-open it *fresh* at repair time — repair always converges the
 /// object's **current** incarnation, so a ticket queued against a since-
@@ -185,16 +191,76 @@ impl HiddenHandle {
 struct RepairTicket {
     physical_name: String,
     fak: [u8; FAK_LEN],
-    /// Dedup key in [`RepairQueue::enqueued`].
+    /// Dedup key in [`RepairQueue::enqueued`], and the read cache's key for
+    /// the session the object was resolved through.
     signature: [u8; crate::crypt::SIGNATURE_LEN],
 }
 
+impl Drop for RepairTicket {
+    fn drop(&mut self) {
+        zeroize(&mut self.fak);
+    }
+}
+
+/// What [`RepairQueue::offer`] did with a degraded object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Offer {
+    Queued,
+    /// A ticket for the object is already waiting.
+    Duplicate,
+    /// The queue holds [`REPAIR_QUEUE_CAPACITY`] tickets.
+    Refused,
+}
+
 /// RAM-only queue of repair tickets, deduplicated by object signature (a
-/// storm of degraded reads against one object queues one ticket).
+/// storm of degraded reads against one object queues one ticket) and
+/// bounded at [`REPAIR_QUEUE_CAPACITY`].
 #[derive(Default)]
 struct RepairQueue {
     tickets: std::collections::VecDeque<RepairTicket>,
     enqueued: std::collections::HashSet<[u8; crate::crypt::SIGNATURE_LEN]>,
+}
+
+impl RepairQueue {
+    /// Queue the ticket `make` builds for the object `signature`, unless one
+    /// is already waiting or the queue is full (`make` is not called then).
+    fn offer(
+        &mut self,
+        signature: &[u8; crate::crypt::SIGNATURE_LEN],
+        make: impl FnOnce() -> RepairTicket,
+    ) -> Offer {
+        if self.enqueued.contains(signature) {
+            return Offer::Duplicate;
+        }
+        if self.tickets.len() >= REPAIR_QUEUE_CAPACITY {
+            return Offer::Refused;
+        }
+        self.enqueued.insert(*signature);
+        self.tickets.push_back(make());
+        Offer::Queued
+    }
+
+    fn pop(&mut self) -> Option<RepairTicket> {
+        let ticket = self.tickets.pop_front()?;
+        self.enqueued.remove(&ticket.signature);
+        Some(ticket)
+    }
+
+    /// Drop (and zero) every ticket `keep` rejects.
+    fn retain(&mut self, mut keep: impl FnMut(&RepairTicket) -> bool) {
+        let RepairQueue { tickets, enqueued } = self;
+        tickets.retain(|t| {
+            let kept = keep(t);
+            if !kept {
+                enqueued.remove(&t.signature);
+            }
+            kept
+        });
+    }
+
+    fn clear(&mut self) {
+        self.retain(|_| false);
+    }
 }
 
 /// What one [`StegFs::process_repairs`] drain accomplished.
@@ -270,7 +336,10 @@ pub struct StegFs<D: BlockDevice> {
     /// RAM-only self-healing queue (see [`Self::process_repairs`]): degraded
     /// reads enqueue, an explicit drain repairs.  RAM-only for the same
     /// deniability reason as the read cache — a persisted repair backlog
-    /// would betray which blocks hold live hidden data.
+    /// would betray which blocks hold live hidden data.  Its tickets hold
+    /// FAKs, so they share the read cache's lifetime: a sign-off drops the
+    /// departing session's (and never-tagged) tickets, `disconnect_all` and
+    /// unmount drop all of them.  Lock order: repair queue < read cache.
     repair_queue: Mutex<RepairQueue>,
 }
 
@@ -383,6 +452,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// Flush all state and return the underlying device.
     pub fn unmount(self) -> StegResult<D> {
         self.session.lock().disconnect_all();
+        self.repair_queue.lock().clear();
         self.read_cache.purge();
         Ok(self.fs.unmount()?)
     }
@@ -407,10 +477,15 @@ impl<D: BlockDevice> StegFs<D> {
     /// reach through `uak`: every cache entry — derived key sets included —
     /// resolved through this key, plus any entry whose owning session was
     /// never established, is swept, while entries other live sessions
-    /// loaded through their own keys stay warm.  The VFS calls this on
-    /// every sign-off.
+    /// loaded through their own keys stay warm.  Queued repair tickets go
+    /// by the same rule.  The VFS calls this on every sign-off.
     pub fn purge_session_caches(&self, uak: &str) {
-        self.read_cache.purge_scope(Self::session_scope(uak));
+        let scope = Self::session_scope(uak);
+        // Tickets first: the purge below forgets whose signatures were whose.
+        self.repair_queue
+            .lock()
+            .retain(|t| self.read_cache.outlives_sign_off(&t.signature, scope));
+        self.read_cache.purge_scope(scope);
     }
 
     /// The volume's observability registry: RAM-only histograms, counters
@@ -862,15 +937,17 @@ impl<D: BlockDevice> StegFs<D> {
         let health = ReadHealth::new();
         let out = read(self.io(keys).observed(&health));
         if health.is_degraded() {
-            let mut queue = self.repair_queue.lock();
-            if queue.enqueued.insert(*keys.signature()) {
-                queue.tickets.push_back(RepairTicket {
-                    physical_name: physical_name.to_string(),
-                    fak: *fak,
-                    signature: *keys.signature(),
-                });
-                self.obs.repair.queued.fetch_add(1, Ordering::Relaxed);
-            }
+            let signature = keys.signature();
+            let offer = self.repair_queue.lock().offer(signature, || RepairTicket {
+                physical_name: physical_name.to_string(),
+                fak: *fak,
+                signature: *signature,
+            });
+            match offer {
+                Offer::Queued => self.obs.repair.queued.fetch_add(1, Ordering::Relaxed),
+                Offer::Refused => self.obs.repair.refused.fetch_add(1, Ordering::Relaxed),
+                Offer::Duplicate => 0,
+            };
         }
         out
     }
@@ -900,12 +977,7 @@ impl<D: BlockDevice> StegFs<D> {
     pub fn process_repairs(&self, limit: usize) -> RepairDrain {
         let mut drain = RepairDrain::default();
         for _ in 0..limit {
-            let Some(ticket) = ({
-                let mut queue = self.repair_queue.lock();
-                queue.tickets.pop_front().inspect(|t| {
-                    queue.enqueued.remove(&t.signature);
-                })
-            }) else {
+            let Some(ticket) = self.repair_queue.lock().pop() else {
                 break;
             };
             drain.processed += 1;
@@ -1245,9 +1317,11 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Disconnect every object (the paper does this automatically at
     /// logoff).  Logoff also means no one is left who may read cached
-    /// plaintext, so the read caches are purged and zeroed.
+    /// plaintext, so the read caches and the repair queue are purged and
+    /// zeroed.
     pub fn disconnect_all(&self) {
         self.session.lock().disconnect_all();
+        self.repair_queue.lock().clear();
         self.read_cache.purge();
     }
 
@@ -2728,6 +2802,84 @@ mod tests {
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key("cfg.dat", UAK).unwrap(), data);
         assert_eq!(fs.pending_repairs(), 0);
+    }
+
+    /// Create a 2-of-4 file `name` under `uak`, smash one of its shares and
+    /// read it cold: the degraded read queues one repair ticket.
+    fn queue_degraded_ticket(fs: &StegFs<MemBlockDevice>, name: &str, uak: &str) {
+        let policy = Policy::Disperse { m: 2, n: 4 };
+        fs.steg_create_with_policy(name, uak, ObjectKind::File, policy)
+            .unwrap();
+        let data = vec![0x3cu8; 4 * 1024];
+        fs.write_hidden_with_key(name, uak, &data).unwrap();
+        let share = fs.hidden_share_extents(name, uak).unwrap()[0][1];
+        smash_raw(fs, share, 3);
+        fs.purge_read_caches();
+        let queued = fs.pending_repairs();
+        assert_eq!(fs.read_hidden_with_key(name, uak).unwrap(), data);
+        assert_eq!(fs.pending_repairs(), queued + 1, "degraded read queues");
+    }
+
+    #[test]
+    fn sign_off_drops_the_departing_sessions_repair_tickets() {
+        let fs = small_fs();
+        let bob = "bob's access key";
+        queue_degraded_ticket(&fs, "alice.dat", UAK);
+        queue_degraded_ticket(&fs, "bob.dat", bob);
+        // A ticket holds a FAK: it dies with the session that could use it,
+        // while another live session's ticket stays queued.
+        fs.purge_session_caches(UAK);
+        assert_eq!(fs.pending_repairs(), 1);
+        fs.purge_session_caches(bob);
+        assert_eq!(fs.pending_repairs(), 0);
+        // Re-reading the still-damaged object queues afresh: the dedup set
+        // was swept with the queue.
+        fs.purge_read_caches();
+        fs.read_hidden_with_key("bob.dat", bob).unwrap();
+        assert_eq!(fs.pending_repairs(), 1);
+        fs.disconnect_all();
+        assert_eq!(fs.pending_repairs(), 0, "disconnect_all clears the queue");
+    }
+
+    #[test]
+    fn untagged_repair_tickets_die_at_any_sign_off() {
+        // With no read cache nothing is ever tagged to a session, so no
+        // ticket has a known owner: the next sign-off of anyone sweeps it,
+        // as the read cache sweeps its own unscoped entries.
+        let params = StegParams {
+            readpath_cache_blocks: 0,
+            ..StegParams::for_tests()
+        };
+        let fs = StegFs::format(MemBlockDevice::new(1024, 8192), params).unwrap();
+        queue_degraded_ticket(&fs, "orphan.dat", UAK);
+        fs.purge_session_caches("somebody else");
+        assert_eq!(fs.pending_repairs(), 0);
+    }
+
+    #[test]
+    fn the_repair_queue_is_bounded() {
+        let mut queue = RepairQueue::default();
+        let sig = |i: usize| {
+            let mut sig = [0u8; crate::crypt::SIGNATURE_LEN];
+            sig[..8].copy_from_slice(&(i as u64).to_be_bytes());
+            sig
+        };
+        let ticket = |i: usize| RepairTicket {
+            physical_name: format!("object-{i}"),
+            fak: [7; FAK_LEN],
+            signature: sig(i),
+        };
+        for i in 0..REPAIR_QUEUE_CAPACITY {
+            assert_eq!(queue.offer(&sig(i), || ticket(i)), Offer::Queued);
+        }
+        let late = REPAIR_QUEUE_CAPACITY;
+        assert_eq!(queue.offer(&sig(late), || ticket(late)), Offer::Refused);
+        assert_eq!(queue.offer(&sig(3), || unreachable!()), Offer::Duplicate);
+        assert_eq!(queue.pop().map(|t| t.signature), Some(sig(0)));
+        assert_eq!(queue.offer(&sig(late), || ticket(late)), Offer::Queued);
+        assert_eq!(queue.tickets.len(), REPAIR_QUEUE_CAPACITY);
+        queue.clear();
+        assert!(queue.tickets.is_empty() && queue.enqueued.is_empty());
     }
 
     #[test]

@@ -27,8 +27,8 @@ const RANGES: usize = 60;
 pub const NUM_BUCKETS: usize = LINEAR_CUTOFF as usize + RANGES * SUB_BUCKETS;
 
 /// Shards per enabled histogram; power of two.  Sized so a dozen engine
-/// workers rarely share a shard's cache lines on the per-block hot paths
-/// (the cached-read path records once per block), while keeping the
+/// workers rarely share a shard's cache lines on the hot paths (the device
+/// records once per submission), while keeping the
 /// attribution grid's 100+ histograms at ~8 KB per shard affordable.
 const SHARDS: usize = 8;
 
@@ -115,6 +115,21 @@ impl Histogram {
         let shard = &self.shards[shard];
         shard.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         shard.total.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Record `n` observations of `value` at the cost of one: how a batched
+    /// call that timed `n` items with one clock pair records their mean.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if self.shards.is_empty() || n == 0 {
+            return;
+        }
+        let shard = THREAD_SHARD.with(|s| *s) & (self.shards.len() - 1);
+        let shard = &self.shards[shard];
+        shard.counts[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
+        shard
+            .total
+            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
     }
 
     /// Zero every bucket and total. Concurrent records may survive; used to
@@ -263,9 +278,21 @@ mod tests {
     }
 
     #[test]
+    fn record_n_equals_n_records() {
+        let (batched, single) = (Histogram::new(), Histogram::new());
+        batched.record_n(700, 64);
+        batched.record_n(9, 0);
+        for _ in 0..64 {
+            single.record(700);
+        }
+        assert_eq!(batched.summary(), single.summary());
+    }
+
+    #[test]
     fn disabled_histogram_records_nothing() {
         let h = Histogram::disabled();
         h.record(42);
+        h.record_n(42, 3);
         let s = h.summary();
         assert_eq!(s.count, 0);
         assert_eq!(s.p50, 0);

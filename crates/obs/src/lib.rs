@@ -246,10 +246,21 @@ impl GateSummary {
 /// Read-cache operation latencies. Hit/miss/evict/zeroize counts are the
 /// `count` fields of the respective histograms; derived-key lookups are
 /// plain counts (a miss's latency is the `key_derive` phase).
+///
+/// The three block histograms count blocks, but the cache reads the clock
+/// once per batched call, not per block: each call records its per-block
+/// mean once for every block it served (`Histogram::record_n`).  Counts
+/// therefore equal the cache's block counters exactly, totals equal the
+/// timed calls' sum, and a percentile describes calls weighted by their
+/// block count, not single blocks.
 pub struct ReadCacheStats {
+    /// Block hits: per-block mean of the lookup call that served them.
     pub hit_ns: Histogram,
+    /// Block misses: per-block mean of the lookup call that missed them.
     pub miss_ns: Histogram,
+    /// Evictions: per-block mean of the insert call that evicted them.
     pub evict_ns: Histogram,
+    /// One record per invalidation or purge sweep.
     pub zeroize_ns: Histogram,
     /// Key-set lookups served from the derived-key cache.
     pub key_hits: AtomicU64,
@@ -662,6 +673,8 @@ pub struct RepairStats {
     pub completed: AtomicU64,
     /// Tickets whose rewrite failed (damage beyond tolerance, I/O error).
     pub failed: AtomicU64,
+    /// Degraded reads that found the queue full and queued nothing.
+    pub refused: AtomicU64,
 }
 
 impl RepairStats {
@@ -673,6 +686,7 @@ impl RepairStats {
         self.queued.store(0, Ordering::Relaxed);
         self.completed.store(0, Ordering::Relaxed);
         self.failed.store(0, Ordering::Relaxed);
+        self.refused.store(0, Ordering::Relaxed);
     }
 
     pub fn summary(&self) -> RepairSummary {
@@ -680,6 +694,7 @@ impl RepairStats {
             queued: self.queued.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
+            refused: self.refused.load(Ordering::Relaxed),
         }
     }
 }
@@ -689,13 +704,14 @@ pub struct RepairSummary {
     pub queued: u64,
     pub completed: u64,
     pub failed: u64,
+    pub refused: u64,
 }
 
 impl RepairSummary {
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"repairs_queued\": {}, \"repairs_completed\": {}, \"repairs_failed\": {}}}",
-            self.queued, self.completed, self.failed
+            "{{\"repairs_queued\": {}, \"repairs_completed\": {}, \"repairs_failed\": {}, \"repairs_refused\": {}}}",
+            self.queued, self.completed, self.failed, self.refused
         )
     }
 }
@@ -741,7 +757,7 @@ pub struct Obs {
     pub capture: TraceCapture,
     /// Stall watchdog gauges (journal occupancy, checkpoint liveness).
     pub watchdog: Arc<WatchdogStats>,
-    /// Read-repair convergence counters (queued/completed/failed).
+    /// Read-repair convergence counters (queued/completed/failed/refused).
     pub repair: Arc<RepairStats>,
 }
 
@@ -1137,18 +1153,22 @@ mod tests {
         obs.repair.queued.fetch_add(3, Ordering::Relaxed);
         obs.repair.completed.fetch_add(2, Ordering::Relaxed);
         obs.repair.failed.fetch_add(1, Ordering::Relaxed);
+        obs.repair.refused.fetch_add(4, Ordering::Relaxed);
         let snap = obs.snapshot();
         assert_eq!(snap.repair.queued, 3);
         assert_eq!(snap.repair.completed, 2);
         assert_eq!(snap.repair.failed, 1);
+        assert_eq!(snap.repair.refused, 4);
         let json = snap.to_json();
         assert!(json.contains("\"repairs_queued\": 3"));
         assert!(json.contains("\"repairs_completed\": 2"));
         assert!(json.contains("\"repairs_failed\": 1"));
+        assert!(json.contains("\"repairs_refused\": 4"));
         // The repair phase is part of the fixed taxonomy.
         assert_eq!(Phase::Repair.name(), "repair");
         obs.reset();
         assert_eq!(obs.snapshot().repair.queued, 0);
+        assert_eq!(obs.snapshot().repair.refused, 0);
     }
 
     #[test]

@@ -296,8 +296,8 @@ impl Drop for SpanGuard {
 /// cache's hit/miss service times).
 ///
 /// Consecutive notes of the same phase under the same parent coalesce
-/// into one record: a 64-block cached read charges one `cache_hit` span,
-/// not 64. The merge path is the hot one — no clock read, no allocation —
+/// into one record: back-to-back cached lookups charge one `cache_hit`
+/// span, not one each. The merge path is the hot one — no clock read, no allocation —
 /// and attribution totals are unchanged (self-times simply sum).
 pub fn note(phase: Phase, dur_ns: u64) {
     CTX.with(|c| {

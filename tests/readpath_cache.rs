@@ -676,3 +676,44 @@ fn sequential_streaming_reads_prefetch_into_the_cache() {
     vfs.close(h).unwrap();
     vfs.signoff(s).unwrap();
 }
+
+// ----------------------------------------------------------------------
+// Observability: the histograms count what the cache counts
+// ----------------------------------------------------------------------
+
+#[test]
+fn cache_histograms_conserve_block_counts_through_the_vfs() {
+    // 64 blocks in 16 shards: the files below evict on nearly every read.
+    let params = StegParams {
+        readpath_cache_blocks: 64,
+        ..StegParams::for_tests()
+    };
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), params).unwrap();
+    let s = vfs.signon(OWNER);
+    let mut handles = Vec::new();
+    for i in 0..4 {
+        let path = format!("/hidden/obs-{i}");
+        let h = vfs.open(s, &path, OpenOptions::read_write()).unwrap();
+        vfs.write_at(h, 0, &payload(i, 24 * 1024 + 100 * i as usize))
+            .unwrap();
+        handles.push(h);
+    }
+    for round in 0..3u64 {
+        for (i, &h) in handles.iter().enumerate() {
+            let offset = (round * 700 + i as u64 * 1024) % 20_000;
+            vfs.read_at(h, 0, 64 * 1024).unwrap();
+            vfs.read_at(h, offset, 3000).unwrap();
+            vfs.read(h, 2048).unwrap();
+        }
+    }
+    let stats = vfs.cache_stats();
+    assert!(stats.block_hits > 0 && stats.block_misses > 0 && stats.evictions > 0);
+    let obs = vfs.obs().readcache.summary();
+    assert_eq!(obs.hit_ns.count, stats.block_hits);
+    assert_eq!(obs.miss_ns.count, stats.block_misses);
+    assert_eq!(obs.evict_ns.count, stats.evictions);
+    for h in handles {
+        vfs.close(h).unwrap();
+    }
+    vfs.signoff(s).unwrap();
+}
