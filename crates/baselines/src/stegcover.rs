@@ -300,11 +300,11 @@ impl<D: BlockDevice> StegCover<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::{IoStats, MemBlockDevice, MeteredDevice};
+    use stegfs_blockdev::{MemBlockDevice, ObservedDevice};
 
-    fn store_16mb() -> StegCover<MeteredDevice<MemBlockDevice>> {
+    fn store_16mb() -> StegCover<ObservedDevice<MemBlockDevice>> {
         // 16 MB volume of 1 KB blocks with 512 KB covers -> 32 covers.
-        let dev = MeteredDevice::new(MemBlockDevice::new(1024, 16 * 1024));
+        let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 16 * 1024));
         StegCover::format(dev, 512 * 1024, DEFAULT_SUBSET_SIZE).unwrap()
     }
 
@@ -361,22 +361,22 @@ mod tests {
     #[test]
     fn every_operation_touches_the_whole_subset() {
         let mut cover = store_16mb();
-        let stats_handle = cover.device_mut().stats_handle();
-        stats_handle.reset();
+        let stats = cover.device_mut().stats().clone();
+        stats.reset();
         let cover_blocks = 512; // 512 KB covers of 1 KB blocks
 
         cover.store("f", "pw", &vec![1u8; 4096]).unwrap();
-        let IoStats { reads, writes, .. } = stats_handle.snapshot();
+        let s = stats.summary();
         // Store: read 15 mask covers, write 1 home cover.
-        assert_eq!(reads, 15 * cover_blocks);
-        assert_eq!(writes, cover_blocks);
+        assert_eq!(s.blocks_read, 15 * cover_blocks);
+        assert_eq!(s.blocks_written, cover_blocks);
 
-        stats_handle.reset();
+        stats.reset();
         cover.load("f", "pw").unwrap();
-        let IoStats { reads, writes, .. } = stats_handle.snapshot();
+        let s = stats.summary();
         // Load: read 15 mask covers + at least the home cover.
-        assert!(reads >= 16 * cover_blocks);
-        assert_eq!(writes, 0);
+        assert!(s.blocks_read >= 16 * cover_blocks);
+        assert_eq!(s.blocks_written, 0);
     }
 
     #[test]

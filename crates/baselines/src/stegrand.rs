@@ -309,7 +309,7 @@ impl StegRandSpaceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::{MemBlockDevice, MeteredDevice};
+    use stegfs_blockdev::{MemBlockDevice, ObservedDevice};
 
     fn small_store(replication: usize) -> StegRand<MemBlockDevice> {
         StegRand::format(MemBlockDevice::new(1024, 8192), replication).unwrap()
@@ -342,14 +342,14 @@ mod tests {
 
     #[test]
     fn writes_issue_replication_times_the_ios() {
-        let dev = MeteredDevice::new(MemBlockDevice::new(1024, 8192));
-        let stats = dev.stats_handle();
+        let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
+        let stats = dev.stats().clone();
         let mut s = StegRand::format(dev, 4).unwrap();
         stats.reset();
         // ~10 payload blocks of data.
         let payload = s.payload_per_block();
         s.store("f", "pw", &vec![1u8; payload * 10]).unwrap();
-        assert_eq!(stats.snapshot().writes, 40, "10 blocks x 4 replicas");
+        assert_eq!(stats.summary().blocks_written, 40, "10 blocks x 4 replicas");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! writes `n` shares per `m` logical blocks.  This sweep prices that trade
 //! directly.  For every policy it
 //!
-//! 1. formats a volume on a [`CorruptingDevice`], creates a working set of
+//! 1. formats a volume on a [`FaultDevice`], creates a working set of
 //!    hidden files and measures the **write amplification** actually paid
 //!    (physical share blocks per logical data block, padding included);
 //! 2. damages a seeded random fraction of all share blocks (mixed bit
@@ -20,7 +20,7 @@
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use stegfs_blockdev::{BlockDevice, CorruptingDevice, FlakyDevice, MemBlockDevice, RetryDevice};
+use stegfs_blockdev::{BlockDevice, FaultDevice, MemBlockDevice, RetryDevice};
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{ObjectKind, Policy, StegFs, StegParams};
 use stegfs_survival::scavenge;
@@ -79,14 +79,14 @@ fn content(index: usize, len: usize) -> Vec<u8> {
 }
 
 /// The damageable volume every sweep but the transient one runs on.
-type Volume = StegFs<CorruptingDevice<MemBlockDevice>>;
+type Volume = StegFs<FaultDevice<MemBlockDevice>>;
 
 fn name(index: usize) -> String {
     format!("survival-{index}")
 }
 
 fn build_volume(policy: Policy, files: usize, file_kb: usize) -> Volume {
-    let dev = CorruptingDevice::new(MemBlockDevice::new(1024, 16384));
+    let dev = FaultDevice::new(MemBlockDevice::new(1024, 16384));
     let fs = StegFs::format(dev, params(policy)).expect("format");
     for i in 0..files {
         fs.steg_create(&name(i), UAK, ObjectKind::File)
@@ -272,10 +272,11 @@ pub fn run_metadata_sweep(files: usize, file_kb: usize, seed: u64) -> Vec<Metada
         .collect()
 }
 
-/// The transient-fault point: a coded volume over a [`FlakyDevice`] (seeded
-/// error-then-succeed streaks) wrapped in a [`RetryDevice`] with a bounded
-/// reissue budget.  Flakes must be absorbed by retry — every operation
-/// succeeds, nothing is lost, and no submission exhausts its budget.
+/// The transient-fault point: a coded volume over a [`FaultDevice`] (seeded
+/// random error-then-succeed streaks) wrapped in a [`RetryDevice`] with a
+/// bounded reissue budget.  Flakes must be absorbed by retry — every
+/// operation succeeds, nothing is lost, and no submission exhausts its
+/// budget.
 #[derive(Debug, Clone)]
 pub struct TransientPoint {
     /// Submissions that reached the flaky layer (retries included).
@@ -295,7 +296,8 @@ pub struct TransientPoint {
 /// Run the transient-fault workload: `files` coded hidden files written and
 /// read back byte-identically through the flaky/retry stack.
 pub fn transient_point(files: usize, file_kb: usize, seed: u64) -> TransientPoint {
-    let flaky = FlakyDevice::new(MemBlockDevice::new(1024, 16384), seed, 2, 2);
+    let flaky = FaultDevice::new(MemBlockDevice::new(1024, 16384));
+    flaky.random_failures(seed, 2, 2);
     let retry = RetryDevice::new(flaky.clone(), 6, Duration::ZERO);
     let fs = StegFs::format(retry.clone(), params(Policy::Disperse { m: 2, n: 4 }))
         .expect("format over flaky device");
@@ -345,7 +347,7 @@ pub fn render_metadata(points: &[MetadataPoint]) -> String {
 /// Render the transient-fault point.
 pub fn render_transient(p: &TransientPoint) -> String {
     format!(
-        "Transient faults (FlakyDevice + RetryDevice, Disperse{{2,4}})\n\
+        "Transient faults (FaultDevice + RetryDevice, Disperse{{2,4}})\n\
          {} device submissions, {} faults injected, {} retries absorbed, {} exhausted; \
          {}/{} operations succeeded\n",
         p.device_ops,

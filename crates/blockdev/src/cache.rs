@@ -472,23 +472,23 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
 mod tests {
     use super::*;
     use crate::device::{MemBlockDevice, SharedDevice};
-    use crate::flaky::FlakyDevice;
-    use crate::metered::MeteredDevice;
+    use crate::fault::{FaultDevice, FaultTarget};
+    use crate::observed::ObservedDevice;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::Arc;
 
     #[test]
     fn repeated_reads_hit_cache() {
-        let metered = MeteredDevice::new(MemBlockDevice::new(64, 16));
-        let io = metered.stats_handle();
+        let metered = ObservedDevice::counting(MemBlockDevice::new(64, 16));
+        let io = metered.stats().clone();
         let cache = BufferCache::new(metered, 8);
         let mut buf = vec![0u8; 64];
         cache.read_block(5, &mut buf).unwrap();
         cache.read_block(5, &mut buf).unwrap();
         cache.read_block(5, &mut buf).unwrap();
         assert_eq!(
-            io.snapshot().reads,
+            io.summary().blocks_read,
             1,
             "only the first read reaches the device"
         );
@@ -498,16 +498,16 @@ mod tests {
 
     #[test]
     fn writes_are_write_through() {
-        let metered = MeteredDevice::new(MemBlockDevice::new(64, 16));
-        let io = metered.stats_handle();
+        let metered = ObservedDevice::counting(MemBlockDevice::new(64, 16));
+        let io = metered.stats().clone();
         let cache = BufferCache::new(metered, 8);
         cache.write_block(3, &[0xaa; 64]).unwrap();
-        assert_eq!(io.snapshot().writes, 1);
+        assert_eq!(io.summary().blocks_written, 1);
         // Read after write is a cache hit and returns the written data.
         let mut buf = vec![0u8; 64];
         cache.read_block(3, &mut buf).unwrap();
         assert_eq!(buf, vec![0xaa; 64]);
-        assert_eq!(io.snapshot().reads, 0);
+        assert_eq!(io.summary().blocks_read, 0);
         // The device itself also holds the data.
         let inner = cache.into_inner().into_inner();
         assert_eq!(inner.read_block_vec(3).unwrap(), vec![0xaa; 64]);
@@ -515,13 +515,17 @@ mod tests {
 
     #[test]
     fn write_back_defers_until_flush() {
-        let metered = MeteredDevice::new(MemBlockDevice::new(64, 16));
-        let io = metered.stats_handle();
+        let metered = ObservedDevice::counting(MemBlockDevice::new(64, 16));
+        let io = metered.stats().clone();
         let cache = BufferCache::new_write_back(metered, 8);
         assert_eq!(cache.mode(), CacheMode::WriteBack);
         cache.write_block(3, &[0xaa; 64]).unwrap();
         cache.write_blocks(&[4, 5], &[0xbb; 128]).unwrap();
-        assert_eq!(io.snapshot().writes, 0, "nothing reaches the device yet");
+        assert_eq!(
+            io.summary().blocks_written,
+            0,
+            "nothing reaches the device yet"
+        );
         assert_eq!(cache.dirty_blocks(), 3);
         // Reads see the dirty data.
         let mut buf = vec![0u8; 64];
@@ -529,14 +533,14 @@ mod tests {
         assert_eq!(buf, vec![0xbb; 64]);
         // One flush pushes all three in one batched submission.
         cache.flush().unwrap();
-        let s = io.snapshot();
-        assert_eq!(s.writes, 3);
-        assert_eq!(s.write_submissions, 1);
+        let s = io.summary();
+        assert_eq!(s.blocks_written, 3);
+        assert_eq!(s.writes, 1);
         assert_eq!(cache.dirty_blocks(), 0);
         assert_eq!(cache.stats().write_backs, 3);
         // A second flush writes nothing.
         cache.flush().unwrap();
-        assert_eq!(io.snapshot().writes, 3);
+        assert_eq!(io.summary().blocks_written, 3);
         let inner = cache.into_inner().into_inner();
         assert_eq!(inner.read_block_vec(3).unwrap(), vec![0xaa; 64]);
         assert_eq!(inner.read_block_vec(5).unwrap(), vec![0xbb; 64]);
@@ -544,13 +548,17 @@ mod tests {
 
     #[test]
     fn write_back_eviction_preserves_dirty_data() {
-        let metered = MeteredDevice::new(MemBlockDevice::new(64, 16));
-        let io = metered.stats_handle();
+        let metered = ObservedDevice::counting(MemBlockDevice::new(64, 16));
+        let io = metered.stats().clone();
         let cache = BufferCache::new_write_back(metered, 2);
         cache.write_block(0, &[1; 64]).unwrap();
         cache.write_block(1, &[2; 64]).unwrap();
         cache.write_block(2, &[3; 64]).unwrap(); // evicts dirty block 0
-        assert_eq!(io.snapshot().writes, 1, "evicted dirty block written down");
+        assert_eq!(
+            io.summary().blocks_written,
+            1,
+            "evicted dirty block written down"
+        );
         assert_eq!(cache.stats().evictions, 1);
         let mut buf = vec![0u8; 64];
         cache.read_block(0, &mut buf).unwrap(); // re-reads the written-back data
@@ -598,8 +606,8 @@ mod tests {
 
     #[test]
     fn batched_read_gathers_misses_into_one_submission() {
-        let metered = MeteredDevice::new(MemBlockDevice::new(64, 16));
-        let io = metered.stats_handle();
+        let metered = ObservedDevice::counting(MemBlockDevice::new(64, 16));
+        let io = metered.stats().clone();
         let cache = BufferCache::new(metered, 8);
         // Warm blocks 2 and 5.
         let mut one = vec![0u8; 64];
@@ -609,30 +617,30 @@ mod tests {
         // Batch of 4: two hits, two misses -> one inner submission of 2.
         let mut buf = vec![0u8; 4 * 64];
         cache.read_blocks(&[2, 3, 5, 6], &mut buf).unwrap();
-        let s = io.snapshot();
-        assert_eq!(s.reads, 2, "only the misses reach the device");
-        assert_eq!(s.read_submissions, 1, "misses gathered into one batch");
+        let s = io.summary();
+        assert_eq!(s.blocks_read, 2, "only the misses reach the device");
+        assert_eq!(s.reads, 1, "misses gathered into one batch");
         assert_eq!(cache.stats().hits, 2);
         // A repeat of the same batch is now all hits.
         cache.read_blocks(&[2, 3, 5, 6], &mut buf).unwrap();
-        assert_eq!(io.snapshot().reads, 2);
+        assert_eq!(io.summary().blocks_read, 2);
     }
 
     #[test]
     fn batched_write_is_write_through_and_caches() {
-        let metered = MeteredDevice::new(MemBlockDevice::new(64, 16));
-        let io = metered.stats_handle();
+        let metered = ObservedDevice::counting(MemBlockDevice::new(64, 16));
+        let io = metered.stats().clone();
         let cache = BufferCache::new(metered, 8);
         let data: Vec<u8> = (0..3 * 64).map(|i| (i % 251) as u8).collect();
         cache.write_blocks(&[1, 4, 7], &data).unwrap();
-        let s = io.snapshot();
-        assert_eq!(s.writes, 3);
-        assert_eq!(s.write_submissions, 1);
+        let s = io.summary();
+        assert_eq!(s.blocks_written, 3);
+        assert_eq!(s.writes, 1);
         // Reads come straight from the cache.
         let mut buf = vec![0u8; 3 * 64];
         cache.read_blocks(&[1, 4, 7], &mut buf).unwrap();
         assert_eq!(buf, data);
-        assert_eq!(io.snapshot().reads, 0);
+        assert_eq!(io.summary().blocks_read, 0);
     }
 
     #[test]
@@ -684,67 +692,29 @@ mod tests {
     // A failed write-back never drops a dirty block
     // ------------------------------------------------------------------
 
-    /// Reads go straight to the store; writes and flushes pass a
-    /// [`FlakyDevice`], so `script_failures(1)` fails exactly the next
-    /// *write* submission — also one that follows a device read inside the
-    /// same cache call.
-    struct FlakyWrites {
-        store: SharedDevice,
-        writes: FlakyDevice<SharedDevice>,
-    }
+    type Store = FaultDevice<MemBlockDevice>;
 
-    impl FlakyWrites {
-        fn new(blocks: u64) -> (Self, SharedDevice, FlakyDevice<SharedDevice>) {
-            let store = SharedDevice::new(MemBlockDevice::new(64, blocks));
-            let writes = FlakyDevice::new(store.clone(), 1, 0, 1);
-            let dev = FlakyWrites {
-                store: store.clone(),
-                writes: writes.clone(),
-            };
-            (dev, store, writes)
-        }
-    }
-
-    impl BlockDevice for FlakyWrites {
-        fn block_size(&self) -> usize {
-            self.store.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.store.total_blocks()
-        }
-        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-            self.store.read_block(block, buf)
-        }
-        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-            self.writes.write_block(block, buf)
-        }
-        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
-            self.store.read_blocks(blocks, buf)
-        }
-        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-            self.writes.write_blocks(blocks, buf)
-        }
-        fn flush(&self) -> BlockResult<()> {
-            self.writes.flush()
-        }
+    /// A store whose scripted failures hit only writes and flushes, so
+    /// `script_failures(1)` fails exactly the next *write* submission — also
+    /// one that follows a device read inside the same cache call.
+    fn flaky_writes() -> Store {
+        let store = FaultDevice::new(MemBlockDevice::new(64, 16));
+        store.fail_only(FaultTarget::Writes);
+        store
     }
 
     /// A 2-block write-back cache holding dirty blocks 0 (the LRU) and 1.
-    fn two_dirty_blocks() -> (
-        BufferCache<FlakyWrites>,
-        SharedDevice,
-        FlakyDevice<SharedDevice>,
-    ) {
-        let (dev, store, flaky) = FlakyWrites::new(16);
-        let cache = BufferCache::new_write_back(dev, 2);
+    fn two_dirty_blocks() -> (BufferCache<Store>, Store) {
+        let store = flaky_writes();
+        let cache = BufferCache::new_write_back(store.clone(), 2);
         cache.write_block(0, &[1; 64]).unwrap();
         cache.write_block(1, &[2; 64]).unwrap();
-        (cache, store, flaky)
+        (cache, store)
     }
 
     /// After a failed eviction of block 0: it is still cached and dirty,
     /// nothing was counted as written, and a flush lands both blocks.
-    fn assert_victim_survived(cache: &BufferCache<FlakyWrites>, store: &SharedDevice) {
+    fn assert_victim_survived(cache: &BufferCache<Store>, store: &Store) {
         assert_eq!((cache.len(), cache.dirty_blocks()), (2, 2));
         let stats = cache.stats();
         assert_eq!((stats.write_backs, stats.evictions), (0, 0));
@@ -758,14 +728,14 @@ mod tests {
 
     #[test]
     fn failed_eviction_write_back_keeps_the_victim_dirty() {
-        let (cache, store, flaky) = two_dirty_blocks();
+        let (cache, store) = two_dirty_blocks();
         // A write and a read miss both need block 0's slot.
-        flaky.script_failures(1);
+        store.script_failures(1);
         assert!(matches!(
             cache.write_block(2, &[3; 64]),
             Err(BlockError::Io(_))
         ));
-        flaky.script_failures(1);
+        store.script_failures(1);
         assert!(cache.read_block(5, &mut [0u8; 64]).is_err());
         assert_victim_survived(&cache, &store);
         // The write that failed can simply be reissued.
@@ -773,14 +743,14 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         cache.flush().unwrap();
         assert_eq!(store.read_block_vec(2).unwrap(), vec![3; 64]);
-        assert_eq!(flaky.injected(), 2);
+        assert_eq!(store.injected(), 2);
     }
 
     #[test]
     fn failed_eviction_mid_write_batch_keeps_the_victim_dirty() {
-        let (dev, store, flaky) = FlakyWrites::new(16);
-        let cache = BufferCache::new_write_back(dev, 2);
-        flaky.script_failures(1);
+        let store = flaky_writes();
+        let cache = BufferCache::new_write_back(store.clone(), 2);
+        store.script_failures(1);
         // Blocks 0 and 1 fill the cache; placing 2 must evict dirty 0.
         let batch: Vec<u8> = [1u8, 2, 3, 4].iter().flat_map(|&v| [v; 64]).collect();
         assert!(cache.write_blocks(&[0, 1, 2, 3], &batch).is_err());
@@ -794,8 +764,8 @@ mod tests {
 
     #[test]
     fn failed_eviction_mid_read_batch_keeps_the_victim_dirty() {
-        let (cache, store, flaky) = two_dirty_blocks();
-        flaky.script_failures(1);
+        let (cache, store) = two_dirty_blocks();
+        store.script_failures(1);
         // The device read of the two misses succeeds; caching the first of
         // them must evict dirty 0, and that write fails.
         let mut buf = vec![0u8; 128];
@@ -805,8 +775,8 @@ mod tests {
 
     #[test]
     fn failed_flush_keeps_every_block_dirty() {
-        let (cache, store, flaky) = two_dirty_blocks();
-        flaky.script_failures(1);
+        let (cache, store) = two_dirty_blocks();
+        store.script_failures(1);
         assert!(cache.flush().is_err());
         assert_victim_survived(&cache, &store);
     }

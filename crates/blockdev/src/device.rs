@@ -45,7 +45,7 @@ pub trait BlockDevice {
     /// automatically batch-capable; backends with a cheaper bulk path
     /// override it ([`MemBlockDevice`] copies under one pass,
     /// [`crate::LatencyDevice`] charges the batch one *overlapped* service
-    /// time instead of sleeping per block, [`crate::MeteredDevice`] counts
+    /// time instead of sleeping per block, [`crate::ObservedDevice`] counts
     /// the whole batch as a single submission).  Batches may name the same
     /// block more than once; writes apply in order, so the last write wins,
     /// exactly as the fallback loop behaves.

@@ -14,9 +14,10 @@
 //!   file-system layers hand a whole extent list down in one call, so a
 //!   multi-block object read costs one submission instead of one round-trip
 //!   per block.  Every backend is batch-capable (the trait provides a
-//!   fallback loop); the in-memory volume, the cache and the meter implement
-//!   it natively, and [`LatencyDevice`] *overlaps* the batch — one service
-//!   time per submission, io_uring-style, instead of a sleep per block.
+//!   fallback loop); the in-memory volume, the cache, the meter and the
+//!   fault injector implement it natively, and [`LatencyDevice`] *overlaps*
+//!   the batch — one service time per submission, io_uring-style, instead
+//!   of a sleep per block.
 //! * [`MemBlockDevice`] — a `Vec`-backed volume used by unit tests and the
 //!   simulation experiments (a 1 GB volume of 1 KB blocks fits comfortably in
 //!   memory).
@@ -25,8 +26,11 @@
 //! * [`DiskModel`] / [`SimDisk`] — a mechanical-disk timing model (seek +
 //!   rotation + transfer + read-ahead).  It does not sleep; it advances a
 //!   virtual clock, which is what the performance experiments measure.
-//! * [`MeteredDevice`] — wraps any device and counts reads, writes and
-//!   simulated service time.
+//! * [`ObservedDevice`] — the one I/O meter: wraps any device and counts
+//!   successful submissions, blocks, batch sizes and wall-clock latency
+//!   into a `stegfs-obs` [`DeviceStats`](stegfs_obs::DeviceStats), either
+//!   the volume's registry (every `PlainFs` device sits in one) or stats of
+//!   its own ([`ObservedDevice::counting`]).
 //! * [`BufferCache`] — a small LRU cache mirroring the role of the kernel
 //!   buffer cache in Figure 5 of the paper; write-through by default, with a
 //!   write-back mode ([`CacheMode`]) for the journaled stack, where the
@@ -34,15 +38,13 @@
 //! * [`LruMap`] — the exact-LRU map, O(1) per operation, that orders
 //!   eviction under [`BufferCache`] and under the hidden read cache's block
 //!   shards and key cache in `stegfs-core`.
-//! * [`CrashDevice`] — fault injection for the durability tests: buffers
-//!   unsynced writes, and `crash()` applies, drops or tears an arbitrary
-//!   seeded subset of them (including mid-batch) before remount.
-//! * [`CorruptingDevice`] — the damage analogue for the survivability
-//!   tests: seeded bit flips, block zeroing and region overwrites applied
-//!   to data *at rest*, exercised by the coded read path and the scavenger.
-//! * [`FlakyDevice`] — seeded *transient* error injection (error-then-
-//!   succeed, never damage-at-rest), the third fault family alongside
-//!   crashes and corruption.
+//! * [`FaultDevice`] — the one fault injector, with one seeded schedule:
+//!   transient failed submissions (scripted or random streaks, aimed at
+//!   reads, writes or both), a sticky per-block write trip, an optional
+//!   volatile write cache whose `crash()` applies, drops or tears a seeded
+//!   subset of the unflushed writes (including mid-batch), and seeded bit
+//!   flips, zeroing and overwrites of data *at rest*.  Every durability,
+//!   survivability and retry test stands on it.
 //! * [`RetryDevice`] — bounded retry-with-backoff above a flaky backend:
 //!   transient I/O errors are reissued up to N attempts and only then
 //!   surfaced unchanged, so a momentary glitch no longer reads as object
@@ -63,29 +65,39 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod corrupt;
-pub mod crash;
 pub mod device;
 pub mod disk_model;
 pub mod error;
+pub mod fault;
 pub mod file;
-pub mod flaky;
 pub mod latency;
 pub mod lru;
-pub mod metered;
 pub mod observed;
 pub mod retry;
 
+// Unit tests of the fault injector and the meter, grouped by what each
+// checks: the write cache and crashes, pass-through I/O under damage, the
+// failure schedule, and the standalone counting meter.
+#[cfg(test)]
+#[path = "tests/corrupt.rs"]
+mod corrupt;
+#[cfg(test)]
+#[path = "tests/crash.rs"]
+mod crash;
+#[cfg(test)]
+#[path = "tests/flaky.rs"]
+mod flaky;
+#[cfg(test)]
+#[path = "tests/metered.rs"]
+mod metered;
+
 pub use cache::{BufferCache, CacheMode};
-pub use corrupt::{CorruptingDevice, CorruptionReport};
-pub use crash::{CrashDevice, CrashReport};
 pub use device::{BlockDevice, BlockId, MemBlockDevice, SharedDevice};
 pub use disk_model::{DiskClock, DiskModel, DiskParameters, DiskStats, SimDisk};
 pub use error::{BlockError, BlockResult};
+pub use fault::{FaultDevice, FaultReport, FaultTarget};
 pub use file::FileBlockDevice;
-pub use flaky::FlakyDevice;
 pub use latency::LatencyDevice;
 pub use lru::LruMap;
-pub use metered::{IoStats, MeteredDevice};
 pub use observed::ObservedDevice;
 pub use retry::RetryDevice;

@@ -1,7 +1,7 @@
 //! Bounded retry-with-backoff at the device-facing layer.
 //!
 //! [`RetryDevice`] sits directly above a possibly-flaky backend and reissues
-//! failed submissions so *transient* I/O errors (see [`crate::FlakyDevice`])
+//! failed submissions so *transient* I/O errors (see [`crate::FaultDevice`])
 //! stop surfacing to the file-system layers as object loss.  The policy is
 //! deliberately narrow:
 //!
@@ -131,17 +131,17 @@ impl<D: BlockDevice> BlockDevice for RetryDevice<D> {
 mod tests {
     use super::*;
     use crate::device::MemBlockDevice;
-    use crate::flaky::FlakyDevice;
+    use crate::fault::FaultDevice;
 
     const BS: usize = 64;
 
     fn stack(
         max_attempts: u32,
     ) -> (
-        RetryDevice<FlakyDevice<MemBlockDevice>>,
-        FlakyDevice<MemBlockDevice>,
+        RetryDevice<FaultDevice<MemBlockDevice>>,
+        FaultDevice<MemBlockDevice>,
     ) {
-        let flaky = FlakyDevice::new(MemBlockDevice::new(BS, 8), 7, 0, 1);
+        let flaky = FaultDevice::new(MemBlockDevice::new(BS, 8));
         let handle = flaky.clone();
         (
             RetryDevice::new(flaky, max_attempts, Duration::ZERO),

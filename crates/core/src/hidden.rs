@@ -1770,7 +1770,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::{CrashDevice, FlakyDevice, MemBlockDevice};
+    use stegfs_blockdev::{FaultDevice, MemBlockDevice};
     use stegfs_fs::{FormatOptions, PlainFs};
 
     /// The cache-bypassing, unobserved context of the object under `keys`.
@@ -2270,7 +2270,7 @@ mod tests {
 
     #[test]
     fn failed_repair_write_returns_its_plaintext_scratch() {
-        let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
         let fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
         let keys = ObjectKeys::derive("leak-repair", b"coded key");
         let params = StegParams::for_tests();
@@ -2304,7 +2304,7 @@ mod tests {
 
     #[test]
     fn failed_fetch_returns_the_cache_hits_it_already_copied() {
-        let dev = FlakyDevice::new(MemBlockDevice::new(1024, 8192), 1, 0, 1);
+        let dev = FaultDevice::new(MemBlockDevice::new(1024, 8192));
         let fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
         let keys = ObjectKeys::derive("leak-read", b"plain key");
         let params = StegParams::for_tests();
@@ -2330,7 +2330,7 @@ mod tests {
 
     #[test]
     fn every_read_range_returns_or_hands_out_its_scratch() {
-        let dev = FlakyDevice::new(MemBlockDevice::new(1024, 8192), 1, 0, 1);
+        let dev = FaultDevice::new(MemBlockDevice::new(1024, 8192));
         let fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
         let keys = ObjectKeys::derive("balance", b"plain key");
         let params = StegParams::for_tests();

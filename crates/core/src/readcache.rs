@@ -326,7 +326,7 @@ fn key_id(physical_name: &str, fak: &[u8]) -> [u8; 32] {
 }
 
 /// Snapshot of the cache counters, printed by the benches next to the
-/// device-level `IoStats`.
+/// device-level `DeviceStats`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Header lookups served from the cache (locator walk skipped).

@@ -458,7 +458,7 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Counters of the RAM-only read-path cache, surfaced next to the
-    /// device-level `IoStats` by the benches.
+    /// device-level `DeviceStats` by the benches.
     pub fn cache_stats(&self) -> CacheStats {
         self.read_cache.stats()
     }

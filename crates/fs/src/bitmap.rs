@@ -1002,14 +1002,16 @@ mod tests {
         // A volume large enough to need several bitmap blocks: 64k blocks at
         // 1 KB block size -> 8192 bits per bitmap block -> 8 bitmap blocks.
         let sb = Superblock::compute(1024, 65536, 256, 0).unwrap();
-        let metered = stegfs_blockdev::MeteredDevice::new(MemBlockDevice::new(1024, 65536));
-        let stats = metered.stats_handle();
-        let dev = metered;
+        let dev = stegfs_blockdev::ObservedDevice::counting(MemBlockDevice::new(1024, 65536));
         let bm = Bitmap::new(&sb);
         bm.allocate(0).unwrap(); // bit in bitmap block 0
         bm.allocate(60000).unwrap(); // bit in bitmap block 7
         bm.flush(&dev).unwrap();
-        assert_eq!(stats.snapshot().writes, 2, "only two bitmap blocks dirty");
+        assert_eq!(
+            dev.stats().summary().blocks_written,
+            2,
+            "only two bitmap blocks dirty"
+        );
     }
 
     #[test]

@@ -1664,8 +1664,8 @@ mod tests {
         ));
     }
 
-    fn new_journaled_fs(blocks: u64) -> PlainFs<stegfs_blockdev::CrashDevice<MemBlockDevice>> {
-        let dev = stegfs_blockdev::CrashDevice::new(MemBlockDevice::new(1024, blocks));
+    fn new_journaled_fs(blocks: u64) -> PlainFs<stegfs_blockdev::FaultDevice<MemBlockDevice>> {
+        let dev = stegfs_blockdev::FaultDevice::with_write_cache(MemBlockDevice::new(1024, blocks));
         PlainFs::format(
             dev,
             FormatOptions {
@@ -1762,12 +1762,36 @@ mod tests {
         assert_eq!(snap.device.writes, 0);
     }
 
+    /// The meter's counting rule, on the path every volume takes: a
+    /// submission that fails below the attached meter moves no counter.
+    #[test]
+    fn attached_meter_counts_only_successful_submissions() {
+        let dev = stegfs_blockdev::FaultDevice::new(MemBlockDevice::new(1024, 4096));
+        let mut fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
+        let obs = stegfs_obs::Obs::new(true);
+        fs.attach_obs(&obs);
+        fs.write_file("/f", &vec![3u8; 4 * 1024]).unwrap();
+        let before = obs.snapshot().device;
+        let (ops, injected) = (dev.ops(), dev.injected());
+        dev.script_failures(1);
+        assert!(fs.read_file("/f").is_err());
+        assert_eq!((dev.ops() - ops, dev.injected() - injected), (1, 1));
+        let after = obs.snapshot().device;
+        assert_eq!(
+            (after.reads, after.blocks_read, after.read_ns.count),
+            (before.reads, before.blocks_read, before.read_ns.count)
+        );
+        fs.read_file("/f").unwrap();
+        assert!(obs.snapshot().device.blocks_read > before.blocks_read);
+    }
+
     #[test]
     fn journaled_commit_survives_crash_of_home_writes() {
         // A committed write whose in-place images were still pending when
         // the power cut must be redone by replay at mount.
         for seed in 0..8u64 {
-            let dev = stegfs_blockdev::CrashDevice::new(MemBlockDevice::new(1024, 2048));
+            let dev =
+                stegfs_blockdev::FaultDevice::with_write_cache(MemBlockDevice::new(1024, 2048));
             let fs = PlainFs::format(
                 dev.clone(),
                 FormatOptions {
@@ -1794,7 +1818,8 @@ mod tests {
         // Stop a rewrite mid-flight with the failure trip wire, crash, and
         // remount: the old contents must be intact.
         for seed in 0..8u64 {
-            let dev = stegfs_blockdev::CrashDevice::new(MemBlockDevice::new(1024, 2048));
+            let dev =
+                stegfs_blockdev::FaultDevice::with_write_cache(MemBlockDevice::new(1024, 2048));
             let fs = PlainFs::format(
                 dev.clone(),
                 FormatOptions {
@@ -1827,7 +1852,7 @@ mod tests {
         // Un-checkpointed transactions from the previous life must not
         // decode — and must never replay over the fresh volume at its first
         // mount.
-        let dev = stegfs_blockdev::CrashDevice::new(MemBlockDevice::new(1024, 2048));
+        let dev = stegfs_blockdev::FaultDevice::with_write_cache(MemBlockDevice::new(1024, 2048));
         let opts = || FormatOptions {
             journal_blocks: 64,
             ..FormatOptions::default()
@@ -1855,7 +1880,8 @@ mod tests {
         // must be intact, and the allocator must keep working.
         let keep: Vec<u8> = (0..8 * 1024u32).map(|i| (i % 251) as u8).collect();
         for seed in 0..4u64 {
-            let dev = stegfs_blockdev::CrashDevice::new(MemBlockDevice::new(1024, 4096));
+            let dev =
+                stegfs_blockdev::FaultDevice::with_write_cache(MemBlockDevice::new(1024, 4096));
             let fs = PlainFs::format(
                 dev,
                 FormatOptions {

@@ -154,13 +154,13 @@ pub fn scavenge<D: BlockDevice>(fs: &StegFs<D>, uaks: &[&str]) -> StegResult<Sca
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::{CorruptingDevice, MemBlockDevice};
+    use stegfs_blockdev::{FaultDevice, MemBlockDevice};
     use stegfs_core::{Policy, StegParams};
 
     const UAK: &str = "scavenger owner key";
 
-    fn fixture() -> StegFs<CorruptingDevice<MemBlockDevice>> {
-        let dev = CorruptingDevice::new(MemBlockDevice::new(1024, 8192));
+    fn fixture() -> StegFs<FaultDevice<MemBlockDevice>> {
+        let dev = FaultDevice::new(MemBlockDevice::new(1024, 8192));
         let mut params = StegParams::for_tests();
         params.hidden_policy = Policy::Disperse { m: 2, n: 4 };
         StegFs::format(dev, params).unwrap()

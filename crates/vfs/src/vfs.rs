@@ -344,7 +344,7 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// Counters of the core's read-path cache (hits, misses, evictions,
-    /// resident plaintext), surfaced next to the device `IoStats` by the
+    /// resident plaintext), surfaced next to the device `DeviceStats` by the
     /// benches.
     pub fn cache_stats(&self) -> CacheStats {
         self.fs.cache_stats()

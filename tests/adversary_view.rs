@@ -7,7 +7,7 @@
 //! missing objects, and allocated-but-unaccounted blocks must be
 //! indistinguishable from abandoned blocks and random fill.
 
-use stegfs_blockdev::{BufferCache, CrashDevice, MemBlockDevice};
+use stegfs_blockdev::{BufferCache, FaultDevice, MemBlockDevice};
 use stegfs_core::{ObjectKind, StegFs};
 use stegfs_tests::{full_feature_params, journaled_params, payload, test_volume};
 
@@ -178,7 +178,7 @@ fn crashed_journaled_volume_reveals_nothing_to_the_inspector() {
     // writes, and the inspector images the raw device — including the
     // journal region — before and after replay.
     let params = journaled_params(160);
-    let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+    let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
     let fs = StegFs::format(BufferCache::new_write_back(dev.clone(), 64), params.clone())
         .expect("format journaled volume");
     fs.write_plain("/cover.txt", b"innocent cover traffic")

@@ -1,11 +1,13 @@
 //! Batched block I/O: equivalence and submission-count guarantees.
 //!
-//! Two families of checks:
+//! Three families of checks:
 //!
 //! * a property test that `read_blocks` / `write_blocks` is observably
 //!   identical to the block-at-a-time loop on **every** device
-//!   implementation (the trait's default, the native in-memory/cache/meter
-//!   paths, the shared handle, the timing models);
+//!   implementation (the trait's default, the native in-memory/cache/meter/
+//!   fault paths, the shared handle, the timing models);
+//! * one pinned digest over the fault injector's seeded outcomes (crashes,
+//!   damage, random failure streaks), so no refactor of it moves a seed;
 //! * metered assertions that the file-system layers actually *use* the batch
 //!   path: a multi-block read or write of a 16-block object reaches the
 //!   device as **one** batched submission, for plain files and hidden
@@ -14,14 +16,15 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use stegfs_blockdev::{
-    BlockDevice, BufferCache, CorruptingDevice, DiskParameters, FlakyDevice, LatencyDevice,
-    MemBlockDevice, MeteredDevice, RetryDevice, SharedDevice, SimDisk,
+    BlockDevice, BufferCache, DiskParameters, FaultDevice, LatencyDevice, MemBlockDevice,
+    ObservedDevice, RetryDevice, SharedDevice, SimDisk,
 };
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::hidden::ObjectIo;
 use stegfs_core::readcache::ReadCache;
 use stegfs_core::{ObjectKind, Policy, StegParams};
 use stegfs_crypto::prng::DeterministicRng;
+use stegfs_crypto::sha256::Sha256;
 use stegfs_fs::{FormatOptions, PlainFs};
 
 const BS: usize = 256;
@@ -72,7 +75,7 @@ proptest! {
             &blocks,
             seed,
         );
-        assert_batch_equals_loop(&MeteredDevice::new(MemBlockDevice::new(BS, TOTAL)), &blocks, seed);
+        assert_batch_equals_loop(&ObservedDevice::counting(MemBlockDevice::new(BS, TOTAL)), &blocks, seed);
         assert_batch_equals_loop(&BufferCache::new(MemBlockDevice::new(BS, TOTAL), 8), &blocks, seed);
         assert_batch_equals_loop(&SharedDevice::new(MemBlockDevice::new(BS, TOTAL)), &blocks, seed);
         // SimDisk exercises the trait's default (loop) implementation.
@@ -81,18 +84,18 @@ proptest! {
             &blocks,
             seed,
         );
-        // The fault injectors are pass-throughs for healthy I/O and must not
-        // disturb batch/loop equivalence.
-        assert_batch_equals_loop(&CorruptingDevice::new(MemBlockDevice::new(BS, TOTAL)), &blocks, seed);
+        // The fault injector is a pass-through for healthy I/O, and its
+        // write cache serves what it holds: neither may disturb batch/loop
+        // equivalence, nor may flakes absorbed by retry.
+        assert_batch_equals_loop(&FaultDevice::new(MemBlockDevice::new(BS, TOTAL)), &blocks, seed);
         assert_batch_equals_loop(
-            &RetryDevice::new(
-                FlakyDevice::new(MemBlockDevice::new(BS, TOTAL), 9, 10, 1),
-                8,
-                Duration::ZERO,
-            ),
+            &FaultDevice::with_write_cache(MemBlockDevice::new(BS, TOTAL)),
             &blocks,
             seed,
         );
+        let flaky = FaultDevice::new(MemBlockDevice::new(BS, TOTAL));
+        flaky.random_failures(9, 10, 1);
+        assert_batch_equals_loop(&RetryDevice::new(flaky, 8, Duration::ZERO), &blocks, seed);
     }
 
     /// Damage at rest must be indifferent to the submission shape: a volume
@@ -112,9 +115,9 @@ proptest! {
             .map(|i| (i as u8).wrapping_mul(77).wrapping_add(seed as u8))
             .collect();
 
-        let batched_dev = CorruptingDevice::new(MemBlockDevice::new(BS, TOTAL));
+        let batched_dev = FaultDevice::new(MemBlockDevice::new(BS, TOTAL));
         batched_dev.write_blocks(&blocks, &data).unwrap();
-        let loop_dev = CorruptingDevice::new(MemBlockDevice::new(BS, TOTAL));
+        let loop_dev = FaultDevice::new(MemBlockDevice::new(BS, TOTAL));
         for (i, &b) in blocks.iter().enumerate() {
             loop_dev.write_block(b, &data[i * BS..(i + 1) * BS]).unwrap();
         }
@@ -148,7 +151,10 @@ fn duplicate_blocks_apply_in_order() {
     for dev in [
         Box::new(MemBlockDevice::new(BS, TOTAL)) as Box<dyn BlockDevice>,
         Box::new(BufferCache::new(MemBlockDevice::new(BS, TOTAL), 4)),
-        Box::new(MeteredDevice::new(MemBlockDevice::new(BS, TOTAL))),
+        Box::new(ObservedDevice::counting(MemBlockDevice::new(BS, TOTAL))),
+        Box::new(FaultDevice::with_write_cache(MemBlockDevice::new(
+            BS, TOTAL,
+        ))),
     ] {
         let mut data = vec![1u8; 2 * BS];
         data[BS..].fill(2);
@@ -174,6 +180,78 @@ fn batch_geometry_errors_match_the_loop() {
 }
 
 // ----------------------------------------------------------------------
+// Every seeded fault outcome is a function of its seed, pinned.
+// ----------------------------------------------------------------------
+
+/// SHA-256 over [`fault_streams`], recorded when crashes, damage and
+/// transient flakes were three devices with three xorshift copies.
+const FAULT_STREAMS: &str = "d54adfbfb809bfd1cc3d3e5d4eb3cf43b2990ed22210e4fadff7fa55379db363";
+
+/// Hash of: the crash report and surviving image for seeds 0..32 on a fixed
+/// pending set (rewrites, a batch, a duplicate); one `corrupt_random_in`
+/// report and its image; the outcome vector of a seeded random stream
+/// (seed 42, 30 %, streaks of 2) with its injected and submission counts.
+fn fault_streams() -> String {
+    const PIN_BS: usize = 64;
+    let pattern = |block: u64, version: u8| -> Vec<u8> {
+        (0..PIN_BS)
+            .map(|i| (i as u8).wrapping_mul(13) ^ (block as u8).wrapping_mul(29) ^ version)
+            .collect()
+    };
+    let mut sha = Sha256::new();
+    for seed in 0..32u64 {
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(PIN_BS, 16));
+        for b in 0..4 {
+            dev.write_block(b, &pattern(b, 1)).unwrap();
+        }
+        dev.flush().unwrap();
+        dev.write_block(0, &pattern(0, 2)).unwrap();
+        let batch: Vec<u64> = (2..10).collect();
+        let data: Vec<u8> = batch.iter().flat_map(|&b| pattern(b, 3)).collect();
+        dev.write_blocks(&batch, &data).unwrap();
+        dev.write_block(3, &pattern(3, 4)).unwrap();
+        let r = dev.crash(seed);
+        for n in [r.applied, r.dropped, r.torn] {
+            sha.update(&(n as u64).to_be_bytes());
+        }
+        for b in 0..16 {
+            sha.update(&dev.read_block_vec(b).unwrap());
+        }
+    }
+    let dev = FaultDevice::new(MemBlockDevice::new(PIN_BS, 32));
+    for b in 0..32 {
+        dev.write_block(b, &pattern(b, 5)).unwrap();
+    }
+    let candidates: Vec<u64> = (0..32).collect();
+    let r = dev.corrupt_random_in(&candidates, 12, 1234).unwrap();
+    for n in [
+        r.bits_flipped,
+        r.blocks_bitflipped,
+        r.blocks_zeroed,
+        r.blocks_overwritten,
+    ] {
+        sha.update(&(n as u64).to_be_bytes());
+    }
+    for b in 0..32 {
+        sha.update(&dev.read_block_vec(b).unwrap());
+    }
+    let dev = FaultDevice::new(MemBlockDevice::new(PIN_BS, 8));
+    dev.random_failures(42, 30, 2);
+    for i in 0..200u64 {
+        let ok = dev.write_block(i % 8, &[i as u8; PIN_BS]).is_ok();
+        sha.update(&[ok as u8]);
+    }
+    sha.update(&dev.injected().to_be_bytes());
+    sha.update(&dev.ops().to_be_bytes());
+    sha.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn seeded_fault_streams_are_pinned() {
+    assert_eq!(fault_streams(), FAULT_STREAMS);
+}
+
+// ----------------------------------------------------------------------
 // The layers above must *route* multi-block object I/O through one batch.
 // ----------------------------------------------------------------------
 
@@ -181,8 +259,8 @@ const OBJECT_BLOCKS: usize = 16;
 
 #[test]
 fn plain_16_block_file_io_is_one_batched_submission() {
-    let dev = MeteredDevice::new(MemBlockDevice::new(1024, 8192));
-    let stats = dev.stats_handle();
+    let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
+    let stats = dev.stats().clone();
     let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
     let data = vec![0xa5u8; OBJECT_BLOCKS * 1024];
     fs.write_file("/f", &data).unwrap();
@@ -192,10 +270,13 @@ fn plain_16_block_file_io_is_one_batched_submission() {
     // indirect pointer block and the inode-table block as singles.
     stats.reset();
     fs.write_inode_file(id, &data).unwrap();
-    let s = stats.snapshot();
-    assert_eq!(s.writes, 18, "16 data + 1 pointer + 1 inode block: {s:?}");
+    let s = stats.summary();
     assert_eq!(
-        s.write_submissions, 3,
+        s.blocks_written, 18,
+        "16 data + 1 pointer + 1 inode block: {s:?}"
+    );
+    assert_eq!(
+        s.writes, 3,
         "the 16-block extent must ride one batched submission: {s:?}"
     );
 
@@ -203,18 +284,18 @@ fn plain_16_block_file_io_is_one_batched_submission() {
     // extent as ONE submission.
     stats.reset();
     assert_eq!(fs.read_inode_range(id, 0, data.len()).unwrap(), data);
-    let s = stats.snapshot();
-    assert_eq!(s.reads, 18, "1 inode + 1 pointer + 16 data: {s:?}");
+    let s = stats.summary();
+    assert_eq!(s.blocks_read, 18, "1 inode + 1 pointer + 16 data: {s:?}");
     assert_eq!(
-        s.read_submissions, 3,
+        s.reads, 3,
         "the 16-block extent must ride one batched submission: {s:?}"
     );
 }
 
 #[test]
 fn hidden_16_block_object_io_is_one_batched_submission() {
-    let dev = MeteredDevice::new(MemBlockDevice::new(1024, 8192));
-    let stats = dev.stats_handle();
+    let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
+    let stats = dev.stats().clone();
     let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
     let keys = ObjectKeys::derive("batched", b"fak");
     let params = StegParams::for_tests();
@@ -230,10 +311,10 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
     // header as further submissions, and the old chain read as one single.
     stats.reset();
     io.write(&mut obj, &data, &mut rng).unwrap();
-    let s = stats.snapshot();
-    assert_eq!(s.writes, 18, "16 data + 1 chain + 1 header: {s:?}");
+    let s = stats.summary();
+    assert_eq!(s.blocks_written, 18, "16 data + 1 chain + 1 header: {s:?}");
     assert_eq!(
-        s.write_submissions, 3,
+        s.writes, 3,
         "the 16-block extent must ride one batched submission: {s:?}"
     );
 
@@ -241,10 +322,10 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
     // blocks.
     stats.reset();
     assert_eq!(io.read(&obj).unwrap(), data);
-    let s = stats.snapshot();
-    assert_eq!(s.reads, 17, "1 chain + 16 data: {s:?}");
+    let s = stats.summary();
+    assert_eq!(s.blocks_read, 17, "1 chain + 16 data: {s:?}");
     assert_eq!(
-        s.read_submissions, 2,
+        s.reads, 2,
         "the 16-block extent must ride one batched submission: {s:?}"
     );
 }

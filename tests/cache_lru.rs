@@ -8,14 +8,15 @@
 //! operation — a 64-block write-back `BufferCache` and a 256-block hidden
 //! read cache — and pins one SHA-256 over the ordered traffic the device
 //! below the `BufferCache` saw (kind and block list of every submission),
-//! the `IoStats` totals, and the raw image.  The constant was recorded when
+//! its block, byte and submission totals, and the raw image.  The constant was recorded when
 //! the caches still chose victims by a min-scan over per-entry ticks; an
 //! eviction mechanism that reproduces it chose every victim the same way.
 
 use std::sync::{Arc, Mutex};
-use stegfs_blockdev::{BlockDevice, BufferCache, IoStats, MemBlockDevice, MeteredDevice};
+use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
 use stegfs_core::StegParams;
 use stegfs_crypto::sha256::{sha256, Sha256};
+use stegfs_obs::DeviceSummary;
 use stegfs_tests::{journaled_params, payload, Tape};
 use stegfs_vfs::{OpenOptions, SessionId, Vfs};
 
@@ -23,12 +24,12 @@ const OWNER: &str = "the real key";
 const BS: usize = 1024;
 const BUFFER_CACHE_BLOCKS: usize = 64;
 
-/// SHA-256 over traffic digest, `IoStats` totals and image digest of
+/// SHA-256 over traffic digest, device totals and image digest of
 /// [`run_script`], recorded at the last commit whose caches evicted by
 /// tick + min-scan.
 const PINNED: &str = "2cccb419ad462d56d77f62252518939edd513bdd227d50e1e3723274dadef57b";
 
-type Disk = MeteredDevice<Tape>;
+type Disk = ObservedDevice<Tape>;
 type Stack = Vfs<BufferCache<Disk>>;
 
 fn params() -> StegParams {
@@ -59,13 +60,13 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 /// The fixed script; returns (traffic digest, device totals, image digest).
-fn run_script() -> (String, IoStats, String) {
+fn run_script() -> (String, DeviceSummary, String) {
     let traffic = Arc::new(Mutex::new(Sha256::new()));
-    let disk = MeteredDevice::new(Tape {
+    let disk = ObservedDevice::counting(Tape {
         mem: MemBlockDevice::new(BS, 8192),
         traffic: Arc::clone(&traffic),
     });
-    let io = disk.stats_handle();
+    let io = disk.stats().clone();
     let vfs: Stack = Vfs::format(cached(disk), params()).expect("format");
     let s = vfs.signon(OWNER);
 
@@ -144,7 +145,7 @@ fn run_script() -> (String, IoStats, String) {
         image.extend(tape.mem.read_block_vec(b).expect("raw read"));
     }
     let traffic = traffic.lock().unwrap().clone().finalize();
-    (hex(&traffic), io.snapshot(), hex(&sha256(&image)))
+    (hex(&traffic), io.summary(), hex(&sha256(&image)))
 }
 
 #[test]
@@ -153,12 +154,12 @@ fn evicting_stack_is_pinned_submission_for_submission() {
     let mut all = Sha256::new();
     all.update(traffic.as_bytes());
     for total in [
+        io.blocks_read,
+        io.blocks_written,
+        io.blocks_read * BS as u64,
+        io.blocks_written * BS as u64,
         io.reads,
         io.writes,
-        io.bytes_read,
-        io.bytes_written,
-        io.read_submissions,
-        io.write_submissions,
     ] {
         all.update(&total.to_be_bytes());
     }

@@ -5,7 +5,7 @@
 //! of it is read), a partially covered one is decoded first and therefore
 //! still fails closed when damaged beyond tolerance.
 
-use stegfs_blockdev::{BlockDevice, CorruptingDevice, MemBlockDevice, MeteredDevice};
+use stegfs_blockdev::{BlockDevice, FaultDevice, MemBlockDevice, ObservedDevice};
 use stegfs_core::hidden::RepairOutcome;
 use stegfs_core::{ObjectKind, Policy, StegFs};
 use stegfs_crypto::sha256::sha256;
@@ -20,11 +20,11 @@ const POLICIES: [(&str, Policy); 3] = [
     ("r2", Policy::Replicate(2)),
 ];
 
-type CodedVolume = StegFs<CorruptingDevice<MemBlockDevice>>;
+type CodedVolume = StegFs<FaultDevice<MemBlockDevice>>;
 
 fn volume() -> CodedVolume {
     StegFs::format(
-        CorruptingDevice::new(MemBlockDevice::new(BS, 8192)),
+        FaultDevice::new(MemBlockDevice::new(BS, 8192)),
         full_feature_params(),
     )
     .expect("format")
@@ -185,8 +185,8 @@ fn patch_alignment_matrix_matches_a_byte_model() {
 
 #[test]
 fn aligned_full_cover_patch_reads_no_share_blocks() {
-    let dev = MeteredDevice::new(MemBlockDevice::new(BS, 8192));
-    let stats = dev.stats_handle();
+    let dev = ObservedDevice::counting(MemBlockDevice::new(BS, 8192));
+    let stats = dev.stats().clone();
     let fs = StegFs::format(dev, full_feature_params()).unwrap();
     let policy = Policy::Disperse { m: 2, n: 3 };
     let group = 2 * BS;
@@ -202,7 +202,7 @@ fn aligned_full_cover_patch_reads_no_share_blocks() {
         fs.purge_read_caches();
         stats.reset();
         fs.write_range_at(handle, offset as u64, bytes).unwrap();
-        stats.snapshot().reads
+        stats.summary().blocks_read
     };
 
     // Groups 1 and 2, fully covered: the chain node and nothing else.

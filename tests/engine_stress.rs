@@ -246,14 +246,14 @@ fn engine_stress_mixed_clients_with_adversary() {
 /// readable.  `SyncAll` checkpoints the whole volume the same way.
 #[test]
 fn fsync_group_commit_survives_a_crash() {
-    use stegfs_blockdev::{BufferCache, CrashDevice};
+    use stegfs_blockdev::{BufferCache, FaultDevice};
 
     let params = StegParams {
         dummy_file_count: 0,
         journal_blocks: 256,
         ..stress_params()
     };
-    let dev = CrashDevice::new(MemBlockDevice::new(1024, 16384));
+    let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 16384));
     let vfs = Arc::new(
         Vfs::format(
             BufferCache::new_write_back(dev.clone(), 128),

@@ -9,8 +9,8 @@
 //! between two UAKs, a dummy refresh, a directory rebuilt from its shadow
 //! after every header replica is zeroed, degraded reads on all four read
 //! paths and the repair drain that heals them — and pins one SHA-256 over
-//! the ordered traffic the device below the `BufferCache` saw, the `IoStats`
-//! totals and the raw image.  Block placement and scrub noise hang off the
+//! the ordered traffic the device below the `BufferCache` saw, its block,
+//! byte and submission totals and the raw image.  Block placement and scrub noise hang off the
 //! order in which the facade forks its rng, so a refactor that moves one
 //! draw, one probe or one cache bypass changes the constant.
 //!
@@ -19,10 +19,11 @@
 //! purpose (unpublish-before-destroy; a re-keyed object keeps its policy).
 
 use std::sync::{Arc, Mutex};
-use stegfs_blockdev::{BlockDevice, BufferCache, IoStats, MemBlockDevice, MeteredDevice};
+use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
 use stegfs_core::{DirectoryEntry, ObjectKind, Policy, StegFs, StegParams};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_crypto::sha256::{sha256, Sha256};
+use stegfs_obs::DeviceSummary;
 use stegfs_tests::{journaled_params, payload, Tape};
 
 const OWNER: &str = "the real key";
@@ -30,13 +31,13 @@ const FRIEND: &str = "a colleague's key";
 const BS: usize = 1024;
 const BUFFER_CACHE_BLOCKS: usize = 64;
 
-/// SHA-256 over traffic digest, `IoStats` totals and image digest of
+/// SHA-256 over traffic digest, device totals and image digest of
 /// [`run_script`], recorded at the last commit whose hidden-object engine
 /// was the `hidden::open`/`read`/`write` × `_cached` × `_observed` family of
 /// free functions.
 const PINNED: &str = "33e6ca629fd0ce411ca8ca2bd80eac10913085ecf08368cb99aa1344c32e90dd";
 
-type Disk = MeteredDevice<Tape>;
+type Disk = ObservedDevice<Tape>;
 type Stack = StegFs<BufferCache<Disk>>;
 
 fn params() -> StegParams {
@@ -87,13 +88,13 @@ fn names(listing: Vec<(String, ObjectKind)>) -> Vec<String> {
 }
 
 /// The fixed script; returns (traffic digest, device totals, image digest).
-fn run_script() -> (String, IoStats, String) {
+fn run_script() -> (String, DeviceSummary, String) {
     let traffic = Arc::new(Mutex::new(Sha256::new()));
-    let disk = MeteredDevice::new(Tape {
+    let disk = ObservedDevice::counting(Tape {
         mem: MemBlockDevice::new(BS, 8192),
         traffic: Arc::clone(&traffic),
     });
-    let io = disk.stats_handle();
+    let io = disk.stats().clone();
     let fs: Stack = StegFs::format(cached(disk), params()).expect("format");
 
     // A directory tree two levels deep.
@@ -249,7 +250,7 @@ fn run_script() -> (String, IoStats, String) {
         image.extend(tape.mem.read_block_vec(b).expect("raw read"));
     }
     let traffic = traffic.lock().unwrap().clone().finalize();
-    (hex(&traffic), io.snapshot(), hex(&sha256(&image)))
+    (hex(&traffic), io.summary(), hex(&sha256(&image)))
 }
 
 #[test]
@@ -258,12 +259,12 @@ fn hidden_namespace_is_pinned_submission_for_submission() {
     let mut all = Sha256::new();
     all.update(traffic.as_bytes());
     for total in [
+        io.blocks_read,
+        io.blocks_written,
+        io.blocks_read * BS as u64,
+        io.blocks_written * BS as u64,
         io.reads,
         io.writes,
-        io.bytes_read,
-        io.bytes_written,
-        io.read_submissions,
-        io.write_submissions,
     ] {
         all.update(&total.to_be_bytes());
     }

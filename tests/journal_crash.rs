@@ -1,10 +1,10 @@
 //! Randomized crash-point recovery harness for the write-ahead journal.
 //!
 //! Each case drives a mixed plain/hidden workload against the full journaled
-//! stack — `StegFs` over a **write-back** `BufferCache` over a `CrashDevice`
-//! — arms a failure trip wire so the device dies at an arbitrary interior
-//! write of an arbitrary operation, then pulls the plug
-//! (`CrashDevice::crash` applies, drops, or tears a seeded subset of the
+//! stack — `StegFs` over a **write-back** `BufferCache` over a write-cache
+//! `FaultDevice` — arms a failure trip wire so the device dies at an
+//! arbitrary interior write of an arbitrary operation, then pulls the plug
+//! (`FaultDevice::crash` applies, drops, or tears a seeded subset of the
 //! unsynced writes, including mid-batch) and remounts.  After replay:
 //!
 //! * every operation that **returned success** before the crash reads back
@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use stegfs_blockdev::{BufferCache, CrashDevice, MemBlockDevice};
+use stegfs_blockdev::{BufferCache, FaultDevice, MemBlockDevice};
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{ObjectKind, StegFs, StegParams};
 use stegfs_tests::{journaled_params, payload};
@@ -29,7 +29,7 @@ use stegfs_tests::{journaled_params, payload};
 const OWNER: &str = "crash-harness key";
 const CACHE_BLOCKS: usize = 64;
 
-type Stack = StegFs<BufferCache<CrashDevice<MemBlockDevice>>>;
+type Stack = StegFs<BufferCache<FaultDevice<MemBlockDevice>>>;
 
 fn params() -> StegParams {
     StegParams {
@@ -40,7 +40,7 @@ fn params() -> StegParams {
     }
 }
 
-fn mount_stack(dev: &CrashDevice<MemBlockDevice>) -> Stack {
+fn mount_stack(dev: &FaultDevice<MemBlockDevice>) -> Stack {
     StegFs::mount(
         BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
         params(),
@@ -66,7 +66,7 @@ enum Interrupted {
 
 struct Driver {
     fs: Option<Stack>,
-    dev: CrashDevice<MemBlockDevice>,
+    dev: FaultDevice<MemBlockDevice>,
     hidden_model: HashMap<String, Vec<u8>>,
     plain_model: HashMap<String, Vec<u8>>,
     interrupted: Interrupted,
@@ -74,7 +74,7 @@ struct Driver {
 
 impl Driver {
     fn new() -> Self {
-        let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
         let fs = StegFs::format(
             BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
             params(),
@@ -370,13 +370,13 @@ proptest! {
 /// The background checkpoint daemon advances the journal tail and anchors
 /// concurrently with foreground commits.  A kill with a checkpoint in
 /// flight (`stop_checkpoint_daemon(false)` models the dead process, the
-/// `CrashDevice` tears the unsynced writes) must replay cleanly: the
+/// `FaultDevice` tears the unsynced writes) must replay cleanly: the
 /// daemon writes only the same checksummed anchor records a foreground
 /// sync writes, so replay cannot tell them apart.
 #[test]
 fn checkpoint_daemon_in_flight_replays_cleanly() {
     for trip in [2u64, 5, 9, 17, 28, 45] {
-        let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
         let mut fs = StegFs::format(
             BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
             StegParams {
@@ -465,7 +465,7 @@ fn checkpoint_daemon_in_flight_replays_cleanly() {
 #[test]
 fn torn_hidden_rewrite_preserves_old_contents() {
     for trip in [1u64, 3, 7, 12, 20, 33] {
-        let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
         let fs = StegFs::format(
             BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
             params(),
@@ -504,7 +504,7 @@ fn interrupted_delete_never_leaves_a_ghost_name() {
     let keep = payload(11, 6 * 1024);
     let budget = payload(12, 20 * 1024);
     for trip in 0u64.. {
-        let dev = CrashDevice::new(MemBlockDevice::new(1024, 2048));
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 2048));
         let fs = StegFs::format(
             BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
             params(),
@@ -553,7 +553,7 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
         ..params()
     };
     for trip in [1u64, 2, 4, 9, 15] {
-        let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
         let fs = StegFs::format(
             BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
             coded(),

@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::{Arc, Barrier};
-use stegfs_blockdev::{BlockDevice, BufferCache, CrashDevice, MemBlockDevice};
+use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
 use stegfs_core::{DirectoryEntry, ObjectKind, StegFs, StegParams};
 use stegfs_crypto::kdf;
 use stegfs_tests::{journaled_params, payload};
@@ -254,14 +254,14 @@ fn disconnect_all_and_unmount_purge_at_core_level() {
 
 #[test]
 fn crash_then_remount_serves_replayed_state_not_cache() {
-    type Stack = StegFs<BufferCache<CrashDevice<MemBlockDevice>>>;
+    type Stack = StegFs<BufferCache<FaultDevice<MemBlockDevice>>>;
     let params = StegParams {
         dummy_file_count: 1,
         dummy_file_size: 4 * 1024,
         readpath_cache_blocks: 1024,
         ..journaled_params(160)
     };
-    let dev = CrashDevice::new(MemBlockDevice::new(1024, 8192));
+    let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
     let fs: Stack =
         StegFs::format(BufferCache::new_write_back(dev.clone(), 64), params.clone()).unwrap();
 

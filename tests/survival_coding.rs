@@ -13,18 +13,18 @@
 //!   without writing anything.
 
 use proptest::prelude::*;
-use stegfs_blockdev::{BlockDevice, CorruptingDevice, MemBlockDevice};
+use stegfs_blockdev::{BlockDevice, FaultDevice, MemBlockDevice};
 use stegfs_core::{ObjectKind, StegFs};
 use stegfs_survival::{scavenge, RepairOutcome};
 use stegfs_tests::{coded_params, payload};
 
 const OWNER: &str = "the real key";
 
-type CodedVolume = StegFs<CorruptingDevice<MemBlockDevice>>;
+type CodedVolume = StegFs<FaultDevice<MemBlockDevice>>;
 
 fn coded_volume(m: u8, n: u8, blocks: u64) -> CodedVolume {
     StegFs::format(
-        CorruptingDevice::new(MemBlockDevice::new(1024, blocks)),
+        FaultDevice::new(MemBlockDevice::new(1024, blocks)),
         coded_params(m, n),
     )
     .expect("format coded volume")
@@ -305,7 +305,7 @@ fn per_object_policy_overrides_the_volume_default() {
     // A volume whose default is Plain can still create dispersed objects,
     // and the dispersed object survives damage the plain one cannot.
     let fs = StegFs::format(
-        CorruptingDevice::new(MemBlockDevice::new(1024, 8192)),
+        FaultDevice::new(MemBlockDevice::new(1024, 8192)),
         stegfs_tests::full_feature_params(),
     )
     .unwrap();
