@@ -37,28 +37,51 @@
 //!
 //! # What runs under the lock
 //!
-//! One lock guards the whole cache.  A **read miss does not hold it across
-//! its device transfer**: under the lock it registers its blocks as
-//! *filling*, drops the lock for the device read, and re-takes it to finish.
-//! A write to a filling block marks the fill *clobbered*, because the
-//! device image the miss is fetching may predate the write.  On finishing,
-//! a miss whose block became resident meanwhile returns the resident image;
-//! otherwise it caches its device image unless the fill was clobbered.  So
-//! a racing read can never re-insert pre-write data over a fresh write, and
-//! hits, writes and other misses proceed while a miss waits on the device.
-//! Two misses on the same block both read the device.  With one caller at
-//! a time nothing happens in the gap, so the device sees the same
-//! submissions in the same order, and the LRU order and statistics are
-//! those of a cache that held the lock throughout.
+//! The state lock guards memory only: the resident images, the LRU order,
+//! the dirty index, the registered fills and the in-flight flush batch.
+//! Two device transfers run with it dropped:
 //!
-//! Three transfers stay under the lock, because they publish cache state
-//! the device must agree with: a write-through write (device first, then
-//! the resident image), the write-back of a dirty eviction victim (it must
-//! land before the victim is unlinked), and a flush's batched write-back
-//! (no dirty block may change between its image being gathered and being
-//! marked clean).  Each one stalls every other caller for one device
-//! submission.  On the journaled write-back stack only the last two occur,
-//! once per group flush and once per dirty eviction.
+//! * **A read miss** registers its blocks as *filling*, drops the lock for
+//!   the device read, and re-takes it to finish.  A write to a filling block
+//!   marks the fill *clobbered*, because the device image the miss is
+//!   fetching may predate the write.  On finishing, a miss whose block
+//!   became resident meanwhile returns the resident image; otherwise it
+//!   caches its device image unless the fill was clobbered.  So a racing
+//!   read can never re-insert pre-write data over a fresh write.
+//! * **A flush's write-back batch.**  Flushes (and
+//!   [`invalidate`](BufferCache::invalidate)) serialize on a flusher mutex,
+//!   always taken before the state lock.  Under the state lock a flush
+//!   gathers every dirty image into one buffer, in ascending block order,
+//!   and records the block list as the *flight*; it drops the lock for the
+//!   one `write_blocks`, re-takes it to retire the flight, and only then
+//!   issues the inner barrier.  Flight blocks stay resident and dirty until
+//!   the batch lands, so a miss can never read a pre-batch device image: on
+//!   success the flight blocks not rewritten since the gather become clean,
+//!   and on failure nothing changes — no re-insert path exists.  A write to
+//!   a flight block while the batch is out is recorded, like a fill's
+//!   clobber list, and that block stays dirty for the next flush.
+//!
+//! Two stay under the lock, because they publish state the device must
+//! agree with first: a write-through write (device, then resident image),
+//! and the write-back of a dirty eviction victim, which must land before
+//! the victim is unlinked.  A victim that is a flight block *not* rewritten
+//! since the gather is written with the batch's own image, so the two
+//! cannot land in a harmful order.  A victim that *was* rewritten must not
+//! overtake the batch — the older image would land on top of the newer —
+//! so the write that needs its slot waits on a condvar beside the state
+//! lock until the flight retires, then decides again; a read miss in that
+//! position leaves its block uncached instead.
+//!
+//! Two further steps were measured on the concurrent engine workload
+//! (`engine_mixed_io` of the gating benchmark, one 12 s run) and left out:
+//! single-flight misses (two misses on one block both read the device: 3
+//! duplicate blocks among 2.0 M filled by 196k fills) and writing dirty
+//! victims with the lock dropped (about 580 per run, roughly 0.5 % of
+//! operations).
+//!
+//! With one caller at a time nothing happens in any gap, so the device sees
+//! the same submissions in the same order, and the LRU order and statistics
+//! are those of a cache that held the lock throughout.
 //!
 //! # When a write-back fails
 //!
@@ -74,8 +97,9 @@
 use crate::device::{check_batch, BlockDevice, BlockId};
 use crate::error::{BlockError, BlockResult};
 use crate::lru::LruMap;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeSet;
+use std::sync::{Condvar, PoisonError};
 
 /// Write policy of a [`BufferCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,13 +129,25 @@ struct CacheState {
     /// Resident block images, in exact LRU order.
     entries: LruMap<BlockId, Vec<u8>>,
     /// Which residents are dirty (always a subset of `entries`' keys; empty
-    /// in write-through mode), ascending — the batch a flush submits.
+    /// in write-through mode), ascending — the batch a flush submits.  A
+    /// flight's blocks stay in it until the batch lands.
     dirty: BTreeSet<BlockId>,
     /// Misses reading the device with the lock dropped (empty but for the
     /// gaps of concurrent calls).
     fills: Vec<Fill>,
     next_fill: u64,
+    /// The flush batch out on the device with the lock dropped, if any.
+    flight: Option<Flight>,
     stats: CacheStats,
+}
+
+/// A flush's write-back batch while it is out on the device.
+struct Flight {
+    /// Its blocks, ascending; each was resident and dirty when gathered.
+    blocks: Vec<BlockId>,
+    /// Flight blocks written since the gather: the batch carries an older
+    /// image of them, so they stay dirty when it lands.
+    rewritten: Vec<BlockId>,
 }
 
 /// One miss call out on the device.
@@ -157,16 +193,38 @@ impl CacheState {
             }
         }
     }
+
+    /// A write just changed resident `block`: if the flight carries an older
+    /// image of it, it must stay dirty when the batch lands.
+    fn rewrite(&mut self, block: BlockId) {
+        if let Some(flight) = &mut self.flight {
+            if flight.blocks.binary_search(&block).is_ok() && !flight.rewritten.contains(&block) {
+                flight.rewritten.push(block);
+            }
+        }
+    }
+
+    /// True if `block` is a flight block rewritten since the gather: writing
+    /// its newer image down now could be overtaken by the batch.
+    fn rewritten_in_flight(&self, block: BlockId) -> bool {
+        self.flight
+            .as_ref()
+            .is_some_and(|f| f.rewritten.contains(&block))
+    }
 }
 
 /// LRU cache over a [`BlockDevice`], shared by reference across threads.
 /// See the module docs for the two modes and for which device transfers
-/// run under the cache's lock (read misses do not).
+/// run under the cache's lock (read misses and flush batches do not).
 pub struct BufferCache<D: BlockDevice> {
     inner: D,
     capacity: usize,
     mode: CacheMode,
+    /// Serializes flushes; taken before `state`, never inside it.
+    flusher: Mutex<()>,
     state: Mutex<CacheState>,
+    /// Signalled whenever a flight retires, landed or failed.
+    landed: Condvar,
 }
 
 impl<D: BlockDevice> BufferCache<D> {
@@ -196,7 +254,9 @@ impl<D: BlockDevice> BufferCache<D> {
             inner,
             capacity: capacity_blocks,
             mode,
+            flusher: Mutex::new(()),
             state: Mutex::new(CacheState::default()),
+            landed: Condvar::new(),
         }
     }
 
@@ -228,10 +288,15 @@ impl<D: BlockDevice> BufferCache<D> {
     /// Drop all cached blocks.  In write-back mode, dirty blocks are first
     /// written to the device (without a barrier) so no data is lost.
     pub fn invalidate(&self) -> BlockResult<()> {
-        let mut state = self.state.lock();
-        self.write_back_dirty(&mut state)?;
-        state.entries.clear();
-        Ok(())
+        let _flusher = self.flusher.lock();
+        loop {
+            // Writes racing the batch leave blocks dirty: go again.
+            let mut state = self.write_back()?;
+            if state.dirty.is_empty() {
+                state.entries.clear();
+                return Ok(());
+            }
+        }
     }
 
     /// Access the wrapped device.
@@ -246,41 +311,64 @@ impl<D: BlockDevice> BufferCache<D> {
     }
 
     /// Write every dirty block down in one ascending batched submission (no
-    /// barrier); on an error they all stay dirty.  Caller holds the state
-    /// lock.
-    fn write_back_dirty(&self, state: &mut CacheState) -> BlockResult<()> {
+    /// barrier) with the state lock dropped, as the flight (module docs);
+    /// on an error they all stay dirty.  Returns the re-taken state lock.
+    /// Caller holds the flusher lock.
+    fn write_back(&self) -> BlockResult<MutexGuard<'_, CacheState>> {
+        let mut state = self.state.lock();
         if state.dirty.is_empty() {
-            return Ok(());
+            return Ok(state);
         }
-        let dirty: Vec<BlockId> = state.dirty.iter().copied().collect();
-        let mut buf = Vec::with_capacity(dirty.len() * self.inner.block_size());
-        for b in &dirty {
+        let blocks: Vec<BlockId> = state.dirty.iter().copied().collect();
+        let mut buf = Vec::with_capacity(blocks.len() * self.inner.block_size());
+        for b in &blocks {
             buf.extend_from_slice(state.entries.peek(b).expect("dirty blocks are resident"));
         }
-        self.inner.write_blocks(&dirty, &buf)?;
-        state.dirty.clear();
-        state.stats.write_backs += dirty.len() as u64;
-        Ok(())
+        state.flight = Some(Flight {
+            blocks: blocks.clone(),
+            rewritten: Vec::new(),
+        });
+        drop(state);
+        let wrote = self.inner.write_blocks(&blocks, &buf);
+        let mut state = self.state.lock();
+        let flight = state.flight.take().expect("flushes are serialized");
+        if wrote.is_ok() {
+            for b in &flight.blocks {
+                if !flight.rewritten.contains(b) {
+                    state.dirty.remove(b);
+                }
+            }
+            state.stats.write_backs += flight.blocks.len() as u64;
+        }
+        self.landed.notify_all();
+        wrote.map(|()| state)
     }
 
     /// Make `data` the cached image of `block` and the most recently used
     /// entry (a block that was dirty stays dirty), evicting the LRU victim
     /// first if `block` is new and the cache is full.  A dirty victim is
     /// written to the device *before* it is unlinked, so a failed write-back
-    /// drops nothing (module docs).  Caller holds the state lock.
+    /// drops nothing (module docs).  Returns `false`, having changed
+    /// nothing, if the victim is a flight block rewritten since the gather:
+    /// a clean image may then simply stay uncached, a dirty one must wait
+    /// for the flight ([`Self::insert_dirty`]).  Caller holds the state
+    /// lock.
     fn insert(
         &self,
         state: &mut CacheState,
         block: BlockId,
         data: &[u8],
         dirty: bool,
-    ) -> BlockResult<()> {
+    ) -> BlockResult<bool> {
         if let Some(buf) = state.entries.get(&block) {
             buf.clear();
             buf.extend_from_slice(data);
         } else {
             let mut buf = if state.entries.len() >= self.capacity {
                 let (&victim, image) = state.entries.peek_lru().expect("capacity is non-zero");
+                if state.rewritten_in_flight(victim) {
+                    return Ok(false);
+                }
                 if state.dirty.contains(&victim) {
                     self.inner.write_block(victim, image)?;
                     state.dirty.remove(&victim);
@@ -298,8 +386,30 @@ impl<D: BlockDevice> BufferCache<D> {
         }
         if dirty {
             state.dirty.insert(block);
+            state.rewrite(block);
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// Place a write-back write of `block`, waiting out the flight each time
+    /// its slot's victim is a rewritten flight block.  Clobbers `block`'s
+    /// fills on every attempt, since fills can begin while it waits.
+    fn insert_dirty<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, CacheState>,
+        block: BlockId,
+        data: &[u8],
+    ) -> BlockResult<MutexGuard<'a, CacheState>> {
+        loop {
+            state.clobber(block);
+            if self.insert(&mut state, block, data, true)? {
+                return Ok(state);
+            }
+            state = self
+                .landed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Second half of a miss on `block`, whose device image is in `image`,
@@ -320,7 +430,7 @@ impl<D: BlockDevice> BufferCache<D> {
                 Ok(())
             }
             _ if clobbered => Ok(()),
-            _ => self.insert(state, block, image, false),
+            _ => self.insert(state, block, image, false).map(drop),
         }
     }
 
@@ -372,19 +482,19 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
 
     fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
         let mut state = self.state.lock();
-        state.clobber(block);
         match self.mode {
             CacheMode::WriteThrough => {
                 // Device first so a device error leaves the cache consistent
                 // with the (unchanged) device contents; the state lock is
                 // held across the transfer so a racing miss cannot resurrect
                 // pre-write data.
+                state.clobber(block);
                 self.inner.write_block(block, buf)?;
-                self.insert(&mut state, block, buf, false)
+                self.insert(&mut state, block, buf, false).map(drop)
             }
             CacheMode::WriteBack => {
                 self.check_write(block, buf.len())?;
-                self.insert(&mut state, block, buf, true)
+                self.insert_dirty(state, block, buf).map(drop)
             }
         }
     }
@@ -392,7 +502,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     // Batched reads serve hits from the cache and gather every miss into one
     // inner submission, filled like a single miss; batched writes go through
     // in one submission (write-through) or dirty the cache (write-back),
-    // under one hold of the lock.
+    // under one hold of the lock unless a victim must wait out the flight.
     fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
         let bs = self.inner.block_size();
         if buf.len() != blocks.len() * bs {
@@ -431,11 +541,11 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
         let bs = self.inner.block_size();
         let mut state = self.state.lock();
-        for &block in blocks {
-            state.clobber(block);
-        }
         match self.mode {
             CacheMode::WriteThrough => {
+                for &block in blocks {
+                    state.clobber(block);
+                }
                 self.inner.write_blocks(blocks, buf)?;
                 if buf.len() == blocks.len() * bs {
                     for (i, &block) in blocks.iter().enumerate() {
@@ -450,7 +560,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
                     self.check_write(block, bs)?;
                 }
                 for (i, &block) in blocks.iter().enumerate() {
-                    self.insert(&mut state, block, &buf[i * bs..(i + 1) * bs], true)?;
+                    state = self.insert_dirty(state, block, &buf[i * bs..(i + 1) * bs])?;
                 }
                 Ok(())
             }
@@ -458,12 +568,12 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     }
 
     /// The barrier: write-back mode pushes every dirty block down in one
-    /// batched submission, then flushes the inner device.
+    /// batched submission with the state lock dropped, then flushes the
+    /// inner device.  Flushes run one at a time, so a flush's barrier never
+    /// precedes the batch of one that started before it.
     fn flush(&self) -> BlockResult<()> {
-        {
-            let mut state = self.state.lock();
-            self.write_back_dirty(&mut state)?;
-        }
+        let _flusher = self.flusher.lock();
+        drop(self.write_back()?);
         self.inner.flush()
     }
 }
@@ -788,16 +898,24 @@ mod tests {
     #[derive(Default)]
     struct Park {
         armed: Option<BlockId>,
-        /// Fail reads of the armed block at once instead of parking them.
+        /// Trip writes that include the armed block instead of reads.
+        writes: bool,
+        /// The tripped transfer fails: a read at once instead of parking, a
+        /// write when it is released.
         fail: bool,
         parked: usize,
         open: bool,
+        /// Write submissions as they reached the store, and barriers.
+        landed: Vec<Submission>,
     }
 
     /// Reads go to the store; a read that includes the armed block then
     /// parks until [`release`](Self::release) (or fails), holding the image
     /// it already fetched — a transfer overtaken by anything that happens
-    /// while it is parked.
+    /// while it is parked.  Armed for writes, the first write submission
+    /// that includes the armed block parks *before* reaching the store (a
+    /// batch still out on the device) and lands, or fails, on release;
+    /// later writes pass.
     #[derive(Clone)]
     struct ParkingDevice {
         store: SharedDevice,
@@ -820,6 +938,19 @@ mod tests {
             };
         }
 
+        fn arm_writes(&self, block: BlockId, fail: bool) {
+            *self.park.0.lock().unwrap() = Park {
+                armed: Some(block),
+                writes: true,
+                fail,
+                ..Park::default()
+            };
+        }
+
+        fn landed(&self) -> Vec<Submission> {
+            self.park.0.lock().unwrap().landed.clone()
+        }
+
         fn wait_parked(&self, readers: usize) {
             let (lock, cv) = &*self.park;
             let mut p = lock.lock().unwrap();
@@ -833,13 +964,16 @@ mod tests {
             self.park.1.notify_all();
         }
 
-        fn pass(&self, blocks: &[BlockId]) -> BlockResult<()> {
+        fn pass(&self, blocks: &[BlockId], write: bool) -> BlockResult<()> {
             let (lock, cv) = &*self.park;
             let mut p = lock.lock().unwrap();
-            if !p.armed.is_some_and(|b| blocks.contains(&b)) {
+            let tripped = p.writes == write
+                && p.armed.is_some_and(|b| blocks.contains(&b))
+                && !(write && p.parked > 0);
+            if !tripped {
                 return Ok(());
             }
-            if p.fail {
+            if p.fail && !write {
                 return Err(std::io::Error::other("scripted read failure").into());
             }
             p.parked += 1;
@@ -847,7 +981,14 @@ mod tests {
             while !p.open {
                 p = cv.wait(p).unwrap();
             }
+            if p.fail {
+                return Err(std::io::Error::other("scripted write failure").into());
+            }
             Ok(())
+        }
+
+        fn log(&self, submission: Submission) {
+            self.park.0.lock().unwrap().landed.push(submission);
         }
     }
 
@@ -860,27 +1001,57 @@ mod tests {
         }
         fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
             self.store.read_block(block, buf)?;
-            self.pass(&[block])
+            self.pass(&[block], false)
         }
         fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-            self.store.write_block(block, buf)
+            self.pass(&[block], true)?;
+            self.store.write_block(block, buf)?;
+            self.log(Submission::Write(block, buf.to_vec()));
+            Ok(())
         }
         fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
             self.store.read_blocks(blocks, buf)?;
-            self.pass(blocks)
+            self.pass(blocks, false)
         }
         fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-            self.store.write_blocks(blocks, buf)
+            self.pass(blocks, true)?;
+            self.store.write_blocks(blocks, buf)?;
+            self.log(Submission::WriteBatch(blocks.to_vec(), buf.to_vec()));
+            Ok(())
+        }
+        fn flush(&self) -> BlockResult<()> {
+            self.store.flush()?;
+            self.log(Submission::Flush);
+            Ok(())
         }
     }
 
-    /// Run `work` on another thread and fail, instead of hanging, if it
-    /// cannot finish (it would be stuck behind a lock a parked miss holds).
-    fn finishes<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static) -> T {
+    /// Run `work` on another thread; its result arrives on the receiver.
+    fn started<T: Send + 'static>(
+        work: impl FnOnce() -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(work()).unwrap());
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("blocked behind a parked miss")
+        rx
+    }
+
+    /// How long a call that must wait is given to (wrongly) finish.
+    const SETTLE: std::time::Duration = std::time::Duration::from_millis(100);
+
+    /// Run `work` on another thread and fail, instead of hanging, if it
+    /// cannot finish (it would be stuck behind a lock a parked transfer
+    /// holds).
+    fn finishes<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static) -> T {
+        started(work)
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("blocked behind a parked transfer")
+    }
+
+    fn flush_in_background(
+        cache: &Arc<BufferCache<ParkingDevice>>,
+    ) -> std::thread::JoinHandle<BlockResult<()>> {
+        let cache = Arc::clone(cache);
+        std::thread::spawn(move || cache.flush())
     }
 
     fn parked_read(
@@ -980,6 +1151,270 @@ mod tests {
         dev.arm(15, true);
         cache.read_blocks(&[2, 3, 4], &mut [0u8; 3 * 64]).unwrap();
         assert_eq!((cache.len(), cache.stats().misses), (3, 3));
+    }
+
+    // ------------------------------------------------------------------
+    // A flush holds no lock across its write-back batch
+    // ------------------------------------------------------------------
+
+    /// A write-back cache of `capacity` blocks over a parking device, with
+    /// `dirty` written (block `b` holds `b + 1`) and their flush parked on
+    /// its batch, which fails on release if `fail`.
+    fn parked_flush(
+        capacity: usize,
+        dirty: &[BlockId],
+        fail: bool,
+    ) -> (
+        ParkingDevice,
+        Arc<BufferCache<ParkingDevice>>,
+        std::thread::JoinHandle<BlockResult<()>>,
+    ) {
+        let dev = ParkingDevice::new(16);
+        let cache = Arc::new(BufferCache::new_write_back(dev.clone(), capacity));
+        for &b in dirty {
+            cache.write_block(b, &[b as u8 + 1; 64]).unwrap();
+        }
+        dev.arm_writes(dirty[0], fail);
+        let flush = flush_in_background(&cache);
+        dev.wait_parked(1);
+        (dev, cache, flush)
+    }
+
+    #[test]
+    fn hits_misses_and_writes_complete_while_a_batch_is_on_the_device() {
+        let (dev, cache, flush) = parked_flush(8, &[3], false);
+        dev.store.write_block(5, &[5; 64]).unwrap();
+        let other = Arc::clone(&cache);
+        finishes(move || {
+            let mut buf = [0u8; 64];
+            other.read_block(3, &mut buf).unwrap();
+            assert_eq!(buf, [4; 64], "a hit on a flight block");
+            other.read_block(5, &mut buf).unwrap();
+            assert_eq!(buf, [5; 64], "a miss");
+            other.write_block(6, &[6; 64]).unwrap();
+            other.write_block(3, &[0x33; 64]).unwrap();
+            other.read_block(3, &mut buf).unwrap();
+            assert_eq!(buf, [0x33; 64], "the rewrite is what reads see");
+        });
+        assert_eq!(
+            dev.store.read_block_vec(3).unwrap(),
+            vec![0; 64],
+            "not landed"
+        );
+        dev.release();
+        flush.join().unwrap().unwrap();
+        assert_eq!(dev.store.read_block_vec(3).unwrap(), vec![4; 64]);
+        assert!(cache.state.lock().flight.is_none());
+    }
+
+    #[test]
+    fn a_write_during_the_flight_goes_out_with_the_next_flush() {
+        let (dev, cache, flush) = parked_flush(8, &[3, 2], false);
+        let other = Arc::clone(&cache);
+        finishes(move || other.write_block(3, &[0x33; 64]).unwrap());
+        dev.release();
+        flush.join().unwrap().unwrap();
+        // The batch landed the gathered images; the rewritten block alone
+        // stays dirty.
+        assert_eq!(dev.store.read_block_vec(3).unwrap(), vec![4; 64]);
+        assert_eq!((cache.dirty_blocks(), cache.stats().write_backs), (1, 2));
+        cache.flush().unwrap();
+        assert_eq!(dev.store.read_block_vec(3).unwrap(), vec![0x33; 64]);
+        assert_eq!(dev.store.read_block_vec(2).unwrap(), vec![3; 64]);
+        assert_eq!(cache.dirty_blocks(), 0);
+    }
+
+    #[test]
+    fn evicting_a_rewritten_flight_block_waits_for_the_batch() {
+        let (dev, cache, flush) = parked_flush(2, &[0, 1], false);
+        // Rewrite both flight blocks, leaving 0 the least recently used.
+        let other = Arc::clone(&cache);
+        finishes(move || {
+            other.write_block(0, &[0xa0; 64]).unwrap();
+            other.write_block(1, &[0xa1; 64]).unwrap();
+        });
+        // Block 2 needs 0's slot: writing 0xa0 now would land under the
+        // batch's older image of 0.
+        let other = Arc::clone(&cache);
+        let evict = started(move || other.write_block(2, &[0xa2; 64]));
+        assert!(evict.recv_timeout(SETTLE).is_err(), "overtook the batch");
+        dev.release();
+        flush.join().unwrap().unwrap();
+        evict
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("woken when the batch landed")
+            .unwrap();
+        cache.flush().unwrap();
+        let images_of_0: Vec<u8> = dev
+            .landed()
+            .iter()
+            .filter_map(|s| match s {
+                Submission::Write(0, image) => Some(image[0]),
+                Submission::WriteBatch(blocks, images) => {
+                    blocks.iter().position(|&b| b == 0).map(|i| images[i * 64])
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(images_of_0, [1, 0xa0], "block 0 never went back");
+        for (b, v) in [(0u64, 0xa0u8), (1, 0xa1), (2, 0xa2)] {
+            assert_eq!(dev.store.read_block_vec(b).unwrap(), vec![v; 64]);
+        }
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_every_block_dirty_and_a_retry_lands_them() {
+        let (dev, cache, flush) = parked_flush(4, &[0, 1], true);
+        let other = Arc::clone(&cache);
+        finishes(move || other.write_block(2, &[3; 64]).unwrap());
+        dev.release();
+        assert!(flush.join().unwrap().is_err());
+        assert_eq!((cache.dirty_blocks(), cache.stats().write_backs), (3, 0));
+        assert!(dev.landed().is_empty(), "no batch and no barrier");
+        cache.flush().expect("the retry lands");
+        assert_eq!((cache.dirty_blocks(), cache.stats().write_backs), (0, 3));
+        for b in 0..3u64 {
+            assert_eq!(dev.store.read_block_vec(b).unwrap(), vec![b as u8 + 1; 64]);
+        }
+    }
+
+    #[test]
+    fn a_second_flush_waits_for_the_first_batch() {
+        let (dev, cache, first) = parked_flush(4, &[0], false);
+        let other = Arc::clone(&cache);
+        finishes(move || other.write_block(1, &[2; 64]).unwrap());
+        let other = Arc::clone(&cache);
+        let second = started(move || other.flush());
+        assert!(second.recv_timeout(SETTLE).is_err(), "overtook the batch");
+        dev.release();
+        first.join().unwrap().unwrap();
+        second
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("runs once the first flush is done")
+            .unwrap();
+        assert_eq!(
+            dev.landed(),
+            [
+                Submission::WriteBatch(vec![0], vec![1; 64]),
+                Submission::Flush,
+                Submission::WriteBatch(vec![1], vec![2; 64]),
+                Submission::Flush,
+            ]
+        );
+    }
+
+    /// A device that panics if a block's version (its first four bytes)
+    /// ever goes back, and yields on every transfer to widen the gaps.
+    struct Monotone {
+        mem: MemBlockDevice,
+        versions: std::sync::Mutex<HashMap<BlockId, u32>>,
+    }
+
+    fn version(image: &[u8]) -> u32 {
+        u32::from_le_bytes(image[..4].try_into().unwrap())
+    }
+
+    impl Monotone {
+        fn landing(&self, block: BlockId, image: &[u8]) {
+            let v = version(image);
+            let old = self.versions.lock().unwrap().insert(block, v);
+            assert!(
+                old.unwrap_or(0) <= v,
+                "block {block} went back: {old:?} -> {v}"
+            );
+        }
+    }
+
+    impl BlockDevice for Monotone {
+        fn block_size(&self) -> usize {
+            self.mem.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.mem.total_blocks()
+        }
+        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+            std::thread::yield_now();
+            self.mem.read_block(block, buf)
+        }
+        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+            self.landing(block, buf);
+            self.mem.write_block(block, buf)
+        }
+        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+            std::thread::yield_now();
+            for (i, &b) in blocks.iter().enumerate() {
+                self.landing(b, &buf[i * 64..(i + 1) * 64]);
+            }
+            self.mem.write_blocks(blocks, buf)
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_and_flushes_never_send_a_block_back() {
+        // Three writers, each owning four blocks of a 4-block write-back
+        // cache, stamp rising versions while a fourth thread flushes: flight
+        // blocks are rewritten and evicted all the time.
+        for seed in 1..=20u64 {
+            let dev = Monotone {
+                mem: MemBlockDevice::new(64, 12),
+                versions: Default::default(),
+            };
+            let cache = Arc::new(BufferCache::new_write_back(dev, 4));
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let flusher = {
+                let (cache, stop) = (Arc::clone(&cache), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        cache.flush().unwrap();
+                    }
+                })
+            };
+            let writers: Vec<_> = (0..3u64)
+                .map(|t| {
+                    let cache = Arc::clone(&cache);
+                    std::thread::spawn(move || {
+                        let mut last = [0u32; 4];
+                        let ops = scatter(seed * 3 + t, 2_000, 4 * 35);
+                        for (v, op) in (1u32..).zip(ops) {
+                            let (k, kind) = ((op % 4) as usize, op / 4 % 35);
+                            let block = t * 4 + k as u64;
+                            let mut image = [0u8; 128];
+                            image[..4].copy_from_slice(&v.to_le_bytes());
+                            image[64..68].copy_from_slice(&v.to_le_bytes());
+                            if kind < 7 {
+                                cache.read_block(block, &mut image[..64]).unwrap();
+                                assert_eq!(version(&image), last[k], "read of {block}");
+                            } else if kind < 12 {
+                                let k2 = (k + 1) % 4;
+                                cache
+                                    .write_blocks(&[block, t * 4 + k2 as u64], &image)
+                                    .unwrap();
+                                (last[k], last[k2]) = (v, v);
+                            } else {
+                                cache.write_block(block, &image[..64]).unwrap();
+                                last[k] = v;
+                            }
+                        }
+                        last
+                    })
+                })
+                .collect();
+            let lasts: Vec<[u32; 4]> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            flusher.join().unwrap();
+            cache.flush().unwrap();
+            assert_eq!(cache.dirty_blocks(), 0);
+            for (t, last) in lasts.iter().enumerate() {
+                for (k, &v) in last.iter().enumerate() {
+                    let image = cache
+                        .inner
+                        .mem
+                        .read_block_vec(t as u64 * 4 + k as u64)
+                        .unwrap();
+                    assert_eq!(version(&image), v, "seed {seed}: final image");
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------

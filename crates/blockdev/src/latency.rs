@@ -3,16 +3,16 @@
 //! [`SimDisk`](crate::SimDisk) models disk time on a *virtual* clock, which
 //! is right for the single-driver timing experiments but useless for
 //! measuring concurrency: virtual time cannot overlap.  [`LatencyDevice`]
-//! instead *sleeps* for a fixed per-block service time, so when several
-//! threads issue block I/O to independent objects their service times
-//! overlap on the wall clock — exactly the effect the paper's Figure 7
-//! measures against a real drive, and the effect the thread-scaling bench
-//! quantifies.  The wrapper itself takes no lock, so the device admits as
-//! much request concurrency as the caller offers.  Stacked under a
-//! [`BufferCache`](crate::BufferCache), read misses sleep with the cache
-//! unlocked, but write-through writes, dirty-victim write-backs and a
-//! flush's write-back batch sleep under the cache's lock (see its module
-//! docs).
+//! instead *sleeps* for a fixed service time per submission, so when
+//! several threads issue block I/O to independent objects their service
+//! times overlap on the wall clock — exactly the effect the paper's
+//! Figure 7 measures against a real drive, and the effect the concurrent
+//! engine workload quantifies.  The wrapper itself takes no lock, so the
+//! device admits as much request concurrency as the caller offers.
+//! Stacked under a [`BufferCache`](crate::BufferCache), read misses and a
+//! flush's write-back batch sleep with the cache unlocked, while
+//! write-through writes and dirty-victim write-backs sleep under the
+//! cache's lock (see its module docs).
 //!
 //! Batched submissions ([`BlockDevice::read_blocks`] /
 //! [`BlockDevice::write_blocks`]) overlap the same way *within one caller*:
@@ -24,7 +24,8 @@ use crate::device::{BlockDevice, BlockId};
 use crate::error::BlockResult;
 use std::time::Duration;
 
-/// A [`BlockDevice`] wrapper that sleeps a fixed service time per transfer.
+/// A [`BlockDevice`] wrapper that sleeps a fixed service time per
+/// submission.
 pub struct LatencyDevice<D: BlockDevice> {
     inner: D,
     read_latency: Duration,
@@ -34,7 +35,8 @@ pub struct LatencyDevice<D: BlockDevice> {
 
 impl<D: BlockDevice> LatencyDevice<D> {
     /// Wrap `inner`, charging `read_latency` / `write_latency` of wall-clock
-    /// sleep per block transfer.  Flush barriers are free until
+    /// sleep per read / write submission — one block or a whole batch.
+    /// Flush barriers are free until
     /// [`with_flush_latency`](Self::with_flush_latency) prices them.
     pub fn new(inner: D, read_latency: Duration, write_latency: Duration) -> Self {
         LatencyDevice {
@@ -45,7 +47,7 @@ impl<D: BlockDevice> LatencyDevice<D> {
         }
     }
 
-    /// Wrap `inner` with one symmetric per-block service time.
+    /// Wrap `inner` with one symmetric per-submission service time.
     pub fn symmetric(inner: D, latency: Duration) -> Self {
         Self::new(inner, latency, latency)
     }

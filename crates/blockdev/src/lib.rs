@@ -49,9 +49,13 @@
 //!   transient I/O errors are reissued up to N attempts and only then
 //!   surfaced unchanged, so a momentary glitch no longer reads as object
 //!   loss.
-//! * [`LatencyDevice`] — real-time per-block service latency (it actually
-//!   sleeps, outside every lock), used by the thread-scaling benchmarks to
-//!   show concurrent block I/O overlapping on the wall clock.
+//! * [`LatencyDevice`] — real-time service latency per submission (it
+//!   actually sleeps, once per call whether it carries one block or a
+//!   batch), used by the concurrency workloads to show block I/O
+//!   overlapping on the wall clock.  It takes no lock of its own; under a
+//!   [`BufferCache`] the sleeps of write-through writes and dirty-victim
+//!   write-backs fall under the cache's lock, those of read misses and
+//!   flush batches do not.
 //!
 //! [`BlockDevice`] I/O takes `&self`: every backend carries its own interior
 //! locking (the in-memory volume stripes its storage so disjoint blocks

@@ -32,9 +32,68 @@
 //!
 //! The order is exactly the one a per-entry "last used" tick with a min-scan
 //! victim search produces; the tests keep that simple model as the oracle.
+//!
+//! # The index's hasher
+//!
+//! The index hashes with `IndexHasher`, a multiply-rotate hash costing one
+//! multiply per 8-byte word, instead of std's SipHash, which every lookup
+//! under a cache lock used to pay.  SipHash's seeded keys exist to stop an
+//! outside party from choosing keys that collide (HashDoS).  No key here is
+//! chosen by an outside party: the callers index block numbers the
+//! allocator hands out, `(generation, block)` pairs the read cache mints,
+//! and SHA-256 outputs (derived-key ids), which nobody can steer towards a
+//! collision without steering SHA-256.  Each map is also bounded by its
+//! cache's capacity, so even a degenerate key set costs probes, never
+//! memory.  The index is never iterated — recency lives in the list and
+//! `retain`/`values_mut` walk the slab — so the hash decides no eviction,
+//! no device traffic and no image.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// The index's hash (module docs): each word is folded in by a xor and a
+/// multiply by an odd constant; `finish` rotates the well-mixed high bits
+/// into the low bits the table's bucket index uses.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+/// 2^64 divided by the golden ratio, rounded to odd.
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl IndexHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(MIX);
+    }
+}
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type Index<K> = HashMap<K, u32, BuildHasherDefault<IndexHasher>>;
 
 /// "No node": the outward link of either list end.
 const NIL: u32 = u32::MAX;
@@ -51,7 +110,7 @@ struct Node<K, V> {
 /// A hash map that also keeps its entries in exact least-recently-used
 /// order; see the module docs for the invariants.
 pub struct LruMap<K, V> {
-    index: HashMap<K, u32>,
+    index: Index<K>,
     nodes: Vec<Node<K, V>>,
     mru: u32,
     lru: u32,
@@ -67,7 +126,7 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
     /// An empty map.
     pub fn new() -> Self {
         LruMap {
-            index: HashMap::new(),
+            index: Index::default(),
             nodes: Vec::new(),
             mru: NIL,
             lru: NIL,

@@ -329,6 +329,95 @@ fn fsync_group_commit_survives_a_crash() {
     vfs.signoff(s).expect("signoff");
 }
 
+/// A device error under the engine: a group flush's write-back batch fails
+/// on a journaled write-back volume.  The write that needed the flush gets
+/// an `Err`, the same for `/plain` as for `/hidden`; nothing panics (a
+/// panicking request would poison the engine and fail every later one);
+/// the next requests answer; and after a clean flush and a remount every
+/// acknowledged write reads back.
+#[test]
+fn a_failed_flush_batch_is_a_clean_error_through_the_engine() {
+    use stegfs_blockdev::{BufferCache, FaultDevice, FaultTarget};
+
+    let params = StegParams {
+        dummy_file_count: 0,
+        journal_blocks: 256,
+        ..stress_params()
+    };
+    let blocks = 16384;
+    let dev = FaultDevice::new(MemBlockDevice::new(1024, blocks));
+    dev.fail_only(FaultTarget::Writes);
+    // A cache as large as the volume never evicts, so every device write is
+    // a group flush's write-back batch.
+    let cache = BufferCache::new_write_back(dev.clone(), blocks as usize);
+    let vfs = Arc::new(Vfs::format(cache, params.clone()).expect("format journaled volume"));
+    let engine = Engine::start(Arc::clone(&vfs), 4);
+    let client = engine.client("fault key");
+    let write = |handle, byte: u8| {
+        client
+            .call(Request::WriteAt {
+                handle,
+                offset: 0,
+                data: vec![byte; 3000],
+            })
+            .result
+    };
+    let paths = ["/plain/flaky", "/hidden/flaky"];
+    let handles: Vec<VfsHandle> = paths
+        .iter()
+        .map(|path| open_handle_on(&client, path, true))
+        .collect();
+    for &h in &handles {
+        assert!(matches!(write(h, 1), Ok(Response::Written(3000))));
+    }
+
+    let errors: Vec<String> = handles
+        .iter()
+        .map(|&h| {
+            dev.script_failures(1);
+            let err = write(h, 2).expect_err("the flush's batch failed");
+            err.to_string()
+        })
+        .collect();
+    assert_eq!(dev.injected(), 2, "each write met its scripted failure");
+    assert_eq!(errors[0], errors[1], "one error shape for both namespaces");
+
+    for &h in &handles {
+        assert!(matches!(write(h, 3), Ok(Response::Written(3000))));
+        match client
+            .call(Request::ReadAt {
+                handle: h,
+                offset: 0,
+                len: 3000,
+            })
+            .result
+        {
+            Ok(Response::Data(d)) => assert_eq!(d, vec![3; 3000]),
+            other => panic!("read after the failure: {other:?}"),
+        }
+        assert!(matches!(
+            client.call(Request::Close { handle: h }).result,
+            Ok(Response::Unit)
+        ));
+    }
+    assert!(matches!(
+        client.call(Request::SyncAll).result,
+        Ok(Response::Unit)
+    ));
+    client.signoff().expect("signoff");
+    engine.shutdown();
+    drop(vfs);
+
+    let vfs = Vfs::mount(BufferCache::new_write_back(dev, 128), params).expect("remount");
+    let s = vfs.signon("fault key");
+    for path in paths {
+        let h = vfs.open(s, path, OpenOptions::read_only()).expect("reopen");
+        assert_eq!(vfs.read_at(h, 0, 3000).expect("read back"), vec![3; 3000]);
+        vfs.close(h).expect("close");
+    }
+    vfs.signoff(s).expect("signoff");
+}
+
 fn open_handle_on<D: stegfs_blockdev::BlockDevice + Send + Sync + 'static>(
     client: &stegfs_engine::Client<D>,
     path: &str,
