@@ -23,13 +23,28 @@
 //!
 //! # What a call costs, and what it evicts
 //!
-//! Residents sit in an [`LruMap`]: eviction is **exact LRU** — hits are
-//! touched in call order, then misses are inserted in call order; writing or
-//! re-reading a resident block makes it the most recent — and picking the
-//! victim is O(1), so every call costs O(blocks in the call) whatever the
-//! capacity and however full the cache is.  A miss on a full cache reuses
-//! the victim's buffer for the incoming block and allocates nothing.  The
-//! dirty residents are also kept in an ascending index, so
+//! Residents sit in an [`LruMap`]: eviction is LRU — hits are touched in
+//! call order, then misses are inserted in call order; writing or re-reading
+//! a resident block makes it the most recent — with one exception, for
+//! blocks that are written but never read.  A resident carries an *unread*
+//! mark from the write-back write that made it resident until a read hits
+//! it (a fill makes a block resident already read; a rewrite keeps the
+//! mark).  When a
+//! flush's write-back of an unread block lands, the block becomes the least
+//! recent: the next victim.  Journal ring slots are written and read back
+//! only by replay, and checkpoint anchors and bitmap images are seldom read
+//! either; they used to sit at the MRU end after their write-back, pushing
+//! out blocks that reads come back for.  A demoted block is clean, so
+//! evicting it writes nothing; a rewritten flight block stays dirty and is
+//! demoted only when its own write-back lands.  Write-through mode never
+//! writes back, so its order is exact LRU.  No caller tags anything: the
+//! rule uses only what the cache sees, so every wrapper between the journal
+//! and the cache stays a pass-through.
+//!
+//! Picking the victim is O(1), so every call costs O(blocks in the call)
+//! whatever the capacity and however full the cache is.  A miss on a full
+//! cache reuses the victim's buffer for the incoming block and allocates
+//! nothing.  The dirty residents are also kept in an ascending index, so
 //! [`flush`](BlockDevice::flush) is O(dirty blocks) — it never looks at a
 //! clean entry — and still emits one ascending batch, and
 //! [`dirty_blocks`](BufferCache::dirty_blocks) and
@@ -56,10 +71,13 @@
 //!   one `write_blocks`, re-takes it to retire the flight, and only then
 //!   issues the inner barrier.  Flight blocks stay resident and dirty until
 //!   the batch lands, so a miss can never read a pre-batch device image: on
-//!   success the flight blocks not rewritten since the gather become clean,
-//!   and on failure nothing changes — no re-insert path exists.  A write to
-//!   a flight block while the batch is out is recorded, like a fill's
-//!   clobber list, and that block stays dirty for the next flush.
+//!   success the flight blocks not rewritten since the gather become clean
+//!   (and the unread ones are demoted), and on failure nothing changes — no
+//!   re-insert path exists.  A batch whose `write_blocks` panics retires as
+//!   a failed one while it unwinds, so no write waits for a flight that
+//!   will never land.  A write to a flight block while the batch is out is
+//!   recorded, like a fill's clobber list, and that block stays dirty for
+//!   the next flush.
 //!
 //! Two stay under the lock, because they publish state the device must
 //! agree with first: a write-through write (device, then resident image),
@@ -124,10 +142,19 @@ pub struct CacheStats {
     pub write_backs: u64,
 }
 
+/// One resident block.
+struct Resident {
+    image: Vec<u8>,
+    /// No read has touched the block since a write-back write made it
+    /// resident: when its write-back lands it becomes the next victim
+    /// (module docs).
+    unread: bool,
+}
+
 #[derive(Default)]
 struct CacheState {
-    /// Resident block images, in exact LRU order.
-    entries: LruMap<BlockId, Vec<u8>>,
+    /// Resident blocks, in LRU order (module docs).
+    entries: LruMap<BlockId, Resident>,
     /// Which residents are dirty (always a subset of `entries`' keys; empty
     /// in write-through mode), ascending — the batch a flush submits.  A
     /// flight's blocks stay in it until the batch lands.
@@ -322,20 +349,27 @@ impl<D: BlockDevice> BufferCache<D> {
         let blocks: Vec<BlockId> = state.dirty.iter().copied().collect();
         let mut buf = Vec::with_capacity(blocks.len() * self.inner.block_size());
         for b in &blocks {
-            buf.extend_from_slice(state.entries.peek(b).expect("dirty blocks are resident"));
+            let resident = state.entries.peek(b).expect("dirty blocks are resident");
+            buf.extend_from_slice(&resident.image);
         }
         state.flight = Some(Flight {
             blocks: blocks.clone(),
             rewritten: Vec::new(),
         });
         drop(state);
+        let unwinding = FailFlightOnUnwind(self);
         let wrote = self.inner.write_blocks(&blocks, &buf);
+        std::mem::forget(unwinding);
         let mut state = self.state.lock();
         let flight = state.flight.take().expect("flushes are serialized");
         if wrote.is_ok() {
             for b in &flight.blocks {
-                if !flight.rewritten.contains(b) {
-                    state.dirty.remove(b);
+                if flight.rewritten.contains(b) {
+                    continue;
+                }
+                state.dirty.remove(b);
+                if state.entries.peek(b).is_some_and(|r| r.unread) {
+                    state.entries.demote(b);
                 }
             }
             state.stats.write_backs += flight.blocks.len() as u64;
@@ -345,14 +379,14 @@ impl<D: BlockDevice> BufferCache<D> {
     }
 
     /// Make `data` the cached image of `block` and the most recently used
-    /// entry (a block that was dirty stays dirty), evicting the LRU victim
-    /// first if `block` is new and the cache is full.  A dirty victim is
-    /// written to the device *before* it is unlinked, so a failed write-back
-    /// drops nothing (module docs).  Returns `false`, having changed
-    /// nothing, if the victim is a flight block rewritten since the gather:
-    /// a clean image may then simply stay uncached, a dirty one must wait
-    /// for the flight ([`Self::insert_dirty`]).  Caller holds the state
-    /// lock.
+    /// entry (a block that was dirty stays dirty, and a resident keeps its
+    /// unread mark), evicting the LRU victim first if `block` is new and the
+    /// cache is full.  A dirty victim is written to the device *before* it
+    /// is unlinked, so a failed write-back drops nothing (module docs).
+    /// Returns `false`, having changed nothing, if the victim is a flight
+    /// block rewritten since the gather: a clean image may then simply stay
+    /// uncached, a dirty one must wait for the flight
+    /// ([`Self::insert_dirty`]).  Caller holds the state lock.
     fn insert(
         &self,
         state: &mut CacheState,
@@ -360,35 +394,51 @@ impl<D: BlockDevice> BufferCache<D> {
         data: &[u8],
         dirty: bool,
     ) -> BlockResult<bool> {
-        if let Some(buf) = state.entries.get(&block) {
-            buf.clear();
-            buf.extend_from_slice(data);
+        if let Some(resident) = state.entries.get(&block) {
+            resident.image.clear();
+            resident.image.extend_from_slice(data);
         } else {
-            let mut buf = if state.entries.len() >= self.capacity {
-                let (&victim, image) = state.entries.peek_lru().expect("capacity is non-zero");
+            let mut image = if state.entries.len() >= self.capacity {
+                let (&victim, resident) = state.entries.peek_lru().expect("capacity is non-zero");
                 if state.rewritten_in_flight(victim) {
                     return Ok(false);
                 }
                 if state.dirty.contains(&victim) {
-                    self.inner.write_block(victim, image)?;
+                    self.inner.write_block(victim, &resident.image)?;
                     state.dirty.remove(&victim);
                     state.stats.write_backs += 1;
                 }
                 state.stats.evictions += 1;
                 // The victim's buffer carries the incoming block.
-                state.entries.pop_lru().expect("victim exists").1
+                state.entries.pop_lru().expect("victim exists").1.image
             } else {
                 Vec::new()
             };
-            buf.clear();
-            buf.extend_from_slice(data);
-            state.entries.insert(block, buf);
+            image.clear();
+            image.extend_from_slice(data);
+            // Only write-back mode ever demotes, so only its writes mark.
+            let unread = dirty;
+            state.entries.insert(block, Resident { image, unread });
         }
         if dirty {
             state.dirty.insert(block);
             state.rewrite(block);
         }
         Ok(true)
+    }
+
+    /// Copy resident `block`'s image into `buf` as a read hit: it becomes
+    /// the most recent entry and loses its unread mark.  False if `block`
+    /// is not resident (or `buf` is not one block long).
+    fn hit(state: &mut CacheState, block: BlockId, buf: &mut [u8]) -> bool {
+        match state.entries.get(&block) {
+            Some(resident) if resident.image.len() == buf.len() => {
+                buf.copy_from_slice(&resident.image);
+                resident.unread = false;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Place a write-back write of `block`, waiting out the flight each time
@@ -414,8 +464,8 @@ impl<D: BlockDevice> BufferCache<D> {
 
     /// Second half of a miss on `block`, whose device image is in `image`,
     /// under the re-taken lock: count it; then if another call made `block`
-    /// resident meanwhile, hand back that newer image instead, else cache
-    /// the device image unless the fill was `clobbered`.
+    /// resident meanwhile, hand back that newer image instead (a read of
+    /// it), else cache the device image unless the fill was `clobbered`.
     fn finish_fill(
         &self,
         state: &mut CacheState,
@@ -424,14 +474,10 @@ impl<D: BlockDevice> BufferCache<D> {
         image: &mut [u8],
     ) -> BlockResult<()> {
         state.stats.misses += 1;
-        match state.entries.get(&block) {
-            Some(resident) if resident.len() == image.len() => {
-                image.copy_from_slice(resident);
-                Ok(())
-            }
-            _ if clobbered => Ok(()),
-            _ => self.insert(state, block, image, false).map(drop),
+        if Self::hit(state, block, image) || clobbered {
+            return Ok(());
         }
+        self.insert(state, block, image, false).map(drop)
     }
 
     /// Validate a write's geometry against the inner device so write-back
@@ -453,6 +499,19 @@ impl<D: BlockDevice> BufferCache<D> {
     }
 }
 
+/// Armed across a flush batch's `write_blocks`, and forgotten when it
+/// returns: dropped only if the call unwinds, it retires the flight as a
+/// failed one (every block stays dirty) and wakes the writers waiting for
+/// it, which would otherwise wait until some later flush.
+struct FailFlightOnUnwind<'a, D: BlockDevice>(&'a BufferCache<D>);
+
+impl<D: BlockDevice> Drop for FailFlightOnUnwind<'_, D> {
+    fn drop(&mut self) {
+        self.0.state.lock().flight = None;
+        self.0.landed.notify_all();
+    }
+}
+
 impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     fn block_size(&self) -> usize {
         self.inner.block_size()
@@ -464,12 +523,9 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
 
     fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
         let mut state = self.state.lock();
-        if buf.len() == self.inner.block_size() {
-            if let Some(data) = state.entries.get(&block) {
-                buf.copy_from_slice(data);
-                state.stats.hits += 1;
-                return Ok(());
-            }
+        if buf.len() == self.inner.block_size() && Self::hit(&mut state, block, buf) {
+            state.stats.hits += 1;
+            return Ok(());
         }
         let fill = state.begin_fill(&[block]);
         drop(state);
@@ -512,8 +568,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
         let mut state = self.state.lock();
         let mut missing: Vec<(usize, BlockId)> = Vec::new();
         for (i, &block) in blocks.iter().enumerate() {
-            if let Some(data) = state.entries.get(&block) {
-                buf[i * bs..(i + 1) * bs].copy_from_slice(data);
+            if Self::hit(&mut state, block, &mut buf[i * bs..(i + 1) * bs]) {
                 state.stats.hits += 1;
             } else {
                 missing.push((i, block));
@@ -1417,6 +1472,123 @@ mod tests {
         }
     }
 
+    /// Panics in the first `write_blocks` it is given; otherwise a memory
+    /// device.
+    struct PanicsOnce {
+        mem: MemBlockDevice,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl BlockDevice for PanicsOnce {
+        fn block_size(&self) -> usize {
+            self.mem.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.mem.total_blocks()
+        }
+        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
+            self.mem.read_block(block, buf)
+        }
+        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
+            self.mem.write_block(block, buf)
+        }
+        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
+            if self.armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                panic!("scripted panic inside a write-back batch");
+            }
+            self.mem.write_blocks(blocks, buf)
+        }
+    }
+
+    #[test]
+    fn a_batch_that_panics_retires_its_flight() {
+        let cache = Arc::new(BufferCache::new_write_back(
+            PanicsOnce {
+                mem: MemBlockDevice::new(64, 16),
+                armed: true.into(),
+            },
+            2,
+        ));
+        cache.write_block(0, &[1; 64]).unwrap();
+        cache.write_block(1, &[2; 64]).unwrap();
+        let flush = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.flush()));
+        assert!(flush.is_err(), "the batch panicked");
+        // Rewrite 0 and make it the LRU: had the panicked flight stayed
+        // registered, 0 would be a rewritten flight block, and the write of
+        // 2 that needs its slot would wait for a batch that never lands.
+        cache.write_block(0, &[0xa0; 64]).unwrap();
+        cache.read_block(1, &mut [0u8; 64]).unwrap();
+        let other = Arc::clone(&cache);
+        finishes(move || other.write_block(2, &[3; 64]).unwrap());
+        cache.flush().unwrap();
+        assert_eq!(cache.dirty_blocks(), 0);
+        for (b, v) in [(0u64, 0xa0u8), (1, 2), (2, 3)] {
+            assert_eq!(cache.inner.mem.read_block_vec(b).unwrap(), vec![v; 64]);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // A block nobody reads is the first victim once written back
+    // ------------------------------------------------------------------
+
+    /// Resident blocks, most recently used first.
+    fn order<D: BlockDevice>(cache: &BufferCache<D>) -> Vec<BlockId> {
+        cache.state.lock().entries.checked_order()
+    }
+
+    #[test]
+    fn a_never_read_block_is_the_first_victim_after_its_write_back() {
+        let cache = BufferCache::new_write_back(MemBlockDevice::new(64, 16), 3);
+        let mut buf = [0u8; 64];
+        cache.read_block(0, &mut buf).unwrap();
+        cache.read_block(1, &mut buf).unwrap();
+        cache.write_block(2, &[2; 64]).unwrap();
+        assert_eq!(order(&cache), [2, 1, 0], "dirty, it stays the most recent");
+        cache.flush().unwrap();
+        assert_eq!(order(&cache), [1, 0, 2], "landed, it is demoted");
+        cache.read_block(3, &mut buf).unwrap();
+        assert_eq!(order(&cache), [3, 1, 0], "evicted ahead of the read blocks");
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_read_clears_the_mark_and_a_rewrite_keeps_it() {
+        let cache = BufferCache::new_write_back(MemBlockDevice::new(64, 16), 4);
+        let mut buf = [0u8; 64];
+        cache.read_block(0, &mut buf).unwrap(); // a fill: read
+        cache.write_block(1, &[1; 64]).unwrap();
+        cache.read_block(1, &mut buf).unwrap(); // a hit: read
+        for (block, v) in [(1, 2), (2, 3), (2, 4), (0, 5)] {
+            cache.write_block(block, &[v; 64]).unwrap();
+        }
+        assert_eq!(order(&cache), [0, 2, 1]);
+        cache.flush().unwrap();
+        assert_eq!(order(&cache), [0, 1, 2], "only the never-read block moves");
+        // Write-through mode writes nothing back, so nothing moves.
+        let through = BufferCache::new(MemBlockDevice::new(64, 16), 4);
+        through.write_block(2, &[3; 64]).unwrap();
+        through.read_block(0, &mut buf).unwrap();
+        through.flush().unwrap();
+        assert_eq!(order(&through), [0, 2]);
+    }
+
+    #[test]
+    fn a_rewritten_flight_block_is_demoted_when_its_own_write_back_lands() {
+        let (dev, cache, flush) = parked_flush(8, &[0, 1, 2], false);
+        dev.store.write_block(5, &[5; 64]).unwrap();
+        let other = Arc::clone(&cache);
+        finishes(move || {
+            other.read_block(5, &mut [0u8; 64]).unwrap();
+            other.write_block(0, &[0xa0; 64]).unwrap();
+        });
+        assert_eq!(order(&cache), [0, 5, 2, 1]);
+        dev.release();
+        flush.join().unwrap().unwrap();
+        assert_eq!(order(&cache), [0, 5, 1, 2], "0 is still dirty");
+        cache.flush().unwrap();
+        assert_eq!(order(&cache), [5, 1, 2, 0]);
+    }
+
     // ------------------------------------------------------------------
     // Equivalence with the tick + min-scan design this cache replaced
     // ------------------------------------------------------------------
@@ -1478,13 +1650,16 @@ mod tests {
 
     struct TickEntry {
         data: Vec<u8>,
-        tick: u64,
+        tick: i64,
         dirty: bool,
+        unread: bool,
     }
 
     /// The oracle: the previous `BufferCache`, statement for statement but
     /// for the lock and the shared geometry check — a tick per entry, a min-scan of every entry for the
-    /// victim, a filter + sort of every entry for the flush batch.  Only
+    /// victim, a filter + sort of every entry for the flush batch — plus
+    /// the write-only rule: a flushed block no read has touched takes a
+    /// tick below every other.  Only
     /// ever run over devices that do not fail: on an eviction error it drops
     /// the victim, the bug the tests above pin.
     struct TickCache<D: BlockDevice> {
@@ -1492,7 +1667,9 @@ mod tests {
         capacity: usize,
         mode: CacheMode,
         entries: HashMap<BlockId, TickEntry>,
-        tick: u64,
+        tick: i64,
+        /// The last demotion's tick (0, then falling).
+        low: i64,
         stats: CacheStats,
     }
 
@@ -1504,6 +1681,7 @@ mod tests {
                 mode,
                 entries: HashMap::new(),
                 tick: 0,
+                low: 0,
                 stats: CacheStats::default(),
             }
         }
@@ -1538,6 +1716,10 @@ mod tests {
             for b in &dirty {
                 if let Some(e) = self.entries.get_mut(b) {
                     e.dirty = false;
+                    if e.unread {
+                        self.low -= 1;
+                        e.tick = self.low;
+                    }
                 }
             }
             self.stats.write_backs += dirty.len() as u64;
@@ -1562,7 +1744,17 @@ mod tests {
                     .entries
                     .get(&block)
                     .is_some_and(|e| e.dirty && self.mode == CacheMode::WriteBack);
-            self.entries.insert(block, TickEntry { data, tick, dirty });
+            let unread = match self.entries.get(&block) {
+                Some(e) => e.unread,
+                None => dirty,
+            };
+            let entry = TickEntry {
+                data,
+                tick,
+                dirty,
+                unread,
+            };
+            self.entries.insert(block, entry);
             Ok(())
         }
 
@@ -1571,11 +1763,13 @@ mod tests {
             crate::device::check_access(block, total, len, bs)
         }
 
+        /// A read hit on `block`.
         fn touch(&mut self, block: BlockId) {
             self.tick += 1;
             let tick = self.tick;
             if let Some(entry) = self.entries.get_mut(&block) {
                 entry.tick = tick;
+                entry.unread = false;
             }
         }
 

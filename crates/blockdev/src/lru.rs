@@ -21,7 +21,8 @@
 //!   `mru == lru == NIL`.
 //! * List order *is* recency: [`get`](LruMap::get) and
 //!   [`insert`](LruMap::insert) move the entry to the MRU end (a no-op when
-//!   it is already there); [`peek`](LruMap::peek),
+//!   it is already there), and [`demote`](LruMap::demote) moves it to the
+//!   LRU end, ahead of every other victim; [`peek`](LruMap::peek),
 //!   [`peek_lru`](LruMap::peek_lru), [`contains_key`](LruMap::contains_key)
 //!   and [`values_mut`](LruMap::values_mut) never reorder;
 //!   [`remove`](LruMap::remove), [`pop_lru`](LruMap::pop_lru) and
@@ -31,7 +32,8 @@
 //!   neighbours (or the list ends) at `i`.
 //!
 //! The order is exactly the one a per-entry "last used" tick with a min-scan
-//! victim search produces; the tests keep that simple model as the oracle.
+//! victim search produces (a demotion takes a tick below every other); the
+//! tests keep that simple model as the oracle.
 //!
 //! # The index's hasher
 //!
@@ -195,6 +197,19 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
         }
     }
 
+    /// Make `key` the least recently used entry — the next
+    /// [`Self::pop_lru`] victim.  Returns false if `key` is absent.
+    pub fn demote(&mut self, key: &K) -> bool {
+        let Some(&i) = self.index.get(key) else {
+            return false;
+        };
+        if self.lru != i {
+            self.unlink(i);
+            self.link_as_lru(i);
+        }
+        true
+    }
+
     /// Remove `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let i = *self.index.get(key)?;
@@ -283,6 +298,15 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
         self.set_newer_of(old, i);
     }
 
+    /// Put the unlinked node `i` at the LRU end.
+    fn link_as_lru(&mut self, i: u32) {
+        let old = std::mem::replace(&mut self.lru, i);
+        let node = &mut self.nodes[i as usize];
+        node.older = NIL;
+        node.newer = old;
+        self.set_older_of(old, i);
+    }
+
     /// Unlink and un-index node `i` and take it out of the slab, re-homing
     /// the last node into the freed slot.
     fn remove_at(&mut self, i: u32) -> Node<K, V> {
@@ -310,7 +334,7 @@ mod tests {
     impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
         /// Keys from most to least recently used, checking every structural
         /// invariant of the module docs on the way.
-        fn checked_order(&self) -> Vec<K> {
+        pub(crate) fn checked_order(&self) -> Vec<K> {
             assert_eq!(self.index.len(), self.nodes.len());
             for (i, node) in self.nodes.iter().enumerate() {
                 assert_eq!(self.index.get(&node.key), Some(&(i as u32)));
@@ -340,17 +364,28 @@ mod tests {
     }
 
     /// The design `LruMap` replaced, kept as its oracle: every entry carries
-    /// the tick of its last use and the victim is found by a min-scan.
+    /// the tick of its last use and the victim is found by a min-scan.  A
+    /// demotion takes a tick below every tick handed out so far.
     #[derive(Default)]
     struct TickMap {
-        map: HashMap<u8, (u32, u64)>,
-        tick: u64,
+        map: HashMap<u8, (u32, i64)>,
+        tick: i64,
+        low: i64,
     }
 
     impl TickMap {
-        fn next_tick(&mut self) -> u64 {
+        fn next_tick(&mut self) -> i64 {
             self.tick += 1;
             self.tick
+        }
+
+        fn demote(&mut self, key: u8) -> bool {
+            let Some(entry) = self.map.get_mut(&key) else {
+                return false;
+            };
+            self.low -= 1;
+            entry.1 = self.low;
+            true
         }
 
         fn get(&mut self, key: u8) -> Option<u32> {
@@ -403,6 +438,10 @@ mod tests {
         assert_eq!(m.remove(&1), Some(10));
         assert_eq!(m.remove(&1), None);
         assert_eq!(m.checked_order(), [0, 3]);
+        assert!(m.demote(&0) && m.demote(&0), "already LRU: a no-op");
+        assert_eq!(m.checked_order(), [3, 0]);
+        assert_eq!(m.peek_lru(), Some((&0, &99)));
+        assert!(!m.demote(&1));
         for v in m.values_mut() {
             *v += 1;
         }
@@ -420,7 +459,7 @@ mod tests {
         #[test]
         fn random_ops_match_the_tick_model(
             capacity in 1usize..=6,
-            ops in proptest::collection::vec((0u8..12, 0u8..8, any::<u32>()), 0..200),
+            ops in proptest::collection::vec((0u8..13, 0u8..8, any::<u32>()), 0..200),
         ) {
             let mut lru: LruMap<u8, u32> = LruMap::new();
             let mut model = TickMap::default();
@@ -448,6 +487,7 @@ mod tests {
                         lru.retain(keep);
                         model.map.retain(|k, e| keep(k, &mut e.0));
                     }
+                    11 => prop_assert_eq!(lru.demote(&key), model.demote(key)),
                     _ => {
                         lru.values_mut().for_each(|v| *v = v.wrapping_add(value));
                         model.map.values_mut().for_each(|e| e.0 = e.0.wrapping_add(value));

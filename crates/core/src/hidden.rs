@@ -63,7 +63,7 @@ use crate::error::{StegError, StegResult};
 use crate::header::{HiddenHeader, InodeChainBlock, ObjectKind, NO_BLOCK};
 use crate::locator::{candidate_sequence, locate_header, Located};
 use crate::params::StegParams;
-use crate::readcache::{scratch, ExtentList, ReadCache, DEAD_GEN};
+use crate::readcache::{scratch, BlockToken, ExtentList, ReadCache};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
@@ -444,9 +444,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 
     /// The extent map of `obj`, from the cache when it still matches the
     /// caller's header, or from a chain walk (whose result is installed).
-    /// Returns the entry generation used to tag this object's plaintext
-    /// blocks.
-    fn cached_chain(&self, obj: &HiddenObject) -> StegResult<(u64, Arc<ExtentList>)> {
+    /// Returns the token to read and install this object's plaintext
+    /// blocks with.
+    fn cached_chain(&self, obj: &HiddenObject) -> StegResult<(BlockToken, Arc<ExtentList>)> {
         let sig = self.keys.signature();
         if let Some(hit) =
             self.cache
@@ -471,14 +471,14 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             None => self.cache.enabled() && self.header_matches_disk(obj)?,
         };
         let extents = Arc::new(self.read_chain(obj)?);
-        let gen = if trusted {
+        let token = if trusted {
             let header = obj.header.clone();
             self.cache
                 .store_extents(sig, started, obj.header_block, header, Arc::clone(&extents))
         } else {
-            DEAD_GEN
+            BlockToken::DEAD
         };
-        Ok((gen, extents))
+        Ok((token, extents))
     }
 
     /// True if the on-disk header block still decrypts and parses to exactly
@@ -604,13 +604,18 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// serving what it can from the plaintext cache and fetching the rest —
     /// plus any not-yet-cached `readahead` blocks — in **one** batched
     /// device submission.  Fetched blocks are decrypted once and installed
-    /// under `gen`.  The returned buffer comes from the scratch pool.
-    fn read_blocks_cached(&self, gen: u64, span: &[u64], readahead: &[u64]) -> StegResult<Vec<u8>> {
+    /// under `token`.  The returned buffer comes from the scratch pool.
+    fn read_blocks_cached(
+        &self,
+        token: BlockToken,
+        span: &[u64],
+        readahead: &[u64],
+    ) -> StegResult<Vec<u8>> {
         let (cache, keys) = (self.cache, self.keys);
         let bs = self.fs.block_size();
         let mut out = scratch::take(span.len() * bs);
-        let missed = cache.get_blocks_into(gen, span, &mut out);
-        let resident = cache.contains_blocks(gen, readahead);
+        let missed = cache.get_blocks_into(token, span, &mut out);
+        let resident = cache.contains_blocks(token, readahead);
         let fetch: Vec<u64> = missed
             .iter()
             .map(|&slot| span[slot])
@@ -635,7 +640,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         for (&block, chunk) in fetch.iter().zip(buf.chunks_exact_mut(bs)) {
             keys.decrypt_block(block, chunk);
         }
-        cache.put_blocks(keys.signature(), gen, &fetch, &buf);
+        cache.put_blocks(keys.signature(), token, &fetch, &buf);
         // The demand misses lead `fetch`, in slot order.
         for (j, &slot) in missed.iter().enumerate() {
             out[slot * bs..(slot + 1) * bs].copy_from_slice(nth_block(&buf, j, bs));
@@ -765,11 +770,11 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// serving what it can from the plaintext cache (keyed by *logical
     /// index* — the share blocks themselves are never cached) and decoding
     /// the missing groups.  Every freshly decoded block is installed under
-    /// `gen`, so a warm object costs neither device reads nor Vandermonde
+    /// `token`, so a warm object costs neither device reads nor Vandermonde
     /// solves.  Returns a scratch-pool buffer of `(last - first + 1)` blocks.
     fn read_coded_range(
         &self,
-        gen: u64,
+        token: BlockToken,
         extents: &ExtentList,
         (m, n): (usize, usize),
         first: usize,
@@ -783,7 +788,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let logical: Vec<u64> = (first as u64..=last as u64).collect();
         let mut out = scratch::take(logical.len() * bs);
         let mut missing: Vec<usize> = Vec::new();
-        for slot in self.cache.get_blocks_into(gen, &logical, &mut out) {
+        for slot in self.cache.get_blocks_into(token, &logical, &mut out) {
             let g = (first + slot) / m;
             if missing.last() != Some(&g) {
                 missing.push(g);
@@ -803,7 +808,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 .flat_map(|&g| (g * m) as u64..((g + 1) * m) as u64)
                 .collect();
             self.cache
-                .put_blocks(self.keys.signature(), gen, &decoded_blocks, &decoded);
+                .put_blocks(self.keys.signature(), token, &decoded_blocks, &decoded);
             for (j, &block) in decoded_blocks.iter().enumerate() {
                 let logical = block as usize;
                 if logical >= first && logical <= last {
@@ -823,7 +828,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     fn read_span(
         &self,
         obj: &HiddenObject,
-        (gen, extents): (u64, Arc<ExtentList>),
+        (token, extents): (BlockToken, Arc<ExtentList>),
         first: usize,
         last: usize,
         readahead_blocks: usize,
@@ -831,7 +836,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         if let Some(coding) = obj.header.policy.coding() {
             // Decoding already brings in whole groups of `m` blocks (which
             // the cache keeps), so there is no separate readahead window.
-            return self.read_coded_range(gen, &extents, coding, first, last);
+            return self.read_coded_range(token, &extents, coding, first, last);
         }
         let data_blocks = &extents.data_blocks;
         let span = data_blocks
@@ -848,7 +853,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         };
         // One batched submission covers the whole extent of the range (plus
         // the readahead window).
-        self.read_blocks_cached(gen, span, readahead)
+        self.read_blocks_cached(token, span, readahead)
     }
 
     // ------------------------------------------------------------------
@@ -1013,10 +1018,12 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     // Mutators
     // ------------------------------------------------------------------
 
-    /// The one shape every mutator has: `run` resolves the old chain, does
-    /// the work in one transaction, updates `obj.header` and returns the
-    /// extent list it left behind.  Whatever happened, the old incarnation's
-    /// cache entry (and its plaintext blocks) is dropped; on success the
+    /// The one shape every mutator but a committed plain patch
+    /// ([`write_range`](Self::write_range)) has: `run` resolves the old
+    /// chain, does the work in one transaction, updates `obj.header` and
+    /// returns the extent list it left behind.  Whatever happened, the old
+    /// incarnation's cache entry (and its plaintext blocks) is dropped; on
+    /// success the
     /// freshly committed header + extent list are installed in its place
     /// (invalidate-on-publish), so the next read *or* write of the object is
     /// warm.  A failed mutation only invalidates — on an unjournaled volume
@@ -1065,14 +1072,17 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// under replicated metadata refreshes the header's chain checksum (see
     /// `patch_coded`); plain objects leave the header untouched.
     ///
-    /// An in-place patch leaves the chain where it is, so the extent list —
-    /// from the cache when warm — is re-installed after the commit and only
-    /// the plaintext blocks drop (their generation dies with the
-    /// invalidation), which is exactly the set the patch made stale.  A
-    /// coded patch walks its chain on disk (it rewrites the nodes it
-    /// patches) and re-installs the same blocks with the refreshed share
-    /// checksums, so the next read of the object does not walk and re-verify
-    /// the chain again.
+    /// A committed patch of a plain object leaves the header and the chain
+    /// as they were, so its cache entry — header, extent list (from the
+    /// cache when warm), and the key space its plaintext blocks are cached
+    /// under — stays, and exactly the data blocks the patch rewrote drop
+    /// ([`ReadCache::patched`]); the object's other cached blocks stay
+    /// servable.  A failed patch, or one whose object has no cache entry,
+    /// goes through the invalidation every other mutator takes.  So does a
+    /// coded patch: it walks its chain on disk (it rewrites the nodes it
+    /// patches) and changes the header's chain checksum, then re-installs
+    /// the same blocks with the refreshed share checksums, so the next read
+    /// of the object does not walk and re-verify the chain again.
     pub fn write_range(&self, obj: &mut HiddenObject, offset: u64, data: &[u8]) -> StegResult<()> {
         if data.is_empty() {
             return Ok(());
@@ -1084,14 +1094,20 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 maximum: obj.header.size,
             }));
         }
-        self.mutate(obj, |obj| match obj.header.policy.coding() {
-            Some(coding) => self.patch_coded(obj, offset, data, coding).map(Arc::new),
-            None => {
-                let (_, extents) = self.cached_chain(obj)?;
-                self.patch_plain(offset, data, &extents.data_blocks)?;
-                Ok(extents)
-            }
-        })
+        if let Some(coding) = obj.header.policy.coding() {
+            return self.mutate(obj, |obj| {
+                self.patch_coded(obj, offset, data, coding).map(Arc::new)
+            });
+        }
+        let patched = self.cached_chain(obj).and_then(|(token, extents)| {
+            let span = self.patch_plain(offset, data, &extents.data_blocks)?;
+            let kept = self.cache.patched(self.keys.signature(), token, span);
+            Ok((kept, extents))
+        });
+        match patched {
+            Ok((true, _)) => Ok(()),
+            outcome => self.mutate(obj, |_| outcome.map(|(_, extents)| extents)),
+        }
     }
 
     /// Set the object's size to `new_len` at block granularity.
@@ -1130,8 +1146,14 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     }
 
     /// The in-place patch core of [`write_range`](Self::write_range) for
-    /// plain objects, against an already-resolved extent list.
-    fn patch_plain(&self, offset: u64, data: &[u8], data_blocks: &[u64]) -> StegResult<()> {
+    /// plain objects, against an already-resolved extent list; returns the
+    /// data blocks it rewrote.
+    fn patch_plain<'b>(
+        &self,
+        offset: u64,
+        data: &[u8],
+        data_blocks: &'b [u64],
+    ) -> StegResult<&'b [u64]> {
         let end = offset + data.len() as u64;
         let bs = self.fs.block_size() as u64;
         let first = (offset / bs) as usize;
@@ -1158,7 +1180,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let mut txn = self.fs.begin_txn();
         self.write_encrypted_many(&mut txn, span, plain)?;
         txn.commit()?;
-        Ok(())
+        Ok(span)
     }
 
     /// [`write_range`](Self::write_range) for `m`-of-`n` coded objects:
@@ -1877,6 +1899,34 @@ mod tests {
         // Past-EOF patches rejected, empty patches allowed.
         assert!(io.write_range(&mut obj, 4990, &[0u8; 20]).is_err());
         io.write_range(&mut obj, 0, &[]).unwrap();
+    }
+
+    #[test]
+    fn a_patch_drops_only_the_cached_blocks_it_rewrote() {
+        let (fs, keys, params, mut rng) = fixture();
+        let cache = ReadCache::new(4096);
+        let io = ObjectIo::new(&fs, &params, &cache, &keys);
+        let mut obj = io.create("warm", ObjectKind::File, Policy::Plain).unwrap();
+        let mut data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
+        io.write(&mut obj, &data, &mut rng).unwrap();
+        assert_eq!(io.read(&obj).unwrap(), data);
+        // Each patch, then one whole read: (offset, length, blocks it
+        // rewrote) — 16 KiB aligned, then a 100-byte patch inside one block.
+        for (at, len, rewritten) in [(8 * 1024, 16 * 1024, 16), (40_000, 100, 1)] {
+            let patch = vec![at as u8 ^ 0x5a; len];
+            io.write_range(&mut obj, at as u64, &patch).unwrap();
+            data[at..at + len].copy_from_slice(&patch);
+            let before = cache.stats();
+            assert_eq!(io.read(&obj).unwrap(), data);
+            let after = cache.stats();
+            assert_eq!(after.block_misses - before.block_misses, rewritten);
+            assert_eq!(after.block_hits - before.block_hits, 64 - rewritten);
+            assert_eq!(after.extent_misses, before.extent_misses, "entry kept");
+        }
+        // The re-fetched blocks went back in: the object is warm again.
+        let before = cache.stats();
+        assert_eq!(io.read(&obj).unwrap(), data);
+        assert_eq!(cache.stats().block_hits - before.block_hits, 64);
     }
 
     #[test]

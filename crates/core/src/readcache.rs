@@ -60,17 +60,27 @@
 //!
 //! When entries must die:
 //!
-//! * **Any mutation of the object** — write, resize/truncate, in-place range
-//!   write, rename, unlink, re-key (sharing revocation), dummy-file rewrite —
-//!   invalidates its entry ([`ReadCache::invalidate`]).  Invalidation bumps a
-//!   global *generation*; a reader that started its disk walk before the
-//!   bump cannot install a stale entry afterwards (the insert is rejected),
-//!   and plaintext blocks cached under the dead entry generation become
-//!   unreachable even if the same physical block is later recycled into
-//!   another object.  A key set is a pure function of `(physical name,
-//!   FAK)`, so content mutations leave it alone; it is dropped when that
-//!   pair stops naming the object — unlink, rename, re-key
-//!   ([`ReadCache::drop_keys`]).
+//! * **Any mutation of the object** — write, resize/truncate, rename,
+//!   unlink, re-key (sharing revocation), dummy-file rewrite, and an
+//!   in-place range write that failed or was of a coded object (a coded
+//!   patch changes the header's `chain_csum`, so its entry is re-minted
+//!   anyway) — invalidates its entry ([`ReadCache::invalidate`]).
+//!   Invalidation bumps a global *generation*; a reader that started its
+//!   disk walk before the bump cannot install a stale entry afterwards (the
+//!   insert is rejected), and plaintext blocks cached under the dead entry
+//!   generation become unreachable even if the same physical block is
+//!   later recycled into another object.  A key set is a pure function of
+//!   `(physical name, FAK)`, so content mutations leave it alone; it is
+//!   dropped when that pair stops naming the object — unlink, rename,
+//!   re-key ([`ReadCache::drop_keys`]).
+//! * **A committed in-place patch of a plain object** kills exactly the
+//!   blocks it rewrote ([`ReadCache::patched`]).  Header and extent list
+//!   are unchanged, so the entry stays, and so does its generation: the
+//!   key space of its blocks, which stay servable.  What moves is the
+//!   entry's *insert fence*, part of the [`BlockToken`] every reader holds:
+//!   a reader that picked up its token before the patch installs nothing
+//!   after it, whether or not its block was rewritten.  The patch costs
+//!   O(blocks patched), not O(blocks in the object).
 //! * **Session sign-off** — the VFS purges the departing session's scope
 //!   ([`ReadCache::purge_scope`]): every entry tagged with that session's
 //!   keys, plus every entry whose owner was never established, is removed
@@ -127,10 +137,30 @@ const SHARDS: usize = 16;
 /// exceed the number of objects one sign-on touches between purges.
 pub const KEY_CACHE_ENTRIES: usize = 1024;
 
-/// Entry generation that never matches a live entry: block lookups and
-/// inserts under it are no-ops.  Used when an insert lost against a
-/// concurrent invalidation.
-pub const DEAD_GEN: u64 = u64::MAX;
+/// What a reader holds to use an object's plaintext blocks: the entry
+/// generation its blocks are cached under (the same for the whole
+/// incarnation), and the entry's insert fence when the reader picked the
+/// token up (moved by every in-place patch).  Lookups use the generation;
+/// an insert lands only while both still match the entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockToken {
+    gen: u64,
+    fence: u64,
+}
+
+impl BlockToken {
+    /// A token that never matches a live entry: block lookups and inserts
+    /// under it are no-ops.  Used when an insert lost against a concurrent
+    /// invalidation.
+    pub const DEAD: BlockToken = BlockToken {
+        gen: u64::MAX,
+        fence: u64::MAX,
+    };
+
+    fn is_dead(self) -> bool {
+        self.gen == u64::MAX
+    }
+}
 
 /// Cache key: the object's signature (unique per `(physical name, FAK)`
 /// pair, so two UAK directories sharing the reserved physical name can never
@@ -184,9 +214,11 @@ impl ExtentList {
 
 /// One cached object: decrypted header, its location, and (once a read has
 /// walked the chain) the extent list.  `gen` tags the plaintext blocks this
-/// object may have in the block cache.
+/// object may have in the block cache; `fence` is the insert fence of
+/// [`BlockToken`].
 struct CachedObject {
     gen: u64,
+    fence: u64,
     /// Session scope this entry belongs to (0 = unscoped; see
     /// [`ReadCache::tag_scope`]).  Scoped purges remove matching *and*
     /// unscoped entries, so an untagged entry can never outlive a sign-off.
@@ -194,6 +226,15 @@ struct CachedObject {
     header_block: u64,
     header: HiddenHeader,
     extents: Option<Arc<ExtentList>>,
+}
+
+impl CachedObject {
+    fn token(&self) -> BlockToken {
+        BlockToken {
+            gen: self.gen,
+            fence: self.fence,
+        }
+    }
 }
 
 /// Result of a successful header lookup.
@@ -347,9 +388,11 @@ pub struct CacheStats {
     pub key_misses: u64,
     /// Plaintext blocks evicted (zeroed) to stay within capacity.
     pub evictions: u64,
-    /// Object invalidations (mutations observed).
+    /// Object invalidations (mutations observed, in-place patches
+    /// included).
     pub invalidations: u64,
-    /// Inserts dropped because an invalidation raced the disk walk.
+    /// Inserts dropped because an invalidation or patch raced the disk
+    /// walk.
     pub rejected_inserts: u64,
     /// Full purges (sign-off / unmount).
     pub purges: u64,
@@ -432,7 +475,7 @@ impl ReadCache {
         ReadCache {
             capacity_blocks,
             global_gen: AtomicU64::new(0),
-            // 0 is a valid entry gen; DEAD_GEN (u64::MAX) never is.
+            // 0 is a valid entry gen; BlockToken::DEAD's (u64::MAX) never is.
             next_entry_gen: AtomicU64::new(0),
             objects: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             blocks: (0..SHARDS)
@@ -584,7 +627,7 @@ impl ReadCache {
         sig: &ObjectSig,
         chain_head: u64,
         count: u64,
-    ) -> Option<(u64, Arc<ExtentList>)> {
+    ) -> Option<(BlockToken, Arc<ExtentList>)> {
         if !self.enabled() {
             return None;
         }
@@ -593,7 +636,7 @@ impl ReadCache {
             let ext = obj.extents.as_ref()?;
             let matches =
                 obj.header.inode_chain == chain_head && ext.data_blocks.len() as u64 == count;
-            matches.then(|| (obj.gen, Arc::clone(ext)))
+            matches.then(|| (obj.token(), Arc::clone(ext)))
         });
         match hit {
             Some(found) => {
@@ -621,8 +664,8 @@ impl ReadCache {
     }
 
     /// Install the extent list of `sig` alongside its header; returns the
-    /// entry generation to tag plaintext-block inserts with, or [`DEAD_GEN`]
-    /// when the insert was rejected.
+    /// token to read and insert plaintext blocks with, or
+    /// [`BlockToken::DEAD`] when the insert was rejected.
     pub fn store_extents(
         &self,
         sig: &ObjectSig,
@@ -630,7 +673,7 @@ impl ReadCache {
         header_block: u64,
         header: HiddenHeader,
         extents: Arc<ExtentList>,
-    ) -> u64 {
+    ) -> BlockToken {
         self.store(sig, started, header_block, header, Some(extents))
     }
 
@@ -641,9 +684,9 @@ impl ReadCache {
         header_block: u64,
         header: HiddenHeader,
         extents: Option<Arc<ExtentList>>,
-    ) -> u64 {
+    ) -> BlockToken {
         if !self.enabled() {
-            return DEAD_GEN;
+            return BlockToken::DEAD;
         }
         // Read the scope tag before taking the shard lock (no path ever
         // holds both the scope table and a shard lock at once).
@@ -658,36 +701,39 @@ impl ReadCache {
             self.counters
                 .rejected_inserts
                 .fetch_add(1, Ordering::Relaxed);
-            return DEAD_GEN;
+            return BlockToken::DEAD;
         }
         match shard.get_mut(sig) {
             Some(obj) if obj.header_block == header_block && obj.header == header => {
-                // Same incarnation: keep the gen (existing cached blocks stay
-                // valid), optionally add the extents and a late scope tag.
+                // Same incarnation: keep the gen and fence (existing cached
+                // blocks stay valid), optionally add the extents and a late
+                // scope tag.
                 if let Some(ext) = extents {
                     obj.extents = Some(ext);
                 }
                 if scope != 0 {
                     obj.scope = scope;
                 }
-                obj.gen
+                obj.token()
             }
             other => {
                 let gen = self.fresh_entry_gen();
                 let obj = CachedObject {
                     gen,
+                    fence: gen,
                     scope,
                     header_block,
                     header,
                     extents,
                 };
+                let token = obj.token();
                 match other {
                     Some(slot) => *slot = obj,
                     None => {
                         shard.insert(*sig, obj);
                     }
                 }
-                gen
+                token
             }
         }
     }
@@ -723,8 +769,9 @@ impl ReadCache {
     // Plaintext block cache
     // ------------------------------------------------------------------
 
-    /// Copy the cached plaintext of each of `blocks` (under entry generation
-    /// `gen`) into its slot of `out` — block `i` fills the `i`-th of
+    /// Copy the cached plaintext of each of `blocks` (under `token`'s entry
+    /// generation, whatever its fence) into its slot of `out` — block `i`
+    /// fills the `i`-th of
     /// `blocks.len()` equal chunks — and return the indices that missed, in
     /// ascending order; their slots are left as they were.  Copying under
     /// the shard lock never hands out an owned plaintext buffer that could
@@ -734,10 +781,11 @@ impl ReadCache {
     /// pair (with obs on) however many blocks it covers; each shard sees
     /// its blocks in call order, so the LRU order and every counter end up
     /// exactly as a loop of one-block calls would leave them.
-    pub fn get_blocks_into(&self, gen: u64, blocks: &[u64], out: &mut [u8]) -> Vec<usize> {
-        if !self.enabled() || gen == DEAD_GEN {
+    pub fn get_blocks_into(&self, token: BlockToken, blocks: &[u64], out: &mut [u8]) -> Vec<usize> {
+        if !self.enabled() || token.is_dead() {
             return (0..blocks.len()).collect();
         }
+        let gen = token.gen;
         let Some(bs) = chunk_len(blocks, out.len()) else {
             return Vec::new();
         };
@@ -771,49 +819,52 @@ impl ReadCache {
         missed
     }
 
-    /// Which of `blocks` are resident under entry generation `gen`.  Unlike
-    /// [`Self::get_blocks_into`] this records no hit/miss and does not touch
-    /// the LRU order — it is the readahead filter's probe.
-    pub fn contains_blocks(&self, gen: u64, blocks: &[u64]) -> Vec<bool> {
+    /// Which of `blocks` are resident under `token`'s entry generation.
+    /// Unlike [`Self::get_blocks_into`] this records no hit/miss and does
+    /// not touch the LRU order — it is the readahead filter's probe.
+    pub fn contains_blocks(&self, token: BlockToken, blocks: &[u64]) -> Vec<bool> {
         let mut resident = vec![false; blocks.len()];
-        if !self.enabled() || gen == DEAD_GEN {
+        if !self.enabled() || token.is_dead() {
             return resident;
         }
         for (shard, slots) in ShardPlan::new(blocks).groups() {
             let shard = self.blocks[shard].lock();
             for &i in slots {
-                resident[i] = shard.map.contains_key(&(gen, blocks[i]));
+                resident[i] = shard.map.contains_key(&(token.gen, blocks[i]));
             }
         }
         resident
     }
 
-    /// Insert the plaintext of each of `blocks` under entry generation
-    /// `gen` — block `i`'s image is the `i`-th of `blocks.len()` equal
+    /// Insert the plaintext of each of `blocks` under `token`'s entry
+    /// generation — block `i`'s image is the `i`-th of `blocks.len()` equal
     /// chunks of `data` — evicting (and zeroing) least-recently-used blocks
     /// to stay within the per-shard capacity.  Each shard takes its blocks
     /// in call order, so residency, eviction order and counters are those
     /// of a loop of one-block inserts.
     ///
-    /// The insert is accepted only while `gen` is still the live generation
-    /// of `sig`'s entry, verified — and held — under the object shard lock,
-    /// so a reader that lost a race against [`Self::invalidate`] cannot
-    /// park un-zeroed plaintext of the old incarnation under a dead key.
-    /// Lock order: object shard < block shard (same as `invalidate`).
-    pub fn put_blocks(&self, sig: &ObjectSig, gen: u64, blocks: &[u64], data: &[u8]) {
-        if !self.enabled() || gen == DEAD_GEN {
+    /// The insert is accepted only while `token` still matches `sig`'s
+    /// entry — its live generation *and* its insert fence — verified, and
+    /// held, under the object shard lock.  So a reader that lost a race
+    /// against [`Self::invalidate`] cannot park un-zeroed plaintext of the
+    /// old incarnation under a dead key, and one that fetched before a
+    /// [`Self::patched`] cannot install what it fetched, rewritten block or
+    /// not.  Lock order: object shard < block shard (same as `invalidate`).
+    pub fn put_blocks(&self, sig: &ObjectSig, token: BlockToken, blocks: &[u64], data: &[u8]) {
+        if !self.enabled() || token.is_dead() {
             return;
         }
         let Some(bs) = chunk_len(blocks, data.len()) else {
             return;
         };
         let object_guard = self.objects[object_shard(sig)].lock();
-        if object_guard.get(sig).map(|o| o.gen) != Some(gen) {
-            // Invalidated (or replaced) since the reader picked up `gen`:
-            // the plaintext belongs to a dead incarnation — drop it.
+        if object_guard.get(sig).map(CachedObject::token) != Some(token) {
+            // Invalidated, replaced or patched since the reader picked up
+            // `token`: what it fetched may be stale — drop it.
             bump(&self.counters.rejected_inserts, blocks.len() as u64);
             return;
         }
+        let gen = token.gen;
         let start = self.clock();
         let per_shard = (self.capacity_blocks / SHARDS).max(1);
         let mut evictions = 0u64;
@@ -868,6 +919,45 @@ impl ReadCache {
                 .zeroize_ns
                 .record(start.elapsed().as_nanos() as u64);
         }
+    }
+
+    /// Record a committed in-place patch of `sig` that rewrote `blocks` and
+    /// left the header and extent list as they were (a plain object's range
+    /// write).  If `token`'s entry is still `sig`'s, its insert fence moves
+    /// — no reader that picked up a token before this call installs a block
+    /// after it — and exactly `blocks` are removed and zeroed; the entry and
+    /// its other blocks stay.  O(blocks patched).  Returns false, having
+    /// changed nothing, when there is no such entry: the caller then
+    /// [`Self::invalidate`]s, as for any other mutation.
+    pub fn patched(&self, sig: &ObjectSig, token: BlockToken, blocks: &[u64]) -> bool {
+        if !self.enabled() || token.is_dead() {
+            return false;
+        }
+        let start = self.clock();
+        // Held across the sweep, as in `invalidate`: `put_blocks` checks the
+        // fence under this lock, so an insert either lands before the move
+        // (and is swept below if it is a patched block) or is rejected.
+        let mut object_guard = self.objects[object_shard(sig)].lock();
+        let Some(obj) = object_guard.get_mut(sig).filter(|o| o.gen == token.gen) else {
+            return false;
+        };
+        obj.fence = self.fresh_entry_gen();
+        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
+        for (shard, slots) in ShardPlan::new(blocks).groups() {
+            let BlockShard { map, bytes } = &mut *self.blocks[shard].lock();
+            for &i in slots {
+                if let Some(mut data) = map.remove(&(token.gen, blocks[i])) {
+                    retire(bytes, &mut data);
+                }
+            }
+        }
+        drop(object_guard);
+        if let Some(start) = start {
+            self.obs
+                .zeroize_ns
+                .record(start.elapsed().as_nanos() as u64);
+        }
+        true
     }
 
     /// Drop and zero every entry (key sets included) belonging to the
@@ -1109,16 +1199,16 @@ mod tests {
     use crate::header::ObjectKind;
 
     /// The one-block forms of the batched block calls.
-    fn get1(c: &ReadCache, gen: u64, block: u64, out: &mut [u8]) -> bool {
-        c.get_blocks_into(gen, &[block], out).is_empty()
+    fn get1(c: &ReadCache, token: BlockToken, block: u64, out: &mut [u8]) -> bool {
+        c.get_blocks_into(token, &[block], out).is_empty()
     }
 
-    fn put1(c: &ReadCache, sig: &ObjectSig, gen: u64, block: u64, data: &[u8]) {
-        c.put_blocks(sig, gen, &[block], data);
+    fn put1(c: &ReadCache, sig: &ObjectSig, token: BlockToken, block: u64, data: &[u8]) {
+        c.put_blocks(sig, token, &[block], data);
     }
 
-    fn has1(c: &ReadCache, gen: u64, block: u64) -> bool {
-        c.contains_blocks(gen, &[block])[0]
+    fn has1(c: &ReadCache, token: BlockToken, block: u64) -> bool {
+        c.contains_blocks(token, &[block])[0]
     }
 
     fn header(size: u64) -> HiddenHeader {
@@ -1134,9 +1224,10 @@ mod tests {
         let started = c.begin();
         c.store_header(&sig, started, 5, header(0));
         assert!(c.lookup_header(&sig).is_none());
-        put1(&c, &sig, 0, 9, b"plaintext");
+        let token = BlockToken { gen: 0, fence: 0 };
+        put1(&c, &sig, token, 9, b"plaintext");
         let mut out = [0u8; 9];
-        assert!(!get1(&c, 0, 9, &mut out));
+        assert!(!get1(&c, token, 9, &mut out));
         assert_eq!(c.stats().resident_blocks, 0);
     }
 
@@ -1175,7 +1266,7 @@ mod tests {
             header(1),
             Arc::new(ExtentList::plain(vec![10], vec![])),
         );
-        assert_eq!(gen, DEAD_GEN);
+        assert_eq!(gen, BlockToken::DEAD);
         put1(&c, &sig, gen, 10, b"should not stick");
         let mut out = [0u8; 16];
         assert!(!get1(&c, gen, 10, &mut out));
@@ -1191,16 +1282,17 @@ mod tests {
         h.data_block_count = 2;
         let ext = Arc::new(ExtentList::plain(vec![10, 11], vec![99]));
         let gen = c.store_extents(&sig, c.begin(), 5, h, ext);
-        assert_ne!(gen, DEAD_GEN);
+        assert_ne!(gen, BlockToken::DEAD);
         assert!(c.lookup_extents(&sig, 99, 2).is_some());
         // A header naming a different chain (stale caller) never matches.
         assert!(c.lookup_extents(&sig, 98, 2).is_none());
         assert!(c.lookup_extents(&sig, 99, 3).is_none());
     }
 
-    /// Install a live entry for `sig` whose extents cover `blocks`; returns
-    /// the entry generation block inserts must carry.
-    fn live_entry(c: &ReadCache, sig: &ObjectSig, blocks: &[u64]) -> u64 {
+    /// Install a live entry for `sig` whose extents cover `blocks` (or
+    /// refresh the one installed with the same `blocks`); returns the token
+    /// block inserts must carry.
+    fn live_entry(c: &ReadCache, sig: &ObjectSig, blocks: &[u64]) -> BlockToken {
         let gen = c.store_extents(
             sig,
             c.begin(),
@@ -1208,7 +1300,7 @@ mod tests {
             header(blocks.len() as u64 * 64),
             Arc::new(ExtentList::plain(blocks.to_vec(), vec![])),
         );
-        assert_ne!(gen, DEAD_GEN);
+        assert_ne!(gen, BlockToken::DEAD);
         gen
     }
 
@@ -1250,6 +1342,40 @@ mod tests {
         put1(&c, &sig, gen, 5, b"plaintext of the dead incarnation");
         assert_eq!(c.stats().resident_blocks, 0, "dead insert stuck");
         assert!(c.stats().rejected_inserts >= 1);
+    }
+
+    #[test]
+    fn put_under_a_pre_patch_token_is_rejected() {
+        // A reader picks up its token and fetches blocks 5 and 7; a patch of
+        // block 5 commits meanwhile.  Whatever the reader fetched may predate
+        // the patch, so none of it lands — the rewritten block and the
+        // untouched one alike — while the untouched resident 6 stays.
+        let c = ReadCache::new(256);
+        let sig = [14u8; SIGNATURE_LEN];
+        let blocks = [5, 6, 7];
+        let before = live_entry(&c, &sig, &blocks);
+        put1(&c, &sig, before, 5, &[0x55; 16]);
+        put1(&c, &sig, before, 6, &[0x66; 16]);
+        assert!(c.patched(&sig, before, &[5]));
+        RETIRED.with(|r| assert_eq!(r.borrow().last(), Some(&vec![0; 16]), "zeroed"));
+        assert!(!has1(&c, before, 5) && has1(&c, before, 6));
+        let rejected = c.stats().rejected_inserts;
+        put1(&c, &sig, before, 5, b"pre-patch image");
+        put1(&c, &sig, before, 7, b"pre-patch image");
+        let s = c.stats();
+        assert_eq!((s.rejected_inserts, s.resident_blocks), (rejected + 2, 1));
+        // A token picked up after the patch reads the same key space and
+        // installs.
+        let after = live_entry(&c, &sig, &blocks);
+        assert_eq!(after.gen, before.gen, "untouched blocks were not re-keyed");
+        let mut out = [0u8; 16];
+        assert!(get1(&c, after, 6, &mut out) && out == [0x66; 16]);
+        put1(&c, &sig, after, 5, &[0x5a; 16]);
+        assert!(get1(&c, after, 5, &mut out) && out == [0x5a; 16]);
+        // No entry under the token's generation: nothing to patch.
+        c.invalidate(&sig);
+        assert!(!c.patched(&sig, after, &[5]));
+        assert!(!c.patched(&sig, BlockToken::DEAD, &[5]));
     }
 
     #[test]
@@ -1306,7 +1432,7 @@ mod tests {
         });
         assert_eq!(ext.block_cache_keys(), vec![0, 1, 2, 3]);
         let gen = c.store_extents(&sig, c.begin(), 1, h, ext);
-        assert_ne!(gen, DEAD_GEN);
+        assert_ne!(gen, BlockToken::DEAD);
         for logical in 0..4u64 {
             put1(&c, &sig, gen, logical, &[logical as u8; 64]);
         }
@@ -1560,6 +1686,12 @@ mod tests {
             }
         }
 
+        fn drop_blocks(&mut self, gen: u64, blocks: &[u64]) {
+            for &block in blocks {
+                self.shards[block_shard(block)].remove(&(gen, block));
+            }
+        }
+
         fn residents(&self) -> impl Iterator<Item = (&(u64, u64), &(usize, u64))> {
             self.shards.iter().flatten()
         }
@@ -1582,7 +1714,7 @@ mod tests {
             |obj: usize| -> Vec<u64> { (0..BLOCKS).map(|b| obj as u64 * 100 + b).collect() };
         c.tag_scope(&sigs[0], alice);
         c.tag_scope(&sigs[1], bob);
-        let mut gens: Vec<u64> = (0..3)
+        let mut tokens: Vec<BlockToken> = (0..3)
             .map(|o| live_entry(&c, &sigs[o], &blocks_of(o)))
             .collect();
         let mut ever: Vec<(u64, u64)> = Vec::new(); // every (gen, block) ever put
@@ -1592,50 +1724,59 @@ mod tests {
         for _ in 0..4000 {
             let obj = rng.next_below(3) as usize;
             let block = obj as u64 * 100 + rng.next_below(BLOCKS);
+            let (token, gen) = (tokens[obj], tokens[obj].gen);
             match rng.next_below(1000) {
                 0..=549 => {
                     let len = if rng.next_below(2) == 0 { 32 } else { 48 };
-                    put1(&c, &sigs[obj], gens[obj], block, &vec![0xa5; len]);
-                    model.put(gens[obj], block, len);
-                    ever.push((gens[obj], block));
+                    put1(&c, &sigs[obj], token, block, &vec![0xa5; len]);
+                    model.put(gen, block, len);
+                    ever.push((gen, block));
                     put_bytes += len as u64;
                 }
                 550..=929 => {
                     // Entries hold 32 or 48 bytes; probe only, then read.
                     let want = model.shards[block_shard(block)]
-                        .get(&(gens[obj], block))
+                        .get(&(gen, block))
                         .map(|e| e.0);
                     let hit = match want {
-                        Some(len) => get1(&c, gens[obj], block, &mut out[..len]),
-                        None => get1(&c, gens[obj], block, &mut out),
+                        Some(len) => get1(&c, token, block, &mut out[..len]),
+                        None => get1(&c, token, block, &mut out),
                     };
-                    assert_eq!(hit, model.get(gens[obj], block));
+                    assert_eq!(hit, model.get(gen, block));
                 }
                 930..=989 => {
                     // A probe must not count as a use in either.
-                    let resident =
-                        model.shards[block_shard(block)].contains_key(&(gens[obj], block));
-                    assert_eq!(has1(&c, gens[obj], block), resident);
+                    let resident = model.shards[block_shard(block)].contains_key(&(gen, block));
+                    assert_eq!(has1(&c, token, block), resident);
                 }
-                990..=995 => {
+                990..=992 => {
+                    // A patch drops exactly its blocks and keeps the key
+                    // space; the next token carries the moved fence.
+                    let patch = [block, block + 1, obj as u64 * 100 + rng.next_below(BLOCKS)];
+                    assert!(c.patched(&sigs[obj], token, &patch));
+                    model.drop_blocks(gen, &patch);
+                    tokens[obj] = live_entry(&c, &sigs[obj], &blocks_of(obj));
+                    assert_eq!(tokens[obj].gen, gen);
+                }
+                993..=995 => {
                     c.invalidate(&sigs[obj]);
-                    model.drop_gens(&[gens[obj]]);
-                    gens[obj] = live_entry(&c, &sigs[obj], &blocks_of(obj));
+                    model.drop_gens(&[gen]);
+                    tokens[obj] = live_entry(&c, &sigs[obj], &blocks_of(obj));
                 }
                 996..=998 => {
                     // Alice leaves: her object and the unscoped one die.
                     c.purge_scope(alice);
-                    model.drop_gens(&[gens[0], gens[2]]);
+                    model.drop_gens(&[tokens[0].gen, tokens[2].gen]);
                     c.tag_scope(&sigs[0], alice);
                     for o in [0, 2] {
-                        gens[o] = live_entry(&c, &sigs[o], &blocks_of(o));
+                        tokens[o] = live_entry(&c, &sigs[o], &blocks_of(o));
                     }
                 }
                 _ => {
                     c.purge_decrypted();
-                    model.drop_gens(&gens);
+                    model.drop_gens(&tokens.iter().map(|t| t.gen).collect::<Vec<_>>());
                     for o in 0..3 {
-                        gens[o] = live_entry(&c, &sigs[o], &blocks_of(o));
+                        tokens[o] = live_entry(&c, &sigs[o], &blocks_of(o));
                     }
                 }
             }
@@ -1655,7 +1796,11 @@ mod tests {
         // Exactly the model's residents, and nothing that ever left.
         for key in &ever {
             let resident = model.shards[block_shard(key.1)].contains_key(key);
-            assert_eq!(has1(&c, key.0, key.1), resident, "{key:?}");
+            let token = BlockToken {
+                gen: key.0,
+                fence: 0,
+            };
+            assert_eq!(has1(&c, token, key.1), resident, "{key:?}");
         }
         // Every byte that went in is resident or was zeroed on the way out.
         RETIRED.with(|retired| {
@@ -1768,8 +1913,8 @@ mod tests {
     /// The per-object state one cache of the pair below carries: live
     /// generations, and the last generation that died.
     struct Side {
-        gens: [u64; 2],
-        dead: u64,
+        gens: [BlockToken; 2],
+        dead: BlockToken,
     }
 
     /// One scripted step on one cache, either as batched calls or as the
@@ -1867,7 +2012,7 @@ mod tests {
                         live_entry(c, &[1u8; SIGNATURE_LEN], &every),
                         live_entry(c, &[2u8; SIGNATURE_LEN], &every),
                     ],
-                    dead: DEAD_GEN,
+                    dead: BlockToken::DEAD,
                 });
             }
             drain_exits();

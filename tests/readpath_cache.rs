@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Barrier};
 use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
-use stegfs_core::{DirectoryEntry, ObjectKind, StegFs, StegParams};
+use stegfs_core::{DirectoryEntry, ObjectKind, Policy, StegFs, StegParams};
 use stegfs_crypto::kdf;
 use stegfs_tests::{journaled_params, payload};
 use stegfs_vfs::{OpenOptions, Vfs};
@@ -335,6 +335,28 @@ fn run_workload(fs: &StegFs<MemBlockDevice>) {
     let _ = fs.list_hidden(OWNER).unwrap();
     fs.touch_dummy_files().unwrap();
     let _ = fs.read_hidden_with_key("obj-1", OWNER).unwrap();
+    // In-place patches through a handle, each between two reads, on a
+    // plain object (the patch keeps the entry and drops what it rewrote)
+    // and a coded one (the patch invalidates).
+    let coded = Policy::Disperse { m: 2, n: 3 };
+    for (name, policy) in [("patched", Policy::Plain), ("patched-coded", coded)] {
+        fs.steg_create_with_policy(name, OWNER, ObjectKind::File, policy)
+            .unwrap();
+        let mut want = payload(42, 20 * 1024);
+        fs.write_hidden_with_key(name, OWNER, &want).unwrap();
+        let mut h = fs.open_hidden(name, OWNER).unwrap();
+        for (i, at) in [0usize, 3_000, 16 * 1024, 9_999].into_iter().enumerate() {
+            assert_eq!(fs.read_range_at(&h, 0, want.len()).unwrap(), want);
+            let patch = payload(50 + i as u64, 2_500);
+            fs.write_at_handle(&mut h, at as u64, &patch).unwrap();
+            want[at..at + patch.len()].copy_from_slice(&patch);
+            assert_eq!(
+                fs.read_range_at(&h, at as u64, 4_096).unwrap(),
+                &want[at..at + 4_096]
+            );
+        }
+        assert_eq!(fs.read_hidden_with_key(name, OWNER).unwrap(), want);
+    }
 }
 
 #[test]
