@@ -1,6 +1,8 @@
 //! Same victims, same submissions, same bytes — as one constant.
 //!
-//! Every cache in the stack evicts in exact LRU order, and which block a
+//! Every cache in the stack evicts in LRU order (the write-back
+//! `BufferCache` puts a written block no read touched first in line once
+//! its write-back lands), and which block a
 //! cache evicts decides what the device underneath is asked next: a
 //! different victim is a different miss later, a different write-back, a
 //! different batch.  This test drives a fixed script through `Vfs` on the
@@ -8,9 +10,8 @@
 //! operation — a 64-block write-back `BufferCache` and a 256-block hidden
 //! read cache — and pins one SHA-256 over the ordered traffic the device
 //! below the `BufferCache` saw (kind and block list of every submission),
-//! its block, byte and submission totals, and the raw image.  The constant was recorded when
-//! the caches still chose victims by a min-scan over per-entry ticks; an
-//! eviction mechanism that reproduces it chose every victim the same way.
+//! its block, byte and submission totals, and the raw image.  An eviction
+//! mechanism that reproduces the constant chose every victim the same way.
 
 use std::sync::{Arc, Mutex};
 use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
@@ -25,9 +26,13 @@ const BS: usize = 1024;
 const BUFFER_CACHE_BLOCKS: usize = 64;
 
 /// SHA-256 over traffic digest, device totals and image digest of
-/// [`run_script`], recorded at the last commit whose caches evicted by
-/// tick + min-scan.
-const PINNED: &str = "2cccb419ad462d56d77f62252518939edd513bdd227d50e1e3723274dadef57b";
+/// [`run_script`], recorded when the `BufferCache` began demoting written,
+/// never-read blocks once written back and a plain hidden patch began
+/// keeping its object's untouched plaintext cached.  Against the previous
+/// recording (exact LRU everywhere) only reads moved — 5 659 → 5 660
+/// submissions, 6 941 → 6 940 blocks — with writes, flushes and the image
+/// unchanged.
+const PINNED: &str = "1d408d51cdd2c777905d2c82d0e442d6df80c0f4019255295d8e22272af9a346";
 
 type Disk = ObservedDevice<Tape>;
 type Stack = Vfs<BufferCache<Disk>>;
