@@ -538,16 +538,30 @@ impl<D: BlockDevice> PlainFs<D> {
     /// Commit-path pressure valve: when the ring is nearly full
     /// ([`CHECKPOINT_STEAL_PERMILLE`]), the committer checkpoints the
     /// journal itself instead of waiting for the daemon's next tick and
-    /// then stalling inside reclaim.  Errors are absorbed exactly as on the
+    /// then stalling inside reclaim — unless a checkpoint is already in
+    /// flight, which is already making room: then it goes straight to
+    /// staging ([`Journal::try_sync`]).  A checkpoint it runs feeds the
+    /// watchdog as a daemon tick would: the occupancy it acted on, and a
+    /// heartbeat when it succeeds.  Errors are absorbed exactly as on the
     /// daemon path (the commit that follows surfaces its own).
     pub(crate) fn maybe_steal_checkpoint(&self) {
         let Some(journal) = &self.journal else {
             return;
         };
-        if journal.occupancy_permille() >= CHECKPOINT_STEAL_PERMILLE
-            && journal.sync(&*self.dev).is_ok()
-        {
-            self.watchdog.note_steal();
+        let occupancy = journal.occupancy_permille();
+        if occupancy < CHECKPOINT_STEAL_PERMILLE {
+            return;
+        }
+        match journal.try_sync(&*self.dev) {
+            Ok(false) => {}
+            ran => {
+                // The steal threshold is past the watchdog's stall line.
+                self.watchdog.sample(occupancy, true);
+                if ran.is_ok() {
+                    self.watchdog.note_steal();
+                    self.watchdog.heartbeat();
+                }
+            }
         }
     }
 
@@ -1760,6 +1774,32 @@ mod tests {
         let snap = off.snapshot();
         assert_eq!(snap.lock("fs.alloc").unwrap().acquisitions, 0);
         assert_eq!(snap.device.writes, 0);
+    }
+
+    /// Without the daemon, the watchdog hears from the steals: the
+    /// occupancy each acted on and a heartbeat, not "never checkpointed".
+    #[test]
+    fn commit_steals_feed_the_watchdog_without_the_daemon() {
+        let mut fs = PlainFs::format(
+            MemBlockDevice::new(1024, 4096),
+            FormatOptions {
+                journal_blocks: 64,
+                ..FormatOptions::default()
+            },
+        )
+        .unwrap();
+        let obs = stegfs_obs::Obs::new(true);
+        fs.attach_obs(&obs);
+        assert!(!fs.checkpoint_daemon_running());
+        for i in 0..40 {
+            fs.write_file(&format!("/f{}", i % 4), &vec![i as u8; 4 * 1024])
+                .unwrap();
+        }
+        let watchdog = obs.watchdog.summary();
+        assert!(watchdog.ring_occupancy_hwm_permille >= CHECKPOINT_STEAL_PERMILLE);
+        assert!(watchdog.checkpoint_steals >= 1);
+        assert!(watchdog.samples >= watchdog.checkpoint_steals);
+        assert!(obs.watchdog.heartbeat_age_ns() > 0, "never checkpointed");
     }
 
     /// The meter's counting rule, on the path every volume takes: a

@@ -25,35 +25,45 @@
 //!
 //! # Lock and flush ordering
 //!
-//! The journal has two internal locks, both *leaves* of the whole stack's
-//! lock order (they are acquired below every file-system lock and are never
-//! held while calling back up):
+//! The journal has three internal locks, all *leaves* of the whole stack's
+//! lock order (acquired below every file-system lock, never held while
+//! calling back up), taken in this order:
 //!
-//! 1. the **log state** mutex (ring head, live transaction list, sequence
-//!    counter) — may be held across journal-region device I/O and, on the
-//!    rare space-reclaim path, across a device flush;
-//! 2. the **commit gate** (a std `Mutex` + `Condvar`) — serialises group
+//! 1. the **checkpoint** mutex — held by the one checkpoint in flight,
+//!    across its anchor write and flushes.  [`Journal::sync`] and a stager
+//!    that finds the ring full wait for it; the commit path's pressure valve
+//!    ([`Journal::try_sync`]) skips instead of queueing a second checkpoint;
+//! 2. the **log state** mutex (ring head, live transaction list, sequence
+//!    counter) — guards memory only: no device I/O runs under it, and it
+//!    never takes the gate;
+//! 3. the **commit gate** (a std `Mutex` + `Condvar`) — serialises group
 //!    flushes; held only around bookkeeping, never across the flush itself.
 //!
-//! The log state mutex may take the commit gate; the gate never takes the
-//! log state.  A gate visit is a `stegfs_obs::blocking` section: on an
-//! engine thread, entering and leaving it takes the engine's pool lock, a
-//! leaf below both, outside the gate mutex.  Checkpointing never reuses a
-//! ring slot until an anchor recording a tail past it has been flushed, so
-//! replay can trust that any slot at or after the durable anchor tail
-//! belongs to the current log.
+//! A gate visit is a `stegfs_obs::blocking` section: on an engine thread,
+//! entering and leaving it takes the engine's pool lock, a leaf below all
+//! three, outside the gate mutex.
+//!
+//! Checkpointing never reuses a ring slot until an anchor recording a tail
+//! past it has been flushed, so replay can trust that any slot at or after
+//! the durable anchor tail belongs to the current log.  The checkpoint in
+//! flight counts its run under the log state, drops it for the anchor write
+//! and flush, and retires the run only once the anchor is durable.  Until
+//! then `used` still counts the run, so no stager is handed one of its
+//! slots; and only the checkpoint in flight pops the front of the live
+//! list, so the run it counted is still the front when it retires.
 
 use crate::record::{
     intent_capacity, open_payload, open_slot, seal_payload, seal_slot, slots_for, JournalKeys,
     Slot, SlotBody, SlotKind, ANCHOR_SLOTS,
 };
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Instant;
 use stegfs_blockdev::{BlockDevice, BlockError};
-use stegfs_obs::{blocking, span, GateStats, Obs, TimedMutex};
+use stegfs_obs::{blocking, span, GateStats, Obs, TimedMutex, TimedMutexGuard};
 
 /// Result alias for journal operations.
 pub type JournalResult<T> = Result<T, JournalError>;
@@ -340,6 +350,8 @@ pub struct ReplayReport {
 pub struct Journal {
     geo: JournalGeometry,
     keys: JournalKeys,
+    /// Held by the one checkpoint in flight; taken before `state`.
+    flight: Mutex<()>,
     state: TimedMutex<LogState>,
     gate: CommitGate,
     /// Lock-free mirror of `LogState::used`, republished whenever the
@@ -367,6 +379,7 @@ impl Journal {
         }
         Ok(Journal {
             keys: JournalKeys::derive(salt),
+            flight: Mutex::new(()),
             state: TimedMutex::new(LogState {
                 next_seq: 1,
                 head: 0,
@@ -468,30 +481,31 @@ impl Journal {
         Ok(())
     }
 
-    /// Reclaim ring space: pop reclaimable live transactions off the front,
-    /// persist an anchor past them, and shrink `used`.  Called with the log
-    /// state held; may flush the device.
-    fn reclaim<D: BlockDevice>(
+    /// The one checkpoint routine: advance the durable tail over the
+    /// reclaimable front run of the ring.  The caller holds `_flight`, so
+    /// this is the only checkpoint in flight (see the module docs).
+    ///
+    /// 1. Under `state`, count the run and reserve the anchor's sequence
+    ///    number.
+    /// 2. With `state` dropped, write the anchor and wait for a flush
+    ///    covering it.
+    /// 3. Under `state` again, retire the run: drain it, set the durable
+    ///    tail, shrink `used`.
+    ///
+    /// A failed anchor write or flush leaves the run live and counted, for
+    /// the next checkpoint (or a remount) to account for.  With nothing
+    /// reclaimable it writes no anchor, unless `sync` and the tail moved
+    /// anyway.  Returns whether it wrote one.
+    fn checkpoint<D: BlockDevice>(
         &self,
         dev: &D,
-        state: &mut LogState,
-        needed: u64,
-    ) -> JournalResult<()> {
-        let ring = self.geo.ring_slots();
-        if needed > ring {
-            return Err(JournalError::Full {
-                needed,
-                capacity: ring,
-            });
-        }
-        let mut flushed_once = false;
-        while state.used + needed > ring {
+        _flight: &MutexGuard<'_, ()>,
+        sync: bool,
+    ) -> JournalResult<bool> {
+        let (eligible, freed, tail, anchor_seq) = {
+            let state = &mut *self.state.lock();
             let completed = self.gate.completed();
-            // Count the reclaimable front run without popping it: if the
-            // anchor write or its flush fails, the entries must stay live so
-            // a later pass (or a remount) can still account for their slots.
-            let mut freed = 0u64;
-            let mut eligible = 0usize;
+            let (mut eligible, mut freed) = (0usize, 0u64);
             for t in state.live.iter() {
                 if t.reclaimable_at > completed {
                     break;
@@ -499,45 +513,68 @@ impl Journal {
                 freed += t.slots;
                 eligible += 1;
             }
-            if freed > 0 {
-                let tail = state
-                    .live
-                    .get(eligible)
-                    .map(|t| t.first_seq)
-                    .unwrap_or(state.next_seq);
-                let anchor_seq = state.next_seq;
-                state.next_seq += 1;
-                self.write_anchor(dev, anchor_seq, tail)?;
-                // The anchor must be durable before any reclaimed slot is
-                // overwritten, or replay could mistake a half-overwritten
-                // old transaction for the current log.
-                self.gate.flush_covering(dev)?;
-                state.live.drain(..eligible);
-                state.durable_tail_seq = tail;
-                state.used -= freed;
-                self.publish_occupancy(state);
-                continue;
+            let tail = state
+                .live
+                .get(eligible)
+                .map_or(state.next_seq, |t| t.first_seq);
+            if freed == 0 && (!sync || tail == state.durable_tail_seq) {
+                return Ok(false);
             }
-            // Nothing reclaimable yet.  If transactions are merely waiting
-            // for a flush to make their home writes durable, flush once and
-            // retry; otherwise the ring is genuinely full of un-applied
-            // transactions (concurrent committers mid-protocol).
-            if !flushed_once
-                && state
-                    .live
-                    .iter()
-                    .any(|t| t.reclaimable_at != u64::MAX && t.reclaimable_at > completed)
-            {
+            state.next_seq += 1;
+            (eligible, freed, tail, state.next_seq - 1)
+        };
+        self.write_anchor(dev, anchor_seq, tail)?;
+        // The anchor must be durable before any reclaimed slot is
+        // overwritten, or replay could mistake a half-overwritten old
+        // transaction for the current log.
+        self.gate.flush_covering(dev)?;
+        let state = &mut *self.state.lock();
+        state.live.drain(..eligible);
+        state.durable_tail_seq = tail;
+        state.used -= freed;
+        self.publish_occupancy(state);
+        Ok(true)
+    }
+
+    /// Lock the log state with room in the ring for `needed` more slots.  A
+    /// full ring waits for the checkpoint in flight and re-checks; still
+    /// full, it checkpoints itself, flushing once first when nothing was
+    /// reclaimable yet (applied transactions wait for a flush to make their
+    /// home writes durable).
+    fn reserve<D: BlockDevice>(
+        &self,
+        dev: &D,
+        needed: u64,
+    ) -> JournalResult<TimedMutexGuard<'_, LogState>> {
+        let ring = self.geo.ring_slots();
+        let full = || JournalError::Full {
+            needed,
+            capacity: ring,
+        };
+        if needed > ring {
+            return Err(full());
+        }
+        let mut flight = None;
+        let mut flushed_once = false;
+        loop {
+            let state = self.state.lock();
+            if state.used + needed <= ring {
+                return Ok(state);
+            }
+            drop(state);
+            // Full: wait for the checkpoint in flight, then re-check.
+            let Some(flight) = &flight else {
+                flight = Some(self.flight.lock());
+                continue;
+            };
+            if !self.checkpoint(dev, flight, false)? {
+                if flushed_once {
+                    return Err(full());
+                }
                 self.gate.flush_covering(dev)?;
                 flushed_once = true;
-                continue;
             }
-            return Err(JournalError::Full {
-                needed,
-                capacity: ring,
-            });
         }
-        Ok(())
     }
 
     /// Commit `tx`: journal its intent, group-flush, then apply the staged
@@ -552,8 +589,9 @@ impl Journal {
     }
 
     /// First half of a commit: allocate the transaction's slot run and
-    /// sequence numbers (reclaiming ring space if needed).  No transaction
-    /// data touches the device yet.
+    /// sequence numbers (reclaiming ring space if needed, see
+    /// [`stage_many`](Self::stage_many)).  No transaction data touches the
+    /// device yet.
     ///
     /// Callers that snapshot shared state into the transaction (the bitmap)
     /// call `stage` while still holding the lock guarding that state, so
@@ -561,23 +599,16 @@ impl Journal {
     /// ([`complete`](Self::complete)) then runs outside that lock.  Returns
     /// `None` for an empty transaction.
     pub fn stage<D: BlockDevice>(&self, dev: &D, tx: Tx) -> JournalResult<Option<StagedTx>> {
-        if tx.is_empty() {
-            return Ok(None);
-        }
-        let _s = span::span(span::Phase::JournalStage);
-        let nslots = slots_for(tx.len(), self.geo.block_size);
-        let state = &mut *self.state.lock();
-        self.reclaim(dev, state, nslots)?;
-        let staged = Self::stage_locked(state, &self.geo, tx, nslots);
-        self.publish_occupancy(state);
-        Ok(Some(staged))
+        Ok(self.stage_many(dev, vec![tx])?.pop())
     }
 
     /// [`stage`](Self::stage) for a whole batch under a **single** log-state
     /// hold: every transaction gets its own slot run and sequence numbers
     /// (consecutive, in `txs` order), so each replays independently, but the
     /// lock acquisition and any ring-space reclaim are paid once for the
-    /// batch.  Empty transactions are skipped.  On [`JournalError::Full`]
+    /// batch.  A full ring waits for the checkpoint in flight, re-checks,
+    /// and checkpoints itself only if it is still full; the log state is not
+    /// held meanwhile.  Empty transactions are skipped.  On [`JournalError::Full`]
     /// nothing was allocated — the batch must fit the ring whole, so callers
     /// split oversized batches (see [`slots_for_targets`](Self::slots_for_targets)).
     pub fn stage_many<D: BlockDevice>(
@@ -594,8 +625,7 @@ impl Journal {
             .iter()
             .map(|t| slots_for(t.len(), self.geo.block_size))
             .sum();
-        let state = &mut *self.state.lock();
-        self.reclaim(dev, state, needed)?;
+        let state = &mut *self.reserve(dev, needed)?;
         let staged = txs
             .into_iter()
             .map(|tx| {
@@ -607,9 +637,7 @@ impl Journal {
         Ok(staged)
     }
 
-    /// Allocate one transaction's slot run from an already-reclaimed log
-    /// state (shared by [`stage`](Self::stage) and
-    /// [`stage_many`](Self::stage_many)).
+    /// Allocate one transaction's slot run from a reserved log state.
     fn stage_locked(state: &mut LogState, geo: &JournalGeometry, tx: Tx, nslots: u64) -> StagedTx {
         let first_seq = state.next_seq;
         let first_slot = state.head;
@@ -782,24 +810,7 @@ impl Journal {
         staged: StagedTx,
         post_apply: F,
     ) -> JournalResult<()> {
-        let _s = span::span(span::Phase::JournalApply);
-        let (targets, data) = flatten_writes(&staged.tx.writes, self.geo.block_size);
-        dev.write_blocks(&targets, &data)?;
-        post_apply()?;
-
-        // The home writes become durable at the next flush that starts
-        // after this point.
-        let (completed, flushing) = self.gate.epoch();
-        let durable_at = completed + 1 + u64::from(flushing);
-        let state = &mut *self.state.lock();
-        if let Some(t) = state
-            .live
-            .iter_mut()
-            .find(|t| t.first_seq == staged.first_seq)
-        {
-            t.reclaimable_at = durable_at;
-        }
-        Ok(())
+        self.apply_many(dev, vec![staged], post_apply)
     }
 
     /// [`apply`](Self::apply) for a whole batch: one batched home-location
@@ -856,40 +867,29 @@ impl Journal {
 
     /// Checkpoint: flush the device (making every applied transaction's home
     /// writes durable), advance the tail over all of them, and persist the
-    /// anchor.  After `sync` returns, a crash replays nothing.
+    /// anchor.  Waits for a checkpoint in flight, then runs its own.  After
+    /// `sync` returns, a crash replays nothing.
     pub fn sync<D: BlockDevice>(&self, dev: &D) -> JournalResult<()> {
-        self.gate.flush_covering(dev)?;
-        let state = &mut *self.state.lock();
-        let completed = self.gate.completed();
-        // As in `reclaim`: count the reclaimable front run, persist the
-        // anchor, and only then pop — an anchor failure must leave the
-        // entries live so their slots stay accounted for.
-        let mut freed = 0u64;
-        let mut eligible = 0usize;
-        for t in state.live.iter() {
-            if t.reclaimable_at > completed {
-                break;
-            }
-            freed += t.slots;
-            eligible += 1;
+        self.sync_in_flight(dev, &self.flight.lock())
+    }
+
+    /// [`sync`](Self::sync) unless a checkpoint is already in flight, which
+    /// is already making room: then return `Ok(false)` at once rather than
+    /// queue a second one behind it.  `Ok(true)`: this caller ran it.
+    pub fn try_sync<D: BlockDevice>(&self, dev: &D) -> JournalResult<bool> {
+        match self.flight.try_lock() {
+            Some(flight) => self.sync_in_flight(dev, &flight).map(|()| true),
+            None => Ok(false),
         }
-        let tail = state
-            .live
-            .get(eligible)
-            .map(|t| t.first_seq)
-            .unwrap_or(state.next_seq);
-        if freed == 0 && tail == state.durable_tail_seq {
-            return Ok(());
-        }
-        let anchor_seq = state.next_seq;
-        state.next_seq += 1;
-        self.write_anchor(dev, anchor_seq, tail)?;
+    }
+
+    fn sync_in_flight<D: BlockDevice>(
+        &self,
+        dev: &D,
+        flight: &MutexGuard<'_, ()>,
+    ) -> JournalResult<()> {
         self.gate.flush_covering(dev)?;
-        state.live.drain(..eligible);
-        state.durable_tail_seq = tail;
-        state.used -= freed;
-        self.publish_occupancy(state);
-        Ok(())
+        self.checkpoint(dev, flight, true).map(drop)
     }
 
     /// Scan the journal region, redo every committed transaction, and reset
@@ -1392,12 +1392,35 @@ mod tests {
 
     /// A memory device whose flushes take `delay`, so concurrent gate
     /// visitors pile up behind them, and fail when their 1-based number
-    /// (the format's flush is number 1) is listed in `fail`.
+    /// (the format's flush is number 1) is listed in `fail`.  Flush number
+    /// `park` (0: none) first waits for [`SlowFlush::release`].  Writes to
+    /// the anchor slots (the fixtures' region starts at block 1) are counted
+    /// per flush epoch: since the last flush started.
     struct SlowFlush {
         mem: MemBlockDevice,
         delay: std::time::Duration,
         flushes: AtomicU64,
         fail: Vec<u64>,
+        park: u64,
+        /// `(a flush is parked, the park was released)`.
+        parked: StdMutex<(bool, bool)>,
+        cv: Condvar,
+        epoch_anchors: AtomicU64,
+        max_epoch_anchors: AtomicU64,
+    }
+
+    impl SlowFlush {
+        fn wait_parked(&self) {
+            let mut g = self.parked.lock().unwrap();
+            while !g.0 {
+                g = self.cv.wait(g).unwrap();
+            }
+        }
+
+        fn release(&self) {
+            self.parked.lock().unwrap().1 = true;
+            self.cv.notify_all();
+        }
     }
 
     impl BlockDevice for SlowFlush {
@@ -1411,10 +1434,23 @@ mod tests {
             self.mem.read_block(block, buf)
         }
         fn write_block(&self, block: u64, buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
+            if (1..1 + ANCHOR_SLOTS).contains(&block) {
+                let n = self.epoch_anchors.fetch_add(1, Ordering::SeqCst) + 1;
+                self.max_epoch_anchors.fetch_max(n, Ordering::SeqCst);
+            }
             self.mem.write_block(block, buf)
         }
         fn flush(&self) -> stegfs_blockdev::BlockResult<()> {
             let n = self.flushes.fetch_add(1, Ordering::SeqCst) + 1;
+            self.epoch_anchors.store(0, Ordering::SeqCst);
+            if n == self.park {
+                let mut g = self.parked.lock().unwrap();
+                g.0 = true;
+                self.cv.notify_all();
+                while !g.1 {
+                    g = self.cv.wait(g).unwrap();
+                }
+            }
             std::thread::sleep(self.delay);
             if self.fail.contains(&n) {
                 return Err(std::io::Error::other("scripted flush failure").into());
@@ -1423,30 +1459,55 @@ mod tests {
         }
     }
 
-    /// A formatted journal over a [`SlowFlush`], its gate metrics enabled.
-    fn slow_gate(delay_ms: u64, fail: Vec<u64>) -> (Arc<SlowFlush>, Arc<Journal>) {
+    /// A formatted journal of `blocks` blocks over a [`SlowFlush`], its gate
+    /// metrics enabled.
+    fn slow_journal(
+        delay_ms: u64,
+        fail: Vec<u64>,
+        park: u64,
+        blocks: u64,
+    ) -> (Arc<SlowFlush>, Arc<Journal>) {
         let dev = Arc::new(SlowFlush {
-            mem: MemBlockDevice::new(BS, 128),
+            mem: MemBlockDevice::new(BS, 2048),
             delay: std::time::Duration::from_millis(delay_ms),
             flushes: AtomicU64::new(0),
             fail,
+            park,
+            parked: StdMutex::new((false, false)),
+            cv: Condvar::new(),
+            epoch_anchors: AtomicU64::new(0),
+            max_epoch_anchors: AtomicU64::new(0),
         });
         let geo = JournalGeometry {
             start: 1,
-            blocks: 32,
+            blocks,
             block_size: BS,
         };
         let mut journal = Journal::format(geo, 1, dev.as_ref()).unwrap();
         journal.gate.stats = Arc::new(GateStats::new(true));
+        // The format writes both anchors in one epoch on purpose.
+        dev.max_epoch_anchors.store(0, Ordering::SeqCst);
         (dev, Arc::new(journal))
     }
 
-    fn barrier_on_a_thread(
+    fn slow_gate(delay_ms: u64, fail: Vec<u64>) -> (Arc<SlowFlush>, Arc<Journal>) {
+        slow_journal(delay_ms, fail, 0, 32)
+    }
+
+    fn one_block_tx(block: u64, byte: u8) -> Tx {
+        let mut tx = Tx::new();
+        tx.write(block, vec![byte; BS]);
+        tx
+    }
+
+    /// Run `f` over clones of the fixture on a new thread.
+    fn on_a_thread<T: Send + 'static>(
         dev: &Arc<SlowFlush>,
         journal: &Arc<Journal>,
-    ) -> std::thread::JoinHandle<JournalResult<()>> {
+        f: impl FnOnce(&SlowFlush, &Journal) -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
         let (dev, journal) = (Arc::clone(dev), Arc::clone(journal));
-        std::thread::spawn(move || journal.flush_barrier(dev.as_ref()))
+        std::thread::spawn(move || f(&dev, &journal))
     }
 
     /// 8 threads x 12 barriers through one gate: `(successful visits, all
@@ -1474,11 +1535,11 @@ mod tests {
         // Flush 2 (the gate's first) fails while a second caller waits on
         // it; that caller leads flush 3 and must leave when it succeeds.
         let (dev, journal) = slow_gate(50, vec![2]);
-        let leader = barrier_on_a_thread(&dev, &journal);
+        let leader = on_a_thread(&dev, &journal, |dev, journal| journal.flush_barrier(dev));
         while dev.flushes.load(Ordering::SeqCst) < 2 {
             std::thread::yield_now();
         }
-        let waiter = barrier_on_a_thread(&dev, &journal);
+        let waiter = on_a_thread(&dev, &journal, |dev, journal| journal.flush_barrier(dev));
         assert!(leader.join().unwrap().is_err());
         assert!(waiter.join().unwrap().is_ok());
         assert_eq!(dev.flushes.load(Ordering::SeqCst), 3, "no extra flush");
@@ -1510,5 +1571,117 @@ mod tests {
         assert_eq!(gate.batch.total, ok);
         assert_eq!(gate.stall_ns.count, visits);
         assert_eq!(gate.batch.count, gate.flushes);
+    }
+
+    #[test]
+    fn a_stage_does_not_wait_for_an_anchor_flush() {
+        // Flush 2 commits the transaction, sync's flush 3 makes it
+        // reclaimable, and flush 4, the anchor's, parks.
+        let (dev, journal) = slow_journal(0, Vec::new(), 4, 32);
+        journal.commit(dev.as_ref(), one_block_tx(100, 1)).unwrap();
+        let sync = on_a_thread(&dev, &journal, |dev, journal| journal.sync(dev));
+        dev.wait_parked();
+        // The run stays counted while its anchor is in flight.
+        assert_eq!(journal.occupancy().0, 3);
+        let (send, staged) = std::sync::mpsc::channel();
+        on_a_thread(&dev, &journal, move |dev, journal| {
+            send.send(journal.stage(dev, one_block_tx(101, 2))).unwrap()
+        });
+        let staged = staged.recv_timeout(std::time::Duration::from_secs(5));
+        dev.release();
+        let staged = staged
+            .expect("a stage waited for the anchor flush")
+            .unwrap()
+            .unwrap();
+        sync.join().unwrap().unwrap();
+        assert_eq!(journal.occupancy().0, 3, "the run retired after its anchor");
+        journal.complete(dev.as_ref(), staged).unwrap();
+        journal.sync(dev.as_ref()).unwrap();
+        assert_eq!(journal.occupancy().0, 0);
+        let report = reopen(&journal).replay(dev.as_ref()).unwrap();
+        assert_eq!(report, ReplayReport::default());
+        assert_eq!(dev.read_block_vec(101).unwrap(), vec![2; BS]);
+    }
+
+    #[test]
+    fn concurrent_steals_run_one_checkpoint() {
+        // A ring of 256 slots: 8 committers of 3-slot transactions can all
+        // stage past the 900 permille steal line without filling it.
+        let (dev, journal) = slow_journal(1, Vec::new(), 0, ANCHOR_SLOTS + 256);
+        let (ran, skipped) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (dev, journal, ran, skipped) = (&dev, &journal, &ran, &skipped);
+                s.spawn(move || {
+                    for i in 0..64u64 {
+                        if journal.occupancy_permille() >= 900 {
+                            match journal.try_sync(dev.as_ref()).unwrap() {
+                                true => ran.fetch_add(1, Ordering::Relaxed),
+                                false => skipped.fetch_add(1, Ordering::Relaxed),
+                            };
+                        }
+                        let block = 1024 + t * 64 + i;
+                        journal
+                            .commit(dev.as_ref(), one_block_tx(block, t as u8))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let (ran, skipped) = (ran.into_inner(), skipped.into_inner());
+        assert!(ran > 0, "the ring never reached the steal line");
+        assert!(skipped > 0, "no committer found a checkpoint in flight");
+        assert_eq!(
+            dev.max_epoch_anchors.load(Ordering::SeqCst),
+            1,
+            "two anchors in one flush epoch"
+        );
+        for t in 0..8u64 {
+            assert_eq!(
+                dev.read_block_vec(1024 + t * 64 + 63).unwrap(),
+                vec![t as u8; BS]
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_anchor_leaves_the_run_live() {
+        // As above the anchor's flush is number 4; it parks, then fails.
+        let (dev, journal) = slow_journal(0, vec![4], 4, 32);
+        journal.commit(dev.as_ref(), one_block_tx(100, 1)).unwrap();
+        let tail = journal.state.lock().durable_tail_seq;
+        let sync = on_a_thread(&dev, &journal, |dev, journal| journal.sync(dev));
+        dev.wait_parked();
+        // A committer stages in the window and waits at the gate behind
+        // the parked flush; it commits with the next one.
+        let committer = on_a_thread(&dev, &journal, |dev, journal| {
+            journal.commit(dev, one_block_tx(101, 2))
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while journal.occupancy().0 < 6 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let staged_in_window = journal.occupancy().0 == 6;
+        dev.release();
+        assert!(staged_in_window, "a stage waited for the anchor flush");
+        assert!(sync.join().unwrap().is_err());
+        committer.join().unwrap().unwrap();
+        {
+            let state = journal.state.lock();
+            assert_eq!(
+                (state.used, state.live.len(), state.durable_tail_seq),
+                (6, 2, tail),
+                "a failed anchor drained its run"
+            );
+        }
+        assert_eq!(journal.occupancy().0, 6);
+        // The next checkpoint retires both runs.
+        journal.sync(dev.as_ref()).unwrap();
+        assert_eq!(journal.occupancy().0, 0);
+        assert!(journal.state.lock().live.is_empty());
+        let report = reopen(&journal).replay(dev.as_ref()).unwrap();
+        assert_eq!(report, ReplayReport::default());
+        assert_eq!(dev.read_block_vec(100).unwrap(), vec![1; BS]);
+        assert_eq!(dev.read_block_vec(101).unwrap(), vec![2; BS]);
     }
 }

@@ -538,9 +538,10 @@ pub const STALL_OCCUPANCY_PERMILLE: u64 = 800;
 /// A gate flush stalling a committer longer than this flags a gate stall.
 pub const GATE_STALL_THRESHOLD_NS: u64 = 50_000_000;
 
-/// Stall-watchdog gauges: journal-ring occupancy and checkpoint-daemon
-/// liveness, sampled by the checkpoint daemon's tick (and fed by commit
-/// steals). All values are plain load-shaped numbers.
+/// Stall-watchdog gauges: journal-ring occupancy and checkpoint liveness,
+/// sampled by the checkpoint daemon's tick and by every checkpoint a
+/// committer steals (so a volume without the daemon reads them too). All
+/// values are plain load-shaped numbers.
 pub struct WatchdogStats {
     enabled: bool,
     epoch: Instant,
@@ -549,7 +550,9 @@ pub struct WatchdogStats {
     pub ring_occupancy_hwm_permille: AtomicU64,
     /// Epoch-ns of the last completed checkpoint; 0 = never.
     heartbeat_ns: AtomicU64,
-    /// Commits that checkpointed a nearly-full ring themselves.
+    /// Checkpoints a committer ran itself on a nearly-full ring; a
+    /// committer that found one already in flight skipped and is not
+    /// counted.
     pub checkpoint_steals: AtomicU64,
     pub samples: AtomicU64,
     /// Samples flagged as stalled (occupancy or gate-stall threshold hit).
@@ -600,7 +603,7 @@ impl WatchdogStats {
         }
     }
 
-    /// A committer checkpointed a nearly-full ring itself.
+    /// A committer ran a checkpoint of a nearly-full ring itself.
     pub fn note_steal(&self) {
         if self.enabled {
             self.checkpoint_steals.fetch_add(1, Ordering::Relaxed);

@@ -21,7 +21,12 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use stegfs_blockdev::{BufferCache, FaultDevice, MemBlockDevice};
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::{Duration, Instant};
+use stegfs_blockdev::{
+    BlockDevice, BlockError, BlockResult, BufferCache, FaultDevice, MemBlockDevice,
+};
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{ObjectKind, StegFs, StegParams};
 use stegfs_tests::{journaled_params, payload};
@@ -189,13 +194,16 @@ fn is_device_death(e: &stegfs_core::StegError) -> bool {
 }
 
 /// Read a hidden file after remount through a fresh key derivation.
-fn read_hidden(fs: &Stack, name: &str) -> Result<Vec<u8>, stegfs_core::StegError> {
+fn read_hidden<D: BlockDevice>(
+    fs: &StegFs<D>,
+    name: &str,
+) -> Result<Vec<u8>, stegfs_core::StegError> {
     fs.read_hidden_with_key(name, OWNER)
 }
 
 /// No ghost names: every name the UAK directory lists must open and read.
 /// Returns the listed names.
-fn assert_listed_names_open(fs: &Stack) -> Vec<String> {
+fn assert_listed_names_open<D: BlockDevice>(fs: &StegFs<D>) -> Vec<String> {
     let listed = fs.list_hidden(OWNER).unwrap();
     for (name, _) in &listed {
         if let Err(e) = read_hidden(fs, name) {
@@ -208,7 +216,7 @@ fn assert_listed_names_open(fs: &Stack) -> Vec<String> {
 /// Owned-block accounting: every live object's blocks (data, chain, header,
 /// free pool) must be allocated and owned exactly once, disjoint from every
 /// plain block and from the metadata + journal regions.
-fn assert_no_double_ownership(fs: &Stack) {
+fn assert_no_double_ownership<D: BlockDevice>(fs: &StegFs<D>) {
     let sb = fs.plain_fs().superblock().clone();
     let mut owner_of: HashMap<u64, String> = HashMap::new();
     for b in fs.plain_fs().plain_object_blocks().unwrap() {
@@ -611,5 +619,309 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
         assert_eq!(again.objects_intact, again.objects_scanned, "trip {trip}");
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key("heal", OWNER).unwrap(), data);
+    }
+}
+
+/// What an [`AnchorFlight`] device saw, shared with the test driving it.
+#[derive(Default)]
+struct Flight {
+    seen: Mutex<Seen>,
+    cv: Condvar,
+    /// Read-held across every call into the device; [`Flight::kill`] takes
+    /// it to write, so once it returns nothing more reaches the disk.
+    dead: RwLock<bool>,
+}
+
+#[derive(Default)]
+struct Seen {
+    anchors: Range<u64>,
+    ring: Range<u64>,
+    /// Anchor writes so far; the first `durable_anchor_writes` of them were
+    /// covered by a flush that has returned.
+    anchor_writes: u64,
+    durable_anchor_writes: u64,
+    /// `anchor_writes` at each ring block's last write.  A slot is rewritten
+    /// only after its run was reclaimed, which needs an anchor written after
+    /// the slot and durable before the rewrite; blocks rewritten without
+    /// one are listed in `reused`.
+    last_write: HashMap<u64, u64>,
+    reused: Vec<u64>,
+    armed: bool,
+    parked: bool,
+    released: bool,
+    /// Ring blocks written since the last anchor write.
+    behind: u64,
+}
+
+impl Flight {
+    fn watch(&self, journal_start: u64, journal_blocks: u64) {
+        let mut seen = self.seen.lock().unwrap();
+        seen.anchors = journal_start..journal_start + 2;
+        seen.ring = journal_start + 2..journal_start + journal_blocks;
+    }
+
+    /// Park the next flush that starts after an anchor write, and wait
+    /// until it is parked with `blocks` ring blocks written since that
+    /// anchor; false if that took longer than `limit`.  The flush stays
+    /// parked until [`release`](Self::release).
+    fn park_anchor_flush(&self, blocks: u64, limit: Duration) -> bool {
+        let deadline = Instant::now() + limit;
+        let mut seen = self.seen.lock().unwrap();
+        seen.armed = true;
+        while !(seen.parked && seen.behind >= blocks) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            seen = self.cv.wait_timeout(seen, left).unwrap().0;
+        }
+        true
+    }
+
+    fn kill(&self) {
+        *self.dead.write().unwrap() = true;
+    }
+
+    /// Disarm, and let a parked flush go on.
+    fn release(&self) {
+        let mut seen = self.seen.lock().unwrap();
+        seen.armed = false;
+        seen.released = true;
+        self.cv.notify_all();
+        while seen.parked {
+            seen = self.cv.wait(seen).unwrap();
+        }
+        seen.released = false;
+    }
+
+    fn wrote(&self, blocks: &[u64]) {
+        let seen = &mut *self.seen.lock().unwrap();
+        for &b in blocks {
+            if seen.anchors.contains(&b) {
+                seen.anchor_writes += 1;
+                seen.behind = 0;
+            } else if seen.ring.contains(&b) {
+                let stamp = seen.last_write.insert(b, seen.anchor_writes);
+                if stamp.is_some_and(|stamp| seen.durable_anchor_writes <= stamp) {
+                    seen.reused.push(b);
+                }
+                seen.behind += 1;
+            }
+        }
+        self.cv.notify_all();
+    }
+
+    /// At a flush's start: park it if armed and an anchor is not yet known
+    /// durable.  Returns the anchor writes this flush covers.
+    fn flush_starts(&self) -> u64 {
+        let mut seen = self.seen.lock().unwrap();
+        let covers = seen.anchor_writes;
+        if seen.armed && covers > seen.durable_anchor_writes {
+            seen.armed = false;
+            seen.parked = true;
+            self.cv.notify_all();
+            while !seen.released {
+                seen = self.cv.wait(seen).unwrap();
+            }
+            seen.parked = false;
+            self.cv.notify_all();
+        }
+        covers
+    }
+
+    fn flushed(&self, covers: u64) {
+        let mut seen = self.seen.lock().unwrap();
+        seen.durable_anchor_writes = seen.durable_anchor_writes.max(covers);
+    }
+}
+
+/// A write-cache `FaultDevice` that can park a checkpoint's anchor flush,
+/// and checks that a ring slot is reused only after an anchor past it is
+/// durable.
+struct AnchorFlight {
+    dev: FaultDevice<MemBlockDevice>,
+    flight: Arc<Flight>,
+}
+
+impl AnchorFlight {
+    fn pass<T>(
+        &self,
+        op: impl FnOnce(&FaultDevice<MemBlockDevice>) -> BlockResult<T>,
+    ) -> BlockResult<T> {
+        if *self.flight.dead.read().unwrap() {
+            return Err(BlockError::Io(std::io::Error::other(
+                "injected crash: device unreachable",
+            )));
+        }
+        op(&self.dev)
+    }
+}
+
+impl BlockDevice for AnchorFlight {
+    fn block_size(&self) -> usize {
+        self.dev.block_size()
+    }
+    fn total_blocks(&self) -> u64 {
+        self.dev.total_blocks()
+    }
+    fn read_block(&self, block: u64, buf: &mut [u8]) -> BlockResult<()> {
+        self.pass(|d| d.read_block(block, buf))
+    }
+    fn read_blocks(&self, blocks: &[u64], buf: &mut [u8]) -> BlockResult<()> {
+        self.pass(|d| d.read_blocks(blocks, buf))
+    }
+    fn write_block(&self, block: u64, buf: &[u8]) -> BlockResult<()> {
+        self.write_blocks(&[block], buf)
+    }
+    fn write_blocks(&self, blocks: &[u64], buf: &[u8]) -> BlockResult<()> {
+        self.pass(|d| d.write_blocks(blocks, buf))?;
+        self.flight.wrote(blocks);
+        Ok(())
+    }
+    fn flush(&self) -> BlockResult<()> {
+        let covers = self.flight.flush_starts();
+        self.pass(|d| d.flush())?;
+        self.flight.flushed(covers);
+        Ok(())
+    }
+}
+
+/// A committer's files: the last committed contents of each, and the
+/// writes to it that failed since (a failed write may be durable, never
+/// partial).  Plain paths start with `/`, hidden names do not.
+#[derive(Default)]
+struct Model {
+    committed: HashMap<String, Vec<u8>>,
+    failed: HashMap<String, Vec<Vec<u8>>>,
+}
+
+/// One committer: rewrites its own plain file and hidden file in turn
+/// until the device dies.  A full journal ring (`NoSpace`) is a clean
+/// failure: it backs off and goes on (see ROADMAP, "a full ring fails
+/// commits behind an unsettled front transaction").
+fn commit_until_killed<D: BlockDevice>(
+    fs: &StegFs<D>,
+    t: u64,
+    seed: u64,
+    mut model: Model,
+) -> Model {
+    for i in 0u64.. {
+        let data = payload(seed << 16 ^ t << 8 ^ i, 512 + (i * 1531 % 6000) as usize);
+        let (key, result) = if i % 2 == 0 {
+            let path = format!("/a{t}");
+            let result = fs.write_plain(&path, &data);
+            (path, result)
+        } else {
+            let name = format!("a{t}");
+            let result = fs.write_hidden_with_key(&name, OWNER, &data);
+            (name, result)
+        };
+        match result {
+            Ok(()) => {
+                model.failed.remove(&key);
+                model.committed.insert(key, data);
+            }
+            Err(e) => {
+                model.failed.entry(key).or_default().push(data);
+                if is_device_death(&e) {
+                    return model;
+                }
+                assert!(
+                    matches!(e, stegfs_core::StegError::NoSpace),
+                    "committer {t}: {e}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+    unreachable!()
+}
+
+/// A crash while a checkpoint's anchor flush is in flight, with other
+/// committers' transactions staged and written behind it.  The checkpoints
+/// are commit steals, so the ring is nearly full and the next slots a
+/// stager gets are the front run the checkpoint is retiring.  It holds no
+/// log-state lock across that flush, so the stagers run; but the run stays
+/// counted until the anchor is durable, so none of them may land in it.
+/// After the crash and replay every committed write reads back, a write
+/// that failed is old or new, and block ownership is exact.
+#[test]
+fn a_crash_during_an_anchor_flush_replays_cleanly() {
+    for seed in [3u64, 11, 29, 47, 71] {
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
+        let flight = Arc::new(Flight::default());
+        let device = AnchorFlight {
+            dev: dev.clone(),
+            flight: Arc::clone(&flight),
+        };
+        let fs = StegFs::format(device, params()).unwrap();
+        let sb = fs.plain_fs().superblock().clone();
+        flight.watch(sb.journal_start, sb.journal_blocks);
+        let mut models = Vec::new();
+        for t in 0..3u64 {
+            let (path, name) = (format!("/a{t}"), format!("a{t}"));
+            let (plain, hidden) = (payload(seed ^ t, 2000), payload(seed ^ t << 4, 3000));
+            fs.write_plain(&path, &plain).unwrap();
+            fs.steg_create(&name, OWNER, ObjectKind::File).unwrap();
+            fs.write_hidden_with_key(&name, OWNER, &hidden).unwrap();
+            let committed = HashMap::from([(path, plain), (name, hidden)]);
+            models.push(Model {
+                committed,
+                ..Model::default()
+            });
+        }
+        fs.sync().unwrap();
+
+        let (parked, outcomes) = std::thread::scope(|s| {
+            let committers: Vec<_> = models
+                .into_iter()
+                .enumerate()
+                .map(|(t, model)| {
+                    let fs = &fs;
+                    s.spawn(move || commit_until_killed(fs, t as u64, seed, model))
+                })
+                .collect();
+            // No stager may get in behind a parked flush (all at the gate,
+            // or the ring is full); let that one go and park a later one.
+            let parked = (0..50).any(|_| {
+                flight.park_anchor_flush(4, Duration::from_millis(100)) || {
+                    flight.release();
+                    false
+                }
+            });
+            flight.kill();
+            dev.crash(seed);
+            flight.release();
+            let outcomes: Vec<_> = committers.into_iter().map(|c| c.join().unwrap()).collect();
+            (parked, outcomes)
+        });
+        drop(fs);
+        assert!(
+            parked,
+            "seed {seed}: no anchor flush parked with writes behind it"
+        );
+        let reused = flight.seen.lock().unwrap().reused.clone();
+        assert!(
+            reused.is_empty(),
+            "seed {seed}: ring blocks {reused:?} reused before the anchor past them was durable"
+        );
+
+        let fs = StegFs::mount(dev.clone(), params()).expect("remount after crash");
+        assert_listed_names_open(&fs);
+        assert_no_double_ownership(&fs);
+        for model in outcomes {
+            for (key, expected) in &model.committed {
+                let got = if key.starts_with('/') {
+                    fs.read_plain(key).unwrap()
+                } else {
+                    read_hidden(&fs, key).unwrap()
+                };
+                let mut failed = model.failed.get(key).into_iter().flatten();
+                assert!(
+                    &got == expected || failed.any(|new| new == &got),
+                    "seed {seed}: committed {key} lost after the crash"
+                );
+            }
+        }
     }
 }
