@@ -115,9 +115,8 @@
 use crate::device::{check_batch, BlockDevice, BlockId};
 use crate::error::{BlockError, BlockResult};
 use crate::lru::LruMap;
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeSet;
-use std::sync::{Condvar, PoisonError};
+use stegfs_obs::lock::{Condvar, Mutex, MutexGuard};
 
 /// Write policy of a [`BufferCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -455,10 +454,7 @@ impl<D: BlockDevice> BufferCache<D> {
             if self.insert(&mut state, block, data, true)? {
                 return Ok(state);
             }
-            state = self
-                .landed
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = self.landed.wait(state);
         }
     }
 
@@ -974,7 +970,7 @@ mod tests {
     #[derive(Clone)]
     struct ParkingDevice {
         store: SharedDevice,
-        park: Arc<(std::sync::Mutex<Park>, std::sync::Condvar)>,
+        park: Arc<(Mutex<Park>, Condvar)>,
     }
 
     impl ParkingDevice {
@@ -986,7 +982,7 @@ mod tests {
         }
 
         fn arm(&self, block: BlockId, fail: bool) {
-            *self.park.0.lock().unwrap() = Park {
+            *self.park.0.lock() = Park {
                 armed: Some(block),
                 fail,
                 ..Park::default()
@@ -994,7 +990,7 @@ mod tests {
         }
 
         fn arm_writes(&self, block: BlockId, fail: bool) {
-            *self.park.0.lock().unwrap() = Park {
+            *self.park.0.lock() = Park {
                 armed: Some(block),
                 writes: true,
                 fail,
@@ -1003,25 +999,25 @@ mod tests {
         }
 
         fn landed(&self) -> Vec<Submission> {
-            self.park.0.lock().unwrap().landed.clone()
+            self.park.0.lock().landed.clone()
         }
 
         fn wait_parked(&self, readers: usize) {
             let (lock, cv) = &*self.park;
-            let mut p = lock.lock().unwrap();
+            let mut p = lock.lock();
             while p.parked < readers {
-                p = cv.wait(p).unwrap();
+                p = cv.wait(p);
             }
         }
 
         fn release(&self) {
-            self.park.0.lock().unwrap().open = true;
+            self.park.0.lock().open = true;
             self.park.1.notify_all();
         }
 
         fn pass(&self, blocks: &[BlockId], write: bool) -> BlockResult<()> {
             let (lock, cv) = &*self.park;
-            let mut p = lock.lock().unwrap();
+            let mut p = lock.lock();
             let tripped = p.writes == write
                 && p.armed.is_some_and(|b| blocks.contains(&b))
                 && !(write && p.parked > 0);
@@ -1034,7 +1030,7 @@ mod tests {
             p.parked += 1;
             cv.notify_all();
             while !p.open {
-                p = cv.wait(p).unwrap();
+                p = cv.wait(p);
             }
             if p.fail {
                 return Err(std::io::Error::other("scripted write failure").into());
@@ -1043,7 +1039,7 @@ mod tests {
         }
 
         fn log(&self, submission: Submission) {
-            self.park.0.lock().unwrap().landed.push(submission);
+            self.park.0.lock().landed.push(submission);
         }
     }
 
@@ -1362,7 +1358,7 @@ mod tests {
     /// ever goes back, and yields on every transfer to widen the gaps.
     struct Monotone {
         mem: MemBlockDevice,
-        versions: std::sync::Mutex<HashMap<BlockId, u32>>,
+        versions: Mutex<HashMap<BlockId, u32>>,
     }
 
     fn version(image: &[u8]) -> u32 {
@@ -1372,7 +1368,7 @@ mod tests {
     impl Monotone {
         fn landing(&self, block: BlockId, image: &[u8]) {
             let v = version(image);
-            let old = self.versions.lock().unwrap().insert(block, v);
+            let old = self.versions.lock().insert(block, v);
             assert!(
                 old.unwrap_or(0) <= v,
                 "block {block} went back: {old:?} -> {v}"

@@ -1,8 +1,8 @@
 //! The [`BlockDevice`] trait and the in-memory reference implementation.
 
 use crate::error::{BlockError, BlockResult};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use stegfs_obs::lock::Mutex;
 
 /// Identifier of a block within a device (0-based).
 pub type BlockId = u64;

@@ -25,8 +25,8 @@
 
 use crate::device::{BlockDevice, BlockId};
 use crate::error::BlockResult;
-use parking_lot::Mutex;
 use std::sync::Arc;
+use stegfs_obs::lock::Mutex;
 
 /// Physical parameters of the simulated drive.
 ///

@@ -25,10 +25,10 @@
 
 use crate::device::{check_batch, BlockDevice, BlockId};
 use crate::error::{BlockError, BlockResult};
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
+use stegfs_obs::lock::{Mutex, MutexGuard};
 
 /// Which submissions the scripted and random failures may hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

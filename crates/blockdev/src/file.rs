@@ -6,10 +6,10 @@
 
 use crate::device::{check_access, check_batch, BlockDevice, BlockId};
 use crate::error::BlockResult;
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use stegfs_obs::lock::Mutex;
 
 /// A volume stored in a single file; block `i` lives at byte offset
 /// `i * block_size`.  Transfers serialise on the file handle (the seek and

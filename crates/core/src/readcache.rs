@@ -118,7 +118,6 @@
 
 use crate::crypt::{ObjectKeys, SIGNATURE_LEN};
 use crate::header::HiddenHeader;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,6 +125,7 @@ use std::time::Instant;
 use stegfs_blockdev::LruMap;
 use stegfs_crypto::ct::zeroize;
 use stegfs_crypto::sha256::sha256_concat;
+use stegfs_obs::lock::Mutex;
 use stegfs_obs::{span, ReadCacheStats};
 
 /// Number of independently locked shards for each of the two maps.
@@ -849,7 +849,7 @@ impl ReadCache {
     /// against [`Self::invalidate`] cannot park un-zeroed plaintext of the
     /// old incarnation under a dead key, and one that fetched before a
     /// [`Self::patched`] cannot install what it fetched, rewritten block or
-    /// not.  Lock order: object shard < block shard (same as `invalidate`).
+    /// not.  Lock order: the table in [`stegfs_obs::lock`].
     pub fn put_blocks(&self, sig: &ObjectSig, token: BlockToken, blocks: &[u64], data: &[u8]) {
         if !self.enabled() || token.is_dead() {
             return;

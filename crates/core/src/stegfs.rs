@@ -28,19 +28,11 @@
 //! * the read cache's locks (shards, scope table, derived-key map) sit below
 //!   everything here and are never held across I/O or a key derivation.
 //!
-//! Lock order (outer to inner): `UAK shard < object shard <` the `PlainFs`
-//! locks (`namespace < inode-stripe < inode-table-stripe < allocator-meta <
-//! bitmap-segment < journal < device` — see `stegfs-fs` for the sharded
-//! allocator's segment discipline).  No operation acquires two UAK shards at
-//! once.  The hidden-directory child operations
-//! ([`StegFs::remove_dir_child`]) are the one case that needs *two object
-//! shards* (the parent's listing and the child object); they acquire the
-//! pair in ascending shard-index order, so no cycle can form.  The
-//! derived-key cache lock ([`StegFs::keys_for`]) is a **leaf**: it may be
-//! taken under any lock above, nothing is acquired while it is held, and the
-//! derivation a miss pays runs with it released.  Key sets are fetched
-//! *before* a UAK shard is taken wherever the pair is known up front, so the
-//! shard is held for a cached directory read, not for hashing.
+//! Lock order: the table in [`stegfs_obs::lock`].  The derivation a
+//! derived-key cache miss pays ([`StegFs::keys_for`]) runs with that lock
+//! released, and key sets are fetched *before* a UAK shard is taken wherever
+//! the pair is known up front, so the shard is held for a cached directory
+//! read, not for hashing.
 //!
 //! The handle-based operations ([`StegFs::read_range_at`],
 //! [`StegFs::write_range_at`], [`StegFs::write_at_handle`],
@@ -60,7 +52,6 @@ use crate::params::StegParams;
 use crate::readcache::{CacheStats, ReadCache};
 use crate::session::{ConnectedObject, Session};
 use crate::sharing::ShareEnvelope;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
@@ -69,7 +60,8 @@ use stegfs_crypto::prng::DeterministicRng;
 use stegfs_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use stegfs_crypto::sha256::sha256_concat;
 use stegfs_fs::{AllocPolicy, FileKind, FormatOptions, PlainFs};
-use stegfs_obs::{span, Obs, TimedMutex, TimedMutexGuard};
+use stegfs_obs::lock::{Mutex, MutexGuard};
+use stegfs_obs::{span, Obs};
 
 /// Path of the plain configuration file holding the (non-secret) volume
 /// statistics: abandoned-block count, dummy-file parameters and the dummy
@@ -322,8 +314,8 @@ pub struct StegFs<D: BlockDevice> {
     rng: Mutex<DeterministicRng>,
     fak_counter: AtomicU64,
     config: VolumeConfig,
-    uak_locks: Vec<TimedMutex<()>>,
-    object_locks: Vec<TimedMutex<()>>,
+    uak_locks: Vec<Mutex<()>>,
+    object_locks: Vec<Mutex<()>>,
     /// RAM-only read-path cache (headers, extent maps, decrypted blocks).
     /// Every mutating method invalidates the object it touched; sign-off
     /// purges the departing session's scope, unmount purges everything.
@@ -362,10 +354,10 @@ impl<D: BlockDevice> StegFs<D> {
             read_cache,
             params,
             uak_locks: (0..UAK_SHARDS)
-                .map(|_| TimedMutex::with_stats((), obs.uak_shards.clone()))
+                .map(|_| Mutex::with_stats((), obs.uak_shards.clone()))
                 .collect(),
             object_locks: (0..OBJECT_SHARDS)
-                .map(|_| TimedMutex::with_stats((), obs.object_shards.clone()))
+                .map(|_| Mutex::with_stats((), obs.object_shards.clone()))
                 .collect(),
             obs,
             repair_queue: Mutex::new(RepairQueue::default()),
@@ -571,7 +563,7 @@ impl<D: BlockDevice> StegFs<D> {
         DeterministicRng::new(&rng.bytes(32))
     }
 
-    fn uak_guard(&self, uak: &str) -> TimedMutexGuard<'_, ()> {
+    fn uak_guard(&self, uak: &str) -> MutexGuard<'_, ()> {
         // The span covers only the acquisition: `uak_shard` attribution is
         // time *blocked* on the shard, not time holding it (the held work
         // shows up as its own phases).
@@ -579,11 +571,11 @@ impl<D: BlockDevice> StegFs<D> {
         self.uak_locks[shard_index(uak, self.uak_locks.len())].lock()
     }
 
-    fn object_guard(&self, physical: &str) -> TimedMutexGuard<'_, ()> {
+    fn object_guard(&self, physical: &str) -> MutexGuard<'_, ()> {
         self.object_guard_at(shard_index(physical, self.object_locks.len()))
     }
 
-    fn object_guard_at(&self, idx: usize) -> TimedMutexGuard<'_, ()> {
+    fn object_guard_at(&self, idx: usize) -> MutexGuard<'_, ()> {
         let _s = span::span(span::Phase::ObjectShard);
         self.object_locks[idx].lock()
     }
@@ -1701,8 +1693,8 @@ impl<D: BlockDevice> StegFs<D> {
         parent: &DirectoryEntry,
         mut children: UakDirectory,
         child: DirectoryEntry,
-        _parent_shard: TimedMutexGuard<'_, ()>,
-        _child_shard: Option<TimedMutexGuard<'_, ()>>,
+        _parent_shard: MutexGuard<'_, ()>,
+        _child_shard: Option<MutexGuard<'_, ()>>,
     ) -> StegResult<DirectoryEntry> {
         let child_keys = self.keys_for(&child.physical_name, &child.fak);
         let child_obj = self.open_for_removal(&child, &child_keys)?;

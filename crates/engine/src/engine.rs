@@ -4,11 +4,12 @@
 use crate::request::{Completion, Request, RequestId, Response};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 use stegfs_blockdev::BlockDevice;
 use stegfs_obs::blocking::{self, BlockingHook};
+use stegfs_obs::lock::{Condvar, Mutex, MutexGuard};
 use stegfs_obs::{span, Obs, ENGINE_OPS};
 use stegfs_vfs::{SessionId, Vfs, VfsError, VfsResult};
 
@@ -46,6 +47,7 @@ struct Pool {
 
 /// State shared between the engine handle, its threads and every client.
 struct EngineShared {
+    /// In the registry's `engine.queue` lock family.
     pool: Mutex<Pool>,
     job_ready: Condvar,
     /// Requests allowed to execute at once outside the commit gate.
@@ -54,42 +56,16 @@ struct EngineShared {
     in_flight: AtomicUsize,
     shutting_down: AtomicBool,
     /// Set when a request panicked mid-execution.  A panic can unwind out of
-    /// a core critical section with the protected state half-mutated
-    /// (parking_lot locks do not poison), so the engine **fails stop**: no
-    /// further request touches the volume — queued and future work drains as
-    /// error completions, and nobody hangs.
+    /// a core critical section with the protected state half-mutated, and
+    /// the next holder of its lock gets in regardless (the poison rule of
+    /// [`stegfs_obs::lock`]), so the engine **fails stop**: no further
+    /// request touches the volume — queued and future work drains as error
+    /// completions, and nobody hangs.
     poisoned: AtomicBool,
     completed: AtomicU64,
     /// The volume's observability registry (queue-lock contention, queue
     /// depth, per-op latency).  Grabbed from the VFS at engine start.
     obs: Arc<Obs>,
-}
-
-impl EngineShared {
-    /// Lock the pool, feeding the wait into the registry's `engine.queue`
-    /// lock family.  The pool pairs a std `Mutex` with a `Condvar`, so it
-    /// cannot adopt `TimedMutex` wholesale; this covers the acquisition (the
-    /// contended part — `Condvar` re-locks are wake-ups, not competition).
-    /// Poisoning is ignored: the gate hook re-locks during an unwind.
-    fn lock_pool(&self) -> MutexGuard<'_, Pool> {
-        let stats = &self.obs.engine_queue;
-        if !stats.is_enabled() {
-            return self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        }
-        match self.pool.try_lock() {
-            Ok(g) => {
-                stats.note_uncontended();
-                g
-            }
-            Err(TryLockError::WouldBlock) => {
-                let start = Instant::now();
-                let g = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-                stats.note_contended(start.elapsed().as_nanos() as u64);
-                g
-            }
-            Err(TryLockError::Poisoned(g)) => g.into_inner(),
-        }
-    }
 }
 
 /// Start one pool thread; it counts as `starting` until its first pick.
@@ -146,13 +122,13 @@ struct GateSlot<D: BlockDevice + Send + Sync + 'static> {
 
 impl<D: BlockDevice + Send + Sync + 'static> BlockingHook for GateSlot<D> {
     fn enter(&self) {
-        let mut pool = self.shared.lock_pool();
+        let mut pool = self.shared.pool.lock();
         pool.running -= 1;
         dispatch(&self.vfs, &self.shared, pool);
     }
 
     fn leave(&self) {
-        self.shared.lock_pool().running += 1;
+        self.shared.pool.lock().running += 1;
     }
 }
 
@@ -200,14 +176,17 @@ impl<D: BlockDevice + Send + Sync + 'static> Engine<D> {
     pub fn start(vfs: Arc<Vfs<D>>, workers: usize) -> Self {
         assert!(workers > 0, "an engine needs at least one worker");
         let shared = Arc::new(EngineShared {
-            pool: Mutex::new(Pool {
-                jobs: VecDeque::new(),
-                running: 0,
-                idle: 0,
-                notified: 0,
-                starting: 0,
-                threads: Vec::new(),
-            }),
+            pool: Mutex::with_stats(
+                Pool {
+                    jobs: VecDeque::new(),
+                    running: 0,
+                    idle: 0,
+                    notified: 0,
+                    starting: 0,
+                    threads: Vec::new(),
+                },
+                Arc::clone(&vfs.obs().engine_queue),
+            ),
             job_ready: Condvar::new(),
             workers,
             in_flight: AtomicUsize::new(0),
@@ -217,7 +196,7 @@ impl<D: BlockDevice + Send + Sync + 'static> Engine<D> {
             obs: Arc::clone(vfs.obs()),
         });
         {
-            let mut pool = shared.lock_pool();
+            let mut pool = shared.pool.lock();
             for _ in 0..workers {
                 spawn_thread(&vfs, &shared, &mut pool).expect("start an engine worker");
             }
@@ -269,14 +248,14 @@ impl<D: BlockDevice + Send + Sync + 'static> Engine<D> {
         {
             // Flip the flag under the pool lock so it serialises against
             // in-flight `submit` calls (see `Client::submit`).
-            let _pool = self.shared.lock_pool();
+            let _pool = self.shared.pool.lock();
             self.shared.shutting_down.store(true, Ordering::Release);
         }
         self.shared.job_ready.notify_all();
         // A thread may start another while draining; it records the handle
         // under the pool lock before it exits, so the next pass finds it.
         loop {
-            let threads = std::mem::take(&mut self.shared.lock_pool().threads);
+            let threads = std::mem::take(&mut self.shared.pool.lock().threads);
             if threads.is_empty() {
                 break;
             }
@@ -329,7 +308,7 @@ impl<D: BlockDevice + Send + Sync + 'static> Client<D> {
         // is therefore always visible to a still-running thread — it can
         // never slip into a queue whose pool has already drained and exited.
         let engine = &self.engine;
-        let mut pool = engine.lock_pool();
+        let mut pool = engine.pool.lock();
         if engine.shutting_down.load(Ordering::Acquire) {
             return Err(VfsError::Unsupported("engine is shut down".into()));
         }
@@ -352,33 +331,29 @@ impl<D: BlockDevice + Send + Sync + 'static> Client<D> {
 
     /// Block until any completion is available and return it (oldest first).
     pub fn recv(&self) -> Completion {
-        let mut q = self.shared.completions.lock().expect("client queue");
+        let mut q = self.shared.completions.lock();
         loop {
             if let Some(c) = q.pop_front() {
                 return c;
             }
-            q = self.shared.ready.wait(q).expect("client queue");
+            q = self.shared.ready.wait(q);
         }
     }
 
     /// Return a completion if one is already available.
     pub fn try_recv(&self) -> Option<Completion> {
-        self.shared
-            .completions
-            .lock()
-            .expect("client queue")
-            .pop_front()
+        self.shared.completions.lock().pop_front()
     }
 
     /// Block until the completion of request `id` arrives, buffering (and
     /// preserving) completions of other requests.
     pub fn wait_for(&self, id: RequestId) -> Completion {
-        let mut q = self.shared.completions.lock().expect("client queue");
+        let mut q = self.shared.completions.lock();
         loop {
             if let Some(pos) = q.iter().position(|c| c.id == id) {
                 return q.remove(pos).expect("position is valid");
             }
-            q = self.shared.ready.wait(q).expect("client queue");
+            q = self.shared.ready.wait(q);
         }
     }
 
@@ -393,7 +368,7 @@ impl<D: BlockDevice + Send + Sync + 'static> Client<D> {
 
     /// Number of completions currently waiting to be received.
     pub fn pending_completions(&self) -> usize {
-        self.shared.completions.lock().expect("client queue").len()
+        self.shared.completions.lock().len()
     }
 
     /// Sign the session off, closing every handle it still holds.  Dropping
@@ -416,7 +391,7 @@ fn worker_loop<D: BlockDevice + Send + Sync + 'static>(
         vfs: Arc::clone(vfs),
         shared: Arc::clone(shared),
     }));
-    let mut pool = shared.lock_pool();
+    let mut pool = shared.pool.lock();
     pool.starting -= 1;
     loop {
         let job = loop {
@@ -434,17 +409,14 @@ fn worker_loop<D: BlockDevice + Send + Sync + 'static>(
                 return;
             }
             pool.idle += 1;
-            pool = shared
-                .job_ready
-                .wait(pool)
-                .unwrap_or_else(PoisonError::into_inner);
+            pool = shared.job_ready.wait(pool);
             pool.idle -= 1;
             pool.notified = pool.notified.saturating_sub(1);
         };
         // Execution holds no engine lock.
         drop(pool);
         run(vfs, shared, job, tid);
-        pool = shared.lock_pool();
+        pool = shared.pool.lock();
         pool.running -= 1;
     }
 }
@@ -455,9 +427,10 @@ fn run<D: BlockDevice>(vfs: &Vfs<D>, shared: &EngineShared, job: Job, tid: u32) 
     // A panicking request must not shrink the pool or strand its client:
     // catch the unwind, deliver an error completion, and *poison* the
     // engine.  The unwind may have left the shared volume's invariants
-    // half-mutated (parking_lot locks do not poison), so after the catch no
-    // request *begins executing* against the volume — queued work drains as
-    // errors and new submissions are refused.  Requests already
+    // half-mutated (the poison rule of `stegfs_obs::lock` lets the next
+    // holder in), so after the catch no request *begins executing* against
+    // the volume — queued work drains as errors and new submissions are
+    // refused.  Requests already
     // mid-execution on sibling threads do run to completion (there is no
     // cooperative cancellation), so poisoning bounds the exposure to the
     // in-flight window rather than eliminating it; the `AssertUnwindSafe` is
@@ -519,8 +492,7 @@ fn run<D: BlockDevice>(vfs: &Vfs<D>, shared: &EngineShared, job: Job, tid: u32) 
     shared.completed.fetch_add(1, Ordering::Relaxed);
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     {
-        let mut c = job.client.completions.lock().expect("client queue");
-        c.push_back(completion);
+        job.client.completions.lock().push_back(completion);
     }
     job.client.ready.notify_all();
 }

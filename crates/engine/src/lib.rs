@@ -60,24 +60,13 @@
 //!
 //! ## Lock order
 //!
-//! The engine adds two leaf locks to the stack and holds neither across
-//! file-system work:
-//!
-//! * the **pool lock** (job queue plus slot bookkeeping) — taken by `submit`
-//!   (push), by threads picking or finishing a job, and by the gate hook
-//!   when a request enters or leaves the commit gate.  The hook takes it
-//!   from *inside* the `Vfs`, below whatever file-system and journal locks
-//!   the request holds, and takes nothing under it (it may start a thread),
-//!   so it stays a leaf;
-//! * each client's **completion queue lock** — taken by the finishing thread
-//!   (push) and by `recv` (pop).
-//!
-//! A thread executing a request therefore holds *no* engine lock; inside the
-//! `Vfs` the documented order `table shard < per-handle offset lock < object
-//! registry < per-object lock < core locks` applies unchanged.  Handles are
-//! capabilities: they are valid engine-wide, and a client is expected to use
-//! the ones its own session opened (exactly like file descriptors handed
-//! across a process boundary).
+//! The engine's two locks — the **pool lock** (job queue plus slot
+//! bookkeeping) and each client's **completion queue lock** — sit in the
+//! table in [`stegfs_obs::lock`], with the gate hook's exception, and
+//! neither is held across file-system work: a thread executing a request
+//! holds *no* engine lock.  Handles are capabilities: they are valid
+//! engine-wide, and a client is expected to use the ones its own session
+//! opened (exactly like file descriptors handed across a process boundary).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,12 +81,13 @@ pub use request::{Completion, Request, RequestId, Response};
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
     use stegfs_blockdev::{
         BlockDevice, BlockId, BlockResult, BufferCache, LatencyDevice, MemBlockDevice,
     };
     use stegfs_core::StegParams;
+    use stegfs_obs::lock::{Condvar, Mutex};
     use stegfs_vfs::{OpenOptions, Vfs, VfsError, VfsHandle};
 
     fn small_engine(workers: usize) -> Engine<MemBlockDevice> {
@@ -273,7 +263,7 @@ mod tests {
 
     impl Controls {
         fn hold_reads(&self, hold: bool) {
-            *self.hold_reads.lock().unwrap() = hold;
+            *self.hold_reads.lock() = hold;
             self.released.notify_all();
         }
 
@@ -300,11 +290,11 @@ mod tests {
             if c.panic_next_read.swap(false, Ordering::SeqCst) {
                 panic!("a trapped read");
             }
-            let mut held = c.hold_reads.lock().unwrap();
+            let mut held = c.hold_reads.lock();
             if *held {
                 c.parked.fetch_add(1, Ordering::SeqCst);
                 while *held {
-                    held = c.released.wait(held).unwrap();
+                    held = c.released.wait(held);
                 }
             }
         }

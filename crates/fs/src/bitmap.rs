@@ -36,7 +36,8 @@ use crate::layout::Superblock;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
-use stegfs_obs::{LockStats, TimedMutex, TimedMutexGuard};
+use stegfs_obs::lock::{Mutex, MutexGuard};
+use stegfs_obs::LockStats;
 
 /// Number of bitmap segments (and `fs.alloc.<shard>` lock families).
 ///
@@ -174,7 +175,7 @@ impl Segment {
 /// segments with per-shard dirty tracking and free hints.  All methods take
 /// `&self`; see the module docs for the locking discipline.
 pub struct Bitmap {
-    segments: Vec<TimedMutex<Segment>>,
+    segments: Vec<Mutex<Segment>>,
     /// Blocks per segment (64-aligned); the last segments may own fewer (or
     /// zero) blocks.
     seg_span: u64,
@@ -202,7 +203,7 @@ impl Bitmap {
                     bits[..src.len()].copy_from_slice(src);
                 }
                 let allocated = bits.iter().map(|b| b.count_ones() as u64).sum();
-                TimedMutex::new(Segment {
+                Mutex::new(Segment {
                     bits,
                     start,
                     end,
@@ -426,7 +427,7 @@ impl Bitmap {
     }
 
     /// Lock every segment, ascending (for whole-volume searches and flush).
-    fn lock_all(&self) -> Vec<TimedMutexGuard<'_, Segment>> {
+    fn lock_all(&self) -> Vec<MutexGuard<'_, Segment>> {
         self.segments.iter().map(|s| s.lock()).collect()
     }
 
@@ -561,7 +562,7 @@ impl Bitmap {
 /// Assemble the on-disk image of one bitmap block from held segment guards.
 /// `segs` must cover every segment intersecting the block (a full
 /// [`Bitmap::lock_all`] always does).
-fn assemble_block(bm: &Bitmap, segs: &[TimedMutexGuard<'_, Segment>], index: u64) -> Vec<u8> {
+fn assemble_block(bm: &Bitmap, segs: &[MutexGuard<'_, Segment>], index: u64) -> Vec<u8> {
     let mut buf = vec![0u8; bm.block_size];
     let byte_start = (index as usize) * bm.block_size;
     let total_bytes = (bm.total_blocks as usize).div_ceil(8);
@@ -584,7 +585,7 @@ fn assemble_block(bm: &Bitmap, segs: &[TimedMutexGuard<'_, Segment>], index: u64
 
 /// Run search over a consistent all-segments view (guards held by caller).
 fn find_run_in(
-    segs: &[TimedMutexGuard<'_, Segment>],
+    segs: &[MutexGuard<'_, Segment>],
     len: u64,
     hint: u64,
     region_start: u64,
@@ -641,7 +642,7 @@ fn find_run_in(
 pub struct BitmapBlocksGuard<'a> {
     bm: &'a Bitmap,
     /// `(shard index, guard)` pairs, ascending.
-    segs: Vec<(usize, TimedMutexGuard<'a, Segment>)>,
+    segs: Vec<(usize, MutexGuard<'a, Segment>)>,
 }
 
 impl BitmapBlocksGuard<'_> {

@@ -44,18 +44,10 @@
 //! costs one submission instead of sixteen round-trips, and a latency-charging
 //! device serves the batch with one overlapped service time.
 //!
-//! Lock order (outer to inner, i.e. acquire left before right):
-//! `namespace < inode-stripe < inode-table-stripe < allocator-meta <
-//! bitmap-segment < journal-internal < device-internal`.  Bitmap segments
-//! are themselves ordered: multi-segment operations (commit snapshots,
-//! run searches, flush) lock them in ascending segment index, and
-//! single-segment claims hold exactly one.  No path holds the allocator
-//! meta lock or a segment while acquiring an inode-table stripe; the
-//! journaled commit path ([`crate::txn`]) relies on the reverse nesting
-//! (table stripes first, then the covering bitmap segments for the
-//! snapshot).  Deletion takes the namespace lock exclusively and then the
-//! victim's stripe, so an in-flight content operation (which holds only
-//! the stripe) always completes before its blocks are freed.
+//! Lock order: the table in [`stegfs_obs::lock`].  Deletion takes the
+//! namespace lock exclusively and then the victim's stripe, so an in-flight
+//! content operation (which holds only the stripe) always completes before
+//! its blocks are freed.
 
 use crate::alloc::{AllocPolicy, Allocator};
 use crate::bitmap::Bitmap;
@@ -64,11 +56,11 @@ use crate::error::{FsError, FsResult};
 use crate::inode::{FileKind, Inode, InodeId, InodeTable, DIRECT_POINTERS, NO_BLOCK};
 use crate::layout::Superblock;
 use crate::txn::FsTxn;
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, ObservedDevice};
 use stegfs_journal::{Journal, JournalGeometry};
-use stegfs_obs::{span, Obs, TimedMutex, TimedRwLock, WatchdogStats};
+use stegfs_obs::lock::{Condvar, Mutex, MutexGuard, RwLock};
+use stegfs_obs::{span, Obs, WatchdogStats};
 
 /// Number of per-inode content stripes (see the module docs).
 pub const STRIPE_COUNT: usize = 64;
@@ -150,7 +142,7 @@ struct DaemonState {
 
 /// Handle to the running checkpoint daemon.
 struct CheckpointDaemon {
-    shared: Arc<(StdMutex<DaemonState>, Condvar)>,
+    shared: Arc<(Mutex<DaemonState>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -166,8 +158,8 @@ pub struct PlainFs<D: BlockDevice> {
     bitmap: Bitmap,
     /// Placement meta state only (policy, cursor, RNG); block claims happen
     /// under the bitmap's segment locks.
-    alloc: TimedMutex<Allocator>,
-    namespace: TimedRwLock<()>,
+    alloc: Mutex<Allocator>,
+    namespace: RwLock<()>,
     stripes: Vec<Mutex<()>>,
     /// One inode-table *block* packs several inodes, and writing one inode
     /// is a read-modify-write of its whole block — two inodes of the same
@@ -183,7 +175,7 @@ pub struct PlainFs<D: BlockDevice> {
     journal: Option<Arc<Journal>>,
     /// Background checkpoint daemon, when started (see
     /// [`Self::start_checkpoint_daemon`]).
-    checkpoint: StdMutex<Option<CheckpointDaemon>>,
+    checkpoint: Mutex<Option<CheckpointDaemon>>,
     /// Stall-watchdog gauges (registry handle after [`Self::attach_obs`];
     /// a detached disabled instance before).
     watchdog: Arc<WatchdogStats>,
@@ -223,7 +215,7 @@ impl<D: BlockDevice> PlainFs<D> {
     ) -> Self {
         let seed_bytes = seed.to_be_bytes();
         PlainFs {
-            alloc: TimedMutex::new(Allocator::new(
+            alloc: Mutex::new(Allocator::new(
                 policy,
                 sb.data_start,
                 sb.total_blocks,
@@ -233,11 +225,11 @@ impl<D: BlockDevice> PlainFs<D> {
             dev: Arc::new(ObservedDevice::new(dev)),
             inodes: InodeTable::new(sb.clone()),
             sb,
-            namespace: TimedRwLock::new(()),
+            namespace: RwLock::new(()),
             stripes: (0..STRIPE_COUNT).map(|_| Mutex::new(())).collect(),
             itable_stripes: (0..STRIPE_COUNT).map(|_| Mutex::new(())).collect(),
             journal: journal.map(Arc::new),
-            checkpoint: StdMutex::new(None),
+            checkpoint: Mutex::new(None),
             watchdog: Arc::new(WatchdogStats::new(false)),
         }
     }
@@ -601,14 +593,14 @@ impl<D: BlockDevice> PlainFs<D> {
         let Some(journal) = self.journal.clone() else {
             return;
         };
-        let mut slot = self.checkpoint.lock().expect("checkpoint lock");
+        let mut slot = self.checkpoint.lock();
         if slot.is_some() {
             return;
         }
         let dev = Arc::clone(&self.dev);
         let watchdog = Arc::clone(&self.watchdog);
         let shared = Arc::new((
-            StdMutex::new(DaemonState {
+            Mutex::new(DaemonState {
                 dirty: false,
                 stop: false,
                 drain: true,
@@ -626,15 +618,12 @@ impl<D: BlockDevice> PlainFs<D> {
                 let stalled = occupancy >= stegfs_obs::STALL_OCCUPANCY_PERMILLE
                     || journal.gate_stall_max_ns() >= stegfs_obs::GATE_STALL_THRESHOLD_NS;
                 watchdog.sample(occupancy, stalled);
-                let mut guard = state.lock().expect("daemon state");
+                let mut guard = state.lock();
                 if !guard.dirty && !guard.stop {
                     // Timed wait doubles as a liveness tick: if the file
                     // system was dropped without unmount (crash tests), the
                     // daemon is the journal's last holder and exits.
-                    guard = cv
-                        .wait_timeout(guard, checkpoint_tick(occupancy))
-                        .expect("daemon state")
-                        .0;
+                    guard = cv.wait_timeout(guard, checkpoint_tick(occupancy)).0;
                 }
                 let stop = guard.stop;
                 let drain = guard.drain;
@@ -672,7 +661,7 @@ impl<D: BlockDevice> PlainFs<D> {
 
     /// True when the background checkpoint daemon is running.
     pub fn checkpoint_daemon_running(&self) -> bool {
-        self.checkpoint.lock().expect("checkpoint lock").is_some()
+        self.checkpoint.lock().is_some()
     }
 
     /// Stop the checkpoint daemon.  With `drain`, the daemon runs one final
@@ -680,11 +669,11 @@ impl<D: BlockDevice> PlainFs<D> {
     /// immediately — the crash tests use this to model a killed process
     /// with a checkpoint still in flight.
     pub fn stop_checkpoint_daemon(&self, drain: bool) {
-        let daemon = self.checkpoint.lock().expect("checkpoint lock").take();
+        let daemon = self.checkpoint.lock().take();
         if let Some(mut daemon) = daemon {
             {
                 let (state, cv) = &*daemon.shared;
-                let mut guard = state.lock().expect("daemon state");
+                let mut guard = state.lock();
                 guard.stop = true;
                 guard.drain = drain;
                 cv.notify_one();
@@ -698,14 +687,10 @@ impl<D: BlockDevice> PlainFs<D> {
     /// Tell the checkpoint daemon a commit happened (cheap flag + notify;
     /// no-op when the daemon is not running).
     pub(crate) fn notify_checkpoint(&self) {
-        if let Ok(slot) = self.checkpoint.lock() {
-            if let Some(daemon) = &*slot {
-                let (state, cv) = &*daemon.shared;
-                if let Ok(mut guard) = state.lock() {
-                    guard.dirty = true;
-                    cv.notify_one();
-                }
-            }
+        if let Some(daemon) = &*self.checkpoint.lock() {
+            let (state, cv) = &*daemon.shared;
+            state.lock().dirty = true;
+            cv.notify_one();
         }
     }
 

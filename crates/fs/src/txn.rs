@@ -58,8 +58,8 @@
 //! allocator win.  After the apply, the touched bitmap blocks are
 //! re-asserted from the live bitmap (again under their segment locks), so
 //! concurrent commits applying snapshots of a shared bitmap block out of
-//! order can never leave a stale image as the device's last word.  The journal's own locks and the device
-//! flush are leaves below all of this; see `stegfs_journal` for that side.
+//! order can never leave a stale image as the device's last word.  Where
+//! these locks sit in the stack's order: the table in [`stegfs_obs::lock`].
 //! Callers hold their operation's own guards (namespace / content stripe /
 //! object shard) across the whole transaction, commit included, so an
 //! update is visible to others only once it is durable.

@@ -25,9 +25,8 @@
 //!
 //! # Lock and flush ordering
 //!
-//! The journal has three internal locks, all *leaves* of the whole stack's
-//! lock order (acquired below every file-system lock, never held while
-//! calling back up), taken in this order:
+//! The journal has three internal locks, in the order of the table in
+//! [`stegfs_obs::lock`] (with its exceptions):
 //!
 //! 1. the **checkpoint** mutex — held by the one checkpoint in flight,
 //!    across its anchor write and flushes.  [`Journal::sync`] and a stager
@@ -36,12 +35,8 @@
 //! 2. the **log state** mutex (ring head, live transaction list, sequence
 //!    counter) — guards memory only: no device I/O runs under it, and it
 //!    never takes the gate;
-//! 3. the **commit gate** (a std `Mutex` + `Condvar`) — serialises group
+//! 3. the **commit gate** (a `Mutex` + `Condvar`) — serialises group
 //!    flushes; held only around bookkeeping, never across the flush itself.
-//!
-//! A gate visit is a `stegfs_obs::blocking` section: on an engine thread,
-//! entering and leaving it takes the engine's pool lock, a leaf below all
-//! three, outside the gate mutex.
 //!
 //! Checkpointing never reuses a ring slot until an anchor recording a tail
 //! past it has been flushed, so replay can trust that any slot at or after
@@ -56,14 +51,14 @@ use crate::record::{
     intent_capacity, open_payload, open_slot, seal_payload, seal_slot, slots_for, JournalKeys,
     Slot, SlotBody, SlotKind, ANCHOR_SLOTS,
 };
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 use stegfs_blockdev::{BlockDevice, BlockError};
-use stegfs_obs::{blocking, span, GateStats, Obs, TimedMutex, TimedMutexGuard};
+use stegfs_obs::lock::{Condvar, Mutex, MutexGuard};
+use stegfs_obs::{blocking, span, GateStats, Obs};
 
 /// Result alias for journal operations.
 pub type JournalResult<T> = Result<T, JournalError>;
@@ -232,7 +227,7 @@ struct GateState {
 /// Group-commit gate: one flush serves every committer that arrived before
 /// it started.
 struct CommitGate {
-    state: StdMutex<GateState>,
+    state: Mutex<GateState>,
     cv: Condvar,
     completed: AtomicU64,
     /// Group-commit metrics (flush count, batch sizes, caller stalls);
@@ -243,7 +238,7 @@ struct CommitGate {
 impl CommitGate {
     fn new() -> Self {
         CommitGate {
-            state: StdMutex::new(GateState {
+            state: Mutex::new(GateState {
                 completed: 0,
                 flushing: false,
                 started: 0,
@@ -263,7 +258,7 @@ impl CommitGate {
     /// `(completed, flushing)` snapshot, for computing when a just-finished
     /// apply becomes durable.
     fn epoch(&self) -> (u64, bool) {
-        let g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let g = self.state.lock();
         (g.completed, g.flushing)
     }
 
@@ -285,7 +280,7 @@ impl CommitGate {
         } else {
             None
         };
-        let mut g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.state.lock();
         g.unstarted += 1;
         let need = g.started + 1;
         let outcome = loop {
@@ -299,7 +294,7 @@ impl CommitGate {
                 let batch = std::mem::take(&mut g.unstarted);
                 drop(g);
                 let result = dev.flush();
-                g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+                g = self.state.lock();
                 g.flushing = false;
                 if result.is_ok() {
                     g.covered = number;
@@ -319,7 +314,7 @@ impl CommitGate {
                     break Err(JournalError::from(e));
                 }
             } else {
-                g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+                g = self.cv.wait(g);
             }
         };
         drop(g);
@@ -352,7 +347,7 @@ pub struct Journal {
     keys: JournalKeys,
     /// Held by the one checkpoint in flight; taken before `state`.
     flight: Mutex<()>,
-    state: TimedMutex<LogState>,
+    state: Mutex<LogState>,
     gate: CommitGate,
     /// Lock-free mirror of `LogState::used`, republished whenever the
     /// staging/reclaim paths change it, so the checkpoint daemon and
@@ -380,7 +375,7 @@ impl Journal {
         Ok(Journal {
             keys: JournalKeys::derive(salt),
             flight: Mutex::new(()),
-            state: TimedMutex::new(LogState {
+            state: Mutex::new(LogState {
                 next_seq: 1,
                 head: 0,
                 used: 0,
@@ -545,7 +540,7 @@ impl Journal {
         &self,
         dev: &D,
         needed: u64,
-    ) -> JournalResult<TimedMutexGuard<'_, LogState>> {
+    ) -> JournalResult<MutexGuard<'_, LogState>> {
         let ring = self.geo.ring_slots();
         let full = || JournalError::Full {
             needed,
@@ -1403,7 +1398,7 @@ mod tests {
         fail: Vec<u64>,
         park: u64,
         /// `(a flush is parked, the park was released)`.
-        parked: StdMutex<(bool, bool)>,
+        parked: Mutex<(bool, bool)>,
         cv: Condvar,
         epoch_anchors: AtomicU64,
         max_epoch_anchors: AtomicU64,
@@ -1411,14 +1406,14 @@ mod tests {
 
     impl SlowFlush {
         fn wait_parked(&self) {
-            let mut g = self.parked.lock().unwrap();
+            let mut g = self.parked.lock();
             while !g.0 {
-                g = self.cv.wait(g).unwrap();
+                g = self.cv.wait(g);
             }
         }
 
         fn release(&self) {
-            self.parked.lock().unwrap().1 = true;
+            self.parked.lock().1 = true;
             self.cv.notify_all();
         }
     }
@@ -1444,11 +1439,11 @@ mod tests {
             let n = self.flushes.fetch_add(1, Ordering::SeqCst) + 1;
             self.epoch_anchors.store(0, Ordering::SeqCst);
             if n == self.park {
-                let mut g = self.parked.lock().unwrap();
+                let mut g = self.parked.lock();
                 g.0 = true;
                 self.cv.notify_all();
                 while !g.1 {
-                    g = self.cv.wait(g).unwrap();
+                    g = self.cv.wait(g);
                 }
             }
             std::thread::sleep(self.delay);
@@ -1473,7 +1468,7 @@ mod tests {
             flushes: AtomicU64::new(0),
             fail,
             park,
-            parked: StdMutex::new((false, false)),
+            parked: Mutex::new((false, false)),
             cv: Condvar::new(),
             epoch_anchors: AtomicU64::new(0),
             max_epoch_anchors: AtomicU64::new(0),

@@ -13,7 +13,7 @@
 
 use std::hint::black_box;
 
-use parking_lot::Mutex;
+use crate::lock::Mutex;
 
 use crate::span::{FinishedRequest, SpanRecord};
 use crate::ENGINE_OPS;

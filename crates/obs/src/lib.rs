@@ -1,10 +1,11 @@
 //! # stegfs-obs — deniability-safe observability for the StegFS stack
 //!
-//! A zero-dependency (std + the `parking_lot` shim), `&self`-friendly
-//! metrics layer threaded through every tier of the filesystem: sharded
-//! log-linear latency [`Histogram`]s, a per-layer metrics registry
-//! ([`Obs`]), contention-instrumented lock wrappers
-//! ([`TimedMutex`]/[`TimedRwLock`]), a RAM-only ring buffer of recent
+//! A zero-dependency (std only), `&self`-friendly metrics layer threaded
+//! through every tier of the filesystem: sharded log-linear latency
+//! [`Histogram`]s, a per-layer metrics registry ([`Obs`]), the workspace's
+//! one lock module ([`lock`]: `Mutex`, `RwLock` and `Condvar`, anonymous or
+//! contention-accounted in a named family, with one poison rule and the
+//! stack's lock-order table), a RAM-only ring buffer of recent
 //! trace spans ([`TraceRing`]), and causal per-request phase tracing
 //! ([`span`]): a thread-local request context installed at engine
 //! admission accumulates a tree of timed phases (`queue_wait`,
@@ -48,7 +49,7 @@
 //!
 //! [`Obs::disabled`] (selected by `StegParams::obs_enabled = false`)
 //! allocates no histogram shards and never reads the clock: disabled
-//! histograms early-return, [`TimedMutex`] degenerates to a plain lock,
+//! histograms early-return, a named lock degenerates to an anonymous one,
 //! and the trace ring has zero capacity. The instrumentation compiles in
 //! but collection cost is a predictable branch per hook.
 
@@ -57,7 +58,7 @@
 pub mod blocking;
 mod capture;
 mod hist;
-mod lock;
+pub mod lock;
 pub mod span;
 mod trace;
 
@@ -65,10 +66,7 @@ pub use capture::{
     chrome_trace_json, CaptureEvent, SlowCapture, SlowEntry, TraceCapture, SLOW_PER_OP,
 };
 pub use hist::{HistSummary, Histogram, NUM_BUCKETS};
-pub use lock::{
-    LockStats, LockSummary, TimedMutex, TimedMutexGuard, TimedRwLock, TimedRwLockReadGuard,
-    TimedRwLockWriteGuard,
-};
+pub use lock::{LockStats, LockSummary};
 pub use span::{FinishedRequest, Phase, SpanRecord, PHASE_COUNT, PHASE_NAMES};
 pub use trace::{TraceEvent, TraceRing};
 
@@ -1018,9 +1016,10 @@ mod tests {
         let a = Obs::new(true);
         let b = Obs::new(true);
         // Wildly different activity...
+        let alloc = lock::Mutex::with_stats((), a.alloc_lock.clone());
         for i in 0..500 {
             a.device.read_ns.record(i * 37);
-            a.alloc_lock.note_contended(i);
+            drop(alloc.lock());
             a.engine.record_completion((i % 12) as usize, i, i / 2);
         }
         b.gate.batch.record(3);

@@ -16,7 +16,7 @@
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use crate::lock::Mutex;
 
 /// One coarse operation span. Labels are static strings by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

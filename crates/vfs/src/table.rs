@@ -17,10 +17,10 @@
 
 use crate::error::{VfsError, VfsResult};
 use crate::vfs::ObjectEntry;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use stegfs_obs::lock::Mutex;
 
 /// Number of independently locked table shards (a power of two).
 pub const SHARD_COUNT: usize = 16;
@@ -71,7 +71,7 @@ pub(crate) struct OpenFile {
     /// The stream position, behind its own per-handle lock.  Streaming ops
     /// hold this lock across their object I/O (that is what makes a shared
     /// POSIX-style offset consume atomically); positional ops never touch
-    /// it.  Lock order: offset lock < object lock — never the reverse.
+    /// it.  Lock order: the table in [`stegfs_obs::lock`].
     pub offset: Arc<Mutex<StreamPos>>,
     pub read: bool,
     pub write: bool,

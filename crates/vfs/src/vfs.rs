@@ -26,11 +26,8 @@
 //!   clone the `Arc` under the shared read guard, so sign-ons do not stall
 //!   running I/O and I/O never blocks sign-ons.
 //!
-//! Lock order (outer to inner): `table shard < per-handle offset lock <
-//! object registry < per-object
-//! lock <` the core's locks (`UAK shard < object shard < namespace <
-//! inode-stripe < allocator < device`).  Unlink resolves its path first
-//! (registry untouched), pins the victim's entry, then holds only that
+//! Lock order: the table in [`stegfs_obs::lock`].  Unlink resolves its path
+//! first (registry untouched), pins the victim's entry, then holds only that
 //! entry's object lock across the O(file-size) core delete, so in-flight I/O
 //! drains first and unrelated opens never stall behind it.  The entry stays
 //! registered (alive) until the delete succeeds — a racing open of the same
@@ -41,7 +38,6 @@
 use crate::error::{VfsError, VfsResult};
 use crate::path::VfsPath;
 use crate::table::{OpenFile, OpenFileTable, OpenOptions, StreamPos, VfsHandle};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::SeekFrom;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -53,6 +49,7 @@ use stegfs_core::{
     StegResult,
 };
 use stegfs_fs::{FileKind, InodeId};
+use stegfs_obs::lock::{Mutex, RwLock};
 
 /// Blocks prefetched past a sequential streaming read.  The prefetch rides
 /// the *same* batched device submission as the demand blocks and lands in

@@ -13,10 +13,11 @@
 //! its block, byte and submission totals, and the raw image.  An eviction
 //! mechanism that reproduces the constant chose every victim the same way.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
 use stegfs_core::StegParams;
 use stegfs_crypto::sha256::{sha256, Sha256};
+use stegfs_obs::lock::Mutex;
 use stegfs_obs::DeviceSummary;
 use stegfs_tests::{journaled_params, payload, Tape};
 use stegfs_vfs::{OpenOptions, SessionId, Vfs};
@@ -149,7 +150,7 @@ fn run_script() -> (String, DeviceSummary, String) {
     for b in 0..tape.mem.total_blocks() {
         image.extend(tape.mem.read_block_vec(b).expect("raw read"));
     }
-    let traffic = traffic.lock().unwrap().clone().finalize();
+    let traffic = traffic.lock().clone().finalize();
     (hex(&traffic), io.summary(), hex(&sha256(&image)))
 }
 

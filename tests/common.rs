@@ -2,10 +2,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, BlockId, BlockResult, MemBlockDevice};
 use stegfs_core::{Policy, StegFs, StegParams};
 use stegfs_crypto::sha256::Sha256;
+use stegfs_obs::lock::Mutex;
 
 /// Parameters small enough for integration tests but with every feature
 /// (abandoned blocks, dummy files, random fill) switched on, so the tests
@@ -74,7 +75,7 @@ pub struct Tape {
 
 impl Tape {
     fn record(&self, kind: u8, blocks: &[BlockId]) {
-        let mut sha = self.traffic.lock().unwrap();
+        let mut sha = self.traffic.lock();
         sha.update(&[kind]);
         sha.update(&(blocks.len() as u64).to_be_bytes());
         for b in blocks {

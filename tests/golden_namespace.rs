@@ -18,11 +18,12 @@
 //! script: the change that introduced this pin altered their bytes on
 //! purpose (unpublish-before-destroy; a re-keyed object keeps its policy).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
 use stegfs_core::{DirectoryEntry, ObjectKind, Policy, StegFs, StegParams};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_crypto::sha256::{sha256, Sha256};
+use stegfs_obs::lock::Mutex;
 use stegfs_obs::DeviceSummary;
 use stegfs_tests::{journaled_params, payload, Tape};
 
@@ -251,7 +252,7 @@ fn run_script() -> (String, DeviceSummary, String) {
     for b in 0..tape.mem.total_blocks() {
         image.extend(tape.mem.read_block_vec(b).expect("raw read"));
     }
-    let traffic = traffic.lock().unwrap().clone().finalize();
+    let traffic = traffic.lock().clone().finalize();
     (hex(&traffic), io.summary(), hex(&sha256(&image)))
 }
 

@@ -22,13 +22,14 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stegfs_blockdev::{
     BlockDevice, BlockError, BlockResult, BufferCache, FaultDevice, MemBlockDevice,
 };
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{ObjectKind, StegFs, StegParams};
+use stegfs_obs::lock::{Condvar, Mutex, RwLock};
 use stegfs_tests::{journaled_params, payload};
 
 const OWNER: &str = "crash-harness key";
@@ -655,7 +656,7 @@ struct Seen {
 
 impl Flight {
     fn watch(&self, journal_start: u64, journal_blocks: u64) {
-        let mut seen = self.seen.lock().unwrap();
+        let mut seen = self.seen.lock();
         seen.anchors = journal_start..journal_start + 2;
         seen.ring = journal_start + 2..journal_start + journal_blocks;
     }
@@ -666,36 +667,36 @@ impl Flight {
     /// parked until [`release`](Self::release).
     fn park_anchor_flush(&self, blocks: u64, limit: Duration) -> bool {
         let deadline = Instant::now() + limit;
-        let mut seen = self.seen.lock().unwrap();
+        let mut seen = self.seen.lock();
         seen.armed = true;
         while !(seen.parked && seen.behind >= blocks) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return false;
             }
-            seen = self.cv.wait_timeout(seen, left).unwrap().0;
+            seen = self.cv.wait_timeout(seen, left).0;
         }
         true
     }
 
     fn kill(&self) {
-        *self.dead.write().unwrap() = true;
+        *self.dead.write() = true;
     }
 
     /// Disarm, and let a parked flush go on.
     fn release(&self) {
-        let mut seen = self.seen.lock().unwrap();
+        let mut seen = self.seen.lock();
         seen.armed = false;
         seen.released = true;
         self.cv.notify_all();
         while seen.parked {
-            seen = self.cv.wait(seen).unwrap();
+            seen = self.cv.wait(seen);
         }
         seen.released = false;
     }
 
     fn wrote(&self, blocks: &[u64]) {
-        let seen = &mut *self.seen.lock().unwrap();
+        let seen = &mut *self.seen.lock();
         for &b in blocks {
             if seen.anchors.contains(&b) {
                 seen.anchor_writes += 1;
@@ -714,14 +715,14 @@ impl Flight {
     /// At a flush's start: park it if armed and an anchor is not yet known
     /// durable.  Returns the anchor writes this flush covers.
     fn flush_starts(&self) -> u64 {
-        let mut seen = self.seen.lock().unwrap();
+        let mut seen = self.seen.lock();
         let covers = seen.anchor_writes;
         if seen.armed && covers > seen.durable_anchor_writes {
             seen.armed = false;
             seen.parked = true;
             self.cv.notify_all();
             while !seen.released {
-                seen = self.cv.wait(seen).unwrap();
+                seen = self.cv.wait(seen);
             }
             seen.parked = false;
             self.cv.notify_all();
@@ -730,7 +731,7 @@ impl Flight {
     }
 
     fn flushed(&self, covers: u64) {
-        let mut seen = self.seen.lock().unwrap();
+        let mut seen = self.seen.lock();
         seen.durable_anchor_writes = seen.durable_anchor_writes.max(covers);
     }
 }
@@ -748,7 +749,7 @@ impl AnchorFlight {
         &self,
         op: impl FnOnce(&FaultDevice<MemBlockDevice>) -> BlockResult<T>,
     ) -> BlockResult<T> {
-        if *self.flight.dead.read().unwrap() {
+        if *self.flight.dead.read() {
             return Err(BlockError::Io(std::io::Error::other(
                 "injected crash: device unreachable",
             )));
@@ -900,7 +901,7 @@ fn a_crash_during_an_anchor_flush_replays_cleanly() {
             parked,
             "seed {seed}: no anchor flush parked with writes behind it"
         );
-        let reused = flight.seen.lock().unwrap().reused.clone();
+        let reused = flight.seen.lock().reused.clone();
         assert!(
             reused.is_empty(),
             "seed {seed}: ring blocks {reused:?} reused before the anchor past them was durable"

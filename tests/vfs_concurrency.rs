@@ -10,6 +10,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use stegfs_blockdev::{MemBlockDevice, SharedDevice};
 use stegfs_core::StegParams;
+use stegfs_obs::lock::{Condvar, Mutex};
 use stegfs_tests::full_feature_params;
 use stegfs_vfs::{OpenOptions, Vfs};
 
@@ -335,7 +336,7 @@ struct ParkNextRead {
     inner: MemBlockDevice,
     armed: Arc<std::sync::atomic::AtomicBool>,
     parked: Arc<Barrier>,
-    release: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    release: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl ParkNextRead {
@@ -343,9 +344,9 @@ impl ParkNextRead {
         if self.armed.swap(false, Ordering::AcqRel) {
             self.parked.wait();
             let (flag, cvar) = &*self.release;
-            let mut released = flag.lock().expect("release lock");
+            let mut released = flag.lock();
             while !*released {
-                released = cvar.wait(released).expect("release wait");
+                released = cvar.wait(released);
             }
         }
     }
@@ -383,7 +384,7 @@ fn parked_streaming_handle_does_not_block_its_table_shard() {
     // inside the device, same-shard positional I/O and seeks must complete.
     let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let parked = Arc::new(Barrier::new(2));
-    let release = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+    let release = Arc::new((Mutex::new(false), Condvar::new()));
     let dev = ParkNextRead {
         inner: MemBlockDevice::new(1024, 16384),
         armed: Arc::clone(&armed),
@@ -446,7 +447,7 @@ fn parked_streaming_handle_does_not_block_its_table_shard() {
     // Release the parked stream and let everything finish.
     {
         let (flag, cvar) = &*release;
-        *flag.lock().expect("release lock") = true;
+        *flag.lock() = true;
         cvar.notify_all();
     }
     streamer.join().expect("streamer");
