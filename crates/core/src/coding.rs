@@ -48,6 +48,7 @@
 //! the access key reveals.  Wrong key still reads as never-existed.
 
 use crate::error::{StegError, StegResult};
+use crate::scratch::Scratch;
 use stegfs_baselines::ida::Decoder;
 use stegfs_baselines::Ida;
 use stegfs_crypto::sha256::sha256_concat;
@@ -236,12 +237,12 @@ impl GroupCodec {
     /// `groups * n` blocks of `block_size` bytes, group-major (group 0's
     /// shares 1..=n, then group 1's, ...), plus one checksum per share
     /// block.  The last group is zero padded, exactly like the tail of a
-    /// plain object's last block.  The stream is a scratch-pool buffer.
-    pub(crate) fn encode_groups(&self, data: &[u8]) -> (Vec<u8>, Vec<u64>) {
+    /// plain object's last block.
+    pub(crate) fn encode_groups(&self, data: &[u8]) -> (Scratch, Vec<u64>) {
         let (m, n) = self.shares();
         let bs = self.block_size;
         let groups = data.len().div_ceil(m * bs);
-        let mut out = crate::readcache::scratch::take(groups * n * bs);
+        let mut out = Scratch::take(groups * n * bs);
         let mut csums = Vec::with_capacity(groups * n);
         for (group, shares) in data.chunks(m * bs).zip(out.chunks_exact_mut(n * bs)) {
             self.split_group(group, shares);
@@ -337,9 +338,9 @@ mod tests {
     #[test]
     fn encode_is_deterministic() {
         let data: Vec<u8> = (0..1000).map(|i| (i % 256) as u8).collect();
-        let a = GroupCodec::new(2, 4, 128).encode_groups(&data);
-        let b = GroupCodec::new(2, 4, 128).encode_groups(&data);
-        assert_eq!(a, b);
+        let (a, a_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data);
+        let (b, b_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data);
+        assert_eq!((&a[..], a_csums), (&b[..], b_csums));
     }
 
     #[test]

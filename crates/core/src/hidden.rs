@@ -63,7 +63,8 @@ use crate::error::{StegError, StegResult};
 use crate::header::{HiddenHeader, InodeChainBlock, ObjectKind, NO_BLOCK};
 use crate::locator::{candidate_sequence, locate_header, Located};
 use crate::params::StegParams;
-use crate::readcache::{scratch, BlockToken, ExtentList, ReadCache};
+use crate::readcache::{BlockToken, ExtentList, ReadCache};
+use crate::scratch::Scratch;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
@@ -193,7 +194,7 @@ struct ChainNode {
     node: InodeChainBlock,
     /// The node's canonical plaintext, for rewriting damaged replicas
     /// byte-identically.
-    plain: Vec<u8>,
+    plain: Scratch,
 }
 
 /// The extent list a chain walk of `obj` found: data blocks in logical order
@@ -358,36 +359,28 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         block: u64,
         plaintext_block: &[u8],
     ) -> StegResult<()> {
-        let mut buf = scratch::take(plaintext_block.len());
+        let mut buf = Scratch::take(plaintext_block.len());
         buf.copy_from_slice(plaintext_block);
         {
             let _s = span::span(span::Phase::Crypto);
             self.keys.encrypt_block(block, &mut buf);
         }
-        let result = txn.write_raw_block(block, &buf);
-        scratch::put(buf);
-        result?;
+        txn.write_raw_block(block, &buf)?;
         Ok(())
     }
 
-    /// Read and decrypt one block into a pooled scratch buffer; return it
-    /// with [`scratch::put`] when done.
-    fn read_decrypted(&self, block: u64) -> StegResult<Vec<u8>> {
+    /// Read and decrypt one block.
+    fn read_decrypted(&self, block: u64) -> StegResult<Scratch> {
         self.read_decrypted_many(&[block])
     }
 
     /// Read a whole extent list in **one batched device submission**, then
     /// decrypt each block in place (the cipher is keyed per block number, so
-    /// the crypto stays per-block while the I/O batches).  The returned
-    /// buffer comes from the thread's scratch pool; callers that do not hand
-    /// it to their own caller should return it with [`scratch::put`].
-    fn read_decrypted_many(&self, blocks: &[u64]) -> StegResult<Vec<u8>> {
+    /// the crypto stays per-block while the I/O batches).
+    fn read_decrypted_many(&self, blocks: &[u64]) -> StegResult<Scratch> {
         let bs = self.fs.block_size();
-        let mut buf = scratch::take(blocks.len() * bs);
-        if let Err(e) = self.fs.read_raw_blocks_into(blocks, &mut buf) {
-            scratch::put(buf);
-            return Err(e.into());
-        }
+        let mut buf = Scratch::take(blocks.len() * bs);
+        self.fs.read_raw_blocks_into(blocks, &mut buf)?;
         {
             let _s = span::span(span::Phase::Crypto);
             for (&block, chunk) in blocks.iter().zip(buf.chunks_exact_mut(bs)) {
@@ -398,16 +391,14 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     }
 
     /// Encrypt `plaintext` (the concatenation of the blocks' contents) per
-    /// block **in place** — every caller hands over a scratch buffer it is
-    /// done with — and write the whole extent list in **one batched device
-    /// submission** (or stage it into the transaction's redo buffer on a
-    /// journaled volume).  The buffer is zeroed and returned to the thread's
-    /// scratch pool afterwards.
+    /// block **in place** and write the whole extent list in **one batched
+    /// device submission** (or stage it into the transaction's redo buffer
+    /// on a journaled volume).
     fn write_encrypted_many(
         &self,
         txn: &mut FsTxn<'_, D>,
         blocks: &[u64],
-        mut plaintext: Vec<u8>,
+        mut plaintext: Scratch,
     ) -> StegResult<()> {
         let bs = txn.block_size();
         debug_assert_eq!(plaintext.len(), blocks.len() * bs);
@@ -417,9 +408,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 self.keys.encrypt_block(block, chunk);
             }
         }
-        let result = txn.write_raw_blocks(blocks, &plaintext);
-        scratch::put(plaintext);
-        result?;
+        txn.write_raw_blocks(blocks, &plaintext)?;
         Ok(())
     }
 
@@ -484,15 +473,10 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// True if the on-disk header block still decrypts and parses to exactly
     /// the header the caller holds.
     fn header_matches_disk(&self, obj: &HiddenObject) -> StegResult<bool> {
-        let mut raw = scratch::take(self.fs.block_size());
-        let read = self.fs.read_raw_blocks_into(&[obj.header_block], &mut raw);
-        let parsed = read.map(|()| {
-            self.keys.decrypt_block(obj.header_block, &mut raw);
-            let total = self.fs.superblock().total_blocks;
-            HiddenHeader::parse_if_match(&raw, self.keys.signature(), total)
-        });
-        scratch::put(raw);
-        Ok(parsed?.is_some_and(|h| h == obj.header))
+        let raw = self.read_decrypted(obj.header_block)?;
+        let total = self.fs.superblock().total_blocks;
+        let parsed = HiddenHeader::parse_if_match(&raw, self.keys.signature(), total);
+        Ok(parsed.is_some_and(|h| h == obj.header))
     }
 
     /// Walk the inode chain, falling back through each node's replicas.
@@ -517,19 +501,16 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         loop {
             let node = if copies == 1 {
                 let block = candidates[0];
-                let buf = self.read_decrypted(block)?;
-                let parsed = InodeChainBlock::deserialize_meta(&buf, total, coded, 1);
-                let plain = buf.clone();
-                scratch::put(buf);
+                let plain = self.read_decrypted(block)?;
                 ChainNode {
                     blocks: vec![block],
                     damaged: Vec::new(),
-                    node: parsed?,
+                    node: InodeChainBlock::deserialize_meta(&plain, total, coded, 1)?,
                     plain,
                 }
             } else {
                 let mut damaged: Vec<u64> = Vec::new();
-                let mut good: Option<(InodeChainBlock, Vec<u8>)> = None;
+                let mut good: Option<(InodeChainBlock, Scratch)> = None;
                 for &block in &candidates {
                     if good.is_some() && !verify_all {
                         break;
@@ -545,7 +526,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                         match InodeChainBlock::deserialize_meta(&buf, total, coded, copies) {
                             Ok(parsed) => {
                                 if good.is_none() {
-                                    good = Some((parsed, buf.clone()));
+                                    good = Some((parsed, buf));
                                 }
                             }
                             Err(_) => damaged.push(block),
@@ -553,7 +534,6 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                     } else {
                         damaged.push(block);
                     }
-                    scratch::put(buf);
                 }
                 let Some((parsed, plain)) = good else {
                     return Err(coding::damage(format!(
@@ -604,16 +584,16 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// serving what it can from the plaintext cache and fetching the rest —
     /// plus any not-yet-cached `readahead` blocks — in **one** batched
     /// device submission.  Fetched blocks are decrypted once and installed
-    /// under `token`.  The returned buffer comes from the scratch pool.
+    /// under `token`.
     fn read_blocks_cached(
         &self,
         token: BlockToken,
         span: &[u64],
         readahead: &[u64],
-    ) -> StegResult<Vec<u8>> {
+    ) -> StegResult<Scratch> {
         let (cache, keys) = (self.cache, self.keys);
         let bs = self.fs.block_size();
-        let mut out = scratch::take(span.len() * bs);
+        let mut out = Scratch::take(span.len() * bs);
         let missed = cache.get_blocks_into(token, span, &mut out);
         let resident = cache.contains_blocks(token, readahead);
         let fetch: Vec<u64> = missed
@@ -630,13 +610,8 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         if fetch.is_empty() {
             return Ok(out);
         }
-        let mut buf = scratch::take(fetch.len() * bs);
-        if let Err(e) = self.fs.read_raw_blocks_into(&fetch, &mut buf) {
-            // `out` already holds the cache hits' plaintext.
-            scratch::put(buf);
-            scratch::put(out);
-            return Err(e.into());
-        }
+        let mut buf = Scratch::take(fetch.len() * bs);
+        self.fs.read_raw_blocks_into(&fetch, &mut buf)?;
         for (&block, chunk) in fetch.iter().zip(buf.chunks_exact_mut(bs)) {
             keys.decrypt_block(block, chunk);
         }
@@ -645,13 +620,11 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         for (j, &slot) in missed.iter().enumerate() {
             out[slot * bs..(slot + 1) * bs].copy_from_slice(nth_block(&buf, j, bs));
         }
-        scratch::put(buf);
         Ok(out)
     }
 
     /// Decode the requested groups of a coded object, returning
-    /// `m * block_size` plaintext bytes per group in `groups` order (a
-    /// scratch-pool buffer).
+    /// `m * block_size` plaintext bytes per group in `groups` order.
     ///
     /// Two-phase fetch: the first `m` shares of every group come up in one
     /// batched submission (the common, undamaged case reads exactly as many
@@ -668,7 +641,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         codec: &mut GroupCodec,
         extents: &ExtentList,
         groups: &[usize],
-    ) -> StegResult<Vec<u8>> {
+    ) -> StegResult<Scratch> {
         let (data_blocks, share_csums) = (&extents.data_blocks, &extents.share_csums);
         let bs = self.fs.block_size();
         let (m, n) = codec.shares();
@@ -708,13 +681,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 data_blocks[g * n + m..(g + 1) * n].iter().copied()
             })
             .collect();
-        let fallback_buf = match self.read_decrypted_many(&fallback) {
-            Ok(buf) => buf,
-            Err(e) => {
-                scratch::put(primary_buf);
-                return Err(e);
-            }
-        };
+        let fallback_buf = self.read_decrypted_many(&fallback)?;
         // A degraded group's fallback shares sit at its rank among the
         // degraded groups; every group's primary shares sit at its own
         // position.
@@ -734,36 +701,24 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             let ok = |&j: &usize| coding::share_checksum(share_at(gi, j)) == share_csums[g * n + j];
             live[gi].extend((m..n).filter(ok));
         }
-        let mut out = scratch::take(groups.len() * m * bs);
-        let mut decode = || -> StegResult<()> {
-            let mut good: Vec<(u8, &[u8])> = Vec::with_capacity(m);
-            for (gi, (&g, plain)) in groups.iter().zip(out.chunks_exact_mut(m * bs)).enumerate() {
-                if live[gi].len() < m {
-                    return Err(coding::damage(format!(
-                        "share group {g} has {} live shares, {m} required",
-                        live[gi].len()
-                    )));
-                }
-                good.clear();
-                good.extend(
-                    live[gi][..m]
-                        .iter()
-                        .map(|&j| ((j + 1) as u8, share_at(gi, j))),
-                );
-                codec.reconstruct_group(&good, plain)?;
+        let mut out = Scratch::take(groups.len() * m * bs);
+        let mut good: Vec<(u8, &[u8])> = Vec::with_capacity(m);
+        for (gi, (&g, plain)) in groups.iter().zip(out.chunks_exact_mut(m * bs)).enumerate() {
+            if live[gi].len() < m {
+                return Err(coding::damage(format!(
+                    "share group {g} has {} live shares, {m} required",
+                    live[gi].len()
+                )));
             }
-            Ok(())
-        };
-        let decoded = decode();
-        scratch::put(primary_buf);
-        scratch::put(fallback_buf);
-        match decoded {
-            Ok(()) => Ok(out),
-            Err(e) => {
-                scratch::put(out);
-                Err(e)
-            }
+            good.clear();
+            good.extend(
+                live[gi][..m]
+                    .iter()
+                    .map(|&j| ((j + 1) as u8, share_at(gi, j))),
+            );
+            codec.reconstruct_group(&good, plain)?;
         }
+        Ok(out)
     }
 
     /// Read logical blocks `first..=last` of an `m`-of-`n` coded object,
@@ -771,7 +726,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// index* — the share blocks themselves are never cached) and decoding
     /// the missing groups.  Every freshly decoded block is installed under
     /// `token`, so a warm object costs neither device reads nor Vandermonde
-    /// solves.  Returns a scratch-pool buffer of `(last - first + 1)` blocks.
+    /// solves.  Returns the `(last - first + 1)` blocks' plaintext.
     fn read_coded_range(
         &self,
         token: BlockToken,
@@ -779,14 +734,14 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         (m, n): (usize, usize),
         first: usize,
         last: usize,
-    ) -> StegResult<Vec<u8>> {
+    ) -> StegResult<Scratch> {
         let bs = self.fs.block_size();
         let logical_count = (extents.data_blocks.len() / n.max(1)) * m;
         if last >= logical_count {
             return Err(shorter_than_size());
         }
         let logical: Vec<u64> = (first as u64..=last as u64).collect();
-        let mut out = scratch::take(logical.len() * bs);
+        let mut out = Scratch::take(logical.len() * bs);
         let mut missing: Vec<usize> = Vec::new();
         for slot in self.cache.get_blocks_into(token, &logical, &mut out) {
             let g = (first + slot) / m;
@@ -796,13 +751,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         }
         if !missing.is_empty() {
             let mut codec = GroupCodec::new(m, n, bs);
-            let decoded = match self.decode_groups(&mut codec, extents, &missing) {
-                Ok(d) => d,
-                Err(e) => {
-                    scratch::put(out);
-                    return Err(e);
-                }
-            };
+            let decoded = self.decode_groups(&mut codec, extents, &missing)?;
             let decoded_blocks: Vec<u64> = missing
                 .iter()
                 .flat_map(|&g| (g * m) as u64..((g + 1) * m) as u64)
@@ -816,13 +765,12 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                     out[slot..slot + bs].copy_from_slice(nth_block(&decoded, j, bs));
                 }
             }
-            scratch::put(decoded);
         }
         Ok(out)
     }
 
-    /// Plaintext of logical blocks `first..=last` of `obj` (a scratch-pool
-    /// buffer), through whichever of the two read paths its policy selects.
+    /// Plaintext of logical blocks `first..=last` of `obj`, through
+    /// whichever of the two read paths its policy selects.
     /// On a plain object up to `readahead_blocks` blocks past `last` ride
     /// along in the same batched submission and land in the plaintext cache.
     fn read_span(
@@ -832,7 +780,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         first: usize,
         last: usize,
         readahead_blocks: usize,
-    ) -> StegResult<Vec<u8>> {
+    ) -> StegResult<Scratch> {
         if let Some(coding) = obj.header.policy.coding() {
             // Decoding already brings in whole groups of `m` blocks (which
             // the cache keeps), so there is no separate readahead window.
@@ -979,7 +927,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let bs = self.fs.block_size();
         let last = (obj.header.size as usize - 1) / bs;
         let plain = self.read_span(obj, chain, 0, last, 0)?;
-        Ok(scratch::hand_out(plain, obj.header.size as usize, bs))
+        Ok(plain.into_vec(obj.header.size as usize, bs))
     }
 
     /// Read `len` bytes starting at `offset` (clamped to the object size),
@@ -1007,11 +955,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let to = (end - first as u64 * bs) as usize;
         if from == 0 {
             // Block-aligned: the span already starts with the caller's bytes.
-            return Ok(scratch::hand_out(plain, to, bs as usize));
+            return Ok(plain.into_vec(to, bs as usize));
         }
-        let out = plain[from..to].to_vec();
-        scratch::put(plain);
-        Ok(out)
+        Ok(plain[from..to].to_vec())
     }
 
     // ------------------------------------------------------------------
@@ -1172,9 +1118,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let bs = bs as usize;
         let plan = stegfs_fs::rmw::plan(span, offset, end, span_start, bs);
         let edge_plain = self.read_decrypted_many(&plan.edges)?;
-        let mut plain = scratch::take(span.len() * bs);
+        let mut plain = Scratch::take(span.len() * bs);
         plan.seed_edges(&edge_plain, &mut plain, bs);
-        scratch::put(edge_plain);
+        drop(edge_plain);
         let from = (offset - span_start) as usize;
         plain[from..from + data.len()].copy_from_slice(data);
         let mut txn = self.fs.begin_txn();
@@ -1231,13 +1177,13 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let edges: Vec<usize> = plan.edges.iter().map(|&g| g as usize).collect();
         let mut codec = GroupCodec::new(m, n, bs);
         let edge_plain = self.decode_groups(&mut codec, &extents, &edges)?;
-        let mut plain = scratch::take(groups.len() * group_bytes);
+        let mut plain = Scratch::take(groups.len() * group_bytes);
         plan.seed_edges(&edge_plain, &mut plain, group_bytes);
-        scratch::put(edge_plain);
+        drop(edge_plain);
         let from = (offset - span_start) as usize;
         plain[from..from + data.len()].copy_from_slice(data);
         let (payload, new_csums) = codec.encode_groups(&plain);
-        scratch::put(plain);
+        drop(plain);
 
         let first_entry = g0 * n;
         let last_entry = (g1 + 1) * n - 1;
@@ -1344,16 +1290,13 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let (payload, csums) = match obj.header.policy.coding() {
             Some((m, n)) => GroupCodec::new(m, n, bs).encode_groups(data),
             None => {
-                let mut padded = scratch::take(data.len().div_ceil(bs) * bs);
+                let mut padded = Scratch::take(data.len().div_ceil(bs) * bs);
                 padded[..data.len()].copy_from_slice(data);
                 (padded, Vec::new())
             }
         };
         let needed = payload.len() / bs;
-        if let Err(e) = self.ensure_capacity(&obj.header, needed as u64, old) {
-            scratch::put(payload);
-            return Err(e);
-        }
+        self.ensure_capacity(&obj.header, needed as u64, old)?;
 
         // The old blocks are *recycled in place*: they stay allocated in the
         // bitmap and are consumed directly as new data/chain blocks, never
@@ -1474,7 +1417,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         // its successor's checksum), then write the whole chain — every
         // replica of a node carrying the identical plaintext — in one
         // batched submission.
-        let mut plain = scratch::take(chunks.len() * copies * bs);
+        let mut plain = Scratch::take(chunks.len() * copies * bs);
         let mut succ_csum = 0u64;
         for (i, chunk) in chunks.iter().enumerate().rev() {
             let succ_start = (i + 1) * copies;
@@ -1551,9 +1494,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 let last = *data_blocks.last().expect("tail implies a kept block");
                 let mut plain = self.read_decrypted(last)?;
                 plain[tail..].fill(0);
-                let result = self.write_encrypted(&mut rw.txn, last, &plain);
-                scratch::put(plain);
-                result?;
+                self.write_encrypted(&mut rw.txn, last, &plain)?;
             }
         } else {
             self.ensure_capacity(&rw.header, new_count, old)?;
@@ -1561,7 +1502,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             // batched submission.
             let extra = new_count.saturating_sub(data_blocks.len() as u64) as usize;
             let grown = rw.take_blocks(extra, rng)?;
-            let zeros = scratch::take(grown.len() * bs);
+            let zeros = Scratch::take(grown.len() * bs);
             self.write_encrypted_many(&mut rw.txn, &grown, zeros)?;
             data_blocks.extend(grown);
         }
@@ -1584,10 +1525,18 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         old: &ExtentList,
     ) -> StegResult<ExtentList> {
         let (m, n) = obj.header.policy.shares();
-        let groups = new_len.div_ceil((self.fs.block_size() * m) as u64);
+        let bs = self.fs.block_size();
+        let groups = new_len.div_ceil((bs * m) as u64);
         self.ensure_capacity(&obj.header, groups.saturating_mul(n as u64), old)?;
-        let mut data = self.read(obj)?;
-        data.resize(new_len as usize, 0);
+        // The kept prefix, zero-extended, in scratch: the whole object's
+        // plaintext never sits in a buffer that is freed unzeroed.
+        let chain = self.cached_chain(obj)?;
+        let mut data = Scratch::take(new_len as usize);
+        if obj.header.size > 0 {
+            let plain = self.read_span(obj, chain, 0, (obj.header.size as usize - 1) / bs, 0)?;
+            let kept = obj.header.size.min(new_len) as usize;
+            data[..kept].copy_from_slice(&plain[..kept]);
+        }
         self.rewrite(obj, &data, rng, old)
     }
 
@@ -1628,24 +1577,19 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             share_csums,
             ..
         } = flatten(obj, &nodes);
-        let mut meta_rewrites: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut meta_rewrites: Vec<(u64, &[u8])> = Vec::new();
         for nd in &nodes {
             for &b in &nd.damaged {
-                meta_rewrites.push((b, nd.plain.clone()));
+                meta_rewrites.push((b, &nd.plain));
             }
         }
         // Header replicas: intact iff the replica decrypts to exactly the
         // bytes the surviving header serialises to (serialisation is
         // canonical, so the comparison is byte-for-byte).
-        if !obj.header.header_replicas.is_empty() {
-            let expected = obj.header.serialize(bs);
-            for &b in &obj.header.header_replicas {
-                let found = self.read_decrypted(b)?;
-                let intact = found[..] == expected[..];
-                scratch::put(found);
-                if !intact {
-                    meta_rewrites.push((b, expected.clone()));
-                }
+        let expected = obj.header.serialize(bs);
+        for &b in &obj.header.header_replicas {
+            if self.read_decrypted(b)?[..] != expected[..] {
+                meta_rewrites.push((b, &expected));
             }
         }
 
@@ -1677,41 +1621,29 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let groups_lost = good.iter().filter(|g| g.len() < m).count();
         let shares_rebuilt: usize =
             bad.iter().map(|b| b.len()).sum::<usize>() + meta_rewrites.len();
-        let rewrite = || -> StegResult<()> {
-            let mut txn = self.fs.begin_txn();
-            for (b, plain) in &meta_rewrites {
-                self.write_encrypted(&mut txn, *b, plain)?;
+        if groups_lost > 0 {
+            return Ok(RepairOutcome::Lost { groups_lost });
+        }
+        if shares_rebuilt == 0 {
+            return Ok(RepairOutcome::Intact);
+        }
+        let mut txn = self.fs.begin_txn();
+        for &(b, plain) in &meta_rewrites {
+            self.write_encrypted(&mut txn, b, plain)?;
+        }
+        let mut codec = GroupCodec::new(m, n, bs);
+        let mut plain = Scratch::take(m * bs);
+        let mut shares = Scratch::take(n * bs);
+        for g in (0..groups).filter(|&g| !bad[g].is_empty()) {
+            codec.reconstruct_group(&good[g], &mut plain)?;
+            codec.split_group(&plain, &mut shares);
+            for &j in &bad[g] {
+                let share = nth_block(&shares, j, bs);
+                self.write_encrypted(&mut txn, data_blocks[g * n + j], share)?;
             }
-            let mut codec = GroupCodec::new(m, n, bs);
-            let mut plain = scratch::take(m * bs);
-            let mut shares = scratch::take(n * bs);
-            let mut rebuild = || -> StegResult<()> {
-                for g in (0..groups).filter(|&g| !bad[g].is_empty()) {
-                    codec.reconstruct_group(&good[g], &mut plain)?;
-                    codec.split_group(&plain, &mut shares);
-                    for &j in &bad[g] {
-                        let share = nth_block(&shares, j, bs);
-                        self.write_encrypted(&mut txn, data_blocks[g * n + j], share)?;
-                    }
-                }
-                Ok(())
-            };
-            let rebuilt = rebuild();
-            scratch::put(plain);
-            scratch::put(shares);
-            rebuilt?;
-            txn.commit()?;
-            Ok(())
-        };
-        let outcome = if groups_lost > 0 {
-            Ok(RepairOutcome::Lost { groups_lost })
-        } else if shares_rebuilt == 0 {
-            Ok(RepairOutcome::Intact)
-        } else {
-            rewrite().map(|()| RepairOutcome::Repaired { shares_rebuilt })
-        };
-        scratch::put(buf);
-        outcome
+        }
+        txn.commit()?;
+        Ok(RepairOutcome::Repaired { shares_rebuilt })
     }
 
     /// The shared tail of both teardowns: return the pool blocks, overwrite
@@ -1792,6 +1724,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch;
     use stegfs_blockdev::{FaultDevice, MemBlockDevice};
     use stegfs_fs::{FormatOptions, PlainFs};
 
@@ -2433,20 +2366,20 @@ mod tests {
             io.read_range(&small, 0, 100, 0).unwrap()
         }];
         for read in reads {
-            scratch::put(scratch::take(1 << 20));
+            drop(Scratch::take(1 << 20));
             let got = read();
             assert_eq!(got, [0x42; 100]);
             assert!(got.capacity() <= 100 + bs, "capacity {}", got.capacity());
         }
         // With a pool that has nothing to offer, the read's own one-block
         // buffer is what the caller gets — handed over, not copied.
-        let hoard: Vec<Vec<u8>> = (0..16).map(|_| scratch::take(0)).collect();
+        let hoard: Vec<Scratch> = (0..16).map(|_| Scratch::take(0)).collect();
         for read in reads {
             let got = read();
             assert_eq!(got, [0x42; 100]);
             assert_eq!(got.capacity(), bs);
         }
-        hoard.into_iter().for_each(scratch::put);
+        drop(hoard);
     }
 
     #[test]
@@ -2705,6 +2638,169 @@ mod tests {
             .chain(std::iter::once(&obj.header.inode_chain))
         {
             assert!(owned.contains(&b), "replica {b} missing from owned set");
+        }
+    }
+
+    /// A memory device whose next `read_blocks` or `write_blocks` panics
+    /// once the matching flag is raised.
+    struct PanicsWhenArmed {
+        mem: MemBlockDevice,
+        reads: Arc<AtomicBool>,
+        writes: Arc<AtomicBool>,
+    }
+
+    impl BlockDevice for PanicsWhenArmed {
+        fn block_size(&self) -> usize {
+            self.mem.block_size()
+        }
+        fn total_blocks(&self) -> u64 {
+            self.mem.total_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> stegfs_blockdev::BlockResult<()> {
+            self.mem.read_block(block, buf)
+        }
+        fn write_block(&self, block: u64, buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
+            self.mem.write_block(block, buf)
+        }
+        fn read_blocks(&self, blocks: &[u64], buf: &mut [u8]) -> stegfs_blockdev::BlockResult<()> {
+            if self.reads.swap(false, Ordering::Relaxed) {
+                panic!("scripted panic inside a read batch");
+            }
+            self.mem.read_blocks(blocks, buf)
+        }
+        fn write_blocks(&self, blocks: &[u64], buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
+            if self.writes.swap(false, Ordering::Relaxed) {
+                panic!("scripted panic inside a write batch");
+            }
+            self.mem.write_blocks(blocks, buf)
+        }
+    }
+
+    #[test]
+    fn scratch_is_returned_when_the_device_panics_mid_operation() {
+        let (reads, writes) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let dev = PanicsWhenArmed {
+            mem: MemBlockDevice::new(1024, 8192),
+            reads: Arc::clone(&reads),
+            writes: Arc::clone(&writes),
+        };
+        let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
+        let keys = ObjectKeys::derive("unwind", b"plain key");
+        let params = StegParams::for_tests();
+        let mut rng = DeterministicRng::new(b"hidden-tests");
+        let cache = ReadCache::new(64);
+        let io = ObjectIo::new(&fs, &params, &cache, &keys);
+        let mut obj = io
+            .create("unwind", ObjectKind::File, Policy::Plain)
+            .unwrap();
+        let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 241) as u8).collect();
+        io.write(&mut obj, &data, &mut rng).unwrap();
+        // Block 0 and the extent list become resident; blocks 1..4 do not.
+        assert_eq!(io.read_range(&obj, 0, 1024, 0).unwrap(), &data[..1024]);
+        let outstanding = scratch::outstanding();
+
+        // (a) The fetch panics after the cache hit was copied into `out`.
+        let hits = cache.stats().block_hits;
+        reads.store(true, Ordering::Relaxed);
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| io.read(&obj)));
+        assert!(read.is_err(), "the fetch panicked");
+        assert_eq!(cache.stats().block_hits, hits + 1, "block 0 was a hit");
+        assert_eq!(scratch::outstanding(), outstanding);
+        assert_eq!(io.read(&obj).unwrap(), data);
+
+        // (b) A patch's batch panics while its plaintext sits in scratch.
+        writes.store(true, Ordering::Relaxed);
+        let patch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            io.write_range(&mut obj, 100, &[0xee; 1500])
+        }));
+        assert!(patch.is_err(), "the batch panicked");
+        assert_eq!(scratch::outstanding(), outstanding);
+        assert_eq!(io.read(&obj).unwrap(), data);
+    }
+
+    type Tripped = stegfs_blockdev::ObservedDevice<FaultDevice<MemBlockDevice>>;
+
+    /// One mutation the write-trip sweep drives.
+    type Mutation =
+        fn(&ObjectIo<'_, Tripped>, &mut HiddenObject, &mut DeterministicRng) -> StegResult<()>;
+
+    /// Run `op` (called `name`) on a fresh volume holding one 6000-byte `policy` object
+    /// (a coded one with one share of group 0 damaged, so `repair` has work),
+    /// with the trip wire armed after `trip` more written blocks, or unarmed.
+    /// Checks that a tripped `op` fails cleanly, that scratch balances, and
+    /// that the same context still answers a read once the device heals.
+    /// Returns the blocks `op` wrote.
+    fn run_tripped(policy: Policy, (name, op): (&str, Mutation), trip: Option<u64>) -> u64 {
+        let dev = Tripped::counting(FaultDevice::new(MemBlockDevice::new(1024, 2048)));
+        let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
+        let keys = ObjectKeys::derive("trip", b"trip key");
+        let params = StegParams::for_tests();
+        let mut rng = DeterministicRng::new(b"hidden-tests");
+        let cache = ReadCache::new(256);
+        let io = ObjectIo::new(&fs, &params, &cache, &keys);
+        let mut obj = io.create("trip", ObjectKind::File, policy).unwrap();
+        let data: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
+        io.write(&mut obj, &data, &mut rng).unwrap();
+        if policy.is_coded() {
+            let victim = io.share_extents(&obj).unwrap()[0][1];
+            let mut txn = fs.begin_txn();
+            txn.write_raw_block(victim, &[0x5a; 1024]).unwrap();
+            txn.commit().unwrap();
+        }
+        assert_eq!(io.read(&obj).unwrap(), data);
+
+        let written = || fs.device().stats().blocks_written.load(Ordering::Relaxed);
+        let before = written();
+        let outstanding = scratch::outstanding();
+        if let Some(n) = trip {
+            fs.device().inner().fail_after_writes(n);
+        }
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&io, &mut obj, &mut rng)));
+        let what = format!("{policy:?} {name} tripped after {trip:?} blocks");
+        match outcome {
+            Ok(result) => assert_eq!(result.is_err(), trip.is_some(), "{what}: {result:?}"),
+            Err(_) => panic!("{what}: panicked"),
+        }
+        assert_eq!(scratch::outstanding(), outstanding, "{what}");
+        let wrote = written() - before;
+        fs.device().inner().clear_failure();
+        // A write-through volume may be left torn, so the read may fail
+        // closed; it must answer, without a panic and with scratch balanced.
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| io.read(&obj)));
+        assert!(read.is_ok(), "{what}: the read after healing panicked");
+        assert_eq!(scratch::outstanding(), outstanding, "{what}: read");
+        wrote
+    }
+
+    #[test]
+    fn scratch_balances_at_every_write_trip() {
+        let ops: [(&str, Mutation); 6] = [
+            ("write", |io, obj, rng| io.write(obj, &[0x33; 4500], rng)),
+            ("write_range edge", |io, obj, _| {
+                io.write_range(obj, 100, &[0xee; 1500])
+            }),
+            ("write_range aligned", |io, obj, _| {
+                io.write_range(obj, 2048, &[0xee; 2048])
+            }),
+            ("resize grow", |io, obj, rng| io.resize(obj, 9000, rng)),
+            ("resize mid-block", |io, obj, rng| io.resize(obj, 2500, rng)),
+            ("repair", |io, obj, _| io.repair(obj).map(drop)),
+        ];
+        for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {
+            for (name, op) in ops {
+                let clean = run_tripped(policy, (name, op), None);
+                assert!(
+                    clean > 0 || name == "repair",
+                    "{policy:?} {name} wrote nothing"
+                );
+                for n in 0..clean {
+                    run_tripped(policy, (name, op), Some(n));
+                }
+            }
         }
     }
 }

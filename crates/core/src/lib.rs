@@ -74,6 +74,7 @@ pub mod keys;
 pub mod locator;
 pub mod params;
 pub mod readcache;
+mod scratch;
 pub mod session;
 pub mod sharing;
 pub mod stegfs;

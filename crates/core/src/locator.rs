@@ -18,7 +18,7 @@
 use crate::crypt::{ObjectKeys, SIGNATURE_LEN};
 use crate::error::{StegError, StegResult};
 use crate::header::HiddenHeader;
-use crate::readcache::scratch;
+use crate::scratch::Scratch;
 use stegfs_blockdev::BlockDevice;
 use stegfs_crypto::prng::BlockLocator;
 use stegfs_fs::PlainFs;
@@ -92,24 +92,19 @@ pub fn locate_header<D: BlockDevice>(
         // into a pooled scratch buffer and the signature test runs on a
         // stack-allocated prefix, so walking past other objects' blocks
         // allocates nothing.
-        let mut raw = scratch::take(block_size);
-        if let Err(e) = fs.read_raw_blocks_into(&[candidate], &mut raw) {
-            scratch::put(raw);
-            return Err(e.into());
-        }
+        let mut raw = Scratch::take(block_size);
+        fs.read_raw_blocks_into(&[candidate], &mut raw)?;
         // Cheap first pass: decrypt only the signature prefix.
         let take = PROBE_PREFIX.min(block_size);
         let mut prefix = [0u8; PROBE_PREFIX];
         prefix[..take].copy_from_slice(&raw[..take]);
         keys.decrypt_block(candidate, &mut prefix[..take]);
         if !stegfs_crypto::ct::ct_eq(&prefix[..SIGNATURE_LEN], keys.signature()) {
-            scratch::put(raw);
             continue;
         }
         // Full decrypt and parse.
         keys.decrypt_block(candidate, &mut raw);
         let header = HiddenHeader::parse_if_match(&raw, keys.signature(), sb.total_blocks);
-        scratch::put(raw);
         if let Some(header) = header {
             return Ok(Located {
                 block: candidate,

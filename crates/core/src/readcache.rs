@@ -56,7 +56,7 @@
 //! cost 10.3 / 5.4 µs, because each paid its own shard lock, counter
 //! updates and — with observability on — two clock reads, a histogram
 //! record and a span note.  The buffer a block-aligned read fills is then
-//! the one its caller gets (`scratch::hand_out`), not copied once more.
+//! the one its caller gets (`Scratch::into_vec`), not copied once more.
 //!
 //! When entries must die:
 //!
@@ -1108,95 +1108,11 @@ impl ReadCache {
     }
 }
 
-/// A tiny thread-local pool of scratch buffers for the hidden read/write
-/// paths, so every batched operation stops allocating (and leaking traces of
-/// plaintext into) a fresh `Vec`.  Buffers are zeroed *before* they enter
-/// the pool, so the pool itself never holds plaintext.
-pub(crate) mod scratch {
-    use std::cell::RefCell;
-
-    thread_local! {
-        static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-    }
-
-    #[cfg(test)]
-    thread_local! {
-        static OUTSTANDING: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
-    }
-
-    /// Buffers this thread has taken and neither put back nor handed out
-    /// (takes − puts − hand-outs).  A path that puts back or hands out
-    /// everything it takes leaves it where it was, whichever way it returns.
-    #[cfg(test)]
-    pub fn outstanding() -> isize {
-        OUTSTANDING.get()
-    }
-
-    /// Buffers retained per thread; engine workers are a fixed pool, so this
-    /// bounds the idle footprint.
-    const MAX_POOLED: usize = 8;
-    /// Never hoard buffers beyond this capacity.
-    const MAX_POOLED_CAPACITY: usize = 4 << 20;
-
-    /// Take a zero-filled buffer of exactly `len` bytes, reusing a pooled
-    /// allocation when one is available.
-    pub fn take(len: usize) -> Vec<u8> {
-        #[cfg(test)]
-        OUTSTANDING.set(OUTSTANDING.get() + 1);
-        let pooled = POOL.with(|p| p.borrow_mut().pop());
-        match pooled {
-            Some(mut v) => {
-                // Pooled buffers are zeroed and emptied by `put`, so this
-                // only fills fresh growth.
-                v.resize(len, 0);
-                v
-            }
-            None => vec![0u8; len],
-        }
-    }
-
-    /// Hand the first `len` bytes of `v`, a buffer from [`take`], to a
-    /// caller outside the pool, zeroing the bytes past `len`.  The
-    /// allocation itself goes with them when it has at most `slack` bytes
-    /// of spare capacity.  A pooled one may be far larger (up to
-    /// `MAX_POOLED_CAPACITY`, sized by an earlier operation on this thread):
-    /// its bytes are copied out at exactly `len`, and it is zeroed and
-    /// freed rather than re-pooled, so it stops being handed to small reads.
-    pub fn hand_out(mut v: Vec<u8>, len: usize, slack: usize) -> Vec<u8> {
-        #[cfg(test)]
-        OUTSTANDING.set(OUTSTANDING.get() - 1);
-        if v.capacity() - len > slack {
-            let out = v[..len].to_vec();
-            stegfs_crypto::ct::zeroize(&mut v);
-            return out;
-        }
-        stegfs_crypto::ct::zeroize(&mut v[len..]);
-        v.truncate(len);
-        v
-    }
-
-    /// Zero `v` and return it to the pool (or drop it if the pool is full).
-    pub fn put(mut v: Vec<u8>) {
-        #[cfg(test)]
-        OUTSTANDING.set(OUTSTANDING.get() - 1);
-        stegfs_crypto::ct::zeroize(&mut v);
-        v.clear();
-        if v.capacity() == 0 || v.capacity() > MAX_POOLED_CAPACITY {
-            return;
-        }
-        POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < MAX_POOLED {
-                pool.push(v);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::header::ObjectKind;
+    use crate::scratch::Scratch;
 
     /// The one-block forms of the batched block calls.
     fn get1(c: &ReadCache, token: BlockToken, block: u64, out: &mut [u8]) -> bool {
@@ -2038,15 +1954,11 @@ mod tests {
 
     #[test]
     fn scratch_pool_reuses_and_zeroes() {
-        let mut v = scratch::take(128);
-        assert_eq!(v, vec![0u8; 128]);
+        let mut v = Scratch::take(128);
+        assert_eq!(v[..], [0u8; 128]);
         v.fill(0x5a);
-        let cap = v.capacity();
-        scratch::put(v);
-        let v2 = scratch::take(64);
-        assert_eq!(v2, vec![0u8; 64], "pooled buffer must come back zeroed");
-        assert!(v2.capacity() >= 64);
-        // Usually the very same allocation comes back.
-        let _ = cap;
+        drop(v);
+        let v2 = Scratch::take(64);
+        assert_eq!(v2[..], [0u8; 64], "pooled buffer must come back zeroed");
     }
 }
