@@ -20,7 +20,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 use stegfs_blockdev::{BufferCache, CacheMode, LatencyDevice, MemBlockDevice};
-use stegfs_core::StegParams;
+use stegfs_core::{StegFs, StegParams};
 use stegfs_engine::{Client, Engine, Request, Response};
 use stegfs_obs::{HistSummary, WatchdogSummary, ENGINE_OPS};
 use stegfs_vfs::{OpenOptions, Vfs, VfsHandle};
@@ -74,7 +74,6 @@ fn params() -> StegParams {
         random_fill: false,
         dummy_file_count: 0,
         journal_blocks: 1024,
-        checkpoint_daemon: true,
         ..StegParams::for_tests()
     }
 }
@@ -91,7 +90,11 @@ fn build_volume(clients: usize) -> Arc<Vfs<SweepDevice>> {
     let disk = LatencyDevice::symmetric(MemBlockDevice::with_capacity_mb(1024, 48), BLOCK_LATENCY)
         .with_flush_latency(FLUSH_LATENCY);
     let dev = BufferCache::with_mode(disk, 4096, CacheMode::WriteBack);
-    let vfs = Vfs::format(dev, params()).expect("format");
+    // The checkpoint daemon keeps commits off ring reclamation, as on a
+    // long-running mount.
+    let mut fs = StegFs::format(dev, params()).expect("format");
+    fs.start_checkpoint_daemon();
+    let vfs = Vfs::new(fs);
     for c in 0..clients {
         let s = vfs.signon("attribution key");
         for path in paths(c) {

@@ -4,16 +4,20 @@
 //! histograms land in a shared [`DeviceStats`] from `stegfs-obs`.  The
 //! file-system layer owns one of these around its device, attached to the
 //! volume's registry, so *all* metadata, journal and data I/O is metered at
-//! a single choke point; [`counting`](ObservedDevice::counting) builds a
-//! standalone one for tests and baselines that meter elsewhere in a stack.
+//! a single choke point.  [`counting`](ObservedDevice::counting), the one
+//! constructor, gives the wrapper stats of its own; a file system swaps in
+//! its registry's with [`set_stats`](ObservedDevice::set_stats), and tests
+//! and baselines that meter elsewhere in a stack keep their own.
 //!
 //! **Counting rule.**  A submission counts once it has succeeded: a failed
 //! one (an injected fault, a bad block number, a short buffer) moves no
 //! counter and no histogram, so every count is I/O the device did and its
 //! bytes are exactly blocks × block size.  An empty batch transfers nothing
-//! and counts nothing.  Counters are relaxed atomics; the hot path takes no
-//! lock and one clock pair.  With a disabled stats handle (the default until
-//! the volume attaches its registry) the wrapper never reads the clock.
+//! and counts nothing, not even a span.  Every counted submission ran
+//! inside one `device_io` span of the calling request, so on a request's
+//! thread the span count equals the submission count; a failed submission
+//! keeps its span (its time was spent) and moves no counter.  Counters are
+//! relaxed atomics; the hot path takes no lock and one clock pair.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,34 +40,22 @@ enum Op {
 pub struct ObservedDevice<D> {
     inner: D,
     stats: Arc<DeviceStats>,
-    enabled: bool,
 }
 
 impl<D: BlockDevice> ObservedDevice<D> {
-    /// Wrap `inner` with a detached (disabled) stats handle.
-    pub fn new(inner: D) -> Self {
-        ObservedDevice {
-            inner,
-            stats: Arc::new(DeviceStats::new(false)),
-            enabled: false,
-        }
-    }
-
     /// Wrap `inner` with stats of its own, collecting from the first
     /// submission; read them through [`stats`](Self::stats).
     pub fn counting(inner: D) -> Self {
         ObservedDevice {
             inner,
-            stats: Arc::new(DeviceStats::new(true)),
-            enabled: true,
+            stats: Arc::default(),
         }
     }
 
-    /// Attach the registry's device stats (requires exclusive access; done
-    /// once while the volume is being assembled).
-    pub fn set_stats(&mut self, stats: Arc<DeviceStats>, enabled: bool) {
+    /// Replace the stats with the registry's device stats (requires
+    /// exclusive access; done once while the volume is being assembled).
+    pub fn set_stats(&mut self, stats: Arc<DeviceStats>) {
         self.stats = stats;
-        self.enabled = enabled;
     }
 
     /// The stats this wrapper records into; clone the handle to keep
@@ -87,8 +79,8 @@ impl<D: BlockDevice> ObservedDevice<D> {
         self.inner
     }
 
-    /// Run one submission of `blocks` blocks and, if enabled, record it
-    /// when it succeeds.
+    /// Run one submission of `blocks` blocks and record it when it
+    /// succeeds; an empty read or write batch is no submission.
     #[inline]
     fn meter(
         &self,
@@ -96,10 +88,10 @@ impl<D: BlockDevice> ObservedDevice<D> {
         blocks: usize,
         io: impl FnOnce(&D) -> BlockResult<()>,
     ) -> BlockResult<()> {
-        let _io = span::span(span::Phase::DeviceIo);
-        if !self.enabled {
+        if blocks == 0 && !matches!(op, Op::Flush) {
             return io(&self.inner);
         }
+        let _io = span::span(span::Phase::DeviceIo);
         let start = Instant::now();
         io(&self.inner)?;
         let ns = start.elapsed().as_nanos() as u64;
@@ -110,7 +102,6 @@ impl<D: BlockDevice> ObservedDevice<D> {
                 s.flushes.fetch_add(1, Ordering::Relaxed);
                 s.flush_ns.record(ns);
             }
-            _ if n == 0 => {}
             Op::Read => {
                 s.reads.fetch_add(1, Ordering::Relaxed);
                 s.blocks_read.fetch_add(n, Ordering::Relaxed);
@@ -166,18 +157,23 @@ mod tests {
     use stegfs_obs::Obs;
 
     #[test]
-    fn detached_wrapper_forwards_without_counting() {
-        let dev = ObservedDevice::new(MemBlockDevice::new(128, 64));
+    fn detached_wrapper_counts_into_its_own_stats_until_attached() {
+        let obs = Obs::new();
+        let mut dev = ObservedDevice::counting(MemBlockDevice::new(128, 64));
+        let own = dev.stats().clone();
         dev.write_block(3, &[7; 128]).unwrap();
+        dev.set_stats(obs.device.clone());
         assert_eq!(dev.read_block_vec(3).unwrap(), vec![7; 128]);
-        assert_eq!(dev.stats().summary().writes, 0);
+        let (own, attached) = (own.summary(), obs.device.summary());
+        assert_eq!((own.writes, own.reads), (1, 0));
+        assert_eq!((attached.writes, attached.reads), (0, 1));
     }
 
     #[test]
     fn attached_wrapper_counts_submissions_and_batches() {
-        let obs = Obs::new(true);
-        let mut dev = ObservedDevice::new(MemBlockDevice::new(128, 64));
-        dev.set_stats(obs.device.clone(), true);
+        let obs = Obs::new();
+        let mut dev = ObservedDevice::counting(MemBlockDevice::new(128, 64));
+        dev.set_stats(obs.device.clone());
         dev.write_blocks(&[1, 2, 3], &[1; 128 * 3]).unwrap();
         dev.read_blocks(&[1, 2, 3], &mut [0; 128 * 3]).unwrap();
         dev.flush().unwrap();
@@ -204,6 +200,26 @@ mod tests {
         assert_eq!((s.blocks_read, s.blocks_written), (0, 0));
         assert_eq!((s.read_ns.count, s.write_ns.count), (0, 0));
         assert_eq!((fault.ops(), fault.injected()), (5, 3));
+    }
+
+    /// One span per counted submission: an empty batch opens none.
+    #[test]
+    fn device_io_spans_match_counted_submissions() {
+        let dev = ObservedDevice::counting(MemBlockDevice::new(128, 8));
+        span::request_begin(0);
+        dev.write_blocks(&[1, 2], &[5; 256]).unwrap();
+        dev.read_blocks(&[], &mut []).unwrap();
+        dev.write_blocks(&[], &[]).unwrap();
+        dev.read_block(1, &mut [0; 128]).unwrap();
+        dev.flush().unwrap();
+        let finished = span::request_end().unwrap();
+        let s = dev.stats().summary();
+        assert_eq!((s.reads, s.writes, s.flushes), (1, 1, 1));
+        assert_eq!(finished.spans.len(), 3);
+        assert!(finished
+            .spans
+            .iter()
+            .all(|r| r.phase == span::Phase::DeviceIo));
     }
 
     #[test]

@@ -89,4 +89,3 @@ pub use params::StegParams;
 pub use readcache::CacheStats;
 pub use sharing::ShareEnvelope;
 pub use stegfs::{HiddenHandle, SpaceReport, StegFs};
-pub use stegfs_obs::TRACE_CAPACITY;

@@ -13,6 +13,11 @@ use crate::header::FREE_POOL_CAPACITY;
 /// | `FB_max`     | [`free_blocks_max`](Self::free_blocks_max) | 10 |
 /// | `N_dummy`    | [`dummy_file_count`](Self::dummy_file_count) | 10 |
 /// | `S_dummy`    | [`dummy_file_size`](Self::dummy_file_size) | 1 MB |
+///
+/// Each field below says which paper parameter, paper experiment or gated
+/// benchmark workload (`benchmark/`, see `BENCHMARK.json`) uses it; a field
+/// none of them uses does not belong here.  Observability has no switch:
+/// the registry always collects, and never touches the disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StegParams {
     /// Percentage of data-region blocks abandoned at format time (marked
@@ -31,15 +36,19 @@ pub struct StegParams {
     pub dummy_file_size: u64,
     /// Upper bound on locator probes before a lookup is declared
     /// unsuccessful.  Not in the paper (the kernel driver searches until it
-    /// wraps); bounded here so a wrong key terminates promptly.
+    /// wraps); bounded here so a wrong key terminates promptly.  Every
+    /// hidden-object lookup, in the paper's experiments and the benchmark
+    /// alike, runs under it.
     pub max_locator_probes: usize,
     /// Volume seed: drives FAK generation, abandoned-block placement, dummy
     /// file keys and the random fill.  Fixing it makes experiments
-    /// reproducible; a deployment would randomise it.
+    /// reproducible (every benchmark workload and `repro` pass sets it); a
+    /// deployment would randomise it.
     pub volume_seed: u64,
-    /// Whether to fill the volume with random patterns at format time.
-    /// Required for the hiding property; the performance experiments may
-    /// disable it to shorten set-up, as it does not affect timing results.
+    /// Whether to fill the volume with random patterns at format time
+    /// (the paper's §3.1).  Required for the hiding property; the
+    /// performance experiments and every benchmark workload disable it to
+    /// shorten set-up, as it does not affect timing results.
     pub random_fill: bool,
     /// Blocks reserved for the write-ahead journal at format time (0 = no
     /// journal, the paper's original write-through behaviour).  With a
@@ -47,45 +56,27 @@ pub struct StegParams {
     /// crash-atomic, and the region must be sized larger than the largest
     /// single update (a file rewrite of N blocks needs roughly N + N/40 + 2
     /// slots); [`crate::StegFs::format`] validates this against
-    /// [`dummy_file_size`](Self::dummy_file_size).
+    /// [`dummy_file_size`](Self::dummy_file_size).  The benchmark's
+    /// `hidden_write_journaled`, `plain_rmw` and `engine_mixed_io`
+    /// workloads set it; the others run without a journal.
     pub journal_blocks: u64,
     /// Capacity of the RAM-only read-path cache, in decrypted data blocks
     /// (0 disables it, restoring the paper's literal decrypt-on-every-read
     /// behaviour).  The cache is session-scoped and purged at sign-off; it
     /// never changes what reaches the disk — see [`crate::readcache`] for
-    /// the full contract.
+    /// the full contract.  The benchmark's read workloads size it (4 096,
+    /// 1 024 and 256 blocks); the cache-off volume is the reference the
+    /// image-identity tests compare cached runs against.
     pub readpath_cache_blocks: usize,
-    /// Whether the RAM-only observability registry (`stegfs-obs`) collects
-    /// anything.  The instrumentation is always compiled in; with this
-    /// `false` every histogram has zero shards, no clock is ever read and
-    /// every record call is a branch-and-return.  Either way nothing
-    /// observable reaches the disk and metric names/shapes are static, so
-    /// the setting has no bearing on deniability — only on the (small)
-    /// collection overhead.
-    pub obs_enabled: bool,
     /// Default durability policy for user-created hidden objects (files
     /// created through the `steg_*` API and hidden directories).  Dummy
     /// files and UAK directories always stay [`Policy::Plain`]; individual
     /// objects can override this via
     /// [`crate::StegFs::steg_create_with_policy`].  Shares are ordinary
     /// encrypted hidden blocks on disk, so the setting is invisible to an
-    /// adversary.
+    /// adversary.  The benchmark's `hidden_coded_rw` workload sets 2-of-3
+    /// dispersal; the survival and k-of-n experiments sweep it.
     pub hidden_policy: Policy,
-    /// Run the background checkpoint daemon on journaled volumes: a thread
-    /// that advances the journal tail and anchors off the commit path, so
-    /// foreground writers rarely pay for ring reclamation themselves.  The
-    /// daemon writes nothing a foreground `sync` would not write (the same
-    /// checksummed anchor records), so it has no bearing on deniability.
-    /// No-op without a journal.  The front-ends consult this at mount time;
-    /// [`crate::StegFs::start_checkpoint_daemon`] starts it explicitly.
-    pub checkpoint_daemon: bool,
-    /// Capacity (events) of the RAM-only trace ring; `0` disables the ring
-    /// entirely while leaving the rest of the observability registry
-    /// untouched.  The ring wraps when full (overwrites are counted, so
-    /// truncation is visible in snapshots) and zeroizes at sign-off.  Like
-    /// [`obs_enabled`](Self::obs_enabled), the setting never changes what
-    /// reaches the disk.
-    pub trace_capacity: usize,
 }
 
 impl Default for StegParams {
@@ -101,10 +92,7 @@ impl Default for StegParams {
             random_fill: true,
             journal_blocks: 0,
             readpath_cache_blocks: 4096,
-            obs_enabled: true,
             hidden_policy: Policy::Plain,
-            checkpoint_daemon: false,
-            trace_capacity: stegfs_obs::TRACE_CAPACITY,
         }
     }
 }
@@ -124,10 +112,7 @@ impl StegParams {
             random_fill: false,
             journal_blocks: 0,
             readpath_cache_blocks: 1024,
-            obs_enabled: true,
             hidden_policy: Policy::Plain,
-            checkpoint_daemon: false,
-            trace_capacity: stegfs_obs::TRACE_CAPACITY,
         }
     }
 
@@ -184,7 +169,6 @@ mod tests {
         assert_eq!(p.free_blocks_max, 10);
         assert_eq!(p.dummy_file_count, 10);
         assert_eq!(p.dummy_file_size, 1024 * 1024);
-        assert_eq!(p.trace_capacity, stegfs_obs::TRACE_CAPACITY);
         assert!(p.validate().is_ok());
     }
 

@@ -47,16 +47,15 @@
 //! is paid per *call*, not per block: each block shard the span touches is
 //! locked once and sees its blocks in call order (so the LRU order and
 //! every [`CacheStats`] field are exactly those of one-block calls), each
-//! counter takes one atomic add, and with observability on the clock is
-//! read twice per call — the hit/miss/evict histograms record the call's
-//! per-block mean once per block ([`ReadCacheStats`]).  A warm 64 KiB span
-//! (64 hits, 2-CPU Xeon) costs 4.0 µs with observability on and
-//! 3.4 µs with it off, of which 2.0 µs are the 64 copies of 1 KiB and most
-//! of the rest the 64 hash lookups; the same 64 hits as one-block calls
-//! cost 10.3 / 5.4 µs, because each paid its own shard lock, counter
-//! updates and — with observability on — two clock reads, a histogram
-//! record and a span note.  The buffer a block-aligned read fills is then
-//! the one its caller gets (`Scratch::into_vec`), not copied once more.
+//! counter takes one atomic add, and the clock is read twice per call —
+//! the hit/miss/evict histograms record the call's per-block mean once per
+//! block ([`ReadCacheStats`]).  A warm 64 KiB span (64 hits, 2-CPU Xeon)
+//! costs 4.0 µs, of which 2.0 µs are the 64 copies of 1 KiB and most of the
+//! rest the 64 hash lookups; the same 64 hits as one-block calls cost
+//! 10.3 µs, because each paid its own shard lock, counter updates, two
+//! clock reads, a histogram record and a span note.  The buffer a
+//! block-aligned read fills is then the one its caller gets
+//! (`Scratch::into_vec`), not copied once more.
 //!
 //! When entries must die:
 //!
@@ -486,23 +485,14 @@ impl ReadCache {
             keys: Mutex::new(KeyCache::default()),
             key_capacity: KEY_CACHE_ENTRIES,
             key_epoch: AtomicU64::new(0),
-            obs: Arc::new(ReadCacheStats::new(false)),
+            obs: Arc::default(),
         }
     }
 
-    /// Attach the volume's observability histograms (done once during
-    /// assembly, before the cache is shared).
+    /// Replace the cache's own histograms with the volume's (done once
+    /// during assembly, before the cache is shared).
     pub fn set_obs(&mut self, stats: Arc<ReadCacheStats>) {
         self.obs = stats;
-    }
-
-    #[inline]
-    fn clock(&self) -> Option<Instant> {
-        if self.obs.is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
     }
 
     /// True if the cache can hold anything at all.
@@ -778,9 +768,9 @@ impl ReadCache {
     /// be dropped un-zeroed.
     ///
     /// One call costs one lock per block shard it touches and one clock
-    /// pair (with obs on) however many blocks it covers; each shard sees
-    /// its blocks in call order, so the LRU order and every counter end up
-    /// exactly as a loop of one-block calls would leave them.
+    /// pair however many blocks it covers; each shard sees its blocks in
+    /// call order, so the LRU order and every counter end up exactly as a
+    /// loop of one-block calls would leave them.
     pub fn get_blocks_into(&self, token: BlockToken, blocks: &[u64], out: &mut [u8]) -> Vec<usize> {
         if !self.enabled() || token.is_dead() {
             return (0..blocks.len()).collect();
@@ -789,7 +779,7 @@ impl ReadCache {
         let Some(bs) = chunk_len(blocks, out.len()) else {
             return Vec::new();
         };
-        let start = self.clock();
+        let start = Instant::now();
         let mut missed = Vec::new();
         for (shard, slots) in ShardPlan::new(blocks).groups() {
             let mut shard = self.blocks[shard].lock();
@@ -805,16 +795,14 @@ impl ReadCache {
         let hits = blocks.len() as u64 - misses;
         bump(&self.counters.block_hits, hits);
         bump(&self.counters.block_misses, misses);
-        if let Some(start) = start {
-            let per_block = start.elapsed().as_nanos() as u64 / blocks.len() as u64;
-            self.obs.hit_ns.record_n(per_block, hits);
-            self.obs.miss_ns.record_n(per_block, misses);
-            if hits > 0 {
-                span::note(span::Phase::CacheHit, per_block * hits);
-            }
-            if misses > 0 {
-                span::note(span::Phase::CacheMiss, per_block * misses);
-            }
+        let per_block = start.elapsed().as_nanos() as u64 / blocks.len() as u64;
+        self.obs.hit_ns.record_n(per_block, hits);
+        self.obs.miss_ns.record_n(per_block, misses);
+        if hits > 0 {
+            span::note(span::Phase::CacheHit, per_block * hits);
+        }
+        if misses > 0 {
+            span::note(span::Phase::CacheMiss, per_block * misses);
         }
         missed
     }
@@ -865,7 +853,7 @@ impl ReadCache {
             return;
         }
         let gen = token.gen;
-        let start = self.clock();
+        let start = Instant::now();
         let per_shard = (self.capacity_blocks / SHARDS).max(1);
         let mut evictions = 0u64;
         for (shard, slots) in ShardPlan::new(blocks).groups() {
@@ -877,10 +865,8 @@ impl ReadCache {
         }
         drop(object_guard);
         bump(&self.counters.evictions, evictions);
-        if let Some(start) = start {
-            let per_block = start.elapsed().as_nanos() as u64 / blocks.len() as u64;
-            self.obs.evict_ns.record_n(per_block, evictions);
-        }
+        let per_block = start.elapsed().as_nanos() as u64 / blocks.len() as u64;
+        self.obs.evict_ns.record_n(per_block, evictions);
     }
 
     // ------------------------------------------------------------------
@@ -901,7 +887,7 @@ impl ReadCache {
         // verifies the entry's liveness under this same lock, so once the
         // entry is gone no further plaintext of its generation can be
         // inserted, and everything inserted before is swept here.
-        let start = self.clock();
+        let start = Instant::now();
         let mut object_guard = self.objects[object_shard(sig)].lock();
         if let Some(obj) = object_guard.remove(sig) {
             if let Some(ext) = obj.extents {
@@ -914,11 +900,9 @@ impl ReadCache {
             }
         }
         drop(object_guard);
-        if let Some(start) = start {
-            self.obs
-                .zeroize_ns
-                .record(start.elapsed().as_nanos() as u64);
-        }
+        self.obs
+            .zeroize_ns
+            .record(start.elapsed().as_nanos() as u64);
     }
 
     /// Record a committed in-place patch of `sig` that rewrote `blocks` and
@@ -933,7 +917,7 @@ impl ReadCache {
         if !self.enabled() || token.is_dead() {
             return false;
         }
-        let start = self.clock();
+        let start = Instant::now();
         // Held across the sweep, as in `invalidate`: `put_blocks` checks the
         // fence under this lock, so an insert either lands before the move
         // (and is swept below if it is a patched block) or is rejected.
@@ -952,11 +936,9 @@ impl ReadCache {
             }
         }
         drop(object_guard);
-        if let Some(start) = start {
-            self.obs
-                .zeroize_ns
-                .record(start.elapsed().as_nanos() as u64);
-        }
+        self.obs
+            .zeroize_ns
+            .record(start.elapsed().as_nanos() as u64);
         true
     }
 
@@ -969,7 +951,7 @@ impl ReadCache {
         if !self.enabled() || scope == 0 {
             return;
         }
-        let start = self.clock();
+        let start = Instant::now();
         // Bump first, same ordering argument as `invalidate`: in-flight
         // walks that started before the sign-off cannot install afterwards.
         self.global_gen.fetch_add(1, Ordering::AcqRel);
@@ -1011,11 +993,9 @@ impl ReadCache {
                 });
             }
         }
-        if let Some(start) = start {
-            self.obs
-                .zeroize_ns
-                .record(start.elapsed().as_nanos() as u64);
-        }
+        self.obs
+            .zeroize_ns
+            .record(start.elapsed().as_nanos() as u64);
     }
 
     /// Drop and zero **everything** — the `disconnect_all`/unmount hook.
@@ -1042,7 +1022,7 @@ impl ReadCache {
         if !self.enabled() {
             return;
         }
-        let start = self.clock();
+        let start = Instant::now();
         self.global_gen.fetch_add(1, Ordering::AcqRel);
         self.counters.purges.fetch_add(1, Ordering::Relaxed);
         for shard in &self.objects {
@@ -1055,11 +1035,9 @@ impl ReadCache {
             }
             map.clear();
         }
-        if let Some(start) = start {
-            self.obs
-                .zeroize_ns
-                .record(start.elapsed().as_nanos() as u64);
-        }
+        self.obs
+            .zeroize_ns
+            .record(start.elapsed().as_nanos() as u64);
     }
 
     /// Snapshot the counters (residency computed live from the shards).
@@ -1771,7 +1749,7 @@ mod tests {
 
     #[test]
     fn obs_histograms_record_cache_traffic() {
-        let obs = stegfs_obs::Obs::new(true);
+        let obs = stegfs_obs::Obs::new();
         let mut c = ReadCache::new(SHARDS);
         c.set_obs(obs.readcache.clone());
         let sig = [12u8; SIGNATURE_LEN];

@@ -341,7 +341,7 @@ impl<D: BlockDevice> StegFs<D> {
     // ------------------------------------------------------------------
 
     fn assemble(mut fs: PlainFs<D>, params: StegParams, config: VolumeConfig) -> Self {
-        let obs = Obs::with_trace_capacity(params.obs_enabled, params.trace_capacity);
+        let obs = Obs::new();
         fs.attach_obs(&obs);
         let mut read_cache = ReadCache::new(params.readpath_cache_blocks);
         read_cache.set_obs(obs.readcache.clone());
@@ -441,11 +441,16 @@ impl<D: BlockDevice> StegFs<D> {
         Ok(Self::assemble(fs, params, config))
     }
 
-    /// Flush all state and return the underlying device.
+    /// Flush all state and return the underlying device.  The registry's
+    /// captured span trees (worst-N and chrome-trace) are zeroized like the
+    /// read cache, so an [`Arc<Obs>`] kept past unmount holds no request
+    /// tree; its counters and histograms stay readable.
     pub fn unmount(self) -> StegResult<D> {
         self.session.lock().disconnect_all();
         self.repair_queue.lock().clear();
         self.read_cache.purge();
+        self.obs.slow.zeroize();
+        self.obs.capture.zeroize();
         Ok(self.fs.unmount()?)
     }
 
@@ -481,7 +486,7 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// The volume's observability registry: RAM-only histograms, counters
-    /// and the bounded trace ring.  See `stegfs-obs` for the deniability
+    /// and captured span trees.  See `stegfs-obs` for the deniability
     /// contract (static shapes, no key-derived values, nothing persisted).
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
@@ -503,10 +508,10 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Start the background checkpoint daemon: on a journaled volume, a
     /// thread that advances the journal tail and checksummed anchors off
-    /// the commit path (see `PlainFs::start_checkpoint_daemon`).  The
-    /// front-ends call this at mount time when
-    /// [`StegParams::checkpoint_daemon`] is set; [`Self::unmount`] drains
-    /// and stops it.  No-op without a journal or when already running.
+    /// the commit path (see `PlainFs::start_checkpoint_daemon`).  A caller
+    /// that wants it starts it after format or mount, before handing the
+    /// volume to a front-end; [`Self::unmount`] drains and stops it.  No-op
+    /// without a journal or when already running.
     pub fn start_checkpoint_daemon(&mut self)
     where
         D: Send + Sync + 'static,

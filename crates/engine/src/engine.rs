@@ -10,7 +10,7 @@ use std::time::Instant;
 use stegfs_blockdev::BlockDevice;
 use stegfs_obs::blocking::{self, BlockingHook};
 use stegfs_obs::lock::{Condvar, Mutex, MutexGuard};
-use stegfs_obs::{span, Obs, ENGINE_OPS};
+use stegfs_obs::{span, Obs};
 use stegfs_vfs::{SessionId, Vfs, VfsError, VfsResult};
 
 /// Accepted-but-uncompleted requests the engine admits per worker slot;
@@ -132,7 +132,8 @@ impl<D: BlockDevice + Send + Sync + 'static> BlockingHook for GateSlot<D> {
     }
 }
 
-/// Index of a request in [`ENGINE_OPS`] (one latency histogram per op type).
+/// Index of a request in [`stegfs_obs::ENGINE_OPS`] (one latency histogram
+/// per op type).
 fn op_index(request: &Request) -> usize {
     match request {
         Request::Open { .. } => 0,
@@ -438,19 +439,13 @@ fn run<D: BlockDevice>(vfs: &Vfs<D>, shared: &EngineShared, job: Job, tid: u32) 
     // stronger isolation.
     let request = job.request;
     let op = op_index(&request);
-    let enabled = shared.obs.is_enabled();
-    // Flat metrics follow `obs_enabled`; the causal span layer is
-    // additionally gated on a non-zero trace capacity.
-    let tracing = shared.obs.is_tracing();
-    if tracing {
-        // Admission: every span opened anywhere below (vfs, core, fs,
-        // journal, blockdev) attaches to this request until request_end.
-        span::request_begin(op);
-        span::note(
-            span::Phase::QueueWait,
-            started.saturating_duration_since(job.submitted).as_nanos() as u64,
-        );
-    }
+    // Admission: every span opened anywhere below (vfs, core, fs, journal,
+    // blockdev) attaches to this request until request_end.
+    span::request_begin(op);
+    span::note(
+        span::Phase::QueueWait,
+        started.saturating_duration_since(job.submitted).as_nanos() as u64,
+    );
     let result = if shared.poisoned.load(Ordering::Acquire) {
         Err(VfsError::Unsupported(
             "engine poisoned by an earlier panicking request".into(),
@@ -470,22 +465,15 @@ fn run<D: BlockDevice>(vfs: &Vfs<D>, shared: &EngineShared, job: Job, tid: u32) 
         latency: job.submitted.elapsed(),
         service: started.elapsed(),
     };
-    if enabled {
-        let service_ns = completion.service.as_nanos() as u64;
-        shared
-            .obs
-            .engine
-            .record_completion(op, completion.latency.as_nanos() as u64, service_ns);
-        shared.obs.trace_span("engine", ENGINE_OPS[op], service_ns);
-    }
-    if tracing {
-        // request_end force-closes anything a panicking request left open,
-        // so the thread's context never leaks into the next job.
-        if let Some(finished) = span::request_end() {
-            shared
-                .obs
-                .complete_request(&finished, completion.latency.as_nanos() as u64, tid);
-        }
+    let latency_ns = completion.latency.as_nanos() as u64;
+    shared
+        .obs
+        .engine
+        .record_completion(op, latency_ns, completion.service.as_nanos() as u64);
+    // request_end force-closes anything a panicking request left open, so
+    // the thread's context never leaks into the next job.
+    if let Some(finished) = span::request_end() {
+        shared.obs.complete_request(&finished, latency_ns, tid);
     }
     // Count before delivering: a client that has received every one of its
     // completions must observe the full count, and may submit again.

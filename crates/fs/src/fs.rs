@@ -177,7 +177,7 @@ pub struct PlainFs<D: BlockDevice> {
     /// [`Self::start_checkpoint_daemon`]).
     checkpoint: Mutex<Option<CheckpointDaemon>>,
     /// Stall-watchdog gauges (registry handle after [`Self::attach_obs`];
-    /// a detached disabled instance before).
+    /// a detached instance of its own before).
     watchdog: Arc<WatchdogStats>,
 }
 
@@ -222,7 +222,7 @@ impl<D: BlockDevice> PlainFs<D> {
                 &seed_bytes,
             )),
             bitmap,
-            dev: Arc::new(ObservedDevice::new(dev)),
+            dev: Arc::new(ObservedDevice::counting(dev)),
             inodes: InodeTable::new(sb.clone()),
             sb,
             namespace: RwLock::new(()),
@@ -230,7 +230,7 @@ impl<D: BlockDevice> PlainFs<D> {
             itable_stripes: (0..STRIPE_COUNT).map(|_| Mutex::new(())).collect(),
             journal: journal.map(Arc::new),
             checkpoint: Mutex::new(None),
-            watchdog: Arc::new(WatchdogStats::new(false)),
+            watchdog: Arc::default(),
         }
     }
 
@@ -567,7 +567,7 @@ impl<D: BlockDevice> PlainFs<D> {
     pub fn attach_obs(&mut self, obs: &Arc<Obs>) {
         Arc::get_mut(&mut self.dev)
             .expect("attach_obs after the device was shared")
-            .set_stats(obs.device.clone(), obs.is_enabled());
+            .set_stats(obs.device.clone());
         self.alloc.set_stats(obs.alloc_lock.clone());
         self.bitmap.set_shard_stats(&obs.alloc_shards);
         self.namespace.set_stats(obs.namespace_lock.clone());
@@ -1742,7 +1742,7 @@ mod tests {
     #[test]
     fn attached_obs_observes_lock_and_device_activity() {
         let mut fs = new_fs(4096);
-        let obs = stegfs_obs::Obs::new(true);
+        let obs = stegfs_obs::Obs::new();
         fs.attach_obs(&obs);
         fs.write_file("/observed", &vec![3u8; 8 * 1024]).unwrap();
         fs.sync().unwrap();
@@ -1751,14 +1751,6 @@ mod tests {
         assert!(alloc.acquisitions > 0, "allocator lock never counted");
         assert!(snap.device.writes > 0, "device writes never counted");
         assert!(snap.device.write_ns.count > 0);
-        // Disabled registry: same operations, nothing recorded.
-        let mut fs = new_fs(4096);
-        let off = stegfs_obs::Obs::disabled();
-        fs.attach_obs(&off);
-        fs.write_file("/quiet", b"x").unwrap();
-        let snap = off.snapshot();
-        assert_eq!(snap.lock("fs.alloc").unwrap().acquisitions, 0);
-        assert_eq!(snap.device.writes, 0);
     }
 
     /// Without the daemon, the watchdog hears from the steals: the
@@ -1773,9 +1765,11 @@ mod tests {
             },
         )
         .unwrap();
-        let obs = stegfs_obs::Obs::new(true);
+        let obs = stegfs_obs::Obs::new();
         fs.attach_obs(&obs);
         assert!(!fs.checkpoint_daemon_running());
+        let fresh = obs.watchdog.summary();
+        assert_eq!((fresh.checkpoints, fresh.heartbeat_age_ms), (0, 0));
         for i in 0..40 {
             fs.write_file(&format!("/f{}", i % 4), &vec![i as u8; 4 * 1024])
                 .unwrap();
@@ -1784,7 +1778,10 @@ mod tests {
         assert!(watchdog.ring_occupancy_hwm_permille >= CHECKPOINT_STEAL_PERMILLE);
         assert!(watchdog.checkpoint_steals >= 1);
         assert!(watchdog.samples >= watchdog.checkpoint_steals);
-        assert!(obs.watchdog.heartbeat_age_ns() > 0, "never checkpointed");
+        assert!(
+            watchdog.checkpoints >= watchdog.checkpoint_steals,
+            "never checkpointed"
+        );
     }
 
     /// The meter's counting rule, on the path every volume takes: a
@@ -1793,7 +1790,7 @@ mod tests {
     fn attached_meter_counts_only_successful_submissions() {
         let dev = stegfs_blockdev::FaultDevice::new(MemBlockDevice::new(1024, 4096));
         let mut fs = PlainFs::format(dev.clone(), FormatOptions::default()).unwrap();
-        let obs = stegfs_obs::Obs::new(true);
+        let obs = stegfs_obs::Obs::new();
         fs.attach_obs(&obs);
         fs.write_file("/f", &vec![3u8; 4 * 1024]).unwrap();
         let before = obs.snapshot().device;

@@ -247,7 +247,7 @@ impl CommitGate {
             }),
             cv: Condvar::new(),
             completed: AtomicU64::new(0),
-            stats: Arc::new(GateStats::new(false)),
+            stats: Arc::default(),
         }
     }
 
@@ -275,11 +275,7 @@ impl CommitGate {
         // flush shows up as `device_io` self-time).
         let _s = span::span(span::Phase::GateFlush);
         let _blocked = blocking::section();
-        let stall_timer = if self.stats.is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let start = Instant::now();
         let mut g = self.state.lock();
         g.unstarted += 1;
         let need = g.started + 1;
@@ -300,10 +296,8 @@ impl CommitGate {
                     g.covered = number;
                     g.completed += 1;
                     self.completed.store(g.completed, Ordering::Release);
-                    if stall_timer.is_some() {
-                        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                        self.stats.batch.record(batch);
-                    }
+                    self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+                    self.stats.batch.record(batch);
                 } else {
                     // The leader leaves with the error; the rest of its
                     // batch waits for the next flush to start.
@@ -318,11 +312,9 @@ impl CommitGate {
             }
         };
         drop(g);
-        if let Some(start) = stall_timer {
-            self.stats
-                .stall_ns
-                .record(start.elapsed().as_nanos() as u64);
-        }
+        self.stats
+            .stall_ns
+            .record(start.elapsed().as_nanos() as u64);
         outcome
     }
 }
@@ -1478,8 +1470,7 @@ mod tests {
             blocks,
             block_size: BS,
         };
-        let mut journal = Journal::format(geo, 1, dev.as_ref()).unwrap();
-        journal.gate.stats = Arc::new(GateStats::new(true));
+        let journal = Journal::format(geo, 1, dev.as_ref()).unwrap();
         // The format writes both anchors in one epoch on purpose.
         dev.max_epoch_anchors.store(0, Ordering::SeqCst);
         (dev, Arc::new(journal))

@@ -3,11 +3,11 @@
 //!
 //! # Deniability contract
 //!
-//! Same bar as the trace ring: entries carry static labels, ephemeral
+//! Same bar as every other metric: entries carry static labels, ephemeral
 //! counter-derived request ids, and durations — never key material, paths,
 //! plaintext, or hidden block addresses. Capacities and entry shapes are
 //! fixed at construction, so what the structures *can* hold is independent
-//! of what the workload touched. Both zeroize on `signoff` via
+//! of what the workload touched. Both zeroize on `signoff` and unmount via
 //! [`SlowCapture::zeroize`] / [`TraceCapture::zeroize`]; nothing is ever
 //! persisted to the volume.
 
@@ -47,25 +47,29 @@ struct SlowInner {
 /// list was missed, shape is unaffected.
 pub struct SlowCapture {
     inner: Mutex<SlowInner>,
-    enabled: bool,
+}
+
+impl Default for SlowCapture {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SlowCapture {
-    pub fn new(enabled: bool) -> Self {
+    pub fn new() -> Self {
         SlowCapture {
             inner: Mutex::new(SlowInner {
                 per_op: (0..ENGINE_OPS.len()).map(|_| Vec::new()).collect(),
                 offered: 0,
                 zeroed: true,
             }),
-            enabled,
         }
     }
 
     /// Offer a finished request; kept only if it beats the current worst-N
     /// for its type.
     pub fn offer(&self, finished: &FinishedRequest, total_ns: u64) {
-        if !self.enabled || finished.op >= ENGINE_OPS.len() {
+        if finished.op >= ENGINE_OPS.len() {
             return;
         }
         let Some(mut inner) = self.inner.try_lock() else {
@@ -334,7 +338,7 @@ mod tests {
 
     #[test]
     fn slow_capture_keeps_worst_n() {
-        let slow = SlowCapture::new(true);
+        let slow = SlowCapture::new();
         for i in 0..10u64 {
             slow.offer(&finished(3, i + 1, 1_000 * (i + 1)), 1_000 * (i + 1));
         }
@@ -347,7 +351,7 @@ mod tests {
 
     #[test]
     fn slow_capture_zeroizes() {
-        let slow = SlowCapture::new(true);
+        let slow = SlowCapture::new();
         slow.offer(&finished(5, 9, 500), 500);
         assert!(!slow.is_zeroed());
         slow.zeroize();
@@ -356,13 +360,6 @@ mod tests {
         // Still usable afterwards.
         slow.offer(&finished(5, 10, 600), 600);
         assert_eq!(slow.len(), 1);
-    }
-
-    #[test]
-    fn disabled_slow_capture_collects_nothing() {
-        let slow = SlowCapture::new(false);
-        slow.offer(&finished(2, 1, 999), 999);
-        assert!(slow.is_zeroed());
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! concurrent writers do not serialize on a shared cache line. Snapshots
 //! merge shards by summing buckets; histograms with the same bucket scheme
 //! can therefore also be merged across instances.
-//!
-//! A histogram built with [`Histogram::disabled`] allocates no shards and
-//! [`Histogram::record`] is a single branch — the zero-cost opt-out path.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -26,7 +23,7 @@ const RANGES: usize = 60;
 /// Total bucket count (976).
 pub const NUM_BUCKETS: usize = LINEAR_CUTOFF as usize + RANGES * SUB_BUCKETS;
 
-/// Shards per enabled histogram; power of two.  Sized so a dozen engine
+/// Shards per histogram; power of two.  Sized so a dozen engine
 /// workers rarely share a shard's cache lines on the hot paths (the device
 /// records once per submission), while keeping the
 /// attribution grid's 100+ histograms at ~8 KB per shard affordable.
@@ -80,39 +77,23 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// An enabled histogram with a fixed number of shards.
+    /// A histogram with a fixed number of shards.
     pub fn new() -> Self {
         Histogram {
             shards: (0..SHARDS).map(|_| Shard::new()).collect(),
         }
     }
 
-    /// A disabled histogram: no shards, `record` is a no-op.
-    pub fn disabled() -> Self {
-        Histogram { shards: Vec::new() }
-    }
-
-    /// Build enabled or disabled depending on `enabled`.
-    pub fn maybe(enabled: bool) -> Self {
-        if enabled {
-            Self::new()
-        } else {
-            Self::disabled()
-        }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        !self.shards.is_empty()
+    /// This thread's shard.
+    #[inline]
+    fn shard(&self) -> &Shard {
+        &self.shards[THREAD_SHARD.with(|s| *s)]
     }
 
     /// Record one observation. Relaxed atomics on a per-thread shard.
     #[inline]
     pub fn record(&self, value: u64) {
-        if self.shards.is_empty() {
-            return;
-        }
-        let shard = THREAD_SHARD.with(|s| *s) & (self.shards.len() - 1);
-        let shard = &self.shards[shard];
+        let shard = self.shard();
         shard.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         shard.total.fetch_add(value, Ordering::Relaxed);
     }
@@ -121,11 +102,10 @@ impl Histogram {
     /// call that timed `n` items with one clock pair records their mean.
     #[inline]
     pub fn record_n(&self, value: u64, n: u64) {
-        if self.shards.is_empty() || n == 0 {
+        if n == 0 {
             return;
         }
-        let shard = THREAD_SHARD.with(|s| *s) & (self.shards.len() - 1);
-        let shard = &self.shards[shard];
+        let shard = self.shard();
         shard.counts[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
         shard
             .total
@@ -286,17 +266,6 @@ mod tests {
             single.record(700);
         }
         assert_eq!(batched.summary(), single.summary());
-    }
-
-    #[test]
-    fn disabled_histogram_records_nothing() {
-        let h = Histogram::disabled();
-        h.record(42);
-        h.record_n(42, 3);
-        let s = h.summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.p50, 0);
-        assert!(!h.is_enabled());
     }
 
     #[test]

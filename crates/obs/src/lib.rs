@@ -5,8 +5,7 @@
 //! [`Histogram`]s, a per-layer metrics registry ([`Obs`]), the workspace's
 //! one lock module ([`lock`]: `Mutex`, `RwLock` and `Condvar`, anonymous or
 //! contention-accounted in a named family, with one poison rule and the
-//! stack's lock-order table), a RAM-only ring buffer of recent
-//! trace spans ([`TraceRing`]), and causal per-request phase tracing
+//! stack's lock-order table), and causal per-request phase tracing
 //! ([`span`]): a thread-local request context installed at engine
 //! admission accumulates a tree of timed phases (`queue_wait`,
 //! `uak_shard`, `journal_stage`, `gate_flush`, `device_io`, ...) that
@@ -37,21 +36,12 @@
 //!   access keys, or object identity, so a captured id relates requests
 //!   only by order.
 //! - **RAM only.** Nothing here is ever persisted to the volume; the disk
-//!   image is bit-identical whether collection (or tracing) is enabled or
-//!   not.
-//! - **Trace buffers and captured span trees zeroize** on
-//!   `signoff`/unmount via [`TraceRing::zeroize`],
-//!   [`SlowCapture::zeroize`], and [`TraceCapture::zeroize`] — the worst-N
+//!   image is bit-identical whether a chrome-trace capture runs or not, and
+//!   whether the registry is snapshotted or reset between requests.
+//! - **Captured span trees zeroize** on `signoff`/unmount via
+//!   [`SlowCapture::zeroize`] and [`TraceCapture::zeroize`] — the worst-N
 //!   capture holds whole request trees, so it is scrubbed with the same
 //!   discipline as plaintext caches.
-//!
-//! # Zero-cost opt-out
-//!
-//! [`Obs::disabled`] (selected by `StegParams::obs_enabled = false`)
-//! allocates no histogram shards and never reads the clock: disabled
-//! histograms early-return, a named lock degenerates to an anonymous one,
-//! and the trace ring has zero capacity. The instrumentation compiles in
-//! but collection cost is a predictable branch per hook.
 
 #![forbid(unsafe_code)]
 
@@ -60,7 +50,6 @@ mod capture;
 mod hist;
 pub mod lock;
 pub mod span;
-mod trace;
 
 pub use capture::{
     chrome_trace_json, CaptureEvent, SlowCapture, SlowEntry, TraceCapture, SLOW_PER_OP,
@@ -68,14 +57,10 @@ pub use capture::{
 pub use hist::{HistSummary, Histogram, NUM_BUCKETS};
 pub use lock::{LockStats, LockSummary};
 pub use span::{FinishedRequest, Phase, SpanRecord, PHASE_COUNT, PHASE_NAMES};
-pub use trace::{TraceEvent, TraceRing};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Default trace ring capacity (events) when collection is enabled.
-pub const TRACE_CAPACITY: usize = 1024;
 
 /// Static labels for the engine's request taxonomy, in wire order. The
 /// engine maps each request variant to an index into this table.
@@ -85,6 +70,7 @@ pub const ENGINE_OPS: [&str; 12] = [
 ];
 
 /// Block-device level counters and latency histograms.
+#[derive(Default)]
 pub struct DeviceStats {
     pub reads: AtomicU64,
     pub writes: AtomicU64,
@@ -101,22 +87,6 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
-    /// Construct; `enabled = false` allocates no histogram shards.
-    pub fn new(enabled: bool) -> Self {
-        DeviceStats {
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            blocks_read: AtomicU64::new(0),
-            blocks_written: AtomicU64::new(0),
-            read_batch: Histogram::maybe(enabled),
-            write_batch: Histogram::maybe(enabled),
-            read_ns: Histogram::maybe(enabled),
-            write_ns: Histogram::maybe(enabled),
-            flush_ns: Histogram::maybe(enabled),
-        }
-    }
-
     pub fn reset(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
@@ -180,6 +150,7 @@ impl DeviceSummary {
 
 /// Journal group-commit gate metrics: how many transactions each physical
 /// flush covers, and how long callers stall waiting for coverage.
+#[derive(Default)]
 pub struct GateStats {
     /// Physical `dev.flush()` calls issued by gate leaders.
     pub flushes: AtomicU64,
@@ -190,24 +161,6 @@ pub struct GateStats {
 }
 
 impl GateStats {
-    /// Construct; `enabled = false` allocates no histogram shards.
-    pub fn new(enabled: bool) -> Self {
-        Self::build(enabled)
-    }
-
-    /// True when this handle actually collects (histograms have shards).
-    pub fn is_enabled(&self) -> bool {
-        self.batch.is_enabled()
-    }
-
-    fn build(enabled: bool) -> Self {
-        GateStats {
-            flushes: AtomicU64::new(0),
-            batch: Histogram::maybe(enabled),
-            stall_ns: Histogram::maybe(enabled),
-        }
-    }
-
     pub fn reset(&self) {
         self.flushes.store(0, Ordering::Relaxed);
         self.batch.reset();
@@ -251,6 +204,7 @@ impl GateSummary {
 /// therefore equal the cache's block counters exactly, totals equal the
 /// timed calls' sum, and a percentile describes calls weighted by their
 /// block count, not single blocks.
+#[derive(Default)]
 pub struct ReadCacheStats {
     /// Block hits: per-block mean of the lookup call that served them.
     pub hit_ns: Histogram,
@@ -267,27 +221,6 @@ pub struct ReadCacheStats {
 }
 
 impl ReadCacheStats {
-    /// Construct; `enabled = false` allocates no histogram shards.
-    pub fn new(enabled: bool) -> Self {
-        Self::build(enabled)
-    }
-
-    /// True when this handle actually collects.
-    pub fn is_enabled(&self) -> bool {
-        self.hit_ns.is_enabled()
-    }
-
-    fn build(enabled: bool) -> Self {
-        ReadCacheStats {
-            hit_ns: Histogram::maybe(enabled),
-            miss_ns: Histogram::maybe(enabled),
-            evict_ns: Histogram::maybe(enabled),
-            zeroize_ns: Histogram::maybe(enabled),
-            key_hits: AtomicU64::new(0),
-            key_misses: AtomicU64::new(0),
-        }
-    }
-
     pub fn reset(&self) {
         self.hit_ns.reset();
         self.miss_ns.reset();
@@ -335,35 +268,16 @@ impl ReadCacheSummary {
 
 /// Request-engine metrics: queue depth high-water mark and per-op-type
 /// latency (submit → completion) plus overall service time.
+#[derive(Default)]
 pub struct EngineStats {
     pub queue_depth_hwm: AtomicU64,
     /// Submit-to-completion latency, one histogram per [`ENGINE_OPS`] entry.
-    pub latency: Vec<Histogram>,
+    pub latency: [Histogram; ENGINE_OPS.len()],
     /// Execution time only (dequeue → result), all ops merged.
     pub service_ns: Histogram,
 }
 
 impl EngineStats {
-    /// Construct; `enabled = false` allocates no histogram shards.
-    pub fn new(enabled: bool) -> Self {
-        Self::build(enabled)
-    }
-
-    /// True when this handle actually collects.
-    pub fn is_enabled(&self) -> bool {
-        self.service_ns.is_enabled()
-    }
-
-    fn build(enabled: bool) -> Self {
-        EngineStats {
-            queue_depth_hwm: AtomicU64::new(0),
-            latency: (0..ENGINE_OPS.len())
-                .map(|_| Histogram::maybe(enabled))
-                .collect(),
-            service_ns: Histogram::maybe(enabled),
-        }
-    }
-
     /// Raise the queue-depth high-water mark to at least `depth`.
     #[inline]
     pub fn note_queue_depth(&self, depth: u64) {
@@ -432,16 +346,17 @@ pub struct AttributionStats {
     hists: Vec<Histogram>,
 }
 
-impl AttributionStats {
-    /// Construct; `enabled = false` allocates no histogram shards.
-    pub fn new(enabled: bool) -> Self {
+impl Default for AttributionStats {
+    fn default() -> Self {
         AttributionStats {
             hists: (0..ENGINE_OPS.len() * PHASE_COUNT)
-                .map(|_| Histogram::maybe(enabled))
+                .map(|_| Histogram::new())
                 .collect(),
         }
     }
+}
 
+impl AttributionStats {
     #[inline]
     fn slot(op: usize, phase: Phase) -> usize {
         op * PHASE_COUNT + phase.index()
@@ -541,13 +456,16 @@ pub const GATE_STALL_THRESHOLD_NS: u64 = 50_000_000;
 /// committer steals (so a volume without the daemon reads them too). All
 /// values are plain load-shaped numbers.
 pub struct WatchdogStats {
-    enabled: bool,
     epoch: Instant,
     /// Last sampled journal-ring occupancy (used slots / capacity, ‰).
     pub ring_occupancy_permille: AtomicU64,
     pub ring_occupancy_hwm_permille: AtomicU64,
     /// Epoch-ns of the last completed checkpoint; 0 = never.
     heartbeat_ns: AtomicU64,
+    /// Checkpoints completed since the volume was attached: 0 tells "never
+    /// checkpointed" apart from a heartbeat under a millisecond old.
+    /// Like the stamp, it describes state, so [`Self::reset`] keeps it.
+    checkpoints: AtomicU64,
     /// Checkpoints a committer ran itself on a nearly-full ring; a
     /// committer that found one already in flight skipped and is not
     /// counted.
@@ -557,30 +475,25 @@ pub struct WatchdogStats {
     pub stall_samples: AtomicU64,
 }
 
-impl WatchdogStats {
-    pub fn new(enabled: bool) -> Self {
+impl Default for WatchdogStats {
+    fn default() -> Self {
         WatchdogStats {
-            enabled,
             epoch: Instant::now(),
             ring_occupancy_permille: AtomicU64::new(0),
             ring_occupancy_hwm_permille: AtomicU64::new(0),
             heartbeat_ns: AtomicU64::new(0),
+            checkpoints: AtomicU64::new(0),
             checkpoint_steals: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             stall_samples: AtomicU64::new(0),
         }
     }
+}
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
+impl WatchdogStats {
     /// Record one watchdog tick: the current ring occupancy and whether the
     /// caller judged the system stalled.
     pub fn sample(&self, occupancy_permille: u64, stalled: bool) {
-        if !self.enabled {
-            return;
-        }
         self.ring_occupancy_permille
             .store(occupancy_permille, Ordering::Relaxed);
         self.ring_occupancy_hwm_permille
@@ -593,22 +506,20 @@ impl WatchdogStats {
 
     /// Stamp a completed checkpoint (daemon liveness heartbeat).
     pub fn heartbeat(&self) {
-        if self.enabled {
-            self.heartbeat_ns.store(
-                self.epoch.elapsed().as_nanos().max(1) as u64,
-                Ordering::Relaxed,
-            );
-        }
+        self.heartbeat_ns.store(
+            self.epoch.elapsed().as_nanos().max(1) as u64,
+            Ordering::Relaxed,
+        );
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A committer ran a checkpoint of a nearly-full ring itself.
     pub fn note_steal(&self) {
-        if self.enabled {
-            self.checkpoint_steals.fetch_add(1, Ordering::Relaxed);
-        }
+        self.checkpoint_steals.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Nanoseconds since the last checkpoint heartbeat; 0 when none yet.
+    /// Nanoseconds since the last checkpoint heartbeat; 0 when none yet
+    /// (tell the two apart by [`WatchdogSummary::checkpoints`]).
     pub fn heartbeat_age_ns(&self) -> u64 {
         let at = self.heartbeat_ns.load(Ordering::Relaxed);
         if at == 0 {
@@ -618,8 +529,9 @@ impl WatchdogStats {
         }
     }
 
-    /// Clear window-scoped counters (keeps the occupancy gauge and the
-    /// heartbeat stamp, which describe current state, not a window).
+    /// Clear window-scoped counters (keeps the occupancy gauge, the
+    /// heartbeat stamp and the checkpoint count, which describe current
+    /// state, not a window).
     pub fn reset(&self) {
         self.ring_occupancy_hwm_permille.store(0, Ordering::Relaxed);
         self.checkpoint_steals.store(0, Ordering::Relaxed);
@@ -632,6 +544,7 @@ impl WatchdogStats {
             ring_occupancy_permille: self.ring_occupancy_permille.load(Ordering::Relaxed),
             ring_occupancy_hwm_permille: self.ring_occupancy_hwm_permille.load(Ordering::Relaxed),
             heartbeat_age_ms: self.heartbeat_age_ns() / 1_000_000,
+            checkpoints: self.checkpoints.load(Ordering::Relaxed),
             checkpoint_steals: self.checkpoint_steals.load(Ordering::Relaxed),
             samples: self.samples.load(Ordering::Relaxed),
             stall_samples: self.stall_samples.load(Ordering::Relaxed),
@@ -644,6 +557,8 @@ pub struct WatchdogSummary {
     pub ring_occupancy_permille: u64,
     pub ring_occupancy_hwm_permille: u64,
     pub heartbeat_age_ms: u64,
+    /// Checkpoints completed since attach; 0 = never checkpointed.
+    pub checkpoints: u64,
     pub checkpoint_steals: u64,
     pub samples: u64,
     pub stall_samples: u64,
@@ -652,10 +567,11 @@ pub struct WatchdogSummary {
 impl WatchdogSummary {
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"ring_occupancy_permille\": {}, \"ring_occupancy_hwm_permille\": {}, \"checkpoint_heartbeat_age_ms\": {}, \"checkpoint_steals\": {}, \"samples\": {}, \"stall_samples\": {}}}",
+            "{{\"ring_occupancy_permille\": {}, \"ring_occupancy_hwm_permille\": {}, \"checkpoint_heartbeat_age_ms\": {}, \"checkpoints\": {}, \"checkpoint_steals\": {}, \"samples\": {}, \"stall_samples\": {}}}",
             self.ring_occupancy_permille,
             self.ring_occupancy_hwm_permille,
             self.heartbeat_age_ms,
+            self.checkpoints,
             self.checkpoint_steals,
             self.samples,
             self.stall_samples
@@ -723,11 +639,6 @@ impl RepairSummary {
 /// log-state lock and commit gate, the read cache, the object/UAK shard
 /// locks, and the request engine.
 pub struct Obs {
-    enabled: bool,
-    /// Causal span tracing active: collection on and a non-zero trace
-    /// capacity.  `trace_capacity: 0` turns the whole span layer off while
-    /// keeping the flat metrics.
-    tracing: bool,
     epoch: Instant,
     /// Allocator meta mutex (`fs.alloc`): policy, cursor, placement RNG.
     pub alloc_lock: Arc<LockStats>,
@@ -749,7 +660,6 @@ pub struct Obs {
     pub gate: Arc<GateStats>,
     pub readcache: Arc<ReadCacheStats>,
     pub engine: Arc<EngineStats>,
-    pub trace: TraceRing,
     /// Per-op × per-phase self-time attribution from request span trees.
     pub attribution: AttributionStats,
     /// Worst-N slow-request span trees per op type.
@@ -790,51 +700,26 @@ pub const ALLOC_SHARD_NAMES: [&str; ALLOC_SHARDS] = [
 ];
 
 impl Obs {
-    pub fn new(enabled: bool) -> Arc<Self> {
-        Self::with_trace_capacity(enabled, TRACE_CAPACITY)
-    }
-
-    /// Construct with an explicit trace-ring capacity
-    /// (`StegParams::trace_capacity`); `0` disables the ring even when
-    /// collection is otherwise enabled.
-    pub fn with_trace_capacity(enabled: bool, trace_capacity: usize) -> Arc<Self> {
+    pub fn new() -> Arc<Self> {
         Arc::new(Obs {
-            enabled,
-            tracing: enabled && trace_capacity > 0,
             epoch: Instant::now(),
-            alloc_lock: LockStats::new(enabled),
-            alloc_shards: (0..ALLOC_SHARDS).map(|_| LockStats::new(enabled)).collect(),
-            namespace_lock: LockStats::new(enabled),
-            journal_state: LockStats::new(enabled),
-            object_shards: LockStats::new(enabled),
-            uak_shards: LockStats::new(enabled),
-            engine_queue: LockStats::new(enabled),
-            device: Arc::new(DeviceStats::new(enabled)),
-            gate: Arc::new(GateStats::new(enabled)),
-            readcache: Arc::new(ReadCacheStats::new(enabled)),
-            engine: Arc::new(EngineStats::new(enabled)),
-            trace: TraceRing::new(if enabled { trace_capacity } else { 0 }),
-            attribution: AttributionStats::new(enabled),
-            slow: SlowCapture::new(enabled),
+            alloc_lock: LockStats::new(),
+            alloc_shards: (0..ALLOC_SHARDS).map(|_| LockStats::new()).collect(),
+            namespace_lock: LockStats::new(),
+            journal_state: LockStats::new(),
+            object_shards: LockStats::new(),
+            uak_shards: LockStats::new(),
+            engine_queue: LockStats::new(),
+            device: Arc::default(),
+            gate: Arc::default(),
+            readcache: Arc::default(),
+            engine: Arc::default(),
+            attribution: AttributionStats::default(),
+            slow: SlowCapture::new(),
             capture: TraceCapture::new(),
-            watchdog: Arc::new(WatchdogStats::new(enabled)),
-            repair: Arc::new(RepairStats::new()),
+            watchdog: Arc::default(),
+            repair: Arc::default(),
         })
-    }
-
-    pub fn disabled() -> Arc<Self> {
-        Self::new(false)
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// True when causal span tracing should run: collection is enabled and
-    /// the trace capacity is non-zero.  The engine checks this once per
-    /// request before installing a span context.
-    pub fn is_tracing(&self) -> bool {
-        self.tracing
     }
 
     /// Nanoseconds since this registry was created (trace timestamps).
@@ -842,23 +727,11 @@ impl Obs {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Record a trace span ending now with duration `dur_ns`.
-    #[inline]
-    pub fn trace_span(&self, layer: &'static str, op: &'static str, dur_ns: u64) {
-        if self.enabled {
-            self.trace
-                .record(layer, op, self.now_ns().saturating_sub(dur_ns), dur_ns);
-        }
-    }
-
     /// Feed one finished request's span tree into the attribution table,
     /// the slow-request capture, and (when active) the chrome-trace capture.
     /// `latency_ns` is the submit → completion latency; `worker` is the
     /// engine worker index (chrome `tid`).
     pub fn complete_request(&self, finished: &FinishedRequest, latency_ns: u64, worker: u32) {
-        if !self.enabled {
-            return;
-        }
         for s in &finished.spans {
             self.attribution.record(finished.op, s.phase, s.self_ns());
         }
@@ -868,8 +741,9 @@ impl Obs {
         }
     }
 
-    /// Zero every counter and histogram (not the trace ring). Used to scope
-    /// a measurement window to e.g. one sweep pass.
+    /// Zero every counter and histogram and scrub the worst-N capture (an
+    /// active chrome-trace capture keeps running). Used to scope a
+    /// measurement window to e.g. one sweep pass.
     pub fn reset(&self) {
         self.alloc_lock.reset();
         for shard in &self.alloc_shards {
@@ -892,7 +766,6 @@ impl Obs {
 
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            enabled: self.enabled,
             locks: LOCK_NAMES
                 .iter()
                 .zip([
@@ -917,9 +790,6 @@ impl Obs {
             engine: self.engine.summary(),
             watchdog: self.watchdog.summary(),
             repair: self.repair.summary(),
-            trace_accepted: self.trace.accepted(),
-            trace_dropped: self.trace.dropped(),
-            trace_overwritten: self.trace.overwritten(),
         }
     }
 }
@@ -929,7 +799,6 @@ impl Obs {
 /// deniability contract).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    pub enabled: bool,
     pub locks: Vec<(&'static str, LockSummary)>,
     pub device: DeviceSummary,
     pub gate: GateSummary,
@@ -937,9 +806,6 @@ pub struct Snapshot {
     pub engine: EngineSummary,
     pub watchdog: WatchdogSummary,
     pub repair: RepairSummary,
-    pub trace_accepted: u64,
-    pub trace_dropped: u64,
-    pub trace_overwritten: u64,
 }
 
 impl Snapshot {
@@ -964,18 +830,14 @@ impl Snapshot {
     /// Full fixed-shape JSON export.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"enabled\": {}, \"locks\": {}, \"device\": {}, \"journal_gate\": {}, \"readcache\": {}, \"engine\": {}, \"watchdog\": {}, \"repair\": {}, \"trace\": {{\"accepted\": {}, \"dropped\": {}, \"overwritten\": {}}}}}",
-            self.enabled,
+            "{{\"locks\": {}, \"device\": {}, \"journal_gate\": {}, \"readcache\": {}, \"engine\": {}, \"watchdog\": {}, \"repair\": {}}}",
             self.locks_json(),
             self.device.to_json(),
             self.gate.to_json(),
             self.readcache.to_json(),
             self.engine.to_json(),
             self.watchdog.to_json(),
-            self.repair.to_json(),
-            self.trace_accepted,
-            self.trace_dropped,
-            self.trace_overwritten
+            self.repair.to_json()
         )
     }
 
@@ -1013,8 +875,8 @@ mod tests {
 
     #[test]
     fn snapshot_shape_is_static() {
-        let a = Obs::new(true);
-        let b = Obs::new(true);
+        let a = Obs::new();
+        let b = Obs::new();
         // Wildly different activity...
         let alloc = lock::Mutex::with_stats((), a.alloc_lock.clone());
         for i in 0..500 {
@@ -1028,25 +890,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_still_snapshots() {
-        let obs = Obs::disabled();
-        obs.device.read_ns.record(100);
-        obs.trace_span("engine", "read", 50);
-        let snap = obs.snapshot();
-        assert!(!snap.enabled);
-        assert_eq!(snap.device.read_ns.count, 0);
-        assert!(obs.trace.is_zeroed());
-        // Shape matches the enabled registry except the "enabled" flag.
-        let enabled_shape = Obs::new(true).snapshot().shape();
-        assert_eq!(
-            snap.shape().replace("false", "true"),
-            enabled_shape.replace("false", "true")
-        );
-    }
-
-    #[test]
     fn snapshot_json_mentions_required_lock_names() {
-        let json = Obs::new(true).snapshot().to_json();
+        let json = Obs::new().snapshot().to_json();
         for name in LOCK_NAMES.iter().chain(ALLOC_SHARD_NAMES.iter()) {
             assert!(json.contains(name), "missing {name}");
         }
@@ -1056,37 +901,13 @@ mod tests {
 
     #[test]
     fn reset_scopes_measurement_window() {
-        let obs = Obs::new(true);
+        let obs = Obs::new();
         obs.device.reads.fetch_add(10, Ordering::Relaxed);
         obs.engine.note_queue_depth(7);
         obs.reset();
         let snap = obs.snapshot();
         assert_eq!(snap.device.reads, 0);
         assert_eq!(snap.engine.queue_depth_hwm, 0);
-    }
-
-    #[test]
-    fn trace_span_records_when_enabled() {
-        let obs = Obs::new(true);
-        obs.trace_span("journal", "commit", 1_000);
-        assert_eq!(obs.trace.accepted(), 1);
-        obs.trace.zeroize();
-        assert!(obs.trace.is_zeroed());
-    }
-
-    #[test]
-    fn trace_capacity_is_configurable() {
-        let obs = Obs::with_trace_capacity(true, 2);
-        assert_eq!(obs.trace.capacity(), 2);
-        for _ in 0..5 {
-            obs.trace_span("engine", "read", 10);
-        }
-        assert_eq!(obs.trace.accepted(), 5);
-        assert_eq!(obs.trace.overwritten(), 3);
-        // 0 disables the ring even with collection on.
-        let off = Obs::with_trace_capacity(true, 0);
-        off.trace_span("engine", "read", 10);
-        assert!(off.trace.is_zeroed());
     }
 
     fn one_finished(op: usize, wall_ns: u64) -> FinishedRequest {
@@ -1103,7 +924,7 @@ mod tests {
 
     #[test]
     fn complete_request_feeds_attribution_and_slow_capture() {
-        let obs = Obs::new(true);
+        let obs = Obs::new();
         let fin = one_finished(5, 1_000);
         obs.complete_request(&fin, 1_200, 0);
         let attr = obs.attribution.summary();
@@ -1132,10 +953,10 @@ mod tests {
 
     #[test]
     fn attribution_shape_is_static_and_full() {
-        let a = Obs::new(true);
+        let a = Obs::new();
         let fin = one_finished(3, 2_000);
         a.complete_request(&fin, 2_000, 1);
-        let b = Obs::new(true);
+        let b = Obs::new();
         assert_eq!(
             a.attribution.summary().shape(),
             b.attribution.summary().shape()
@@ -1151,7 +972,7 @@ mod tests {
 
     #[test]
     fn repair_counters_roll_up_into_snapshot() {
-        let obs = Obs::new(true);
+        let obs = Obs::new();
         obs.repair.queued.fetch_add(3, Ordering::Relaxed);
         obs.repair.completed.fetch_add(2, Ordering::Relaxed);
         obs.repair.failed.fetch_add(1, Ordering::Relaxed);
@@ -1175,7 +996,7 @@ mod tests {
 
     #[test]
     fn watchdog_gauges_roll_up_into_snapshot() {
-        let obs = Obs::new(true);
+        let obs = Obs::new();
         obs.watchdog.sample(400, false);
         obs.watchdog.sample(850, true);
         obs.watchdog.heartbeat();
@@ -1187,11 +1008,20 @@ mod tests {
         assert_eq!(snap.watchdog.stall_samples, 1);
         assert_eq!(snap.watchdog.checkpoint_steals, 1);
         assert!(snap.to_json().contains("\"watchdog\""));
-        // Disabled watchdog collects nothing.
-        let off = Obs::disabled();
-        off.watchdog.sample(999, true);
-        off.watchdog.note_steal();
-        assert_eq!(off.snapshot().watchdog.samples, 0);
-        assert_eq!(off.snapshot().watchdog.checkpoint_steals, 0);
+    }
+
+    #[test]
+    fn watchdog_counts_checkpoints_across_resets() {
+        let obs = Obs::new();
+        // Never checkpointed: the age reads 0 and so does the count.
+        let fresh = obs.snapshot().watchdog;
+        assert_eq!((fresh.heartbeat_age_ms, fresh.checkpoints), (0, 0));
+        obs.watchdog.heartbeat();
+        obs.watchdog.heartbeat();
+        assert_eq!(obs.snapshot().watchdog.checkpoints, 2);
+        // A window reset keeps it, as it keeps the heartbeat stamp.
+        obs.reset();
+        assert_eq!(obs.snapshot().watchdog.checkpoints, 2);
+        assert!(obs.snapshot().to_json().contains("\"checkpoints\": 2"));
     }
 }

@@ -14,8 +14,7 @@
 //! object shards) can share one family so it reports as one metric.  The
 //! families are `fs.alloc`, `fs.alloc.N`, `fs.namespace`, `journal.state`,
 //! `core.object_shards`, `core.uak_shards` and `engine.queue`
-//! ([`crate::LOCK_NAMES`], [`crate::ALLOC_SHARD_NAMES`]).  A lock joined to
-//! a disabled family stays anonymous.
+//! ([`crate::LOCK_NAMES`], [`crate::ALLOC_SHARD_NAMES`]).
 //!
 //! A named acquisition takes `try_lock` / `try_read` / `try_write` first:
 //! success counts one acquisition, failure counts one *contended*
@@ -64,8 +63,8 @@
 //! RNG and repair queue; the read cache's object shard (then its block
 //! shard), scope table and derived-key map, never held across I/O or a
 //! key derivation; each engine client's completion queue; the fs
-//! checkpoint-daemon slot (then the daemon's state); the trace ring and
-//! the span captures, which only `try_lock` on the hot path.
+//! checkpoint-daemon slot (then the daemon's state); and the span
+//! captures, which only `try_lock` on the hot path.
 //!
 //! Known exceptions to the table:
 //!
@@ -97,7 +96,6 @@ use crate::hist::{HistSummary, Histogram};
 
 /// Shared contention accounting for one lock or lock family.
 pub struct LockStats {
-    enabled: bool,
     acquisitions: AtomicU64,
     contended: AtomicU64,
     wait: Histogram,
@@ -105,13 +103,12 @@ pub struct LockStats {
 }
 
 impl LockStats {
-    pub fn new(enabled: bool) -> Arc<Self> {
+    pub fn new() -> Arc<Self> {
         Arc::new(LockStats {
-            enabled,
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
-            wait: Histogram::maybe(enabled),
-            hold: Histogram::maybe(enabled),
+            wait: Histogram::new(),
+            hold: Histogram::new(),
         })
     }
 
@@ -167,11 +164,6 @@ impl LockSummary {
             self.hold.to_json()
         )
     }
-}
-
-/// The family a named lock reports into; `None` keeps the lock anonymous.
-fn family(stats: Arc<LockStats>) -> Option<Arc<LockStats>> {
-    stats.enabled.then_some(stats)
 }
 
 /// The poison rule: a poisoned lock hands over its guard.
@@ -241,7 +233,7 @@ impl<T> Mutex<T> {
     /// A mutex in the `stats` family.
     pub fn with_stats(value: T, stats: Arc<LockStats>) -> Self {
         Mutex {
-            stats: family(stats),
+            stats: Some(stats),
             inner: sync::Mutex::new(value),
         }
     }
@@ -254,7 +246,7 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Join the `stats` family (requires exclusive access, i.e. during setup).
     pub fn set_stats(&mut self, stats: Arc<LockStats>) {
-        self.stats = family(stats);
+        self.stats = Some(stats);
     }
 
     #[inline]
@@ -331,7 +323,7 @@ impl<T> RwLock<T> {
     /// A reader-writer lock in the `stats` family.
     pub fn with_stats(value: T, stats: Arc<LockStats>) -> Self {
         RwLock {
-            stats: family(stats),
+            stats: Some(stats),
             inner: sync::RwLock::new(value),
         }
     }
@@ -344,7 +336,7 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Join the `stats` family (requires exclusive access, i.e. during setup).
     pub fn set_stats(&mut self, stats: Arc<LockStats>) {
-        self.stats = family(stats);
+        self.stats = Some(stats);
     }
 
     #[inline]
@@ -457,7 +449,7 @@ mod tests {
 
     #[test]
     fn uncontended_lock_counts_acquisition() {
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let m = Mutex::with_stats(0u32, Arc::clone(&stats));
         {
             let mut g = m.lock();
@@ -471,7 +463,7 @@ mod tests {
 
     #[test]
     fn contended_lock_records_wait() {
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let m = Arc::new(Mutex::with_stats(0u32, Arc::clone(&stats)));
         let m2 = Arc::clone(&m);
         let g = m.lock();
@@ -488,21 +480,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_stats_record_nothing() {
-        let stats = LockStats::new(false);
-        let m = Mutex::with_stats(5u32, Arc::clone(&stats));
-        assert_eq!(*m.lock(), 5);
-        let l = RwLock::with_stats(5u32, Arc::clone(&stats));
-        assert_eq!(*l.read(), 5);
-        *l.write() = 6;
-        let s = stats.summary();
-        assert_eq!(s.acquisitions, 0);
-        assert_eq!(s.hold.count, 0);
-    }
-
-    #[test]
     fn shared_family_merges_counts() {
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let a = Mutex::with_stats(0u32, Arc::clone(&stats));
         let b = Mutex::with_stats(0u32, Arc::clone(&stats));
         drop(a.lock());
@@ -512,7 +491,7 @@ mod tests {
 
     #[test]
     fn rwlock_counts_readers_and_writers() {
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let l = RwLock::with_stats(1u32, Arc::clone(&stats));
         {
             let r = l.read();
@@ -529,7 +508,7 @@ mod tests {
 
     #[test]
     fn a_reader_behind_a_held_writer_is_one_contended_acquisition() {
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let l = Arc::new(RwLock::with_stats(0u32, Arc::clone(&stats)));
         let w = l.write();
         let reader = {
@@ -550,7 +529,7 @@ mod tests {
 
     #[test]
     fn uncontended_reads_count_no_contention() {
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let l = RwLock::with_stats(7u32, Arc::clone(&stats));
         for _ in 0..1_000 {
             assert_eq!(*l.read(), 7);
@@ -565,7 +544,7 @@ mod tests {
     #[test]
     fn a_condvar_wake_on_a_named_lock_is_no_acquisition() {
         use std::sync::atomic::AtomicBool;
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let shared = Arc::new((
             Mutex::with_stats((), Arc::clone(&stats)),
             Condvar::new(),
@@ -617,7 +596,7 @@ mod tests {
 
     #[test]
     fn a_panicked_rwlock_writer_lets_readers_and_writers_in() {
-        let stats = LockStats::new(true);
+        let stats = LockStats::new();
         let l = Arc::new(RwLock::with_stats(1u32, stats));
         panic_holding(&l, |l| {
             *l.write() = 2;

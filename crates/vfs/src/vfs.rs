@@ -211,32 +211,18 @@ impl<D: BlockDevice> Vfs<D> {
         }
     }
 
-    /// Format `dev` as a fresh StegFS volume and serve it.  With
-    /// [`StegParams::checkpoint_daemon`] set (and a journal configured),
-    /// the background checkpoint daemon is started so foreground commits
-    /// rarely pay for ring reclamation; unmount drains and stops it.
-    pub fn format(dev: D, params: StegParams) -> VfsResult<Self>
-    where
-        D: Send + Sync + 'static,
-    {
-        let mut fs = StegFs::format(dev, params)?;
-        if fs.params().checkpoint_daemon {
-            fs.start_checkpoint_daemon();
-        }
-        Ok(Vfs::new(fs))
+    /// Format `dev` as a fresh StegFS volume and serve it.  No checkpoint
+    /// daemon runs: a caller that wants one formats with
+    /// [`StegFs::format`], calls [`StegFs::start_checkpoint_daemon`] and
+    /// wraps the volume with [`Self::new`]; unmount drains and stops it.
+    pub fn format(dev: D, params: StegParams) -> VfsResult<Self> {
+        Ok(Vfs::new(StegFs::format(dev, params)?))
     }
 
-    /// Mount an existing StegFS volume and serve it (checkpoint daemon as
-    /// in [`Self::format`]).
-    pub fn mount(dev: D, params: StegParams) -> VfsResult<Self>
-    where
-        D: Send + Sync + 'static,
-    {
-        let mut fs = StegFs::mount(dev, params)?;
-        if fs.params().checkpoint_daemon {
-            fs.start_checkpoint_daemon();
-        }
-        Ok(Vfs::new(fs))
+    /// Mount an existing StegFS volume and serve it (no checkpoint daemon,
+    /// as in [`Self::format`]).
+    pub fn mount(dev: D, params: StegParams) -> VfsResult<Self> {
+        Ok(Vfs::new(StegFs::mount(dev, params)?))
     }
 
     /// Tear the front-end down, recovering the [`StegFs`] underneath.
@@ -318,9 +304,10 @@ impl<D: BlockDevice> Vfs<D> {
     /// sets themselves — is **purged and zeroed**: no decrypted byte and no
     /// key schedule may outlive a session that could use it, while entries
     /// other live sessions resolved through their own keys stay warm (see
-    /// `stegfs_core::readcache`).  The RAM-only observability trace ring is
-    /// zeroed as well, so no record of the departing session's activity
-    /// pattern survives it.
+    /// `stegfs_core::readcache`).  The registry's captured span trees
+    /// (worst-N and chrome-trace) are zeroed as well, so no record of the
+    /// departing session's activity pattern survives it; [`Self::unmount`]
+    /// zeroes them too.
     pub fn signoff(&self, session: SessionId) -> VfsResult<()> {
         let state = self
             .sessions
@@ -332,9 +319,8 @@ impl<D: BlockDevice> Vfs<D> {
         }
         self.fs.purge_session_caches(&state.uak);
         // Session-scoped observability state that could outline hidden
-        // activity (op-labelled trace entries, captured span trees) dies
-        // with the session; the digit-normalized *shape* stays identical.
-        self.fs.obs().trace.zeroize();
+        // activity (captured span trees) dies with the session; the
+        // digit-normalized *shape* stays identical.
         self.fs.obs().slow.zeroize();
         self.fs.obs().capture.zeroize();
         Ok(())
@@ -348,7 +334,7 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// The volume's observability registry (histograms, contention
-    /// counters, trace ring).  RAM only; see `stegfs-obs` for the
+    /// counters, captured span trees).  RAM only; see `stegfs-obs` for the
     /// deniability contract.
     pub fn obs(&self) -> &std::sync::Arc<stegfs_obs::Obs> {
         self.fs.obs()

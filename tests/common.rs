@@ -23,10 +23,7 @@ pub fn full_feature_params() -> StegParams {
         random_fill: true,
         journal_blocks: 0,
         readpath_cache_blocks: 1024,
-        obs_enabled: true,
-        trace_capacity: stegfs_core::TRACE_CAPACITY,
         hidden_policy: Policy::Plain,
-        checkpoint_daemon: false,
     }
 }
 

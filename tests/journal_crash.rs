@@ -388,10 +388,7 @@ fn checkpoint_daemon_in_flight_replays_cleanly() {
         let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
         let mut fs = StegFs::format(
             BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
-            StegParams {
-                checkpoint_daemon: true,
-                ..params()
-            },
+            params(),
         )
         .unwrap();
         fs.start_checkpoint_daemon();

@@ -11,10 +11,11 @@
 //!    holds one level down for the span layer: the attribution table's shape
 //!    and the chrome-trace export's label vocabulary are closed sets baked
 //!    into the binary.
-//! 2. The RAM-only trace ring, the slow-request capture, and any in-flight
-//!    chrome-trace capture are scrubbed on session sign-off.
-//! 3. The on-disk image is bit-identical with observability on and off, and
-//!    with tracing on and off: nothing about the registry is ever persisted.
+//! 2. The slow-request capture and any in-flight chrome-trace capture are
+//!    scrubbed on session sign-off and on unmount.
+//! 3. The on-disk image is bit-identical whether or not a chrome-trace
+//!    capture runs and the registry is snapshotted and reset between
+//!    requests: nothing about the registry is ever persisted.
 //! 4. Request ids in span trees come from a process-global monotonic
 //!    counter, never from key material.
 //!
@@ -23,25 +24,18 @@
 
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, MemBlockDevice, SharedDevice};
-use stegfs_core::{ObjectKind, StegFs, StegParams};
+use stegfs_core::{ObjectKind, StegFs};
 use stegfs_engine::{Client, Engine, Request, Response};
 use stegfs_tests::{full_feature_params, journaled_params, payload};
 use stegfs_vfs::{OpenOptions, Vfs, VfsHandle};
 
 const OWNER: &str = "the real key";
 
-fn obs_params() -> StegParams {
-    StegParams {
-        obs_enabled: true,
-        ..full_feature_params()
-    }
-}
-
 /// Run a workload on a fresh volume and return the obs snapshot.  When
 /// `hidden` is set, the workload also creates, rewrites, and reads hidden
 /// objects; op counts deliberately differ so only the *values* can diverge.
 fn snapshot_after_workload(hidden: bool) -> stegfs_obs::Snapshot {
-    let fs = StegFs::format(MemBlockDevice::new(1024, 8192), obs_params()).unwrap();
+    let fs = StegFs::format(MemBlockDevice::new(1024, 8192), full_feature_params()).unwrap();
     fs.write_plain("/cover.txt", &payload(1, 32 * 1024))
         .unwrap();
     fs.write_plain("/cover2.txt", &payload(2, 16 * 1024))
@@ -132,17 +126,13 @@ fn eng_close<D: BlockDevice + Send + Sync + 'static>(client: &Client<D>, h: VfsH
 #[test]
 fn trace_slow_and_capture_rings_are_zeroized_on_signoff() {
     let dev = MemBlockDevice::new(1024, 8192);
-    let vfs = Arc::new(Vfs::format(dev, obs_params()).unwrap());
+    let vfs = Arc::new(Vfs::format(dev, full_feature_params()).unwrap());
     let engine = Arc::new(Engine::start(Arc::clone(&vfs), 2));
     vfs.obs().capture.begin(1024);
     let client = engine.client(OWNER);
     let h = eng_open(&client, "/hidden/diary");
     eng_write(&client, h, payload(5, 8 * 1024));
     eng_close(&client, h);
-    assert!(
-        vfs.obs().trace.accepted() > 0,
-        "engine ops must land spans in the trace ring"
-    );
     assert!(
         vfs.obs().slow.offered() > 0 && !vfs.obs().slow.is_zeroed(),
         "completed requests must be offered to the slow capture"
@@ -152,10 +142,6 @@ fn trace_slow_and_capture_rings_are_zeroized_on_signoff() {
         "an active chrome-trace capture must hold the run's trees"
     );
     client.signoff().unwrap();
-    assert!(
-        vfs.obs().trace.is_zeroed(),
-        "signoff must scrub the trace ring"
-    );
     assert!(
         vfs.obs().slow.is_zeroed(),
         "signoff must scrub the slow-request capture"
@@ -167,6 +153,36 @@ fn trace_slow_and_capture_rings_are_zeroized_on_signoff() {
     Arc::try_unwrap(engine)
         .unwrap_or_else(|_| panic!("engine still shared"))
         .shutdown();
+}
+
+#[test]
+fn slow_and_capture_rings_are_zeroized_on_unmount() {
+    // A registry handle kept past unmount must not keep the request trees
+    // of a session that never signed off.
+    let vfs =
+        Arc::new(Vfs::format(MemBlockDevice::new(1024, 8192), full_feature_params()).unwrap());
+    let obs = Arc::clone(vfs.obs());
+    let engine = Engine::start(Arc::clone(&vfs), 2);
+    obs.capture.begin(1024);
+    let client = engine.client(OWNER);
+    let h = eng_open(&client, "/hidden/diary");
+    eng_write(&client, h, payload(6, 8 * 1024));
+    eng_close(&client, h);
+    assert!(!obs.slow.is_zeroed() && !obs.capture.is_zeroed());
+    drop(client);
+    engine.shutdown();
+    Arc::try_unwrap(vfs)
+        .unwrap_or_else(|_| panic!("vfs still shared"))
+        .unmount()
+        .unwrap();
+    assert!(
+        obs.slow.is_zeroed(),
+        "unmount must scrub the slow-request capture"
+    );
+    assert!(
+        obs.capture.is_zeroed(),
+        "unmount must scrub any in-flight chrome-trace capture"
+    );
 }
 
 /// The fixed engine request sequence: a plain file opened, written, read and
@@ -187,7 +203,8 @@ fn drive_requests<D: BlockDevice + Send + Sync + 'static>(client: &Client<D>, hi
 /// Drive the fixed engine request sequence and return the attribution-table
 /// shape plus the run's chrome-trace JSON.
 fn span_layer_run(key: &str, hidden: bool) -> (String, String) {
-    let vfs = Arc::new(Vfs::format(MemBlockDevice::new(1024, 8192), obs_params()).unwrap());
+    let vfs =
+        Arc::new(Vfs::format(MemBlockDevice::new(1024, 8192), full_feature_params()).unwrap());
     let engine = Arc::new(Engine::start(Arc::clone(&vfs), 1));
     vfs.obs().capture.begin(4096);
     let client = engine.client(key);
@@ -283,7 +300,8 @@ fn request_ids_are_counter_allocated_never_key_derived() {
     // allocator — makes every id of the later run strictly greater than
     // every id of the earlier run.
     let ids = |key: &str| -> Vec<u64> {
-        let vfs = Arc::new(Vfs::format(MemBlockDevice::new(1024, 8192), obs_params()).unwrap());
+        let vfs =
+            Arc::new(Vfs::format(MemBlockDevice::new(1024, 8192), full_feature_params()).unwrap());
         let engine = Arc::new(Engine::start(Arc::clone(&vfs), 1));
         vfs.obs().capture.begin(4096);
         let client = engine.client(key);
@@ -313,65 +331,38 @@ fn request_ids_are_counter_allocated_never_key_derived() {
     );
 }
 
-/// Image every block of the volume through the raw-read path.
-fn image(fs: &StegFs<MemBlockDevice>) -> Vec<u8> {
-    let total = fs.plain_fs().superblock().total_blocks;
-    let mut out = Vec::new();
-    for b in 0..total {
-        out.extend(fs.plain_fs().read_raw_block(b).unwrap());
-    }
-    out
-}
-
-#[test]
-fn disk_image_is_bit_identical_with_obs_on_and_off() {
-    let run = |obs_enabled: bool| -> Vec<u8> {
-        let params = StegParams {
-            obs_enabled,
-            ..full_feature_params()
-        };
-        let fs = StegFs::format(MemBlockDevice::new(1024, 4096), params).unwrap();
-        fs.write_plain("/cover.txt", &payload(7, 24 * 1024))
-            .unwrap();
-        fs.steg_create("secret", OWNER, ObjectKind::File).unwrap();
-        fs.write_hidden_with_key("secret", OWNER, &payload(8, 64 * 1024))
-            .unwrap();
-        fs.read_hidden_with_key("secret", OWNER).unwrap();
-        fs.sync().unwrap();
-        image(&fs)
-    };
-    assert_eq!(
-        run(true),
-        run(false),
-        "instrumentation must leave no mark on the volume"
-    );
-}
-
 #[test]
 fn disk_image_is_bit_identical_with_tracing_on_and_off() {
-    // Same workload driven through the full engine stack, once with the
-    // trace ring disabled (`trace_capacity: 0`) and once with tracing plus
-    // an active chrome-trace capture.  An adversary imaging the raw device
-    // afterwards sees the same bytes either way.
-    let run = |trace_capacity: usize| -> Vec<u8> {
-        let params = StegParams {
-            trace_capacity,
-            ..full_feature_params()
-        };
+    // Same workload driven through the full engine stack, once with an
+    // active chrome-trace capture and the registry snapshotted and reset
+    // between requests, once with neither.  An adversary imaging the raw
+    // device afterwards sees the same bytes either way.
+    let run = |traced: bool| -> Vec<u8> {
         let shared = SharedDevice::new(MemBlockDevice::new(1024, 8192));
         let adversary = shared.clone();
-        let vfs = Arc::new(Vfs::format(shared, params).unwrap());
+        let vfs = Arc::new(Vfs::format(shared, full_feature_params()).unwrap());
         let engine = Arc::new(Engine::start(Arc::clone(&vfs), 1));
-        if trace_capacity > 0 {
-            vfs.obs().capture.begin(trace_capacity);
+        if traced {
+            vfs.obs().capture.begin(1024);
         }
+        let between = || {
+            if traced {
+                std::hint::black_box(vfs.obs().snapshot().to_json());
+                vfs.obs().reset();
+            }
+        };
         let client = engine.client(OWNER);
         let h = eng_open(&client, "/plain/cover.dat");
+        between();
         eng_write(&client, h, payload(41, 24 * 1024));
+        between();
         eng_close(&client, h);
         let h = eng_open(&client, "/hidden/secret");
+        between();
         eng_write(&client, h, payload(42, 32 * 1024));
+        between();
         eng_read(&client, h, 32 * 1024);
+        between();
         eng_close(&client, h);
         client.signoff().unwrap();
         vfs.sync().unwrap();
@@ -387,28 +378,8 @@ fn disk_image_is_bit_identical_with_tracing_on_and_off() {
         out
     };
     assert_eq!(
-        run(0),
-        run(1024),
+        run(false),
+        run(true),
         "tracing must leave no mark on the volume"
     );
-}
-
-#[test]
-fn disabled_registry_collects_nothing() {
-    let params = StegParams {
-        obs_enabled: false,
-        ..full_feature_params()
-    };
-    let fs = StegFs::format(MemBlockDevice::new(1024, 4096), params).unwrap();
-    fs.write_plain("/cover.txt", &payload(9, 16 * 1024))
-        .unwrap();
-    fs.sync().unwrap();
-    let snap = fs.obs().snapshot();
-    assert!(!snap.enabled);
-    for (name, lock) in &snap.locks {
-        assert_eq!(lock.acquisitions, 0, "{name} counted while disabled");
-    }
-    assert_eq!(snap.device.reads, 0);
-    assert_eq!(snap.device.writes, 0);
-    assert_eq!(snap.trace_accepted, 0);
 }
