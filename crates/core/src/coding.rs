@@ -51,7 +51,7 @@ use crate::error::{StegError, StegResult};
 use crate::scratch::Scratch;
 use stegfs_baselines::ida::Decoder;
 use stegfs_baselines::Ida;
-use stegfs_crypto::sha256::sha256_concat;
+use stegfs_crypto::sha256::{sha256_concat, sha256_many, DIGEST_LEN};
 
 /// Durability policy of one hidden object, carried in its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,12 +155,36 @@ impl Policy {
     }
 }
 
+/// Domain separation of the share checksum.
+const SHARE_CSUM: &[u8] = b"stegfs-share-csum";
+
 /// Domain-separated 8-byte checksum of one share's plaintext, stored next
 /// to the share pointer in the (encrypted) inode chain.  Detects damaged
 /// shares before they poison a reconstruction; an adversary never sees it.
+///
+/// This is the one-share form, for a chain node.  The data shares of an
+/// operation go through [`share_checksums`], which hashes them side by
+/// side with the same result.
 pub(crate) fn share_checksum(share: &[u8]) -> u64 {
-    let digest = sha256_concat(&[b"stegfs-share-csum", share]);
-    u64::from_be_bytes(digest[..8].try_into().expect("8-byte prefix"))
+    checksum_of(&sha256_concat(&[SHARE_CSUM, share]))
+}
+
+/// [`share_checksum`] of every `block_size`-byte share of `shares`, in
+/// order, from one batched hash call (`sha256_many`): sixteen shares per
+/// pass of the vector kernel where the CPU has one.
+pub(crate) fn share_checksums(shares: &[u8], block_size: usize) -> Vec<u64> {
+    sha256_many(
+        shares
+            .chunks_exact(block_size)
+            .map(|share| [SHARE_CSUM, share]),
+    )
+    .iter()
+    .map(checksum_of)
+    .collect()
+}
+
+fn checksum_of(digest: &[u8; DIGEST_LEN]) -> u64 {
+    u64::from_be_bytes(*digest.first_chunk().expect("8-byte prefix"))
 }
 
 /// The `(m, n)` codec of one coded operation over `block_size`-byte shares.
@@ -243,11 +267,10 @@ impl GroupCodec {
         let bs = self.block_size;
         let groups = data.len().div_ceil(m * bs);
         let mut out = Scratch::take(groups * n * bs);
-        let mut csums = Vec::with_capacity(groups * n);
         for (group, shares) in data.chunks(m * bs).zip(out.chunks_exact_mut(n * bs)) {
             self.split_group(group, shares);
-            csums.extend(shares.chunks_exact(bs).map(share_checksum));
         }
+        let csums = share_checksums(&out, bs);
         (out, csums)
     }
 }
@@ -333,6 +356,92 @@ mod tests {
         }
         decoded.truncate(data.len());
         assert_eq!(decoded, data);
+    }
+
+    #[test]
+    fn batched_checksums_match_the_one_share_form() {
+        let bs = 1024;
+        let shares: Vec<u8> = (0..35 * bs).map(|i| (i * 31 % 253) as u8).collect();
+        let one_by_one: Vec<u64> = shares.chunks_exact(bs).map(share_checksum).collect();
+        assert_eq!(share_checksums(&shares, bs), one_by_one);
+    }
+
+    /// Share checksums are hashed sixteen to a pass, so a damaged share in
+    /// the first lane of a pass, its last lane and the first lane of the
+    /// next must each be pinned on its own group.  A full read of a 2-of-3
+    /// object checks primary share `k` (group `k / 2`, share `k % 2`) in lane
+    /// `k % 16` of pass `k / 16`.  The object must read back byte-identical
+    /// through the victim's fallback share, and only the victim's group may
+    /// fall back: the damaged read fetches exactly one block more than a
+    /// clean one.
+    #[test]
+    fn a_damaged_share_is_pinned_on_its_group_at_every_batch_lane() {
+        use crate::crypt::ObjectKeys;
+        use crate::header::ObjectKind;
+        use crate::hidden::{ObjectIo, ReadHealth, RepairOutcome};
+        use crate::params::StegParams;
+        use crate::readcache::ReadCache;
+        use std::sync::atomic::Ordering;
+        use stegfs_blockdev::{MemBlockDevice, ObservedDevice};
+        use stegfs_crypto::prng::DeterministicRng;
+        use stegfs_fs::{FormatOptions, PlainFs};
+
+        let policy = Policy::Disperse { m: 2, n: 3 };
+        let groups = 24;
+        for lane in [0usize, 15, 16] {
+            let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
+            let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
+            let bs = fs.block_size();
+            let keys = ObjectKeys::derive("lanes", b"coded key");
+            let params = StegParams::for_tests();
+            let mut rng = DeterministicRng::new(b"coding-tests");
+            let io = ObjectIo::new(&fs, &params, ReadCache::disabled(), &keys);
+            let mut obj = io.create("lanes", ObjectKind::File, policy).unwrap();
+            let data: Vec<u8> = (0..groups * 2 * bs).map(|i| (i * 7 % 251) as u8).collect();
+            io.write(&mut obj, &data, &mut rng).unwrap();
+
+            let blocks_read = || fs.device().stats().blocks_read.load(Ordering::Relaxed);
+            let before = blocks_read();
+            assert_eq!(io.read(&obj).unwrap(), data);
+            let clean = blocks_read() - before;
+
+            let (group, share) = (lane / 2, lane % 2);
+            let victim = io.share_extents(&obj).unwrap()[group][share];
+            let mut txn = fs.begin_txn();
+            txn.write_raw_block(victim, &vec![lane as u8 ^ 0x5a; bs])
+                .unwrap();
+            txn.commit().unwrap();
+
+            let health = ReadHealth::new();
+            let before = blocks_read();
+            assert_eq!(
+                io.observed(&health).read(&obj).unwrap(),
+                data,
+                "lane {lane}"
+            );
+            assert!(health.is_degraded(), "lane {lane}");
+            assert_eq!(
+                blocks_read() - before,
+                clean + 1,
+                "lane {lane}: only group {group} falls back"
+            );
+            for g in [group.saturating_sub(1), group, group + 1] {
+                let health = ReadHealth::new();
+                let at = g * 2 * bs;
+                let got = io
+                    .observed(&health)
+                    .read_range(&obj, at as u64, 2 * bs, 0)
+                    .unwrap();
+                assert_eq!(got, &data[at..at + 2 * bs]);
+                assert_eq!(health.is_degraded(), g == group, "lane {lane}, group {g}");
+            }
+            assert_eq!(
+                io.repair(&obj).unwrap(),
+                RepairOutcome::Repaired { shares_rebuilt: 1 },
+                "lane {lane}"
+            );
+            assert_eq!(io.repair(&obj).unwrap(), RepairOutcome::Intact);
+        }
     }
 
     #[test]

@@ -383,9 +383,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         self.fs.read_raw_blocks_into(blocks, &mut buf)?;
         {
             let _s = span::span(span::Phase::Crypto);
-            for (&block, chunk) in blocks.iter().zip(buf.chunks_exact_mut(bs)) {
-                self.keys.decrypt_block(block, chunk);
-            }
+            self.keys.decrypt_blocks(blocks, &mut buf);
         }
         Ok(buf)
     }
@@ -404,9 +402,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         debug_assert_eq!(plaintext.len(), blocks.len() * bs);
         {
             let _s = span::span(span::Phase::Crypto);
-            for (&block, chunk) in blocks.iter().zip(plaintext.chunks_exact_mut(bs)) {
-                self.keys.encrypt_block(block, chunk);
-            }
+            self.keys.encrypt_blocks(blocks, &mut plaintext);
         }
         txn.write_raw_blocks(blocks, &plaintext)?;
         Ok(())
@@ -612,9 +608,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         }
         let mut buf = Scratch::take(fetch.len() * bs);
         self.fs.read_raw_blocks_into(&fetch, &mut buf)?;
-        for (&block, chunk) in fetch.iter().zip(buf.chunks_exact_mut(bs)) {
-            keys.decrypt_block(block, chunk);
-        }
+        keys.decrypt_blocks(&fetch, &mut buf);
         cache.put_blocks(keys.signature(), token, &fetch, &buf);
         // The demand misses lead `fetch`, in slot order.
         for (j, &slot) in missed.iter().enumerate() {
@@ -656,14 +650,12 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             .flat_map(|&g| data_blocks[g * n..g * n + m].iter().copied())
             .collect();
         let primary_buf = self.read_decrypted_many(&primary)?;
+        let primary_csums = coding::share_checksums(&primary_buf, bs);
         // Per requested group, the (0-based) shares whose checksum verified.
         let mut live: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
         let mut degraded: Vec<usize> = Vec::new();
         for (gi, &g) in groups.iter().enumerate() {
-            let ok = |&j: &usize| {
-                coding::share_checksum(nth_block(&primary_buf, gi * m + j, bs))
-                    == share_csums[g * n + j]
-            };
+            let ok = |&j: &usize| primary_csums[gi * m + j] == share_csums[g * n + j];
             live.push((0..m).filter(ok).collect());
             if live[gi].len() < m {
                 degraded.push(gi);
@@ -682,6 +674,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             })
             .collect();
         let fallback_buf = self.read_decrypted_many(&fallback)?;
+        let fallback_csums = coding::share_checksums(&fallback_buf, bs);
         // A degraded group's fallback shares sit at its rank among the
         // degraded groups; every group's primary shares sit at its own
         // position.
@@ -696,9 +689,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 nth_block(&fallback_buf, rank[gi] * extra + j - m, bs)
             }
         };
-        for &gi in &degraded {
+        for (di, &gi) in degraded.iter().enumerate() {
             let g = groups[gi];
-            let ok = |&j: &usize| coding::share_checksum(share_at(gi, j)) == share_csums[g * n + j];
+            let ok = |&j: &usize| fallback_csums[di * extra + j - m] == share_csums[g * n + j];
             live[gi].extend((m..n).filter(ok));
         }
         let mut out = Scratch::take(groups.len() * m * bs);
@@ -1602,6 +1595,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             ));
         }
         let buf = self.read_decrypted_many(&data_blocks)?;
+        let csums = coding::share_checksums(&buf, bs);
         let groups = data_blocks.len() / n;
         // Per group, the verified shares (borrowed from the batched read)
         // and the 0-based numbers of the damaged ones.
@@ -1611,7 +1605,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             for j in 0..n {
                 let idx = g * n + j;
                 let share = nth_block(&buf, idx, bs);
-                if coding::share_checksum(share) == share_csums[idx] {
+                if csums[idx] == share_csums[idx] {
                     good[g].push(((j + 1) as u8, share));
                 } else {
                     bad[g].push(j);

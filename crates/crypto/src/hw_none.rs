@@ -14,6 +14,10 @@ pub(crate) enum ShaNi {}
 #[derive(Clone, Copy)]
 pub(crate) enum Avx2 {}
 
+/// Never constructed on this target.
+#[derive(Clone, Copy)]
+pub(crate) enum Avx512 {}
+
 impl AesNi {
     pub(crate) fn detect() -> Option<Self> {
         None
@@ -60,6 +64,16 @@ impl Avx2 {
     }
 
     pub(crate) fn interleave(self, _planes: &[u8], _m: usize, _out: &mut [u8]) {
+        match self {}
+    }
+}
+
+impl Avx512 {
+    pub(crate) fn detect() -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn compress16(self, _state: &mut [[u32; 16]; 8], _blocks: [&[[u8; 64]]; 16]) {
         match self {}
     }
 }

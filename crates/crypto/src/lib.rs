@@ -40,7 +40,8 @@
 //!   GF(2⁸), the kernels under the information dispersal codec of
 //!   `stegfs-baselines`.
 //! * `hw` (private, x86-64 only) — the AES-NI and SHA-NI round functions
-//!   under [`aes`], [`modes`] and [`mod@sha256`] and the AVX2 bodies under
+//!   under [`aes`], [`modes`] and [`mod@sha256`], the sixteen-lane AVX-512
+//!   SHA-256 under [`sha256::sha256_many`] and the AVX2 bodies under
 //!   [`gf256`], picked at run time from what the CPU reports; the T-table
 //!   AES, scalar SHA-256 and table-row multiply remain the path on every
 //!   other host and the oracle `hw` is tested against.
@@ -49,12 +50,13 @@
 //!
 //! The crate denies `unsafe_code` everywhere except `hw.rs`, the one file in
 //! the workspace that contains any.  Its header carries the full argument;
-//! in short: every function that executes an AES, SHA or AVX2 instruction
-//! is `#[target_feature]`-gated and reachable only through one of three
-//! tokens (`AesNi`, `ShaNi`, `Avx2`) whose sole constructor is the CPU
-//! feature check, and every vector load or store is an unaligned
-//! `loadu`/`storeu` through a `&[u8; 16]` or `&[u8; 32]` that safe slice
-//! methods cut from the caller's buffer.  The AVX2 transposes under
+//! in short: every function that executes an AES, SHA, AVX2 or AVX-512
+//! instruction is `#[target_feature]`-gated and reachable only through one
+//! of four tokens (`AesNi`, `ShaNi`, `Avx2`, `Avx512`) whose sole
+//! constructor is the CPU feature check, and every vector load or store is
+//! an unaligned `loadu`/`storeu` through a `&[u8; 16]`, `&[u8; 32]` or
+//! `&[u8; 64]` (`&[u32; 16]` for the sixteen-lane chaining state) that safe
+//! slice methods cut from the caller's buffer.  The AVX2 transposes under
 //! [`gf256`] contain no `unsafe` at all: they are that module's safe loops
 //! compiled a second time inside a gated wrapper.  The other modules call
 //! safe methods on the token and contain no `unsafe` block.

@@ -16,7 +16,7 @@
 //!   where the ciphertext must have exactly the same length as the plaintext.
 
 use crate::aes::{Aes, BLOCK_LEN};
-use crate::sha256::sha256_concat;
+use crate::sha256::{sha256_concat, sha256_many};
 
 /// Error returned when a ciphertext cannot be decrypted into a well-formed
 /// plaintext (bad length or bad padding).
@@ -43,11 +43,22 @@ impl std::error::Error for CipherError {}
 ///
 /// The derivation is `SHA-256(key ‖ "stegfs-iv" ‖ index)[..16]`, so IVs are
 /// unique per (key, sector) pair and reproducible without storing them.
+/// For a run of sectors, [`derive_ivs`] returns the same IVs from one
+/// batched hash call.
 pub fn derive_iv(key: &[u8], index: u64) -> [u8; BLOCK_LEN] {
     let digest = sha256_concat(&[key, b"stegfs-iv", &index.to_be_bytes()]);
-    let mut iv = [0u8; BLOCK_LEN];
-    iv.copy_from_slice(&digest[..BLOCK_LEN]);
-    iv
+    *digest.first_chunk().expect("a digest outgrows an IV")
+}
+
+/// [`derive_iv`] for every index of `indices`, in order, from one batched
+/// hash call (`sha256_many`): the messages all have one length, so the
+/// vector kernel takes sixteen of them per pass where the CPU has one.
+pub fn derive_ivs(key: &[u8], indices: &[u64]) -> Vec<[u8; BLOCK_LEN]> {
+    let indices: Vec<[u8; 8]> = indices.iter().map(|i| i.to_be_bytes()).collect();
+    sha256_many(indices.iter().map(|i| [key, b"stegfs-iv", i]))
+        .iter()
+        .map(|digest| *digest.first_chunk().expect("a digest outgrows an IV"))
+        .collect()
 }
 
 /// AES-CBC with PKCS#7 padding.
@@ -161,6 +172,31 @@ impl CtrCipher {
             }
             offset += take;
             increment_counter(&mut counter_block);
+        }
+    }
+
+    /// [`apply`](Self::apply) over a run of sectors: `data` is
+    /// `indices.len()` equal blocks back to back, and block `i` takes the
+    /// keystream from `derive_iv(iv_key, indices[i])`.  The run's IVs come
+    /// from one [`derive_ivs`] call.
+    ///
+    /// # Panics
+    /// Panics unless `data` splits into one equal block per index.
+    pub fn apply_run(&self, iv_key: &[u8], indices: &[u64], data: &mut [u8]) {
+        if indices.is_empty() {
+            return;
+        }
+        let block_len = data.len() / indices.len();
+        assert_eq!(
+            data.len(),
+            indices.len() * block_len,
+            "one equal block per index"
+        );
+        for (iv, block) in derive_ivs(iv_key, indices)
+            .iter()
+            .zip(data.chunks_exact_mut(block_len))
+        {
+            self.apply(iv, block);
         }
     }
 
@@ -303,6 +339,13 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, derive_iv(b"key-a", 0), "must be deterministic");
+        let run: Vec<u64> = (0..40).map(|i| i * 977).collect();
+        let singles: Vec<_> = run.iter().map(|&i| derive_iv(b"key-a", i)).collect();
+        assert_eq!(
+            derive_ivs(b"key-a", &run),
+            singles,
+            "batched IVs are the same IVs"
+        );
     }
 
     #[test]

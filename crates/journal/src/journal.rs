@@ -48,8 +48,8 @@
 //! list, so the run it counted is still the front when it retires.
 
 use crate::record::{
-    intent_capacity, open_payload, open_slot, seal_payload, seal_slot, slots_for, JournalKeys,
-    Slot, SlotBody, SlotKind, ANCHOR_SLOTS,
+    intent_capacity, open_slot, seal_slot, slots_for, JournalKeys, Slot, SlotBody, SlotKind,
+    ANCHOR_SLOTS,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -174,8 +174,9 @@ impl Tx {
     }
 }
 
-/// `(target block, image)` pairs of one transaction.
-type TxWrites = Vec<(u64, Vec<u8>)>;
+/// A replayed transaction's target blocks and, back to back, their images:
+/// the parallel arrays [`BlockDevice::write_blocks`] takes.
+type TxWrites = (Vec<u64>, Vec<u8>);
 
 /// A transaction whose slot run and sequence numbers are allocated but not
 /// yet written; produced by [`Journal::stage`], consumed by
@@ -463,7 +464,8 @@ impl Journal {
             txid: 0,
             body: SlotBody::Anchor { tail_seq },
         };
-        let sealed = seal_slot(&self.keys, abs, &slot, self.geo.block_size);
+        let mut sealed = vec![0u8; self.geo.block_size];
+        seal_slot(&self.keys, abs, &slot, &mut sealed);
         dev.write_block(abs, &sealed)?;
         Ok(())
     }
@@ -720,7 +722,9 @@ impl Journal {
 
     /// Seal one staged transaction's slot run — interleaved intents and
     /// payloads, then the commit record — appending the ring blocks and
-    /// sealed images to `blocks` / `images`.
+    /// sealed images to `blocks` / `images`.  Every slot is sealed in place
+    /// in `images`; an intent's payload checks and its payloads' IVs each
+    /// come from one batched hash call.
     fn seal_run(&self, staged: &StagedTx, blocks: &mut Vec<u64>, images: &mut Vec<u8>) {
         let StagedTx {
             tx,
@@ -739,11 +743,14 @@ impl Journal {
             let chunk_end = (idx + cap).min(n_targets);
             let chunk = &tx.writes[idx..chunk_end];
             // Payload seqs follow the intent's seq immediately.
-            let mut entries = Vec::with_capacity(chunk.len());
-            for (i, (target, image)) in chunk.iter().enumerate() {
-                let payload_seq = seq + 1 + i as u64;
-                entries.push((*target, self.keys.payload_check(image, payload_seq)));
-            }
+            let checks = self
+                .keys
+                .payload_checks(seq + 1, chunk.iter().map(|(_, image)| &image[..]));
+            let entries = chunk
+                .iter()
+                .map(|(target, _)| *target)
+                .zip(checks)
+                .collect();
             let intent = Slot {
                 kind: SlotKind::Intent,
                 seq,
@@ -756,16 +763,18 @@ impl Journal {
             };
             let abs = self.geo.ring_block(slot);
             blocks.push(abs);
-            images.extend_from_slice(&seal_slot(&self.keys, abs, &intent, bs));
+            seal_slot(&self.keys, abs, &intent, grow(images, bs));
             seq += 1;
             slot += 1;
+            let (first_payload, payloads_at) = (blocks.len(), images.len());
             for (_, image) in chunk {
-                let abs = self.geo.ring_block(slot);
-                blocks.push(abs);
-                images.extend_from_slice(&seal_payload(&self.keys, abs, image));
+                blocks.push(self.geo.ring_block(slot));
+                images.extend_from_slice(image);
                 seq += 1;
                 slot += 1;
             }
+            self.keys
+                .apply_many(&blocks[first_payload..], &mut images[payloads_at..]);
             idx = chunk_end;
         }
         let commit_slot = Slot {
@@ -779,7 +788,7 @@ impl Journal {
         };
         let abs = self.geo.ring_block(slot);
         blocks.push(abs);
-        images.extend_from_slice(&seal_slot(&self.keys, abs, &commit_slot, bs));
+        seal_slot(&self.keys, abs, &commit_slot, grow(images, bs));
     }
 
     /// Apply a persisted (committed) transaction's staged images to their
@@ -909,22 +918,19 @@ impl Journal {
             }
         }
 
-        // Read the whole ring (in bounded batches) and classify each slot.
-        let mut raws: Vec<Vec<u8>> = Vec::with_capacity(ring as usize);
+        // Read the whole ring (in bounded batches) into one image, slot `s`
+        // at `s * bs`, and classify each slot.
+        let mut raws = vec![0u8; ring as usize * bs];
         const BATCH: u64 = 256;
         let mut at = 0u64;
         while at < ring {
             let n = BATCH.min(ring - at);
             let blocks: Vec<u64> = (at..at + n).map(|s| self.geo.ring_block(s)).collect();
-            let mut buf = vec![0u8; n as usize * bs];
-            dev.read_blocks(&blocks, &mut buf)?;
-            for i in 0..n as usize {
-                raws.push(buf[i * bs..(i + 1) * bs].to_vec());
-            }
+            dev.read_blocks(&blocks, &mut raws[at as usize * bs..(at + n) as usize * bs])?;
             at += n;
         }
         let decoded: Vec<Option<Slot>> = raws
-            .iter()
+            .chunks_exact(bs)
             .enumerate()
             .map(|(s, raw)| open_slot(&self.keys, self.geo.ring_block(s as u64), raw))
             .collect();
@@ -963,10 +969,9 @@ impl Journal {
         // Redo in sequence order; later transactions win on shared blocks.
         committed.sort_by_key(|(seq, _)| *seq);
         let mut recovered = 0usize;
-        for (_, writes) in &committed {
-            let (targets, data) = flatten_writes(writes, bs);
+        for (_, (targets, images)) in &committed {
             recovered += targets.len();
-            dev.write_blocks(&targets, &data)?;
+            dev.write_blocks(targets, images)?;
         }
         if !committed.is_empty() {
             dev.flush()?;
@@ -993,12 +998,14 @@ impl Journal {
     }
 
     /// Validate one transaction's slot run starting at ring slot `start`.
-    /// Returns its `(target, image)` list if every intent, payload and the
-    /// commit slot check out; `None` for anything torn or incomplete.
+    /// Returns its targets and their images if every intent, payload and
+    /// the commit slot check out; `None` for anything torn or incomplete.
+    /// Each intent's payloads are decrypted and checked as one run: one
+    /// batched hash call for their IVs, one for their checks.
     fn walk_tx(
         &self,
         decoded: &[Option<Slot>],
-        raws: &[Vec<u8>],
+        raws: &[u8],
         start: u64,
         first_seq: u64,
         n_targets: u32,
@@ -1008,7 +1015,9 @@ impl Journal {
         if total > ring {
             return None;
         }
-        let mut writes = Vec::with_capacity(n_targets as usize);
+        let bs = self.geo.block_size;
+        let mut targets = Vec::with_capacity(n_targets as usize);
+        let mut images = Vec::with_capacity(n_targets as usize * bs);
         let mut cursor = start;
         let mut seq = first_seq;
         let mut idx = 0u32;
@@ -1033,17 +1042,25 @@ impl Journal {
             }
             cursor += 1;
             seq += 1;
-            for (target, check) in &slot_targets {
-                let raw = &raws[(cursor % ring) as usize];
-                let image = open_payload(&self.keys, self.geo.ring_block(cursor), raw);
-                if self.keys.payload_check(&image, seq) != *check {
-                    return None;
-                }
-                writes.push((*target, image));
-                cursor += 1;
-                seq += 1;
-                idx += 1;
+            let here = slot_targets.len() as u64;
+            let payloads = cursor..cursor + here;
+            let from = images.len();
+            for slot in payloads.clone() {
+                let at = (slot % ring) as usize * bs;
+                images.extend_from_slice(&raws[at..at + bs]);
             }
+            let abs: Vec<u64> = payloads.map(|slot| self.geo.ring_block(slot)).collect();
+            self.keys.apply_many(&abs, &mut images[from..]);
+            let checks = self
+                .keys
+                .payload_checks(seq, images[from..].chunks_exact(bs));
+            if !slot_targets.iter().map(|(_, check)| check).eq(&checks) {
+                return None;
+            }
+            targets.extend(slot_targets.iter().map(|(target, _)| *target));
+            cursor += here;
+            seq += here;
+            idx += here as u32;
             if idx >= n_targets {
                 break;
             }
@@ -1065,23 +1082,18 @@ impl Journal {
                 && commit.txid == first_seq
                 && u64::from(*total_slots) == total =>
             {
-                Some(writes)
+                Some((targets, images))
             }
             _ => None,
         }
     }
 }
 
-/// Flatten `(block, image)` pairs into the parallel arrays
-/// [`BlockDevice::write_blocks`] takes.
-fn flatten_writes(writes: &[(u64, Vec<u8>)], block_size: usize) -> (Vec<u64>, Vec<u8>) {
-    let mut targets = Vec::with_capacity(writes.len());
-    let mut data = Vec::with_capacity(writes.len() * block_size);
-    for (block, image) in writes {
-        targets.push(*block);
-        data.extend_from_slice(image);
-    }
-    (targets, data)
+/// Extend `buf` by one zeroed block of `block_size` bytes and return it.
+fn grow(buf: &mut Vec<u8>, block_size: usize) -> &mut [u8] {
+    let at = buf.len();
+    buf.resize(at + block_size, 0);
+    &mut buf[at..]
 }
 
 #[cfg(test)]
@@ -1291,6 +1303,45 @@ mod tests {
                 dev.read_block_vec(101 + i * 4).unwrap(),
                 vec![i as u8 + 0x11; BS]
             );
+        }
+    }
+
+    /// Payload checks are hashed sixteen to a pass, so payload 16 of a
+    /// 17-target transaction is the first lane of the second pass.  Torn
+    /// there, it must sink its own transaction and no other.
+    #[test]
+    fn a_torn_payload_in_the_second_hash_pass_discards_only_its_tx() {
+        let (dev, journal) = fixture(64, 512);
+        let targets = |first: u64, n: u64| first..first + n;
+        let txs: Vec<Tx> = [(100, 2), (200, 17), (300, 2)]
+            .into_iter()
+            .map(|(first, n)| {
+                let mut tx = Tx::new();
+                for b in targets(first, n) {
+                    tx.write(b, vec![b as u8; BS]);
+                }
+                tx
+            })
+            .collect();
+        assert!(txs[1].len() <= intent_capacity(BS), "one intent, one run");
+        let staged = journal.stage_many(&dev, txs).unwrap();
+        journal.persist_many(&dev, &staged).unwrap();
+        // Crash before the apply, with payload 16 of the middle
+        // transaction torn: it sits past the intent, at slot 1 + 16 of its run.
+        let torn_at = journal.geo.ring_block(staged[1].first_slot + 1 + 16);
+        let mut torn = dev.read_block_vec(torn_at).unwrap();
+        torn[7] ^= 0x01;
+        dev.write_block(torn_at, &torn).unwrap();
+
+        let report = reopen(&journal).replay(&dev).unwrap();
+        assert_eq!(report.committed, 2);
+        assert_eq!(report.discarded, 1);
+        assert_eq!(report.blocks_recovered, 4);
+        for b in targets(100, 2).chain(targets(300, 2)) {
+            assert_eq!(dev.read_block_vec(b).unwrap(), vec![b as u8; BS]);
+        }
+        for b in targets(200, 17) {
+            assert_eq!(dev.read_block_vec(b).unwrap(), vec![0u8; BS], "block {b}");
         }
     }
 

@@ -32,7 +32,7 @@
 
 use stegfs_crypto::kdf::{derive_key, derive_subkey};
 use stegfs_crypto::modes::{derive_iv, CtrCipher};
-use stegfs_crypto::sha256::{sha256_concat, DIGEST_LEN};
+use stegfs_crypto::sha256::{sha256_concat, sha256_many, DIGEST_LEN};
 
 /// Magic bytes identifying a structured journal slot (after decryption).
 pub const SLOT_MAGIC: [u8; 4] = *b"SJRN";
@@ -135,20 +135,55 @@ impl JournalKeys {
         self.cipher.apply(&iv, data);
     }
 
-    /// Truncated integrity check of a payload image at sequence `seq`.
+    /// [`apply`](Self::apply) over a run of slots: `data` is
+    /// `abs_blocks.len()` equal slots back to back, and their IVs come from
+    /// one batched hash call.
+    pub fn apply_many(&self, abs_blocks: &[u64], data: &mut [u8]) {
+        self.cipher.apply_run(&self.enc_key, abs_blocks, data);
+    }
+
+    /// Truncated integrity check of a payload image at sequence `seq`.  An
+    /// intent's payloads go through [`payload_checks`](Self::payload_checks),
+    /// which hashes them side by side with the same result.
     pub fn payload_check(&self, image: &[u8], seq: u64) -> [u8; CHECK_LEN] {
-        let digest = sha256_concat(&[b"stegfs-journal-payload", &seq.to_be_bytes(), image]);
-        let mut out = [0u8; CHECK_LEN];
-        out.copy_from_slice(&digest[..CHECK_LEN]);
-        out
+        truncated(&sha256_concat(&[PAYLOAD_CHECK, &seq.to_be_bytes(), image]))
+    }
+
+    /// [`payload_check`](Self::payload_check) of every image, the `i`-th at
+    /// sequence `first_seq + i`, from one batched hash call.
+    pub fn payload_checks<'a>(
+        &self,
+        first_seq: u64,
+        images: impl ExactSizeIterator<Item = &'a [u8]>,
+    ) -> Vec<[u8; CHECK_LEN]> {
+        let seqs: Vec<[u8; 8]> = (first_seq..)
+            .take(images.len())
+            .map(u64::to_be_bytes)
+            .collect();
+        sha256_many(
+            seqs.iter()
+                .zip(images)
+                .map(|(seq, image)| [PAYLOAD_CHECK, seq, image]),
+        )
+        .iter()
+        .map(truncated)
+        .collect()
     }
 }
 
+/// Domain separation of the payload checks.
+const PAYLOAD_CHECK: &[u8] = b"stegfs-journal-payload";
+
+fn truncated(digest: &[u8; DIGEST_LEN]) -> [u8; CHECK_LEN] {
+    *digest.first_chunk().expect("a digest outgrows a check")
+}
+
 fn slot_check(abs_block: u64, body: &[u8]) -> [u8; CHECK_LEN] {
-    let digest = sha256_concat(&[b"stegfs-journal-slot", &abs_block.to_be_bytes(), body]);
-    let mut out = [0u8; CHECK_LEN];
-    out.copy_from_slice(&digest[..CHECK_LEN]);
-    out
+    truncated(&sha256_concat(&[
+        b"stegfs-journal-slot",
+        &abs_block.to_be_bytes(),
+        body,
+    ]))
 }
 
 /// A decoded structured slot.
@@ -213,10 +248,11 @@ fn encode_common(buf: &mut [u8], kind: SlotKind, seq: u64, txid: u64) {
     buf[CHECK_LEN + 16..CHECK_LEN + 24].copy_from_slice(&txid.to_be_bytes());
 }
 
-/// Serialize and encrypt a structured slot for absolute block `abs_block`.
-pub fn seal_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, block_size: usize) -> Vec<u8> {
-    let mut buf = vec![0u8; block_size];
-    encode_common(&mut buf, slot.kind, slot.seq, slot.txid);
+/// Serialize and encrypt a structured slot for absolute block `abs_block`
+/// into `buf`, one block long, in place.
+pub fn seal_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, buf: &mut [u8]) {
+    buf.fill(0);
+    encode_common(buf, slot.kind, slot.seq, slot.txid);
     let mut off = SLOT_BODY;
     match &slot.body {
         SlotBody::Intent {
@@ -247,8 +283,7 @@ pub fn seal_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, block_size: us
     }
     let check = slot_check(abs_block, &buf[CHECK_LEN..]);
     buf[..CHECK_LEN].copy_from_slice(&check);
-    keys.apply(abs_block, &mut buf);
-    buf
+    keys.apply(abs_block, buf);
 }
 
 /// Decrypt and decode the slot read from absolute block `abs_block`.
@@ -311,23 +346,15 @@ pub fn open_slot(keys: &JournalKeys, abs_block: u64, raw: &[u8]) -> Option<Slot>
     })
 }
 
-/// Encrypt a payload image for absolute block `abs_block`.
-pub fn seal_payload(keys: &JournalKeys, abs_block: u64, image: &[u8]) -> Vec<u8> {
-    let mut buf = image.to_vec();
-    keys.apply(abs_block, &mut buf);
-    buf
-}
-
-/// Decrypt a payload image read from absolute block `abs_block`.
-pub fn open_payload(keys: &JournalKeys, abs_block: u64, raw: &[u8]) -> Vec<u8> {
-    let mut buf = raw.to_vec();
-    keys.apply(abs_block, &mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sealed(keys: &JournalKeys, abs_block: u64, slot: &Slot, block_size: usize) -> Vec<u8> {
+        let mut buf = vec![0xeeu8; block_size];
+        seal_slot(keys, abs_block, slot, &mut buf);
+        buf
+    }
 
     #[test]
     fn slot_roundtrip_all_kinds() {
@@ -359,8 +386,7 @@ mod tests {
                 body: SlotBody::Anchor { tail_seq: 33 },
             },
         ] {
-            let sealed = seal_slot(&keys, 500, &slot, 1024);
-            assert_eq!(sealed.len(), 1024);
+            let sealed = sealed(&keys, 500, &slot, 1024);
             let opened = open_slot(&keys, 500, &sealed).expect("valid slot");
             assert_eq!(opened.kind, slot.kind);
             assert_eq!(opened.seq, slot.seq);
@@ -410,7 +436,7 @@ mod tests {
                 total_slots: 3,
             },
         };
-        let sealed = seal_slot(&keys, 10, &slot, 512);
+        let sealed = sealed(&keys, 10, &slot, 512);
         // Reading from the wrong position fails (IV and check are bound to
         // the block number).
         assert!(open_slot(&keys, 11, &sealed).is_none());
@@ -437,7 +463,7 @@ mod tests {
                 total_slots: 1,
             },
         };
-        let sealed = seal_slot(&keys, 42, &slot, 4096);
+        let sealed = sealed(&keys, 42, &slot, 4096);
         let zeros = sealed.iter().filter(|&&b| b == 0).count();
         assert!(zeros < 64, "{zeros} zero bytes is too structured");
     }
@@ -450,9 +476,32 @@ mod tests {
         assert_eq!(keys.payload_check(&image, 77), check);
         assert_ne!(keys.payload_check(&image, 78), check);
         assert_ne!(keys.payload_check(&[0x5bu8; 1024], 77), check);
-        let sealed = seal_payload(&keys, 100, &image);
+        let mut sealed = image.clone();
+        keys.apply(100, &mut sealed);
         assert_ne!(sealed, image);
-        assert_eq!(open_payload(&keys, 100, &sealed), image);
+        keys.apply(100, &mut sealed);
+        assert_eq!(sealed, image);
+    }
+
+    #[test]
+    fn batched_checks_and_ciphers_match_the_single_slot_forms() {
+        let keys = JournalKeys::derive(9);
+        let images: Vec<u8> = (0..17 * 1024).map(|i| (i % 251) as u8).collect();
+        let single: Vec<_> = images
+            .chunks_exact(1024)
+            .zip(40..)
+            .map(|(image, seq)| keys.payload_check(image, seq))
+            .collect();
+        assert_eq!(keys.payload_checks(40, images.chunks_exact(1024)), single);
+
+        let slots: Vec<u64> = (0..17).map(|i| 900 + (i * 7) % 17).collect();
+        let mut want = images.clone();
+        for (&abs, slot) in slots.iter().zip(want.chunks_exact_mut(1024)) {
+            keys.apply(abs, slot);
+        }
+        let mut got = images.clone();
+        keys.apply_many(&slots, &mut got);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -460,6 +509,7 @@ mod tests {
         use stegfs_crypto::aes::Aes;
         let keys = JournalKeys::derive(0xabcd);
         let image = vec![0x3cu8; 1024];
+        let mut run = image.repeat(256);
         // The counter is process-global and other tests expand keys
         // concurrently; noise only ever adds, so the quietest of several
         // windows is the journal's own count.  Per-slot expansion would make
@@ -467,13 +517,13 @@ mod tests {
         // about one run in thirty.
         let min_delta = (0..20u64)
             .map(|round| {
+                let slots: Vec<u64> = (0..256u64).map(|slot| round * 1000 + slot).collect();
                 let before = Aes::key_expansions();
-                for slot in 0..256u64 {
-                    let abs = round * 1000 + slot;
-                    let sealed = seal_payload(&keys, abs, &image);
-                    assert_eq!(open_payload(&keys, abs, &sealed), image);
-                }
-                Aes::key_expansions() - before
+                keys.apply_many(&slots, &mut run);
+                keys.apply_many(&slots, &mut run);
+                let delta = Aes::key_expansions() - before;
+                assert!(run.chunks_exact(1024).all(|slot| slot == image));
+                delta
             })
             .min()
             .expect("twenty rounds");
