@@ -41,17 +41,21 @@
 //! and [`ObjectKeys::encrypt_blocks`] derives a run's IVs in one batched
 //! call (`derive_ivs`): sixteen IVs per pass of the AVX-512 SHA-256 where
 //! the CPU has it, one at a time through SHA-NI where it does not or the
-//! run is short.  Measured on the reference host, per 16-byte cipher block
-//! and per 1 KiB disk block:
+//! run is short.  It then ciphers the whole run in one call
+//! (`CtrCipher::apply_run`): where the CPU has VAES, a 512-bit kernel with
+//! two disk blocks in flight, otherwise the eight-lane AES-NI loop block by
+//! block.  Measured on the reference host, per 16-byte cipher block and per
+//! 1 KiB disk block:
 //!
 //! | path                                  | AES-CTR        | IV derivation | 1 KiB block |
 //! |---------------------------------------|----------------|---------------|-------------|
 //! | AES-NI + SHA-NI, one block            | 4 ns/block     | 95 ns         | ≈ 0.35 µs   |
 //! | AES-NI + AVX-512, a 64-block run      | 4 ns/block     | ≈ 55 ns       | ≈ 0.31 µs   |
+//! | VAES + AVX-512, a 64-block run        | 1.2 ns/block   | ≈ 55 ns       | ≈ 0.13 µs   |
 //! | T-tables + scalar (portable)          | 81–94 ns/block | 300 ns        | ≈ 6.2 µs    |
 //!
-//! so a cold 64 KiB hidden read spends ≈ 20 µs in here on the hardware path
-//! against ≈ 400 µs on the portable one, and the rest of a cold read (device
+//! so a cold 64 KiB hidden read spends ≈ 8 µs in here on the VAES path
+//! (≈ 20 µs on AES-NI) against ≈ 400 µs on the portable one, and the rest of a cold read (device
 //! submissions, extent walk, cache inserts) is what the higher rungs of the
 //! layer ladder now measure.  Every byte written is the same on both paths:
 //! the choice changes how fast a block is produced, never its content, so a

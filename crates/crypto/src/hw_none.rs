@@ -18,6 +18,10 @@ pub(crate) enum Avx2 {}
 #[derive(Clone, Copy)]
 pub(crate) enum Avx512 {}
 
+/// Never constructed on this target.
+#[derive(Clone, Copy)]
+pub(crate) enum Vaes {}
+
 impl AesNi {
     pub(crate) fn detect() -> Option<Self> {
         None
@@ -74,6 +78,16 @@ impl Avx512 {
     }
 
     pub(crate) fn compress16(self, _state: &mut [[u32; 16]; 8], _blocks: [&[[u8; 64]]; 16]) {
+        match self {}
+    }
+}
+
+impl Vaes {
+    pub(crate) fn detect() -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn ctr_run(self, _rk: &[[u8; 16]], _ivs: &[[u8; 16]], _data: &mut [u8]) {
         match self {}
     }
 }

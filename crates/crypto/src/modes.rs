@@ -158,6 +158,9 @@ impl CtrCipher {
     /// XOR `data` in place with the keystream generated from `nonce`.
     /// Encryption and decryption are the same operation.
     pub fn apply(&self, nonce: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        if let Some((vaes, enc)) = self.aes.vaes_encryptor() {
+            return vaes.ctr_run(enc, std::slice::from_ref(nonce), data);
+        }
         if let Some((hw, enc)) = self.aes.hw_encryptor() {
             return hw.ctr_apply(enc, nonce, data);
         }
@@ -178,7 +181,8 @@ impl CtrCipher {
     /// [`apply`](Self::apply) over a run of sectors: `data` is
     /// `indices.len()` equal blocks back to back, and block `i` takes the
     /// keystream from `derive_iv(iv_key, indices[i])`.  The run's IVs come
-    /// from one [`derive_ivs`] call.
+    /// from one [`derive_ivs`] call, and where the CPU has VAES the whole
+    /// run is ciphered in one call of the run kernel, two blocks in flight.
     ///
     /// # Panics
     /// Panics unless `data` splits into one equal block per index.
@@ -192,10 +196,11 @@ impl CtrCipher {
             indices.len() * block_len,
             "one equal block per index"
         );
-        for (iv, block) in derive_ivs(iv_key, indices)
-            .iter()
-            .zip(data.chunks_exact_mut(block_len))
-        {
+        let ivs = derive_ivs(iv_key, indices);
+        if let Some((vaes, enc)) = self.aes.vaes_encryptor() {
+            return vaes.ctr_run(enc, &ivs, data);
+        }
+        for (iv, block) in ivs.iter().zip(data.chunks_exact_mut(block_len)) {
             self.apply(iv, block);
         }
     }
@@ -373,14 +378,17 @@ mod tests {
 
     // --- hardware ≡ portable ----------------------------------------------
     //
-    // `Aes::new` picks the round function this CPU offers; `Aes::portable`
-    // is always the T-tables with the byte-wise counter increment above.  On
-    // a host with AES-NI the pairs below compare the two code paths; on any
-    // other host both sides are the portable one and the tests still hold.
+    // `Aes::new` picks the round function this CPU offers (for CTR, the VAES
+    // run kernel where there is one); `Aes::aes_ni` stays on the eight-lane
+    // AES-NI loop; `Aes::portable` is always the T-tables with the byte-wise
+    // counter increment above.  The CTR tests hold all three to the
+    // T-tables; on a host without VAES or AES-NI the sides that would use
+    // them are the next path down and the tests still hold.
 
-    /// The same key as (host's choice, T-tables).
-    fn ctr_pair(key: &[u8]) -> (CtrCipher, CtrCipher) {
-        (CtrCipher::new(key), CtrCipher::from_aes(Aes::portable(key)))
+    /// The same key as (VAES run kernel, AES-NI loop), each where the CPU
+    /// has it, and the T-tables last: the oracle.
+    fn ctr_back_ends(key: &[u8]) -> [CtrCipher; 3] {
+        [Aes::new(key), Aes::aes_ni(key), Aes::portable(key)].map(CtrCipher::from_aes)
     }
 
     fn cbc_pair(key: &[u8]) -> (CbcCipher, CbcCipher) {
@@ -397,37 +405,43 @@ mod tests {
     fn ctr_back_ends_agree_on_every_batch_and_tail_shape() {
         // 0..=300 covers every residue mod 128 (the eight-block batch) and
         // mod 16 (the block) at least twice; the rest sit around 4 KiB.
-        let (hw, oracle) = ctr_pair(&[0x42u8; 32]);
+        // 0..=600 also covers every residue mod 256 (the run kernel's group
+        // of four registers) twice.
+        let [vaes, aes_ni, oracle] = ctr_back_ends(&[0x42u8; 32]);
         let nonce = [0x9cu8; 16];
-        for len in (0..=300).chain([4094, 4095, 4096, 4097, 4100]) {
+        for len in (0..=600).chain([1000, 4094, 4095, 4096, 4097, 4100]) {
             let data = pattern(len, 7);
-            assert_eq!(
-                hw.transform(&nonce, &data),
-                oracle.transform(&nonce, &data),
-                "len {len}"
-            );
+            let want = oracle.transform(&nonce, &data);
+            assert_eq!(vaes.transform(&nonce, &data), want, "vaes, len {len}");
+            assert_eq!(aes_ni.transform(&nonce, &data), want, "aes-ni, len {len}");
         }
     }
 
     #[test]
     fn ctr_back_ends_carry_the_counter_alike() {
-        // Start the counter 0..=8 steps short of a carry out of the low 64
+        // Start the counter 0..=20 steps short of a carry out of the low 64
         // bits (…ff f9 and neighbours) and out of all 128 (wrap to zero), so
-        // the carry lands on each lane of one eight-block batch, in the
-        // one-block remainder loop, and in the partial tail.
-        let (hw, oracle) = ctr_pair(&[0x17u8; 16]);
+        // the carry lands on each of the sixteen lanes of the run kernel's
+        // four-register group, on each lane of AES-NI's eight-block batch,
+        // in its one-block remainder loop, in the partial tail, and just
+        // past a block's whole groups (256 + 40 bytes: the kernel's groups
+        // do not carry, the tail after them does).
+        let [vaes, aes_ni, oracle] = ctr_back_ends(&[0x17u8; 16]);
         for high in [[0x3cu8; 8], [0xffu8; 8]] {
-            for short_of_carry in 0..=8u8 {
+            for short_of_carry in 0..=20u8 {
                 let mut nonce = [0xffu8; 16];
                 nonce[..8].copy_from_slice(&high);
                 nonce[15] = 0xff - short_of_carry;
-                for len in [128, 3 * 128 + 16 * 5 + 3, 16 * 3, 9] {
+                for len in [256, 256 + 40, 3 * 256 + 16 * 5 + 3, 128, 16 * 3, 9] {
                     let data = pattern(len, short_of_carry);
-                    assert_eq!(
-                        hw.transform(&nonce, &data),
-                        oracle.transform(&nonce, &data),
-                        "nonce {nonce:02x?} len {len}"
-                    );
+                    let want = oracle.transform(&nonce, &data);
+                    for (name, hw) in [("vaes", &vaes), ("aes-ni", &aes_ni)] {
+                        assert_eq!(
+                            hw.transform(&nonce, &data),
+                            want,
+                            "{name}, nonce {nonce:02x?} len {len}"
+                        );
+                    }
                 }
             }
         }
@@ -435,8 +449,32 @@ mod tests {
         // all-ones nonce is the encryption of the zero block.
         let mut zero_block = [0u8; 16];
         Aes::portable(&[0x17u8; 16]).encrypt_block(&mut zero_block);
-        let out = hw.transform(&[0xffu8; 16], &[0u8; 32]);
+        let out = oracle.transform(&[0xffu8; 16], &[0u8; 32]);
         assert_eq!(out[16..], zero_block);
+    }
+
+    #[test]
+    fn ctr_runs_match_block_by_block() {
+        // Odd and even runs, whole groups, ragged tails, blocks under one
+        // group; every block keyed from its own IV.
+        let iv_key = [0x5du8; 32];
+        let indices: Vec<u64> = (0..9).map(|i| 1000 + i * 37).collect();
+        let [vaes, aes_ni, oracle] = ctr_back_ends(&[0x2au8; 32]);
+        for block_len in [16, 48, 256, 1000, 1024, 4096] {
+            for blocks in 1..=9 {
+                let indices = &indices[..blocks];
+                let data = pattern(blocks * block_len, blocks as u8);
+                let mut want = data.clone();
+                for (&i, block) in indices.iter().zip(want.chunks_exact_mut(block_len)) {
+                    oracle.apply(&derive_iv(&iv_key, i), block);
+                }
+                for (name, hw) in [("vaes", &vaes), ("aes-ni", &aes_ni), ("t-tables", &oracle)] {
+                    let mut got = data.clone();
+                    hw.apply_run(&iv_key, indices, &mut got);
+                    assert_eq!(got, want, "{name}: {blocks} blocks of {block_len}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -467,11 +505,13 @@ mod tests {
             nonce in vec(any::<u8>(), 16),
             data in vec(any::<u8>(), 0..=4100),
         ) {
-            let (hw, oracle) = ctr_pair(&key[..8 * key_words]);
+            let [vaes, aes_ni, oracle] = ctr_back_ends(&key[..8 * key_words]);
             let nonce: [u8; 16] = nonce.try_into().expect("sixteen bytes");
             let sealed = oracle.transform(&nonce, &data);
-            prop_assert_eq!(&hw.transform(&nonce, &data), &sealed);
-            prop_assert_eq!(hw.transform(&nonce, &sealed), data);
+            for hw in [vaes, aes_ni] {
+                prop_assert_eq!(&hw.transform(&nonce, &data), &sealed);
+                prop_assert_eq!(&hw.transform(&nonce, &sealed), &data);
+            }
         }
 
         #[test]

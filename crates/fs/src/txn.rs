@@ -47,8 +47,12 @@
 //! [`FsTxn::commit`] acquires, in order: the inode-table stripes of every
 //! deferred inode update (ascending stripe index, held across the journal
 //! apply so concurrent read-modify-writes of shared table blocks serialise),
-//! then the bitmap **segment locks** covering every touched bitmap block
-//! (ascending segment index, released before the commit's device flush)
+//! then ring room for the final transaction (a journal reservation, which
+//! on a full ring waits for the transactions in front of it to settle —
+//! their committers re-take segment locks after their apply, so the wait
+//! must not hold any), then the bitmap **segment locks** covering every
+//! touched bitmap block (ascending segment index, released before the
+//! commit's device flush)
 //! under which the deferred frees apply *tentatively* (snapshot, then undo —
 //! they re-apply for real only once the transaction is durable), the touched
 //! bitmap blocks snapshot, and the journal *stages* — staging under the
@@ -75,12 +79,12 @@ impl From<JournalError> for FsError {
     fn from(e: JournalError) -> Self {
         match e {
             JournalError::Device(e) => FsError::Block(e),
-            // The update does not fit in the journal ring — either
-            // transiently (concurrent committers hold the slots) or
-            // permanently (a single update larger than the ring; the journal
-            // must be sized for the largest update the volume will carry).
-            // Either way the operation failed cleanly and the volume is
-            // intact, which is NoSpace, not corruption.
+            // The update can never fit in the journal ring: it is larger
+            // than the ring (the journal must be sized for the largest
+            // update the volume will carry), or a failed apply pins the
+            // ring's front.  A ring full of settling transactions waits
+            // instead.  Either way the operation failed cleanly and the
+            // volume is intact, which is NoSpace, not corruption.
             JournalError::Full { .. } => FsError::NoSpace,
             other => FsError::Corrupt(format!("journal: {other}")),
         }
@@ -443,6 +447,13 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
         indices: &BTreeSet<u64>,
     ) -> FsResult<()> {
         let fs = self.fs;
+        // Ring room first, before any segment lock: a full ring waits for
+        // the transactions in front to settle, and their committers need
+        // those locks to do it.  The final transaction is at most the staged
+        // writes plus one image per bitmap block.
+        let reservation = journal
+            .reserve(fs.observed_device(), tx.len() + indices.len())
+            .map_err(FsError::from)?;
         // The bitmap snapshot, staged while holding the segment locks
         // covering every touched bitmap block, together with the journal
         // sequence assignment.  The deferred frees are applied *tentatively*
@@ -462,9 +473,7 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
             for &b in &self.deferred_frees {
                 guard.allocate(b)?; // undo: nothing escaped the guard
             }
-            journal
-                .stage(fs.observed_device(), std::mem::take(&mut tx))
-                .map_err(FsError::from)?
+            reservation.stage(std::mem::take(&mut tx))
         };
         let Some(staged) = staged else {
             self.committed = true;

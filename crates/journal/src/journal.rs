@@ -46,10 +46,21 @@
 //! then `used` still counts the run, so no stager is handed one of its
 //! slots; and only the checkpoint in flight pops the front of the live
 //! list, so the run it counted is still the front when it retires.
+//!
+//! # A full ring
+//!
+//! The ring is reclaimed front first, so a stager that finds it full may
+//! have to wait for the front transaction's committer to apply it.  The
+//! wait holds no journal lock, and it ends in [`JournalError::Full`] only
+//! when the ring can never settle: the transaction is larger than the ring,
+//! or the front transaction's apply failed (it stays live for replay).  A
+//! caller that must stage while holding a lock a committer needs to settle
+//! — the file system's bitmap segment locks — takes a [`Reservation`]
+//! before that lock and stages into it without waiting.
 
 use crate::record::{
-    intent_capacity, open_slot, seal_slot, slots_for, JournalKeys, Slot, SlotBody, SlotKind,
-    ANCHOR_SLOTS,
+    encode_slot, intent_capacity, open_slot, seal_slot, slots_for, JournalKeys, Slot, SlotBody,
+    SlotKind, ANCHOR_SLOTS,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -188,6 +199,52 @@ pub struct StagedTx {
     nslots: u64,
 }
 
+/// Ring room held for a transaction that is not staged yet, from
+/// [`Journal::reserve`]: counted in the ring's occupancy until
+/// [`Reservation::stage`] turns what the transaction needs into its slot
+/// run and gives back the rest.  Dropped unused, it gives back all of it.
+pub struct Reservation<'a> {
+    journal: &'a Journal,
+    slots: u64,
+}
+
+impl Reservation<'_> {
+    /// [`Journal::stage`] into the room held: allocate `tx`'s slot run and
+    /// sequence numbers without waiting, and give back the slots it does
+    /// not need.  Returns `None` for an empty transaction.
+    ///
+    /// # Panics
+    /// Panics if `tx` has more targets than the room was reserved for.
+    pub fn stage(mut self, tx: Tx) -> Option<StagedTx> {
+        if tx.is_empty() {
+            return None;
+        }
+        let _s = span::span(span::Phase::JournalStage);
+        let journal = self.journal;
+        let nslots = slots_for(tx.len(), journal.geo.block_size);
+        assert!(
+            nslots <= self.slots,
+            "a transaction outgrew its reservation"
+        );
+        let state = &mut *journal.state.lock();
+        // The room held becomes the run's slots; the surplus goes back.
+        journal.give_back(state, std::mem::take(&mut self.slots));
+        let staged = Journal::stage_locked(state, &journal.geo, tx, nslots);
+        journal.publish_occupancy(state);
+        Some(staged)
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if self.slots > 0 {
+            let state = &mut *self.journal.state.lock();
+            self.journal.give_back(state, self.slots);
+            self.journal.publish_occupancy(state);
+        }
+    }
+}
+
 /// One committed-but-not-yet-reclaimable transaction in the ring.
 struct LiveTx {
     first_seq: u64,
@@ -195,6 +252,9 @@ struct LiveTx {
     /// Flush epoch after which the home-location writes are durable and the
     /// slots may be reclaimed; `u64::MAX` until the apply step finishes.
     reclaimable_at: u64,
+    /// The apply step failed: the transaction stays committed for replay
+    /// and its slots are never reclaimed on this mount.
+    failed: bool,
 }
 
 struct LogState {
@@ -206,6 +266,9 @@ struct LogState {
     /// Tail recorded by the last durable anchor.
     durable_tail_seq: u64,
     live: VecDeque<LiveTx>,
+    /// Stagers waiting on `settled`.  A wake-up is a system call, so the
+    /// commit path signals only when someone waits.
+    settle_waiters: u64,
 }
 
 struct GateState {
@@ -341,6 +404,10 @@ pub struct Journal {
     /// Held by the one checkpoint in flight; taken before `state`.
     flight: Mutex<()>,
     state: Mutex<LogState>,
+    /// Signalled under `state` whenever the ring may have settled (a
+    /// transaction applied, failed or was abandoned, a reservation came
+    /// back, a checkpoint retired its run) and a stager waits for it.
+    settled: Condvar,
     gate: CommitGate,
     /// Lock-free mirror of `LogState::used`, republished whenever the
     /// staging/reclaim paths change it, so the checkpoint daemon and
@@ -374,7 +441,9 @@ impl Journal {
                 used: 0,
                 durable_tail_seq: 1,
                 live: VecDeque::new(),
+                settle_waiters: 0,
             }),
+            settled: Condvar::new(),
             gate: CommitGate::new(),
             geo,
             used_slots: AtomicU64::new(0),
@@ -522,15 +591,47 @@ impl Journal {
         state.durable_tail_seq = tail;
         state.used -= freed;
         self.publish_occupancy(state);
+        self.wake_settled(state);
         Ok(true)
+    }
+
+    /// Return `slots` of reserved room to the ring; the caller republishes
+    /// the occupancy.
+    fn give_back(&self, state: &mut LogState, slots: u64) {
+        state.used -= slots;
+        self.wake_settled(state);
+    }
+
+    /// Wake the stagers waiting for the ring to settle, if there are any.
+    fn wake_settled(&self, state: &LogState) {
+        if state.settle_waiters > 0 {
+            self.settled.notify_all();
+        }
+    }
+
+    /// Wait for the ring to settle.
+    fn wait_settled<'a>(&self, mut state: MutexGuard<'a, LogState>) {
+        state.settle_waiters += 1;
+        let mut state = self.settled.wait(state);
+        state.settle_waiters -= 1;
     }
 
     /// Lock the log state with room in the ring for `needed` more slots.  A
     /// full ring waits for the checkpoint in flight and re-checks; still
-    /// full, it checkpoints itself, flushing once first when nothing was
-    /// reclaimable yet (applied transactions wait for a flush to make their
-    /// home writes durable).
-    fn reserve<D: BlockDevice>(
+    /// full, it checkpoints itself.  When nothing is reclaimable it looks at
+    /// the front transaction: applied, it flushes once (its home writes
+    /// must be durable before its slots are reused) and checkpoints again;
+    /// still between its stage and its apply — or, with nothing live, room
+    /// reserved but not yet staged — it waits for that to settle.  Only a
+    /// ring that can never settle, its front transaction's apply failed,
+    /// ends in [`JournalError::Full`], and so does a transaction larger than
+    /// the ring, at once.
+    ///
+    /// The wait holds no journal lock, and its callers hold no lock a
+    /// committer needs to settle: the file system reserves the room for its
+    /// final transaction ([`Self::reserve`]) before it takes the bitmap
+    /// locks that transaction's committer re-takes after its apply.
+    fn lock_with_room<D: BlockDevice>(
         &self,
         dev: &D,
         needed: u64,
@@ -543,8 +644,6 @@ impl Journal {
         if needed > ring {
             return Err(full());
         }
-        let mut flight = None;
-        let mut flushed_once = false;
         loop {
             let state = self.state.lock();
             if state.used + needed <= ring {
@@ -552,16 +651,26 @@ impl Journal {
             }
             drop(state);
             // Full: wait for the checkpoint in flight, then re-check.
-            let Some(flight) = &flight else {
-                flight = Some(self.flight.lock());
+            let flight = self.flight.lock();
+            if self.state.lock().used + needed <= ring {
                 continue;
-            };
-            if !self.checkpoint(dev, flight, false)? {
-                if flushed_once {
-                    return Err(full());
+            }
+            if self.checkpoint(dev, &flight, false)? {
+                continue;
+            }
+            let state = self.state.lock();
+            match state.live.front() {
+                Some(front) if front.failed => return Err(full()),
+                Some(front) if front.reclaimable_at != u64::MAX => {
+                    drop(state);
+                    self.gate.flush_covering(dev)?;
                 }
-                self.gate.flush_covering(dev)?;
-                flushed_once = true;
+                // Between its stage and its apply; or, with nothing live, the
+                // ring is full of room reserved but not yet staged.
+                _ => {
+                    drop(flight);
+                    self.wait_settled(state);
+                }
             }
         }
     }
@@ -583,10 +692,13 @@ impl Journal {
     /// device yet.
     ///
     /// Callers that snapshot shared state into the transaction (the bitmap)
-    /// call `stage` while still holding the lock guarding that state, so
-    /// snapshot order and replay (sequence) order agree; the expensive half
-    /// ([`complete`](Self::complete)) then runs outside that lock.  Returns
-    /// `None` for an empty transaction.
+    /// stage while still holding the lock guarding that state, so snapshot
+    /// order and replay (sequence) order agree; the expensive half
+    /// ([`complete`](Self::complete)) then runs outside that lock.  They
+    /// take the ring room first ([`reserve`](Self::reserve)) and stage into
+    /// it ([`Reservation::stage`]), since a full ring waits here for
+    /// committers that may need that lock.  Returns `None` for an empty
+    /// transaction.
     pub fn stage<D: BlockDevice>(&self, dev: &D, tx: Tx) -> JournalResult<Option<StagedTx>> {
         Ok(self.stage_many(dev, vec![tx])?.pop())
     }
@@ -614,7 +726,7 @@ impl Journal {
             .iter()
             .map(|t| slots_for(t.len(), self.geo.block_size))
             .sum();
-        let state = &mut *self.reserve(dev, needed)?;
+        let state = &mut *self.lock_with_room(dev, needed)?;
         let staged = txs
             .into_iter()
             .map(|tx| {
@@ -624,6 +736,33 @@ impl Journal {
             .collect();
         self.publish_occupancy(state);
         Ok(staged)
+    }
+
+    /// Hold ring room for a transaction of up to `n_targets` target blocks,
+    /// to be staged later with [`Reservation::stage`].
+    /// Waits for room exactly as staging does (see
+    /// [`stage_many`](Self::stage_many)), so a caller that must stage while
+    /// holding locks takes its reservation before them: the wait for a
+    /// full ring to settle then never runs under a lock an in-flight
+    /// committer needs.  No target, no room held.
+    pub fn reserve<D: BlockDevice>(
+        &self,
+        dev: &D,
+        n_targets: usize,
+    ) -> JournalResult<Reservation<'_>> {
+        let slots = match n_targets {
+            0 => 0,
+            n => slots_for(n, self.geo.block_size),
+        };
+        if slots > 0 {
+            let state = &mut *self.lock_with_room(dev, slots)?;
+            state.used += slots;
+            self.publish_occupancy(state);
+        }
+        Ok(Reservation {
+            journal: self,
+            slots,
+        })
     }
 
     /// Allocate one transaction's slot run from a reserved log state.
@@ -637,6 +776,7 @@ impl Journal {
             first_seq,
             slots: nslots,
             reclaimable_at: u64::MAX,
+            failed: false,
         });
         StagedTx {
             tx,
@@ -703,6 +843,7 @@ impl Journal {
                     t.reclaimable_at = 0;
                 }
             }
+            self.wake_settled(state);
             err
         };
 
@@ -722,9 +863,9 @@ impl Journal {
 
     /// Seal one staged transaction's slot run — interleaved intents and
     /// payloads, then the commit record — appending the ring blocks and
-    /// sealed images to `blocks` / `images`.  Every slot is sealed in place
-    /// in `images`; an intent's payload checks and its payloads' IVs each
-    /// come from one batched hash call.
+    /// sealed images to `blocks` / `images`.  Every slot is encoded in place
+    /// in `images`, and then the whole run is encrypted with one cipher
+    /// call; an intent's payload checks come from one batched hash call.
     fn seal_run(&self, staged: &StagedTx, blocks: &mut Vec<u64>, images: &mut Vec<u8>) {
         let StagedTx {
             tx,
@@ -736,6 +877,7 @@ impl Journal {
         let bs = self.geo.block_size;
         let n_targets = tx.len();
         let cap = intent_capacity(bs).max(1);
+        let (run_blocks, run_images) = (blocks.len(), images.len());
         let mut seq = first_seq;
         let mut slot = first_slot;
         let mut idx = 0usize;
@@ -763,18 +905,15 @@ impl Journal {
             };
             let abs = self.geo.ring_block(slot);
             blocks.push(abs);
-            seal_slot(&self.keys, abs, &intent, grow(images, bs));
+            encode_slot(abs, &intent, grow(images, bs));
             seq += 1;
             slot += 1;
-            let (first_payload, payloads_at) = (blocks.len(), images.len());
             for (_, image) in chunk {
                 blocks.push(self.geo.ring_block(slot));
                 images.extend_from_slice(image);
                 seq += 1;
                 slot += 1;
             }
-            self.keys
-                .apply_many(&blocks[first_payload..], &mut images[payloads_at..]);
             idx = chunk_end;
         }
         let commit_slot = Slot {
@@ -788,7 +927,9 @@ impl Journal {
         };
         let abs = self.geo.ring_block(slot);
         blocks.push(abs);
-        seal_slot(&self.keys, abs, &commit_slot, grow(images, bs));
+        encode_slot(abs, &commit_slot, grow(images, bs));
+        self.keys
+            .apply_many(&blocks[run_blocks..], &mut images[run_images..]);
     }
 
     /// Apply a persisted (committed) transaction's staged images to their
@@ -835,20 +976,27 @@ impl Journal {
                 data.extend_from_slice(image);
             }
         }
-        dev.write_blocks(&targets, &data)?;
-        post_apply()?;
+        let applied = dev
+            .write_blocks(&targets, &data)
+            .map_err(JournalError::from)
+            .and_then(|()| post_apply());
 
         // The home writes become durable at the next flush that starts
-        // after this point.
+        // after this point.  A failed apply is never reclaimed: mark it, so
+        // a stager waiting on a full ring stops waiting for it.
         let (completed, flushing) = self.gate.epoch();
         let durable_at = completed + 1 + u64::from(flushing);
         let state = &mut *self.state.lock();
         for s in &staged {
             if let Some(t) = state.live.iter_mut().find(|t| t.first_seq == s.first_seq) {
-                t.reclaimable_at = durable_at;
+                match applied {
+                    Ok(()) => t.reclaimable_at = durable_at,
+                    Err(_) => t.failed = true,
+                }
             }
         }
-        Ok(())
+        self.wake_settled(state);
+        applied
     }
 
     /// Durability barrier without a checkpoint: block until a device flush
@@ -1392,6 +1540,64 @@ mod tests {
         tx.write(100, vec![3; BS]);
         journal.commit(&dev, tx).unwrap();
         assert_eq!(dev.read_block_vec(100).unwrap(), vec![3; BS]);
+    }
+
+    #[test]
+    fn a_reservation_is_counted_until_staged_or_dropped() {
+        let (dev, journal) = fixture(ANCHOR_SLOTS + 8, 256);
+        let held = journal.reserve(&dev, 2).unwrap();
+        assert_eq!(journal.occupancy().0, slots_for(2, BS));
+        // A one-target transaction gives back the surplus as it stages.
+        let staged = held.stage(one_block_tx(100, 1)).unwrap();
+        assert_eq!(journal.occupancy().0, slots_for(1, BS));
+        drop(journal.reserve(&dev, 3).unwrap());
+        assert_eq!(journal.occupancy().0, slots_for(1, BS));
+        assert!(journal.reserve(&dev, 0).unwrap().stage(Tx::new()).is_none());
+        journal.complete(&dev, staged).unwrap();
+        journal.sync(&dev).unwrap();
+        assert_eq!(journal.occupancy().0, 0);
+    }
+
+    #[test]
+    fn a_full_ring_waits_for_its_front_to_settle() {
+        // Two staged one-target transactions fill 6 of 8 slots; a third
+        // needs 3 and must wait until the front one is applied and reclaimed
+        // rather than fail.
+        let (dev, journal) = fixture(ANCHOR_SLOTS + 8, 256);
+        let front = journal.stage(&dev, one_block_tx(100, 1)).unwrap().unwrap();
+        let second = journal.stage(&dev, one_block_tx(101, 2)).unwrap().unwrap();
+        let third = std::thread::scope(|s| {
+            let stager = s.spawn(|| journal.stage(&dev, one_block_tx(102, 3)));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!stager.is_finished(), "a full ring did not wait");
+            journal.complete(&dev, front).unwrap();
+            stager.join().unwrap()
+        });
+        let third = third.expect("the front settled").unwrap();
+        journal.complete(&dev, second).unwrap();
+        journal.complete(&dev, third).unwrap();
+        for (block, byte) in [(100, 1), (101, 2), (102, 3)] {
+            assert_eq!(dev.read_block_vec(block).unwrap(), vec![byte; BS]);
+        }
+    }
+
+    #[test]
+    fn a_failed_front_ends_the_wait_in_full() {
+        let (dev, journal) = fixture(ANCHOR_SLOTS + 8, 256);
+        let front = journal.stage(&dev, one_block_tx(100, 1)).unwrap().unwrap();
+        journal.persist(&dev, &front).unwrap();
+        let refused = journal.apply(&dev, front, || {
+            Err(JournalError::Geometry("post-apply refused".into()))
+        });
+        assert!(refused.is_err());
+        journal.commit(&dev, one_block_tx(101, 2)).unwrap();
+        // The failed front is never reclaimed, so the ring can never settle.
+        match journal.commit(&dev, one_block_tx(102, 3)) {
+            Err(JournalError::Full { needed, capacity }) => {
+                assert_eq!((needed, capacity), (slots_for(1, BS), 8))
+            }
+            other => panic!("expected Full, got {other:?}"),
+        }
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub mod journal;
 pub mod record;
 
 pub use journal::{
-    Journal, JournalError, JournalGeometry, JournalResult, ReplayReport, StagedTx, Tx,
+    Journal, JournalError, JournalGeometry, JournalResult, ReplayReport, Reservation, StagedTx, Tx,
 };
 pub use record::{JournalKeys, ANCHOR_SLOTS};

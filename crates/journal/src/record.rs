@@ -249,8 +249,18 @@ fn encode_common(buf: &mut [u8], kind: SlotKind, seq: u64, txid: u64) {
 }
 
 /// Serialize and encrypt a structured slot for absolute block `abs_block`
-/// into `buf`, one block long, in place.
+/// into `buf`, one block long, in place: [`encode_slot`], then the slot's
+/// keystream.
 pub fn seal_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, buf: &mut [u8]) {
+    encode_slot(abs_block, slot, buf);
+    keys.apply(abs_block, buf);
+}
+
+/// Serialize a structured slot for absolute block `abs_block` into `buf`,
+/// one block long, check included but not yet encrypted.  A run of slots
+/// encoded side by side is encrypted with one [`JournalKeys::apply_many`],
+/// to the bytes [`seal_slot`] gives each.
+pub fn encode_slot(abs_block: u64, slot: &Slot, buf: &mut [u8]) {
     buf.fill(0);
     encode_common(buf, slot.kind, slot.seq, slot.txid);
     let mut off = SLOT_BODY;
@@ -283,7 +293,6 @@ pub fn seal_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, buf: &mut [u8]
     }
     let check = slot_check(abs_block, &buf[CHECK_LEN..]);
     buf[..CHECK_LEN].copy_from_slice(&check);
-    keys.apply(abs_block, buf);
 }
 
 /// Decrypt and decode the slot read from absolute block `abs_block`.
@@ -422,6 +431,49 @@ mod tests {
                 other => panic!("kind mismatch {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_run_encoded_then_encrypted_once_is_sealed_slot_by_slot() {
+        let keys = JournalKeys::derive(0xfeed);
+        let intent = Slot {
+            kind: SlotKind::Intent,
+            seq: 7,
+            txid: 7,
+            body: SlotBody::Intent {
+                n_targets: 1,
+                first_index: 0,
+                entries: vec![(99, [1; CHECK_LEN])],
+            },
+        };
+        let commit = Slot {
+            kind: SlotKind::Commit,
+            seq: 9,
+            txid: 7,
+            body: SlotBody::Commit {
+                n_targets: 1,
+                total_slots: 3,
+            },
+        };
+        let payload: Vec<u8> = (0..1024).map(|i| (i % 253) as u8).collect();
+        let abs = [300u64, 301, 302];
+        let mut run = vec![0xeeu8; 3 * 1024];
+        let (intent_buf, rest) = run.split_at_mut(1024);
+        let (payload_buf, commit_buf) = rest.split_at_mut(1024);
+        encode_slot(abs[0], &intent, intent_buf);
+        payload_buf.copy_from_slice(&payload);
+        encode_slot(abs[2], &commit, commit_buf);
+        keys.apply_many(&abs, &mut run);
+
+        let mut sealed_payload = payload;
+        keys.apply(abs[1], &mut sealed_payload);
+        let want = [
+            sealed(&keys, abs[0], &intent, 1024),
+            sealed_payload,
+            sealed(&keys, abs[2], &commit, 1024),
+        ]
+        .concat();
+        assert_eq!(run, want);
     }
 
     #[test]

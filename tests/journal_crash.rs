@@ -794,9 +794,8 @@ struct Model {
 }
 
 /// One committer: rewrites its own plain file and hidden file in turn
-/// until the device dies.  A full journal ring (`NoSpace`) is a clean
-/// failure: it backs off and goes on (see ROADMAP, "a full ring fails
-/// commits behind an unsettled front transaction").
+/// until the device dies.  A full journal ring waits for the transactions
+/// in front to settle, so the device's death is the only failure.
 fn commit_until_killed<D: BlockDevice>(
     fs: &StegFs<D>,
     t: u64,
@@ -821,18 +820,87 @@ fn commit_until_killed<D: BlockDevice>(
             }
             Err(e) => {
                 model.failed.entry(key).or_default().push(data);
-                if is_device_death(&e) {
-                    return model;
-                }
-                assert!(
-                    matches!(e, stegfs_core::StegError::NoSpace),
-                    "committer {t}: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(1));
+                assert!(is_device_death(&e), "committer {t}: {e}");
+                return model;
             }
         }
     }
     unreachable!()
+}
+
+/// Three committers rewrite 0.5–6.5 KiB plain and hidden files on a
+/// 160-block ring with the checkpoint daemon running, on each of four
+/// volumes at once, so a ring is full again and again while the transaction
+/// at its front is staged but not yet applied.  A stager that finds the
+/// ring full waits for that transaction to settle: not one write may fail
+/// with `NoSpace`, and every file reads back its last write.
+#[test]
+fn a_full_ring_waits_for_the_front_transaction() {
+    const WRITES: u64 = 300;
+    let no_space: u64 = std::thread::scope(|volumes| {
+        let volumes: Vec<_> = [5u64, 17, 29, 41]
+            .into_iter()
+            .map(|seed| volumes.spawn(move || full_ring_volume(seed, WRITES)))
+            .collect();
+        volumes.into_iter().map(|v| v.join().unwrap()).sum()
+    });
+    assert_eq!(
+        no_space,
+        0,
+        "{no_space} of {} writes failed with NoSpace",
+        4 * 3 * WRITES
+    );
+}
+
+/// One volume of [`a_full_ring_waits_for_the_front_transaction`]: the
+/// number of writes that failed with `NoSpace`.
+fn full_ring_volume(seed: u64, writes: u64) -> u64 {
+    let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
+    let mut fs = StegFs::format(BufferCache::new_write_back(dev, CACHE_BLOCKS), params()).unwrap();
+    fs.start_checkpoint_daemon();
+    for t in 0..3u64 {
+        fs.steg_create(&format!("a{t}"), OWNER, ObjectKind::File)
+            .unwrap();
+    }
+    let fs = &fs;
+    let outcomes: Vec<(u64, HashMap<String, Vec<u8>>)> = std::thread::scope(|s| {
+        let committers: Vec<_> = (0..3u64)
+            .map(|t| {
+                s.spawn(move || {
+                    let (mut no_space, mut last) = (0u64, HashMap::new());
+                    for i in 0..writes {
+                        let len = 512 + (i * 1531 % 6000) as usize;
+                        let data = payload(seed << 16 ^ t << 8 ^ i, len);
+                        let (key, result) = if i % 2 == 0 {
+                            let path = format!("/a{t}");
+                            let result = fs.write_plain(&path, &data);
+                            (path, result)
+                        } else {
+                            let name = format!("a{t}");
+                            let result = fs.write_hidden_with_key(&name, OWNER, &data);
+                            (name, result)
+                        };
+                        match result {
+                            Ok(()) => drop(last.insert(key, data)),
+                            Err(stegfs_core::StegError::NoSpace) => no_space += 1,
+                            Err(e) => panic!("seed {seed} committer {t}: {e}"),
+                        }
+                    }
+                    (no_space, last)
+                })
+            })
+            .collect();
+        committers.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (key, expected) in outcomes.iter().flat_map(|(_, last)| last) {
+        let got = if key.starts_with('/') {
+            fs.read_plain(key).unwrap()
+        } else {
+            read_hidden(fs, key).unwrap()
+        };
+        assert!(&got == expected, "seed {seed}: {key} lost its last write");
+    }
+    outcomes.iter().map(|(no_space, _)| no_space).sum()
 }
 
 /// A crash while a checkpoint's anchor flush is in flight, with other
