@@ -184,13 +184,11 @@ fn main() {
             (6, 32, 0.15)
         };
         // Randomized share damage then scavenge, per policy; metadata damage
-        // healed by online read-repair; transient faults absorbed by retry.
+        // healed by a keyed scavenge pass and checked by a second.
         let points = survival::run_sweep(files, file_kb, damage_frac, 0x5743_2003);
         println!("{}", survival::render(&points));
         let meta_points = survival::run_metadata_sweep(files, file_kb, 0x4d45_5441);
         println!("{}", survival::render_metadata(&meta_points));
-        let transient = survival::transient_point(files, file_kb, 0x464c_4159);
-        println!("{}", survival::render_transient(&transient));
     }
 
     if opts.attribution {

@@ -6,8 +6,8 @@
 //! README's "Reproducing the paper" section describes the scaling) and
 //! prints the two sweeps nothing else covers:
 //!
-//! * [`survival`] — write amplification vs survival under damage, online
-//!   metadata self-healing, transient-fault absorption, and the k-of-n
+//! * [`survival`] — write amplification vs survival under damage,
+//!   metadata damage healed by the keyed scavenger, and the k-of-n
 //!   boundary check behind `repro --survival --smoke`;
 //! * [`attribution`] — where a request's latency goes, phase by phase, and
 //!   the chrome-trace export of the same workload.

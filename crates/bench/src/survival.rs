@@ -19,8 +19,7 @@
 //! destroying one more share must fail closed with no partial plaintext.
 
 use std::fmt::Write as _;
-use std::time::Duration;
-use stegfs_blockdev::{BlockDevice, FaultDevice, MemBlockDevice, RetryDevice};
+use stegfs_blockdev::{BlockDevice, FaultDevice, MemBlockDevice};
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{ObjectKind, Policy, StegFs, StegParams};
 use stegfs_survival::scavenge;
@@ -78,7 +77,7 @@ fn content(index: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// The damageable volume every sweep but the transient one runs on.
+/// The damageable volume every sweep runs on.
 type Volume = StegFs<FaultDevice<MemBlockDevice>>;
 
 fn name(index: usize) -> String {
@@ -181,9 +180,8 @@ fn metadata_groups(fs: &Volume, name: &str) -> Vec<Vec<u64>> {
 }
 
 /// One redundant policy's metadata-damage point: header/chain replicas *and*
-/// data shares destroyed within tolerance, healed by the **online**
-/// read-repair queue (degraded read → ticket → drain), then verified
-/// converged by an offline scavenge pass.
+/// data shares destroyed within tolerance, read degraded, healed by a keyed
+/// scavenge pass, then verified converged by a second pass.
 #[derive(Debug, Clone)]
 pub struct MetadataPoint {
     /// Display label of the policy.
@@ -200,14 +198,12 @@ pub struct MetadataPoint {
     pub shares_damaged: usize,
     /// Damaged objects whose *live* (degraded) read was byte-identical.
     pub degraded_reads_ok: usize,
-    /// Self-healing tickets the degraded reads queued (post-dedup).
-    pub repairs_queued: u64,
-    /// Tickets that converged in the drain.
-    pub repairs_completed: u64,
-    /// Tickets that failed in the drain.
-    pub repairs_failed: u64,
-    /// Objects a post-drain scavenge found fully intact (the online repair
-    /// really did restore full redundancy).
+    /// Objects the healing scavenge pass repaired in place.
+    pub objects_repaired: usize,
+    /// Share and replica blocks that pass rebuilt and rewrote.
+    pub shares_rewritten: usize,
+    /// Objects a second scavenge pass found fully intact (the first really
+    /// did restore full redundancy).
     pub scavenge_intact_after: usize,
     /// Objects byte-identical after everything.
     pub byte_identical: usize,
@@ -244,13 +240,10 @@ pub fn run_metadata_sweep(files: usize, file_kb: usize, seed: u64) -> Vec<Metada
                 shares_damaged += destroy(fs.hidden_share_extents(&name(i), UAK).expect("extents"));
             }
             fs.purge_read_caches();
-            fs.obs().repair.reset();
 
             let degraded_reads_ok = count_identical(&fs, files, file_kb);
-            let _ = fs.process_repairs(files * 2);
-            let repairs = fs.obs().repair.summary();
-
-            let report = scavenge(&fs, &[UAK]).expect("scavenge");
+            let healed = scavenge(&fs, &[UAK]).expect("scavenge");
+            let again = scavenge(&fs, &[UAK]).expect("scavenge");
             fs.purge_read_caches();
             let byte_identical = count_identical(&fs, files, file_kb);
 
@@ -262,101 +255,37 @@ pub fn run_metadata_sweep(files: usize, file_kb: usize, seed: u64) -> Vec<Metada
                 metadata_replicas_damaged,
                 shares_damaged,
                 degraded_reads_ok,
-                repairs_queued: repairs.queued,
-                repairs_completed: repairs.completed,
-                repairs_failed: repairs.failed,
-                scavenge_intact_after: report.objects_intact,
+                objects_repaired: healed.objects_repaired,
+                shares_rewritten: healed.shares_rewritten,
+                scavenge_intact_after: again.objects_intact,
                 byte_identical,
             }
         })
         .collect()
 }
 
-/// The transient-fault point: a coded volume over a [`FaultDevice`] (seeded
-/// random error-then-succeed streaks) wrapped in a [`RetryDevice`] with a
-/// bounded reissue budget.  Flakes must be absorbed by retry — every
-/// operation succeeds, nothing is lost, and no submission exhausts its
-/// budget.
-#[derive(Debug, Clone)]
-pub struct TransientPoint {
-    /// Submissions that reached the flaky layer (retries included).
-    pub device_ops: u64,
-    /// Transient faults the injector raised.
-    pub faults_injected: u64,
-    /// Reissues the retry layer performed.
-    pub retries_absorbed: u64,
-    /// Submissions that ran out of retry budget (must be 0).
-    pub retries_exhausted: u64,
-    /// Workload operations (creates+writes+reads) that succeeded.
-    pub operations_ok: usize,
-    /// Workload operations submitted.
-    pub operations_total: usize,
-}
-
-/// Run the transient-fault workload: `files` coded hidden files written and
-/// read back byte-identically through the flaky/retry stack.
-pub fn transient_point(files: usize, file_kb: usize, seed: u64) -> TransientPoint {
-    let flaky = FaultDevice::new(MemBlockDevice::new(1024, 16384));
-    flaky.random_failures(seed, 2, 2);
-    let retry = RetryDevice::new(flaky.clone(), 6, Duration::ZERO);
-    let fs = StegFs::format(retry.clone(), params(Policy::Disperse { m: 2, n: 4 }))
-        .expect("format over flaky device");
-    let mut operations_ok = 0usize;
-    for i in 0..files {
-        let data = content(i, file_kb * 1024);
-        operations_ok += usize::from(fs.steg_create(&name(i), UAK, ObjectKind::File).is_ok());
-        operations_ok += usize::from(fs.write_hidden_with_key(&name(i), UAK, &data).is_ok());
-    }
-    fs.purge_read_caches();
-    operations_ok += count_identical(&fs, files, file_kb);
-    TransientPoint {
-        device_ops: flaky.ops(),
-        faults_injected: flaky.injected(),
-        retries_absorbed: retry.retries(),
-        retries_exhausted: retry.exhausted(),
-        operations_ok,
-        operations_total: files * 3,
-    }
-}
-
 /// Render the metadata-damage sweep as a text table.
 pub fn render_metadata(points: &[MetadataPoint]) -> String {
     let mut s = String::from(
-        "Metadata survivability (header/chain replicas + shares damaged, online read-repair)\n\
-         policy           m/n    meta-dmg   share-dmg   degraded-ok   queued   completed   failed   intact-after\n",
+        "Metadata survivability (header/chain replicas + shares damaged, keyed scavenge)\n\
+         policy           m/n    meta-dmg   share-dmg   degraded-ok   repaired   rewritten   intact-after\n",
     );
     for p in points {
         let _ = writeln!(
             s,
-            "{:<15} {:>2}/{:<2} {:>9} {:>11} {:>13} {:>8} {:>11} {:>8} {:>14}",
+            "{:<15} {:>2}/{:<2} {:>9} {:>11} {:>13} {:>10} {:>11} {:>14}",
             p.policy,
             p.m,
             p.n,
             p.metadata_replicas_damaged,
             p.shares_damaged,
             p.degraded_reads_ok,
-            p.repairs_queued,
-            p.repairs_completed,
-            p.repairs_failed,
+            p.objects_repaired,
+            p.shares_rewritten,
             p.scavenge_intact_after,
         );
     }
     s
-}
-
-/// Render the transient-fault point.
-pub fn render_transient(p: &TransientPoint) -> String {
-    format!(
-        "Transient faults (FaultDevice + RetryDevice, Disperse{{2,4}})\n\
-         {} device submissions, {} faults injected, {} retries absorbed, {} exhausted; \
-         {}/{} operations succeeded\n",
-        p.device_ops,
-        p.faults_injected,
-        p.retries_absorbed,
-        p.retries_exhausted,
-        p.operations_ok,
-        p.operations_total,
-    )
 }
 
 /// Pin the exact k-of-n recovery boundary for `Disperse{2,4}`.
@@ -435,15 +364,9 @@ pub fn smoke() -> Result<(), String> {
 
     // Phase 3: metadata damage within tolerance on survival-1 — n-m header
     // replicas and n-m chain replicas destroyed.  The live read must be
-    // byte-identical, must queue a self-healing ticket, and the drain must
-    // restore full redundancy (a scavenge pass then finds the object
-    // intact).
-    // Drain tickets queued by the earlier phases (including survival-0's,
-    // which is lost and fails) so the counters below see only this phase.
-    // This must happen before the damage: a leftover survival-1 ticket
-    // would otherwise heal the freshly-zeroed replicas during the drain.
-    let _ = fs.process_repairs(usize::MAX);
-    fs.obs().repair.reset();
+    // byte-identical, a scavenge pass must repair exactly survival-1 (and
+    // report survival-0 lost again), and a second pass must find nothing
+    // left to repair.
     for group in &metadata_groups(&fs, "survival-1") {
         for &b in group.iter().take(n - m) {
             zero(b)?;
@@ -451,20 +374,14 @@ pub fn smoke() -> Result<(), String> {
     }
     fs.purge_read_caches();
     check_identical(&fs, 1, file_kb, "metadata-degraded")?;
-    let drain = fs.process_repairs(8);
-    let repairs = fs.obs().repair.summary();
-    if repairs.queued < 1 || repairs.failed != 0 || repairs.completed != repairs.queued {
-        return Err(format!(
-            "read-repair counters off after metadata damage: {repairs:?} (drain {drain:?})"
-        ));
+    let report = scavenge(&fs, &[UAK]).map_err(|e| format!("scavenge: {e}"))?;
+    if report.objects_repaired != 1 || report.shares_rewritten == 0 || report.objects_lost != 1 {
+        return Err(format!("expected survival-1 repaired: {report:?}"));
     }
-    let entry = fs
-        .lookup_entry("survival-1", UAK)
-        .map_err(|e| format!("entry: {e}"))?;
-    let outcome = fs.scavenge_entry(&entry);
-    if !matches!(outcome, Ok(stegfs_core::RepairOutcome::Intact)) {
+    let again = scavenge(&fs, &[UAK]).map_err(|e| format!("scavenge: {e}"))?;
+    if again.objects_repaired != 0 || again.objects_intact != files - 1 {
         return Err(format!(
-            "online repair left survival-1 not fully redundant: {outcome:?}"
+            "repair left survival-1 not fully redundant: {again:?}"
         ));
     }
 
@@ -585,22 +502,18 @@ mod tests {
         assert_eq!(by("plain").objects_repaired, 0);
     }
 
-    // The two tests below run the sweeps at `repro --survival --smoke` size
-    // (2 files x 4 KiB) and hold the result structs to what the sweeps exist
-    // to show; `repro` itself only prints them.
+    // The test below runs the metadata sweep at `repro --survival --smoke`
+    // size (2 files x 4 KiB) and holds its result struct to what the sweep
+    // exists to show; `repro` itself only prints it.
 
     #[test]
-    fn metadata_damage_heals_online_under_every_coded_policy() {
+    fn metadata_damage_heals_under_every_coded_policy() {
         let points = run_metadata_sweep(2, 4, 0x4d45_5441);
         assert_eq!(points.len(), POLICIES.len() - 1, "every policy but plain");
         for p in &points {
             assert!(p.metadata_replicas_damaged > 0, "no metadata damage: {p:?}");
-            assert!(p.repairs_queued > 0, "no repair ticket queued: {p:?}");
-            assert_eq!(p.repairs_failed, 0, "repairs failed: {p:?}");
-            assert_eq!(
-                p.repairs_completed, p.repairs_queued,
-                "drain incomplete: {p:?}"
-            );
+            assert_eq!(p.objects_repaired, p.objects, "repair incomplete: {p:?}");
+            assert!(p.shares_rewritten > 0, "nothing rewritten: {p:?}");
             assert_eq!(
                 p.degraded_reads_ok, p.objects,
                 "degraded read lost bytes: {p:?}"
@@ -608,26 +521,8 @@ mod tests {
             assert_eq!(p.byte_identical, p.objects, "healed read differs: {p:?}");
             assert_eq!(
                 p.scavenge_intact_after, p.objects,
-                "online repair left replicas thin: {p:?}"
+                "repair left replicas thin: {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn transient_faults_are_absorbed_by_retry() {
-        let p = transient_point(2, 4, 0x464c_4159);
-        assert!(
-            p.faults_injected > 0,
-            "flaky device injected nothing: {p:?}"
-        );
-        assert!(
-            p.retries_absorbed >= p.faults_injected,
-            "faults leaked past retry: {p:?}"
-        );
-        assert_eq!(p.retries_exhausted, 0, "retry budget exhausted: {p:?}");
-        assert_eq!(
-            p.operations_ok, p.operations_total,
-            "operations failed: {p:?}"
-        );
     }
 }

@@ -43,12 +43,8 @@
 //!   reads, writes or both), a sticky per-block write trip, an optional
 //!   volatile write cache whose `crash()` applies, drops or tears a seeded
 //!   subset of the unflushed writes (including mid-batch), and seeded bit
-//!   flips, zeroing and overwrites of data *at rest*.  Every durability,
-//!   survivability and retry test stands on it.
-//! * [`RetryDevice`] — bounded retry-with-backoff above a flaky backend:
-//!   transient I/O errors are reissued up to N attempts and only then
-//!   surfaced unchanged, so a momentary glitch no longer reads as object
-//!   loss.
+//!   flips, zeroing and overwrites of data *at rest*.  Every durability
+//!   and survivability test stands on it.
 //! * [`LatencyDevice`] — real-time service latency per submission (it
 //!   actually sleeps, once per call whether it carries one block or a
 //!   batch), used by the concurrency workloads to show block I/O
@@ -77,7 +73,6 @@ pub mod file;
 pub mod latency;
 pub mod lru;
 pub mod observed;
-pub mod retry;
 
 // Unit tests of the fault injector and the meter, grouped by what each
 // checks: the write cache and crashes, pass-through I/O under damage, the
@@ -104,4 +99,3 @@ pub use file::FileBlockDevice;
 pub use latency::LatencyDevice;
 pub use lru::LruMap;
 pub use observed::ObservedDevice;
-pub use retry::RetryDevice;

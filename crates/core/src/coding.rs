@@ -378,7 +378,7 @@ mod tests {
     fn a_damaged_share_is_pinned_on_its_group_at_every_batch_lane() {
         use crate::crypt::ObjectKeys;
         use crate::header::ObjectKind;
-        use crate::hidden::{ObjectIo, ReadHealth, RepairOutcome};
+        use crate::hidden::{ObjectIo, RepairOutcome};
         use crate::params::StegParams;
         use crate::readcache::ReadCache;
         use std::sync::atomic::Ordering;
@@ -404,36 +404,36 @@ mod tests {
             let before = blocks_read();
             assert_eq!(io.read(&obj).unwrap(), data);
             let clean = blocks_read() - before;
-
             let (group, share) = (lane / 2, lane % 2);
+            let neighbours = [group.saturating_sub(1), group, group + 1];
+            let read_group = |g: usize| {
+                let at = g * 2 * bs;
+                let before = blocks_read();
+                let got = io.read_range(&obj, at as u64, 2 * bs, 0).unwrap();
+                assert_eq!(got, &data[at..at + 2 * bs]);
+                blocks_read() - before
+            };
+            let clean_groups = neighbours.map(&read_group);
+
             let victim = io.share_extents(&obj).unwrap()[group][share];
             let mut txn = fs.begin_txn();
             txn.write_raw_block(victim, &vec![lane as u8 ^ 0x5a; bs])
                 .unwrap();
             txn.commit().unwrap();
 
-            let health = ReadHealth::new();
             let before = blocks_read();
-            assert_eq!(
-                io.observed(&health).read(&obj).unwrap(),
-                data,
-                "lane {lane}"
-            );
-            assert!(health.is_degraded(), "lane {lane}");
+            assert_eq!(io.read(&obj).unwrap(), data, "lane {lane}");
             assert_eq!(
                 blocks_read() - before,
                 clean + 1,
                 "lane {lane}: only group {group} falls back"
             );
-            for g in [group.saturating_sub(1), group, group + 1] {
-                let health = ReadHealth::new();
-                let at = g * 2 * bs;
-                let got = io
-                    .observed(&health)
-                    .read_range(&obj, at as u64, 2 * bs, 0)
-                    .unwrap();
-                assert_eq!(got, &data[at..at + 2 * bs]);
-                assert_eq!(health.is_degraded(), g == group, "lane {lane}, group {g}");
+            for (g, clean) in neighbours.into_iter().zip(clean_groups) {
+                assert_eq!(
+                    read_group(g),
+                    clean + u64::from(g == group),
+                    "lane {lane}, group {g}: only the victim's group falls back"
+                );
             }
             assert_eq!(
                 io.repair(&obj).unwrap(),

@@ -7,8 +7,8 @@
 //! # The surface
 //!
 //! Everything goes through one borrowed context, [`ObjectIo`] — the volume
-//! (`fs`, `params`), a read cache, the object's keys and an optional
-//! degradation signal — with exactly one method per operation: seven for I/O
+//! (`fs`, `params`), a read cache and the object's keys — with exactly one
+//! method per operation: seven for I/O
 //! ([`create`](ObjectIo::create), [`open`](ObjectIo::open),
 //! [`read`](ObjectIo::read), [`read_range`](ObjectIo::read_range),
 //! [`write`](ObjectIo::write), [`write_range`](ObjectIo::write_range),
@@ -16,23 +16,27 @@
 //! ([`repair`](ObjectIo::repair), [`delete`](ObjectIo::delete),
 //! [`destroy_unreadable`](ObjectIo::destroy_unreadable),
 //! [`share_extents`](ObjectIo::share_extents),
-//! [`owned_blocks`](ObjectIo::owned_blocks)).  There is no cached or
-//! observed variant of anything; the two things a caller may leave out are
-//! values of the context, not other functions:
+//! [`owned_blocks`](ObjectIo::owned_blocks)).  There is no cached
+//! variant of anything: **no cache** is a value of the context,
+//! [`ReadCache::disabled`], not another function.  Every lookup misses and
+//! every insert is a no-op, so each call walks the locator and the chain on
+//! the device and decrypts what it reads.  The bytes written are the same
+//! either way.
 //!
-//! * **No cache** is [`ReadCache::disabled`]: every lookup misses and every
-//!   insert is a no-op, so each call walks the locator and the chain on the
-//!   device and decrypts what it reads.  The bytes written are the same
-//!   either way.
-//! * **No `health`** means nobody is told when redundancy absorbed damage;
-//!   the read is served (or fails closed) exactly the same.
+//! A read never writes.  One served from fallback shares or metadata
+//! replicas returns the same bytes and leaves the damage where it is; only
+//! [`ObjectIo::repair`], driven by the keyed offline scavenger
+//! ([`StegFs::scavenge_entry`](crate::StegFs::scavenge_entry)), rewrites
+//! it.  Writes that follow reads would tell an inspector with repeated
+//! snapshots where live hidden data sits.
 //!
 //! [`crate::StegFs`] builds the context in two places.  Its user-facing
 //! reads and writes get the volume's cache.  The paths that must see the
 //! device rather than a cached snapshot (repair, scavenge, rebuild-from-
 //! shadow, the open that precedes a delete), and the ones that touch objects
 //! no session reads back — shadow listings, format-time objects, both sides
-//! of a re-key, the open of a dummy refresh — bypass it through
+//! of a re-key, the whole of a dummy refresh (its open and its rewrite) —
+//! bypass it through
 //! [`StegFs::object_io`](crate::StegFs::object_io), which is also what the
 //! experiments and tests outside this crate use.
 //!
@@ -65,7 +69,6 @@ use crate::locator::{candidate_sequence, locate_header, Located};
 use crate::params::StegParams;
 use crate::readcache::{BlockToken, ExtentList, ReadCache};
 use crate::scratch::Scratch;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
 use stegfs_crypto::prng::DeterministicRng;
@@ -122,38 +125,6 @@ fn header_blocks_of<'h>(header_block: &'h u64, header: &'h HiddenHeader) -> &'h 
         std::slice::from_ref(header_block)
     } else {
         &header.header_replicas
-    }
-}
-
-/// Degradation signal an [`ObjectIo`] may carry: set whenever a read
-/// succeeded only by falling back to redundancy — a data group decoded from
-/// fallback shares, a header found at a replica, or a chain node served by a
-/// replica.  The facade turns a raised flag into a read-repair ticket so the
-/// volume converges back to full redundancy.
-#[derive(Debug, Default)]
-pub struct ReadHealth {
-    degraded: AtomicBool,
-}
-
-impl ReadHealth {
-    /// A fresh, healthy signal.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that redundancy absorbed damage during this operation.
-    pub fn mark_degraded(&self) {
-        self.degraded.store(true, Ordering::Relaxed);
-    }
-
-    /// True when some fallback path fired since the last [`clear`](Self::clear).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Reset the signal for reuse.
-    pub fn clear(&self) {
-        self.degraded.store(false, Ordering::Relaxed);
     }
 }
 
@@ -288,22 +259,19 @@ pub enum RepairOutcome {
 }
 
 /// Everything one operation on one hidden object needs, borrowed: four
-/// references and an optional fifth, built on the caller's stack (see the
-/// module docs for the surface and for what leaving `cache` or `health` out
-/// means).
+/// references built on the caller's stack (see the module docs for the
+/// surface and for what leaving `cache` out means).
 pub struct ObjectIo<'a, D: BlockDevice> {
     fs: &'a PlainFs<D>,
     params: &'a StegParams,
     cache: &'a ReadCache,
     keys: &'a ObjectKeys,
-    health: Option<&'a ReadHealth>,
 }
 
 impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// A context for the object `keys` belongs to, on the volume `fs`
     /// formatted with `params`, served through `cache` (pass
-    /// [`ReadCache::disabled`] for none) and reporting degradation to
-    /// nobody.
+    /// [`ReadCache::disabled`] for none).
     pub fn new(
         fs: &'a PlainFs<D>,
         params: &'a StegParams,
@@ -315,22 +283,6 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             params,
             cache,
             keys,
-            health: None,
-        }
-    }
-
-    /// The same context, raising `health` whenever an operation succeeds
-    /// only by falling back to redundancy.
-    pub fn observed(&self, health: &'a ReadHealth) -> Self {
-        ObjectIo {
-            health: Some(health),
-            ..*self
-        }
-    }
-
-    fn mark_degraded(&self) {
-        if let Some(h) = self.health {
-            h.mark_degraded();
         }
     }
 
@@ -536,9 +488,6 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                         "inode chain node has 0 live replicas of {copies}"
                     )));
                 };
-                if !damaged.is_empty() {
-                    self.mark_degraded();
-                }
                 ChainNode {
                     blocks: candidates
                         .iter()
@@ -660,11 +609,6 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             if live[gi].len() < m {
                 degraded.push(gi);
             }
-        }
-        if !degraded.is_empty() {
-            // The read will be served (or fail closed) below, but either way
-            // the primary shares alone no longer carry the object.
-            self.mark_degraded();
         }
         let fallback: Vec<u64> = degraded
             .iter()
@@ -870,10 +814,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// what it found.  Misses — including wrong-key lookups — cost the same
     /// walk whether or not there is a cache, so deniability is untouched.
     ///
-    /// Finding the header at a replica instead of its primary block means
-    /// the primary was damaged (or claimed by someone who destroyed it) and
-    /// redundancy absorbed the loss, which raises `health`; a cache hit
-    /// skips the device entirely, so only misses can observe damage.
+    /// A header found at a replica instead of its primary block means the
+    /// primary was damaged (or claimed by someone who destroyed it) and
+    /// redundancy absorbed the loss; [`Self::repair`] rewrites it.
     pub fn open(&self, physical_name: &str) -> StegResult<HiddenObject> {
         let sig = self.keys.signature();
         if let Some(hit) = self.cache.lookup_header(sig) {
@@ -894,9 +837,6 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             self.keys,
             self.params.max_locator_probes,
         )?;
-        if !header.header_replicas.is_empty() && header.header_replicas.first() != Some(&block) {
-            self.mark_degraded();
-        }
         if self.cache.enabled() {
             self.cache.store_header(sig, started, block, header.clone());
         }
@@ -909,9 +849,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 
     /// Read the full contents of a hidden object: one chain walk, then the
     /// whole extent list in one batched submission.  A warm object costs
-    /// neither device reads nor decryption; any fallback decode or chain
-    /// replica fallback raises `health` so the caller can queue a
-    /// read-repair.
+    /// neither device reads nor decryption.
     pub fn read(&self, obj: &HiddenObject) -> StegResult<Vec<u8>> {
         let chain = self.cached_chain(obj)?;
         if obj.header.size == 0 {
@@ -1719,10 +1657,11 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 mod tests {
     use super::*;
     use crate::scratch;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use stegfs_blockdev::{FaultDevice, MemBlockDevice};
     use stegfs_fs::{FormatOptions, PlainFs};
 
-    /// The cache-bypassing, unobserved context of the object under `keys`.
+    /// The cache-bypassing context of the object under `keys`.
     fn bypass<'a>(
         fs: &'a PlainFs<MemBlockDevice>,
         keys: &'a ObjectKeys,
@@ -2516,10 +2455,8 @@ mod tests {
         // Kill the primary and one replica: n - m = 2 losses, still open.
         smash(&fs, replicas[0], 1);
         smash(&fs, replicas[1], 2);
-        let health = ReadHealth::new();
-        let found = io.observed(&health).open("hdr").unwrap();
+        let found = io.open("hdr").unwrap();
         assert_eq!(found.header_block, replicas[2], "served by the survivor");
-        assert!(health.is_degraded());
         assert_eq!(io.read(&found).unwrap(), data);
 
         // One more loss kills the object: no replica left to probe.
@@ -2540,13 +2477,11 @@ mod tests {
 
         smash(&fs, head, 1);
         smash(&fs, spares[0], 2);
-        let health = ReadHealth::new();
         assert_eq!(
-            io.observed(&health).read(&obj).unwrap(),
+            io.read(&obj).unwrap(),
             data,
             "chain served by its last replica"
         );
-        assert!(health.is_degraded());
 
         smash(&fs, spares[1], 3);
         let err = io.read(&obj).unwrap_err();
@@ -2560,10 +2495,10 @@ mod tests {
         let io = bypass(&fs, &keys, &params);
         let data = vec![7u8; 3 * 1024];
         io.write(&mut obj, &data, &mut rng).unwrap();
-        let health = ReadHealth::new();
-        let found = io.observed(&health).open("ok").unwrap();
-        assert_eq!(io.observed(&health).read(&found).unwrap(), data);
-        assert!(!health.is_degraded());
+        let found = io.open("ok").unwrap();
+        assert_eq!(found.header_block, obj.header_block);
+        assert_eq!(io.read(&found).unwrap(), data);
+        assert_eq!(io.repair(&found).unwrap(), RepairOutcome::Intact);
     }
 
     #[test]

@@ -746,15 +746,6 @@ impl ReadCache {
         }
     }
 
-    /// True if what is tagged to `sig` outlives the sign-off of `scope`: it
-    /// was tagged ([`Self::tag_scope`]), and to another session.  The rule
-    /// [`Self::purge_scope`] sweeps by, for the volume's other RAM-only
-    /// per-object state (queued repair tickets) to follow; nothing is ever
-    /// tagged on a disabled cache.
-    pub fn outlives_sign_off(&self, sig: &ObjectSig, scope: u64) -> bool {
-        outlives(self.scopes.lock().get(sig), scope)
-    }
-
     // ------------------------------------------------------------------
     // Plaintext block cache
     // ------------------------------------------------------------------

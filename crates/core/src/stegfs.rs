@@ -46,7 +46,7 @@ use crate::coding::Policy;
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
 use crate::header::ObjectKind;
-use crate::hidden::{HiddenObject, ObjectIo, ReadHealth, RepairOutcome};
+use crate::hidden::{HiddenObject, ObjectIo, RepairOutcome};
 use crate::keys::{DirectoryEntry, UakDirectory, FAK_LEN, UAK_DIRECTORY_NAME};
 use crate::params::StegParams;
 use crate::readcache::{CacheStats, ReadCache};
@@ -55,7 +55,6 @@ use crate::sharing::ShareEnvelope;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
-use stegfs_crypto::ct::zeroize;
 use stegfs_crypto::prng::DeterministicRng;
 use stegfs_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use stegfs_crypto::sha256::sha256_concat;
@@ -144,18 +143,8 @@ impl VolumeConfig {
 pub struct HiddenHandle {
     /// User-visible object name the handle was opened under.
     pub name: String,
-    /// Locator-facing physical name (owner-qualified), kept so a degraded
-    /// read through the handle can queue a repair ticket.
-    physical_name: String,
-    fak: [u8; FAK_LEN],
     keys: Arc<ObjectKeys>,
     object: HiddenObject,
-}
-
-impl Drop for HiddenHandle {
-    fn drop(&mut self) {
-        zeroize(&mut self.fak);
-    }
 }
 
 impl HiddenHandle {
@@ -168,104 +157,6 @@ impl HiddenHandle {
     pub fn kind(&self) -> ObjectKind {
         self.object.kind()
     }
-}
-
-/// Most repair tickets queued at once; a degraded read that finds the queue
-/// full queues nothing and counts in `obs.repair.refused`.  A constant, not
-/// a knob: a ticket is a name and a key, and the queue only has to hold the
-/// damaged objects read between two drains.
-const REPAIR_QUEUE_CAPACITY: usize = 1024;
-
-/// One queued self-healing ticket: enough to re-derive the object's keys
-/// and re-open it *fresh* at repair time — repair always converges the
-/// object's **current** incarnation, so a ticket queued against a since-
-/// rewritten object can never resurrect superseded shares.
-struct RepairTicket {
-    physical_name: String,
-    fak: [u8; FAK_LEN],
-    /// Dedup key in [`RepairQueue::enqueued`], and the read cache's key for
-    /// the session the object was resolved through.
-    signature: [u8; crate::crypt::SIGNATURE_LEN],
-}
-
-impl Drop for RepairTicket {
-    fn drop(&mut self) {
-        zeroize(&mut self.fak);
-    }
-}
-
-/// What [`RepairQueue::offer`] did with a degraded object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Offer {
-    Queued,
-    /// A ticket for the object is already waiting.
-    Duplicate,
-    /// The queue holds [`REPAIR_QUEUE_CAPACITY`] tickets.
-    Refused,
-}
-
-/// RAM-only queue of repair tickets, deduplicated by object signature (a
-/// storm of degraded reads against one object queues one ticket) and
-/// bounded at [`REPAIR_QUEUE_CAPACITY`].
-#[derive(Default)]
-struct RepairQueue {
-    tickets: std::collections::VecDeque<RepairTicket>,
-    enqueued: std::collections::HashSet<[u8; crate::crypt::SIGNATURE_LEN]>,
-}
-
-impl RepairQueue {
-    /// Queue the ticket `make` builds for the object `signature`, unless one
-    /// is already waiting or the queue is full (`make` is not called then).
-    fn offer(
-        &mut self,
-        signature: &[u8; crate::crypt::SIGNATURE_LEN],
-        make: impl FnOnce() -> RepairTicket,
-    ) -> Offer {
-        if self.enqueued.contains(signature) {
-            return Offer::Duplicate;
-        }
-        if self.tickets.len() >= REPAIR_QUEUE_CAPACITY {
-            return Offer::Refused;
-        }
-        self.enqueued.insert(*signature);
-        self.tickets.push_back(make());
-        Offer::Queued
-    }
-
-    fn pop(&mut self) -> Option<RepairTicket> {
-        let ticket = self.tickets.pop_front()?;
-        self.enqueued.remove(&ticket.signature);
-        Some(ticket)
-    }
-
-    /// Drop (and zero) every ticket `keep` rejects.
-    fn retain(&mut self, mut keep: impl FnMut(&RepairTicket) -> bool) {
-        let RepairQueue { tickets, enqueued } = self;
-        tickets.retain(|t| {
-            let kept = keep(t);
-            if !kept {
-                enqueued.remove(&t.signature);
-            }
-            kept
-        });
-    }
-
-    fn clear(&mut self) {
-        self.retain(|_| false);
-    }
-}
-
-/// What one [`StegFs::process_repairs`] drain accomplished.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairDrain {
-    /// Tickets taken off the queue this call.
-    pub processed: usize,
-    /// Tickets that converged: shares/metadata rewritten, or the object was
-    /// found intact / already rewritten / since deleted.
-    pub completed: usize,
-    /// Tickets whose object is damaged beyond tolerance or whose rewrite
-    /// failed with an I/O error.
-    pub failed: usize,
 }
 
 /// What one [`StegFs::rebuild_dir_from_shadow`] rebuild accomplished.
@@ -325,14 +216,6 @@ pub struct StegFs<D: BlockDevice> {
     /// see `stegfs-obs`).  Shared with every layer underneath and handed
     /// to the VFS/engine above.
     obs: Arc<Obs>,
-    /// RAM-only self-healing queue (see [`Self::process_repairs`]): degraded
-    /// reads enqueue, an explicit drain repairs.  RAM-only for the same
-    /// deniability reason as the read cache — a persisted repair backlog
-    /// would betray which blocks hold live hidden data.  Its tickets hold
-    /// FAKs, so they share the read cache's lifetime: a sign-off drops the
-    /// departing session's (and never-tagged) tickets, `disconnect_all` and
-    /// unmount drop all of them.  Lock order: repair queue < read cache.
-    repair_queue: Mutex<RepairQueue>,
 }
 
 impl<D: BlockDevice> StegFs<D> {
@@ -360,7 +243,6 @@ impl<D: BlockDevice> StegFs<D> {
                 .map(|_| Mutex::with_stats((), obs.object_shards.clone()))
                 .collect(),
             obs,
-            repair_queue: Mutex::new(RepairQueue::default()),
         }
     }
 
@@ -447,7 +329,6 @@ impl<D: BlockDevice> StegFs<D> {
     /// tree; its counters and histograms stay readable.
     pub fn unmount(self) -> StegResult<D> {
         self.session.lock().disconnect_all();
-        self.repair_queue.lock().clear();
         self.read_cache.purge();
         self.obs.slow.zeroize();
         self.obs.capture.zeroize();
@@ -474,15 +355,10 @@ impl<D: BlockDevice> StegFs<D> {
     /// reach through `uak`: every cache entry — derived key sets included —
     /// resolved through this key, plus any entry whose owning session was
     /// never established, is swept, while entries other live sessions
-    /// loaded through their own keys stay warm.  Queued repair tickets go
-    /// by the same rule.  The VFS calls this on every sign-off.
+    /// loaded through their own keys stay warm.  The VFS calls this on
+    /// every sign-off.
     pub fn purge_session_caches(&self, uak: &str) {
-        let scope = Self::session_scope(uak);
-        // Tickets first: the purge below forgets whose signatures were whose.
-        self.repair_queue
-            .lock()
-            .retain(|t| self.read_cache.outlives_sign_off(&t.signature, scope));
-        self.read_cache.purge_scope(scope);
+        self.read_cache.purge_scope(Self::session_scope(uak));
     }
 
     /// The volume's observability registry: RAM-only histograms, counters
@@ -665,21 +541,23 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Rewrite every dummy hidden file with fresh content.  The paper's
     /// driver does this periodically so that bitmap changes between snapshots
-    /// cannot be attributed to real hidden files.
+    /// cannot be attributed to real hidden files.  No session reads dummies
+    /// back, so the whole refresh bypasses the read cache.
     pub fn touch_dummy_files(&self) -> StegResult<usize> {
         let mut touched = 0;
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
             let keys = self.keys_for(&name, &fak);
             let _obj_lock = self.object_guard(&name);
-            let mut obj = match self.object_io(&keys).open(&name) {
+            let io = self.object_io(&keys);
+            let mut obj = match io.open(&name) {
                 Ok(o) => o,
                 Err(StegError::NotFound(_)) => continue,
                 Err(e) => return Err(e),
             };
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size as usize);
-            self.io(&keys).write(&mut obj, &content, &mut rng)?;
+            io.write(&mut obj, &content, &mut rng)?;
             touched += 1;
         }
         Ok(touched)
@@ -908,6 +786,12 @@ impl<D: BlockDevice> StegFs<D> {
     /// [`ObjectIo::repair`] for the byte-identical-rewrite argument).  Plain
     /// objects report [`RepairOutcome::Intact`] untouched; an unrecoverable
     /// object writes nothing.
+    ///
+    /// This is the volume's only repair path: a degraded read writes
+    /// nothing.  The object is re-opened fresh under its object lock, so an
+    /// entry taken before a concurrent rewrite repairs the *current*
+    /// incarnation and never resurrects superseded shares; an object
+    /// deleted since fails in the not-found family.
     pub fn scavenge_entry(&self, entry: &DirectoryEntry) -> StegResult<RepairOutcome> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
@@ -918,96 +802,6 @@ impl<D: BlockDevice> StegFs<D> {
             self.read_cache.invalidate(keys.signature());
         }
         Ok(outcome)
-    }
-
-    /// Run `read` against the cached, health-observing context of the object
-    /// `(physical_name, fak)`, and queue a self-healing ticket for it when
-    /// the read was served degraded (fallback shares or metadata replicas).
-    /// Deduplicated per object; healthy reads pay one flag test.
-    fn observed<T>(
-        &self,
-        physical_name: &str,
-        fak: &[u8; FAK_LEN],
-        keys: &ObjectKeys,
-        read: impl FnOnce(ObjectIo<'_, D>) -> StegResult<T>,
-    ) -> StegResult<T> {
-        let health = ReadHealth::new();
-        let out = read(self.io(keys).observed(&health));
-        if health.is_degraded() {
-            let signature = keys.signature();
-            let offer = self.repair_queue.lock().offer(signature, || RepairTicket {
-                physical_name: physical_name.to_string(),
-                fak: *fak,
-                signature: *signature,
-            });
-            match offer {
-                Offer::Queued => self.obs.repair.queued.fetch_add(1, Ordering::Relaxed),
-                Offer::Refused => self.obs.repair.refused.fetch_add(1, Ordering::Relaxed),
-                Offer::Duplicate => 0,
-            };
-        }
-        out
-    }
-
-    /// The full contents of the object behind `entry` (shard held by the
-    /// caller), with degradation observed.
-    fn read_observed(&self, entry: &DirectoryEntry, keys: &ObjectKeys) -> StegResult<Vec<u8>> {
-        let name = &entry.physical_name;
-        self.observed(name, &entry.fak, keys, |io| io.read(&io.open(name)?))
-    }
-
-    /// Number of repair tickets waiting to be drained.
-    pub fn pending_repairs(&self) -> usize {
-        self.repair_queue.lock().tickets.len()
-    }
-
-    /// Drain up to `limit` queued read-repair tickets: each object is
-    /// re-opened **fresh** and run through [`ObjectIo::repair`], rewriting
-    /// damaged shares and metadata replicas byte-identically in place, so
-    /// the volume converges back to full redundancy under live traffic.
-    ///
-    /// Re-opening at drain time (rather than repairing the incarnation the
-    /// degraded read saw) is what makes the queue safe against concurrent
-    /// writers: a ticket queued before a full rewrite finds the *new*
-    /// incarnation intact and never resurrects superseded shares.  An object
-    /// deleted since its ticket was queued counts as completed.
-    pub fn process_repairs(&self, limit: usize) -> RepairDrain {
-        let mut drain = RepairDrain::default();
-        for _ in 0..limit {
-            let Some(ticket) = self.repair_queue.lock().pop() else {
-                break;
-            };
-            drain.processed += 1;
-            let _span = span::span(span::Phase::Repair);
-            let keys = self.keys_for(&ticket.physical_name, &ticket.fak);
-            let _obj_lock = self.object_guard(&ticket.physical_name);
-            let io = self.object_io(&keys);
-            let outcome = io
-                .open(&ticket.physical_name)
-                .and_then(|obj| io.repair(&obj));
-            match outcome {
-                Ok(RepairOutcome::Repaired { .. }) => {
-                    // Cached plaintext may have been decoded from the damaged
-                    // shares; drop it with the rewrite.
-                    self.read_cache.invalidate(keys.signature());
-                    drain.completed += 1;
-                    self.obs.repair.completed.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(RepairOutcome::Intact) => {
-                    drain.completed += 1;
-                    self.obs.repair.completed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) if e.is_not_found() => {
-                    drain.completed += 1;
-                    self.obs.repair.completed.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(RepairOutcome::Lost { .. }) | Err(_) => {
-                    drain.failed += 1;
-                    self.obs.repair.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        drain
     }
 
     /// The data blocks of `objname` chunked per coding group (`n` share
@@ -1057,10 +851,8 @@ impl<D: BlockDevice> StegFs<D> {
         let entry = self.entry_for(objname, uak)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let name = &entry.physical_name;
-        self.observed(name, &entry.fak, &keys, |io| {
-            io.read_range(&io.open(name)?, offset, len, 0)
-        })
+        let io = self.io(&keys);
+        io.read_range(&io.open(&entry.physical_name)?, offset, len, 0)
     }
 
     /// Overwrite part of the hidden file `objname` in place (the range must
@@ -1118,9 +910,8 @@ impl<D: BlockDevice> StegFs<D> {
         len: usize,
         readahead_blocks: usize,
     ) -> StegResult<Vec<u8>> {
-        self.observed(&handle.physical_name, &handle.fak, &handle.keys, |io| {
-            io.read_range(&handle.object, offset, len, readahead_blocks)
-        })
+        self.io(&handle.keys)
+            .read_range(&handle.object, offset, len, readahead_blocks)
     }
 
     /// Overwrite bytes at `offset` through an open handle (in place; the
@@ -1153,8 +944,6 @@ impl<D: BlockDevice> StegFs<D> {
         let object = self.io(&keys).open(&entry.physical_name)?;
         Ok(HiddenHandle {
             name: entry.name.clone(),
-            physical_name: entry.physical_name.clone(),
-            fak: entry.fak,
             keys,
             object,
         })
@@ -1233,7 +1022,14 @@ impl<D: BlockDevice> StegFs<D> {
     fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        self.read_observed(entry, &keys)
+        self.read_object(&entry.physical_name, &keys)
+    }
+
+    /// The full contents of the object `physical_name` (shard held by the
+    /// caller).
+    fn read_object(&self, physical_name: &str, keys: &ObjectKeys) -> StegResult<Vec<u8>> {
+        let io = self.io(keys);
+        io.read(&io.open(physical_name)?)
     }
 
     /// Delete the hidden object `objname` and remove it from the UAK
@@ -1314,11 +1110,9 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Disconnect every object (the paper does this automatically at
     /// logoff).  Logoff also means no one is left who may read cached
-    /// plaintext, so the read caches and the repair queue are purged and
-    /// zeroed.
+    /// plaintext, so the read caches are purged and zeroed.
     pub fn disconnect_all(&self) {
         self.session.lock().disconnect_all();
-        self.repair_queue.lock().clear();
         self.read_cache.purge();
     }
 
@@ -1367,7 +1161,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// held by the caller.
     fn read_listing_locked(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        parse_listing(&self.read_observed(entry, &keys)?)
+        parse_listing(&self.read_object(&entry.physical_name, &keys)?)
     }
 
     /// Identity (physical name, FAK) of a directory's shadow-listing object.
@@ -2732,7 +2526,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Read-repair (online self-healing)
+    // Degraded reads and keyed repair
     // ------------------------------------------------------------------
 
     fn smash_raw(fs: &StegFs<MemBlockDevice>, block: u64, seed: u8) {
@@ -2750,8 +2544,12 @@ mod tests {
         buf
     }
 
+    fn blocks_written(fs: &StegFs<MemBlockDevice>) -> u64 {
+        fs.obs().device.blocks_written.load(Ordering::Relaxed)
+    }
+
     #[test]
-    fn degraded_read_queues_and_drains_a_repair() {
+    fn degraded_read_heals_through_scavenge_entry() {
         let fs = small_fs();
         fs.steg_create_with_policy(
             "cfg.dat",
@@ -2768,119 +2566,34 @@ mod tests {
         for (i, &v) in victims.iter().enumerate() {
             smash_raw(&fs, v, i as u8);
         }
-        fs.purge_read_caches();
-        assert_eq!(fs.read_hidden_with_key("cfg.dat", UAK).unwrap(), data);
-        assert_eq!(fs.pending_repairs(), 1, "degraded read queues one ticket");
-        // A storm of degraded reads against the same object dedups.
-        fs.purge_read_caches();
-        assert_eq!(fs.read_hidden_with_key("cfg.dat", UAK).unwrap(), data);
-        assert_eq!(fs.pending_repairs(), 1);
+        // Degraded reads are served from the survivors and write nothing:
+        // a read never causes device traffic an inspector could see.
+        let written = blocks_written(&fs);
+        for _ in 0..2 {
+            fs.purge_read_caches();
+            assert_eq!(fs.read_hidden_with_key("cfg.dat", UAK).unwrap(), data);
+        }
+        assert_eq!(blocks_written(&fs), written, "a degraded read wrote");
 
-        let drain = fs.process_repairs(8);
+        let entry = fs.lookup_entry("cfg.dat", UAK).unwrap();
         assert_eq!(
-            drain,
-            RepairDrain {
-                processed: 1,
-                completed: 1,
-                failed: 0
-            }
+            fs.scavenge_entry(&entry).unwrap(),
+            RepairOutcome::Repaired { shares_rebuilt: 2 }
         );
-        assert_eq!(fs.pending_repairs(), 0);
         assert_eq!(
             raw_bytes(&fs, &victims),
             before,
-            "read-repair restores the image byte-identically"
+            "repair restores the image byte-identically"
         );
-        let summary = fs.obs().repair.summary();
-        assert_eq!(summary.queued, 1, "the queued counter is post-dedup");
-        assert_eq!(summary.completed, 1);
-        assert_eq!(summary.failed, 0);
-        // The volume has converged: a fresh cold read is healthy.
+        // The volume has converged: a second pass finds nothing to do and
+        // a fresh cold read is healthy.
+        assert_eq!(fs.scavenge_entry(&entry).unwrap(), RepairOutcome::Intact);
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key("cfg.dat", UAK).unwrap(), data);
-        assert_eq!(fs.pending_repairs(), 0);
-    }
-
-    /// Create a 2-of-4 file `name` under `uak`, smash one of its shares and
-    /// read it cold: the degraded read queues one repair ticket.
-    fn queue_degraded_ticket(fs: &StegFs<MemBlockDevice>, name: &str, uak: &str) {
-        let policy = Policy::Disperse { m: 2, n: 4 };
-        fs.steg_create_with_policy(name, uak, ObjectKind::File, policy)
-            .unwrap();
-        let data = vec![0x3cu8; 4 * 1024];
-        fs.write_hidden_with_key(name, uak, &data).unwrap();
-        let share = fs.hidden_share_extents(name, uak).unwrap()[0][1];
-        smash_raw(fs, share, 3);
-        fs.purge_read_caches();
-        let queued = fs.pending_repairs();
-        assert_eq!(fs.read_hidden_with_key(name, uak).unwrap(), data);
-        assert_eq!(fs.pending_repairs(), queued + 1, "degraded read queues");
     }
 
     #[test]
-    fn sign_off_drops_the_departing_sessions_repair_tickets() {
-        let fs = small_fs();
-        let bob = "bob's access key";
-        queue_degraded_ticket(&fs, "alice.dat", UAK);
-        queue_degraded_ticket(&fs, "bob.dat", bob);
-        // A ticket holds a FAK: it dies with the session that could use it,
-        // while another live session's ticket stays queued.
-        fs.purge_session_caches(UAK);
-        assert_eq!(fs.pending_repairs(), 1);
-        fs.purge_session_caches(bob);
-        assert_eq!(fs.pending_repairs(), 0);
-        // Re-reading the still-damaged object queues afresh: the dedup set
-        // was swept with the queue.
-        fs.purge_read_caches();
-        fs.read_hidden_with_key("bob.dat", bob).unwrap();
-        assert_eq!(fs.pending_repairs(), 1);
-        fs.disconnect_all();
-        assert_eq!(fs.pending_repairs(), 0, "disconnect_all clears the queue");
-    }
-
-    #[test]
-    fn untagged_repair_tickets_die_at_any_sign_off() {
-        // With no read cache nothing is ever tagged to a session, so no
-        // ticket has a known owner: the next sign-off of anyone sweeps it,
-        // as the read cache sweeps its own unscoped entries.
-        let params = StegParams {
-            readpath_cache_blocks: 0,
-            ..StegParams::for_tests()
-        };
-        let fs = StegFs::format(MemBlockDevice::new(1024, 8192), params).unwrap();
-        queue_degraded_ticket(&fs, "orphan.dat", UAK);
-        fs.purge_session_caches("somebody else");
-        assert_eq!(fs.pending_repairs(), 0);
-    }
-
-    #[test]
-    fn the_repair_queue_is_bounded() {
-        let mut queue = RepairQueue::default();
-        let sig = |i: usize| {
-            let mut sig = [0u8; crate::crypt::SIGNATURE_LEN];
-            sig[..8].copy_from_slice(&(i as u64).to_be_bytes());
-            sig
-        };
-        let ticket = |i: usize| RepairTicket {
-            physical_name: format!("object-{i}"),
-            fak: [7; FAK_LEN],
-            signature: sig(i),
-        };
-        for i in 0..REPAIR_QUEUE_CAPACITY {
-            assert_eq!(queue.offer(&sig(i), || ticket(i)), Offer::Queued);
-        }
-        let late = REPAIR_QUEUE_CAPACITY;
-        assert_eq!(queue.offer(&sig(late), || ticket(late)), Offer::Refused);
-        assert_eq!(queue.offer(&sig(3), || unreachable!()), Offer::Duplicate);
-        assert_eq!(queue.pop().map(|t| t.signature), Some(sig(0)));
-        assert_eq!(queue.offer(&sig(late), || ticket(late)), Offer::Queued);
-        assert_eq!(queue.tickets.len(), REPAIR_QUEUE_CAPACITY);
-        queue.clear();
-        assert!(queue.tickets.is_empty() && queue.enqueued.is_empty());
-    }
-
-    #[test]
-    fn degraded_metadata_read_queues_and_heals() {
+    fn degraded_metadata_heals_through_scavenge_entry() {
         let fs = small_fs();
         fs.steg_create_with_policy(
             "meta.dat",
@@ -2900,15 +2613,17 @@ mod tests {
             smash_raw(&fs, v, 0x80 + i as u8);
         }
         fs.purge_read_caches();
+        let written = blocks_written(&fs);
         assert_eq!(
             fs.read_hidden_with_key("meta.dat", UAK).unwrap(),
             data,
             "metadata replicas carry the read"
         );
-        assert_eq!(fs.pending_repairs(), 1);
-        let drain = fs.process_repairs(1);
-        assert_eq!(drain.completed, 1);
-        assert_eq!(drain.failed, 0);
+        assert_eq!(blocks_written(&fs), written, "a degraded read wrote");
+        assert!(matches!(
+            fs.scavenge_entry(&entry).unwrap(),
+            RepairOutcome::Repaired { .. }
+        ));
         assert_eq!(
             raw_bytes(&fs, &victims),
             before,
@@ -2932,23 +2647,21 @@ mod tests {
         smash_raw(&fs, groups[0][0], 7);
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key("race.dat", UAK).unwrap(), old);
-        assert_eq!(
-            fs.pending_repairs(),
-            1,
-            "ticket queued against incarnation 1"
-        );
+        // The scavenger's entry is taken against incarnation 1.
+        let entry = fs.lookup_entry("race.dat", UAK).unwrap();
 
-        // A concurrent writer replaces the object before the drain runs.
+        // A concurrent writer replaces the object before the repair runs.
         let new = vec![0x22u8; 7 * 1024];
         fs.write_hidden_with_key("race.dat", UAK, &new).unwrap();
 
-        let drain = fs.process_repairs(4);
-        assert_eq!(drain.processed, 1);
-        assert_eq!(drain.failed, 0);
-        // The drain re-opened fresh: the current incarnation stays current.
+        // The repair re-opens fresh: the current incarnation stays current.
+        assert!(!matches!(
+            fs.scavenge_entry(&entry).unwrap(),
+            RepairOutcome::Lost { .. }
+        ));
         assert_eq!(fs.read_hidden_with_key("race.dat", UAK).unwrap(), new);
 
-        // A ticket whose object was deleted resolves as completed too.
+        // An entry whose object was deleted since finds nothing to repair.
         smash_raw(
             &fs,
             fs.hidden_share_extents("race.dat", UAK).unwrap()[0][1],
@@ -2956,11 +2669,8 @@ mod tests {
         );
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key("race.dat", UAK).unwrap(), new);
-        assert_eq!(fs.pending_repairs(), 1);
         fs.delete_hidden("race.dat", UAK).unwrap();
-        let drain = fs.process_repairs(4);
-        assert_eq!(drain.processed, 1);
-        assert_eq!(drain.failed, 0);
+        assert!(fs.scavenge_entry(&entry).unwrap_err().is_not_found());
     }
 
     #[test]

@@ -579,60 +579,6 @@ impl WatchdogSummary {
     }
 }
 
-/// Read-repair convergence counters: degraded reads queue an in-place
-/// share rewrite, and the drain either completes or fails it. Plain
-/// load-shaped counts — nothing object- or key-derived.
-#[derive(Default)]
-pub struct RepairStats {
-    /// Repair tickets queued by degraded reads (post-dedup).
-    pub queued: AtomicU64,
-    /// Tickets whose share rewrite committed.
-    pub completed: AtomicU64,
-    /// Tickets whose rewrite failed (damage beyond tolerance, I/O error).
-    pub failed: AtomicU64,
-    /// Degraded reads that found the queue full and queued nothing.
-    pub refused: AtomicU64,
-}
-
-impl RepairStats {
-    pub fn new() -> Self {
-        RepairStats::default()
-    }
-
-    pub fn reset(&self) {
-        self.queued.store(0, Ordering::Relaxed);
-        self.completed.store(0, Ordering::Relaxed);
-        self.failed.store(0, Ordering::Relaxed);
-        self.refused.store(0, Ordering::Relaxed);
-    }
-
-    pub fn summary(&self) -> RepairSummary {
-        RepairSummary {
-            queued: self.queued.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RepairSummary {
-    pub queued: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub refused: u64,
-}
-
-impl RepairSummary {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"repairs_queued\": {}, \"repairs_completed\": {}, \"repairs_failed\": {}, \"repairs_refused\": {}}}",
-            self.queued, self.completed, self.failed, self.refused
-        )
-    }
-}
-
 /// The per-volume metrics registry. One [`Obs`] is created per mounted
 /// volume and shared (via `Arc`) by every layer: the observed block device,
 /// the plain filesystem's allocator and namespace locks, the journal's
@@ -668,8 +614,6 @@ pub struct Obs {
     pub capture: TraceCapture,
     /// Stall watchdog gauges (journal occupancy, checkpoint liveness).
     pub watchdog: Arc<WatchdogStats>,
-    /// Read-repair convergence counters (queued/completed/failed/refused).
-    pub repair: Arc<RepairStats>,
 }
 
 /// Fixed lock-metric names, in snapshot order.
@@ -718,7 +662,6 @@ impl Obs {
             slow: SlowCapture::new(),
             capture: TraceCapture::new(),
             watchdog: Arc::default(),
-            repair: Arc::default(),
         })
     }
 
@@ -761,7 +704,6 @@ impl Obs {
         self.attribution.reset();
         self.slow.zeroize();
         self.watchdog.reset();
-        self.repair.reset();
     }
 
     pub fn snapshot(&self) -> Snapshot {
@@ -789,7 +731,6 @@ impl Obs {
             readcache: self.readcache.summary(),
             engine: self.engine.summary(),
             watchdog: self.watchdog.summary(),
-            repair: self.repair.summary(),
         }
     }
 }
@@ -805,7 +746,6 @@ pub struct Snapshot {
     pub readcache: ReadCacheSummary,
     pub engine: EngineSummary,
     pub watchdog: WatchdogSummary,
-    pub repair: RepairSummary,
 }
 
 impl Snapshot {
@@ -830,14 +770,13 @@ impl Snapshot {
     /// Full fixed-shape JSON export.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"locks\": {}, \"device\": {}, \"journal_gate\": {}, \"readcache\": {}, \"engine\": {}, \"watchdog\": {}, \"repair\": {}}}",
+            "{{\"locks\": {}, \"device\": {}, \"journal_gate\": {}, \"readcache\": {}, \"engine\": {}, \"watchdog\": {}}}",
             self.locks_json(),
             self.device.to_json(),
             self.gate.to_json(),
             self.readcache.to_json(),
             self.engine.to_json(),
-            self.watchdog.to_json(),
-            self.repair.to_json()
+            self.watchdog.to_json()
         )
     }
 
@@ -968,30 +907,6 @@ mod tests {
         for phase in PHASE_NAMES {
             assert!(json.contains(phase));
         }
-    }
-
-    #[test]
-    fn repair_counters_roll_up_into_snapshot() {
-        let obs = Obs::new();
-        obs.repair.queued.fetch_add(3, Ordering::Relaxed);
-        obs.repair.completed.fetch_add(2, Ordering::Relaxed);
-        obs.repair.failed.fetch_add(1, Ordering::Relaxed);
-        obs.repair.refused.fetch_add(4, Ordering::Relaxed);
-        let snap = obs.snapshot();
-        assert_eq!(snap.repair.queued, 3);
-        assert_eq!(snap.repair.completed, 2);
-        assert_eq!(snap.repair.failed, 1);
-        assert_eq!(snap.repair.refused, 4);
-        let json = snap.to_json();
-        assert!(json.contains("\"repairs_queued\": 3"));
-        assert!(json.contains("\"repairs_completed\": 2"));
-        assert!(json.contains("\"repairs_failed\": 1"));
-        assert!(json.contains("\"repairs_refused\": 4"));
-        // The repair phase is part of the fixed taxonomy.
-        assert_eq!(Phase::Repair.name(), "repair");
-        obs.reset();
-        assert_eq!(obs.snapshot().repair.queued, 0);
-        assert_eq!(obs.snapshot().repair.refused, 0);
     }
 
     #[test]

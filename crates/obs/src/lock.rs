@@ -59,8 +59,8 @@
 //! | device internals | `stegfs-blockdev` | memory stripes, shared/file/fault/model devices |
 //!
 //! Leaves, taken under any of the above and holding nothing else: the
-//! vfs session table and a session's connected set; the core session,
-//! RNG and repair queue; the read cache's object shard (then its block
+//! vfs session table and a session's connected set; the core session
+//! and RNG; the read cache's object shard (then its block
 //! shard), scope table and derived-key map, never held across I/O or a
 //! key derivation; each engine client's completion queue; the fs
 //! checkpoint-daemon slot (then the daemon's state); and the span

@@ -58,16 +58,13 @@ pub enum Phase {
     /// Read-cache miss service (tagging only; the fill I/O shows up as
     /// nested `device_io`/`crypto` spans).
     CacheMiss = 10,
-    /// Read-repair: rewriting damaged shares/replicas after a degraded read
-    /// (the convergence work, not the degraded read itself).
-    Repair = 11,
     /// Pass-phrase key derivation (PBKDF2) on a key-cache miss; a cached
     /// key set records nothing.
-    KeyDerive = 12,
+    KeyDerive = 11,
 }
 
 /// Number of phases in the taxonomy.
-pub const PHASE_COUNT: usize = 13;
+pub const PHASE_COUNT: usize = 12;
 
 /// Static phase labels, indexed by `Phase as usize`.
 pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
@@ -82,7 +79,6 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "crypto",
     "cache_hit",
     "cache_miss",
-    "repair",
     "key_derive",
 ];
 
@@ -99,7 +95,6 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Crypto,
     Phase::CacheHit,
     Phase::CacheMiss,
-    Phase::Repair,
     Phase::KeyDerive,
 ];
 

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::time::Duration;
 use stegfs_blockdev::{
     BlockDevice, BufferCache, DiskParameters, FaultDevice, LatencyDevice, MemBlockDevice,
-    ObservedDevice, RetryDevice, SharedDevice, SimDisk,
+    ObservedDevice, SharedDevice, SimDisk,
 };
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::hidden::ObjectIo;
@@ -86,16 +86,13 @@ proptest! {
         );
         // The fault injector is a pass-through for healthy I/O, and its
         // write cache serves what it holds: neither may disturb batch/loop
-        // equivalence, nor may flakes absorbed by retry.
+        // equivalence.
         assert_batch_equals_loop(&FaultDevice::new(MemBlockDevice::new(BS, TOTAL)), &blocks, seed);
         assert_batch_equals_loop(
             &FaultDevice::with_write_cache(MemBlockDevice::new(BS, TOTAL)),
             &blocks,
             seed,
         );
-        let flaky = FaultDevice::new(MemBlockDevice::new(BS, TOTAL));
-        flaky.random_failures(9, 10, 1);
-        assert_batch_equals_loop(&RetryDevice::new(flaky, 8, Duration::ZERO), &blocks, seed);
     }
 
     /// Damage at rest must be indifferent to the submission shape: a volume

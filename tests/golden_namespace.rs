@@ -1,14 +1,14 @@
 //! The hidden namespace, pinned submission for submission.
 //!
 //! The two golden images and `tests/cache_lru.rs` never create a hidden
-//! directory, rename, remove, share, rebuild or repair through the queue.
+//! directory, rename, remove, share, rebuild or repair.
 //! This test drives exactly those paths through `StegFs` on the journaled
 //! write-back stack with every object dispersed 2-of-3 — directory children
 //! at two depths, handle writes and truncations, listing upserts and deletes
 //! (and the shadow listings behind them), a top-level rename, a share
 //! between two UAKs, a dummy refresh, a directory rebuilt from its shadow
 //! after every header replica is zeroed, degraded reads on all four read
-//! paths and the repair drain that heals them — and pins one SHA-256 over
+//! paths and the keyed repairs that heal them — and pins one SHA-256 over
 //! the ordered traffic the device below the `BufferCache` saw, its block,
 //! byte and submission totals and the raw image.  Block placement and scrub noise hang off the
 //! order in which the facade forks its rng, so a refactor that moves one
@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
-use stegfs_core::{DirectoryEntry, ObjectKind, Policy, StegFs, StegParams};
+use stegfs_core::{DirectoryEntry, ObjectKind, Policy, RepairOutcome, StegFs, StegParams};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_crypto::sha256::{sha256, Sha256};
 use stegfs_obs::lock::Mutex;
@@ -201,13 +201,12 @@ fn run_script() -> (String, DeviceSummary, String) {
 
     // Damage within tolerance — `n - m` shares of one group of `books`, the
     // primary header replica of `vault` — then a degraded read through each
-    // read path, and the drain that heals what they reported.
+    // read path, and the keyed repairs that heal both objects.
     let groups = fs.hidden_share_extents("books", OWNER).unwrap();
     zero_block(&fs, groups[1][0]);
     zero_block(&fs, header_blocks(&fs, &vault)[0]);
     fs.purge_read_caches();
     assert_eq!(fs.read_hidden_with_key("books", OWNER).unwrap(), books);
-    assert_eq!(fs.pending_repairs(), 1);
     fs.purge_read_caches();
     assert_eq!(
         fs.read_hidden_range_with_key("books", OWNER, 2 * BS as u64, 3 * BS)
@@ -219,9 +218,13 @@ fn run_script() -> (String, DeviceSummary, String) {
     assert_eq!(fs.read_range_at(&h, 0, books.len()).unwrap(), books);
     drop(h);
     assert_eq!(names(fs.list_hidden_dir("vault", OWNER).unwrap()).len(), 2);
-    assert_eq!(fs.pending_repairs(), 2);
-    let drain = fs.process_repairs(8);
-    assert_eq!((drain.processed, drain.completed, drain.failed), (2, 2, 0));
+    let books_entry = fs.lookup_entry("books", OWNER).unwrap();
+    for entry in [&books_entry, &vault] {
+        assert!(matches!(
+            fs.scavenge_entry(entry).unwrap(),
+            RepairOutcome::Repaired { .. }
+        ));
+    }
 
     fs.purge_session_caches(OWNER);
     let cache = fs.unmount().expect("unmount");
@@ -245,7 +248,6 @@ fn run_script() -> (String, DeviceSummary, String) {
         deep_data
     );
     drop(h);
-    assert_eq!(fs.pending_repairs(), 0);
     let tape = fs.unmount().expect("unmount").into_inner().into_inner();
 
     let mut image = Vec::with_capacity(tape.mem.total_blocks() as usize * BS);

@@ -545,9 +545,9 @@ fn interrupted_delete_never_leaves_a_ghost_name() {
     }
 }
 
-/// Crash-consistency for the self-healing paths: an in-place repair — the
-/// online read-repair drain rewriting damaged shares and metadata replicas
-/// — interrupted at an arbitrary write must replay all-or-nothing.  After
+/// Crash-consistency for the repair path: an in-place repair — the keyed
+/// scavenger rewriting damaged shares and metadata replicas — interrupted
+/// at an arbitrary write must replay all-or-nothing.  After
 /// remount the object still reads back in full (the damage was within
 /// tolerance, and a torn repair must not have made it worse), and an
 /// offline scavenge converges the volume to fully intact.
@@ -586,12 +586,11 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
         fs.sync().unwrap();
         fs.purge_read_caches();
 
-        // The degraded read queues a self-healing ticket; the drain then
-        // dies mid-rewrite.
+        // The degraded read is served in full; the repair then dies
+        // mid-rewrite.
         assert_eq!(fs.read_hidden_with_key("heal", OWNER).unwrap(), data);
-        assert!(fs.pending_repairs() >= 1);
         dev.fail_after_writes(trip);
-        let _ = fs.process_repairs(4);
+        let _ = fs.scavenge_entry(&entry);
         drop(fs);
         dev.crash(0x7e41 ^ trip);
 

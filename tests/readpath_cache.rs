@@ -14,7 +14,7 @@ use std::sync::{Arc, Barrier};
 use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
 use stegfs_core::{DirectoryEntry, ObjectKind, Policy, StegFs, StegParams};
 use stegfs_crypto::kdf;
-use stegfs_tests::{journaled_params, payload};
+use stegfs_tests::{journaled_params, payload, test_volume};
 use stegfs_vfs::{OpenOptions, Vfs};
 
 const OWNER: &str = "readpath cache key";
@@ -199,6 +199,17 @@ fn hidden_directory_listings_stay_coherent() {
 // ----------------------------------------------------------------------
 // Sign-off purge: no plaintext outlives the session
 // ----------------------------------------------------------------------
+
+#[test]
+fn dummy_refresh_leaves_the_read_cache_untouched() {
+    // No session reads dummies back, so their refresh, like their creation,
+    // runs wholly beside the cache: it installs nothing.
+    let fs = test_volume(8192);
+    fs.purge_read_caches();
+    let before = fs.cache_stats().resident_objects;
+    assert!(fs.touch_dummy_files().unwrap() > 0);
+    assert_eq!(fs.cache_stats().resident_objects, before);
+}
 
 #[test]
 fn signoff_purges_every_cached_plaintext_byte() {

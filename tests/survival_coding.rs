@@ -331,9 +331,9 @@ fn per_object_policy_overrides_the_volume_default() {
     ));
 }
 
-/// Online self-healing under concurrency: degraded readers race the repair
-/// drain, and a full rewrite racing a still-queued ticket must never let the
-/// drain resurrect the superseded incarnation.
+/// Repair under concurrency: degraded readers race the keyed scavenger,
+/// and a full rewrite racing a scavenge pass must never let the repair
+/// resurrect the superseded incarnation.
 #[test]
 fn concurrent_degraded_reads_and_repairs_never_resurrect_old_data() {
     use std::sync::Arc;
@@ -349,7 +349,7 @@ fn concurrent_degraded_reads_and_repairs_never_resurrect_old_data() {
         destroy_shares(&fs, "hot", 1, round);
         destroy_metadata(&fs, "hot", 1, round);
 
-        // Concurrent degraded readers race the self-healing drain.
+        // Concurrent degraded readers race a scavenge pass.
         let mut joins = Vec::new();
         for _ in 0..3 {
             let fs = Arc::clone(&fs);
@@ -361,19 +361,26 @@ fn concurrent_degraded_reads_and_repairs_never_resurrect_old_data() {
         {
             let fs = Arc::clone(&fs);
             joins.push(thread::spawn(move || {
-                let _ = fs.process_repairs(8);
+                let report = scavenge(&*fs, &[OWNER]).unwrap();
+                assert!(report.all_recovered(), "{report:?}");
             }));
         }
         for j in joins {
             j.join().unwrap();
         }
 
-        // Rewrite a new incarnation while a ticket may still be queued; the
-        // drain re-opens fresh, so it must converge on the *new* bytes.
+        // Rewrite a new incarnation while another pass runs; the repair
+        // re-opens fresh under the object lock, so it must converge on the
+        // *new* bytes.
+        destroy_shares(&fs, "hot", 1, round + 100);
+        let healer = {
+            let fs = Arc::clone(&fs);
+            thread::spawn(move || scavenge(&*fs, &[OWNER]).unwrap())
+        };
         current = payload(round, 10_000 + round as usize * 512);
         fs.write_hidden_with_key("hot", OWNER, &current).unwrap();
-        let drain = fs.process_repairs(8);
-        assert_eq!(drain.failed, 0, "round {round}: {drain:?}");
+        let report = healer.join().unwrap();
+        assert!(report.all_recovered(), "round {round}: {report:?}");
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key("hot", OWNER).unwrap(), current);
     }
