@@ -35,23 +35,40 @@
 //! An in-place patch decodes only the partially covered edge groups (see
 //! `ObjectIo::patch_coded`); groups it covers completely are re-encoded
 //! from the new bytes without reading a share.  What remains on top of a
-//! plain object is the SHA-256 share checksum of every share read or
-//! written, AES-CTR over `n / m` times the bytes, and — under replicated
-//! metadata — the checksum cascade from each patched chain node back to the
-//! header.
+//! plain object is the keyed check of every share read or written (one AES
+//! pass per 16 bytes, two shares in flight on the VAES kernel — see
+//! `ShareCheck`), AES-CTR over `n / m` times the bytes, and — under
+//! replicated metadata — the check cascade from each patched chain node
+//! back to the header.
+//!
+//! **Why the share check is keyed.**  Shares are AES-CTR ciphertext, and
+//! CTR is malleable: anyone with the raw device can XOR a chosen δ into a
+//! share's plaintext by XORing δ into its ciphertext, without any key.  An
+//! unkeyed check that is linear over XOR — a CRC, an XOR fold of the
+//! share's 16-byte blocks — accepts every δ in its kernel, and such a δ is
+//! easy to choose (the same δ at two block offsets cancels in a fold), so a
+//! modified share would pass as good and poison its group's
+//! reconstruction.  The check here is a PRF under a subkey that only the
+//! holder of the access key derives, so the check of a modified share is
+//! unpredictable to whoever modified it: the damage is caught, the group
+//! decodes from its other shares, and the scavenger rewrites the share.
 //!
 //! **Deniability is unchanged.**  Shares are AES-CTR'd per block with the
 //! object key exactly like plain hidden blocks, so on the raw device a
 //! share extent is the same uniformly-random ciphertext as any other hidden
 //! block, abandoned block, or random fill; the policy itself, the share
-//! checksums and the group structure all live inside ciphertext that only
-//! the access key reveals.  Wrong key still reads as never-existed.
+//! checks and the group structure all live inside ciphertext that only
+//! the access key reveals.  The checks have the length the SHA-256 checks
+//! of format v2 had, so no block and no field moved: v2 and v3 differ only
+//! in plaintext inside object-key ciphertext.  Wrong key still reads as
+//! never-existed.
 
+use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
 use crate::scratch::Scratch;
 use stegfs_baselines::ida::Decoder;
 use stegfs_baselines::Ida;
-use stegfs_crypto::sha256::{sha256_concat, sha256_many, DIGEST_LEN};
+use stegfs_crypto::check::{KeyedCheck, TAG_LEN};
 
 /// Durability policy of one hidden object, carried in its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,36 +172,48 @@ impl Policy {
     }
 }
 
-/// Domain separation of the share checksum.
-const SHARE_CSUM: &[u8] = b"stegfs-share-csum";
-
-/// Domain-separated 8-byte checksum of one share's plaintext, stored next
-/// to the share pointer in the (encrypted) inode chain.  Detects damaged
-/// shares before they poison a reconstruction; an adversary never sees it.
+/// The keyed share check of one object, expanded for one operation.
 ///
-/// This is the one-share form, for a chain node.  The data shares of an
-/// operation go through [`share_checksums`], which hashes them side by
-/// side with the same result.
-pub(crate) fn share_checksum(share: &[u8]) -> u64 {
-    checksum_of(&sha256_concat(&[SHARE_CSUM, share]))
+/// Every share and every replicated chain node carries an 8-byte check of
+/// its plaintext: the first eight bytes of the keyed AES check
+/// ([`stegfs_crypto::check`]) under a subkey of the object's master key,
+/// with tweak zero.  It detects damaged shares before they poison a
+/// reconstruction, and a modification made through the CTR ciphertext
+/// without the key (see the module docs); an adversary never sees it.
+///
+/// `ObjectKeys` keeps only the 32-byte subkey, so the key cache stays small;
+/// the AES schedule and offset table are built here, once per operation that
+/// checks anything.
+pub(crate) struct ShareCheck(KeyedCheck);
+
+impl ShareCheck {
+    /// The check of `keys`' object over `block_size`-byte shares.
+    pub(crate) fn new(keys: &ObjectKeys, block_size: usize) -> Self {
+        ShareCheck(KeyedCheck::new(keys.share_check_key(), block_size))
+    }
+
+    /// The check of one share or chain node.
+    pub(crate) fn one(&self, share: &[u8]) -> u64 {
+        checksum_of(&self.0.tag(&SHARE_TWEAK, share))
+    }
+
+    /// [`one`](Self::one) of every `block_size`-byte share of `shares`, in
+    /// order, from one batched call: two shares in flight where the CPU has
+    /// VAES.
+    pub(crate) fn many(&self, shares: &[u8], block_size: usize) -> Vec<u64> {
+        self.0
+            .tags(shares.chunks_exact(block_size).map(|s| (s, SHARE_TWEAK)))
+            .iter()
+            .map(checksum_of)
+            .collect()
+    }
 }
 
-/// [`share_checksum`] of every `block_size`-byte share of `shares`, in
-/// order, from one batched hash call (`sha256_many`): sixteen shares per
-/// pass of the vector kernel where the CPU has one.
-pub(crate) fn share_checksums(shares: &[u8], block_size: usize) -> Vec<u64> {
-    sha256_many(
-        shares
-            .chunks_exact(block_size)
-            .map(|share| [SHARE_CSUM, share]),
-    )
-    .iter()
-    .map(checksum_of)
-    .collect()
-}
+/// Shares and chain nodes have the check key to themselves: tweak zero.
+const SHARE_TWEAK: [u8; TAG_LEN] = [0; TAG_LEN];
 
-fn checksum_of(digest: &[u8; DIGEST_LEN]) -> u64 {
-    u64::from_be_bytes(*digest.first_chunk().expect("8-byte prefix"))
+fn checksum_of(tag: &[u8; TAG_LEN]) -> u64 {
+    u64::from_be_bytes(*tag.first_chunk().expect("8-byte prefix"))
 }
 
 /// The `(m, n)` codec of one coded operation over `block_size`-byte shares.
@@ -260,9 +289,9 @@ impl GroupCodec {
     /// Encode `data` into the concatenated share stream of a coded object:
     /// `groups * n` blocks of `block_size` bytes, group-major (group 0's
     /// shares 1..=n, then group 1's, ...), plus one checksum per share
-    /// block.  The last group is zero padded, exactly like the tail of a
-    /// plain object's last block.
-    pub(crate) fn encode_groups(&self, data: &[u8]) -> (Scratch, Vec<u64>) {
+    /// block under `check`.  The last group is zero padded, exactly like the
+    /// tail of a plain object's last block.
+    pub(crate) fn encode_groups(&self, data: &[u8], check: &ShareCheck) -> (Scratch, Vec<u64>) {
         let (m, n) = self.shares();
         let bs = self.block_size;
         let groups = data.len().div_ceil(m * bs);
@@ -270,7 +299,7 @@ impl GroupCodec {
         for (group, shares) in data.chunks(m * bs).zip(out.chunks_exact_mut(n * bs)) {
             self.split_group(group, shares);
         }
-        let csums = share_checksums(&out, bs);
+        let csums = check.many(&out, bs);
         (out, csums)
     }
 }
@@ -335,7 +364,8 @@ mod tests {
         let (m, n) = (3, 5);
         let data: Vec<u8> = (0..bs * 7 + 13).map(|i| (i * 37 % 251) as u8).collect();
         let mut codec = GroupCodec::new(m, n, bs);
-        let (stream, csums) = codec.encode_groups(&data);
+        let check = ShareCheck::new(&ObjectKeys::derive("roundtrip", b"fak"), bs);
+        let (stream, csums) = codec.encode_groups(&data, &check);
         let groups = data.len().div_ceil(m * bs);
         assert_eq!(stream.len(), groups * n * bs);
         assert_eq!(csums.len(), groups * n);
@@ -348,7 +378,7 @@ mod tests {
             let good: Vec<(u8, &[u8])> = (first..first + m)
                 .map(|j| {
                     let block = &stream[(g * n + j) * bs..(g * n + j + 1) * bs];
-                    assert_eq!(csums[g * n + j], share_checksum(block));
+                    assert_eq!(csums[g * n + j], check.one(block));
                     ((j + 1) as u8, block)
                 })
                 .collect();
@@ -361,22 +391,35 @@ mod tests {
     #[test]
     fn batched_checksums_match_the_one_share_form() {
         let bs = 1024;
+        let check = ShareCheck::new(&ObjectKeys::derive("batch", b"fak"), bs);
         let shares: Vec<u8> = (0..35 * bs).map(|i| (i * 31 % 253) as u8).collect();
-        let one_by_one: Vec<u64> = shares.chunks_exact(bs).map(share_checksum).collect();
-        assert_eq!(share_checksums(&shares, bs), one_by_one);
+        let one_by_one: Vec<u64> = shares.chunks_exact(bs).map(|s| check.one(s)).collect();
+        assert_eq!(check.many(&shares, bs), one_by_one);
     }
 
-    /// Share checksums are hashed sixteen to a pass, so a damaged share in
-    /// the first lane of a pass, its last lane and the first lane of the
-    /// next must each be pinned on its own group.  A full read of a 2-of-3
-    /// object checks primary share `k` (group `k / 2`, share `k % 2`) in lane
-    /// `k % 16` of pass `k / 16`.  The object must read back byte-identical
+    #[test]
+    fn share_checks_are_keyed_per_object() {
+        let bs = 1024;
+        let share = vec![0x3cu8; bs];
+        let a = ShareCheck::new(&ObjectKeys::derive("a", b"fak"), bs);
+        let b = ShareCheck::new(&ObjectKeys::derive("b", b"fak"), bs);
+        assert_ne!(a.one(&share), b.one(&share));
+        // Pinned: the check bytes of every coded v3 object hang off the
+        // subkey derivation and the construction not moving.
+        assert_eq!(a.one(&share), 0x9692_1b54_f4b3_31d9);
+    }
+
+    /// Share checks run in batches (two shares side by side on the VAES
+    /// kernel), so a damaged share at batch lanes 0, 15 and 16 — first of a
+    /// pair, second of a pair, first of the pair after — must each be
+    /// pinned on its own group.  A full read of a 2-of-3
+    /// object checks primary share `k` (group `k / 2`, share `k % 2`) at
+    /// lane `k`.  The object must read back byte-identical
     /// through the victim's fallback share, and only the victim's group may
     /// fall back: the damaged read fetches exactly one block more than a
     /// clean one.
     #[test]
     fn a_damaged_share_is_pinned_on_its_group_at_every_batch_lane() {
-        use crate::crypt::ObjectKeys;
         use crate::header::ObjectKind;
         use crate::hidden::{ObjectIo, RepairOutcome};
         use crate::params::StegParams;
@@ -447,8 +490,9 @@ mod tests {
     #[test]
     fn encode_is_deterministic() {
         let data: Vec<u8> = (0..1000).map(|i| (i % 256) as u8).collect();
-        let (a, a_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data);
-        let (b, b_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data);
+        let check = ShareCheck::new(&ObjectKeys::derive("determinism", b"fak"), 128);
+        let (a, a_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, &check);
+        let (b, b_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, &check);
         assert_eq!((&a[..], a_csums), (&b[..], b_csums));
     }
 
@@ -457,7 +501,8 @@ mod tests {
         let bs = 32;
         let data = vec![0xabu8; bs * 2];
         let mut codec = GroupCodec::new(2, 3, bs);
-        let (stream, _) = codec.encode_groups(&data);
+        let check = ShareCheck::new(&ObjectKeys::derive("closed", b"fak"), bs);
+        let (stream, _) = codec.encode_groups(&data, &check);
         let mut out = vec![0u8; 2 * bs];
         let err = codec
             .reconstruct_group(&[(1u8, &stream[..bs])], &mut out)
@@ -470,7 +515,8 @@ mod tests {
     fn replication_shares_are_full_copies() {
         let bs = 16;
         let data = vec![7u8; bs];
-        let (stream, _) = GroupCodec::new(1, 3, bs).encode_groups(&data);
+        let check = ShareCheck::new(&ObjectKeys::derive("copies", b"fak"), bs);
+        let (stream, _) = GroupCodec::new(1, 3, bs).encode_groups(&data, &check);
         assert_eq!(stream.len(), 3 * bs);
         for j in 0..3 {
             assert_eq!(&stream[j * bs..(j + 1) * bs], &data[..]);

@@ -12,6 +12,7 @@
 //! master     = KDF(FAK, context = "stegfs/object", salt = physical name)
 //! enc_key    = HMAC(master, "block-encryption")
 //! sig        = HMAC(master, "signature")            // stored in the header
+//! check_key  = HMAC(master, "share-check")          // keys the share checks
 //! locator    = SHA-256(physical name ‖ 0 ‖ master)  // seeds the block locator
 //! block IV   = SHA-256(enc_key ‖ "stegfs-iv" ‖ physical block number)[..16]
 //! ```
@@ -88,10 +89,16 @@ pub const SIGNATURE_LEN: usize = 32;
 /// one key expansion *per block*; now they pay one per object (asserted by
 /// the `one_key_expansion_per_object_not_per_block` test below).
 ///
+/// The key of the share checks is kept as its 32 raw bytes and expanded at
+/// most once per `ObjectIo` (`coding::ShareCheck`): the session key cache holds
+/// one `ObjectKeys` per open object, and an expanded check key inline here
+/// would grow each by over a kilobyte.
+///
 /// All key bytes (and the cipher's round keys) are zeroed on drop.
 pub struct ObjectKeys {
     master: [u8; DIGEST_LEN],
     enc_key: [u8; DIGEST_LEN],
+    check_key: [u8; DIGEST_LEN],
     signature: [u8; SIGNATURE_LEN],
     cipher: CtrCipher,
 }
@@ -100,6 +107,7 @@ impl Drop for ObjectKeys {
     fn drop(&mut self) {
         zeroize(&mut self.master);
         zeroize(&mut self.enc_key);
+        zeroize(&mut self.check_key);
         zeroize(&mut self.signature);
     }
 }
@@ -112,10 +120,12 @@ impl ObjectKeys {
         let master = derive_key(fak, b"stegfs/object", physical_name.as_bytes());
         let enc_key = derive_subkey(&master, b"block-encryption");
         let signature = derive_subkey(&master, b"signature");
+        let check_key = derive_subkey(&master, b"share-check");
         let cipher = CtrCipher::new(&enc_key);
         ObjectKeys {
             master,
             enc_key,
+            check_key,
             signature,
             cipher,
         }
@@ -124,6 +134,11 @@ impl ObjectKeys {
     /// The signature stored in (and compared against) the object's header.
     pub fn signature(&self) -> &[u8; SIGNATURE_LEN] {
         &self.signature
+    }
+
+    /// The key of the object's share and chain-node checks.
+    pub(crate) fn share_check_key(&self) -> &[u8; DIGEST_LEN] {
+        &self.check_key
     }
 
     /// Seed material for the keyed block locator.

@@ -22,6 +22,29 @@
 //! The serialised header occupies the beginning of one block and is padded
 //! with zeros to the block size before encryption.  It fits the smallest
 //! block size the paper considers (512 bytes).
+//!
+//! # The checks in the header and the chain (format v3)
+//!
+//! A coded object's header records the check of its head chain node
+//! (`chain_csum`), each replicated chain node the check of its successor
+//! (`next_csum`), and each coded chain entry the check of its share.  All
+//! are the 8-byte keyed share check of [`crate::coding`]: the keyed AES
+//! check of `stegfs_crypto::check` under a subkey of the object's master
+//! key, in the eight bytes format v2 gave a SHA-256 prefix.
+//!
+//! The key matters because every one of these blocks is AES-CTR
+//! ciphertext, which anyone can modify predictably: XORing δ into the
+//! ciphertext XORs δ into the plaintext.  Against a check that is linear
+//! over XOR, such as a CRC, the modifier could pick a δ the check does not
+//! see and have a damaged node or share accepted.  Without the access key
+//! the keyed check of the modified plaintext is unpredictable, so the
+//! modification reads as damage, and the replicas and spare shares take
+//! over.
+//!
+//! The checks add nothing an inspector can see.  They sit inside
+//! object-key ciphertext at their v2 lengths and offsets, so the header and
+//! chain blocks of v2 and v3 are the same uniform bytes to anyone without
+//! the key, and a single-copy plain object's blocks carry no check at all.
 
 use crate::coding::Policy;
 use crate::crypt::SIGNATURE_LEN;
@@ -330,7 +353,7 @@ impl HiddenHeader {
 ///
 /// The chain stores the object's data-block numbers in logical order — for
 /// coded objects, share-block numbers in group-major order, each paired
-/// with the 8-byte checksum of its share plaintext so a damaged share is
+/// with the 8-byte keyed check of its share plaintext so a damaged share is
 /// detected before it poisons a reconstruction.  When the object's policy
 /// keeps `copies > 1` metadata copies, every chain node is written to
 /// `copies` blocks with identical plaintext, and the link to the next node

@@ -61,7 +61,7 @@
 //! shares from the survivors.  On the raw device shares are
 //! indistinguishable from any other hidden block.
 
-use crate::coding::{self, GroupCodec, Policy};
+use crate::coding::{self, GroupCodec, Policy, ShareCheck};
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
 use crate::header::{HiddenHeader, InodeChainBlock, ObjectKind, NO_BLOCK};
@@ -69,6 +69,7 @@ use crate::locator::{candidate_sequence, locate_header, Located};
 use crate::params::StegParams;
 use crate::readcache::{BlockToken, ExtentList, ReadCache};
 use crate::scratch::Scratch;
+use std::cell::OnceCell;
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
 use stegfs_crypto::prng::DeterministicRng;
@@ -266,6 +267,9 @@ pub struct ObjectIo<'a, D: BlockDevice> {
     params: &'a StegParams,
     cache: &'a ReadCache,
     keys: &'a ObjectKeys,
+    /// The object's share check, expanded by the first call that checks a
+    /// share or a replicated chain node.
+    share_check: OnceCell<ShareCheck>,
 }
 
 impl<'a, D: BlockDevice> ObjectIo<'a, D> {
@@ -283,7 +287,14 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             params,
             cache,
             keys,
+            share_check: OnceCell::new(),
         }
+    }
+
+    /// The object's share check over this volume's blocks.
+    fn share_check(&self) -> &ShareCheck {
+        self.share_check
+            .get_or_init(|| ShareCheck::new(self.keys, self.fs.block_size()))
     }
 
     // ------------------------------------------------------------------
@@ -469,7 +480,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                         continue;
                     }
                     let buf = self.read_decrypted(block)?;
-                    let live = coding::share_checksum(&buf) == expected_csum;
+                    let live = self.share_check().one(&buf) == expected_csum;
                     if live {
                         match InodeChainBlock::deserialize_meta(&buf, total, coded, copies) {
                             Ok(parsed) => {
@@ -599,7 +610,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             .flat_map(|&g| data_blocks[g * n..g * n + m].iter().copied())
             .collect();
         let primary_buf = self.read_decrypted_many(&primary)?;
-        let primary_csums = coding::share_checksums(&primary_buf, bs);
+        let primary_csums = self.share_check().many(&primary_buf, bs);
         // Per requested group, the (0-based) shares whose checksum verified.
         let mut live: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
         let mut degraded: Vec<usize> = Vec::new();
@@ -618,7 +629,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             })
             .collect();
         let fallback_buf = self.read_decrypted_many(&fallback)?;
-        let fallback_csums = coding::share_checksums(&fallback_buf, bs);
+        let fallback_csums = self.share_check().many(&fallback_buf, bs);
         // A degraded group's fallback shares sit at its rank among the
         // degraded groups; every group's primary shares sit at its own
         // position.
@@ -1113,7 +1124,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         drop(edge_plain);
         let from = (offset - span_start) as usize;
         plain[from..from + data.len()].copy_from_slice(data);
-        let (payload, new_csums) = codec.encode_groups(&plain);
+        let (payload, new_csums) = codec.encode_groups(&plain, self.share_check());
         drop(plain);
 
         let first_entry = g0 * n;
@@ -1157,7 +1168,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                     nodes[node_idx].node.next_csum = c;
                 }
                 *p = nodes[node_idx].node.serialize_meta(bs, true, copies);
-                child_csum = Some(coding::share_checksum(p));
+                child_csum = Some(self.share_check().one(p));
             }
             for (node_idx, p) in plains.iter().enumerate() {
                 for &b in &nodes[node_idx].blocks {
@@ -1219,7 +1230,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         // plain one `ceil(len / bs)` data blocks (the zero tail pads the
         // final block or group either way).
         let (payload, csums) = match obj.header.policy.coding() {
-            Some((m, n)) => GroupCodec::new(m, n, bs).encode_groups(data),
+            Some((m, n)) => GroupCodec::new(m, n, bs).encode_groups(data, self.share_check()),
             None => {
                 let mut padded = Scratch::take(data.len().div_ceil(bs) * bs);
                 padded[..data.len()].copy_from_slice(data);
@@ -1377,7 +1388,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 },
             };
             let node_plain = chain.serialize_meta(bs, coded, copies);
-            succ_csum = coding::share_checksum(&node_plain);
+            if copies > 1 {
+                succ_csum = self.share_check().one(&node_plain);
+            }
             for r in 0..copies {
                 let slot = i * copies + r;
                 plain[slot * bs..(slot + 1) * bs].copy_from_slice(&node_plain);
@@ -1533,7 +1546,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             ));
         }
         let buf = self.read_decrypted_many(&data_blocks)?;
-        let csums = coding::share_checksums(&buf, bs);
+        let csums = self.share_check().many(&buf, bs);
         let groups = data_blocks.len() / n;
         // Per group, the verified shares (borrowed from the batched read)
         // and the 0-based numbers of the damaged ones.

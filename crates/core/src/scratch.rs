@@ -46,7 +46,10 @@ impl Scratch {
         OUTSTANDING.set(OUTSTANDING.get() + 1);
         match POOL.with(|p| p.borrow_mut().pop()) {
             Some(mut v) => {
-                // `drop` zeroed and emptied it; refill to `len` zeros.
+                // `drop` zeroed every byte up to the pooled length and kept
+                // that length, so only a tail past it needs writing.  A
+                // shorter `len` truncates: the bytes cut off were zeroed
+                // too, and no safe code writes past a `Vec`'s length.
                 v.resize(len, 0);
                 Scratch(v)
             }
@@ -95,14 +98,14 @@ impl DerefMut for Scratch {
 }
 
 impl Drop for Scratch {
-    /// Zero the buffer and pool it (or free it when the pool is full).
-    /// Never panics, so it is safe mid-unwind and during thread teardown.
+    /// Zero the buffer and pool it at its length, every byte zero (or free
+    /// it when the pool is full).  Never panics, so it is safe mid-unwind
+    /// and during thread teardown.
     fn drop(&mut self) {
         #[cfg(test)]
         let _ = OUTSTANDING.try_with(|n| n.set(n.get() - 1));
         zeroize(&mut self.0);
-        let mut v = std::mem::take(&mut self.0);
-        v.clear();
+        let v = std::mem::take(&mut self.0);
         if v.capacity() == 0 || v.capacity() > MAX_POOLED_CAPACITY {
             return;
         }

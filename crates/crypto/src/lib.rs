@@ -30,6 +30,8 @@
 //! * [`hmac`] — HMAC-SHA256.
 //! * [`aes`] — the AES-128/192/256 block cipher.
 //! * [`modes`] — CBC and CTR modes over AES, plus PKCS#7 padding helpers.
+//! * [`check`] — the keyed AES integrity check (PMAC-shaped) behind the
+//!   share, chain-node and journal checks of on-disk format v3.
 //! * [`prng`] — the hash-chain pseudorandom block-number generator from the
 //!   paper and a counter-mode deterministic byte generator.
 //! * [`kdf`] — iterated-hash key derivation from pass-phrases.
@@ -41,7 +43,8 @@
 //!   `stegfs-baselines`.
 //! * `hw` (private, x86-64 only) — the AES-NI and SHA-NI round functions
 //!   under [`aes`], [`modes`] and [`mod@sha256`], the VAES AES-CTR run
-//!   kernel under [`modes::CtrCipher`], the sixteen-lane AVX-512
+//!   kernel under [`modes::CtrCipher`], the VAES keyed-check kernel under
+//!   [`check::KeyedCheck`], the sixteen-lane AVX-512
 //!   SHA-256 under [`sha256::sha256_many`] and the AVX2 bodies under
 //!   [`gf256`], picked at run time from what the CPU reports; the T-table
 //!   AES, scalar SHA-256 and table-row multiply remain the path on every
@@ -67,6 +70,7 @@
 
 pub mod aes;
 pub mod bignum;
+pub mod check;
 pub mod ct;
 pub mod gf256;
 pub mod hmac;

@@ -4,19 +4,17 @@
 //! signature from `(file name, access key)` and, by recursive hashing of a
 //! seed, generating the pseudorandom block numbers that locate a hidden-file
 //! header.  Since then the hash has also become a per-block cost — the block
-//! IV derivation, the journal's slot and payload checks, the share checksums
-//! of coded objects — so the compression function has two implementations
-//! under the one [`Sha256`] interface: the SHA-NI instructions where the CPU
-//! reports them (`crate::hw`, ≈ 1.3 GB/s), and the scalar rounds below
-//! everywhere else (≈ 240 MB/s), which are also the oracle the hardware path
-//! is tested against.
+//! IV derivation — so the compression function has two implementations
+//! under the one [`Sha256`] interface: the SHA-NI instructions where the
+//! CPU reports them (`crate::hw`, ≈ 1.3 GB/s), and the scalar rounds below
+//! everywhere else (≈ 240 MB/s), which are also the oracle the hardware
+//! path is tested against.
 //!
-//! Those per-block hashes come many at a time, every message of a run the
-//! same length, so they have a batch entry point of their own:
-//! [`sha256_many`] hashes sixteen messages per pass of an AVX-512 kernel
-//! where the CPU has one (≈ 2.1× SHA-NI per message), and falls back to the
-//! one-message path everywhere else.  Single messages — the KDF, HMAC, the
-//! journal's slot checks — stay on [`Sha256`].
+//! The IVs of a run of blocks come many at a time, every message the same
+//! length, so they have a batch entry point of their own: [`sha256_many`]
+//! hashes sixteen messages per pass of an AVX-512 kernel where the CPU has
+//! one (≈ 2.1× SHA-NI per message), and falls back to the one-message path
+//! everywhere else.  Single messages — the KDF, HMAC — stay on [`Sha256`].
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -273,8 +271,8 @@ const LANES: usize = 16;
 const MIN_LANES: usize = 8;
 
 /// SHA-256 of each of many messages, in order.  Every message is the
-/// concatenation of its `P` parts — `prefix ‖ share`, `label ‖ seq ‖
-/// image`, `key ‖ "stegfs-iv" ‖ index` — and the parts may be cut anywhere.
+/// concatenation of its `P` parts — `key ‖ "stegfs-iv" ‖ index` for the
+/// block IVs — and the parts may be cut anywhere.
 ///
 /// Messages of one total length are the fast case: on a CPU with AVX-512
 /// they are hashed sixteen at a time by one vector kernel, straight from

@@ -18,6 +18,14 @@
 //! the journal's slot-encryption key; it is volume-public by design (see
 //! `stegfs_journal::record::JournalKeys` for why that does not weaken the
 //! hiding property).
+//!
+//! Version 3 moved no block and no field: it replaced the SHA-256 checks of
+//! coded shares, replicated chain nodes and journal slots and payloads with
+//! a keyed AES check of the same length (`stegfs_crypto::check`).  Only
+//! bytes inside ciphertext changed, but a v2 volume's checks would all fail,
+//! and the share checks are keyed per object, so converting one would take
+//! every user's key.  A v2 volume is refused at mount like any other
+//! version.
 
 use crate::error::{FsError, FsResult};
 
@@ -25,7 +33,7 @@ use crate::error::{FsError, FsResult};
 pub const MAGIC: u64 = 0x5354_4547_4653_504c;
 
 /// On-disk format version understood by this implementation.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Size in bytes of a serialised inode.
 pub const INODE_SIZE: usize = 128;

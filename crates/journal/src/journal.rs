@@ -433,7 +433,7 @@ impl Journal {
             )));
         }
         Ok(Journal {
-            keys: JournalKeys::derive(salt),
+            keys: JournalKeys::derive(salt, geo.block_size),
             flight: Mutex::new(()),
             state: Mutex::new(LogState {
                 next_seq: 1,
@@ -865,7 +865,7 @@ impl Journal {
     /// payloads, then the commit record — appending the ring blocks and
     /// sealed images to `blocks` / `images`.  Every slot is encoded in place
     /// in `images`, and then the whole run is encrypted with one cipher
-    /// call; an intent's payload checks come from one batched hash call.
+    /// call; an intent's payload checks come from one batched check call.
     fn seal_run(&self, staged: &StagedTx, blocks: &mut Vec<u64>, images: &mut Vec<u8>) {
         let StagedTx {
             tx,
@@ -905,7 +905,7 @@ impl Journal {
             };
             let abs = self.geo.ring_block(slot);
             blocks.push(abs);
-            encode_slot(abs, &intent, grow(images, bs));
+            encode_slot(&self.keys, abs, &intent, grow(images, bs));
             seq += 1;
             slot += 1;
             for (_, image) in chunk {
@@ -927,7 +927,7 @@ impl Journal {
         };
         let abs = self.geo.ring_block(slot);
         blocks.push(abs);
-        encode_slot(abs, &commit_slot, grow(images, bs));
+        encode_slot(&self.keys, abs, &commit_slot, grow(images, bs));
         self.keys
             .apply_many(&blocks[run_blocks..], &mut images[run_images..]);
     }
@@ -1149,7 +1149,7 @@ impl Journal {
     /// Returns its targets and their images if every intent, payload and
     /// the commit slot check out; `None` for anything torn or incomplete.
     /// Each intent's payloads are decrypted and checked as one run: one
-    /// batched hash call for their IVs, one for their checks.
+    /// batched hash call for their IVs, one batched check call.
     fn walk_tx(
         &self,
         decoded: &[Option<Slot>],

@@ -29,10 +29,37 @@
 //! into every payload checksum), so replay can distinguish a current record
 //! from a stale same-position record of an earlier ring generation without
 //! exposing a plaintext counter on disk.
+//!
+//! # The checks (format v3)
+//!
+//! A structured slot's first [`CHECK_LEN`] bytes check the rest of its
+//! plaintext, bound to the slot's absolute block number; an intent entry's
+//! check covers one payload image, bound to the payload's sequence number.
+//! Both are the keyed AES check of [`stegfs_crypto::check`] (one AES pass
+//! per 16 bytes) under a subkey of the journal key, with a tweak carrying a
+//! domain byte and the bound number.  Format v2 spent them on SHA-256; v3
+//! keeps their length and position, so no slot layout moved.
+//!
+//! **What the key buys.**  Slots are AES-CTR ciphertext, and CTR is
+//! malleable: XORing δ into a slot's ciphertext XORs δ into its plaintext.
+//! An unkeyed check that is linear over XOR (a CRC, an XOR fold) would
+//! accept every δ in its kernel, so bit flips chosen that way would replay
+//! as a valid record.  Under a keyed PRF they fail the check like a torn
+//! write.  The journal key is volume-public, though (see [`JournalKeys`]),
+//! so against someone who derives it the check stops torn writes and random
+//! damage, not forgery.
+//!
+//! **Deniability.**  The checks live inside journal-key ciphertext at their
+//! v2 lengths, so a keyless inspector sees the same uniform slots as
+//! before.  An inspector who derives the journal key learns nothing from
+//! them either: a payload's check is a public function of the payload image
+//! that sits beside it in the same ring, and the payload is object-key
+//! ciphertext for a hidden update, just as it was under v2.
 
+use stegfs_crypto::check::{tweak, KeyedCheck, TAG_LEN};
 use stegfs_crypto::kdf::{derive_key, derive_subkey};
 use stegfs_crypto::modes::{derive_iv, CtrCipher};
-use stegfs_crypto::sha256::{sha256_concat, sha256_many, DIGEST_LEN};
+use stegfs_crypto::sha256::DIGEST_LEN;
 
 /// Magic bytes identifying a structured journal slot (after decryption).
 pub const SLOT_MAGIC: [u8; 4] = *b"SJRN";
@@ -41,9 +68,9 @@ pub const SLOT_MAGIC: [u8; 4] = *b"SJRN";
 /// pair: a torn anchor write can destroy at most one of them).
 pub const ANCHOR_SLOTS: u64 = 2;
 
-/// Bytes of the truncated SHA-256 integrity check in each structured slot
-/// and each intent payload-checksum entry.
-pub const CHECK_LEN: usize = 16;
+/// Bytes of the keyed integrity check in each structured slot and each
+/// intent payload-checksum entry: a whole tag.
+pub const CHECK_LEN: usize = TAG_LEN;
 
 /// Byte offset where kind-specific content starts inside a structured slot.
 pub const SLOT_BODY: usize = CHECK_LEN + 4 + 1 + 3 + 8 + 8; // check, magic, kind, pad, seq, txid
@@ -98,12 +125,14 @@ impl SlotKind {
 /// records are structurally identical to the dummy-file maintenance records
 /// that churn constantly, so observed journal activity attributes to nothing.
 ///
-/// Like `ObjectKeys`, the key set holds the **expanded** AES-CTR schedule:
-/// key expansion runs once per mount in [`JournalKeys::derive`], not once per
-/// slot, and both the raw key and the round keys are zeroed on drop.
+/// Like `ObjectKeys`, the key set holds the **expanded** AES-CTR schedule,
+/// and beside it the expanded check key: key expansion runs once per mount
+/// in [`JournalKeys::derive`], not once per slot, and the raw key, the round
+/// keys and the check's offsets are zeroed on drop.
 pub struct JournalKeys {
     enc_key: [u8; DIGEST_LEN],
     cipher: CtrCipher,
+    check: KeyedCheck,
 }
 
 impl Drop for JournalKeys {
@@ -113,13 +142,18 @@ impl Drop for JournalKeys {
 }
 
 impl JournalKeys {
-    /// Derive the journal key set from the volume's journal salt.
-    pub fn derive(salt: u64) -> Self {
+    /// Derive the journal key set from the volume's journal salt, for slots
+    /// of `block_size` bytes.
+    pub fn derive(salt: u64, block_size: usize) -> Self {
         let master = derive_key(&salt.to_be_bytes(), b"stegfs/journal", b"journal-region");
         let enc_key = derive_subkey(&master, b"journal-slot-encryption");
+        let mut check_key = derive_subkey(&master, b"journal-check");
+        let check = KeyedCheck::new(&check_key, block_size);
+        stegfs_crypto::ct::zeroize(&mut check_key);
         JournalKeys {
             cipher: CtrCipher::new(&enc_key),
             enc_key,
+            check,
         }
     }
 
@@ -142,49 +176,37 @@ impl JournalKeys {
         self.cipher.apply_run(&self.enc_key, abs_blocks, data);
     }
 
-    /// Truncated integrity check of a payload image at sequence `seq`.  An
-    /// intent's payloads go through [`payload_checks`](Self::payload_checks),
-    /// which hashes them side by side with the same result.
+    /// Integrity check of a payload image at sequence `seq`.  An intent's
+    /// payloads go through [`payload_checks`](Self::payload_checks), which
+    /// checks them side by side with the same result.
     pub fn payload_check(&self, image: &[u8], seq: u64) -> [u8; CHECK_LEN] {
-        truncated(&sha256_concat(&[PAYLOAD_CHECK, &seq.to_be_bytes(), image]))
+        self.check.tag(&tweak(PAYLOAD_DOMAIN, seq), image)
     }
 
     /// [`payload_check`](Self::payload_check) of every image, the `i`-th at
-    /// sequence `first_seq + i`, from one batched hash call.
+    /// sequence `first_seq + i`, from one batched call.
     pub fn payload_checks<'a>(
         &self,
         first_seq: u64,
-        images: impl ExactSizeIterator<Item = &'a [u8]>,
+        images: impl Iterator<Item = &'a [u8]>,
     ) -> Vec<[u8; CHECK_LEN]> {
-        let seqs: Vec<[u8; 8]> = (first_seq..)
-            .take(images.len())
-            .map(u64::to_be_bytes)
-            .collect();
-        sha256_many(
-            seqs.iter()
-                .zip(images)
-                .map(|(seq, image)| [PAYLOAD_CHECK, seq, image]),
+        self.check.tags(
+            images
+                .zip(first_seq..)
+                .map(|(image, seq)| (image, tweak(PAYLOAD_DOMAIN, seq))),
         )
-        .iter()
-        .map(truncated)
-        .collect()
+    }
+
+    /// Integrity check of a structured slot's plaintext past the check
+    /// field, bound to its absolute block number.
+    fn slot_check(&self, abs_block: u64, body: &[u8]) -> [u8; CHECK_LEN] {
+        self.check.tag(&tweak(SLOT_DOMAIN, abs_block), body)
     }
 }
 
-/// Domain separation of the payload checks.
-const PAYLOAD_CHECK: &[u8] = b"stegfs-journal-payload";
-
-fn truncated(digest: &[u8; DIGEST_LEN]) -> [u8; CHECK_LEN] {
-    *digest.first_chunk().expect("a digest outgrows a check")
-}
-
-fn slot_check(abs_block: u64, body: &[u8]) -> [u8; CHECK_LEN] {
-    truncated(&sha256_concat(&[
-        b"stegfs-journal-slot",
-        &abs_block.to_be_bytes(),
-        body,
-    ]))
-}
+/// Tweak domains of the journal's checks: payload images, structured slots.
+const PAYLOAD_DOMAIN: u8 = 1;
+const SLOT_DOMAIN: u8 = 2;
 
 /// A decoded structured slot.
 #[derive(Debug, Clone)]
@@ -252,7 +274,7 @@ fn encode_common(buf: &mut [u8], kind: SlotKind, seq: u64, txid: u64) {
 /// into `buf`, one block long, in place: [`encode_slot`], then the slot's
 /// keystream.
 pub fn seal_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, buf: &mut [u8]) {
-    encode_slot(abs_block, slot, buf);
+    encode_slot(keys, abs_block, slot, buf);
     keys.apply(abs_block, buf);
 }
 
@@ -260,7 +282,7 @@ pub fn seal_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, buf: &mut [u8]
 /// one block long, check included but not yet encrypted.  A run of slots
 /// encoded side by side is encrypted with one [`JournalKeys::apply_many`],
 /// to the bytes [`seal_slot`] gives each.
-pub fn encode_slot(abs_block: u64, slot: &Slot, buf: &mut [u8]) {
+pub fn encode_slot(keys: &JournalKeys, abs_block: u64, slot: &Slot, buf: &mut [u8]) {
     buf.fill(0);
     encode_common(buf, slot.kind, slot.seq, slot.txid);
     let mut off = SLOT_BODY;
@@ -291,7 +313,7 @@ pub fn encode_slot(abs_block: u64, slot: &Slot, buf: &mut [u8]) {
             buf[off..off + 8].copy_from_slice(&tail_seq.to_be_bytes());
         }
     }
-    let check = slot_check(abs_block, &buf[CHECK_LEN..]);
+    let check = keys.slot_check(abs_block, &buf[CHECK_LEN..]);
     buf[..CHECK_LEN].copy_from_slice(&check);
 }
 
@@ -304,7 +326,7 @@ pub fn open_slot(keys: &JournalKeys, abs_block: u64, raw: &[u8]) -> Option<Slot>
     }
     let mut buf = raw.to_vec();
     keys.apply(abs_block, &mut buf);
-    if buf[..CHECK_LEN] != slot_check(abs_block, &buf[CHECK_LEN..]) {
+    if buf[..CHECK_LEN] != keys.slot_check(abs_block, &buf[CHECK_LEN..]) {
         return None;
     }
     if buf[CHECK_LEN..CHECK_LEN + 4] != SLOT_MAGIC {
@@ -367,7 +389,7 @@ mod tests {
 
     #[test]
     fn slot_roundtrip_all_kinds() {
-        let keys = JournalKeys::derive(0xfeed);
+        let keys = JournalKeys::derive(0xfeed, 1024);
         for slot in [
             Slot {
                 kind: SlotKind::Intent,
@@ -435,7 +457,7 @@ mod tests {
 
     #[test]
     fn a_run_encoded_then_encrypted_once_is_sealed_slot_by_slot() {
-        let keys = JournalKeys::derive(0xfeed);
+        let keys = JournalKeys::derive(0xfeed, 1024);
         let intent = Slot {
             kind: SlotKind::Intent,
             seq: 7,
@@ -460,9 +482,9 @@ mod tests {
         let mut run = vec![0xeeu8; 3 * 1024];
         let (intent_buf, rest) = run.split_at_mut(1024);
         let (payload_buf, commit_buf) = rest.split_at_mut(1024);
-        encode_slot(abs[0], &intent, intent_buf);
+        encode_slot(&keys, abs[0], &intent, intent_buf);
         payload_buf.copy_from_slice(&payload);
-        encode_slot(abs[2], &commit, commit_buf);
+        encode_slot(&keys, abs[2], &commit, commit_buf);
         keys.apply_many(&abs, &mut run);
 
         let mut sealed_payload = payload;
@@ -478,7 +500,7 @@ mod tests {
 
     #[test]
     fn wrong_position_or_torn_bytes_rejected() {
-        let keys = JournalKeys::derive(1);
+        let keys = JournalKeys::derive(1, 512);
         let slot = Slot {
             kind: SlotKind::Commit,
             seq: 3,
@@ -499,13 +521,61 @@ mod tests {
         // Random fill fails.
         assert!(open_slot(&keys, 10, &[0xa5u8; 512]).is_none());
         // The wrong key fails.
-        assert!(open_slot(&JournalKeys::derive(2), 10, &sealed).is_none());
+        assert!(open_slot(&JournalKeys::derive(2, 512), 10, &sealed).is_none());
+    }
+
+    #[test]
+    fn the_same_delta_at_two_offsets_is_caught() {
+        // CTR lets anyone XOR a chosen δ into the plaintext through the
+        // ciphertext; δ at two 16-byte offsets cancels in any XOR fold of
+        // the slot's blocks, so only a keyed check catches it.
+        let keys = JournalKeys::derive(3, 1024);
+        let slot = Slot {
+            kind: SlotKind::Commit,
+            seq: 5,
+            txid: 4,
+            body: SlotBody::Commit {
+                n_targets: 1,
+                total_slots: 3,
+            },
+        };
+        let mut sealed = sealed(&keys, 77, &slot, 1024);
+        for at in [SLOT_BODY + 16, SLOT_BODY + 48] {
+            for (b, d) in sealed[at..at + 16].iter_mut().zip(0x01u8..) {
+                *b ^= d;
+            }
+        }
+        assert!(open_slot(&keys, 77, &sealed).is_none());
+
+        let image = vec![0x5au8; 1024];
+        let mut moved = image.clone();
+        for at in [0, 512] {
+            moved[at] ^= 0x80;
+        }
+        assert_ne!(keys.payload_check(&moved, 9), keys.payload_check(&image, 9));
+    }
+
+    #[test]
+    fn checks_match_the_recorded_values() {
+        // Pinned: every v3 journal's slot and payload checks hang off the
+        // check-key derivation, the domains and the construction.
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let keys = JournalKeys::derive(0x5eed, 1024);
+        let image: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
+        assert_eq!(
+            hex(&keys.payload_check(&image, 42)),
+            "24052d56ad7ec1536d117b13d522786b"
+        );
+        assert_eq!(
+            hex(&keys.slot_check(600, &image[CHECK_LEN..])),
+            "604ec1ae2b2cc8def39df034672e2898"
+        );
     }
 
     #[test]
     fn sealed_slots_look_uniform() {
         // An all-zero commit slot must not leave recognizable structure.
-        let keys = JournalKeys::derive(7);
+        let keys = JournalKeys::derive(7, 4096);
         let slot = Slot {
             kind: SlotKind::Commit,
             seq: 1,
@@ -522,7 +592,7 @@ mod tests {
 
     #[test]
     fn payload_checks_bind_seq_and_content() {
-        let keys = JournalKeys::derive(9);
+        let keys = JournalKeys::derive(9, 1024);
         let image = vec![0x5au8; 1024];
         let check = keys.payload_check(&image, 77);
         assert_eq!(keys.payload_check(&image, 77), check);
@@ -537,7 +607,7 @@ mod tests {
 
     #[test]
     fn batched_checks_and_ciphers_match_the_single_slot_forms() {
-        let keys = JournalKeys::derive(9);
+        let keys = JournalKeys::derive(9, 1024);
         let images: Vec<u8> = (0..17 * 1024).map(|i| (i % 251) as u8).collect();
         let single: Vec<_> = images
             .chunks_exact(1024)
@@ -559,7 +629,7 @@ mod tests {
     #[test]
     fn one_key_expansion_per_mount_not_per_slot() {
         use stegfs_crypto::aes::Aes;
-        let keys = JournalKeys::derive(0xabcd);
+        let keys = JournalKeys::derive(0xabcd, 1024);
         let image = vec![0x3cu8; 1024];
         let mut run = image.repeat(256);
         // The counter is process-global and other tests expand keys

@@ -5,8 +5,8 @@
 //! bitmap, journal ring, plain and hidden blocks — exactly where the commit
 //! that recorded the constant below left it.  `tests/coded_rmw.rs` pins the
 //! coded hidden path on an unjournaled volume; this pins what it does not
-//! reach: the ring's AES-CTR slots, their SHA-256 slot and payload checks,
-//! and the anchor the final checkpoint writes.
+//! reach: the ring's AES-CTR slots, their keyed AES slot and payload checks
+//! (format v3), and the anchor the final checkpoint writes.
 
 use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice};
 use stegfs_core::{ObjectKind, StegFs};

@@ -990,3 +990,194 @@ fn a_crash_during_an_anchor_flush_replays_cleanly() {
         }
     }
 }
+
+/// The fixed state the patch-script cases start from: a journaled volume
+/// holding the old bytes of hidden `h` and plain `/p`, synced, as a raw
+/// image.
+struct PatchScript {
+    image: Vec<u8>,
+    old_hidden: Vec<u8>,
+    new_hidden: Vec<u8>,
+    patch: Vec<u8>,
+    old_plain: Vec<u8>,
+    new_plain: Vec<u8>,
+}
+
+/// Blocks of the patch-script volume: small, since every case copies it.
+const SCRIPT_BLOCKS: u64 = 2048;
+
+/// Where the patch lands in `h`: sixteen whole blocks in its middle.
+const PATCH_AT: usize = 8 * 1024;
+
+impl PatchScript {
+    fn new() -> Self {
+        let old_hidden = payload(21, 40 * 1024);
+        let patch = payload(22, 16 * 1024);
+        let mut new_hidden = old_hidden.clone();
+        new_hidden[PATCH_AT..PATCH_AT + patch.len()].copy_from_slice(&patch);
+        let (old_plain, new_plain) = (payload(23, 6 * 1024), payload(24, 9 * 1024));
+
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, SCRIPT_BLOCKS));
+        let fs = StegFs::format(
+            BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
+            params(),
+        )
+        .unwrap();
+        fs.steg_create("h", OWNER, ObjectKind::File).unwrap();
+        fs.write_hidden_with_key("h", OWNER, &old_hidden).unwrap();
+        fs.write_plain("/p", &old_plain).unwrap();
+        fs.sync().unwrap();
+        drop(fs);
+        assert_eq!(dev.pending_writes(), 0, "the setup is durable");
+        let image = (0..dev.total_blocks())
+            .flat_map(|b| dev.read_block_vec(b).unwrap())
+            .collect();
+        PatchScript {
+            image,
+            old_hidden,
+            new_hidden,
+            patch,
+            old_plain,
+            new_plain,
+        }
+    }
+
+    /// A fresh write-cache device holding the setup image.
+    fn device(&self) -> FaultDevice<MemBlockDevice> {
+        let mem = MemBlockDevice::new(1024, SCRIPT_BLOCKS);
+        for (b, block) in self.image.chunks_exact(1024).enumerate() {
+            mem.write_block(b as u64, block).unwrap();
+        }
+        FaultDevice::with_write_cache(mem)
+    }
+
+    /// The script: a 16 KiB patch of `h`, a rewrite of `/p`, a sync.
+    fn run(&self, fs: &Stack) -> Result<(), stegfs_core::StegError> {
+        fs.write_hidden_range_with_key("h", OWNER, PATCH_AT as u64, &self.patch)?;
+        fs.write_plain("/p", &self.new_plain)?;
+        fs.sync()
+    }
+
+    /// Whether the script finishes, untripped, on a device that dies after
+    /// `trip` block writes.
+    fn finishes_within(&self, trip: u64) -> bool {
+        let dev = self.device();
+        let fs = mount_stack(&dev);
+        dev.fail_after_writes(trip);
+        self.run(&fs).is_ok() && dev.injected() == 0
+    }
+
+    /// Both files read back whole, each entirely old or entirely new, and
+    /// every block has one owner.
+    fn assert_old_or_new(&self, fs: &Stack, at: &str) {
+        let hidden = read_hidden(fs, "h").unwrap();
+        assert!(
+            hidden == self.old_hidden || hidden == self.new_hidden,
+            "{at}: hidden file is neither the old nor the new bytes"
+        );
+        let plain = fs.read_plain("/p").unwrap();
+        assert!(
+            plain == self.old_plain || plain == self.new_plain,
+            "{at}: plain file is neither the old nor the new bytes"
+        );
+        assert_no_double_ownership(fs);
+    }
+}
+
+/// Every crash point of one short script, three crash seeds each: the
+/// device dies after the script's first `trip` block writes, for every
+/// `trip` short of the count that lets the script finish, then replay runs
+/// at remount.  Every slot and payload a replay accepts passed the keyed
+/// journal checks, so neither file may come back as a mix of old and new.
+#[test]
+fn every_write_trip_of_a_patch_and_a_plain_write_replays_old_or_new() {
+    let script = PatchScript::new();
+    // The script's block writes: the fewest after which it still finishes.
+    let (mut lo, mut hi) = (0u64, 1024u64);
+    assert!(script.finishes_within(hi));
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if script.finishes_within(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let writes = lo;
+    assert!(writes > 20, "the script finished after {writes} writes");
+    // Two workers, alternate trips: each case mounts twice.
+    std::thread::scope(|s| {
+        for first in 0..2 {
+            let script = &script;
+            s.spawn(move || {
+                for trip in (first..writes).step_by(2) {
+                    for seed in [1u64, 2, 3] {
+                        let dev = script.device();
+                        let fs = mount_stack(&dev);
+                        dev.fail_after_writes(trip);
+                        let _ = script.run(&fs);
+                        drop(fs);
+                        dev.crash(seed ^ trip << 8);
+                        let fs = mount_stack(&dev);
+                        script.assert_old_or_new(&fs, &format!("trip {trip}, seed {seed}"));
+                    }
+                }
+            });
+        }
+    });
+    // Untripped, the script lands whole.
+    let dev = script.device();
+    let fs = mount_stack(&dev);
+    script.run(&fs).unwrap();
+    drop(fs);
+    let fs = mount_stack(&dev);
+    assert_eq!(read_hidden(&fs, "h").unwrap(), script.new_hidden);
+    assert_eq!(fs.read_plain("/p").unwrap(), script.new_plain);
+}
+
+/// The patch's transaction is durable in the ring and none of its home
+/// blocks reached the device.  Replay applies it; with bits flipped in one
+/// of its payload slots, the payload's keyed check fails, replay drops the
+/// whole transaction, and the old bytes stay.
+#[test]
+fn a_damaged_payload_slot_drops_its_transaction_at_replay() {
+    let script = PatchScript::new();
+    for flip in [false, true] {
+        let dev = script.device();
+        let fs = mount_stack(&dev);
+        let sb = fs.plain_fs().superblock().clone();
+        let before: Vec<Vec<u8>> = (0..sb.total_blocks)
+            .map(|b| dev.read_block_vec(b).unwrap())
+            .collect();
+        fs.write_hidden_range_with_key("h", OWNER, PATCH_AT as u64, &script.patch)
+            .unwrap();
+        drop(fs);
+        assert_eq!(dev.pending_writes(), 0, "the commit flushed the ring");
+        let journal = sb.journal_start..sb.journal_start + sb.journal_blocks;
+        let changed: Vec<u64> = (0..sb.total_blocks)
+            .filter(|&b| dev.read_block_vec(b).unwrap() != before[b as usize])
+            .collect();
+        assert!(
+            changed.iter().all(|b| journal.contains(b)),
+            "only ring slots reached the device: {changed:?}"
+        );
+        // Intent, at least sixteen payloads, commit: the slot after the
+        // intent is a payload.
+        assert!(changed.len() >= 18, "ring slots written: {changed:?}");
+        if flip {
+            dev.flip_bits(changed[1], 8, 0x5107).unwrap();
+        }
+        let fs = mount_stack(&dev);
+        let want = if flip {
+            &script.old_hidden
+        } else {
+            &script.new_hidden
+        };
+        assert!(
+            &read_hidden(&fs, "h").unwrap() == want,
+            "flip {flip}: replay gave the wrong bytes"
+        );
+        assert_eq!(fs.read_plain("/p").unwrap(), script.old_plain);
+        assert_no_double_ownership(&fs);
+    }
+}

@@ -331,6 +331,43 @@ fn per_object_policy_overrides_the_volume_default() {
     ));
 }
 
+/// AES-CTR is malleable: XORing δ into a share's ciphertext XORs δ into its
+/// plaintext, and needs no key.  The same δ at two 16-byte offsets cancels in
+/// any XOR fold of the share's blocks, so an unkeyed linear check would pass
+/// the modified share and let it poison its group.  The keyed share check
+/// catches it: the degraded read returns the original bytes from the
+/// group's other shares, and the scavenger rewrites the share to its
+/// pristine ciphertext.
+#[test]
+fn a_share_modified_through_its_ciphertext_is_caught_and_repaired() {
+    let fs = coded_volume(2, 3, 8192);
+    let data = payload(0xc7, 9_000);
+    fs.steg_create("obj", OWNER, ObjectKind::File).unwrap();
+    fs.write_hidden_with_key("obj", OWNER, &data).unwrap();
+    let pristine = raw_image(&fs);
+
+    // A primary share, so the read must notice and fall back.
+    let victim = fs.hidden_share_extents("obj", OWNER).unwrap()[1][0];
+    let dev = fs.plain_fs().device().clone();
+    let mut block = dev.read_block_vec(victim).unwrap();
+    let delta: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) | 1);
+    for at in [64, 512] {
+        for (b, d) in block[at..at + 16].iter_mut().zip(delta) {
+            *b ^= d;
+        }
+    }
+    dev.write_block(victim, &block).unwrap();
+    fs.purge_read_caches();
+
+    assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), data);
+    let report = scavenge(&fs, &[OWNER]).unwrap();
+    assert!(report.all_recovered(), "{report:?}");
+    assert_eq!(report.objects_repaired, 1);
+    assert_eq!(raw_image(&fs), pristine);
+    fs.purge_read_caches();
+    assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), data);
+}
+
 /// Repair under concurrency: degraded readers race the keyed scavenger,
 /// and a full rewrite racing a scavenge pass must never let the repair
 /// resurrect the superseded incarnation.
