@@ -86,12 +86,15 @@ fn zero_shares(fs: &CodedVolume, name: &str, g: usize, losses: usize) {
     fs.purge_read_caches();
 }
 
-/// SHA-256 of the raw device after the fixed operation sequence below,
-/// recorded from the commit that still decoded every group it overwrote and
-/// ran the per-byte IDA: the slice kernels and the edge-only plan must leave
-/// every share, checksum, chain node and header byte where that code put it.
+/// SHA-256 of the raw device after the fixed operation sequence below.
+/// First recorded from the commit that still decoded every group it
+/// overwrote and ran the per-byte IDA: the slice kernels and the edge-only
+/// plan must leave every share, checksum, chain node and header byte where
+/// that code put it.  Re-recorded for format v3, whose keyed share checks
+/// changed the superblock's version field and the coded objects' header and
+/// chain-node blocks, and no other block.
 const GOLDEN_IMAGE_SHA256: &str =
-    "f06c183a68522d69e206f6dcdbe042d29d092d57c04b9665d8d9f7f2f06a9855";
+    "773a0127f259e5c8d29824b0b7cb41e03517e4409b37d9d0387effe9d851e5e7";
 
 #[test]
 fn golden_coded_volume_image_is_bit_identical() {
