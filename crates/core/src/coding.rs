@@ -7,8 +7,7 @@
 //! Mnemosyne line of work (Hand & Roscoe, cited in §2 of the paper) names
 //! the fix: disperse each object into `n` cipher-shares such that **any `m`
 //! of them** reconstruct it — Rabin's Information Dispersal Algorithm,
-//! implemented in [`stegfs_baselines::Ida`] and promoted here from a
-//! benchmark baseline into the core write path.
+//! implemented in [`stegfs_crypto::ida::Ida`] and run by the core write path.
 //!
 //! A [`Policy`] travels in the (encrypted, signature-checked) object header,
 //! so every object picks its own durability/space trade-off:
@@ -23,7 +22,7 @@
 //!   replication).
 //!
 //! **What it costs.**  One `GroupCodec` is built per operation and runs
-//! the plane kernels of [`stegfs_baselines::ida`]: a group's `m`-byte tuples
+//! the plane kernels of [`stegfs_crypto::ida`]: a group's `m`-byte tuples
 //! are de-interleaved into `m` planes on the stack, and every share is `m`
 //! contiguous multiply-accumulate passes over them — two `vpshufb` per 32
 //! bytes where the CPU has AVX2, one table load and XOR per byte elsewhere
@@ -66,9 +65,8 @@
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
 use crate::scratch::Scratch;
-use stegfs_baselines::ida::Decoder;
-use stegfs_baselines::Ida;
 use stegfs_crypto::check::{KeyedCheck, TAG_LEN};
+use stegfs_crypto::ida::{Decoder, Ida};
 
 /// Durability policy of one hidden object, carried in its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

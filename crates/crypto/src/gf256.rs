@@ -1,12 +1,15 @@
-//! Slice kernels over GF(2⁸): the three primitives Rabin's Information
-//! Dispersal Algorithm (`stegfs_baselines::ida`) is built from.
+//! GF(2⁸), the field of Rabin's Information Dispersal Algorithm
+//! ([`crate::ida`]): the scalar field that builds and inverts the coding
+//! matrices, and the three slice kernels that apply them.
 //!
 //! The field is GF(2)\[x\] / (x⁸ + x⁴ + x³ + x + 1) — the AES polynomial
-//! 0x11b, and the same bit-serial multiply [`crate::aes`] expands its tables
-//! with.  Coding a buffer is a matrix product over byte tuples; laid out as
-//! *planes* (plane `i` holds byte `i` of every `m`-byte tuple) it becomes a
-//! handful of contiguous passes `dst[k] ^= c · src[k]`, one per matrix
-//! coefficient:
+//! 0x11b — and its one multiply is `aes::gf_mul`, the bit-serial multiply
+//! [`crate::aes`] expands its tables with.  Scalars are few: [`pow`] builds the Vandermonde rows,
+//! and [`inv`] and [`invert`] the decode matrix, once per codec or share
+//! subset.  Coding a buffer is a matrix product over byte tuples; laid out
+//! as *planes* (plane `i` holds byte `i` of every `m`-byte tuple) it
+//! becomes a handful of contiguous passes `dst[k] ^= c · src[k]`, one per
+//! matrix coefficient:
 //!
 //! * [`Multiplier::mul_acc`] is that pass;
 //! * [`deinterleave`] cuts tuples into planes, [`interleave`] is its inverse.
@@ -32,6 +35,108 @@
 
 use crate::aes::gf_mul;
 use crate::hw::Avx2;
+
+/// Exponentiation `a^e`.
+pub fn pow(a: u8, mut e: u32) -> u8 {
+    let mut result = 1u8;
+    let mut base = a;
+    while e > 0 {
+        if e & 1 == 1 {
+            result = gf_mul(result, base);
+        }
+        base = gf_mul(base, base);
+        e >>= 1;
+    }
+    result
+}
+
+/// Multiplicative inverse: `a^254`, since `a^255 = 1` for every `a ≠ 0`.
+///
+/// # Panics
+/// Panics if `a == 0` (zero has no inverse).
+pub fn inv(a: u8) -> u8 {
+    assert!(a != 0, "zero has no multiplicative inverse in GF(256)");
+    pow(a, 254)
+}
+
+/// Gauss–Jordan elimination over GF(2⁸), in place: reduce the leading
+/// `n × n` part of `m` (`n = m.len()`) to the identity, carrying every
+/// further column of each row along.  Returns `None` if that part is
+/// singular.
+fn eliminate(m: &mut [Vec<u8>]) -> Option<()> {
+    let n = m.len();
+    for col in 0..n {
+        // Find a pivot.
+        let pivot = (col..n).find(|&r| m[r][col] != 0)?;
+        m.swap(col, pivot);
+        // Normalise the pivot row.
+        let p_inv = inv(m[col][col]);
+        for v in m[col].iter_mut() {
+            *v = gf_mul(*v, p_inv);
+        }
+        // Eliminate the column from all other rows.
+        let pivot_row = m[col].clone();
+        for (row, row_vals) in m.iter_mut().enumerate() {
+            if row != col && row_vals[col] != 0 {
+                let factor = row_vals[col];
+                for (cell, &pv) in row_vals.iter_mut().zip(&pivot_row) {
+                    *cell ^= gf_mul(factor, pv);
+                }
+            }
+        }
+    }
+    Some(())
+}
+
+/// Invert the square matrix `M` (row-major) over GF(2⁸).  Returns `None` if
+/// `M` is singular.
+pub fn invert(matrix: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {
+    let n = matrix.len();
+    let mut m: Vec<Vec<u8>> = matrix
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            assert_eq!(row.len(), n, "matrix must be square");
+            let mut r = row.clone();
+            r.extend((0..n).map(|j| u8::from(i == j)));
+            r
+        })
+        .collect();
+    eliminate(&mut m)?;
+    Some(m.into_iter().map(|mut row| row.split_off(n)).collect())
+}
+
+/// Evaluate the polynomial `coeffs[0] + coeffs[1] x + …` at `x` (Horner).
+/// One share byte of the per-byte IDA the slice kernels are tested against.
+#[cfg(test)]
+pub(crate) fn poly_eval(coeffs: &[u8], x: u8) -> u8 {
+    let mut acc = 0u8;
+    for &c in coeffs.iter().rev() {
+        acc = gf_mul(acc, x) ^ c;
+    }
+    acc
+}
+
+/// Solve the linear system `M · a = y` over GF(2⁸) by Gaussian elimination,
+/// where `M` is given in row-major order.  Returns `None` if `M` is singular.
+/// One byte tuple of the per-byte IDA the slice kernels are tested against.
+#[cfg(test)]
+pub(crate) fn solve(matrix: &[Vec<u8>], rhs: &[u8]) -> Option<Vec<u8>> {
+    let n = rhs.len();
+    assert_eq!(matrix.len(), n, "matrix must be square");
+    let mut m: Vec<Vec<u8>> = matrix
+        .iter()
+        .zip(rhs)
+        .map(|(row, &y)| {
+            assert_eq!(row.len(), n, "matrix must be square");
+            let mut r = row.clone();
+            r.push(y);
+            r
+        })
+        .collect();
+    eliminate(&mut m)?;
+    Some(m.iter().map(|row| row[n]).collect())
+}
 
 /// Multiplication by one field element, ready to run over slices.
 ///
@@ -218,6 +323,113 @@ mod tests {
 
     fn noise(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 167 + 13) as u8).collect()
+    }
+
+    #[test]
+    fn field_axioms_spot_checks() {
+        for a in [1u8, 2, 7, 0x53, 0xca, 0xff] {
+            assert_eq!(gf_mul(a, inv(a)), 1, "a * a^-1 = 1 for {a}");
+            assert_eq!(gf_mul(a, 1), a);
+            assert_eq!(gf_mul(a, 0), 0);
+        }
+        // Distributivity samples.
+        for (a, b, c) in [(3u8, 5u8, 7u8), (0x53, 0xca, 0x11), (255, 254, 253)] {
+            assert_eq!(gf_mul(a, b ^ c), gf_mul(a, b) ^ gf_mul(a, c));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no multiplicative inverse")]
+    fn inverse_of_zero_panics() {
+        inv(0);
+    }
+
+    #[test]
+    fn division_roundtrip() {
+        // Every element has the one inverse: (a / b) · b = a, and only
+        // inv(b) takes b to 1.
+        for b in 1..=255u8 {
+            let b_inv = inv(b);
+            assert_eq!(
+                (1..=255u8)
+                    .filter(|&x| gf_mul(x, b) == 1)
+                    .collect::<Vec<_>>(),
+                [b_inv]
+            );
+            for a in [1u8, 9, 0x42, 0xee] {
+                assert_eq!(gf_mul(gf_mul(a, b_inv), b), a, "{a} / {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn pow_basics() {
+        assert_eq!(pow(0x02, 0), 1);
+        assert_eq!(pow(0x02, 1), 2);
+        assert_eq!(pow(0x02, 8), gf_mul(pow(0x02, 4), pow(0x02, 4)));
+        // Fermat: a^255 = 1 for a != 0.
+        for a in [1u8, 2, 3, 0x53, 0xff] {
+            assert_eq!(pow(a, 255), 1);
+        }
+        assert_eq!(pow(0, 5), 0);
+    }
+
+    #[test]
+    fn poly_eval_horner() {
+        // p(x) = 3 + 2x + x^2 at x = 0, 1 in GF(256).
+        let p = [3u8, 2, 1];
+        assert_eq!(poly_eval(&p, 0), 3);
+        assert_eq!(poly_eval(&p, 1), 3 ^ 2 ^ 1);
+        // Constant polynomial.
+        assert_eq!(poly_eval(&[7], 0x55), 7);
+        assert_eq!(poly_eval(&[], 0x55), 0);
+    }
+
+    #[test]
+    fn solve_identity_and_vandermonde() {
+        // Identity system.
+        let m = vec![vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]];
+        assert_eq!(solve(&m, &[5, 6, 7]).unwrap(), vec![5, 6, 7]);
+
+        // Vandermonde system: recover coefficients from evaluations.
+        let coeffs = [0x12u8, 0x34, 0x56];
+        let xs = [1u8, 2, 3];
+        let ys: Vec<u8> = xs.iter().map(|&x| poly_eval(&coeffs, x)).collect();
+        let matrix: Vec<Vec<u8>> = xs
+            .iter()
+            .map(|&x| (0..3).map(|i| pow(x, i as u32)).collect())
+            .collect();
+        assert_eq!(solve(&matrix, &ys).unwrap(), coeffs.to_vec());
+    }
+
+    #[test]
+    fn invert_times_matrix_is_identity() {
+        let xs = [1u8, 4, 9, 200];
+        let matrix: Vec<Vec<u8>> = xs
+            .iter()
+            .map(|&x| (0..4).map(|i| pow(x, i)).collect())
+            .collect();
+        let inverse = invert(&matrix).unwrap();
+        for (i, inv_row) in inverse.iter().enumerate() {
+            // Row i of M⁻¹ · M, accumulated one scaled row of M at a time.
+            let mut product = [0u8; 4];
+            for (&weight, row) in inv_row.iter().zip(&matrix) {
+                for (cell, &v) in product.iter_mut().zip(row) {
+                    *cell ^= gf_mul(weight, v);
+                }
+            }
+            let identity: Vec<u8> = (0..4).map(|j| u8::from(i == j)).collect();
+            assert_eq!(product[..], identity[..], "row {i}");
+        }
+        assert!(invert(&[vec![1, 2], vec![1, 2]]).is_none());
+    }
+
+    #[test]
+    fn solve_detects_singular_matrix() {
+        let m = vec![vec![1, 2], vec![1, 2]];
+        assert!(solve(&m, &[3, 4]).is_none());
+        let zero = vec![vec![0, 0], vec![0, 0]];
+        assert!(solve(&zero, &[0, 0]).is_none());
     }
 
     #[test]

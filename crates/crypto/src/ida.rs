@@ -1,16 +1,15 @@
-//! Rabin's Information Dispersal Algorithm (IDA) over GF(2⁸).
+//! Rabin's Information Dispersal Algorithm (IDA) over GF(2⁸): the codec
+//! under every replicated and dispersed hidden object (`stegfs_core::coding`).
 //!
 //! Hand and Roscoe's Mnemosyne (cited in §2 of the StegFS paper) improves the
-//! resilience of the random-placement scheme by encoding each hidden file
-//! into `n` cipher-shares such that **any `m` of them** suffice to
-//! reconstruct it, instead of keeping `n` identical replicas.  The encoding
-//! is Rabin's IDA: the data is chopped into groups of `m` bytes which are
-//! interpreted as the coefficients of a degree-`m−1` polynomial; share `j`
-//! stores the polynomial's value at evaluation point `x_j`.  Reconstruction
-//! from any `m` shares solves the corresponding Vandermonde system.
-//!
-//! Storage blow-up is `n / m` (compared with `r` for `r`-way replication),
-//! which is where Mnemosyne's space advantage over plain StegRand comes from.
+//! resilience of random placement by encoding each hidden file into `n`
+//! cipher-shares such that **any `m` of them** suffice to reconstruct it,
+//! instead of keeping `n` identical replicas.  The encoding is Rabin's IDA:
+//! the data is chopped into groups of `m` bytes which are interpreted as the
+//! coefficients of a degree-`m−1` polynomial; share `j` stores the
+//! polynomial's value at evaluation point `x_j`.  Reconstruction from any
+//! `m` shares solves the corresponding Vandermonde system.  Storage blow-up
+//! is `n / m`, against `r` for `r`-way replication (`m = 1`).
 //!
 //! Both directions are a matrix product over planes.  The `n × m`
 //! Vandermonde encode matrix (one row per share) is fixed by `(m, n)` and
@@ -21,16 +20,14 @@
 //! into `m` contiguous planes — the layout shares already have — so that
 //! each coefficient is one `dst[k] ^= c · src[k]` pass over contiguous bytes
 //! (two `vpshufb` per 32 bytes where the CPU has AVX2, one table load per
-//! byte elsewhere; see [`stegfs_crypto::gf256`]), and decoded planes are
+//! byte elsewhere; see [`crate::gf256`]), and decoded planes are
 //! interleaved back.  The planes of a strip live in a fixed block on the
 //! stack that is wiped before it is given up: nothing is allocated per call
 //! and no plaintext stays behind.
 
-use crate::gf256;
-use crate::{BaselineError, BaselineResult};
+use crate::ct::zeroize;
+use crate::gf256::{self, deinterleave, interleave, Multiplier};
 use std::ops::Range;
-use stegfs_crypto::ct::zeroize;
-use stegfs_crypto::gf256::{deinterleave, interleave, Multiplier};
 
 /// Stack bytes the `m` planes of one strip share: small enough to stay in
 /// the L1 cache next to the shares it is coded against, and still a whole
@@ -41,6 +38,19 @@ const STRIP_BYTES: usize = 8192;
 fn strip_tuples(m: usize) -> usize {
     (STRIP_BYTES / m) & !31
 }
+
+/// A codec parameter or share set the IDA cannot use: what is wrong, in
+/// words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IdaError(String);
+
+impl std::fmt::Display for IdaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid argument: {}", self.0)
+    }
+}
+
+impl std::error::Error for IdaError {}
 
 /// An (m, n) information dispersal codec.
 #[derive(Clone, PartialEq, Eq)]
@@ -85,14 +95,12 @@ fn vandermonde_row(x: u8, m: usize) -> Vec<u8> {
 
 impl Ida {
     /// Create an (m, n) codec: split into `n` shares, any `m` reconstruct.
-    pub fn new(m: usize, n: usize) -> BaselineResult<Self> {
+    pub fn new(m: usize, n: usize) -> Result<Self, IdaError> {
         if m == 0 || n == 0 || m > n {
-            return Err(BaselineError::Invalid(format!(
-                "require 0 < m <= n, got m={m}, n={n}"
-            )));
+            return Err(IdaError(format!("require 0 < m <= n, got m={m}, n={n}")));
         }
         if n > 255 {
-            return Err(BaselineError::Invalid(format!(
+            return Err(IdaError(format!(
                 "at most 255 shares are supported, got n={n}"
             )));
         }
@@ -111,11 +119,6 @@ impl Ida {
     /// Number of shares produced.
     pub fn share_count(&self) -> usize {
         self.n
-    }
-
-    /// Storage expansion factor `n / m`.
-    pub fn expansion(&self) -> f64 {
-        self.n as f64 / self.m as f64
     }
 
     /// Split `data` into `n` shares.
@@ -186,9 +189,9 @@ impl Ida {
 
     /// The first `m` of `indices`, once they are known to be usable: rejects
     /// fewer than `m`, the reserved index 0 and duplicates.
-    fn check_indices<'a>(&self, indices: &'a [u8]) -> BaselineResult<&'a [u8]> {
+    fn check_indices<'a>(&self, indices: &'a [u8]) -> Result<&'a [u8], IdaError> {
         if indices.len() < self.m {
-            return Err(BaselineError::Invalid(format!(
+            return Err(IdaError(format!(
                 "need at least {} shares, got {}",
                 self.m,
                 indices.len()
@@ -198,12 +201,10 @@ impl Ida {
         let mut seen = [false; 256];
         for &index in indices {
             if index == 0 {
-                return Err(BaselineError::Invalid("share index 0 is reserved".into()));
+                return Err(IdaError("share index 0 is reserved".into()));
             }
             if seen[index as usize] {
-                return Err(BaselineError::Invalid(format!(
-                    "duplicate share index {index}"
-                )));
+                return Err(IdaError(format!("duplicate share index {index}")));
             }
             seen[index as usize] = true;
         }
@@ -214,13 +215,13 @@ impl Ida {
     /// them; fewer, a zero or a duplicate is an error): the Vandermonde
     /// submatrix is inverted once, and the [`Decoder`] then serves every
     /// share set with these indices.
-    pub fn decoder(&self, indices: &[u8]) -> BaselineResult<Decoder> {
+    pub fn decoder(&self, indices: &[u8]) -> Result<Decoder, IdaError> {
         self.check_indices(indices).map(Decoder::for_points)
     }
 
     /// Reconstruct the original data (of known length `data_len`) from any
     /// `m` or more shares.
-    pub fn reconstruct(&self, shares: &[Share], data_len: usize) -> BaselineResult<Vec<u8>> {
+    pub fn reconstruct(&self, shares: &[Share], data_len: usize) -> Result<Vec<u8>, IdaError> {
         // Everything that can be wrong with the shares is rejected before
         // the first field operation.
         let indices: Vec<u8> = shares.iter().map(|s| s.index).collect();
@@ -234,11 +235,11 @@ impl Ida {
 }
 
 /// Every share must hold one byte per `m`-byte tuple of the data.
-fn check_lengths(indices: &[u8], shares: &[&[u8]], data_len: usize) -> BaselineResult<()> {
+fn check_lengths(indices: &[u8], shares: &[&[u8]], data_len: usize) -> Result<(), IdaError> {
     let groups = data_len.div_ceil(indices.len());
     for (share, index) in shares.iter().zip(indices) {
         if share.len() < groups {
-            return Err(BaselineError::Invalid(format!(
+            return Err(IdaError(format!(
                 "share {index} is too short ({} < {groups})",
                 share.len()
             )));
@@ -269,10 +270,10 @@ impl Decoder {
     /// Reconstruct `out.len()` bytes of data into `out` from `shares`, given
     /// in the order of [`indices`](Self::indices).  Each share must hold at
     /// least `ceil(out.len() / m)` bytes.
-    pub fn reconstruct_into(&self, shares: &[&[u8]], out: &mut [u8]) -> BaselineResult<()> {
+    pub fn reconstruct_into(&self, shares: &[&[u8]], out: &mut [u8]) -> Result<(), IdaError> {
         let m = self.indices.len();
         if shares.len() != m {
-            return Err(BaselineError::Invalid(format!(
+            return Err(IdaError(format!(
                 "decoder takes {m} shares, got {}",
                 shares.len()
             )));
@@ -305,6 +306,7 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256;
     use proptest::prelude::*;
 
     fn sample_data(len: usize) -> Vec<u8> {
@@ -407,6 +409,63 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Share bytes are on-disk format: a field or kernel change that moves
+    /// one fails here, by name, before any image pin notices.  The digests
+    /// were recorded while the scalar field still multiplied through log/exp
+    /// tables, so they also show the bit-serial field gives the same shares.
+    /// The buffer is two strips and a ragged third at `m = 2` and `m = 4`,
+    /// with a short last tuple.
+    #[test]
+    fn shares_match_their_known_answers() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let data: Vec<u8> = (0..20_001)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect();
+        let hex = |d: [u8; 32]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(sha256(&data)),
+            "636a3a3cd1f7e472bb7bdc620e9211b3c8670b49cdb06701897edab7ae6dcc82"
+        );
+        for (m, n, want) in [
+            (
+                2,
+                3,
+                "0b95d51fd1ba98b1c9ec0c2589a672c7ead6ceb4189552e07e904fb976e56d39",
+            ),
+            (
+                4,
+                6,
+                "b17a12dbe6950a2aac93c72b2e670f69f786d803cdd58740708c714be87ecd18",
+            ),
+        ] {
+            let ida = Ida::new(m, n).unwrap();
+            assert!(data.len() > 2 * m * strip_tuples(m));
+            let shares = ida.split(&data);
+            let joined: Vec<u8> = shares.iter().flat_map(|s| s.data.clone()).collect();
+            assert_eq!(hex(sha256(&joined)), want, "({m},{n}) shares");
+            let mut flat = vec![0u8; joined.len()];
+            ida.split_into(&data, &mut flat);
+            assert_eq!(flat, joined, "({m},{n}) split_into");
+            // The last m shares, highest first, decode back.
+            let picks: Vec<u8> = (1..=n as u8).rev().take(m).collect();
+            let picked: Vec<&[u8]> = picks
+                .iter()
+                .map(|&i| &shares[usize::from(i) - 1].data[..])
+                .collect();
+            let mut out = vec![0u8; data.len()];
+            ida.decoder(&picks)
+                .unwrap()
+                .reconstruct_into(&picked, &mut out)
+                .unwrap();
+            assert!(out == data, "({m},{n}) round trip");
         }
     }
 
@@ -641,15 +700,17 @@ mod tests {
         for s in &shares {
             assert_eq!(s.data, data);
         }
-        assert_eq!(ida.expansion(), 3.0);
     }
 
     #[test]
     fn expansion_factor() {
-        assert_eq!(Ida::new(4, 8).unwrap().expansion(), 2.0);
-        assert!((Ida::new(3, 5).unwrap().expansion() - 1.6667).abs() < 1e-3);
-        assert_eq!(Ida::new(4, 8).unwrap().threshold(), 4);
-        assert_eq!(Ida::new(4, 8).unwrap().share_count(), 8);
+        // n shares of ceil(len / m) bytes each: n / m times the data.
+        for (m, n, stored) in [(4usize, 8usize, 2000usize), (3, 5, 1670)] {
+            let ida = Ida::new(m, n).unwrap();
+            assert_eq!((ida.threshold(), ida.share_count()), (m, n));
+            let shares = ida.split(&sample_data(1000));
+            assert_eq!(shares.iter().map(|s| s.data.len()).sum::<usize>(), stored);
+        }
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //! * [`bignum`] — fixed-capacity big unsigned integers.
 //! * [`rsa`] — textbook RSA key generation, encryption and decryption.
 //! * [`ct`] — constant-time comparison helpers.
-//! * [`gf256`] — multiply-accumulate and (de)interleave over slices in
-//!   GF(2⁸), the kernels under the information dispersal codec of
-//!   `stegfs-baselines`.
+//! * [`gf256`] — GF(2⁸): the scalar field that builds and inverts coding
+//!   matrices, and multiply-accumulate and (de)interleave over slices.
+//! * [`ida`] — Rabin's Information Dispersal Algorithm on those kernels: the
+//!   codec under every replicated and dispersed hidden object.
 //! * `hw` (private, x86-64 only) — the AES-NI and SHA-NI round functions
 //!   under [`aes`], [`modes`] and [`mod@sha256`], the VAES AES-CTR run
 //!   kernel under [`modes::CtrCipher`], the VAES keyed-check kernel under
@@ -80,6 +81,7 @@ mod hw;
 #[cfg(not(target_arch = "x86_64"))]
 #[path = "hw_none.rs"]
 mod hw;
+pub mod ida;
 pub mod kdf;
 pub mod modes;
 pub mod prng;

@@ -1,7 +1,7 @@
 //! Behavioural comparisons between StegFS and the prior schemes — the claims
 //! of §1 and §2 expressed as executable checks.
 
-use stegfs_baselines::{BaselineError, Mnemosyne, StegCover, StegRand};
+use stegfs_baselines::{BaselineError, StegCover, StegRand};
 use stegfs_blockdev::{MemBlockDevice, ObservedDevice};
 use stegfs_core::ObjectKind;
 use stegfs_obs::DeviceStats;
@@ -108,27 +108,6 @@ fn stegfs_uses_an_order_of_magnitude_fewer_ios_than_stegcover() {
 }
 
 #[test]
-fn mnemosyne_needs_less_space_than_replication_for_equal_tolerance() {
-    // Tolerating 2 lost copies: replication needs 3 copies (3x), a (4, 6)
-    // dispersal needs 1.5x.  Verify both actually tolerate the damage.
-    let data = payload(7, 30 * 1024);
-
-    let mut rand = StegRand::format(MemBlockDevice::new(1024, 8192), 3).unwrap();
-    rand.store("f", "pw", &data).unwrap();
-    let replication_overhead = 3.0;
-
-    // A roomier volume keeps the pseudorandom share placements collision-free
-    // (collisions are a property of the scheme, not what this test checks).
-    let mut mnem = Mnemosyne::format(MemBlockDevice::new(1024, 65_536), 4, 6).unwrap();
-    mnem.store("f", "pw", &data).unwrap();
-    let share_len = data.len().div_ceil(4);
-    mnem.clobber_share("f", "pw", 1, share_len).unwrap();
-    mnem.clobber_share("f", "pw", 4, share_len).unwrap();
-    assert_eq!(mnem.load("f", "pw", data.len()).unwrap(), data);
-    assert!(mnem.expansion() < replication_overhead);
-}
-
-#[test]
 fn stegfs_and_baselines_all_deny_wrong_credentials_identically() {
     let data = payload(5, 8 * 1024);
 
@@ -151,13 +130,6 @@ fn stegfs_and_baselines_all_deny_wrong_credentials_identically() {
     rand.store("x", "right", &data).unwrap();
     assert!(matches!(
         rand.load("x", "wrong", data.len()),
-        Err(BaselineError::NotFound(_))
-    ));
-
-    let mut mnem = Mnemosyne::format(MemBlockDevice::new(1024, 8192), 2, 4).unwrap();
-    mnem.store("x", "right", &data).unwrap();
-    assert!(matches!(
-        mnem.load("x", "wrong", data.len()),
         Err(BaselineError::NotFound(_))
     ));
 }

@@ -331,6 +331,44 @@ fn per_object_policy_overrides_the_volume_default() {
     ));
 }
 
+/// Mnemosyne's claim (§2 of the paper), made about the production policies:
+/// for the same tolerance of 2 lost shares per group, `Disperse{4, 6}`
+/// stores 1.5 times the data where `Replicate(3)` stores 3 times, and both
+/// read back byte-identically with 2 shares of every group destroyed.
+#[test]
+fn dispersal_needs_less_space_than_replication_for_equal_tolerance() {
+    use stegfs_core::Policy;
+    let fs = StegFs::format(
+        FaultDevice::new(MemBlockDevice::new(1024, 8192)),
+        stegfs_tests::full_feature_params(),
+    )
+    .unwrap();
+    let data = payload(7, 30 * 1024);
+    let mut share_blocks = Vec::new();
+    for (name, policy) in [
+        ("replicated", Policy::Replicate(3)),
+        ("dispersed", Policy::Disperse { m: 4, n: 6 }),
+    ] {
+        fs.steg_create_with_policy(name, OWNER, ObjectKind::File, policy)
+            .unwrap();
+        fs.write_hidden_with_key(name, OWNER, &data).unwrap();
+        let groups = fs.hidden_share_extents(name, OWNER).unwrap();
+        share_blocks.push(groups.iter().map(Vec::len).sum::<usize>());
+        assert_eq!(destroy_shares(&fs, name, 2, 11), 2 * groups.len());
+        assert!(
+            fs.read_hidden_with_key(name, OWNER).unwrap() == data,
+            "{name} with 2 shares of every group destroyed"
+        );
+    }
+    let [replicated, dispersed] = share_blocks[..] else {
+        unreachable!()
+    };
+    assert!(
+        dispersed < replicated,
+        "Disperse{{4, 6}} holds {dispersed} share blocks, Replicate(3) {replicated}"
+    );
+}
+
 /// AES-CTR is malleable: XORing δ into a share's ciphertext XORs δ into its
 /// plaintext, and needs no key.  The same δ at two 16-byte offsets cancels in
 /// any XOR fold of the share's blocks, so an unkeyed linear check would pass
