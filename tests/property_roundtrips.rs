@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use stegfs_blockdev::MemBlockDevice;
 use stegfs_core::{ObjectKind, StegFs, StegParams};
+use stegfs_crypto::ida::Ida;
 use stegfs_fs::{AllocPolicy, FormatOptions, PlainFs};
 
 fn quick_steg_params() -> StegParams {
@@ -92,6 +93,27 @@ proptest! {
         // The UAK directory itself still holds a handful of blocks.
         prop_assert!(after + 24 >= baseline,
             "free before {} vs after delete {}", baseline, after);
+    }
+
+    #[test]
+    fn ida_reconstructs_from_any_threshold_subset(
+        data in proptest::collection::vec(any::<u8>(), 0..2_000),
+        m in 1usize..5,
+        extra in 0usize..4,
+        pick_seed in any::<u64>()
+    ) {
+        let n = m + extra;
+        let ida = Ida::new(m, n).unwrap();
+        let shares = ida.split(&data);
+        // Pick a pseudo-random subset of exactly m shares.
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut s = pick_seed;
+        for i in (1..order.len()).rev() {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+            order.swap(i, (s >> 33) as usize % (i + 1));
+        }
+        let subset: Vec<_> = order[..m].iter().map(|&i| shares[i].clone()).collect();
+        prop_assert_eq!(ida.reconstruct(&subset, data.len()).unwrap(), data);
     }
 
     #[test]
