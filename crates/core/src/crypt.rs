@@ -14,12 +14,18 @@
 //! sig        = HMAC(master, "signature")            // stored in the header
 //! check_key  = HMAC(master, "share-check")          // keys the share checks
 //! locator    = SHA-256(physical name ‖ 0 ‖ master)  // seeds the block locator
-//! block IV   = SHA-256(enc_key ‖ "stegfs-iv" ‖ physical block number)[..16]
+//! counter j  = physical block number ‖ j             // of each block, 8 + 8 bytes
 //! ```
 //!
-//! Tying the IV to the physical block number lets any block be decrypted in
+//! Using the physical block number as the CTR nonce
+//! ([`stegfs_crypto::modes::block_nonce`]) lets any block be decrypted in
 //! isolation (the paper decrypts blocks "on-the-fly during retrieval") without
-//! storing per-block nonces anywhere they could betray the file.
+//! storing per-block nonces anywhere they could betray the file.  Under one
+//! object key, distinct blocks get disjoint counter ranges; rewriting a
+//! block repeats its keystream, the multi-snapshot exposure the reproduction
+//! accepts for every deterministic per-block nonce (a single seized image
+//! reveals nothing).  Only `enc_key`'s expanded schedule is kept: the nonce
+//! needs no key, so the raw bytes are zeroed as soon as it is expanded.
 //!
 //! # What a derivation costs, and who pays it
 //!
@@ -36,27 +42,23 @@
 //!
 //! # What a block costs
 //!
-//! [`ObjectKeys::encrypt_block`] is one SHA-256 compression (the IV) plus
-//! AES-CTR over the block, and `stegfs-crypto` picks the round functions at
-//! run time from what the CPU reports.  The I/O paths move runs of blocks,
-//! and [`ObjectKeys::encrypt_blocks`] derives a run's IVs in one batched
-//! call (`derive_ivs`): sixteen IVs per pass of the AVX-512 SHA-256 where
-//! the CPU has it, one at a time through SHA-NI where it does not or the
-//! run is short.  It then ciphers the whole run in one call
-//! (`CtrCipher::apply_run`): where the CPU has VAES, a 512-bit kernel with
-//! two disk blocks in flight, otherwise the eight-lane AES-NI loop block by
-//! block.  Measured on the reference host, per 16-byte cipher block and per
-//! 1 KiB disk block:
+//! [`ObjectKeys::encrypt_block`] is AES-CTR over the block and nothing else,
+//! and `stegfs-crypto` picks the round functions at run time from what the
+//! CPU reports.  The I/O paths move runs of blocks, and
+//! [`ObjectKeys::encrypt_blocks`] ciphers a whole run in one call
+//! (`CtrCipher::apply_blocks`): where the CPU has VAES, a 512-bit kernel
+//! with two disk blocks in flight, otherwise the eight-lane AES-NI loop
+//! block by block.  Measured on the reference host, per 16-byte cipher
+//! block, and per 1 KiB disk block (64 of them):
 //!
-//! | path                                  | AES-CTR        | IV derivation | 1 KiB block |
-//! |---------------------------------------|----------------|---------------|-------------|
-//! | AES-NI + SHA-NI, one block            | 4 ns/block     | 95 ns         | ≈ 0.35 µs   |
-//! | AES-NI + AVX-512, a 64-block run      | 4 ns/block     | ≈ 55 ns       | ≈ 0.31 µs   |
-//! | VAES + AVX-512, a 64-block run        | 1.2 ns/block   | ≈ 55 ns       | ≈ 0.13 µs   |
-//! | T-tables + scalar (portable)          | 81–94 ns/block | 300 ns        | ≈ 6.2 µs    |
+//! | path                                  | AES-CTR        | 1 KiB block |
+//! |---------------------------------------|----------------|-------------|
+//! | AES-NI, block by block                | 4 ns/block     | ≈ 0.25 µs   |
+//! | VAES, a 64-block run                  | 1.2 ns/block   | ≈ 0.08 µs   |
+//! | T-tables (portable)                   | 81–94 ns/block | ≈ 5.6 µs    |
 //!
-//! so a cold 64 KiB hidden read spends ≈ 8 µs in here on the VAES path
-//! (≈ 20 µs on AES-NI) against ≈ 400 µs on the portable one, and the rest of a cold read (device
+//! so a cold 64 KiB hidden read spends ≈ 5 µs in here on the VAES path
+//! (≈ 16 µs on AES-NI) against ≈ 360 µs on the portable one, and the rest of a cold read (device
 //! submissions, extent walk, cache inserts) is what the higher rungs of the
 //! layer ladder now measure.  Every byte written is the same on both paths:
 //! the choice changes how fast a block is produced, never its content, so a
@@ -73,7 +75,7 @@
 
 use stegfs_crypto::ct::zeroize;
 use stegfs_crypto::kdf::{derive_key, derive_subkey};
-use stegfs_crypto::modes::{derive_iv, CtrCipher};
+use stegfs_crypto::modes::{block_nonce, CtrCipher};
 use stegfs_crypto::sha256::DIGEST_LEN;
 
 /// Length in bytes of a hidden-object signature.
@@ -81,8 +83,8 @@ pub const SIGNATURE_LEN: usize = 32;
 
 /// The derived key material of one hidden object.
 ///
-/// Besides the raw key bytes, `ObjectKeys` caches the **expanded CTR key
-/// schedule**: AES key expansion runs once in [`ObjectKeys::derive`], and
+/// The block key is held only as its **expanded CTR key schedule**: AES key
+/// expansion runs once in [`ObjectKeys::derive`], and
 /// [`encrypt_block`](Self::encrypt_block) / [`decrypt_block`](Self::decrypt_block)
 /// reuse the cached [`CtrCipher`] for every block.  Before this, each block
 /// operation rebuilt the schedule from `enc_key`, so warm hidden reads paid
@@ -97,7 +99,6 @@ pub const SIGNATURE_LEN: usize = 32;
 /// All key bytes (and the cipher's round keys) are zeroed on drop.
 pub struct ObjectKeys {
     master: [u8; DIGEST_LEN],
-    enc_key: [u8; DIGEST_LEN],
     check_key: [u8; DIGEST_LEN],
     signature: [u8; SIGNATURE_LEN],
     cipher: CtrCipher,
@@ -106,7 +107,6 @@ pub struct ObjectKeys {
 impl Drop for ObjectKeys {
     fn drop(&mut self) {
         zeroize(&mut self.master);
-        zeroize(&mut self.enc_key);
         zeroize(&mut self.check_key);
         zeroize(&mut self.signature);
     }
@@ -118,13 +118,13 @@ impl ObjectKeys {
     /// inside a mounted volume go through `StegFs::keys_for` instead.
     pub fn derive(physical_name: &str, fak: &[u8]) -> Self {
         let master = derive_key(fak, b"stegfs/object", physical_name.as_bytes());
-        let enc_key = derive_subkey(&master, b"block-encryption");
+        let mut enc_key = derive_subkey(&master, b"block-encryption");
+        let cipher = CtrCipher::new(&enc_key);
+        zeroize(&mut enc_key);
         let signature = derive_subkey(&master, b"signature");
         let check_key = derive_subkey(&master, b"share-check");
-        let cipher = CtrCipher::new(&enc_key);
         ObjectKeys {
             master,
-            enc_key,
             check_key,
             signature,
             cipher,
@@ -149,8 +149,7 @@ impl ObjectKeys {
     /// Encrypt a block in place for storage at physical block `block_no`,
     /// reusing the key schedule expanded at derivation time.
     pub fn encrypt_block(&self, block_no: u64, data: &mut [u8]) {
-        let iv = derive_iv(&self.enc_key, block_no);
-        self.cipher.apply(&iv, data);
+        self.cipher.apply(&block_nonce(block_no), data);
     }
 
     /// Decrypt a block in place that was read from physical block `block_no`.
@@ -161,9 +160,9 @@ impl ObjectKeys {
 
     /// [`encrypt_block`](Self::encrypt_block) over a run: `data` is
     /// `block_nos.len()` equal blocks back to back, bound for those physical
-    /// blocks, and their IVs come from one batched hash call.
+    /// blocks, ciphered in one call.
     pub fn encrypt_blocks(&self, block_nos: &[u64], data: &mut [u8]) {
-        self.cipher.apply_run(&self.enc_key, block_nos, data);
+        self.cipher.apply_blocks(block_nos, data);
     }
 
     /// [`decrypt_block`](Self::decrypt_block) over a run read from
@@ -211,7 +210,8 @@ mod tests {
     fn signature_differs_from_locator_seed_and_enc_key() {
         let k = ObjectKeys::derive("obj", b"fak");
         assert_ne!(k.signature(), k.locator_seed());
-        assert_ne!(&k.enc_key, k.signature());
+        let enc_key = derive_subkey(k.locator_seed(), b"block-encryption");
+        assert_ne!(&enc_key, k.signature());
     }
 
     #[test]

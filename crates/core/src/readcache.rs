@@ -131,9 +131,12 @@ use stegfs_obs::{span, ReadCacheStats};
 const SHARDS: usize = 16;
 
 /// Capacity of the derived-key cache, in entries.  One [`ObjectKeys`] is
-/// about 0.7 KiB (three 32-byte keys and both 60-word AES-256 schedules), so
-/// a full cache stays under 1 MiB.  A constant, not a knob: it only has to
-/// exceed the number of objects one sign-on touches between purges.
+/// 1 072 bytes on x86-64: three 32-byte keys (master, check key, signature)
+/// and one expanded AES-256 key of 976 bytes (its encryption and decryption
+/// schedules, each as words and as bytes; the raw block key is not kept), so
+/// a full cache holds about 1.05 MiB of key sets.  A constant, not a knob: it
+/// only has to exceed the number of objects one sign-on touches between
+/// purges.
 pub const KEY_CACHE_ENTRIES: usize = 1024;
 
 /// What a reader holds to use an object's plaintext blocks: the entry

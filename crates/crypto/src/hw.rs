@@ -1,6 +1,6 @@
 //! Hardware round functions and slice kernels: AES-NI, SHA-NI, the AVX2
-//! GF(2⁸) multiply, the sixteen-lane AVX-512 SHA-256, and the VAES AES-CTR
-//! run kernel and keyed-check kernel behind runtime detection.
+//! GF(2⁸) multiply, and the VAES AES-CTR run kernel and keyed-check kernel
+//! behind runtime detection.
 //!
 //! This is the workspace's only `unsafe` code.  It exists for a measured
 //! gain (a 64 KiB CBC decrypt 354 → 13 µs, a 64 KiB SHA-256 272 → 47 µs, a
@@ -14,11 +14,11 @@
 //! The eight-lane AES-NI loop ([`AesNi::ctr_apply`]) ciphers one disk block
 //! at a time, eight 16-byte blocks per round key, ≈ 250 ns per 1 KiB block
 //! with AES-256.  VAES runs the same rounds on four 16-byte blocks per
-//! `zmm` register.  [`Vaes::ctr_run`] takes a whole run — every IV and the
-//! equal disk blocks back to back — and ciphers two disk blocks side by
+//! `zmm` register.  [`Vaes::ctr_run`] takes a whole run — every nonce and
+//! the equal disk blocks back to back — and ciphers two disk blocks side by
 //! side, four registers each, so eight `vaesenc` chains are in flight per
 //! round key.  It broadcasts the round keys into `zmm` registers once per
-//! run, and it builds each counter in a register: the IV byte-swapped into
+//! run, and it builds each counter in a register: the nonce byte-swapped into
 //! a little-endian 128-bit lane, stepped by a 64-bit add and swapped back
 //! per lane.  A lone block (a run of one) takes the same kernel at four
 //! registers.  On the reference host a 1 KiB block costs ≈ 85 ns
@@ -26,8 +26,8 @@
 //!
 //! The kernel gives exactly AES-NI's bytes, and hands AES-NI whatever it
 //! cannot do exactly: a block whose counters would carry out of the low 64
-//! bits (the 64-bit add cannot carry, and the 2¹²⁸ wrap is such a carry),
-//! the part of a block past its whole 256-byte groups, blocks under one
+//! bits (the 64-bit add cannot carry, and the 2¹²⁸ wrap is such a carry;
+//! a block nonce's counters start at zero there and never do), the part of a block past its whole 256-byte groups, blocks under one
 //! group, and an odd block out of a run, which runs alone at four
 //! registers.  Hosts without VAES use the AES-NI loop throughout.
 //!
@@ -45,19 +45,8 @@
 //! and so does a message under one group; an odd message out runs alone at
 //! four registers.  On the reference host a 1 KiB message costs ≈ 95 ns in
 //! a run and ≈ 195 ns alone in its own call, against ≈ 175 ns on the AES-NI
-//! loop, ≈ 4.9 µs on the T-tables, and ≈ 400 ns for the SHA-256 check it
-//! replaced (sixteen lanes of [`Avx512::compress16`]).
-//!
-//! # The sixteen-lane SHA-256
-//!
-//! SHA-NI hashes one message at a time, ≈ 50 ns per 64-byte block.  The
-//! IVs of a run of blocks are many independent messages of one length.
-//! [`Avx512::compress16`] runs sixteen of them side by side, one message
-//! per 32-bit lane of a `zmm` register: `vprord` rotates, and one
-//! `vpternlogd` computes each three-way XOR, Ch and Maj.  A full pass costs
-//! ≈ 23 ns per block per lane on the reference host, ≈ 2.1× SHA-NI.
-//! `crate::sha256::sha256_many` decides when a pass pays; single messages
-//! (the KDF, HMAC) stay on SHA-NI.
+//! loop, ≈ 4.9 µs on the T-tables, and ≈ 400 ns for the sixteen-lane
+//! AVX-512 SHA-256 check it replaced (format v2).
 //!
 //! # Safety argument
 //!
@@ -68,33 +57,25 @@
 //!   executes an AES, SHA, AVX2 or AVX-512 instruction is gated by
 //!   `#[target_feature(enable = ...)]` — for AVX2 that is [`mul_acc`], the
 //!   two transposes [`deinterleave`] and [`interleave`], and the
-//!   [`load256`] / [`store256`] they use; for AVX-512 [`compress16`],
-//!   [`transpose16`] and the loads and stores they use; for VAES
-//!   [`ctr_run`], [`ctr_groups`], [`check_sums`], [`check_groups`] and
-//!   [`encrypt512`] — and the only calls
-//!   into them from ungated code are the methods of [`AesNi`], [`ShaNi`],
-//!   [`Avx2`], [`Avx512`] and [`Vaes`].  Those tokens have a private field
-//!   and exactly one constructor each, `detect`, which returns `Some` only
-//!   after `is_x86_feature_detected!` has seen every feature the gated
-//!   functions enable.  Holding a token is therefore proof that the
+//!   [`load256`] / [`store256`] they use; for VAES (with AVX-512F/BW)
+//!   [`ctr_run`], [`ctr_groups`], [`check_sums`], [`check_groups`],
+//!   [`encrypt512`] and the [`load512`] / [`store512`] they use — and the
+//!   only calls into them from ungated code are the methods of the four
+//!   tokens [`AesNi`], [`ShaNi`], [`Avx2`] and [`Vaes`].  Those tokens have
+//!   a private field and exactly one constructor each, `detect`, which
+//!   returns `Some` only after `is_x86_feature_detected!` has seen every
+//!   feature the gated functions enable.  Holding a token is therefore proof that the
 //!   instructions exist on this CPU; nothing outside this file can make one.
 //! * **Unaligned vector loads and stores.**  All of them go through
 //!   [`load`] and [`store`] (`&[u8; 16]` / `&mut [u8; 16]`), [`load256`]
-//!   and [`store256`] (`&[u8; 32]` / `&mut [u8; 32]`), or [`load512`],
-//!   [`store512`], [`load_words`] and [`store_words`] (`&[u8; 64]` /
-//!   `&mut [u8; 64]`, `&[u32; 16]` / `&mut [u32; 16]`): the reference
-//!   guarantees that many readable
-//!   (writable) in-bounds bytes, and `loadu`/`storeu` have no alignment
-//!   requirement.  No pointer arithmetic happens anywhere; buffers are cut
-//!   into 16-, 32- or 64-byte arrays by safe slice methods first, and a
-//!   ragged tail is copied through an array on the stack.  The sixteen-lane
-//!   kernel reads each lane's blocks as `&[[u8; 64]]`, a run that safe
-//!   `as_chunks` cut straight from the caller's message, so it loads
-//!   exactly the bytes of whole input blocks and nothing past a message;
-//!   the block that straddles two parts and the padded last block are
-//!   staged on the stack first, by safe code that branches on part lengths
-//!   only, never on message bytes.  The VAES kernel's 64-byte loads and
-//!   stores are sound the same way: it sees each disk block's whole
+//!   and [`store256`] (`&[u8; 32]` / `&mut [u8; 32]`), or [`load512`] and
+//!   [`store512`] (`&[u8; 64]` / `&mut [u8; 64]`): the reference
+//!   guarantees that many readable (writable) in-bounds bytes, and
+//!   `loadu`/`storeu` have no alignment requirement.  No pointer
+//!   arithmetic happens anywhere; buffers are cut into 16-, 32- or 64-byte
+//!   arrays by safe slice methods first, and a ragged tail is copied
+//!   through an array on the stack.  The VAES kernel's 64-byte loads and
+//!   stores are sound this way: it sees each disk block's whole
 //!   256-byte groups as `&mut [[u8; 64]]`, cut by safe `as_chunks_mut` from
 //!   the block's first `bulk` bytes, so every access is one whole chunk of
 //!   the caller's buffer, and the ragged rest of a block is never touched by
@@ -113,10 +94,9 @@
 //! time inside a gated wrapper so that the compiler may use 32-byte shuffles
 //! for them.  The tests at the bottom run every entry point against the
 //! T-table AES, the scalar SHA-256 and the bit-serial GF(2⁸) multiply on any
-//! host that has the features; the sixteen-lane kernel is held to the
-//! scalar rounds lane by lane, from sixteen different chaining states, and
-//! the VAES kernel to the T-tables block by block, with IVs chosen so that
-//! the 2⁶⁴ carry and the 2¹²⁸ wrap land in either block of a pair.
+//! host that has the features; the VAES kernel is held to the T-tables
+//! block by block, with nonces chosen so that the 2⁶⁴ carry and the 2¹²⁸
+//! wrap land in either block of a pair.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -140,11 +120,6 @@ pub(crate) struct ShaNi(());
 /// Proof that this CPU executes the AVX2 instructions.
 #[derive(Clone, Copy)]
 pub(crate) struct Avx2(());
-
-/// Proof that this CPU executes the AVX-512 foundation instructions and the
-/// byte shuffle of AVX-512BW, which the sixteen-lane SHA-256 uses.
-#[derive(Clone, Copy)]
-pub(crate) struct Avx512(());
 
 /// Proof that this CPU executes the 512-bit AES rounds (VAES), the
 /// AVX-512F/BW adds and byte shuffles the CTR run kernel builds its
@@ -196,22 +171,6 @@ fn store512(bytes: &mut [u8; 64], v: __m512i) {
     // SAFETY: `bytes` is a unique reference to 64 in-bounds writable bytes
     // and the store is the unaligned form.
     unsafe { _mm512_storeu_si512(bytes.as_mut_ptr().cast(), v) }
-}
-
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn load_words(words: &[u32; 16]) -> __m512i {
-    // SAFETY: `words` is a reference to 64 in-bounds readable bytes and the
-    // load is the unaligned form.
-    unsafe { _mm512_loadu_si512(words.as_ptr().cast()) }
-}
-
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn store_words(words: &mut [u32; 16], v: __m512i) {
-    // SAFETY: `words` is a unique reference to 64 in-bounds writable bytes
-    // and the store is the unaligned form.
-    unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), v) }
 }
 
 impl AesNi {
@@ -555,166 +514,6 @@ fn deinterleave(data: &[u8], m: usize, planes: &mut [u8]) {
 #[target_feature(enable = "avx2")]
 fn interleave(planes: &[u8], m: usize, out: &mut [u8]) {
     crate::gf256::interleave_body(planes, m, out)
-}
-
-impl Avx512 {
-    /// The token, if the CPU reports AVX-512F and AVX-512BW.
-    pub(crate) fn detect() -> Option<Self> {
-        (std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512bw"))
-            .then_some(Avx512(()))
-    }
-
-    /// Fold a run of 64-byte blocks per lane, in order, into sixteen
-    /// independent SHA-256 chaining states held word-major: `state[i][lane]`
-    /// is word `i` of lane `lane`'s state, and `blocks[lane]` is that lane's
-    /// run.  Every run has the same length.
-    ///
-    /// # Panics
-    /// Panics if the runs differ in length.
-    pub(crate) fn compress16(self, state: &mut [[u32; 16]; 8], blocks: [&[[u8; 64]]; 16]) {
-        // SAFETY: `self` exists only if `detect` saw `avx512f` and
-        // `avx512bw`, the features `compress16` enables.
-        unsafe { compress16(state, blocks) }
-    }
-}
-
-/// Transpose a 16 × 16 matrix of 32-bit words held one row per register:
-/// word `j` of row `i` becomes word `i` of row `j`.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn transpose16(rows: [__m512i; 16]) -> [__m512i; 16] {
-    // 32-bit, then 64-bit interleaves inside each 128-bit lane: `quad[4a + c]`
-    // holds, in its 128-bit lane `k`, word `4k + c` of rows `4a..4a + 4`.
-    let mut quad = [_mm512_setzero_si512(); 16];
-    for (rows, quad) in rows.chunks_exact(4).zip(quad.chunks_exact_mut(4)) {
-        let lo01 = _mm512_unpacklo_epi32(rows[0], rows[1]);
-        let hi01 = _mm512_unpackhi_epi32(rows[0], rows[1]);
-        let lo23 = _mm512_unpacklo_epi32(rows[2], rows[3]);
-        let hi23 = _mm512_unpackhi_epi32(rows[2], rows[3]);
-        quad[0] = _mm512_unpacklo_epi64(lo01, lo23);
-        quad[1] = _mm512_unpackhi_epi64(lo01, lo23);
-        quad[2] = _mm512_unpacklo_epi64(hi01, hi23);
-        quad[3] = _mm512_unpackhi_epi64(hi01, hi23);
-    }
-    // Then whole 128-bit lanes: output row `4k + c` is lane `k` of
-    // `quad[c]`, `quad[4 + c]`, `quad[8 + c]` and `quad[12 + c]`, in order.
-    let mut out = [_mm512_setzero_si512(); 16];
-    for c in 0..4 {
-        let ab_lo = _mm512_shuffle_i32x4::<0x44>(quad[c], quad[4 + c]);
-        let ab_hi = _mm512_shuffle_i32x4::<0xee>(quad[c], quad[4 + c]);
-        let cd_lo = _mm512_shuffle_i32x4::<0x44>(quad[8 + c], quad[12 + c]);
-        let cd_hi = _mm512_shuffle_i32x4::<0xee>(quad[8 + c], quad[12 + c]);
-        out[c] = _mm512_shuffle_i32x4::<0x88>(ab_lo, cd_lo);
-        out[4 + c] = _mm512_shuffle_i32x4::<0xdd>(ab_lo, cd_lo);
-        out[8 + c] = _mm512_shuffle_i32x4::<0x88>(ab_hi, cd_hi);
-        out[12 + c] = _mm512_shuffle_i32x4::<0xdd>(ab_hi, cd_hi);
-    }
-    out
-}
-
-#[target_feature(enable = "avx512f,avx512bw")]
-fn compress16(state: &mut [[u32; 16]; 8], blocks: [&[[u8; 64]]; 16]) {
-    use crate::sha256::K;
-
-    let run = blocks[0].len();
-    assert!(
-        blocks.iter().all(|lane| lane.len() == run),
-        "every lane folds the same number of blocks"
-    );
-    // Message words are big-endian: reverse the bytes of each 32-bit lane.
-    let big_endian = _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
-    // Plain loops rather than `array::map` throughout: a closure handed to
-    // a generic function is compiled without this function's features and
-    // is not inlined into it.
-    let mut chaining = [_mm512_setzero_si512(); 8];
-    for (v, words) in chaining.iter_mut().zip(state.iter()) {
-        *v = load_words(words);
-    }
-
-    for i in 0..run {
-        // Each lane's block is one register of sixteen words; the
-        // transpose turns that into sixteen registers of one word per lane.
-        let mut rows = [_mm512_setzero_si512(); 16];
-        for (row, lane) in rows.iter_mut().zip(blocks) {
-            *row = _mm512_shuffle_epi8(load512(&lane[i]), big_endian);
-        }
-        let mut w = transpose16(rows);
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = chaining;
-        // The scalar round of `crate::sha256::compress_portable`, sixteen
-        // lanes wide: `vprord` for the rotations, one `vpternlogd` each for
-        // the three-way XORs, Ch and Maj.  Rounds from 16 on first extend
-        // the schedule, kept as a ring of the last sixteen words.  Every
-        // round is unrolled, so the ring indices are constants and the
-        // whole ring lives in registers.
-        macro_rules! round {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $t:expr, $extend:literal) => {
-                let t: usize = $t;
-                if $extend {
-                    let (w2, w15) = (w[(t - 2) & 15], w[(t - 15) & 15]);
-                    let s0 = _mm512_ternarylogic_epi32::<0x96>(
-                        _mm512_ror_epi32::<7>(w15),
-                        _mm512_ror_epi32::<18>(w15),
-                        _mm512_srli_epi32::<3>(w15),
-                    );
-                    let s1 = _mm512_ternarylogic_epi32::<0x96>(
-                        _mm512_ror_epi32::<17>(w2),
-                        _mm512_ror_epi32::<19>(w2),
-                        _mm512_srli_epi32::<10>(w2),
-                    );
-                    w[t & 15] = _mm512_add_epi32(
-                        _mm512_add_epi32(w[t & 15], s0),
-                        _mm512_add_epi32(w[(t - 7) & 15], s1),
-                    );
-                }
-                let hwk = _mm512_add_epi32($h, _mm512_add_epi32(w[t & 15], _mm512_set1_epi32(K[t] as i32)));
-                let s1 = _mm512_ternarylogic_epi32::<0x96>(
-                    _mm512_ror_epi32::<6>($e),
-                    _mm512_ror_epi32::<11>($e),
-                    _mm512_ror_epi32::<25>($e),
-                );
-                let ch = _mm512_ternarylogic_epi32::<0xca>($e, $f, $g);
-                let temp1 = _mm512_add_epi32(hwk, _mm512_add_epi32(s1, ch));
-                let s0 = _mm512_ternarylogic_epi32::<0x96>(
-                    _mm512_ror_epi32::<2>($a),
-                    _mm512_ror_epi32::<13>($a),
-                    _mm512_ror_epi32::<22>($a),
-                );
-                let maj = _mm512_ternarylogic_epi32::<0xe8>($a, $b, $c);
-                $d = _mm512_add_epi32($d, temp1);
-                $h = _mm512_add_epi32(temp1, _mm512_add_epi32(s0, maj));
-            };
-        }
-        // Eight rounds with the working variables' names rotated, as in the
-        // scalar code.
-        macro_rules! eight_rounds {
-            ($t:expr, $extend:literal) => {
-                round!(a, b, c, d, e, f, g, h, $t, $extend);
-                round!(h, a, b, c, d, e, f, g, $t + 1, $extend);
-                round!(g, h, a, b, c, d, e, f, $t + 2, $extend);
-                round!(f, g, h, a, b, c, d, e, $t + 3, $extend);
-                round!(e, f, g, h, a, b, c, d, $t + 4, $extend);
-                round!(d, e, f, g, h, a, b, c, $t + 5, $extend);
-                round!(c, d, e, f, g, h, a, b, $t + 6, $extend);
-                round!(b, c, d, e, f, g, h, a, $t + 7, $extend);
-            };
-        }
-        eight_rounds!(0, false);
-        eight_rounds!(8, false);
-        eight_rounds!(16, true);
-        eight_rounds!(24, true);
-        eight_rounds!(32, true);
-        eight_rounds!(40, true);
-        eight_rounds!(48, true);
-        eight_rounds!(56, true);
-        for (word, new) in chaining.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *word = _mm512_add_epi32(*word, new);
-        }
-    }
-
-    for (words, v) in state.iter_mut().zip(chaining) {
-        store_words(words, v);
-    }
 }
 
 /// Bytes of one disk block the VAES kernel ciphers per step: four `zmm`
@@ -1121,36 +920,6 @@ mod tests {
                 compress_portable(&mut want, block);
             }
             prop_assert_eq!(got, want);
-        }
-
-        /// The sixteen-lane kernel ≡ scalar rounds, lane by lane, from
-        /// sixteen different chaining states over runs of 1..=9 blocks with
-        /// different contents in every lane.
-        #[test]
-        fn avx512_compress16_matches_the_scalar_rounds(
-            states in vec(any::<u32>(), 16 * 8),
-            blocks in 1usize..=9,
-            data in vec(any::<u8>(), 16 * 9 * 64),
-        ) {
-            let Some(hw) = Avx512::detect() else {
-                return Ok(()); // no AVX-512 on this CPU: nothing to compare
-            };
-            let (all, _) = data.as_chunks::<64>();
-            let lane_blocks = |lane: usize| &all[lane * 9..lane * 9 + blocks];
-
-            let mut want: Vec<[u32; 8]> = states
-                .chunks_exact(8)
-                .map(|s| s.try_into().expect("eight words"))
-                .collect();
-            let mut got: [[u32; 16]; 8] = std::array::from_fn(|i| std::array::from_fn(|l| want[l][i]));
-            hw.compress16(&mut got, std::array::from_fn(lane_blocks));
-            for (lane, state) in want.iter_mut().enumerate() {
-                for block in lane_blocks(lane) {
-                    compress_portable(state, block);
-                }
-                let lane_state: [u32; 8] = std::array::from_fn(|i| got[i][lane]);
-                prop_assert_eq!(lane_state, *state, "lane {}", lane);
-            }
         }
 
         /// The run kernel ≡ T-tables block by block, on runs of 1..=9

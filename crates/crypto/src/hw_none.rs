@@ -16,10 +16,6 @@ pub(crate) enum Avx2 {}
 
 /// Never constructed on this target.
 #[derive(Clone, Copy)]
-pub(crate) enum Avx512 {}
-
-/// Never constructed on this target.
-#[derive(Clone, Copy)]
 pub(crate) enum Vaes {}
 
 impl AesNi {
@@ -77,16 +73,6 @@ impl Avx2 {
     }
 
     pub(crate) fn interleave(self, _planes: &[u8], _m: usize, _out: &mut [u8]) {
-        match self {}
-    }
-}
-
-impl Avx512 {
-    pub(crate) fn detect() -> Option<Self> {
-        None
-    }
-
-    pub(crate) fn compress16(self, _state: &mut [[u32; 16]; 8], _blocks: [&[[u8; 64]]; 16]) {
         match self {}
     }
 }

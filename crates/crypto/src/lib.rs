@@ -45,11 +45,10 @@
 //! * `hw` (private, x86-64 only) — the AES-NI and SHA-NI round functions
 //!   under [`aes`], [`modes`] and [`mod@sha256`], the VAES AES-CTR run
 //!   kernel under [`modes::CtrCipher`], the VAES keyed-check kernel under
-//!   [`check::KeyedCheck`], the sixteen-lane AVX-512
-//!   SHA-256 under [`sha256::sha256_many`] and the AVX2 bodies under
-//!   [`gf256`], picked at run time from what the CPU reports; the T-table
-//!   AES, scalar SHA-256 and table-row multiply remain the path on every
-//!   other host and the oracle `hw` is tested against.
+//!   [`check::KeyedCheck`] and the AVX2 bodies under [`gf256`], picked at
+//!   run time from what the CPU reports; the T-table AES, scalar SHA-256
+//!   and table-row multiply remain the path on every other host and the
+//!   oracle `hw` is tested against.
 //!
 //! # `unsafe`
 //!
@@ -57,14 +56,13 @@
 //! the workspace that contains any.  Its header carries the full argument;
 //! in short: every function that executes an AES, SHA, AVX2 or AVX-512
 //! instruction is `#[target_feature]`-gated and reachable only through one
-//! of five tokens (`AesNi`, `ShaNi`, `Avx2`, `Avx512`, `Vaes`) whose sole
-//! constructor is the CPU feature check, and every vector load or store is
-//! an unaligned `loadu`/`storeu` through a `&[u8; 16]`, `&[u8; 32]` or
-//! `&[u8; 64]` (`&[u32; 16]` for the sixteen-lane chaining state) that safe
-//! slice methods cut from the caller's buffer.  The AVX2 transposes under
-//! [`gf256`] contain no `unsafe` at all: they are that module's safe loops
-//! compiled a second time inside a gated wrapper.  The other modules call
-//! safe methods on the token and contain no `unsafe` block.
+//! of four tokens (`AesNi`, `ShaNi`, `Avx2`, `Vaes`) whose sole constructor
+//! is the CPU feature check, and every vector load or store is an unaligned
+//! `loadu`/`storeu` through a `&[u8; 16]`, `&[u8; 32]` or `&[u8; 64]` that
+//! safe slice methods cut from the caller's buffer.  The AVX2 transposes
+//! under [`gf256`] contain no `unsafe` at all: they are that module's safe
+//! loops compiled a second time inside a gated wrapper.  The other modules
+//! call safe methods on the token and contain no `unsafe` block.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,11 @@
 //! Block cipher modes of operation used by StegFS.
 //!
 //! Hidden objects are encrypted at disk-block granularity: each disk block of
-//! a hidden file is encrypted independently under the file access key with an
-//! IV derived from `(key, logical block index)`.  That keeps random access
-//! cheap (the paper decrypts blocks "on-the-fly during retrieval") while still
-//! making every hidden block look like the uniform random fill that the
-//! formatter writes into free blocks.
+//! a hidden object is encrypted independently under the object's key, with
+//! the block's number as its CTR nonce ([`block_nonce`]).  That keeps random
+//! access cheap (the paper decrypts blocks "on-the-fly during retrieval")
+//! while still making every hidden block look like the uniform random fill
+//! that the formatter writes into free blocks.
 //!
 //! Two modes are provided:
 //!
@@ -16,7 +16,6 @@
 //!   where the ciphertext must have exactly the same length as the plaintext.
 
 use crate::aes::{Aes, BLOCK_LEN};
-use crate::sha256::{sha256_concat, sha256_many};
 
 /// Error returned when a ciphertext cannot be decrypted into a well-formed
 /// plaintext (bad length or bad padding).
@@ -39,26 +38,19 @@ impl std::fmt::Display for CipherError {
 
 impl std::error::Error for CipherError {}
 
-/// Derive a 16-byte IV for a given key and logical sector index.
+/// The first counter block of device block `block_no`: the block number
+/// big-endian in bytes 0..8, and the 16-byte block index within the disk
+/// block, starting at zero, in bytes 8..16.
 ///
-/// The derivation is `SHA-256(key ‖ "stegfs-iv" ‖ index)[..16]`, so IVs are
-/// unique per (key, sector) pair and reproducible without storing them.
-/// For a run of sectors, [`derive_ivs`] returns the same IVs from one
-/// batched hash call.
-pub fn derive_iv(key: &[u8], index: u64) -> [u8; BLOCK_LEN] {
-    let digest = sha256_concat(&[key, b"stegfs-iv", &index.to_be_bytes()]);
-    *digest.first_chunk().expect("a digest outgrows an IV")
-}
-
-/// [`derive_iv`] for every index of `indices`, in order, from one batched
-/// hash call (`sha256_many`): the messages all have one length, so the
-/// vector kernel takes sixteen of them per pass where the CPU has one.
-pub fn derive_ivs(key: &[u8], indices: &[u64]) -> Vec<[u8; BLOCK_LEN]> {
-    let indices: Vec<[u8; 8]> = indices.iter().map(|i| i.to_be_bytes()).collect();
-    sha256_many(indices.iter().map(|i| [key, b"stegfs-iv", i]))
-        .iter()
-        .map(|digest| *digest.first_chunk().expect("a digest outgrows an IV"))
-        .collect()
+/// Counter block `j` of device block `b` is therefore `b ‖ j`.  Distinct
+/// block numbers get disjoint counter ranges (the index never carries into
+/// the block number: that would take a disk block of 2⁶⁸ bytes), and a
+/// rewrite of one block under one key repeats exactly the keystream any
+/// deterministic per-block nonce would repeat.
+pub fn block_nonce(block_no: u64) -> [u8; BLOCK_LEN] {
+    let mut nonce = [0u8; BLOCK_LEN];
+    nonce[..8].copy_from_slice(&block_no.to_be_bytes());
+    nonce
 }
 
 /// AES-CBC with PKCS#7 padding.
@@ -178,30 +170,29 @@ impl CtrCipher {
         }
     }
 
-    /// [`apply`](Self::apply) over a run of sectors: `data` is
-    /// `indices.len()` equal blocks back to back, and block `i` takes the
-    /// keystream from `derive_iv(iv_key, indices[i])`.  The run's IVs come
-    /// from one [`derive_ivs`] call, and where the CPU has VAES the whole
+    /// CTR over a run of device blocks: `data` is `block_nos.len()` equal
+    /// blocks back to back, and block `i` takes the keystream from
+    /// [`block_nonce`]`(block_nos[i])`.  Where the CPU has VAES the whole
     /// run is ciphered in one call of the run kernel, two blocks in flight.
     ///
     /// # Panics
-    /// Panics unless `data` splits into one equal block per index.
-    pub fn apply_run(&self, iv_key: &[u8], indices: &[u64], data: &mut [u8]) {
-        if indices.is_empty() {
+    /// Panics unless `data` splits into one equal block per block number.
+    pub fn apply_blocks(&self, block_nos: &[u64], data: &mut [u8]) {
+        if block_nos.is_empty() {
             return;
         }
-        let block_len = data.len() / indices.len();
+        let block_len = data.len() / block_nos.len();
         assert_eq!(
             data.len(),
-            indices.len() * block_len,
-            "one equal block per index"
+            block_nos.len() * block_len,
+            "one equal block per block number"
         );
-        let ivs = derive_ivs(iv_key, indices);
         if let Some((vaes, enc)) = self.aes.vaes_encryptor() {
-            return vaes.ctr_run(enc, &ivs, data);
+            let nonces: Vec<_> = block_nos.iter().map(|&b| block_nonce(b)).collect();
+            return vaes.ctr_run(enc, &nonces, data);
         }
-        for (iv, block) in ivs.iter().zip(data.chunks_exact_mut(block_len)) {
-            self.apply(iv, block);
+        for (&b, block) in block_nos.iter().zip(data.chunks_exact_mut(block_len)) {
+            self.apply(&block_nonce(b), block);
         }
     }
 
@@ -336,21 +327,93 @@ mod tests {
         assert_eq!(cbc.decrypt(&iv, &[]), Err(CipherError::BadLength));
     }
 
+    /// The oracle of the nonce rule, written out: counter block `j` of
+    /// device block `b` is `b ‖ j` (both big-endian), enciphered on the
+    /// T-tables and XORed into the data.
+    fn b_j_oracle(key: &[u8], block_nos: &[u64], data: &mut [u8]) {
+        let aes = Aes::portable(key);
+        let block_len = data.len() / block_nos.len();
+        for (&b, block) in block_nos.iter().zip(data.chunks_exact_mut(block_len)) {
+            for (j, chunk) in (0u64..).zip(block.chunks_mut(BLOCK_LEN)) {
+                let mut keystream = [0u8; BLOCK_LEN];
+                keystream[..8].copy_from_slice(&b.to_be_bytes());
+                keystream[8..].copy_from_slice(&j.to_be_bytes());
+                aes.encrypt_block(&mut keystream);
+                chunk.iter_mut().zip(keystream).for_each(|(d, k)| *d ^= k);
+            }
+        }
+    }
+
     #[test]
-    fn derive_iv_unique_per_index_and_key() {
-        let a = derive_iv(b"key-a", 0);
-        let b = derive_iv(b"key-a", 1);
-        let c = derive_iv(b"key-b", 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, derive_iv(b"key-a", 0), "must be deterministic");
-        let run: Vec<u64> = (0..40).map(|i| i * 977).collect();
-        let singles: Vec<_> = run.iter().map(|&i| derive_iv(b"key-a", i)).collect();
+    fn apply_blocks_matches_its_known_answers() {
+        // Keystream blocks 0 and 1 of device blocks 0, 2³² + 1 and
+        // u64::MAX under the key 00 01 … 1f, from OpenSSL's
+        // `aes-256-ctr` with the IV `b ‖ 0`.
+        let key: Vec<u8> = (0..32).collect();
+        let block_nos = [0, (1 << 32) + 1, u64::MAX];
+        let pinned = [
+            "f29000b62a499fd0a9f39a6add2e7780f05d76ae4ab99fe5a6f69b3148c2363d",
+            "ff0e7edeab0d37c7e1ae4e1043e97c5dfa101540c72f123305b5b146e78ab9ea",
+            "91658d77eba9ef4e2a4d5619c6c186b7d04cf3ddafe859b4a19910a45bbd2858",
+        ];
         assert_eq!(
-            derive_ivs(b"key-a", &run),
-            singles,
-            "batched IVs are the same IVs"
+            block_nonce(0x0102_0304_0506_0708)[..8],
+            [1, 2, 3, 4, 5, 6, 7, 8]
         );
+        assert_eq!(block_nonce(u64::MAX)[8..], [0u8; 8]);
+        for block_len in [32, 1024] {
+            // Over zeros, the data after the cipher is the keystream.
+            let mut want = vec![0u8; 3 * block_len];
+            b_j_oracle(&key, &block_nos, &mut want);
+            for (keystream, hex) in want.chunks_exact(block_len).zip(pinned) {
+                assert_eq!(
+                    keystream[..32],
+                    from_hex(hex),
+                    "oracle, blocks of {block_len}"
+                );
+            }
+            for (name, ctr) in ["vaes", "aes-ni", "t-tables"]
+                .iter()
+                .zip(ctr_back_ends(&key))
+            {
+                let mut got = vec![0u8; 3 * block_len];
+                ctr.apply_blocks(&block_nos, &mut got);
+                assert_eq!(got, want, "{name}, blocks of {block_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_blocks_have_disjoint_counter_ranges() {
+        // AES is a permutation, so two equal keystream blocks would mean
+        // one counter block served twice.  Neighbouring block numbers, ones
+        // a byte carry apart and the extremes, 4 KiB each: 256 counters per
+        // block, none shared.
+        let ctr = CtrCipher::new(&[0x3eu8; 32]);
+        let block_nos = [
+            0,
+            1,
+            2,
+            255,
+            256,
+            1 << 32,
+            (1 << 32) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut keystream = vec![0u8; block_nos.len() * 4096];
+        ctr.apply_blocks(&block_nos, &mut keystream);
+        let (counters, _) = keystream.as_chunks::<BLOCK_LEN>();
+        let distinct: std::collections::HashSet<_> = counters.iter().collect();
+        assert_eq!(distinct.len(), counters.len(), "a counter block was reused");
+        // The nonce depends on the block alone, so the key must change the
+        // keystream and a repeat must reproduce it.
+        let mut again = vec![0u8; 4096];
+        ctr.apply_blocks(&[1], &mut again);
+        assert_eq!(again, keystream[4096..8192]);
+        let mut other = vec![0u8; 4096];
+        CtrCipher::new(&[0x3fu8; 32]).apply_blocks(&[1], &mut other);
+        assert_ne!(other, again);
     }
 
     #[test]
@@ -363,8 +426,8 @@ mod tests {
     #[test]
     fn ctr_same_nonce_same_keystream_detected() {
         // Documenting the classic CTR pitfall: two messages under the same
-        // (key, nonce) XOR to the XOR of plaintexts.  StegFS avoids this by
-        // deriving a distinct nonce per (file key, block index) pair.
+        // (key, nonce) XOR to the XOR of plaintexts.  StegFS gives every
+        // (object key, block number) pair its own counter range.
         let ctr = CtrCipher::new(&[5u8; 32]);
         let nonce = [0u8; 16];
         let m1 = vec![0xaau8; 32];
@@ -456,21 +519,20 @@ mod tests {
     #[test]
     fn ctr_runs_match_block_by_block() {
         // Odd and even runs, whole groups, ragged tails, blocks under one
-        // group; every block keyed from its own IV.
-        let iv_key = [0x5du8; 32];
-        let indices: Vec<u64> = (0..9).map(|i| 1000 + i * 37).collect();
+        // group, and a 64-block run; every block keyed from its own number.
+        let block_nos: Vec<u64> = (0..64).map(|i| 1000 + i * 37).collect();
         let [vaes, aes_ni, oracle] = ctr_back_ends(&[0x2au8; 32]);
         for block_len in [16, 48, 256, 1000, 1024, 4096] {
-            for blocks in 1..=9 {
-                let indices = &indices[..blocks];
+            for blocks in (1..=9).chain([64]) {
+                let block_nos = &block_nos[..blocks];
                 let data = pattern(blocks * block_len, blocks as u8);
                 let mut want = data.clone();
-                for (&i, block) in indices.iter().zip(want.chunks_exact_mut(block_len)) {
-                    oracle.apply(&derive_iv(&iv_key, i), block);
+                for (&b, block) in block_nos.iter().zip(want.chunks_exact_mut(block_len)) {
+                    oracle.apply(&block_nonce(b), block);
                 }
                 for (name, hw) in [("vaes", &vaes), ("aes-ni", &aes_ni), ("t-tables", &oracle)] {
                     let mut got = data.clone();
-                    hw.apply_run(&iv_key, indices, &mut got);
+                    hw.apply_blocks(block_nos, &mut got);
                     assert_eq!(got, want, "{name}: {blocks} blocks of {block_len}");
                 }
             }

@@ -3,18 +3,13 @@
 //! The paper uses SHA-256 for two purposes: deriving the hidden-file
 //! signature from `(file name, access key)` and, by recursive hashing of a
 //! seed, generating the pseudorandom block numbers that locate a hidden-file
-//! header.  Since then the hash has also become a per-block cost — the block
-//! IV derivation — so the compression function has two implementations
-//! under the one [`Sha256`] interface: the SHA-NI instructions where the
-//! CPU reports them (`crate::hw`, ≈ 1.3 GB/s), and the scalar rounds below
-//! everywhere else (≈ 240 MB/s), which are also the oracle the hardware
-//! path is tested against.
-//!
-//! The IVs of a run of blocks come many at a time, every message the same
-//! length, so they have a batch entry point of their own: [`sha256_many`]
-//! hashes sixteen messages per pass of an AVX-512 kernel where the CPU has
-//! one (≈ 2.1× SHA-NI per message), and falls back to the one-message path
-//! everywhere else.  Single messages — the KDF, HMAC — stay on [`Sha256`].
+//! header.  The reproduction adds the key derivations (HMAC, PBKDF2), all
+//! per-key or per-object work: no per-block job uses the hash.  The
+//! compression function has two implementations under the one [`Sha256`]
+//! interface: the SHA-NI instructions where the CPU reports them
+//! (`crate::hw`, ≈ 1.3 GB/s), and the scalar rounds below everywhere else
+//! (≈ 240 MB/s), which are also the oracle the hardware path is tested
+//! against.
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -22,7 +17,7 @@ pub const DIGEST_LEN: usize = 32;
 /// Number of bytes in a SHA-256 input block.
 pub const BLOCK_LEN: usize = 64;
 
-use crate::hw::{Avx512, ShaNi};
+use crate::hw::ShaNi;
 
 pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -258,158 +253,6 @@ pub fn sha256_concat(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-/// Messages the sixteen-lane kernel hashes side by side.
-const LANES: usize = 16;
-
-/// Fewest messages for which one sixteen-lane pass beats hashing them one
-/// at a time.  A pass costs the same whatever the number of live lanes
-/// (idle lanes re-hash the first message).  On the reference host a pass
-/// over sixteen 1 041-byte share checksums takes ≈ 7.1 µs against ≈ 0.9 µs
-/// per message through SHA-NI (≈ 23 against ≈ 50 ns per 64-byte block), and
-/// one over sixteen 49-byte IV messages ≈ 0.7 µs against ≈ 0.1 µs each:
-/// from eight messages up the pass is the cheaper of the two.
-const MIN_LANES: usize = 8;
-
-/// SHA-256 of each of many messages, in order.  Every message is the
-/// concatenation of its `P` parts — `key ‖ "stegfs-iv" ‖ index` for the
-/// block IVs — and the parts may be cut anywhere.
-///
-/// Messages of one total length are the fast case: on a CPU with AVX-512
-/// they are hashed sixteen at a time by one vector kernel, straight from
-/// the callers' slices.  Everything else — a CPU without AVX-512, a run
-/// (or the end of one) shorter than the kernel's break-even, a batch of
-/// sixteen whose lengths differ — is hashed one message at a time, exactly
-/// as [`sha256_concat`] does.  The digests are the same either way.
-pub fn sha256_many<'a, const P: usize>(
-    messages: impl IntoIterator<Item = [&'a [u8]; P]>,
-) -> Vec<[u8; DIGEST_LEN]> {
-    digest_many(Avx512::detect(), messages)
-}
-
-/// [`sha256_many`] pinned to the one-message-at-a-time path whatever the
-/// CPU offers: the reference side of the batch tests on every host.
-#[cfg(test)]
-pub(crate) fn sha256_many_one_at_a_time<'a, const P: usize>(
-    messages: impl IntoIterator<Item = [&'a [u8]; P]>,
-) -> Vec<[u8; DIGEST_LEN]> {
-    digest_many(None, messages)
-}
-
-fn digest_many<'a, const P: usize>(
-    x16: Option<Avx512>,
-    messages: impl IntoIterator<Item = [&'a [u8]; P]>,
-) -> Vec<[u8; DIGEST_LEN]> {
-    let mut messages = messages.into_iter();
-    let mut digests = Vec::with_capacity(messages.size_hint().0);
-    let mut batch: [[&[u8]; P]; LANES] = [[&[]; P]; LANES];
-    loop {
-        let mut filled = 0;
-        for (lane, message) in batch.iter_mut().zip(&mut messages) {
-            *lane = message;
-            filled += 1;
-        }
-        let batch = &batch[..filled];
-        match x16 {
-            Some(hw) if filled >= MIN_LANES && equal_lengths(batch) => {
-                digests.extend_from_slice(&hash_x16(hw, batch)[..filled]);
-            }
-            _ => digests.extend(batch.iter().map(|parts| sha256_concat(parts))),
-        }
-        if filled < LANES {
-            return digests;
-        }
-    }
-}
-
-fn message_len(parts: &[&[u8]]) -> usize {
-    parts.iter().map(|part| part.len()).sum()
-}
-
-fn equal_lengths<const P: usize>(batch: &[[&[u8]; P]]) -> bool {
-    let len = message_len(&batch[0]);
-    batch.iter().all(|parts| message_len(parts) == len)
-}
-
-/// Hash 1..=16 messages of one length in one pass of the sixteen-lane
-/// kernel; lanes past the end of `batch` re-hash its first message, and
-/// their digests are returned but meaningless.
-///
-/// Runs of whole blocks that lie inside one part in every lane go to the
-/// kernel in place, straight from the callers' slices.  The rest — a block
-/// that straddles two parts, and the padded final block(s) — are staged in
-/// one 64-byte stack block per lane, which is zeroed before returning.
-/// Where a block comes from depends only on the part lengths, never on the
-/// bytes.
-fn hash_x16<const P: usize>(hw: Avx512, batch: &[[&[u8]; P]]) -> [[u8; DIGEST_LEN]; LANES] {
-    let lane = |l: usize| batch.get(l).unwrap_or(&batch[0]);
-    let len = message_len(&batch[0]);
-    let blocks = (len + 9).div_ceil(BLOCK_LEN);
-    let mut state = H0.map(|word| [word; LANES]);
-    let mut staged = [[0u8; BLOCK_LEN]; LANES];
-    let mut block = 0;
-    while block < blocks {
-        let start = block * BLOCK_LEN;
-        let in_place: [&[[u8; BLOCK_LEN]]; LANES] =
-            std::array::from_fn(|l| blocks_in_place(lane(l), start));
-        let run = in_place.iter().map(|run| run.len()).min().unwrap_or(0);
-        if run > 0 {
-            hw.compress16(&mut state, in_place.map(|blocks| &blocks[..run]));
-            block += run;
-            continue;
-        }
-        for (l, stage) in staged.iter_mut().enumerate() {
-            if in_place[l].is_empty() {
-                stage_block(lane(l), len, start, block + 1 == blocks, stage);
-            }
-        }
-        hw.compress16(
-            &mut state,
-            std::array::from_fn(|l| match in_place[l] {
-                [] => std::slice::from_ref(&staged[l]),
-                blocks => &blocks[..1],
-            }),
-        );
-        block += 1;
-    }
-    crate::ct::zeroize(staged.as_flattened_mut());
-    std::array::from_fn(|l| digest_bytes(&std::array::from_fn(|i| state[i][l])))
-}
-
-/// The whole input blocks from `start` on that lie inside the one part of
-/// the message `parts` that holds byte `start` (none past the message).
-fn blocks_in_place<'a>(parts: &[&'a [u8]], start: usize) -> &'a [[u8; BLOCK_LEN]] {
-    let mut at = 0;
-    for part in parts {
-        if start < at + part.len() {
-            return part[start - at..].as_chunks().0;
-        }
-        at += part.len();
-    }
-    &[]
-}
-
-/// Copy padded-message block `start..start + 64` of the `len`-byte message
-/// `parts` into `out`: the message bytes it covers, the `0x80` terminator
-/// if it falls here, and the bit length if this is the `last` block.
-fn stage_block(parts: &[&[u8]], len: usize, start: usize, last: bool, out: &mut [u8; BLOCK_LEN]) {
-    out.fill(0);
-    let end = start + BLOCK_LEN;
-    let mut at = 0;
-    for part in parts {
-        let (from, to) = (at.max(start), (at + part.len()).min(end));
-        if from < to {
-            out[from - start..to - start].copy_from_slice(&part[from - at..to - at]);
-        }
-        at += part.len();
-    }
-    if (start..end).contains(&len) {
-        out[len - start] = 0x80;
-    }
-    if last {
-        out[BLOCK_LEN - 8..].copy_from_slice(&(len as u64).wrapping_mul(8).to_be_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,110 +359,8 @@ mod tests {
         assert_ne!(sha256(b""), sha256(b"\0"));
     }
 
-    /// `count` messages of `len` bytes, different in every lane, each cut
-    /// into three parts at points drawn from `cuts`.
-    fn messages(count: usize, len: usize, seed: u8, cuts: &[usize]) -> Vec<(Vec<u8>, [usize; 2])> {
-        (0..count)
-            .map(|i| {
-                let bytes = (0..len)
-                    .map(|k| (k as u8).wrapping_mul(13) ^ (i as u8).wrapping_mul(71) ^ seed)
-                    .collect();
-                let cut = |c: usize| {
-                    cuts.get((2 * i + c) % cuts.len().max(1))
-                        .map_or(0, |&x| x % (len + 1))
-                };
-                let (a, b) = (cut(0), cut(1));
-                (bytes, [a.min(b), a.max(b)])
-            })
-            .collect()
-    }
-
-    fn parts((bytes, [a, b]): &(Vec<u8>, [usize; 2])) -> [&[u8]; 3] {
-        [&bytes[..*a], &bytes[*a..*b], &bytes[*b..]]
-    }
-
-    fn one_by_one(messages: &[(Vec<u8>, [usize; 2])]) -> Vec<[u8; DIGEST_LEN]> {
-        messages
-            .iter()
-            .map(|(bytes, _)| {
-                let mut h = Sha256::portable();
-                h.update(bytes);
-                h.finalize()
-            })
-            .collect()
-    }
-
-    /// The production message shapes: an IV (`key ‖ "stegfs-iv" ‖ index`,
-    /// 49 bytes), a share checksum (17 + 1024) and a journal payload check
-    /// (22 + 8 + 1024), in runs that fill no batch, one batch and part of a
-    /// third.
-    #[test]
-    fn batch_matches_scalar_on_the_production_shapes() {
-        for len in [49, 1_041, 1_054] {
-            for count in [1, 7, 8, 15, 16, 17, 33] {
-                let messages = messages(count, len, len as u8, &[9, 41, 17, 30, 1000, 3]);
-                let want = one_by_one(&messages);
-                for got in [
-                    sha256_many(messages.iter().map(parts)),
-                    sha256_many_one_at_a_time(messages.iter().map(parts)),
-                ] {
-                    assert_eq!(got, want, "{count} messages of {len} bytes");
-                }
-            }
-        }
-    }
-
-    /// One sixteen-lane pass ≡ scalar for every batch size, below the
-    /// break-even that `sha256_many` routes to the one-at-a-time path too.
-    #[test]
-    fn x16_passes_of_every_size_match_scalar() {
-        let Some(hw) = Avx512::detect() else {
-            return; // no AVX-512 on this CPU: nothing to compare
-        };
-        for count in 1..=LANES {
-            for len in [0, 1, 55, 56, 63, 64, 119, 120, 128, 1_041] {
-                let messages = messages(count, len, 0x3c, &[5, 60, 64, 127, 2]);
-                let batch: Vec<[&[u8]; 3]> = messages.iter().map(parts).collect();
-                let got = hash_x16(hw, &batch);
-                assert_eq!(&got[..count], &one_by_one(&messages)[..], "{count} × {len}");
-            }
-        }
-    }
-
-    /// A run whose lengths differ is never mis-hashed: each message gets
-    /// its own digest, whatever lane it lands in.
-    #[test]
-    fn unequal_lengths_are_hashed_one_at_a_time() {
-        let messages: Vec<(Vec<u8>, [usize; 2])> = (0..40)
-            .map(|i| {
-                let len = if i == 7 || i == 20 { 1_041 + i } else { 1_041 };
-                (vec![i as u8; len], [17, 17 + i % 5])
-            })
-            .collect();
-        assert_eq!(
-            sha256_many(messages.iter().map(parts)),
-            one_by_one(&messages)
-        );
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-        /// The batch API ≡ scalar for 1..=33 equal-length messages of 0..=200
-        /// bytes, with parts cut at arbitrary points and different contents
-        /// in every lane — on this host's path and on the one-at-a-time path.
-        #[test]
-        fn batch_matches_scalar_for_any_run(
-            count in 1usize..=33,
-            len in 0usize..=200,
-            seed in any::<u8>(),
-            cuts in vec(any::<usize>(), 1..16),
-        ) {
-            let messages = messages(count, len, seed, &cuts);
-            let want = one_by_one(&messages);
-            prop_assert_eq!(sha256_many(messages.iter().map(parts)), want.clone());
-            prop_assert_eq!(sha256_many_one_at_a_time(messages.iter().map(parts)), want);
-        }
 
         /// However a message is cut into `update` calls — runs of whole
         /// blocks taken straight from the caller's slice, ragged ends

@@ -92,9 +92,13 @@ proptest! {
         }
 
         let rebuilt = ida.reconstruct(&pool, data.len()).unwrap();
-        prop_assert_eq!(&rebuilt[..data.len()], &data[..]);
-        // The tail beyond data_len is the zero padding of the last group.
-        prop_assert!(rebuilt[data.len()..].iter().all(|&b| b == 0));
+        prop_assert_eq!(&rebuilt, &data);
+        // Rebuilt at the shares' whole length, the bytes past the data are
+        // the zero padding `split` put into the shares.
+        let padded_len = pool[0].data.len() * m;
+        let padded = ida.reconstruct(&pool, padded_len).unwrap();
+        prop_assert_eq!(&padded[..data.len()], &data[..]);
+        prop_assert!(padded[data.len()..].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -1489,22 +1489,26 @@ mod tests {
         assert!(fs2.list_dir("/").unwrap().is_empty());
     }
 
-    /// Format v3 changed only check bytes inside ciphertext, and a v2
-    /// volume's coded objects and journal slots would fail those checks: it
-    /// is refused at mount, with the error every other version gets.
+    /// Formats v3 and v4 changed only bytes inside ciphertext (v3 the
+    /// checks, v4 the CTR nonce), so a v2 or v3 volume's coded objects and
+    /// journal slots would not decrypt or check: each is refused at mount,
+    /// with the error every other version gets.
     #[test]
     fn mount_refuses_a_v2_superblock() {
-        let dev = new_fs(4096).unmount().unwrap();
-        let mut sb = dev.read_block_vec(0).unwrap();
-        sb[8..12].copy_from_slice(&2u32.to_be_bytes());
-        dev.write_block(0, &sb).unwrap();
-        let err = PlainFs::mount(dev, AllocPolicy::FirstFit, 1)
-            .err()
-            .expect("refused");
-        assert!(
-            err.to_string().contains("unsupported on-disk version 2"),
-            "{err}"
-        );
+        for version in [2u32, 3] {
+            let dev = new_fs(4096).unmount().unwrap();
+            let mut sb = dev.read_block_vec(0).unwrap();
+            sb[8..12].copy_from_slice(&version.to_be_bytes());
+            dev.write_block(0, &sb).unwrap();
+            let err = PlainFs::mount(dev, AllocPolicy::FirstFit, 1)
+                .err()
+                .expect("refused");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported on-disk version {version}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

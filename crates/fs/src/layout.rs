@@ -26,6 +26,13 @@
 //! and the share checks are keyed per object, so converting one would take
 //! every user's key.  A v2 volume is refused at mount like any other
 //! version.
+//!
+//! Version 4 moved no block and no field either: the CTR nonce of every
+//! hidden-object block and journal slot is the block number itself
+//! (`stegfs_crypto::modes::block_nonce`) instead of a SHA-256 of the block
+//! key and the number.  Every hidden and journal ciphertext byte changed,
+//! and hidden blocks are keyed per object, so a v3 volume is refused at
+//! mount too.
 
 use crate::error::{FsError, FsResult};
 
@@ -33,7 +40,7 @@ use crate::error::{FsError, FsResult};
 pub const MAGIC: u64 = 0x5354_4547_4653_504c;
 
 /// On-disk format version understood by this implementation.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Size in bytes of a serialised inode.
 pub const INODE_SIZE: usize = 128;

@@ -58,8 +58,7 @@
 
 use stegfs_crypto::check::{tweak, KeyedCheck, TAG_LEN};
 use stegfs_crypto::kdf::{derive_key, derive_subkey};
-use stegfs_crypto::modes::{derive_iv, CtrCipher};
-use stegfs_crypto::sha256::DIGEST_LEN;
+use stegfs_crypto::modes::{block_nonce, CtrCipher};
 
 /// Magic bytes identifying a structured journal slot (after decryption).
 pub const SLOT_MAGIC: [u8; 4] = *b"SJRN";
@@ -125,20 +124,14 @@ impl SlotKind {
 /// records are structurally identical to the dummy-file maintenance records
 /// that churn constantly, so observed journal activity attributes to nothing.
 ///
-/// Like `ObjectKeys`, the key set holds the **expanded** AES-CTR schedule,
-/// and beside it the expanded check key: key expansion runs once per mount
-/// in [`JournalKeys::derive`], not once per slot, and the raw key, the round
-/// keys and the check's offsets are zeroed on drop.
+/// Like `ObjectKeys`, the key set holds only the **expanded** AES-CTR
+/// schedule, and beside it the expanded check key: key expansion runs once
+/// per mount in [`JournalKeys::derive`], not once per slot, the raw keys are
+/// zeroed as soon as they are expanded, and the round keys and the check's
+/// offsets are zeroed on drop.
 pub struct JournalKeys {
-    enc_key: [u8; DIGEST_LEN],
     cipher: CtrCipher,
     check: KeyedCheck,
-}
-
-impl Drop for JournalKeys {
-    fn drop(&mut self) {
-        stegfs_crypto::ct::zeroize(&mut self.enc_key);
-    }
 }
 
 impl JournalKeys {
@@ -146,34 +139,33 @@ impl JournalKeys {
     /// of `block_size` bytes.
     pub fn derive(salt: u64, block_size: usize) -> Self {
         let master = derive_key(&salt.to_be_bytes(), b"stegfs/journal", b"journal-region");
-        let enc_key = derive_subkey(&master, b"journal-slot-encryption");
+        let mut enc_key = derive_subkey(&master, b"journal-slot-encryption");
+        let cipher = CtrCipher::new(&enc_key);
+        stegfs_crypto::ct::zeroize(&mut enc_key);
         let mut check_key = derive_subkey(&master, b"journal-check");
         let check = KeyedCheck::new(&check_key, block_size);
         stegfs_crypto::ct::zeroize(&mut check_key);
-        JournalKeys {
-            cipher: CtrCipher::new(&enc_key),
-            enc_key,
-            check,
-        }
+        JournalKeys { cipher, check }
     }
 
-    /// Encrypt or decrypt (CTR is an involution) a slot in place, keyed by
-    /// its absolute device block number.
+    /// Encrypt or decrypt (CTR is an involution) a slot in place, with its
+    /// absolute device block number as the CTR nonce
+    /// ([`block_nonce`]: counter `j` is `abs_block ‖ j`).
     ///
-    /// Slot reuse across ring generations reuses the block-derived IV; as
-    /// with hidden-object block encryption elsewhere in the workspace, the
+    /// Slot reuse across ring generations reuses the slot's keystream, as
+    /// rewriting a hidden-object block does: any nonce that is a fixed
+    /// function of (key, block) repeats on exactly those rewrites.  The
     /// resulting multi-snapshot distinguishability is an accepted modelling
-    /// assumption (a single seized image reveals nothing).
+    /// assumption (a single seized image reveals nothing).  Distinct slots
+    /// never share a counter block.
     pub fn apply(&self, abs_block: u64, data: &mut [u8]) {
-        let iv = derive_iv(&self.enc_key, abs_block);
-        self.cipher.apply(&iv, data);
+        self.cipher.apply(&block_nonce(abs_block), data);
     }
 
     /// [`apply`](Self::apply) over a run of slots: `data` is
-    /// `abs_blocks.len()` equal slots back to back, and their IVs come from
-    /// one batched hash call.
+    /// `abs_blocks.len()` equal slots back to back, ciphered in one call.
     pub fn apply_many(&self, abs_blocks: &[u64], data: &mut [u8]) {
-        self.cipher.apply_run(&self.enc_key, abs_blocks, data);
+        self.cipher.apply_blocks(abs_blocks, data);
     }
 
     /// Integrity check of a payload image at sequence `seq`.  An intent's
