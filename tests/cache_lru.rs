@@ -32,10 +32,11 @@ const BUFFER_CACHE_BLOCKS: usize = 64;
 /// keeping its object's untouched plaintext cached.  Against the previous
 /// recording (exact LRU everywhere) only reads moved — 5 659 → 5 660
 /// submissions, 6 941 → 6 940 blocks — with writes, flushes and the image
-/// unchanged.  Re-recorded for format v3: traffic and device totals are
-/// unchanged, and only the image moved (the superblock's version field and
-/// the journal ring's slots).
-const PINNED: &str = "71e577a296bfd3ea1721c9628bf7ded3a89e1eb8d70b08be65aa679411ad6fef";
+/// unchanged.  Re-recorded for format v3 and again for v4: traffic and
+/// device totals are unchanged, and only the image moved (v3: the
+/// superblock's version field and the journal ring's slots; v4: the version
+/// field, the journal ring's slots and every hidden-object block).
+const PINNED: &str = "d23c3af39ea4e862a00e9f5fea9080296c76ec5f15096b34a626d47e36875829";
 
 type Disk = ObservedDevice<Tape>;
 type Stack = Vfs<BufferCache<Disk>>;

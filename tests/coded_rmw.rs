@@ -92,9 +92,11 @@ fn zero_shares(fs: &CodedVolume, name: &str, g: usize, losses: usize) {
 /// plan must leave every share, checksum, chain node and header byte where
 /// that code put it.  Re-recorded for format v3, whose keyed share checks
 /// changed the superblock's version field and the coded objects' header and
-/// chain-node blocks, and no other block.
+/// chain-node blocks, and no other block; and for format v4, whose block
+/// nonce changed the version field and every hidden-object block (shares,
+/// headers, chain nodes), and no other block.
 const GOLDEN_IMAGE_SHA256: &str =
-    "773a0127f259e5c8d29824b0b7cb41e03517e4409b37d9d0387effe9d851e5e7";
+    "b062c34037cd0f56b1a6a700fd72586251272242bbad74f84d7e59203bf53b14";
 
 #[test]
 fn golden_coded_volume_image_is_bit_identical() {

@@ -22,9 +22,11 @@ const CACHE_BLOCKS: usize = 64;
 /// scalar SHA-256: a hardware back end changes how fast these bytes are
 /// produced, never which bytes.  Re-recorded for format v3, whose keyed
 /// journal checks changed the superblock's version field and the journal
-/// ring's slots, and no other block.
+/// ring's slots, and no other block; and for format v4, whose block nonce
+/// changed the version field, the journal ring's slots and every
+/// hidden-object block, and no other block.
 const GOLDEN_IMAGE_SHA256: &str =
-    "6aaaa896c806acb1ebfa4e795374488ab2789acc6f772a13102620ee28185a1d";
+    "afe5a7247eaf6511d93753fec7129e4177b39231f6a61bfa53b5baa758336157";
 
 type Stack = StegFs<BufferCache<MemBlockDevice>>;
 
