@@ -27,9 +27,10 @@
 //! The kernel gives exactly AES-NI's bytes, and hands AES-NI whatever it
 //! cannot do exactly: a block whose counters would carry out of the low 64
 //! bits (the 64-bit add cannot carry, and the 2¹²⁸ wrap is such a carry;
-//! a block nonce's counters start at zero there and never do), the part of a block past its whole 256-byte groups, blocks under one
-//! group, and an odd block out of a run, which runs alone at four
-//! registers.  Hosts without VAES use the AES-NI loop throughout.
+//! a block nonce's counters start at zero there and never do), the part
+//! of a block past its whole 256-byte groups, blocks under one group, and
+//! an odd block out of a run, which runs alone at four registers.  Hosts
+//! without VAES use the AES-NI loop throughout.
 //!
 //! # The keyed-check kernel
 //!
@@ -64,8 +65,9 @@
 //!   tokens [`AesNi`], [`ShaNi`], [`Avx2`] and [`Vaes`].  Those tokens have
 //!   a private field and exactly one constructor each, `detect`, which
 //!   returns `Some` only after `is_x86_feature_detected!` has seen every
-//!   feature the gated functions enable.  Holding a token is therefore proof that the
-//!   instructions exist on this CPU; nothing outside this file can make one.
+//!   feature the gated functions enable.  Holding a token is therefore
+//!   proof that the instructions exist on this CPU; nothing outside this
+//!   file can make one.
 //! * **Unaligned vector loads and stores.**  All of them go through
 //!   [`load`] and [`store`] (`&[u8; 16]` / `&mut [u8; 16]`), [`load256`]
 //!   and [`store256`] (`&[u8; 32]` / `&mut [u8; 32]`), or [`load512`] and

@@ -1149,7 +1149,7 @@ impl Journal {
     /// Returns its targets and their images if every intent, payload and
     /// the commit slot check out; `None` for anything torn or incomplete.
     /// Each intent's payloads are decrypted and checked as one run: one
-    /// batched hash call for their IVs, one batched check call.
+    /// cipher call, one batched check call.
     fn walk_tx(
         &self,
         decoded: &[Option<Slot>],

@@ -503,8 +503,8 @@ mod tests {
             },
         };
         let sealed = sealed(&keys, 10, &slot, 512);
-        // Reading from the wrong position fails (IV and check are bound to
-        // the block number).
+        // Reading from the wrong position fails (nonce and check are bound
+        // to the block number).
         assert!(open_slot(&keys, 11, &sealed).is_none());
         // A torn write fails.
         let mut torn = sealed.clone();
