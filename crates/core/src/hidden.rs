@@ -16,12 +16,13 @@
 //! ([`repair`](ObjectIo::repair), [`delete`](ObjectIo::delete),
 //! [`destroy_unreadable`](ObjectIo::destroy_unreadable),
 //! [`share_extents`](ObjectIo::share_extents),
-//! [`owned_blocks`](ObjectIo::owned_blocks)).  There is no cached
-//! variant of anything: **no cache** is a value of the context,
-//! [`ReadCache::disabled`], not another function.  Every lookup misses and
-//! every insert is a no-op, so each call walks the locator and the chain on
-//! the device and decrypts what it reads.  The bytes written are the same
-//! either way.
+//! [`owned_blocks`](ObjectIo::owned_blocks), whose blocks and
+//! [`BlockRole`]s the block-owner map [`crate::blockmap`] claims).  There
+//! is no cached variant of anything: **no cache** is a value of the
+//! context, [`ReadCache::disabled`], not another function.  Every lookup
+//! misses and every insert is a no-op, so each call walks the locator and
+//! the chain on the device and decrypts what it reads.  The bytes written
+//! are the same either way.
 //!
 //! A read never writes.  One served from fallback shares or metadata
 //! replicas returns the same bytes and leaves the damage where it is; only
@@ -119,6 +120,20 @@ impl HiddenObject {
         }
         groups
     }
+}
+
+/// What one of an object's blocks holds, as [`ObjectIo::owned_blocks`]
+/// tells it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum BlockRole {
+    /// A copy of the object's header.
+    Header,
+    /// An inode-chain node or one of its replicas.
+    Chain,
+    /// A data block, or one share of a coded group.
+    Data,
+    /// A block held in the object's free pool.
+    Pool,
 }
 
 fn header_blocks_of<'h>(header_block: &'h u64, header: &'h HiddenHeader) -> &'h [u64] {
@@ -1652,17 +1667,19 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         Ok(data_blocks.chunks(n.max(1)).map(|c| c.to_vec()).collect())
     }
 
-    /// All blocks currently owned by the object (header, chain, data, pool).
-    /// Used by the space accounting in the experiments.
-    pub fn owned_blocks(&self, obj: &HiddenObject) -> StegResult<Vec<u64>> {
+    /// Every block the object owns, with what it holds there: header
+    /// replicas, chain nodes, data blocks (shares, under a coded policy)
+    /// and its free pool, in that order.  Nothing is deduplicated: a block
+    /// listed twice is owned twice, which the block-owner map
+    /// ([`crate::blockmap`]) reports.
+    pub fn owned_blocks(&self, obj: &HiddenObject) -> StegResult<Vec<(u64, BlockRole)>> {
         let chain = self.read_chain(obj)?;
-        let mut all = obj.header_blocks().to_vec();
-        all.extend(chain.data_blocks);
-        all.extend(chain.chain_blocks);
-        all.extend_from_slice(&obj.header.free_pool);
-        all.sort_unstable();
-        all.dedup();
-        Ok(all)
+        let tagged = |blocks: Vec<u64>, role| blocks.into_iter().map(move |b| (b, role));
+        Ok(tagged(obj.header_blocks().to_vec(), BlockRole::Header)
+            .chain(tagged(chain.chain_blocks, BlockRole::Chain))
+            .chain(tagged(chain.data_blocks, BlockRole::Data))
+            .chain(tagged(obj.header.free_pool.clone(), BlockRole::Pool))
+            .collect())
     }
 }
 
@@ -1895,11 +1912,11 @@ mod tests {
             .create("stable", ObjectKind::File, Policy::Plain)
             .unwrap();
         io.write(&mut obj, &vec![9u8; 8 * 1024], &mut rng).unwrap();
-        let before: std::collections::HashSet<u64> =
+        let before: std::collections::HashSet<(u64, BlockRole)> =
             io.owned_blocks(&obj).unwrap().into_iter().collect();
 
         io.resize(&mut obj, 64 * 1024, &mut rng).unwrap();
-        let after: std::collections::HashSet<u64> =
+        let after: std::collections::HashSet<(u64, BlockRole)> =
             io.owned_blocks(&obj).unwrap().into_iter().collect();
         // Growing only adds blocks; the original data blocks stay put (the
         // old chain blocks may be recycled, so compare data coverage via a
@@ -1974,7 +1991,7 @@ mod tests {
         let owned = io.owned_blocks(&obj).unwrap();
         let consumed = free_start - fs.free_data_blocks();
         assert_eq!(owned.len() as u64, consumed);
-        assert!(owned.contains(&obj.header_block));
+        assert!(owned.contains(&(obj.header_block, BlockRole::Header)));
     }
 
     #[test]
@@ -1987,7 +2004,7 @@ mod tests {
 
         let plain_blocks = fs.plain_object_blocks().unwrap();
         let hidden = io.owned_blocks(&obj).unwrap();
-        for b in &hidden {
+        for (b, _) in &hidden {
             assert!(
                 !plain_blocks.contains(b),
                 "hidden block {b} leaked into the central directory"
@@ -2042,8 +2059,11 @@ mod tests {
             bypass(&fs, &kb, &params).read(&b).unwrap(),
             vec![0xbb; 20_000]
         );
-        let blocks_a = bypass(&fs, &ka, &params).owned_blocks(&a).unwrap();
-        let blocks_b = bypass(&fs, &kb, &params).owned_blocks(&b).unwrap();
+        let blocks = |keys, obj| {
+            let owned = bypass(&fs, keys, &params).owned_blocks(obj).unwrap();
+            owned.into_iter().map(|(b, _)| b).collect::<Vec<_>>()
+        };
+        let (blocks_a, blocks_b) = (blocks(&ka, &a), blocks(&kb, &b));
         assert!(blocks_a.iter().all(|x| !blocks_b.contains(x)));
     }
 
@@ -2572,14 +2592,22 @@ mod tests {
         let io = bypass(&fs, &keys, &params);
         io.write(&mut obj, &[5u8; 4096], &mut rng).unwrap();
         let owned = io.owned_blocks(&obj).unwrap();
-        for &b in obj
+        let headers = obj
             .header
             .header_replicas
             .iter()
-            .chain(obj.header.chain_replicas.iter())
-            .chain(std::iter::once(&obj.header.inode_chain))
-        {
-            assert!(owned.contains(&b), "replica {b} missing from owned set");
+            .map(|&b| (b, BlockRole::Header));
+        let chain = obj
+            .header
+            .chain_replicas
+            .iter()
+            .map(|&b| (b, BlockRole::Chain));
+        let head = (obj.header.inode_chain, BlockRole::Chain);
+        for replica in headers.chain(chain).chain([head]) {
+            assert!(
+                owned.contains(&replica),
+                "replica {replica:?} missing from owned set"
+            );
         }
     }
 

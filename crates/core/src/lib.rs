@@ -65,6 +65,7 @@
 #![warn(missing_docs)]
 
 pub mod backup;
+pub mod blockmap;
 pub mod coding;
 pub mod crypt;
 pub mod error;

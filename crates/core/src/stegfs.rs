@@ -42,6 +42,7 @@
 //! that with one lock per open object; single-threaded users need nothing.
 
 use crate::backup::{BackupImage, PlainEntry};
+use crate::blockmap::{BlockMap, Class};
 use crate::coding::Policy;
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
@@ -189,7 +190,7 @@ fn require_kind(name: &str, actual: ObjectKind, expected: ObjectKind) -> StegRes
 
 /// A listing as stored in a directory object: a never-written (empty) object
 /// is an empty listing.
-fn parse_listing(raw: &[u8]) -> StegResult<UakDirectory> {
+pub(crate) fn parse_listing(raw: &[u8]) -> StegResult<UakDirectory> {
     if raw.is_empty() {
         Ok(UakDirectory::new())
     } else {
@@ -498,6 +499,16 @@ impl<D: BlockDevice> StegFs<D> {
         Ok(())
     }
 
+    /// Blocks abandoned at format time, as the volume config records them.
+    pub(crate) fn abandoned_count(&self) -> u64 {
+        self.config.abandoned_count
+    }
+
+    /// Dummy files the volume config records.
+    pub(crate) fn dummy_count(&self) -> u32 {
+        self.config.dummy_count
+    }
+
     // ------------------------------------------------------------------
     // Format-time camouflage: abandoned blocks and dummy files
     // ------------------------------------------------------------------
@@ -516,7 +527,7 @@ impl<D: BlockDevice> StegFs<D> {
         Ok(created)
     }
 
-    fn dummy_identity(&self, index: u32) -> (String, [u8; FAK_LEN]) {
+    pub(crate) fn dummy_identity(&self, index: u32) -> (String, [u8; FAK_LEN]) {
         let name = format!("stegfs:dummy-{index}");
         let fak = sha256_concat(&[
             b"stegfs-dummy-fak",
@@ -1168,7 +1179,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// Derived, never stored: `\u{1}` is rejected in object names, so a
     /// shadow's physical name can never collide with a real child's, and the
     /// FAK is domain-separated from the directory's own.
-    fn shadow_identity(physical: &str, fak: &[u8; FAK_LEN]) -> (String, [u8; FAK_LEN]) {
+    pub(crate) fn shadow_identity(physical: &str, fak: &[u8; FAK_LEN]) -> (String, [u8; FAK_LEN]) {
         let shadow_physical = format!("{physical}\u{1}shadow");
         let shadow_fak = sha256_concat(&[b"stegfs-shadow-fak", fak]);
         (shadow_physical, shadow_fak)
@@ -1693,15 +1704,11 @@ impl<D: BlockDevice> StegFs<D> {
     /// volume (no concurrent writers) for a consistent image.
     pub fn steg_backup(&self, admin_key: &[u8]) -> StegResult<Vec<u8>> {
         let sb = self.fs.superblock().clone();
-        let plain_blocks: std::collections::HashSet<u64> =
-            self.fs.plain_object_blocks()?.into_iter().collect();
-
-        let mut hidden_blocks = Vec::new();
-        for block in sb.data_start..sb.total_blocks {
-            if self.fs.is_block_allocated(block) && !plain_blocks.contains(&block) {
-                hidden_blocks.push((block, self.fs.read_raw_block(block)?));
-            }
-        }
+        let map = BlockMap::keyless(&self.fs)?;
+        let hidden_blocks = map
+            .blocks(|c| c == Class::Unaccounted)
+            .map(|block| Ok((block, self.fs.read_raw_block(block)?)))
+            .collect::<StegResult<_>>()?;
 
         let mut plain_entries = Vec::new();
         self.walk_plain_tree("/", &mut plain_entries)?;

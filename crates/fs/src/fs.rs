@@ -58,7 +58,7 @@ use crate::layout::Superblock;
 use crate::txn::FsTxn;
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, ObservedDevice};
-use stegfs_journal::{Journal, JournalGeometry};
+use stegfs_journal::{Journal, JournalGeometry, RingScan};
 use stegfs_obs::lock::{Condvar, Mutex, MutexGuard, RwLock};
 use stegfs_obs::{span, Obs, WatchdogStats};
 
@@ -498,6 +498,15 @@ impl<D: BlockDevice> PlainFs<D> {
     /// True if `block` is currently marked allocated in the bitmap.
     pub fn is_block_allocated(&self, block: u64) -> bool {
         self.bitmap.is_allocated(block)
+    }
+
+    /// The journal region as [`Journal::scan`] reads it, through the same
+    /// decoder replay uses; `None` on an unjournaled volume.  Reads only.
+    pub fn journal_scan(&self) -> FsResult<Option<RingScan>> {
+        self.journal
+            .as_ref()
+            .map(|journal| journal.scan(&*self.dev).map_err(FsError::from))
+            .transpose()
     }
 
     /// Change the data-block allocation policy.

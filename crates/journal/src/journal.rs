@@ -394,6 +394,96 @@ pub struct ReplayReport {
     pub blocks_recovered: usize,
 }
 
+/// What one block of the journal region holds, as
+/// [`RingScan::slot_uses`] tells it.  A slot is *live* when its transaction
+/// starts at or past the durable anchor's tail, so replay would consider
+/// it, and *checkpointed* when it starts below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SlotUse {
+    /// One of the two anchor blocks.
+    Anchor,
+    /// An intent slot.
+    Intent {
+        /// Its transaction is at or past the durable tail.
+        live: bool,
+    },
+    /// A payload slot: one of the blocks an intent's entries name behind it.
+    Payload {
+        /// Its transaction is at or past the durable tail.
+        live: bool,
+    },
+    /// A commit slot.
+    Commit {
+        /// Its transaction is at or past the durable tail.
+        live: bool,
+    },
+    /// Opens as nothing and no intent names it: fill, a torn slot, or a
+    /// payload whose intent was overwritten.
+    Unused,
+}
+
+/// The journal region as [`Journal::scan`] read it: the durable tail, every
+/// ring slot opened under the volume-public key, and every live
+/// transaction walked.
+pub struct RingScan {
+    /// Durable tail sequence: a transaction starting below it is
+    /// checkpointed.
+    tail_seq: u64,
+    /// Ring slot `s`, opened; `None` where nothing opens (payloads, fill,
+    /// torn slots).
+    slots: Vec<Option<Slot>>,
+    /// Live transactions whose every slot validates: first sequence number,
+    /// targets and images.
+    committed: Vec<(u64, TxWrites)>,
+    /// Live transactions found torn or incomplete.
+    discarded: usize,
+    /// The highest sequence number any anchor or slot carries.
+    max_seq: u64,
+}
+
+impl RingScan {
+    /// What each block of the region holds: the two anchors, then ring
+    /// slots `0, 1, …`.  Each intent names the `k` slots behind it as its
+    /// payloads; where two intents name one slot (a stale generation under
+    /// a newer one), the higher sequence number owns it.
+    pub fn slot_uses(&self) -> Vec<SlotUse> {
+        let ring = self.slots.len();
+        let live = |txid: u64| txid >= self.tail_seq;
+        let mut payload_of: Vec<Option<(u64, u64)>> = vec![None; ring];
+        for (s, slot) in self.slots.iter().enumerate() {
+            let Some(Slot {
+                seq,
+                txid,
+                body: SlotBody::Intent { entries, .. },
+                ..
+            }) = slot
+            else {
+                continue;
+            };
+            for k in 1..=entries.len() {
+                let at = (s + k) % ring;
+                if self.slots[at].is_none() && payload_of[at].is_none_or(|(q, _)| q < *seq) {
+                    payload_of[at] = Some((*seq, *txid));
+                }
+            }
+        }
+        let mut uses = vec![SlotUse::Anchor; ANCHOR_SLOTS as usize];
+        uses.extend(self.slots.iter().zip(payload_of).map(|(slot, payload)| {
+            match (slot, payload) {
+                (Some(s), _) if s.kind == SlotKind::Intent => {
+                    SlotUse::Intent { live: live(s.txid) }
+                }
+                (Some(s), _) if s.kind == SlotKind::Commit => {
+                    SlotUse::Commit { live: live(s.txid) }
+                }
+                (None, Some((_, txid))) => SlotUse::Payload { live: live(txid) },
+                _ => SlotUse::Unused,
+            }
+        }));
+        uses
+    }
+}
+
 /// The write-ahead journal over a reserved device region.
 ///
 /// All methods take `&self`; see the module docs for the internal lock order
@@ -1036,14 +1126,12 @@ impl Journal {
         self.checkpoint(dev, flight, true).map(drop)
     }
 
-    /// Scan the journal region, redo every committed transaction, and reset
-    /// the log.  Must run at mount, before any other structure is read.
-    ///
-    /// Replay needs **no user keys**: hidden-object payloads were staged as
-    /// object-key ciphertext, so redoing them restores exactly the bytes the
-    /// crashed commit meant to write, and wrong-key lookups after replay
-    /// remain indistinguishable from never-existed objects.
-    pub fn replay<D: BlockDevice>(&self, dev: &D) -> JournalResult<ReplayReport> {
+    /// Read and decode the journal region without writing anything: pick
+    /// the durable anchor, read the whole ring, open every slot under the
+    /// volume-public key and walk every live transaction.  This is the
+    /// read-only half of [`replay`](Self::replay), which redoes from it;
+    /// whoever else needs to know what the ring holds reads this.
+    pub fn scan<D: BlockDevice>(&self, dev: &D) -> JournalResult<RingScan> {
         let bs = self.geo.block_size;
         let ring = self.geo.ring_slots();
 
@@ -1083,7 +1171,7 @@ impl Journal {
             .map(|(s, raw)| open_slot(&self.keys, self.geo.ring_block(s as u64), raw))
             .collect();
 
-        // Walk every intent that opens a transaction (first_index == 0).
+        // Walk every intent that opens a live transaction (first_index == 0).
         let mut committed: Vec<(u64, TxWrites)> = Vec::new();
         let mut discarded = 0usize;
         let mut max_seq = anchor_seq.max(tail_seq);
@@ -1113,6 +1201,29 @@ impl Journal {
                 None => discarded += 1,
             }
         }
+        Ok(RingScan {
+            tail_seq,
+            slots: decoded,
+            committed,
+            discarded,
+            max_seq,
+        })
+    }
+
+    /// Scan the journal region, redo every committed transaction, and reset
+    /// the log.  Must run at mount, before any other structure is read.
+    ///
+    /// Replay needs **no user keys**: hidden-object payloads were staged as
+    /// object-key ciphertext, so redoing them restores exactly the bytes the
+    /// crashed commit meant to write, and wrong-key lookups after replay
+    /// remain indistinguishable from never-existed objects.
+    pub fn replay<D: BlockDevice>(&self, dev: &D) -> JournalResult<ReplayReport> {
+        let RingScan {
+            mut committed,
+            discarded,
+            max_seq,
+            ..
+        } = self.scan(dev)?;
 
         // Redo in sequence order; later transactions win on shared blocks.
         committed.sort_by_key(|(seq, _)| *seq);
@@ -1334,6 +1445,36 @@ mod tests {
         let report = reopen(&journal).replay(&dev).unwrap();
         assert_eq!(report, ReplayReport::default());
         assert_eq!(dev.read_block_vec(120).unwrap(), vec![9; BS]);
+    }
+
+    #[test]
+    fn scan_tells_slot_uses_and_writes_nothing() {
+        let (dev, journal) = fixture(32, 128);
+        let mut tx = Tx::new();
+        tx.write(100, vec![0x11; BS]);
+        tx.write(110, vec![0x22; BS]);
+        journal.commit(&dev, tx).unwrap();
+        let uses = |live| {
+            let mut want = vec![SlotUse::Anchor; 2];
+            want.push(SlotUse::Intent { live });
+            want.extend([SlotUse::Payload { live }; 2]);
+            want.push(SlotUse::Commit { live });
+            want.resize(32, SlotUse::Unused);
+            want
+        };
+
+        // Committed, not checkpointed: the transaction is live.
+        let before = dev.snapshot_raw();
+        let scan = reopen(&journal).scan(&dev).unwrap();
+        assert_eq!(dev.snapshot_raw(), before, "a scan wrote");
+        assert_eq!(scan.slot_uses(), uses(true));
+        assert_eq!(scan.committed.len(), 1);
+
+        // The checkpoint moves the tail past it; its slots stay readable.
+        journal.sync(&dev).unwrap();
+        let scan = reopen(&journal).scan(&dev).unwrap();
+        assert_eq!(scan.slot_uses(), uses(false));
+        assert!(scan.committed.is_empty());
     }
 
     #[test]

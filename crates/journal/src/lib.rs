@@ -17,8 +17,8 @@
 //!   fill around it;
 //! * records carry no hidden/plain tag, and hidden-object payloads are staged
 //!   as object-key ciphertext, so a record of a hidden update is structurally
-//!   identical to a record of a plain update or of the constant dummy-file
-//!   churn;
+//!   identical to a record of a plain update (its target list, though, is
+//!   readable under the volume-public key: see [`JournalKeys`]);
 //! * replay needs no user keys, and after a crash plus replay a wrong-key
 //!   lookup remains exactly as unanswerable as a lookup for an object that
 //!   never existed.
@@ -34,6 +34,7 @@ pub mod journal;
 pub mod record;
 
 pub use journal::{
-    Journal, JournalError, JournalGeometry, JournalResult, ReplayReport, Reservation, StagedTx, Tx,
+    Journal, JournalError, JournalGeometry, JournalResult, ReplayReport, Reservation, RingScan,
+    SlotUse, StagedTx, Tx,
 };
 pub use record::{JournalKeys, ANCHOR_SLOTS};

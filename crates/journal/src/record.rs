@@ -116,13 +116,17 @@ impl SlotKind {
 ///
 /// The key derives from a salt stored in the plain superblock, so it is
 /// *volume-public*: anyone holding the raw device can derive it, exactly as
-/// they can parse the bitmap.  What the encryption buys is uniformity — the
-/// journal region never exhibits structure a keyless snapshot could diff —
-/// while the security argument against a key-deriving inspector rests on the
-/// records themselves: hidden-object payloads enter the journal as object-key
-/// ciphertext (the journal never sees hidden plaintext), and hidden-update
-/// records are structurally identical to the dummy-file maintenance records
-/// that churn constantly, so observed journal activity attributes to nothing.
+/// they can parse the bitmap.  What the encryption buys is uniformity: the
+/// journal region never exhibits structure a snapshot read without the key
+/// could diff.  It hides nothing from whoever derives the key.  Every intent
+/// still in the ring, checkpointed or not, opens under it and lists its
+/// transaction's target blocks.  Hidden-object payloads enter the journal as
+/// object-key ciphertext, so the ring never holds hidden plaintext, but a
+/// target list that names allocated blocks no plain object owns says which
+/// of them were written recently.  No cover traffic masks this: the
+/// dummy-file refresh has no production caller, so no dummy records churn.
+/// The keyless block-owner map (`stegfs_core::blockmap`) decodes the ring
+/// with this key and shows exactly that.
 ///
 /// Like `ObjectKeys`, the key set holds only the **expanded** AES-CTR
 /// schedule, and beside it the expanded check key: key expansion runs once

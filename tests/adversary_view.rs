@@ -7,7 +7,9 @@
 //! missing objects, and allocated-but-unaccounted blocks must be
 //! indistinguishable from abandoned blocks and random fill.
 
-use stegfs_blockdev::{BufferCache, FaultDevice, MemBlockDevice};
+use std::collections::HashSet;
+use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
+use stegfs_core::blockmap::{BlockMap, Class};
 use stegfs_core::{ObjectKind, StegFs};
 use stegfs_tests::{full_feature_params, journaled_params, payload, test_volume};
 
@@ -30,6 +32,19 @@ fn entropy_bits_per_byte(data: &[u8]) -> f64 {
         .sum()
 }
 
+/// What the keyless inspector sees of `fs`.
+fn inspect<D: BlockDevice>(fs: &StegFs<D>) -> BlockMap {
+    BlockMap::keyless(fs.plain_fs()).unwrap()
+}
+
+/// The raw bytes of the first `n` blocks `map` puts in `class`.
+fn sample<D: BlockDevice>(fs: &StegFs<D>, map: &BlockMap, class: Class, n: usize) -> Vec<u8> {
+    map.blocks(|c| c == class)
+        .take(n)
+        .flat_map(|b| fs.plain_fs().read_raw_block(b).unwrap())
+        .collect()
+}
+
 #[test]
 fn central_directory_never_mentions_hidden_objects() {
     let fs = test_volume(8192);
@@ -46,13 +61,14 @@ fn central_directory_never_mentions_hidden_objects() {
     // The blocks of every plain object do not include any block holding the
     // hidden object's data (verified indirectly: freeing the hidden object
     // releases blocks that were never part of the plain set).
-    let plain_blocks = fs.plain_fs().plain_object_blocks().unwrap();
+    let plain_blocks = |fs| -> Vec<u64> { inspect(fs).blocks(|c| c == Class::Plain).collect() };
+    let before = plain_blocks(&fs);
     let before_free = fs.space_report().unwrap().free_blocks;
     fs.delete_hidden("the-secret", OWNER).unwrap();
     let after_free = fs.space_report().unwrap().free_blocks;
     assert!(after_free > before_free + 140);
     // Plain set unchanged by the deletion.
-    assert_eq!(fs.plain_fs().plain_object_blocks().unwrap(), plain_blocks);
+    assert_eq!(plain_blocks(&fs), before);
 }
 
 #[test]
@@ -87,37 +103,16 @@ fn hidden_blocks_look_like_random_fill_on_the_raw_device() {
     fs.write_hidden_with_key("zeros", OWNER, &structured)
         .unwrap();
 
-    let plain_blocks: std::collections::HashSet<u64> = fs
-        .plain_fs()
-        .plain_object_blocks()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let sb = fs.plain_fs().superblock().clone();
-
-    let mut unaccounted = Vec::new();
-    let mut free_fill = Vec::new();
-    for block in sb.data_start..sb.total_blocks {
-        let allocated = fs.plain_fs().is_block_allocated(block);
-        if allocated && !plain_blocks.contains(&block) {
-            unaccounted.push(block);
-        } else if !allocated {
-            free_fill.push(block);
-        }
-    }
-    assert!(unaccounted.len() > 120, "hidden + dummy + abandoned blocks");
+    let map = inspect(&fs);
+    assert!(
+        map.tally().get(Class::Unaccounted) > 120,
+        "hidden + dummy + abandoned blocks"
+    );
 
     // Sample entropy of both populations.
-    let mut unaccounted_bytes = Vec::new();
-    for &b in unaccounted.iter().take(64) {
-        unaccounted_bytes.extend(fs.plain_fs().read_raw_block(b).unwrap());
-    }
-    let mut free_bytes = Vec::new();
-    for &b in free_fill.iter().take(64) {
-        free_bytes.extend(fs.plain_fs().read_raw_block(b).unwrap());
-    }
+    let unaccounted_bytes = sample(&fs, &map, Class::Unaccounted, 64);
     let e_hidden = entropy_bits_per_byte(&unaccounted_bytes);
-    let e_free = entropy_bits_per_byte(&free_bytes);
+    let e_free = entropy_bits_per_byte(&sample(&fs, &map, Class::Free, 64));
     assert!(
         e_hidden > 7.5,
         "allocated-but-unaccounted blocks must look random (entropy {e_hidden:.2})"
@@ -127,10 +122,7 @@ fn hidden_blocks_look_like_random_fill_on_the_raw_device() {
         "hidden blocks ({e_hidden:.2} bits/byte) must match free fill ({e_free:.2} bits/byte)"
     );
     // And the all-zero plaintext never appears on the device.
-    let zero_block = vec![0u8; 1024];
-    for &b in unaccounted.iter().take(64) {
-        assert_ne!(fs.plain_fs().read_raw_block(b).unwrap(), zero_block);
-    }
+    assert!(unaccounted_bytes.chunks(1024).all(|b| b != [0u8; 1024]));
 }
 
 #[test]
@@ -139,26 +131,21 @@ fn snapshot_differencing_cannot_separate_real_files_from_dummies() {
     // snapshots.  Because dummy files are rewritten too (and real files hold
     // internal free pools), the per-snapshot deltas include dummy activity,
     // so new allocations cannot be attributed to real hidden data.
-    let mut fs = test_volume(8192);
-    let sb = fs.plain_fs().superblock().clone();
-    let snapshot = |fs: &mut StegFs<MemBlockDevice>| -> Vec<bool> {
-        (sb.data_start..sb.total_blocks)
-            .map(|b| fs.plain_fs().is_block_allocated(b))
-            .collect()
-    };
+    let fs = test_volume(8192);
+    let free = |fs| -> HashSet<u64> { inspect(fs).blocks(|c| c == Class::Free).collect() };
 
-    let before = snapshot(&mut fs);
+    let before = free(&fs);
     // Interval 1: only dummy maintenance runs.
     fs.touch_dummy_files().unwrap();
-    let after_dummies = snapshot(&mut fs);
+    let after_dummies = free(&fs);
     // Interval 2: a real hidden file is created as well as dummy maintenance.
     fs.steg_create("real", OWNER, ObjectKind::File).unwrap();
     fs.write_hidden_with_key("real", OWNER, &payload(9, 64 * 1024))
         .unwrap();
     fs.touch_dummy_files().unwrap();
-    let after_real = snapshot(&mut fs);
+    let after_real = free(&fs);
 
-    let delta = |a: &[bool], b: &[bool]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+    let delta = |a: &HashSet<u64>, b: &HashSet<u64>| a.symmetric_difference(b).count();
     let dummy_only_delta = delta(&before, &after_dummies);
     let with_real_delta = delta(&after_dummies, &after_real);
     // Both intervals show allocation churn; the dummy-only interval is not
@@ -246,52 +233,13 @@ fn crashed_journaled_volume_reveals_nothing_to_the_inspector() {
 
     // Allocated-but-unaccounted blocks (hidden + dummies + abandoned)
     // still match the free fill's entropy, as on a never-crashed volume.
-    let plain_blocks: std::collections::HashSet<u64> = fs_probe
-        .plain_fs()
-        .plain_object_blocks()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut unaccounted_bytes = Vec::new();
-    let mut free_bytes = Vec::new();
-    for block in sb.data_start..sb.total_blocks {
-        let allocated = fs_probe.plain_fs().is_block_allocated(block);
-        if allocated && !plain_blocks.contains(&block) && unaccounted_bytes.len() < 64 * 1024 {
-            unaccounted_bytes.extend(fs_probe.plain_fs().read_raw_block(block).unwrap());
-        } else if !allocated && free_bytes.len() < 64 * 1024 {
-            free_bytes.extend(fs_probe.plain_fs().read_raw_block(block).unwrap());
-        }
-    }
-    let e_hidden = entropy_bits_per_byte(&unaccounted_bytes);
-    let e_free = entropy_bits_per_byte(&free_bytes);
+    let map = inspect(&fs_probe);
+    let e_hidden = entropy_bits_per_byte(&sample(&fs_probe, &map, Class::Unaccounted, 64));
+    let e_free = entropy_bits_per_byte(&sample(&fs_probe, &map, Class::Free, 64));
     assert!(
         (e_hidden - e_free).abs() < 0.3,
         "after a crash, unaccounted blocks ({e_hidden:.2}) must still match free fill ({e_free:.2})"
     );
-}
-
-/// Entropy of a volume's allocated-but-unaccounted blocks plus the count
-/// of such blocks — the complete statistical view an adversary gets of the
-/// hidden population.
-fn unaccounted_profile(fs: &StegFs<MemBlockDevice>) -> (f64, usize) {
-    let sb = fs.plain_fs().superblock().clone();
-    let plain_blocks: std::collections::HashSet<u64> = fs
-        .plain_fs()
-        .plain_object_blocks()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut sample = Vec::new();
-    let mut count = 0usize;
-    for block in sb.data_start..sb.total_blocks {
-        if fs.plain_fs().is_block_allocated(block) && !plain_blocks.contains(&block) {
-            count += 1;
-            if sample.len() < 96 * 1024 {
-                sample.extend(fs.plain_fs().read_raw_block(block).unwrap());
-            }
-        }
-    }
-    (entropy_bits_per_byte(&sample), count)
 }
 
 #[test]
@@ -319,8 +267,18 @@ fn dispersed_volume_is_statistically_indistinguishable_from_a_plain_one() {
             .unwrap();
     }
 
-    let (e_plain, n_plain) = unaccounted_profile(&plain_fs);
-    let (e_coded, n_coded) = unaccounted_profile(&coded_fs);
+    // The adversary's complete statistical view of the hidden population:
+    // how many unaccounted blocks there are, and their entropy.
+    let profile = |fs| {
+        let map = inspect(fs);
+        let bytes = sample(fs, &map, Class::Unaccounted, 96);
+        (
+            entropy_bits_per_byte(&bytes),
+            map.tally().get(Class::Unaccounted),
+        )
+    };
+    let (e_plain, n_plain) = profile(&plain_fs);
+    let (e_coded, n_coded) = profile(&coded_fs);
     assert!(n_coded > n_plain, "dispersal stores extra share blocks");
     assert!(
         e_plain > 7.5 && e_coded > 7.5,
@@ -332,15 +290,12 @@ fn dispersed_volume_is_statistically_indistinguishable_from_a_plain_one() {
          blocks ({e_plain:.3} vs {e_coded:.3} bits/byte)"
     );
     // The worst-case plaintext (all zeros, stored 4 ways) never surfaces.
-    let sb = coded_fs.plain_fs().superblock().clone();
-    let zero_block = vec![0u8; 1024];
-    for block in sb.data_start..sb.total_blocks {
-        if coded_fs.plain_fs().is_block_allocated(block) {
-            assert_ne!(
-                coded_fs.plain_fs().read_raw_block(block).unwrap(),
-                zero_block
-            );
-        }
+    let map = inspect(&coded_fs);
+    for block in map.blocks(|c| matches!(c, Class::Plain | Class::Unaccounted)) {
+        assert_ne!(
+            coded_fs.plain_fs().read_raw_block(block).unwrap(),
+            [0u8; 1024]
+        );
     }
 }
 
@@ -394,25 +349,9 @@ fn formatting_without_random_fill_would_leak_and_is_therefore_detectable() {
     fs.write_hidden_with_key("obvious", OWNER, &vec![0u8; 50 * 1024])
         .unwrap();
 
-    let sb = fs.plain_fs().superblock().clone();
-    let plain_blocks: std::collections::HashSet<u64> = fs
-        .plain_fs()
-        .plain_object_blocks()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut free_sample = Vec::new();
-    let mut hidden_sample = Vec::new();
-    for block in sb.data_start..sb.total_blocks {
-        let allocated = fs.plain_fs().is_block_allocated(block);
-        if !allocated && free_sample.len() < 32 * 1024 {
-            free_sample.extend(fs.plain_fs().read_raw_block(block).unwrap());
-        } else if allocated && !plain_blocks.contains(&block) && hidden_sample.len() < 32 * 1024 {
-            hidden_sample.extend(fs.plain_fs().read_raw_block(block).unwrap());
-        }
-    }
-    let e_free = entropy_bits_per_byte(&free_sample);
-    let e_hidden = entropy_bits_per_byte(&hidden_sample);
+    let map = inspect(&fs);
+    let e_free = entropy_bits_per_byte(&sample(&fs, &map, Class::Free, 32));
+    let e_hidden = entropy_bits_per_byte(&sample(&fs, &map, Class::Unaccounted, 32));
     assert!(e_free < 1.0, "zero-filled free space has near-zero entropy");
     assert!(e_hidden > 7.0, "encrypted blocks are high entropy");
     // The gap is the leak: an adversary can spot hidden data immediately.

@@ -4,13 +4,12 @@
 //! the free bitmap must balance once everything is deleted.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 use stegfs_blockdev::MemBlockDevice;
-use stegfs_core::crypt::ObjectKeys;
+use stegfs_core::blockmap::Class;
 use stegfs_core::{ObjectKind, StegFs, StegParams};
-use stegfs_tests::payload;
+use stegfs_tests::{owned_once, payload};
 
 /// Parameters with a *deterministic* free-pool size (`FB_min == FB_max`), so
 /// that after any write the pool holds exactly `FB_max` blocks and the
@@ -65,43 +64,12 @@ fn churn_round(fs: &Arc<StegFs<MemBlockDevice>>, seeds: &[u64], sizes: &[usize])
     }
 }
 
-/// Blocks owned by every live hidden object reachable from the given UAKs,
-/// including each UAK directory object itself.
-fn live_owned_blocks(fs: &StegFs<MemBlockDevice>, uaks: &[String]) -> HashMap<u64, String> {
-    let mut owner_of: HashMap<u64, String> = HashMap::new();
-    let mut claim = |fs: &StegFs<MemBlockDevice>, label: String, physical: &str, key: &[u8]| {
-        let keys = ObjectKeys::derive(physical, key);
-        let io = fs.object_io(&keys);
-        for b in io.owned_blocks(&io.open(physical).unwrap()).unwrap() {
-            assert!(
-                fs.plain_fs().is_block_allocated(b),
-                "{label}: owned block {b} not marked allocated"
-            );
-            if let Some(other) = owner_of.insert(b, label.clone()) {
-                panic!("block {b} owned by both {other} and {label}");
-            }
-        }
-    };
-    for uak in uaks {
-        // The UAK directory object.
-        claim(
-            fs,
-            format!("uak-dir[{uak}]"),
-            stegfs_core::keys::UAK_DIRECTORY_NAME,
-            uak.as_bytes(),
-        );
-        // Every object it lists.
-        for (name, _) in fs.list_hidden(uak).unwrap() {
-            let entry = fs.lookup_entry(&name, uak).unwrap();
-            claim(
-                fs,
-                format!("{uak}/{name}"),
-                &entry.physical_name,
-                &entry.fak,
-            );
-        }
-    }
-    owner_of
+/// Every block a live hidden object reachable from `uaks` owns, each UAK
+/// directory included, asserted owned once and allocated.
+fn live_hidden_blocks(fs: &StegFs<MemBlockDevice>, uaks: &[String]) -> Vec<u64> {
+    let uaks: Vec<&str> = uaks.iter().map(String::as_str).collect();
+    let map = owned_once(fs, &uaks);
+    map.blocks(|c| matches!(c, Class::Hidden(_))).collect()
 }
 
 proptest! {
@@ -124,7 +92,7 @@ proptest! {
 
         // Invariant 1: no block is owned by two live objects, and every
         // owned block is marked allocated in the shared bitmap.
-        let owned = live_owned_blocks(&fs, &uaks);
+        let owned = live_hidden_blocks(&fs, &uaks);
         prop_assert!(!owned.is_empty());
 
         // Invariant 2: deleting every object returns its blocks; a second,
@@ -170,9 +138,8 @@ fn cross_segment_claims_fill_and_drain_cleanly() {
 
     // The object's blocks must span well past one segment of the data
     // region (the bitmap shards it 8 ways), or nothing was stolen.
-    let owned = live_owned_blocks(&fs, std::slice::from_ref(&uak));
-    let lo = owned.keys().min().copied().unwrap();
-    let hi = owned.keys().max().copied().unwrap();
+    let owned = live_hidden_blocks(&fs, std::slice::from_ref(&uak));
+    let (lo, hi) = (owned[0], owned[owned.len() - 1]);
     let span = hi - lo;
     let data_blocks = fs.plain_fs().data_blocks();
     assert!(
@@ -264,7 +231,7 @@ fn twelve_threads_of_allocator_churn_stay_consistent() {
     let sizes: Vec<usize> = (0..12).map(|t| 3_000 + t * 700).collect();
     churn_round(&fs, &seeds, &sizes);
     let uaks: Vec<String> = (0..12).map(uak_for).collect();
-    let owned = live_owned_blocks(&fs, &uaks);
+    let owned = live_hidden_blocks(&fs, &uaks);
     assert!(owned.len() > 12, "every durable object owns blocks");
     // The volume survives a remount with every durable object intact.
     let fs = Arc::into_inner(fs).expect("sole owner");

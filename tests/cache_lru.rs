@@ -19,7 +19,7 @@ use stegfs_core::StegParams;
 use stegfs_crypto::sha256::{sha256, Sha256};
 use stegfs_obs::lock::Mutex;
 use stegfs_obs::DeviceSummary;
-use stegfs_tests::{journaled_params, payload, Tape};
+use stegfs_tests::{hex, journaled_params, payload, Pin, Tape};
 use stegfs_vfs::{OpenOptions, SessionId, Vfs};
 
 const OWNER: &str = "the real key";
@@ -64,12 +64,8 @@ fn check(vfs: &Stack, s: SessionId, path: &str, want: &[u8]) {
     vfs.close(h).unwrap();
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// The fixed script; returns (traffic digest, device totals, image digest).
-fn run_script() -> (String, DeviceSummary, String) {
+/// The fixed script; returns (traffic digest, device totals, raw image).
+fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     let traffic = Arc::new(Mutex::new(Sha256::new()));
     let disk = ObservedDevice::counting(Tape {
         mem: MemBlockDevice::new(BS, 8192),
@@ -154,12 +150,13 @@ fn run_script() -> (String, DeviceSummary, String) {
         image.extend(tape.mem.read_block_vec(b).expect("raw read"));
     }
     let traffic = traffic.lock().clone().finalize();
-    (hex(&traffic), io.summary(), hex(&sha256(&image)))
+    (hex(&traffic), io.summary(), image)
 }
 
 #[test]
 fn evicting_stack_is_pinned_submission_for_submission() {
     let (traffic, io, image) = run_script();
+    let image_digest = hex(&sha256(&image));
     let mut all = Sha256::new();
     all.update(traffic.as_bytes());
     for total in [
@@ -172,10 +169,18 @@ fn evicting_stack_is_pinned_submission_for_submission() {
     ] {
         all.update(&total.to_be_bytes());
     }
-    all.update(image.as_bytes());
-    assert_eq!(
-        hex(&all.finalize()),
+    all.update(image_digest.as_bytes());
+    let pin = Pin {
+        name: "cache_lru",
+        params: params(),
+        uaks: &[OWNER],
+        dir: env!("CARGO_TARGET_TMPDIR"),
+    };
+    pin.check(
+        &hex(&all.finalize()),
         PINNED,
-        "traffic {traffic}, image {image}, {io:?}"
+        &image,
+        BS,
+        &format!("traffic {traffic}, image {image_digest}, {io:?}"),
     );
 }

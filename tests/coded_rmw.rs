@@ -9,7 +9,7 @@ use stegfs_blockdev::{BlockDevice, FaultDevice, MemBlockDevice, ObservedDevice};
 use stegfs_core::hidden::RepairOutcome;
 use stegfs_core::{ObjectKind, Policy, StegFs};
 use stegfs_crypto::sha256::sha256;
-use stegfs_tests::{full_feature_params, payload};
+use stegfs_tests::{full_feature_params, hex, payload, Pin};
 
 const OWNER: &str = "the real key";
 const BS: usize = 1024;
@@ -37,10 +37,6 @@ fn raw_image<D: BlockDevice>(fs: &StegFs<D>) -> Vec<u8> {
         image.extend(dev.read_block_vec(b).expect("raw read"));
     }
     image
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// The five ways a patch can sit relative to the `m * BS`-byte groups of an
@@ -148,7 +144,14 @@ fn golden_coded_volume_image_is_bit_identical() {
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key(name, OWNER).unwrap(), model);
     }
-    assert_eq!(hex(&sha256(&raw_image(&fs))), GOLDEN_IMAGE_SHA256);
+    let image = raw_image(&fs);
+    let pin = Pin {
+        name: "coded_rmw",
+        params: full_feature_params(),
+        uaks: &[OWNER],
+        dir: env!("CARGO_TARGET_TMPDIR"),
+    };
+    pin.check(&hex(&sha256(&image)), GOLDEN_IMAGE_SHA256, &image, BS, "");
 }
 
 #[test]

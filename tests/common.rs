@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, BlockId, BlockResult, MemBlockDevice};
+use stegfs_core::blockmap::{diff, BlockMap};
 use stegfs_core::{Policy, StegFs, StegParams};
 use stegfs_crypto::sha256::Sha256;
 use stegfs_obs::lock::Mutex;
@@ -59,6 +60,93 @@ pub fn payload(seed: u64, len: usize) -> Vec<u8> {
     let mut data = vec![0u8; len];
     rng.fill(&mut data);
     data
+}
+
+/// The keyed block-owner map of `fs` under `uaks`, asserted free of
+/// ownership violations: no block with two owners, and none owned but free
+/// or outside the data region.
+pub fn owned_once<D: BlockDevice>(fs: &StegFs<D>, uaks: &[&str]) -> BlockMap {
+    let map = BlockMap::keyed(fs, uaks).expect("build the block-owner map");
+    if let Some(first) = map.violations().first() {
+        panic!("{first} (and {} more)", map.violations().len() - 1);
+    }
+    map
+}
+
+/// Lower-case hex of `bytes`, as the pins print digests.
+pub fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// An image pin: a fixed script whose final raw image a test hashes, with
+/// what the block-owner map needs to read that image.
+pub struct Pin<'a> {
+    /// The pin's name; its last good image is kept as `<name>.img`.
+    pub name: &'a str,
+    /// The volume parameters the script formats with.
+    pub params: StegParams,
+    /// Every UAK the script creates objects under.
+    pub uaks: &'a [&'a str],
+    /// Where the last good image is kept: the test's
+    /// `env!("CARGO_TARGET_TMPDIR")`.
+    pub dir: &'a str,
+}
+
+impl Pin<'_> {
+    /// Assert that `digest`, which covers the final `image` of `block_size`
+    /// blocks, equals `pinned`.  A pass keeps `image` as the pin's last good
+    /// image.  A mismatch panics with `context` and the keyed block-owner
+    /// map of `image`: its blocks per class, and, when an earlier run kept a
+    /// last good image, the blocks that differ from it per class.  A change
+    /// that moves the pin runs it once on its parent and once on itself,
+    /// and its re-record pastes the second table.
+    pub fn check(
+        &self,
+        digest: &str,
+        pinned: &str,
+        image: &[u8],
+        block_size: usize,
+        context: &str,
+    ) {
+        let kept = format!("{}/{}.img", self.dir, self.name);
+        if digest == pinned {
+            std::fs::write(&kept, image).expect("keep the last good image");
+            return;
+        }
+        panic!(
+            "{}: digest {digest}, pinned {pinned}; {context}\n{}",
+            self.name,
+            self.report(image, block_size, &kept)
+        );
+    }
+
+    /// The block-owner map's tables for `image`, against the image kept at
+    /// `kept` when there is one.
+    fn report(&self, image: &[u8], block_size: usize, kept: &str) -> String {
+        let dev = MemBlockDevice::new(block_size, (image.len() / block_size) as u64);
+        let all: Vec<u64> = (0..dev.total_blocks()).collect();
+        dev.write_blocks(&all, image).expect("load the image");
+        let map = match StegFs::mount(dev, self.params.clone())
+            .and_then(|fs| BlockMap::keyed(&fs, self.uaks))
+        {
+            Ok(map) => map,
+            Err(e) => return format!("the final image does not map: {e}"),
+        };
+        let mut out = format!(
+            "final image, blocks per class (leak {:?}, violations {:?}):\n{}",
+            map.leak(),
+            map.violations(),
+            map.tally()
+        );
+        match std::fs::read(kept) {
+            Ok(old) if old.len() == image.len() => out.push_str(&format!(
+                "\nblocks that differ from the last good image ({kept}), per class:\n{}",
+                diff(&old, image, &map)
+            )),
+            _ => out.push_str(&format!("\nno last good image at {kept} to diff against")),
+        }
+        out
+    }
 }
 
 /// A device that hashes what it is asked, in order — kind and block list of

@@ -11,7 +11,7 @@
 use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice};
 use stegfs_core::{ObjectKind, StegFs};
 use stegfs_crypto::sha256::sha256;
-use stegfs_tests::{journaled_params, payload};
+use stegfs_tests::{hex, journaled_params, payload, Pin};
 
 const OWNER: &str = "the real key";
 const BS: usize = 1024;
@@ -29,10 +29,6 @@ const GOLDEN_IMAGE_SHA256: &str =
     "afe5a7247eaf6511d93753fec7129e4177b39231f6a61bfa53b5baa758336157";
 
 type Stack = StegFs<BufferCache<MemBlockDevice>>;
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 /// The fixed operation sequence; returns the flushed bare device.
 fn drive() -> MemBlockDevice {
@@ -86,7 +82,13 @@ fn golden_journaled_volume_image_is_bit_identical() {
     for b in 0..dev.total_blocks() {
         image.extend(dev.read_block_vec(b).expect("raw read"));
     }
-    assert_eq!(hex(&sha256(&image)), GOLDEN_IMAGE_SHA256);
+    let pin = Pin {
+        name: "golden_journaled",
+        params: journaled_params(160),
+        uaks: &[OWNER],
+        dir: env!("CARGO_TARGET_TMPDIR"),
+    };
+    pin.check(&hex(&sha256(&image)), GOLDEN_IMAGE_SHA256, &image, BS, "");
 
     // The flushed device mounts cleanly and serves the same bytes back.
     let fs: Stack = StegFs::mount(

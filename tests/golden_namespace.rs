@@ -25,7 +25,7 @@ use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_crypto::sha256::{sha256, Sha256};
 use stegfs_obs::lock::Mutex;
 use stegfs_obs::DeviceSummary;
-use stegfs_tests::{journaled_params, payload, Tape};
+use stegfs_tests::{hex, journaled_params, payload, Pin, Tape};
 
 const OWNER: &str = "the real key";
 const FRIEND: &str = "a colleague's key";
@@ -56,10 +56,6 @@ fn params() -> StegParams {
 
 fn cached(disk: Disk) -> BufferCache<Disk> {
     BufferCache::new_write_back(disk, BUFFER_CACHE_BLOCKS)
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn child(fs: &Stack, parent: &DirectoryEntry, name: &str) -> DirectoryEntry {
@@ -94,8 +90,8 @@ fn names(listing: Vec<(String, ObjectKind)>) -> Vec<String> {
     names
 }
 
-/// The fixed script; returns (traffic digest, device totals, image digest).
-fn run_script() -> (String, DeviceSummary, String) {
+/// The fixed script; returns (traffic digest, device totals, raw image).
+fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     let traffic = Arc::new(Mutex::new(Sha256::new()));
     let disk = ObservedDevice::counting(Tape {
         mem: MemBlockDevice::new(BS, 8192),
@@ -259,12 +255,13 @@ fn run_script() -> (String, DeviceSummary, String) {
         image.extend(tape.mem.read_block_vec(b).expect("raw read"));
     }
     let traffic = traffic.lock().clone().finalize();
-    (hex(&traffic), io.summary(), hex(&sha256(&image)))
+    (hex(&traffic), io.summary(), image)
 }
 
 #[test]
 fn hidden_namespace_is_pinned_submission_for_submission() {
     let (traffic, io, image) = run_script();
+    let image_digest = hex(&sha256(&image));
     let mut all = Sha256::new();
     all.update(traffic.as_bytes());
     for total in [
@@ -277,10 +274,18 @@ fn hidden_namespace_is_pinned_submission_for_submission() {
     ] {
         all.update(&total.to_be_bytes());
     }
-    all.update(image.as_bytes());
-    assert_eq!(
-        hex(&all.finalize()),
+    all.update(image_digest.as_bytes());
+    let pin = Pin {
+        name: "golden_namespace",
+        params: params(),
+        uaks: &[OWNER, FRIEND],
+        dir: env!("CARGO_TARGET_TMPDIR"),
+    };
+    pin.check(
+        &hex(&all.finalize()),
         PINNED,
-        "traffic {traffic}, image {image}, {io:?}"
+        &image,
+        BS,
+        &format!("traffic {traffic}, image {image_digest}, {io:?}"),
     );
 }

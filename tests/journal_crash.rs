@@ -30,7 +30,7 @@ use stegfs_blockdev::{
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{ObjectKind, StegFs, StegParams};
 use stegfs_obs::lock::{Condvar, Mutex, RwLock};
-use stegfs_tests::{journaled_params, payload};
+use stegfs_tests::{journaled_params, owned_once, payload};
 
 const OWNER: &str = "crash-harness key";
 const CACHE_BLOCKS: usize = 64;
@@ -214,51 +214,6 @@ fn assert_listed_names_open<D: BlockDevice>(fs: &StegFs<D>) -> Vec<String> {
     listed.into_iter().map(|(name, _)| name).collect()
 }
 
-/// Owned-block accounting: every live object's blocks (data, chain, header,
-/// free pool) must be allocated and owned exactly once, disjoint from every
-/// plain block and from the metadata + journal regions.
-fn assert_no_double_ownership<D: BlockDevice>(fs: &StegFs<D>) {
-    let sb = fs.plain_fs().superblock().clone();
-    let mut owner_of: HashMap<u64, String> = HashMap::new();
-    for b in fs.plain_fs().plain_object_blocks().unwrap() {
-        assert!(sb.in_data_region(b), "plain block {b} outside data region");
-        owner_of.insert(b, "plain".into());
-    }
-    let mut claim = |physical: &str, key: &[u8], label: String| {
-        let keys = ObjectKeys::derive(physical, key);
-        let io = fs.object_io(&keys);
-        let obj = match io.open(physical) {
-            Ok(obj) => obj,
-            // The object (e.g. the UAK directory before any hidden create
-            // committed) does not exist — nothing to claim.
-            Err(e) if e.is_not_found() => return,
-            Err(e) => panic!("{label}: open failed: {e}"),
-        };
-        for b in io.owned_blocks(&obj).unwrap() {
-            assert!(
-                fs.plain_fs().is_block_allocated(b),
-                "{label}: owned block {b} not marked allocated"
-            );
-            assert!(
-                sb.in_data_region(b),
-                "{label}: block {b} outside data region"
-            );
-            if let Some(other) = owner_of.insert(b, label.clone()) {
-                panic!("block {b} owned by both {other} and {label}");
-            }
-        }
-    };
-    claim(
-        stegfs_core::keys::UAK_DIRECTORY_NAME,
-        OWNER.as_bytes(),
-        "uak-dir".into(),
-    );
-    for (name, _) in fs.list_hidden(OWNER).unwrap() {
-        let entry = fs.lookup_entry(&name, OWNER).unwrap();
-        claim(&entry.physical_name, &entry.fak, format!("hidden/{name}"));
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10,
@@ -351,7 +306,7 @@ proptest! {
         assert_listed_names_open(&fs);
 
         // The allocator owns every live block exactly once.
-        assert_no_double_ownership(&fs);
+        owned_once(&fs, &[OWNER]);
 
         // Wrong key and never-existed stay indistinguishable across the
         // crash + replay.
@@ -449,7 +404,7 @@ fn checkpoint_daemon_in_flight_replays_cleanly() {
                 }
             }
         }
-        assert_no_double_ownership(&fs);
+        owned_once(&fs, &[OWNER]);
 
         // The recovered volume still runs a daemon, drains it on unmount
         // and hands back a volume that remounts clean.
@@ -494,7 +449,7 @@ fn torn_hidden_rewrite_preserves_old_contents() {
         if got != old {
             assert_eq!(got, payload(8, 30 * 1024), "trip {trip}: torn rewrite");
         }
-        assert_no_double_ownership(&fs);
+        owned_once(&fs, &[OWNER]);
     }
 }
 
@@ -537,7 +492,7 @@ fn interrupted_delete_never_leaves_a_ghost_name() {
             fs.steg_create("budget", OWNER, ObjectKind::File)
                 .unwrap_or_else(|e| panic!("trip {trip}: unlisted name not creatable: {e}"));
         }
-        assert_no_double_ownership(&fs);
+        owned_once(&fs, &[OWNER]);
         if completed {
             assert!(trip > 2, "the delete never met the trip wire");
             return;
@@ -606,7 +561,7 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
             data,
             "trip {trip}: torn repair broke the object"
         );
-        assert_no_double_ownership(&fs);
+        owned_once(&fs, &[OWNER]);
 
         // An offline scavenge finishes the job and converges: a second
         // pass finds nothing left to repair.
@@ -973,7 +928,7 @@ fn a_crash_during_an_anchor_flush_replays_cleanly() {
 
         let fs = StegFs::mount(dev.clone(), params()).expect("remount after crash");
         assert_listed_names_open(&fs);
-        assert_no_double_ownership(&fs);
+        owned_once(&fs, &[OWNER]);
         for model in outcomes {
             for (key, expected) in &model.committed {
                 let got = if key.starts_with('/') {
@@ -1080,7 +1035,7 @@ impl PatchScript {
             plain == self.old_plain || plain == self.new_plain,
             "{at}: plain file is neither the old nor the new bytes"
         );
-        assert_no_double_ownership(fs);
+        owned_once(fs, &[OWNER]);
     }
 }
 
@@ -1178,6 +1133,6 @@ fn a_damaged_payload_slot_drops_its_transaction_at_replay() {
             "flip {flip}: replay gave the wrong bytes"
         );
         assert_eq!(fs.read_plain("/p").unwrap(), script.old_plain);
-        assert_no_double_ownership(&fs);
+        owned_once(&fs, &[OWNER]);
     }
 }
