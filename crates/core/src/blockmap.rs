@@ -91,7 +91,8 @@ impl fmt::Display for Class {
 }
 
 /// A block whose ownership breaks the volume's accounting: the block, then
-/// its owners (`plain` stands for the central directory).
+/// its owners (`plain` stands for the central directory, `plain inode N`
+/// for one of its inodes when two of them name the block).
 #[derive(Debug, PartialEq, Eq)]
 pub enum Violation {
     /// Two owners claim the block: the first, then the second.
@@ -162,10 +163,15 @@ impl BlockMap {
             violations: Vec::new(),
             leak: None,
         };
-        for b in fs.plain_object_blocks()? {
+        for (b, inodes) in fs.plain_object_blocks()? {
             match map.classes.get(b as usize) {
                 Some(Class::Unaccounted) => map.classes[b as usize] = Class::Plain,
                 _ => map.refuse(b, "plain"),
+            }
+            let label = |id: &u64| format!("plain inode {id}");
+            for other in &inodes[1..] {
+                let twice = Violation::TwoOwners(b, label(&inodes[0]), label(other));
+                map.violations.push(twice);
             }
         }
         Ok(map)
@@ -563,6 +569,56 @@ mod tests {
         assert_eq!(
             map.violations(),
             [Violation::TwoOwners(victim, "plain".into(), owner)]
+        );
+    }
+
+    #[test]
+    fn a_freed_plain_block_taken_by_another_plain_file_is_owned_twice() {
+        let params = StegParams {
+            random_fill: false,
+            dummy_file_count: 0,
+            ..full_feature()
+        };
+        let fs = StegFs::format(MemBlockDevice::new(1024, 2048), params).unwrap();
+        fs.write_plain("/a", &[1u8; 8000]).unwrap();
+        let a = fs.plain_fs().resolve_file("/a").unwrap();
+        let owned = fs.plain_fs().plain_object_blocks().unwrap();
+        let victim = *owned.iter().find(|(_, ids)| **ids == [a]).unwrap().0;
+
+        fs.plain_fs().free_raw_block(victim).unwrap();
+        let map = BlockMap::keyless(fs.plain_fs()).unwrap();
+        assert_eq!(map.class(victim), Class::Free);
+        assert_eq!(
+            map.violations(),
+            [Violation::OwnedButFree(victim, "plain".into())]
+        );
+
+        // Plain writes fill the volume, so one of them takes the block.
+        for n in 0.. {
+            let free = fs.plain_fs().free_data_blocks() as usize;
+            let fits = (1..=free)
+                .rev()
+                .step_by(free.div_ceil(16).max(1))
+                .find(|&len| {
+                    fs.write_plain(&format!("/fill-{n}"), &vec![7; len * 1024])
+                        .is_ok()
+                });
+            if fits.is_none() {
+                break;
+            }
+        }
+        let owners = &fs.plain_fs().plain_object_blocks().unwrap()[&victim];
+        assert_eq!(owners.len(), 2, "{owners:?}");
+        assert_eq!(owners[0], a);
+        let map = BlockMap::keyed(&fs, &[OWNER]).unwrap();
+        assert_eq!(map.class(victim), Class::Plain);
+        assert_eq!(
+            map.violations(),
+            [Violation::TwoOwners(
+                victim,
+                format!("plain inode {a}"),
+                format!("plain inode {}", owners[1])
+            )]
         );
     }
 

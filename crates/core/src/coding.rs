@@ -437,9 +437,13 @@ mod tests {
             let params = StegParams::for_tests();
             let mut rng = DeterministicRng::new(b"coding-tests");
             let io = ObjectIo::new(&fs, &params, ReadCache::disabled(), &keys);
-            let mut obj = io.create("lanes", ObjectKind::File, policy).unwrap();
+            let mut txn = fs.begin_txn();
+            let mut obj = io
+                .create(&mut txn, "lanes", ObjectKind::File, policy)
+                .unwrap();
             let data: Vec<u8> = (0..groups * 2 * bs).map(|i| (i * 7 % 251) as u8).collect();
-            io.write(&mut obj, &data, &mut rng).unwrap();
+            io.write(&mut txn, &mut obj, &data, &mut rng).unwrap();
+            txn.commit().unwrap();
 
             let blocks_read = || fs.device().stats().blocks_read.load(Ordering::Relaxed);
             let before = blocks_read();

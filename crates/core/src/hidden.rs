@@ -41,11 +41,17 @@
 //! [`StegFs::object_io`](crate::StegFs::object_io), which is also what the
 //! experiments and tests outside this crate use.
 //!
-//! The mutators take the rng per call: block placement and scrub noise hang
-//! off the order in which the facade forks it.  All four run through one
-//! wrapper (`ObjectIo::mutate`), so they share one cache rule: whatever
-//! happened, the old incarnation's entry is dropped; on success the new
-//! header and extent list are installed in its place.
+//! The whole-object mutators (`create`, `write`, `delete`,
+//! `destroy_unreadable`) stage into the caller's [`FsTxn`] and never commit,
+//! so a `StegFs` operation composes them into one transaction.  The
+//! in-place ones (`write_range`, `resize`, `repair`) are each a whole public
+//! call and commit their own, so a plain patch drops its rewritten blocks
+//! from the cache only once they are durable.  Reads see what was committed,
+//! never a transaction's staged writes.  The rng is taken per call: block
+//! placement and scrub noise hang off the order the facade forks it in.
+//! `write`, `resize` and a coded patch drop the old incarnation's cache
+//! entry at once and install the new one when the transaction commits
+//! (`ObjectIo::mutate`).
 //!
 //! # Free pool and durability policy
 //!
@@ -203,16 +209,16 @@ fn flatten(obj: &HiddenObject, nodes: &[ChainNode]) -> ExtentList {
     extents
 }
 
-/// A rewrite in progress: the open transaction, the header the new
+/// A rewrite in progress: the caller's transaction, the header the new
 /// incarnation will publish, and the blocks of the old incarnation that have
 /// not been reused yet.
-struct Rewrite<'t, D: BlockDevice> {
-    txn: FsTxn<'t, D>,
+struct Rewrite<'r, 't, D: BlockDevice> {
+    txn: &'r mut FsTxn<'t, D>,
     header: HiddenHeader,
     recycled: Vec<u64>,
 }
 
-impl<D: BlockDevice> Rewrite<'_, D> {
+impl<D: BlockDevice> Rewrite<'_, '_, D> {
     /// Take one block for new data: prefer the internal free pool (choosing
     /// a random member, per §3.1), then a fresh random block, and only under
     /// space pressure a block the current operation is recycling from the
@@ -276,18 +282,19 @@ pub enum RepairOutcome {
 
 /// Everything one operation on one hidden object needs, borrowed: four
 /// references built on the caller's stack (see the module docs for the
-/// surface and for what leaving `cache` out means).
-pub struct ObjectIo<'a, D: BlockDevice> {
+/// surface and for what leaving `cache` out means); the keys (`'k`) may
+/// live shorter than the transaction the mutators stage into.
+pub struct ObjectIo<'a, 'k, D: BlockDevice> {
     fs: &'a PlainFs<D>,
     params: &'a StegParams,
     cache: &'a ReadCache,
-    keys: &'a ObjectKeys,
+    keys: &'k ObjectKeys,
     /// The object's share check, expanded by the first call that checks a
     /// share or a replicated chain node.
     share_check: OnceCell<ShareCheck>,
 }
 
-impl<'a, D: BlockDevice> ObjectIo<'a, D> {
+impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// A context for the object `keys` belongs to, on the volume `fs`
     /// formatted with `params`, served through `cache` (pass
     /// [`ReadCache::disabled`] for none).
@@ -295,7 +302,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         fs: &'a PlainFs<D>,
         params: &'a StegParams,
         cache: &'a ReadCache,
-        keys: &'a ObjectKeys,
+        keys: &'k ObjectKeys,
     ) -> Self {
         ObjectIo {
             fs,
@@ -771,24 +778,24 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     // Create / open / read
     // ------------------------------------------------------------------
 
-    /// Create a new hidden object named `physical_name` and write its
-    /// initial (empty) header.
+    /// Create a new hidden object named `physical_name` in `txn` and write
+    /// its initial (empty) header.
     ///
     /// The header lands at the first free block of the keyed candidate
     /// sequence; the internal free pool is immediately stocked with `FB_max`
-    /// random blocks.  The header write is one transaction: on a journaled
-    /// volume a crash either yields the complete (empty) object or nothing.
-    /// The durability `policy` travels in the encrypted header, so it costs
+    /// random blocks.  Dropping `txn` returns every block it claimed, so a
+    /// header already written through sits on a free block: the locator
+    /// skips it.  The durability `policy` travels in the encrypted header, so it costs
     /// nothing observable: a coded object's creation is indistinguishable
     /// from a plain one's.
     pub fn create(
         &self,
+        txn: &mut FsTxn<'_, D>,
         physical_name: &str,
         kind: ObjectKind,
         policy: Policy,
     ) -> StegResult<HiddenObject> {
         policy.validate()?;
-        let mut txn = self.fs.begin_txn();
         let copies = policy.meta_copies();
         // Claiming a slot is a separate step from finding it, so two
         // creators racing down different candidate sequences may pick the
@@ -815,7 +822,8 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             }
         }
         if header_blocks.len() < copies {
-            // The transaction's drop returns any partial claims.
+            // The caller drops the transaction, which returns any partial
+            // claims.
             return Err(StegError::NoSpace);
         }
         let header_block = header_blocks[0];
@@ -824,9 +832,8 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         header.header_replicas = header_blocks;
         // Stock the internal free pool (§3.1: "StegFS straightaway allocates
         // several blocks to the file").
-        self.fill_pool(&mut txn, &mut header)?;
-        self.publish_header(&mut txn, header_block, &header)?;
-        txn.commit()?;
+        self.fill_pool(txn, &mut header)?;
+        self.publish_header(txn, header_block, &header)?;
         Ok(HiddenObject {
             header_block,
             header,
@@ -923,48 +930,65 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 
     /// The one shape every mutator but a committed plain patch
     /// ([`write_range`](Self::write_range)) has: `run` resolves the old
-    /// chain, does the work in one transaction, updates `obj.header` and
-    /// returns the extent list it left behind.  Whatever happened, the old
-    /// incarnation's cache entry (and its plaintext blocks) is dropped; on
-    /// success the
-    /// freshly committed header + extent list are installed in its place
-    /// (invalidate-on-publish), so the next read *or* write of the object is
-    /// warm.  A failed mutation only invalidates — on an unjournaled volume
-    /// the failure may have torn the object, and even on a journaled one the
-    /// header snapshot in `obj` is no longer vouched for.
+    /// chain, stages the work in `txn`, updates `obj.header` and returns the
+    /// extent list it left behind.  The old incarnation's cache entry (and
+    /// its plaintext blocks) is dropped at once; the new header + extent
+    /// list are installed when `txn` commits (invalidate-on-publish), so the
+    /// next read *or* write of the object is warm.  A failed mutation or
+    /// commit, or a dropped transaction, only invalidates.
     fn mutate(
         &self,
+        txn: &mut FsTxn<'a, D>,
         obj: &mut HiddenObject,
-        run: impl FnOnce(&mut HiddenObject) -> StegResult<Arc<ExtentList>>,
+        run: impl FnOnce(&mut FsTxn<'a, D>, &mut HiddenObject) -> StegResult<Arc<ExtentList>>,
     ) -> StegResult<()> {
-        let outcome = run(obj);
-        let sig = self.keys.signature();
-        self.cache.invalidate(sig);
+        let outcome = run(txn, obj);
+        let sig = *self.keys.signature();
+        self.cache.invalidate(&sig);
         let extents = outcome?;
-        let started = self.cache.begin();
-        let header = obj.header.clone();
-        self.cache
-            .store_extents(sig, started, obj.header_block, header, extents);
+        let (cache, header_block, header) = (self.cache, obj.header_block, obj.header.clone());
+        txn.on_commit(move || {
+            let started = cache.begin();
+            cache.store_extents(&sig, started, header_block, header, extents);
+        });
         Ok(())
     }
 
-    /// Replace the entire contents of a hidden object with `data`.
+    /// [`Self::mutate`] in a transaction of its own, committed before `obj`
+    /// takes the new header.
+    fn mutate_committed(
+        &self,
+        obj: &mut HiddenObject,
+        run: impl FnOnce(&mut FsTxn<'a, D>, &mut HiddenObject) -> StegResult<Arc<ExtentList>>,
+    ) -> StegResult<()> {
+        let mut txn = self.fs.begin_txn();
+        let mut next = obj.clone();
+        self.mutate(&mut txn, &mut next, run)?;
+        txn.commit()?;
+        *obj = next;
+        Ok(())
+    }
+
+    /// Replace the entire contents of a hidden object with `data`, in the
+    /// caller's `txn`.
     ///
     /// This is the write path the experiments exercise (whole-file writes,
     /// as in the paper's workload).  Old data and chain blocks are recycled
     /// through the free pool; new blocks are drawn from the pool first and
     /// then from random free space.  The old incarnation's extent map — the
     /// chain walk every rewrite starts with — comes from the cache when
-    /// warm, so a warm rewrite does **zero chain-walk I/O**.
+    /// warm, so a warm rewrite does **zero chain-walk I/O**.  `obj` takes
+    /// the new header at once, committed or not.
     pub fn write(
         &self,
+        txn: &mut FsTxn<'a, D>,
         obj: &mut HiddenObject,
         data: &[u8],
         rng: &mut DeterministicRng,
     ) -> StegResult<()> {
-        self.mutate(obj, |obj| {
+        self.mutate(txn, obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
-            self.rewrite(obj, data, rng, &old).map(Arc::new)
+            self.rewrite(txn, obj, data, rng, &old).map(Arc::new)
         })
     }
 
@@ -998,8 +1022,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             }));
         }
         if let Some(coding) = obj.header.policy.coding() {
-            return self.mutate(obj, |obj| {
-                self.patch_coded(obj, offset, data, coding).map(Arc::new)
+            return self.mutate_committed(obj, |txn, obj| {
+                self.patch_coded(txn, obj, offset, data, coding)
+                    .map(Arc::new)
             });
         }
         let patched = self.cached_chain(obj).and_then(|(token, extents)| {
@@ -1009,7 +1034,9 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         });
         match patched {
             Ok((true, _)) => Ok(()),
-            outcome => self.mutate(obj, |_| outcome.map(|(_, extents)| extents)),
+            // The patch committed on its own; this transaction stages
+            // nothing and only carries the cache rule.
+            outcome => self.mutate_committed(obj, |_, _| outcome.map(|(_, extents)| extents)),
         }
     }
 
@@ -1037,12 +1064,12 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         if new_len == obj.header.size {
             return Ok(());
         }
-        self.mutate(obj, |obj| {
+        self.mutate_committed(obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
             let resized = if obj.header.policy.is_coded() {
-                self.resize_coded(obj, new_len, rng, &old)
+                self.resize_coded(txn, obj, new_len, rng, &old)
             } else {
-                self.resize_plain(obj, new_len, rng, &old)
+                self.resize_plain(txn, obj, new_len, rng, &old)
             };
             resized.map(Arc::new)
         })
@@ -1110,6 +1137,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// the walk found, with the patched groups' fresh share checksums.
     fn patch_coded(
         &self,
+        txn: &mut FsTxn<'_, D>,
         obj: &mut HiddenObject,
         offset: u64,
         data: &[u8],
@@ -1144,9 +1172,8 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
 
         let first_entry = g0 * n;
         let last_entry = (g1 + 1) * n - 1;
-        let mut txn = self.fs.begin_txn();
         let span = &extents.data_blocks[first_entry..=last_entry];
-        self.write_encrypted_many(&mut txn, span, payload)?;
+        self.write_encrypted_many(txn, span, payload)?;
         let cap = InodeChainBlock::capacity_meta(bs, true, copies).max(1);
         let first_node = first_entry / cap;
         let last_node = last_entry / cap;
@@ -1167,7 +1194,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let new_header = if copies == 1 {
             for nd in nodes.iter().take(last_node + 1).skip(first_node) {
                 let plain = nd.node.serialize_meta(bs, true, 1);
-                self.write_encrypted(&mut txn, nd.blocks[0], &plain)?;
+                self.write_encrypted(txn, nd.blocks[0], &plain)?;
             }
             None
         } else {
@@ -1187,15 +1214,14 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             }
             for (node_idx, p) in plains.iter().enumerate() {
                 for &b in &nodes[node_idx].blocks {
-                    self.write_encrypted(&mut txn, b, p)?;
+                    self.write_encrypted(txn, b, p)?;
                 }
             }
             let mut header = obj.header.clone();
             header.chain_csum = child_csum.expect("coded patch touches at least one node");
-            self.publish_header(&mut txn, obj.header_block, &header)?;
+            self.publish_header(txn, obj.header_block, &header)?;
             Some(header)
         };
-        txn.commit()?;
         if let Some(header) = new_header {
             obj.header = header;
         }
@@ -1235,6 +1261,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// incarnation's extent list on success (with `obj.header` updated).
     fn rewrite(
         &self,
+        txn: &mut FsTxn<'_, D>,
         obj: &mut HiddenObject,
         data: &[u8],
         rng: &mut DeterministicRng,
@@ -1274,23 +1301,23 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 .chain(&old.chain_blocks)
                 .copied()
                 .collect(),
-            txn: self.fs.begin_txn(),
+            txn,
         };
         // Claim every data block first — every share of a coded object gets
         // its own independently drawn block — then push the whole extent
         // list down as one batched submission.
         let data_blocks = rw.take_blocks(needed, rng)?;
-        self.write_encrypted_many(&mut rw.txn, &data_blocks, payload)?;
+        self.write_encrypted_many(rw.txn, &data_blocks, payload)?;
         self.publish_incarnation(rw, obj, data.len() as u64, data_blocks, csums, rng)
     }
 
     /// The shared tail of every rewrite: build the inode chain over
     /// `data_blocks` (paired with `csums` on a coded object), settle the
-    /// free pool, publish the header of the `size`-byte incarnation, release
-    /// the old incarnation's surplus, and commit.
+    /// free pool, publish the header of the `size`-byte incarnation and
+    /// release the old incarnation's surplus.
     fn publish_incarnation(
         &self,
-        mut rw: Rewrite<'_, D>,
+        mut rw: Rewrite<'_, '_, D>,
         obj: &mut HiddenObject,
         size: u64,
         data_blocks: Vec<u64>,
@@ -1310,15 +1337,15 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             }
         }
         if rw.header.free_pool.len() < self.params.free_blocks_min {
-            self.fill_pool(&mut rw.txn, &mut rw.header)?;
+            self.fill_pool(rw.txn, &mut rw.header)?;
         }
 
-        // Publish the new header, release the old incarnation's surplus, and
-        // commit.  The frees ride in the same transaction (deferred to its
-        // commit on a journaled volume), so the surplus returns to the
-        // volume only together with the header that stops referencing it; a
-        // failure anywhere above drops the transaction and leaves every
-        // block the old header names allocated.
+        // Publish the new header and release the old incarnation's surplus.
+        // The frees ride in the same transaction (deferred to its commit on
+        // a journaled volume), so the surplus returns to the volume only
+        // together with the header that stops referencing it; a failure
+        // anywhere above drops the transaction and leaves every block the
+        // old header names allocated.
         rw.header.size = size;
         rw.header.data_block_count = data_blocks.len() as u64;
         rw.header.inode_chain = chain_blocks.first().copied().unwrap_or(NO_BLOCK);
@@ -1326,11 +1353,10 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             rw.header.inode_chain == NO_BLOCK
                 || rw.header.inode_chain < self.fs.superblock().total_blocks
         );
-        self.publish_header(&mut rw.txn, obj.header_block, &rw.header)?;
+        self.publish_header(rw.txn, obj.header_block, &rw.header)?;
         for b in rw.recycled {
             rw.txn.free_block(b)?;
         }
-        rw.txn.commit()?;
         obj.header = rw.header;
         Ok(ExtentList {
             data_blocks,
@@ -1353,7 +1379,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// `header.chain_csum`, anchoring the whole chain to the header.
     fn build_chain(
         &self,
-        rw: &mut Rewrite<'_, D>,
+        rw: &mut Rewrite<'_, '_, D>,
         data_blocks: &[u64],
         csums: &[u64],
         rng: &mut DeterministicRng,
@@ -1411,7 +1437,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 plain[slot * bs..(slot + 1) * bs].copy_from_slice(&node_plain);
             }
         }
-        self.write_encrypted_many(&mut rw.txn, &chain_block_numbers, plain)?;
+        self.write_encrypted_many(rw.txn, &chain_block_numbers, plain)?;
         rw.header.chain_replicas = if copies > 1 {
             chain_block_numbers[1..copies].to_vec()
         } else {
@@ -1426,6 +1452,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// extent list on success.
     fn resize_plain(
         &self,
+        txn: &mut FsTxn<'_, D>,
         obj: &mut HiddenObject,
         new_len: u64,
         rng: &mut DeterministicRng,
@@ -1442,7 +1469,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         let mut rw = Rewrite {
             header: obj.header.clone(),
             recycled: old.chain_blocks.clone(),
-            txn: self.fs.begin_txn(),
+            txn,
         };
         if new_len < obj.header.size {
             rw.recycled.extend(data_blocks.drain(new_count as usize..));
@@ -1453,7 +1480,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
                 let last = *data_blocks.last().expect("tail implies a kept block");
                 let mut plain = self.read_decrypted(last)?;
                 plain[tail..].fill(0);
-                self.write_encrypted(&mut rw.txn, last, &plain)?;
+                self.write_encrypted(rw.txn, last, &plain)?;
             }
         } else {
             self.ensure_capacity(&rw.header, new_count, old)?;
@@ -1462,7 +1489,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             let extra = new_count.saturating_sub(data_blocks.len() as u64) as usize;
             let grown = rw.take_blocks(extra, rng)?;
             let zeros = Scratch::take(grown.len() * bs);
-            self.write_encrypted_many(&mut rw.txn, &grown, zeros)?;
+            self.write_encrypted_many(rw.txn, &grown, zeros)?;
             data_blocks.extend(grown);
         }
         // The chain is rebuilt from the recycled blocks first; the surplus
@@ -1478,6 +1505,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
     /// absurd growth request fails cleanly.
     fn resize_coded(
         &self,
+        txn: &mut FsTxn<'_, D>,
         obj: &mut HiddenObject,
         new_len: u64,
         rng: &mut DeterministicRng,
@@ -1496,7 +1524,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             let kept = obj.header.size.min(new_len) as usize;
             data[..kept].copy_from_slice(&plain[..kept]);
         }
-        self.rewrite(obj, &data, rng, old)
+        self.rewrite(txn, obj, &data, rng, old)
     }
 
     // ------------------------------------------------------------------
@@ -1606,13 +1634,32 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
         Ok(RepairOutcome::Repaired { shares_rebuilt })
     }
 
-    /// The shared tail of both teardowns: return the pool blocks, overwrite
-    /// every header replica with fresh pseudorandom fill so no stale
-    /// signature survives on disk (legacy single-copy objects scrub just
-    /// `header_block`), free the replicas, and commit.
-    fn scrub_and_commit(
+    /// Delete a hidden object in `txn`: every block it holds (data, chain,
+    /// pool, header) is returned to the file system, and the header blocks
+    /// are scrubbed so the signature cannot be found again.  A delete that
+    /// fails on its chain walk has staged nothing.
+    pub fn delete(
         &self,
-        mut txn: FsTxn<'_, D>,
+        txn: &mut FsTxn<'_, D>,
+        obj: &HiddenObject,
+        rng: &mut DeterministicRng,
+    ) -> StegResult<()> {
+        let chain = self.read_chain(obj)?;
+        for b in chain.data_blocks.into_iter().chain(chain.chain_blocks) {
+            txn.free_block(b)?;
+        }
+        self.destroy_unreadable(txn, obj, rng)
+    }
+
+    /// Tear down what the header itself names, in `txn`: free the pool,
+    /// overwrite every header replica with fresh pseudorandom fill so no
+    /// stale signature survives, and free the replicas.  On its own, the
+    /// last resort for an object whose chain cannot be walked (the scavenger
+    /// re-creating a lost directory): the unreachable chain/data blocks stay
+    /// allocated, a bounded leak rather than freeing unproven blocks.
+    pub fn destroy_unreadable(
+        &self,
+        txn: &mut FsTxn<'_, D>,
         obj: &HiddenObject,
         rng: &mut DeterministicRng,
     ) -> StegResult<()> {
@@ -1624,37 +1671,7 @@ impl<'a, D: BlockDevice> ObjectIo<'a, D> {
             txn.write_raw_block(hb, &noise)?;
             txn.free_block(hb)?;
         }
-        txn.commit()?;
         Ok(())
-    }
-
-    /// Delete a hidden object: every block it holds (data, chain, pool,
-    /// header) is returned to the file system, and the header blocks are
-    /// scrubbed so the signature cannot be found again.
-    pub fn delete(&self, obj: &HiddenObject, rng: &mut DeterministicRng) -> StegResult<()> {
-        // One transaction: the header scrub and every free commit together,
-        // so a crash mid-delete leaves the object either whole or entirely
-        // gone — never a findable header whose blocks have been handed out.
-        let mut txn = self.fs.begin_txn();
-        let chain = self.read_chain(obj)?;
-        for b in chain.data_blocks.into_iter().chain(chain.chain_blocks) {
-            txn.free_block(b)?;
-        }
-        self.scrub_and_commit(txn, obj, rng)
-    }
-
-    /// Last-resort teardown for an object whose chain can no longer be
-    /// walked: scrub and free the header replicas and pool blocks the header
-    /// itself names, leaving the unreachable chain/data blocks allocated.
-    /// The scavenger uses this before re-creating a lost directory in place
-    /// — the bounded leak is preferable to freeing blocks we cannot prove
-    /// are the object's.
-    pub fn destroy_unreadable(
-        &self,
-        obj: &HiddenObject,
-        rng: &mut DeterministicRng,
-    ) -> StegResult<()> {
-        self.scrub_and_commit(self.fs.begin_txn(), obj, rng)
     }
 
     /// The object's data blocks chunked per coding group: `n` share blocks
@@ -1696,8 +1713,44 @@ mod tests {
         fs: &'a PlainFs<MemBlockDevice>,
         keys: &'a ObjectKeys,
         params: &'a StegParams,
-    ) -> ObjectIo<'a, MemBlockDevice> {
+    ) -> ObjectIo<'a, 'a, MemBlockDevice> {
         ObjectIo::new(fs, params, ReadCache::disabled(), keys)
+    }
+
+    /// [`ObjectIo::create`] as a committed transaction of its own.
+    fn create<D: BlockDevice>(
+        io: &ObjectIo<'_, '_, D>,
+        name: &str,
+        kind: ObjectKind,
+        policy: Policy,
+    ) -> StegResult<HiddenObject> {
+        let mut txn = io.fs.begin_txn();
+        let obj = io.create(&mut txn, name, kind, policy)?;
+        txn.commit()?;
+        Ok(obj)
+    }
+
+    /// [`ObjectIo::write`] as a committed transaction of its own.
+    fn write<D: BlockDevice>(
+        io: &ObjectIo<'_, '_, D>,
+        obj: &mut HiddenObject,
+        data: &[u8],
+        rng: &mut DeterministicRng,
+    ) -> StegResult<()> {
+        let mut txn = io.fs.begin_txn();
+        io.write(&mut txn, obj, data, rng)?;
+        Ok(txn.commit()?)
+    }
+
+    /// [`ObjectIo::delete`] as a committed transaction of its own.
+    fn delete<D: BlockDevice>(
+        io: &ObjectIo<'_, '_, D>,
+        obj: &HiddenObject,
+        rng: &mut DeterministicRng,
+    ) -> StegResult<()> {
+        let mut txn = io.fs.begin_txn();
+        io.delete(&mut txn, obj, rng)?;
+        Ok(txn.commit()?)
     }
 
     fn fixture() -> (
@@ -1718,9 +1771,13 @@ mod tests {
     fn create_open_roundtrip() {
         let (fs, keys, params, _) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let created = io
-            .create("u1:/secret/budget.xls", ObjectKind::File, Policy::Plain)
-            .unwrap();
+        let created = create(
+            &io,
+            "u1:/secret/budget.xls",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         assert_eq!(created.header.free_pool.len(), params.free_blocks_max);
         let opened = io.open("u1:/secret/budget.xls").unwrap();
         assert_eq!(opened.header_block, created.header_block);
@@ -1733,7 +1790,7 @@ mod tests {
     fn empty_object_reads_empty() {
         let (fs, keys, params, _) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let obj = io.create("n", ObjectKind::File, Policy::Plain).unwrap();
+        let obj = create(&io, "n", ObjectKind::File, Policy::Plain).unwrap();
         assert_eq!(io.read(&obj).unwrap(), Vec::<u8>::new());
     }
 
@@ -1741,8 +1798,8 @@ mod tests {
     fn write_read_roundtrip_small() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("n", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut obj, b"hello hidden world", &mut rng).unwrap();
+        let mut obj = create(&io, "n", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, b"hello hidden world", &mut rng).unwrap();
         assert_eq!(obj.size(), 18);
         assert_eq!(io.read(&obj).unwrap(), b"hello hidden world");
         // And through a fresh open.
@@ -1754,10 +1811,10 @@ mod tests {
     fn write_read_roundtrip_multi_chain() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("big", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "big", ObjectKind::File, Policy::Plain).unwrap();
         // 400 KB needs 400 data blocks -> 4 chain blocks at 1 KB block size.
         let data: Vec<u8> = (0..400 * 1024u32).map(|i| (i % 251) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         assert_eq!(io.read(&obj).unwrap(), data);
         assert_eq!(obj.header.data_block_count, 400);
     }
@@ -1766,9 +1823,9 @@ mod tests {
     fn read_range_matches_full_read() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("r", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "r", ObjectKind::File, Policy::Plain).unwrap();
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 256) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         assert_eq!(io.read_range(&obj, 0, 100, 0).unwrap(), &data[..100]);
         assert_eq!(io.read_range(&obj, 1020, 10, 0).unwrap(), &data[1020..1030]);
         assert_eq!(io.read_range(&obj, 9_990, 100, 0).unwrap(), &data[9_990..]);
@@ -1782,9 +1839,9 @@ mod tests {
     fn write_range_patches_in_place() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("patch", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "patch", ObjectKind::File, Policy::Plain).unwrap();
         let data: Vec<u8> = (0..5000u32).map(|i| (i % 256) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let free_before = fs.free_data_blocks();
 
         io.write_range(&mut obj, 1000, &[0xaa; 200]).unwrap();
@@ -1802,9 +1859,9 @@ mod tests {
         let (fs, keys, params, mut rng) = fixture();
         let cache = ReadCache::new(4096);
         let io = ObjectIo::new(&fs, &params, &cache, &keys);
-        let mut obj = io.create("warm", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "warm", ObjectKind::File, Policy::Plain).unwrap();
         let mut data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         assert_eq!(io.read(&obj).unwrap(), data);
         // Each patch, then one whole read: (offset, length, blocks it
         // rewrote) — 16 KiB aligned, then a 100-byte patch inside one block.
@@ -1829,13 +1886,12 @@ mod tests {
     fn rewrite_replaces_contents_without_leaking_blocks() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("w", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "w", ObjectKind::File, Policy::Plain).unwrap();
         let free_before = fs.free_data_blocks();
 
-        io.write(&mut obj, &vec![1u8; 100 * 1024], &mut rng)
-            .unwrap();
-        io.write(&mut obj, &vec![2u8; 50 * 1024], &mut rng).unwrap();
-        io.write(&mut obj, b"tiny", &mut rng).unwrap();
+        write(&io, &mut obj, &vec![1u8; 100 * 1024], &mut rng).unwrap();
+        write(&io, &mut obj, &vec![2u8; 50 * 1024], &mut rng).unwrap();
+        write(&io, &mut obj, b"tiny", &mut rng).unwrap();
         assert_eq!(io.read(&obj).unwrap(), b"tiny");
 
         // Blocks used now: header + <=1 data + <=1 chain + pool (bounded by
@@ -1852,10 +1908,10 @@ mod tests {
     fn free_pool_absorbs_truncation_up_to_fb_max() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("p", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut obj, &vec![7u8; 3 * 1024], &mut rng).unwrap();
+        let mut obj = create(&io, "p", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, &vec![7u8; 3 * 1024], &mut rng).unwrap();
         // Shrink to zero: the freed blocks flow into the pool, capped at FB_max.
-        io.write(&mut obj, b"", &mut rng).unwrap();
+        write(&io, &mut obj, b"", &mut rng).unwrap();
         assert!(obj.header.free_pool.len() <= params.free_blocks_max);
         assert!(!obj.header.free_pool.is_empty());
         assert_eq!(obj.header.data_block_count, 0);
@@ -1868,11 +1924,11 @@ mod tests {
         params.free_blocks_min = 3;
         params.free_blocks_max = 4;
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("t", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "t", ObjectKind::File, Policy::Plain).unwrap();
         assert_eq!(obj.header.free_pool.len(), 4);
         // Writing 6 blocks of data consumes the whole pool (4) and more, so
         // afterwards the pool must be topped back up to FB_max.
-        io.write(&mut obj, &vec![1u8; 6 * 1024], &mut rng).unwrap();
+        write(&io, &mut obj, &vec![1u8; 6 * 1024], &mut rng).unwrap();
         assert_eq!(obj.header.free_pool.len(), 4);
     }
 
@@ -1880,9 +1936,9 @@ mod tests {
     fn resize_preserves_prefix_and_zero_fills() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("rz", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "rz", ObjectKind::File, Policy::Plain).unwrap();
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
 
         // Shrink to a non-block boundary.
         io.resize(&mut obj, 2500, &mut rng).unwrap();
@@ -1908,10 +1964,8 @@ mod tests {
     fn resize_does_not_move_existing_data_blocks() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io
-            .create("stable", ObjectKind::File, Policy::Plain)
-            .unwrap();
-        io.write(&mut obj, &vec![9u8; 8 * 1024], &mut rng).unwrap();
+        let mut obj = create(&io, "stable", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, &vec![9u8; 8 * 1024], &mut rng).unwrap();
         let before: std::collections::HashSet<(u64, BlockRole)> =
             io.owned_blocks(&obj).unwrap().into_iter().collect();
 
@@ -1932,8 +1986,8 @@ mod tests {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
         let free_start = fs.free_data_blocks();
-        let mut obj = io.create("z", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut obj, &vec![1u8; 5000], &mut rng).unwrap();
+        let mut obj = create(&io, "z", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, &vec![1u8; 5000], &mut rng).unwrap();
 
         io.resize(&mut obj, 0, &mut rng).unwrap();
         assert_eq!(obj.size(), 0);
@@ -1949,7 +2003,7 @@ mod tests {
         assert_eq!(obj.size(), 0);
 
         // Deleting returns every block.
-        io.delete(&obj, &mut rng).unwrap();
+        delete(&io, &obj, &mut rng).unwrap();
         assert_eq!(fs.free_data_blocks(), free_start);
     }
 
@@ -1957,8 +2011,8 @@ mod tests {
     fn wrong_key_cannot_open_or_read() {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("s", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut obj, b"classified", &mut rng).unwrap();
+        let mut obj = create(&io, "s", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, b"classified", &mut rng).unwrap();
         let wrong = ObjectKeys::derive("s", b"wrong key");
         assert!(bypass(&fs, &wrong, &params)
             .open("s")
@@ -1971,11 +2025,11 @@ mod tests {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
         let free_before = fs.free_data_blocks();
-        let mut obj = io.create("d", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut obj, &vec![5u8; 40 * 1024], &mut rng).unwrap();
+        let mut obj = create(&io, "d", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, &vec![5u8; 40 * 1024], &mut rng).unwrap();
         assert!(fs.free_data_blocks() < free_before);
 
-        io.delete(&obj, &mut rng).unwrap();
+        delete(&io, &obj, &mut rng).unwrap();
         assert_eq!(fs.free_data_blocks(), free_before, "all blocks returned");
         // The object can no longer be found.
         assert!(io.open("d").unwrap_err().is_not_found());
@@ -1986,8 +2040,8 @@ mod tests {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
         let free_start = fs.free_data_blocks();
-        let mut obj = io.create("o", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut obj, &vec![9u8; 20 * 1024], &mut rng).unwrap();
+        let mut obj = create(&io, "o", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, &vec![9u8; 20 * 1024], &mut rng).unwrap();
         let owned = io.owned_blocks(&obj).unwrap();
         let consumed = free_start - fs.free_data_blocks();
         assert_eq!(owned.len() as u64, consumed);
@@ -1999,14 +2053,14 @@ mod tests {
         let (fs, keys, params, mut rng) = fixture();
         let io = bypass(&fs, &keys, &params);
         fs.write_file("/plain.txt", b"visible data").unwrap();
-        let mut obj = io.create("h", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut obj, &vec![3u8; 30 * 1024], &mut rng).unwrap();
+        let mut obj = create(&io, "h", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut obj, &vec![3u8; 30 * 1024], &mut rng).unwrap();
 
         let plain_blocks = fs.plain_object_blocks().unwrap();
         let hidden = io.owned_blocks(&obj).unwrap();
         for (b, _) in &hidden {
             assert!(
-                !plain_blocks.contains(b),
+                !plain_blocks.contains_key(b),
                 "hidden block {b} leaked into the central directory"
             );
             assert!(
@@ -2025,11 +2079,11 @@ mod tests {
         let params = StegParams::for_tests();
         let mut rng = DeterministicRng::new(b"r");
         let io = bypass(&fs, &keys, &params);
-        let mut obj = io.create("x", ObjectKind::File, Policy::Plain).unwrap();
+        let mut obj = create(&io, "x", ObjectKind::File, Policy::Plain).unwrap();
         let free = fs.free_data_blocks();
         let too_big = vec![0u8; ((free + 16) * 1024) as usize];
         assert!(matches!(
-            io.write(&mut obj, &too_big, &mut rng),
+            write(&io, &mut obj, &too_big, &mut rng),
             Err(StegError::NoSpace)
         ));
     }
@@ -2039,18 +2093,34 @@ mod tests {
         let (fs, _, params, mut rng) = fixture();
         let ka = ObjectKeys::derive("a", b"key-a");
         let kb = ObjectKeys::derive("b", b"key-b");
-        let mut a = bypass(&fs, &ka, &params)
-            .create("a", ObjectKind::File, Policy::Plain)
-            .unwrap();
-        let mut b = bypass(&fs, &kb, &params)
-            .create("b", ObjectKind::File, Policy::Plain)
-            .unwrap();
-        bypass(&fs, &ka, &params)
-            .write(&mut a, &vec![0xaa; 10_000], &mut rng)
-            .unwrap();
-        bypass(&fs, &kb, &params)
-            .write(&mut b, &vec![0xbb; 20_000], &mut rng)
-            .unwrap();
+        let mut a = create(
+            &bypass(&fs, &ka, &params),
+            "a",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
+        let mut b = create(
+            &bypass(&fs, &kb, &params),
+            "b",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
+        write(
+            &bypass(&fs, &ka, &params),
+            &mut a,
+            &vec![0xaa; 10_000],
+            &mut rng,
+        )
+        .unwrap();
+        write(
+            &bypass(&fs, &kb, &params),
+            &mut b,
+            &vec![0xbb; 20_000],
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(
             bypass(&fs, &ka, &params).read(&a).unwrap(),
             vec![0xaa; 10_000]
@@ -2090,9 +2160,7 @@ mod tests {
     ) {
         let (fs, _, params, rng) = fixture();
         let keys = ObjectKeys::derive(name, b"coded key");
-        let obj = bypass(&fs, &keys, &params)
-            .create(name, ObjectKind::File, policy)
-            .unwrap();
+        let obj = create(&bypass(&fs, &keys, &params), name, ObjectKind::File, policy).unwrap();
         (fs, keys, params, rng, obj)
     }
 
@@ -2106,7 +2174,7 @@ mod tests {
             let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "coded");
             let io = bypass(&fs, &keys, &params);
             let data: Vec<u8> = (0..7 * 1024 + 123u32).map(|i| (i % 253) as u8).collect();
-            io.write(&mut obj, &data, &mut rng).unwrap();
+            write(&io, &mut obj, &data, &mut rng).unwrap();
             let (_, n) = policy.shares();
             assert_eq!(obj.header.data_block_count % n as u64, 0);
             assert_eq!(io.read(&obj).unwrap(), data);
@@ -2127,7 +2195,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "lossy");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..6 * 1024u32).map(|i| (i % 241) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         // Destroy n - m = 2 shares in *every* group.
         for (g, group) in io.share_extents(&obj).unwrap().iter().enumerate() {
             assert_eq!(group.len(), 4);
@@ -2147,7 +2215,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "gone");
         let io = bypass(&fs, &keys, &params);
         let data = vec![0x42u8; 5 * 1024];
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let groups = io.share_extents(&obj).unwrap();
         // Kill n - m + 1 = 2 shares of group 0: unrecoverable.
         smash(&fs, groups[0][0], 1);
@@ -2172,7 +2240,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "fixme");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..5 * 1024u32).map(|i| (i % 199) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         assert_eq!(io.repair(&obj).unwrap(), RepairOutcome::Intact);
 
         let groups = io.share_extents(&obj).unwrap();
@@ -2199,7 +2267,7 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 3 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "dead");
         let io = bypass(&fs, &keys, &params);
-        io.write(&mut obj, &vec![9u8; 3 * 1024], &mut rng).unwrap();
+        write(&io, &mut obj, &vec![9u8; 3 * 1024], &mut rng).unwrap();
         let groups = io.share_extents(&obj).unwrap();
         smash(&fs, groups[0][0], 1);
         smash(&fs, groups[0][1], 2);
@@ -2226,9 +2294,9 @@ mod tests {
         let mut rng = DeterministicRng::new(b"hidden-tests");
         let io = ObjectIo::new(&fs, &params, ReadCache::disabled(), &keys);
         let policy = Policy::Disperse { m: 2, n: 3 };
-        let mut obj = io.create("leak-repair", ObjectKind::File, policy).unwrap();
+        let mut obj = create(&io, "leak-repair", ObjectKind::File, policy).unwrap();
         let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 241) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let victim = io.share_extents(&obj).unwrap()[0][1];
         let mut txn = fs.begin_txn();
         txn.write_raw_block(victim, &vec![0u8; fs.block_size()])
@@ -2260,11 +2328,9 @@ mod tests {
         let mut rng = DeterministicRng::new(b"hidden-tests");
         let cache = ReadCache::new(64);
         let io = ObjectIo::new(&fs, &params, &cache, &keys);
-        let mut obj = io
-            .create("leak-read", ObjectKind::File, Policy::Plain)
-            .unwrap();
+        let mut obj = create(&io, "leak-read", ObjectKind::File, Policy::Plain).unwrap();
         let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 241) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         // Block 0 and the extent list become resident; blocks 1..4 do not.
         assert_eq!(io.read_range(&obj, 0, 1024, 0).unwrap(), &data[..1024]);
 
@@ -2286,11 +2352,9 @@ mod tests {
         let mut rng = DeterministicRng::new(b"hidden-tests");
         let cache = ReadCache::new(64);
         let io = ObjectIo::new(&fs, &params, &cache, &keys);
-        let mut obj = io
-            .create("balance", ObjectKind::File, Policy::Plain)
-            .unwrap();
+        let mut obj = create(&io, "balance", ObjectKind::File, Policy::Plain).unwrap();
         let data: Vec<u8> = (0..4 * 1024u32 - 300).map(|i| (i % 239) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
 
         let outstanding = scratch::outstanding();
         for (offset, len) in [(0, 2048), (1024, 5000), (100, 2000), (3000, 10)] {
@@ -2315,16 +2379,12 @@ mod tests {
         let cache = ReadCache::new(64);
         let io = ObjectIo::new(&fs, &params, &cache, &keys);
         let bs = fs.block_size();
-        let mut small = io.create("small", ObjectKind::File, Policy::Plain).unwrap();
-        io.write(&mut small, &[0x42; 100], &mut rng).unwrap();
+        let mut small = create(&io, "small", ObjectKind::File, Policy::Plain).unwrap();
+        write(&io, &mut small, &[0x42; 100], &mut rng).unwrap();
         let big_keys = ObjectKeys::derive("big", b"another key");
         let big_io = ObjectIo::new(&fs, &params, &cache, &big_keys);
-        let mut big = big_io
-            .create("big", ObjectKind::File, Policy::Plain)
-            .unwrap();
-        big_io
-            .write(&mut big, &vec![0x77; 1 << 20], &mut rng)
-            .unwrap();
+        let mut big = create(&big_io, "big", ObjectKind::File, Policy::Plain).unwrap();
+        write(&big_io, &mut big, &vec![0x77; 1 << 20], &mut rng).unwrap();
 
         // The thread's most recent pooled buffer is a 1 MiB one, as the
         // write leaves it: neither read path may hand it to the caller.
@@ -2354,7 +2414,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "patch2");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..8 * 1024u32).map(|i| (i % 256) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let free_before = fs.free_data_blocks();
         // Patch across a group boundary (groups are m * bs = 2 KB here).
         io.write_range(&mut obj, 1500, &[0xcc; 2000]).unwrap();
@@ -2376,7 +2436,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "warm-patch");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..8 * 1024u32).map(|i| (i % 253) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let cache = ReadCache::new(64);
         let warm = ObjectIo::new(&fs, &params, &cache, &keys);
         assert_eq!(warm.read(&obj).unwrap(), data);
@@ -2417,7 +2477,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "rz2");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..5 * 1024u32).map(|i| (i % 251) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         io.resize(&mut obj, 1500, &mut rng).unwrap();
         assert_eq!(io.read(&obj).unwrap(), &data[..1500]);
         io.resize(&mut obj, 4000, &mut rng).unwrap();
@@ -2443,7 +2503,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "warm");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 239) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let cache = ReadCache::new(64);
         let warm = ObjectIo::new(&fs, &params, &cache, &keys);
         assert_eq!(warm.read(&obj).unwrap(), data);
@@ -2468,8 +2528,8 @@ mod tests {
         // (n - m + 1 = 3 for this policy); all of them must come back.
         let free_before =
             fs.free_data_blocks() + params.free_blocks_max as u64 + policy.meta_copies() as u64;
-        io.write(&mut obj, &vec![4u8; 9 * 1024], &mut rng).unwrap();
-        io.delete(&obj, &mut rng).unwrap();
+        write(&io, &mut obj, &vec![4u8; 9 * 1024], &mut rng).unwrap();
+        delete(&io, &obj, &mut rng).unwrap();
         assert_eq!(fs.free_data_blocks(), free_before);
         assert!(io.open("bye").unwrap_err().is_not_found());
     }
@@ -2480,7 +2540,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "hdr");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 251) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let replicas = obj.header.header_replicas.clone();
         assert_eq!(replicas.len(), policy.meta_copies());
         assert_eq!(replicas[0], obj.header_block);
@@ -2503,7 +2563,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "chn");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..6 * 1024u32).map(|i| (i % 239) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let head = obj.header.inode_chain;
         let spares = obj.header.chain_replicas.clone();
         assert_eq!(spares.len(), policy.meta_copies() - 1);
@@ -2527,7 +2587,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "ok");
         let io = bypass(&fs, &keys, &params);
         let data = vec![7u8; 3 * 1024];
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let found = io.open("ok").unwrap();
         assert_eq!(found.header_block, obj.header_block);
         assert_eq!(io.read(&found).unwrap(), data);
@@ -2540,7 +2600,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "meta-fix");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..5 * 1024u32).map(|i| (i % 211) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         let groups = io.share_extents(&obj).unwrap();
         let victims = [
             obj.header.header_replicas[1],
@@ -2570,7 +2630,7 @@ mod tests {
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "patch-r");
         let io = bypass(&fs, &keys, &params);
         let data: Vec<u8> = (0..9 * 1024u32).map(|i| (i % 223) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         io.write_range(&mut obj, 4000, &[0xbe; 1500]).unwrap();
         let mut expected = data.clone();
         expected[4000..5500].fill(0xbe);
@@ -2590,7 +2650,7 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "own");
         let io = bypass(&fs, &keys, &params);
-        io.write(&mut obj, &[5u8; 4096], &mut rng).unwrap();
+        write(&io, &mut obj, &[5u8; 4096], &mut rng).unwrap();
         let owned = io.owned_blocks(&obj).unwrap();
         let headers = obj
             .header
@@ -2663,11 +2723,9 @@ mod tests {
         let mut rng = DeterministicRng::new(b"hidden-tests");
         let cache = ReadCache::new(64);
         let io = ObjectIo::new(&fs, &params, &cache, &keys);
-        let mut obj = io
-            .create("unwind", ObjectKind::File, Policy::Plain)
-            .unwrap();
+        let mut obj = create(&io, "unwind", ObjectKind::File, Policy::Plain).unwrap();
         let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 241) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         // Block 0 and the extent list become resident; blocks 1..4 do not.
         assert_eq!(io.read_range(&obj, 0, 1024, 0).unwrap(), &data[..1024]);
         let outstanding = scratch::outstanding();
@@ -2695,7 +2753,7 @@ mod tests {
 
     /// One mutation the write-trip sweep drives.
     type Mutation =
-        fn(&ObjectIo<'_, Tripped>, &mut HiddenObject, &mut DeterministicRng) -> StegResult<()>;
+        fn(&ObjectIo<'_, '_, Tripped>, &mut HiddenObject, &mut DeterministicRng) -> StegResult<()>;
 
     /// Run `op` (called `name`) on a fresh volume holding one 6000-byte `policy` object
     /// (a coded one with one share of group 0 damaged, so `repair` has work),
@@ -2711,9 +2769,9 @@ mod tests {
         let mut rng = DeterministicRng::new(b"hidden-tests");
         let cache = ReadCache::new(256);
         let io = ObjectIo::new(&fs, &params, &cache, &keys);
-        let mut obj = io.create("trip", ObjectKind::File, policy).unwrap();
+        let mut obj = create(&io, "trip", ObjectKind::File, policy).unwrap();
         let data: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
-        io.write(&mut obj, &data, &mut rng).unwrap();
+        write(&io, &mut obj, &data, &mut rng).unwrap();
         if policy.is_coded() {
             let victim = io.share_extents(&obj).unwrap()[0][1];
             let mut txn = fs.begin_txn();
@@ -2749,7 +2807,7 @@ mod tests {
     #[test]
     fn scratch_balances_at_every_write_trip() {
         let ops: [(&str, Mutation); 6] = [
-            ("write", |io, obj, rng| io.write(obj, &[0x33; 4500], rng)),
+            ("write", |io, obj, rng| write(io, obj, &[0x33; 4500], rng)),
             ("write_range edge", |io, obj, _| {
                 io.write_range(obj, 100, &[0xee; 1500])
             }),

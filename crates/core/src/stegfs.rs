@@ -16,10 +16,7 @@
 //!   namespace lock, per-inode stripes, device lock);
 //! * **UAK shards** serialise read-modify-write cycles on one User Access
 //!   Key's hidden directory, so two users (or two threads of one user)
-//!   cannot lose each other's `steg_create` / `delete` / `rename`.  A
-//!   create builds the new object *before* taking the shard and holds it
-//!   only for the directory rewrite (the publish window), unwinding the
-//!   unpublished object if it lost the name race;
+//!   cannot lose each other's `steg_create` / `delete` / `rename`;
 //! * **object shards** serialise operations on one hidden object (keyed by
 //!   its physical name), so a rewrite that relocates blocks through the free
 //!   pool cannot interleave with another rewrite of the same object;
@@ -27,6 +24,11 @@
 //!   locks and are never held across I/O;
 //! * the read cache's locks (shards, scope table, derived-key map) sit below
 //!   everything here and are never held across I/O or a key derivation.
+//!
+//! Each mutating operation is one [`FsTxn`], begun before any of these
+//! guards (it holds no lock until it commits) and committed once, inside
+//! the guards that cover its publish; [`StegFs::steg_hide`] and
+//! [`StegFs::steg_unhide`] add a plain commit of their own.
 //!
 //! Lock order: the table in [`stegfs_obs::lock`].  The derivation a
 //! derived-key cache miss pays ([`StegFs::keys_for`]) runs with that lock
@@ -59,7 +61,7 @@ use stegfs_blockdev::BlockDevice;
 use stegfs_crypto::prng::DeterministicRng;
 use stegfs_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use stegfs_crypto::sha256::sha256_concat;
-use stegfs_fs::{AllocPolicy, FileKind, FormatOptions, PlainFs};
+use stegfs_fs::{AllocPolicy, FileKind, FormatOptions, FsTxn, PlainFs};
 use stegfs_obs::lock::{Mutex, MutexGuard};
 use stegfs_obs::{span, Obs};
 
@@ -422,7 +424,7 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// The I/O context of the object `keys` belongs to, served through the
     /// volume's read cache.
-    fn io<'a>(&'a self, keys: &'a ObjectKeys) -> ObjectIo<'a, D> {
+    fn io<'k>(&self, keys: &'k ObjectKeys) -> ObjectIo<'_, 'k, D> {
         ObjectIo::new(&self.fs, &self.params, &self.read_cache, keys)
     }
 
@@ -432,7 +434,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// [`crate::hidden`]); the experiments and tests outside this crate use
     /// it to inspect an object's blocks.  Mutating a live object through it
     /// bypasses invalidation and is unsupported (see [`crate::readcache`]).
-    pub fn object_io<'a>(&'a self, keys: &'a ObjectKeys) -> ObjectIo<'a, D> {
+    pub fn object_io<'k>(&self, keys: &'k ObjectKeys) -> ObjectIo<'_, 'k, D> {
         ObjectIo::new(&self.fs, &self.params, ReadCache::disabled(), keys)
     }
 
@@ -486,11 +488,22 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Drop everything cached for an object whose `(physical name, FAK)`
-    /// binding just changed or died (unlink, rename, re-key): header,
-    /// extents, plaintext and the derived key set.
-    fn forget_object(&self, physical_name: &str, fak: &[u8], keys: &ObjectKeys) {
-        self.read_cache.invalidate(keys.signature());
-        self.read_cache.drop_keys(physical_name, fak);
+    /// binding changes or dies in `txn` (unlink, rename, re-key): header,
+    /// extents, plaintext and the derived key set.  Now (a failure may tear
+    /// an unjournaled object) and again when `txn` commits.
+    fn forget_object<'s>(
+        &'s self,
+        txn: &mut FsTxn<'s, D>,
+        entry: &DirectoryEntry,
+        keys: &ObjectKeys,
+    ) {
+        let (entry, sig) = (entry.clone(), *keys.signature());
+        let forget = move || {
+            self.read_cache.invalidate(&sig);
+            self.read_cache.drop_keys(&entry.physical_name, &entry.fak);
+        };
+        forget.clone()();
+        txn.on_commit(forget);
     }
 
     fn store_config(&self) -> StegResult<()> {
@@ -542,10 +555,12 @@ impl<D: BlockDevice> StegFs<D> {
             let (name, fak) = self.dummy_identity(i);
             let keys = self.keys_for(&name, &fak);
             let io = self.object_io(&keys);
-            let mut obj = io.create(&name, ObjectKind::File, Policy::Plain)?;
+            let mut txn = self.fs.begin_txn();
+            let mut obj = io.create(&mut txn, &name, ObjectKind::File, Policy::Plain)?;
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size.min(usize::MAX as u64) as usize);
-            io.write(&mut obj, &content, &mut rng)?;
+            io.write(&mut txn, &mut obj, &content, &mut rng)?;
+            txn.commit()?;
         }
         Ok(())
     }
@@ -559,6 +574,7 @@ impl<D: BlockDevice> StegFs<D> {
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
             let keys = self.keys_for(&name, &fak);
+            let mut txn = self.fs.begin_txn();
             let _obj_lock = self.object_guard(&name);
             let io = self.object_io(&keys);
             let mut obj = match io.open(&name) {
@@ -568,7 +584,8 @@ impl<D: BlockDevice> StegFs<D> {
             };
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size as usize);
-            io.write(&mut obj, &content, &mut rng)?;
+            io.write(&mut txn, &mut obj, &content, &mut rng)?;
+            txn.commit()?;
             touched += 1;
         }
         Ok(touched)
@@ -648,25 +665,36 @@ impl<D: BlockDevice> StegFs<D> {
         }
     }
 
-    /// Persist the UAK directory stored under `keys`.  Caller holds the UAK
-    /// shard lock.
-    fn save_uak_directory(
-        &self,
-        keys: &ObjectKeys,
-        dir: &UakDirectory,
-        existing: Option<HiddenObject>,
-    ) -> StegResult<()> {
-        let io = self.io(keys);
+    /// The one shape of a top-level namespace operation: under `uak`'s
+    /// shard, `edit` changes the directory and stages the rest of the
+    /// operation in `txn` (begun before any guard); the directory is saved
+    /// and `txn` commits under the shard.  What `edit` returns (guards it
+    /// took, say) lives through the commit.
+    fn update_uak_directory<'s, T>(
+        &'s self,
+        mut txn: FsTxn<'s, D>,
+        uak: &str,
+        edit: impl FnOnce(&mut FsTxn<'s, D>, &mut UakDirectory) -> StegResult<T>,
+    ) -> StegResult<T> {
+        let keys = self.uak_keys(uak);
+        let _uak_lock = self.uak_guard(uak);
+        let (mut dir, existing) = self.load_uak_directory(&keys)?;
+        let out = edit(&mut txn, &mut dir)?;
+        let io = self.io(&keys);
         let mut obj = match existing {
             Some(obj) => obj,
-            None => io.create(UAK_DIRECTORY_NAME, ObjectKind::Directory, Policy::Plain)?,
+            None => io.create(
+                &mut txn,
+                UAK_DIRECTORY_NAME,
+                ObjectKind::Directory,
+                Policy::Plain,
+            )?,
         };
-        let mut rng = self.fork_rng();
-        // The cache-aware write serves the rewrite's chain walk from the
-        // cached extent map (the directory was just read through it, so the
-        // map is warm), invalidates before touching anything and republishes
-        // the new map on success — a failed attempt leaves a safe miss.
-        io.write(&mut obj, &dir.serialize(), &mut rng)
+        // The directory was just read through the cache, so the rewrite's
+        // chain walk is served from its warm extent map.
+        io.write(&mut txn, &mut obj, &dir.serialize(), &mut self.fork_rng())?;
+        txn.commit()?;
+        Ok(out)
     }
 
     /// The names (and kinds) of all hidden objects registered under `uak`.
@@ -720,25 +748,6 @@ impl<D: BlockDevice> StegFs<D> {
         Ok(entry)
     }
 
-    /// Create the (not yet published) object `physical_name` under its
-    /// freshly generated `keys`.  A hidden directory starts out as an empty
-    /// child listing.
-    fn create_object(
-        &self,
-        physical_name: &str,
-        keys: &ObjectKeys,
-        kind: ObjectKind,
-        policy: Policy,
-    ) -> StegResult<HiddenObject> {
-        let io = self.object_io(keys);
-        let mut obj = io.create(physical_name, kind, policy)?;
-        if kind == ObjectKind::Directory {
-            let mut rng = self.fork_rng();
-            io.write(&mut obj, &UakDirectory::new().serialize(), &mut rng)?;
-        }
-        Ok(obj)
-    }
-
     /// `steg_create`: create an empty hidden file or directory named
     /// `objname`, registered under `uak`.  The object gets the volume's
     /// default durability policy
@@ -758,38 +767,48 @@ impl<D: BlockDevice> StegFs<D> {
         kind: ObjectKind,
         policy: Policy,
     ) -> StegResult<()> {
+        self.create_published(objname, uak, kind, policy, None)
+    }
+
+    /// Create the object `objname` holding `contents` (none: an empty file,
+    /// or a directory with an empty listing) and publish it under `uak`, in
+    /// one transaction.  The object is built outside the UAK shard (no other
+    /// thread sees its fresh keys), so creates under one UAK serialise on a
+    /// directory rewrite only.  Losing the name race drops the transaction,
+    /// and with it the never-published object's blocks.
+    fn create_published(
+        &self,
+        objname: &str,
+        uak: &str,
+        kind: ObjectKind,
+        policy: Policy,
+        contents: Option<&[u8]>,
+    ) -> StegResult<()> {
         if objname.is_empty() || objname.contains('\0') || objname.contains('\u{1}') {
             return Err(StegError::InvalidName(objname.to_string()));
         }
-        // Build the object *outside* the UAK shard: allocating and writing
-        // its blocks is the expensive part of a create, and it touches only
-        // freshly generated keys no other thread can observe.  The shard is
-        // held just for the directory read-modify-write — the publish
-        // window — so concurrent creates under one UAK serialise on a
-        // directory rewrite, not on whole-object I/O.
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}", Self::owner_tag(uak), objname);
         let keys = self.keys_for(&physical_name, &fak);
-        let obj = self.create_object(&physical_name, &keys, kind, policy)?;
-        let uak_keys = self.uak_keys(uak);
-        let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
-        if dir.find(objname).is_some() {
-            // Lost the publish race (or the name predates us): unwind the
-            // never-published object.  Its keys never left this call, so
-            // deleting it returns the blocks with no visible trace.
-            let mut rng = self.fork_rng();
-            let _ = self.object_io(&keys).delete(&obj, &mut rng);
-            self.read_cache.drop_keys(&physical_name, &fak);
-            return Err(StegError::AlreadyExists(objname.to_string()));
+        let mut txn = self.fs.begin_txn();
+        let io = self.object_io(&keys);
+        let mut obj = io.create(&mut txn, &physical_name, kind, policy)?;
+        if let Some(data) = contents {
+            io.write(&mut txn, &mut obj, data, &mut self.fork_rng())?;
         }
-        dir.insert(DirectoryEntry {
-            name: objname.to_string(),
-            physical_name,
-            fak,
-            kind,
-        })?;
-        self.save_uak_directory(&uak_keys, &dir, existing)
+        self.update_uak_directory(txn, uak, |_, dir| {
+            if dir.find(objname).is_some() {
+                self.read_cache.drop_keys(&physical_name, &fak);
+                return Err(StegError::AlreadyExists(objname.to_string()));
+            }
+            let name = objname.to_string();
+            dir.insert(DirectoryEntry {
+                name,
+                physical_name,
+                fak,
+                kind,
+            })
+        })
     }
 
     /// Verify and, where possible, repair one hidden object in place from
@@ -837,11 +856,13 @@ impl<D: BlockDevice> StegFs<D> {
     fn write_hidden_entry(&self, entry: &DirectoryEntry, data: &[u8]) -> StegResult<()> {
         require_kind(&entry.name, entry.kind, ObjectKind::File)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
+        let mut txn = self.fs.begin_txn();
         let _obj_lock = self.object_guard(&entry.physical_name);
         let io = self.io(&keys);
         let mut obj = io.open(&entry.physical_name)?;
         let mut rng = self.fork_rng();
-        io.write(&mut obj, data, &mut rng)
+        io.write(&mut txn, &mut obj, data, &mut rng)?;
+        Ok(txn.commit()?)
     }
 
     /// Read the full contents of the hidden file `objname` (registered under
@@ -1011,23 +1032,22 @@ impl<D: BlockDevice> StegFs<D> {
         if newname.is_empty() || newname.contains('\0') {
             return Err(StegError::InvalidName(newname.to_string()));
         }
-        let uak_keys = self.uak_keys(uak);
-        let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
-        if dir.find(newname).is_some() {
-            return Err(StegError::AlreadyExists(newname.to_string()));
-        }
-        let mut entry = dir
-            .remove(objname)
-            .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
-        entry.name = newname.to_string();
-        // The object itself is untouched by a rename, but the conservative
-        // contract is that *every* namespace mutation invalidates.
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        self.forget_object(&entry.physical_name, &entry.fak, &keys);
-        dir.insert(entry)?;
-        self.session.lock().disconnect(objname);
-        self.save_uak_directory(&uak_keys, &dir, existing)
+        self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
+            if dir.find(newname).is_some() {
+                return Err(StegError::AlreadyExists(newname.to_string()));
+            }
+            let mut entry = dir
+                .remove(objname)
+                .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
+            entry.name = newname.to_string();
+            // The object itself is untouched by a rename, but the
+            // conservative contract is that *every* namespace mutation
+            // invalidates.
+            let keys = self.keys_for(&entry.physical_name, &entry.fak);
+            self.forget_object(txn, &entry, &keys);
+            self.session.lock().disconnect(objname);
+            dir.insert(entry)
+        })
     }
 
     fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
@@ -1044,45 +1064,44 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Delete the hidden object `objname` and remove it from the UAK
-    /// directory.  A hidden directory must be empty (deleting a populated
-    /// listing would orphan its children's blocks forever).  Returns the
-    /// removed entry so callers that track objects by physical name (the
-    /// VFS object cache) need not re-walk the directory just to learn it.
-    ///
-    /// As in [`Self::remove_dir_child`], the name is unpublished *before*
-    /// the object is destroyed — two transactions, in the order whose
-    /// interruption leaks the object's blocks (allocated, unreferenced)
-    /// rather than leaving a name that lists but can be neither read,
-    /// re-created nor deleted.
+    /// directory, in one transaction.  A hidden directory must be empty
+    /// (deleting a populated listing would orphan its children's blocks
+    /// forever).  Returns the removed entry so callers that track objects
+    /// by physical name (the VFS object cache) need not re-walk the
+    /// directory just to learn it.
     pub fn delete_hidden(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
-        let uak_keys = self.uak_keys(uak);
-        let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
-        let entry = dir
-            .remove(objname)
-            .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        // The on-disk UAK directory is only rewritten below, so a refusal
-        // here leaves the object fully intact.
-        let obj = self.open_for_removal(&entry, &keys)?;
-        self.save_uak_directory(&uak_keys, &dir, existing)?;
-        self.destroy_entry(&entry, &keys, &obj)?;
+        let (entry, _obj_lock) =
+            self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
+                let entry = dir
+                    .remove(objname)
+                    .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
+                let obj_lock = self.object_guard(&entry.physical_name);
+                self.destroy_entry(txn, &entry)?;
+                Ok((entry, obj_lock))
+            })?;
+        self.session.lock().disconnect(&entry.name);
         Ok(entry)
     }
 
     /// `steg_hide`: convert the plain file at `pathname` into the hidden
     /// object `objname`; the plain source is deleted on success.
+    ///
+    /// Two commits: the hidden object with its name, then the plain delete.
+    /// A crash between them leaves both copies, never neither; closing that
+    /// window needs a plain delete inside the hidden transaction.
     pub fn steg_hide(&self, pathname: &str, objname: &str, uak: &str) -> StegResult<()> {
         let data = self.fs.read_file(pathname)?;
-        self.steg_create(objname, uak, ObjectKind::File)?;
-        self.write_hidden_with_key(objname, uak, &data)?;
+        let policy = self.params.hidden_policy;
+        self.create_published(objname, uak, ObjectKind::File, policy, Some(&data))?;
         self.fs.delete(pathname)?;
         Ok(())
     }
 
     /// `steg_unhide`: convert the hidden object `objname` back into a plain
     /// file at `pathname`; the hidden source is deleted on success.
+    ///
+    /// Two commits, the plain file first, then [`Self::delete_hidden`]: as
+    /// in [`Self::steg_hide`], a crash between them leaves both copies.
     pub fn steg_unhide(&self, pathname: &str, objname: &str, uak: &str) -> StegResult<()> {
         let data = self.read_hidden_with_key(objname, uak)?;
         self.fs.write_file(pathname, &data)?;
@@ -1186,14 +1205,15 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Persist `children` as the listing of the hidden directory `parent`
-    /// (object shard already held), then mirror it into the directory's
-    /// shadow-listing object.  The shadow is an ordinary hidden object under
-    /// the volume policy — indistinguishable on the raw device and reachable
-    /// only with the directory's FAK — and is what lets the scavenger rebuild
-    /// a directory whose own metadata is damaged beyond its redundancy (see
+    /// in `txn` (object shard held across the commit), and mirror it into
+    /// the directory's shadow listing: an ordinary hidden object under the
+    /// volume policy — indistinguishable on the raw device and reachable
+    /// only with the directory's FAK — from which the scavenger rebuilds a
+    /// directory whose own metadata is damaged beyond its redundancy (see
     /// [`Self::rebuild_dir_from_shadow`]).
-    fn save_listing_locked(
-        &self,
+    fn save_listing_locked<'s>(
+        &'s self,
+        txn: &mut FsTxn<'s, D>,
         parent: &DirectoryEntry,
         children: &UakDirectory,
     ) -> StegResult<()> {
@@ -1201,52 +1221,43 @@ impl<D: BlockDevice> StegFs<D> {
         let io = self.io(&parent_keys);
         let mut parent_obj = io.open(&parent.physical_name)?;
         let mut rng = self.fork_rng();
-        io.write(&mut parent_obj, &children.serialize(), &mut rng)?;
-        self.save_shadow_listing(parent, children)
+        io.write(txn, &mut parent_obj, &children.serialize(), &mut rng)?;
+        self.save_shadow_listing(txn, parent, children)
     }
 
-    /// Upsert the shadow-listing companion of the hidden directory `parent`
-    /// (created lazily on the first listing mutation).
-    fn save_shadow_listing(
-        &self,
+    /// Upsert the shadow listing of the hidden directory `parent` in `txn`
+    /// (created lazily on the first listing mutation), or remove it when
+    /// `children` is empty: an empty listing needs no recovery source.  A
+    /// missing shadow is not an error; any other failure fails the
+    /// operation.
+    fn save_shadow_listing<'s>(
+        &'s self,
+        txn: &mut FsTxn<'s, D>,
         parent: &DirectoryEntry,
         children: &UakDirectory,
     ) -> StegResult<()> {
-        if children.entries.is_empty() {
-            // An empty listing needs no recovery source; dropping the shadow
-            // keeps an empty directory's block footprint unchanged.
-            self.delete_shadow_listing(&parent.physical_name, &parent.fak);
-            return Ok(());
-        }
         let (shadow_physical, shadow_fak) =
             Self::shadow_identity(&parent.physical_name, &parent.fak);
         let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
         let io = self.object_io(&shadow_keys);
-        let mut shadow_obj = match io.open(&shadow_physical) {
-            Ok(obj) => obj,
-            Err(e) if e.is_not_found() => io.create(
-                &shadow_physical,
-                ObjectKind::File,
-                self.params.hidden_policy,
-            )?,
+        let shadow = match io.open(&shadow_physical) {
+            Ok(obj) => Some(obj),
+            Err(e) if e.is_not_found() => None,
             Err(e) => return Err(e),
         };
-        let mut rng = self.fork_rng();
-        io.write(&mut shadow_obj, &children.serialize(), &mut rng)
-    }
-
-    /// Best-effort removal of a directory's shadow listing when the
-    /// directory itself is destroyed.  A missing shadow (directory never had
-    /// a listing mutation) is not an error.
-    fn delete_shadow_listing(&self, physical: &str, fak: &[u8; FAK_LEN]) {
-        let (shadow_physical, shadow_fak) = Self::shadow_identity(physical, fak);
-        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
-        let io = self.object_io(&shadow_keys);
-        if let Ok(shadow_obj) = io.open(&shadow_physical) {
-            let mut rng = self.fork_rng();
-            let _ = io.delete(&shadow_obj, &mut rng);
+        if children.entries.is_empty() {
+            if let Some(obj) = shadow {
+                io.delete(txn, &obj, &mut self.fork_rng())?;
+            }
+            self.read_cache.drop_keys(&shadow_physical, &shadow_fak);
+            return Ok(());
         }
-        self.read_cache.drop_keys(&shadow_physical, &shadow_fak);
+        let policy = self.params.hidden_policy;
+        let mut obj = match shadow {
+            Some(obj) => obj,
+            None => io.create(txn, &shadow_physical, ObjectKind::File, policy)?,
+        };
+        io.write(txn, &mut obj, &children.serialize(), &mut self.fork_rng())
     }
 
     /// Rebuild a hidden directory whose header/chain damage exceeds its
@@ -1262,8 +1273,14 @@ impl<D: BlockDevice> StegFs<D> {
     /// `NotFound` here).  Remnant blocks of the old object that its surviving
     /// header no longer reaches stay allocated — a bounded leak,
     /// indistinguishable from abandoned blocks (§3.4).
+    ///
+    /// Teardown and re-creation are one transaction.  On a journaled volume
+    /// the old object's blocks come free only at its commit, so the new
+    /// object is placed beside them: its header lands on a later candidate
+    /// of the same keyed sequence.
     pub fn rebuild_dir_from_shadow(&self, entry: &DirectoryEntry) -> StegResult<DirRebuild> {
         require_kind(&entry.name, entry.kind, ObjectKind::Directory)?;
+        let mut txn = self.fs.begin_txn();
         let _obj_lock = self.object_guard(&entry.physical_name);
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let io = self.object_io(&keys);
@@ -1285,11 +1302,8 @@ impl<D: BlockDevice> StegFs<D> {
         let mut dropped = Vec::new();
         for child in listing.entries {
             let child_keys = self.keys_for(&child.physical_name, &child.fak);
-            if self
-                .object_io(&child_keys)
-                .open(&child.physical_name)
-                .is_ok()
-            {
+            let probes = self.object_io(&child_keys).open(&child.physical_name);
+            if probes.is_ok() {
                 kept.insert(child)?;
             } else {
                 dropped.push(child.name.clone());
@@ -1302,15 +1316,16 @@ impl<D: BlockDevice> StegFs<D> {
         // probes cannot resurrect it.
         let mut rng = self.fork_rng();
         if let Ok(old) = io.open(&entry.physical_name) {
-            if io.delete(&old, &mut rng).is_err() {
-                io.destroy_unreadable(&old, &mut rng)?;
+            if io.delete(&mut txn, &old, &mut rng).is_err() {
+                io.destroy_unreadable(&mut txn, &old, &mut rng)?;
             }
         }
         self.read_cache.invalidate(keys.signature());
 
-        let policy = self.params.hidden_policy;
-        let mut obj = io.create(&entry.physical_name, ObjectKind::Directory, policy)?;
-        io.write(&mut obj, &kept.serialize(), &mut rng)?;
+        let (name, kind) = (&entry.physical_name, ObjectKind::Directory);
+        let mut obj = io.create(&mut txn, name, kind, self.params.hidden_policy)?;
+        io.write(&mut txn, &mut obj, &kept.serialize(), &mut rng)?;
+        txn.commit()?;
         Ok(DirRebuild {
             children_relinked: kept.entries.len(),
             children_dropped: dropped,
@@ -1360,27 +1375,29 @@ impl<D: BlockDevice> StegFs<D> {
             return Err(StegError::InvalidName(child_name.to_string()));
         }
         // The parent's shard serialises the listing read-modify-write against
-        // concurrent child creation in the same directory.
+        // concurrent child creation in the same directory.  One transaction
+        // holds the child, the listing and its shadow.
+        let mut txn = self.fs.begin_txn();
         let _parent_lock = self.object_guard(&parent.physical_name);
         let mut children = self.read_listing_locked(parent)?;
         if children.find(child_name).is_some() {
             return Err(StegError::AlreadyExists(child_name.to_string()));
         }
 
-        // Create the child object itself.
         let fak = self.generate_fak(child_name);
         let physical_name = format!("{}/{}", parent.physical_name, child_name);
         let child_keys = self.keys_for(&physical_name, &fak);
-        self.create_object(&physical_name, &child_keys, kind, self.params.hidden_policy)?;
+        let policy = self.params.hidden_policy;
+        let io = self.object_io(&child_keys);
+        io.create(&mut txn, &physical_name, kind, policy)?;
         children.insert(DirectoryEntry {
             name: child_name.to_string(),
             physical_name,
             fak,
             kind,
         })?;
-
-        // Persist the updated listing into the parent (and its shadow).
-        self.save_listing_locked(parent, &children)
+        self.save_listing_locked(&mut txn, parent, &children)?;
+        Ok(txn.commit()?)
     }
 
     /// List the children of the hidden directory `parent`.
@@ -1399,44 +1416,30 @@ impl<D: BlockDevice> StegFs<D> {
             .collect())
     }
 
-    /// Open the object behind `entry` — on the device, not from the cache —
-    /// ahead of its removal, refusing a hidden directory that still lists
-    /// children (destroying a populated listing would orphan their blocks
-    /// forever).  Caller holds the object's shard.
-    fn open_for_removal(
-        &self,
+    /// Destroy the object behind `entry` in `txn` (its shard held across
+    /// the commit), together with a directory's shadow listing and
+    /// everything cached for the dead binding.  The object is opened on the
+    /// device, not from the cache, and a hidden directory that still lists
+    /// children is refused: destroying it would orphan their blocks forever.
+    fn destroy_entry<'s>(
+        &'s self,
+        txn: &mut FsTxn<'s, D>,
         entry: &DirectoryEntry,
-        keys: &ObjectKeys,
-    ) -> StegResult<HiddenObject> {
-        let io = self.object_io(keys);
-        let obj = io.open(&entry.physical_name)?;
-        if entry.kind == ObjectKind::Directory
-            && !parse_listing(&io.read(&obj)?)?.entries.is_empty()
-        {
-            return Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(
-                entry.name.clone(),
-            )));
-        }
-        Ok(obj)
-    }
-
-    /// Destroy the already unpublished object behind `entry` (opened as
-    /// `obj`, its shard held) together with everything cached for the dead
-    /// binding, a directory's shadow listing and the session's connection.
-    fn destroy_entry(
-        &self,
-        entry: &DirectoryEntry,
-        keys: &ObjectKeys,
-        obj: &HiddenObject,
     ) -> StegResult<()> {
-        let mut rng = self.fork_rng();
-        let result = self.object_io(keys).delete(obj, &mut rng);
-        self.forget_object(&entry.physical_name, &entry.fak, keys);
-        result?;
-        if entry.kind == ObjectKind::Directory {
-            self.delete_shadow_listing(&entry.physical_name, &entry.fak);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
+        let io = self.object_io(&keys);
+        let obj = io.open(&entry.physical_name)?;
+        let is_dir = entry.kind == ObjectKind::Directory;
+        if is_dir && !parse_listing(&io.read(&obj)?)?.entries.is_empty() {
+            let name = entry.name.clone();
+            return Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(name)));
         }
-        self.session.lock().disconnect(&entry.name);
+        let result = io.delete(txn, &obj, &mut self.fork_rng());
+        self.forget_object(txn, entry, &keys);
+        result?;
+        if is_dir {
+            self.save_shadow_listing(txn, entry, &UakDirectory::new())?;
+        }
         Ok(())
     }
 
@@ -1449,21 +1452,18 @@ impl<D: BlockDevice> StegFs<D> {
     /// (so in-flight I/O on the child drains before its blocks are freed).
     /// The pair is acquired in ascending shard-index order; when the child's
     /// shard sorts below the parent's, the parent shard is released and the
-    /// pair re-acquired in order, revalidating the listing afterwards.
-    ///
-    /// The child is unpublished from the parent's listing *before* its
-    /// blocks are freed, so a racing lookup can never be handed an entry
-    /// whose object is already gone; a crash between the two steps leaks the
-    /// child's blocks (allocated, unreferenced) rather than corrupting the
-    /// directory.
+    /// pair re-acquired in order, revalidating the listing afterwards.  The
+    /// listing, its shadow and the child's destruction are one transaction,
+    /// committed under both shards.
     pub fn remove_dir_child(
         &self,
         parent: &DirectoryEntry,
         child_name: &str,
     ) -> StegResult<DirectoryEntry> {
         require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
+        let mut txn = self.fs.begin_txn();
         let pidx = shard_index(&parent.physical_name, self.object_locks.len());
-        loop {
+        let (mut children, child, _shards) = loop {
             let pguard = self.object_guard_at(pidx);
             let children = self.read_listing_locked(parent)?;
             let child = children
@@ -1473,11 +1473,11 @@ impl<D: BlockDevice> StegFs<D> {
             let cidx = shard_index(&child.physical_name, self.object_locks.len());
             if cidx == pidx {
                 // One mutex covers both objects; it is already held.
-                return self.remove_child_locked(parent, children, child, pguard, None);
+                break (children, child, vec![pguard]);
             }
             if cidx > pidx {
                 let cguard = self.object_guard_at(cidx);
-                return self.remove_child_locked(parent, children, child, pguard, Some(cguard));
+                break (children, child, vec![pguard, cguard]);
             }
             // The child's shard sorts first: release, re-acquire in order,
             // and revalidate the listing (it may have changed meanwhile).
@@ -1488,31 +1488,18 @@ impl<D: BlockDevice> StegFs<D> {
             match children.find(child_name) {
                 Some(c) if c.physical_name == child.physical_name && c.fak == child.fak => {
                     let child = c.clone();
-                    return self.remove_child_locked(parent, children, child, pguard, Some(cguard));
+                    break (children, child, vec![cguard, pguard]);
                 }
                 // The entry changed (or vanished) while unlocked; retry from
                 // the top so the fresh binding is re-resolved.
                 _ => continue,
             }
-        }
-    }
-
-    /// Second half of [`Self::remove_dir_child`]: both shards held.
-    fn remove_child_locked(
-        &self,
-        parent: &DirectoryEntry,
-        mut children: UakDirectory,
-        child: DirectoryEntry,
-        _parent_shard: MutexGuard<'_, ()>,
-        _child_shard: Option<MutexGuard<'_, ()>>,
-    ) -> StegResult<DirectoryEntry> {
-        let child_keys = self.keys_for(&child.physical_name, &child.fak);
-        let child_obj = self.open_for_removal(&child, &child_keys)?;
-
-        // Unpublish, then destroy.
+        };
+        self.destroy_entry(&mut txn, &child)?;
         children.remove(&child.name);
-        self.save_listing_locked(parent, &children)?;
-        self.destroy_entry(&child, &child_keys, &child_obj)?;
+        self.save_listing_locked(&mut txn, parent, &children)?;
+        txn.commit()?;
+        self.session.lock().disconnect(&child.name);
         Ok(child)
     }
 
@@ -1530,6 +1517,7 @@ impl<D: BlockDevice> StegFs<D> {
         if new.is_empty() || new.contains('\0') || new.contains('\u{1}') {
             return Err(StegError::InvalidName(new.to_string()));
         }
+        let mut txn = self.fs.begin_txn();
         let _parent_lock = self.object_guard(&parent.physical_name);
         let mut children = self.read_listing_locked(parent)?;
         if children.find(new).is_some() {
@@ -1540,9 +1528,10 @@ impl<D: BlockDevice> StegFs<D> {
             .ok_or_else(|| StegError::NotFound(old.to_string()))?;
         entry.name = new.to_string();
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        self.forget_object(&entry.physical_name, &entry.fak, &keys);
+        self.forget_object(&mut txn, &entry, &keys);
         children.insert(entry)?;
-        self.save_listing_locked(parent, &children)?;
+        self.save_listing_locked(&mut txn, parent, &children)?;
+        txn.commit()?;
         self.session.lock().disconnect(old);
         Ok(())
     }
@@ -1599,68 +1588,55 @@ impl<D: BlockDevice> StegFs<D> {
         uak: &str,
     ) -> StegResult<String> {
         let entry = envelope.open(private_key)?;
-        let uak_keys = self.uak_keys(uak);
-        let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
         let name = entry.name.clone();
-        dir.insert(entry)?;
-        self.save_uak_directory(&uak_keys, &dir, existing)?;
+        self.update_uak_directory(self.fs.begin_txn(), uak, |_, dir| dir.insert(entry))?;
         Ok(name)
     }
 
     /// Revoke a previously shared object: re-key it under a fresh FAK (and a
     /// fresh physical name) so that recipients of the old `(name, FAK)` pair
     /// lose access, as described at the end of §3.2.  The replacement keeps
-    /// the object's durability policy.
-    ///
-    /// The old object is destroyed before the new binding is published, in
-    /// two transactions: an interruption between them leaves the name bound
-    /// to an object that is gone (the window [`Self::delete_hidden`] no
-    /// longer has).  Closing it needs both steps in one transaction.
+    /// the object's durability policy.  Copy, destroy and re-publish are one
+    /// transaction, committed under the UAK shard and the old object's.
     pub fn revoke_sharing(&self, objname: &str, uak: &str) -> StegResult<()> {
-        let uak_keys = self.uak_keys(uak);
-        let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(&uak_keys)?;
-        let entry = dir
-            .remove(objname)
-            .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
+        self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
+            let entry = dir
+                .remove(objname)
+                .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
 
-        // Read the current contents with the old key.
-        let old_keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let old_io = self.object_io(&old_keys);
-        let (data, policy) = {
-            let _obj_lock = self.object_guard(&entry.physical_name);
+            // Read the current contents with the old key.
+            let old_keys = self.keys_for(&entry.physical_name, &entry.fak);
+            let old_io = self.object_io(&old_keys);
+            let obj_lock = self.object_guard(&entry.physical_name);
             let old_obj = old_io.open(&entry.physical_name)?;
-            (old_io.read(&old_obj)?, old_obj.header.policy)
-        };
+            let data = old_io.read(&old_obj)?;
 
-        // Create the replacement under a fresh FAK and physical name.
-        let revision = self.fak_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let fak = self.generate_fak(objname);
-        let physical_name = format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision);
-        let new_keys = self.keys_for(&physical_name, &fak);
-        let new_io = self.object_io(&new_keys);
-        let mut new_obj = new_io.create(&physical_name, entry.kind, policy)?;
-        let mut rng = self.fork_rng();
-        new_io.write(&mut new_obj, &data, &mut rng)?;
+            // Create the replacement under a fresh FAK and physical name.
+            let revision = self.fak_counter.fetch_add(1, Ordering::Relaxed) + 1;
+            let fak = self.generate_fak(objname);
+            let physical_name = format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision);
+            let new_keys = self.keys_for(&physical_name, &fak);
+            let new_io = self.object_io(&new_keys);
+            let policy = old_obj.header.policy;
+            let mut new_obj = new_io.create(txn, &physical_name, entry.kind, policy)?;
+            let mut rng = self.fork_rng();
+            new_io.write(txn, &mut new_obj, &data, &mut rng)?;
 
-        // Destroy the old object, invalidating every outstanding copy of the
-        // old FAK.
-        {
-            let _obj_lock = self.object_guard(&entry.physical_name);
-            let old_obj = old_io.open(&entry.physical_name)?;
-            let result = old_io.delete(&old_obj, &mut rng);
-            self.forget_object(&entry.physical_name, &entry.fak, &old_keys);
+            // Destroy the old object, invalidating every outstanding copy of
+            // the old FAK.
+            let result = old_io.delete(txn, &old_obj, &mut rng);
+            self.forget_object(txn, &entry, &old_keys);
             result?;
-        }
-
-        dir.insert(DirectoryEntry {
-            name: objname.to_string(),
-            physical_name,
-            fak,
-            kind: entry.kind,
-        })?;
-        self.save_uak_directory(&uak_keys, &dir, existing)
+            let (name, kind) = (objname.to_string(), entry.kind);
+            dir.insert(DirectoryEntry {
+                name,
+                physical_name,
+                fak,
+                kind,
+            })?;
+            Ok(obj_lock)
+        })
+        .map(drop)
     }
 
     // ------------------------------------------------------------------
@@ -2058,9 +2034,11 @@ mod tests {
             })
             .unwrap();
         let mut rng = stegfs_crypto::prng::DeterministicRng::new(b"t");
+        let mut txn = fs.plain_fs().begin_txn();
         sub_io
-            .write(&mut sub_obj, &listing.serialize(), &mut rng)
+            .write(&mut txn, &mut sub_obj, &listing.serialize(), &mut rng)
             .unwrap();
+        txn.commit().unwrap();
 
         assert!(matches!(
             fs.delete_in_hidden_dir("vault", "sub", UAK),

@@ -56,6 +56,7 @@ use crate::error::{FsError, FsResult};
 use crate::inode::{FileKind, Inode, InodeId, InodeTable, DIRECT_POINTERS, NO_BLOCK};
 use crate::layout::Superblock;
 use crate::txn::FsTxn;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, ObservedDevice};
 use stegfs_journal::{Journal, JournalGeometry, RingScan};
@@ -820,17 +821,18 @@ impl<D: BlockDevice> PlainFs<D> {
     }
 
     /// Every block referenced by the central directory (inode-table metadata
-    /// is not included): file data blocks, directory data blocks, and
-    /// indirect-pointer blocks.  Backup uses this to decide which allocated
-    /// blocks must be imaged raw (those *not* in this set).
-    pub fn plain_object_blocks(&self) -> FsResult<Vec<u64>> {
+    /// is not included) — file data blocks, directory data blocks, and
+    /// indirect-pointer blocks — with the inode naming it, once per naming.
+    /// A block with more than one entry is owned twice, which the
+    /// block-owner map reports; the map's length counts distinct blocks.
+    pub fn plain_object_blocks(&self) -> FsResult<BTreeMap<u64, Vec<InodeId>>> {
         // The namespace read guard pins the *set* of allocated inodes
         // (create/delete need it exclusively); each inode's stripe then pins
         // its *block map*, so a concurrent content rewrite cannot free a
         // pointer block out from under the walk.  Lock order namespace <
         // stripe matches delete.
         let _ns = self.namespace.read();
-        let mut all = Vec::new();
+        let mut all: BTreeMap<u64, Vec<InodeId>> = BTreeMap::new();
         let inodes = self.scan_allocated_inodes()?;
         for (id, _) in inodes {
             let _stripe = self.stripe(id).lock();
@@ -841,11 +843,10 @@ impl<D: BlockDevice> PlainFs<D> {
                 continue;
             }
             let (data, meta) = self.collect_blocks(&inode)?;
-            all.extend(data);
-            all.extend(meta);
+            for b in data.into_iter().chain(meta) {
+                all.entry(b).or_default().push(id);
+            }
         }
-        all.sort_unstable();
-        all.dedup();
         Ok(all)
     }
 
@@ -946,15 +947,21 @@ impl<D: BlockDevice> PlainFs<D> {
 
     /// Create an empty directory at `path`.
     pub fn create_dir(&self, path: &str) -> FsResult<InodeId> {
-        self.create_object(path, FileKind::Directory)
+        self.create_object(path, FileKind::Directory, None)
     }
 
     /// Create an empty regular file at `path`.
     pub fn create_file(&self, path: &str) -> FsResult<InodeId> {
-        self.create_object(path, FileKind::File)
+        self.create_object(path, FileKind::File, None)
     }
 
-    fn create_object(&self, path: &str, kind: FileKind) -> FsResult<InodeId> {
+    /// Create `path` as an object of `kind`, holding `contents` when given.
+    fn create_object(
+        &self,
+        path: &str,
+        kind: FileKind,
+        contents: Option<&[u8]>,
+    ) -> FsResult<InodeId> {
         let _ns = self.namespace.write();
         let (pid, pinode, name) = self.resolve_parent(path)?;
         let entries = self.read_dir_inode(&pinode)?;
@@ -962,10 +969,11 @@ impl<D: BlockDevice> PlainFs<D> {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
         let id = self.find_free_inode()?.ok_or(FsError::NoSpace)?;
-        // One transaction covers the new inode and the parent-directory
-        // update, so a crash can never publish a directory entry whose inode
-        // slot is still free (or vice versa — an orphan inode slot is the
-        // worst a torn create can leak, and only on unjournaled volumes).
+        // One transaction covers the new inode, the parent-directory update
+        // and the contents, so a crash can never publish a directory entry
+        // whose inode slot is still free (or vice versa — an orphan inode
+        // slot is the worst a torn create can leak, and only on unjournaled
+        // volumes).
         let mut txn = self.begin_txn();
         txn.set_inode(id, &Inode::empty(kind))?;
 
@@ -976,6 +984,10 @@ impl<D: BlockDevice> PlainFs<D> {
             kind,
         });
         self.write_dir_inode(&mut txn, pid, &entries)?;
+        let _stripe = contents.is_some().then(|| self.stripe(id).lock());
+        if let Some(data) = contents {
+            self.write_inode_contents(&mut txn, id, data)?;
+        }
         txn.commit()?;
         Ok(id)
     }
@@ -1003,9 +1015,10 @@ impl<D: BlockDevice> PlainFs<D> {
     }
 
     /// Write `data` as the complete contents of the file at `path`, creating
-    /// the file if it does not exist and truncating it if it does.  Loops
-    /// because a concurrent creator may win the create race, in which case
-    /// the fresh `AlreadyExists` simply means the file is now resolvable.
+    /// the file if it does not exist and truncating it if it does.  Either
+    /// way it is one transaction.  Loops because a concurrent creator may
+    /// win the create race, in which case the fresh `AlreadyExists` simply
+    /// means the file is now resolvable.
     pub fn write_file(&self, path: &str, data: &[u8]) -> FsResult<()> {
         loop {
             match self.with_file_at_path(path, |id, _| {
@@ -1016,8 +1029,9 @@ impl<D: BlockDevice> PlainFs<D> {
                 Err(e) if e.is_not_found() => {}
                 other => return other,
             }
-            match self.create_object(path, FileKind::File) {
-                Ok(_) | Err(FsError::AlreadyExists(_)) => continue,
+            match self.create_object(path, FileKind::File, Some(data)) {
+                Ok(_) => return Ok(()),
+                Err(FsError::AlreadyExists(_)) => continue,
                 Err(e) => return Err(e),
             }
         }
@@ -2046,7 +2060,7 @@ mod tests {
             visible, after,
             "raw allocation must not appear in the central directory"
         );
-        assert!(!after.contains(&hidden));
+        assert!(!after.contains_key(&hidden));
         // But the bitmap knows the block is taken.
         assert!(fs.is_block_allocated(hidden));
     }

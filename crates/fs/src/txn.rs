@@ -2,7 +2,10 @@
 //! layer above it) and the write-ahead journal.
 //!
 //! Every multi-block update — a file rewrite, a create, a delete, a hidden
-//! object's chain rebuild — runs through one [`FsTxn`]:
+//! object's chain rebuild — runs through one [`FsTxn`], and so does every
+//! composed one: a public hidden-namespace operation (create, delete,
+//! rename, revoke, a directory-listing change with its shadow) stages all
+//! of its objects into one transaction and commits it once.
 //!
 //! * **On a journaled volume** the transaction *buffers*: raw block writes
 //!   stage into a redo buffer, inode updates and block frees defer, and
@@ -66,7 +69,10 @@
 //! these locks sit in the stack's order: the table in [`stegfs_obs::lock`].
 //! Callers hold their operation's own guards (namespace / content stripe /
 //! object shard) across the whole transaction, commit included, so an
-//! update is visible to others only once it is durable.
+//! update is visible to others only once it is durable.  A transaction
+//! holds no lock until [`FsTxn::commit`], so it may begin before any of
+//! those guards.  Work registered with [`FsTxn::on_commit`] runs inside
+//! `commit` after the update is durable, with no file-system lock held.
 
 use crate::error::{FsError, FsResult};
 use crate::fs::PlainFs;
@@ -109,6 +115,9 @@ pub struct FsTxn<'a, D: BlockDevice> {
     deferred_frees: Vec<u64>,
     /// Inode updates deferred to commit (journaled volumes only).
     deferred_inodes: BTreeMap<InodeId, Inode>,
+    /// Work that may run only once the update is durable; dropped unrun if
+    /// the transaction never commits.
+    on_commit: Vec<Box<dyn FnOnce() + 'a>>,
     committed: bool,
 }
 
@@ -121,6 +130,7 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
             touched: BTreeSet::new(),
             deferred_frees: Vec::new(),
             deferred_inodes: BTreeMap::new(),
+            on_commit: Vec::new(),
             committed: false,
         }
     }
@@ -300,12 +310,32 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
     // Commit
     // ------------------------------------------------------------------
 
-    /// Make the update durable.  Unjournaled volumes: a no-op (everything
-    /// was written through already).  Journaled volumes: stage the deferred
+    /// Run `f` once this transaction has committed, inside
+    /// [`commit`](Self::commit) and so under whatever guards its caller
+    /// holds across it.  A transaction that fails or is dropped never runs
+    /// it.  The hidden layer installs what an operation published into its
+    /// read cache this way, so the cache never serves an update that did
+    /// not commit.
+    pub fn on_commit(&mut self, f: impl FnOnce() + 'a) {
+        self.on_commit.push(Box::new(f));
+    }
+
+    /// Make the update durable, then run the [`on_commit`](Self::on_commit)
+    /// work.  Unjournaled volumes: nothing to persist (everything was
+    /// written through already).  Journaled volumes: stage the deferred
     /// inode read-modify-writes and the touched bitmap blocks into the redo
     /// buffer, journal it (sequence assigned under the covering bitmap
     /// segment locks, see the module docs), group-flush, and apply in place.
     pub fn commit(mut self) -> FsResult<()> {
+        self.persist()?;
+        for f in std::mem::take(&mut self.on_commit) {
+            f();
+        }
+        Ok(())
+    }
+
+    /// The durable half of [`commit`](Self::commit).
+    fn persist(&mut self) -> FsResult<()> {
         let Some(mut tx) = self.tx.take() else {
             self.committed = true;
             return Ok(());

@@ -298,16 +298,20 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
     let params = StegParams::for_tests();
     let mut rng = DeterministicRng::new(b"batched-io");
     let io = ObjectIo::new(&fs, &params, ReadCache::disabled(), &keys);
+    let mut txn = fs.begin_txn();
     let mut obj = io
-        .create("batched", ObjectKind::File, Policy::Plain)
+        .create(&mut txn, "batched", ObjectKind::File, Policy::Plain)
         .unwrap();
     let data = vec![0x3cu8; OBJECT_BLOCKS * 1024];
-    io.write(&mut obj, &data, &mut rng).unwrap();
+    io.write(&mut txn, &mut obj, &data, &mut rng).unwrap();
+    txn.commit().unwrap();
 
     // Rewrite: 16 data blocks in ONE submission, one chain block and the
     // header as further submissions, and the old chain read as one single.
     stats.reset();
-    io.write(&mut obj, &data, &mut rng).unwrap();
+    let mut txn = fs.begin_txn();
+    io.write(&mut txn, &mut obj, &data, &mut rng).unwrap();
+    txn.commit().unwrap();
     let s = stats.summary();
     assert_eq!(s.blocks_written, 18, "16 data + 1 chain + 1 header: {s:?}");
     assert_eq!(

@@ -20,15 +20,17 @@
 //!   remount all succeed.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stegfs_blockdev::{
     BlockDevice, BlockError, BlockResult, BufferCache, FaultDevice, MemBlockDevice,
 };
+use stegfs_core::blockmap::BlockMap;
 use stegfs_core::crypt::ObjectKeys;
-use stegfs_core::{ObjectKind, StegFs, StegParams};
+use stegfs_core::{DirectoryEntry, ObjectKind, StegError, StegFs, StegParams};
+use stegfs_journal::SlotUse;
 use stegfs_obs::lock::{Condvar, Mutex, RwLock};
 use stegfs_tests::{journaled_params, owned_once, payload};
 
@@ -450,53 +452,6 @@ fn torn_hidden_rewrite_preserves_old_contents() {
             assert_eq!(got, payload(8, 30 * 1024), "trip {trip}: torn rewrite");
         }
         owned_once(&fs, &[OWNER]);
-    }
-}
-
-/// An interrupted `delete_hidden` never wedges the name.  The delete is two
-/// committed transactions — unpublish the name, then destroy the object — so
-/// the device is made to die at every write of the sequence in turn; whichever
-/// prefix survived, every name the directory still lists reads back, and every
-/// name it no longer lists is free to be created again.  (In the opposite
-/// order a crash between the two left `budget` listed, unreadable,
-/// `AlreadyExists` to `steg_create` and `NotFound` to `delete_hidden`.)
-#[test]
-fn interrupted_delete_never_leaves_a_ghost_name() {
-    let keep = payload(11, 6 * 1024);
-    let budget = payload(12, 20 * 1024);
-    for trip in 0u64.. {
-        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 2048));
-        let fs = StegFs::format(
-            BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
-            params(),
-        )
-        .unwrap();
-        for (name, data) in [("keep", &keep), ("budget", &budget)] {
-            fs.steg_create(name, OWNER, ObjectKind::File).unwrap();
-            fs.write_hidden_with_key(name, OWNER, data).unwrap();
-        }
-        fs.sync().unwrap();
-
-        dev.fail_after_writes(trip);
-        let completed = fs.delete_hidden("budget", OWNER).is_ok();
-        drop(fs);
-        dev.crash(0x6e05 ^ trip);
-
-        let fs = mount_stack(&dev);
-        let listed = assert_listed_names_open(&fs);
-        assert_eq!(read_hidden(&fs, "keep").unwrap(), keep, "trip {trip}");
-        if listed.iter().any(|name| name == "budget") {
-            assert!(!completed, "trip {trip}: a completed delete rolled back");
-            assert_eq!(read_hidden(&fs, "budget").unwrap(), budget, "trip {trip}");
-        } else {
-            fs.steg_create("budget", OWNER, ObjectKind::File)
-                .unwrap_or_else(|e| panic!("trip {trip}: unlisted name not creatable: {e}"));
-        }
-        owned_once(&fs, &[OWNER]);
-        if completed {
-            assert!(trip > 2, "the delete never met the trip wire");
-            return;
-        }
     }
 }
 
@@ -958,8 +913,25 @@ struct PatchScript {
     new_plain: Vec<u8>,
 }
 
-/// Blocks of the patch-script volume: small, since every case copies it.
+/// Blocks of the script volumes: small, since every case copies one.
 const SCRIPT_BLOCKS: u64 = 2048;
+
+/// The raw image of `dev`, whose every write a sync made durable.
+fn durable_image(dev: &FaultDevice<MemBlockDevice>) -> Vec<u8> {
+    assert_eq!(dev.pending_writes(), 0, "the setup is durable");
+    (0..dev.total_blocks())
+        .flat_map(|b| dev.read_block_vec(b).unwrap())
+        .collect()
+}
+
+/// A fresh write-cache device holding `image`.
+fn device_holding(image: &[u8]) -> FaultDevice<MemBlockDevice> {
+    let mem = MemBlockDevice::new(1024, SCRIPT_BLOCKS);
+    for (b, block) in image.chunks_exact(1024).enumerate() {
+        mem.write_block(b as u64, block).unwrap();
+    }
+    FaultDevice::with_write_cache(mem)
+}
 
 /// Where the patch lands in `h`: sixteen whole blocks in its middle.
 const PATCH_AT: usize = 8 * 1024;
@@ -983,12 +955,8 @@ impl PatchScript {
         fs.write_plain("/p", &old_plain).unwrap();
         fs.sync().unwrap();
         drop(fs);
-        assert_eq!(dev.pending_writes(), 0, "the setup is durable");
-        let image = (0..dev.total_blocks())
-            .flat_map(|b| dev.read_block_vec(b).unwrap())
-            .collect();
         PatchScript {
-            image,
+            image: durable_image(&dev),
             old_hidden,
             new_hidden,
             patch,
@@ -997,13 +965,8 @@ impl PatchScript {
         }
     }
 
-    /// A fresh write-cache device holding the setup image.
     fn device(&self) -> FaultDevice<MemBlockDevice> {
-        let mem = MemBlockDevice::new(1024, SCRIPT_BLOCKS);
-        for (b, block) in self.image.chunks_exact(1024).enumerate() {
-            mem.write_block(b as u64, block).unwrap();
-        }
-        FaultDevice::with_write_cache(mem)
+        device_holding(&self.image)
     }
 
     /// The script: a 16 KiB patch of `h`, a rewrite of `/p`, a sync.
@@ -1135,4 +1098,380 @@ fn a_damaged_payload_slot_drops_its_transaction_at_replay() {
         assert_eq!(fs.read_plain("/p").unwrap(), script.old_plain);
         owned_once(&fs, &[OWNER]);
     }
+}
+
+/// Every listed name of a namespace script's volume, top level and inside
+/// hidden directories (`vault/b.bin`), with the binding it lists and its
+/// bytes (`None` for a directory); and the plain files hide and unhide move
+/// (`plain /path`, no binding).
+type Namespace = BTreeMap<String, (Option<DirectoryEntry>, Option<Vec<u8>>)>;
+
+/// One public namespace operation, and the transactions it commits.
+type Row = (&'static str, fn(&Stack) -> Result<(), StegError>, usize);
+
+fn vault(fs: &Stack) -> Result<DirectoryEntry, StegError> {
+    fs.lookup_entry("vault", OWNER)
+}
+
+/// The rows of the namespace sweep.  Each is one transaction, except hide
+/// and unhide: their plain step commits on its own.
+const ROWS: [Row; 10] = [
+    (
+        "steg_create file",
+        |fs| fs.steg_create("fresh", OWNER, ObjectKind::File),
+        1,
+    ),
+    (
+        "steg_create directory",
+        |fs| fs.steg_create("fresh-dir", OWNER, ObjectKind::Directory),
+        1,
+    ),
+    (
+        "create_dir_child",
+        |fs| fs.create_dir_child(&vault(fs)?, "c.bin", ObjectKind::File),
+        1,
+    ),
+    (
+        "rename_dir_child",
+        |fs| fs.rename_dir_child(&vault(fs)?, "b.bin", "renamed.bin"),
+        1,
+    ),
+    (
+        "remove_dir_child",
+        |fs| fs.remove_dir_child(&vault(fs)?, "sub").map(drop),
+        1,
+    ),
+    (
+        "delete_hidden",
+        |fs| fs.delete_hidden("doc", OWNER).map(drop),
+        1,
+    ),
+    (
+        "rename_hidden",
+        |fs| fs.rename_hidden("doc", "kept", OWNER),
+        1,
+    ),
+    ("revoke_sharing", |fs| fs.revoke_sharing("doc", OWNER), 1),
+    (
+        "steg_hide",
+        |fs| fs.steg_hide("/cover.txt", "hidden-cover", OWNER),
+        2,
+    ),
+    (
+        "steg_unhide",
+        |fs| fs.steg_unhide("/uncovered.txt", "doc", OWNER),
+        2,
+    ),
+];
+
+/// The namespace `fs` lists.  A listed name that does not open fails the
+/// test: that is a ghost.
+fn namespace(fs: &Stack) -> Namespace {
+    fn walk(fs: &Stack, path: String, entry: DirectoryEntry, seen: &mut Namespace) {
+        let data = match entry.kind {
+            ObjectKind::File => {
+                let h = fs
+                    .open_hidden_entry(&entry)
+                    .unwrap_or_else(|e| panic!("{path} is listed but does not open: {e}"));
+                Some(
+                    fs.read_range_at(&h, 0, fs.handle_size(&h) as usize)
+                        .unwrap(),
+                )
+            }
+            ObjectKind::Directory => {
+                let listing = fs
+                    .read_hidden_dir_listing(&entry)
+                    .unwrap_or_else(|e| panic!("{path} is listed but does not read: {e}"));
+                for child in listing.entries {
+                    walk(fs, format!("{path}/{}", child.name), child, seen);
+                }
+                None
+            }
+        };
+        seen.insert(path, (Some(entry), data));
+    }
+    let mut seen = Namespace::new();
+    for (name, _) in fs.list_hidden(OWNER).unwrap() {
+        let entry = fs.lookup_entry(&name, OWNER).unwrap();
+        walk(fs, name, entry, &mut seen);
+    }
+    for path in ["/cover.txt", "/uncovered.txt"] {
+        if fs.plain_exists(path).unwrap() {
+            let data = fs.read_plain(path).unwrap();
+            seen.insert(format!("plain {path}"), (None, Some(data)));
+        }
+    }
+    seen
+}
+
+/// The namespace script's parameters: [`params`] with a locator budget the
+/// size of the volume, so probing for a name that is gone stays short, and
+/// no dummy files, so the block-owner map walks only the script's objects.
+fn script_params() -> StegParams {
+    StegParams {
+        max_locator_probes: SCRIPT_BLOCKS as usize,
+        dummy_file_count: 0,
+        ..params()
+    }
+}
+
+fn mount_script(dev: &FaultDevice<MemBlockDevice>) -> Stack {
+    let cache = BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS);
+    StegFs::mount(cache, script_params()).expect("remount after crash")
+}
+
+/// The fixed volume every namespace case starts from, as a raw image: a
+/// hidden file `doc`, a hidden directory `vault` holding a file and an
+/// empty subdirectory (so a shadow listing), and a plain file; synced.
+struct NamespaceScript {
+    image: Vec<u8>,
+    old: Namespace,
+}
+
+impl NamespaceScript {
+    fn new() -> Self {
+        let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, SCRIPT_BLOCKS));
+        let cache = BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS);
+        let fs = StegFs::format(cache, script_params()).unwrap();
+        fs.steg_create("doc", OWNER, ObjectKind::File).unwrap();
+        fs.write_hidden_with_key("doc", OWNER, &payload(31, 2048))
+            .unwrap();
+        fs.steg_create("vault", OWNER, ObjectKind::Directory)
+            .unwrap();
+        let vault = vault(&fs).unwrap();
+        fs.create_dir_child(&vault, "b.bin", ObjectKind::File)
+            .unwrap();
+        let b = fs
+            .read_hidden_dir_listing(&vault)
+            .unwrap()
+            .find("b.bin")
+            .cloned();
+        let mut h = fs.open_hidden_entry(&b.unwrap()).unwrap();
+        fs.write_at_handle(&mut h, 0, &payload(32, 2048)).unwrap();
+        fs.create_dir_child(&vault, "sub", ObjectKind::Directory)
+            .unwrap();
+        fs.write_plain("/cover.txt", &payload(33, 2048)).unwrap();
+        fs.sync().unwrap();
+        drop(fs);
+        let image = durable_image(&dev);
+        let old = namespace(&mount_script(&device_holding(&image)));
+        NamespaceScript { image, old }
+    }
+
+    /// Mount the image and run `row` on a device that dies after `trip`
+    /// block writes (never, for `None`).  Returns the stack, whether the
+    /// operation returned success, and the device.
+    fn run(&self, row: &Row, trip: Option<u64>) -> (Stack, bool, FaultDevice<MemBlockDevice>) {
+        let dev = device_holding(&self.image);
+        let fs = mount_script(&dev);
+        if let Some(trip) = trip {
+            dev.fail_after_writes(trip);
+        }
+        let completed = row.1(&fs).is_ok();
+        (fs, completed, dev)
+    }
+}
+
+/// One row of the sweep, with what an untripped run of it leaves.
+struct Case {
+    row: Row,
+    new: Namespace,
+}
+
+impl Case {
+    /// The namespace after a crash and replay is the old one or the new one
+    /// (or, for hide and unhide, both copies), and the new one if the
+    /// operation had returned success.  Every binding no longer listed is
+    /// gone, every block has one owner and none is leaked, and every name
+    /// no longer listed can be created again.
+    fn check(&self, script: &NamespaceScript, fs: &Stack, completed: bool, at: &str) {
+        let got = namespace(fs);
+        let mut both = script.old.clone();
+        both.extend(self.new.clone());
+        let two_commits = self.row.2 == 2;
+        assert!(
+            got == script.old || got == self.new || (two_commits && got == both),
+            "{at}: the namespace is neither old nor new: {:?}",
+            got.keys().collect::<Vec<_>>()
+        );
+        assert!(
+            !completed || got == self.new,
+            "{at}: a completed operation rolled back"
+        );
+        let listed = |e: &DirectoryEntry| {
+            got.values()
+                .filter_map(|(l, _)| l.as_ref())
+                .any(|l| l.physical_name == e.physical_name && l.fak == e.fak)
+        };
+        let known = script.old.values().chain(self.new.values());
+        for e in known.filter_map(|(e, _)| e.as_ref()).filter(|e| !listed(e)) {
+            let keys = fs.keys_for(&e.physical_name, &e.fak);
+            let opened = fs.object_io(&keys).open(&e.physical_name);
+            assert!(
+                opened.is_err_and(|e| e.is_not_found()),
+                "{at}: the unlisted {} survives",
+                e.name
+            );
+        }
+        let map = owned_once(fs, &[OWNER]);
+        assert_eq!(map.leak(), Some(0), "{at}: blocks leaked");
+        let gone = script
+            .old
+            .iter()
+            .chain(&self.new)
+            .filter(|(path, _)| !got.contains_key(*path));
+        for (path, (entry, _)) in gone {
+            let Some(entry) = entry else { continue };
+            let created = match path.split_once('/') {
+                Some(("vault", child)) => {
+                    fs.create_dir_child(&vault(fs).unwrap(), child, entry.kind)
+                }
+                _ => fs.steg_create(path, OWNER, entry.kind),
+            };
+            created.unwrap_or_else(|e| panic!("{at}: the unlisted {path} cannot be created: {e}"));
+        }
+    }
+}
+
+/// Every crash point of every public namespace operation: the device dies
+/// after the operation's first `trip` block writes, for every `trip` short
+/// of the count that lets it finish, then replay runs at remount.  Each
+/// operation is one transaction (hide and unhide add a plain commit), so
+/// the namespace comes back old or new, never a ghost name or a leaked
+/// object.  Among the rows, an interrupted `delete_hidden` never wedges its
+/// name: a name still listed reads back, one no longer listed can be
+/// created again.
+#[test]
+fn every_write_trip_of_a_namespace_operation_replays_old_or_new() {
+    let script = NamespaceScript::new();
+    let cases: Vec<Case> = ROWS
+        .iter()
+        .map(|row| {
+            let (fs, completed, dev) = script.run(row, None);
+            assert!(completed, "{} failed untripped", row.0);
+            drop(fs);
+            let new = namespace(&mount_script(&dev));
+            assert!(new != script.old, "{} changed nothing", row.0);
+            Case { row: *row, new }
+        })
+        .collect();
+    // Two workers, alternate trips, one crash seed per trip out of three:
+    // each case mounts twice.  A worker moves to the next row once a trip
+    // lets the operation finish; every shorter one crashed it.
+    let crashed: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|first| {
+                let (script, cases) = (&script, &cases);
+                s.spawn(move || {
+                    let mut crashed = Vec::new();
+                    for case in cases {
+                        let mut trips = 0;
+                        for trip in (first..).step_by(2) {
+                            let (fs, completed, dev) = script.run(&case.row, Some(trip));
+                            if completed && dev.injected() == 0 {
+                                break;
+                            }
+                            drop(fs);
+                            let seed = 1 + trip % 3;
+                            dev.crash(seed ^ trip << 8);
+                            let at = format!("{}, trip {trip}, seed {seed}", case.row.0);
+                            case.check(script, &mount_script(&dev), completed, &at);
+                            trips += 1;
+                        }
+                        crashed.push(trips);
+                    }
+                    crashed
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for (i, row) in ROWS.iter().enumerate() {
+        let trips = crashed[0][i] + crashed[1][i];
+        assert!(trips > 2, "{} finished after {trips} writes", row.0);
+    }
+}
+
+/// Transactions a stack committed since its last sync, from the journal's
+/// commit slots (nothing checkpoints them meanwhile: no daemon runs).
+fn live_commits(fs: &Stack) -> usize {
+    let scan = fs.plain_fs().journal_scan().unwrap().expect("journaled");
+    let uses = scan.slot_uses();
+    uses.iter()
+        .filter(|u| **u == SlotUse::Commit { live: true })
+        .count()
+}
+
+/// Each row of the namespace sweep commits exactly the transactions its
+/// table entry names: one, or two for hide and unhide.
+#[test]
+fn each_namespace_operation_commits_once() {
+    let script = NamespaceScript::new();
+    for row in &ROWS {
+        let fs = mount_script(&device_holding(&script.image));
+        assert!(!fs.checkpoint_daemon_running());
+        fs.sync().unwrap();
+        let before = live_commits(&fs);
+        row.1(&fs).unwrap();
+        assert_eq!(live_commits(&fs) - before, row.2, "{}", row.0);
+    }
+}
+
+/// Removing the last child of a hidden directory deletes the directory's
+/// shadow listing in the same transaction.  A read fault there fails the
+/// whole removal: nothing reaches the device, and after a remount the
+/// listing, the child and the shadow are as they were.
+#[test]
+fn a_failed_shadow_delete_fails_the_removal_and_commits_nothing() {
+    use stegfs_blockdev::FaultTarget;
+    let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, SCRIPT_BLOCKS));
+    let fs = StegFs::format(
+        BufferCache::new_write_back(dev.clone(), CACHE_BLOCKS),
+        params(),
+    )
+    .unwrap();
+    fs.steg_create("vault", OWNER, ObjectKind::Directory)
+        .unwrap();
+    fs.create_dir_child(&vault(&fs).unwrap(), "only", ObjectKind::File)
+        .unwrap();
+    fs.sync().unwrap();
+    let before = BlockMap::keyed(&fs, &[OWNER]).unwrap();
+    drop(fs);
+
+    // A buffer cache as large as the volume, warmed with every block the
+    // removal reads before it reaches the shadow listing: the listing and
+    // the child's header probes.
+    let whole = SCRIPT_BLOCKS as usize;
+    let fs = StegFs::mount(BufferCache::new_write_back(dev.clone(), whole), params()).unwrap();
+    let only = fs
+        .read_hidden_dir_listing(&vault(&fs).unwrap())
+        .unwrap()
+        .find("only")
+        .cloned()
+        .unwrap();
+    let keys = fs.keys_for(&only.physical_name, &only.fak);
+    fs.object_io(&keys).open(&only.physical_name).unwrap();
+    let image = durable_image(&dev);
+    dev.fail_only(FaultTarget::Reads);
+    dev.script_failures(1);
+    let removed = fs.remove_dir_child(&vault(&fs).unwrap(), "only");
+    assert!(
+        removed.is_err(),
+        "the removal survived a failed shadow delete"
+    );
+    assert_eq!(dev.injected(), 1);
+    drop(fs);
+    dev.clear_failure();
+    assert!(
+        durable_image(&dev) == image,
+        "the failed removal reached the device"
+    );
+
+    let fs = mount_stack(&dev);
+    let listing = fs.read_hidden_dir_listing(&vault(&fs).unwrap()).unwrap();
+    assert_eq!(listing.find("only"), Some(&only));
+    fs.open_hidden_entry(&only).unwrap();
+    let after = owned_once(&fs, &[OWNER]);
+    assert_eq!(after.leak(), Some(0));
+    assert_eq!(after.tally(), before.tally(), "the shadow listing moved");
 }
