@@ -393,30 +393,29 @@ impl<D: BlockDevice> BufferCache<D> {
         data: &[u8],
         dirty: bool,
     ) -> BlockResult<bool> {
+        // Only write-back mode ever demotes, so only its writes mark.
+        let unread = dirty;
         if let Some(resident) = state.entries.get(&block) {
             resident.image.clear();
             resident.image.extend_from_slice(data);
+        } else if state.entries.len() >= self.capacity {
+            let (&victim, resident) = state.entries.peek_lru().expect("capacity is non-zero");
+            if state.rewritten_in_flight(victim) {
+                return Ok(false);
+            }
+            if state.dirty.contains(&victim) {
+                self.inner.write_block(victim, &resident.image)?;
+                state.dirty.remove(&victim);
+                state.stats.write_backs += 1;
+            }
+            state.stats.evictions += 1;
+            // The victim's slot and buffer carry the incoming block.
+            let (_, resident) = state.entries.replace_lru(block).expect("victim exists");
+            resident.image.clear();
+            resident.image.extend_from_slice(data);
+            resident.unread = unread;
         } else {
-            let mut image = if state.entries.len() >= self.capacity {
-                let (&victim, resident) = state.entries.peek_lru().expect("capacity is non-zero");
-                if state.rewritten_in_flight(victim) {
-                    return Ok(false);
-                }
-                if state.dirty.contains(&victim) {
-                    self.inner.write_block(victim, &resident.image)?;
-                    state.dirty.remove(&victim);
-                    state.stats.write_backs += 1;
-                }
-                state.stats.evictions += 1;
-                // The victim's buffer carries the incoming block.
-                state.entries.pop_lru().expect("victim exists").1.image
-            } else {
-                Vec::new()
-            };
-            image.clear();
-            image.extend_from_slice(data);
-            // Only write-back mode ever demotes, so only its writes mark.
-            let unread = dirty;
+            let image = data.to_vec();
             state.entries.insert(block, Resident { image, unread });
         }
         if dirty {

@@ -4,8 +4,9 @@
 //! workspace: [`crate::BufferCache`], the plaintext-block shards of the
 //! hidden read cache and its derived-key cache.  It holds no capacity of its
 //! own — each cache decides *when* to evict (before or after an insert, one
-//! victim or several) and calls [`LruMap::pop_lru`]; the map only keeps the
-//! recency order exact.
+//! victim or several) and calls [`LruMap::pop_lru`], or
+//! [`LruMap::replace_lru`] to hand the victim's slot and value to the
+//! incoming key; the map only keeps the recency order exact.
 //!
 //! # Representation and invariants
 //!
@@ -21,15 +22,18 @@
 //!   `mru == lru == NIL`.
 //! * List order *is* recency: [`get`](LruMap::get) and
 //!   [`insert`](LruMap::insert) move the entry to the MRU end (a no-op when
-//!   it is already there), and [`demote`](LruMap::demote) moves it to the
-//!   LRU end, ahead of every other victim; [`peek`](LruMap::peek),
+//!   it is already there), [`replace_lru`](LruMap::replace_lru) moves the
+//!   LRU entry there under its new key, and [`demote`](LruMap::demote)
+//!   moves an entry to the LRU end, ahead of every other victim;
+//!   [`peek`](LruMap::peek),
 //!   [`peek_lru`](LruMap::peek_lru), [`contains_key`](LruMap::contains_key)
 //!   and [`values_mut`](LruMap::values_mut) never reorder;
 //!   [`remove`](LruMap::remove), [`pop_lru`](LruMap::pop_lru) and
 //!   [`retain`](LruMap::retain) keep the relative order of the survivors.
 //! * The slab stays dense: removing slot `i` moves the last node into it
 //!   (`swap_remove`) and re-points that node's index entry and its two list
-//!   neighbours (or the list ends) at `i`.
+//!   neighbours (or the list ends) at `i`.  A re-keyed victim keeps its
+//!   slot, so an evict-and-insert moves no other node.
 //!
 //! The order is exactly the one a per-entry "last used" tick with a min-scan
 //! victim search produces (a demotion takes a tick below every other); the
@@ -223,6 +227,31 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
         }
         let node = self.remove_at(self.lru);
         Some((node.key, node.value))
+    }
+
+    /// Re-key the least recently used entry to `key` in place and make it
+    /// the most recent; returns the victim's old key and its value, left
+    /// for the caller to overwrite.  The order ends up as
+    /// [`Self::pop_lru`] then [`Self::insert`] of `key` would leave it, but
+    /// no other node moves: the victim keeps its slab slot.  `None` on an
+    /// empty map.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is already present.
+    pub fn replace_lru(&mut self, key: K) -> Option<(K, &mut V)> {
+        let i = self.lru;
+        if i == NIL {
+            return None;
+        }
+        let Entry::Vacant(slot) = self.index.entry(key) else {
+            panic!("replace_lru: the key is already present");
+        };
+        let old = std::mem::replace(&mut self.nodes[i as usize].key, slot.key().clone());
+        slot.insert(i);
+        self.index.remove(&old);
+        self.touch(i);
+        Some((old, &mut self.nodes[i as usize].value))
     }
 
     /// Keep only the entries `keep` returns true for (it may mutate the
@@ -453,8 +482,68 @@ mod tests {
         assert_eq!(m.checked_order(), [7], "usable after clear");
     }
 
+    #[test]
+    fn replace_lru_rekeys_the_victim_in_its_slot() {
+        let mut m = LruMap::new();
+        assert!(m.replace_lru(9).is_none(), "an empty map has no victim");
+        for k in 0..4u8 {
+            m.insert(k, u32::from(k));
+        }
+        let victim_slot = m.index[&0];
+        let (old, value) = m.replace_lru(7).expect("a victim");
+        assert_eq!((old, *value), (0, 0));
+        *value = 70;
+        assert_eq!(m.checked_order(), [7, 3, 2, 1]);
+        assert_eq!(m.index[&7], victim_slot, "the victim keeps its slot");
+        assert_eq!(m.peek(&7), Some(&70));
+        assert!(!m.contains_key(&0));
+    }
+
+    #[test]
+    #[should_panic(expected = "already present")]
+    fn replace_lru_refuses_a_present_key() {
+        let mut m = LruMap::new();
+        m.insert(1u8, 1u32);
+        m.insert(2, 2);
+        m.replace_lru(2);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// A bounded cache's evict-and-insert done in place matches the
+        /// model's pop-then-insert, in order and in every value.
+        #[test]
+        fn replace_lru_matches_pop_then_insert(
+            capacity in 1usize..=6,
+            ops in proptest::collection::vec((0u8..4, 0u8..8, any::<u32>()), 0..200),
+        ) {
+            let mut lru: LruMap<u8, u32> = LruMap::new();
+            let mut model = TickMap::default();
+            for (op, key, value) in ops {
+                match op {
+                    0 => prop_assert_eq!(lru.get(&key).copied(), model.get(key)),
+                    1 => prop_assert_eq!(lru.demote(&key), model.demote(key)),
+                    _ => {
+                        if let Some(v) = lru.get(&key) {
+                            *v = value;
+                            model.insert(key, value);
+                        } else if lru.len() >= capacity {
+                            let (old, v) = lru.replace_lru(key).expect("full map");
+                            prop_assert_eq!(Some((old, *v)), model.pop_lru());
+                            *v = value;
+                            model.insert(key, value);
+                        } else {
+                            prop_assert_eq!(lru.insert(key, value), model.insert(key, value));
+                        }
+                    }
+                }
+                prop_assert_eq!(lru.checked_order(), model.order());
+                for k in 0..8u8 {
+                    prop_assert_eq!(lru.peek(&k).copied(), model.map.get(&k).map(|e| e.0));
+                }
+            }
+        }
 
         #[test]
         fn random_ops_match_the_tick_model(

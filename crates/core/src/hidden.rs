@@ -8,11 +8,12 @@
 //!
 //! Everything goes through one borrowed context, [`ObjectIo`] — the volume
 //! (`fs`, `params`), a read cache and the object's keys — with exactly one
-//! method per operation: seven for I/O
+//! method per operation: eight for I/O
 //! ([`create`](ObjectIo::create), [`open`](ObjectIo::open),
 //! [`read`](ObjectIo::read), [`read_range`](ObjectIo::read_range),
 //! [`write`](ObjectIo::write), [`write_range`](ObjectIo::write_range),
-//! [`resize`](ObjectIo::resize)) and five for maintenance
+//! [`write_at`](ObjectIo::write_at), [`resize`](ObjectIo::resize)) and
+//! five for maintenance
 //! ([`repair`](ObjectIo::repair), [`delete`](ObjectIo::delete),
 //! [`destroy_unreadable`](ObjectIo::destroy_unreadable),
 //! [`share_extents`](ObjectIo::share_extents),
@@ -44,14 +45,15 @@
 //! The whole-object mutators (`create`, `write`, `delete`,
 //! `destroy_unreadable`) stage into the caller's [`FsTxn`] and never commit,
 //! so a `StegFs` operation composes them into one transaction.  The
-//! in-place ones (`write_range`, `resize`, `repair`) are each a whole public
-//! call and commit their own, so a plain patch drops its rewritten blocks
-//! from the cache only once they are durable.  Reads see what was committed,
-//! never a transaction's staged writes.  The rng is taken per call: block
-//! placement and scrub noise hang off the order the facade forks it in.
-//! `write`, `resize` and a coded patch drop the old incarnation's cache
-//! entry at once and install the new one when the transaction commits
-//! (`ObjectIo::mutate`).
+//! in-place ones (`write_range`, `write_at`, `resize`, `repair`) are each a
+//! whole public call and commit their own, so a plain patch drops its
+//! rewritten blocks from the cache only once they are durable.  Reads see
+//! what was committed, never a transaction's staged writes.  The rng is
+//! taken per call: block placement and scrub noise hang off the order the
+//! facade forks it in.
+//! `write`, `write_at` past the end, `resize` and a coded patch drop the
+//! old incarnation's cache entry at once and install the new one when the
+//! transaction commits (`ObjectIo::mutate`).
 //!
 //! # Free pool and durability policy
 //!
@@ -571,8 +573,8 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     ) -> StegResult<Scratch> {
         let (cache, keys) = (self.cache, self.keys);
         let bs = self.fs.block_size();
-        let mut out = Scratch::take(span.len() * bs);
-        let missed = cache.get_blocks_into(token, span, &mut out);
+        let mut out = Scratch::with_capacity(span.len() * bs);
+        let missed = cache.get_blocks(token, span, bs, out.as_vec_mut());
         let resident = cache.contains_blocks(token, readahead);
         let fetch: Vec<u64> = missed
             .iter()
@@ -711,9 +713,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             return Err(shorter_than_size());
         }
         let logical: Vec<u64> = (first as u64..=last as u64).collect();
-        let mut out = Scratch::take(logical.len() * bs);
+        let mut out = Scratch::with_capacity(logical.len() * bs);
         let mut missing: Vec<usize> = Vec::new();
-        for slot in self.cache.get_blocks_into(token, &logical, &mut out) {
+        for slot in self.cache.get_blocks(token, &logical, bs, out.as_vec_mut()) {
             let g = (first + slot) / m;
             if missing.last() != Some(&g) {
                 missing.push(g);
@@ -1028,7 +1030,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             });
         }
         let patched = self.cached_chain(obj).and_then(|(token, extents)| {
-            let span = self.patch_plain(offset, data, &extents.data_blocks)?;
+            let mut txn = self.fs.begin_txn();
+            let span = self.patch_plain(&mut txn, offset, data, &extents.data_blocks)?;
+            txn.commit()?;
             let kept = self.cache.patched(self.keys.signature(), token, span);
             Ok((kept, extents))
         });
@@ -1067,19 +1071,56 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         self.mutate_committed(obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
             let resized = if obj.header.policy.is_coded() {
-                self.resize_coded(txn, obj, new_len, rng, &old)
+                self.resize_coded(txn, obj, new_len, rng, &old, &[])
             } else {
-                self.resize_plain(txn, obj, new_len, rng, &old)
+                self.resize_plain(txn, obj, new_len, rng, &old, &[])
             };
             resized.map(Arc::new)
         })
     }
 
+    /// Write `data` at `offset`, growing the object to the end of the range
+    /// (zero-filling any gap) when the range passes its current end; a range
+    /// within the object is [`write_range`](Self::write_range).  Growth and
+    /// patch are one transaction, so a crash leaves the old size and bytes
+    /// or the new ones.  On a plain object the bytes that land in blocks it
+    /// already has patch them in place and the rest ride in the grown
+    /// blocks, each block written once, so the cost stays O(append).  A
+    /// coded object re-encodes, as [`resize`](Self::resize) does.
+    pub fn write_at(
+        &self,
+        obj: &mut HiddenObject,
+        offset: u64,
+        data: &[u8],
+        rng: &mut DeterministicRng,
+    ) -> StegResult<()> {
+        let end = offset + data.len() as u64;
+        if end <= obj.header.size {
+            return self.write_range(obj, offset, data);
+        }
+        self.mutate_committed(obj, |txn, obj| {
+            let (_, old) = self.cached_chain(obj)?;
+            if obj.header.policy.is_coded() {
+                return self
+                    .resize_coded(txn, obj, end, rng, &old, data)
+                    .map(Arc::new);
+            }
+            let kept_end = old.data_blocks.len() as u64 * self.fs.block_size() as u64;
+            let in_kept = (kept_end.saturating_sub(offset) as usize).min(data.len());
+            let grown = self.resize_plain(txn, obj, end, rng, &old, &data[in_kept..])?;
+            if in_kept > 0 {
+                self.patch_plain(txn, offset, &data[..in_kept], &old.data_blocks)?;
+            }
+            Ok(Arc::new(grown))
+        })
+    }
+
     /// The in-place patch core of [`write_range`](Self::write_range) for
-    /// plain objects, against an already-resolved extent list; returns the
-    /// data blocks it rewrote.
+    /// plain objects, against an already-resolved extent list, staged in
+    /// `txn`; returns the data blocks it rewrote.
     fn patch_plain<'b>(
         &self,
+        txn: &mut FsTxn<'_, D>,
         offset: u64,
         data: &[u8],
         data_blocks: &'b [u64],
@@ -1095,9 +1136,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         // its old contents (fully covered middle blocks are rebuilt from
         // `data`; the edge selection is the shared [`stegfs_fs::rmw`] plan),
         // so at most two edge blocks come up in one submission and the whole
-        // patched extent goes back down in one submission.  The patch is one
-        // transaction: an in-place update of live data is exactly the write
-        // a crash must not tear.
+        // patched extent goes back down in one submission.  The patch is
+        // staged in one transaction: an in-place update of live data is
+        // exactly the write a crash must not tear.
         let span_start = first as u64 * bs;
         let bs = bs as usize;
         let plan = stegfs_fs::rmw::plan(span, offset, end, span_start, bs);
@@ -1107,9 +1148,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         drop(edge_plain);
         let from = (offset - span_start) as usize;
         plain[from..from + data.len()].copy_from_slice(data);
-        let mut txn = self.fs.begin_txn();
-        self.write_encrypted_many(&mut txn, span, plain)?;
-        txn.commit()?;
+        self.write_encrypted_many(txn, span, plain)?;
         Ok(span)
     }
 
@@ -1448,8 +1487,10 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     }
 
     /// The plain-object core of [`resize`](Self::resize), against the
-    /// already-resolved old incarnation.  Returns the new incarnation's
-    /// extent list on success.
+    /// already-resolved old incarnation.  A growth writes `tail` as the last
+    /// bytes of the new size instead of zeros; it must lie within the grown
+    /// blocks (empty for a shrink).  Returns the new incarnation's extent
+    /// list on success.
     fn resize_plain(
         &self,
         txn: &mut FsTxn<'_, D>,
@@ -1457,6 +1498,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         new_len: u64,
         rng: &mut DeterministicRng,
         old: &ExtentList,
+        tail: &[u8],
     ) -> StegResult<ExtentList> {
         let bs = self.fs.block_size();
         let new_count = new_len.div_ceil(bs as u64);
@@ -1472,6 +1514,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             txn,
         };
         if new_len < obj.header.size {
+            debug_assert!(tail.is_empty(), "a shrink writes no tail");
             rw.recycled.extend(data_blocks.drain(new_count as usize..));
             // Zero the cut tail of the last kept block so the truncated
             // bytes cannot resurface on a later extension.
@@ -1484,12 +1527,16 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             }
         } else {
             self.ensure_capacity(&rw.header, new_count, old)?;
-            // Claim the new tail blocks, then zero-fill them all in one
-            // batched submission.
+            // Claim the new tail blocks, then write them all, zero-filled
+            // but for `tail`, in one batched submission.
             let extra = new_count.saturating_sub(data_blocks.len() as u64) as usize;
             let grown = rw.take_blocks(extra, rng)?;
-            let zeros = Scratch::take(grown.len() * bs);
-            self.write_encrypted_many(rw.txn, &grown, zeros)?;
+            let mut fill = Scratch::take(grown.len() * bs);
+            if !tail.is_empty() {
+                let at = new_len - tail.len() as u64 - data_blocks.len() as u64 * bs as u64;
+                fill[at as usize..][..tail.len()].copy_from_slice(tail);
+            }
+            self.write_encrypted_many(rw.txn, &grown, fill)?;
             data_blocks.extend(grown);
         }
         // The chain is rebuilt from the recycled blocks first; the surplus
@@ -1501,8 +1548,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// [`resize`](Self::resize) for coded objects: groups couple `m` logical
     /// blocks, so a size change re-encodes the whole object through the full
     /// rewrite — cost `O(size)`, unlike the plain path's `O(change)`.  The
-    /// capacity pre-check runs before any plaintext is materialised, so an
-    /// absurd growth request fails cleanly.
+    /// last `tail.len()` bytes of the new size are `tail`.  The capacity
+    /// pre-check runs before any plaintext is materialised, so an absurd
+    /// growth request fails cleanly.
     fn resize_coded(
         &self,
         txn: &mut FsTxn<'_, D>,
@@ -1510,6 +1558,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         new_len: u64,
         rng: &mut DeterministicRng,
         old: &ExtentList,
+        tail: &[u8],
     ) -> StegResult<ExtentList> {
         let (m, n) = obj.header.policy.shares();
         let bs = self.fs.block_size();
@@ -1524,6 +1573,8 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             let kept = obj.header.size.min(new_len) as usize;
             data[..kept].copy_from_slice(&plain[..kept]);
         }
+        let tail_at = data.len() - tail.len();
+        data[tail_at..].copy_from_slice(tail);
         self.rewrite(txn, obj, &data, rng, old)
     }
 

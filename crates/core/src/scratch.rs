@@ -6,6 +6,14 @@
 //! hands the allocation to a tiny thread-local pool, so batched operations
 //! stop allocating a fresh `Vec` each and the pool itself never holds
 //! plaintext.  [`Scratch::into_vec`] is the one way a buffer leaves the pool.
+//!
+//! Two ways in: [`Scratch::take`] hands out a zero-filled buffer of a fixed
+//! length, for callers that write into slices of it; [`Scratch::with_capacity`]
+//! hands out an empty one with room reserved, for a caller that appends
+//! every byte exactly once (the read cache's lookup), so a read's output is
+//! not zero-filled first only to be overwritten.  Every byte of a pooled
+//! allocation is zero, past its length too: the appended bytes stay within
+//! the reserved capacity, and `Drop` zeroes up to the length reached.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -34,8 +42,8 @@ const MAX_POOLED: usize = 8;
 /// Never hoard buffers beyond this capacity.
 const MAX_POOLED_CAPACITY: usize = 4 << 20;
 
-/// A zero-filled, fixed-length byte buffer from the thread's pool, zeroed and
-/// returned to the pool on drop.
+/// A plaintext byte buffer from the thread's pool, zeroed and returned to
+/// the pool on drop.
 pub(crate) struct Scratch(Vec<u8>);
 
 impl Scratch {
@@ -57,6 +65,34 @@ impl Scratch {
             // allocator can hand out fresh pages without writing them.
             None => Scratch(vec![0u8; len]),
         }
+    }
+
+    /// An empty buffer with room for `capacity` bytes, reusing a pooled
+    /// allocation when one is available; filled through
+    /// [`Self::as_vec_mut`].  Nothing is zero-filled: a pooled allocation
+    /// is all zeros already, and a fresh one is never read before it is
+    /// written.
+    pub fn with_capacity(capacity: usize) -> Scratch {
+        #[cfg(test)]
+        OUTSTANDING.set(OUTSTANDING.get() + 1);
+        match POOL.with(|p| p.borrow_mut().pop()) {
+            Some(mut v) => {
+                // A pooled allocation holds only zeros, so growing it frees
+                // no plaintext.
+                v.clear();
+                v.reserve(capacity);
+                Scratch(v)
+            }
+            None => Scratch(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// The buffer itself, for a caller that appends to it.  Appending past
+    /// the capacity would move the bytes and free the old allocation
+    /// un-zeroed, so the caller reserves the whole length before the first
+    /// byte of plaintext lands.
+    pub fn as_vec_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.0
     }
 
     /// Hand the first `len` bytes to a caller outside the pool, zeroing the

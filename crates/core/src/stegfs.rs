@@ -190,6 +190,28 @@ fn require_kind(name: &str, actual: ObjectKind, expected: ObjectKind) -> StegRes
     })
 }
 
+/// The name rule of a top-level object in a UAK directory, shared by its
+/// create and its rename: not empty, no `\0`, and no `\u{1}`, which
+/// separates a directory's physical name from its shadow listing's
+/// ([`StegFs::shadow_identity`]).
+fn check_object_name(name: &str) -> StegResult<()> {
+    if name.is_empty() || name.contains(['\0', '\u{1}']) {
+        return Err(StegError::InvalidName(name.to_string()));
+    }
+    Ok(())
+}
+
+/// The name rule of a child in a hidden directory, shared by its create
+/// and its rename: an object name with no `/`, which separates the levels
+/// of a child's physical name.
+fn check_child_name(name: &str) -> StegResult<()> {
+    check_object_name(name)?;
+    if name.contains('/') {
+        return Err(StegError::InvalidName(name.to_string()));
+    }
+    Ok(())
+}
+
 /// A listing as stored in a directory object: a never-written (empty) object
 /// is an empty listing.
 pub(crate) fn parse_listing(raw: &[u8]) -> StegResult<UakDirectory> {
@@ -784,9 +806,7 @@ impl<D: BlockDevice> StegFs<D> {
         policy: Policy,
         contents: Option<&[u8]>,
     ) -> StegResult<()> {
-        if objname.is_empty() || objname.contains('\0') || objname.contains('\u{1}') {
-            return Err(StegError::InvalidName(objname.to_string()));
-        }
+        check_object_name(objname)?;
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}", Self::owner_tag(uak), objname);
         let keys = self.keys_for(&physical_name, &fak);
@@ -984,10 +1004,12 @@ impl<D: BlockDevice> StegFs<D> {
     /// Write `data` at `offset` through an open handle, extending the object
     /// (and zero-filling any gap) when the range passes the current end.
     ///
-    /// In-bounds updates patch blocks in place; extending rewrites the object
-    /// through the free-pool recycling path, so the handle's cached header is
-    /// refreshed — which is why this takes `&mut HiddenHandle` where the
-    /// in-place [`Self::write_range_at`] does not.
+    /// In-bounds updates patch blocks in place; extending grows the object
+    /// and patches the range in one transaction ([`ObjectIo::write_at`]),
+    /// so a crash leaves the old size and bytes or the new ones, and the
+    /// handle's cached header is refreshed — which is why this takes
+    /// `&mut HiddenHandle` where the in-place [`Self::write_range_at`] does
+    /// not.
     pub fn write_at_handle(
         &self,
         handle: &mut HiddenHandle,
@@ -1003,11 +1025,10 @@ impl<D: BlockDevice> StegFs<D> {
             .ok_or(StegError::NoSpace)?;
         let io = self.io(&handle.keys);
         if end > handle.object.size() {
-            // Grow to `end` at block granularity (zero-filling any gap),
-            // then patch the written range in place — O(append), not
-            // O(file).
+            // Grow to `end` (zero-filling any gap) and patch the written
+            // range in one transaction — O(append), not O(file).
             let mut rng = self.fork_rng();
-            io.resize(&mut handle.object, end, &mut rng)?;
+            return io.write_at(&mut handle.object, offset, data, &mut rng);
         }
         io.write_range(&mut handle.object, offset, data)
     }
@@ -1029,9 +1050,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// and every block of the object stay put, so outstanding shares of the
     /// `(physical name, FAK)` pair keep working.
     pub fn rename_hidden(&self, objname: &str, newname: &str, uak: &str) -> StegResult<()> {
-        if newname.is_empty() || newname.contains('\0') {
-            return Err(StegError::InvalidName(newname.to_string()));
-        }
+        check_object_name(newname)?;
         self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
             if dir.find(newname).is_some() {
                 return Err(StegError::AlreadyExists(newname.to_string()));
@@ -1367,13 +1386,7 @@ impl<D: BlockDevice> StegFs<D> {
         kind: ObjectKind,
     ) -> StegResult<()> {
         require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
-        if child_name.is_empty()
-            || child_name.contains('\0')
-            || child_name.contains('/')
-            || child_name.contains('\u{1}')
-        {
-            return Err(StegError::InvalidName(child_name.to_string()));
-        }
+        check_child_name(child_name)?;
         // The parent's shard serialises the listing read-modify-write against
         // concurrent child creation in the same directory.  One transaction
         // holds the child, the listing and its shadow.
@@ -1514,9 +1527,7 @@ impl<D: BlockDevice> StegFs<D> {
         new: &str,
     ) -> StegResult<()> {
         require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
-        if new.is_empty() || new.contains('\0') || new.contains('\u{1}') {
-            return Err(StegError::InvalidName(new.to_string()));
-        }
+        check_child_name(new)?;
         let mut txn = self.fs.begin_txn();
         let _parent_lock = self.object_guard(&parent.physical_name);
         let mut children = self.read_listing_locked(parent)?;
@@ -1596,7 +1607,8 @@ impl<D: BlockDevice> StegFs<D> {
     /// Revoke a previously shared object: re-key it under a fresh FAK (and a
     /// fresh physical name) so that recipients of the old `(name, FAK)` pair
     /// lose access, as described at the end of §3.2.  The replacement keeps
-    /// the object's durability policy.  Copy, destroy and re-publish are one
+    /// the object's durability policy, and a directory's shadow listing
+    /// moves to the new keys with it.  Copy, destroy and re-publish are one
     /// transaction, committed under the UAK shard and the old object's.
     pub fn revoke_sharing(&self, objname: &str, uak: &str) -> StegResult<()> {
         self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
@@ -1628,12 +1640,19 @@ impl<D: BlockDevice> StegFs<D> {
             self.forget_object(txn, &entry, &old_keys);
             result?;
             let (name, kind) = (objname.to_string(), entry.kind);
-            dir.insert(DirectoryEntry {
+            let rekeyed = DirectoryEntry {
                 name,
                 physical_name,
                 fak,
                 kind,
-            })?;
+            };
+            if kind == ObjectKind::Directory {
+                // A directory's shadow listing is keyed by the directory's
+                // identity: it moves to the new keys, and the old one goes.
+                self.save_shadow_listing(txn, &rekeyed, &parse_listing(&data)?)?;
+                self.save_shadow_listing(txn, &entry, &UakDirectory::new())?;
+            }
+            dir.insert(rekeyed)?;
             Ok(obj_lock)
         })
         .map(drop)
@@ -2173,6 +2192,57 @@ mod tests {
     }
 
     #[test]
+    fn revoking_a_directory_moves_its_shadow_listing() {
+        let fs = small_fs();
+        fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
+        for child in ["a", "b"] {
+            fs.create_in_hidden_dir("vault", child, UAK, ObjectKind::File)
+                .unwrap();
+        }
+        let old = fs.lookup_entry("vault", UAK).unwrap();
+        let listing = fs.read_hidden_dir_listing(&old).unwrap();
+        let a = listing.find("a").cloned().unwrap();
+        let payload = vec![0x3cu8; 3 * 1024 + 7];
+        fs.write_hidden_entry(&a, &payload).unwrap();
+
+        fs.revoke_sharing("vault", UAK).unwrap();
+
+        // No block lost its owner or gained a second one: the old shadow
+        // went with the old keys.
+        let map = crate::blockmap::BlockMap::keyed(&fs, &[UAK]).unwrap();
+        assert!(map.violations().is_empty(), "{:?}", map.violations());
+        assert_eq!(map.leak(), Some(0));
+        let (shadow, shadow_fak) =
+            StegFs::<MemBlockDevice>::shadow_identity(&old.physical_name, &old.fak);
+        let stale = fs
+            .object_io(&fs.keys_for(&shadow, &shadow_fak))
+            .open(&shadow);
+        assert!(stale.unwrap_err().is_not_found());
+        // The children still list, under the new keys.
+        let names = |fs: &StegFs<MemBlockDevice>| -> Vec<String> {
+            let listed = fs.list_hidden_dir("vault", UAK).unwrap();
+            listed.into_iter().map(|(name, _)| name).collect()
+        };
+        assert_eq!(names(&fs), ["a", "b"]);
+
+        // Lose every header replica of the re-keyed directory: the shadow
+        // under the new keys brings it back.
+        let new = fs.lookup_entry("vault", UAK).unwrap();
+        assert_ne!((&new.physical_name, new.fak), (&old.physical_name, old.fak));
+        let keys = fs.keys_for(&new.physical_name, &new.fak);
+        let obj = fs.object_io(&keys).open(&new.physical_name).unwrap();
+        for (i, &h) in obj.header_blocks().to_vec().iter().enumerate() {
+            smash_raw(&fs, h, i as u8);
+        }
+        fs.purge_read_caches();
+        assert!(fs.read_hidden_dir_listing(&new).is_err());
+        let rebuilt = fs.rebuild_dir_from_shadow(&new).unwrap();
+        assert_eq!(rebuilt.children_relinked, 2);
+        assert_eq!(names(&fs), ["a", "b"]);
+        assert_eq!(fs.read_hidden_entry(&a).unwrap(), payload);
+    }
+
+    #[test]
     fn survives_unmount_and_remount() {
         let fs = small_fs();
         fs.write_plain("/p.txt", b"plain").unwrap();
@@ -2309,6 +2379,53 @@ mod tests {
     }
 
     #[test]
+    fn no_rename_produces_a_name_its_create_refuses() {
+        let fs = small_fs();
+        fs.steg_create("d", UAK, ObjectKind::Directory).unwrap();
+        let dir = fs.lookup_entry("d", UAK).unwrap();
+        fs.steg_create("top", UAK, ObjectKind::File).unwrap();
+        fs.create_dir_child(&dir, "kid", ObjectKind::File).unwrap();
+        let invalid = |r: &StegResult<()>| matches!(r, Err(StegError::InvalidName(_)));
+        // The first four are refused at both levels, the next two in a
+        // directory only.
+        let names = [
+            "",
+            "a\0b",
+            "a\u{1}b",
+            "\u{1}shadow",
+            "a/b",
+            "/",
+            "ok",
+            "ok two",
+        ];
+        for (i, name) in names.into_iter().enumerate() {
+            let created = fs.steg_create(name, UAK, ObjectKind::File);
+            let refused = invalid(&created);
+            assert_eq!(refused, i < 4, "top level: {name:?}");
+            if created.is_ok() {
+                fs.delete_hidden(name, UAK).unwrap();
+            }
+            let renamed = fs.rename_hidden("top", name, UAK);
+            assert_eq!(invalid(&renamed), refused, "top level: {name:?}");
+            if renamed.is_ok() {
+                fs.rename_hidden(name, "top", UAK).unwrap();
+            }
+
+            let created = fs.create_dir_child(&dir, name, ObjectKind::File);
+            let refused = invalid(&created);
+            assert_eq!(refused, i < 6, "child: {name:?}");
+            if created.is_ok() {
+                fs.remove_dir_child(&dir, name).unwrap();
+            }
+            let renamed = fs.rename_dir_child(&dir, "kid", name);
+            assert_eq!(invalid(&renamed), refused, "child: {name:?}");
+            if renamed.is_ok() {
+                fs.rename_dir_child(&dir, name, "kid").unwrap();
+            }
+        }
+    }
+
+    #[test]
     fn write_to_hidden_directory_as_file_is_rejected() {
         let fs = small_fs();
         fs.steg_create("d", UAK, ObjectKind::Directory).unwrap();
@@ -2367,6 +2484,19 @@ mod tests {
         // Empty writes never extend.
         fs.write_at_handle(&mut h, 1000, b"").unwrap();
         assert_eq!(h.size(), 24);
+
+        // Past a gap of whole blocks, and straddling the end: the bytes in
+        // the blocks the object has and those in grown blocks both land.
+        let mut model = data;
+        for (at, len, seed) in [(3000usize, 1500usize, 7u8), (4000, 2100, 9)] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(seed)).collect();
+            fs.write_at_handle(&mut h, at as u64, &bytes).unwrap();
+            model.resize(at.max(model.len()), 0);
+            model.truncate(at);
+            model.extend_from_slice(&bytes);
+            assert_eq!(h.size(), model.len() as u64);
+            assert_eq!(fs.read_hidden_with_key("grow", UAK).unwrap(), model);
+        }
     }
 
     #[test]

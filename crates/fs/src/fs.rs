@@ -1140,11 +1140,14 @@ impl<D: BlockDevice> PlainFs<D> {
         let span = blocks
             .get(first_block..=last_block)
             .ok_or_else(|| FsError::Corrupt("file shorter than its size field".into()))?;
-        // The whole extent goes down as one batched submission.
-        let raw = self.read_raw_blocks(span)?;
+        // The whole extent goes down as one batched submission, and the
+        // buffer it fills is the one returned, cut to the range in place.
+        let mut raw = self.read_raw_blocks(span)?;
         let from = (offset - first_block as u64 * bs) as usize;
         let to = (end - first_block as u64 * bs) as usize;
-        Ok(raw[from..to].to_vec())
+        raw.truncate(to);
+        raw.drain(..from);
+        Ok(raw)
     }
 
     fn write_range_of(
@@ -1590,6 +1593,21 @@ mod tests {
             "range spanning a block boundary"
         );
         assert_eq!(fs.read_file_range("/r", 4990, 100).unwrap(), &data[4990..]);
+        // Aligned whole blocks, an unaligned start, an unaligned end: the
+        // read's own buffer cut to the range.
+        assert_eq!(
+            fs.read_file_range("/r", 1024, 2048).unwrap(),
+            &data[1024..3072]
+        );
+        assert_eq!(fs.read_file_range("/r", 0, 4096).unwrap(), &data[..4096]);
+        assert_eq!(
+            fs.read_file_range("/r", 1030, 2042).unwrap(),
+            &data[1030..3072]
+        );
+        assert_eq!(
+            fs.read_file_range("/r", 2048, 1000).unwrap(),
+            &data[2048..3048]
+        );
         assert!(fs.read_file_range("/r", 10_000, 10).unwrap().is_empty());
         // Zero-length reads are empty, not an underflow (offset 0 included).
         assert!(fs.read_file_range("/r", 0, 0).unwrap().is_empty());

@@ -1114,8 +1114,10 @@ fn vault(fs: &Stack) -> Result<DirectoryEntry, StegError> {
 }
 
 /// The rows of the namespace sweep.  Each is one transaction, except hide
-/// and unhide: their plain step commits on its own.
-const ROWS: [Row; 10] = [
+/// and unhide: their plain step commits on its own.  The growing handle
+/// write changes no name, but its growth and its patch are one commit too:
+/// `doc` keeps its old size and bytes or takes the new ones.
+const ROWS: [Row; 11] = [
     (
         "steg_create file",
         |fs| fs.steg_create("fresh", OWNER, ObjectKind::File),
@@ -1152,6 +1154,15 @@ const ROWS: [Row; 10] = [
         1,
     ),
     ("revoke_sharing", |fs| fs.revoke_sharing("doc", OWNER), 1),
+    (
+        "write_at_handle growing",
+        |fs| {
+            // Straddles the old end (2 048) and the block boundary at it.
+            let mut h = fs.open_hidden("doc", OWNER)?;
+            fs.write_at_handle(&mut h, 1500, &payload(34, 3000))
+        },
+        1,
+    ),
     (
         "steg_hide",
         |fs| fs.steg_hide("/cover.txt", "hidden-cover", OWNER),
@@ -1333,7 +1344,8 @@ impl Case {
     }
 }
 
-/// Every crash point of every public namespace operation: the device dies
+/// Every crash point of every public namespace operation, and of a handle
+/// write that grows its file: the device dies
 /// after the operation's first `trip` block writes, for every `trip` short
 /// of the count that lets it finish, then replay runs at remount.  Each
 /// operation is one transaction (hide and unhide add a plain commit), so
