@@ -2035,5 +2035,13 @@ mod tests {
         drop(v);
         let v2 = Scratch::take(64);
         assert_eq!(v2[..], [0u8; 64], "pooled buffer must come back zeroed");
+        drop(v2);
+        // An appended buffer comes from, and goes back to, the same pool.
+        let mut v3 = Scratch::with_capacity(256);
+        assert!(v3.is_empty());
+        v3.as_vec_mut().extend_from_slice(&[0xa5; 256]);
+        drop(v3);
+        let v4 = Scratch::take(256);
+        assert_eq!(v4[..], [0u8; 256], "appended bytes must come back zeroed");
     }
 }

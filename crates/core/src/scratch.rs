@@ -8,10 +8,11 @@
 //! plaintext.  [`Scratch::into_vec`] is the one way a buffer leaves the pool.
 //!
 //! Two ways in: [`Scratch::take`] hands out a zero-filled buffer of a fixed
-//! length, for callers that write into slices of it; [`Scratch::with_capacity`]
-//! hands out an empty one with room reserved, for a caller that appends
-//! every byte exactly once (the read cache's lookup), so a read's output is
-//! not zero-filled first only to be overwritten.  Every byte of a pooled
+//! length, for callers that write into slices of it;
+//! [`Scratch::with_capacity`] hands out an empty one with room reserved,
+//! for a caller that appends every byte exactly once (the read cache's
+//! lookup), so a read's output is not zero-filled first only to be
+//! overwritten.  Every byte of a pooled
 //! allocation is zero, past its length too: the appended bytes stay within
 //! the reserved capacity, and `Drop` zeroes up to the length reached.
 

@@ -2219,11 +2219,11 @@ mod tests {
             .open(&shadow);
         assert!(stale.unwrap_err().is_not_found());
         // The children still list, under the new keys.
-        let names = |fs: &StegFs<MemBlockDevice>| -> Vec<String> {
+        let names = || -> Vec<String> {
             let listed = fs.list_hidden_dir("vault", UAK).unwrap();
             listed.into_iter().map(|(name, _)| name).collect()
         };
-        assert_eq!(names(&fs), ["a", "b"]);
+        assert_eq!(names(), ["a", "b"]);
 
         // Lose every header replica of the re-keyed directory: the shadow
         // under the new keys brings it back.
@@ -2238,7 +2238,7 @@ mod tests {
         assert!(fs.read_hidden_dir_listing(&new).is_err());
         let rebuilt = fs.rebuild_dir_from_shadow(&new).unwrap();
         assert_eq!(rebuilt.children_relinked, 2);
-        assert_eq!(names(&fs), ["a", "b"]);
+        assert_eq!(names(), ["a", "b"]);
         assert_eq!(fs.read_hidden_entry(&a).unwrap(), payload);
     }
 
