@@ -391,6 +391,7 @@ mod tests {
     use super::*;
     use crate::coding::Policy;
     use crate::params::StegParams;
+    use crate::Parent;
     use stegfs_blockdev::{MemBlockDevice, ObservedDevice};
 
     const OWNER: &str = "the map's owner";
@@ -425,10 +426,14 @@ mod tests {
                 .unwrap();
         }
         fs.steg_create("dir", OWNER, ObjectKind::Directory).unwrap();
-        fs.create_in_hidden_dir("dir", "child", OWNER, ObjectKind::File)
-            .unwrap();
+        fs.create(
+            Parent::Dir(&fs.lookup_entry("dir", OWNER).unwrap()),
+            "child",
+            ObjectKind::File,
+        )
+        .unwrap();
         let dir = fs.lookup_entry("dir", OWNER).unwrap();
-        let child = fs.read_hidden_dir_listing(&dir).unwrap();
+        let child = fs.list(Parent::Dir(&dir)).unwrap();
         let mut h = fs.open_hidden_entry(child.find("child").unwrap()).unwrap();
         fs.write_at_handle(&mut h, 0, &[2u8; 5000]).unwrap();
         fs

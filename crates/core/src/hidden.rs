@@ -40,7 +40,11 @@
 //! of a re-key, the whole of a dummy refresh (its open and its rewrite) —
 //! bypass it through
 //! [`StegFs::object_io`](crate::StegFs::object_io), which is also what the
-//! experiments and tests outside this crate use.
+//! experiments and tests outside this crate use.  Listings are the one
+//! namespace shape at both levels, a UAK directory or a hidden directory
+//! behind a [`Parent`](crate::Parent): each is read and rewritten through
+//! the cache, while the child a create builds bypasses it until it is
+//! published.
 //!
 //! The whole-object mutators (`create`, `write`, `delete`,
 //! `destroy_unreadable`) stage into the caller's [`FsTxn`] and never commit,

@@ -89,4 +89,4 @@ pub use keys::{AccessHierarchy, DirectoryEntry, UakDirectory};
 pub use params::StegParams;
 pub use readcache::CacheStats;
 pub use sharing::ShareEnvelope;
-pub use stegfs::{HiddenHandle, SpaceReport, StegFs};
+pub use stegfs::{HiddenHandle, Parent, SpaceReport, StegFs};

@@ -6,6 +6,19 @@
 //! as on the underlying [`PlainFs`]; hidden objects are reachable only with
 //! the right keys.
 //!
+//! # One hidden namespace
+//!
+//! A user's UAK directory and every hidden directory hold the same
+//! (name, physical name, FAK) listing, which `steg_connect` walks as one
+//! tree.  So the namespace operations are written once, over a [`Parent`]:
+//! [`StegFs::create`], [`StegFs::rename`], [`StegFs::remove`] and
+//! [`StegFs::list`].  Only `Parent` and the two listing helpers beside it
+//! know how the levels differ: which guard covers the listing, how it
+//! loads (a UAK directory not created yet reads as empty) and saves (a
+//! hidden directory mirrors its listing into a shadow listing), and how a
+//! child's physical name is formed.  The paper's calls (`steg_create`, `steg_hide`,
+//! `steg_addentry`, ...) are the top-level cases of the same code.
+//!
 //! # Concurrency
 //!
 //! Every hot-path operation takes `&self`; the volume can sit behind a plain
@@ -15,11 +28,12 @@
 //! * the [`PlainFs`] underneath brings its own sharding (allocator lock,
 //!   namespace lock, per-inode stripes, device lock);
 //! * **UAK shards** serialise read-modify-write cycles on one User Access
-//!   Key's hidden directory, so two users (or two threads of one user)
-//!   cannot lose each other's `steg_create` / `delete` / `rename`;
+//!   Key's directory, so two users (or two threads of one user) cannot lose
+//!   each other's create / remove / rename;
 //! * **object shards** serialise operations on one hidden object (keyed by
 //!   its physical name), so a rewrite that relocates blocks through the free
-//!   pool cannot interleave with another rewrite of the same object;
+//!   pool cannot interleave with another rewrite of the same object; a
+//!   hidden directory's shard also guards its listing;
 //! * the session table, the FAK generator and the RNG have their own tiny
 //!   locks and are never held across I/O;
 //! * the read cache's locks (shards, scope table, derived-key map) sit below
@@ -32,9 +46,8 @@
 //!
 //! Lock order: the table in [`stegfs_obs::lock`].  The derivation a
 //! derived-key cache miss pays ([`StegFs::keys_for`]) runs with that lock
-//! released, and key sets are fetched *before* a UAK shard is taken wherever
-//! the pair is known up front, so the shard is held for a cached directory
-//! read, not for hashing.
+//! released, and a listing's keys are fetched *before* its guard is taken,
+//! so the guard is held for a cached listing read, not for hashing.
 //!
 //! The handle-based operations ([`StegFs::read_range_at`],
 //! [`StegFs::write_range_at`], [`StegFs::write_at_handle`],
@@ -110,6 +123,7 @@ impl SpaceReport {
     }
 }
 
+#[derive(Default)]
 struct VolumeConfig {
     abandoned_count: u64,
     dummy_seed: u64,
@@ -138,6 +152,19 @@ impl VolumeConfig {
             dummy_count: u32::from_be_bytes(data[24..28].try_into().ok()?),
             dummy_size: u64::from_be_bytes(data[28..36].try_into().ok()?),
         })
+    }
+
+    /// The config at [`CONFIG_PATH`], as mount and recovery read it: a
+    /// missing file is an empty config, and any other failure fails.
+    fn load<D: BlockDevice>(fs: &PlainFs<D>) -> StegResult<Self> {
+        match fs.read_file(CONFIG_PATH) {
+            Ok(data) => Self::deserialize(&data).ok_or_else(|| {
+                let msg = "unreadable StegFS configuration file".into();
+                StegError::Fs(stegfs_fs::FsError::Corrupt(msg))
+            }),
+            Err(e) if e.is_not_found() => Ok(Self::default()),
+            Err(e) => Err(e.into()),
+        }
     }
 }
 
@@ -190,23 +217,14 @@ fn require_kind(name: &str, actual: ObjectKind, expected: ObjectKind) -> StegRes
     })
 }
 
-/// The name rule of a top-level object in a UAK directory, shared by its
-/// create and its rename: not empty, no `\0`, and no `\u{1}`, which
-/// separates a directory's physical name from its shadow listing's
-/// ([`StegFs::shadow_identity`]).
-fn check_object_name(name: &str) -> StegResult<()> {
-    if name.is_empty() || name.contains(['\0', '\u{1}']) {
-        return Err(StegError::InvalidName(name.to_string()));
-    }
-    Ok(())
-}
-
-/// The name rule of a child in a hidden directory, shared by its create
-/// and its rename: an object name with no `/`, which separates the levels
-/// of a child's physical name.
+/// The one name rule of a listing entry at every level, shared by create
+/// and rename: not empty, no `\0`, no `\u{1}` (it separates a directory's
+/// physical name from its shadow listing's, [`StegFs::shadow_identity`])
+/// and no `/` (it separates the levels of a child's physical name: a
+/// top-level `a/b` would be unreachable through `/hidden` paths and share
+/// its physical name with child `b` of `a`).
 fn check_child_name(name: &str) -> StegResult<()> {
-    check_object_name(name)?;
-    if name.contains('/') {
+    if name.is_empty() || name.contains(['\0', '\u{1}', '/']) {
         return Err(StegError::InvalidName(name.to_string()));
     }
     Ok(())
@@ -220,6 +238,55 @@ pub(crate) fn parse_listing(raw: &[u8]) -> StegResult<UakDirectory> {
     } else {
         UakDirectory::deserialize(raw)
     }
+}
+
+/// Where a listing lives: the UAK directory of a user's key, or a hidden
+/// directory resolved at any depth.  The namespace operations
+/// ([`StegFs::create`], [`StegFs::rename`], [`StegFs::remove`],
+/// [`StegFs::list`]) take one and are blind to which; every difference
+/// between the levels lives in this type's methods and in the facade's
+/// two listing helpers (`lock_listing`: guard and load; `commit_listing`:
+/// save).
+#[derive(Debug, Clone, Copy)]
+pub enum Parent<'a> {
+    /// The top level of the namespace of this User Access Key.
+    Uak(&'a str),
+    /// A hidden directory, as the listing above it names it.
+    Dir(&'a DirectoryEntry),
+}
+
+impl Parent<'_> {
+    /// The physical name of the child `name`: the owner's tag and the name
+    /// at top level, the parent's physical name and the name below it, so
+    /// offspring at every level resolve from the listing chain alone.
+    fn child_physical_name(&self, name: &str) -> String {
+        match self {
+            Parent::Uak(uak) => {
+                let digest = sha256_concat(&[b"stegfs-owner-tag", uak.as_bytes()]);
+                let tag: String = digest[..8].iter().map(|b| format!("{b:02x}")).collect();
+                format!("{tag}:{name}")
+            }
+            Parent::Dir(dir) => format!("{}/{name}", dir.physical_name),
+        }
+    }
+
+    /// The object shard the listing's guard holds; a UAK directory's guard
+    /// is a UAK shard.
+    fn object_shard(&self) -> Option<usize> {
+        match self {
+            Parent::Uak(_) => None,
+            Parent::Dir(dir) => Some(shard_index(&dir.physical_name, OBJECT_SHARDS)),
+        }
+    }
+}
+
+/// A listing loaded under the guard that covers it, with the object that
+/// stores it (none for a UAK directory not created yet) and its keys.
+struct Listing<'s> {
+    entries: UakDirectory,
+    object: Option<HiddenObject>,
+    keys: Arc<ObjectKeys>,
+    _guard: MutexGuard<'s, ()>,
 }
 
 /// A mounted StegFS volume.
@@ -331,20 +398,7 @@ impl<D: BlockDevice> StegFs<D> {
     pub fn mount(dev: D, params: StegParams) -> StegResult<Self> {
         params.validate()?;
         let fs = PlainFs::mount(dev, AllocPolicy::FirstFit, params.volume_seed)?;
-        let config = match fs.read_file(CONFIG_PATH) {
-            Ok(data) => VolumeConfig::deserialize(&data).ok_or_else(|| {
-                StegError::Fs(stegfs_fs::FsError::Corrupt(
-                    "unreadable StegFS configuration file".into(),
-                ))
-            })?,
-            Err(e) if e.is_not_found() => VolumeConfig {
-                abandoned_count: 0,
-                dummy_seed: 0,
-                dummy_count: 0,
-                dummy_size: 0,
-            },
-            Err(e) => return Err(e.into()),
-        };
+        let config = VolumeConfig::load(&fs)?;
         Ok(Self::assemble(fs, params, config))
     }
 
@@ -654,13 +708,11 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     // ------------------------------------------------------------------
-    // UAK directories
+    // The hidden namespace: one listing shape at every level
     // ------------------------------------------------------------------
 
     /// Key set of `uak`'s directory object, scoped to the session: sign-off
-    /// sweeps it along with everything the directory walk caches.  Callers
-    /// fetch it *before* taking the UAK shard, so a first-use derivation
-    /// never runs under the shard.
+    /// sweeps it along with everything the directory walk caches.
     fn uak_keys(&self, uak: &str) -> Arc<ObjectKeys> {
         let keys = self.keys_for(UAK_DIRECTORY_NAME, uak.as_bytes());
         self.read_cache
@@ -668,42 +720,53 @@ impl<D: BlockDevice> StegFs<D> {
         keys
     }
 
-    /// Load the UAK directory stored under `keys` ([`Self::uak_keys`]).
-    /// Caller holds the UAK shard lock.
-    ///
-    /// UAK directories are themselves hidden objects and the hottest read
-    /// path of all (every name lookup walks one), so they go through the
-    /// read cache like any other object; [`Self::save_uak_directory`]
-    /// invalidates.
-    fn load_uak_directory(
-        &self,
-        keys: &ObjectKeys,
-    ) -> StegResult<(UakDirectory, Option<HiddenObject>)> {
-        let io = self.io(keys);
-        match io.open(UAK_DIRECTORY_NAME) {
-            Ok(obj) => Ok((parse_listing(&io.read(&obj)?)?, Some(obj))),
-            Err(StegError::NotFound(_)) => Ok((UakDirectory::new(), None)),
-            Err(e) => Err(e),
-        }
+    /// Load `parent`'s listing under the guard that covers it: `uak`'s
+    /// shard, or the directory's object shard.  The keys are fetched before
+    /// the guard, so a first-use derivation never runs under it.  Listings
+    /// are the hottest read path of all (every name lookup walks one), so
+    /// they go through the read cache like any other object;
+    /// [`Self::commit_listing`] invalidates.  A UAK directory not created
+    /// yet reads as empty; a hidden directory that does not open fails.
+    fn lock_listing(&self, parent: Parent<'_>) -> StegResult<Listing<'_>> {
+        let (keys, name, _guard) = match parent {
+            Parent::Uak(uak) => (self.uak_keys(uak), UAK_DIRECTORY_NAME, self.uak_guard(uak)),
+            Parent::Dir(dir) => {
+                require_kind(&dir.name, dir.kind, ObjectKind::Directory)?;
+                let keys = self.keys_for(&dir.physical_name, &dir.fak);
+                let guard = self.object_guard(&dir.physical_name);
+                (keys, dir.physical_name.as_str(), guard)
+            }
+        };
+        let io = self.io(&keys);
+        let (entries, object) = match io.open(name) {
+            Ok(obj) => (parse_listing(&io.read(&obj)?)?, Some(obj)),
+            Err(StegError::NotFound(_)) if matches!(parent, Parent::Uak(_)) => {
+                (UakDirectory::new(), None)
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(Listing {
+            entries,
+            object,
+            keys,
+            _guard,
+        })
     }
 
-    /// The one shape of a top-level namespace operation: under `uak`'s
-    /// shard, `edit` changes the directory and stages the rest of the
-    /// operation in `txn` (begun before any guard); the directory is saved
-    /// and `txn` commits under the shard.  What `edit` returns (guards it
-    /// took, say) lives through the commit.
-    fn update_uak_directory<'s, T>(
+    /// Save `listing` in `txn` and commit, its guard held across the
+    /// commit.  A UAK directory is created on first use, plain and with no
+    /// shadow; a hidden directory's listing is mirrored into its shadow
+    /// listing ([`Self::save_shadow_listing`]).  The listing was just read
+    /// through the cache, so the rewrite's chain walk is served from its
+    /// warm extent map.
+    fn commit_listing<'s>(
         &'s self,
         mut txn: FsTxn<'s, D>,
-        uak: &str,
-        edit: impl FnOnce(&mut FsTxn<'s, D>, &mut UakDirectory) -> StegResult<T>,
-    ) -> StegResult<T> {
-        let keys = self.uak_keys(uak);
-        let _uak_lock = self.uak_guard(uak);
-        let (mut dir, existing) = self.load_uak_directory(&keys)?;
-        let out = edit(&mut txn, &mut dir)?;
-        let io = self.io(&keys);
-        let mut obj = match existing {
+        parent: Parent<'_>,
+        listing: Listing<'_>,
+    ) -> StegResult<()> {
+        let io = self.io(&listing.keys);
+        let mut obj = match listing.object {
             Some(obj) => obj,
             None => io.create(
                 &mut txn,
@@ -712,32 +775,29 @@ impl<D: BlockDevice> StegFs<D> {
                 Policy::Plain,
             )?,
         };
-        // The directory was just read through the cache, so the rewrite's
-        // chain walk is served from its warm extent map.
-        io.write(&mut txn, &mut obj, &dir.serialize(), &mut self.fork_rng())?;
-        txn.commit()?;
+        let bytes = listing.entries.serialize();
+        io.write(&mut txn, &mut obj, &bytes, &mut self.fork_rng())?;
+        if let Parent::Dir(dir) = parent {
+            self.save_shadow_listing(&mut txn, dir, &listing.entries)?;
+        }
+        Ok(txn.commit()?)
+    }
+
+    /// The one shape of a namespace operation: under the guard of
+    /// `parent`'s listing, `edit` changes the listing and stages the rest
+    /// of the operation in `txn` (begun before any guard); the listing is
+    /// saved and `txn` commits under the guard.  What `edit` returns
+    /// (guards it took, say) lives through the commit.
+    fn update_listing<'s, T>(
+        &'s self,
+        mut txn: FsTxn<'s, D>,
+        parent: Parent<'_>,
+        edit: impl FnOnce(&mut FsTxn<'s, D>, &mut UakDirectory) -> StegResult<T>,
+    ) -> StegResult<T> {
+        let mut listing = self.lock_listing(parent)?;
+        let out = edit(&mut txn, &mut listing.entries)?;
+        self.commit_listing(txn, parent, listing)?;
         Ok(out)
-    }
-
-    /// The names (and kinds) of all hidden objects registered under `uak`.
-    pub fn list_hidden(&self, uak: &str) -> StegResult<Vec<(String, ObjectKind)>> {
-        let uak_keys = self.uak_keys(uak);
-        let _uak_lock = self.uak_guard(uak);
-        let (dir, _) = self.load_uak_directory(&uak_keys)?;
-        Ok(dir
-            .entries
-            .iter()
-            .map(|e| (e.name.clone(), e.kind))
-            .collect())
-    }
-
-    // ------------------------------------------------------------------
-    // Hidden-object API (paper §4)
-    // ------------------------------------------------------------------
-
-    fn owner_tag(uak: &str) -> String {
-        let digest = sha256_concat(&[b"stegfs-owner-tag", uak.as_bytes()]);
-        digest[..8].iter().map(|b| format!("{b:02x}")).collect()
     }
 
     fn generate_fak(&self, objname: &str) -> [u8; FAK_LEN] {
@@ -751,15 +811,279 @@ impl<D: BlockDevice> StegFs<D> {
         ])
     }
 
-    fn entry_for(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
-        let uak_keys = self.uak_keys(uak);
-        let entry = {
-            let _uak_lock = self.uak_guard(uak);
-            let (dir, _) = self.load_uak_directory(&uak_keys)?;
-            dir.find(objname)
-                .cloned()
-                .ok_or_else(|| StegError::NotFound(objname.to_string()))?
+    /// The listing of `parent`: a key's top-level hidden objects, or a
+    /// hidden directory's children.  A key that never created anything
+    /// lists nothing, exactly as a wrong key does.
+    pub fn list(&self, parent: Parent<'_>) -> StegResult<UakDirectory> {
+        Ok(self.lock_listing(parent)?.entries)
+    }
+
+    /// Create an empty hidden file or directory `name` in `parent`, under
+    /// the volume's default durability policy
+    /// ([`StegParams::hidden_policy`](crate::StegParams)).
+    pub fn create(&self, parent: Parent<'_>, name: &str, kind: ObjectKind) -> StegResult<()> {
+        self.publish(parent, name, kind, self.params.hidden_policy, None)
+    }
+
+    /// Build the object `name` holding `contents` (none: an empty file, or
+    /// a directory with an empty listing) and publish it in `parent`, in
+    /// one transaction.  The object is built outside the listing's guard
+    /// (no other thread sees its fresh keys), so creates in one listing
+    /// serialise on its rewrite only.  Losing the name race drops the
+    /// transaction, and with it the never-published object's blocks.
+    fn publish(
+        &self,
+        parent: Parent<'_>,
+        name: &str,
+        kind: ObjectKind,
+        policy: Policy,
+        contents: Option<&[u8]>,
+    ) -> StegResult<()> {
+        check_child_name(name)?;
+        let fak = self.generate_fak(name);
+        let physical_name = parent.child_physical_name(name);
+        let keys = self.keys_for(&physical_name, &fak);
+        let mut txn = self.fs.begin_txn();
+        let io = self.object_io(&keys);
+        let mut obj = io.create(&mut txn, &physical_name, kind, policy)?;
+        if let Some(data) = contents {
+            io.write(&mut txn, &mut obj, data, &mut self.fork_rng())?;
+        }
+        self.update_listing(txn, parent, |_, listing| {
+            if listing.find(name).is_some() {
+                self.read_cache.drop_keys(&physical_name, &fak);
+                return Err(StegError::AlreadyExists(name.to_string()));
+            }
+            let name = name.to_string();
+            listing.insert(DirectoryEntry {
+                name,
+                physical_name,
+                fak,
+                kind,
+            })
+        })
+    }
+
+    /// Rename the child `old` of `parent` to `new`.  Only the listing entry
+    /// changes: the physical name, FAK and every block of the object stay
+    /// put, so open handles and outstanding shares of the
+    /// `(physical name, FAK)` pair keep working.
+    pub fn rename(&self, parent: Parent<'_>, old: &str, new: &str) -> StegResult<()> {
+        check_child_name(new)?;
+        self.update_listing(self.fs.begin_txn(), parent, |txn, listing| {
+            if listing.find(new).is_some() {
+                return Err(StegError::AlreadyExists(new.to_string()));
+            }
+            let mut entry = listing
+                .remove(old)
+                .ok_or_else(|| StegError::NotFound(old.to_string()))?;
+            entry.name = new.to_string();
+            // The object itself is untouched by a rename, but the
+            // conservative contract is that *every* namespace mutation
+            // invalidates.
+            let keys = self.keys_for(&entry.physical_name, &entry.fak);
+            self.forget_object(txn, &entry, &keys);
+            listing.insert(entry)
+        })?;
+        self.session.lock().disconnect(old);
+        Ok(())
+    }
+
+    /// Remove the child `name` of `parent` and destroy its object, in one
+    /// transaction, returning the removed entry (so callers that track
+    /// objects by identity, like the VFS registry, need not re-walk the
+    /// listing to learn it).  A hidden directory must be empty.
+    ///
+    /// The child's object shard is held with the listing's guard, so
+    /// in-flight I/O on the child drains before its blocks are freed.
+    /// Object shards are taken in ascending index order: when the child's
+    /// sorts below a hidden directory's own, the directory's guard is
+    /// released, the child's shard taken first and the listing loaded
+    /// again, until the child listed is one whose shard is held.  A UAK
+    /// directory's guard is no object shard, so its removes never retry.
+    pub fn remove(&self, parent: Parent<'_>, name: &str) -> StegResult<DirectoryEntry> {
+        let mut txn = self.fs.begin_txn();
+        let mut early: Option<(usize, MutexGuard<'_, ()>)> = None;
+        let (mut listing, child, _child_guard) = loop {
+            let listing = self.lock_listing(parent)?;
+            let child = listing.entries.find(name).cloned();
+            let child = child.ok_or_else(|| StegError::NotFound(name.to_string()))?;
+            let idx = shard_index(&child.physical_name, OBJECT_SHARDS);
+            match parent.object_shard() {
+                _ if early.as_ref().is_some_and(|(held, _)| *held == idx) => {
+                    break (listing, child, early)
+                }
+                // One mutex covers both objects; it is already held.
+                Some(own) if idx == own => break (listing, child, None),
+                Some(own) if idx < own => {
+                    drop((listing, early.take()));
+                    early = Some((idx, self.object_guard_at(idx)));
+                }
+                _ => break (listing, child, Some((idx, self.object_guard_at(idx)))),
+            }
         };
+        self.destroy_entry(&mut txn, &child)?;
+        listing.entries.remove(name);
+        self.commit_listing(txn, parent, listing)?;
+        self.session.lock().disconnect(name);
+        Ok(child)
+    }
+
+    /// Destroy the object behind `entry` in `txn` (its shard held across
+    /// the commit), together with a directory's shadow listing and
+    /// everything cached for the dead binding.  The object is opened on the
+    /// device, not from the cache, and a hidden directory that still lists
+    /// children is refused: destroying it would orphan their blocks forever.
+    fn destroy_entry<'s>(
+        &'s self,
+        txn: &mut FsTxn<'s, D>,
+        entry: &DirectoryEntry,
+    ) -> StegResult<()> {
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
+        let io = self.object_io(&keys);
+        let obj = io.open(&entry.physical_name)?;
+        let is_dir = entry.kind == ObjectKind::Directory;
+        if is_dir && !parse_listing(&io.read(&obj)?)?.entries.is_empty() {
+            let name = entry.name.clone();
+            return Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(name)));
+        }
+        let result = io.delete(txn, &obj, &mut self.fork_rng());
+        self.forget_object(txn, entry, &keys);
+        result?;
+        if is_dir {
+            self.save_shadow_listing(txn, entry, &UakDirectory::new())?;
+        }
+        Ok(())
+    }
+
+    /// Identity (physical name, FAK) of a directory's shadow-listing object.
+    /// Derived, never stored: `\u{1}` is rejected in object names, so a
+    /// shadow's physical name can never collide with a real child's, and the
+    /// FAK is domain-separated from the directory's own.
+    pub(crate) fn shadow_identity(physical: &str, fak: &[u8; FAK_LEN]) -> (String, [u8; FAK_LEN]) {
+        let shadow_physical = format!("{physical}\u{1}shadow");
+        let shadow_fak = sha256_concat(&[b"stegfs-shadow-fak", fak]);
+        (shadow_physical, shadow_fak)
+    }
+
+    /// Upsert the shadow listing of the hidden directory `parent` in `txn`
+    /// (created lazily on the first listing mutation), or remove it when
+    /// `children` is empty: an empty listing needs no recovery source.  The
+    /// shadow is an ordinary hidden object under the volume policy —
+    /// indistinguishable on the raw device and reachable only with the
+    /// directory's FAK — from which the scavenger rebuilds a directory whose
+    /// own metadata is damaged beyond its redundancy
+    /// ([`Self::rebuild_dir_from_shadow`]).  A missing shadow is not an
+    /// error; any other failure fails the operation.
+    fn save_shadow_listing<'s>(
+        &'s self,
+        txn: &mut FsTxn<'s, D>,
+        parent: &DirectoryEntry,
+        children: &UakDirectory,
+    ) -> StegResult<()> {
+        let (shadow_physical, shadow_fak) =
+            Self::shadow_identity(&parent.physical_name, &parent.fak);
+        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
+        let io = self.object_io(&shadow_keys);
+        let shadow = match io.open(&shadow_physical) {
+            Ok(obj) => Some(obj),
+            Err(e) if e.is_not_found() => None,
+            Err(e) => return Err(e),
+        };
+        if children.entries.is_empty() {
+            if let Some(obj) = shadow {
+                io.delete(txn, &obj, &mut self.fork_rng())?;
+            }
+            self.read_cache.drop_keys(&shadow_physical, &shadow_fak);
+            return Ok(());
+        }
+        let policy = self.params.hidden_policy;
+        let mut obj = match shadow {
+            Some(obj) => obj,
+            None => io.create(txn, &shadow_physical, ObjectKind::File, policy)?,
+        };
+        io.write(txn, &mut obj, &children.serialize(), &mut self.fork_rng())
+    }
+
+    /// Rebuild a hidden directory whose header/chain damage exceeds its
+    /// redundancy, from the directory's shadow listing.  The directory is
+    /// re-created **in place** — same physical name and FAK — so entries
+    /// held by parents and sessions keep resolving; children whose own
+    /// objects no longer probe are dropped from the rebuilt listing and
+    /// reported in [`DirRebuild::children_dropped`].
+    ///
+    /// Refuses (with `AlreadyExists`) to clobber a directory whose listing is
+    /// still readable, and fails without touching the volume when the shadow
+    /// itself cannot be read (directories predating shadow listings report
+    /// `NotFound` here).  Remnant blocks of the old object that its surviving
+    /// header no longer reaches stay allocated — a bounded leak,
+    /// indistinguishable from abandoned blocks (§3.4).
+    ///
+    /// Teardown and re-creation are one transaction.  On a journaled volume
+    /// the old object's blocks come free only at its commit, so the new
+    /// object is placed beside them: its header lands on a later candidate
+    /// of the same keyed sequence.
+    pub fn rebuild_dir_from_shadow(&self, entry: &DirectoryEntry) -> StegResult<DirRebuild> {
+        require_kind(&entry.name, entry.kind, ObjectKind::Directory)?;
+        let mut txn = self.fs.begin_txn();
+        let _obj_lock = self.object_guard(&entry.physical_name);
+        let keys = self.keys_for(&entry.physical_name, &entry.fak);
+        let io = self.object_io(&keys);
+        if let Ok(obj) = io.open(&entry.physical_name) {
+            if io.read(&obj).is_ok() {
+                return Err(StegError::AlreadyExists(entry.name.clone()));
+            }
+        }
+
+        // Read the recovery source first: no teardown unless the shadow is
+        // actually usable.
+        let (shadow_physical, shadow_fak) = Self::shadow_identity(&entry.physical_name, &entry.fak);
+        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
+        let shadow_io = self.object_io(&shadow_keys);
+        let listing = parse_listing(&shadow_io.read(&shadow_io.open(&shadow_physical)?)?)?;
+
+        // Re-link only children whose objects still probe under their keys.
+        let mut kept = UakDirectory::new();
+        let mut dropped = Vec::new();
+        for child in listing.entries {
+            let child_keys = self.keys_for(&child.physical_name, &child.fak);
+            let probes = self.object_io(&child_keys).open(&child.physical_name);
+            if probes.is_ok() {
+                kept.insert(child)?;
+            } else {
+                dropped.push(child.name.clone());
+            }
+        }
+
+        // Tear down whatever is left of the old object.  When even the
+        // header is gone there is nothing to free; when the header opens but
+        // the chain does not, scrub the header replicas so the re-creation's
+        // probes cannot resurrect it.
+        let mut rng = self.fork_rng();
+        if let Ok(old) = io.open(&entry.physical_name) {
+            if io.delete(&mut txn, &old, &mut rng).is_err() {
+                io.destroy_unreadable(&mut txn, &old, &mut rng)?;
+            }
+        }
+        self.read_cache.invalidate(keys.signature());
+
+        let (name, kind) = (&entry.physical_name, ObjectKind::Directory);
+        let mut obj = io.create(&mut txn, name, kind, self.params.hidden_policy)?;
+        io.write(&mut txn, &mut obj, &kept.serialize(), &mut rng)?;
+        txn.commit()?;
+        Ok(DirRebuild {
+            children_relinked: kept.entries.len(),
+            children_dropped: dropped,
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Hidden-object API (paper §4)
+    // ------------------------------------------------------------------
+
+    fn entry_for(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
+        let entry = self.list(Parent::Uak(uak))?.find(objname).cloned();
+        let entry = entry.ok_or_else(|| StegError::NotFound(objname.to_string()))?;
         // The object is about to be opened through this session's keys:
         // resolve them once (shard already released — a first-use derivation
         // must not convoy other lookups) and scope whatever the read paths
@@ -771,11 +1095,9 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// `steg_create`: create an empty hidden file or directory named
-    /// `objname`, registered under `uak`.  The object gets the volume's
-    /// default durability policy
-    /// ([`StegParams::hidden_policy`](crate::StegParams)).
+    /// `objname`, registered under `uak` ([`Self::create`] at top level).
     pub fn steg_create(&self, objname: &str, uak: &str, kind: ObjectKind) -> StegResult<()> {
-        self.steg_create_with_policy(objname, uak, kind, self.params.hidden_policy)
+        self.create(Parent::Uak(uak), objname, kind)
     }
 
     /// [`Self::steg_create`] with an explicit per-object durability policy.
@@ -789,46 +1111,7 @@ impl<D: BlockDevice> StegFs<D> {
         kind: ObjectKind,
         policy: Policy,
     ) -> StegResult<()> {
-        self.create_published(objname, uak, kind, policy, None)
-    }
-
-    /// Create the object `objname` holding `contents` (none: an empty file,
-    /// or a directory with an empty listing) and publish it under `uak`, in
-    /// one transaction.  The object is built outside the UAK shard (no other
-    /// thread sees its fresh keys), so creates under one UAK serialise on a
-    /// directory rewrite only.  Losing the name race drops the transaction,
-    /// and with it the never-published object's blocks.
-    fn create_published(
-        &self,
-        objname: &str,
-        uak: &str,
-        kind: ObjectKind,
-        policy: Policy,
-        contents: Option<&[u8]>,
-    ) -> StegResult<()> {
-        check_object_name(objname)?;
-        let fak = self.generate_fak(objname);
-        let physical_name = format!("{}:{}", Self::owner_tag(uak), objname);
-        let keys = self.keys_for(&physical_name, &fak);
-        let mut txn = self.fs.begin_txn();
-        let io = self.object_io(&keys);
-        let mut obj = io.create(&mut txn, &physical_name, kind, policy)?;
-        if let Some(data) = contents {
-            io.write(&mut txn, &mut obj, data, &mut self.fork_rng())?;
-        }
-        self.update_uak_directory(txn, uak, |_, dir| {
-            if dir.find(objname).is_some() {
-                self.read_cache.drop_keys(&physical_name, &fak);
-                return Err(StegError::AlreadyExists(objname.to_string()));
-            }
-            let name = objname.to_string();
-            dir.insert(DirectoryEntry {
-                name,
-                physical_name,
-                fak,
-                kind,
-            })
-        })
+        self.publish(Parent::Uak(uak), objname, kind, policy, None)
     }
 
     /// Verify and, where possible, repair one hidden object in place from
@@ -1045,61 +1328,11 @@ impl<D: BlockDevice> StegFs<D> {
             .resize(&mut handle.object, new_len, &mut rng)
     }
 
-    /// Rename the hidden object `objname` to `newname` within `uak`'s
-    /// directory.  Only the directory entry changes; the physical name, FAK
-    /// and every block of the object stay put, so outstanding shares of the
-    /// `(physical name, FAK)` pair keep working.
-    pub fn rename_hidden(&self, objname: &str, newname: &str, uak: &str) -> StegResult<()> {
-        check_object_name(newname)?;
-        self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
-            if dir.find(newname).is_some() {
-                return Err(StegError::AlreadyExists(newname.to_string()));
-            }
-            let mut entry = dir
-                .remove(objname)
-                .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
-            entry.name = newname.to_string();
-            // The object itself is untouched by a rename, but the
-            // conservative contract is that *every* namespace mutation
-            // invalidates.
-            let keys = self.keys_for(&entry.physical_name, &entry.fak);
-            self.forget_object(txn, &entry, &keys);
-            self.session.lock().disconnect(objname);
-            dir.insert(entry)
-        })
-    }
-
     fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        self.read_object(&entry.physical_name, &keys)
-    }
-
-    /// The full contents of the object `physical_name` (shard held by the
-    /// caller).
-    fn read_object(&self, physical_name: &str, keys: &ObjectKeys) -> StegResult<Vec<u8>> {
-        let io = self.io(keys);
-        io.read(&io.open(physical_name)?)
-    }
-
-    /// Delete the hidden object `objname` and remove it from the UAK
-    /// directory, in one transaction.  A hidden directory must be empty
-    /// (deleting a populated listing would orphan its children's blocks
-    /// forever).  Returns the removed entry so callers that track objects
-    /// by physical name (the VFS object cache) need not re-walk the
-    /// directory just to learn it.
-    pub fn delete_hidden(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
-        let (entry, _obj_lock) =
-            self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
-                let entry = dir
-                    .remove(objname)
-                    .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
-                let obj_lock = self.object_guard(&entry.physical_name);
-                self.destroy_entry(txn, &entry)?;
-                Ok((entry, obj_lock))
-            })?;
-        self.session.lock().disconnect(&entry.name);
-        Ok(entry)
+        let io = self.io(&keys);
+        io.read(&io.open(&entry.physical_name)?)
     }
 
     /// `steg_hide`: convert the plain file at `pathname` into the hidden
@@ -1110,8 +1343,8 @@ impl<D: BlockDevice> StegFs<D> {
     /// window needs a plain delete inside the hidden transaction.
     pub fn steg_hide(&self, pathname: &str, objname: &str, uak: &str) -> StegResult<()> {
         let data = self.fs.read_file(pathname)?;
-        let policy = self.params.hidden_policy;
-        self.create_published(objname, uak, ObjectKind::File, policy, Some(&data))?;
+        let (parent, policy) = (Parent::Uak(uak), self.params.hidden_policy);
+        self.publish(parent, objname, ObjectKind::File, policy, Some(&data))?;
         self.fs.delete(pathname)?;
         Ok(())
     }
@@ -1119,12 +1352,12 @@ impl<D: BlockDevice> StegFs<D> {
     /// `steg_unhide`: convert the hidden object `objname` back into a plain
     /// file at `pathname`; the hidden source is deleted on success.
     ///
-    /// Two commits, the plain file first, then [`Self::delete_hidden`]: as
+    /// Two commits, the plain file first, then [`Self::remove`]: as
     /// in [`Self::steg_hide`], a crash between them leaves both copies.
     pub fn steg_unhide(&self, pathname: &str, objname: &str, uak: &str) -> StegResult<()> {
         let data = self.read_hidden_with_key(objname, uak)?;
         self.fs.write_file(pathname, &data)?;
-        self.delete_hidden(objname, uak)?;
+        self.remove(Parent::Uak(uak), objname)?;
         Ok(())
     }
 
@@ -1143,8 +1376,7 @@ impl<D: BlockDevice> StegFs<D> {
     fn connect_entry(&self, entry: &DirectoryEntry) -> StegResult<()> {
         self.session.lock().connect(ConnectedObject::from(entry));
         if entry.kind == ObjectKind::Directory {
-            let children = self.read_directory_listing(entry)?;
-            for child in &children.entries {
+            for child in &self.list(Parent::Dir(entry))?.entries {
                 self.connect_entry(child)?;
             }
         }
@@ -1196,383 +1428,6 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     // ------------------------------------------------------------------
-    // Hidden directories
-    // ------------------------------------------------------------------
-
-    /// Read the child listing of a hidden directory object.  Takes the
-    /// object's shard, so a concurrent listing rewrite cannot tear the read.
-    fn read_directory_listing(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        self.read_listing_locked(entry)
-    }
-
-    /// As [`Self::read_directory_listing`] but with the object shard already
-    /// held by the caller.
-    fn read_listing_locked(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        parse_listing(&self.read_object(&entry.physical_name, &keys)?)
-    }
-
-    /// Identity (physical name, FAK) of a directory's shadow-listing object.
-    /// Derived, never stored: `\u{1}` is rejected in object names, so a
-    /// shadow's physical name can never collide with a real child's, and the
-    /// FAK is domain-separated from the directory's own.
-    pub(crate) fn shadow_identity(physical: &str, fak: &[u8; FAK_LEN]) -> (String, [u8; FAK_LEN]) {
-        let shadow_physical = format!("{physical}\u{1}shadow");
-        let shadow_fak = sha256_concat(&[b"stegfs-shadow-fak", fak]);
-        (shadow_physical, shadow_fak)
-    }
-
-    /// Persist `children` as the listing of the hidden directory `parent`
-    /// in `txn` (object shard held across the commit), and mirror it into
-    /// the directory's shadow listing: an ordinary hidden object under the
-    /// volume policy — indistinguishable on the raw device and reachable
-    /// only with the directory's FAK — from which the scavenger rebuilds a
-    /// directory whose own metadata is damaged beyond its redundancy (see
-    /// [`Self::rebuild_dir_from_shadow`]).
-    fn save_listing_locked<'s>(
-        &'s self,
-        txn: &mut FsTxn<'s, D>,
-        parent: &DirectoryEntry,
-        children: &UakDirectory,
-    ) -> StegResult<()> {
-        let parent_keys = self.keys_for(&parent.physical_name, &parent.fak);
-        let io = self.io(&parent_keys);
-        let mut parent_obj = io.open(&parent.physical_name)?;
-        let mut rng = self.fork_rng();
-        io.write(txn, &mut parent_obj, &children.serialize(), &mut rng)?;
-        self.save_shadow_listing(txn, parent, children)
-    }
-
-    /// Upsert the shadow listing of the hidden directory `parent` in `txn`
-    /// (created lazily on the first listing mutation), or remove it when
-    /// `children` is empty: an empty listing needs no recovery source.  A
-    /// missing shadow is not an error; any other failure fails the
-    /// operation.
-    fn save_shadow_listing<'s>(
-        &'s self,
-        txn: &mut FsTxn<'s, D>,
-        parent: &DirectoryEntry,
-        children: &UakDirectory,
-    ) -> StegResult<()> {
-        let (shadow_physical, shadow_fak) =
-            Self::shadow_identity(&parent.physical_name, &parent.fak);
-        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
-        let io = self.object_io(&shadow_keys);
-        let shadow = match io.open(&shadow_physical) {
-            Ok(obj) => Some(obj),
-            Err(e) if e.is_not_found() => None,
-            Err(e) => return Err(e),
-        };
-        if children.entries.is_empty() {
-            if let Some(obj) = shadow {
-                io.delete(txn, &obj, &mut self.fork_rng())?;
-            }
-            self.read_cache.drop_keys(&shadow_physical, &shadow_fak);
-            return Ok(());
-        }
-        let policy = self.params.hidden_policy;
-        let mut obj = match shadow {
-            Some(obj) => obj,
-            None => io.create(txn, &shadow_physical, ObjectKind::File, policy)?,
-        };
-        io.write(txn, &mut obj, &children.serialize(), &mut self.fork_rng())
-    }
-
-    /// Rebuild a hidden directory whose header/chain damage exceeds its
-    /// redundancy, from the directory's shadow listing.  The directory is
-    /// re-created **in place** — same physical name and FAK — so entries
-    /// held by parents and sessions keep resolving; children whose own
-    /// objects no longer probe are dropped from the rebuilt listing and
-    /// reported in [`DirRebuild::children_dropped`].
-    ///
-    /// Refuses (with `AlreadyExists`) to clobber a directory whose listing is
-    /// still readable, and fails without touching the volume when the shadow
-    /// itself cannot be read (directories predating shadow listings report
-    /// `NotFound` here).  Remnant blocks of the old object that its surviving
-    /// header no longer reaches stay allocated — a bounded leak,
-    /// indistinguishable from abandoned blocks (§3.4).
-    ///
-    /// Teardown and re-creation are one transaction.  On a journaled volume
-    /// the old object's blocks come free only at its commit, so the new
-    /// object is placed beside them: its header lands on a later candidate
-    /// of the same keyed sequence.
-    pub fn rebuild_dir_from_shadow(&self, entry: &DirectoryEntry) -> StegResult<DirRebuild> {
-        require_kind(&entry.name, entry.kind, ObjectKind::Directory)?;
-        let mut txn = self.fs.begin_txn();
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let io = self.object_io(&keys);
-        if let Ok(obj) = io.open(&entry.physical_name) {
-            if io.read(&obj).is_ok() {
-                return Err(StegError::AlreadyExists(entry.name.clone()));
-            }
-        }
-
-        // Read the recovery source first: no teardown unless the shadow is
-        // actually usable.
-        let (shadow_physical, shadow_fak) = Self::shadow_identity(&entry.physical_name, &entry.fak);
-        let shadow_keys = self.keys_for(&shadow_physical, &shadow_fak);
-        let shadow_io = self.object_io(&shadow_keys);
-        let listing = parse_listing(&shadow_io.read(&shadow_io.open(&shadow_physical)?)?)?;
-
-        // Re-link only children whose objects still probe under their keys.
-        let mut kept = UakDirectory::new();
-        let mut dropped = Vec::new();
-        for child in listing.entries {
-            let child_keys = self.keys_for(&child.physical_name, &child.fak);
-            let probes = self.object_io(&child_keys).open(&child.physical_name);
-            if probes.is_ok() {
-                kept.insert(child)?;
-            } else {
-                dropped.push(child.name.clone());
-            }
-        }
-
-        // Tear down whatever is left of the old object.  When even the
-        // header is gone there is nothing to free; when the header opens but
-        // the chain does not, scrub the header replicas so the re-creation's
-        // probes cannot resurrect it.
-        let mut rng = self.fork_rng();
-        if let Ok(old) = io.open(&entry.physical_name) {
-            if io.delete(&mut txn, &old, &mut rng).is_err() {
-                io.destroy_unreadable(&mut txn, &old, &mut rng)?;
-            }
-        }
-        self.read_cache.invalidate(keys.signature());
-
-        let (name, kind) = (&entry.physical_name, ObjectKind::Directory);
-        let mut obj = io.create(&mut txn, name, kind, self.params.hidden_policy)?;
-        io.write(&mut txn, &mut obj, &kept.serialize(), &mut rng)?;
-        txn.commit()?;
-        Ok(DirRebuild {
-            children_relinked: kept.entries.len(),
-            children_dropped: dropped,
-        })
-    }
-
-    /// Read the child listing of the hidden directory described by `entry`.
-    /// This is the building block the VFS uses to resolve `/hidden/dir/child`
-    /// paths from cached entries without re-walking the UAK directory.
-    pub fn read_hidden_dir_listing(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
-        require_kind(&entry.name, entry.kind, ObjectKind::Directory)?;
-        self.read_directory_listing(entry)
-    }
-
-    /// Create a new hidden file or directory *inside* the hidden directory
-    /// `parent` (registered under `uak`).  The child is registered only in
-    /// the parent's listing, not in the UAK directory.
-    pub fn create_in_hidden_dir(
-        &self,
-        parent: &str,
-        child_name: &str,
-        uak: &str,
-        kind: ObjectKind,
-    ) -> StegResult<()> {
-        let parent_entry = self.entry_for(parent, uak)?;
-        self.create_dir_child(&parent_entry, child_name, kind)
-    }
-
-    /// Create a new hidden file or directory inside the hidden directory
-    /// described by `parent` — an entry resolved at **any** depth (the VFS
-    /// walks `/hidden/a/b/c` to the `b` entry and creates `c` here).  The
-    /// child's physical name extends the parent's, so offspring at every
-    /// level resolve from the listing chain alone, exactly as in the paper's
-    /// `steg_connect`.
-    pub fn create_dir_child(
-        &self,
-        parent: &DirectoryEntry,
-        child_name: &str,
-        kind: ObjectKind,
-    ) -> StegResult<()> {
-        require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
-        check_child_name(child_name)?;
-        // The parent's shard serialises the listing read-modify-write against
-        // concurrent child creation in the same directory.  One transaction
-        // holds the child, the listing and its shadow.
-        let mut txn = self.fs.begin_txn();
-        let _parent_lock = self.object_guard(&parent.physical_name);
-        let mut children = self.read_listing_locked(parent)?;
-        if children.find(child_name).is_some() {
-            return Err(StegError::AlreadyExists(child_name.to_string()));
-        }
-
-        let fak = self.generate_fak(child_name);
-        let physical_name = format!("{}/{}", parent.physical_name, child_name);
-        let child_keys = self.keys_for(&physical_name, &fak);
-        let policy = self.params.hidden_policy;
-        let io = self.object_io(&child_keys);
-        io.create(&mut txn, &physical_name, kind, policy)?;
-        children.insert(DirectoryEntry {
-            name: child_name.to_string(),
-            physical_name,
-            fak,
-            kind,
-        })?;
-        self.save_listing_locked(&mut txn, parent, &children)?;
-        Ok(txn.commit()?)
-    }
-
-    /// List the children of the hidden directory `parent`.
-    pub fn list_hidden_dir(
-        &self,
-        parent: &str,
-        uak: &str,
-    ) -> StegResult<Vec<(String, ObjectKind)>> {
-        let parent_entry = self.entry_for(parent, uak)?;
-        require_kind(parent, parent_entry.kind, ObjectKind::Directory)?;
-        let children = self.read_directory_listing(&parent_entry)?;
-        Ok(children
-            .entries
-            .iter()
-            .map(|e| (e.name.clone(), e.kind))
-            .collect())
-    }
-
-    /// Destroy the object behind `entry` in `txn` (its shard held across
-    /// the commit), together with a directory's shadow listing and
-    /// everything cached for the dead binding.  The object is opened on the
-    /// device, not from the cache, and a hidden directory that still lists
-    /// children is refused: destroying it would orphan their blocks forever.
-    fn destroy_entry<'s>(
-        &'s self,
-        txn: &mut FsTxn<'s, D>,
-        entry: &DirectoryEntry,
-    ) -> StegResult<()> {
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let io = self.object_io(&keys);
-        let obj = io.open(&entry.physical_name)?;
-        let is_dir = entry.kind == ObjectKind::Directory;
-        if is_dir && !parse_listing(&io.read(&obj)?)?.entries.is_empty() {
-            let name = entry.name.clone();
-            return Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(name)));
-        }
-        let result = io.delete(txn, &obj, &mut self.fork_rng());
-        self.forget_object(txn, entry, &keys);
-        result?;
-        if is_dir {
-            self.save_shadow_listing(txn, entry, &UakDirectory::new())?;
-        }
-        Ok(())
-    }
-
-    /// Remove (and destroy) the child `child_name` of the hidden directory
-    /// described by `parent`, returning the removed child's entry.  A child
-    /// directory must be empty.
-    ///
-    /// This is the one operation that holds **two object shards** — the
-    /// parent's (serialising the listing read-modify-write) and the child's
-    /// (so in-flight I/O on the child drains before its blocks are freed).
-    /// The pair is acquired in ascending shard-index order; when the child's
-    /// shard sorts below the parent's, the parent shard is released and the
-    /// pair re-acquired in order, revalidating the listing afterwards.  The
-    /// listing, its shadow and the child's destruction are one transaction,
-    /// committed under both shards.
-    pub fn remove_dir_child(
-        &self,
-        parent: &DirectoryEntry,
-        child_name: &str,
-    ) -> StegResult<DirectoryEntry> {
-        require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
-        let mut txn = self.fs.begin_txn();
-        let pidx = shard_index(&parent.physical_name, self.object_locks.len());
-        let (mut children, child, _shards) = loop {
-            let pguard = self.object_guard_at(pidx);
-            let children = self.read_listing_locked(parent)?;
-            let child = children
-                .find(child_name)
-                .cloned()
-                .ok_or_else(|| StegError::NotFound(child_name.to_string()))?;
-            let cidx = shard_index(&child.physical_name, self.object_locks.len());
-            if cidx == pidx {
-                // One mutex covers both objects; it is already held.
-                break (children, child, vec![pguard]);
-            }
-            if cidx > pidx {
-                let cguard = self.object_guard_at(cidx);
-                break (children, child, vec![pguard, cguard]);
-            }
-            // The child's shard sorts first: release, re-acquire in order,
-            // and revalidate the listing (it may have changed meanwhile).
-            drop(pguard);
-            let cguard = self.object_guard_at(cidx);
-            let pguard = self.object_guard_at(pidx);
-            let children = self.read_listing_locked(parent)?;
-            match children.find(child_name) {
-                Some(c) if c.physical_name == child.physical_name && c.fak == child.fak => {
-                    let child = c.clone();
-                    break (children, child, vec![cguard, pguard]);
-                }
-                // The entry changed (or vanished) while unlocked; retry from
-                // the top so the fresh binding is re-resolved.
-                _ => continue,
-            }
-        };
-        self.destroy_entry(&mut txn, &child)?;
-        children.remove(&child.name);
-        self.save_listing_locked(&mut txn, parent, &children)?;
-        txn.commit()?;
-        self.session.lock().disconnect(&child.name);
-        Ok(child)
-    }
-
-    /// Rename the child `old` of the hidden directory described by `parent`
-    /// to `new`.  Only the listing entry changes — the child's physical name,
-    /// FAK and blocks stay put, so open handles and outstanding shares keep
-    /// working, exactly as with [`Self::rename_hidden`] at top level.
-    pub fn rename_dir_child(
-        &self,
-        parent: &DirectoryEntry,
-        old: &str,
-        new: &str,
-    ) -> StegResult<()> {
-        require_kind(&parent.name, parent.kind, ObjectKind::Directory)?;
-        check_child_name(new)?;
-        let mut txn = self.fs.begin_txn();
-        let _parent_lock = self.object_guard(&parent.physical_name);
-        let mut children = self.read_listing_locked(parent)?;
-        if children.find(new).is_some() {
-            return Err(StegError::AlreadyExists(new.to_string()));
-        }
-        let mut entry = children
-            .remove(old)
-            .ok_or_else(|| StegError::NotFound(old.to_string()))?;
-        entry.name = new.to_string();
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        self.forget_object(&mut txn, &entry, &keys);
-        children.insert(entry)?;
-        self.save_listing_locked(&mut txn, parent, &children)?;
-        txn.commit()?;
-        self.session.lock().disconnect(old);
-        Ok(())
-    }
-
-    /// Name-based convenience for [`Self::remove_dir_child`]: delete the
-    /// child `child` of the top-level hidden directory `parent` (registered
-    /// under `uak`).
-    pub fn delete_in_hidden_dir(
-        &self,
-        parent: &str,
-        child: &str,
-        uak: &str,
-    ) -> StegResult<DirectoryEntry> {
-        let parent_entry = self.entry_for(parent, uak)?;
-        self.remove_dir_child(&parent_entry, child)
-    }
-
-    /// Name-based convenience for [`Self::rename_dir_child`].
-    pub fn rename_in_hidden_dir(
-        &self,
-        parent: &str,
-        old: &str,
-        new: &str,
-        uak: &str,
-    ) -> StegResult<()> {
-        let parent_entry = self.entry_for(parent, uak)?;
-        self.rename_dir_child(&parent_entry, old, new)
-    }
-
-    // ------------------------------------------------------------------
     // Sharing (steg_getentry / steg_addentry) and revocation
     // ------------------------------------------------------------------
 
@@ -1600,7 +1455,8 @@ impl<D: BlockDevice> StegFs<D> {
     ) -> StegResult<String> {
         let entry = envelope.open(private_key)?;
         let name = entry.name.clone();
-        self.update_uak_directory(self.fs.begin_txn(), uak, |_, dir| dir.insert(entry))?;
+        let parent = Parent::Uak(uak);
+        self.update_listing(self.fs.begin_txn(), parent, |_, dir| dir.insert(entry))?;
         Ok(name)
     }
 
@@ -1611,7 +1467,8 @@ impl<D: BlockDevice> StegFs<D> {
     /// moves to the new keys with it.  Copy, destroy and re-publish are one
     /// transaction, committed under the UAK shard and the old object's.
     pub fn revoke_sharing(&self, objname: &str, uak: &str) -> StegResult<()> {
-        self.update_uak_directory(self.fs.begin_txn(), uak, |txn, dir| {
+        let parent = Parent::Uak(uak);
+        self.update_listing(self.fs.begin_txn(), parent, |txn, dir| {
             let entry = dir
                 .remove(objname)
                 .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
@@ -1626,7 +1483,7 @@ impl<D: BlockDevice> StegFs<D> {
             // Create the replacement under a fresh FAK and physical name.
             let revision = self.fak_counter.fetch_add(1, Ordering::Relaxed) + 1;
             let fak = self.generate_fak(objname);
-            let physical_name = format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision);
+            let physical_name = parent.child_physical_name(&format!("{objname}#rev{revision}"));
             let new_keys = self.keys_for(&physical_name, &fak);
             let new_io = self.object_io(&new_keys);
             let policy = old_obj.header.policy;
@@ -1771,21 +1628,7 @@ impl<D: BlockDevice> StegFs<D> {
         }
         fs.sync()?;
 
-        let config = match fs.read_file(CONFIG_PATH) {
-            Ok(data) => VolumeConfig::deserialize(&data).unwrap_or(VolumeConfig {
-                abandoned_count: 0,
-                dummy_seed: 0,
-                dummy_count: 0,
-                dummy_size: 0,
-            }),
-            Err(_) => VolumeConfig {
-                abandoned_count: 0,
-                dummy_seed: 0,
-                dummy_count: 0,
-                dummy_size: 0,
-            },
-        };
-
+        let config = VolumeConfig::load(&fs)?;
         Ok(Self::assemble(fs, params, config))
     }
 
@@ -1826,6 +1669,12 @@ mod tests {
         StegFs::format(MemBlockDevice::new(1024, 8192), StegParams::for_tests()).unwrap()
     }
 
+    /// `(name, kind)` of every entry `parent` lists.
+    fn listed(fs: &StegFs<MemBlockDevice>, parent: Parent<'_>) -> Vec<(String, ObjectKind)> {
+        let listing = fs.list(parent).unwrap().entries;
+        listing.into_iter().map(|e| (e.name, e.kind)).collect()
+    }
+
     #[test]
     fn format_creates_dummies_and_abandoned_blocks() {
         let fs = small_fs();
@@ -1863,7 +1712,7 @@ mod tests {
             b"the real numbers"
         );
         assert_eq!(
-            fs.list_hidden(UAK).unwrap(),
+            listed(&fs, Parent::Uak(UAK)),
             vec![("budget".to_string(), ObjectKind::File)]
         );
     }
@@ -1874,7 +1723,11 @@ mod tests {
         fs.steg_create("budget", UAK, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("budget", UAK, b"secret").unwrap();
         // A different UAK has an empty directory and cannot find the object.
-        assert!(fs.list_hidden("some other key").unwrap().is_empty());
+        assert!(fs
+            .list(Parent::Uak("some other key"))
+            .unwrap()
+            .entries
+            .is_empty());
         assert!(fs
             .read_hidden_with_key("budget", "some other key")
             .unwrap_err()
@@ -1959,11 +1812,12 @@ mod tests {
     fn connecting_directory_reveals_children() {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
-        fs.create_in_hidden_dir("vault", "passwords", UAK, ObjectKind::File)
+        let vault = fs.lookup_entry("vault", UAK).unwrap();
+        fs.create(Parent::Dir(&vault), "passwords", ObjectKind::File)
             .unwrap();
-        fs.create_in_hidden_dir("vault", "keys", UAK, ObjectKind::File)
+        fs.create(Parent::Dir(&vault), "keys", ObjectKind::File)
             .unwrap();
-        assert_eq!(fs.list_hidden_dir("vault", UAK).unwrap().len(), 2);
+        assert_eq!(fs.list(Parent::Dir(&vault)).unwrap().entries.len(), 2);
 
         fs.steg_connect("vault", UAK).unwrap();
         let mut connected = fs.connected_objects();
@@ -1978,14 +1832,14 @@ mod tests {
     fn delete_and_rename_inside_hidden_dir() {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
+        let vault = fs.lookup_entry("vault", UAK).unwrap();
         let free_empty = fs.plain_fs().free_data_blocks();
-        fs.create_in_hidden_dir("vault", "a", UAK, ObjectKind::File)
+        fs.create(Parent::Dir(&vault), "a", ObjectKind::File)
             .unwrap();
-        fs.create_in_hidden_dir("vault", "b", UAK, ObjectKind::File)
+        fs.create(Parent::Dir(&vault), "b", ObjectKind::File)
             .unwrap();
-        let parent = fs.lookup_entry("vault", UAK).unwrap();
         let a = fs
-            .read_hidden_dir_listing(&parent)
+            .list(Parent::Dir(&vault))
             .unwrap()
             .find("a")
             .cloned()
@@ -1993,35 +1847,33 @@ mod tests {
         fs.write_hidden_entry(&a, &vec![7u8; 10 * 1024]).unwrap();
 
         // Rename keeps the contents and the physical identity.
-        fs.rename_in_hidden_dir("vault", "a", "renamed", UAK)
-            .unwrap();
-        let listing = fs.list_hidden_dir("vault", UAK).unwrap();
-        assert!(listing.iter().any(|(n, _)| n == "renamed"));
-        assert!(!listing.iter().any(|(n, _)| n == "a"));
+        fs.rename(Parent::Dir(&vault), "a", "renamed").unwrap();
+        let listing = fs.list(Parent::Dir(&vault)).unwrap();
+        assert!(listing.find("renamed").is_some() && listing.find("a").is_none());
         let renamed = fs
-            .read_hidden_dir_listing(&parent)
+            .list(Parent::Dir(&vault))
             .unwrap()
             .find("renamed")
             .cloned()
             .unwrap();
         assert_eq!(renamed.physical_name, a.physical_name);
         assert!(matches!(
-            fs.rename_in_hidden_dir("vault", "renamed", "b", UAK),
+            fs.rename(Parent::Dir(&vault), "renamed", "b"),
             Err(StegError::AlreadyExists(_))
         ));
         assert!(fs
-            .rename_in_hidden_dir("vault", "ghost", "x", UAK)
+            .rename(Parent::Dir(&vault), "ghost", "x")
             .unwrap_err()
             .is_not_found());
 
         // Deleting returns the child's blocks and unpublishes the entry.
-        let removed = fs.delete_in_hidden_dir("vault", "renamed", UAK).unwrap();
+        let removed = fs.remove(Parent::Dir(&vault), "renamed").unwrap();
         assert_eq!(removed.physical_name, a.physical_name);
-        fs.delete_in_hidden_dir("vault", "b", UAK).unwrap();
-        assert!(fs.list_hidden_dir("vault", UAK).unwrap().is_empty());
+        fs.remove(Parent::Dir(&vault), "b").unwrap();
+        assert!(fs.list(Parent::Dir(&vault)).unwrap().entries.is_empty());
         assert_eq!(fs.plain_fs().free_data_blocks(), free_empty);
         assert!(fs
-            .delete_in_hidden_dir("vault", "renamed", UAK)
+            .remove(Parent::Dir(&vault), "renamed")
             .unwrap_err()
             .is_not_found());
     }
@@ -2030,11 +1882,11 @@ mod tests {
     fn delete_in_hidden_dir_requires_empty_subdirectory() {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
-        fs.create_in_hidden_dir("vault", "sub", UAK, ObjectKind::Directory)
+        let vault = fs.lookup_entry("vault", UAK).unwrap();
+        fs.create(Parent::Dir(&vault), "sub", ObjectKind::Directory)
             .unwrap();
-        let parent = fs.lookup_entry("vault", UAK).unwrap();
         let sub = fs
-            .read_hidden_dir_listing(&parent)
+            .list(Parent::Dir(&vault))
             .unwrap()
             .find("sub")
             .cloned()
@@ -2060,27 +1912,32 @@ mod tests {
         txn.commit().unwrap();
 
         assert!(matches!(
-            fs.delete_in_hidden_dir("vault", "sub", UAK),
+            fs.remove(Parent::Dir(&vault), "sub"),
             Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(_)))
         ));
         // Still listed after the refusal.
-        assert_eq!(fs.list_hidden_dir("vault", UAK).unwrap().len(), 1);
+        assert_eq!(fs.list(Parent::Dir(&vault)).unwrap().entries.len(), 1);
     }
 
     #[test]
     fn duplicate_children_rejected() {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
-        fs.create_in_hidden_dir("vault", "a", UAK, ObjectKind::File)
+        let vault = fs.lookup_entry("vault", UAK).unwrap();
+        fs.create(Parent::Dir(&vault), "a", ObjectKind::File)
             .unwrap();
         assert!(matches!(
-            fs.create_in_hidden_dir("vault", "a", UAK, ObjectKind::File),
+            fs.create(Parent::Dir(&vault), "a", ObjectKind::File),
             Err(StegError::AlreadyExists(_))
         ));
         // Creating inside a hidden *file* is a kind error.
         fs.steg_create("not-a-dir", UAK, ObjectKind::File).unwrap();
         assert!(matches!(
-            fs.create_in_hidden_dir("not-a-dir", "x", UAK, ObjectKind::File),
+            fs.create(
+                Parent::Dir(&fs.lookup_entry("not-a-dir", UAK).unwrap()),
+                "x",
+                ObjectKind::File
+            ),
             Err(StegError::WrongObjectKind { .. })
         ));
     }
@@ -2196,11 +2053,15 @@ mod tests {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
         for child in ["a", "b"] {
-            fs.create_in_hidden_dir("vault", child, UAK, ObjectKind::File)
-                .unwrap();
+            fs.create(
+                Parent::Dir(&fs.lookup_entry("vault", UAK).unwrap()),
+                child,
+                ObjectKind::File,
+            )
+            .unwrap();
         }
         let old = fs.lookup_entry("vault", UAK).unwrap();
-        let listing = fs.read_hidden_dir_listing(&old).unwrap();
+        let listing = fs.list(Parent::Dir(&old)).unwrap();
         let a = listing.find("a").cloned().unwrap();
         let payload = vec![0x3cu8; 3 * 1024 + 7];
         fs.write_hidden_entry(&a, &payload).unwrap();
@@ -2220,8 +2081,11 @@ mod tests {
         assert!(stale.unwrap_err().is_not_found());
         // The children still list, under the new keys.
         let names = || -> Vec<String> {
-            let listed = fs.list_hidden_dir("vault", UAK).unwrap();
-            listed.into_iter().map(|(name, _)| name).collect()
+            let vault = fs.lookup_entry("vault", UAK).unwrap();
+            listed(&fs, Parent::Dir(&vault))
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect()
         };
         assert_eq!(names(), ["a", "b"]);
 
@@ -2235,7 +2099,7 @@ mod tests {
             smash_raw(&fs, h, i as u8);
         }
         fs.purge_read_caches();
-        assert!(fs.read_hidden_dir_listing(&new).is_err());
+        assert!(fs.list(Parent::Dir(&new)).is_err());
         let rebuilt = fs.rebuild_dir_from_shadow(&new).unwrap();
         assert_eq!(rebuilt.children_relinked, 2);
         assert_eq!(names(), ["a", "b"]);
@@ -2349,7 +2213,7 @@ mod tests {
             .visible_at(0)
             .unwrap()
             .iter()
-            .flat_map(|uak| fs.list_hidden(uak).unwrap())
+            .flat_map(|uak| listed(&fs, Parent::Uak(uak)))
             .map(|(name, _)| name)
             .collect();
         assert_eq!(visible, vec!["addresses"]);
@@ -2359,7 +2223,7 @@ mod tests {
             .visible_at(1)
             .unwrap()
             .iter()
-            .flat_map(|uak| fs.list_hidden(uak).unwrap())
+            .flat_map(|uak| listed(&fs, Parent::Uak(uak)))
             .map(|(name, _)| name)
             .collect();
         assert_eq!(visible.len(), 2);
@@ -2383,11 +2247,8 @@ mod tests {
         let fs = small_fs();
         fs.steg_create("d", UAK, ObjectKind::Directory).unwrap();
         let dir = fs.lookup_entry("d", UAK).unwrap();
-        fs.steg_create("top", UAK, ObjectKind::File).unwrap();
-        fs.create_dir_child(&dir, "kid", ObjectKind::File).unwrap();
         let invalid = |r: &StegResult<()>| matches!(r, Err(StegError::InvalidName(_)));
-        // The first four are refused at both levels, the next two in a
-        // directory only.
+        // The first six are refused at both levels.
         let names = [
             "",
             "a\0b",
@@ -2398,31 +2259,130 @@ mod tests {
             "ok",
             "ok two",
         ];
-        for (i, name) in names.into_iter().enumerate() {
-            let created = fs.steg_create(name, UAK, ObjectKind::File);
-            let refused = invalid(&created);
-            assert_eq!(refused, i < 4, "top level: {name:?}");
-            if created.is_ok() {
-                fs.delete_hidden(name, UAK).unwrap();
-            }
-            let renamed = fs.rename_hidden("top", name, UAK);
-            assert_eq!(invalid(&renamed), refused, "top level: {name:?}");
-            if renamed.is_ok() {
-                fs.rename_hidden(name, "top", UAK).unwrap();
-            }
-
-            let created = fs.create_dir_child(&dir, name, ObjectKind::File);
-            let refused = invalid(&created);
-            assert_eq!(refused, i < 6, "child: {name:?}");
-            if created.is_ok() {
-                fs.remove_dir_child(&dir, name).unwrap();
-            }
-            let renamed = fs.rename_dir_child(&dir, "kid", name);
-            assert_eq!(invalid(&renamed), refused, "child: {name:?}");
-            if renamed.is_ok() {
-                fs.rename_dir_child(&dir, name, "kid").unwrap();
+        for parent in [Parent::Uak(UAK), Parent::Dir(&dir)] {
+            fs.create(parent, "kid", ObjectKind::File).unwrap();
+            for (i, name) in names.into_iter().enumerate() {
+                let created = fs.create(parent, name, ObjectKind::File);
+                let refused = invalid(&created);
+                assert_eq!(refused, i < 6, "{parent:?}: {name:?}");
+                if created.is_ok() {
+                    fs.remove(parent, name).unwrap();
+                }
+                let renamed = fs.rename(parent, "kid", name);
+                assert_eq!(invalid(&renamed), refused, "{parent:?}: {name:?}");
+                if renamed.is_ok() {
+                    fs.rename(parent, name, "kid").unwrap();
+                }
             }
         }
+    }
+
+    /// One step of the namespace parity script, its outcome and the names
+    /// listed after it.
+    type ParityStep = (
+        fn(&StegFs<MemBlockDevice>, Parent<'_>) -> StegResult<()>,
+        &'static str,
+        &'static [&'static str],
+    );
+
+    #[test]
+    fn namespace_parity_across_both_levels() {
+        use ObjectKind::{Directory, File};
+        let steps: [ParityStep; 16] = [
+            (|fs, p| fs.create(p, "a", File), "ok", &["a"]),
+            (
+                |fs, p| fs.create(p, "a", Directory),
+                "AlreadyExists",
+                &["a"],
+            ),
+            (|fs, p| fs.create(p, "b", File), "ok", &["a", "b"]),
+            (|fs, p| fs.rename(p, "a", "b"), "AlreadyExists", &["a", "b"]),
+            (|fs, p| fs.rename(p, "ghost", "x"), "NotFound", &["a", "b"]),
+            (
+                |fs, p| fs.remove(p, "ghost").map(drop),
+                "NotFound",
+                &["a", "b"],
+            ),
+            (|fs, p| fs.create(p, "d", Directory), "ok", &["a", "b", "d"]),
+            (
+                |fs, p| {
+                    let d = fs.list(p)?.find("d").cloned().unwrap();
+                    fs.create(Parent::Dir(&d), "kid", File)
+                },
+                "ok",
+                &["a", "b", "d"],
+            ),
+            (
+                |fs, p| fs.remove(p, "d").map(drop),
+                "DirectoryNotEmpty",
+                &["a", "b", "d"],
+            ),
+            (
+                |fs, p| fs.create(p, "", File),
+                "InvalidName",
+                &["a", "b", "d"],
+            ),
+            (
+                |fs, p| fs.create(p, "a\0", File),
+                "InvalidName",
+                &["a", "b", "d"],
+            ),
+            (
+                |fs, p| fs.create(p, "a\u{1}", File),
+                "InvalidName",
+                &["a", "b", "d"],
+            ),
+            (
+                |fs, p| fs.create(p, "a/b", File),
+                "InvalidName",
+                &["a", "b", "d"],
+            ),
+            (
+                |fs, p| fs.rename(p, "a", "a/b"),
+                "InvalidName",
+                &["a", "b", "d"],
+            ),
+            (|fs, p| fs.rename(p, "a", "c"), "ok", &["b", "c", "d"]),
+            (|fs, p| fs.remove(p, "c").map(drop), "ok", &["b", "d"]),
+        ];
+        let outcome = |r: StegResult<()>| match r {
+            Ok(()) => "ok",
+            Err(StegError::AlreadyExists(_)) => "AlreadyExists",
+            Err(StegError::NotFound(_)) => "NotFound",
+            Err(StegError::InvalidName(_)) => "InvalidName",
+            Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(_))) => "DirectoryNotEmpty",
+            Err(e) => panic!("unexpected error: {e}"),
+        };
+        let fs = small_fs();
+        fs.steg_create("top", "another key", Directory).unwrap();
+        let dir = fs.lookup_entry("top", "another key").unwrap();
+        for parent in [Parent::Uak(UAK), Parent::Dir(&dir)] {
+            for (i, (step, want, names)) in steps.iter().enumerate() {
+                let got = outcome(step(&fs, parent));
+                assert_eq!(got, *want, "step {i} at {parent:?}");
+                let mut now: Vec<String> = listed(&fs, parent).into_iter().map(|e| e.0).collect();
+                now.sort();
+                assert_eq!(now, *names, "listing after step {i} at {parent:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn recovery_refuses_a_config_that_mount_refuses() {
+        let fs = small_fs();
+        fs.write_plain(CONFIG_PATH, b"not a StegFS configuration")
+            .unwrap();
+        let image = fs.steg_backup(b"k").unwrap();
+        let corrupt = |r: StegResult<StegFs<MemBlockDevice>>| {
+            matches!(r, Err(StegError::Fs(stegfs_fs::FsError::Corrupt(_))))
+        };
+        assert!(corrupt(StegFs::mount(
+            fs.unmount().unwrap(),
+            StegParams::for_tests()
+        )));
+        let fresh = MemBlockDevice::new(1024, 8192);
+        let recovered = StegFs::steg_recovery(fresh, &image, b"k", StegParams::for_tests());
+        assert!(corrupt(recovered));
     }
 
     #[test]
@@ -2442,14 +2402,14 @@ mod tests {
         fs.write_hidden_with_key("temp", UAK, &vec![1u8; 50 * 1024])
             .unwrap();
         let before = fs.space_report().unwrap();
-        fs.delete_hidden("temp", UAK).unwrap();
+        fs.remove(Parent::Uak(UAK), "temp").unwrap();
         let after = fs.space_report().unwrap();
         assert!(after.free_blocks > before.free_blocks);
         assert!(fs
             .read_hidden_with_key("temp", UAK)
             .unwrap_err()
             .is_not_found());
-        assert!(fs.list_hidden(UAK).unwrap().is_empty());
+        assert!(fs.list(Parent::Uak(UAK)).unwrap().entries.is_empty());
     }
 
     #[test]
@@ -2533,7 +2493,7 @@ mod tests {
             .unwrap();
         let before = fs.lookup_entry("old-name", UAK).unwrap();
 
-        fs.rename_hidden("old-name", "new-name", UAK).unwrap();
+        fs.rename(Parent::Uak(UAK), "old-name", "new-name").unwrap();
         assert!(fs
             .read_hidden_with_key("old-name", UAK)
             .unwrap_err()
@@ -2551,15 +2511,15 @@ mod tests {
         // Conflicts and bad names are rejected.
         fs.steg_create("other", UAK, ObjectKind::File).unwrap();
         assert!(matches!(
-            fs.rename_hidden("new-name", "other", UAK),
+            fs.rename(Parent::Uak(UAK), "new-name", "other"),
             Err(StegError::AlreadyExists(_))
         ));
         assert!(matches!(
-            fs.rename_hidden("new-name", "", UAK),
+            fs.rename(Parent::Uak(UAK), "new-name", ""),
             Err(StegError::InvalidName(_))
         ));
         assert!(matches!(
-            fs.rename_hidden("ghost", "x", UAK),
+            fs.rename(Parent::Uak(UAK), "ghost", "x"),
             Err(StegError::NotFound(_))
         ));
     }
@@ -2624,8 +2584,8 @@ mod tests {
                         fs.write_hidden_with_key(&name, &uak, &data).unwrap();
                         assert_eq!(fs.read_hidden_with_key(&name, &uak).unwrap(), data);
                     }
-                    fs.delete_hidden("obj-0", &uak).unwrap();
-                    assert_eq!(fs.list_hidden(&uak).unwrap().len(), 3);
+                    fs.remove(Parent::Uak(&uak), "obj-0").unwrap();
+                    assert_eq!(fs.list(Parent::Uak(&uak)).unwrap().entries.len(), 3);
                 })
             })
             .collect();
@@ -2635,9 +2595,9 @@ mod tests {
         // Every namespace still resolves only under its own key.
         for t in 0..threads {
             let uak = format!("thread key {t}");
-            assert_eq!(fs.list_hidden(&uak).unwrap().len(), 3);
+            assert_eq!(fs.list(Parent::Uak(&uak)).unwrap().entries.len(), 3);
         }
-        assert!(fs.list_hidden("stranger").unwrap().is_empty());
+        assert!(fs.list(Parent::Uak("stranger")).unwrap().entries.is_empty());
     }
 
     // ------------------------------------------------------------------
@@ -2784,7 +2744,7 @@ mod tests {
         );
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key("race.dat", UAK).unwrap(), new);
-        fs.delete_hidden("race.dat", UAK).unwrap();
+        fs.remove(Parent::Uak(UAK), "race.dat").unwrap();
         assert!(fs.scavenge_entry(&entry).unwrap_err().is_not_found());
     }
 
@@ -2792,13 +2752,13 @@ mod tests {
     fn rebuild_lost_directory_from_shadow_listing() {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
-        fs.create_in_hidden_dir("vault", "a", UAK, ObjectKind::File)
+        let vault = fs.lookup_entry("vault", UAK).unwrap();
+        fs.create(Parent::Dir(&vault), "a", ObjectKind::File)
             .unwrap();
-        fs.create_in_hidden_dir("vault", "b", UAK, ObjectKind::File)
+        fs.create(Parent::Dir(&vault), "b", ObjectKind::File)
             .unwrap();
-        let parent = fs.lookup_entry("vault", UAK).unwrap();
         let a = fs
-            .read_hidden_dir_listing(&parent)
+            .list(Parent::Dir(&vault))
             .unwrap()
             .find("a")
             .cloned()
@@ -2808,27 +2768,27 @@ mod tests {
 
         // A live directory is never clobbered from its shadow.
         assert!(matches!(
-            fs.rebuild_dir_from_shadow(&parent),
+            fs.rebuild_dir_from_shadow(&vault),
             Err(StegError::AlreadyExists(_))
         ));
 
         // Destroy every header replica of the directory object: damage past
         // the metadata redundancy, so the listing is unreachable by key.
-        let keys = fs.keys_for(&parent.physical_name, &parent.fak);
-        let obj = fs.object_io(&keys).open(&parent.physical_name).unwrap();
+        let keys = fs.keys_for(&vault.physical_name, &vault.fak);
+        let obj = fs.object_io(&keys).open(&vault.physical_name).unwrap();
         let headers = obj.header_blocks().to_vec();
         for (i, &h) in headers.iter().enumerate() {
             smash_raw(&fs, h, i as u8);
         }
         fs.purge_read_caches();
-        assert!(fs.read_hidden_dir_listing(&parent).is_err());
+        assert!(fs.list(Parent::Dir(&vault)).is_err());
 
         // The shadow brings back the listing in place; both children still
         // probe, so nothing is dropped and the file's bytes survive.
-        let rebuilt = fs.rebuild_dir_from_shadow(&parent).unwrap();
+        let rebuilt = fs.rebuild_dir_from_shadow(&vault).unwrap();
         assert_eq!(rebuilt.children_relinked, 2);
         assert!(rebuilt.children_dropped.is_empty());
-        let listing = fs.read_hidden_dir_listing(&parent).unwrap();
+        let listing = fs.list(Parent::Dir(&vault)).unwrap();
         assert!(listing.find("a").is_some() && listing.find("b").is_some());
         assert_eq!(fs.read_hidden_entry(&a).unwrap(), payload);
 
@@ -2841,16 +2801,16 @@ mod tests {
         for (i, &h) in b_headers.iter().enumerate() {
             smash_raw(&fs, h, 0x40 + i as u8);
         }
-        let obj = fs.object_io(&keys).open(&parent.physical_name).unwrap();
+        let obj = fs.object_io(&keys).open(&vault.physical_name).unwrap();
         let headers = obj.header_blocks().to_vec();
         for (i, &h) in headers.iter().enumerate() {
             smash_raw(&fs, h, 0x80 + i as u8);
         }
         fs.purge_read_caches();
-        let rebuilt = fs.rebuild_dir_from_shadow(&parent).unwrap();
+        let rebuilt = fs.rebuild_dir_from_shadow(&vault).unwrap();
         assert_eq!(rebuilt.children_relinked, 1);
         assert_eq!(rebuilt.children_dropped, vec!["b".to_string()]);
-        let listing = fs.read_hidden_dir_listing(&parent).unwrap();
+        let listing = fs.list(Parent::Dir(&vault)).unwrap();
         assert!(listing.find("a").is_some() && listing.find("b").is_none());
         assert_eq!(fs.read_hidden_entry(&a).unwrap(), payload);
     }

@@ -45,7 +45,7 @@
 //! | object registry | `stegfs-vfs` | open / close / unlink only |
 //! | per-object lock | `stegfs-vfs` `ObjectEntry` | serialises I/O on one object |
 //! | UAK shard (`core.uak_shards`) | `stegfs-core` | never two at once |
-//! | object shard (`core.object_shards`) | `stegfs-core` | two only in `remove_dir_child`, ascending shard index |
+//! | object shard (`core.object_shards`) | `stegfs-core` | two only in `StegFs::remove` (a child and its directory), ascending shard index |
 //! | namespace (`fs.namespace`) | `stegfs-fs` | exclusive for deletes, then the victim's stripe |
 //! | inode stripe | `stegfs-fs` | one per file |
 //! | inode-table stripe | `stegfs-fs` | several in ascending stripe index (`FsTxn::commit`) |

@@ -24,7 +24,7 @@
 
 use stegfs_blockdev::BlockDevice;
 use stegfs_core::hidden::RepairOutcome;
-use stegfs_core::{DirectoryEntry, ObjectKind, StegFs, StegResult};
+use stegfs_core::{DirectoryEntry, ObjectKind, Parent, StegFs, StegResult};
 
 /// What a [`scavenge`] pass over one volume found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -122,7 +122,7 @@ fn visit<D: BlockDevice>(
         // Recurse only if the listing is readable — which, after a shadow
         // rebuild, it is again; a directory that stayed lost has an
         // unreachable subtree, already reported.
-        if let Ok(listing) = fs.read_hidden_dir_listing(entry) {
+        if let Ok(listing) = fs.list(Parent::Dir(entry)) {
             for child in &listing.entries {
                 let child_path = format!("{path}/{}", child.name);
                 visit(fs, child, &child_path, report)?;
@@ -143,9 +143,8 @@ fn visit<D: BlockDevice>(
 pub fn scavenge<D: BlockDevice>(fs: &StegFs<D>, uaks: &[&str]) -> StegResult<ScavengeReport> {
     let mut report = ScavengeReport::default();
     for uak in uaks {
-        for (name, _) in fs.list_hidden(uak)? {
-            let entry = fs.lookup_entry(&name, uak)?;
-            visit(fs, &entry, &name, &mut report)?;
+        for entry in fs.list(Parent::Uak(uak))?.entries {
+            visit(fs, &entry, &entry.name, &mut report)?;
         }
     }
     Ok(report)
@@ -174,7 +173,7 @@ mod tests {
             .unwrap();
         fs.steg_create("d", UAK, ObjectKind::Directory).unwrap();
         let d = fs.lookup_entry("d", UAK).unwrap();
-        fs.create_dir_child(&d, "b", ObjectKind::File).unwrap();
+        fs.create(Parent::Dir(&d), "b", ObjectKind::File).unwrap();
 
         let report = scavenge(&fs, &[UAK]).unwrap();
         assert_eq!(report.objects_scanned, 3); // a, d, d/b
@@ -227,14 +226,15 @@ mod tests {
         let fs = fixture();
         fs.steg_create("d", UAK, ObjectKind::Directory).unwrap();
         let d = fs.lookup_entry("d", UAK).unwrap();
-        fs.create_dir_child(&d, "b", ObjectKind::File).unwrap();
-        fs.create_dir_child(&d, "sub", ObjectKind::Directory)
+        fs.create(Parent::Dir(&d), "b", ObjectKind::File).unwrap();
+        fs.create(Parent::Dir(&d), "sub", ObjectKind::Directory)
             .unwrap();
-        let listing = fs.read_hidden_dir_listing(&d).unwrap();
+        let listing = fs.list(Parent::Dir(&d)).unwrap();
         let sub = listing.find("sub").cloned().unwrap();
         fs.steg_connect("d", UAK).unwrap();
         fs.write_hidden("b", &vec![9u8; 5000]).unwrap();
-        fs.create_dir_child(&sub, "leaf", ObjectKind::File).unwrap();
+        fs.create(Parent::Dir(&sub), "leaf", ObjectKind::File)
+            .unwrap();
 
         // Destroy every header replica of the interior directory "d":
         // damage past its metadata redundancy, so it cannot even be opened.
@@ -245,7 +245,7 @@ mod tests {
             dev.zero_block(h).unwrap();
         }
         fs.purge_read_caches();
-        assert!(fs.read_hidden_dir_listing(&d).is_err());
+        assert!(fs.list(Parent::Dir(&d)).is_err());
 
         // The pass rebuilds "d" from its shadow and keeps walking: the
         // whole subtree is scanned through the recovered listing.
@@ -256,11 +256,7 @@ mod tests {
         assert_eq!(report.objects_lost, 0);
         assert!(report.all_recovered());
         assert_eq!(fs.read_hidden("b").unwrap(), vec![9u8; 5000]);
-        assert!(fs
-            .read_hidden_dir_listing(&sub)
-            .unwrap()
-            .find("leaf")
-            .is_some());
+        assert!(fs.list(Parent::Dir(&sub)).unwrap().find("leaf").is_some());
     }
 
     #[test]
@@ -268,9 +264,11 @@ mod tests {
         let fs = fixture();
         fs.steg_create("d", UAK, ObjectKind::Directory).unwrap();
         let d = fs.lookup_entry("d", UAK).unwrap();
-        fs.create_dir_child(&d, "keep", ObjectKind::File).unwrap();
-        fs.create_dir_child(&d, "gone", ObjectKind::File).unwrap();
-        let listing = fs.read_hidden_dir_listing(&d).unwrap();
+        fs.create(Parent::Dir(&d), "keep", ObjectKind::File)
+            .unwrap();
+        fs.create(Parent::Dir(&d), "gone", ObjectKind::File)
+            .unwrap();
+        let listing = fs.list(Parent::Dir(&d)).unwrap();
         let gone = listing.find("gone").cloned().unwrap();
         fs.steg_connect("d", UAK).unwrap();
         fs.write_hidden("keep", &vec![5u8; 4000]).unwrap();

@@ -364,6 +364,35 @@ mod tests {
     }
 
     #[test]
+    fn objects_sharing_a_physical_name_stay_apart() {
+        // A re-keyed `x` moves to the physical name `<tag>:x#rev2`, which a
+        // later top-level `x#rev2` gets too: only the FAK tells them apart.
+        let dev = SharedDevice::new(MemBlockDevice::new(1024, 8192));
+        let fs = stegfs_core::StegFs::format(dev, StegParams::for_tests()).unwrap();
+        fs.steg_create("x", "k", stegfs_core::ObjectKind::File)
+            .unwrap();
+        fs.write_hidden_with_key("x", "k", b"bytes of x").unwrap();
+        fs.revoke_sharing("x", "k").unwrap();
+        fs.steg_create("x#rev2", "k", stegfs_core::ObjectKind::File)
+            .unwrap();
+        let (x, twin) = (fs.lookup_entry("x", "k"), fs.lookup_entry("x#rev2", "k"));
+        assert_eq!(x.unwrap().physical_name, twin.unwrap().physical_name);
+
+        let vfs = Vfs::new(fs);
+        let s = vfs.signon("k");
+        let hx = vfs.open(s, "/hidden/x", OpenOptions::read_write()).unwrap();
+        let ht = vfs
+            .open(s, "/hidden/x#rev2", OpenOptions::read_write())
+            .unwrap();
+        assert_eq!(vfs.read_at(ht, 0, 64).unwrap(), b"");
+        vfs.write_at(ht, 0, b"twin").unwrap();
+        assert_eq!(vfs.read_at(hx, 0, 64).unwrap(), b"bytes of x");
+        assert_eq!(vfs.read_at(ht, 0, 64).unwrap(), b"twin");
+        vfs.close(hx).unwrap();
+        vfs.close(ht).unwrap();
+    }
+
+    #[test]
     fn stale_session_cache_falls_back_to_disk() {
         let vfs = small_vfs();
         // Two sessions, same key: A's connected cache can go stale when B

@@ -43,9 +43,10 @@ use std::io::SeekFrom;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
+use stegfs_core::keys::FAK_LEN;
 use stegfs_core::session::{ConnectedObject, Session};
 use stegfs_core::{
-    CacheStats, DirectoryEntry, HiddenHandle, ObjectKind, SpaceReport, StegFs, StegParams,
+    CacheStats, DirectoryEntry, HiddenHandle, ObjectKind, Parent, SpaceReport, StegFs, StegParams,
     StegResult,
 };
 use stegfs_fs::{FileKind, InodeId};
@@ -106,8 +107,16 @@ pub(crate) enum ObjectKey {
     /// A plain file, pinned by inode id.  Pinning the inode (not the path)
     /// keeps handles on the same file across renames.
     Plain(InodeId),
-    /// A hidden object, by physical (locator) name.
-    Hidden(String),
+    /// A hidden object, by physical (locator) name *and* FAK: two live
+    /// objects can share a physical name (a re-keyed `x` is renamed
+    /// `x#rev2` physically, which a later top-level `x#rev2` gets too).
+    Hidden(String, [u8; FAK_LEN]),
+}
+
+impl ObjectKey {
+    fn hidden(entry: &DirectoryEntry) -> Self {
+        ObjectKey::Hidden(entry.physical_name.clone(), entry.fak)
+    }
 }
 
 /// What the per-object lock protects.
@@ -188,7 +197,7 @@ struct SessionState {
 /// handle" case reports through the same [`VfsError::is_not_found`] family.
 pub struct Vfs<D: BlockDevice> {
     fs: StegFs<D>,
-    /// Open shared objects, keyed by inode (plain) or physical name (hidden).
+    /// Open shared objects, keyed by inode (plain) or identity (hidden).
     objects: Mutex<HashMap<ObjectKey, Arc<ObjectEntry>>>,
     sessions: RwLock<HashMap<u64, Arc<SessionState>>>,
     table: OpenFileTable,
@@ -458,8 +467,9 @@ impl<D: BlockDevice> Vfs<D> {
             if entry.kind != ObjectKind::Directory {
                 return Err(VfsError::NotADirectory(comps.join("/")));
             }
-            let children = self.fs.read_hidden_dir_listing(&entry)?;
-            entry = children
+            entry = self
+                .fs
+                .list(Parent::Dir(&entry))?
                 .find(comp)
                 .cloned()
                 .ok_or_else(|| stegfs_core::StegError::NotFound(comp.clone()))?;
@@ -476,8 +486,7 @@ impl<D: BlockDevice> Vfs<D> {
     ) -> VfsResult<()> {
         out.push(entry.clone());
         if entry.kind == ObjectKind::Directory {
-            let children = self.fs.read_hidden_dir_listing(entry)?;
-            for child in &children.entries {
+            for child in &self.fs.list(Parent::Dir(entry))?.entries {
                 self.collect_offspring(child, out)?;
             }
         }
@@ -510,7 +519,7 @@ impl<D: BlockDevice> Vfs<D> {
     /// winner's entry).  An unlink racing a first-open is serialised by the
     /// core object shard and swept by unlink's post-delete registry pass.
     fn acquire_hidden(&self, entry: &DirectoryEntry) -> VfsResult<Arc<ObjectEntry>> {
-        let key = ObjectKey::Hidden(entry.physical_name.clone());
+        let key = ObjectKey::hidden(entry);
         {
             let map = self.objects.lock();
             if let Some(e) = map.get(&key) {
@@ -627,11 +636,7 @@ impl<D: BlockDevice> Vfs<D> {
                     ObjectKind::File => {
                         // Prefer the live cached handle (it reflects
                         // in-flight growth); fall back to a fresh open.
-                        let cached = self
-                            .objects
-                            .lock()
-                            .get(&ObjectKey::Hidden(entry.physical_name.clone()))
-                            .cloned();
+                        let cached = self.objects.lock().get(&ObjectKey::hidden(entry)).cloned();
                         let size = match cached {
                             Some(obj) if !obj.is_dead() => {
                                 let io = obj.io.lock();
@@ -687,13 +692,12 @@ impl<D: BlockDevice> Vfs<D> {
                     .collect())
             }
             VfsPath::HiddenRoot => {
-                let mut out: Vec<VfsDirEntry> = self
-                    .fs
-                    .list_hidden(&uak)?
+                let listing = self.fs.list(Parent::Uak(&uak))?.entries;
+                let mut out: Vec<VfsDirEntry> = listing
                     .into_iter()
-                    .map(|(name, kind)| VfsDirEntry {
-                        name,
-                        kind: object_kind(kind),
+                    .map(|e| VfsDirEntry {
+                        name: e.name,
+                        kind: object_kind(e.kind),
                     })
                     .collect();
                 // Connected objects (e.g. offspring of a connected directory,
@@ -718,8 +722,9 @@ impl<D: BlockDevice> Vfs<D> {
                 if entry.kind != ObjectKind::Directory {
                     return Err(VfsError::NotADirectory(path.to_string()));
                 }
-                let children = self.fs.read_hidden_dir_listing(entry)?;
-                Ok(children
+                Ok(self
+                    .fs
+                    .list(Parent::Dir(entry))?
                     .entries
                     .iter()
                     .map(|e| VfsDirEntry {
@@ -747,30 +752,30 @@ impl<D: BlockDevice> Vfs<D> {
                 self.fs.create_plain_dir(&p)?;
                 Ok(())
             }
-            VfsPath::Hidden(comps) => {
-                self.create_hidden(session, &uak, &comps, ObjectKind::Directory)?;
-                Ok(())
-            }
+            VfsPath::Hidden(comps) => self.with_parent(session, &uak, &comps, |parent, name| {
+                Ok(self.fs.create(parent, name, ObjectKind::Directory)?)
+            }),
         }
     }
 
-    /// Create a hidden object at any depth of `comps` (the component chain
-    /// under `/hidden`): top level goes through the UAK directory, deeper
-    /// levels resolve the parent chain and register the child in its parent
-    /// listing.
-    fn create_hidden(
+    /// Run `f` on the listing that holds the last component of `comps` (a
+    /// path under `/hidden`) and that component's name: the session's UAK
+    /// directory at top level, else the hidden directory the leading
+    /// components resolve to (through [`Self::with_hidden_entry`], so a
+    /// stale session cache falls back to a from-disk walk).
+    fn with_parent<R>(
         &self,
         session: SessionId,
         uak: &str,
         comps: &[String],
-        kind: ObjectKind,
-    ) -> VfsResult<()> {
-        match comps {
-            [] => Err(VfsError::InvalidPath("/hidden".into())),
-            [name] => Ok(self.fs.steg_create(name, uak, kind)?),
-            [parents @ .., child] => self.with_hidden_entry(session, uak, parents, |entry| {
-                Ok(self.fs.create_dir_child(entry, child, kind)?)
-            }),
+        mut f: impl FnMut(Parent<'_>, &str) -> VfsResult<R>,
+    ) -> VfsResult<R> {
+        match comps.split_last() {
+            None => Err(VfsError::InvalidPath("/hidden".into())),
+            Some((name, [])) => f(Parent::Uak(uak), name),
+            Some((name, dirs)) => {
+                self.with_hidden_entry(session, uak, dirs, |dir| f(Parent::Dir(dir), name))
+            }
         }
     }
 
@@ -791,138 +796,73 @@ impl<D: BlockDevice> Vfs<D> {
             VfsPath::Root | VfsPath::HiddenRoot => Err(VfsError::InvalidPath(path.to_string())),
             VfsPath::Plain(p) => {
                 // Resolve before touching the registry — path resolution is
-                // I/O and must not stall unrelated opens.  Pin the victim's
-                // object lock so in-flight handle I/O drains before its
-                // blocks are freed.
-                let inode = self.fs.plain_fs().resolve_file(&p).ok();
-                let cached =
-                    inode.and_then(|id| self.objects.lock().get(&ObjectKey::Plain(id)).cloned());
-                let io = cached.as_ref().map(|c| c.io.lock());
-                self.fs.delete_plain(&p)?;
-                if let Some(c) = &cached {
-                    c.mark_dead();
-                }
-                drop(io);
-                if let Some(c) = &cached {
-                    self.evict_entry(c);
-                }
-                // As in the hidden branch: an open racing this unlink may
-                // have registered a fresh entry for the inode while the
-                // delete ran.  The inode slot is free now and its id can be
-                // recycled by the next create, so that entry must die too or
-                // its handles would silently retarget.
-                if let Some(id) = inode {
-                    let late = self.objects.lock().get(&ObjectKey::Plain(id)).cloned();
-                    if let Some(late) = late {
-                        if !cached.as_ref().is_some_and(|c| Arc::ptr_eq(c, &late)) {
-                            late.mark_dead();
-                            self.evict_entry(&late);
-                        }
-                    }
-                }
-                Ok(())
+                // I/O and must not stall unrelated opens.  An open racing
+                // this unlink may register a fresh entry for the inode while
+                // the delete runs; the inode slot is free afterwards and its
+                // id can be recycled by the next create, so that entry must
+                // die too or its handles would silently retarget.
+                let key = self
+                    .fs
+                    .plain_fs()
+                    .resolve_file(&p)
+                    .ok()
+                    .map(ObjectKey::Plain);
+                self.unlink_pinned(key.clone(), || {
+                    self.fs.delete_plain(&p)?;
+                    Ok(key)
+                })
             }
             VfsPath::Hidden(comps) => {
-                let [name] = comps.as_slice() else {
-                    // A child inside a hidden directory: resolve the parent
-                    // chain, then remove through the core's child API.
-                    return self.unlink_hidden_child(session, &uak, &comps);
-                };
-                // Resolve the physical name first (outside the registry
-                // lock: it is a full UAK-directory walk) so the cached
-                // object can be pinned before its blocks are freed.  The
-                // physical name is stable for the object's lifetime, so the
-                // binding cannot change between the walk and the pin.
-                let physical = self
-                    .fs
-                    .lookup_entry(name, &uak)
-                    .ok()
-                    .map(|e| e.physical_name);
-                let cached =
-                    physical.and_then(|p| self.objects.lock().get(&ObjectKey::Hidden(p)).cloned());
-                let io = cached.as_ref().map(|c| c.io.lock());
-                let deleted = self.fs.delete_hidden(name, &uak)?;
-                if let Some(c) = &cached {
-                    c.mark_dead();
-                }
-                drop(io);
-                if let Some(c) = &cached {
-                    self.evict_entry(c);
-                }
-                // A first-open may have slipped a fresh entry into the
-                // registry while the delete ran (it won the core object
-                // shard before the delete freed the blocks).  Its object is
-                // gone now, so kill that entry too; a legitimate
-                // recreate-after-delete that lands in the same window is
-                // simply forced to reopen.
-                let late = self
-                    .objects
-                    .lock()
-                    .get(&ObjectKey::Hidden(deleted.physical_name.clone()))
-                    .cloned();
-                if let Some(late) = late {
-                    if !cached.as_ref().is_some_and(|c| Arc::ptr_eq(c, &late)) {
-                        late.mark_dead();
-                        self.evict_entry(&late);
-                    }
-                }
-                if let Ok(state) = self.session_state(session) {
-                    state.connected.lock().disconnect(name);
-                }
-                Ok(())
+                self.with_parent(session, &uak, &comps, |parent, name| {
+                    // Resolve the victim first (outside the registry lock:
+                    // it is a listing walk) so its entry can be pinned
+                    // before its blocks are freed.  The identity is stable
+                    // for the object's lifetime, so the binding cannot
+                    // change between the walk and the pin.
+                    let listing = self.fs.list(parent).ok();
+                    let key = listing.and_then(|l| l.find(name).map(ObjectKey::hidden));
+                    self.unlink_pinned(key, || {
+                        Ok(Some(ObjectKey::hidden(&self.fs.remove(parent, name)?)))
+                    })?;
+                    // The object may also be connected at top level
+                    // (steg_connect pulls offspring into the session).
+                    let _ = self.disconnect(session, name);
+                    Ok(())
+                })
             }
         }
     }
 
-    /// Unlink `comps` (length >= 2): a child inside a hidden directory.
-    /// Mirrors the single-level branch: pin the child's registry entry so
-    /// in-flight handle I/O drains before the core frees its blocks, then
-    /// sweep any entry a racing open slipped in during the delete.
-    fn unlink_hidden_child(
+    /// Unlink's one pin / mark-dead / late-sweep sequence.  The registry
+    /// entry under `key` (the victim's, resolved by the caller) is pinned
+    /// and its object lock held across `delete`, so in-flight handle I/O
+    /// drains before the blocks are freed; the entry dies once the delete
+    /// succeeds.  A first-open may have slipped a fresh entry in under the
+    /// key `delete` reports while it ran (it won the core object shard
+    /// before the blocks were freed); its object is gone now, so that entry
+    /// dies too, and a legitimate recreate landing in the same window is
+    /// simply forced to reopen.
+    fn unlink_pinned(
         &self,
-        session: SessionId,
-        uak: &str,
-        comps: &[String],
+        key: Option<ObjectKey>,
+        delete: impl FnOnce() -> VfsResult<Option<ObjectKey>>,
     ) -> VfsResult<()> {
-        let (parent_comps, child) = comps.split_at(comps.len() - 1);
-        let child = &child[0];
-        self.with_hidden_entry(session, uak, parent_comps, |parent_entry| {
-            let listing = self.fs.read_hidden_dir_listing(parent_entry)?;
-            let child_entry = listing
-                .find(child)
-                .cloned()
-                .ok_or_else(|| stegfs_core::StegError::NotFound(child.clone()))?;
-            let cached = self
-                .objects
-                .lock()
-                .get(&ObjectKey::Hidden(child_entry.physical_name.clone()))
-                .cloned();
-            let io = cached.as_ref().map(|c| c.io.lock());
-            let deleted = self.fs.remove_dir_child(parent_entry, child)?;
-            if let Some(c) = &cached {
-                c.mark_dead();
+        let cached = key.and_then(|k| self.objects.lock().get(&k).cloned());
+        let io = cached.as_ref().map(|c| c.io.lock());
+        let deleted = delete()?;
+        if let Some(c) = &cached {
+            c.mark_dead();
+        }
+        drop(io);
+        if let Some(c) = &cached {
+            self.evict_entry(c);
+        }
+        let late = deleted.and_then(|k| self.objects.lock().get(&k).cloned());
+        if let Some(late) = late {
+            if !cached.as_ref().is_some_and(|c| Arc::ptr_eq(c, &late)) {
+                late.mark_dead();
+                self.evict_entry(&late);
             }
-            drop(io);
-            if let Some(c) = &cached {
-                self.evict_entry(c);
-            }
-            let late = self
-                .objects
-                .lock()
-                .get(&ObjectKey::Hidden(deleted.physical_name.clone()))
-                .cloned();
-            if let Some(late) = late {
-                if !cached.as_ref().is_some_and(|c| Arc::ptr_eq(c, &late)) {
-                    late.mark_dead();
-                    self.evict_entry(&late);
-                }
-            }
-            Ok(())
-        })?;
-        // The child may also be connected at top level (steg_connect pulls
-        // offspring into the session); drop that cache entry.
-        if let Ok(state) = self.session_state(session) {
-            state.connected.lock().disconnect(child);
         }
         Ok(())
     }
@@ -940,30 +880,17 @@ impl<D: BlockDevice> Vfs<D> {
                 self.fs.plain_fs().rename(&a, &b)?;
                 Ok(())
             }
-            (VfsPath::Hidden(a), VfsPath::Hidden(b)) => {
-                if let ([old], [new]) = (a.as_slice(), b.as_slice()) {
-                    self.fs.rename_hidden(old, new, &uak)?;
-                    if let Ok(state) = self.session_state(session) {
-                        state.connected.lock().disconnect(old);
-                    }
-                    return Ok(());
-                }
-                if a.len() == b.len() && a.len() >= 2 && a[..a.len() - 1] == b[..b.len() - 1] {
-                    let parent_comps = &a[..a.len() - 1];
-                    let old = a.last().expect("len >= 2");
-                    let new = b.last().expect("len >= 2");
-                    self.with_hidden_entry(session, &uak, parent_comps, |parent_entry| {
-                        Ok(self.fs.rename_dir_child(parent_entry, old, new)?)
-                    })?;
-                    if let Ok(state) = self.session_state(session) {
-                        state.connected.lock().disconnect(old);
-                    }
-                    return Ok(());
-                }
-                Err(VfsError::Unsupported(format!(
-                    "hidden renames must stay within one directory: {from} -> {to}"
-                )))
+            (VfsPath::Hidden(a), VfsPath::Hidden(b)) if a[..a.len() - 1] == b[..b.len() - 1] => {
+                let new = b.last().expect("a hidden path has a component");
+                self.with_parent(session, &uak, &a, |parent, old| {
+                    self.fs.rename(parent, old, new)?;
+                    let _ = self.disconnect(session, old);
+                    Ok(())
+                })
             }
+            (VfsPath::Hidden(_), VfsPath::Hidden(_)) => Err(VfsError::Unsupported(format!(
+                "hidden renames must stay within one directory: {from} -> {to}"
+            ))),
             (VfsPath::Plain(_), VfsPath::Hidden(_)) | (VfsPath::Hidden(_), VfsPath::Plain(_)) => {
                 Err(VfsError::CrossNamespace {
                     from: from.to_string(),
@@ -1062,7 +989,10 @@ impl<D: BlockDevice> Vfs<D> {
                     Ok(v) => Ok(v),
                     Err(e) if e.is_not_found() && opts.create => {
                         // Create at any depth; the parent chain must exist.
-                        match self.create_hidden(session, &uak, &comps, ObjectKind::File) {
+                        let create = |parent: Parent<'_>, name: &str| {
+                            Ok(self.fs.create(parent, name, ObjectKind::File)?)
+                        };
+                        match self.with_parent(session, &uak, &comps, create) {
                             Ok(()) => {}
                             // Raced another creator: the object exists now,
                             // which is all we wanted.

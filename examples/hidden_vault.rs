@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run -p stegfs-examples --bin hidden_vault`.
 
-use stegfs_core::{AccessHierarchy, ObjectKind};
+use stegfs_core::{AccessHierarchy, ObjectKind, Parent};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_examples::{demo_volume, section};
 
@@ -38,10 +38,11 @@ fn main() {
     section("Level 1 (deniable): a hidden directory of sensitive files");
     fs.steg_create("vault", &deniable, ObjectKind::Directory)
         .unwrap();
-    fs.create_in_hidden_dir("vault", "sources", &deniable, ObjectKind::File)
-        .unwrap();
-    fs.create_in_hidden_dir("vault", "draft-story", &deniable, ObjectKind::File)
-        .unwrap();
+    let vault = fs.lookup_entry("vault", &deniable).unwrap();
+    for name in ["sources", "draft-story"] {
+        fs.create(Parent::Dir(&vault), name, ObjectKind::File)
+            .unwrap();
+    }
     // Connecting the directory reveals its offspring for this session.
     fs.steg_connect("vault", &deniable).unwrap();
     fs.write_hidden("sources", b"the whistleblower's contact details")
@@ -57,10 +58,9 @@ fn main() {
 
     section("Under compulsion: disclose level 0, deny level 1");
     for uak in alice.visible_at(0).unwrap() {
-        println!(
-            "objects visible with the disclosed key: {:?}",
-            fs.list_hidden(uak).unwrap()
-        );
+        let listing = fs.list(Parent::Uak(uak)).unwrap().entries;
+        let names: Vec<_> = listing.iter().map(|e| (&e.name, e.kind)).collect();
+        println!("objects visible with the disclosed key: {names:?}");
     }
     println!(
         "the deniable level is indistinguishable from not existing: {}",

@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
 use stegfs_core::blockmap::{BlockMap, Class};
-use stegfs_core::{ObjectKind, StegFs};
+use stegfs_core::{ObjectKind, Parent, StegFs};
 use stegfs_tests::{full_feature_params, journaled_params, payload, test_volume};
 
 const OWNER: &str = "the real key";
@@ -64,7 +64,7 @@ fn central_directory_never_mentions_hidden_objects() {
     let plain_blocks = |fs| -> Vec<u64> { inspect(fs).blocks(|c| c == Class::Plain).collect() };
     let before = plain_blocks(&fs);
     let before_free = fs.space_report().unwrap().free_blocks;
-    fs.delete_hidden("the-secret", OWNER).unwrap();
+    fs.remove(Parent::Uak(OWNER), "the-secret").unwrap();
     let after_free = fs.space_report().unwrap().free_blocks;
     assert!(after_free > before_free + 140);
     // Plain set unchanged by the deletion.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 use stegfs_blockdev::MemBlockDevice;
 use stegfs_core::blockmap::Class;
-use stegfs_core::{ObjectKind, StegFs, StegParams};
+use stegfs_core::{ObjectKind, Parent, StegFs, StegParams};
 use stegfs_tests::{owned_once, payload};
 
 /// Parameters with a *deterministic* free-pool size (`FB_min == FB_max`), so
@@ -32,6 +32,12 @@ fn uak_for(thread: usize) -> String {
 /// One round of parallel object churn: every thread creates, rewrites and
 /// deletes hidden objects under its own UAK, all against one shared
 /// allocator and bitmap.
+/// The names `uak` lists.
+fn names(fs: &StegFs<MemBlockDevice>, uak: &str) -> Vec<String> {
+    let listing = fs.list(Parent::Uak(uak)).unwrap().entries;
+    listing.into_iter().map(|e| e.name).collect()
+}
+
 fn churn_round(fs: &Arc<StegFs<MemBlockDevice>>, seeds: &[u64], sizes: &[usize]) {
     let workers: Vec<_> = (0..seeds.len())
         .map(|t| {
@@ -49,7 +55,7 @@ fn churn_round(fs: &Arc<StegFs<MemBlockDevice>>, seeds: &[u64], sizes: &[usize])
                 fs.steg_create("durable", &uak, ObjectKind::File).unwrap();
                 fs.write_hidden_with_key("durable", &uak, &data).unwrap();
 
-                fs.delete_hidden("ephemeral", &uak).unwrap();
+                fs.remove(Parent::Uak(&uak), "ephemeral").unwrap();
 
                 // Rewrite (shrink or grow) to push blocks through the free
                 // pool while other threads allocate.
@@ -100,17 +106,17 @@ proptest! {
         // round leaks blocks (UAK directories persist with deterministic
         // free pools because FB_min == FB_max).
         for uak in &uaks {
-            for (name, _) in fs.list_hidden(uak).unwrap() {
-                fs.delete_hidden(&name, uak).unwrap();
+            for name in names(&fs, uak) {
+                fs.remove(Parent::Uak(uak), &name).unwrap();
             }
-            prop_assert!(fs.list_hidden(uak).unwrap().is_empty());
+            prop_assert!(names(&fs, uak).is_empty());
         }
         let free_after_round1 = fs.plain_fs().free_data_blocks();
 
         churn_round(&fs, &seeds, &sizes);
         for uak in &uaks {
-            for (name, _) in fs.list_hidden(uak).unwrap() {
-                fs.delete_hidden(&name, uak).unwrap();
+            for name in names(&fs, uak) {
+                fs.remove(Parent::Uak(uak), &name).unwrap();
             }
         }
         let free_after_round2 = fs.plain_fs().free_data_blocks();
@@ -148,11 +154,11 @@ fn cross_segment_claims_fill_and_drain_cleanly() {
         owned.len()
     );
 
-    fs.delete_hidden("big", &uak).unwrap();
+    fs.remove(Parent::Uak(&uak), "big").unwrap();
     let free1 = fs.plain_fs().free_data_blocks();
     fs.steg_create("big", &uak, ObjectKind::File).unwrap();
     fs.write_hidden_with_key("big", &uak, &data).unwrap();
-    fs.delete_hidden("big", &uak).unwrap();
+    fs.remove(Parent::Uak(&uak), "big").unwrap();
     let free2 = fs.plain_fs().free_data_blocks();
     assert_eq!(free1, free2, "cross-segment churn leaked blocks");
 }
@@ -211,8 +217,12 @@ fn write_path_cache_never_changes_the_disk_image() {
         fs.write_at_handle(&mut h, 8_000, &payload(4, 4_000))
             .unwrap();
         fs.steg_create("dir", uak, ObjectKind::Directory).unwrap();
-        fs.create_in_hidden_dir("dir", "child", uak, ObjectKind::File)
-            .unwrap();
+        fs.create(
+            Parent::Dir(&fs.lookup_entry("dir", uak).unwrap()),
+            "child",
+            ObjectKind::File,
+        )
+        .unwrap();
         fs.unmount().unwrap().snapshot_raw()
     };
     assert_eq!(

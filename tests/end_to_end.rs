@@ -2,7 +2,7 @@
 //! remount → share → back up → destroy → recover.
 
 use stegfs_blockdev::MemBlockDevice;
-use stegfs_core::{ObjectKind, StegError, StegFs};
+use stegfs_core::{ObjectKind, Parent, StegError, StegFs};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_tests::{full_feature_params, payload, test_volume};
 
@@ -52,14 +52,15 @@ fn full_lifecycle_survives_remounts_and_recovery() {
     );
     // Each user's directory only lists their own objects.
     let alice_names: Vec<String> = fs
-        .list_hidden(ALICE)
+        .list(Parent::Uak(ALICE))
         .unwrap()
+        .entries
         .into_iter()
-        .map(|(n, _)| n)
+        .map(|e| e.name)
         .collect();
     assert_eq!(alice_names.len(), 2);
     assert!(alice_names.contains(&"alice-big".to_string()));
-    assert_eq!(fs.list_hidden(BOB).unwrap().len(), 1);
+    assert_eq!(fs.list(Parent::Uak(BOB)).unwrap().entries.len(), 1);
 
     // Share alice-big with Bob, verify, then revoke.
     let bob_rsa = RsaKeyPair::generate(512, b"bob rsa e2e");
@@ -112,7 +113,7 @@ fn unhide_round_trips_through_plain_namespace() {
         .read_hidden_with_key("secret", ALICE)
         .unwrap_err()
         .is_not_found());
-    assert!(fs.list_hidden(ALICE).unwrap().is_empty());
+    assert!(fs.list(Parent::Uak(ALICE)).unwrap().entries.is_empty());
 }
 
 #[test]
@@ -120,8 +121,12 @@ fn sessions_expose_connected_objects_only() {
     let fs = test_volume(4096);
     fs.steg_create("vault", ALICE, ObjectKind::Directory)
         .unwrap();
-    fs.create_in_hidden_dir("vault", "inner", ALICE, ObjectKind::File)
-        .unwrap();
+    fs.create(
+        Parent::Dir(&fs.lookup_entry("vault", ALICE).unwrap()),
+        "inner",
+        ObjectKind::File,
+    )
+    .unwrap();
     fs.steg_create("loose-file", ALICE, ObjectKind::File)
         .unwrap();
 

@@ -14,14 +14,16 @@
 //! order in which the facade forks its rng, so a refactor that moves one
 //! draw, one probe or one cache bypass changes the constant.
 //!
-//! `delete_hidden`, `steg_unhide` and `revoke_sharing` stay out of the
+//! A top-level `remove`, `steg_unhide` and `revoke_sharing` stay out of the
 //! script.  Each is one transaction (unhide adds a plain commit), and the
 //! namespace sweep in `tests/journal_crash.rs` crashes each of them at every
 //! block write it makes.
 
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
-use stegfs_core::{DirectoryEntry, ObjectKind, Policy, RepairOutcome, StegFs, StegParams};
+use stegfs_core::{
+    DirectoryEntry, ObjectKind, Parent, Policy, RepairOutcome, StegFs, StegParams, UakDirectory,
+};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_crypto::sha256::{sha256, Sha256};
 use stegfs_obs::lock::Mutex;
@@ -70,7 +72,7 @@ fn cached(disk: Disk) -> BufferCache<Disk> {
 }
 
 fn child(fs: &Stack, parent: &DirectoryEntry, name: &str) -> DirectoryEntry {
-    fs.read_hidden_dir_listing(parent)
+    fs.list(Parent::Dir(parent))
         .unwrap()
         .find(name)
         .cloned()
@@ -95,8 +97,8 @@ fn zero_block(fs: &Stack, block: u64) {
         .unwrap();
 }
 
-fn names(listing: Vec<(String, ObjectKind)>) -> Vec<String> {
-    let mut names: Vec<String> = listing.into_iter().map(|(n, _)| n).collect();
+fn names(listing: UakDirectory) -> Vec<String> {
+    let mut names: Vec<String> = listing.entries.into_iter().map(|e| e.name).collect();
     names.sort();
     names
 }
@@ -115,21 +117,21 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     fs.steg_create("vault", OWNER, ObjectKind::Directory)
         .unwrap();
     let vault = fs.lookup_entry("vault", OWNER).unwrap();
-    fs.create_dir_child(&vault, "a.bin", ObjectKind::File)
+    fs.create(Parent::Dir(&vault), "a.bin", ObjectKind::File)
         .unwrap();
-    fs.create_dir_child(&vault, "b.bin", ObjectKind::File)
+    fs.create(Parent::Dir(&vault), "b.bin", ObjectKind::File)
         .unwrap();
-    fs.create_dir_child(&vault, "sub", ObjectKind::Directory)
+    fs.create(Parent::Dir(&vault), "sub", ObjectKind::Directory)
         .unwrap();
-    fs.create_dir_child(&vault, "tmp", ObjectKind::Directory)
+    fs.create(Parent::Dir(&vault), "tmp", ObjectKind::Directory)
         .unwrap();
     let sub = child(&fs, &vault, "sub");
     let tmp = child(&fs, &vault, "tmp");
-    fs.create_dir_child(&sub, "deep.bin", ObjectKind::File)
+    fs.create(Parent::Dir(&sub), "deep.bin", ObjectKind::File)
         .unwrap();
-    fs.create_dir_child(&sub, "empty", ObjectKind::Directory)
+    fs.create(Parent::Dir(&sub), "empty", ObjectKind::Directory)
         .unwrap();
-    fs.create_dir_child(&tmp, "only.bin", ObjectKind::File)
+    fs.create(Parent::Dir(&tmp), "only.bin", ObjectKind::File)
         .unwrap();
 
     // Handle writes on children: grow from empty, patch in place, straddle
@@ -166,13 +168,19 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
 
     // Listing rewrites: rename, remove a file, remove an empty directory,
     // empty a directory (its shadow listing goes) and remove it too.
-    fs.rename_dir_child(&vault, "b.bin", "c.bin").unwrap();
-    assert_eq!(fs.remove_dir_child(&vault, "c.bin").unwrap().name, "c.bin");
-    fs.remove_dir_child(&sub, "empty").unwrap();
-    fs.remove_dir_child(&tmp, "only.bin").unwrap();
-    fs.remove_dir_child(&vault, "tmp").unwrap();
+    fs.rename(Parent::Dir(&vault), "b.bin", "c.bin").unwrap();
     assert_eq!(
-        names(fs.list_hidden_dir("vault", OWNER).unwrap()),
+        fs.remove(Parent::Dir(&vault), "c.bin").unwrap().name,
+        "c.bin"
+    );
+    fs.remove(Parent::Dir(&sub), "empty").unwrap();
+    fs.remove(Parent::Dir(&tmp), "only.bin").unwrap();
+    fs.remove(Parent::Dir(&vault), "tmp").unwrap();
+    assert_eq!(
+        names(
+            fs.list(Parent::Dir(&fs.lookup_entry("vault", OWNER).unwrap()))
+                .unwrap()
+        ),
         ["a.bin", "sub"]
     );
 
@@ -180,7 +188,7 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     fs.steg_create("ledger", OWNER, ObjectKind::File).unwrap();
     let mut books = payload(6, 11 * BS + 40);
     fs.write_hidden_with_key("ledger", OWNER, &books).unwrap();
-    fs.rename_hidden("ledger", "books", OWNER).unwrap();
+    fs.rename(Parent::Uak(OWNER), "ledger", "books").unwrap();
     let friend_rsa = RsaKeyPair::generate(512, b"golden namespace recipient");
     let envelope = fs
         .steg_getentry("books", OWNER, &friend_rsa.public)
@@ -205,7 +213,7 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
         zero_block(&fs, block);
     }
     fs.purge_read_caches();
-    assert!(fs.read_hidden_dir_listing(&sub).is_err());
+    assert!(fs.list(Parent::Dir(&sub)).is_err());
     let rebuilt = fs.rebuild_dir_from_shadow(&sub).unwrap();
     assert_eq!(rebuilt.children_relinked, 1);
     assert!(rebuilt.children_dropped.is_empty());
@@ -228,7 +236,14 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     fs.purge_read_caches();
     assert_eq!(fs.read_range_at(&h, 0, books.len()).unwrap(), books);
     drop(h);
-    assert_eq!(names(fs.list_hidden_dir("vault", OWNER).unwrap()).len(), 2);
+    assert_eq!(
+        names(
+            fs.list(Parent::Dir(&fs.lookup_entry("vault", OWNER).unwrap()))
+                .unwrap()
+        )
+        .len(),
+        2
+    );
     let books_entry = fs.lookup_entry("books", OWNER).unwrap();
     for entry in [&books_entry, &vault] {
         assert!(matches!(
@@ -243,8 +258,11 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
 
     // Remount over a fresh cache: everything is served back, healthy.
     let fs: Stack = StegFs::mount(cached(cache.into_inner()), params()).expect("remount");
-    assert_eq!(names(fs.list_hidden(OWNER).unwrap()), ["books", "vault"]);
-    assert_eq!(names(fs.list_hidden(FRIEND).unwrap()), ["books"]);
+    assert_eq!(
+        names(fs.list(Parent::Uak(OWNER)).unwrap()),
+        ["books", "vault"]
+    );
+    assert_eq!(names(fs.list(Parent::Uak(FRIEND)).unwrap()), ["books"]);
     assert_eq!(fs.read_hidden_with_key("books", FRIEND).unwrap(), books);
     let vault = fs.lookup_entry("vault", OWNER).unwrap();
     let a = child(&fs, &vault, "a.bin");

@@ -29,7 +29,7 @@ use stegfs_blockdev::{
 };
 use stegfs_core::blockmap::BlockMap;
 use stegfs_core::crypt::ObjectKeys;
-use stegfs_core::{DirectoryEntry, ObjectKind, StegError, StegFs, StegParams};
+use stegfs_core::{DirectoryEntry, ObjectKind, Parent, StegError, StegFs, StegParams};
 use stegfs_journal::SlotUse;
 use stegfs_obs::lock::{Condvar, Mutex, RwLock};
 use stegfs_tests::{journaled_params, owned_once, payload};
@@ -165,7 +165,7 @@ impl Driver {
                     Some(n) => n.clone(),
                     None => return true,
                 };
-                match fs.delete_hidden(&name, OWNER) {
+                match fs.remove(Parent::Uak(OWNER), &name) {
                     Ok(_) => {
                         self.hidden_model.remove(&name);
                         Ok(())
@@ -207,13 +207,13 @@ fn read_hidden<D: BlockDevice>(
 /// No ghost names: every name the UAK directory lists must open and read.
 /// Returns the listed names.
 fn assert_listed_names_open<D: BlockDevice>(fs: &StegFs<D>) -> Vec<String> {
-    let listed = fs.list_hidden(OWNER).unwrap();
-    for (name, _) in &listed {
-        if let Err(e) = read_hidden(fs, name) {
-            panic!("{name} is listed but cannot be read: {e}");
+    let listed = fs.list(Parent::Uak(OWNER)).unwrap().entries;
+    for entry in &listed {
+        if let Err(e) = read_hidden(fs, &entry.name) {
+            panic!("{} is listed but cannot be read: {e}", entry.name);
         }
     }
-    listed.into_iter().map(|(name, _)| name).collect()
+    listed.into_iter().map(|e| e.name).collect()
 }
 
 proptest! {
@@ -1129,28 +1129,28 @@ const ROWS: [Row; 11] = [
         1,
     ),
     (
-        "create_dir_child",
-        |fs| fs.create_dir_child(&vault(fs)?, "c.bin", ObjectKind::File),
+        "create in a directory",
+        |fs| fs.create(Parent::Dir(&vault(fs)?), "c.bin", ObjectKind::File),
         1,
     ),
     (
-        "rename_dir_child",
-        |fs| fs.rename_dir_child(&vault(fs)?, "b.bin", "renamed.bin"),
+        "rename in a directory",
+        |fs| fs.rename(Parent::Dir(&vault(fs)?), "b.bin", "renamed.bin"),
         1,
     ),
     (
-        "remove_dir_child",
-        |fs| fs.remove_dir_child(&vault(fs)?, "sub").map(drop),
+        "remove from a directory",
+        |fs| fs.remove(Parent::Dir(&vault(fs)?), "sub").map(drop),
         1,
     ),
     (
-        "delete_hidden",
-        |fs| fs.delete_hidden("doc", OWNER).map(drop),
+        "remove at top level",
+        |fs| fs.remove(Parent::Uak(OWNER), "doc").map(drop),
         1,
     ),
     (
-        "rename_hidden",
-        |fs| fs.rename_hidden("doc", "kept", OWNER),
+        "rename at top level",
+        |fs| fs.rename(Parent::Uak(OWNER), "doc", "kept"),
         1,
     ),
     ("revoke_sharing", |fs| fs.revoke_sharing("doc", OWNER), 1),
@@ -1191,7 +1191,7 @@ fn namespace(fs: &Stack) -> Namespace {
             }
             ObjectKind::Directory => {
                 let listing = fs
-                    .read_hidden_dir_listing(&entry)
+                    .list(Parent::Dir(&entry))
                     .unwrap_or_else(|e| panic!("{path} is listed but does not read: {e}"));
                 for child in listing.entries {
                     walk(fs, format!("{path}/{}", child.name), child, seen);
@@ -1202,9 +1202,8 @@ fn namespace(fs: &Stack) -> Namespace {
         seen.insert(path, (Some(entry), data));
     }
     let mut seen = Namespace::new();
-    for (name, _) in fs.list_hidden(OWNER).unwrap() {
-        let entry = fs.lookup_entry(&name, OWNER).unwrap();
-        walk(fs, name, entry, &mut seen);
+    for entry in fs.list(Parent::Uak(OWNER)).unwrap().entries {
+        walk(fs, entry.name.clone(), entry, &mut seen);
     }
     for path in ["/cover.txt", "/uncovered.txt"] {
         if fs.plain_exists(path).unwrap() {
@@ -1250,16 +1249,12 @@ impl NamespaceScript {
         fs.steg_create("vault", OWNER, ObjectKind::Directory)
             .unwrap();
         let vault = vault(&fs).unwrap();
-        fs.create_dir_child(&vault, "b.bin", ObjectKind::File)
+        fs.create(Parent::Dir(&vault), "b.bin", ObjectKind::File)
             .unwrap();
-        let b = fs
-            .read_hidden_dir_listing(&vault)
-            .unwrap()
-            .find("b.bin")
-            .cloned();
+        let b = fs.list(Parent::Dir(&vault)).unwrap().find("b.bin").cloned();
         let mut h = fs.open_hidden_entry(&b.unwrap()).unwrap();
         fs.write_at_handle(&mut h, 0, &payload(32, 2048)).unwrap();
-        fs.create_dir_child(&vault, "sub", ObjectKind::Directory)
+        fs.create(Parent::Dir(&vault), "sub", ObjectKind::Directory)
             .unwrap();
         fs.write_plain("/cover.txt", &payload(33, 2048)).unwrap();
         fs.sync().unwrap();
@@ -1335,7 +1330,7 @@ impl Case {
             let Some(entry) = entry else { continue };
             let created = match path.split_once('/') {
                 Some(("vault", child)) => {
-                    fs.create_dir_child(&vault(fs).unwrap(), child, entry.kind)
+                    fs.create(Parent::Dir(&vault(fs).unwrap()), child, entry.kind)
                 }
                 _ => fs.steg_create(path, OWNER, entry.kind),
             };
@@ -1350,7 +1345,7 @@ impl Case {
 /// of the count that lets it finish, then replay runs at remount.  Each
 /// operation is one transaction (hide and unhide add a plain commit), so
 /// the namespace comes back old or new, never a ghost name or a leaked
-/// object.  Among the rows, an interrupted `delete_hidden` never wedges its
+/// object.  Among the rows, an interrupted top-level `remove` never wedges its
 /// name: a name still listed reads back, one no longer listed can be
 /// created again.
 #[test]
@@ -1444,7 +1439,7 @@ fn a_failed_shadow_delete_fails_the_removal_and_commits_nothing() {
     .unwrap();
     fs.steg_create("vault", OWNER, ObjectKind::Directory)
         .unwrap();
-    fs.create_dir_child(&vault(&fs).unwrap(), "only", ObjectKind::File)
+    fs.create(Parent::Dir(&vault(&fs).unwrap()), "only", ObjectKind::File)
         .unwrap();
     fs.sync().unwrap();
     let before = BlockMap::keyed(&fs, &[OWNER]).unwrap();
@@ -1456,7 +1451,7 @@ fn a_failed_shadow_delete_fails_the_removal_and_commits_nothing() {
     let whole = SCRIPT_BLOCKS as usize;
     let fs = StegFs::mount(BufferCache::new_write_back(dev.clone(), whole), params()).unwrap();
     let only = fs
-        .read_hidden_dir_listing(&vault(&fs).unwrap())
+        .list(Parent::Dir(&vault(&fs).unwrap()))
         .unwrap()
         .find("only")
         .cloned()
@@ -1466,7 +1461,7 @@ fn a_failed_shadow_delete_fails_the_removal_and_commits_nothing() {
     let image = durable_image(&dev);
     dev.fail_only(FaultTarget::Reads);
     dev.script_failures(1);
-    let removed = fs.remove_dir_child(&vault(&fs).unwrap(), "only");
+    let removed = fs.remove(Parent::Dir(&vault(&fs).unwrap()), "only");
     assert!(
         removed.is_err(),
         "the removal survived a failed shadow delete"
@@ -1480,7 +1475,7 @@ fn a_failed_shadow_delete_fails_the_removal_and_commits_nothing() {
     );
 
     let fs = mount_stack(&dev);
-    let listing = fs.read_hidden_dir_listing(&vault(&fs).unwrap()).unwrap();
+    let listing = fs.list(Parent::Dir(&vault(&fs).unwrap())).unwrap();
     assert_eq!(listing.find("only"), Some(&only));
     fs.open_hidden_entry(&only).unwrap();
     let after = owned_once(&fs, &[OWNER]);

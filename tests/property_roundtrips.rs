@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use stegfs_blockdev::MemBlockDevice;
-use stegfs_core::{ObjectKind, StegFs, StegParams};
+use stegfs_core::{ObjectKind, Parent, StegFs, StegParams};
 use stegfs_crypto::ida::Ida;
 use stegfs_fs::{AllocPolicy, FormatOptions, PlainFs};
 
@@ -88,7 +88,7 @@ proptest! {
         prop_assert_eq!(fs.read_hidden_with_key("rw", "key").unwrap(), last.clone());
         // After deleting, every block the object ever held is free again
         // (the pool and all data/chain blocks).
-        fs.delete_hidden("rw", "key").unwrap();
+        fs.remove(Parent::Uak("key"), "rw").unwrap();
         let after = fs.space_report().unwrap().free_blocks;
         // The UAK directory itself still holds a handful of blocks.
         prop_assert!(after + 24 >= baseline,

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Barrier};
 use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
-use stegfs_core::{DirectoryEntry, ObjectKind, Policy, StegFs, StegParams};
+use stegfs_core::{DirectoryEntry, ObjectKind, Parent, Policy, StegFs, StegParams};
 use stegfs_crypto::kdf;
 use stegfs_tests::{journaled_params, payload, test_volume};
 use stegfs_vfs::{OpenOptions, Vfs};
@@ -78,7 +78,7 @@ fn overwrite_truncate_rename_unlink_invalidate_stegfs() {
     assert!(grown[500..].iter().all(|&b| b == 0));
 
     // Rename: old name gone, new name reads current content.
-    fs.rename_hidden("doc", "doc2", OWNER).unwrap();
+    fs.rename(Parent::Uak(OWNER), "doc", "doc2").unwrap();
     assert!(fs
         .read_hidden_with_key("doc", OWNER)
         .unwrap_err()
@@ -87,7 +87,7 @@ fn overwrite_truncate_rename_unlink_invalidate_stegfs() {
 
     // Unlink: reads must fail afterwards, however warm the cache was.
     assert_eq!(fs.read_hidden_with_key("doc2", OWNER).unwrap(), grown);
-    fs.delete_hidden("doc2", OWNER).unwrap();
+    fs.remove(Parent::Uak(OWNER), "doc2").unwrap();
     assert!(fs
         .read_hidden_with_key("doc2", OWNER)
         .unwrap_err()
@@ -176,24 +176,23 @@ fn hidden_directory_listings_stay_coherent() {
     let fs = small_fs();
     fs.steg_create("vault", OWNER, ObjectKind::Directory)
         .unwrap();
-    fs.create_in_hidden_dir("vault", "a", OWNER, ObjectKind::File)
-        .unwrap();
+    let vault = fs.lookup_entry("vault", OWNER).unwrap();
+    let dir = Parent::Dir(&vault);
+    let names = || -> Vec<String> {
+        let listing = fs.list(dir).unwrap().entries;
+        listing.into_iter().map(|e| e.name).collect()
+    };
+    fs.create(dir, "a", ObjectKind::File).unwrap();
     // Read the listing twice (cached), then mutate it and re-read.
-    assert_eq!(fs.list_hidden_dir("vault", OWNER).unwrap().len(), 1);
-    assert_eq!(fs.list_hidden_dir("vault", OWNER).unwrap().len(), 1);
-    fs.create_in_hidden_dir("vault", "b", OWNER, ObjectKind::File)
-        .unwrap();
-    assert_eq!(fs.list_hidden_dir("vault", OWNER).unwrap().len(), 2);
-    fs.rename_in_hidden_dir("vault", "a", "a2", OWNER).unwrap();
-    let names: Vec<String> = fs
-        .list_hidden_dir("vault", OWNER)
-        .unwrap()
-        .into_iter()
-        .map(|(n, _)| n)
-        .collect();
-    assert!(names.contains(&"a2".to_string()) && !names.contains(&"a".to_string()));
-    fs.delete_in_hidden_dir("vault", "a2", OWNER).unwrap();
-    assert_eq!(fs.list_hidden_dir("vault", OWNER).unwrap().len(), 1);
+    assert_eq!(names(), ["a"]);
+    assert_eq!(names(), ["a"]);
+    fs.create(dir, "b", ObjectKind::File).unwrap();
+    assert_eq!(names().len(), 2);
+    fs.rename(dir, "a", "a2").unwrap();
+    let renamed = names();
+    assert!(renamed.contains(&"a2".to_string()) && !renamed.contains(&"a".to_string()));
+    fs.remove(dir, "a2").unwrap();
+    assert_eq!(names(), ["b"]);
 }
 
 // ----------------------------------------------------------------------
@@ -333,9 +332,10 @@ fn run_workload(fs: &StegFs<MemBlockDevice>) {
     let mut h = fs.open_hidden("obj-2", OWNER).unwrap();
     fs.truncate_handle(&mut h, 2_000).unwrap();
     let _ = fs.read_range_at(&h, 0, 2_000).unwrap();
-    fs.rename_hidden("obj-0", "obj-renamed", OWNER).unwrap();
+    fs.rename(Parent::Uak(OWNER), "obj-0", "obj-renamed")
+        .unwrap();
     let _ = fs.read_hidden_with_key("obj-renamed", OWNER).unwrap();
-    fs.delete_hidden("obj-renamed", OWNER).unwrap();
+    fs.remove(Parent::Uak(OWNER), "obj-renamed").unwrap();
     // Re-key and recreate-under-the-same-name: the key cache's own
     // invalidation points.
     fs.revoke_sharing("obj-1", OWNER).unwrap();
@@ -343,7 +343,7 @@ fn run_workload(fs: &StegFs<MemBlockDevice>) {
     fs.write_hidden_with_key("obj-0", OWNER, &payload(41, 5_000))
         .unwrap();
     let _ = fs.read_hidden_with_key("obj-0", OWNER).unwrap();
-    let _ = fs.list_hidden(OWNER).unwrap();
+    let _ = fs.list(Parent::Uak(OWNER)).unwrap();
     fs.touch_dummy_files().unwrap();
     let _ = fs.read_hidden_with_key("obj-1", OWNER).unwrap();
     // In-place patches through a handle, each between two reads, on a
@@ -530,7 +530,7 @@ fn rename_rekey_and_recreate_never_serve_the_old_key_set() {
 
     // Rename keeps the pair, so the keys are equal — but freshly derived:
     // the namespace mutation dropped the cached set.
-    fs.rename_hidden("doc", "doc2", OWNER).unwrap();
+    fs.rename(Parent::Uak(OWNER), "doc", "doc2").unwrap();
     let renamed = fs.lookup_entry("doc2", OWNER).unwrap();
     assert_eq!(renamed.fak, original.fak);
     let renamed_keys = fs.keys_for(&renamed.physical_name, &renamed.fak);
@@ -554,7 +554,7 @@ fn rename_rekey_and_recreate_never_serve_the_old_key_set() {
 
     // Unlink, then recreate under the same name: a new FAK, so a new key
     // set; neither earlier pair resolves.
-    fs.delete_hidden("doc2", OWNER).unwrap();
+    fs.remove(Parent::Uak(OWNER), "doc2").unwrap();
     fs.steg_create("doc2", OWNER, ObjectKind::File).unwrap();
     let v2 = payload(74, 2_500);
     fs.write_hidden_with_key("doc2", OWNER, &v2).unwrap();
