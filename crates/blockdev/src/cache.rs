@@ -632,7 +632,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
 mod tests {
     use super::*;
     use crate::device::{MemBlockDevice, SharedDevice};
-    use crate::fault::{FaultDevice, FaultTarget};
+    use crate::fault::{Dir, FaultDevice, FaultTarget, Op, Park, ParkAt, Trigger};
     use crate::observed::ObservedDevice;
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -945,135 +945,18 @@ mod tests {
     // A miss holds no lock across its device read
     // ------------------------------------------------------------------
 
-    #[derive(Default)]
-    struct Park {
-        armed: Option<BlockId>,
-        /// Trip writes that include the armed block instead of reads.
-        writes: bool,
-        /// The tripped transfer fails: a read at once instead of parking, a
-        /// write when it is released.
-        fail: bool,
-        parked: usize,
-        open: bool,
-        /// Write submissions as they reached the store, and barriers.
-        landed: Vec<Submission>,
+    type Parking = FaultDevice<SharedDevice>;
+
+    /// A fault device over a fresh store, and the store, which tests reach
+    /// past the device's plans.
+    fn parking(blocks: u64) -> (Parking, SharedDevice) {
+        let store = SharedDevice::new(MemBlockDevice::new(64, blocks));
+        (FaultDevice::new(store.clone()), store)
     }
 
-    /// Reads go to the store; a read that includes the armed block then
-    /// parks until [`release`](Self::release) (or fails), holding the image
-    /// it already fetched — a transfer overtaken by anything that happens
-    /// while it is parked.  Armed for writes, the first write submission
-    /// that includes the armed block parks *before* reaching the store (a
-    /// batch still out on the device) and lands, or fails, on release;
-    /// later writes pass.
-    #[derive(Clone)]
-    struct ParkingDevice {
-        store: SharedDevice,
-        park: Arc<(Mutex<Park>, Condvar)>,
-    }
-
-    impl ParkingDevice {
-        fn new(blocks: u64) -> Self {
-            ParkingDevice {
-                store: SharedDevice::new(MemBlockDevice::new(64, blocks)),
-                park: Arc::default(),
-            }
-        }
-
-        fn arm(&self, block: BlockId, fail: bool) {
-            *self.park.0.lock() = Park {
-                armed: Some(block),
-                fail,
-                ..Park::default()
-            };
-        }
-
-        fn arm_writes(&self, block: BlockId, fail: bool) {
-            *self.park.0.lock() = Park {
-                armed: Some(block),
-                writes: true,
-                fail,
-                ..Park::default()
-            };
-        }
-
-        fn landed(&self) -> Vec<Submission> {
-            self.park.0.lock().landed.clone()
-        }
-
-        fn wait_parked(&self, readers: usize) {
-            let (lock, cv) = &*self.park;
-            let mut p = lock.lock();
-            while p.parked < readers {
-                p = cv.wait(p);
-            }
-        }
-
-        fn release(&self) {
-            self.park.0.lock().open = true;
-            self.park.1.notify_all();
-        }
-
-        fn pass(&self, blocks: &[BlockId], write: bool) -> BlockResult<()> {
-            let (lock, cv) = &*self.park;
-            let mut p = lock.lock();
-            let tripped = p.writes == write
-                && p.armed.is_some_and(|b| blocks.contains(&b))
-                && !(write && p.parked > 0);
-            if !tripped {
-                return Ok(());
-            }
-            if p.fail && !write {
-                return Err(std::io::Error::other("scripted read failure").into());
-            }
-            p.parked += 1;
-            cv.notify_all();
-            while !p.open {
-                p = cv.wait(p);
-            }
-            if p.fail {
-                return Err(std::io::Error::other("scripted write failure").into());
-            }
-            Ok(())
-        }
-
-        fn log(&self, submission: Submission) {
-            self.park.0.lock().landed.push(submission);
-        }
-    }
-
-    impl BlockDevice for ParkingDevice {
-        fn block_size(&self) -> usize {
-            self.store.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.store.total_blocks()
-        }
-        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-            self.store.read_block(block, buf)?;
-            self.pass(&[block], false)
-        }
-        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-            self.pass(&[block], true)?;
-            self.store.write_block(block, buf)?;
-            self.log(Submission::Write(block, buf.to_vec()));
-            Ok(())
-        }
-        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
-            self.store.read_blocks(blocks, buf)?;
-            self.pass(blocks, false)
-        }
-        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-            self.pass(blocks, true)?;
-            self.store.write_blocks(blocks, buf)?;
-            self.log(Submission::WriteBatch(blocks.to_vec(), buf.to_vec()));
-            Ok(())
-        }
-        fn flush(&self) -> BlockResult<()> {
-            self.store.flush()?;
-            self.log(Submission::Flush);
-            Ok(())
-        }
+    /// The `dir` submissions whose blocks include `block`.
+    fn touching(dir: Dir, block: BlockId) -> Trigger {
+        Trigger::when(move |op| op.dir == dir && op.blocks.contains(&block))
     }
 
     /// Run `work` on another thread; its result arrives on the receiver.
@@ -1098,14 +981,14 @@ mod tests {
     }
 
     fn flush_in_background(
-        cache: &Arc<BufferCache<ParkingDevice>>,
+        cache: &Arc<BufferCache<Parking>>,
     ) -> std::thread::JoinHandle<BlockResult<()>> {
         let cache = Arc::clone(cache);
         std::thread::spawn(move || cache.flush())
     }
 
     fn parked_read(
-        cache: &Arc<BufferCache<ParkingDevice>>,
+        cache: &Arc<BufferCache<Parking>>,
         block: BlockId,
     ) -> std::thread::JoinHandle<BlockResult<Vec<u8>>> {
         let cache = Arc::clone(cache);
@@ -1118,14 +1001,14 @@ mod tests {
     #[test]
     fn hits_and_writes_complete_while_a_miss_is_on_the_device() {
         for mode in [CacheMode::WriteThrough, CacheMode::WriteBack] {
-            let dev = ParkingDevice::new(16);
-            dev.store.write_block(1, &[1; 64]).unwrap();
+            let (dev, store) = parking(16);
+            store.write_block(1, &[1; 64]).unwrap();
             let cache = Arc::new(BufferCache::with_mode(dev.clone(), 8, mode));
             cache.read_block(1, &mut [0u8; 64]).unwrap();
 
-            dev.arm(5, false);
+            let park = dev.park(touching(Dir::Read, 5), ParkAt::After);
             let reader = parked_read(&cache, 5);
-            dev.wait_parked(1);
+            park.wait();
             let other = Arc::clone(&cache);
             finishes(move || {
                 let mut buf = [0u8; 64];
@@ -1133,7 +1016,7 @@ mod tests {
                 assert_eq!(buf, [1; 64], "a hit on another block");
                 other.write_block(5, &[0xee; 64]).unwrap();
             });
-            dev.release();
+            park.release();
 
             // The parked transfer fetched the old bytes; the miss hands back
             // the resident image the write left instead.
@@ -1143,7 +1026,7 @@ mod tests {
             cache.read_block(5, &mut buf).unwrap();
             assert_eq!((buf, cache.stats().hits), ([0xee; 64], hits + 1));
             cache.flush().unwrap();
-            assert_eq!(dev.store.read_block_vec(5).unwrap(), vec![0xee; 64]);
+            assert_eq!(store.read_block_vec(5).unwrap(), vec![0xee; 64]);
             assert!(cache.state.lock().fills.is_empty());
         }
     }
@@ -1152,17 +1035,17 @@ mod tests {
     fn a_fill_overtaken_by_a_write_is_not_cached() {
         // One block of capacity: the write to 5 is evicted (written back) by
         // a write to 6 before the parked miss on 5 returns with old bytes.
-        let dev = ParkingDevice::new(16);
+        let (dev, _) = parking(16);
         let cache = Arc::new(BufferCache::new_write_back(dev.clone(), 1));
-        dev.arm(5, false);
+        let park = dev.park(touching(Dir::Read, 5), ParkAt::After);
         let reader = parked_read(&cache, 5);
-        dev.wait_parked(1);
+        park.wait();
         let other = Arc::clone(&cache);
         finishes(move || {
             other.write_block(5, &[0xee; 64]).unwrap();
             other.write_block(6, &[0xdd; 64]).unwrap();
         });
-        dev.release();
+        park.release();
         // The read overlapped the write, so the old bytes are a legal answer
         // — but they must not become the cached image of block 5.
         assert_eq!(reader.join().unwrap().unwrap(), vec![0; 64]);
@@ -1174,13 +1057,13 @@ mod tests {
 
     #[test]
     fn two_misses_on_one_block_both_return_its_bytes() {
-        let dev = ParkingDevice::new(16);
-        dev.store.write_block(7, &[0x77; 64]).unwrap();
+        let (dev, store) = parking(16);
+        store.write_block(7, &[0x77; 64]).unwrap();
         let cache = Arc::new(BufferCache::new_write_back(dev.clone(), 4));
-        dev.arm(7, false);
+        let parks = [0; 2].map(|_| dev.park(touching(Dir::Read, 7), ParkAt::After));
         let readers = [parked_read(&cache, 7), parked_read(&cache, 7)];
-        dev.wait_parked(2);
-        dev.release();
+        parks.iter().for_each(Park::wait);
+        parks.iter().for_each(Park::release);
         for r in readers {
             assert_eq!(r.join().unwrap().unwrap(), vec![0x77; 64]);
         }
@@ -1191,14 +1074,15 @@ mod tests {
 
     #[test]
     fn a_failed_fill_caches_nothing_and_unregisters() {
-        let dev = ParkingDevice::new(16);
+        let (dev, _) = parking(16);
         let cache = BufferCache::new_write_back(dev.clone(), 4);
-        dev.arm(3, true);
+        // Two failures: the next two reads that include block 3.
+        dev.fail(touching(Dir::Read, 3));
+        dev.fail(touching(Dir::Read, 3));
         assert!(cache.read_block(3, &mut [0u8; 64]).is_err());
         assert!(cache.read_blocks(&[2, 3, 4], &mut [0u8; 3 * 64]).is_err());
         assert_eq!((cache.len(), cache.stats().misses), (0, 0));
         assert!(cache.state.lock().fills.is_empty());
-        dev.arm(15, true);
         cache.read_blocks(&[2, 3, 4], &mut [0u8; 3 * 64]).unwrap();
         assert_eq!((cache.len(), cache.stats().misses), (3, 3));
     }
@@ -1206,6 +1090,14 @@ mod tests {
     // ------------------------------------------------------------------
     // A flush holds no lock across its write-back batch
     // ------------------------------------------------------------------
+
+    /// A parked flush's handles: the store, its park, and the write and
+    /// flush submissions that reached the store.
+    struct Parked {
+        store: SharedDevice,
+        park: Park,
+        landed: Arc<Mutex<Vec<Submission>>>,
+    }
 
     /// A write-back cache of `capacity` blocks over a parking device, with
     /// `dirty` written (block `b` holds `b + 1`) and their flush parked on
@@ -1215,19 +1107,28 @@ mod tests {
         dirty: &[BlockId],
         fail: bool,
     ) -> (
-        ParkingDevice,
-        Arc<BufferCache<ParkingDevice>>,
+        Parked,
+        Arc<BufferCache<Parking>>,
         std::thread::JoinHandle<BlockResult<()>>,
     ) {
-        let dev = ParkingDevice::new(16);
+        let (dev, store) = parking(16);
+        let landed = tape(&dev, |op| op.dir != Dir::Read);
         let cache = Arc::new(BufferCache::new_write_back(dev.clone(), capacity));
         for &b in dirty {
             cache.write_block(b, &[b as u8 + 1; 64]).unwrap();
         }
-        dev.arm_writes(dirty[0], fail);
+        let park = dev.park(touching(Dir::Write, dirty[0]), ParkAt::Before);
+        if fail {
+            dev.fail(touching(Dir::Write, dirty[0]));
+        }
         let flush = flush_in_background(&cache);
-        dev.wait_parked(1);
-        (dev, cache, flush)
+        park.wait();
+        let parked = Parked {
+            store,
+            park,
+            landed,
+        };
+        (parked, cache, flush)
     }
 
     #[test]
@@ -1251,7 +1152,7 @@ mod tests {
             vec![0; 64],
             "not landed"
         );
-        dev.release();
+        dev.park.release();
         flush.join().unwrap().unwrap();
         assert_eq!(dev.store.read_block_vec(3).unwrap(), vec![4; 64]);
         assert!(cache.state.lock().flight.is_none());
@@ -1262,7 +1163,7 @@ mod tests {
         let (dev, cache, flush) = parked_flush(8, &[3, 2], false);
         let other = Arc::clone(&cache);
         finishes(move || other.write_block(3, &[0x33; 64]).unwrap());
-        dev.release();
+        dev.park.release();
         flush.join().unwrap().unwrap();
         // The batch landed the gathered images; the rewritten block alone
         // stays dirty.
@@ -1288,7 +1189,7 @@ mod tests {
         let other = Arc::clone(&cache);
         let evict = started(move || other.write_block(2, &[0xa2; 64]));
         assert!(evict.recv_timeout(SETTLE).is_err(), "overtook the batch");
-        dev.release();
+        dev.park.release();
         flush.join().unwrap().unwrap();
         evict
             .recv_timeout(std::time::Duration::from_secs(10))
@@ -1296,7 +1197,8 @@ mod tests {
             .unwrap();
         cache.flush().unwrap();
         let images_of_0: Vec<u8> = dev
-            .landed()
+            .landed
+            .lock()
             .iter()
             .filter_map(|s| match s {
                 Submission::Write(0, image) => Some(image[0]),
@@ -1317,10 +1219,10 @@ mod tests {
         let (dev, cache, flush) = parked_flush(4, &[0, 1], true);
         let other = Arc::clone(&cache);
         finishes(move || other.write_block(2, &[3; 64]).unwrap());
-        dev.release();
+        dev.park.release();
         assert!(flush.join().unwrap().is_err());
         assert_eq!((cache.dirty_blocks(), cache.stats().write_backs), (3, 0));
-        assert!(dev.landed().is_empty(), "no batch and no barrier");
+        assert!(dev.landed.lock().is_empty(), "no batch and no barrier");
         cache.flush().expect("the retry lands");
         assert_eq!((cache.dirty_blocks(), cache.stats().write_backs), (0, 3));
         for b in 0..3u64 {
@@ -1336,14 +1238,14 @@ mod tests {
         let other = Arc::clone(&cache);
         let second = started(move || other.flush());
         assert!(second.recv_timeout(SETTLE).is_err(), "overtook the batch");
-        dev.release();
+        dev.park.release();
         first.join().unwrap().unwrap();
         second
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("runs once the first flush is done")
             .unwrap();
         assert_eq!(
-            dev.landed(),
+            *dev.landed.lock(),
             [
                 Submission::WriteBatch(vec![0], vec![1; 64]),
                 Submission::Flush,
@@ -1353,50 +1255,30 @@ mod tests {
         );
     }
 
-    /// A device that panics if a block's version (its first four bytes)
-    /// ever goes back, and yields on every transfer to widen the gaps.
-    struct Monotone {
-        mem: MemBlockDevice,
-        versions: Mutex<HashMap<BlockId, u32>>,
-    }
-
     fn version(image: &[u8]) -> u32 {
         u32::from_le_bytes(image[..4].try_into().unwrap())
     }
 
-    impl Monotone {
-        fn landing(&self, block: BlockId, image: &[u8]) {
-            let v = version(image);
-            let old = self.versions.lock().insert(block, v);
-            assert!(
-                old.unwrap_or(0) <= v,
-                "block {block} went back: {old:?} -> {v}"
-            );
-        }
-    }
-
-    impl BlockDevice for Monotone {
-        fn block_size(&self) -> usize {
-            self.mem.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.mem.total_blocks()
-        }
-        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-            std::thread::yield_now();
-            self.mem.read_block(block, buf)
-        }
-        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-            self.landing(block, buf);
-            self.mem.write_block(block, buf)
-        }
-        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-            std::thread::yield_now();
-            for (i, &b) in blocks.iter().enumerate() {
-                self.landing(b, &buf[i * 64..(i + 1) * 64]);
+    /// A device that panics if a block's version (its first four bytes)
+    /// ever goes back, and yields on reads and batch writes to widen the
+    /// gaps.
+    fn monotone(blocks: u64) -> FaultDevice<MemBlockDevice> {
+        let dev = FaultDevice::new(MemBlockDevice::new(64, blocks));
+        let mut versions = HashMap::new();
+        dev.record(Trigger::when(|_| true), move |op| {
+            if op.dir == Dir::Read || op.batch {
+                std::thread::yield_now();
             }
-            self.mem.write_blocks(blocks, buf)
-        }
+            for (&block, image) in op.blocks.iter().zip(op.data.chunks(64)) {
+                let v = version(image);
+                let old = versions.insert(block, v);
+                assert!(
+                    old.unwrap_or(0) <= v,
+                    "block {block} went back: {old:?} -> {v}"
+                );
+            }
+        });
+        dev
     }
 
     #[test]
@@ -1405,11 +1287,7 @@ mod tests {
         // cache, stamp rising versions while a fourth thread flushes: flight
         // blocks are rewritten and evicted all the time.
         for seed in 1..=20u64 {
-            let dev = Monotone {
-                mem: MemBlockDevice::new(64, 12),
-                versions: Default::default(),
-            };
-            let cache = Arc::new(BufferCache::new_write_back(dev, 4));
+            let cache = Arc::new(BufferCache::new_write_back(monotone(12), 4));
             let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
             let flusher = {
                 let (cache, stop) = (Arc::clone(&cache), Arc::clone(&stop));
@@ -1456,54 +1334,19 @@ mod tests {
             assert_eq!(cache.dirty_blocks(), 0);
             for (t, last) in lasts.iter().enumerate() {
                 for (k, &v) in last.iter().enumerate() {
-                    let image = cache
-                        .inner
-                        .mem
-                        .read_block_vec(t as u64 * 4 + k as u64)
-                        .unwrap();
+                    let image = cache.inner.read_block_vec(t as u64 * 4 + k as u64).unwrap();
                     assert_eq!(version(&image), v, "seed {seed}: final image");
                 }
             }
         }
     }
 
-    /// Panics in the first `write_blocks` it is given; otherwise a memory
-    /// device.
-    struct PanicsOnce {
-        mem: MemBlockDevice,
-        armed: std::sync::atomic::AtomicBool,
-    }
-
-    impl BlockDevice for PanicsOnce {
-        fn block_size(&self) -> usize {
-            self.mem.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.mem.total_blocks()
-        }
-        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-            self.mem.read_block(block, buf)
-        }
-        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-            self.mem.write_block(block, buf)
-        }
-        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-            if self.armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
-                panic!("scripted panic inside a write-back batch");
-            }
-            self.mem.write_blocks(blocks, buf)
-        }
-    }
-
     #[test]
     fn a_batch_that_panics_retires_its_flight() {
-        let cache = Arc::new(BufferCache::new_write_back(
-            PanicsOnce {
-                mem: MemBlockDevice::new(64, 16),
-                armed: true.into(),
-            },
-            2,
-        ));
+        // The first batch write panics.
+        let dev = FaultDevice::new(MemBlockDevice::new(64, 16));
+        dev.panic(Trigger::when(|op| op.dir == Dir::Write && op.batch));
+        let cache = Arc::new(BufferCache::new_write_back(dev, 2));
         cache.write_block(0, &[1; 64]).unwrap();
         cache.write_block(1, &[2; 64]).unwrap();
         let flush = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.flush()));
@@ -1518,7 +1361,7 @@ mod tests {
         cache.flush().unwrap();
         assert_eq!(cache.dirty_blocks(), 0);
         for (b, v) in [(0u64, 0xa0u8), (1, 2), (2, 3)] {
-            assert_eq!(cache.inner.mem.read_block_vec(b).unwrap(), vec![v; 64]);
+            assert_eq!(cache.inner.read_block_vec(b).unwrap(), vec![v; 64]);
         }
     }
 
@@ -1577,7 +1420,7 @@ mod tests {
             other.write_block(0, &[0xa0; 64]).unwrap();
         });
         assert_eq!(order(&cache), [0, 5, 2, 1]);
-        dev.release();
+        dev.park.release();
         flush.join().unwrap().unwrap();
         assert_eq!(order(&cache), [0, 5, 1, 2], "0 is still dirty");
         cache.flush().unwrap();
@@ -1598,49 +1441,31 @@ mod tests {
         Flush,
     }
 
-    struct Recorder {
-        mem: MemBlockDevice,
-        log: Mutex<Vec<Submission>>,
-    }
-
-    impl Recorder {
-        fn new(block_size: usize, blocks: u64) -> Self {
-            Recorder {
-                mem: MemBlockDevice::new(block_size, blocks),
-                log: Mutex::new(Vec::new()),
+    impl Submission {
+        fn of(op: &Op<'_>) -> Self {
+            let (blocks, data) = (op.blocks.to_vec(), op.data.to_vec());
+            match (op.dir, op.batch) {
+                (Dir::Read, false) => Submission::Read(blocks[0]),
+                (Dir::Read, true) => Submission::ReadBatch(blocks),
+                (Dir::Write, false) => Submission::Write(blocks[0], data),
+                (Dir::Write, true) => Submission::WriteBatch(blocks, data),
+                (Dir::Flush, _) => Submission::Flush,
             }
         }
     }
 
-    impl BlockDevice for Recorder {
-        fn block_size(&self) -> usize {
-            self.mem.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.mem.total_blocks()
-        }
-        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-            self.log.lock().push(Submission::Read(block));
-            self.mem.read_block(block, buf)
-        }
-        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-            self.log.lock().push(Submission::Write(block, buf.to_vec()));
-            self.mem.write_block(block, buf)
-        }
-        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
-            self.log.lock().push(Submission::ReadBatch(blocks.to_vec()));
-            self.mem.read_blocks(blocks, buf)
-        }
-        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-            self.log
-                .lock()
-                .push(Submission::WriteBatch(blocks.to_vec(), buf.to_vec()));
-            self.mem.write_blocks(blocks, buf)
-        }
-        fn flush(&self) -> BlockResult<()> {
-            self.log.lock().push(Submission::Flush);
-            self.mem.flush()
-        }
+    /// The submissions `keep` picks, in the order they reach the device
+    /// below `dev`, from now on.
+    fn tape<D: BlockDevice>(
+        dev: &FaultDevice<D>,
+        keep: fn(&Op<'_>) -> bool,
+    ) -> Arc<Mutex<Vec<Submission>>> {
+        let tape = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&tape);
+        dev.record(Trigger::when(keep), move |op| {
+            log.lock().push(Submission::of(op))
+        });
+        tape
     }
 
     struct TickEntry {
@@ -1887,8 +1712,10 @@ mod tests {
             // Twice the capacity: about every other access misses; batches
             // run up to twice the capacity too, so they overflow the cache.
             let universe = 2 * capacity as u64 + 2;
-            let cache = BufferCache::with_mode(Recorder::new(ORACLE_BS, universe), capacity, mode);
-            let mut oracle = TickCache::new(Recorder::new(ORACLE_BS, universe), capacity, mode);
+            let [dev, oracle_dev] = [0; 2].map(|_| FaultDevice::new(MemBlockDevice::new(ORACLE_BS, universe)));
+            let (log, oracle_log) = (tape(&dev, |_| true), tape(&oracle_dev, |_| true));
+            let cache = BufferCache::with_mode(dev, capacity, mode);
+            let mut oracle = TickCache::new(oracle_dev, capacity, mode);
             for (op, seed, len) in ops {
                 let (block, fill) = (seed % universe, (seed >> 40) as u8);
                 let batch = scatter(seed, len as usize % (2 * capacity + 3), universe);
@@ -1939,19 +1766,19 @@ mod tests {
                 prop_assert_eq!(cache.len(), oracle.entries.len());
                 prop_assert_eq!(cache.dirty_blocks(), oracle.dirty_blocks());
                 prop_assert_eq!(
-                    cache.inner.log.lock().len(),
-                    oracle.inner.log.lock().len(),
+                    log.lock().len(),
+                    oracle_log.lock().len(),
                     "op {} diverged on the device", op
                 );
             }
-            prop_assert!(*cache.inner.log.lock() == *oracle.inner.log.lock(), "same submissions");
+            prop_assert!(*log.lock() == *oracle_log.lock(), "same submissions");
             // What is still dirty reaches the device the same way, too.
             cache.flush().unwrap();
             oracle.flush().unwrap();
-            prop_assert!(*cache.inner.log.lock() == *oracle.inner.log.lock(), "same final flush");
+            prop_assert!(*log.lock() == *oracle_log.lock(), "same final flush");
             for b in 0..universe {
-                prop_assert_eq!(cache.inner.mem.read_block_vec(b).unwrap(),
-                                oracle.inner.mem.read_block_vec(b).unwrap());
+                prop_assert_eq!(cache.inner.read_block_vec(b).unwrap(),
+                                oracle.inner.read_block_vec(b).unwrap());
             }
         }
     }

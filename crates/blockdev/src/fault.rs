@@ -20,6 +20,29 @@
 //! * **damages data at rest** — bit flips, zeroing and junk overwrites,
 //!   written straight to the wrapped device past the schedule and the cache.
 //!
+//! A test scripts single submissions with four verbs, each armed with a
+//! [`Trigger`]: a submission index ([`Trigger::at`], numbered as
+//! [`ops`](FaultDevice::ops) counts), or a predicate over the submission's
+//! [`Op`] — its direction, blocks and flush epoch ([`Trigger::when`]):
+//!
+//! * [`fail`](FaultDevice::fail) — the submission reaches nothing and
+//!   returns the static `Interrupted` error of the scripted failures;
+//! * [`panic`](FaultDevice::panic) — the submission panics;
+//! * [`park`](FaultDevice::park) — the submission waits until its [`Park`]
+//!   handle releases it, [before](ParkAt::Before) its transfer reaches the
+//!   wrapped device (a write still out on the device) or
+//!   [after](ParkAt::After) it (a read holding the image it fetched);
+//! * [`record`](FaultDevice::record) — an observer is handed each
+//!   submission that gets past the faults — direction, single or batch,
+//!   blocks, write data — in the order they reach the wrapped device.
+//!
+//! Fail, panic and park are spent once they fire, and a submission fires
+//! at most one of each, the earliest armed, so `n` plans on one trigger act
+//! on its next `n` matches; record fires on every match.  A parked or
+//! panicking submission holds no lock of the device, so other I/O on it
+//! completes meanwhile.  Predicates and observers run under the device's
+//! lock and must not do I/O on it.
+//!
 //! All seeded faults draw from one xorshift.  Clones share one device (one
 //! lock): the volume under test owns one handle, the harness another.
 
@@ -28,7 +51,7 @@ use crate::error::{BlockError, BlockResult};
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
-use stegfs_obs::lock::{Mutex, MutexGuard};
+use stegfs_obs::lock::{Condvar, Mutex, MutexGuard};
 
 /// Which submissions the scripted and random failures may hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,6 +90,135 @@ impl FaultReport {
     pub fn blocks_damaged(&self) -> usize {
         self.blocks_bitflipped + self.blocks_zeroed + self.blocks_overwritten
     }
+}
+
+/// Which way a submission goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dir {
+    /// `read_block` or `read_blocks`.
+    Read,
+    /// `write_block` or `write_blocks`.
+    Write,
+    /// The [`flush`](BlockDevice::flush) barrier.
+    Flush,
+}
+
+/// One submission, as triggers and observers see it.
+#[derive(Debug, Clone, Copy)]
+pub struct Op<'a> {
+    /// Submissions seen before this one: what [`Trigger::at`] matches.
+    pub index: u64,
+    /// Its flush epoch: flushes submitted before this one.
+    pub epoch: u64,
+    /// Which way it goes.
+    pub dir: Dir,
+    /// Submitted as a batch (`read_blocks` / `write_blocks`).
+    pub batch: bool,
+    /// Its blocks, in order (none for a flush).
+    pub blocks: &'a [BlockId],
+    /// A write's block images, concatenated (empty otherwise).
+    pub data: &'a [u8],
+}
+
+impl<'a> Op<'a> {
+    /// Numbered by [`FaultDevice`] on arrival.
+    fn new(dir: Dir, batch: bool, blocks: &'a [BlockId], data: &'a [u8]) -> Self {
+        Op {
+            index: 0,
+            epoch: 0,
+            dir,
+            batch,
+            blocks,
+            data,
+        }
+    }
+}
+
+/// Which submissions a plan fires on.
+pub struct Trigger(Box<dyn Fn(&Op<'_>) -> bool + Send>);
+
+impl Trigger {
+    /// The submission numbered `index` (0-based).
+    pub fn at(index: u64) -> Self {
+        Self::when(move |op| op.index == index)
+    }
+
+    /// The submissions `matches` holds for.
+    pub fn when(matches: impl Fn(&Op<'_>) -> bool + Send + 'static) -> Self {
+        Trigger(Box::new(matches))
+    }
+}
+
+/// Where a parked submission waits: before or after its transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParkAt {
+    /// Before it reaches the wrapped device.
+    Before,
+    /// After the wrapped device has served it.
+    After,
+}
+
+/// The handle of one [`park`](FaultDevice::park) plan: `(parked,
+/// released)` under a lock, and the condvar both sides wait on.
+#[derive(Clone, Default)]
+pub struct Park(Arc<(Mutex<(bool, bool)>, Condvar)>);
+
+impl Park {
+    /// Block until the planned submission is parked.
+    pub fn wait(&self) {
+        let (state, cv) = &*self.0;
+        let mut g = state.lock();
+        while !g.0 {
+            g = cv.wait(g);
+        }
+    }
+
+    /// Whether the planned submission is parked now.
+    pub fn is_parked(&self) -> bool {
+        *self.0 .0.lock() == (true, false)
+    }
+
+    /// Let the parked submission go on; a plan that has not fired yet is
+    /// disarmed instead.
+    pub fn release(&self) {
+        self.0 .0.lock().1 = true;
+        self.0 .1.notify_all();
+    }
+
+    fn released(&self) -> bool {
+        self.0 .0.lock().1
+    }
+
+    /// The parked submission's side: announce it, wait for the release.
+    fn hold(&self) {
+        let (state, cv) = &*self.0;
+        let mut g = state.lock();
+        g.0 = true;
+        cv.notify_all();
+        while !g.1 {
+            g = cv.wait(g);
+        }
+    }
+}
+
+enum Verb {
+    Fail,
+    Panic,
+    Park(Park, ParkAt),
+    Record(Box<dyn FnMut(&Op<'_>) + Send>),
+}
+
+struct Plan {
+    on: Trigger,
+    verb: Verb,
+}
+
+/// The spent plans one submission fired.
+#[derive(Default)]
+struct Fired {
+    fail: bool,
+    panic: bool,
+    park: Option<(Park, ParkAt)>,
 }
 
 /// A xorshift state for `seed` (offset so that seed 0 does not stick).
@@ -116,13 +268,48 @@ struct State {
     /// `None` on a pass-through device.
     pending: Option<Pending>,
     ops: u64,
+    flushes: u64,
     injected: u64,
+    plans: Vec<Plan>,
 }
 
 impl State {
-    /// Count one submission and let the schedule pass or fail it.
-    fn admit(&mut self, read: bool) -> BlockResult<()> {
-        self.ops += 1;
+    /// Take the fail, panic and park plans `op` fires, the earliest armed
+    /// of each; a park whose handle was released unfired is dropped.
+    fn fire(&mut self, op: &Op<'_>) -> Fired {
+        let mut fired = Fired::default();
+        self.plans.retain(|plan| match &plan.verb {
+            Verb::Park(park, _) if park.released() => false,
+            Verb::Fail if !fired.fail && (plan.on.0)(op) => {
+                fired.fail = true;
+                false
+            }
+            Verb::Panic if !fired.panic && (plan.on.0)(op) => {
+                fired.panic = true;
+                false
+            }
+            Verb::Park(park, at) if fired.park.is_none() && (plan.on.0)(op) => {
+                fired.park = Some((park.clone(), *at));
+                false
+            }
+            _ => true,
+        });
+        fired
+    }
+
+    /// Hand `op` to every record plan it matches.
+    fn record(&mut self, op: &Op<'_>) {
+        for plan in &mut self.plans {
+            if let Verb::Record(observe) = &mut plan.verb {
+                if (plan.on.0)(op) {
+                    observe(op);
+                }
+            }
+        }
+    }
+
+    /// Let the schedule pass or fail one submission.
+    fn schedule(&mut self, read: bool) -> BlockResult<()> {
         let targeted = match self.target {
             FaultTarget::All => true,
             FaultTarget::Reads => read,
@@ -241,9 +428,46 @@ impl<D: BlockDevice> FaultDevice<D> {
         st.tripped = false;
     }
 
-    /// Submissions seen so far, failed or passed through.
+    /// Fail the submission `on` picks: it reaches nothing and returns the
+    /// static `Interrupted` error of [`script_failures`](Self::script_failures).
+    pub fn fail(&self, on: Trigger) {
+        self.arm(on, Verb::Fail);
+    }
+
+    /// Panic in the submission `on` picks, before it reaches anything.
+    pub fn panic(&self, on: Trigger) {
+        self.arm(on, Verb::Panic);
+    }
+
+    /// Park the submission `on` picks, `at` its transfer, until the
+    /// returned handle releases it.
+    pub fn park(&self, on: Trigger, at: ParkAt) -> Park {
+        let park = Park::default();
+        self.arm(on, Verb::Park(park.clone(), at));
+        park
+    }
+
+    /// Hand every submission `on` matches to `observer` as it reaches the
+    /// wrapped device (or the write cache): not one a fault refused, and
+    /// of a batch the trip wire cut short, only the part that lands.
+    pub fn record(&self, on: Trigger, observer: impl FnMut(&Op<'_>) + Send + 'static) {
+        self.arm(on, Verb::Record(Box::new(observer)));
+    }
+
+    fn arm(&self, on: Trigger, verb: Verb) {
+        self.lock().plans.push(Plan { on, verb });
+    }
+
+    /// Submissions seen so far, failed or passed through: the index of the
+    /// next one.
     pub fn ops(&self) -> u64 {
         self.lock().ops
+    }
+
+    /// Flushes seen so far, failed or passed through: the current flush
+    /// epoch.
+    pub fn flushes(&self) -> u64 {
+        self.lock().flushes
     }
 
     /// Submissions failed by injection so far.
@@ -376,58 +600,105 @@ impl<D: BlockDevice> FaultDevice<D> {
         Ok(report)
     }
 
+    /// Number `op`, fire the plans it triggers and let the schedule pass
+    /// or fail it, then run `transfer` with the state locked and, if a plan
+    /// says so, park after it.
+    fn submit(
+        &self,
+        mut op: Op<'_>,
+        transfer: impl FnOnce(MutexGuard<'_, State>, &Op<'_>) -> BlockResult<()>,
+    ) -> BlockResult<()> {
+        let mut st = self.lock();
+        (op.index, op.epoch) = (st.ops, st.flushes);
+        st.ops += 1;
+        st.flushes += u64::from(op.dir == Dir::Flush);
+        let fired = st.fire(&op);
+        let mut after = None;
+        if fired.panic || fired.park.is_some() {
+            drop(st);
+            match fired.park {
+                Some((park, ParkAt::Before)) => park.hold(),
+                parked => after = parked.map(|(park, _)| park),
+            }
+            if fired.panic {
+                panic!("injected panic at submission {}", op.index);
+            }
+            st = self.lock();
+        }
+        if fired.fail {
+            st.injected += 1;
+            return Err(transient_failure());
+        }
+        st.schedule(op.dir == Dir::Read)?;
+        let result = transfer(st, &op);
+        if let Some(park) = after {
+            park.hold();
+        }
+        result
+    }
+
     /// One read submission: `forward`ed on a pass-through, otherwise the
     /// stable images overlaid with the pending ones.
     fn read(
         &self,
-        blocks: &[BlockId],
+        op: Op<'_>,
         buf: &mut [u8],
         forward: impl FnOnce(&D, &mut [u8]) -> BlockResult<()>,
     ) -> BlockResult<()> {
-        let mut st = self.lock();
-        st.admit(true)?;
-        let Some(pending) = st.pending.as_ref() else {
-            drop(st);
-            return forward(&self.inner, buf);
-        };
-        self.inner.read_blocks(blocks, buf)?;
-        for (block, image) in blocks.iter().zip(buf.chunks_mut(self.block_size())) {
-            if let Some(data) = pending.latest.get(block) {
-                image.copy_from_slice(data);
+        self.submit(op, |mut st, op| {
+            st.record(op);
+            let Some(pending) = st.pending.as_ref() else {
+                drop(st);
+                return forward(&self.inner, buf);
+            };
+            self.inner.read_blocks(op.blocks, buf)?;
+            let images = buf.chunks_mut(self.block_size());
+            for (block, image) in op.blocks.iter().zip(images) {
+                if let Some(data) = pending.latest.get(block) {
+                    image.copy_from_slice(data);
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// One write submission: the schedule, then the trip wire lets a prefix
     /// of the blocks through, into the pending set or the wrapped device.
-    fn write(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-        let mut st = self.lock();
-        st.admit(false)?;
-        let bs = self.block_size();
-        check_batch(blocks.len(), buf.len(), bs)?;
-        let total = self.total_blocks();
-        if let Some(&block) = blocks.iter().find(|&&b| b >= total) {
-            return Err(BlockError::OutOfRange { block, total });
-        }
-        let n = st.admit_writes(blocks.len());
-        let (through, data) = (&blocks[..n], &buf[..n * bs]);
-        if let Some(pending) = st.pending.as_mut() {
-            for (&block, image) in through.iter().zip(data.chunks(bs)) {
-                pending.log.push((block, image.to_vec()));
-                pending.latest.insert(block, image.to_vec());
+    fn write(&self, op: Op<'_>) -> BlockResult<()> {
+        self.submit(op, |mut st, op| {
+            let (blocks, buf) = (op.blocks, op.data);
+            let bs = self.block_size();
+            check_batch(blocks.len(), buf.len(), bs)?;
+            let total = self.total_blocks();
+            if let Some(&block) = blocks.iter().find(|&&b| b >= total) {
+                return Err(BlockError::OutOfRange { block, total });
             }
-        } else if !through.is_empty() {
-            drop(st);
-            match through {
-                [block] => self.inner.write_block(*block, data)?,
-                _ => self.inner.write_blocks(through, data)?,
+            let n = st.admit_writes(blocks.len());
+            let (through, data) = (&blocks[..n], &buf[..n * bs]);
+            if n > 0 {
+                st.record(&Op {
+                    blocks: through,
+                    data,
+                    ..*op
+                });
             }
-        }
-        if n < blocks.len() {
-            return Err(tripped_failure());
-        }
-        Ok(())
+            if let Some(pending) = st.pending.as_mut() {
+                for (&block, image) in through.iter().zip(data.chunks(bs)) {
+                    pending.log.push((block, image.to_vec()));
+                    pending.latest.insert(block, image.to_vec());
+                }
+            } else if !through.is_empty() {
+                drop(st);
+                match through {
+                    [block] => self.inner.write_block(*block, data)?,
+                    _ => self.inner.write_blocks(through, data)?,
+                }
+            }
+            if n < blocks.len() {
+                return Err(tripped_failure());
+            }
+            Ok(())
+        })
     }
 }
 
@@ -441,45 +712,49 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     }
 
     fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-        let blocks = std::slice::from_ref(&block);
-        self.read(blocks, buf, |d, buf| d.read_block(block, buf))
+        let op = Op::new(Dir::Read, false, std::slice::from_ref(&block), &[]);
+        self.read(op, buf, |d, buf| d.read_block(block, buf))
     }
 
     fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-        self.write(std::slice::from_ref(&block), buf)
+        let blocks = std::slice::from_ref(&block);
+        self.write(Op::new(Dir::Write, false, blocks, buf))
     }
 
     fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
-        self.read(blocks, buf, |d, buf| d.read_blocks(blocks, buf))
+        let op = Op::new(Dir::Read, true, blocks, &[]);
+        self.read(op, buf, |d, buf| d.read_blocks(blocks, buf))
     }
 
     fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-        self.write(blocks, buf)
+        self.write(Op::new(Dir::Write, true, blocks, buf))
     }
 
     /// The barrier: every pending write reaches the wrapped device, in
     /// order, before it is flushed.  If one of those writes fails, it and
     /// every write after it stay pending for the next flush (or crash).
     fn flush(&self) -> BlockResult<()> {
-        let mut st = self.lock();
-        st.admit(false)?;
-        if st.tripped {
-            st.injected += 1;
-            return Err(tripped_failure());
-        }
-        let inner = &self.inner;
-        if let Some(pending) = st.pending.as_mut() {
-            let mut written = 0;
-            let result: BlockResult<()> = pending.log.iter().try_for_each(|(block, data)| {
-                inner.write_block(*block, data)?;
-                written += 1;
-                Ok(())
-            });
-            pending.log.drain(..written);
-            result?;
-            pending.latest.clear();
-        }
-        inner.flush()
+        self.submit(Op::new(Dir::Flush, false, &[], &[]), |mut st, op| {
+            if st.tripped {
+                st.injected += 1;
+                return Err(tripped_failure());
+            }
+            st.record(op);
+            let inner = &self.inner;
+            if let Some(pending) = st.pending.as_mut() {
+                let mut written = 0;
+                let result: BlockResult<()> = pending.log.iter().try_for_each(|(block, data)| {
+                    inner.write_block(*block, data)?;
+                    written += 1;
+                    Ok(())
+                });
+                pending.log.drain(..written);
+                result?;
+                pending.latest.clear();
+            }
+            drop(st);
+            inner.flush()
+        })
     }
 }
 
@@ -604,6 +879,120 @@ pub(crate) mod tests {
         dev.flush().unwrap();
         for (b, v) in [(0, 1), (1, 2), (2, 2), (3, 3), (4, 4)] {
             assert_eq!(store.read_block_vec(b).unwrap(), vec![v; BS]);
+        }
+    }
+
+    /// Writes of blocks 0..3 (3 as a batch with 4), a flush, then reads of
+    /// blocks 0..3: the outcome of each, numbered 0..8.
+    fn script(dev: &FaultDevice<MemBlockDevice>) -> Vec<&'static str> {
+        (0..8u64)
+            .map(|i| {
+                let run = || match i {
+                    0..=2 => dev.write_block(i, &[i as u8; BS]),
+                    3 => dev.write_blocks(&[3, 4], &[3; 2 * BS]),
+                    4 => dev.flush(),
+                    _ => dev.read_block_vec(i - 5).map(drop),
+                };
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                    Ok(Ok(())) => "ok",
+                    Ok(Err(_)) => "err",
+                    Err(_) => "panic",
+                }
+            })
+            .collect()
+    }
+
+    /// Index 6, and the reads of flush epoch 1 (submissions 5..8, the
+    /// first of which fires), with the submission each fires on.
+    fn triggers() -> [(Trigger, usize); 2] {
+        let after_the_flush = |op: &Op<'_>| op.dir == Dir::Read && op.epoch == 1;
+        [(Trigger::at(6), 6), (Trigger::when(after_the_flush), 5)]
+    }
+
+    #[test]
+    fn fail_and_panic_fire_once_at_their_index_or_first_match() {
+        for (verb, outcome) in [("fail", "err"), ("panic", "panic")] {
+            for (on, hit) in triggers() {
+                let dev = FaultDevice::new(mem(8));
+                match verb {
+                    "fail" => dev.fail(on),
+                    _ => dev.panic(on),
+                }
+                let mut want = ["ok"; 8];
+                want[hit] = outcome;
+                assert_eq!(script(&dev), want, "{verb} at {hit}");
+                assert_eq!(script(&dev), ["ok"; 8], "{verb}: spent");
+                assert_eq!(dev.injected(), u64::from(verb == "fail"));
+            }
+        }
+    }
+
+    #[test]
+    fn record_hands_over_each_match_with_its_kind_blocks_and_data() {
+        let batch = |op: &Op<'_>| op.dir == Dir::Write && op.batch;
+        for (on, hit) in [(Trigger::at(6), 6), (Trigger::when(batch), 3)] {
+            let dev = FaultDevice::new(mem(8));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let tape = Arc::clone(&seen);
+            dev.record(on, move |op| {
+                let (blocks, data) = (op.blocks.to_vec(), op.data.to_vec());
+                tape.lock().push((op.index, op.epoch, op.dir, blocks, data));
+            });
+            assert_eq!(script(&dev), ["ok"; 8]);
+            let want = match hit {
+                6 => (6, 1, Dir::Read, vec![1], vec![]),
+                _ => (3, 0, Dir::Write, vec![3, 4], vec![3; 2 * BS]),
+            };
+            assert_eq!(*seen.lock(), [want]);
+        }
+        // A refused submission is not recorded.
+        let dev = FaultDevice::new(mem(8));
+        let seen = Arc::new(Mutex::new(0));
+        let count = Arc::clone(&seen);
+        dev.record(Trigger::when(|_| true), move |_| *count.lock() += 1);
+        dev.fail(Trigger::at(1));
+        assert_eq!(script(&dev)[..2], ["ok", "err"]);
+        assert_eq!(*seen.lock(), 7);
+    }
+
+    #[test]
+    fn a_parked_submission_waits_while_others_complete() {
+        let reads = |op: &Op<'_>| op.dir == Dir::Read;
+        for (on, at) in [
+            (Trigger::at(1), ParkAt::Before),
+            (Trigger::when(reads), ParkAt::After),
+        ] {
+            let dev = FaultDevice::new(mem(8));
+            dev.write_block(0, &[1; BS]).unwrap();
+            // A park released before it fires is disarmed, not spent on the
+            // next submission in place of `on`'s.
+            dev.park(Trigger::when(|_| true), ParkAt::Before).release();
+            let park = dev.park(on, at);
+            let parked = {
+                let dev = dev.clone();
+                std::thread::spawn(move || match at {
+                    ParkAt::Before => dev.write_block(2, &[2; BS]).map(|()| Vec::new()),
+                    ParkAt::After => dev.read_block_vec(0),
+                })
+            };
+            park.wait();
+            assert!(park.is_parked());
+            // Other I/O on the device, the trigger's own matches included,
+            // goes on: the plan is spent.
+            dev.write_block(0, &[9; BS]).unwrap();
+            assert_eq!(dev.read_block_vec(0).unwrap(), vec![9; BS]);
+            assert_eq!(
+                stable(&dev, 2),
+                vec![0; BS],
+                "a parked write has not landed"
+            );
+            park.release();
+            let got = parked.join().unwrap().unwrap();
+            match at {
+                ParkAt::Before => assert_eq!(stable(&dev, 2), vec![2; BS]),
+                ParkAt::After => assert_eq!(got, vec![1; BS], "the image it fetched"),
+            }
+            assert!(!park.is_parked());
         }
     }
 

@@ -94,7 +94,7 @@ pub use cache::{BufferCache, CacheMode};
 pub use device::{BlockDevice, BlockId, MemBlockDevice, SharedDevice};
 pub use disk_model::{DiskClock, DiskModel, DiskParameters, DiskStats, SimDisk};
 pub use error::{BlockError, BlockResult};
-pub use fault::{FaultDevice, FaultReport, FaultTarget};
+pub use fault::{Dir, FaultDevice, FaultReport, FaultTarget, Op, Park, ParkAt, Trigger};
 pub use file::FileBlockDevice;
 pub use latency::LatencyDevice;
 pub use lru::LruMap;

@@ -402,39 +402,19 @@ impl InodeChainBlock {
         }
     }
 
-    /// Number of pointers that fit into one plain chain block.
-    pub fn capacity(block_size: usize) -> usize {
-        Self::capacity_for(block_size, false)
-    }
-
     /// Number of pointers that fit into one chain block of `block_size`:
-    /// 8 bytes per entry plain, 16 (pointer + checksum) coded.
-    pub fn capacity_for(block_size: usize, coded: bool) -> usize {
-        Self::capacity_meta(block_size, coded, 1)
-    }
-
-    /// Number of pointers that fit into one chain block of `block_size`
-    /// when the policy keeps `copies` metadata copies: replication widens
-    /// the link prefix, shrinking the entry region.
-    pub fn capacity_meta(block_size: usize, coded: bool, copies: usize) -> usize {
+    /// 8 bytes per entry plain, 16 (pointer + checksum) coded.  When the
+    /// policy keeps `copies > 1` metadata copies, replication widens the
+    /// link prefix, shrinking the entry region.
+    pub fn capacity(block_size: usize, coded: bool, copies: usize) -> usize {
         (block_size - Self::link_len(copies) - 2) / if coded { 16 } else { 8 }
     }
 
-    /// Serialise a plain chain block into exactly `block_size` bytes.
-    pub fn serialize(&self, block_size: usize) -> Vec<u8> {
-        self.serialize_for(block_size, false)
-    }
-
     /// Serialise into exactly `block_size` bytes, in the plain or coded
-    /// single-copy layout.
-    pub fn serialize_for(&self, block_size: usize, coded: bool) -> Vec<u8> {
-        self.serialize_meta(block_size, coded, 1)
-    }
-
-    /// Serialise into exactly `block_size` bytes for a policy keeping
-    /// `copies` metadata copies.  `copies == 1` produces the legacy layout.
-    pub fn serialize_meta(&self, block_size: usize, coded: bool, copies: usize) -> Vec<u8> {
-        assert!(self.pointers.len() <= Self::capacity_meta(block_size, coded, copies));
+    /// layout, for a policy keeping `copies` metadata copies.
+    /// `copies == 1` produces the legacy layout.
+    pub fn serialize(&self, block_size: usize, coded: bool, copies: usize) -> Vec<u8> {
+        assert!(self.pointers.len() <= Self::capacity(block_size, coded, copies));
         if coded {
             assert_eq!(self.pointers.len(), self.csums.len());
         } else {
@@ -469,20 +449,9 @@ impl InodeChainBlock {
         buf
     }
 
-    /// Parse a decrypted plain chain block.
-    pub fn deserialize(buf: &[u8], total_blocks: u64) -> StegResult<Self> {
-        Self::deserialize_for(buf, total_blocks, false)
-    }
-
-    /// Parse a decrypted chain block in the plain or coded single-copy
-    /// layout.
-    pub fn deserialize_for(buf: &[u8], total_blocks: u64, coded: bool) -> StegResult<Self> {
-        Self::deserialize_meta(buf, total_blocks, coded, 1)
-    }
-
-    /// Parse a decrypted chain block written for a policy keeping `copies`
-    /// metadata copies.
-    pub fn deserialize_meta(
+    /// Parse a decrypted chain block in the plain or coded layout, written
+    /// for a policy keeping `copies` metadata copies.
+    pub fn deserialize(
         buf: &[u8],
         total_blocks: u64,
         coded: bool,
@@ -511,7 +480,7 @@ impl InodeChainBlock {
             next_csum = get_u64(link - 8);
         }
         let count = u16::from_be_bytes(buf[link..link + 2].try_into().unwrap()) as usize;
-        if count > Self::capacity_meta(buf.len(), coded, copies) {
+        if count > Self::capacity(buf.len(), coded, copies) {
             return Err(StegError::Fs(stegfs_fs::FsError::Corrupt(
                 "inode chain count exceeds capacity".into(),
             )));
@@ -643,30 +612,33 @@ mod tests {
 
     #[test]
     fn inode_chain_roundtrip() {
-        let cap = InodeChainBlock::capacity(1024);
+        let cap = InodeChainBlock::capacity(1024, false, 1);
         assert_eq!(cap, (1024 - 10) / 8);
         let block = InodeChainBlock::with_link(77, (100..100 + cap as u64).collect(), vec![]);
-        let buf = block.serialize(1024);
-        assert_eq!(InodeChainBlock::deserialize(&buf, 10_000).unwrap(), block);
+        let buf = block.serialize(1024, false, 1);
+        assert_eq!(
+            InodeChainBlock::deserialize(&buf, 10_000, false, 1).unwrap(),
+            block
+        );
     }
 
     #[test]
     fn inode_chain_rejects_corruption() {
         let block = InodeChainBlock::with_link(NO_BLOCK, vec![5, 6], vec![]);
-        let mut buf = block.serialize(512);
+        let mut buf = block.serialize(512, false, 1);
         // Corrupt the count to something impossible.
         buf[8] = 0xff;
         buf[9] = 0xff;
-        assert!(InodeChainBlock::deserialize(&buf, 10_000).is_err());
+        assert!(InodeChainBlock::deserialize(&buf, 10_000, false, 1).is_err());
         // Pointer outside the volume.
         let bad = InodeChainBlock::with_link(NO_BLOCK, vec![5_000], vec![]);
-        let buf = bad.serialize(512);
-        assert!(InodeChainBlock::deserialize(&buf, 1_000).is_err());
+        let buf = bad.serialize(512, false, 1);
+        assert!(InodeChainBlock::deserialize(&buf, 1_000, false, 1).is_err());
         // Next pointer outside the volume.
         let bad = InodeChainBlock::with_link(5_000, vec![], vec![]);
-        let buf = bad.serialize(512);
-        assert!(InodeChainBlock::deserialize(&buf, 1_000).is_err());
-        assert!(InodeChainBlock::deserialize(&[0u8; 4], 1_000).is_err());
+        let buf = bad.serialize(512, false, 1);
+        assert!(InodeChainBlock::deserialize(&buf, 1_000, false, 1).is_err());
+        assert!(InodeChainBlock::deserialize(&[0u8; 4], 1_000, false, 1).is_err());
     }
 
     #[test]
@@ -716,21 +688,21 @@ mod tests {
 
     #[test]
     fn coded_chain_roundtrip_and_capacity() {
-        let cap = InodeChainBlock::capacity_for(1024, true);
+        let cap = InodeChainBlock::capacity(1024, true, 1);
         assert_eq!(cap, (1024 - 10) / 16);
         let block = InodeChainBlock::with_link(
             42,
             (200..200 + cap as u64).collect(),
             (900..900 + cap as u64).collect(),
         );
-        let buf = block.serialize_for(1024, true);
+        let buf = block.serialize(1024, true, 1);
         assert_eq!(
-            InodeChainBlock::deserialize_for(&buf, 10_000, true).unwrap(),
+            InodeChainBlock::deserialize(&buf, 10_000, true, 1).unwrap(),
             block
         );
         // Misreading the coded layout as plain interleaves checksums into
         // the pointer stream, which the pointer plausibility check catches.
-        assert!(InodeChainBlock::deserialize(&buf, 250).is_err());
+        assert!(InodeChainBlock::deserialize(&buf, 250, false, 1).is_err());
     }
 
     #[test]
@@ -776,10 +748,10 @@ mod tests {
     #[test]
     fn replicated_chain_roundtrip_and_capacity() {
         let copies = 3;
-        let cap = InodeChainBlock::capacity_meta(1024, true, copies);
+        let cap = InodeChainBlock::capacity(1024, true, copies);
         assert_eq!(cap, (1024 - 8 - 2 * 8 - 8 - 2) / 16);
         // The replicated layout must cost capacity, not share it.
-        assert!(cap < InodeChainBlock::capacity_for(1024, true));
+        assert!(cap < InodeChainBlock::capacity(1024, true, 1));
         let block = InodeChainBlock {
             next: 42,
             next_replicas: vec![43, 44],
@@ -787,9 +759,9 @@ mod tests {
             pointers: (200..200 + cap as u64).collect(),
             csums: (900..900 + cap as u64).collect(),
         };
-        let buf = block.serialize_meta(1024, true, copies);
+        let buf = block.serialize(1024, true, copies);
         assert_eq!(
-            InodeChainBlock::deserialize_meta(&buf, 10_000, true, copies).unwrap(),
+            InodeChainBlock::deserialize(&buf, 10_000, true, copies).unwrap(),
             block
         );
         // A tail node carries NO_BLOCK replicas and a zero checksum.
@@ -800,9 +772,9 @@ mod tests {
             pointers: vec![9],
             csums: vec![1],
         };
-        let buf = tail.serialize_meta(512, true, copies);
+        let buf = tail.serialize(512, true, copies);
         assert_eq!(
-            InodeChainBlock::deserialize_meta(&buf, 10_000, true, copies).unwrap(),
+            InodeChainBlock::deserialize(&buf, 10_000, true, copies).unwrap(),
             tail
         );
         // Replica pointer outside the volume is corruption.
@@ -813,28 +785,15 @@ mod tests {
             pointers: vec![],
             csums: vec![],
         };
-        let buf = bad.serialize_meta(512, true, copies);
-        assert!(InodeChainBlock::deserialize_meta(&buf, 1_000, true, copies).is_err());
-    }
-
-    #[test]
-    fn single_copy_meta_layout_is_exactly_legacy() {
-        let block = InodeChainBlock::with_link(3, vec![10, 11, 12], vec![]);
-        assert_eq!(
-            block.serialize_meta(512, false, 1),
-            block.serialize_for(512, false)
-        );
-        assert_eq!(
-            InodeChainBlock::capacity_meta(512, true, 1),
-            InodeChainBlock::capacity_for(512, true)
-        );
+        let buf = bad.serialize(512, true, copies);
+        assert!(InodeChainBlock::deserialize(&buf, 1_000, true, copies).is_err());
     }
 
     #[test]
     fn chain_capacity_matches_paper_workloads() {
         // A 2 MB file at 512-byte blocks needs 4096 pointers; with 62 per
         // chain block that is 67 chain blocks — perfectly feasible.
-        let cap = InodeChainBlock::capacity(512);
+        let cap = InodeChainBlock::capacity(512, false, 1);
         assert!(cap >= 60);
         let chain_blocks_needed = 4096usize.div_ceil(cap);
         assert!(chain_blocks_needed < 100);

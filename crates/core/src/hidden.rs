@@ -492,7 +492,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 ChainNode {
                     blocks: vec![block],
                     damaged: Vec::new(),
-                    node: InodeChainBlock::deserialize_meta(&plain, total, coded, 1)?,
+                    node: InodeChainBlock::deserialize(&plain, total, coded, 1)?,
                     plain,
                 }
             } else {
@@ -510,7 +510,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                     let buf = self.read_decrypted(block)?;
                     let live = self.share_check().one(&buf) == expected_csum;
                     if live {
-                        match InodeChainBlock::deserialize_meta(&buf, total, coded, copies) {
+                        match InodeChainBlock::deserialize(&buf, total, coded, copies) {
                             Ok(parsed) => {
                                 if good.is_none() {
                                     good = Some((parsed, buf));
@@ -1217,7 +1217,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         let last_entry = (g1 + 1) * n - 1;
         let span = &extents.data_blocks[first_entry..=last_entry];
         self.write_encrypted_many(txn, span, payload)?;
-        let cap = InodeChainBlock::capacity_meta(bs, true, copies).max(1);
+        let cap = InodeChainBlock::capacity(bs, true, copies).max(1);
         let first_node = first_entry / cap;
         let last_node = last_entry / cap;
         for (node_idx, nd) in nodes
@@ -1236,7 +1236,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         }
         let new_header = if copies == 1 {
             for nd in nodes.iter().take(last_node + 1).skip(first_node) {
-                let plain = nd.node.serialize_meta(bs, true, 1);
+                let plain = nd.node.serialize(bs, true, 1);
                 self.write_encrypted(txn, nd.blocks[0], &plain)?;
             }
             None
@@ -1252,7 +1252,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 if let Some(c) = child_csum {
                     nodes[node_idx].node.next_csum = c;
                 }
-                *p = nodes[node_idx].node.serialize_meta(bs, true, copies);
+                *p = nodes[node_idx].node.serialize(bs, true, copies);
                 child_csum = Some(self.share_check().one(p));
             }
             for (node_idx, p) in plains.iter().enumerate() {
@@ -1287,7 +1287,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         let copies = effective_meta_copies(header);
         let coded = header.policy.is_coded();
         let chain_capacity =
-            InodeChainBlock::capacity_meta(self.fs.block_size(), coded, copies).max(1) as u64;
+            InodeChainBlock::capacity(self.fs.block_size(), coded, copies).max(1) as u64;
         let chain_needed = needed.div_ceil(chain_capacity) * copies as u64;
         let available = self.fs.free_data_blocks()
             + header.free_pool.len() as u64
@@ -1436,7 +1436,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         let coded = rw.header.policy.is_coded();
         debug_assert_eq!(csums.len(), if coded { data_blocks.len() } else { 0 });
         let bs = rw.txn.block_size();
-        let chain_capacity = InodeChainBlock::capacity_meta(bs, coded, copies).max(1);
+        let chain_capacity = InodeChainBlock::capacity(bs, coded, copies).max(1);
         let chunks: Vec<&[u64]> = data_blocks.chunks(chain_capacity).collect();
         let chain_block_numbers = rw.take_blocks(chunks.len() * copies, rng)?;
         // Serialise every chain node (back to front, so each node records
@@ -1471,7 +1471,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                     Vec::new()
                 },
             };
-            let node_plain = chain.serialize_meta(bs, coded, copies);
+            let node_plain = chain.serialize(bs, coded, copies);
             if copies > 1 {
                 succ_csum = self.share_check().one(&node_plain);
             }
@@ -1759,8 +1759,8 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
 mod tests {
     use super::*;
     use crate::scratch;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use stegfs_blockdev::{FaultDevice, MemBlockDevice};
+    use std::sync::atomic::Ordering;
+    use stegfs_blockdev::{Dir, FaultDevice, MemBlockDevice, Trigger};
     use stegfs_fs::{FormatOptions, PlainFs};
 
     /// The cache-bypassing context of the object under `keys`.
@@ -2726,52 +2726,14 @@ mod tests {
         }
     }
 
-    /// A memory device whose next `read_blocks` or `write_blocks` panics
-    /// once the matching flag is raised.
-    struct PanicsWhenArmed {
-        mem: MemBlockDevice,
-        reads: Arc<AtomicBool>,
-        writes: Arc<AtomicBool>,
-    }
-
-    impl BlockDevice for PanicsWhenArmed {
-        fn block_size(&self) -> usize {
-            self.mem.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.mem.total_blocks()
-        }
-        fn read_block(&self, block: u64, buf: &mut [u8]) -> stegfs_blockdev::BlockResult<()> {
-            self.mem.read_block(block, buf)
-        }
-        fn write_block(&self, block: u64, buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
-            self.mem.write_block(block, buf)
-        }
-        fn read_blocks(&self, blocks: &[u64], buf: &mut [u8]) -> stegfs_blockdev::BlockResult<()> {
-            if self.reads.swap(false, Ordering::Relaxed) {
-                panic!("scripted panic inside a read batch");
-            }
-            self.mem.read_blocks(blocks, buf)
-        }
-        fn write_blocks(&self, blocks: &[u64], buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
-            if self.writes.swap(false, Ordering::Relaxed) {
-                panic!("scripted panic inside a write batch");
-            }
-            self.mem.write_blocks(blocks, buf)
-        }
+    /// The next batch submission going `dir`.
+    fn next_batch(dir: Dir) -> Trigger {
+        Trigger::when(move |op| op.dir == dir && op.batch)
     }
 
     #[test]
     fn scratch_is_returned_when_the_device_panics_mid_operation() {
-        let (reads, writes) = (
-            Arc::new(AtomicBool::new(false)),
-            Arc::new(AtomicBool::new(false)),
-        );
-        let dev = PanicsWhenArmed {
-            mem: MemBlockDevice::new(1024, 8192),
-            reads: Arc::clone(&reads),
-            writes: Arc::clone(&writes),
-        };
+        let dev = FaultDevice::new(MemBlockDevice::new(1024, 8192));
         let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
         let keys = ObjectKeys::derive("unwind", b"plain key");
         let params = StegParams::for_tests();
@@ -2787,7 +2749,7 @@ mod tests {
 
         // (a) The fetch panics after the cache hit was copied into `out`.
         let hits = cache.stats().block_hits;
-        reads.store(true, Ordering::Relaxed);
+        fs.device().panic(next_batch(Dir::Read));
         let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| io.read(&obj)));
         assert!(read.is_err(), "the fetch panicked");
         assert_eq!(cache.stats().block_hits, hits + 1, "block 0 was a hit");
@@ -2795,7 +2757,7 @@ mod tests {
         assert_eq!(io.read(&obj).unwrap(), data);
 
         // (b) A patch's batch panics while its plaintext sits in scratch.
-        writes.store(true, Ordering::Relaxed);
+        fs.device().panic(next_batch(Dir::Write));
         let patch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             io.write_range(&mut obj, 100, &[0xee; 1500])
         }));
@@ -2810,13 +2772,25 @@ mod tests {
     type Mutation =
         fn(&ObjectIo<'_, '_, Tripped>, &mut HiddenObject, &mut DeterministicRng) -> StegResult<()>;
 
+    /// What one run of the sweep does to the device under `op`.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        None,
+        /// The trip wire, armed after this many more written blocks.
+        Trip(u64),
+        /// The submission this many into `op` fails: a read or a write.
+        Fail(u64),
+        /// The submission this many into `op` panics.
+        Panic(u64),
+    }
+
     /// Run `op` (called `name`) on a fresh volume holding one 6000-byte `policy` object
     /// (a coded one with one share of group 0 damaged, so `repair` has work),
-    /// with the trip wire armed after `trip` more written blocks, or unarmed.
-    /// Checks that a tripped `op` fails cleanly, that scratch balances, and
-    /// that the same context still answers a read once the device heals.
-    /// Returns the blocks `op` wrote.
-    fn run_tripped(policy: Policy, (name, op): (&str, Mutation), trip: Option<u64>) -> u64 {
+    /// with `fault` armed.  Checks that a failing `op` fails cleanly and a
+    /// panicking one is caught, that scratch balances, and that the same
+    /// context still answers a read once the device heals.  Returns the
+    /// blocks `op` wrote and the submissions it made.
+    fn run_tripped(policy: Policy, (name, op): (&str, Mutation), fault: Fault) -> (u64, u64) {
         let dev = Tripped::counting(FaultDevice::new(MemBlockDevice::new(1024, 2048)));
         let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
         let keys = ObjectKeys::derive("trip", b"trip key");
@@ -2838,25 +2812,35 @@ mod tests {
         let written = || fs.device().stats().blocks_written.load(Ordering::Relaxed);
         let before = written();
         let outstanding = scratch::outstanding();
-        if let Some(n) = trip {
-            fs.device().inner().fail_after_writes(n);
+        let faults = fs.device().inner();
+        let base = faults.ops();
+        match fault {
+            Fault::None => {}
+            Fault::Trip(n) => faults.fail_after_writes(n),
+            Fault::Fail(i) => faults.fail(Trigger::at(base + i)),
+            Fault::Panic(i) => faults.panic(Trigger::at(base + i)),
         }
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&io, &mut obj, &mut rng)));
-        let what = format!("{policy:?} {name} tripped after {trip:?} blocks");
-        match outcome {
-            Ok(result) => assert_eq!(result.is_err(), trip.is_some(), "{what}: {result:?}"),
-            Err(_) => panic!("{what}: panicked"),
+        let what = format!("{policy:?} {name} with {fault:?}");
+        match (outcome, fault) {
+            (Err(_), Fault::Panic(_)) => {}
+            (Ok(_), Fault::Panic(_)) => panic!("{what}: did not panic"),
+            (Ok(result), _) => {
+                let failed = !matches!(fault, Fault::None);
+                assert_eq!(result.is_err(), failed, "{what}: {result:?}");
+            }
+            (Err(_), _) => panic!("{what}: panicked"),
         }
         assert_eq!(scratch::outstanding(), outstanding, "{what}");
-        let wrote = written() - before;
+        let (wrote, submitted) = (written() - before, faults.ops() - base);
         fs.device().inner().clear_failure();
         // A write-through volume may be left torn, so the read may fail
         // closed; it must answer, without a panic and with scratch balanced.
         let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| io.read(&obj)));
         assert!(read.is_ok(), "{what}: the read after healing panicked");
         assert_eq!(scratch::outstanding(), outstanding, "{what}: read");
-        wrote
+        (wrote, submitted)
     }
 
     #[test]
@@ -2875,13 +2859,19 @@ mod tests {
         ];
         for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {
             for (name, op) in ops {
-                let clean = run_tripped(policy, (name, op), None);
+                let (clean, submissions) = run_tripped(policy, (name, op), Fault::None);
                 assert!(
                     clean > 0 || name == "repair",
                     "{policy:?} {name} wrote nothing"
                 );
                 for n in 0..clean {
-                    run_tripped(policy, (name, op), Some(n));
+                    run_tripped(policy, (name, op), Fault::Trip(n));
+                }
+                // Index-keyed: each submission of the clean run fails (a
+                // read or a write failure, as it goes), then panics.
+                for i in 0..submissions {
+                    run_tripped(policy, (name, op), Fault::Fail(i));
+                    run_tripped(policy, (name, op), Fault::Panic(i));
                 }
             }
         }

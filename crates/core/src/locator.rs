@@ -136,8 +136,8 @@ mod tests {
         let header = HiddenHeader::new(*keys.signature(), kind);
         let mut buf = header.serialize(fs.block_size());
         keys.encrypt_block(block, &mut buf);
-        fs.allocate_specific_block(block).unwrap();
-        fs.write_raw_block(block, &buf).unwrap();
+        assert!(fs.try_allocate_specific_block(block).unwrap());
+        fs.device().write_block(block, &buf).unwrap();
     }
 
     #[test]
@@ -156,7 +156,7 @@ mod tests {
         let fs = test_fs();
         let keys = ObjectKeys::derive("obj", b"key");
         let (first, _) = find_free_header_slot(&fs, "obj", &keys, 1000).unwrap();
-        fs.allocate_specific_block(first).unwrap();
+        assert!(fs.try_allocate_specific_block(first).unwrap());
         let (second, probes) = find_free_header_slot(&fs, "obj", &keys, 1000).unwrap();
         assert_ne!(first, second);
         assert!(probes >= 2);
@@ -213,8 +213,8 @@ mod tests {
                 break;
             }
             if fs.superblock().in_data_region(c) && !fs.is_block_allocated(c) {
-                fs.allocate_specific_block(c).unwrap();
-                fs.write_raw_block(c, &vec![0x11; 1024]).unwrap();
+                assert!(fs.try_allocate_specific_block(c).unwrap());
+                fs.device().write_block(c, &vec![0x11; 1024]).unwrap();
             }
         }
 
@@ -245,7 +245,7 @@ mod tests {
             let name = format!("user:/file-{i}");
             let keys = ObjectKeys::derive(&name, b"key");
             let (slot, _) = find_free_header_slot(&fs, &name, &keys, 1000).unwrap();
-            fs.allocate_specific_block(slot).unwrap();
+            assert!(fs.try_allocate_specific_block(slot).unwrap());
             slots.insert(slot);
         }
         assert_eq!(slots.len(), 20, "collisions are avoided by probing");

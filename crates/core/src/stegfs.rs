@@ -352,7 +352,7 @@ impl<D: BlockDevice> StegFs<D> {
             // concurrent committers.
             let bs = dev.block_size();
             let dummy_blocks = params.dummy_file_size.div_ceil(bs.max(1) as u64) as usize;
-            let chain_cap = crate::header::InodeChainBlock::capacity(bs).max(1);
+            let chain_cap = crate::header::InodeChainBlock::capacity(bs, false, 1).max(1);
             // Targets: data blocks + chain blocks + header + a margin of
             // bitmap blocks.
             let targets = dummy_blocks + dummy_blocks.div_ceil(chain_cap) + 1 + 4;
@@ -2037,7 +2037,8 @@ mod tests {
         {
             assert_eq!(group.len(), 3);
             fs.plain_fs()
-                .write_raw_block(group[g % 3], &[0u8; 1024])
+                .device()
+                .write_block(group[g % 3], &[0u8; 1024])
                 .unwrap();
         }
         fs.purge_read_caches();
@@ -2608,7 +2609,7 @@ mod tests {
         let junk: Vec<u8> = (0..fs.plain_fs().block_size())
             .map(|i| (i as u8).wrapping_mul(37).wrapping_add(seed))
             .collect();
-        fs.plain_fs().write_raw_block(block, &junk).unwrap();
+        fs.plain_fs().device().write_block(block, &junk).unwrap();
     }
 
     fn raw_bytes(fs: &StegFs<MemBlockDevice>, blocks: &[u64]) -> Vec<u8> {

@@ -80,14 +80,12 @@ pub use request::{Completion, Request, RequestId, Response};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
     use stegfs_blockdev::{
-        BlockDevice, BlockId, BlockResult, BufferCache, LatencyDevice, MemBlockDevice,
+        BlockDevice, BufferCache, Dir, FaultDevice, LatencyDevice, MemBlockDevice, ParkAt, Trigger,
     };
     use stegfs_core::StegParams;
-    use stegfs_obs::lock::{Condvar, Mutex};
     use stegfs_vfs::{OpenOptions, Vfs, VfsError, VfsHandle};
 
     fn small_engine(workers: usize) -> Engine<MemBlockDevice> {
@@ -248,110 +246,35 @@ mod tests {
     // Slots, spares and admission
     // ------------------------------------------------------------------
 
-    /// What a test can do to the top of its stack.
-    #[derive(Default)]
-    struct Controls {
-        /// Panic the next read submission.
-        panic_next_read: AtomicBool,
-        /// While set, read submissions park; `parked` counts them.
-        hold_reads: Mutex<bool>,
-        released: Condvar,
-        parked: AtomicUsize,
-        /// Flushes currently inside the device.
-        flushing: AtomicUsize,
+    /// The top of the test stacks: a fault device, so a test can panic or
+    /// park the reads that reach the volume's device.
+    type Stack = FaultDevice<BufferCache<LatencyDevice<MemBlockDevice>>>;
+
+    /// The next read submission.
+    fn next_read() -> Trigger {
+        Trigger::when(|op| op.dir == Dir::Read)
     }
-
-    impl Controls {
-        fn hold_reads(&self, hold: bool) {
-            *self.hold_reads.lock() = hold;
-            self.released.notify_all();
-        }
-
-        /// Poll `ready` for up to ten seconds.
-        fn wait_until(&self, ready: impl Fn(&Self) -> bool) {
-            let start = Instant::now();
-            while !ready(self) {
-                assert!(start.elapsed() < Duration::from_secs(10), "timed out");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-
-    /// The top device of the test stacks: passes everything through, obeying
-    /// its [`Controls`].
-    struct Trapped<D> {
-        inner: D,
-        controls: Arc<Controls>,
-    }
-
-    impl<D> Trapped<D> {
-        fn before_read(&self) {
-            let c = &self.controls;
-            if c.panic_next_read.swap(false, Ordering::SeqCst) {
-                panic!("a trapped read");
-            }
-            let mut held = c.hold_reads.lock();
-            if *held {
-                c.parked.fetch_add(1, Ordering::SeqCst);
-                while *held {
-                    held = c.released.wait(held);
-                }
-            }
-        }
-    }
-
-    impl<D: BlockDevice> BlockDevice for Trapped<D> {
-        fn block_size(&self) -> usize {
-            self.inner.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.inner.total_blocks()
-        }
-        fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-            self.before_read();
-            self.inner.read_block(block, buf)
-        }
-        fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-            self.inner.write_block(block, buf)
-        }
-        fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
-            self.before_read();
-            self.inner.read_blocks(blocks, buf)
-        }
-        fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-            self.inner.write_blocks(blocks, buf)
-        }
-        fn flush(&self) -> BlockResult<()> {
-            self.controls.flushing.fetch_add(1, Ordering::SeqCst);
-            let flushed = self.inner.flush();
-            self.controls.flushing.fetch_sub(1, Ordering::SeqCst);
-            flushed
-        }
-    }
-
-    type Stack = Trapped<BufferCache<LatencyDevice<MemBlockDevice>>>;
 
     /// A journaled write-back volume whose device flush sleeps `flush`
-    /// (formatted without the sleep, then remounted with it).
-    fn journaled(flush: Duration) -> (Arc<Vfs<Stack>>, Arc<Controls>) {
+    /// (formatted without the sleep, then remounted with it), and a handle
+    /// to its top device.
+    fn journaled(flush: Duration) -> (Arc<Vfs<Stack>>, Stack) {
         let params = StegParams {
             dummy_file_count: 0,
             journal_blocks: 256,
             ..StegParams::for_tests()
         };
-        let stack = |mem: MemBlockDevice, flush: Duration| Trapped {
-            inner: BufferCache::new_write_back(
+        let stack = |mem: MemBlockDevice, flush: Duration| {
+            BufferCache::new_write_back(
                 LatencyDevice::new(mem, Duration::ZERO, Duration::ZERO).with_flush_latency(flush),
                 256,
-            ),
-            controls: Arc::default(),
+            )
         };
         let formatted = stack(MemBlockDevice::new(1024, 8192), Duration::ZERO);
         let vfs = Vfs::format(formatted, params.clone()).unwrap();
-        let mem = vfs.unmount().unwrap().inner.into_inner().into_inner();
-        let dev = stack(mem, flush);
-        let controls = Arc::clone(&dev.controls);
-        (Arc::new(Vfs::mount(dev, params).unwrap()), controls)
+        let mem = vfs.unmount().unwrap().into_inner().into_inner();
+        let dev = FaultDevice::new(stack(mem, flush));
+        (Arc::new(Vfs::mount(dev.clone(), params).unwrap()), dev)
     }
 
     fn write_at(handle: VfsHandle, fill: u8) -> Request {
@@ -421,17 +344,22 @@ mod tests {
 
     #[test]
     fn a_panicking_request_poisons_the_engine_and_leaves_no_thread() {
-        let (vfs, controls) = journaled(Duration::from_millis(50));
+        let (vfs, dev) = journaled(Duration::from_millis(50));
         let engine = Engine::start(Arc::clone(&vfs), 1);
         let client = engine.client("k");
         let (a, b) = (opened(&client, "/plain/a"), opened(&client, "/plain/b"));
         client.call(write_at(b, 2)).result.unwrap();
 
+        let flushes = dev.flushes();
         let write = client.submit(write_at(a, 1)).unwrap();
         // Once the write is in its flush, the read runs on a spare thread
         // and panics there.
-        controls.wait_until(|c| c.flushing.load(Ordering::SeqCst) > 0);
-        controls.panic_next_read.store(true, Ordering::SeqCst);
+        let start = Instant::now();
+        while dev.flushes() == flushes {
+            assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        dev.panic(next_read());
         let read = client.submit(read_at(b)).unwrap();
         match client.wait_for(read).result {
             Err(VfsError::Unsupported(m)) => assert_eq!(m, "request panicked"),
@@ -449,7 +377,7 @@ mod tests {
     fn a_full_engine_refuses_at_once_and_alike_for_both_namespaces() {
         // A client keeping 8 requests in flight on one slot is never refused.
         const { assert!(IN_FLIGHT_PER_WORKER > 8) };
-        let (vfs, controls) = journaled(Duration::ZERO);
+        let (vfs, dev) = journaled(Duration::ZERO);
         let engine = Engine::start(vfs, 1);
         let client = engine.client("k");
         let a = opened(&client, "/plain/a");
@@ -457,9 +385,9 @@ mod tests {
 
         // The only slot parks on a device read, outside the commit gate, so
         // everything after it queues.
-        controls.hold_reads(true);
+        let park = dev.park(next_read(), ParkAt::Before);
         let mut accepted = vec![client.submit(read_at(a)).unwrap()];
-        controls.wait_until(|c| c.parked.load(Ordering::SeqCst) > 0);
+        park.wait();
         let refused = loop {
             match client.submit(Request::Stat {
                 path: "/plain/a".into(),
@@ -478,7 +406,7 @@ mod tests {
             assert_eq!(again.to_string(), refused.to_string(), "{path}");
         }
 
-        controls.hold_reads(false);
+        park.release();
         for id in accepted {
             assert!(client.wait_for(id).result.is_ok());
         }

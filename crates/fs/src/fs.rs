@@ -739,21 +739,8 @@ impl<D: BlockDevice> PlainFs<D> {
             .ok_or(FsError::NoSpace)
     }
 
-    /// Mark a specific data-region block allocated (used when the keyed
-    /// locator has chosen a header position, and by recovery).
-    pub fn allocate_specific_block(&self, block: u64) -> FsResult<()> {
-        if !self.sb.in_data_region(block) {
-            return Err(FsError::Corrupt(format!(
-                "block {block} outside the data region"
-            )));
-        }
-        self.bitmap.allocate(block)
-    }
-
     /// Atomically check-and-allocate a specific data-region block.  Returns
-    /// `Ok(false)` — instead of the corruption error of
-    /// [`Self::allocate_specific_block`] — when the block is already taken,
-    /// which is how concurrent hidden-object creators resolve losing the race
+    /// `Ok(false)` when the block is already taken, which is how concurrent hidden-object creators resolve losing the race
     /// for a header slot: they simply probe on.  Touches only the block's
     /// bitmap segment, never the allocator meta lock.
     pub fn try_allocate_specific_block(&self, block: u64) -> FsResult<bool> {
@@ -783,12 +770,6 @@ impl<D: BlockDevice> PlainFs<D> {
         Ok(buf)
     }
 
-    /// Write a raw block (any region).
-    pub fn write_raw_block(&self, block: u64, data: &[u8]) -> FsResult<()> {
-        self.dev.write_block(block, data)?;
-        Ok(())
-    }
-
     /// Read a whole extent list in **one batched device submission**,
     /// returning the concatenated block contents in `blocks` order.  This is
     /// the raw primitive the hidden-object layer reads its extents through.
@@ -806,17 +787,6 @@ impl<D: BlockDevice> PlainFs<D> {
             return Ok(());
         }
         self.dev.read_blocks(blocks, buf)?;
-        Ok(())
-    }
-
-    /// Write a whole extent list in **one batched device submission**.
-    /// `data` is the concatenation of the block contents in `blocks` order,
-    /// so `data.len()` must equal `blocks.len() * block_size`.
-    pub fn write_raw_blocks(&self, blocks: &[u64], data: &[u8]) -> FsResult<()> {
-        if blocks.is_empty() && data.is_empty() {
-            return Ok(());
-        }
-        self.dev.write_blocks(blocks, data)?;
         Ok(())
     }
 
@@ -2046,12 +2016,11 @@ mod tests {
         let b = fs.allocate_random_block().unwrap();
         assert!(fs.superblock().in_data_region(b));
         assert!(fs.is_block_allocated(b));
-        fs.write_raw_block(b, &vec![0xee; 1024]).unwrap();
+        fs.device().write_block(b, &vec![0xee; 1024]).unwrap();
         assert_eq!(fs.read_raw_block(b).unwrap(), vec![0xee; 1024]);
         fs.free_raw_block(b).unwrap();
         assert!(!fs.is_block_allocated(b));
         // Metadata blocks cannot be allocated or freed through the raw API.
-        assert!(fs.allocate_specific_block(0).is_err());
         assert!(fs.free_raw_block(0).is_err());
         assert!(fs.try_allocate_specific_block(0).is_err());
     }

@@ -200,12 +200,13 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
                 tx.write(block, data.to_vec());
                 Ok(())
             }
-            None => self.fs.write_raw_block(block, data),
+            None => Ok(self.fs.observed_device().write_block(block, data)?),
         }
     }
 
-    /// Stage or immediately perform a batched extent write (`data` is the
-    /// concatenation of the block images in `blocks` order).
+    /// Stage or immediately perform a batched extent write, in **one
+    /// batched device submission** (`data` is the concatenation of the
+    /// block images in `blocks` order).
     pub fn write_raw_blocks(&mut self, blocks: &[u64], data: &[u8]) -> FsResult<()> {
         match &mut self.tx {
             Some(tx) => {
@@ -223,7 +224,8 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
                 }
                 Ok(())
             }
-            None => self.fs.write_raw_blocks(blocks, data),
+            None if blocks.is_empty() && data.is_empty() => Ok(()),
+            None => Ok(self.fs.observed_device().write_blocks(blocks, data)?),
         }
     }
 

@@ -1359,7 +1359,7 @@ fn grow(buf: &mut Vec<u8>, block_size: usize) -> &mut [u8] {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use stegfs_blockdev::MemBlockDevice;
+    use stegfs_blockdev::{Dir, FaultDevice, LatencyDevice, MemBlockDevice, Park, ParkAt, Trigger};
 
     const BS: usize = 512;
 
@@ -1775,107 +1775,63 @@ mod tests {
         }
     }
 
-    /// A memory device whose flushes take `delay`, so concurrent gate
-    /// visitors pile up behind them, and fail when their 1-based number
-    /// (the format's flush is number 1) is listed in `fail`.  Flush number
-    /// `park` (0: none) first waits for [`SlowFlush::release`].  Writes to
-    /// the anchor slots (the fixtures' region starts at block 1) are counted
-    /// per flush epoch: since the last flush started.
-    struct SlowFlush {
-        mem: MemBlockDevice,
-        delay: std::time::Duration,
-        flushes: AtomicU64,
-        fail: Vec<u64>,
-        park: u64,
-        /// `(a flush is parked, the park was released)`.
-        parked: Mutex<(bool, bool)>,
-        cv: Condvar,
-        epoch_anchors: AtomicU64,
-        max_epoch_anchors: AtomicU64,
-    }
+    /// A memory device whose flushes can take a while, so concurrent gate
+    /// visitors pile up behind them, and fail or park as a test plans.
+    type Dev = FaultDevice<LatencyDevice<MemBlockDevice>>;
 
-    impl SlowFlush {
-        fn wait_parked(&self) {
-            let mut g = self.parked.lock();
-            while !g.0 {
-                g = self.cv.wait(g);
-            }
-        }
-
-        fn release(&self) {
-            self.parked.lock().1 = true;
-            self.cv.notify_all();
-        }
-    }
-
-    impl BlockDevice for SlowFlush {
-        fn block_size(&self) -> usize {
-            self.mem.block_size()
-        }
-        fn total_blocks(&self) -> u64 {
-            self.mem.total_blocks()
-        }
-        fn read_block(&self, block: u64, buf: &mut [u8]) -> stegfs_blockdev::BlockResult<()> {
-            self.mem.read_block(block, buf)
-        }
-        fn write_block(&self, block: u64, buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
-            if (1..1 + ANCHOR_SLOTS).contains(&block) {
-                let n = self.epoch_anchors.fetch_add(1, Ordering::SeqCst) + 1;
-                self.max_epoch_anchors.fetch_max(n, Ordering::SeqCst);
-            }
-            self.mem.write_block(block, buf)
-        }
-        fn flush(&self) -> stegfs_blockdev::BlockResult<()> {
-            let n = self.flushes.fetch_add(1, Ordering::SeqCst) + 1;
-            self.epoch_anchors.store(0, Ordering::SeqCst);
-            if n == self.park {
-                let mut g = self.parked.lock();
-                g.0 = true;
-                self.cv.notify_all();
-                while !g.1 {
-                    g = self.cv.wait(g);
-                }
-            }
-            std::thread::sleep(self.delay);
-            if self.fail.contains(&n) {
-                return Err(std::io::Error::other("scripted flush failure").into());
-            }
-            Ok(())
-        }
-    }
-
-    /// A formatted journal of `blocks` blocks over a [`SlowFlush`], its gate
-    /// metrics enabled.
+    /// A formatted journal of `blocks` blocks, its gate metrics enabled,
+    /// over a [`Dev`] whose flushes take `delay_ms` and fail when
+    /// their 1-based number (the format's flush is number 1) is listed in
+    /// `fail`.  Flush number `park` (0: none) first waits for the returned
+    /// handle's release.
     fn slow_journal(
         delay_ms: u64,
         fail: Vec<u64>,
         park: u64,
         blocks: u64,
-    ) -> (Arc<SlowFlush>, Arc<Journal>) {
-        let dev = Arc::new(SlowFlush {
-            mem: MemBlockDevice::new(BS, 2048),
-            delay: std::time::Duration::from_millis(delay_ms),
-            flushes: AtomicU64::new(0),
-            fail,
-            park,
-            parked: Mutex::new((false, false)),
-            cv: Condvar::new(),
-            epoch_anchors: AtomicU64::new(0),
-            max_epoch_anchors: AtomicU64::new(0),
-        });
+    ) -> (Arc<Dev>, Arc<Journal>, Park) {
+        let delay = std::time::Duration::from_millis(delay_ms);
+        let mem = MemBlockDevice::new(BS, 2048);
+        let dev = Arc::new(FaultDevice::new(
+            LatencyDevice::new(mem, Default::default(), Default::default())
+                .with_flush_latency(delay),
+        ));
+        let flush = |n: u64| Trigger::when(move |op| op.dir == Dir::Flush && op.epoch + 1 == n);
+        let parked = dev.park(flush(park), ParkAt::Before);
+        for n in fail {
+            dev.fail(flush(n));
+        }
         let geo = JournalGeometry {
             start: 1,
             blocks,
             block_size: BS,
         };
         let journal = Journal::format(geo, 1, dev.as_ref()).unwrap();
-        // The format writes both anchors in one epoch on purpose.
-        dev.max_epoch_anchors.store(0, Ordering::SeqCst);
-        (dev, Arc::new(journal))
+        (dev, Arc::new(journal), parked)
     }
 
-    fn slow_gate(delay_ms: u64, fail: Vec<u64>) -> (Arc<SlowFlush>, Arc<Journal>) {
-        slow_journal(delay_ms, fail, 0, 32)
+    /// The most anchor-slot writes (the fixtures' region starts at block 1)
+    /// `dev` sees in one flush epoch from now on.
+    fn max_anchors_per_epoch(dev: &Dev) -> Arc<AtomicU64> {
+        let max = Arc::new(AtomicU64::new(0));
+        let (seen, mut epoch) = (Arc::clone(&max), (0, 0));
+        dev.record(Trigger::when(|op| op.dir == Dir::Write), move |op| {
+            if op.epoch != epoch.0 {
+                epoch = (op.epoch, 0);
+            }
+            epoch.1 += op
+                .blocks
+                .iter()
+                .filter(|b| (1..1 + ANCHOR_SLOTS).contains(b))
+                .count() as u64;
+            seen.fetch_max(epoch.1, Ordering::SeqCst);
+        });
+        max
+    }
+
+    fn slow_gate(delay_ms: u64, fail: Vec<u64>) -> (Arc<Dev>, Arc<Journal>) {
+        let (dev, journal, _) = slow_journal(delay_ms, fail, 0, 32);
+        (dev, journal)
     }
 
     fn one_block_tx(block: u64, byte: u8) -> Tx {
@@ -1886,9 +1842,9 @@ mod tests {
 
     /// Run `f` over clones of the fixture on a new thread.
     fn on_a_thread<T: Send + 'static>(
-        dev: &Arc<SlowFlush>,
+        dev: &Arc<Dev>,
         journal: &Arc<Journal>,
-        f: impl FnOnce(&SlowFlush, &Journal) -> T + Send + 'static,
+        f: impl FnOnce(&Dev, &Journal) -> T + Send + 'static,
     ) -> std::thread::JoinHandle<T> {
         let (dev, journal) = (Arc::clone(dev), Arc::clone(journal));
         std::thread::spawn(move || f(&dev, &journal))
@@ -1918,15 +1874,17 @@ mod tests {
     fn a_caller_is_released_by_the_first_good_flush_that_started_after_it() {
         // Flush 2 (the gate's first) fails while a second caller waits on
         // it; that caller leads flush 3 and must leave when it succeeds.
-        let (dev, journal) = slow_gate(50, vec![2]);
+        let (dev, journal, park) = slow_journal(50, vec![2], 2, 32);
         let leader = on_a_thread(&dev, &journal, |dev, journal| journal.flush_barrier(dev));
-        while dev.flushes.load(Ordering::SeqCst) < 2 {
+        park.wait();
+        let waiter = on_a_thread(&dev, &journal, |dev, journal| journal.flush_barrier(dev));
+        while journal.gate.state.lock().unstarted == 0 {
             std::thread::yield_now();
         }
-        let waiter = on_a_thread(&dev, &journal, |dev, journal| journal.flush_barrier(dev));
+        park.release();
         assert!(leader.join().unwrap().is_err());
         assert!(waiter.join().unwrap().is_ok());
-        assert_eq!(dev.flushes.load(Ordering::SeqCst), 3, "no extra flush");
+        assert_eq!(dev.flushes(), 3, "no extra flush");
         let gate = journal.gate.stats.summary();
         assert_eq!((gate.flushes, gate.batch.total), (1, 1));
     }
@@ -1961,10 +1919,10 @@ mod tests {
     fn a_stage_does_not_wait_for_an_anchor_flush() {
         // Flush 2 commits the transaction, sync's flush 3 makes it
         // reclaimable, and flush 4, the anchor's, parks.
-        let (dev, journal) = slow_journal(0, Vec::new(), 4, 32);
+        let (dev, journal, park) = slow_journal(0, Vec::new(), 4, 32);
         journal.commit(dev.as_ref(), one_block_tx(100, 1)).unwrap();
         let sync = on_a_thread(&dev, &journal, |dev, journal| journal.sync(dev));
-        dev.wait_parked();
+        park.wait();
         // The run stays counted while its anchor is in flight.
         assert_eq!(journal.occupancy().0, 3);
         let (send, staged) = std::sync::mpsc::channel();
@@ -1972,7 +1930,7 @@ mod tests {
             send.send(journal.stage(dev, one_block_tx(101, 2))).unwrap()
         });
         let staged = staged.recv_timeout(std::time::Duration::from_secs(5));
-        dev.release();
+        park.release();
         let staged = staged
             .expect("a stage waited for the anchor flush")
             .unwrap()
@@ -1991,7 +1949,9 @@ mod tests {
     fn concurrent_steals_run_one_checkpoint() {
         // A ring of 256 slots: 8 committers of 3-slot transactions can all
         // stage past the 900 permille steal line without filling it.
-        let (dev, journal) = slow_journal(1, Vec::new(), 0, ANCHOR_SLOTS + 256);
+        let (dev, journal, _) = slow_journal(1, Vec::new(), 0, ANCHOR_SLOTS + 256);
+        // The format writes both anchors in one epoch on purpose.
+        let max_epoch_anchors = max_anchors_per_epoch(&dev);
         let (ran, skipped) = (AtomicU64::new(0), AtomicU64::new(0));
         std::thread::scope(|s| {
             for t in 0..8u64 {
@@ -2016,7 +1976,7 @@ mod tests {
         assert!(ran > 0, "the ring never reached the steal line");
         assert!(skipped > 0, "no committer found a checkpoint in flight");
         assert_eq!(
-            dev.max_epoch_anchors.load(Ordering::SeqCst),
+            max_epoch_anchors.load(Ordering::SeqCst),
             1,
             "two anchors in one flush epoch"
         );
@@ -2031,11 +1991,11 @@ mod tests {
     #[test]
     fn a_failed_anchor_leaves_the_run_live() {
         // As above the anchor's flush is number 4; it parks, then fails.
-        let (dev, journal) = slow_journal(0, vec![4], 4, 32);
+        let (dev, journal, park) = slow_journal(0, vec![4], 4, 32);
         journal.commit(dev.as_ref(), one_block_tx(100, 1)).unwrap();
         let tail = journal.state.lock().durable_tail_seq;
         let sync = on_a_thread(&dev, &journal, |dev, journal| journal.sync(dev));
-        dev.wait_parked();
+        park.wait();
         // A committer stages in the window and waits at the gate behind
         // the parked flush; it commits with the next one.
         let committer = on_a_thread(&dev, &journal, |dev, journal| {
@@ -2046,7 +2006,7 @@ mod tests {
             std::thread::yield_now();
         }
         let staged_in_window = journal.occupancy().0 == 6;
-        dev.release();
+        park.release();
         assert!(staged_in_window, "a stage waited for the anchor flush");
         assert!(sync.join().unwrap().is_err());
         committer.join().unwrap().unwrap();

@@ -13,13 +13,11 @@
 //! its block, byte and submission totals, and the raw image.  An eviction
 //! mechanism that reproduces the constant chose every victim the same way.
 
-use std::sync::Arc;
-use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
+use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice, ObservedDevice};
 use stegfs_core::StegParams;
 use stegfs_crypto::sha256::{sha256, Sha256};
-use stegfs_obs::lock::Mutex;
 use stegfs_obs::DeviceSummary;
-use stegfs_tests::{hex, journaled_params, payload, Pin, Tape};
+use stegfs_tests::{hex, journaled_params, payload, tape, Pin};
 use stegfs_vfs::{OpenOptions, SessionId, Vfs};
 
 const OWNER: &str = "the real key";
@@ -45,7 +43,7 @@ const BUFFER_CACHE_BLOCKS: usize = 64;
 /// the image moved only in the journal ring's 160 slots.
 const PINNED: &str = "eac72b35c7314d41bd936ea28e8189092de24f8ffa79227a8e57aa3d614abecf";
 
-type Disk = ObservedDevice<Tape>;
+type Disk = ObservedDevice<FaultDevice<MemBlockDevice>>;
 type Stack = Vfs<BufferCache<Disk>>;
 
 fn params() -> StegParams {
@@ -73,11 +71,8 @@ fn check(vfs: &Stack, s: SessionId, path: &str, want: &[u8]) {
 
 /// The fixed script; returns (traffic digest, device totals, raw image).
 fn run_script() -> (String, DeviceSummary, Vec<u8>) {
-    let traffic = Arc::new(Mutex::new(Sha256::new()));
-    let disk = ObservedDevice::counting(Tape {
-        mem: MemBlockDevice::new(BS, 8192),
-        traffic: Arc::clone(&traffic),
-    });
+    let (tape, traffic) = tape(MemBlockDevice::new(BS, 8192));
+    let disk = ObservedDevice::counting(tape);
     let io = disk.stats().clone();
     let vfs: Stack = Vfs::format(cached(disk), params()).expect("format");
     let s = vfs.signon(OWNER);
@@ -152,11 +147,12 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     vfs.signoff(s).unwrap();
     let tape = vfs.unmount().expect("unmount").into_inner().into_inner();
 
-    let mut image = Vec::with_capacity(tape.mem.total_blocks() as usize * BS);
-    for b in 0..tape.mem.total_blocks() {
-        image.extend(tape.mem.read_block_vec(b).expect("raw read"));
-    }
+    // The digest is taken before the image is read through the tape.
     let traffic = traffic.lock().clone().finalize();
+    let mut image = Vec::with_capacity(tape.total_blocks() as usize * BS);
+    for b in 0..tape.total_blocks() {
+        image.extend(tape.read_block_vec(b).expect("raw read"));
+    }
     (hex(&traffic), io.summary(), image)
 }
 

@@ -3,7 +3,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::Arc;
-use stegfs_blockdev::{BlockDevice, BlockId, BlockResult, MemBlockDevice};
+use stegfs_blockdev::{BlockDevice, Dir, FaultDevice, MemBlockDevice, Trigger};
 use stegfs_core::blockmap::{diff, BlockMap};
 use stegfs_core::{Policy, StegFs, StegParams};
 use stegfs_crypto::sha256::Sha256;
@@ -149,51 +149,27 @@ impl Pin<'_> {
     }
 }
 
-/// A device that hashes what it is asked, in order — kind and block list of
-/// every submission — for the tests that pin a stack's ordered traffic.
-pub struct Tape {
-    /// The backing store.
-    pub mem: MemBlockDevice,
-    /// Running digest of the traffic seen so far.
-    pub traffic: Arc<Mutex<Sha256>>,
-}
-
-impl Tape {
-    fn record(&self, kind: u8, blocks: &[BlockId]) {
-        let mut sha = self.traffic.lock();
+/// A pass-through [`FaultDevice`] over `mem` that hashes what it is asked,
+/// in order — kind and block list of every submission — for the tests that
+/// pin a stack's ordered traffic; and the running digest.
+pub fn tape(mem: MemBlockDevice) -> (FaultDevice<MemBlockDevice>, Arc<Mutex<Sha256>>) {
+    let traffic = Arc::new(Mutex::new(Sha256::new()));
+    let sha = Arc::clone(&traffic);
+    let dev = FaultDevice::new(mem);
+    dev.record(Trigger::when(|_| true), move |op| {
+        let kind = match (op.dir, op.batch) {
+            (Dir::Read, false) => b'r',
+            (Dir::Read, true) => b'R',
+            (Dir::Write, false) => b'w',
+            (Dir::Write, true) => b'W',
+            (Dir::Flush, _) => b'F',
+        };
+        let mut sha = sha.lock();
         sha.update(&[kind]);
-        sha.update(&(blocks.len() as u64).to_be_bytes());
-        for b in blocks {
+        sha.update(&(op.blocks.len() as u64).to_be_bytes());
+        for b in op.blocks {
             sha.update(&b.to_be_bytes());
         }
-    }
-}
-
-impl BlockDevice for Tape {
-    fn block_size(&self) -> usize {
-        self.mem.block_size()
-    }
-    fn total_blocks(&self) -> u64 {
-        self.mem.total_blocks()
-    }
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> BlockResult<()> {
-        self.record(b'r', &[block]);
-        self.mem.read_block(block, buf)
-    }
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> BlockResult<()> {
-        self.record(b'w', &[block]);
-        self.mem.write_block(block, buf)
-    }
-    fn read_blocks(&self, blocks: &[BlockId], buf: &mut [u8]) -> BlockResult<()> {
-        self.record(b'R', blocks);
-        self.mem.read_blocks(blocks, buf)
-    }
-    fn write_blocks(&self, blocks: &[BlockId], buf: &[u8]) -> BlockResult<()> {
-        self.record(b'W', blocks);
-        self.mem.write_blocks(blocks, buf)
-    }
-    fn flush(&self) -> BlockResult<()> {
-        self.record(b'F', &[]);
-        self.mem.flush()
-    }
+    });
+    (dev, traffic)
 }

@@ -19,16 +19,14 @@
 //! namespace sweep in `tests/journal_crash.rs` crashes each of them at every
 //! block write it makes.
 
-use std::sync::Arc;
-use stegfs_blockdev::{BlockDevice, BufferCache, MemBlockDevice, ObservedDevice};
+use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice, ObservedDevice};
 use stegfs_core::{
     DirectoryEntry, ObjectKind, Parent, Policy, RepairOutcome, StegFs, StegParams, UakDirectory,
 };
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_crypto::sha256::{sha256, Sha256};
-use stegfs_obs::lock::Mutex;
 use stegfs_obs::DeviceSummary;
-use stegfs_tests::{hex, journaled_params, payload, Pin, Tape};
+use stegfs_tests::{hex, journaled_params, payload, tape, Pin};
 
 const OWNER: &str = "the real key";
 const FRIEND: &str = "a colleague's key";
@@ -57,7 +55,7 @@ const BUFFER_CACHE_BLOCKS: usize = 64;
 /// 160 slots.
 const PINNED: &str = "3361cb6da3a70ed0a939dbc9987ed936fff77234a50b74c1e596f578ffd7e1d3";
 
-type Disk = ObservedDevice<Tape>;
+type Disk = ObservedDevice<FaultDevice<MemBlockDevice>>;
 type Stack = StegFs<BufferCache<Disk>>;
 
 fn params() -> StegParams {
@@ -105,11 +103,8 @@ fn names(listing: UakDirectory) -> Vec<String> {
 
 /// The fixed script; returns (traffic digest, device totals, raw image).
 fn run_script() -> (String, DeviceSummary, Vec<u8>) {
-    let traffic = Arc::new(Mutex::new(Sha256::new()));
-    let disk = ObservedDevice::counting(Tape {
-        mem: MemBlockDevice::new(BS, 8192),
-        traffic: Arc::clone(&traffic),
-    });
+    let (tape, traffic) = tape(MemBlockDevice::new(BS, 8192));
+    let disk = ObservedDevice::counting(tape);
     let io = disk.stats().clone();
     let fs: Stack = StegFs::format(cached(disk), params()).expect("format");
 
@@ -279,11 +274,12 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     drop(h);
     let tape = fs.unmount().expect("unmount").into_inner().into_inner();
 
-    let mut image = Vec::with_capacity(tape.mem.total_blocks() as usize * BS);
-    for b in 0..tape.mem.total_blocks() {
-        image.extend(tape.mem.read_block_vec(b).expect("raw read"));
-    }
+    // The digest is taken before the image is read through the tape.
     let traffic = traffic.lock().clone().finalize();
+    let mut image = Vec::with_capacity(tape.total_blocks() as usize * BS);
+    for b in 0..tape.total_blocks() {
+        image.extend(tape.read_block_vec(b).expect("raw read"));
+    }
     (hex(&traffic), io.summary(), image)
 }
 

@@ -25,13 +25,13 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stegfs_blockdev::{
-    BlockDevice, BlockError, BlockResult, BufferCache, FaultDevice, MemBlockDevice,
+    BlockDevice, BufferCache, Dir, FaultDevice, MemBlockDevice, Park, ParkAt, Trigger,
 };
 use stegfs_core::blockmap::BlockMap;
 use stegfs_core::crypt::ObjectKeys;
 use stegfs_core::{DirectoryEntry, ObjectKind, Parent, StegError, StegFs, StegParams};
 use stegfs_journal::SlotUse;
-use stegfs_obs::lock::{Condvar, Mutex, RwLock};
+use stegfs_obs::lock::Mutex;
 use stegfs_tests::{journaled_params, owned_once, payload};
 
 const OWNER: &str = "crash-harness key";
@@ -484,14 +484,15 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
         // down so it survives the crash no matter what.
         let junk = vec![0x99u8; 1024];
         for group in fs.hidden_share_extents("heal", OWNER).unwrap() {
-            fs.plain_fs().write_raw_block(group[1], &junk).unwrap();
-            fs.plain_fs().write_raw_block(group[3], &junk).unwrap();
+            fs.plain_fs().device().write_block(group[1], &junk).unwrap();
+            fs.plain_fs().device().write_block(group[3], &junk).unwrap();
         }
         let entry = fs.lookup_entry("heal", OWNER).unwrap();
         let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
         let obj = fs.object_io(&keys).open(&entry.physical_name).unwrap();
         fs.plain_fs()
-            .write_raw_block(obj.header.header_replicas[1], &junk)
+            .device()
+            .write_block(obj.header.header_replicas[1], &junk)
             .unwrap();
         fs.sync().unwrap();
         fs.purge_read_caches();
@@ -529,22 +530,14 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
     }
 }
 
-/// What an [`AnchorFlight`] device saw, shared with the test driving it.
-#[derive(Default)]
-struct Flight {
-    seen: Mutex<Seen>,
-    cv: Condvar,
-    /// Read-held across every call into the device; [`Flight::kill`] takes
-    /// it to write, so once it returns nothing more reaches the disk.
-    dead: RwLock<bool>,
-}
-
+/// What the journal's writes and flushes did to its ring, as they reached
+/// the write cache of the device under it.
 #[derive(Default)]
 struct Seen {
     anchors: Range<u64>,
     ring: Range<u64>,
     /// Anchor writes so far; the first `durable_anchor_writes` of them were
-    /// covered by a flush that has returned.
+    /// covered by a flush that reached the device.
     anchor_writes: u64,
     durable_anchor_writes: u64,
     /// `anchor_writes` at each ring block's last write.  A slot is rewritten
@@ -553,144 +546,66 @@ struct Seen {
     /// one are listed in `reused`.
     last_write: HashMap<u64, u64>,
     reused: Vec<u64>,
-    armed: bool,
-    parked: bool,
-    released: bool,
     /// Ring blocks written since the last anchor write.
     behind: u64,
 }
 
-impl Flight {
-    fn watch(&self, journal_start: u64, journal_blocks: u64) {
-        let mut seen = self.seen.lock();
-        seen.anchors = journal_start..journal_start + 2;
-        seen.ring = journal_start + 2..journal_start + journal_blocks;
-    }
-
-    /// Park the next flush that starts after an anchor write, and wait
-    /// until it is parked with `blocks` ring blocks written since that
-    /// anchor; false if that took longer than `limit`.  The flush stays
-    /// parked until [`release`](Self::release).
-    fn park_anchor_flush(&self, blocks: u64, limit: Duration) -> bool {
-        let deadline = Instant::now() + limit;
-        let mut seen = self.seen.lock();
-        seen.armed = true;
-        while !(seen.parked && seen.behind >= blocks) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
+impl Seen {
+    /// Watch the journal of `blocks` blocks at `start` through `dev`'s
+    /// write and flush submissions.
+    fn watch(dev: &FaultDevice<MemBlockDevice>, start: u64, blocks: u64) -> Arc<Mutex<Seen>> {
+        let seen = Arc::new(Mutex::new(Seen {
+            anchors: start..start + 2,
+            ring: start + 2..start + blocks,
+            ..Seen::default()
+        }));
+        let log = Arc::clone(&seen);
+        dev.record(Trigger::when(|op| op.dir != Dir::Read), move |op| {
+            let seen = &mut *log.lock();
+            if op.dir == Dir::Flush {
+                seen.durable_anchor_writes = seen.anchor_writes;
             }
-            seen = self.cv.wait_timeout(seen, left).0;
-        }
-        true
-    }
-
-    fn kill(&self) {
-        *self.dead.write() = true;
-    }
-
-    /// Disarm, and let a parked flush go on.
-    fn release(&self) {
-        let mut seen = self.seen.lock();
-        seen.armed = false;
-        seen.released = true;
-        self.cv.notify_all();
-        while seen.parked {
-            seen = self.cv.wait(seen);
-        }
-        seen.released = false;
-    }
-
-    fn wrote(&self, blocks: &[u64]) {
-        let seen = &mut *self.seen.lock();
-        for &b in blocks {
-            if seen.anchors.contains(&b) {
-                seen.anchor_writes += 1;
-                seen.behind = 0;
-            } else if seen.ring.contains(&b) {
-                let stamp = seen.last_write.insert(b, seen.anchor_writes);
-                if stamp.is_some_and(|stamp| seen.durable_anchor_writes <= stamp) {
-                    seen.reused.push(b);
+            for &b in op.blocks {
+                if seen.anchors.contains(&b) {
+                    seen.anchor_writes += 1;
+                    seen.behind = 0;
+                } else if seen.ring.contains(&b) {
+                    let stamp = seen.last_write.insert(b, seen.anchor_writes);
+                    if stamp.is_some_and(|stamp| seen.durable_anchor_writes <= stamp) {
+                        seen.reused.push(b);
+                    }
+                    seen.behind += 1;
                 }
-                seen.behind += 1;
             }
-        }
-        self.cv.notify_all();
-    }
-
-    /// At a flush's start: park it if armed and an anchor is not yet known
-    /// durable.  Returns the anchor writes this flush covers.
-    fn flush_starts(&self) -> u64 {
-        let mut seen = self.seen.lock();
-        let covers = seen.anchor_writes;
-        if seen.armed && covers > seen.durable_anchor_writes {
-            seen.armed = false;
-            seen.parked = true;
-            self.cv.notify_all();
-            while !seen.released {
-                seen = self.cv.wait(seen);
-            }
-            seen.parked = false;
-            self.cv.notify_all();
-        }
-        covers
-    }
-
-    fn flushed(&self, covers: u64) {
-        let mut seen = self.seen.lock();
-        seen.durable_anchor_writes = seen.durable_anchor_writes.max(covers);
+        });
+        seen
     }
 }
 
-/// A write-cache `FaultDevice` that can park a checkpoint's anchor flush,
-/// and checks that a ring slot is reused only after an anchor past it is
-/// durable.
-struct AnchorFlight {
-    dev: FaultDevice<MemBlockDevice>,
-    flight: Arc<Flight>,
-}
-
-impl AnchorFlight {
-    fn pass<T>(
-        &self,
-        op: impl FnOnce(&FaultDevice<MemBlockDevice>) -> BlockResult<T>,
-    ) -> BlockResult<T> {
-        if *self.flight.dead.read() {
-            return Err(BlockError::Io(std::io::Error::other(
-                "injected crash: device unreachable",
-            )));
+/// Park the next flush that starts after an anchor not yet durable, and
+/// wait until it is parked with `blocks` ring blocks written since that
+/// anchor; `None`, the park released, if that took longer than `limit`.
+fn park_anchor_flush(
+    dev: &FaultDevice<MemBlockDevice>,
+    seen: &Arc<Mutex<Seen>>,
+    blocks: u64,
+    limit: Duration,
+) -> Option<Park> {
+    let ring = Arc::clone(seen);
+    let anchor_flush = Trigger::when(move |op| {
+        let seen = ring.lock();
+        op.dir == Dir::Flush && seen.anchor_writes > seen.durable_anchor_writes
+    });
+    let park = dev.park(anchor_flush, ParkAt::Before);
+    let deadline = Instant::now() + limit;
+    while !(park.is_parked() && seen.lock().behind >= blocks) {
+        if Instant::now() >= deadline {
+            park.release();
+            return None;
         }
-        op(&self.dev)
+        std::thread::sleep(Duration::from_millis(1));
     }
-}
-
-impl BlockDevice for AnchorFlight {
-    fn block_size(&self) -> usize {
-        self.dev.block_size()
-    }
-    fn total_blocks(&self) -> u64 {
-        self.dev.total_blocks()
-    }
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> BlockResult<()> {
-        self.pass(|d| d.read_block(block, buf))
-    }
-    fn read_blocks(&self, blocks: &[u64], buf: &mut [u8]) -> BlockResult<()> {
-        self.pass(|d| d.read_blocks(blocks, buf))
-    }
-    fn write_block(&self, block: u64, buf: &[u8]) -> BlockResult<()> {
-        self.write_blocks(&[block], buf)
-    }
-    fn write_blocks(&self, blocks: &[u64], buf: &[u8]) -> BlockResult<()> {
-        self.pass(|d| d.write_blocks(blocks, buf))?;
-        self.flight.wrote(blocks);
-        Ok(())
-    }
-    fn flush(&self) -> BlockResult<()> {
-        let covers = self.flight.flush_starts();
-        self.pass(|d| d.flush())?;
-        self.flight.flushed(covers);
-        Ok(())
-    }
+    Some(park)
 }
 
 /// A committer's files: the last committed contents of each, and the
@@ -824,14 +739,9 @@ fn full_ring_volume(seed: u64, writes: u64) -> u64 {
 fn a_crash_during_an_anchor_flush_replays_cleanly() {
     for seed in [3u64, 11, 29, 47, 71] {
         let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
-        let flight = Arc::new(Flight::default());
-        let device = AnchorFlight {
-            dev: dev.clone(),
-            flight: Arc::clone(&flight),
-        };
-        let fs = StegFs::format(device, params()).unwrap();
+        let fs = StegFs::format(dev.clone(), params()).unwrap();
         let sb = fs.plain_fs().superblock().clone();
-        flight.watch(sb.journal_start, sb.journal_blocks);
+        let seen = Seen::watch(&dev, sb.journal_start, sb.journal_blocks);
         let mut models = Vec::new();
         for t in 0..3u64 {
             let (path, name) = (format!("/a{t}"), format!("a{t}"));
@@ -858,24 +768,23 @@ fn a_crash_during_an_anchor_flush_replays_cleanly() {
                 .collect();
             // No stager may get in behind a parked flush (all at the gate,
             // or the ring is full); let that one go and park a later one.
-            let parked = (0..50).any(|_| {
-                flight.park_anchor_flush(4, Duration::from_millis(100)) || {
-                    flight.release();
-                    false
-                }
-            });
-            flight.kill();
-            dev.crash(seed);
-            flight.release();
+            let park =
+                (0..50).find_map(|_| park_anchor_flush(&dev, &seen, 4, Duration::from_millis(100)));
+            // The kill: trip the wire (a refused write trips it at once), so
+            // nothing more reaches the disk and the parked flush fails.
+            dev.fail_after_writes(0);
+            let _ = dev.write_block(0, &[0; 1024]);
+            let parked = park.inspect(Park::release).is_some();
             let outcomes: Vec<_> = committers.into_iter().map(|c| c.join().unwrap()).collect();
             (parked, outcomes)
         });
         drop(fs);
+        dev.crash(seed);
         assert!(
             parked,
             "seed {seed}: no anchor flush parked with writes behind it"
         );
-        let reused = flight.seen.lock().reused.clone();
+        let reused = seen.lock().reused.clone();
         assert!(
             reused.is_empty(),
             "seed {seed}: ring blocks {reused:?} reused before the anchor past them was durable"

@@ -8,9 +8,8 @@ use std::io::SeekFrom;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
-use stegfs_blockdev::{MemBlockDevice, SharedDevice};
+use stegfs_blockdev::{Dir, FaultDevice, MemBlockDevice, ParkAt, SharedDevice, Trigger};
 use stegfs_core::StegParams;
-use stegfs_obs::lock::{Condvar, Mutex};
 use stegfs_tests::full_feature_params;
 use stegfs_vfs::{OpenOptions, Vfs};
 
@@ -328,52 +327,6 @@ fn many_threads_share_one_hidden_file_positionally() {
     vfs.close(h).expect("close");
 }
 
-/// A device that can be armed to *park* the next block read inside the
-/// device until the test releases it — a deterministic way to freeze a
-/// streaming handle mid-I/O, with whatever locks the VFS holds at that
-/// point still held.
-struct ParkNextRead {
-    inner: MemBlockDevice,
-    armed: Arc<std::sync::atomic::AtomicBool>,
-    parked: Arc<Barrier>,
-    release: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl ParkNextRead {
-    fn maybe_park(&self) {
-        if self.armed.swap(false, Ordering::AcqRel) {
-            self.parked.wait();
-            let (flag, cvar) = &*self.release;
-            let mut released = flag.lock();
-            while !*released {
-                released = cvar.wait(released);
-            }
-        }
-    }
-}
-
-impl stegfs_blockdev::BlockDevice for ParkNextRead {
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn total_blocks(&self) -> u64 {
-        self.inner.total_blocks()
-    }
-
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> stegfs_blockdev::BlockResult<()> {
-        self.maybe_park();
-        self.inner.read_block(block, buf)
-    }
-
-    fn write_block(&self, block: u64, buf: &[u8]) -> stegfs_blockdev::BlockResult<()> {
-        self.inner.write_block(block, buf)
-    }
-
-    // read_blocks/write_blocks use the trait's default loop, so an armed
-    // gate also parks the first block of a batched submission.
-}
-
 #[test]
 fn parked_streaming_handle_does_not_block_its_table_shard() {
     // Regression test for the per-handle stream-offset locks: streaming I/O
@@ -382,16 +335,8 @@ fn parked_streaming_handle_does_not_block_its_table_shard() {
     // handle that hashed to the same 1-of-16 shard.  Now the offset lives
     // behind a per-handle mutex: with a streaming read provably frozen
     // inside the device, same-shard positional I/O and seeks must complete.
-    let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let parked = Arc::new(Barrier::new(2));
-    let release = Arc::new((Mutex::new(false), Condvar::new()));
-    let dev = ParkNextRead {
-        inner: MemBlockDevice::new(1024, 16384),
-        armed: Arc::clone(&armed),
-        parked: Arc::clone(&parked),
-        release: Arc::clone(&release),
-    };
-    let vfs = Arc::new(Vfs::format(dev, StegParams::for_tests()).expect("format"));
+    let dev = FaultDevice::new(MemBlockDevice::new(1024, 16384));
+    let vfs = Arc::new(Vfs::format(dev.clone(), StegParams::for_tests()).expect("format"));
     let s = vfs.signon(SECRET_UAK);
 
     // Two unrelated files, prefilled.
@@ -419,10 +364,11 @@ fn parked_streaming_handle_does_not_block_its_table_shard() {
         vfs.close(h).expect("close mismatched");
     };
 
-    // Freeze a streaming read mid-device-I/O: it parks holding the stream
-    // handle's offset lock (and its object lock), which under the old
-    // design was the table shard lock instead.
-    armed.store(true, Ordering::Release);
+    // Freeze a streaming read mid-device-I/O: the next block read parks
+    // inside the device, holding the stream handle's offset lock (and its
+    // object lock), which under the old design was the table shard lock
+    // instead.
+    let park = dev.park(Trigger::when(|op| op.dir == Dir::Read), ParkAt::Before);
     let streamer = {
         let vfs = Arc::clone(&vfs);
         thread::spawn(move || {
@@ -431,7 +377,7 @@ fn parked_streaming_handle_does_not_block_its_table_shard() {
             vfs.close(stream).expect("close stream");
         })
     };
-    parked.wait(); // the stream is now provably frozen inside the device
+    park.wait(); // the stream is now provably frozen inside the device
 
     // Same-shard positional I/O and seeks must complete while it is parked.
     let got = vfs.read_at(bystander, 1024, 2048).expect("positional read");
@@ -445,11 +391,7 @@ fn parked_streaming_handle_does_not_block_its_table_shard() {
     assert_eq!(vfs.handle_size(bystander).expect("size"), 8 * 1024);
 
     // Release the parked stream and let everything finish.
-    {
-        let (flag, cvar) = &*release;
-        *flag.lock() = true;
-        cvar.notify_all();
-    }
+    park.release();
     streamer.join().expect("streamer");
     vfs.close(bystander).expect("close bystander");
     vfs.signoff(s).expect("signoff");
