@@ -4,12 +4,13 @@
 //! loses and overwrites blocks.  [`FaultDevice`] wraps any [`BlockDevice`]
 //! and, reproducibly from seeds:
 //!
-//! * **fails submissions** — scripted ([`script_failures`](FaultDevice::script_failures))
-//!   or in seeded random streaks ([`random_failures`](FaultDevice::random_failures)),
-//!   aimed at reads or writes ([`fail_only`](FaultDevice::fail_only)).  A
-//!   failed submission reaches nothing and returns a static `Interrupted`
-//!   [`BlockError::Io`], so a reissue succeeds and the error carries
-//!   nothing volume- or key-derived;
+//! * **fails submissions** — the next `n` ([`script_failures`](FaultDevice::script_failures),
+//!   `n` [`fail`](FaultDevice::fail) plans) or in seeded random streaks
+//!   ([`random_failures`](FaultDevice::random_failures)), aimed at reads or
+//!   writes ([`fail_only`](FaultDevice::fail_only)).  A failed submission
+//!   reaches nothing and returns a static `Interrupted` [`BlockError::Io`],
+//!   so a reissue succeeds and the error carries nothing volume- or
+//!   key-derived;
 //! * **trips on writes** — after [`fail_after_writes`](FaultDevice::fail_after_writes)`(n)`
 //!   the next `n` *blocks* land (a batch can stop part-way) and every later
 //!   write and flush fails until cleared or crashed;
@@ -26,7 +27,7 @@
 //! [`Op`] — its direction, blocks and flush epoch ([`Trigger::when`]):
 //!
 //! * [`fail`](FaultDevice::fail) — the submission reaches nothing and
-//!   returns the static `Interrupted` error of the scripted failures;
+//!   returns the static `Interrupted` error;
 //! * [`panic`](FaultDevice::panic) — the submission panics;
 //! * [`park`](FaultDevice::park) — the submission waits until its [`Park`]
 //!   handle releases it, [before](ParkAt::Before) its transfer reaches the
@@ -34,11 +35,14 @@
 //!   [after](ParkAt::After) it (a read holding the image it fetched);
 //! * [`record`](FaultDevice::record) — an observer is handed each
 //!   submission that gets past the faults — direction, single or batch,
-//!   blocks, write data — in the order they reach the wrapped device.
+//!   blocks, write data — in the order they reach the wrapped device; a
+//!   flush once the wrapped device's flush has returned `Ok`.
 //!
 //! Fail, panic and park are spent once they fire, and a submission fires
 //! at most one of each, the earliest armed, so `n` plans on one trigger act
-//! on its next `n` matches; record fires on every match.  A parked or
+//! on its next `n` matches; record fires on every match.  A submission that
+//! fires an after-park parks once its outcome is known, whatever it is: a
+//! transfer, a failure or a panic about to be raised.  A parked or
 //! panicking submission holds no lock of the device, so other I/O on it
 //! completes meanwhile.  Predicates and observers run under the device's
 //! lock and must not do I/O on it.
@@ -63,6 +67,16 @@ pub enum FaultTarget {
     Reads,
     /// Writes and flushes only.
     Writes,
+}
+
+impl FaultTarget {
+    fn hits(self, dir: Dir) -> bool {
+        match self {
+            FaultTarget::All => true,
+            FaultTarget::Reads => dir == Dir::Read,
+            FaultTarget::Writes => dir != Dir::Read,
+        }
+    }
 }
 
 /// What one crash or damage call did: a crash fills the first three
@@ -202,7 +216,9 @@ impl Park {
 }
 
 enum Verb {
-    Fail,
+    /// `scripted`: armed by [`FaultDevice::script_failures`], which
+    /// replaces the ones still armed.
+    Fail { scripted: bool },
     Panic,
     Park(Park, ParkAt),
     Record(Box<dyn FnMut(&Op<'_>) + Send>),
@@ -260,7 +276,7 @@ struct State {
     fail_percent: u64,
     streak_len: u64,
     target: FaultTarget,
-    /// Failures left in the current streak (scripted or rolled).
+    /// Failures left in the current random streak.
     streak: u64,
     /// Block writes left before the trip (`None` = disarmed).
     writes_left: Option<u64>,
@@ -280,7 +296,7 @@ impl State {
         let mut fired = Fired::default();
         self.plans.retain(|plan| match &plan.verb {
             Verb::Park(park, _) if park.released() => false,
-            Verb::Fail if !fired.fail && (plan.on.0)(op) => {
+            Verb::Fail { .. } if !fired.fail && (plan.on.0)(op) => {
                 fired.fail = true;
                 false
             }
@@ -308,13 +324,9 @@ impl State {
         }
     }
 
-    /// Let the schedule pass or fail one submission.
-    fn schedule(&mut self, read: bool) -> BlockResult<()> {
-        let targeted = match self.target {
-            FaultTarget::All => true,
-            FaultTarget::Reads => read,
-            FaultTarget::Writes => !read,
-        };
+    /// Let the random failures pass or fail one submission.
+    fn schedule(&mut self, dir: Dir) -> BlockResult<()> {
+        let targeted = self.target.hits(dir);
         if targeted
             && self.streak == 0
             && self.fail_percent > 0
@@ -391,10 +403,21 @@ impl<D: BlockDevice> FaultDevice<D> {
         self.state.lock()
     }
 
-    /// Fail exactly the next `count` targeted submissions, ahead of any
-    /// random streak; the one after them succeeds.
+    /// Fail exactly the next `count` submissions the [`fail_only`](Self::fail_only)
+    /// target picks now, ahead of any random streak; the one after them
+    /// succeeds.  These are `count` [`fail`](Self::fail) plans, which
+    /// replace the ones an earlier call left armed (`0` disarms them).
     pub fn script_failures(&self, count: u64) {
-        self.lock().streak = count;
+        let mut st = self.lock();
+        st.plans
+            .retain(|plan| !matches!(plan.verb, Verb::Fail { scripted: true }));
+        let target = st.target;
+        for _ in 0..count {
+            st.plans.push(Plan {
+                on: Trigger::when(move |op| target.hits(op.dir)),
+                verb: Verb::Fail { scripted: true },
+            });
+        }
     }
 
     /// From now on each targeted submission starts a streak of `streak_len`
@@ -407,7 +430,8 @@ impl<D: BlockDevice> FaultDevice<D> {
         st.streak_len = streak_len.max(1);
     }
 
-    /// Aim the scripted and random failures at `target` only.
+    /// Aim the random failures, and the scripted ones armed from now on,
+    /// at `target` only.
     pub fn fail_only(&self, target: FaultTarget) {
         self.lock().target = target;
     }
@@ -429,9 +453,9 @@ impl<D: BlockDevice> FaultDevice<D> {
     }
 
     /// Fail the submission `on` picks: it reaches nothing and returns the
-    /// static `Interrupted` error of [`script_failures`](Self::script_failures).
+    /// static `Interrupted` error.
     pub fn fail(&self, on: Trigger) {
-        self.arm(on, Verb::Fail);
+        self.arm(on, Verb::Fail { scripted: false });
     }
 
     /// Panic in the submission `on` picks, before it reaches anything.
@@ -448,8 +472,9 @@ impl<D: BlockDevice> FaultDevice<D> {
     }
 
     /// Hand every submission `on` matches to `observer` as it reaches the
-    /// wrapped device (or the write cache): not one a fault refused, and
-    /// of a batch the trip wire cut short, only the part that lands.
+    /// wrapped device (or the write cache): not one a fault refused, of a
+    /// batch the trip wire cut short only the part that lands, and a flush
+    /// once it has returned `Ok`, so what it covers is durable.
     pub fn record(&self, on: Trigger, observer: impl FnMut(&Op<'_>) + Send + 'static) {
         self.arm(on, Verb::Record(Box::new(observer)));
     }
@@ -600,9 +625,9 @@ impl<D: BlockDevice> FaultDevice<D> {
         Ok(report)
     }
 
-    /// Number `op`, fire the plans it triggers and let the schedule pass
-    /// or fail it, then run `transfer` with the state locked and, if a plan
-    /// says so, park after it.
+    /// Number `op` and fire the plans it triggers; unless one fails or
+    /// panics it, or the random failures refuse it, run `transfer` with the
+    /// state locked.  An after-park holds on every outcome.
     fn submit(
         &self,
         mut op: Op<'_>,
@@ -614,25 +639,35 @@ impl<D: BlockDevice> FaultDevice<D> {
         st.flushes += u64::from(op.dir == Dir::Flush);
         let fired = st.fire(&op);
         let mut after = None;
-        if fired.panic || fired.park.is_some() {
+        match fired.park {
+            Some((park, ParkAt::Before)) => {
+                drop(st);
+                park.hold();
+                st = self.lock();
+            }
+            parked => after = parked.map(|(park, _)| park),
+        }
+        let result = if fired.panic {
             drop(st);
-            match fired.park {
-                Some((park, ParkAt::Before)) => park.hold(),
-                parked => after = parked.map(|(park, _)| park),
-            }
-            if fired.panic {
-                panic!("injected panic at submission {}", op.index);
-            }
-            st = self.lock();
-        }
-        if fired.fail {
+            Ok(())
+        } else if fired.fail {
             st.injected += 1;
-            return Err(transient_failure());
-        }
-        st.schedule(op.dir == Dir::Read)?;
-        let result = transfer(st, &op);
+            drop(st);
+            Err(transient_failure())
+        } else {
+            match st.schedule(op.dir) {
+                Ok(()) => transfer(st, &op),
+                refused => {
+                    drop(st);
+                    refused
+                }
+            }
+        };
         if let Some(park) = after {
             park.hold();
+        }
+        if fired.panic {
+            panic!("injected panic at submission {}", op.index);
         }
         result
     }
@@ -739,7 +774,6 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
                 st.injected += 1;
                 return Err(tripped_failure());
             }
-            st.record(op);
             let inner = &self.inner;
             if let Some(pending) = st.pending.as_mut() {
                 let mut written = 0;
@@ -753,7 +787,9 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
                 pending.latest.clear();
             }
             drop(st);
-            inner.flush()
+            inner.flush()?;
+            self.lock().record(op);
+            Ok(())
         })
     }
 }
@@ -994,6 +1030,48 @@ pub(crate) mod tests {
             }
             assert!(!park.is_parked());
         }
+    }
+
+    /// An after-park fired on a submission that fails, panics or is
+    /// refused by the random failures still parks it, then lets it end so.
+    #[test]
+    fn an_after_park_holds_every_outcome() {
+        for outcome in ["fail", "panic", "refuse"] {
+            let dev = FaultDevice::new(mem(8));
+            match outcome {
+                "fail" => dev.fail(Trigger::at(0)),
+                "panic" => dev.panic(Trigger::at(0)),
+                _ => dev.random_failures(1, 100, 1),
+            }
+            dev.fail_only(FaultTarget::Writes);
+            let park = dev.park(Trigger::at(0), ParkAt::After);
+            let parked = {
+                let dev = dev.clone();
+                std::thread::spawn(move || dev.write_block(2, &[2; BS]))
+            };
+            park.wait();
+            assert_eq!(dev.read_block_vec(2).unwrap(), vec![0; BS], "{outcome}");
+            park.release();
+            match parked.join() {
+                Ok(result) => assert!(outcome != "panic" && result.is_err()),
+                Err(_) => assert_eq!(outcome, "panic"),
+            }
+            assert_eq!(stable(&dev, 2), vec![0; BS], "{outcome}: reached nothing");
+        }
+    }
+
+    #[test]
+    fn script_failures_replaces_only_its_own_fail_plans() {
+        let dev = FaultDevice::new(mem(8));
+        dev.fail(Trigger::at(3));
+        dev.script_failures(5);
+        dev.script_failures(1);
+        let want = ["err", "ok", "ok", "err", "ok", "ok", "ok", "ok"];
+        assert_eq!(script(&dev), want);
+        dev.script_failures(2);
+        dev.script_failures(0);
+        assert_eq!(script(&dev), ["ok"; 8]);
+        assert_eq!(dev.injected(), 2);
     }
 
     #[test]

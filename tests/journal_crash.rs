@@ -530,21 +530,23 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
     }
 }
 
-/// What the journal's writes and flushes did to its ring, as they reached
-/// the write cache of the device under it.
+/// What the journal's writes and flushes did to its ring: the writes as
+/// they reached the write cache of the device under it, the flushes as
+/// they returned.
 #[derive(Default)]
 struct Seen {
     anchors: Range<u64>,
     ring: Range<u64>,
-    /// Anchor writes so far; the first `durable_anchor_writes` of them were
-    /// covered by a flush that reached the device.
-    anchor_writes: u64,
-    durable_anchor_writes: u64,
-    /// `anchor_writes` at each ring block's last write.  A slot is rewritten
+    /// The flush epoch of each anchor write so far; the first
+    /// `durable_anchor_writes` of them were covered by a flush that has
+    /// returned (one submitted after them: of a later epoch).
+    anchor_epochs: Vec<u64>,
+    durable_anchor_writes: usize,
+    /// Anchor writes so far at each ring block's last write.  A slot is rewritten
     /// only after its run was reclaimed, which needs an anchor written after
     /// the slot and durable before the rewrite; blocks rewritten without
     /// one are listed in `reused`.
-    last_write: HashMap<u64, u64>,
+    last_write: HashMap<u64, usize>,
     reused: Vec<u64>,
     /// Ring blocks written since the last anchor write.
     behind: u64,
@@ -563,14 +565,15 @@ impl Seen {
         dev.record(Trigger::when(|op| op.dir != Dir::Read), move |op| {
             let seen = &mut *log.lock();
             if op.dir == Dir::Flush {
-                seen.durable_anchor_writes = seen.anchor_writes;
+                let covered = seen.anchor_epochs.partition_point(|&w| w <= op.epoch);
+                seen.durable_anchor_writes = seen.durable_anchor_writes.max(covered);
             }
             for &b in op.blocks {
                 if seen.anchors.contains(&b) {
-                    seen.anchor_writes += 1;
+                    seen.anchor_epochs.push(op.epoch);
                     seen.behind = 0;
                 } else if seen.ring.contains(&b) {
-                    let stamp = seen.last_write.insert(b, seen.anchor_writes);
+                    let stamp = seen.last_write.insert(b, seen.anchor_epochs.len());
                     if stamp.is_some_and(|stamp| seen.durable_anchor_writes <= stamp) {
                         seen.reused.push(b);
                     }
@@ -594,7 +597,7 @@ fn park_anchor_flush(
     let ring = Arc::clone(seen);
     let anchor_flush = Trigger::when(move |op| {
         let seen = ring.lock();
-        op.dir == Dir::Flush && seen.anchor_writes > seen.durable_anchor_writes
+        op.dir == Dir::Flush && seen.anchor_epochs.len() > seen.durable_anchor_writes
     });
     let park = dev.park(anchor_flush, ParkAt::Before);
     let deadline = Instant::now() + limit;
