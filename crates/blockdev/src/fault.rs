@@ -770,7 +770,10 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     /// every write after it stay pending for the next flush (or crash).
     fn flush(&self) -> BlockResult<()> {
         self.submit(Op::new(Dir::Flush, false, &[], &[]), |mut st, op| {
-            if st.tripped {
+            // A spent budget refuses the barrier too: the writes it let
+            // through stay pending, never durable.
+            if st.tripped || st.writes_left == Some(0) {
+                st.tripped = true;
                 st.injected += 1;
                 return Err(tripped_failure());
             }
@@ -888,6 +891,34 @@ pub(crate) mod tests {
             dev.flush().unwrap();
             assert_eq!(dev.read_block_vec(6).unwrap(), vec![9; BS]);
             assert_eq!(dev.injected(), 4);
+        }
+    }
+
+    /// A flush after exactly the armed number of landed blocks, or right
+    /// after arming zero, fails, and the writes it would have made durable
+    /// stay off the wrapped device.
+    #[test]
+    fn a_spent_write_budget_refuses_the_barrier() {
+        for armed in [0, 2] {
+            let store = FaultDevice::new(mem(8));
+            let dev = FaultDevice::with_write_cache(store.clone());
+            dev.write_block(7, &[7; BS]).unwrap();
+            dev.flush().unwrap();
+            dev.fail_after_writes(armed);
+            for b in 0..armed {
+                dev.write_block(b, &[b as u8 + 1; BS]).unwrap();
+            }
+            assert!(dev.flush().is_err(), "armed {armed}: the barrier is refused");
+            assert_eq!(dev.pending_writes(), armed as usize, "armed {armed}");
+            for b in 0..armed {
+                assert_eq!(store.read_block_vec(b).unwrap(), vec![0; BS]);
+            }
+            assert!(dev.flush().is_err(), "armed {armed}: sticky until cleared");
+            dev.clear_failure();
+            dev.flush().unwrap();
+            for b in 0..armed {
+                assert_eq!(store.read_block_vec(b).unwrap(), vec![b as u8 + 1; BS]);
+            }
         }
     }
 
