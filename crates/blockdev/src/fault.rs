@@ -218,7 +218,9 @@ impl Park {
 enum Verb {
     /// `scripted`: armed by [`FaultDevice::script_failures`], which
     /// replaces the ones still armed.
-    Fail { scripted: bool },
+    Fail {
+        scripted: bool,
+    },
     Panic,
     Park(Park, ParkAt),
     Record(Box<dyn FnMut(&Op<'_>) + Send>),
@@ -908,7 +910,10 @@ pub(crate) mod tests {
             for b in 0..armed {
                 dev.write_block(b, &[b as u8 + 1; BS]).unwrap();
             }
-            assert!(dev.flush().is_err(), "armed {armed}: the barrier is refused");
+            assert!(
+                dev.flush().is_err(),
+                "armed {armed}: the barrier is refused"
+            );
             assert_eq!(dev.pending_writes(), armed as usize, "armed {armed}");
             for b in 0..armed {
                 assert_eq!(store.read_block_vec(b).unwrap(), vec![0; BS]);

@@ -32,9 +32,10 @@
 //! planes are wiped before the call returns, and the decode matrix is
 //! inverted once per distinct subset of surviving shares.
 //! An in-place patch decodes only the partially covered edge groups (see
-//! `ObjectIo::patch_coded`); groups it covers completely are re-encoded
-//! from the new bytes without reading a share.  What remains on top of a
-//! plain object is the keyed check of every share read or written (one AES
+//! `ObjectIo::encode_patch`); groups it covers completely are re-encoded
+//! from the new bytes without reading a share, and a resize re-encodes
+//! only the group it cuts.  With `m = 1` nothing runs the IDA: a share is
+//! a copy of its block.  What remains on top of a plain object is the keyed check of every share read or written (one AES
 //! pass per 16 bytes, two shares in flight on the VAES kernel — see
 //! `ShareCheck`), AES-CTR over `n / m` times the bytes, and — under
 //! replicated metadata — the check cascade from each patched chain node
@@ -98,19 +99,12 @@ impl Policy {
         }
     }
 
-    /// True for every policy that stores shares (and per-share checksums)
-    /// instead of the logical blocks themselves.
+    /// True for every policy whose inode-chain entries pair each share with
+    /// its keyed check: the coded chain layout, which is an on-disk fact.
+    /// `Plain`, the (1, 1) code, keeps the paper's layout, whose entries
+    /// carry none.
     pub fn is_coded(&self) -> bool {
         !matches!(self, Policy::Plain)
-    }
-
-    /// `(m, n)` for coded policies, `None` for `Plain`.
-    pub fn coding(&self) -> Option<(usize, usize)> {
-        if self.is_coded() {
-            Some(self.shares())
-        } else {
-            None
-        }
     }
 
     /// Storage expansion factor `n / m`.
@@ -214,32 +208,35 @@ fn checksum_of(tag: &[u8; TAG_LEN]) -> u64 {
     u64::from_be_bytes(*tag.first_chunk().expect("8-byte prefix"))
 }
 
-/// The `(m, n)` codec of one coded operation over `block_size`-byte shares.
+/// The `(m, n)` codec of one operation over `block_size`-byte shares.
 ///
 /// Built once per read, write or repair: it owns the encode matrix's
 /// multipliers, and remembers the decode matrix of the share subset it last
 /// reconstructed from — every undamaged group of an object decodes from the
 /// same (primary) subset, so the matrix is inverted once per operation, not
-/// once per group.
+/// once per group.  With `m = 1` the IDA's one row is `[1]`: every share is
+/// a copy of the group's one block, so no byte goes through the IDA, and
+/// with one share per group ([`Policy::Plain`], the (1, 1) code) the share
+/// is the plaintext itself.
 pub(crate) struct GroupCodec {
-    ida: Ida,
+    /// The dispersal of an `m > 1` code; `None` when `m = 1`.
+    ida: Option<Ida>,
+    m: usize,
+    n: usize,
     block_size: usize,
     decoder: Option<Decoder>,
 }
 
 impl GroupCodec {
-    /// The codec of a (header-validated) coded policy.
+    /// The codec of a (header-validated) policy's `(m, n)`.
     pub(crate) fn new(m: usize, n: usize, block_size: usize) -> Self {
         GroupCodec {
-            ida: Ida::new(m, n).expect("validated policy"),
+            ida: (m > 1).then(|| Ida::new(m, n).expect("validated policy")),
+            m,
+            n,
             block_size,
             decoder: None,
         }
-    }
-
-    /// `(m, n)`: shares required / shares stored per group.
-    pub(crate) fn shares(&self) -> (usize, usize) {
-        (self.ida.threshold(), self.ida.share_count())
     }
 
     /// Split one group's (up to) `m * block_size` plaintext bytes into its
@@ -249,8 +246,16 @@ impl GroupCodec {
     /// which is what lets the scavenger rewrite a damaged share without
     /// touching the others.
     pub(crate) fn split_group(&self, group: &[u8], shares: &mut [u8]) {
-        debug_assert_eq!(shares.len(), self.ida.share_count() * self.block_size);
-        self.ida.split_into(group, shares);
+        debug_assert_eq!(shares.len(), self.n * self.block_size);
+        match &self.ida {
+            Some(ida) => ida.split_into(group, shares),
+            None => {
+                for share in shares.chunks_exact_mut(self.block_size) {
+                    share[..group.len()].copy_from_slice(group);
+                    share[group.len()..].fill(0);
+                }
+            }
+        }
     }
 
     /// Reconstruct one group's `m * block_size` plaintext bytes into `out`
@@ -261,7 +266,7 @@ impl GroupCodec {
         good: &[(u8, &[u8])],
         out: &mut [u8],
     ) -> StegResult<()> {
-        let m = self.ida.threshold();
+        let m = self.m;
         if good.len() < m {
             return Err(damage(format!(
                 "share group has {} live shares, {m} required",
@@ -269,11 +274,15 @@ impl GroupCodec {
             )));
         }
         debug_assert_eq!(out.len(), m * self.block_size);
+        let Some(ida) = &self.ida else {
+            out.copy_from_slice(good[0].1);
+            return Ok(());
+        };
         let good = &good[..m];
         let indices = || good.iter().map(|(index, _)| *index);
         let cached = self.decoder.as_ref();
         if !cached.is_some_and(|d| d.indices().iter().copied().eq(indices())) {
-            let decoder = self.ida.decoder(&indices().collect::<Vec<u8>>());
+            let decoder = ida.decoder(&indices().collect::<Vec<u8>>());
             self.decoder = Some(decoder.map_err(|e| damage(e.to_string()))?);
         }
         let shares: Vec<&[u8]> = good.iter().map(|(_, share)| *share).collect();
@@ -284,21 +293,40 @@ impl GroupCodec {
             .map_err(|e| damage(e.to_string()))
     }
 
-    /// Encode `data` into the concatenated share stream of a coded object:
+    /// Encode `data` into the concatenated share stream of an object:
     /// `groups * n` blocks of `block_size` bytes, group-major (group 0's
     /// shares 1..=n, then group 1's, ...), plus one checksum per share
-    /// block under `check`.  The last group is zero padded, exactly like the
-    /// tail of a plain object's last block.
-    pub(crate) fn encode_groups(&self, data: &[u8], check: &ShareCheck) -> (Scratch, Vec<u64>) {
-        let (m, n) = self.shares();
-        let bs = self.block_size;
+    /// block under `check` (none without one).  The last group is zero
+    /// padded.
+    pub(crate) fn encode_groups(
+        &self,
+        data: &[u8],
+        check: Option<&ShareCheck>,
+    ) -> (Scratch, Vec<u64>) {
+        let (m, n, bs) = (self.m, self.n, self.block_size);
         let groups = data.len().div_ceil(m * bs);
         let mut out = Scratch::take(groups * n * bs);
         for (group, shares) in data.chunks(m * bs).zip(out.chunks_exact_mut(n * bs)) {
             self.split_group(group, shares);
         }
-        let csums = check.many(&out, bs);
+        let csums = check.map_or_else(Vec::new, |check| check.many(&out, bs));
         (out, csums)
+    }
+
+    /// [`encode_groups`](Self::encode_groups) of `plain`, whole groups
+    /// that the caller gives up.  With one share per group that share is
+    /// the plaintext, so `plain` itself comes back: no copy.
+    pub(crate) fn encode_whole(
+        &self,
+        plain: Scratch,
+        check: Option<&ShareCheck>,
+    ) -> (Scratch, Vec<u64>) {
+        debug_assert!(plain.len().is_multiple_of(self.m * self.block_size));
+        if self.n > 1 {
+            return self.encode_groups(&plain, check);
+        }
+        let csums = check.map_or_else(Vec::new, |check| check.many(&plain, self.block_size));
+        (plain, csums)
     }
 }
 
@@ -319,8 +347,6 @@ mod tests {
         assert_eq!(Policy::Disperse { m: 3, n: 5 }.shares(), (3, 5));
         assert!(!Policy::Plain.is_coded());
         assert!(Policy::Replicate(2).is_coded());
-        assert_eq!(Policy::Plain.coding(), None);
-        assert_eq!(Policy::Disperse { m: 2, n: 4 }.coding(), Some((2, 4)));
         assert_eq!(Policy::Replicate(3).expansion(), 3.0);
         assert_eq!(Policy::Disperse { m: 2, n: 4 }.tolerated_losses(), 2);
     }
@@ -347,8 +373,6 @@ mod tests {
             let (tag, m, n) = policy.to_header_bytes();
             assert_eq!(Policy::from_header_bytes(tag, m, n), Some(policy));
         }
-        // Legacy headers: tag 0 with zeroed trailing bytes is Plain.
-        assert_eq!(Policy::from_header_bytes(0, 0, 0), Some(Policy::Plain));
         // Unknown tags and implausible parameters are rejected.
         assert_eq!(Policy::from_header_bytes(3, 2, 4), None);
         assert_eq!(Policy::from_header_bytes(1, 2, 4), None);
@@ -363,7 +387,7 @@ mod tests {
         let data: Vec<u8> = (0..bs * 7 + 13).map(|i| (i * 37 % 251) as u8).collect();
         let mut codec = GroupCodec::new(m, n, bs);
         let check = ShareCheck::new(&ObjectKeys::derive("roundtrip", b"fak"), bs);
-        let (stream, csums) = codec.encode_groups(&data, &check);
+        let (stream, csums) = codec.encode_groups(&data, Some(&check));
         let groups = data.len().div_ceil(m * bs);
         assert_eq!(stream.len(), groups * n * bs);
         assert_eq!(csums.len(), groups * n);
@@ -493,8 +517,8 @@ mod tests {
     fn encode_is_deterministic() {
         let data: Vec<u8> = (0..1000).map(|i| (i % 256) as u8).collect();
         let check = ShareCheck::new(&ObjectKeys::derive("determinism", b"fak"), 128);
-        let (a, a_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, &check);
-        let (b, b_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, &check);
+        let (a, a_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, Some(&check));
+        let (b, b_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, Some(&check));
         assert_eq!((&a[..], a_csums), (&b[..], b_csums));
     }
 
@@ -504,7 +528,7 @@ mod tests {
         let data = vec![0xabu8; bs * 2];
         let mut codec = GroupCodec::new(2, 3, bs);
         let check = ShareCheck::new(&ObjectKeys::derive("closed", b"fak"), bs);
-        let (stream, _) = codec.encode_groups(&data, &check);
+        let (stream, _) = codec.encode_groups(&data, Some(&check));
         let mut out = vec![0u8; 2 * bs];
         let err = codec
             .reconstruct_group(&[(1u8, &stream[..bs])], &mut out)
@@ -513,12 +537,42 @@ mod tests {
         assert!(out.iter().all(|&b| b == 0), "no partial plaintext");
     }
 
+    /// The `m = 1` codec copies instead of running the IDA; that is sound
+    /// because the IDA's one row for `m = 1` is `[1]`, so its every share
+    /// is the block itself.
+    #[test]
+    fn with_one_share_required_the_ida_copies_the_block() {
+        let bs = 64;
+        let data: Vec<u8> = (0..bs * 3 - 5).map(|i| (i * 29 % 251) as u8).collect();
+        let check = ShareCheck::new(&ObjectKeys::derive("m1", b"fak"), bs);
+        for n in 1..=4 {
+            let ida = Ida::new(1, n).unwrap();
+            let mut dispersed = vec![0u8; 3 * n * bs];
+            for (group, shares) in data.chunks(bs).zip(dispersed.chunks_exact_mut(n * bs)) {
+                ida.split_into(group, shares);
+            }
+            let (copied, csums) = GroupCodec::new(1, n, bs).encode_groups(&data, Some(&check));
+            assert_eq!(&copied[..], &dispersed[..], "(1, {n})");
+            assert_eq!(csums, check.many(&dispersed, bs));
+            for (i, share) in dispersed.chunks_exact(bs).enumerate() {
+                let block = &data[i / n * bs..((i / n + 1) * bs).min(data.len())];
+                assert_eq!(&share[..block.len()], block, "(1, {n}) share {i}");
+            }
+        }
+        // The (1, 1) code hands the plaintext back as its share.
+        let mut plain = Scratch::take(2 * bs);
+        plain[..data.len() - bs].copy_from_slice(&data[bs..]);
+        let at = plain.as_ptr();
+        let (share, csums) = GroupCodec::new(1, 1, bs).encode_whole(plain, None);
+        assert_eq!((share.as_ptr(), csums.len()), (at, 0));
+    }
+
     #[test]
     fn replication_shares_are_full_copies() {
         let bs = 16;
         let data = vec![7u8; bs];
         let check = ShareCheck::new(&ObjectKeys::derive("copies", b"fak"), bs);
-        let (stream, _) = GroupCodec::new(1, 3, bs).encode_groups(&data, &check);
+        let (stream, _) = GroupCodec::new(1, 3, bs).encode_groups(&data, Some(&check));
         assert_eq!(stream.len(), 3 * bs);
         for j in 0..3 {
             assert_eq!(&stream[j * bs..(j + 1) * bs], &data[..]);

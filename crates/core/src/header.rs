@@ -10,11 +10,11 @@
 //!   object,
 //! * the **free-block pool**: a list of blocks held by the file but not yet
 //!   carrying data, which defeats attackers who difference bitmap snapshots,
-//!   and
-//! * the object's durability [`Policy`]: whether the data blocks are the
-//!   logical blocks themselves or k-of-n coded shares of them.  The policy
-//!   tag reuses the byte older headers wrote as reserved-zero, so
-//!   pre-policy volumes parse unchanged (as [`Policy::Plain`]).
+//! * the object's durability [`Policy`]: how many coded shares store each
+//!   group of logical blocks ([`Policy::Plain`], tag 0, is the (1, 1)
+//!   code: the data blocks are the logical blocks themselves), and
+//! * the blocks holding the header's copies, and the chain head's extra
+//!   copies with the check of its plaintext.
 //!
 //! The header is always encrypted before it reaches the device, so none of
 //! these fields are visible to an observer.
@@ -67,11 +67,9 @@ pub const BASE_HEADER_LEN: usize =
 
 /// Serialised header length in bytes (excluding padding to the block size).
 /// After the base fields come the metadata-survivability extension: the
-/// header-replica table (count + [`MAX_META_COPIES`] slots), the extra
-/// chain-head replica table (count + `MAX_META_COPIES - 1` slots), and the
-/// chain-head checksum.  Legacy headers serialised the whole extension
-/// region as zero padding, which parses as "no replicas" ([`Policy::Plain`]
-/// era semantics: a single copy of every metadata block).
+/// header-replica table (count + [`MAX_META_COPIES`] slots; never empty,
+/// since it lists the primary too), the extra chain-head replica table
+/// (count + `MAX_META_COPIES - 1` slots), and the chain-head checksum.
 pub const HEADER_LEN: usize =
     BASE_HEADER_LEN + 1 + MAX_META_COPIES * 8 + 1 + (MAX_META_COPIES - 1) * 8 + 8;
 
@@ -143,15 +141,16 @@ pub struct HiddenHeader {
     /// physical blocks encode the object's logical bytes.
     pub policy: Policy,
     /// Every block carrying a copy of this header (the primary included),
-    /// in locator candidate order.  Empty on legacy headers, which kept a
-    /// single copy at whichever block the locator found.
+    /// in locator candidate order.  A header that lists none does not
+    /// parse.
     pub header_replicas: Vec<u64>,
     /// Extra replicas of the chain head beyond
     /// [`inode_chain`](Self::inode_chain).  Empty when the policy keeps a
     /// single metadata copy (or the object has no chain).
     pub chain_replicas: Vec<u64>,
     /// Checksum of the chain-head plaintext, used to validate a replica
-    /// before trusting it.  Zero on legacy headers and chainless objects.
+    /// before trusting it.  Zero with one metadata copy and on chainless
+    /// objects.
     pub chain_csum: u64,
 }
 
@@ -215,9 +214,8 @@ impl HiddenHeader {
         buf[off + 1] = policy_n;
         off += 2;
         debug_assert_eq!(off, BASE_HEADER_LEN);
-        // Metadata-survivability extension.  Unused slots serialise as zero
-        // so a header with no replicas is byte-identical to the legacy
-        // zero-padded layout.
+        // Metadata-survivability extension.  Unused slots serialise as
+        // zero.
         assert!(
             self.header_replicas.len() <= MAX_META_COPIES,
             "header replica table overflows capacity"
@@ -292,17 +290,17 @@ impl HiddenHeader {
         let policy_mn_off = SIGNATURE_LEN + 2 + 8 + 8 + 8 + 2 + FREE_POOL_CAPACITY * 8;
         let policy =
             Policy::from_header_bytes(policy_tag, buf[policy_mn_off], buf[policy_mn_off + 1])?;
-        // A coded object's physical block count must be a whole number of
-        // n-share groups; anything else is as implausible as a bad pointer.
-        if let Some((_, n)) = policy.coding() {
-            if data_block_count % n as u64 != 0 {
-                return None;
-            }
+        // The physical block count must be a whole number of n-share
+        // groups; anything else is as implausible as a bad pointer.
+        let (_, n) = policy.shares();
+        if data_block_count % n as u64 != 0 {
+            return None;
         }
-        // Metadata-survivability extension; all-zero on legacy headers.
+        // Metadata-survivability extension.  Every header lists the blocks
+        // holding its copies, the primary among them.
         let ext = BASE_HEADER_LEN;
         let hr_len = buf[ext] as usize;
-        if hr_len > MAX_META_COPIES {
+        if hr_len == 0 || hr_len > MAX_META_COPIES {
             return None;
         }
         let mut header_replicas = Vec::with_capacity(hr_len);
@@ -358,7 +356,7 @@ impl HiddenHeader {
 /// keeps `copies > 1` metadata copies, every chain node is written to
 /// `copies` blocks with identical plaintext, and the link to the next node
 /// widens to all of its replicas plus a checksum so a damaged replica is
-/// recognised and skipped.  A single-copy chain keeps the exact legacy byte
+/// recognised and skipped.  A single-copy chain keeps the paper's byte
 /// layout.  Like every other hidden block the chain is encrypted before
 /// hitting the device, so the checksums (and the coded/plain distinction
 /// itself) are invisible to an observer.
@@ -381,8 +379,8 @@ pub struct InodeChainBlock {
 }
 
 impl InodeChainBlock {
-    /// A chain node with single-copy link fields, ready for the legacy
-    /// layouts.
+    /// A chain node with single-copy link fields, ready for the
+    /// single-copy layouts.
     pub fn with_link(next: u64, pointers: Vec<u64>, csums: Vec<u64>) -> Self {
         InodeChainBlock {
             next,
@@ -412,7 +410,7 @@ impl InodeChainBlock {
 
     /// Serialise into exactly `block_size` bytes, in the plain or coded
     /// layout, for a policy keeping `copies` metadata copies.
-    /// `copies == 1` produces the legacy layout.
+    /// `copies == 1` produces the single-copy layout.
     pub fn serialize(&self, block_size: usize, coded: bool, copies: usize) -> Vec<u8> {
         assert!(self.pointers.len() <= Self::capacity(block_size, coded, copies));
         if coded {
@@ -524,6 +522,13 @@ mod tests {
         [byte; SIGNATURE_LEN]
     }
 
+    /// A fresh header whose one copy sits at block 1.
+    fn header(byte: u8, kind: ObjectKind, policy: Policy) -> HiddenHeader {
+        let mut h = HiddenHeader::with_policy(sig(byte), kind, policy);
+        h.header_replicas = vec![1];
+        h
+    }
+
     #[test]
     fn header_fits_smallest_block_size() {
         const { assert!(HEADER_LEN <= 512) }
@@ -531,7 +536,7 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let mut h = HiddenHeader::new(sig(0xab), ObjectKind::File);
+        let mut h = header(0xab, ObjectKind::File, Policy::Plain);
         h.size = 123_456;
         h.data_block_count = 121;
         h.inode_chain = 999;
@@ -544,7 +549,7 @@ mod tests {
 
     #[test]
     fn header_empty_object_roundtrip() {
-        let h = HiddenHeader::new(sig(1), ObjectKind::Directory);
+        let h = header(1, ObjectKind::Directory, Policy::Plain);
         let buf = h.serialize(512);
         let parsed = HiddenHeader::parse_if_match(&buf, &sig(1), 1000).unwrap();
         assert_eq!(parsed.kind, ObjectKind::Directory);
@@ -554,7 +559,7 @@ mod tests {
 
     #[test]
     fn wrong_signature_rejected() {
-        let h = HiddenHeader::new(sig(2), ObjectKind::File);
+        let h = header(2, ObjectKind::File, Policy::Plain);
         let buf = h.serialize(512);
         assert!(HiddenHeader::parse_if_match(&buf, &sig(3), 1000).is_none());
     }
@@ -572,12 +577,12 @@ mod tests {
     #[test]
     fn implausible_fields_rejected_even_with_matching_signature() {
         // Signature matches but pool pointers are outside the volume: reject.
-        let mut h = HiddenHeader::new(sig(9), ObjectKind::File);
+        let mut h = header(9, ObjectKind::File, Policy::Plain);
         h.free_pool = vec![5_000];
         let buf = h.serialize(512);
         assert!(HiddenHeader::parse_if_match(&buf, &sig(9), 1_000).is_none());
 
-        let mut h = HiddenHeader::new(sig(9), ObjectKind::File);
+        let mut h = header(9, ObjectKind::File, Policy::Plain);
         h.inode_chain = 10_000;
         let buf = h.serialize(512);
         assert!(HiddenHeader::parse_if_match(&buf, &sig(9), 1_000).is_none());
@@ -585,7 +590,7 @@ mod tests {
 
     #[test]
     fn truncated_buffer_rejected() {
-        let h = HiddenHeader::new(sig(4), ObjectKind::File);
+        let h = header(4, ObjectKind::File, Policy::Plain);
         let buf = h.serialize(512);
         assert!(HiddenHeader::parse_if_match(&buf[..50], &sig(4), 1000).is_none());
     }
@@ -648,7 +653,7 @@ mod tests {
             Policy::Disperse { m: 2, n: 4 },
             Policy::Disperse { m: 3, n: 5 },
         ] {
-            let mut h = HiddenHeader::with_policy(sig(0x21), ObjectKind::File, policy);
+            let mut h = header(0x21, ObjectKind::File, policy);
             let (_, n) = policy.shares();
             h.size = 4096;
             h.data_block_count = 4 * n as u64;
@@ -660,28 +665,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_zero_padded_header_parses_as_plain() {
-        // A pre-policy header serialised the reserved byte and the (then
-        // nonexistent) trailing bytes as zero; parsing must yield Plain.
-        let mut h = HiddenHeader::new(sig(0x33), ObjectKind::File);
-        h.size = 99;
-        let buf = h.serialize(512);
-        let parsed = HiddenHeader::parse_if_match(&buf, &sig(0x33), 1_000).unwrap();
-        assert_eq!(parsed.policy, Policy::Plain);
+    fn a_header_without_a_replica_table_does_not_parse() {
+        // Every header lists the blocks holding its copies, the primary
+        // among them; one that lists none is as implausible as a bad
+        // pointer, whatever its policy.
+        for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {
+            let mut h = header(0x33, ObjectKind::File, policy);
+            h.size = 99;
+            let buf = h.serialize(512);
+            assert!(HiddenHeader::parse_if_match(&buf, &sig(0x33), 1_000).is_some());
+            h.header_replicas.clear();
+            let buf = h.serialize(512);
+            assert!(HiddenHeader::parse_if_match(&buf, &sig(0x33), 1_000).is_none());
+        }
     }
 
     #[test]
     fn implausible_policy_rejected() {
         // Matching signature but a coded block count that is not a whole
         // number of share groups: reject, like any other implausible field.
-        let mut h =
-            HiddenHeader::with_policy(sig(0x44), ObjectKind::File, Policy::Disperse { m: 2, n: 4 });
+        let mut h = header(0x44, ObjectKind::File, Policy::Disperse { m: 2, n: 4 });
         h.data_block_count = 7; // not a multiple of n = 4
         let buf = h.serialize(512);
         assert!(HiddenHeader::parse_if_match(&buf, &sig(0x44), 1_000).is_none());
         // Unknown policy tag.
-        let h = HiddenHeader::new(sig(0x45), ObjectKind::File);
+        let h = header(0x45, ObjectKind::File, Policy::Plain);
         let mut buf = h.serialize(512);
+        assert!(HiddenHeader::parse_if_match(&buf, &sig(0x45), 1_000).is_some());
         buf[SIGNATURE_LEN + 1] = 9;
         assert!(HiddenHeader::parse_if_match(&buf, &sig(0x45), 1_000).is_none());
     }
@@ -707,8 +717,7 @@ mod tests {
 
     #[test]
     fn header_replica_tables_roundtrip() {
-        let mut h =
-            HiddenHeader::with_policy(sig(0x51), ObjectKind::File, Policy::Disperse { m: 2, n: 4 });
+        let mut h = header(0x51, ObjectKind::File, Policy::Disperse { m: 2, n: 4 });
         h.size = 1000;
         h.data_block_count = 8;
         h.inode_chain = 77;
@@ -722,27 +731,16 @@ mod tests {
 
     #[test]
     fn replica_pointers_outside_volume_rejected() {
-        let mut h = HiddenHeader::new(sig(0x52), ObjectKind::File);
+        let mut h = header(0x52, ObjectKind::File, Policy::Plain);
         h.header_replicas = vec![5_000];
         let buf = h.serialize(512);
         assert!(HiddenHeader::parse_if_match(&buf, &sig(0x52), 1_000).is_none());
 
-        let mut h = HiddenHeader::new(sig(0x52), ObjectKind::File);
+        let mut h = header(0x52, ObjectKind::File, Policy::Plain);
         h.header_replicas = vec![10];
         h.chain_replicas = vec![5_000];
         let buf = h.serialize(512);
         assert!(HiddenHeader::parse_if_match(&buf, &sig(0x52), 1_000).is_none());
-    }
-
-    #[test]
-    fn empty_replica_tables_serialize_as_legacy_zero_padding() {
-        // An extension-free header must be byte-identical to the pre-
-        // survivability serialisation: zeros from the policy (m, n) bytes to
-        // the end of the block.
-        let mut h = HiddenHeader::new(sig(0x53), ObjectKind::File);
-        h.size = 42;
-        let buf = h.serialize(512);
-        assert!(buf[BASE_HEADER_LEN..].iter().all(|&b| b == 0));
     }
 
     #[test]

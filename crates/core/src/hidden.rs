@@ -50,14 +50,14 @@
 //! `destroy_unreadable`) stage into the caller's [`FsTxn`] and never commit,
 //! so a `StegFs` operation composes them into one transaction.  The
 //! in-place ones (`write_range`, `write_at`, `resize`, `repair`) are each a
-//! whole public call and commit their own, so a plain patch drops its
-//! rewritten blocks from the cache only once they are durable.  Reads see
-//! what was committed, never a transaction's staged writes.  The rng is
-//! taken per call: block placement and scrub noise hang off the order the
-//! facade forks it in.
-//! `write`, `write_at` past the end, `resize` and a coded patch drop the
-//! old incarnation's cache entry at once and install the new one when the
-//! transaction commits (`ObjectIo::mutate`).
+//! whole public call and commit their own, so a patch drops its rewritten
+//! blocks from the cache only once they are durable.  Reads see what was
+//! committed, never a transaction's staged writes.  The rng is taken per
+//! call: block placement and scrub noise hang off the order the facade
+//! forks it in.
+//! `write`, `write_at` past the end and `resize` drop the old incarnation's
+//! cache entry at once and install the new one when the transaction commits
+//! (`ObjectIo::mutate`).
 //!
 //! # Free pool and durability policy
 //!
@@ -67,12 +67,29 @@
 //! freed blocks back into the pool and only returns the excess beyond
 //! `FB_max` to the file system.
 //!
-//! Objects carry a per-object durability [`Policy`]: a coded object stores
-//! `n` cipher-shares per group of `m` logical blocks (any `m` reconstruct —
-//! see [`crate::coding`]), the read path falls back through surviving
-//! shares on checksum mismatch, and [`ObjectIo::repair`] rewrites damaged
-//! shares from the survivors.  On the raw device shares are
-//! indistinguishable from any other hidden block.
+//! Objects carry a per-object durability [`Policy`], and every object is
+//! *groups of `m` logical blocks stored as `n` cipher-shares*, any `m` of
+//! which reconstruct the group (see [`crate::coding`]).  [`Policy::Plain`]
+//! is the (1, 1) code: a group's one share is its plaintext block, and its
+//! chain entries carry no share check, so its on-disk layout is the
+//! paper's.  Each operation has one body over groups:
+//!
+//! * a **read** serves what it can from the plaintext cache and fetches the
+//!   missing groups' primary shares, plus the readahead groups, in one
+//!   batch; where the entries carry checks it verifies them and falls back
+//!   through the other shares, then decodes;
+//! * an **in-place patch** reads only the (at most two) groups it covers in
+//!   part — the edge-only [`stegfs_fs::rmw`] plan at group granularity —
+//!   re-encodes every group it touches and rewrites their shares; the chain
+//!   nodes are rewritten only where their entries carry checks;
+//! * a **resize** drops or appends whole groups and re-encodes only the
+//!   group a shrink cuts, so its cost follows the change, not the size.
+//!
+//! With `m = 1` a share *is* the plaintext: no byte goes through the IDA,
+//! and a (1, 1) object's bytes take no extra copy.  A coded read falls back
+//! through surviving shares on a check mismatch, and
+//! [`ObjectIo::repair`] rewrites damaged shares from the survivors.  On the
+//! raw device shares are indistinguishable from any other hidden block.
 
 use crate::coding::{self, GroupCodec, Policy, ShareCheck};
 use crate::crypt::ObjectKeys;
@@ -82,7 +99,9 @@ use crate::locator::{candidate_sequence, locate_header, Located};
 use crate::params::StegParams;
 use crate::readcache::{BlockToken, ExtentList, ReadCache};
 use crate::scratch::Scratch;
+use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
 use stegfs_crypto::prng::DeterministicRng;
@@ -112,10 +131,9 @@ impl HiddenObject {
         self.header.kind
     }
 
-    /// Every block holding a copy of the header, primary first.  Objects
-    /// with a legacy single-copy header have just `header_block`.
+    /// Every block holding a copy of the header, primary first.
     pub fn header_blocks(&self) -> &[u64] {
-        header_blocks_of(&self.header_block, &self.header)
+        &self.header.header_replicas
     }
 
     /// The object's metadata replica groups visible from its header: the
@@ -148,30 +166,26 @@ pub enum BlockRole {
     Pool,
 }
 
-fn header_blocks_of<'h>(header_block: &'h u64, header: &'h HiddenHeader) -> &'h [u64] {
-    if header.header_replicas.is_empty() {
-        std::slice::from_ref(header_block)
-    } else {
-        &header.header_replicas
-    }
-}
-
-/// The number of copies each of this object's metadata blocks actually has
-/// on disk: 1 for legacy headers (no replica table) and for [`Policy`]s
-/// without redundancy, `n - m + 1` otherwise — metadata then survives the
-/// same per-group loss budget as the data it indexes.
-pub fn effective_meta_copies(header: &HiddenHeader) -> usize {
-    if header.header_replicas.is_empty() {
-        1
-    } else {
-        header.policy.meta_copies()
-    }
-}
-
 fn shorter_than_size() -> StegError {
     StegError::Fs(FsError::Corrupt(
         "hidden object shorter than its size field".into(),
     ))
+}
+
+/// `extents` with the shares of `groups` checked as `csums`: the same list
+/// where the entries carry no checks.
+fn with_checks<'e>(
+    extents: &'e ExtentList,
+    groups: &Range<usize>,
+    csums: &[u64],
+) -> Cow<'e, ExtentList> {
+    if csums.is_empty() {
+        return Cow::Borrowed(extents);
+    }
+    let n = extents.coding.1;
+    let mut checked = extents.clone();
+    checked.share_csums[groups.start * n..groups.end * n].copy_from_slice(csums);
+    Cow::Owned(checked)
 }
 
 /// Block `i` of a buffer of concatenated `bs`-byte blocks.
@@ -181,8 +195,8 @@ fn nth_block(buf: &[u8], i: usize, bs: usize) -> &[u8] {
 
 /// One resolved node of a (possibly replicated) inode chain.
 struct ChainNode {
-    /// The node's replica blocks, primary first (`effective_meta_copies`
-    /// entries; a single entry on legacy/plain chains).
+    /// The node's replica blocks, primary first (the policy's
+    /// [`Policy::meta_copies`] entries).
     blocks: Vec<u64>,
     /// Replicas found damaged at rest (checksum mismatch or parse failure).
     /// Live reads stop probing at the first good replica, so this only
@@ -196,16 +210,15 @@ struct ChainNode {
     plain: Scratch,
 }
 
-/// The extent list a chain walk of `obj` found: data blocks in logical order
-/// (for coded objects: share blocks in group-major order), every chain block
-/// (all replicas, node-major), and the per-share checksums (empty for plain
-/// objects).
+/// The extent list a chain walk of `obj` found: share blocks in group-major
+/// order, every chain block (all replicas, node-major), and the per-share
+/// checksums (empty where the entries carry none).
 fn flatten(obj: &HiddenObject, nodes: &[ChainNode]) -> ExtentList {
     let mut extents = ExtentList {
         data_blocks: Vec::with_capacity(obj.header.data_block_count as usize),
         chain_blocks: Vec::new(),
         share_csums: Vec::new(),
-        coding: obj.header.policy.coding(),
+        coding: obj.header.policy.shares(),
     };
     for node in nodes {
         extents.chain_blocks.extend_from_slice(&node.blocks);
@@ -269,7 +282,8 @@ impl<D: BlockDevice> Rewrite<'_, '_, D> {
 /// Outcome of an offline [`ObjectIo::repair`] pass over one hidden object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairOutcome {
-    /// Every share verified against its checksum; nothing was written.
+    /// Every share verified against its checksum, or the object keeps no
+    /// redundancy to verify against; nothing was written.
     Intact,
     /// Damage was found and reversed: the listed number of share blocks
     /// were reconstructed from surviving shares and rewritten in place.
@@ -325,20 +339,26 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             .get_or_init(|| ShareCheck::new(self.keys, self.fs.block_size()))
     }
 
+    /// The check new shares take under `policy`: none where the chain
+    /// entries carry none.
+    fn share_check_of(&self, policy: Policy) -> Option<&ShareCheck> {
+        policy.is_coded().then(|| self.share_check())
+    }
+
+    /// Entries per inode-chain node under `policy`'s chain layout.
+    fn chain_capacity(&self, policy: Policy) -> usize {
+        let bs = self.fs.block_size();
+        InodeChainBlock::capacity(bs, policy.is_coded(), policy.meta_copies()).max(1)
+    }
+
     // ------------------------------------------------------------------
     // Block-level helpers
     // ------------------------------------------------------------------
 
-    /// Write the (shared) serialised header to every replica block.  Objects
-    /// with a legacy single-copy header keep writing just `header_block`.
-    fn publish_header(
-        &self,
-        txn: &mut FsTxn<'_, D>,
-        header_block: u64,
-        header: &HiddenHeader,
-    ) -> StegResult<()> {
+    /// Write the (shared) serialised header to every replica block.
+    fn publish_header(&self, txn: &mut FsTxn<'_, D>, header: &HiddenHeader) -> StegResult<()> {
         let plain = header.serialize(txn.block_size());
-        for &b in header_blocks_of(&header_block, header) {
+        for &b in &header.header_replicas {
             self.write_encrypted(txn, b, &plain)?;
         }
         Ok(())
@@ -467,16 +487,15 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     }
 
     /// Walk the inode chain, falling back through each node's replicas.
-    /// With one metadata copy the walk is the legacy one: a damaged node is
-    /// a hard error.  With `copies > 1` a node is served by its first
-    /// replica whose plaintext checksum (recorded in the predecessor, or the
-    /// header for the head) validates and parses; only a node with **zero**
-    /// live replicas fails — closed, in the same deniable error family as
-    /// lost data shares.
+    /// With one metadata copy a damaged node is a hard error.  With
+    /// `copies > 1` a node is served by its first replica whose plaintext
+    /// checksum (recorded in the predecessor, or the header for the head)
+    /// validates and parses; only a node with **zero** live replicas fails
+    /// — closed, in the same deniable error family as lost data shares.
     fn walk_chain(&self, obj: &HiddenObject, verify_all: bool) -> StegResult<Vec<ChainNode>> {
         let total = self.fs.superblock().total_blocks;
         let coded = obj.header.policy.is_coded();
-        let copies = effective_meta_copies(&obj.header);
+        let copies = obj.header.policy.meta_copies();
         let mut nodes: Vec<ChainNode> = Vec::new();
         if obj.header.inode_chain == NO_BLOCK {
             return Ok(nodes);
@@ -564,71 +583,33 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Read the plaintext of `span` (block numbers in logical order),
-    /// serving what it can from the plaintext cache and fetching the rest —
-    /// plus any not-yet-cached `readahead` blocks — in **one** batched
-    /// device submission.  Fetched blocks are decrypted once and installed
-    /// under `token`.
-    fn read_blocks_cached(
-        &self,
-        token: BlockToken,
-        span: &[u64],
-        readahead: &[u64],
-    ) -> StegResult<Scratch> {
-        let (cache, keys) = (self.cache, self.keys);
-        let bs = self.fs.block_size();
-        let mut out = Scratch::with_capacity(span.len() * bs);
-        let missed = cache.get_blocks(token, span, bs, out.as_vec_mut());
-        let resident = cache.contains_blocks(token, readahead);
-        let fetch: Vec<u64> = missed
-            .iter()
-            .map(|&slot| span[slot])
-            .chain(
-                readahead
-                    .iter()
-                    .zip(&resident)
-                    .filter(|(_, &cached)| !cached)
-                    .map(|(&block, _)| block),
-            )
-            .collect();
-        if fetch.is_empty() {
-            return Ok(out);
-        }
-        let mut buf = Scratch::take(fetch.len() * bs);
-        self.fs.read_raw_blocks_into(&fetch, &mut buf)?;
-        keys.decrypt_blocks(&fetch, &mut buf);
-        cache.put_blocks(keys.signature(), token, &fetch, &buf);
-        // The demand misses lead `fetch`, in slot order.
-        for (j, &slot) in missed.iter().enumerate() {
-            out[slot * bs..(slot + 1) * bs].copy_from_slice(nth_block(&buf, j, bs));
-        }
-        Ok(out)
-    }
-
-    /// Decode the requested groups of a coded object, returning
-    /// `m * block_size` plaintext bytes per group in `groups` order.
+    /// Decode `groups` of the object `extents` indexes: `m` plaintext blocks
+    /// per group, in `groups` order, and the blocks of the groups' primary
+    /// shares (the first `m` of each), which are also their plaintext-cache
+    /// keys.
     ///
-    /// Two-phase fetch: the first `m` shares of every group come up in one
-    /// batched submission (the common, undamaged case reads exactly as many
-    /// blocks as a plain object would); any group with a checksum mismatch
-    /// then falls back through its remaining shares — again one batch for
-    /// all degraded groups — instead of erroring.  A group with fewer than
-    /// `m` surviving shares fails closed: the error carries no partial
-    /// plaintext.
+    /// The primary shares of every group come up in one batched submission
+    /// — as many blocks as the groups hold logical blocks.  Where the
+    /// entries carry checks, a group whose primary shares do not all verify
+    /// falls back through its other shares, in one more batch for every
+    /// such group, instead of erroring; a group with fewer than `m` live
+    /// shares fails closed, and the error carries no partial plaintext.
     ///
-    /// Shares are never copied: each group is reconstructed from slices of
-    /// the two batched read buffers straight into its place in the output.
+    /// With `m = 1` a live share *is* the plaintext, so the batch the
+    /// primary shares were read into is the output (a fallback share is
+    /// copied into its group's place).  Otherwise each group is
+    /// reconstructed from slices of the batched buffers straight into its
+    /// place in the output.
     fn decode_groups(
         &self,
-        codec: &mut GroupCodec,
         extents: &ExtentList,
         groups: &[usize],
-    ) -> StegResult<Scratch> {
+    ) -> StegResult<(Vec<u64>, Scratch)> {
         let (data_blocks, share_csums) = (&extents.data_blocks, &extents.share_csums);
         let bs = self.fs.block_size();
-        let (m, n) = codec.shares();
-        let extra = n - m;
-        if data_blocks.len() != share_csums.len() || !data_blocks.len().is_multiple_of(n) {
+        let (m, n) = extents.coding;
+        let checked = !share_csums.is_empty();
+        if checked && share_csums.len() != data_blocks.len() {
             return Err(coding::damage(
                 "coded chain does not pair every share with a checksum".into(),
             ));
@@ -637,18 +618,22 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             .iter()
             .flat_map(|&g| data_blocks[g * n..g * n + m].iter().copied())
             .collect();
-        let primary_buf = self.read_decrypted_many(&primary)?;
-        let primary_csums = self.share_check().many(&primary_buf, bs);
-        // Per requested group, the (0-based) shares whose checksum verified.
-        let mut live: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
-        let mut degraded: Vec<usize> = Vec::new();
-        for (gi, &g) in groups.iter().enumerate() {
-            let ok = |&j: &usize| primary_csums[gi * m + j] == share_csums[g * n + j];
-            live.push((0..m).filter(ok).collect());
-            if live[gi].len() < m {
-                degraded.push(gi);
-            }
+        let mut primary_buf = self.read_decrypted_many(&primary)?;
+        let primary_csums = if checked {
+            self.share_check().many(&primary_buf, bs)
+        } else {
+            Vec::new()
+        };
+        let verified = |gi: usize, j: usize| {
+            !checked || primary_csums[gi * m + j] == share_csums[groups[gi] * n + j]
+        };
+        let degraded: Vec<usize> = (0..groups.len())
+            .filter(|&gi| !(0..m).all(|j| verified(gi, j)))
+            .collect();
+        if degraded.is_empty() && m == 1 {
+            return Ok((primary, primary_buf));
         }
+        let extra = n - m;
         let fallback: Vec<u64> = degraded
             .iter()
             .flat_map(|&gi| {
@@ -658,126 +643,110 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             .collect();
         let fallback_buf = self.read_decrypted_many(&fallback)?;
         let fallback_csums = self.share_check().many(&fallback_buf, bs);
-        // A degraded group's fallback shares sit at its rank among the
-        // degraded groups; every group's primary shares sit at its own
-        // position.
-        let mut rank = vec![0; groups.len()];
-        for (di, &gi) in degraded.iter().enumerate() {
-            rank[gi] = di;
-        }
-        let share_at = |gi: usize, j: usize| {
-            if j < m {
-                nth_block(&primary_buf, gi * m + j, bs)
-            } else {
-                nth_block(&fallback_buf, rank[gi] * extra + j - m, bs)
-            }
+        // Fallback share `j` of the `di`-th degraded group.
+        let fallback_at = |di: usize, j: usize| nth_block(&fallback_buf, di * extra + j - m, bs);
+        let fallback_ok = |di: usize, j: usize| {
+            fallback_csums[di * extra + j - m] == share_csums[groups[degraded[di]] * n + j]
         };
-        for (di, &gi) in degraded.iter().enumerate() {
-            let g = groups[gi];
-            let ok = |&j: &usize| fallback_csums[di * extra + j - m] == share_csums[g * n + j];
-            live[gi].extend((m..n).filter(ok));
-        }
-        let mut out = Scratch::take(groups.len() * m * bs);
-        let mut good: Vec<(u8, &[u8])> = Vec::with_capacity(m);
-        for (gi, (&g, plain)) in groups.iter().zip(out.chunks_exact_mut(m * bs)).enumerate() {
-            if live[gi].len() < m {
-                return Err(coding::damage(format!(
-                    "share group {g} has {} live shares, {m} required",
-                    live[gi].len()
-                )));
+        let lost = |g: usize, live: usize| {
+            coding::damage(format!(
+                "share group {g} has {live} live shares, {m} required"
+            ))
+        };
+        if m == 1 {
+            for (di, &gi) in degraded.iter().enumerate() {
+                let j = (1..n)
+                    .find(|&j| fallback_ok(di, j))
+                    .ok_or_else(|| lost(groups[gi], 0))?;
+                primary_buf[gi * bs..(gi + 1) * bs].copy_from_slice(fallback_at(di, j));
             }
+            return Ok((primary, primary_buf));
+        }
+        let mut rank = vec![None; groups.len()];
+        for (di, &gi) in degraded.iter().enumerate() {
+            rank[gi] = Some(di);
+        }
+        let mut codec = GroupCodec::new(m, n, bs);
+        let mut out = Scratch::take(groups.len() * m * bs);
+        let mut good: Vec<(u8, &[u8])> = Vec::with_capacity(n);
+        for (gi, (&g, plain)) in groups.iter().zip(out.chunks_exact_mut(m * bs)).enumerate() {
             good.clear();
             good.extend(
-                live[gi][..m]
-                    .iter()
-                    .map(|&j| ((j + 1) as u8, share_at(gi, j))),
+                (0..m)
+                    .filter(|&j| verified(gi, j))
+                    .map(|j| ((j + 1) as u8, nth_block(&primary_buf, gi * m + j, bs))),
             );
+            if let Some(di) = rank[gi] {
+                good.extend(
+                    (m..n)
+                        .filter(|&j| fallback_ok(di, j))
+                        .map(|j| ((j + 1) as u8, fallback_at(di, j))),
+                );
+            }
+            if good.len() < m {
+                return Err(lost(g, good.len()));
+            }
             codec.reconstruct_group(&good, plain)?;
         }
-        Ok(out)
+        Ok((primary, out))
     }
 
-    /// Read logical blocks `first..=last` of an `m`-of-`n` coded object,
-    /// serving what it can from the plaintext cache (keyed by *logical
-    /// index* — the share blocks themselves are never cached) and decoding
-    /// the missing groups.  Every freshly decoded block is installed under
-    /// `token`, so a warm object costs neither device reads nor Vandermonde
-    /// solves.  Returns the `(last - first + 1)` blocks' plaintext.
-    fn read_coded_range(
-        &self,
-        token: BlockToken,
-        extents: &ExtentList,
-        (m, n): (usize, usize),
-        first: usize,
-        last: usize,
-    ) -> StegResult<Scratch> {
-        let bs = self.fs.block_size();
-        let logical_count = (extents.data_blocks.len() / n.max(1)) * m;
-        if last >= logical_count {
-            return Err(shorter_than_size());
-        }
-        let logical: Vec<u64> = (first as u64..=last as u64).collect();
-        let mut out = Scratch::with_capacity(logical.len() * bs);
-        let mut missing: Vec<usize> = Vec::new();
-        for slot in self.cache.get_blocks(token, &logical, bs, out.as_vec_mut()) {
-            let g = (first + slot) / m;
-            if missing.last() != Some(&g) {
-                missing.push(g);
-            }
-        }
-        if !missing.is_empty() {
-            let mut codec = GroupCodec::new(m, n, bs);
-            let decoded = self.decode_groups(&mut codec, extents, &missing)?;
-            let decoded_blocks: Vec<u64> = missing
-                .iter()
-                .flat_map(|&g| (g * m) as u64..((g + 1) * m) as u64)
-                .collect();
-            self.cache
-                .put_blocks(self.keys.signature(), token, &decoded_blocks, &decoded);
-            for (j, &block) in decoded_blocks.iter().enumerate() {
-                let logical = block as usize;
-                if logical >= first && logical <= last {
-                    let slot = (logical - first) * bs;
-                    out[slot..slot + bs].copy_from_slice(nth_block(&decoded, j, bs));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Plaintext of logical blocks `first..=last` of `obj`, through
-    /// whichever of the two read paths its policy selects.
-    /// On a plain object up to `readahead_blocks` blocks past `last` ride
-    /// along in the same batched submission and land in the plaintext cache.
+    /// Plaintext of logical blocks `first..=last` of the object `extents`
+    /// indexes.  What the plaintext cache holds under `token` is served
+    /// from it; the groups of the rest are decoded from one batched fetch of
+    /// their primary shares ([`Self::decode_groups`]), and every decoded
+    /// block is installed under its key ([`ExtentList::block_keys`]).
+    /// Readahead rides in the same fetch: the groups past `last`'s that
+    /// hold the next `readahead_blocks` logical blocks, those not already
+    /// resident, when the cache can keep them.
     fn read_span(
         &self,
-        obj: &HiddenObject,
         (token, extents): (BlockToken, Arc<ExtentList>),
         first: usize,
         last: usize,
         readahead_blocks: usize,
     ) -> StegResult<Scratch> {
-        if let Some(coding) = obj.header.policy.coding() {
-            // Decoding already brings in whole groups of `m` blocks (which
-            // the cache keeps), so there is no separate readahead window.
-            return self.read_coded_range(token, &extents, coding, first, last);
+        let cache = self.cache;
+        let bs = self.fs.block_size();
+        let m = extents.coding.0;
+        let logical = extents.groups() * m;
+        if last >= logical {
+            return Err(shorter_than_size());
         }
-        let data_blocks = &extents.data_blocks;
-        let span = data_blocks
-            .get(first..=last)
-            .ok_or_else(shorter_than_size)?;
-        // Readahead only pays off when the prefetched plaintext can be kept.
-        let readahead = if self.cache.enabled() && readahead_blocks > 0 {
-            let ra_end = (last + 1)
-                .saturating_add(readahead_blocks)
-                .min(data_blocks.len());
-            &data_blocks[last + 1..ra_end]
-        } else {
-            &data_blocks[..0]
-        };
-        // One batched submission covers the whole extent of the range (plus
-        // the readahead window).
-        self.read_blocks_cached(token, span, readahead)
+        let keys = extents.block_keys(first..last + 1);
+        let mut out = Scratch::with_capacity(keys.len() * bs);
+        let missed = cache.get_blocks(token, &keys, bs, out.as_vec_mut());
+        // The groups of the demand misses lead the fetch, ascending.
+        let mut fetch: Vec<usize> = Vec::new();
+        for &slot in &missed {
+            let g = (first + slot) / m;
+            if fetch.last() != Some(&g) {
+                fetch.push(g);
+            }
+        }
+        if cache.enabled() && readahead_blocks > 0 {
+            let ra_end = (last + 1).saturating_add(readahead_blocks).min(logical);
+            let ahead = last / m + 1..ra_end.div_ceil(m);
+            let resident =
+                cache.contains_blocks(token, &extents.block_keys(ahead.start * m..ahead.end * m));
+            let missing = |g: usize| !resident[(g - ahead.start) * m..][..m].iter().all(|&r| r);
+            fetch.extend(ahead.clone().filter(|&g| missing(g)));
+        }
+        if fetch.is_empty() {
+            return Ok(out);
+        }
+        let (fetched, plain) = self.decode_groups(&extents, &fetch)?;
+        cache.put_blocks(self.keys.signature(), token, &fetched, &plain);
+        let mut rank = 0;
+        for &slot in &missed {
+            let i = first + slot;
+            while fetch[rank] != i / m {
+                rank += 1;
+            }
+            let at = rank * m + i % m;
+            out[slot * bs..(slot + 1) * bs].copy_from_slice(nth_block(&plain, at, bs));
+        }
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -839,7 +808,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         // Stock the internal free pool (§3.1: "StegFS straightaway allocates
         // several blocks to the file").
         self.fill_pool(txn, &mut header)?;
-        self.publish_header(txn, header_block, &header)?;
+        self.publish_header(txn, &header)?;
         Ok(HiddenObject {
             header_block,
             header,
@@ -896,7 +865,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         }
         let bs = self.fs.block_size();
         let last = (obj.header.size as usize - 1) / bs;
-        let plain = self.read_span(obj, chain, 0, last, 0)?;
+        let plain = self.read_span(chain, 0, last, 0)?;
         Ok(plain.into_vec(obj.header.size as usize, bs))
     }
 
@@ -920,7 +889,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         let chain = self.cached_chain(obj)?;
         let first = (offset / bs) as usize;
         let last = ((end - 1) / bs) as usize;
-        let plain = self.read_span(obj, chain, first, last, readahead_blocks)?;
+        let plain = self.read_span(chain, first, last, readahead_blocks)?;
         let from = (offset - first as u64 * bs) as usize;
         let to = (end - first as u64 * bs) as usize;
         if from == 0 {
@@ -934,7 +903,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     // Mutators
     // ------------------------------------------------------------------
 
-    /// The one shape every mutator but a committed plain patch
+    /// The one shape every mutator but a committed patch
     /// ([`write_range`](Self::write_range)) has: `run` resolves the old
     /// chain, stages the work in `txn`, updates `obj.header` and returns the
     /// extent list it left behind.  The old incarnation's cache entry (and
@@ -999,23 +968,22 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     }
 
     /// Overwrite part of an existing hidden object in place.  The range must
-    /// lie within the object's current size; blocks are decrypted, patched
-    /// and re-encrypted individually (the multi-user experiments update
-    /// files at block granularity).  Takes `&mut` because a coded patch
-    /// under replicated metadata refreshes the header's chain checksum (see
-    /// `patch_coded`); plain objects leave the header untouched.
+    /// lie within the object's current size.  Only the (at most two)
+    /// groups the range covers in part are read; every group it touches is
+    /// re-encoded and its shares rewritten, in one transaction, so a crash
+    /// never leaves a group whose shares disagree with its recorded checks
+    /// (see `ObjectIo::patch`).  Takes `&mut` because under replicated
+    /// metadata the patch refreshes the header's chain check.
     ///
-    /// A committed patch of a plain object leaves the header and the chain
-    /// as they were, so its cache entry — header, extent list (from the
-    /// cache when warm), and the key space its plaintext blocks are cached
-    /// under — stays, and exactly the data blocks the patch rewrote drop
+    /// A committed patch keeps the object's cache entry and its generation
+    /// — the key space its plaintext blocks are cached under — whatever the
+    /// policy: the entry takes the committed extent list (resolved from the
+    /// cache when warm) and the header if the patch published one, its
+    /// insert fence moves, and exactly the blocks the patch rewrote drop
     /// ([`ReadCache::patched`]); the object's other cached blocks stay
-    /// servable.  A failed patch, or one whose object has no cache entry,
-    /// goes through the invalidation every other mutator takes.  So does a
-    /// coded patch: it walks its chain on disk (it rewrites the nodes it
-    /// patches) and changes the header's chain checksum, then re-installs
-    /// the same blocks with the refreshed share checksums, so the next read
-    /// of the object does not walk and re-verify the chain again.
+    /// servable.  A failed patch, or one whose object has
+    /// no cache entry, goes through the invalidation every other mutator
+    /// takes.
     pub fn write_range(&self, obj: &mut HiddenObject, offset: u64, data: &[u8]) -> StegResult<()> {
         if data.is_empty() {
             return Ok(());
@@ -1027,42 +995,48 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 maximum: obj.header.size,
             }));
         }
-        if let Some(coding) = obj.header.policy.coding() {
-            return self.mutate_committed(obj, |txn, obj| {
-                self.patch_coded(txn, obj, offset, data, coding)
-                    .map(Arc::new)
-            });
-        }
         let patched = self.cached_chain(obj).and_then(|(token, extents)| {
+            let mut next = obj.clone();
             let mut txn = self.fs.begin_txn();
-            let span = self.patch_plain(&mut txn, offset, data, &extents.data_blocks)?;
+            let (extents, keys) = self.patch(&mut txn, &mut next, extents, offset, data)?;
             txn.commit()?;
-            let kept = self.cache.patched(self.keys.signature(), token, span);
-            Ok((kept, extents))
+            let published = (next.header != obj.header).then(|| next.header.clone());
+            let sig = self.keys.signature();
+            let kept = self
+                .cache
+                .patched(sig, token, published, Arc::clone(&extents), &keys);
+            Ok((kept, next, extents))
         });
         match patched {
-            Ok((true, _)) => Ok(()),
+            Ok((true, next, _)) => {
+                *obj = next;
+                Ok(())
+            }
             // The patch committed on its own; this transaction stages
             // nothing and only carries the cache rule.
-            outcome => self.mutate_committed(obj, |_, _| outcome.map(|(_, extents)| extents)),
+            outcome => self.mutate_committed(obj, |_, obj| {
+                outcome.map(|(_, next, extents)| {
+                    *obj = next;
+                    extents
+                })
+            }),
         }
     }
 
-    /// Set the object's size to `new_len` at block granularity.
+    /// Set the object's size to `new_len`, at group granularity.
     ///
-    /// Unlike [`write`](Self::write), the cost on a plain object is
-    /// proportional to the *change* (plus the chain rebuild), not to the
-    /// object's total size: shrinking recycles only the surplus blocks
-    /// through the free pool and zeroes the cut tail of the last kept block;
-    /// growing appends zero-filled blocks.  Existing data blocks are never
-    /// rewritten, which is what makes appending through the VFS O(append)
-    /// instead of O(file).  (A coded object re-encodes — see
-    /// `resize_coded`.)
+    /// Unlike [`write`](Self::write), the cost is proportional to the
+    /// *change* (plus the chain rebuild), not to the object's total size: a
+    /// shrink recycles the groups past the new end through the free pool
+    /// and re-encodes the group it cuts with zeros past the cut; a growth
+    /// appends fresh zero-filled groups.  No other group is rewritten,
+    /// which is what makes appending through the VFS O(append) instead of
+    /// O(file).
     ///
-    /// Invariant maintained (and relied on): within the last data block,
-    /// every byte beyond `size` is zero — [`write`](Self::write) pads with
-    /// zeros and the shrink path re-zeroes, so a later extension exposes
-    /// zeros, never stale plaintext.
+    /// Invariant maintained (and relied on): within the last group, every
+    /// byte beyond `size` is zero — [`write`](Self::write) pads with zeros
+    /// and the shrink re-zeroes, so a later extension exposes zeros, never
+    /// stale plaintext.
     pub fn resize(
         &self,
         obj: &mut HiddenObject,
@@ -1074,23 +1048,19 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         }
         self.mutate_committed(obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
-            let resized = if obj.header.policy.is_coded() {
-                self.resize_coded(txn, obj, new_len, rng, &old, &[])
-            } else {
-                self.resize_plain(txn, obj, new_len, rng, &old, &[])
-            };
-            resized.map(Arc::new)
+            self.resize_groups(txn, obj, new_len, rng, &old, &[])
+                .map(Arc::new)
         })
     }
 
     /// Write `data` at `offset`, growing the object to the end of the range
     /// (zero-filling any gap) when the range passes its current end; a range
-    /// within the object is [`write_range`](Self::write_range).  Growth and
-    /// patch are one transaction, so a crash leaves the old size and bytes
-    /// or the new ones.  On a plain object the bytes that land in blocks it
-    /// already has patch them in place and the rest ride in the grown
-    /// blocks, each block written once, so the cost stays O(append).  A
-    /// coded object re-encodes, as [`resize`](Self::resize) does.
+    /// within the object is [`write_range`](Self::write_range).  Past the
+    /// end it is a growth plus a patch, in one transaction, so a crash
+    /// leaves the old size and bytes or the new ones: the bytes that land
+    /// in groups the object already has patch them in place, and the rest
+    /// ride in the appended groups, so the cost stays O(append) under every
+    /// policy.
     pub fn write_at(
         &self,
         obj: &mut HiddenObject,
@@ -1104,172 +1074,125 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         }
         self.mutate_committed(obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
-            if obj.header.policy.is_coded() {
-                return self
-                    .resize_coded(txn, obj, end, rng, &old, data)
-                    .map(Arc::new);
-            }
-            let kept_end = old.data_blocks.len() as u64 * self.fs.block_size() as u64;
+            let (m, n) = old.coding;
+            let kept_end = (old.groups() * m * self.fs.block_size()) as u64;
             let in_kept = (kept_end.saturating_sub(offset) as usize).min(data.len());
-            let grown = self.resize_plain(txn, obj, end, rng, &old, &data[in_kept..])?;
-            if in_kept > 0 {
-                self.patch_plain(txn, offset, &data[..in_kept], &old.data_blocks)?;
+            // The kept part is encoded first, so the chain the growth builds
+            // records its shares' new checks.
+            let check = self.share_check_of(obj.header.policy);
+            let kept = match in_kept {
+                0 => None,
+                _ => Some(self.encode_patch(&old, offset, &data[..in_kept], check)?),
+            };
+            let grown_from = match &kept {
+                Some((groups, _, csums)) => with_checks(&old, groups, csums),
+                None => Cow::Borrowed(&*old),
+            };
+            let grown = self.resize_groups(txn, obj, end, rng, &grown_from, &data[in_kept..])?;
+            if let Some((groups, payload, _)) = kept {
+                let span = &grown.data_blocks[groups.start * n..groups.end * n];
+                self.write_encrypted_many(txn, span, payload)?;
             }
             Ok(Arc::new(grown))
         })
     }
 
-    /// The in-place patch core of [`write_range`](Self::write_range) for
-    /// plain objects, against an already-resolved extent list, staged in
-    /// `txn`; returns the data blocks it rewrote.
-    fn patch_plain<'b>(
-        &self,
-        txn: &mut FsTxn<'_, D>,
-        offset: u64,
-        data: &[u8],
-        data_blocks: &'b [u64],
-    ) -> StegResult<&'b [u64]> {
-        let end = offset + data.len() as u64;
-        let bs = self.fs.block_size() as u64;
-        let first = (offset / bs) as usize;
-        let last = ((end - 1) / bs) as usize;
-        let span = data_blocks
-            .get(first..=last)
-            .ok_or_else(shorter_than_size)?;
-        // Batched read-modify-write: only a partial head or tail block needs
-        // its old contents (fully covered middle blocks are rebuilt from
-        // `data`; the edge selection is the shared [`stegfs_fs::rmw`] plan),
-        // so at most two edge blocks come up in one submission and the whole
-        // patched extent goes back down in one submission.  The patch is
-        // staged in one transaction: an in-place update of live data is
-        // exactly the write a crash must not tear.
-        let span_start = first as u64 * bs;
-        let bs = bs as usize;
-        let plan = stegfs_fs::rmw::plan(span, offset, end, span_start, bs);
-        let edge_plain = self.read_decrypted_many(&plan.edges)?;
-        let mut plain = Scratch::take(span.len() * bs);
-        plan.seed_edges(&edge_plain, &mut plain, bs);
-        drop(edge_plain);
-        let from = (offset - span_start) as usize;
-        plain[from..from + data.len()].copy_from_slice(data);
-        self.write_encrypted_many(txn, span, plain)?;
-        Ok(span)
-    }
-
-    /// [`write_range`](Self::write_range) for `m`-of-`n` coded objects:
-    /// decode the partially covered edge groups (with the usual fall-back
-    /// through surviving shares), rebuild every fully covered group from
-    /// `data` alone — the same edge-only [`stegfs_fs::rmw`] plan as the plain
-    /// path, at group granularity, so an aligned patch reads no share at all
-    /// — then re-encode and rewrite those groups' full share extents
-    /// together with every chain node whose checksum entries they own.  One
-    /// transaction, so a crash never leaves a group whose shares disagree
-    /// with its recorded checksums.
-    ///
-    /// A group damaged beyond tolerance therefore heals when a patch covers
-    /// it completely, while a patch that needs any of its old bytes still
-    /// fails closed before anything is written.
-    ///
-    /// Under replicated metadata a patched node's new plaintext changes the
-    /// checksum its *predecessor* records, so the rewrite cascades from the
-    /// last affected node back to the head and into the header
-    /// (`chain_csum`) — which is why this path takes `&mut` and refreshes
-    /// the caller's header snapshot.
-    ///
-    /// Returns the object's extent list as the patch leaves it: the blocks
-    /// the walk found, with the patched groups' fresh share checksums.
-    fn patch_coded(
+    /// The in-place patch of `data` at `offset`, staged in `txn` against
+    /// `extents`, the chain `obj.header` names: the shares of every group
+    /// the range touches ([`Self::encode_patch`]), then, where the entries
+    /// carry checks, the chain nodes holding them
+    /// ([`Self::rewrite_chain_nodes`]).  Returns the extent list as the
+    /// patch leaves it (the one it was given when no entry changed) and the
+    /// cache keys of the blocks it rewrote.
+    fn patch(
         &self,
         txn: &mut FsTxn<'_, D>,
         obj: &mut HiddenObject,
+        extents: Arc<ExtentList>,
         offset: u64,
         data: &[u8],
-        (m, n): (usize, usize),
-    ) -> StegResult<ExtentList> {
+    ) -> StegResult<(Arc<ExtentList>, Vec<u64>)> {
+        let (m, n) = extents.coding;
+        let check = self.share_check_of(obj.header.policy);
+        let (groups, payload, csums) = self.encode_patch(&extents, offset, data, check)?;
+        let entries = groups.start * n..groups.end * n;
+        self.write_encrypted_many(txn, &extents.data_blocks[entries.clone()], payload)?;
+        let keys = extents
+            .block_keys(groups.start * m..groups.end * m)
+            .into_owned();
+        let Cow::Owned(checked) = with_checks(&extents, &groups, &csums) else {
+            return Ok((extents, keys));
+        };
+        self.rewrite_chain_nodes(txn, &mut obj.header, &checked, entries)?;
+        Ok((Arc::new(checked), keys))
+    }
+
+    /// The new shares of the groups of `extents` that `data` at `offset`
+    /// touches: decode the (at most two) groups the range covers in part —
+    /// the edge-only [`stegfs_fs::rmw`] plan at group granularity, so an
+    /// aligned patch reads no share at all — splice `data` over them and
+    /// re-encode every group of the range.  A group damaged beyond
+    /// tolerance therefore heals when a patch covers it completely, while a
+    /// patch that needs any of its old bytes fails closed before anything
+    /// is written.  Returns the groups, their shares back to back and the
+    /// shares' checks under `check`.
+    fn encode_patch(
+        &self,
+        extents: &ExtentList,
+        offset: u64,
+        data: &[u8],
+        check: Option<&ShareCheck>,
+    ) -> StegResult<(Range<usize>, Scratch, Vec<u64>)> {
         let bs = self.fs.block_size();
-        let end = offset + data.len() as u64;
-        let copies = effective_meta_copies(&obj.header);
-        let mut nodes = self.walk_chain(obj, false)?;
-        let mut extents = flatten(obj, &nodes);
+        let (m, n) = extents.coding;
         let group_bytes = m * bs;
+        let end = offset + data.len() as u64;
         let g0 = (offset / group_bytes as u64) as usize;
         let g1 = ((end - 1) / group_bytes as u64) as usize;
-        if g1 >= extents.data_blocks.len() / n.max(1) {
+        if g1 >= extents.groups() {
             return Err(shorter_than_size());
         }
-        // The plan's "blocks" are group indices: its edges are the (at most
-        // two) groups whose old plaintext the patch keeps part of.
+        // The plan's "blocks" are group indices: its edges are the groups
+        // whose old plaintext the patch keeps part of.
         let groups: Vec<u64> = (g0 as u64..=g1 as u64).collect();
         let span_start = (g0 * group_bytes) as u64;
         let plan = stegfs_fs::rmw::plan(&groups, offset, end, span_start, group_bytes);
         let edges: Vec<usize> = plan.edges.iter().map(|&g| g as usize).collect();
-        let mut codec = GroupCodec::new(m, n, bs);
-        let edge_plain = self.decode_groups(&mut codec, &extents, &edges)?;
+        let (_, edge_plain) = self.decode_groups(extents, &edges)?;
         let mut plain = Scratch::take(groups.len() * group_bytes);
         plan.seed_edges(&edge_plain, &mut plain, group_bytes);
         drop(edge_plain);
         let from = (offset - span_start) as usize;
         plain[from..from + data.len()].copy_from_slice(data);
-        let (payload, new_csums) = codec.encode_groups(&plain, self.share_check());
-        drop(plain);
+        let (payload, csums) = GroupCodec::new(m, n, bs).encode_whole(plain, check);
+        Ok((g0..g1 + 1, payload, csums))
+    }
 
-        let first_entry = g0 * n;
-        let last_entry = (g1 + 1) * n - 1;
-        let span = &extents.data_blocks[first_entry..=last_entry];
-        self.write_encrypted_many(txn, span, payload)?;
-        let cap = InodeChainBlock::capacity(bs, true, copies).max(1);
-        let first_node = first_entry / cap;
-        let last_node = last_entry / cap;
-        for (node_idx, nd) in nodes
-            .iter_mut()
-            .enumerate()
-            .take(last_node + 1)
-            .skip(first_node)
-        {
-            let node_start = node_idx * cap;
-            for (i, csum) in nd.node.csums.iter_mut().enumerate() {
-                let e = node_start + i;
-                if e >= first_entry && e <= last_entry {
-                    *csum = new_csums[e - first_entry];
-                }
-            }
+    /// Rewrite, in `txn`, the chain nodes of `extents` that hold `entries`,
+    /// re-serialised as [`Self::build_chain`] lays them out.  Under
+    /// replicated metadata a node's new plaintext changes the check its
+    /// *predecessor* records, so the rewrite cascades back to the head and
+    /// into `header`'s `chain_csum`, and the header is republished.
+    fn rewrite_chain_nodes(
+        &self,
+        txn: &mut FsTxn<'_, D>,
+        header: &mut HiddenHeader,
+        extents: &ExtentList,
+        entries: Range<usize>,
+    ) -> StegResult<()> {
+        let copies = header.policy.meta_copies();
+        let cap = self.chain_capacity(header.policy);
+        let last = (entries.end - 1) / cap;
+        let first = if copies > 1 { 0 } else { entries.start / cap };
+        let entries = (&extents.data_blocks[..], &extents.share_csums[..]);
+        let chain = &extents.chain_blocks;
+        let (plain, head_csum) = self.serialize_chain(header.policy, entries, chain, first..=last);
+        self.write_encrypted_many(txn, &chain[first * copies..(last + 1) * copies], plain)?;
+        if copies > 1 {
+            header.chain_csum = head_csum;
+            self.publish_header(txn, header)?;
         }
-        let new_header = if copies == 1 {
-            for nd in nodes.iter().take(last_node + 1).skip(first_node) {
-                let plain = nd.node.serialize(bs, true, 1);
-                self.write_encrypted(txn, nd.blocks[0], &plain)?;
-            }
-            None
-        } else {
-            // Cascade: rewrite nodes `last_node..=0` back to front so each
-            // predecessor records its successor's fresh checksum, then
-            // republish the header with the head node's checksum.  Every
-            // replica of a rewritten node gets the identical plaintext
-            // (which also heals any replica that had silently rotted).
-            let mut child_csum: Option<u64> = None;
-            let mut plains: Vec<Vec<u8>> = vec![Vec::new(); last_node + 1];
-            for (node_idx, p) in plains.iter_mut().enumerate().rev() {
-                if let Some(c) = child_csum {
-                    nodes[node_idx].node.next_csum = c;
-                }
-                *p = nodes[node_idx].node.serialize(bs, true, copies);
-                child_csum = Some(self.share_check().one(p));
-            }
-            for (node_idx, p) in plains.iter().enumerate() {
-                for &b in &nodes[node_idx].blocks {
-                    self.write_encrypted(txn, b, p)?;
-                }
-            }
-            let mut header = obj.header.clone();
-            header.chain_csum = child_csum.expect("coded patch touches at least one node");
-            self.publish_header(txn, obj.header_block, &header)?;
-            Some(header)
-        };
-        if let Some(header) = new_header {
-            obj.header = header;
-        }
-        extents.share_csums[first_entry..=last_entry].copy_from_slice(&new_csums);
-        Ok(extents)
+        Ok(())
     }
 
     /// Make sure the volume can hold a new incarnation of `needed` data
@@ -1284,11 +1207,8 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         needed: u64,
         old: &ExtentList,
     ) -> StegResult<()> {
-        let copies = effective_meta_copies(header);
-        let coded = header.policy.is_coded();
-        let chain_capacity =
-            InodeChainBlock::capacity(self.fs.block_size(), coded, copies).max(1) as u64;
-        let chain_needed = needed.div_ceil(chain_capacity) * copies as u64;
+        let copies = header.policy.meta_copies() as u64;
+        let chain_needed = needed.div_ceil(self.chain_capacity(header.policy) as u64) * copies;
         let available = self.fs.free_data_blocks()
             + header.free_pool.len() as u64
             + old.data_blocks.len() as u64
@@ -1311,17 +1231,11 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         old: &ExtentList,
     ) -> StegResult<ExtentList> {
         let bs = self.fs.block_size();
-        // Encode first: a coded object stores `groups * n` share blocks, a
-        // plain one `ceil(len / bs)` data blocks (the zero tail pads the
-        // final block or group either way).
-        let (payload, csums) = match obj.header.policy.coding() {
-            Some((m, n)) => GroupCodec::new(m, n, bs).encode_groups(data, self.share_check()),
-            None => {
-                let mut padded = Scratch::take(data.len().div_ceil(bs) * bs);
-                padded[..data.len()].copy_from_slice(data);
-                (padded, Vec::new())
-            }
-        };
+        // Encode first: `groups * n` share blocks, the zero tail padding
+        // the final group.
+        let (m, n) = obj.header.policy.shares();
+        let check = self.share_check_of(obj.header.policy);
+        let (payload, csums) = GroupCodec::new(m, n, bs).encode_groups(data, check);
         let needed = payload.len() / bs;
         self.ensure_capacity(&obj.header, needed as u64, old)?;
 
@@ -1346,18 +1260,18 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 .collect(),
             txn,
         };
-        // Claim every data block first — every share of a coded object gets
-        // its own independently drawn block — then push the whole extent
-        // list down as one batched submission.
+        // Claim every data block first — every share gets its own
+        // independently drawn block — then push the whole extent list down
+        // as one batched submission.
         let data_blocks = rw.take_blocks(needed, rng)?;
         self.write_encrypted_many(rw.txn, &data_blocks, payload)?;
         self.publish_incarnation(rw, obj, data.len() as u64, data_blocks, csums, rng)
     }
 
     /// The shared tail of every rewrite: build the inode chain over
-    /// `data_blocks` (paired with `csums` on a coded object), settle the
-    /// free pool, publish the header of the `size`-byte incarnation and
-    /// release the old incarnation's surplus.
+    /// `data_blocks` (paired with `csums` where the entries carry checks),
+    /// settle the free pool, publish the header of the `size`-byte
+    /// incarnation and release the old incarnation's surplus.
     fn publish_incarnation(
         &self,
         mut rw: Rewrite<'_, '_, D>,
@@ -1396,7 +1310,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             rw.header.inode_chain == NO_BLOCK
                 || rw.header.inode_chain < self.fs.superblock().total_blocks
         );
-        self.publish_header(rw.txn, obj.header_block, &rw.header)?;
+        self.publish_header(rw.txn, &rw.header)?;
         for b in rw.recycled {
             rw.txn.free_block(b)?;
         }
@@ -1405,21 +1319,21 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             data_blocks,
             chain_blocks,
             share_csums: csums,
-            coding: obj.header.policy.coding(),
+            coding: obj.header.policy.shares(),
         })
     }
 
-    /// Serialise `data_blocks` (paired with `csums` for coded objects) into
-    /// a fresh inode chain, drawing chain blocks from the pool / free space;
-    /// returns the chain blocks in walk order (empty for an empty object —
-    /// the head is `first().copied().unwrap_or(NO_BLOCK)`).
+    /// Serialise `data_blocks` (paired with `csums` where the entries carry
+    /// checks) into a fresh inode chain, drawing chain blocks from the pool
+    /// / free space; returns the chain blocks in walk order (empty for an
+    /// empty object — the head is `first().copied().unwrap_or(NO_BLOCK)`).
     ///
     /// Under a redundant [`Policy`] every chain node is written to
-    /// [`effective_meta_copies`] independently located blocks (the returned
+    /// [`Policy::meta_copies`] independently located blocks (the returned
     /// list is node-major: node 0's primary and replicas, then node 1's, …),
-    /// and the nodes are serialised back to front so each can carry its
-    /// successor's plaintext checksum; the head node's checksum lands in
-    /// `header.chain_csum`, anchoring the whole chain to the header.
+    /// each carrying its successor's plaintext checksum; the head node's
+    /// checksum lands in `header.chain_csum`, anchoring the whole chain to
+    /// the header.
     fn build_chain(
         &self,
         rw: &mut Rewrite<'_, '_, D>,
@@ -1427,75 +1341,103 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         csums: &[u64],
         rng: &mut DeterministicRng,
     ) -> StegResult<Vec<u64>> {
-        let copies = effective_meta_copies(&rw.header);
+        let policy = rw.header.policy;
+        let copies = policy.meta_copies();
         if data_blocks.is_empty() {
             rw.header.chain_replicas.clear();
             rw.header.chain_csum = 0;
             return Ok(Vec::new());
         }
-        let coded = rw.header.policy.is_coded();
-        debug_assert_eq!(csums.len(), if coded { data_blocks.len() } else { 0 });
-        let bs = rw.txn.block_size();
-        let chain_capacity = InodeChainBlock::capacity(bs, coded, copies).max(1);
-        let chunks: Vec<&[u64]> = data_blocks.chunks(chain_capacity).collect();
-        let chain_block_numbers = rw.take_blocks(chunks.len() * copies, rng)?;
-        // Serialise every chain node (back to front, so each node records
-        // its successor's checksum), then write the whole chain — every
-        // replica of a node carrying the identical plaintext — in one
-        // batched submission.
-        let mut plain = Scratch::take(chunks.len() * copies * bs);
-        let mut succ_csum = 0u64;
-        for (i, chunk) in chunks.iter().enumerate().rev() {
-            let succ_start = (i + 1) * copies;
-            let (next, next_replicas) = if i + 1 < chunks.len() {
-                (
-                    chain_block_numbers[succ_start],
-                    chain_block_numbers[succ_start + 1..succ_start + copies].to_vec(),
-                )
+        debug_assert_eq!(
+            csums.len(),
+            if policy.is_coded() {
+                data_blocks.len()
             } else {
-                (NO_BLOCK, vec![NO_BLOCK; copies - 1])
-            };
-            let start = i * chain_capacity;
-            let chain = InodeChainBlock {
-                next,
-                next_replicas: if copies > 1 {
-                    next_replicas
-                } else {
-                    Vec::new()
-                },
-                next_csum: if copies > 1 { succ_csum } else { 0 },
-                pointers: chunk.to_vec(),
+                0
+            }
+        );
+        let nodes = data_blocks.len().div_ceil(self.chain_capacity(policy));
+        let chain_blocks = rw.take_blocks(nodes * copies, rng)?;
+        let entries = (data_blocks, csums);
+        let (plain, head_csum) =
+            self.serialize_chain(policy, entries, &chain_blocks, 0..=nodes - 1);
+        // The whole chain — every replica of a node carrying the identical
+        // plaintext — goes down in one batched submission.
+        self.write_encrypted_many(rw.txn, &chain_blocks, plain)?;
+        rw.header.chain_replicas = chain_blocks[1..copies].to_vec();
+        rw.header.chain_csum = head_csum;
+        Ok(chain_blocks)
+    }
+
+    /// The plaintext of nodes `nodes` of the chain that indexes the
+    /// entries `(pointers, csums)` (`csums` empty where the entries carry
+    /// no checks) from the blocks `chain` (node-major, one per replica),
+    /// each node repeated for its replicas, back to back: the image of
+    /// `chain[nodes.start() * copies..]`.  Also returns the check of the
+    /// first node's plaintext, which its predecessor or the header records
+    /// (0 with one metadata copy, where no node carries a check).  Node `i`
+    /// holds entries `i * capacity ..`; with replicated metadata each node
+    /// records its successor's check, so the nodes are serialised back to
+    /// front from the tail.
+    fn serialize_chain(
+        &self,
+        policy: Policy,
+        (pointers, csums): (&[u64], &[u64]),
+        chain: &[u64],
+        nodes: RangeInclusive<usize>,
+    ) -> (Scratch, u64) {
+        let bs = self.fs.block_size();
+        let (coded, copies) = (policy.is_coded(), policy.meta_copies());
+        let cap = self.chain_capacity(policy);
+        let (first, last) = (*nodes.start(), *nodes.end());
+        // Past `last` a node only matters for the check it hands back.
+        let tail = if copies > 1 {
+            chain.len() / copies
+        } else {
+            last + 1
+        };
+        let mut plain = Scratch::take((last + 1 - first) * copies * bs);
+        let mut succ_csum = 0u64;
+        for i in (first..tail).rev() {
+            let entries = i * cap..((i + 1) * cap).min(pointers.len());
+            let succ = ((i + 1) * copies).min(chain.len());
+            let node = InodeChainBlock {
+                next: chain.get(succ).copied().unwrap_or(NO_BLOCK),
+                next_replicas: (1..copies)
+                    .map(|r| chain.get(succ + r).copied().unwrap_or(NO_BLOCK))
+                    .collect(),
+                next_csum: succ_csum,
+                pointers: pointers[entries.clone()].to_vec(),
                 csums: if coded {
-                    csums[start..start + chunk.len()].to_vec()
+                    csums[entries].to_vec()
                 } else {
                     Vec::new()
                 },
             };
-            let node_plain = chain.serialize(bs, coded, copies);
+            let node_plain = node.serialize(bs, coded, copies);
             if copies > 1 {
                 succ_csum = self.share_check().one(&node_plain);
             }
-            for r in 0..copies {
-                let slot = i * copies + r;
-                plain[slot * bs..(slot + 1) * bs].copy_from_slice(&node_plain);
+            if i <= last {
+                let at = (i - first) * copies * bs;
+                for replica in plain[at..at + copies * bs].chunks_exact_mut(bs) {
+                    replica.copy_from_slice(&node_plain);
+                }
             }
         }
-        self.write_encrypted_many(rw.txn, &chain_block_numbers, plain)?;
-        rw.header.chain_replicas = if copies > 1 {
-            chain_block_numbers[1..copies].to_vec()
-        } else {
-            Vec::new()
-        };
-        rw.header.chain_csum = if copies > 1 { succ_csum } else { 0 };
-        Ok(chain_block_numbers)
+        (plain, succ_csum)
     }
 
-    /// The plain-object core of [`resize`](Self::resize), against the
-    /// already-resolved old incarnation.  A growth writes `tail` as the last
-    /// bytes of the new size instead of zeros; it must lie within the grown
-    /// blocks (empty for a shrink).  Returns the new incarnation's extent
-    /// list on success.
-    fn resize_plain(
+    /// The core of [`resize`](Self::resize) and of a growing
+    /// [`write_at`](Self::write_at), against the already-resolved old
+    /// incarnation: whole groups go or come, and every other group stays
+    /// where it is, unread.  A shrink recycles the groups past the new end
+    /// and re-encodes the group it cuts with zeros past the cut; a growth
+    /// appends fresh groups, zero-filled but for `tail`, which lands as the
+    /// last bytes of the new size (it must lie within the appended groups;
+    /// empty for a shrink).  The chain is rebuilt.  Returns the new
+    /// incarnation's extent list on success.
+    fn resize_groups(
         &self,
         txn: &mut FsTxn<'_, D>,
         obj: &mut HiddenObject,
@@ -1505,8 +1447,13 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         tail: &[u8],
     ) -> StegResult<ExtentList> {
         let bs = self.fs.block_size();
-        let new_count = new_len.div_ceil(bs as u64);
+        let (m, n) = old.coding;
+        let group_bytes = (m * bs) as u64;
+        let groups = new_len.div_ceil(group_bytes);
+        let check = self.share_check_of(obj.header.policy);
+        let codec = GroupCodec::new(m, n, bs);
         let mut data_blocks = old.data_blocks.clone();
+        let mut csums = old.share_csums.clone();
         // As in [`write`](Self::write): surplus blocks are recycled in place
         // (still allocated, consumed before fresh space, released only with
         // the commit), so a mid-operation failure never frees blocks the
@@ -1519,75 +1466,52 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         };
         if new_len < obj.header.size {
             debug_assert!(tail.is_empty(), "a shrink writes no tail");
-            rw.recycled.extend(data_blocks.drain(new_count as usize..));
-            // Zero the cut tail of the last kept block so the truncated
-            // bytes cannot resurface on a later extension.
-            let tail = new_len as usize % bs;
-            if tail != 0 {
-                let last = *data_blocks.last().expect("tail implies a kept block");
-                let mut plain = self.read_decrypted(last)?;
-                plain[tail..].fill(0);
-                self.write_encrypted(rw.txn, last, &plain)?;
+            let kept = groups as usize;
+            rw.recycled.extend(data_blocks.drain(kept * n..));
+            csums.truncate(data_blocks.len());
+            // Re-encode the cut group with zeros past the cut, so the
+            // truncated bytes cannot resurface on a later extension.
+            let cut = (new_len % group_bytes) as usize;
+            if cut != 0 {
+                let g = kept - 1;
+                let (_, mut plain) = self.decode_groups(old, &[g])?;
+                plain[cut..].fill(0);
+                let (shares, new) = codec.encode_whole(plain, check);
+                for (&block, share) in data_blocks[g * n..].iter().zip(shares.chunks_exact(bs)) {
+                    self.write_encrypted(rw.txn, block, share)?;
+                }
+                csums.truncate(g * n);
+                csums.extend(new);
             }
         } else {
-            self.ensure_capacity(&rw.header, new_count, old)?;
-            // Claim the new tail blocks, then write them all, zero-filled
-            // but for `tail`, in one batched submission.
-            let extra = new_count.saturating_sub(data_blocks.len() as u64) as usize;
-            let grown = rw.take_blocks(extra, rng)?;
-            let mut fill = Scratch::take(grown.len() * bs);
+            self.ensure_capacity(&rw.header, groups.saturating_mul(n as u64), old)?;
+            // Claim the new groups' shares, then write them all in one
+            // batched submission.
+            let have = old.groups() as u64;
+            let added = groups.saturating_sub(have) as usize;
+            let grown = rw.take_blocks(added * n, rng)?;
+            let mut plain = Scratch::take(added * m * bs);
             if !tail.is_empty() {
-                let at = new_len - tail.len() as u64 - data_blocks.len() as u64 * bs as u64;
-                fill[at as usize..][..tail.len()].copy_from_slice(tail);
+                let at = new_len - tail.len() as u64 - have * group_bytes;
+                plain[at as usize..][..tail.len()].copy_from_slice(tail);
             }
-            self.write_encrypted_many(rw.txn, &grown, fill)?;
+            let (payload, new) = codec.encode_whole(plain, check);
+            self.write_encrypted_many(rw.txn, &grown, payload)?;
             data_blocks.extend(grown);
+            csums.extend(new);
         }
         // The chain is rebuilt from the recycled blocks first; the surplus
         // returns to the volume with the commit that publishes the header
         // which stops referencing it.
-        self.publish_incarnation(rw, obj, new_len, data_blocks, Vec::new(), rng)
-    }
-
-    /// [`resize`](Self::resize) for coded objects: groups couple `m` logical
-    /// blocks, so a size change re-encodes the whole object through the full
-    /// rewrite — cost `O(size)`, unlike the plain path's `O(change)`.  The
-    /// last `tail.len()` bytes of the new size are `tail`.  The capacity
-    /// pre-check runs before any plaintext is materialised, so an absurd
-    /// growth request fails cleanly.
-    fn resize_coded(
-        &self,
-        txn: &mut FsTxn<'_, D>,
-        obj: &mut HiddenObject,
-        new_len: u64,
-        rng: &mut DeterministicRng,
-        old: &ExtentList,
-        tail: &[u8],
-    ) -> StegResult<ExtentList> {
-        let (m, n) = obj.header.policy.shares();
-        let bs = self.fs.block_size();
-        let groups = new_len.div_ceil((bs * m) as u64);
-        self.ensure_capacity(&obj.header, groups.saturating_mul(n as u64), old)?;
-        // The kept prefix, zero-extended, in scratch: the whole object's
-        // plaintext never sits in a buffer that is freed unzeroed.
-        let chain = self.cached_chain(obj)?;
-        let mut data = Scratch::take(new_len as usize);
-        if obj.header.size > 0 {
-            let plain = self.read_span(obj, chain, 0, (obj.header.size as usize - 1) / bs, 0)?;
-            let kept = obj.header.size.min(new_len) as usize;
-            data[..kept].copy_from_slice(&plain[..kept]);
-        }
-        let tail_at = data.len() - tail.len();
-        data[tail_at..].copy_from_slice(tail);
-        self.rewrite(txn, obj, &data, rng, old)
+        self.publish_incarnation(rw, obj, new_len, data_blocks, csums, rng)
     }
 
     // ------------------------------------------------------------------
     // Maintenance
     // ------------------------------------------------------------------
 
-    /// Verify every share of a coded object against its recorded checksum
-    /// and rewrite the damaged ones from the survivors.
+    /// Verify every share of an object against its recorded checksum and
+    /// rewrite the damaged ones from the survivors.
     ///
     /// Splitting is deterministic and the per-block cipher is keyed by block
     /// number, so a rebuilt share re-encrypts to the byte-identical
@@ -1596,17 +1520,20 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// for replicated metadata: every header and chain replica is verified
     /// against the surviving copy's plaintext and damaged replicas are
     /// rewritten byte-identically (their count folds into `shares_rebuilt`).
-    /// Plain objects carry no redundancy and report
-    /// [`RepairOutcome::Intact`] untouched.  All rewrites ride in one
-    /// transaction; an unrecoverable object writes nothing at all.
+    /// An object without redundancy (`n == m`, so one copy of each
+    /// metadata block) has nothing to rebuild from: it reports
+    /// [`RepairOutcome::Intact`] without reading anything.  All rewrites
+    /// ride in one transaction; an unrecoverable object writes nothing at
+    /// all.
     ///
     /// Repair reads the device, never the cache, and leaves the cache alone:
     /// the caller invalidates when plaintext decoded from the damaged shares
     /// may be resident.
     pub fn repair(&self, obj: &HiddenObject) -> StegResult<RepairOutcome> {
-        let Some((m, n)) = obj.header.policy.coding() else {
+        let (m, n) = obj.header.policy.shares();
+        if n == m {
             return Ok(RepairOutcome::Intact);
-        };
+        }
         let bs = self.fs.block_size();
 
         // Metadata sweep first: a full chain walk that visits *every*
@@ -1911,30 +1838,36 @@ mod tests {
 
     #[test]
     fn a_patch_drops_only_the_cached_blocks_it_rewrote() {
-        let (fs, keys, params, mut rng) = fixture();
-        let cache = ReadCache::new(4096);
-        let io = ObjectIo::new(&fs, &params, &cache, &keys);
-        let mut obj = create(&io, "warm", ObjectKind::File, Policy::Plain).unwrap();
-        let mut data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
-        write(&io, &mut obj, &data, &mut rng).unwrap();
-        assert_eq!(io.read(&obj).unwrap(), data);
-        // Each patch, then one whole read: (offset, length, blocks it
-        // rewrote) — 16 KiB aligned, then a 100-byte patch inside one block.
-        for (at, len, rewritten) in [(8 * 1024, 16 * 1024, 16), (40_000, 100, 1)] {
-            let patch = vec![at as u8 ^ 0x5a; len];
-            io.write_range(&mut obj, at as u64, &patch).unwrap();
-            data[at..at + len].copy_from_slice(&patch);
+        for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {
+            let (fs, keys, params, mut rng) = fixture();
+            let cache = ReadCache::new(4096);
+            let io = ObjectIo::new(&fs, &params, &cache, &keys);
+            let mut obj = create(&io, "warm", ObjectKind::File, policy).unwrap();
+            let mut data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
+            write(&io, &mut obj, &data, &mut rng).unwrap();
+            assert_eq!(io.read(&obj).unwrap(), data);
+            let group = policy.shares().0 * 1024;
+            // Each patch, then one whole read: 16 KiB aligned, then a
+            // 100-byte patch inside one block.  The blocks it rewrote are
+            // those of every group it touched.
+            for (at, len) in [(8 * 1024, 16 * 1024), (40_000, 100)] {
+                let patch = vec![at as u8 ^ 0x5a; len];
+                io.write_range(&mut obj, at as u64, &patch).unwrap();
+                data[at..at + len].copy_from_slice(&patch);
+                let groups = (at + len - 1) / group - at / group + 1;
+                let rewritten = (groups * group / 1024) as u64;
+                let before = cache.stats();
+                assert_eq!(io.read(&obj).unwrap(), data, "{policy:?}");
+                let after = cache.stats();
+                assert_eq!(after.block_misses - before.block_misses, rewritten);
+                assert_eq!(after.block_hits - before.block_hits, 64 - rewritten);
+                assert_eq!(after.extent_misses, before.extent_misses, "entry kept");
+            }
+            // The re-fetched blocks went back in: the object is warm again.
             let before = cache.stats();
             assert_eq!(io.read(&obj).unwrap(), data);
-            let after = cache.stats();
-            assert_eq!(after.block_misses - before.block_misses, rewritten);
-            assert_eq!(after.block_hits - before.block_hits, 64 - rewritten);
-            assert_eq!(after.extent_misses, before.extent_misses, "entry kept");
+            assert_eq!(cache.stats().block_hits - before.block_hits, 64);
         }
-        // The re-fetched blocks went back in: the object is warm again.
-        let before = cache.stats();
-        assert_eq!(io.read(&obj).unwrap(), data);
-        assert_eq!(cache.stats().block_hits - before.block_hits, 64);
     }
 
     #[test]
@@ -2845,7 +2778,7 @@ mod tests {
 
     #[test]
     fn scratch_balances_at_every_write_trip() {
-        let ops: [(&str, Mutation); 6] = [
+        let ops: [(&str, Mutation); 7] = [
             ("write", |io, obj, rng| write(io, obj, &[0x33; 4500], rng)),
             ("write_range edge", |io, obj, _| {
                 io.write_range(obj, 100, &[0xee; 1500])
@@ -2855,6 +2788,9 @@ mod tests {
             }),
             ("resize grow", |io, obj, rng| io.resize(obj, 9000, rng)),
             ("resize mid-block", |io, obj, rng| io.resize(obj, 2500, rng)),
+            ("write_at past the end", |io, obj, rng| {
+                io.write_at(obj, 5000, &[0xab; 3000], rng)
+            }),
             ("repair", |io, obj, _| io.repair(obj).map(drop)),
         ];
         for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {

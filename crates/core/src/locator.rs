@@ -133,7 +133,8 @@ mod tests {
         keys: &ObjectKeys,
         kind: ObjectKind,
     ) {
-        let header = HiddenHeader::new(*keys.signature(), kind);
+        let mut header = HiddenHeader::new(*keys.signature(), kind);
+        header.header_replicas = vec![block];
         let mut buf = header.serialize(fs.block_size());
         keys.encrypt_block(block, &mut buf);
         assert!(fs.try_allocate_specific_block(block).unwrap());

@@ -29,8 +29,12 @@
 //!   keyed by the object's 256-bit signature.  A hit skips the
 //!   `locate_header` probe walk *and* the chain decryption entirely.
 //! * **Decrypted data blocks** — a sharded LRU of plaintext block images,
-//!   keyed by `(entry generation, physical block)`.  A hit skips both the
-//!   device read and the AES-CTR pass.
+//!   keyed by `(entry generation, physical block)`.  A hit skips the
+//!   device read, the AES-CTR pass and, for a coded object, the decode.
+//!   One key rule serves every policy: logical block `g * m + k` is cached
+//!   under the block of share `k` of group `g`
+//!   ([`ExtentList::block_cache_keys`]), so a `Plain` block, the (1, 1)
+//!   code's, under its own number.
 //!
 //! What orders eviction: the key cache and each of the 16 block shards is
 //! an exact-LRU [`LruMap`], the same mechanism as the buffer
@@ -65,9 +69,8 @@
 //!
 //! * **Any mutation of the object** — write, resize/truncate, rename,
 //!   unlink, re-key (sharing revocation), dummy-file rewrite, and an
-//!   in-place range write that failed or was of a coded object (a coded
-//!   patch changes the header's `chain_csum`, so its entry is re-minted
-//!   anyway) — invalidates its entry ([`ReadCache::invalidate`]).
+//!   in-place range write that failed or found no entry — invalidates its
+//!   entry ([`ReadCache::invalidate`]).
 //!   Invalidation bumps a global *generation*; a reader that started its
 //!   disk walk before the bump cannot install a stale entry afterwards (the
 //!   insert is rejected), and plaintext blocks cached under the dead entry
@@ -76,14 +79,17 @@
 //!   `(physical name, FAK)`, so content mutations leave it alone; it is
 //!   dropped when that pair stops naming the object — unlink, rename,
 //!   re-key ([`ReadCache::drop_keys`]).
-//! * **A committed in-place patch of a plain object** kills exactly the
-//!   blocks it rewrote ([`ReadCache::patched`]).  Header and extent list
-//!   are unchanged, so the entry stays, and so does its generation: the
-//!   key space of its blocks, which stay servable.  What moves is the
-//!   entry's *insert fence*, part of the [`BlockToken`] every reader holds:
-//!   a reader that picked up its token before the patch installs nothing
-//!   after it, whether or not its block was rewritten.  The patch costs
-//!   O(blocks patched), not O(blocks in the object).
+//! * **A committed in-place patch**, of any policy, kills exactly the keys
+//!   of the blocks it rewrote ([`ReadCache::patched`]).  A patch moves no
+//!   block, so the entry stays, and so does its generation: the key space
+//!   of its blocks, which stay servable.  The entry takes the extent list
+//!   the patch left (a coded patch changes its share checks) and the
+//!   header, where the patch published one (under replicated metadata its
+//!   chain check changes).  What moves is the entry's *insert fence*, part
+//!   of the [`BlockToken`] every reader holds: a reader that picked up its
+//!   token before the patch installs nothing after it, whether or not its
+//!   block was rewritten.  The patch costs O(blocks patched), not O(blocks
+//!   in the object).
 //! * **Session sign-off** — the VFS purges the departing session's scope
 //!   ([`ReadCache::purge_scope`]): every entry tagged with that session's
 //!   keys, plus every entry whose owner was never established, is removed
@@ -124,7 +130,9 @@
 
 use crate::crypt::{ObjectKeys, SIGNATURE_LEN};
 use crate::header::HiddenHeader;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -176,48 +184,52 @@ impl BlockToken {
 /// collide).
 pub type ObjectSig = [u8; SIGNATURE_LEN];
 
-/// The cached block map of one hidden object: its data blocks in logical
-/// order plus the chain blocks that encode them.
+/// The cached block map of one hidden object: groups of `m` logical blocks
+/// stored as `n` shares, plus the chain blocks that index them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtentList {
-    /// Data blocks in logical order (for coded objects: share blocks in
-    /// group-major order).
+    /// Share blocks in group-major order: group `g`'s `n` shares at
+    /// `g * n .. (g + 1) * n`.  Under `Plain`, the (1, 1) code, these are
+    /// the data blocks in logical order.
     pub data_blocks: Vec<u64>,
     /// Inode-chain blocks in walk order.
     pub chain_blocks: Vec<u64>,
-    /// Per-share checksums parallel to `data_blocks`; empty for plain
-    /// objects.
+    /// Per-share checksums parallel to `data_blocks`; empty where the chain
+    /// entries carry none (`Plain`).
     pub share_csums: Vec<u64>,
-    /// `(m, n)` of the object's durability policy, `None` for plain.
-    /// Decides the key space of the plaintext-block cache (see
+    /// `(m, n)` of the object's durability policy: `(1, 1)` for `Plain`.
+    /// Decides the keys of the plaintext-block cache (see
     /// [`Self::block_cache_keys`]).
-    pub coding: Option<(usize, usize)>,
+    pub coding: (usize, usize),
 }
 
 impl ExtentList {
-    /// An extent list for a plain (uncoded) object.
-    pub fn plain(data_blocks: Vec<u64>, chain_blocks: Vec<u64>) -> Self {
-        ExtentList {
-            data_blocks,
-            chain_blocks,
-            share_csums: Vec::new(),
-            coding: None,
-        }
+    /// Number of share groups.
+    pub(crate) fn groups(&self) -> usize {
+        self.data_blocks.len() / self.coding.1
     }
 
-    /// Every key the object may occupy in the plaintext-block cache.  Plain
-    /// objects cache decrypted blocks under their physical block numbers;
-    /// coded objects cache *decoded logical* blocks under logical indices
-    /// (the share blocks themselves are never cached), so invalidation must
-    /// sweep logical keys `0 .. groups * m`.
-    pub fn block_cache_keys(&self) -> Vec<u64> {
-        match self.coding {
-            None => self.data_blocks.clone(),
-            Some((m, n)) => {
-                let groups = self.data_blocks.len() / n.max(1);
-                (0..(groups * m) as u64).collect()
-            }
+    /// The plaintext-cache keys of logical blocks `logical`: block
+    /// `g * m + k` is cached under the block of share `k` of group `g`, so
+    /// a (1, 1) object's blocks are cached under their own block numbers.
+    /// When every share is a primary one (`m == n`) that is a slice of the
+    /// extent list itself.
+    pub(crate) fn block_keys(&self, logical: Range<usize>) -> Cow<'_, [u64]> {
+        let (m, n) = self.coding;
+        if m == n {
+            return Cow::Borrowed(&self.data_blocks[logical]);
         }
+        Cow::Owned(
+            logical
+                .map(|i| self.data_blocks[i / m * n + i % m])
+                .collect(),
+        )
+    }
+
+    /// Every key the object may occupy in the plaintext-block cache (the
+    /// keys invalidation sweeps): the primary shares of every group.
+    pub fn block_cache_keys(&self) -> Cow<'_, [u64]> {
+        self.block_keys(0..self.groups() * self.coding.0)
     }
 }
 
@@ -926,7 +938,7 @@ impl ReadCache {
         let mut object_guard = self.objects[object_shard(sig)].lock();
         if let Some(obj) = object_guard.remove(sig) {
             if let Some(ext) = obj.extents {
-                for block in ext.block_cache_keys() {
+                for &block in ext.block_cache_keys().iter() {
                     let mut shard = self.blocks[block_shard(block)].lock();
                     if let Some(mut data) = shard.map.remove(&(obj.gen, block)) {
                         retire(&mut shard.bytes, &mut data);
@@ -940,15 +952,27 @@ impl ReadCache {
             .record(start.elapsed().as_nanos() as u64);
     }
 
-    /// Record a committed in-place patch of `sig` that rewrote `blocks` and
-    /// left the header and extent list as they were (a plain object's range
-    /// write).  If `token`'s entry is still `sig`'s, its insert fence moves
-    /// — no reader that picked up a token before this call installs a block
-    /// after it — and exactly `blocks` are removed and zeroed; the entry and
-    /// its other blocks stay.  O(blocks patched).  Returns false, having
-    /// changed nothing, when there is no such entry: the caller then
-    /// [`Self::invalidate`]s, as for any other mutation.
-    pub fn patched(&self, sig: &ObjectSig, token: BlockToken, blocks: &[u64]) -> bool {
+    /// Record a committed in-place patch of `sig` that rewrote the blocks
+    /// cached under `blocks` and left the object as `extents` says, with
+    /// the header it `published`, if any (a patch moves no block: only the
+    /// chain's share checks, and under replicated metadata the header's
+    /// check of the chain head, change).  If `token`'s entry is still
+    /// `sig`'s, it takes the extent list and the published header and
+    /// keeps its generation — the key space of its blocks, which stay
+    /// servable — its insert fence moves, so no reader that picked up a
+    /// token before this call installs a block after it, and exactly
+    /// `blocks` are removed and zeroed.
+    /// O(blocks patched).  Returns false, having changed nothing, when
+    /// there is no such entry: the caller then [`Self::invalidate`]s, as
+    /// for any other mutation.
+    pub fn patched(
+        &self,
+        sig: &ObjectSig,
+        token: BlockToken,
+        published: Option<HiddenHeader>,
+        extents: Arc<ExtentList>,
+        blocks: &[u64],
+    ) -> bool {
         if !self.enabled() || token.is_dead() {
             return false;
         }
@@ -961,6 +985,10 @@ impl ReadCache {
             return false;
         };
         obj.fence = self.fresh_entry_gen();
+        if let Some(header) = published {
+            obj.header = header;
+        }
+        obj.extents = Some(extents);
         self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         for (shard, slots) in ShardPlan::new(blocks).groups() {
             let BlockShard { map, bytes } = &mut *self.blocks[shard].lock();
@@ -1154,6 +1182,28 @@ mod tests {
         h
     }
 
+    /// The extent list of a (1, 1) object.
+    fn plain_extents(data_blocks: &[u64], chain_blocks: &[u64]) -> Arc<ExtentList> {
+        Arc::new(ExtentList {
+            data_blocks: data_blocks.to_vec(),
+            chain_blocks: chain_blocks.to_vec(),
+            share_csums: Vec::new(),
+            coding: (1, 1),
+        })
+    }
+
+    /// [`ReadCache::patched`] of the entry [`live_entry`] installs over
+    /// `blocks`: the patch leaves its header and extents as they were.
+    fn patched(
+        c: &ReadCache,
+        sig: &ObjectSig,
+        token: BlockToken,
+        blocks: &[u64],
+        patch: &[u64],
+    ) -> bool {
+        c.patched(sig, token, None, plain_extents(blocks, &[]), patch)
+    }
+
     #[test]
     fn disabled_cache_never_stores() {
         let c = ReadCache::new(0);
@@ -1196,13 +1246,7 @@ mod tests {
             c.lookup_header(&sig).is_none(),
             "stale insert must not land"
         );
-        let gen = c.store_extents(
-            &sig,
-            started,
-            7,
-            header(1),
-            Arc::new(ExtentList::plain(vec![10], vec![])),
-        );
+        let gen = c.store_extents(&sig, started, 7, header(1), plain_extents(&[10], &[]));
         assert_eq!(gen, BlockToken::DEAD);
         put1(&c, &sig, gen, 10, b"should not stick");
         let mut out = [0u8; 16];
@@ -1217,7 +1261,7 @@ mod tests {
         let mut h = header(2048);
         h.inode_chain = 99;
         h.data_block_count = 2;
-        let ext = Arc::new(ExtentList::plain(vec![10, 11], vec![99]));
+        let ext = plain_extents(&[10, 11], &[99]);
         let gen = c.store_extents(&sig, c.begin(), 5, h, ext);
         assert_ne!(gen, BlockToken::DEAD);
         assert!(c.lookup_extents(&sig, 99, 2).is_some());
@@ -1235,7 +1279,7 @@ mod tests {
             c.begin(),
             1,
             header(blocks.len() as u64 * 64),
-            Arc::new(ExtentList::plain(blocks.to_vec(), vec![])),
+            plain_extents(blocks, &[]),
         );
         assert_ne!(gen, BlockToken::DEAD);
         gen
@@ -1293,7 +1337,7 @@ mod tests {
         let before = live_entry(&c, &sig, &blocks);
         put1(&c, &sig, before, 5, &[0x55; 16]);
         put1(&c, &sig, before, 6, &[0x66; 16]);
-        assert!(c.patched(&sig, before, &[5]));
+        assert!(patched(&c, &sig, before, &blocks, &[5]));
         RETIRED.with(|r| assert_eq!(r.borrow().last(), Some(&vec![0; 16]), "zeroed"));
         assert!(!has1(&c, before, 5) && has1(&c, before, 6));
         let rejected = c.stats().rejected_inserts;
@@ -1311,8 +1355,8 @@ mod tests {
         assert!(get1(&c, after, 5, &mut out) && out == [0x5a; 16]);
         // No entry under the token's generation: nothing to patch.
         c.invalidate(&sig);
-        assert!(!c.patched(&sig, after, &[5]));
-        assert!(!c.patched(&sig, BlockToken::DEAD, &[5]));
+        assert!(!patched(&c, &sig, after, &blocks, &[5]));
+        assert!(!patched(&c, &sig, BlockToken::DEAD, &blocks, &[5]));
     }
 
     #[test]
@@ -1352,10 +1396,10 @@ mod tests {
     }
 
     #[test]
-    fn coded_invalidation_sweeps_logical_keys() {
-        // A coded object's plaintext cache holds *decoded logical* blocks
-        // under logical indices; invalidate must sweep those, not the
-        // physical share block numbers it never caches under.
+    fn coded_invalidation_sweeps_the_primary_share_keys() {
+        // A coded object's plaintext cache holds decoded logical block
+        // `g * m + k` under the block of share `k` of group `g`; invalidate
+        // must sweep those keys, and no other share's.
         let c = ReadCache::new(256);
         let sig = [13u8; SIGNATURE_LEN];
         let mut h = header(4 * 64);
@@ -1365,13 +1409,14 @@ mod tests {
             data_blocks: vec![500, 501, 502, 503, 600, 601, 602, 603],
             chain_blocks: vec![],
             share_csums: vec![0; 8],
-            coding: Some((2, 4)),
+            coding: (2, 4),
         });
-        assert_eq!(ext.block_cache_keys(), vec![0, 1, 2, 3]);
-        let gen = c.store_extents(&sig, c.begin(), 1, h, ext);
+        assert_eq!(&ext.block_cache_keys()[..], [500, 501, 600, 601]);
+        assert_eq!(&ext.block_keys(1..3)[..], [501, 600]);
+        let gen = c.store_extents(&sig, c.begin(), 1, h, Arc::clone(&ext));
         assert_ne!(gen, BlockToken::DEAD);
-        for logical in 0..4u64 {
-            put1(&c, &sig, gen, logical, &[logical as u8; 64]);
+        for (logical, &key) in ext.block_cache_keys().iter().enumerate() {
+            put1(&c, &sig, gen, key, &[logical as u8; 64]);
         }
         assert_eq!(c.stats().resident_blocks, 4);
         c.invalidate(&sig);
@@ -1380,6 +1425,8 @@ mod tests {
             0,
             "decoded logical blocks survived invalidation"
         );
+        // A (1, 1) object's keys are its data blocks themselves.
+        assert_eq!(&plain_extents(&[7, 9], &[]).block_cache_keys()[..], [7, 9]);
     }
 
     #[test]
@@ -1690,7 +1737,7 @@ mod tests {
                     // A patch drops exactly its blocks and keeps the key
                     // space; the next token carries the moved fence.
                     let patch = [block, block + 1, obj as u64 * 100 + rng.next_below(BLOCKS)];
-                    assert!(c.patched(&sigs[obj], token, &patch));
+                    assert!(patched(&c, &sigs[obj], token, &blocks_of(obj), &patch));
                     model.drop_blocks(gen, &patch);
                     tokens[obj] = live_entry(&c, &sigs[obj], &blocks_of(obj));
                     assert_eq!(tokens[obj].gen, gen);

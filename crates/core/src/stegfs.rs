@@ -1308,8 +1308,9 @@ impl<D: BlockDevice> StegFs<D> {
             .ok_or(StegError::NoSpace)?;
         let io = self.io(&handle.keys);
         if end > handle.object.size() {
-            // Grow to `end` (zero-filling any gap) and patch the written
-            // range in one transaction — O(append), not O(file).
+            // Grow to `end` by whole groups (zero-filling any gap) and patch
+            // the part that lands in the groups the object has, in one
+            // transaction — O(append), not O(file), under every policy.
             let mut rng = self.fork_rng();
             return io.write_at(&mut handle.object, offset, data, &mut rng);
         }

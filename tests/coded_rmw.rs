@@ -5,10 +5,12 @@
 //! of it is read), a partially covered one is decoded first and therefore
 //! still fails closed when damaged beyond tolerance.
 
-use stegfs_blockdev::{BlockDevice, FaultDevice, MemBlockDevice, ObservedDevice};
+use std::sync::Arc;
+use stegfs_blockdev::{BlockDevice, Dir, FaultDevice, MemBlockDevice, ObservedDevice, Trigger};
 use stegfs_core::hidden::RepairOutcome;
 use stegfs_core::{ObjectKind, Policy, StegFs};
 use stegfs_crypto::sha256::sha256;
+use stegfs_obs::lock::Mutex;
 use stegfs_tests::{full_feature_params, hex, payload, Pin};
 
 const OWNER: &str = "the real key";
@@ -154,12 +156,30 @@ fn golden_coded_volume_image_is_bit_identical() {
     pin.check(&hex(&sha256(&image)), GOLDEN_IMAGE_SHA256, &image, BS, "");
 }
 
+/// Assert that `name` reads back as `model`, warm (through whatever the
+/// last operation left in the read cache) and then cold.
+fn reads_back<D: BlockDevice>(fs: &StegFs<D>, name: &str, model: &[u8], what: &str) {
+    assert_eq!(
+        fs.read_hidden_with_key(name, OWNER).unwrap(),
+        model,
+        "{name} {what}, warm"
+    );
+    fs.purge_read_caches();
+    assert_eq!(
+        fs.read_hidden_with_key(name, OWNER).unwrap(),
+        model,
+        "{name} {what}, cold"
+    );
+}
+
 #[test]
 fn patch_alignment_matrix_matches_a_byte_model() {
-    for (i, (name, policy)) in POLICIES.iter().enumerate() {
+    // Every coded policy of the golden, and `Plain`, the (1, 1) code.
+    let policies = POLICIES.into_iter().chain([("plain", Policy::Plain)]);
+    for (i, (name, policy)) in policies.enumerate() {
         let fs = volume();
         let group = policy.shares().0 * BS;
-        fs.steg_create_with_policy(name, OWNER, ObjectKind::File, *policy)
+        fs.steg_create_with_policy(name, OWNER, ObjectKind::File, policy)
             .unwrap();
         let mut model = payload(i as u64, 6 * group + 777);
         fs.write_hidden_with_key(name, OWNER, &model).unwrap();
@@ -185,6 +205,27 @@ fn patch_alignment_matrix_matches_a_byte_model() {
                 "{name} case {k}, cold"
             );
         }
+
+        // The golden's resize sequence: grown through a handle write past
+        // EOF (leaving a zero gap), shrunk by a truncate inside a group,
+        // then patched up to the new EOF.
+        let mut handle = fs.open_hidden(name, OWNER).unwrap();
+        let tail = payload(60, 2 * group + 9);
+        let at = model.len() + 700;
+        fs.write_at_handle(&mut handle, at as u64, &tail).unwrap();
+        model.resize(at, 0);
+        model.extend_from_slice(&tail);
+        reads_back(&fs, name, &model, "grown");
+        let cut = 5 * group + 41;
+        fs.truncate_handle(&mut handle, cut as u64).unwrap();
+        model.truncate(cut);
+        reads_back(&fs, name, &model, "truncated");
+        let bytes = payload(61, group + 50);
+        fs.write_at_handle(&mut handle, (cut - bytes.len()) as u64, &bytes)
+            .unwrap();
+        model[cut - bytes.len()..].copy_from_slice(&bytes);
+        reads_back(&fs, name, &model, "patched to EOF");
+
         // Every patched share still matches its recorded checksum.
         let entry = fs.lookup_entry(name, OWNER).unwrap();
         assert_eq!(fs.scavenge_entry(&entry).unwrap(), RepairOutcome::Intact);
@@ -200,8 +241,7 @@ fn aligned_full_cover_patch_reads_no_share_blocks() {
     let group = 2 * BS;
     fs.steg_create_with_policy("obj", OWNER, ObjectKind::File, policy)
         .unwrap();
-    // Four groups = 12 share entries: one chain node, so a patch's chain
-    // walk reads exactly one block.
+    // Four groups = 12 share entries: one chain node.
     let mut model = payload(9, 4 * group);
     fs.write_hidden_with_key("obj", OWNER, &model).unwrap();
     let mut handle = fs.open_hidden("obj", OWNER).unwrap();
@@ -212,20 +252,89 @@ fn aligned_full_cover_patch_reads_no_share_blocks() {
         fs.write_range_at(handle, offset as u64, bytes).unwrap();
         stats.summary().blocks_read
     };
+    // On a cold cache a patch resolves its chain as a cold read does: the
+    // header block, re-read to vouch for the handle's copy, and the one
+    // chain node.
+    let chain = 2;
 
-    // Groups 1 and 2, fully covered: the chain node and nothing else.
+    // Groups 1 and 2, fully covered: the chain and nothing else.
     let bytes = payload(10, 2 * group);
     model[group..3 * group].copy_from_slice(&bytes);
-    assert_eq!(reads_of(&fs, &mut handle, group, &bytes), 1);
+    assert_eq!(reads_of(&fs, &mut handle, group, &bytes), chain);
 
     // One byte short at either end: that edge group's `m` primary shares
     // come up, the covered group's still do not.
     let bytes = payload(11, 2 * group - 1);
     model[group + 1..3 * group].copy_from_slice(&bytes);
-    assert_eq!(reads_of(&fs, &mut handle, group + 1, &bytes), 1 + 2);
+    assert_eq!(reads_of(&fs, &mut handle, group + 1, &bytes), chain + 2);
     model[group..3 * group - 1].copy_from_slice(&bytes);
-    assert_eq!(reads_of(&fs, &mut handle, group, &bytes), 1 + 2);
+    assert_eq!(reads_of(&fs, &mut handle, group, &bytes), chain + 2);
 
+    // Warm, the chain comes from the read cache: a full cover reads nothing.
+    assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), model);
+    stats.reset();
+    let bytes = payload(12, group);
+    model[2 * group..3 * group].copy_from_slice(&bytes);
+    fs.write_range_at(&mut handle, 2 * group as u64, &bytes)
+        .unwrap();
+    assert_eq!(stats.summary().blocks_read, 0);
+
+    fs.purge_read_caches();
+    assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), model);
+}
+
+/// Growing a coded object past its end appends groups: no share of a
+/// group the write leaves alone is rewritten, where a re-encode of the
+/// whole object would rewrite every one.
+#[test]
+fn growing_a_coded_object_writes_no_share_of_a_group_it_leaves_alone() {
+    let written = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&written);
+    let tape = FaultDevice::new(MemBlockDevice::new(BS, 8192));
+    tape.record(Trigger::when(|op| op.dir == Dir::Write), move |op| {
+        log.lock().extend_from_slice(op.blocks)
+    });
+    let dev = ObservedDevice::counting(tape);
+    let stats = dev.stats().clone();
+    let fs = StegFs::format(dev, full_feature_params()).unwrap();
+    let (m, n) = (2, 3);
+    let group = m * BS;
+    fs.steg_create_with_policy(
+        "obj",
+        OWNER,
+        ObjectKind::File,
+        Policy::Disperse { m: 2, n: 3 },
+    )
+    .unwrap();
+    // 64 blocks: 32 groups of 3 shares.
+    let mut model = payload(30, 64 * BS);
+    fs.write_hidden_with_key("obj", OWNER, &model).unwrap();
+    let before = fs.hidden_share_extents("obj", OWNER).unwrap();
+    let mut handle = fs.open_hidden("obj", OWNER).unwrap();
+
+    // 500 bytes land in the last group; the rest takes two new ones.
+    let at = model.len() - 500;
+    let tail = payload(31, 3000);
+    written.lock().clear();
+    stats.reset();
+    fs.write_at_handle(&mut handle, at as u64, &tail).unwrap();
+    model.truncate(at);
+    model.extend_from_slice(&tail);
+
+    let after = fs.hidden_share_extents("obj", OWNER).unwrap();
+    assert_eq!(after.len(), model.len().div_ceil(group));
+    assert_eq!(after[..32], before[..], "kept groups keep their shares");
+    let written = written.lock().clone();
+    for (g, shares) in before[..31].iter().enumerate() {
+        for b in shares {
+            assert!(!written.contains(b), "group {g}'s share {b} rewritten");
+        }
+    }
+    // The last group's shares and the two new groups', then two copies of
+    // each of the two chain nodes and of the header: nothing else.
+    let shares = (1 + after.len() - before.len()) * n;
+    assert_eq!(stats.summary().blocks_written, (shares + 2 * 2 + 2) as u64);
+    assert_eq!(written.len(), shares + 2 * 2 + 2);
     fs.purge_read_caches();
     assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), model);
 }
