@@ -92,9 +92,16 @@ fn zero_shares(fs: &CodedVolume, name: &str, g: usize, losses: usize) {
 /// changed the superblock's version field and the coded objects' header and
 /// chain-node blocks, and no other block; and for format v4, whose block
 /// nonce changed the version field and every hidden-object block (shares,
-/// headers, chain nodes), and no other block.
+/// headers, chain nodes), and no other block.  Re-recorded when `Plain`
+/// became the (1, 1) code of one group path: a coded growth appends groups
+/// and a truncate drops whole groups, where both re-encoded the object
+/// before, so the blocks drawn from there on moved.  The image just before
+/// the first growth is unchanged.  The block-owner map classes all 241
+/// blocks that differ as free: the image is read from a write-through
+/// volume that was never synced, so its on-disk bitmap predates the
+/// script and the map sees none of the coded objects.
 const GOLDEN_IMAGE_SHA256: &str =
-    "b062c34037cd0f56b1a6a700fd72586251272242bbad74f84d7e59203bf53b14";
+    "a84bf566e4c25f4a8ada73a0aa1c54d2899d13ef83610b7a06f5a27cd0a7e1d0";
 
 #[test]
 fn golden_coded_volume_image_is_bit_identical() {
