@@ -304,15 +304,11 @@ fn growing_a_coded_object_writes_no_share_of_a_group_it_leaves_alone() {
     let dev = ObservedDevice::counting(tape);
     let stats = dev.stats().clone();
     let fs = StegFs::format(dev, full_feature_params()).unwrap();
-    let (m, n) = (2, 3);
+    let policy = Policy::Disperse { m: 2, n: 3 };
+    let (m, n) = policy.shares();
     let group = m * BS;
-    fs.steg_create_with_policy(
-        "obj",
-        OWNER,
-        ObjectKind::File,
-        Policy::Disperse { m: 2, n: 3 },
-    )
-    .unwrap();
+    fs.steg_create_with_policy("obj", OWNER, ObjectKind::File, policy)
+        .unwrap();
     // 64 blocks: 32 groups of 3 shares.
     let mut model = payload(30, 64 * BS);
     fs.write_hidden_with_key("obj", OWNER, &model).unwrap();
@@ -337,11 +333,12 @@ fn growing_a_coded_object_writes_no_share_of_a_group_it_leaves_alone() {
             assert!(!written.contains(b), "group {g}'s share {b} rewritten");
         }
     }
-    // The last group's shares and the two new groups', then two copies of
-    // each of the two chain nodes and of the header: nothing else.
-    let shares = (1 + after.len() - before.len()) * n;
-    assert_eq!(stats.summary().blocks_written, (shares + 2 * 2 + 2) as u64);
-    assert_eq!(written.len(), shares + 2 * 2 + 2);
+    // The last group's shares and the two new groups', then every copy of
+    // the chain's two nodes and of the header, each once: nothing else.
+    let copies = policy.meta_copies();
+    let blocks = (1 + after.len() - before.len()) * n + 2 * copies + copies;
+    assert_eq!(stats.summary().blocks_written, blocks as u64);
+    assert_eq!(written.len(), blocks);
     fs.purge_read_caches();
     assert_eq!(fs.read_hidden_with_key("obj", OWNER).unwrap(), model);
 }
