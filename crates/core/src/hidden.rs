@@ -282,8 +282,9 @@ impl<D: BlockDevice> Rewrite<'_, '_, D> {
 /// Outcome of an offline [`ObjectIo::repair`] pass over one hidden object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairOutcome {
-    /// Every share verified against its checksum, or the object keeps no
-    /// redundancy to verify against; nothing was written.
+    /// Every share verified against its checksum, or the object is `Plain`
+    /// and its chain carries no checks to verify against; nothing was
+    /// written.
     Intact,
     /// Damage was found and reversed: the listed number of share blocks
     /// were reconstructed from surviving shares and rewritten in place.
@@ -595,11 +596,11 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// such group, instead of erroring; a group with fewer than `m` live
     /// shares fails closed, and the error carries no partial plaintext.
     ///
-    /// With `m = 1` a live share *is* the plaintext, so the batch the
-    /// primary shares were read into is the output (a fallback share is
-    /// copied into its group's place).  Otherwise each group is
-    /// reconstructed from slices of the batched buffers straight into its
-    /// place in the output.
+    /// With `m = 1` a live share *is* the plaintext, so when every primary
+    /// share verifies the batch they were read into is the output.
+    /// Otherwise each group is reconstructed from slices of the batched
+    /// buffers straight into its place in the output (for `m = 1`, a copy
+    /// of its first live share).
     fn decode_groups(
         &self,
         extents: &ExtentList,
@@ -618,7 +619,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             .iter()
             .flat_map(|&g| data_blocks[g * n..g * n + m].iter().copied())
             .collect();
-        let mut primary_buf = self.read_decrypted_many(&primary)?;
+        let primary_buf = self.read_decrypted_many(&primary)?;
         let primary_csums = if checked {
             self.share_check().many(&primary_buf, bs)
         } else {
@@ -653,15 +654,6 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 "share group {g} has {live} live shares, {m} required"
             ))
         };
-        if m == 1 {
-            for (di, &gi) in degraded.iter().enumerate() {
-                let j = (1..n)
-                    .find(|&j| fallback_ok(di, j))
-                    .ok_or_else(|| lost(groups[gi], 0))?;
-                primary_buf[gi * bs..(gi + 1) * bs].copy_from_slice(fallback_at(di, j));
-            }
-            return Ok((primary, primary_buf));
-        }
         let mut rank = vec![None; groups.len()];
         for (di, &gi) in degraded.iter().enumerate() {
             rank[gi] = Some(di);
@@ -996,27 +988,31 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             }));
         }
         let patched = self.cached_chain(obj).and_then(|(token, extents)| {
-            let mut next = obj.clone();
             let mut txn = self.fs.begin_txn();
-            let (extents, keys) = self.patch(&mut txn, &mut next, extents, offset, data)?;
+            let (published, extents, keys) =
+                self.patch(&mut txn, &obj.header, extents, offset, data)?;
             txn.commit()?;
-            let published = (next.header != obj.header).then(|| next.header.clone());
             let sig = self.keys.signature();
-            let kept = self
-                .cache
-                .patched(sig, token, published, Arc::clone(&extents), &keys);
-            Ok((kept, next, extents))
+            let kept =
+                self.cache
+                    .patched(sig, token, published.clone(), Arc::clone(&extents), &keys);
+            Ok((kept, published, extents))
         });
+        let adopt = |obj: &mut HiddenObject, published: Option<HiddenHeader>| {
+            if let Some(header) = published {
+                obj.header = header;
+            }
+        };
         match patched {
-            Ok((true, next, _)) => {
-                *obj = next;
+            Ok((true, published, _)) => {
+                adopt(obj, published);
                 Ok(())
             }
             // The patch committed on its own; this transaction stages
             // nothing and only carries the cache rule.
             outcome => self.mutate_committed(obj, |_, obj| {
-                outcome.map(|(_, next, extents)| {
-                    *obj = next;
+                outcome.map(|(_, published, extents)| {
+                    adopt(obj, published);
                     extents
                 })
             }),
@@ -1098,22 +1094,23 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     }
 
     /// The in-place patch of `data` at `offset`, staged in `txn` against
-    /// `extents`, the chain `obj.header` names: the shares of every group
-    /// the range touches ([`Self::encode_patch`]), then, where the entries
+    /// `extents`, the chain `header` names: the shares of every group the
+    /// range touches ([`Self::encode_patch`]), then, where the entries
     /// carry checks, the chain nodes holding them
-    /// ([`Self::rewrite_chain_nodes`]).  Returns the extent list as the
-    /// patch leaves it (the one it was given when no entry changed) and the
-    /// cache keys of the blocks it rewrote.
+    /// ([`Self::rewrite_chain_nodes`]).  Returns the header the patch
+    /// published, if any, the extent list as the patch leaves it (the one
+    /// it was given when no entry changed) and the cache keys of the blocks
+    /// it rewrote.
     fn patch(
         &self,
         txn: &mut FsTxn<'_, D>,
-        obj: &mut HiddenObject,
+        header: &HiddenHeader,
         extents: Arc<ExtentList>,
         offset: u64,
         data: &[u8],
-    ) -> StegResult<(Arc<ExtentList>, Vec<u64>)> {
+    ) -> StegResult<(Option<HiddenHeader>, Arc<ExtentList>, Vec<u64>)> {
         let (m, n) = extents.coding;
-        let check = self.share_check_of(obj.header.policy);
+        let check = self.share_check_of(header.policy);
         let (groups, payload, csums) = self.encode_patch(&extents, offset, data, check)?;
         let entries = groups.start * n..groups.end * n;
         self.write_encrypted_many(txn, &extents.data_blocks[entries.clone()], payload)?;
@@ -1121,10 +1118,10 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             .block_keys(groups.start * m..groups.end * m)
             .into_owned();
         let Cow::Owned(checked) = with_checks(&extents, &groups, &csums) else {
-            return Ok((extents, keys));
+            return Ok((None, extents, keys));
         };
-        self.rewrite_chain_nodes(txn, &mut obj.header, &checked, entries)?;
-        Ok((Arc::new(checked), keys))
+        let published = self.rewrite_chain_nodes(txn, header, &checked, entries)?;
+        Ok((published, Arc::new(checked), keys))
     }
 
     /// The new shares of the groups of `extents` that `data` at `offset`
@@ -1172,14 +1169,15 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// re-serialised as [`Self::build_chain`] lays them out.  Under
     /// replicated metadata a node's new plaintext changes the check its
     /// *predecessor* records, so the rewrite cascades back to the head and
-    /// into `header`'s `chain_csum`, and the header is republished.
+    /// into the header's `chain_csum`, and the header is republished: the
+    /// header returned, `None` where the metadata has one copy.
     fn rewrite_chain_nodes(
         &self,
         txn: &mut FsTxn<'_, D>,
-        header: &mut HiddenHeader,
+        header: &HiddenHeader,
         extents: &ExtentList,
         entries: Range<usize>,
-    ) -> StegResult<()> {
+    ) -> StegResult<Option<HiddenHeader>> {
         let copies = header.policy.meta_copies();
         let cap = self.chain_capacity(header.policy);
         let last = (entries.end - 1) / cap;
@@ -1188,11 +1186,13 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         let chain = &extents.chain_blocks;
         let (plain, head_csum) = self.serialize_chain(header.policy, entries, chain, first..=last);
         self.write_encrypted_many(txn, &chain[first * copies..(last + 1) * copies], plain)?;
-        if copies > 1 {
-            header.chain_csum = head_csum;
-            self.publish_header(txn, header)?;
+        if copies == 1 {
+            return Ok(None);
         }
-        Ok(())
+        let mut header = header.clone();
+        header.chain_csum = head_csum;
+        self.publish_header(txn, &header)?;
+        Ok(Some(header))
     }
 
     /// Make sure the volume can hold a new incarnation of `needed` data
@@ -1520,9 +1520,11 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// for replicated metadata: every header and chain replica is verified
     /// against the surviving copy's plaintext and damaged replicas are
     /// rewritten byte-identically (their count folds into `shares_rebuilt`).
-    /// An object without redundancy (`n == m`, so one copy of each
-    /// metadata block) has nothing to rebuild from: it reports
-    /// [`RepairOutcome::Intact`] without reading anything.  All rewrites
+    /// A `Plain` object, whose chain entries carry no checks, has nothing
+    /// to verify against: it reports [`RepairOutcome::Intact`] without
+    /// reading anything.  A coded object without redundancy (`n == m`)
+    /// still has every share verified, and reports a damaged one as
+    /// [`RepairOutcome::Lost`].  All rewrites
     /// ride in one transaction; an unrecoverable object writes nothing at
     /// all.
     ///
@@ -1530,10 +1532,11 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// the caller invalidates when plaintext decoded from the damaged shares
     /// may be resident.
     pub fn repair(&self, obj: &HiddenObject) -> StegResult<RepairOutcome> {
-        let (m, n) = obj.header.policy.shares();
-        if n == m {
+        // Entries without checks leave nothing to verify a share against.
+        if !obj.header.policy.is_coded() {
             return Ok(RepairOutcome::Intact);
         }
+        let (m, n) = obj.header.policy.shares();
         let bs = self.fs.block_size();
 
         // Metadata sweep first: a full chain walk that visits *every*
@@ -2271,6 +2274,27 @@ mod tests {
         let mut after = vec![0u8; 3 * bs];
         fs.read_raw_blocks_into(&groups[0], &mut after).unwrap();
         assert_eq!(before, after, "lost repair must not write");
+    }
+
+    #[test]
+    fn repair_reports_a_damaged_share_without_redundancy_as_lost() {
+        // `n == m` leaves nothing to rebuild from, but the entries still
+        // carry checks: the damage is found and reported, not passed over.
+        let policy = Policy::Disperse { m: 2, n: 2 };
+        let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "bare");
+        let io = bypass(&fs, &keys, &params);
+        write(&io, &mut obj, &vec![4u8; 4 * 1024], &mut rng).unwrap();
+        assert_eq!(io.repair(&obj).unwrap(), RepairOutcome::Intact);
+        let groups = io.share_extents(&obj).unwrap();
+        let mut txn = fs.begin_txn();
+        txn.write_raw_block(groups[1][0], &vec![0u8; fs.block_size()])
+            .unwrap();
+        txn.commit().unwrap();
+        assert_eq!(
+            io.repair(&obj).unwrap(),
+            RepairOutcome::Lost { groups_lost: 1 }
+        );
+        assert!(io.read(&obj).is_err(), "a lost group fails the read closed");
     }
 
     #[test]
