@@ -1739,7 +1739,7 @@ mod tests {
         // used to fail with NoSpace; it must now commit as a sequence of
         // ring-sized transactions.
         let dev = MemBlockDevice::new(1024, 4096);
-        let fs = PlainFs::format(
+        let mut fs = PlainFs::format(
             dev,
             FormatOptions {
                 journal_blocks: 16, // tiny ring: ~12 targets per transaction
@@ -1748,19 +1748,39 @@ mod tests {
         )
         .unwrap();
         assert!(fs.journaled());
+        let obs = stegfs_obs::Obs::new();
+        fs.attach_obs(&obs);
+        // Device submissions, blocks written and flushes of one operation.
+        let traffic = |op: &dyn Fn()| {
+            let before = obs.snapshot().device;
+            op();
+            let after = obs.snapshot().device;
+            (
+                after.writes - before.writes,
+                after.blocks_written - before.blocks_written,
+                after.flushes - before.flushes,
+            )
+        };
         let ring_targets = fs.journal_ref().unwrap().max_tx_targets();
         let free0 = fs.free_data_blocks();
 
         // 100 blocks of payload — an order of magnitude over the ring.
+        // Every ring-sized piece is one sealed ring submission, one group
+        // flush and one home submission, and a piece that finds the ring
+        // full checkpoints first (an anchor write and its flush): the
+        // counts are pinned, so a change to how the pieces reach the ring
+        // must leave the device traffic alone.
         let payload: Vec<u8> = (0..100 * 1024u32).map(|i| (i % 239) as u8).collect();
         assert!(100 > ring_targets, "fixture must exceed the ring");
-        fs.write_file("/big", &payload).unwrap();
+        let written = traffic(&|| fs.write_file("/big", &payload).unwrap());
+        assert_eq!(written, (27, 235, 25), "traffic of the 100-block write");
         assert_eq!(fs.read_file("/big").unwrap(), payload);
 
         // Rewrites (freeing the old chain) and deletes chunk too, and the
         // accounting stays exact.
         let smaller: Vec<u8> = (0..40 * 1024u32).map(|i| (i % 31) as u8).collect();
-        fs.write_file("/big", &smaller).unwrap();
+        let rewritten = traffic(&|| fs.write_file("/big", &smaller).unwrap());
+        assert_eq!(rewritten, (13, 99, 12), "traffic of the 40-block rewrite");
         assert_eq!(fs.read_file("/big").unwrap(), smaller);
         fs.delete("/big").unwrap();
         assert_eq!(fs.free_data_blocks(), free0, "chunked ops leak no blocks");
