@@ -96,12 +96,13 @@ fn zero_shares(fs: &CodedVolume, name: &str, g: usize, losses: usize) {
 /// became the (1, 1) code of one group path: a coded growth appends groups
 /// and a truncate drops whole groups, where both re-encoded the object
 /// before, so the blocks drawn from there on moved.  The image just before
-/// the first growth is unchanged.  The block-owner map classes all 241
-/// blocks that differ as free: the image is read from a write-through
-/// volume that was never synced, so its on-disk bitmap predates the
-/// script and the map sees none of the coded objects.
+/// the first growth is unchanged.  Re-recorded when the script began to
+/// sync the write-through volume before reading its image: the on-disk
+/// bitmap then records the script's allocations, so the block-owner map
+/// sees the three coded objects and the UAK directory instead of free
+/// blocks.  The bitmap block is the one block that moved.
 const GOLDEN_IMAGE_SHA256: &str =
-    "a84bf566e4c25f4a8ada73a0aa1c54d2899d13ef83610b7a06f5a27cd0a7e1d0";
+    "fa1628e00e6d6b95cb4b24d695563d36ea0d34e9c2406c94d546a43cc7c7b8f3";
 
 #[test]
 fn golden_coded_volume_image_is_bit_identical() {
@@ -153,6 +154,7 @@ fn golden_coded_volume_image_is_bit_identical() {
         fs.purge_read_caches();
         assert_eq!(fs.read_hidden_with_key(name, OWNER).unwrap(), model);
     }
+    fs.sync().unwrap();
     let image = raw_image(&fs);
     let pin = Pin {
         name: "coded_rmw",
