@@ -26,20 +26,21 @@
 //! by both its old object and a later allocation.
 //!
 //! Two bounded, deliberate imperfections: (1) an update larger than the
-//! journal ring commits as a *sequence* of ring-sized transactions — data
-//! chunks first, then one final transaction carrying the inode-table
-//! read-modify-writes and the bitmap snapshot.  Each chunk is individually
-//! crash-atomic and the final transaction is the logical commit point
-//! (object references and the bitmap change only there), but a crash or
-//! failure mid-sequence can leave a prefix of the new images applied in
-//! place: freshly allocated blocks revert to camouflage, while blocks the
-//! update was rewriting *in place* can be left torn.  Concurrent threads
-//! never observe the partial state (callers hold their operation guards
-//! across commit), and on a failed chunk sequence the journal anchor is
-//! advanced past the already-committed chunks so they can never replay
-//! over blocks a later allocation reuses.  (2) a committing transaction's
-//! bitmap snapshot may capture a *concurrent, later-aborted* transaction's
-//! allocation bits, so a crash can leak those blocks as
+//! journal ring commits as a *sequence* of ring-sized pieces — data pieces
+//! first, then one final piece carrying the inode-table read-modify-writes
+//! and the bitmap snapshot.  Every piece takes the path the final one
+//! takes — reserve, stage, persist, apply — one piece at a time.  Each
+//! piece is individually crash-atomic and the final one is the logical
+//! commit point (object references and the bitmap change only there), but
+//! a crash or failure mid-sequence can leave a prefix of the new images
+//! applied in place: freshly allocated blocks revert to camouflage, while
+//! blocks the update was rewriting *in place* can be left torn.
+//! Concurrent threads never observe the partial state (callers hold their
+//! operation guards across commit), and on a failed sequence the journal
+//! anchor is advanced past the already-committed pieces so they can never
+//! replay over blocks a later allocation reuses.  (2) a committing
+//! transaction's bitmap snapshot may capture a *concurrent, later-aborted*
+//! transaction's allocation bits, so a crash can leak those blocks as
 //! allocated-but-unreferenced.  Leaked blocks are indistinguishable from
 //! the abandoned blocks the format deliberately scatters (§3.1 of the
 //! paper) — camouflage, not corruption — and never double-own (the crash
@@ -50,12 +51,12 @@
 //! [`FsTxn::commit`] acquires, in order: the inode-table stripes of every
 //! deferred inode update (ascending stripe index, held across the journal
 //! apply so concurrent read-modify-writes of shared table blocks serialise),
-//! then ring room for the final transaction (a journal reservation, which
-//! on a full ring waits for the transactions in front of it to settle —
-//! their committers re-take segment locks after their apply, so the wait
-//! must not hold any), then the bitmap **segment locks** covering every
-//! touched bitmap block (ascending segment index, released before the
-//! commit's device flush)
+//! then, for each piece, ring room (a journal reservation, which on a full
+//! ring waits for the transactions in front of it to settle — their
+//! committers re-take segment locks after their apply, so the wait must not
+//! hold any), then the bitmap **segment locks** covering every touched
+//! bitmap block (ascending segment index, released before the commit's
+//! device flush; the final piece's only, as the earlier ones touch none)
 //! under which the deferred frees apply *tentatively* (snapshot, then undo —
 //! they re-apply for real only once the transaction is durable), the touched
 //! bitmap blocks snapshot, and the journal *stages* — staging under the
@@ -197,7 +198,7 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
                 // Validate now, as the device would on an unjournaled
                 // volume, instead of failing the whole batch at commit.
                 check_staged_write(self.fs, block, data.len())?;
-                tx.write(block, data.to_vec());
+                tx.write(block, data);
                 Ok(())
             }
             None => Ok(self.fs.observed_device().write_block(block, data)?),
@@ -220,7 +221,7 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
                 }
                 for (i, &block) in blocks.iter().enumerate() {
                     check_staged_write(self.fs, block, bs)?;
-                    tx.write(block, data[i * bs..(i + 1) * bs].to_vec());
+                    tx.write(block, &data[i * bs..(i + 1) * bs]);
                 }
                 Ok(())
             }
@@ -369,12 +370,12 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
                 let inode = &self.deferred_inodes[id];
                 buf[offset..offset + crate::layout::INODE_SIZE].copy_from_slice(&inode.serialize());
             }
-            tx.write(table_block, buf);
+            tx.write(table_block, &buf);
         }
 
-        // Which bitmap blocks (region indices) the final transaction will
+        // Which bitmap blocks (region indices) the final piece will
         // snapshot.  The block→bitmap-block mapping is static geometry (no
-        // lock needed), so computing it up front both sizes the final chunk
+        // lock needed), so computing it up front both sizes the final piece
         // exactly and is reused at staging time.
         let mut indices: BTreeSet<u64> = BTreeSet::new();
         for &b in &self.touched {
@@ -382,67 +383,40 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
         }
 
         // An update larger than the journal ring commits as a sequence of
-        // ring-sized transactions: data chunks first, then the final
-        // transaction with the inode-table blocks (staged last, so they sit
-        // at the tail of the write set) and the bitmap snapshot — the
-        // logical commit point.  See the module docs for the weakened (but
-        // bounded) crash semantics of the chunked path.
+        // ring-sized pieces, each through the same reserve, stage, persist
+        // and apply: the leading writes in pieces of `max`, then the final
+        // piece with the inode-table blocks (staged last, so they sit at
+        // the tail of the write set) and the bitmap snapshot — the logical
+        // commit point.  See the module docs for the weakened (but bounded)
+        // crash semantics of a cut update.
         let max = journal.max_tx_targets() as usize;
         let final_budget = max.saturating_sub(indices.len());
         if final_budget == 0 {
             // Even the bitmap snapshot alone exceeds the ring.
             return Err(FsError::NoSpace);
         }
-        let mut chunked = false;
+        // Cut from the back, so each image is copied once.
+        let mut pieces = Vec::new();
         if tx.len() > final_budget {
-            chunked = true;
-            let mut preliminary = std::mem::take(&mut tx).into_writes();
-            let final_writes = preliminary.split_off(preliminary.len() - final_budget);
-            // Preliminary chunks group into batches of up to half the ring:
-            // one journal submission and one group flush per batch instead
-            // of per chunk (`Journal::stage_many` / `persist_many`), while
-            // each chunk stays its own independently replayable transaction.
-            let group_budget = (journal.capacity_slots() / 2).max(1);
-            let mut group: Vec<Tx> = Vec::new();
-            let mut group_slots = 0u64;
-            while !preliminary.is_empty() {
-                let rest = if preliminary.len() > max {
-                    preliminary.split_off(max)
-                } else {
-                    Vec::new()
-                };
-                let mut chunk = Tx::new();
-                for (block, data) in preliminary {
-                    chunk.write(block, data);
-                }
-                preliminary = rest;
-                let chunk_slots = journal.slots_for_targets(chunk.len());
-                if !group.is_empty() && group_slots + chunk_slots > group_budget {
-                    if let Err(e) =
-                        Self::commit_chunk_group(fs, journal, std::mem::take(&mut group))
-                    {
-                        // Earlier chunks are committed and applied; advance
-                        // the anchor past them so they can never replay over
-                        // blocks Drop is about to free for reuse.
-                        let _ = journal.sync(fs.observed_device());
-                        return Err(e);
-                    }
-                    group_slots = 0;
-                }
-                group_slots += chunk_slots;
-                group.push(chunk);
-            }
-            if let Err(e) = Self::commit_chunk_group(fs, journal, group) {
-                let _ = journal.sync(fs.observed_device());
-                return Err(e);
-            }
-            for (block, data) in final_writes {
-                tx.write(block, data);
+            pieces.push(tx.split_off(tx.len() - final_budget));
+            while tx.len() > max {
+                pieces.push(tx.split_off((tx.len() - 1) / max * max));
             }
         }
-
-        let result = self.commit_final(tx, journal, &indices);
-        if result.is_err() && chunked {
+        pieces.push(tx);
+        let cut = pieces.len() > 1;
+        let mut result = Ok(());
+        while let Some(piece) = pieces.pop() {
+            let last = pieces.is_empty();
+            result = self.commit_piece(journal, piece, last.then_some(&indices));
+            if result.is_err() {
+                break;
+            }
+        }
+        if result.is_err() && cut {
+            // Earlier pieces are committed and applied; advance the anchor
+            // past them so they can never replay over blocks Drop is about
+            // to free for reuse.
             let _ = journal.sync(fs.observed_device());
         }
         if result.is_ok() {
@@ -453,36 +427,28 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
         result
     }
 
-    /// Stage, persist and apply a batch of preliminary chunks of an
-    /// oversized update: one journal submission and one group flush for the
-    /// whole batch, each chunk still its own crash-atomic transaction.
-    /// Chunks carry only freshly written block images — no shared state — so
-    /// the batch commits outside the bitmap segment locks.
-    fn commit_chunk_group(fs: &'a PlainFs<D>, journal: &Journal, chunks: Vec<Tx>) -> FsResult<()> {
-        let staged = journal
-            .stage_many(fs.observed_device(), chunks)
-            .map_err(FsError::from)?;
-        if staged.is_empty() {
-            return Ok(());
-        }
-        journal.persist_many(fs.observed_device(), &staged)?;
-        journal.apply_many(fs.observed_device(), staged, || Ok(()))?;
-        Ok(())
-    }
-
-    /// The (ring-sized) final transaction: bitmap snapshot, journal commit
-    /// point, deferred frees, in-place apply.
-    fn commit_final(
+    /// Commit one ring-sized piece of the update: reserve its ring room,
+    /// stage, persist (the piece's commit point) and apply in place.  Only
+    /// the final piece passes `snapshot`, the bitmap blocks the update
+    /// touched: it alone carries the bitmap snapshot and the deferred
+    /// frees, and it alone marks the transaction committed.  An earlier
+    /// piece carries only block images, no shared state, and so takes no
+    /// segment lock.
+    fn commit_piece(
         &mut self,
-        mut tx: Tx,
         journal: &Journal,
-        indices: &BTreeSet<u64>,
+        mut tx: Tx,
+        snapshot: Option<&BTreeSet<u64>>,
     ) -> FsResult<()> {
         let fs = self.fs;
+        let last = snapshot.is_some();
+        let none = BTreeSet::new();
+        let indices = snapshot.unwrap_or(&none);
+        let frees = if last { &self.deferred_frees[..] } else { &[] };
         // Ring room first, before any segment lock: a full ring waits for
         // the transactions in front to settle, and their committers need
-        // those locks to do it.  The final transaction is at most the staged
-        // writes plus one image per bitmap block.
+        // those locks to do it.  A piece is at most its staged writes plus
+        // one image per bitmap block.
         let reservation = journal
             .reserve(fs.observed_device(), tx.len() + indices.len())
             .map_err(FsError::from)?;
@@ -496,19 +462,19 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
         // take back.
         let staged = {
             let mut guard = fs.bitmap().lock_blocks(indices);
-            for &b in &self.deferred_frees {
+            for &b in frees {
                 guard.free(b)?;
             }
             for &idx in indices {
-                tx.write(guard.device_block_of(idx), guard.serialize_block(idx));
+                tx.write(guard.device_block_of(idx), &guard.serialize_block(idx));
             }
-            for &b in &self.deferred_frees {
+            for &b in frees {
                 guard.allocate(b)?; // undo: nothing escaped the guard
             }
-            reservation.stage(std::mem::take(&mut tx))
+            reservation.stage(tx)
         };
         let Some(staged) = staged else {
-            self.committed = true;
+            self.committed = last;
             return Ok(());
         };
 
@@ -519,7 +485,7 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
         // the platter — see `Journal::persist`; a volume that reports
         // persist errors should be remounted.)
         journal.persist(fs.observed_device(), &staged)?;
-        self.committed = true;
+        self.committed = last;
 
         // Durable now: release the deferred frees for real (the blocks
         // stayed allocated throughout, so this cannot race), then apply the
@@ -529,7 +495,7 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
         // order, and without the re-assert a stale snapshot could stand as
         // the device's last word once the journal tail advances past both
         // transactions.
-        for &b in &self.deferred_frees {
+        for &b in frees {
             fs.bitmap().free(b)?;
         }
         journal.apply(fs.observed_device(), staged, || {

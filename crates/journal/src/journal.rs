@@ -4,17 +4,21 @@
 //! # Protocol
 //!
 //! A transaction ([`Tx`]) is a redo buffer: the file-system layers stage
-//! every block image a multi-block update intends to write, then call
-//! [`Journal::commit`], which
+//! every block image a multi-block update intends to write, then take it to
+//! the ring in four calls, one transaction at a time:
 //!
-//! 1. allocates a run of ring slots and sequence numbers,
-//! 2. writes the sealed intent / payload / commit slots to the journal
-//!    region,
-//! 3. waits for a **group flush** — one device barrier amortized over every
-//!    transaction that reached this point since the previous barrier (this is
-//!    the group-commit win the engine benchmarks measure), and only then
-//! 4. applies the staged images to their home locations in one batched
-//!    submission.
+//! 1. [`Journal::reserve`] holds ring room for it, waiting for a full ring
+//!    to settle;
+//! 2. [`Reservation::stage`] turns the room into its run of ring slots and
+//!    sequence numbers, without waiting;
+//! 3. [`Journal::persist`] writes the sealed intent / payload / commit
+//!    slots to the journal region in one submission and waits for a **group
+//!    flush** — one device barrier amortized over every transaction that
+//!    reached this point since the previous barrier (this is the
+//!    group-commit win the engine benchmarks measure).  That flush is the
+//!    commit point; only then
+//! 4. [`Journal::apply`] writes the staged images to their home locations
+//!    in one batched submission.
 //!
 //! A crash before step 3 completes leaves at most a torn slot run, which
 //! replay discards — the home locations were never touched, so uncommitted
@@ -134,13 +138,17 @@ impl JournalGeometry {
     }
 }
 
-/// A redo buffer: the staged block images of one multi-block update.
+/// A redo buffer: the staged block images of one multi-block update, held
+/// as the parallel arrays [`BlockDevice::write_blocks`] takes — the target
+/// blocks in staging order and their images back to back.  Replay hands a
+/// committed transaction back in the same shape.
 ///
 /// Writes deduplicate by block (last wins), so an update that touches the
 /// same block twice journals and applies one image.
 #[derive(Default)]
 pub struct Tx {
-    writes: Vec<(u64, Vec<u8>)>,
+    targets: Vec<u64>,
+    images: Vec<u8>,
     index: HashMap<u64, usize>,
 }
 
@@ -150,48 +158,83 @@ impl Tx {
         Tx::default()
     }
 
+    /// A transaction of the distinct blocks `targets` and their `images`.
+    fn from_parts(targets: Vec<u64>, images: Vec<u8>) -> Self {
+        let index = targets.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        Tx {
+            targets,
+            images,
+            index,
+        }
+    }
+
     /// Stage `data` as the new image of `block`.
-    pub fn write(&mut self, block: u64, data: Vec<u8>) {
+    ///
+    /// # Panics
+    /// Panics if `data` is not as long as the images staged before it: the
+    /// images of one transaction are blocks of one device.
+    pub fn write(&mut self, block: u64, data: &[u8]) {
+        let bs = data.len();
+        assert_eq!(
+            self.images.len(),
+            self.targets.len() * bs,
+            "staged images of unequal length"
+        );
         match self.index.get(&block) {
-            Some(&i) => self.writes[i].1 = data,
+            Some(&i) => self.images[i * bs..(i + 1) * bs].copy_from_slice(data),
             None => {
-                self.index.insert(block, self.writes.len());
-                self.writes.push((block, data));
+                self.index.insert(block, self.targets.len());
+                self.targets.push(block);
+                self.images.extend_from_slice(data);
             }
         }
     }
 
     /// The staged image of `block`, if any (read-your-writes overlay).
     pub fn read(&self, block: u64) -> Option<&[u8]> {
-        self.index.get(&block).map(|&i| self.writes[i].1.as_slice())
+        let bs = self.block_size();
+        self.index
+            .get(&block)
+            .map(|&i| &self.images[i * bs..(i + 1) * bs])
     }
 
     /// Number of distinct blocks staged.
     pub fn len(&self) -> usize {
-        self.writes.len()
+        self.targets.len()
     }
 
     /// True when nothing has been staged.
     pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
+        self.targets.is_empty()
     }
 
-    /// Consume the transaction, returning its `(block, image)` pairs in
-    /// staging order (deduplicated, last write wins).  Callers that must
-    /// split an oversized update into several ring-sized transactions use
-    /// this to repartition the write set.
-    pub fn into_writes(self) -> Vec<(u64, Vec<u8>)> {
-        self.writes
+    /// Split off the writes staged from position `at` on into a
+    /// transaction of their own; both keep staging order.  A caller whose
+    /// update is larger than the ring cuts it into ring-sized pieces so.
+    ///
+    /// # Panics
+    /// Panics if `at > self.len()`.
+    pub fn split_off(&mut self, at: usize) -> Tx {
+        let bs = self.block_size();
+        let tail = Tx::from_parts(self.targets.split_off(at), self.images.split_off(at * bs));
+        for block in &tail.targets {
+            self.index.remove(block);
+        }
+        tail
+    }
+
+    /// Length of each staged image; 0 for an empty transaction.
+    fn block_size(&self) -> usize {
+        self.images
+            .len()
+            .checked_div(self.targets.len())
+            .unwrap_or(0)
     }
 }
 
-/// A replayed transaction's target blocks and, back to back, their images:
-/// the parallel arrays [`BlockDevice::write_blocks`] takes.
-type TxWrites = (Vec<u64>, Vec<u8>);
-
 /// A transaction whose slot run and sequence numbers are allocated but not
-/// yet written; produced by [`Journal::stage`], consumed by
-/// [`Journal::complete`].
+/// yet written; produced by [`Reservation::stage`], made durable by
+/// [`Journal::persist`] and written home by [`Journal::apply`].
 pub struct StagedTx {
     tx: Tx,
     first_seq: u64,
@@ -209,9 +252,16 @@ pub struct Reservation<'a> {
 }
 
 impl Reservation<'_> {
-    /// [`Journal::stage`] into the room held: allocate `tx`'s slot run and
-    /// sequence numbers without waiting, and give back the slots it does
-    /// not need.  Returns `None` for an empty transaction.
+    /// Allocate `tx`'s slot run and sequence numbers in the room held,
+    /// without waiting, and give back the slots it does not need.  No
+    /// transaction data touches the device yet.  Returns `None` for an
+    /// empty transaction.
+    ///
+    /// Callers that snapshot shared state into the transaction (the bitmap)
+    /// stage while still holding the lock guarding that state, so snapshot
+    /// order and replay (sequence) order agree; the expensive half
+    /// ([`Journal::persist`] and [`Journal::apply`]) then runs outside that
+    /// lock.
     ///
     /// # Panics
     /// Panics if `tx` has more targets than the room was reserved for.
@@ -432,9 +482,9 @@ pub struct RingScan {
     /// Ring slot `s`, opened; `None` where nothing opens (payloads, fill,
     /// torn slots).
     slots: Vec<Option<Slot>>,
-    /// Live transactions whose every slot validates: first sequence number,
-    /// targets and images.
-    committed: Vec<(u64, TxWrites)>,
+    /// Live transactions whose every slot validates, with their first
+    /// sequence numbers.
+    committed: Vec<(u64, Tx)>,
     /// Live transactions found torn or incomplete.
     discarded: usize,
     /// The highest sequence number any anchor or slot carries.
@@ -569,11 +619,6 @@ impl Journal {
     pub fn attach_obs(&mut self, obs: &Arc<Obs>) {
         self.state.set_stats(obs.journal_state.clone());
         self.gate.stats = obs.gate.clone();
-    }
-
-    /// Ring capacity in slots.
-    pub fn capacity_slots(&self) -> u64 {
-        self.geo.ring_slots()
     }
 
     /// Current ring occupancy `(used slots, capacity)` from the lock-free
@@ -718,9 +763,9 @@ impl Journal {
     /// the ring, at once.
     ///
     /// The wait holds no journal lock, and its callers hold no lock a
-    /// committer needs to settle: the file system reserves the room for its
-    /// final transaction ([`Self::reserve`]) before it takes the bitmap
-    /// locks that transaction's committer re-takes after its apply.
+    /// committer needs to settle: the file system reserves the room for a
+    /// transaction ([`Self::reserve`]) before it takes the bitmap locks that
+    /// transaction's committer re-takes after its apply.
     fn lock_with_room<D: BlockDevice>(
         &self,
         dev: &D,
@@ -765,76 +810,15 @@ impl Journal {
         }
     }
 
-    /// Commit `tx`: journal its intent, group-flush, then apply the staged
-    /// images to their home locations.  On return the update is durable.
-    /// Equivalent to [`stage`](Self::stage) followed by
-    /// [`complete`](Self::complete).
-    pub fn commit<D: BlockDevice>(&self, dev: &D, tx: Tx) -> JournalResult<()> {
-        match self.stage(dev, tx)? {
-            Some(staged) => self.complete(dev, staged),
-            None => Ok(()),
-        }
-    }
-
-    /// First half of a commit: allocate the transaction's slot run and
-    /// sequence numbers (reclaiming ring space if needed, see
-    /// [`stage_many`](Self::stage_many)).  No transaction data touches the
-    /// device yet.
-    ///
-    /// Callers that snapshot shared state into the transaction (the bitmap)
-    /// stage while still holding the lock guarding that state, so snapshot
-    /// order and replay (sequence) order agree; the expensive half
-    /// ([`complete`](Self::complete)) then runs outside that lock.  They
-    /// take the ring room first ([`reserve`](Self::reserve)) and stage into
-    /// it ([`Reservation::stage`]), since a full ring waits here for
-    /// committers that may need that lock.  Returns `None` for an empty
-    /// transaction.
-    pub fn stage<D: BlockDevice>(&self, dev: &D, tx: Tx) -> JournalResult<Option<StagedTx>> {
-        Ok(self.stage_many(dev, vec![tx])?.pop())
-    }
-
-    /// [`stage`](Self::stage) for a whole batch under a **single** log-state
-    /// hold: every transaction gets its own slot run and sequence numbers
-    /// (consecutive, in `txs` order), so each replays independently, but the
-    /// lock acquisition and any ring-space reclaim are paid once for the
-    /// batch.  A full ring waits for the checkpoint in flight, re-checks,
-    /// and checkpoints itself only if it is still full; the log state is not
-    /// held meanwhile.  Empty transactions are skipped.  On [`JournalError::Full`]
-    /// nothing was allocated — the batch must fit the ring whole, so callers
-    /// split oversized batches (see [`slots_for_targets`](Self::slots_for_targets)).
-    pub fn stage_many<D: BlockDevice>(
-        &self,
-        dev: &D,
-        txs: Vec<Tx>,
-    ) -> JournalResult<Vec<StagedTx>> {
-        let txs: Vec<Tx> = txs.into_iter().filter(|t| !t.is_empty()).collect();
-        if txs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _s = span::span(span::Phase::JournalStage);
-        let needed: u64 = txs
-            .iter()
-            .map(|t| slots_for(t.len(), self.geo.block_size))
-            .sum();
-        let state = &mut *self.lock_with_room(dev, needed)?;
-        let staged = txs
-            .into_iter()
-            .map(|tx| {
-                let nslots = slots_for(tx.len(), self.geo.block_size);
-                Self::stage_locked(state, &self.geo, tx, nslots)
-            })
-            .collect();
-        self.publish_occupancy(state);
-        Ok(staged)
-    }
-
     /// Hold ring room for a transaction of up to `n_targets` target blocks,
-    /// to be staged later with [`Reservation::stage`].
-    /// Waits for room exactly as staging does (see
-    /// [`stage_many`](Self::stage_many)), so a caller that must stage while
-    /// holding locks takes its reservation before them: the wait for a
-    /// full ring to settle then never runs under a lock an in-flight
-    /// committer needs.  No target, no room held.
+    /// to be staged later with [`Reservation::stage`].  A full ring waits
+    /// for the checkpoint in flight, re-checks, and checkpoints itself only
+    /// if it is still full; past that it waits for the front transaction to
+    /// settle (see `lock_with_room`).  A caller that must stage while
+    /// holding locks takes its reservation before them: the wait then never
+    /// runs under a lock an in-flight committer needs.  No target, no room
+    /// held.  A transaction larger than the ring gets
+    /// [`JournalError::Full`] at once.
     pub fn reserve<D: BlockDevice>(
         &self,
         dev: &D,
@@ -876,24 +860,6 @@ impl Journal {
         }
     }
 
-    /// Ring slots a transaction carrying `n` target blocks would occupy.
-    /// Callers batching transactions for [`stage_many`](Self::stage_many)
-    /// use this to keep a batch within the ring.
-    pub fn slots_for_targets(&self, n: usize) -> u64 {
-        slots_for(n, self.geo.block_size)
-    }
-
-    /// Second half of a commit: [`persist`](Self::persist) (the commit
-    /// point) followed by [`apply`](Self::apply).
-    ///
-    /// An error after the flush step means the transaction may replay on the
-    /// next mount even though the caller sees a failure — the usual fsync
-    /// contract (a failed commit is *allowed* to be durable, never required).
-    pub fn complete<D: BlockDevice>(&self, dev: &D, staged: StagedTx) -> JournalResult<()> {
-        self.persist(dev, &staged)?;
-        self.apply(dev, staged, || Ok(()))
-    }
-
     /// Make a staged transaction durable: seal and write its slot run, then
     /// wait for the group flush — the commit point.
     ///
@@ -905,82 +871,58 @@ impl Journal {
     /// the fsync contract.  A volume that sees persist errors should be
     /// remounted.)
     pub fn persist<D: BlockDevice>(&self, dev: &D, staged: &StagedTx) -> JournalResult<()> {
-        self.persist_many(dev, std::slice::from_ref(staged))
-    }
-
-    /// [`persist`](Self::persist) for a whole batch: seal every staged
-    /// transaction's slot run, submit them as **one** device write, and wait
-    /// for **one** group flush covering the entire batch — the shared commit
-    /// point.  Each transaction keeps its own slot run and commit record, so
-    /// replay still treats them independently; only the submission and the
-    /// flush are amortized.
-    ///
-    /// On an error the whole batch is abandoned (every transaction's slots
-    /// marked reclaimable) and the caller must treat all of them as failed —
-    /// the batch shares one commit point, so there is no per-transaction
-    /// partial success.
-    pub fn persist_many<D: BlockDevice>(&self, dev: &D, staged: &[StagedTx]) -> JournalResult<()> {
-        if staged.is_empty() {
-            return Ok(());
-        }
-        // On any failure before the flush returns, the transactions' slots
-        // stay allocated but hold garbage (or never-committed runs); mark
-        // them immediately reclaimable so the ring is not wedged.
+        // On any failure before the flush returns, the slots stay allocated
+        // but hold garbage (or a never-committed run); mark them
+        // immediately reclaimable so the ring is not wedged.
         let abandon = |err: JournalError| -> JournalError {
             let state = &mut *self.state.lock();
-            for s in staged {
-                if let Some(t) = state.live.iter_mut().find(|t| t.first_seq == s.first_seq) {
-                    t.reclaimable_at = 0;
-                }
+            if let Some(t) = state
+                .live
+                .iter_mut()
+                .find(|t| t.first_seq == staged.first_seq)
+            {
+                t.reclaimable_at = 0;
             }
             self.wake_settled(state);
             err
         };
-
-        let total_slots: u64 = staged.iter().map(|s| s.nslots).sum();
-        let mut blocks = Vec::with_capacity(total_slots as usize);
-        let mut images = Vec::with_capacity(total_slots as usize * self.geo.block_size);
-        for s in staged {
-            self.seal_run(s, &mut blocks, &mut images);
-        }
+        let (blocks, images) = self.seal_run(staged);
         dev.write_blocks(&blocks, &images)
             .map_err(|e| abandon(e.into()))?;
-
-        // The group flush is the commit point (for the whole batch).
-        self.gate.flush_covering(dev).map_err(abandon)?;
-        Ok(())
+        // The group flush is the commit point.
+        self.gate.flush_covering(dev).map_err(abandon)
     }
 
-    /// Seal one staged transaction's slot run — interleaved intents and
-    /// payloads, then the commit record — appending the ring blocks and
-    /// sealed images to `blocks` / `images`.  Every slot is encoded in place
-    /// in `images`, and then the whole run is encrypted with one cipher
-    /// call; an intent's payload checks come from one batched check call.
-    fn seal_run(&self, staged: &StagedTx, blocks: &mut Vec<u64>, images: &mut Vec<u8>) {
+    /// Seal a staged transaction's slot run — interleaved intents and
+    /// payloads, then the commit record — into its ring blocks and their
+    /// sealed images.  Every slot is encoded in place, and then the whole
+    /// run is encrypted with one cipher call; an intent's payload checks
+    /// come from one batched check call.
+    fn seal_run(&self, staged: &StagedTx) -> (Vec<u64>, Vec<u8>) {
         let StagedTx {
             tx,
             first_seq,
             first_slot,
             nslots,
         } = staged;
-        let (first_seq, first_slot, nslots) = (*first_seq, *first_slot, *nslots);
+        let (first_seq, nslots) = (*first_seq, *nslots);
         let bs = self.geo.block_size;
         let n_targets = tx.len();
         let cap = intent_capacity(bs).max(1);
-        let (run_blocks, run_images) = (blocks.len(), images.len());
+        let mut blocks = Vec::with_capacity(nslots as usize);
+        let mut images = Vec::with_capacity(nslots as usize * bs);
         let mut seq = first_seq;
-        let mut slot = first_slot;
+        let mut slot = *first_slot;
         let mut idx = 0usize;
         while idx < n_targets {
             let chunk_end = (idx + cap).min(n_targets);
-            let chunk = &tx.writes[idx..chunk_end];
+            let here = (chunk_end - idx) as u64;
+            let payloads = &tx.images[idx * bs..chunk_end * bs];
             // Payload seqs follow the intent's seq immediately.
-            let checks = self
-                .keys
-                .payload_checks(seq + 1, chunk.iter().map(|(_, image)| &image[..]));
-            let entries = chunk
+            let checks = self.keys.payload_checks(seq + 1, payloads.chunks_exact(bs));
+            let entries = tx.targets[idx..chunk_end]
                 .iter()
-                .map(|(target, _)| *target)
+                .copied()
                 .zip(checks)
                 .collect();
             let intent = Slot {
@@ -995,15 +937,11 @@ impl Journal {
             };
             let abs = self.geo.ring_block(slot);
             blocks.push(abs);
-            encode_slot(&self.keys, abs, &intent, grow(images, bs));
-            seq += 1;
-            slot += 1;
-            for (_, image) in chunk {
-                blocks.push(self.geo.ring_block(slot));
-                images.extend_from_slice(image);
-                seq += 1;
-                slot += 1;
-            }
+            encode_slot(&self.keys, abs, &intent, grow(&mut images, bs));
+            blocks.extend((slot + 1..slot + 1 + here).map(|s| self.geo.ring_block(s)));
+            images.extend_from_slice(payloads);
+            seq += 1 + here;
+            slot += 1 + here;
             idx = chunk_end;
         }
         let commit_slot = Slot {
@@ -1017,9 +955,9 @@ impl Journal {
         };
         let abs = self.geo.ring_block(slot);
         blocks.push(abs);
-        encode_slot(&self.keys, abs, &commit_slot, grow(images, bs));
-        self.keys
-            .apply_many(&blocks[run_blocks..], &mut images[run_images..]);
+        encode_slot(&self.keys, abs, &commit_slot, grow(&mut images, bs));
+        self.keys.apply_many(&blocks, &mut images);
+        (blocks, images)
     }
 
     /// Apply a persisted (committed) transaction's staged images to their
@@ -1037,37 +975,9 @@ impl Journal {
         staged: StagedTx,
         post_apply: F,
     ) -> JournalResult<()> {
-        self.apply_many(dev, vec![staged], post_apply)
-    }
-
-    /// [`apply`](Self::apply) for a whole batch: one batched home-location
-    /// submission covering every transaction's staged images (in batch
-    /// order, so a later transaction's image wins on a shared block), one
-    /// `post_apply`, then every transaction's slots become reclaimable at
-    /// the same flush epoch.  A failure leaves the whole batch committed but
-    /// un-checkpointed — replay redoes all of it.
-    pub fn apply_many<D: BlockDevice, F: FnOnce() -> JournalResult<()>>(
-        &self,
-        dev: &D,
-        staged: Vec<StagedTx>,
-        post_apply: F,
-    ) -> JournalResult<()> {
-        if staged.is_empty() {
-            return Ok(());
-        }
         let _s = span::span(span::Phase::JournalApply);
-        let bs = self.geo.block_size;
-        let n: usize = staged.iter().map(|s| s.tx.len()).sum();
-        let mut targets = Vec::with_capacity(n);
-        let mut data = Vec::with_capacity(n * bs);
-        for s in &staged {
-            for (block, image) in &s.tx.writes {
-                targets.push(*block);
-                data.extend_from_slice(image);
-            }
-        }
         let applied = dev
-            .write_blocks(&targets, &data)
+            .write_blocks(&staged.tx.targets, &staged.tx.images)
             .map_err(JournalError::from)
             .and_then(|()| post_apply());
 
@@ -1077,12 +987,14 @@ impl Journal {
         let (completed, flushing) = self.gate.epoch();
         let durable_at = completed + 1 + u64::from(flushing);
         let state = &mut *self.state.lock();
-        for s in &staged {
-            if let Some(t) = state.live.iter_mut().find(|t| t.first_seq == s.first_seq) {
-                match applied {
-                    Ok(()) => t.reclaimable_at = durable_at,
-                    Err(_) => t.failed = true,
-                }
+        if let Some(t) = state
+            .live
+            .iter_mut()
+            .find(|t| t.first_seq == staged.first_seq)
+        {
+            match applied {
+                Ok(()) => t.reclaimable_at = durable_at,
+                Err(_) => t.failed = true,
             }
         }
         self.wake_settled(state);
@@ -1172,7 +1084,7 @@ impl Journal {
             .collect();
 
         // Walk every intent that opens a live transaction (first_index == 0).
-        let mut committed: Vec<(u64, TxWrites)> = Vec::new();
+        let mut committed: Vec<(u64, Tx)> = Vec::new();
         let mut discarded = 0usize;
         let mut max_seq = anchor_seq.max(tail_seq);
         for slot in decoded.iter().flatten() {
@@ -1197,7 +1109,7 @@ impl Journal {
                 continue;
             }
             match self.walk_tx(&decoded, &raws, start as u64, first_seq, n_targets) {
-                Some(writes) => committed.push((first_seq, writes)),
+                Some(tx) => committed.push((first_seq, tx)),
                 None => discarded += 1,
             }
         }
@@ -1228,9 +1140,9 @@ impl Journal {
         // Redo in sequence order; later transactions win on shared blocks.
         committed.sort_by_key(|(seq, _)| *seq);
         let mut recovered = 0usize;
-        for (_, (targets, images)) in &committed {
-            recovered += targets.len();
-            dev.write_blocks(targets, images)?;
+        for (_, tx) in &committed {
+            recovered += tx.len();
+            dev.write_blocks(&tx.targets, &tx.images)?;
         }
         if !committed.is_empty() {
             dev.flush()?;
@@ -1257,8 +1169,8 @@ impl Journal {
     }
 
     /// Validate one transaction's slot run starting at ring slot `start`.
-    /// Returns its targets and their images if every intent, payload and
-    /// the commit slot check out; `None` for anything torn or incomplete.
+    /// Returns the transaction if every intent, payload and the commit slot
+    /// check out; `None` for anything torn or incomplete.
     /// Each intent's payloads are decrypted and checked as one run: one
     /// cipher call, one batched check call.
     fn walk_tx(
@@ -1268,7 +1180,7 @@ impl Journal {
         start: u64,
         first_seq: u64,
         n_targets: u32,
-    ) -> Option<TxWrites> {
+    ) -> Option<Tx> {
         let ring = self.geo.ring_slots();
         let total = slots_for(n_targets as usize, self.geo.block_size);
         if total > ring {
@@ -1341,7 +1253,7 @@ impl Journal {
                 && commit.txid == first_seq
                 && u64::from(*total_slots) == total =>
             {
-                Some((targets, images))
+                Some(Tx::from_parts(targets, images))
             }
             _ => None,
         }
@@ -1378,14 +1290,38 @@ mod tests {
         Journal::open(journal.geometry().clone(), 0xabcd).unwrap()
     }
 
+    /// Reserve ring room for `tx` and stage it there.
+    fn stage<D: BlockDevice>(
+        journal: &Journal,
+        dev: &D,
+        tx: Tx,
+    ) -> JournalResult<Option<StagedTx>> {
+        Ok(journal.reserve(dev, tx.len())?.stage(tx))
+    }
+
+    /// Persist a staged transaction (the commit point), then apply it.
+    fn complete<D: BlockDevice>(journal: &Journal, dev: &D, staged: StagedTx) -> JournalResult<()> {
+        journal.persist(dev, &staged)?;
+        journal.apply(dev, staged, || Ok(()))
+    }
+
+    /// Commit `tx` through the four calls every transaction takes:
+    /// reserve, stage, persist, apply.
+    fn commit<D: BlockDevice>(journal: &Journal, dev: &D, tx: Tx) -> JournalResult<()> {
+        match stage(journal, dev, tx)? {
+            Some(staged) => complete(journal, dev, staged),
+            None => Ok(()),
+        }
+    }
+
     #[test]
     fn commit_applies_and_replay_is_idempotent() {
         let (dev, journal) = fixture(32, 128);
         let mut tx = Tx::new();
-        tx.write(100, vec![0xaa; BS]);
-        tx.write(101, vec![0xbb; BS]);
-        tx.write(100, vec![0xac; BS]); // last write wins
-        journal.commit(&dev, tx).unwrap();
+        tx.write(100, &[0xaa; BS]);
+        tx.write(101, &[0xbb; BS]);
+        tx.write(100, &[0xac; BS]); // last write wins
+        commit(&journal, &dev, tx).unwrap();
         assert_eq!(dev.read_block_vec(100).unwrap(), vec![0xac; BS]);
         assert_eq!(dev.read_block_vec(101).unwrap(), vec![0xbb; BS]);
 
@@ -1401,9 +1337,9 @@ mod tests {
         // Simulate "slots durable, home writes lost": commit normally, then
         // clobber the home locations as a crash that tore the apply would.
         let mut tx = Tx::new();
-        tx.write(100, vec![0x11; BS]);
-        tx.write(110, vec![0x22; BS]);
-        journal.commit(&dev, tx).unwrap();
+        tx.write(100, &[0x11; BS]);
+        tx.write(110, &[0x22; BS]);
+        commit(&journal, &dev, tx).unwrap();
         dev.write_block(100, &vec![0u8; BS]).unwrap();
         dev.write_block(110, &vec![0u8; BS]).unwrap();
 
@@ -1419,8 +1355,8 @@ mod tests {
         let (dev, journal) = fixture(32, 128);
         let before = dev.read_block_vec(100).unwrap();
         let mut tx = Tx::new();
-        tx.write(100, vec![0x77; BS]);
-        journal.commit(&dev, tx).unwrap();
+        tx.write(100, &[0x77; BS]);
+        commit(&journal, &dev, tx).unwrap();
         // Tear the payload slot (ring slot 1 = start + ANCHOR_SLOTS + 1) and
         // restore the home block, as if neither survived the crash.
         let payload_block = 1 + ANCHOR_SLOTS + 1;
@@ -1439,8 +1375,8 @@ mod tests {
     fn sync_checkpoints_so_replay_finds_nothing() {
         let (dev, journal) = fixture(32, 128);
         let mut tx = Tx::new();
-        tx.write(120, vec![9; BS]);
-        journal.commit(&dev, tx).unwrap();
+        tx.write(120, &[9; BS]);
+        commit(&journal, &dev, tx).unwrap();
         journal.sync(&dev).unwrap();
         let report = reopen(&journal).replay(&dev).unwrap();
         assert_eq!(report, ReplayReport::default());
@@ -1451,9 +1387,9 @@ mod tests {
     fn scan_tells_slot_uses_and_writes_nothing() {
         let (dev, journal) = fixture(32, 128);
         let mut tx = Tx::new();
-        tx.write(100, vec![0x11; BS]);
-        tx.write(110, vec![0x22; BS]);
-        journal.commit(&dev, tx).unwrap();
+        tx.write(100, &[0x11; BS]);
+        tx.write(110, &[0x22; BS]);
+        commit(&journal, &dev, tx).unwrap();
         let uses = |live| {
             let mut want = vec![SlotUse::Anchor; 2];
             want.push(SlotUse::Intent { live });
@@ -1481,8 +1417,8 @@ mod tests {
     fn flush_barrier_is_durable_but_not_a_checkpoint() {
         let (dev, journal) = fixture(32, 128);
         let mut tx = Tx::new();
-        tx.write(120, vec![9; BS]);
-        journal.commit(&dev, tx).unwrap();
+        tx.write(120, &[9; BS]);
+        commit(&journal, &dev, tx).unwrap();
         journal.flush_barrier(&dev).unwrap();
 
         // The barrier advanced no tail and wrote no anchor: the committed
@@ -1504,9 +1440,9 @@ mod tests {
         let (dev, journal) = fixture(ANCHOR_SLOTS + 14, 256);
         for i in 0..20u64 {
             let mut tx = Tx::new();
-            tx.write(100 + (i % 8), vec![i as u8; BS]);
-            tx.write(120 + (i % 8), vec![i as u8 ^ 0xff; BS]);
-            journal.commit(&dev, tx).unwrap();
+            tx.write(100 + (i % 8), &[i as u8; BS]);
+            tx.write(120 + (i % 8), &[i as u8 ^ 0xff; BS]);
+            commit(&journal, &dev, tx).unwrap();
         }
         for i in 12..20u64 {
             assert_eq!(
@@ -1530,9 +1466,9 @@ mod tests {
         let (dev, journal) = fixture(ANCHOR_SLOTS + 6, 256);
         let mut tx = Tx::new();
         for b in 0..8u64 {
-            tx.write(100 + b, vec![1; BS]);
+            tx.write(100 + b, &[1; BS]);
         }
-        match journal.commit(&dev, tx) {
+        match commit(&journal, &dev, tx) {
             Err(JournalError::Full { .. }) => {}
             other => panic!("expected Full, got {other:?}"),
         }
@@ -1546,9 +1482,9 @@ mod tests {
         let (dev, journal) = fixture(ANCHOR_SLOTS + slots_for(n, BS) + 2, 512);
         let mut tx = Tx::new();
         for i in 0..n as u64 {
-            tx.write(200 + i, vec![(i % 251) as u8; BS]);
+            tx.write(200 + i, &[(i % 251) as u8; BS]);
         }
-        journal.commit(&dev, tx).unwrap();
+        commit(&journal, &dev, tx).unwrap();
         // Clobber the home writes and replay.
         for i in 0..n as u64 {
             dev.write_block(200 + i, &vec![0u8; BS]).unwrap();
@@ -1564,22 +1500,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_staging_replays_each_tx_independently() {
+    fn staged_transactions_replay_independently() {
         let (dev, journal) = fixture(64, 256);
-        let txs: Vec<Tx> = (0..3u64)
+        // Three transactions staged before any is persisted: consecutive
+        // slot runs, each with its own intent and commit record.
+        let staged: Vec<StagedTx> = (0..3u64)
             .map(|i| {
                 let mut tx = Tx::new();
-                tx.write(100 + i * 4, vec![i as u8 + 1; BS]);
-                tx.write(101 + i * 4, vec![i as u8 + 0x11; BS]);
-                tx
+                tx.write(100 + i * 4, &[i as u8 + 1; BS]);
+                tx.write(101 + i * 4, &[i as u8 + 0x11; BS]);
+                stage(&journal, &dev, tx).unwrap().unwrap()
             })
             .collect();
-        let staged = journal.stage_many(&dev, txs).unwrap();
-        assert_eq!(staged.len(), 3);
-        journal.persist_many(&dev, &staged).unwrap();
+        for s in &staged {
+            journal.persist(&dev, s).unwrap();
+        }
         // Crash before the apply: home blocks never written, but all three
-        // transactions share the durable commit point and must replay — each
-        // as its own transaction.
+        // transactions are durable and must replay — each as its own
+        // transaction.
         let report = reopen(&journal).replay(&dev).unwrap();
         assert_eq!(report.committed, 3);
         assert_eq!(report.blocks_recovered, 6);
@@ -1602,19 +1540,19 @@ mod tests {
     fn a_torn_payload_in_the_second_hash_pass_discards_only_its_tx() {
         let (dev, journal) = fixture(64, 512);
         let targets = |first: u64, n: u64| first..first + n;
-        let txs: Vec<Tx> = [(100, 2), (200, 17), (300, 2)]
+        assert!(17 <= intent_capacity(BS), "one intent, one run");
+        let staged: Vec<StagedTx> = [(100, 2), (200, 17), (300, 2)]
             .into_iter()
             .map(|(first, n)| {
                 let mut tx = Tx::new();
                 for b in targets(first, n) {
-                    tx.write(b, vec![b as u8; BS]);
+                    tx.write(b, &[b as u8; BS]);
                 }
-                tx
+                let staged = stage(&journal, &dev, tx).unwrap().unwrap();
+                journal.persist(&dev, &staged).unwrap();
+                staged
             })
             .collect();
-        assert!(txs[1].len() <= intent_capacity(BS), "one intent, one run");
-        let staged = journal.stage_many(&dev, txs).unwrap();
-        journal.persist_many(&dev, &staged).unwrap();
         // Crash before the apply, with payload 16 of the middle
         // transaction torn: it sits past the intent, at slot 1 + 16 of its run.
         let torn_at = journal.geo.ring_block(staged[1].first_slot + 1 + 16);
@@ -1635,55 +1573,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_apply_checkpoints_like_singles() {
-        let (dev, journal) = fixture(64, 256);
-        let txs: Vec<Tx> = (0..4u64)
-            .map(|i| {
-                let mut tx = Tx::new();
-                tx.write(140 + i, vec![0x40 + i as u8; BS]);
-                tx
-            })
-            .collect();
-        let staged = journal.stage_many(&dev, txs).unwrap();
-        journal.persist_many(&dev, &staged).unwrap();
-        journal.apply_many(&dev, staged, || Ok(())).unwrap();
-        for i in 0..4u64 {
-            assert_eq!(
-                dev.read_block_vec(140 + i).unwrap(),
-                vec![0x40 + i as u8; BS]
-            );
-        }
-        // After a full sync the batch is reclaimed exactly like individually
-        // committed transactions: replay finds an empty log.
-        journal.sync(&dev).unwrap();
-        let report = reopen(&journal).replay(&dev).unwrap();
-        assert_eq!(report, ReplayReport::default());
-    }
-
-    #[test]
-    fn batched_stage_rejects_overfull_batch_atomically() {
-        let (dev, journal) = fixture(ANCHOR_SLOTS + 8, 256);
-        // Each 2-target tx takes 4 slots; four of them need 16 > 8 ring slots.
-        let txs: Vec<Tx> = (0..4u64)
-            .map(|i| {
-                let mut tx = Tx::new();
-                tx.write(100 + i * 2, vec![1; BS]);
-                tx.write(101 + i * 2, vec![2; BS]);
-                tx
-            })
-            .collect();
-        match journal.stage_many(&dev, txs) {
-            Err(JournalError::Full { .. }) => {}
-            other => panic!("expected Full, got {:?}", other.map(|v| v.len())),
-        }
-        // Nothing was allocated: a ring-sized single tx still stages fine.
-        let mut tx = Tx::new();
-        tx.write(100, vec![3; BS]);
-        journal.commit(&dev, tx).unwrap();
-        assert_eq!(dev.read_block_vec(100).unwrap(), vec![3; BS]);
-    }
-
-    #[test]
     fn a_reservation_is_counted_until_staged_or_dropped() {
         let (dev, journal) = fixture(ANCHOR_SLOTS + 8, 256);
         let held = journal.reserve(&dev, 2).unwrap();
@@ -1694,7 +1583,7 @@ mod tests {
         drop(journal.reserve(&dev, 3).unwrap());
         assert_eq!(journal.occupancy().0, slots_for(1, BS));
         assert!(journal.reserve(&dev, 0).unwrap().stage(Tx::new()).is_none());
-        journal.complete(&dev, staged).unwrap();
+        complete(&journal, &dev, staged).unwrap();
         journal.sync(&dev).unwrap();
         assert_eq!(journal.occupancy().0, 0);
     }
@@ -1705,18 +1594,22 @@ mod tests {
         // needs 3 and must wait until the front one is applied and reclaimed
         // rather than fail.
         let (dev, journal) = fixture(ANCHOR_SLOTS + 8, 256);
-        let front = journal.stage(&dev, one_block_tx(100, 1)).unwrap().unwrap();
-        let second = journal.stage(&dev, one_block_tx(101, 2)).unwrap().unwrap();
+        let front = stage(&journal, &dev, one_block_tx(100, 1))
+            .unwrap()
+            .unwrap();
+        let second = stage(&journal, &dev, one_block_tx(101, 2))
+            .unwrap()
+            .unwrap();
         let third = std::thread::scope(|s| {
-            let stager = s.spawn(|| journal.stage(&dev, one_block_tx(102, 3)));
+            let stager = s.spawn(|| stage(&journal, &dev, one_block_tx(102, 3)));
             std::thread::sleep(std::time::Duration::from_millis(20));
             assert!(!stager.is_finished(), "a full ring did not wait");
-            journal.complete(&dev, front).unwrap();
+            complete(&journal, &dev, front).unwrap();
             stager.join().unwrap()
         });
         let third = third.expect("the front settled").unwrap();
-        journal.complete(&dev, second).unwrap();
-        journal.complete(&dev, third).unwrap();
+        complete(&journal, &dev, second).unwrap();
+        complete(&journal, &dev, third).unwrap();
         for (block, byte) in [(100, 1), (101, 2), (102, 3)] {
             assert_eq!(dev.read_block_vec(block).unwrap(), vec![byte; BS]);
         }
@@ -1725,15 +1618,17 @@ mod tests {
     #[test]
     fn a_failed_front_ends_the_wait_in_full() {
         let (dev, journal) = fixture(ANCHOR_SLOTS + 8, 256);
-        let front = journal.stage(&dev, one_block_tx(100, 1)).unwrap().unwrap();
+        let front = stage(&journal, &dev, one_block_tx(100, 1))
+            .unwrap()
+            .unwrap();
         journal.persist(&dev, &front).unwrap();
         let refused = journal.apply(&dev, front, || {
             Err(JournalError::Geometry("post-apply refused".into()))
         });
         assert!(refused.is_err());
-        journal.commit(&dev, one_block_tx(101, 2)).unwrap();
+        commit(&journal, &dev, one_block_tx(101, 2)).unwrap();
         // The failed front is never reclaimed, so the ring can never settle.
-        match journal.commit(&dev, one_block_tx(102, 3)) {
+        match commit(&journal, &dev, one_block_tx(102, 3)) {
             Err(JournalError::Full { needed, capacity }) => {
                 assert_eq!((needed, capacity), (slots_for(1, BS), 8))
             }
@@ -1758,8 +1653,8 @@ mod tests {
                 thread::spawn(move || {
                     for i in 0..16u64 {
                         let mut tx = Tx::new();
-                        tx.write(1024 + t * 32 + (i % 32), vec![t as u8; BS]);
-                        journal.commit(dev.as_ref(), tx).unwrap();
+                        tx.write(1024 + t * 32 + (i % 32), &[t as u8; BS]);
+                        commit(&journal, dev.as_ref(), tx).unwrap();
                     }
                 })
             })
@@ -1836,7 +1731,7 @@ mod tests {
 
     fn one_block_tx(block: u64, byte: u8) -> Tx {
         let mut tx = Tx::new();
-        tx.write(block, vec![byte; BS]);
+        tx.write(block, &[byte; BS]);
         tx
     }
 
@@ -1920,14 +1815,15 @@ mod tests {
         // Flush 2 commits the transaction, sync's flush 3 makes it
         // reclaimable, and flush 4, the anchor's, parks.
         let (dev, journal, park) = slow_journal(0, Vec::new(), 4, 32);
-        journal.commit(dev.as_ref(), one_block_tx(100, 1)).unwrap();
+        commit(&journal, dev.as_ref(), one_block_tx(100, 1)).unwrap();
         let sync = on_a_thread(&dev, &journal, |dev, journal| journal.sync(dev));
         park.wait();
         // The run stays counted while its anchor is in flight.
         assert_eq!(journal.occupancy().0, 3);
         let (send, staged) = std::sync::mpsc::channel();
         on_a_thread(&dev, &journal, move |dev, journal| {
-            send.send(journal.stage(dev, one_block_tx(101, 2))).unwrap()
+            send.send(stage(journal, dev, one_block_tx(101, 2)))
+                .unwrap()
         });
         let staged = staged.recv_timeout(std::time::Duration::from_secs(5));
         park.release();
@@ -1937,7 +1833,7 @@ mod tests {
             .unwrap();
         sync.join().unwrap().unwrap();
         assert_eq!(journal.occupancy().0, 3, "the run retired after its anchor");
-        journal.complete(dev.as_ref(), staged).unwrap();
+        complete(&journal, dev.as_ref(), staged).unwrap();
         journal.sync(dev.as_ref()).unwrap();
         assert_eq!(journal.occupancy().0, 0);
         let report = reopen(&journal).replay(dev.as_ref()).unwrap();
@@ -1965,9 +1861,7 @@ mod tests {
                             };
                         }
                         let block = 1024 + t * 64 + i;
-                        journal
-                            .commit(dev.as_ref(), one_block_tx(block, t as u8))
-                            .unwrap();
+                        commit(journal, dev.as_ref(), one_block_tx(block, t as u8)).unwrap();
                     }
                 });
             }
@@ -1992,14 +1886,14 @@ mod tests {
     fn a_failed_anchor_leaves_the_run_live() {
         // As above the anchor's flush is number 4; it parks, then fails.
         let (dev, journal, park) = slow_journal(0, vec![4], 4, 32);
-        journal.commit(dev.as_ref(), one_block_tx(100, 1)).unwrap();
+        commit(&journal, dev.as_ref(), one_block_tx(100, 1)).unwrap();
         let tail = journal.state.lock().durable_tail_seq;
         let sync = on_a_thread(&dev, &journal, |dev, journal| journal.sync(dev));
         park.wait();
         // A committer stages in the window and waits at the gate behind
         // the parked flush; it commits with the next one.
         let committer = on_a_thread(&dev, &journal, |dev, journal| {
-            journal.commit(dev, one_block_tx(101, 2))
+            commit(journal, dev, one_block_tx(101, 2))
         });
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while journal.occupancy().0 < 6 && std::time::Instant::now() < deadline {
