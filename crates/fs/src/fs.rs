@@ -1949,46 +1949,74 @@ mod tests {
 
     #[test]
     fn crash_during_chunked_rewrite_leaves_volume_consistent() {
-        // An oversized rewrite streams through the ring as several
-        // transactions; power loss in the middle may leave a prefix of them
-        // applied, but after replay the volume must mount, unrelated files
-        // must be intact, and the allocator must keep working.
+        // An oversized rewrite streams through the ring as several pieces.
+        // Power loss at any block write may leave a prefix of them applied,
+        // but after replay the volume must mount with the unrelated file
+        // intact and `/f` wholly old or wholly new: a whole-file rewrite
+        // lands in fresh blocks, and the inode and the bitmap change only
+        // in the final piece.  No block may be owned twice, and the
+        // allocator must keep working.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use stegfs_blockdev::{Dir, FaultDevice, Trigger};
         let keep: Vec<u8> = (0..8 * 1024u32).map(|i| (i % 251) as u8).collect();
-        for seed in 0..4u64 {
-            let dev =
-                stegfs_blockdev::FaultDevice::with_write_cache(MemBlockDevice::new(1024, 4096));
-            let fs = PlainFs::format(
-                dev,
-                FormatOptions {
-                    journal_blocks: 16,
-                    ..FormatOptions::default()
-                },
-            )
-            .unwrap();
-            fs.write_file("/keep", &keep).unwrap();
-            fs.write_file("/f", &vec![1u8; 20 * 1024]).unwrap();
-            fs.sync().unwrap();
+        let (old, new) = (vec![1u8; 20 * 1024], vec![9u8; 80 * 1024]);
+        let opts = FormatOptions {
+            journal_blocks: 16,
+            ..FormatOptions::default()
+        };
+        let fs = PlainFs::format(MemBlockDevice::new(1024, 1024), opts).unwrap();
+        fs.write_file("/keep", &keep).unwrap();
+        fs.write_file("/f", &old).unwrap();
+        let image = fs.unmount().unwrap().snapshot_raw();
+        let device = || {
+            let mem = MemBlockDevice::new(1024, 1024);
+            let all: Vec<u64> = (0..mem.total_blocks()).collect();
+            mem.write_blocks(&all, &image).unwrap();
+            FaultDevice::with_write_cache(mem)
+        };
+        let mount = |dev: &FaultDevice<MemBlockDevice>| {
+            PlainFs::mount(dev.clone(), AllocPolicy::FirstFit, 1).unwrap()
+        };
 
-            // Trip the device partway through the chunk sequence: the
-            // rewrite fails, then the plug is pulled on whatever is pending.
-            let dev = fs.device().clone();
-            dev.fail_after_writes(40 + seed * 25);
-            let _ = fs.write_file("/f", &vec![9u8; 80 * 1024]);
-            drop(fs);
-            dev.crash(seed);
+        // The rewrite's block writes, counted in a clean run.
+        let dev = device();
+        let fs = mount(&dev);
+        let written = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&written);
+        dev.record(Trigger::when(|op| op.dir == Dir::Write), move |op| {
+            count.fetch_add(op.blocks.len() as u64, Ordering::Relaxed);
+        });
+        fs.write_file("/f", &new).unwrap();
+        let writes = written.load(Ordering::Relaxed);
+        assert!(writes > 2 * 80, "the rewrite went through the ring");
 
-            let fs2 = PlainFs::mount(dev, AllocPolicy::FirstFit, 1).unwrap();
-            assert_eq!(
-                fs2.read_file("/keep").unwrap(),
-                keep,
-                "seed {seed}: unrelated file damaged by chunked-rewrite crash"
-            );
-            // The allocator still hands out usable space.
-            fs2.write_file("/after", &vec![5u8; 12 * 1024]).unwrap();
-            assert_eq!(fs2.read_file("/after").unwrap(), vec![5u8; 12 * 1024]);
-            fs2.delete("/after").unwrap();
-            let _ = fs2.unmount().unwrap();
+        let mut found_new = 0;
+        for trip in 0..=writes {
+            for seed in [trip, trip ^ 0x5eed] {
+                let dev = device();
+                let fs = mount(&dev);
+                dev.fail_after_writes(trip);
+                let _ = fs.write_file("/f", &new);
+                drop(fs);
+                dev.crash(seed);
+
+                let fs = mount(&dev);
+                let at = format!("trip {trip}, seed {seed}");
+                assert_eq!(fs.read_file("/keep").unwrap(), keep, "{at}: /keep");
+                let f = fs.read_file("/f").unwrap();
+                assert!(f == old || f == new, "{at}: /f is neither old nor new");
+                found_new += usize::from(f == new);
+                let owners = fs.plain_object_blocks().unwrap();
+                assert!(owners.values().all(|o| o.len() == 1), "{at}: two owners");
+                fs.write_file("/after", &[5u8; 12 * 1024]).unwrap();
+                assert_eq!(fs.read_file("/after").unwrap(), [5u8; 12 * 1024]);
+            }
         }
+        let runs = 2 * (writes as usize + 1);
+        assert!(
+            0 < found_new && found_new < runs,
+            "{found_new} of {runs} new"
+        );
     }
 
     #[test]
