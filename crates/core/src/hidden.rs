@@ -881,14 +881,15 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         let chain = self.cached_chain(obj)?;
         let first = (offset / bs) as usize;
         let last = ((end - 1) / bs) as usize;
-        let plain = self.read_span(chain, first, last, readahead_blocks)?;
+        let mut plain = self.read_span(chain, first, last, readahead_blocks)?;
         let from = (offset - first as u64 * bs) as usize;
         let to = (end - first as u64 * bs) as usize;
-        if from == 0 {
-            // Block-aligned: the span already starts with the caller's bytes.
-            return Ok(plain.into_vec(to, bs as usize));
+        if from > 0 {
+            // Cut the span to the range in place; the hand-out zeroes what
+            // is left past it.
+            plain.copy_within(from..to, 0);
         }
-        Ok(plain[from..to].to_vec())
+        Ok(plain.into_vec(to - from, bs as usize))
     }
 
     // ------------------------------------------------------------------
@@ -2369,7 +2370,17 @@ mod tests {
         write(&io, &mut obj, &data, &mut rng).unwrap();
 
         let outstanding = scratch::outstanding();
-        for (offset, len) in [(0, 2048), (1024, 5000), (100, 2000), (3000, 10)] {
+        // Aligned, unaligned inside a block, straddling blocks, and
+        // unaligned past EOF.
+        let ranges = [
+            (0, 2048),
+            (1024, 5000),
+            (100, 2000),
+            (3000, 10),
+            (1023, 2),
+            (2500, 5000),
+        ];
+        for (offset, len) in ranges {
             let (from, to) = (offset, (offset + len).min(data.len()));
             let got = io.read_range(&obj, offset as u64, len, 2).unwrap();
             assert_eq!(got, &data[from..to], "({offset}, {len})");
@@ -2377,7 +2388,7 @@ mod tests {
         }
         assert_eq!(io.read(&obj).unwrap(), data);
         assert_eq!(scratch::outstanding(), outstanding);
-        for offset in [0, 100] {
+        for offset in [0, 100, 1023] {
             cache.purge_decrypted();
             dev.script_failures(1);
             assert!(io.read_range(&obj, offset, 1024, 0).is_err());
@@ -2399,22 +2410,25 @@ mod tests {
         write(&big_io, &mut big, &vec![0x77; 1 << 20], &mut rng).unwrap();
 
         // The thread's most recent pooled buffer is a 1 MiB one, as the
-        // write leaves it: neither read path may hand it to the caller.
-        let reads: [&dyn Fn() -> Vec<u8>; 2] = [&|| io.read(&small).unwrap(), &|| {
-            io.read_range(&small, 0, 100, 0).unwrap()
-        }];
-        for read in reads {
+        // write leaves it: no read path may hand it to the caller, whether
+        // the read starts on a block boundary or inside a block.
+        let reads: [(&dyn Fn() -> Vec<u8>, usize); 3] = [
+            (&|| io.read(&small).unwrap(), 100),
+            (&|| io.read_range(&small, 0, 100, 0).unwrap(), 100),
+            (&|| io.read_range(&small, 10, 80, 0).unwrap(), 80),
+        ];
+        for (read, len) in reads {
             drop(Scratch::take(1 << 20));
             let got = read();
-            assert_eq!(got, [0x42; 100]);
-            assert!(got.capacity() <= 100 + bs, "capacity {}", got.capacity());
+            assert_eq!(got, vec![0x42; len]);
+            assert!(got.capacity() <= len + bs, "capacity {}", got.capacity());
         }
         // With a pool that has nothing to offer, the read's own one-block
         // buffer is what the caller gets — handed over, not copied.
         let hoard: Vec<Scratch> = (0..16).map(|_| Scratch::take(0)).collect();
-        for read in reads {
+        for (read, len) in reads {
             let got = read();
-            assert_eq!(got, [0x42; 100]);
+            assert_eq!(got, vec![0x42; len]);
             assert_eq!(got.capacity(), bs);
         }
         drop(hoard);
