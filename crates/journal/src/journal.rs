@@ -209,8 +209,8 @@ impl Tx {
     }
 
     /// Split off the writes staged from position `at` on into a
-    /// transaction of their own; both keep staging order.  A caller whose
-    /// update is larger than the ring cuts it into ring-sized pieces so.
+    /// transaction of their own; both keep staging order.  This is how an
+    /// update larger than the ring is cut into ring-sized pieces.
     ///
     /// # Panics
     /// Panics if `at > self.len()`.
