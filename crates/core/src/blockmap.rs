@@ -419,7 +419,9 @@ mod tests {
     fn populated() -> StegFs<ObservedDevice<MemBlockDevice>> {
         let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
         let fs = StegFs::format(dev, full_feature()).unwrap();
-        fs.write_plain("/cover.txt", &[3u8; 9000]).unwrap();
+        fs.plain_fs()
+            .write_file("/cover.txt", &[3u8; 9000])
+            .unwrap();
         for (uak, name, len) in [(OWNER, "a", 20_000), (OTHER, "b", 7_000)] {
             fs.steg_create(name, uak, ObjectKind::File).unwrap();
             fs.write_hidden_with_key(name, uak, &vec![1u8; len])
@@ -562,7 +564,8 @@ mod tests {
                 .rev()
                 .step_by(free.div_ceil(16).max(1))
                 .find(|&len| {
-                    fs.write_plain(&format!("/fill-{n}"), &vec![7; len * 1024])
+                    fs.plain_fs()
+                        .write_file(&format!("/fill-{n}"), &vec![7; len * 1024])
                         .is_ok()
                 });
             if fits.is_none() {
@@ -585,7 +588,7 @@ mod tests {
             ..full_feature()
         };
         let fs = StegFs::format(MemBlockDevice::new(1024, 2048), params).unwrap();
-        fs.write_plain("/a", &[1u8; 8000]).unwrap();
+        fs.plain_fs().write_file("/a", &[1u8; 8000]).unwrap();
         let a = fs.plain_fs().resolve_file("/a").unwrap();
         let owned = fs.plain_fs().plain_object_blocks().unwrap();
         let victim = *owned.iter().find(|(_, ids)| **ids == [a]).unwrap().0;
@@ -605,7 +608,8 @@ mod tests {
                 .rev()
                 .step_by(free.div_ceil(16).max(1))
                 .find(|&len| {
-                    fs.write_plain(&format!("/fill-{n}"), &vec![7; len * 1024])
+                    fs.plain_fs()
+                        .write_file(&format!("/fill-{n}"), &vec![7; len * 1024])
                         .is_ok()
                 });
             if fits.is_none() {

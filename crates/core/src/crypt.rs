@@ -33,7 +33,7 @@
 //! hashing (two compressions per iteration on HMAC midstates) — against the
 //! few microseconds everything else here takes.  The paper's `steg_connect`
 //! resolves an object's `(physical name, FAK)` once per session, and so does
-//! the reproduction: [`ObjectKeys::derive`] has exactly one production
+//! the reproduction (a VFS session's connect or first open): [`ObjectKeys::derive`] has exactly one production
 //! caller, the miss path of the session-scoped key cache
 //! ([`crate::readcache::ReadCache::keys_for`], reached through
 //! `StegFs::keys_for`).  Every other layer holds the resulting

@@ -20,8 +20,6 @@ pub enum StegError {
     NotFound(String),
     /// An object with this name already exists in the target UAK directory.
     AlreadyExists(String),
-    /// The object is not connected to the current session.
-    NotConnected(String),
     /// The volume has no free space for the requested operation.
     NoSpace,
     /// A parameter is outside its allowed range (see [`crate::StegParams`]).
@@ -51,9 +49,6 @@ impl std::fmt::Display for StegError {
                 write!(f, "hidden object not found (or wrong access key): {name}")
             }
             StegError::AlreadyExists(name) => write!(f, "hidden object already exists: {name}"),
-            StegError::NotConnected(name) => {
-                write!(f, "hidden object is not connected to this session: {name}")
-            }
             StegError::NoSpace => write!(f, "no space left on volume"),
             StegError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             StegError::InvalidName(name) => write!(f, "invalid object name: {name}"),
@@ -111,9 +106,6 @@ mod tests {
         assert!(StegError::AlreadyExists("x".into())
             .to_string()
             .contains("already exists"));
-        assert!(StegError::NotConnected("x".into())
-            .to_string()
-            .contains("not connected"));
         assert!(StegError::NoSpace.to_string().contains("no space"));
         assert!(StegError::InvalidParameter("p".into())
             .to_string()

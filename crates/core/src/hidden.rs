@@ -981,13 +981,14 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         if data.is_empty() {
             return Ok(());
         }
-        let end = offset + data.len() as u64;
-        if end > obj.header.size {
-            return Err(StegError::Fs(FsError::FileTooLarge {
-                requested: end,
-                maximum: obj.header.size,
-            }));
-        }
+        let size = obj.header.size;
+        offset
+            .checked_add(data.len() as u64)
+            .filter(|&end| end <= size)
+            .ok_or(StegError::Fs(FsError::FileTooLarge {
+                requested: offset.saturating_add(data.len() as u64),
+                maximum: size,
+            }))?;
         let patched = self.cached_chain(obj).and_then(|(token, extents)| {
             let mut txn = self.fs.begin_txn();
             let (published, extents, keys) =
@@ -1065,7 +1066,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         data: &[u8],
         rng: &mut DeterministicRng,
     ) -> StegResult<()> {
-        let end = offset + data.len() as u64;
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(StegError::NoSpace)?;
         if end <= obj.header.size {
             return self.write_range(obj, offset, data);
         }

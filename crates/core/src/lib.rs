@@ -48,7 +48,7 @@
 //! let fs = StegFs::format(dev, StegParams::for_tests()).unwrap();
 //!
 //! // A plain file, visible to everyone.
-//! fs.write_plain("/readme.txt", b"nothing to see here").unwrap();
+//! fs.plain_fs().write_file("/readme.txt", b"nothing to see here").unwrap();
 //!
 //! // A hidden file, invisible without the user access key.
 //! fs.steg_create("budget-2026", "correct horse battery staple", ObjectKind::File).unwrap();
@@ -76,7 +76,6 @@ pub mod locator;
 pub mod params;
 pub mod readcache;
 mod scratch;
-pub mod session;
 pub mod sharing;
 pub mod stegfs;
 

@@ -20,8 +20,8 @@
 //!
 //! * **Derived key sets** — the [`ObjectKeys`] of a `(physical name, FAK)`
 //!   pair, keyed by a digest of the pair ([`ReadCache::keys_for`]).  The
-//!   paper's `steg_connect` resolves an object's keys once per session; a
-//!   hit skips the 1 000-iteration PBKDF2 (≈ 0.6 ms) that every other step
+//!   paper's `steg_connect` resolves an object's keys once per session, and
+//!   so does a VFS session's first open of it; a hit skips the 1 000-iteration PBKDF2 (≈ 0.6 ms) that every other step
 //!   of an `open` is small next to.  Bounded at [`KEY_CACHE_ENTRIES`]
 //!   entries (under 1 MiB).
 //! * **Per-object header + extent maps** — the decrypted
@@ -95,8 +95,9 @@
 //!   keys, plus every entry whose owner was never established, is removed
 //!   and zeroed, so no decrypted byte — and no key schedule — outlives the
 //!   session that could legitimately use it.  Entries other live sessions
-//!   resolved through their own keys stay warm.  `disconnect_all` and
-//!   unmount still purge *everything* ([`ReadCache::purge`]);
+//!   resolved through their own keys stay warm.  The volume-wide logoff
+//!   (`StegFs::disconnect_all`) and unmount still purge *everything*
+//!   ([`ReadCache::purge`]);
 //!   [`ReadCache::purge_decrypted`] is the narrower "make every read cold"
 //!   hook that leaves key sets connected.  Purged, invalidated and
 //!   patched plaintext buffers are zeroed before they are freed
@@ -1061,7 +1062,8 @@ impl ReadCache {
             .record(start.elapsed().as_nanos() as u64);
     }
 
-    /// Drop and zero **everything** — the `disconnect_all`/unmount hook.
+    /// Drop and zero **everything** — the `StegFs::disconnect_all` (logoff)
+    /// and unmount hook.
     /// After this returns, [`CacheStats::resident_blocks`],
     /// [`CacheStats::resident_bytes`] and [`CacheStats::resident_keys`] are
     /// zero and no decrypted byte or key set from before the purge is

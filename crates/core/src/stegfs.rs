@@ -1,16 +1,17 @@
 //! The [`StegFs`] facade: the user-facing steganographic file system.
 //!
 //! `StegFs` combines the plain file system (central directory, bitmap), the
-//! hidden-object engine, the UAK/FAK key hierarchy, sessions, sharing and
-//! backup into the API of Section 4 of the paper.  Plain files behave exactly
-//! as on the underlying [`PlainFs`]; hidden objects are reachable only with
-//! the right keys.
+//! hidden-object engine, the UAK/FAK key hierarchy, sharing and backup into
+//! the API of Section 4 of the paper.  Plain files live on the underlying
+//! [`PlainFs`] ([`StegFs::plain_fs`]); hidden objects are reachable only
+//! with the right keys.  Connecting objects to a user's session is the
+//! `stegfs-vfs` front-end's job.
 //!
 //! # One hidden namespace
 //!
 //! A user's UAK directory and every hidden directory hold the same
-//! (name, physical name, FAK) listing, which `steg_connect` walks as one
-//! tree.  So the namespace operations are written once, over a [`Parent`]:
+//! (name, physical name, FAK) listing, which a connect walks as one tree.
+//! So the namespace operations are written once, over a [`Parent`]:
 //! [`StegFs::create`], [`StegFs::rename`], [`StegFs::remove`] and
 //! [`StegFs::list`].  Only `Parent` and the two listing helpers beside it
 //! know how the levels differ: which guard covers the listing, how it
@@ -34,8 +35,8 @@
 //!   its physical name), so a rewrite that relocates blocks through the free
 //!   pool cannot interleave with another rewrite of the same object; a
 //!   hidden directory's shard also guards its listing;
-//! * the session table, the FAK generator and the RNG have their own tiny
-//!   locks and are never held across I/O;
+//! * the FAK generator and the RNG have their own tiny locks and are never
+//!   held across I/O;
 //! * the read cache's locks (shards, scope table, derived-key map) sit below
 //!   everything here and are never held across I/O or a key derivation.
 //!
@@ -50,11 +51,11 @@
 //! so the guard is held for a cached listing read, not for hashing.
 //!
 //! The handle-based operations ([`StegFs::read_range_at`],
-//! [`StegFs::write_range_at`], [`StegFs::write_at_handle`],
-//! [`StegFs::truncate_handle`]) deliberately take no object shard: a
-//! [`HiddenHandle`] caches the object's block map, so the *caller* owns
-//! serialisation per handle target.  The `stegfs-vfs` front-end does exactly
-//! that with one lock per open object; single-threaded users need nothing.
+//! [`StegFs::write_at_handle`], [`StegFs::truncate_handle`]) deliberately
+//! take no object shard: a [`HiddenHandle`] caches the object's block map,
+//! so the *caller* owns serialisation per handle target.  The `stegfs-vfs`
+//! front-end does exactly that with one lock per open object;
+//! single-threaded users need nothing.
 
 use crate::backup::{BackupImage, PlainEntry};
 use crate::blockmap::{BlockMap, Class};
@@ -66,7 +67,6 @@ use crate::hidden::{HiddenObject, ObjectIo, RepairOutcome};
 use crate::keys::{DirectoryEntry, UakDirectory, FAK_LEN, UAK_DIRECTORY_NAME};
 use crate::params::StegParams;
 use crate::readcache::{CacheStats, ReadCache};
-use crate::session::{ConnectedObject, Session};
 use crate::sharing::ShareEnvelope;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -293,7 +293,6 @@ struct Listing<'s> {
 pub struct StegFs<D: BlockDevice> {
     fs: PlainFs<D>,
     params: StegParams,
-    session: Mutex<Session>,
     rng: Mutex<DeterministicRng>,
     fak_counter: AtomicU64,
     config: VolumeConfig,
@@ -323,7 +322,6 @@ impl<D: BlockDevice> StegFs<D> {
         StegFs {
             fs,
             rng: Mutex::new(DeterministicRng::new(&params.volume_seed.to_be_bytes())),
-            session: Mutex::new(Session::new()),
             fak_counter: AtomicU64::new(0),
             config,
             read_cache,
@@ -407,7 +405,6 @@ impl<D: BlockDevice> StegFs<D> {
     /// read cache, so an [`Arc<Obs>`] kept past unmount holds no request
     /// tree; its counters and histograms stay readable.
     pub fn unmount(self) -> StegResult<D> {
-        self.session.lock().disconnect_all();
         self.read_cache.purge();
         self.obs.slow.zeroize();
         self.obs.capture.zeroize();
@@ -438,6 +435,13 @@ impl<D: BlockDevice> StegFs<D> {
     /// every sign-off.
     pub fn purge_session_caches(&self, uak: &str) {
         self.read_cache.purge_scope(Self::session_scope(uak));
+    }
+
+    /// The paper's logoff, for the whole volume: no one is left who may
+    /// read cached plaintext, so every read cache — derived key sets
+    /// included — is purged and zeroed.
+    pub fn disconnect_all(&self) {
+        self.read_cache.purge();
     }
 
     /// The volume's observability registry: RAM-only histograms, counters
@@ -668,46 +672,6 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     // ------------------------------------------------------------------
-    // Plain-file operations (pass-through to the central directory)
-    // ------------------------------------------------------------------
-
-    /// Write a plain (visible) file.
-    pub fn write_plain(&self, path: &str, data: &[u8]) -> StegResult<()> {
-        Ok(self.fs.write_file(path, data)?)
-    }
-
-    /// Read a plain file.
-    pub fn read_plain(&self, path: &str) -> StegResult<Vec<u8>> {
-        Ok(self.fs.read_file(path)?)
-    }
-
-    /// Create a plain directory.
-    pub fn create_plain_dir(&self, path: &str) -> StegResult<()> {
-        self.fs.create_dir(path)?;
-        Ok(())
-    }
-
-    /// Delete a plain file or empty directory.
-    pub fn delete_plain(&self, path: &str) -> StegResult<()> {
-        Ok(self.fs.delete(path)?)
-    }
-
-    /// List a plain directory (hidden objects never appear here).
-    pub fn list_plain_dir(&self, path: &str) -> StegResult<Vec<String>> {
-        Ok(self
-            .fs
-            .list_dir(path)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
-    }
-
-    /// True if a plain object exists at `path`.
-    pub fn plain_exists(&self, path: &str) -> StegResult<bool> {
-        Ok(self.fs.exists(path)?)
-    }
-
-    // ------------------------------------------------------------------
     // The hidden namespace: one listing shape at every level
     // ------------------------------------------------------------------
 
@@ -867,8 +831,9 @@ impl<D: BlockDevice> StegFs<D> {
     /// Rename the child `old` of `parent` to `new`.  Only the listing entry
     /// changes: the physical name, FAK and every block of the object stay
     /// put, so open handles and outstanding shares of the
-    /// `(physical name, FAK)` pair keep working.
-    pub fn rename(&self, parent: Parent<'_>, old: &str, new: &str) -> StegResult<()> {
+    /// `(physical name, FAK)` pair keep working.  Returns the entry as
+    /// renamed, as [`Self::remove`] returns the one it removed.
+    pub fn rename(&self, parent: Parent<'_>, old: &str, new: &str) -> StegResult<DirectoryEntry> {
         check_child_name(new)?;
         self.update_listing(self.fs.begin_txn(), parent, |txn, listing| {
             if listing.find(new).is_some() {
@@ -883,10 +848,9 @@ impl<D: BlockDevice> StegFs<D> {
             // invalidates.
             let keys = self.keys_for(&entry.physical_name, &entry.fak);
             self.forget_object(txn, &entry, &keys);
-            listing.insert(entry)
-        })?;
-        self.session.lock().disconnect(old);
-        Ok(())
+            listing.insert(entry.clone())?;
+            Ok(entry)
+        })
     }
 
     /// Remove the child `name` of `parent` and destroy its object, in one
@@ -925,7 +889,6 @@ impl<D: BlockDevice> StegFs<D> {
         self.destroy_entry(&mut txn, &child)?;
         listing.entries.remove(name);
         self.commit_listing(txn, parent, listing)?;
-        self.session.lock().disconnect(name);
         Ok(child)
     }
 
@@ -1081,7 +1044,10 @@ impl<D: BlockDevice> StegFs<D> {
     // Hidden-object API (paper §4)
     // ------------------------------------------------------------------
 
-    fn entry_for(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
+    /// Resolve `objname` under `uak` to its directory entry (the UAK
+    /// listing's walk).  Layers above (the VFS front-end) cache the entry
+    /// per user session so repeated opens skip the walk.
+    pub fn lookup_entry(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
         let entry = self.list(Parent::Uak(uak))?.find(objname).cloned();
         let entry = entry.ok_or_else(|| StegError::NotFound(objname.to_string()))?;
         // The object is about to be opened through this session's keys:
@@ -1142,7 +1108,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// corruption experiments use this map to destroy a chosen number of
     /// shares per group.
     pub fn hidden_share_extents(&self, objname: &str, uak: &str) -> StegResult<Vec<Vec<u64>>> {
-        let entry = self.entry_for(objname, uak)?;
+        let entry = self.lookup_entry(objname, uak)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let io = self.object_io(&keys);
@@ -1152,11 +1118,14 @@ impl<D: BlockDevice> StegFs<D> {
     /// Write the full contents of the hidden file `objname` (registered under
     /// `uak`).
     pub fn write_hidden_with_key(&self, objname: &str, uak: &str, data: &[u8]) -> StegResult<()> {
-        let entry = self.entry_for(objname, uak)?;
+        let entry = self.lookup_entry(objname, uak)?;
         self.write_hidden_entry(&entry, data)
     }
 
-    fn write_hidden_entry(&self, entry: &DirectoryEntry, data: &[u8]) -> StegResult<()> {
+    /// Replace the full contents of the hidden file `entry` names (a UAK
+    /// listing's entry or a hidden directory's child alike), in one
+    /// transaction.
+    pub fn write_hidden_entry(&self, entry: &DirectoryEntry, data: &[u8]) -> StegResult<()> {
         require_kind(&entry.name, entry.kind, ObjectKind::File)?;
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let mut txn = self.fs.begin_txn();
@@ -1171,40 +1140,8 @@ impl<D: BlockDevice> StegFs<D> {
     /// Read the full contents of the hidden file `objname` (registered under
     /// `uak`).
     pub fn read_hidden_with_key(&self, objname: &str, uak: &str) -> StegResult<Vec<u8>> {
-        let entry = self.entry_for(objname, uak)?;
+        let entry = self.lookup_entry(objname, uak)?;
         self.read_hidden_entry(&entry)
-    }
-
-    /// Read `len` bytes of the hidden file `objname` starting at `offset`.
-    pub fn read_hidden_range_with_key(
-        &self,
-        objname: &str,
-        uak: &str,
-        offset: u64,
-        len: usize,
-    ) -> StegResult<Vec<u8>> {
-        let entry = self.entry_for(objname, uak)?;
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let io = self.io(&keys);
-        io.read_range(&io.open(&entry.physical_name)?, offset, len, 0)
-    }
-
-    /// Overwrite part of the hidden file `objname` in place (the range must
-    /// already exist).
-    pub fn write_hidden_range_with_key(
-        &self,
-        objname: &str,
-        uak: &str,
-        offset: u64,
-        data: &[u8],
-    ) -> StegResult<()> {
-        let entry = self.entry_for(objname, uak)?;
-        let keys = self.keys_for(&entry.physical_name, &entry.fak);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let io = self.io(&keys);
-        let mut object = io.open(&entry.physical_name)?;
-        io.write_range(&mut object, offset, data)
     }
 
     /// Open a hidden file once and keep a handle for repeated positional
@@ -1212,7 +1149,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// `steg_connect` in the kernel driver, so that every `read()` does not
     /// pay the locator walk again.
     pub fn open_hidden(&self, objname: &str, uak: &str) -> StegResult<HiddenHandle> {
-        let entry = self.entry_for(objname, uak)?;
+        let entry = self.lookup_entry(objname, uak)?;
         self.open_hidden_entry(&entry)
     }
 
@@ -1249,27 +1186,6 @@ impl<D: BlockDevice> StegFs<D> {
             .read_range(&handle.object, offset, len, readahead_blocks)
     }
 
-    /// Overwrite bytes at `offset` through an open handle (in place; the
-    /// range must lie within the current size).  Takes `&mut` because a
-    /// coded patch under replicated metadata refreshes the handle's cached
-    /// header (its chain checksum changes with the patched nodes).
-    pub fn write_range_at(
-        &self,
-        handle: &mut HiddenHandle,
-        offset: u64,
-        data: &[u8],
-    ) -> StegResult<()> {
-        self.io(&handle.keys)
-            .write_range(&mut handle.object, offset, data)
-    }
-
-    /// Public form of the UAK-directory lookup: resolve `objname` under
-    /// `uak` to its directory entry.  Layers above (the VFS front-end) cache
-    /// the entry per user session so repeated opens skip the directory walk.
-    pub fn lookup_entry(&self, objname: &str, uak: &str) -> StegResult<DirectoryEntry> {
-        self.entry_for(objname, uak)
-    }
-
     /// Open a hidden object directly from a (possibly cached) directory
     /// entry, skipping the UAK-directory walk that [`Self::open_hidden`]
     /// performs.
@@ -1287,12 +1203,13 @@ impl<D: BlockDevice> StegFs<D> {
     /// Write `data` at `offset` through an open handle, extending the object
     /// (and zero-filling any gap) when the range passes the current end.
     ///
-    /// In-bounds updates patch blocks in place; extending grows the object
-    /// and patches the range in one transaction ([`ObjectIo::write_at`]),
-    /// so a crash leaves the old size and bytes or the new ones, and the
-    /// handle's cached header is refreshed — which is why this takes
-    /// `&mut HiddenHandle` where the in-place [`Self::write_range_at`] does
-    /// not.
+    /// In-bounds updates patch blocks in place ([`ObjectIo::write_range`]);
+    /// extending grows the object and patches the range in one transaction
+    /// ([`ObjectIo::write_at`]), so a crash leaves the old size and bytes or
+    /// the new ones.  Either way the handle's cached header is refreshed
+    /// (a coded patch under replicated metadata changes its chain check),
+    /// which is why this takes `&mut HiddenHandle`.  Only a growth forks
+    /// the volume RNG.
     pub fn write_at_handle(
         &self,
         handle: &mut HiddenHandle,
@@ -1300,21 +1217,14 @@ impl<D: BlockDevice> StegFs<D> {
         data: &[u8],
     ) -> StegResult<()> {
         require_kind(&handle.name, handle.object.kind(), ObjectKind::File)?;
-        if data.is_empty() {
-            return Ok(());
-        }
-        let end = offset
-            .checked_add(data.len() as u64)
-            .ok_or(StegError::NoSpace)?;
         let io = self.io(&handle.keys);
-        if end > handle.object.size() {
-            // Grow to `end` by whole groups (zero-filling any gap) and patch
-            // the part that lands in the groups the object has, in one
-            // transaction — O(append), not O(file), under every policy.
-            let mut rng = self.fork_rng();
-            return io.write_at(&mut handle.object, offset, data, &mut rng);
+        if data.len() as u64 <= handle.object.size().saturating_sub(offset) {
+            return io.write_range(&mut handle.object, offset, data);
         }
-        io.write_range(&mut handle.object, offset, data)
+        // Grow to the range's end by whole groups (zero-filling any gap)
+        // and patch the part that lands in the groups the object has, in
+        // one transaction — O(append), not O(file), under every policy.
+        io.write_at(&mut handle.object, offset, data, &mut self.fork_rng())
     }
 
     /// Set the size of the object behind `handle` to `new_len`, truncating or
@@ -1329,7 +1239,9 @@ impl<D: BlockDevice> StegFs<D> {
             .resize(&mut handle.object, new_len, &mut rng)
     }
 
-    fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
+    /// Read the full contents of the hidden file `entry` names: a UAK
+    /// listing's entry or a hidden directory's child alike.
+    pub fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
         let keys = self.keys_for(&entry.physical_name, &entry.fak);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let io = self.io(&keys);
@@ -1363,72 +1275,6 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     // ------------------------------------------------------------------
-    // Sessions (steg_connect / steg_disconnect)
-    // ------------------------------------------------------------------
-
-    /// `steg_connect`: make `objname` (and, for directories, its offspring)
-    /// visible in the current session, so subsequent reads and writes do not
-    /// need the UAK again.
-    pub fn steg_connect(&self, objname: &str, uak: &str) -> StegResult<()> {
-        let entry = self.entry_for(objname, uak)?;
-        self.connect_entry(&entry)
-    }
-
-    fn connect_entry(&self, entry: &DirectoryEntry) -> StegResult<()> {
-        self.session.lock().connect(ConnectedObject::from(entry));
-        if entry.kind == ObjectKind::Directory {
-            for child in &self.list(Parent::Dir(entry))?.entries {
-                self.connect_entry(child)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// `steg_disconnect`: remove `objname` from the session.  Returns true if
-    /// it was connected.
-    pub fn steg_disconnect(&self, objname: &str) -> bool {
-        self.session.lock().disconnect(objname)
-    }
-
-    /// Disconnect every object (the paper does this automatically at
-    /// logoff).  Logoff also means no one is left who may read cached
-    /// plaintext, so the read caches are purged and zeroed.
-    pub fn disconnect_all(&self) {
-        self.session.lock().disconnect_all();
-        self.read_cache.purge();
-    }
-
-    /// Names of all currently connected hidden objects.
-    pub fn connected_objects(&self) -> Vec<String> {
-        self.session.lock().connected_names()
-    }
-
-    /// Read a connected hidden file by name.
-    pub fn read_hidden(&self, objname: &str) -> StegResult<Vec<u8>> {
-        let entry = self.connected_entry(objname)?;
-        self.read_hidden_entry(&entry)
-    }
-
-    /// Write a connected hidden file by name.
-    pub fn write_hidden(&self, objname: &str, data: &[u8]) -> StegResult<()> {
-        let entry = self.connected_entry(objname)?;
-        self.write_hidden_entry(&entry, data)
-    }
-
-    fn connected_entry(&self, objname: &str) -> StegResult<DirectoryEntry> {
-        let session = self.session.lock();
-        let c = session
-            .get(objname)
-            .ok_or_else(|| StegError::NotConnected(objname.to_string()))?;
-        Ok(DirectoryEntry {
-            name: c.name.clone(),
-            physical_name: c.physical_name.clone(),
-            fak: c.fak,
-            kind: c.kind,
-        })
-    }
-
-    // ------------------------------------------------------------------
     // Sharing (steg_getentry / steg_addentry) and revocation
     // ------------------------------------------------------------------
 
@@ -1440,7 +1286,7 @@ impl<D: BlockDevice> StegFs<D> {
         uak: &str,
         recipient: &RsaPublicKey,
     ) -> StegResult<ShareEnvelope> {
-        let entry = self.entry_for(objname, uak)?;
+        let entry = self.lookup_entry(objname, uak)?;
         let entropy = self.rng.lock().bytes(32);
         ShareEnvelope::seal(&entry, recipient, &entropy)
     }
@@ -1684,22 +1530,34 @@ mod tests {
         assert!(report.hidden_blocks > 0, "dummy files occupy hidden blocks");
         assert!(report.free_blocks > 0);
         // The config file is a plain file.
-        assert!(fs.plain_exists(CONFIG_PATH).unwrap());
+        assert!(fs.plain_fs().exists(CONFIG_PATH).unwrap());
     }
 
     #[test]
     fn plain_files_work_alongside_hidden_objects() {
         let fs = small_fs();
-        fs.write_plain("/notes.txt", b"shopping list").unwrap();
-        fs.create_plain_dir("/docs").unwrap();
-        fs.write_plain("/docs/report.txt", b"quarterly report")
+        fs.plain_fs()
+            .write_file("/notes.txt", b"shopping list")
             .unwrap();
-        assert_eq!(fs.read_plain("/notes.txt").unwrap(), b"shopping list");
-        let names = fs.list_plain_dir("/").unwrap();
+        fs.plain_fs().create_dir("/docs").unwrap();
+        fs.plain_fs()
+            .write_file("/docs/report.txt", b"quarterly report")
+            .unwrap();
+        assert_eq!(
+            fs.plain_fs().read_file("/notes.txt").unwrap(),
+            b"shopping list"
+        );
+        let names: Vec<String> = fs
+            .plain_fs()
+            .list_dir("/")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
         assert!(names.contains(&"notes.txt".to_string()));
         assert!(names.contains(&"docs".to_string()));
-        fs.delete_plain("/notes.txt").unwrap();
-        assert!(!fs.plain_exists("/notes.txt").unwrap());
+        fs.plain_fs().delete("/notes.txt").unwrap();
+        assert!(!fs.plain_fs().exists("/notes.txt").unwrap());
     }
 
     #[test]
@@ -1751,11 +1609,17 @@ mod tests {
     #[test]
     fn hidden_objects_invisible_in_plain_listings() {
         let fs = small_fs();
-        fs.write_plain("/visible.txt", b"plain").unwrap();
+        fs.plain_fs().write_file("/visible.txt", b"plain").unwrap();
         fs.steg_create("invisible", UAK, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("invisible", UAK, b"hidden data")
             .unwrap();
-        let listing = fs.list_plain_dir("/").unwrap();
+        let listing: Vec<String> = fs
+            .plain_fs()
+            .list_dir("/")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
         assert!(listing.iter().any(|n| n == "visible.txt"));
         assert!(
             !listing.iter().any(|n| n.contains("invisible")),
@@ -1766,10 +1630,12 @@ mod tests {
     #[test]
     fn steg_hide_and_unhide_roundtrip() {
         let fs = small_fs();
-        fs.write_plain("/diary.txt", b"dear diary").unwrap();
+        fs.plain_fs()
+            .write_file("/diary.txt", b"dear diary")
+            .unwrap();
         fs.steg_hide("/diary.txt", "diary", UAK).unwrap();
         assert!(
-            !fs.plain_exists("/diary.txt").unwrap(),
+            !fs.plain_fs().exists("/diary.txt").unwrap(),
             "plain source deleted"
         );
         assert_eq!(
@@ -1778,7 +1644,10 @@ mod tests {
         );
 
         fs.steg_unhide("/diary-restored.txt", "diary", UAK).unwrap();
-        assert_eq!(fs.read_plain("/diary-restored.txt").unwrap(), b"dear diary");
+        assert_eq!(
+            fs.plain_fs().read_file("/diary-restored.txt").unwrap(),
+            b"dear diary"
+        );
         assert!(fs
             .read_hidden_with_key("diary", UAK)
             .unwrap_err()
@@ -1786,47 +1655,26 @@ mod tests {
     }
 
     #[test]
-    fn connect_read_write_disconnect() {
-        let fs = small_fs();
-        fs.steg_create("plans", UAK, ObjectKind::File).unwrap();
-        fs.write_hidden_with_key("plans", UAK, b"v1").unwrap();
-
-        fs.steg_connect("plans", UAK).unwrap();
-        assert_eq!(fs.connected_objects(), vec!["plans".to_string()]);
-        assert_eq!(fs.read_hidden("plans").unwrap(), b"v1");
-        fs.write_hidden("plans", b"v2 updated through the session")
-            .unwrap();
-        assert_eq!(
-            fs.read_hidden_with_key("plans", UAK).unwrap(),
-            b"v2 updated through the session"
-        );
-
-        assert!(fs.steg_disconnect("plans"));
-        assert!(!fs.steg_disconnect("plans"));
-        assert!(matches!(
-            fs.read_hidden("plans"),
-            Err(StegError::NotConnected(_))
-        ));
-    }
-
-    #[test]
-    fn connecting_directory_reveals_children() {
+    fn a_childs_entry_reads_and_writes_its_whole_contents() {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
         let vault = fs.lookup_entry("vault", UAK).unwrap();
         fs.create(Parent::Dir(&vault), "passwords", ObjectKind::File)
             .unwrap();
-        fs.create(Parent::Dir(&vault), "keys", ObjectKind::File)
-            .unwrap();
-        assert_eq!(fs.list(Parent::Dir(&vault)).unwrap().entries.len(), 2);
-
-        fs.steg_connect("vault", UAK).unwrap();
-        let mut connected = fs.connected_objects();
-        connected.sort();
-        assert_eq!(connected, vec!["keys", "passwords", "vault"]);
-        // Children are readable through the session.
-        fs.write_hidden("passwords", b"hunter2").unwrap();
-        assert_eq!(fs.read_hidden("passwords").unwrap(), b"hunter2");
+        let child = fs.list(Parent::Dir(&vault)).unwrap().entries[0].clone();
+        fs.write_hidden_entry(&child, b"hunter2").unwrap();
+        assert_eq!(fs.read_hidden_entry(&child).unwrap(), b"hunter2");
+        fs.write_hidden_entry(&child, b"v2").unwrap();
+        assert_eq!(fs.read_hidden_entry(&child).unwrap(), b"v2");
+        // A child is no top-level object, and a directory takes no bytes.
+        assert!(fs
+            .read_hidden_with_key("passwords", UAK)
+            .unwrap_err()
+            .is_not_found());
+        assert!(matches!(
+            fs.write_hidden_entry(&vault, b"x"),
+            Err(StegError::WrongObjectKind { .. })
+        ));
     }
 
     #[test]
@@ -2111,14 +1959,14 @@ mod tests {
     #[test]
     fn survives_unmount_and_remount() {
         let fs = small_fs();
-        fs.write_plain("/p.txt", b"plain").unwrap();
+        fs.plain_fs().write_file("/p.txt", b"plain").unwrap();
         fs.steg_create("h", UAK, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("h", UAK, b"hidden across remount")
             .unwrap();
         let dev = fs.unmount().unwrap();
 
         let fs = StegFs::mount(dev, StegParams::for_tests()).unwrap();
-        assert_eq!(fs.read_plain("/p.txt").unwrap(), b"plain");
+        assert_eq!(fs.plain_fs().read_file("/p.txt").unwrap(), b"plain");
         assert_eq!(
             fs.read_hidden_with_key("h", UAK).unwrap(),
             b"hidden across remount"
@@ -2128,9 +1976,13 @@ mod tests {
     #[test]
     fn backup_and_recovery_preserve_hidden_and_plain_data() {
         let fs = small_fs();
-        fs.write_plain("/plain.txt", b"plain data").unwrap();
-        fs.create_plain_dir("/dir").unwrap();
-        fs.write_plain("/dir/nested.txt", b"nested").unwrap();
+        fs.plain_fs()
+            .write_file("/plain.txt", b"plain data")
+            .unwrap();
+        fs.plain_fs().create_dir("/dir").unwrap();
+        fs.plain_fs()
+            .write_file("/dir/nested.txt", b"nested")
+            .unwrap();
         fs.steg_create("secret", UAK, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("secret", UAK, b"hidden survives backup")
             .unwrap();
@@ -2141,8 +1993,14 @@ mod tests {
         let fresh = MemBlockDevice::new(1024, 8192);
         let recovered =
             StegFs::steg_recovery(fresh, &image, b"admin key", StegParams::for_tests()).unwrap();
-        assert_eq!(recovered.read_plain("/plain.txt").unwrap(), b"plain data");
-        assert_eq!(recovered.read_plain("/dir/nested.txt").unwrap(), b"nested");
+        assert_eq!(
+            recovered.plain_fs().read_file("/plain.txt").unwrap(),
+            b"plain data"
+        );
+        assert_eq!(
+            recovered.plain_fs().read_file("/dir/nested.txt").unwrap(),
+            b"nested"
+        );
         assert_eq!(
             recovered.read_hidden_with_key("secret", UAK).unwrap(),
             b"hidden survives backup"
@@ -2270,7 +2128,7 @@ mod tests {
                 if created.is_ok() {
                     fs.remove(parent, name).unwrap();
                 }
-                let renamed = fs.rename(parent, "kid", name);
+                let renamed = fs.rename(parent, "kid", name).map(drop);
                 assert_eq!(invalid(&renamed), refused, "{parent:?}: {name:?}");
                 if renamed.is_ok() {
                     fs.rename(parent, name, "kid").unwrap();
@@ -2298,8 +2156,16 @@ mod tests {
                 &["a"],
             ),
             (|fs, p| fs.create(p, "b", File), "ok", &["a", "b"]),
-            (|fs, p| fs.rename(p, "a", "b"), "AlreadyExists", &["a", "b"]),
-            (|fs, p| fs.rename(p, "ghost", "x"), "NotFound", &["a", "b"]),
+            (
+                |fs, p| fs.rename(p, "a", "b").map(drop),
+                "AlreadyExists",
+                &["a", "b"],
+            ),
+            (
+                |fs, p| fs.rename(p, "ghost", "x").map(drop),
+                "NotFound",
+                &["a", "b"],
+            ),
             (
                 |fs, p| fs.remove(p, "ghost").map(drop),
                 "NotFound",
@@ -2340,11 +2206,15 @@ mod tests {
                 &["a", "b", "d"],
             ),
             (
-                |fs, p| fs.rename(p, "a", "a/b"),
+                |fs, p| fs.rename(p, "a", "a/b").map(drop),
                 "InvalidName",
                 &["a", "b", "d"],
             ),
-            (|fs, p| fs.rename(p, "a", "c"), "ok", &["b", "c", "d"]),
+            (
+                |fs, p| fs.rename(p, "a", "c").map(drop),
+                "ok",
+                &["b", "c", "d"],
+            ),
             (|fs, p| fs.remove(p, "c").map(drop), "ok", &["b", "d"]),
         ];
         let outcome = |r: StegResult<()>| match r {
@@ -2372,7 +2242,8 @@ mod tests {
     #[test]
     fn recovery_refuses_a_config_that_mount_refuses() {
         let fs = small_fs();
-        fs.write_plain(CONFIG_PATH, b"not a StegFS configuration")
+        fs.plain_fs()
+            .write_file(CONFIG_PATH, b"not a StegFS configuration")
             .unwrap();
         let image = fs.steg_backup(b"k").unwrap();
         let corrupt = |r: StegResult<StegFs<MemBlockDevice>>| {
@@ -2545,16 +2416,48 @@ mod tests {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 256) as u8).collect();
         fs.steg_create("ranged", UAK, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("ranged", UAK, &data).unwrap();
+        let mut handle = fs.open_hidden("ranged", UAK).unwrap();
         assert_eq!(
-            fs.read_hidden_range_with_key("ranged", UAK, 2000, 500)
-                .unwrap(),
+            fs.read_range_at(&handle, 2000, 500).unwrap(),
             &data[2000..2500]
         );
-        fs.write_hidden_range_with_key("ranged", UAK, 2048, &[9u8; 1024])
-            .unwrap();
+        fs.write_at_handle(&mut handle, 2048, &[9u8; 1024]).unwrap();
         let mut expected = data.clone();
         expected[2048..3072].copy_from_slice(&[9u8; 1024]);
         assert_eq!(fs.read_hidden_with_key("ranged", UAK).unwrap(), expected);
+    }
+
+    #[test]
+    fn range_writes_ending_past_u64_fail_cleanly_at_both_layers() {
+        let fs = small_fs();
+        let edge = u64::MAX - 1;
+        let too_large = |e: &StegError| {
+            matches!(
+                e,
+                StegError::NoSpace | StegError::Fs(stegfs_fs::FsError::FileTooLarge { .. })
+            )
+        };
+
+        fs.steg_create("h", UAK, ObjectKind::File).unwrap();
+        fs.write_hidden_with_key("h", UAK, b"hidden bytes").unwrap();
+        let mut handle = fs.open_hidden("h", UAK).unwrap();
+        let e = fs.write_at_handle(&mut handle, edge, b"xx").unwrap_err();
+        assert!(too_large(&e), "{e}");
+        let io = fs.object_io(&handle.keys);
+        let e = io.write_range(&mut handle.object, edge, b"xx").unwrap_err();
+        assert!(too_large(&e), "{e}");
+        let mut rng = DeterministicRng::new(b"edge");
+        let e = io
+            .write_at(&mut handle.object, edge, b"xx", &mut rng)
+            .unwrap_err();
+        assert!(too_large(&e), "{e}");
+        assert_eq!(fs.read_hidden_with_key("h", UAK).unwrap(), b"hidden bytes");
+
+        let plain = fs.plain_fs();
+        plain.write_file("/p", b"plain bytes").unwrap();
+        let e = StegError::from(plain.write_file_range("/p", edge, b"xx").unwrap_err());
+        assert!(too_large(&e), "{e}");
+        assert_eq!(plain.read_file("/p").unwrap(), b"plain bytes");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Hidden StegFS objects never appear in these listings; when a user
-//! "connects" a hidden object (`steg_connect`) the core crate materialises a
-//! transient entry in the *session*, not on disk.
+//! connects a hidden object (the paper's `steg_connect`, the VFS's
+//! `Vfs::connect`) the VFS records a transient entry in the user's
+//! *session*, not on disk.
 
 use crate::error::{FsError, FsResult};
 use crate::inode::{FileKind, InodeId};

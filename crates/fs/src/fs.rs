@@ -1127,13 +1127,13 @@ impl<D: BlockDevice> PlainFs<D> {
         offset: u64,
         data: &[u8],
     ) -> FsResult<()> {
-        let end = offset + data.len() as u64;
-        if end > inode.size {
-            return Err(FsError::FileTooLarge {
-                requested: end,
+        let end = offset
+            .checked_add(data.len() as u64)
+            .filter(|&end| end <= inode.size)
+            .ok_or(FsError::FileTooLarge {
+                requested: offset.saturating_add(data.len() as u64),
                 maximum: inode.size,
-            });
-        }
+            })?;
         let bs = self.block_size() as u64;
         let (blocks, _) = self.collect_blocks(inode)?;
         let first = (offset / bs) as usize;

@@ -60,8 +60,8 @@
 //! | read-cache block shard | `stegfs-core` `readcache` | several, ascending shard index (the batched lookup); one at a time under the read cache's object shard; takes nothing under it |
 //!
 //! Leaves, taken under any of the above and holding nothing else: the
-//! vfs session table and a session's connected set; the core session
-//! and RNG; the read cache's object shard (then its block shards, the
+//! vfs session table and a session's connect table; the core RNG; the
+//! read cache's object shard (then its block shards, the
 //! table's last row), scope table and derived-key map, never held across
 //! I/O or a key derivation; each engine client's completion queue; the fs
 //! checkpoint-daemon slot (then the daemon's state); and the span

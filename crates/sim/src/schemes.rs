@@ -348,7 +348,7 @@ impl SchemeInstance for StegFsScheme {
             return Ok(());
         }
         self.fs
-            .write_range_at(handle, offset, &data[..len])
+            .write_at_handle(handle, offset, &data[..len])
             .map_err(err)
     }
 

@@ -231,8 +231,8 @@ mod tests {
             .unwrap();
         let listing = fs.list(Parent::Dir(&d)).unwrap();
         let sub = listing.find("sub").cloned().unwrap();
-        fs.steg_connect("d", UAK).unwrap();
-        fs.write_hidden("b", &vec![9u8; 5000]).unwrap();
+        let b = listing.find("b").cloned().unwrap();
+        fs.write_hidden_entry(&b, &vec![9u8; 5000]).unwrap();
         fs.create(Parent::Dir(&sub), "leaf", ObjectKind::File)
             .unwrap();
 
@@ -255,7 +255,7 @@ mod tests {
         assert_eq!(report.children_relinked, 2);
         assert_eq!(report.objects_lost, 0);
         assert!(report.all_recovered());
-        assert_eq!(fs.read_hidden("b").unwrap(), vec![9u8; 5000]);
+        assert_eq!(fs.read_hidden_entry(&b).unwrap(), vec![9u8; 5000]);
         assert!(fs.list(Parent::Dir(&sub)).unwrap().find("leaf").is_some());
     }
 
@@ -270,8 +270,8 @@ mod tests {
             .unwrap();
         let listing = fs.list(Parent::Dir(&d)).unwrap();
         let gone = listing.find("gone").cloned().unwrap();
-        fs.steg_connect("d", UAK).unwrap();
-        fs.write_hidden("keep", &vec![5u8; 4000]).unwrap();
+        let keep = listing.find("keep").cloned().unwrap();
+        fs.write_hidden_entry(&keep, &vec![5u8; 4000]).unwrap();
 
         let dev = fs.plain_fs().device().clone();
         for entry in [&d, &gone] {
@@ -289,7 +289,7 @@ mod tests {
         assert_eq!(report.children_relinked, 1);
         assert_eq!(report.objects_lost, 1);
         assert_eq!(report.lost, vec!["d/gone".to_string()]);
-        assert_eq!(fs.read_hidden("keep").unwrap(), vec![5u8; 4000]);
+        assert_eq!(fs.read_hidden_entry(&keep).unwrap(), vec![5u8; 4000]);
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   and never locked across I/O.
 //! * **Sign-on sessions.**  [`Vfs::signon`] is deliberately infallible —
 //!   there is no key registry to check, which *is* the hiding property; a
-//!   wrong key sees an empty `/hidden`.  [`Vfs::connect`] mirrors
-//!   `steg_connect`, caching an object (and a directory's offspring) in the
-//!   session.
+//!   wrong key sees an empty `/hidden`.  [`Vfs::connect`] is the paper's
+//!   `steg_connect`: it connects an object (and a directory's offspring) to
+//!   the session, whose `/hidden/<name>` reaches a connected object wherever
+//!   the session's UAK listing holds no such name.  Sign-off is the
+//!   paper's logoff.
 //! * **Concurrency.**  There is no global volume lock: the core underneath
 //!   is fully shared-reference (sharded allocator, namespaces and device),
 //!   sessions resolve under a shared read guard, and every open object has
@@ -78,6 +80,26 @@ mod tests {
     fn small_vfs() -> Vfs<SharedDevice> {
         let dev = SharedDevice::new(MemBlockDevice::new(1024, 8192));
         Vfs::format(dev, StegParams::for_tests()).unwrap()
+    }
+
+    /// Create (or overwrite from the start) the file at `path`.
+    fn put(vfs: &Vfs<SharedDevice>, s: SessionId, path: &str, data: &[u8]) {
+        let h = vfs.open(s, path, OpenOptions::read_write()).unwrap();
+        vfs.write_at(h, 0, data).unwrap();
+        vfs.close(h).unwrap();
+    }
+
+    /// The whole contents of the file at `path`.
+    fn get(vfs: &Vfs<SharedDevice>, s: SessionId, path: &str) -> Vec<u8> {
+        let h = vfs.open(s, path, OpenOptions::read_only()).unwrap();
+        let data = vfs.read_at(h, 0, 1 << 16).unwrap();
+        vfs.close(h).unwrap();
+        data
+    }
+
+    fn names(vfs: &Vfs<SharedDevice>, s: SessionId, path: &str) -> Vec<String> {
+        let listed = vfs.readdir(s, path).unwrap();
+        listed.into_iter().map(|e| e.name).collect()
     }
 
     #[test]
@@ -417,11 +439,10 @@ mod tests {
         vfs.close(h).unwrap();
         assert_eq!(vfs.stat(b, "/hidden/doc").unwrap().size, 2);
 
-        // After B renames it, A's cached (connected) entry still reaches the
-        // object under the old name — connected objects persist for the
-        // session like an open fd across a rename, as with steg_connect in
-        // the paper.  Once A disconnects, the old name resolves from disk
-        // and is gone.
+        // After B renames it, the listing entry A remembers still reaches
+        // the object under the old name — a session keeps what it resolved,
+        // like an open fd across a rename.  Once A disconnects the name, it
+        // resolves from disk and is gone.
         vfs.rename(b, "/hidden/doc", "/hidden/moved").unwrap();
         assert_eq!(vfs.stat(a, "/hidden/doc").unwrap().size, 2);
         vfs.disconnect(a, "doc").unwrap();
@@ -623,5 +644,95 @@ mod tests {
         assert!(matches!(vfs.readdir(s, "/plain/f"), Err(VfsError::Steg(_))));
         // Access must be requested.
         assert!(vfs.open(s, "/plain/f", OpenOptions::new()).is_err());
+    }
+
+    #[test]
+    fn a_listed_name_wins_over_a_connected_child_of_the_same_name() {
+        let vfs = small_vfs();
+        let s = vfs.signon("k");
+        put(&vfs, s, "/hidden/x", b"top-level x");
+        vfs.mkdir(s, "/hidden/a").unwrap();
+        put(&vfs, s, "/hidden/a/x", b"child of a");
+        vfs.connect(s, "a").unwrap();
+
+        // One path, one object: the listing's `x`, for every operation.
+        assert_eq!(names(&vfs, s, "/hidden"), ["a", "x"]);
+        assert_eq!(vfs.stat(s, "/hidden/x").unwrap().size, 11);
+        assert_eq!(get(&vfs, s, "/hidden/x"), b"top-level x");
+        vfs.unlink(s, "/hidden/x").unwrap();
+        assert_eq!(names(&vfs, s, "/hidden/a"), ["x"]);
+        assert_eq!(get(&vfs, s, "/hidden/a/x"), b"child of a");
+
+        // With no `x` left in the listing, the connected child answers.
+        assert_eq!(names(&vfs, s, "/hidden"), ["a", "x"]);
+        assert_eq!(get(&vfs, s, "/hidden/x"), b"child of a");
+        assert!(vfs.unlink(s, "/hidden/x").unwrap_err().is_not_found());
+    }
+
+    #[test]
+    fn a_name_another_session_lists_after_a_connect_wins_over_the_child() {
+        let vfs = small_vfs();
+        let first = vfs.signon("shared key");
+        let second = vfs.signon("shared key");
+        vfs.mkdir(first, "/hidden/a").unwrap();
+        put(&vfs, first, "/hidden/a/x", b"child of a");
+        vfs.connect(first, "a").unwrap();
+        assert_eq!(get(&vfs, first, "/hidden/x"), b"child of a");
+
+        put(&vfs, second, "/hidden/x", b"top-level x");
+        assert_eq!(names(&vfs, first, "/hidden"), ["a", "x"]);
+        assert_eq!(vfs.stat(first, "/hidden/x").unwrap().size, 11);
+        assert_eq!(get(&vfs, first, "/hidden/x"), b"top-level x");
+        vfs.unlink(first, "/hidden/x").unwrap();
+        assert_eq!(names(&vfs, second, "/hidden"), ["a"]);
+        assert_eq!(get(&vfs, second, "/hidden/a/x"), b"child of a");
+    }
+
+    #[test]
+    fn connect_exposes_a_directory_and_its_offspring_to_its_session_only() {
+        const ALICE: &str = "alice uak";
+        let vfs = small_vfs();
+        let s = vfs.signon(ALICE);
+        vfs.mkdir(s, "/hidden/vault").unwrap();
+        put(&vfs, s, "/hidden/vault/inner", b"written via the session");
+        put(&vfs, s, "/hidden/loose-file", b"loose");
+        assert!(
+            vfs.connected_objects(s).unwrap().is_empty(),
+            "opening is not connecting"
+        );
+        assert!(vfs.stat(s, "/hidden/inner").unwrap_err().is_not_found());
+
+        vfs.connect(s, "vault").unwrap();
+        assert_eq!(vfs.connected_objects(s).unwrap(), ["inner", "vault"]);
+        assert_eq!(get(&vfs, s, "/hidden/inner"), b"written via the session");
+
+        // Disconnecting drops the one object; reconnecting reaches it again.
+        assert!(vfs.disconnect(s, "inner").unwrap());
+        assert!(!vfs.disconnect(s, "inner").unwrap());
+        assert_eq!(vfs.connected_objects(s).unwrap(), ["vault"]);
+        assert!(vfs.stat(s, "/hidden/inner").unwrap_err().is_not_found());
+        vfs.connect(s, "vault").unwrap();
+        assert_eq!(get(&vfs, s, "/hidden/inner"), b"written via the session");
+
+        // A session under another key sees none of it, and cannot connect it.
+        let other = vfs.signon("another uak");
+        assert!(vfs.connected_objects(other).unwrap().is_empty());
+        assert!(vfs.readdir(other, "/hidden").unwrap().is_empty());
+        assert!(vfs.stat(other, "/hidden/inner").unwrap_err().is_not_found());
+        assert!(vfs.connect(other, "vault").unwrap_err().is_not_found());
+
+        // Sign-off (the paper's logoff) drops the whole connect table.
+        vfs.signoff(s).unwrap();
+        assert!(matches!(
+            vfs.connected_objects(s),
+            Err(VfsError::BadSession(_))
+        ));
+        let again = vfs.signon(ALICE);
+        assert!(vfs.connected_objects(again).unwrap().is_empty());
+        assert!(vfs.stat(again, "/hidden/inner").unwrap_err().is_not_found());
+        assert_eq!(
+            get(&vfs, again, "/hidden/vault/inner"),
+            b"written via the session"
+        );
     }
 }

@@ -38,13 +38,12 @@
 use crate::error::{VfsError, VfsResult};
 use crate::path::VfsPath;
 use crate::table::{OpenFile, OpenFileTable, OpenOptions, StreamPos, VfsHandle};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::SeekFrom;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use stegfs_blockdev::BlockDevice;
 use stegfs_core::keys::FAK_LEN;
-use stegfs_core::session::{ConnectedObject, Session};
 use stegfs_core::{
     CacheStats, DirectoryEntry, HiddenHandle, ObjectKind, Parent, SpaceReport, StegFs, StegParams,
     StegResult,
@@ -61,9 +60,9 @@ const READAHEAD_BLOCKS: usize = 8;
 
 /// A signed-on user session, identified by an opaque id.
 ///
-/// A session wraps one User Access Key plus a [`stegfs_core::session::Session`]
-/// of connected objects; `/hidden` resolves against exactly this state, so
-/// hidden objects are visible only to the sessions holding their key.
+/// A session wraps one User Access Key plus the objects it has connected;
+/// `/hidden` resolves against exactly this state, so hidden objects are
+/// visible only to the sessions holding their key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionId(u64);
 
@@ -176,7 +175,35 @@ enum WriteOffset {
 
 struct SessionState {
     uak: String,
-    connected: Mutex<Session>,
+    connected: Mutex<Connected>,
+}
+
+/// A session's connect table (the paper's `steg_connect` state), RAM only.
+///
+/// `/hidden/<name>` names the UAK listing's entry whenever the listing
+/// holds `<name>`, and a connected object of that name only where it does
+/// not: so one path names one object, the one unlink and rename act on.
+/// A connected object another session deletes stays connected (its opens
+/// fail not-found) until this session disconnects it or signs off.
+#[derive(Default)]
+struct Connected {
+    /// Top-level names this session resolved from its listing, so a repeat
+    /// open is a table hit with no listing walk.  A hint: another session
+    /// with the same key may have unlinked the object since, so a not-found
+    /// through it drops it and the walk is retried.
+    listed: BTreeMap<String, DirectoryEntry>,
+    /// What [`Vfs::connect`] made visible: the object and, for a directory,
+    /// its offspring at any depth, each reachable at `/hidden/<its name>`.
+    set: BTreeMap<String, DirectoryEntry>,
+}
+
+impl Connected {
+    /// Drop every entry naming the object `key`: it was unlinked or renamed.
+    fn forget(&mut self, key: &ObjectKey) {
+        let other = |e: &DirectoryEntry| ObjectKey::hidden(e) != *key;
+        self.listed.retain(|_, e| other(e));
+        self.set.retain(|_, e| other(e));
+    }
 }
 
 /// A concurrent, handle-based virtual file system over a StegFS volume.
@@ -300,7 +327,7 @@ impl<D: BlockDevice> Vfs<D> {
             id,
             Arc::new(SessionState {
                 uak: uak.to_string(),
-                connected: Mutex::new(Session::new()),
+                connected: Mutex::new(Connected::default()),
             }),
         );
         SessionId(id)
@@ -355,35 +382,34 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// `steg_connect` through the VFS: resolve `name` under the session's key
-    /// and cache it (and, for a directory, its offspring) in the session, so
-    /// subsequent opens skip the UAK-directory walk and the objects appear in
-    /// the session's `/hidden` listing.
+    /// and connect it (and, for a directory, its offspring) to the session:
+    /// they appear in its `/hidden` listing and open at `/hidden/<name>`
+    /// wherever the UAK listing holds no such name.
     pub fn connect(&self, session: SessionId, name: &str) -> VfsResult<()> {
-        let uak = self.session_uak(session)?;
-        let entry = self.fs.lookup_entry(name, &uak)?;
+        let state = self.session_state(session)?;
+        let entry = self.fs.lookup_entry(name, &state.uak)?;
         let mut gathered = Vec::new();
         self.collect_offspring(&entry, &mut gathered)?;
-        let state = self.session_state(session)?;
-        let mut connected = state.connected.lock();
-        for e in &gathered {
-            connected.connect(ConnectedObject::from(e));
-        }
+        let gathered = gathered.into_iter().map(|e| (e.name.clone(), e));
+        state.connected.lock().set.extend(gathered);
         Ok(())
     }
 
-    /// Remove `name` from the session's connected set.  Returns true if it
-    /// was connected.
+    /// Remove `name` from the session's connected set, and drop what the
+    /// session remembers of the listing's `name`, so the next use walks
+    /// from disk.  Returns true if anything was dropped.
     pub fn disconnect(&self, session: SessionId, name: &str) -> VfsResult<bool> {
         let state = self.session_state(session)?;
         let mut connected = state.connected.lock();
-        Ok(connected.disconnect(name))
+        let listed = connected.listed.remove(name).is_some();
+        Ok(connected.set.remove(name).is_some() || listed)
     }
 
-    /// Names of the session's connected objects.
+    /// Names of the session's connected objects, sorted.
     pub fn connected_objects(&self, session: SessionId) -> VfsResult<Vec<String>> {
         let state = self.session_state(session)?;
         let connected = state.connected.lock();
-        Ok(connected.connected_names())
+        Ok(connected.set.keys().cloned().collect())
     }
 
     fn session_state(&self, session: SessionId) -> VfsResult<Arc<SessionState>> {
@@ -394,75 +420,60 @@ impl<D: BlockDevice> Vfs<D> {
             .ok_or(VfsError::BadSession(session.0))
     }
 
-    fn session_uak(&self, session: SessionId) -> VfsResult<String> {
-        Ok(self.session_state(session)?.uak.clone())
-    }
-
-    fn cached_entry(&self, session: SessionId, name: &str) -> Option<DirectoryEntry> {
-        let state = self.sessions.read().get(&session.0).cloned()?;
-        let connected = state.connected.lock();
-        let obj = connected.get(name)?;
-        Some(DirectoryEntry {
-            name: obj.name.clone(),
-            physical_name: obj.physical_name.clone(),
-            fak: obj.fak,
-            kind: obj.kind,
-        })
-    }
-
-    fn cache_entry(&self, session: SessionId, entry: &DirectoryEntry) {
-        if let Ok(state) = self.session_state(session) {
-            state.connected.lock().connect(ConnectedObject::from(entry));
-        }
-    }
-
     /// Resolve a hidden component chain and run `f` on the result.
     ///
-    /// The session's connected cache is a *hint*, never truth: another
-    /// session holding the same key may have unlinked or renamed the object
-    /// since it was cached.  So when a cache-assisted resolution (or `f`
-    /// itself, e.g. the object open) reports not-found, the cached entry is
-    /// dropped and the walk retried from disk before the error is believed.
+    /// The first component is the listing's entry of that name, else the
+    /// connected object of that name.  A name the session resolved from
+    /// the listing before is a table hit; when `f` (or the walk below it)
+    /// then reports not-found, the hint is dropped and the walk retried
+    /// from disk before the error is believed.
     fn with_hidden_entry<R>(
         &self,
-        session: SessionId,
-        uak: &str,
+        state: &SessionState,
         comps: &[String],
         mut f: impl FnMut(&DirectoryEntry) -> VfsResult<R>,
     ) -> VfsResult<R> {
-        let mut cached = self.cached_entry(session, &comps[0]);
         loop {
-            let used_cache = cached.is_some();
-            let result = self
-                .resolve_hidden(uak, comps, cached.take())
-                .and_then(|entry| f(&entry));
-            match result {
-                Err(e) if e.is_not_found() && used_cache => {
-                    let _ = self.disconnect(session, &comps[0]);
-                    // `cached` is now None: the next pass walks from disk.
+            let (top, hint) = self.resolve_top(state, &comps[0])?;
+            match self.resolve_below(top, comps).and_then(|e| f(&e)) {
+                Err(e) if e.is_not_found() && hint => {
+                    state.connected.lock().listed.remove(&comps[0]);
                 }
                 other => return other,
             }
         }
     }
 
-    /// Resolve a `/hidden` component chain to its final directory entry.
-    ///
-    /// The first component resolves through the session cache (if `cached`)
-    /// or the UAK directory; every further component resolves through the
-    /// listing of the hidden directory above it — each listing carries full
-    /// `(physical name, FAK)` entries, so offspring need no extra key
-    /// material, exactly as in the paper's `steg_connect`.
-    fn resolve_hidden(
+    /// The entry `/hidden/<name>` names for the session, and whether it is
+    /// a remembered listing entry (a hint) rather than a fresh walk.
+    fn resolve_top(&self, state: &SessionState, name: &str) -> VfsResult<(DirectoryEntry, bool)> {
+        if let Some(entry) = state.connected.lock().listed.get(name) {
+            return Ok((entry.clone(), true));
+        }
+        match self.fs.lookup_entry(name, &state.uak) {
+            Ok(entry) => {
+                let mut connected = state.connected.lock();
+                connected.listed.insert(name.to_string(), entry.clone());
+                Ok((entry, false))
+            }
+            Err(e) if e.is_not_found() => {
+                let connected = state.connected.lock().set.get(name).cloned();
+                connected.map(|entry| (entry, false)).ok_or(e.into())
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Resolve the components of `comps` below its first, which resolved to
+    /// `entry`, each through the listing of the hidden directory above it —
+    /// each listing carries full `(physical name, FAK)` entries, so
+    /// offspring need no extra key material, exactly as in the paper's
+    /// `steg_connect`.
+    fn resolve_below(
         &self,
-        uak: &str,
+        mut entry: DirectoryEntry,
         comps: &[String],
-        cached: Option<DirectoryEntry>,
     ) -> VfsResult<DirectoryEntry> {
-        let mut entry = match cached {
-            Some(e) => e,
-            None => self.fs.lookup_entry(&comps[0], uak)?,
-        };
         for comp in &comps[1..] {
             if entry.kind != ObjectKind::Directory {
                 return Err(VfsError::NotADirectory(comps.join("/")));
@@ -614,7 +625,7 @@ impl<D: BlockDevice> Vfs<D> {
 
     /// Stat a path in the unified namespace.
     pub fn stat(&self, session: SessionId, path: &str) -> VfsResult<VfsStat> {
-        let uak = self.session_uak(session)?;
+        let state = self.session_state(session)?;
         match VfsPath::parse(path)? {
             VfsPath::Root | VfsPath::HiddenRoot => Ok(VfsStat {
                 kind: NodeKind::Directory,
@@ -628,7 +639,7 @@ impl<D: BlockDevice> Vfs<D> {
                 })
             }
             VfsPath::Hidden(comps) => {
-                self.with_hidden_entry(session, &uak, &comps, |entry| match entry.kind {
+                self.with_hidden_entry(&state, &comps, |entry| match entry.kind {
                     ObjectKind::Directory => Ok(VfsStat {
                         kind: NodeKind::Directory,
                         size: 0,
@@ -666,7 +677,7 @@ impl<D: BlockDevice> Vfs<D> {
     /// connected objects), so two sessions see two different trees over the
     /// same volume.
     pub fn readdir(&self, session: SessionId, path: &str) -> VfsResult<Vec<VfsDirEntry>> {
-        let uak = self.session_uak(session)?;
+        let state = self.session_state(session)?;
         match VfsPath::parse(path)? {
             VfsPath::Root => Ok(vec![
                 VfsDirEntry {
@@ -692,33 +703,26 @@ impl<D: BlockDevice> Vfs<D> {
                     .collect())
             }
             VfsPath::HiddenRoot => {
-                let listing = self.fs.list(Parent::Uak(&uak))?.entries;
-                let mut out: Vec<VfsDirEntry> = listing
-                    .into_iter()
-                    .map(|e| VfsDirEntry {
-                        name: e.name,
-                        kind: object_kind(e.kind),
-                    })
-                    .collect();
-                // Connected objects (e.g. offspring of a connected directory,
-                // or shared entries) are part of the session's view too.
-                let state = self.session_state(session)?;
+                let listing = self.fs.list(Parent::Uak(&state.uak))?.entries;
+                // Connected objects (e.g. offspring of a connected directory)
+                // are part of the session's view too; where a name is both,
+                // the listing's entry is the one the path opens.
                 let connected = state.connected.lock();
-                for name in connected.connected_names() {
-                    if !out.iter().any(|e| e.name == name) {
-                        if let Some(obj) = connected.get(&name) {
-                            out.push(VfsDirEntry {
-                                name,
-                                kind: object_kind(obj.kind),
-                            });
-                        }
-                    }
-                }
-                drop(connected);
-                out.sort_by(|a, b| a.name.cmp(&b.name));
-                Ok(out)
+                let view: BTreeMap<&str, ObjectKind> = connected
+                    .set
+                    .values()
+                    .chain(&listing)
+                    .map(|e| (e.name.as_str(), e.kind))
+                    .collect();
+                Ok(view
+                    .into_iter()
+                    .map(|(name, kind)| VfsDirEntry {
+                        name: name.to_string(),
+                        kind: object_kind(kind),
+                    })
+                    .collect())
             }
-            VfsPath::Hidden(comps) => self.with_hidden_entry(session, &uak, &comps, |entry| {
+            VfsPath::Hidden(comps) => self.with_hidden_entry(&state, &comps, |entry| {
                 if entry.kind != ObjectKind::Directory {
                     return Err(VfsError::NotADirectory(path.to_string()));
                 }
@@ -743,16 +747,16 @@ impl<D: BlockDevice> Vfs<D> {
     /// listing carries full `(physical name, FAK)` entries), and the new
     /// child is registered in its immediate parent alone.
     pub fn mkdir(&self, session: SessionId, path: &str) -> VfsResult<()> {
-        let uak = self.session_uak(session)?;
+        let state = self.session_state(session)?;
         match VfsPath::parse(path)? {
             VfsPath::Root | VfsPath::HiddenRoot => Err(VfsError::from(
                 stegfs_core::StegError::AlreadyExists(path.to_string()),
             )),
             VfsPath::Plain(p) => {
-                self.fs.create_plain_dir(&p)?;
+                self.fs.plain_fs().create_dir(&p)?;
                 Ok(())
             }
-            VfsPath::Hidden(comps) => self.with_parent(session, &uak, &comps, |parent, name| {
+            VfsPath::Hidden(comps) => self.with_parent(&state, &comps, |parent, name| {
                 Ok(self.fs.create(parent, name, ObjectKind::Directory)?)
             }),
         }
@@ -765,16 +769,15 @@ impl<D: BlockDevice> Vfs<D> {
     /// stale session cache falls back to a from-disk walk).
     fn with_parent<R>(
         &self,
-        session: SessionId,
-        uak: &str,
+        state: &SessionState,
         comps: &[String],
         mut f: impl FnMut(Parent<'_>, &str) -> VfsResult<R>,
     ) -> VfsResult<R> {
         match comps.split_last() {
             None => Err(VfsError::InvalidPath("/hidden".into())),
-            Some((name, [])) => f(Parent::Uak(uak), name),
+            Some((name, [])) => f(Parent::Uak(&state.uak), name),
             Some((name, dirs)) => {
-                self.with_hidden_entry(session, uak, dirs, |dir| f(Parent::Dir(dir), name))
+                self.with_hidden_entry(state, dirs, |dir| f(Parent::Dir(dir), name))
             }
         }
     }
@@ -791,7 +794,7 @@ impl<D: BlockDevice> Vfs<D> {
     /// had open can slip through the core and briefly hold a handle to freed
     /// blocks; its reads fail or return noise until it is closed.
     pub fn unlink(&self, session: SessionId, path: &str) -> VfsResult<()> {
-        let uak = self.session_uak(session)?;
+        let state = self.session_state(session)?;
         match VfsPath::parse(path)? {
             VfsPath::Root | VfsPath::HiddenRoot => Err(VfsError::InvalidPath(path.to_string())),
             VfsPath::Plain(p) => {
@@ -808,12 +811,13 @@ impl<D: BlockDevice> Vfs<D> {
                     .ok()
                     .map(ObjectKey::Plain);
                 self.unlink_pinned(key.clone(), || {
-                    self.fs.delete_plain(&p)?;
+                    self.fs.plain_fs().delete(&p)?;
                     Ok(key)
                 })
+                .map(drop)
             }
             VfsPath::Hidden(comps) => {
-                self.with_parent(session, &uak, &comps, |parent, name| {
+                self.with_parent(&state, &comps, |parent, name| {
                     // Resolve the victim first (outside the registry lock:
                     // it is a listing walk) so its entry can be pinned
                     // before its blocks are freed.  The identity is stable
@@ -821,12 +825,14 @@ impl<D: BlockDevice> Vfs<D> {
                     // change between the walk and the pin.
                     let listing = self.fs.list(parent).ok();
                     let key = listing.and_then(|l| l.find(name).map(ObjectKey::hidden));
-                    self.unlink_pinned(key, || {
+                    let removed = self.unlink_pinned(key, || {
                         Ok(Some(ObjectKey::hidden(&self.fs.remove(parent, name)?)))
                     })?;
-                    // The object may also be connected at top level
-                    // (steg_connect pulls offspring into the session).
-                    let _ = self.disconnect(session, name);
+                    // The object may also be connected, under any name
+                    // (a connect pulls a directory's offspring in).
+                    if let Some(key) = removed {
+                        state.connected.lock().forget(&key);
+                    }
                     Ok(())
                 })
             }
@@ -846,7 +852,7 @@ impl<D: BlockDevice> Vfs<D> {
         &self,
         key: Option<ObjectKey>,
         delete: impl FnOnce() -> VfsResult<Option<ObjectKey>>,
-    ) -> VfsResult<()> {
+    ) -> VfsResult<Option<ObjectKey>> {
         let cached = key.and_then(|k| self.objects.lock().get(&k).cloned());
         let io = cached.as_ref().map(|c| c.io.lock());
         let deleted = delete()?;
@@ -857,14 +863,16 @@ impl<D: BlockDevice> Vfs<D> {
         if let Some(c) = &cached {
             self.evict_entry(c);
         }
-        let late = deleted.and_then(|k| self.objects.lock().get(&k).cloned());
+        let late = deleted
+            .as_ref()
+            .and_then(|k| self.objects.lock().get(k).cloned());
         if let Some(late) = late {
             if !cached.as_ref().is_some_and(|c| Arc::ptr_eq(c, &late)) {
                 late.mark_dead();
                 self.evict_entry(&late);
             }
         }
-        Ok(())
+        Ok(deleted)
     }
 
     /// Rename within a namespace (`/plain` to `/plain`, a top-level
@@ -874,7 +882,7 @@ impl<D: BlockDevice> Vfs<D> {
     /// `steg_hide` / `steg_unhide` — and so is moving a hidden object
     /// between directories (the physical name encodes the parent chain).
     pub fn rename(&self, session: SessionId, from: &str, to: &str) -> VfsResult<()> {
-        let uak = self.session_uak(session)?;
+        let state = self.session_state(session)?;
         match (VfsPath::parse(from)?, VfsPath::parse(to)?) {
             (VfsPath::Plain(a), VfsPath::Plain(b)) => {
                 self.fs.plain_fs().rename(&a, &b)?;
@@ -882,9 +890,9 @@ impl<D: BlockDevice> Vfs<D> {
             }
             (VfsPath::Hidden(a), VfsPath::Hidden(b)) if a[..a.len() - 1] == b[..b.len() - 1] => {
                 let new = b.last().expect("a hidden path has a component");
-                self.with_parent(session, &uak, &a, |parent, old| {
-                    self.fs.rename(parent, old, new)?;
-                    let _ = self.disconnect(session, old);
+                self.with_parent(&state, &a, |parent, old| {
+                    let renamed = self.fs.rename(parent, old, new)?;
+                    state.connected.lock().forget(&ObjectKey::hidden(&renamed));
                     Ok(())
                 })
             }
@@ -915,7 +923,7 @@ impl<D: BlockDevice> Vfs<D> {
         if (opts.create || opts.truncate || opts.append) && !opts.write {
             return Err(VfsError::NotWritable);
         }
-        let uak = self.session_uak(session)?;
+        let state = self.session_state(session)?;
         match VfsPath::parse(path)? {
             VfsPath::Root | VfsPath::HiddenRoot => Err(VfsError::IsDirectory(path.to_string())),
             VfsPath::Plain(p) if p == "/" => Err(VfsError::IsDirectory(path.to_string())),
@@ -975,35 +983,34 @@ impl<D: BlockDevice> Vfs<D> {
             }
             VfsPath::Hidden(comps) => {
                 // Resolve and pin the shared object.  Runs under
-                // `with_hidden_entry`, so a stale session cache falls back to
+                // `with_hidden_entry`, so a stale session hint falls back to
                 // a from-disk walk.
-                let mut ensure =
-                    |entry: &DirectoryEntry| -> VfsResult<(Arc<ObjectEntry>, DirectoryEntry)> {
-                        if entry.kind != ObjectKind::File {
-                            return Err(VfsError::IsDirectory(path.to_string()));
-                        }
-                        Ok((self.acquire_hidden(entry)?, entry.clone()))
-                    };
+                let mut ensure = |entry: &DirectoryEntry| -> VfsResult<Arc<ObjectEntry>> {
+                    if entry.kind != ObjectKind::File {
+                        return Err(VfsError::IsDirectory(path.to_string()));
+                    }
+                    self.acquire_hidden(entry)
+                };
 
-                let resolved = match self.with_hidden_entry(session, &uak, &comps, &mut ensure) {
+                let resolved = match self.with_hidden_entry(&state, &comps, &mut ensure) {
                     Ok(v) => Ok(v),
                     Err(e) if e.is_not_found() && opts.create => {
                         // Create at any depth; the parent chain must exist.
                         let create = |parent: Parent<'_>, name: &str| {
                             Ok(self.fs.create(parent, name, ObjectKind::File)?)
                         };
-                        match self.with_parent(session, &uak, &comps, create) {
+                        match self.with_parent(&state, &comps, create) {
                             Ok(()) => {}
                             // Raced another creator: the object exists now,
                             // which is all we wanted.
                             Err(VfsError::Steg(stegfs_core::StegError::AlreadyExists(_))) => {}
                             Err(err) => return Err(err),
                         }
-                        self.with_hidden_entry(session, &uak, &comps, &mut ensure)
+                        self.with_hidden_entry(&state, &comps, &mut ensure)
                     }
                     Err(e) => Err(e),
                 };
-                let (obj, entry) = resolved?;
+                let obj = resolved?;
                 let offset = match self.setup_handle(&obj, opts.truncate, opts.append) {
                     Ok(o) => o,
                     Err(e) => {
@@ -1011,12 +1018,6 @@ impl<D: BlockDevice> Vfs<D> {
                         return Err(e);
                     }
                 };
-
-                // Cache the resolution in the session (the `steg_connect`
-                // fast path for the next open).
-                if comps.len() == 1 {
-                    self.cache_entry(session, &entry);
-                }
                 self.finish_open(
                     session,
                     OpenFile {

@@ -13,10 +13,12 @@ fn main() {
     let uak = "owner key";
 
     section("Populate the volume");
-    fs.write_plain("/readme.txt", b"ordinary visible file")
+    fs.plain_fs()
+        .write_file("/readme.txt", b"ordinary visible file")
         .unwrap();
-    fs.create_plain_dir("/projects").unwrap();
-    fs.write_plain("/projects/plan.txt", b"visible project plan")
+    fs.plain_fs().create_dir("/projects").unwrap();
+    fs.plain_fs()
+        .write_file("/projects/plan.txt", b"visible project plan")
         .unwrap();
     fs.steg_create("hidden-ledger", uak, ObjectKind::File)
         .unwrap();
@@ -49,7 +51,12 @@ fn main() {
 
     println!(
         "plain file restored:  {:?}",
-        String::from_utf8_lossy(&recovered.read_plain("/projects/plan.txt").unwrap())
+        String::from_utf8_lossy(
+            &recovered
+                .plain_fs()
+                .read_file("/projects/plan.txt")
+                .unwrap()
+        )
     );
     println!(
         "hidden file restored: {:?}",

@@ -11,6 +11,7 @@
 use stegfs_core::{AccessHierarchy, ObjectKind, Parent};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_examples::{demo_volume, section};
+use stegfs_vfs::{OpenOptions, Vfs};
 
 fn main() {
     let fs = demo_volume(32);
@@ -36,25 +37,52 @@ fn main() {
     .unwrap();
 
     section("Level 1 (deniable): a hidden directory of sensitive files");
-    fs.steg_create("vault", &deniable, ObjectKind::Directory)
-        .unwrap();
-    let vault = fs.lookup_entry("vault", &deniable).unwrap();
+    // The deniable level goes through a VFS session: sign on with the key,
+    // build the directory under `/hidden`, connect it, sign off.
+    let vfs = Vfs::new(fs);
+    let session = vfs.signon(&deniable);
+    vfs.mkdir(session, "/hidden/vault").unwrap();
     for name in ["sources", "draft-story"] {
-        fs.create(Parent::Dir(&vault), name, ObjectKind::File)
-            .unwrap();
+        let path = format!("/hidden/vault/{name}");
+        let h = vfs.open(session, &path, OpenOptions::read_write()).unwrap();
+        vfs.close(h).unwrap();
     }
-    // Connecting the directory reveals its offspring for this session.
-    fs.steg_connect("vault", &deniable).unwrap();
-    fs.write_hidden("sources", b"the whistleblower's contact details")
-        .unwrap();
-    fs.write_hidden("draft-story", b"working title: what the audit missed")
-        .unwrap();
+    // Connecting the directory reveals its offspring for this session, at
+    // `/hidden/<name>`.
+    vfs.connect(session, "vault").unwrap();
+    for (name, text) in [
+        ("sources", &b"the whistleblower's contact details"[..]),
+        ("draft-story", b"working title: what the audit missed"),
+    ] {
+        let h = vfs
+            .open(
+                session,
+                &format!("/hidden/{name}"),
+                OpenOptions::read_write(),
+            )
+            .unwrap();
+        vfs.write_at(h, 0, text).unwrap();
+        vfs.close(h).unwrap();
+    }
     println!(
-        "connected after steg_connect(vault): {:?}",
-        fs.connected_objects()
+        "connected after connect(vault): {:?}",
+        vfs.connected_objects(session).unwrap()
     );
-    fs.disconnect_all();
-    println!("connected after logoff: {:?}", fs.connected_objects());
+    // Sign-off is the paper's logoff: the session's connect table and every
+    // cached decrypted byte its key could reach are gone.
+    vfs.signoff(session).unwrap();
+    println!("live sessions after logoff: {}", vfs.session_count());
+    let fs = vfs.into_stegfs();
+    let vault = fs.lookup_entry("vault", &deniable).unwrap();
+    let sources = fs
+        .list(Parent::Dir(&vault))
+        .unwrap()
+        .find("sources")
+        .cloned();
+    println!(
+        "sources, read back through the directory's listing: {:?}",
+        String::from_utf8_lossy(&fs.read_hidden_entry(&sources.unwrap()).unwrap())
+    );
 
     section("Under compulsion: disclose level 0, deny level 1");
     for uak in alice.visible_at(0).unwrap() {

@@ -56,8 +56,8 @@ mod tests {
     #[test]
     fn demo_volume_is_usable() {
         let fs = demo_volume(16);
-        fs.write_plain("/hello", b"world").unwrap();
-        assert_eq!(fs.read_plain("/hello").unwrap(), b"world");
+        fs.plain_fs().write_file("/hello", b"world").unwrap();
+        assert_eq!(fs.plain_fs().read_file("/hello").unwrap(), b"world");
     }
 
     #[test]

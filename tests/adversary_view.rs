@@ -48,15 +48,17 @@ fn sample<D: BlockDevice>(fs: &StegFs<D>, map: &BlockMap, class: Class, n: usize
 #[test]
 fn central_directory_never_mentions_hidden_objects() {
     let fs = test_volume(8192);
-    fs.write_plain("/innocent.txt", b"cover traffic").unwrap();
+    fs.plain_fs()
+        .write_file("/innocent.txt", b"cover traffic")
+        .unwrap();
     fs.steg_create("the-secret", OWNER, ObjectKind::File)
         .unwrap();
     fs.write_hidden_with_key("the-secret", OWNER, &payload(1, 150 * 1024))
         .unwrap();
 
     // Nothing in any plain listing refers to the hidden object.
-    let listing = fs.list_plain_dir("/").unwrap();
-    assert!(listing.iter().all(|name| !name.contains("secret")));
+    let listing = fs.plain_fs().list_dir("/").unwrap();
+    assert!(listing.iter().all(|e| !e.name.contains("secret")));
 
     // The blocks of every plain object do not include any block holding the
     // hidden object's data (verified indirectly: freeing the hidden object
@@ -168,7 +170,8 @@ fn crashed_journaled_volume_reveals_nothing_to_the_inspector() {
     let dev = FaultDevice::with_write_cache(MemBlockDevice::new(1024, 8192));
     let fs = StegFs::format(BufferCache::new_write_back(dev.clone(), 64), params.clone())
         .expect("format journaled volume");
-    fs.write_plain("/cover.txt", b"innocent cover traffic")
+    fs.plain_fs()
+        .write_file("/cover.txt", b"innocent cover traffic")
         .unwrap();
     fs.steg_create("the-secret", OWNER, ObjectKind::File)
         .unwrap();

@@ -174,13 +174,18 @@ fn mount_read_unmount_round_trips_image_bit_identically() {
     let data = payload(0xc0de, 40_000);
     fs.steg_create("doc", &uak, ObjectKind::File).unwrap();
     fs.write_hidden_with_key("doc", &uak, &data).unwrap();
-    fs.write_plain("/visible.txt", b"plain bytes").unwrap();
+    fs.plain_fs()
+        .write_file("/visible.txt", b"plain bytes")
+        .unwrap();
     let dev = fs.unmount().unwrap();
     let before = dev.snapshot_raw();
 
     let fs = StegFs::mount(dev, stress_params()).unwrap();
     assert_eq!(fs.read_hidden_with_key("doc", &uak).unwrap(), data);
-    assert_eq!(fs.read_plain("/visible.txt").unwrap(), b"plain bytes");
+    assert_eq!(
+        fs.plain_fs().read_file("/visible.txt").unwrap(),
+        b"plain bytes"
+    );
     let dev = fs.unmount().unwrap();
     assert_eq!(
         before,
@@ -210,9 +215,8 @@ fn write_path_cache_never_changes_the_disk_image() {
         // from RAM; the blocks written must be the same either way.
         fs.write_hidden_with_key("a", uak, &payload(2, 26_000))
             .unwrap();
-        fs.write_hidden_range_with_key("a", uak, 512, &payload(3, 2_000))
-            .unwrap();
         let mut h = fs.open_hidden("a", uak).unwrap();
+        fs.write_at_handle(&mut h, 512, &payload(3, 2_000)).unwrap();
         fs.truncate_handle(&mut h, 9_000).unwrap();
         fs.write_at_handle(&mut h, 8_000, &payload(4, 4_000))
             .unwrap();

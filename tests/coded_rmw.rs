@@ -70,7 +70,8 @@ fn patch<D: BlockDevice>(
 ) {
     let bytes = payload(seed, len);
     model[offset..offset + len].copy_from_slice(&bytes);
-    fs.write_hidden_range_with_key(name, OWNER, offset as u64, &bytes)
+    let mut handle = fs.open_hidden(name, OWNER).expect("open");
+    fs.write_at_handle(&mut handle, offset as u64, &bytes)
         .expect("patch");
 }
 
@@ -201,7 +202,7 @@ fn patch_alignment_matrix_matches_a_byte_model() {
                 "{name} case {k}, warm"
             );
             assert_eq!(
-                fs.read_hidden_range_with_key(name, OWNER, offset as u64, len)
+                fs.read_range_at(&fs.open_hidden(name, OWNER).unwrap(), offset as u64, len)
                     .unwrap(),
                 model[offset..offset + len],
                 "{name} case {k}, warm range"
@@ -258,7 +259,7 @@ fn aligned_full_cover_patch_reads_no_share_blocks() {
     let reads_of = |fs: &StegFs<_>, handle: &mut _, offset: usize, bytes: &[u8]| {
         fs.purge_read_caches();
         stats.reset();
-        fs.write_range_at(handle, offset as u64, bytes).unwrap();
+        fs.write_at_handle(handle, offset as u64, bytes).unwrap();
         stats.summary().blocks_read
     };
     // On a cold cache a patch resolves its chain as a cold read does: the
@@ -284,7 +285,7 @@ fn aligned_full_cover_patch_reads_no_share_blocks() {
     stats.reset();
     let bytes = payload(12, group);
     model[2 * group..3 * group].copy_from_slice(&bytes);
-    fs.write_range_at(&mut handle, 2 * group as u64, &bytes)
+    fs.write_at_handle(&mut handle, 2 * group as u64, &bytes)
         .unwrap();
     assert_eq!(stats.summary().blocks_read, 0);
 
@@ -363,8 +364,9 @@ fn full_cover_heals_a_lost_group_but_a_partial_patch_fails_closed() {
     // error in the damage family, and not one block written.
     let before = raw_image(&fs);
     for (offset, len) in [(group + 1, group - 1), (group, group - 1), (group - 10, 20)] {
+        let mut handle = fs.open_hidden("obj", OWNER).unwrap();
         let err = fs
-            .write_hidden_range_with_key("obj", OWNER, offset as u64, &payload(22, len))
+            .write_at_handle(&mut handle, offset as u64, &payload(22, len))
             .unwrap_err();
         assert!(err.to_string().contains("live shares"), "got: {err}");
         assert_eq!(raw_image(&fs), before, "failed patch wrote something");

@@ -2,7 +2,7 @@
 //! remount → share → back up → destroy → recover.
 
 use stegfs_blockdev::MemBlockDevice;
-use stegfs_core::{ObjectKind, Parent, StegError, StegFs};
+use stegfs_core::{ObjectKind, Parent, StegFs};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_tests::{full_feature_params, payload, test_volume};
 
@@ -14,8 +14,9 @@ fn full_lifecycle_survives_remounts_and_recovery() {
     let fs = test_volume(8192);
 
     // Plain tree.
-    fs.create_plain_dir("/docs").unwrap();
-    fs.write_plain("/docs/visible.txt", b"ordinary file")
+    fs.plain_fs().create_dir("/docs").unwrap();
+    fs.plain_fs()
+        .write_file("/docs/visible.txt", b"ordinary file")
         .unwrap();
 
     // Hidden objects for two users, including a large multi-chain file.
@@ -28,17 +29,18 @@ fn full_lifecycle_survives_remounts_and_recovery() {
         .unwrap();
 
     // Hide an existing plain file.
-    fs.write_plain("/docs/to-hide.txt", b"was plain, becomes hidden")
+    fs.plain_fs()
+        .write_file("/docs/to-hide.txt", b"was plain, becomes hidden")
         .unwrap();
     fs.steg_hide("/docs/to-hide.txt", "alice-hidden-doc", ALICE)
         .unwrap();
-    assert!(!fs.plain_exists("/docs/to-hide.txt").unwrap());
+    assert!(!fs.plain_fs().exists("/docs/to-hide.txt").unwrap());
 
     // Remount and verify everything.
     let dev = fs.unmount().unwrap();
     let fs = StegFs::mount(dev, full_feature_params()).unwrap();
     assert_eq!(
-        fs.read_plain("/docs/visible.txt").unwrap(),
+        fs.plain_fs().read_file("/docs/visible.txt").unwrap(),
         b"ordinary file"
     );
     assert_eq!(fs.read_hidden_with_key("alice-big", ALICE).unwrap(), big);
@@ -87,7 +89,7 @@ fn full_lifecycle_survives_remounts_and_recovery() {
     )
     .unwrap();
     assert_eq!(
-        recovered.read_plain("/docs/visible.txt").unwrap(),
+        recovered.plain_fs().read_file("/docs/visible.txt").unwrap(),
         b"ordinary file"
     );
     assert_eq!(
@@ -108,48 +110,12 @@ fn unhide_round_trips_through_plain_namespace() {
     fs.write_hidden_with_key("secret", ALICE, &content).unwrap();
 
     fs.steg_unhide("/now-public.bin", "secret", ALICE).unwrap();
-    assert_eq!(fs.read_plain("/now-public.bin").unwrap(), content);
+    assert_eq!(fs.plain_fs().read_file("/now-public.bin").unwrap(), content);
     assert!(fs
         .read_hidden_with_key("secret", ALICE)
         .unwrap_err()
         .is_not_found());
     assert!(fs.list(Parent::Uak(ALICE)).unwrap().entries.is_empty());
-}
-
-#[test]
-fn sessions_expose_connected_objects_only() {
-    let fs = test_volume(4096);
-    fs.steg_create("vault", ALICE, ObjectKind::Directory)
-        .unwrap();
-    fs.create(
-        Parent::Dir(&fs.lookup_entry("vault", ALICE).unwrap()),
-        "inner",
-        ObjectKind::File,
-    )
-    .unwrap();
-    fs.steg_create("loose-file", ALICE, ObjectKind::File)
-        .unwrap();
-
-    fs.steg_connect("vault", ALICE).unwrap();
-    let mut connected = fs.connected_objects();
-    connected.sort();
-    assert_eq!(connected, vec!["inner", "vault"]);
-    assert!(matches!(
-        fs.read_hidden("loose-file"),
-        Err(StegError::NotConnected(_))
-    ));
-    fs.write_hidden("inner", b"written via session").unwrap();
-    fs.disconnect_all();
-    assert!(fs.connected_objects().is_empty());
-    assert!(
-        fs.read_hidden_with_key("inner", ALICE)
-            .unwrap_err()
-            .is_not_found(),
-        "children created inside a hidden dir are not in the UAK directory"
-    );
-    // But reconnecting the vault reaches it again.
-    fs.steg_connect("vault", ALICE).unwrap();
-    assert_eq!(fs.read_hidden("inner").unwrap(), b"written via session");
 }
 
 #[test]
@@ -166,12 +132,15 @@ fn hidden_data_survives_heavy_plain_churn() {
     for round in 0..8 {
         for i in 0..12 {
             let name = format!("/churn-{round}-{i}");
-            fs.write_plain(&name, &payload(round * 100 + i, 64 * 1024))
+            fs.plain_fs()
+                .write_file(&name, &payload(round * 100 + i, 64 * 1024))
                 .unwrap();
         }
         for i in 0..12 {
             if i % 2 == 0 {
-                fs.delete_plain(&format!("/churn-{round}-{i}")).unwrap();
+                fs.plain_fs()
+                    .delete(&format!("/churn-{round}-{i}"))
+                    .unwrap();
             }
         }
         assert_eq!(
@@ -190,12 +159,17 @@ fn dummy_file_maintenance_does_not_disturb_user_data() {
         .unwrap();
     fs.write_hidden_with_key("user-data", ALICE, &secret)
         .unwrap();
-    fs.write_plain("/plain.txt", b"plain data").unwrap();
+    fs.plain_fs()
+        .write_file("/plain.txt", b"plain data")
+        .unwrap();
 
     for _ in 0..5 {
         let touched = fs.touch_dummy_files().unwrap();
         assert_eq!(touched, full_feature_params().dummy_file_count);
     }
     assert_eq!(fs.read_hidden_with_key("user-data", ALICE).unwrap(), secret);
-    assert_eq!(fs.read_plain("/plain.txt").unwrap(), b"plain data");
+    assert_eq!(
+        fs.plain_fs().read_file("/plain.txt").unwrap(),
+        b"plain data"
+    );
 }

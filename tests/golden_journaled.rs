@@ -44,14 +44,14 @@ fn drive() -> MemBlockDevice {
     .expect("format journaled volume");
 
     let notes = payload(1, 20_000);
-    fs.write_plain("/notes.txt", &notes).unwrap();
+    fs.plain_fs().write_file("/notes.txt", &notes).unwrap();
 
     fs.steg_create("budget", OWNER, ObjectKind::File).unwrap();
     let mut budget = payload(2, 40 * BS + 123);
     fs.write_hidden_with_key("budget", OWNER, &budget).unwrap();
     let patch = payload(3, 9 * BS + 77);
-    fs.write_hidden_range_with_key("budget", OWNER, 5000, &patch)
-        .unwrap();
+    let mut handle = fs.open_hidden("budget", OWNER).unwrap();
+    fs.write_at_handle(&mut handle, 5000, &patch).unwrap();
     budget[5000..5000 + patch.len()].copy_from_slice(&patch);
 
     // Commit: checkpoint the ring, then keep going so the final image holds
@@ -59,7 +59,7 @@ fn drive() -> MemBlockDevice {
     fs.sync().unwrap();
 
     let memo = payload(4, 3 * BS + 5);
-    fs.write_plain("/memo.txt", &memo).unwrap();
+    fs.plain_fs().write_file("/memo.txt", &memo).unwrap();
     fs.steg_create("ledger", OWNER, ObjectKind::File).unwrap();
     let ledger = payload(5, 11 * BS);
     fs.write_hidden_with_key("ledger", OWNER, &ledger).unwrap();
@@ -71,8 +71,8 @@ fn drive() -> MemBlockDevice {
     budget.truncate(at);
     budget.extend_from_slice(&tail);
 
-    assert_eq!(fs.read_plain("/notes.txt").unwrap(), notes);
-    assert_eq!(fs.read_plain("/memo.txt").unwrap(), memo);
+    assert_eq!(fs.plain_fs().read_file("/notes.txt").unwrap(), notes);
+    assert_eq!(fs.plain_fs().read_file("/memo.txt").unwrap(), memo);
     assert_eq!(fs.read_hidden_with_key("budget", OWNER).unwrap(), budget);
     assert_eq!(fs.read_hidden_with_key("ledger", OWNER).unwrap(), ledger);
 
@@ -101,7 +101,10 @@ fn golden_journaled_volume_image_is_bit_identical() {
         journaled_params(160),
     )
     .expect("remount");
-    assert_eq!(fs.read_plain("/memo.txt").unwrap(), payload(4, 3 * BS + 5));
+    assert_eq!(
+        fs.plain_fs().read_file("/memo.txt").unwrap(),
+        payload(4, 3 * BS + 5)
+    );
     assert_eq!(
         fs.read_hidden_with_key("ledger", OWNER).unwrap(),
         payload(5, 11 * BS)

@@ -205,8 +205,8 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     );
     assert_eq!(fs.read_hidden_with_key("books", FRIEND).unwrap(), books);
     let patch = payload(7, 2 * BS + 1);
-    fs.write_hidden_range_with_key("books", FRIEND, 3000, &patch)
-        .unwrap();
+    let mut shared = fs.open_hidden("books", FRIEND).unwrap();
+    fs.write_at_handle(&mut shared, 3000, &patch).unwrap();
     books[3000..3000 + patch.len()].copy_from_slice(&patch);
 
     assert_eq!(fs.touch_dummy_files().unwrap(), 3);
@@ -233,8 +233,12 @@ fn run_script() -> (String, DeviceSummary, Vec<u8>) {
     assert_eq!(fs.read_hidden_with_key("books", OWNER).unwrap(), books);
     fs.purge_read_caches();
     assert_eq!(
-        fs.read_hidden_range_with_key("books", OWNER, 2 * BS as u64, 3 * BS)
-            .unwrap(),
+        fs.read_range_at(
+            &fs.open_hidden("books", OWNER).unwrap(),
+            2 * BS as u64,
+            3 * BS
+        )
+        .unwrap(),
         &books[2 * BS..5 * BS]
     );
     let h = fs.open_hidden("books", OWNER).unwrap();

@@ -144,7 +144,11 @@ impl Driver {
             2 => {
                 let path = format!("/p{}", word / 64 % 3);
                 let data = payload(word ^ 0xbeef, size);
-                match fs.write_plain(&path, &data) {
+                match fs
+                    .plain_fs()
+                    .write_file(&path, &data)
+                    .map_err(StegError::from)
+                {
                     Ok(()) => {
                         self.plain_model.insert(path, data);
                         Ok(())
@@ -271,7 +275,7 @@ proptest! {
                 Interrupted::Plain { path: p, .. } if p == path => continue,
                 _ => {}
             }
-            prop_assert_eq!(&fs.read_plain(path).unwrap(), expected, "plain file {}", path);
+            prop_assert_eq!(&fs.plain_fs().read_file(path).unwrap(), expected, "plain file {}", path);
         }
 
         // The interrupted operation is all-or-nothing, never torn.
@@ -290,7 +294,7 @@ proptest! {
                 );
             }
             Interrupted::Plain { path, old, new } => {
-                let got = fs.read_plain(path).ok();
+                let got = fs.plain_fs().read_file(path).ok();
                 let acceptable = got.is_none()
                     || got.as_ref() == old.as_ref()
                     || got.as_ref() == new.as_ref();
@@ -633,7 +637,10 @@ fn commit_until_killed<D: BlockDevice>(
         let data = payload(seed << 16 ^ t << 8 ^ i, 512 + (i * 1531 % 6000) as usize);
         let (key, result) = if i % 2 == 0 {
             let path = format!("/a{t}");
-            let result = fs.write_plain(&path, &data);
+            let result = fs
+                .plain_fs()
+                .write_file(&path, &data)
+                .map_err(StegError::from);
             (path, result)
         } else {
             let name = format!("a{t}");
@@ -700,7 +707,10 @@ fn full_ring_volume(seed: u64, writes: u64) -> u64 {
                         let data = payload(seed << 16 ^ t << 8 ^ i, len);
                         let (key, result) = if i % 2 == 0 {
                             let path = format!("/a{t}");
-                            let result = fs.write_plain(&path, &data);
+                            let result = fs
+                                .plain_fs()
+                                .write_file(&path, &data)
+                                .map_err(StegError::from);
                             (path, result)
                         } else {
                             let name = format!("a{t}");
@@ -721,7 +731,7 @@ fn full_ring_volume(seed: u64, writes: u64) -> u64 {
     });
     for (key, expected) in outcomes.iter().flat_map(|(_, last)| last) {
         let got = if key.starts_with('/') {
-            fs.read_plain(key).unwrap()
+            fs.plain_fs().read_file(key).unwrap()
         } else {
             read_hidden(fs, key).unwrap()
         };
@@ -749,7 +759,7 @@ fn a_crash_during_an_anchor_flush_replays_cleanly() {
         for t in 0..3u64 {
             let (path, name) = (format!("/a{t}"), format!("a{t}"));
             let (plain, hidden) = (payload(seed ^ t, 2000), payload(seed ^ t << 4, 3000));
-            fs.write_plain(&path, &plain).unwrap();
+            fs.plain_fs().write_file(&path, &plain).unwrap();
             fs.steg_create(&name, OWNER, ObjectKind::File).unwrap();
             fs.write_hidden_with_key(&name, OWNER, &hidden).unwrap();
             let committed = HashMap::from([(path, plain), (name, hidden)]);
@@ -799,7 +809,7 @@ fn a_crash_during_an_anchor_flush_replays_cleanly() {
         for model in outcomes {
             for (key, expected) in &model.committed {
                 let got = if key.starts_with('/') {
-                    fs.read_plain(key).unwrap()
+                    fs.plain_fs().read_file(key).unwrap()
                 } else {
                     read_hidden(&fs, key).unwrap()
                 };
@@ -864,7 +874,7 @@ impl PatchScript {
         .unwrap();
         fs.steg_create("h", OWNER, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("h", OWNER, &old_hidden).unwrap();
-        fs.write_plain("/p", &old_plain).unwrap();
+        fs.plain_fs().write_file("/p", &old_plain).unwrap();
         fs.sync().unwrap();
         drop(fs);
         PatchScript {
@@ -883,8 +893,9 @@ impl PatchScript {
 
     /// The script: a 16 KiB patch of `h`, a rewrite of `/p`, a sync.
     fn run(&self, fs: &Stack) -> Result<(), stegfs_core::StegError> {
-        fs.write_hidden_range_with_key("h", OWNER, PATCH_AT as u64, &self.patch)?;
-        fs.write_plain("/p", &self.new_plain)?;
+        let mut handle = fs.open_hidden("h", OWNER)?;
+        fs.write_at_handle(&mut handle, PATCH_AT as u64, &self.patch)?;
+        fs.plain_fs().write_file("/p", &self.new_plain)?;
         fs.sync()
     }
 
@@ -905,7 +916,7 @@ impl PatchScript {
             hidden == self.old_hidden || hidden == self.new_hidden,
             "{at}: hidden file is neither the old nor the new bytes"
         );
-        let plain = fs.read_plain("/p").unwrap();
+        let plain = fs.plain_fs().read_file("/p").unwrap();
         assert!(
             plain == self.old_plain || plain == self.new_plain,
             "{at}: plain file is neither the old nor the new bytes"
@@ -962,7 +973,7 @@ fn every_write_trip_of_a_patch_and_a_plain_write_replays_old_or_new() {
     drop(fs);
     let fs = mount_stack(&dev);
     assert_eq!(read_hidden(&fs, "h").unwrap(), script.new_hidden);
-    assert_eq!(fs.read_plain("/p").unwrap(), script.new_plain);
+    assert_eq!(fs.plain_fs().read_file("/p").unwrap(), script.new_plain);
 }
 
 /// The patch's transaction is durable in the ring and none of its home
@@ -979,7 +990,8 @@ fn a_damaged_payload_slot_drops_its_transaction_at_replay() {
         let before: Vec<Vec<u8>> = (0..sb.total_blocks)
             .map(|b| dev.read_block_vec(b).unwrap())
             .collect();
-        fs.write_hidden_range_with_key("h", OWNER, PATCH_AT as u64, &script.patch)
+        let mut handle = fs.open_hidden("h", OWNER).unwrap();
+        fs.write_at_handle(&mut handle, PATCH_AT as u64, &script.patch)
             .unwrap();
         drop(fs);
         assert_eq!(dev.pending_writes(), 0, "the commit flushed the ring");
@@ -1007,7 +1019,7 @@ fn a_damaged_payload_slot_drops_its_transaction_at_replay() {
             &read_hidden(&fs, "h").unwrap() == want,
             "flip {flip}: replay gave the wrong bytes"
         );
-        assert_eq!(fs.read_plain("/p").unwrap(), script.old_plain);
+        assert_eq!(fs.plain_fs().read_file("/p").unwrap(), script.old_plain);
         owned_once(&fs, &[OWNER]);
     }
 }
@@ -1047,7 +1059,10 @@ const ROWS: [Row; 11] = [
     ),
     (
         "rename in a directory",
-        |fs| fs.rename(Parent::Dir(&vault(fs)?), "b.bin", "renamed.bin"),
+        |fs| {
+            fs.rename(Parent::Dir(&vault(fs)?), "b.bin", "renamed.bin")
+                .map(drop)
+        },
         1,
     ),
     (
@@ -1062,7 +1077,7 @@ const ROWS: [Row; 11] = [
     ),
     (
         "rename at top level",
-        |fs| fs.rename(Parent::Uak(OWNER), "doc", "kept"),
+        |fs| fs.rename(Parent::Uak(OWNER), "doc", "kept").map(drop),
         1,
     ),
     ("revoke_sharing", |fs| fs.revoke_sharing("doc", OWNER), 1),
@@ -1118,8 +1133,8 @@ fn namespace(fs: &Stack) -> Namespace {
         walk(fs, entry.name.clone(), entry, &mut seen);
     }
     for path in ["/cover.txt", "/uncovered.txt"] {
-        if fs.plain_exists(path).unwrap() {
-            let data = fs.read_plain(path).unwrap();
+        if fs.plain_fs().exists(path).unwrap() {
+            let data = fs.plain_fs().read_file(path).unwrap();
             seen.insert(format!("plain {path}"), (None, Some(data)));
         }
     }
@@ -1168,7 +1183,9 @@ impl NamespaceScript {
         fs.write_at_handle(&mut h, 0, &payload(32, 2048)).unwrap();
         fs.create(Parent::Dir(&vault), "sub", ObjectKind::Directory)
             .unwrap();
-        fs.write_plain("/cover.txt", &payload(33, 2048)).unwrap();
+        fs.plain_fs()
+            .write_file("/cover.txt", &payload(33, 2048))
+            .unwrap();
         fs.sync().unwrap();
         drop(fs);
         let image = durable_image(&dev);

@@ -36,11 +36,13 @@ const OWNER: &str = "the real key";
 /// objects; op counts deliberately differ so only the *values* can diverge.
 fn snapshot_after_workload(hidden: bool) -> stegfs_obs::Snapshot {
     let fs = StegFs::format(MemBlockDevice::new(1024, 8192), full_feature_params()).unwrap();
-    fs.write_plain("/cover.txt", &payload(1, 32 * 1024))
+    fs.plain_fs()
+        .write_file("/cover.txt", &payload(1, 32 * 1024))
         .unwrap();
-    fs.write_plain("/cover2.txt", &payload(2, 16 * 1024))
+    fs.plain_fs()
+        .write_file("/cover2.txt", &payload(2, 16 * 1024))
         .unwrap();
-    fs.read_plain("/cover.txt").unwrap();
+    fs.plain_fs().read_file("/cover.txt").unwrap();
     if hidden {
         fs.steg_create("secret-a", OWNER, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("secret-a", OWNER, &payload(3, 96 * 1024))

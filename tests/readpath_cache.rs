@@ -56,9 +56,9 @@ fn overwrite_truncate_rename_unlink_invalidate_stegfs() {
     fs.write_hidden_with_key("doc", OWNER, &v2).unwrap();
     assert_eq!(fs.read_hidden_with_key("doc", OWNER).unwrap(), v2);
 
-    // In-place range write through the entry path.
-    fs.write_hidden_range_with_key("doc", OWNER, 100, &[0xaa; 600])
-        .unwrap();
+    // In-place range write through a fresh handle.
+    let mut handle = fs.open_hidden("doc", OWNER).unwrap();
+    fs.write_at_handle(&mut handle, 100, &[0xaa; 600]).unwrap();
     let mut expect = v2.clone();
     expect[100..700].copy_from_slice(&[0xaa; 600]);
     assert_eq!(fs.read_hidden_with_key("doc", OWNER).unwrap(), expect);
@@ -316,7 +316,8 @@ fn crash_then_remount_serves_replayed_state_not_cache() {
 /// cache that leaked anything into the write path (or to disk) would
 /// diverge the images.
 fn run_workload(fs: &StegFs<MemBlockDevice>) {
-    fs.write_plain("/cover.txt", b"innocuous plain data")
+    fs.plain_fs()
+        .write_file("/cover.txt", b"innocuous plain data")
         .unwrap();
     for i in 0..3u64 {
         let name = format!("obj-{i}");
