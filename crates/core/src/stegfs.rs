@@ -1678,6 +1678,40 @@ mod tests {
     }
 
     #[test]
+    fn connecting_directory_reveals_children() {
+        // A connect (held by the VFS session) walks these listings: the
+        // directory's listing names every child with an entry that reads
+        // and writes, and a child directory's listing its own offspring.
+        let fs = small_fs();
+        fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
+        let vault = fs.lookup_entry("vault", UAK).unwrap();
+        fs.create(Parent::Dir(&vault), "passwords", ObjectKind::File)
+            .unwrap();
+        fs.create(Parent::Dir(&vault), "keys", ObjectKind::Directory)
+            .unwrap();
+        let listing = fs.list(Parent::Dir(&vault)).unwrap();
+        let mut names: Vec<&str> = listing.entries.iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["keys", "passwords"]);
+
+        let keys = listing.find("keys").cloned().unwrap();
+        fs.create(Parent::Dir(&keys), "ssh", ObjectKind::File)
+            .unwrap();
+        let ssh = fs.list(Parent::Dir(&keys)).unwrap().find("ssh").cloned();
+        let ssh = ssh.unwrap();
+        fs.write_hidden_entry(&ssh, b"-----BEGIN KEY-----").unwrap();
+        assert_eq!(fs.read_hidden_entry(&ssh).unwrap(), b"-----BEGIN KEY-----");
+
+        let passwords = listing.find("passwords").cloned().unwrap();
+        fs.write_hidden_entry(&passwords, b"hunter2").unwrap();
+        assert_eq!(fs.read_hidden_entry(&passwords).unwrap(), b"hunter2");
+        // The top-level listing still holds the directory alone.
+        let top = fs.list(Parent::Uak(UAK)).unwrap();
+        assert_eq!(top.entries.len(), 1);
+        assert!(top.find("vault").is_some());
+    }
+
+    #[test]
     fn delete_and_rename_inside_hidden_dir() {
         let fs = small_fs();
         fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();

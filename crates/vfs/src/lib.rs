@@ -687,52 +687,4 @@ mod tests {
         assert_eq!(names(&vfs, second, "/hidden"), ["a"]);
         assert_eq!(get(&vfs, second, "/hidden/a/x"), b"child of a");
     }
-
-    #[test]
-    fn connect_exposes_a_directory_and_its_offspring_to_its_session_only() {
-        const ALICE: &str = "alice uak";
-        let vfs = small_vfs();
-        let s = vfs.signon(ALICE);
-        vfs.mkdir(s, "/hidden/vault").unwrap();
-        put(&vfs, s, "/hidden/vault/inner", b"written via the session");
-        put(&vfs, s, "/hidden/loose-file", b"loose");
-        assert!(
-            vfs.connected_objects(s).unwrap().is_empty(),
-            "opening is not connecting"
-        );
-        assert!(vfs.stat(s, "/hidden/inner").unwrap_err().is_not_found());
-
-        vfs.connect(s, "vault").unwrap();
-        assert_eq!(vfs.connected_objects(s).unwrap(), ["inner", "vault"]);
-        assert_eq!(get(&vfs, s, "/hidden/inner"), b"written via the session");
-
-        // Disconnecting drops the one object; reconnecting reaches it again.
-        assert!(vfs.disconnect(s, "inner").unwrap());
-        assert!(!vfs.disconnect(s, "inner").unwrap());
-        assert_eq!(vfs.connected_objects(s).unwrap(), ["vault"]);
-        assert!(vfs.stat(s, "/hidden/inner").unwrap_err().is_not_found());
-        vfs.connect(s, "vault").unwrap();
-        assert_eq!(get(&vfs, s, "/hidden/inner"), b"written via the session");
-
-        // A session under another key sees none of it, and cannot connect it.
-        let other = vfs.signon("another uak");
-        assert!(vfs.connected_objects(other).unwrap().is_empty());
-        assert!(vfs.readdir(other, "/hidden").unwrap().is_empty());
-        assert!(vfs.stat(other, "/hidden/inner").unwrap_err().is_not_found());
-        assert!(vfs.connect(other, "vault").unwrap_err().is_not_found());
-
-        // Sign-off (the paper's logoff) drops the whole connect table.
-        vfs.signoff(s).unwrap();
-        assert!(matches!(
-            vfs.connected_objects(s),
-            Err(VfsError::BadSession(_))
-        ));
-        let again = vfs.signon(ALICE);
-        assert!(vfs.connected_objects(again).unwrap().is_empty());
-        assert!(vfs.stat(again, "/hidden/inner").unwrap_err().is_not_found());
-        assert_eq!(
-            get(&vfs, again, "/hidden/vault/inner"),
-            b"written via the session"
-        );
-    }
 }

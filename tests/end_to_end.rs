@@ -1,10 +1,11 @@
 //! End-to-end life cycle tests spanning every crate: format → populate →
 //! remount → share → back up → destroy → recover.
 
-use stegfs_blockdev::MemBlockDevice;
-use stegfs_core::{ObjectKind, Parent, StegFs};
+use stegfs_blockdev::{MemBlockDevice, SharedDevice};
+use stegfs_core::{ObjectKind, Parent, StegFs, StegParams};
 use stegfs_crypto::rsa::RsaKeyPair;
 use stegfs_tests::{full_feature_params, payload, test_volume};
+use stegfs_vfs::{OpenOptions, SessionId, Vfs, VfsError};
 
 const ALICE: &str = "alice uak";
 const BOB: &str = "bob uak";
@@ -116,6 +117,69 @@ fn unhide_round_trips_through_plain_namespace() {
         .unwrap_err()
         .is_not_found());
     assert!(fs.list(Parent::Uak(ALICE)).unwrap().entries.is_empty());
+}
+
+/// Create (or overwrite from the start) the file at `path`.
+fn put(vfs: &Vfs<SharedDevice>, s: SessionId, path: &str, data: &[u8]) {
+    let h = vfs.open(s, path, OpenOptions::read_write()).unwrap();
+    vfs.write_at(h, 0, data).unwrap();
+    vfs.close(h).unwrap();
+}
+
+/// The whole contents of the file at `path`.
+fn get(vfs: &Vfs<SharedDevice>, s: SessionId, path: &str) -> Vec<u8> {
+    let h = vfs.open(s, path, OpenOptions::read_only()).unwrap();
+    let data = vfs.read_at(h, 0, 1 << 16).unwrap();
+    vfs.close(h).unwrap();
+    data
+}
+
+#[test]
+fn sessions_expose_connected_objects_only() {
+    let dev = SharedDevice::new(MemBlockDevice::new(1024, 4096));
+    let vfs = Vfs::format(dev, StegParams::for_tests()).unwrap();
+    let s = vfs.signon(ALICE);
+    vfs.mkdir(s, "/hidden/vault").unwrap();
+    put(&vfs, s, "/hidden/vault/inner", b"written via the session");
+    put(&vfs, s, "/hidden/loose-file", b"loose");
+    assert!(
+        vfs.connected_objects(s).unwrap().is_empty(),
+        "opening is not connecting"
+    );
+    assert!(vfs.stat(s, "/hidden/inner").unwrap_err().is_not_found());
+
+    vfs.connect(s, "vault").unwrap();
+    assert_eq!(vfs.connected_objects(s).unwrap(), ["inner", "vault"]);
+    assert_eq!(get(&vfs, s, "/hidden/inner"), b"written via the session");
+
+    // Disconnecting drops the one object; reconnecting reaches it again.
+    assert!(vfs.disconnect(s, "inner").unwrap());
+    assert!(!vfs.disconnect(s, "inner").unwrap());
+    assert_eq!(vfs.connected_objects(s).unwrap(), ["vault"]);
+    assert!(vfs.stat(s, "/hidden/inner").unwrap_err().is_not_found());
+    vfs.connect(s, "vault").unwrap();
+    assert_eq!(get(&vfs, s, "/hidden/inner"), b"written via the session");
+
+    // A session under another key sees none of it, and cannot connect it.
+    let other = vfs.signon(BOB);
+    assert!(vfs.connected_objects(other).unwrap().is_empty());
+    assert!(vfs.readdir(other, "/hidden").unwrap().is_empty());
+    assert!(vfs.stat(other, "/hidden/inner").unwrap_err().is_not_found());
+    assert!(vfs.connect(other, "vault").unwrap_err().is_not_found());
+
+    // Sign-off (the paper's logoff) drops the whole connect table.
+    vfs.signoff(s).unwrap();
+    assert!(matches!(
+        vfs.connected_objects(s),
+        Err(VfsError::BadSession(_))
+    ));
+    let again = vfs.signon(ALICE);
+    assert!(vfs.connected_objects(again).unwrap().is_empty());
+    assert!(vfs.stat(again, "/hidden/inner").unwrap_err().is_not_found());
+    assert_eq!(
+        get(&vfs, again, "/hidden/vault/inner"),
+        b"written via the session"
+    );
 }
 
 #[test]
