@@ -81,12 +81,15 @@
 //! * an **in-place patch** reads only the (at most two) groups it covers in
 //!   part — the edge-only [`stegfs_fs::rmw`] plan at group granularity —
 //!   re-encodes every group it touches and rewrites their shares; the chain
-//!   nodes are rewritten only where their entries carry checks;
+//!   nodes are rewritten only where their entries carry checks; once it
+//!   has committed, the groups' new plaintext overwrites the blocks of
+//!   theirs the cache holds;
 //! * a **resize** drops or appends whole groups and re-encodes only the
 //!   group a shrink cuts, so its cost follows the change, not the size.
 //!
 //! With `m = 1` a share *is* the plaintext: no byte goes through the IDA,
-//! and a (1, 1) object's bytes take no extra copy.  A coded read falls back
+//! and a (1, 1) object's bytes take no extra copy, save the one a patch
+//! keeps for the cache.  A coded read falls back
 //! through surviving shares on a check mismatch, and
 //! [`ObjectIo::repair`] rewrites damaged shares from the survivors.  On the
 //! raw device shares are indistinguishable from any other hidden block.
@@ -226,6 +229,19 @@ fn flatten(obj: &HiddenObject, nodes: &[ChainNode]) -> ExtentList {
         extents.share_csums.extend_from_slice(&node.node.csums);
     }
     extents
+}
+
+/// What a staged in-place patch leaves ([`ObjectIo::write_range`]).
+struct Patched {
+    /// The header the patch published, if any.
+    published: Option<HiddenHeader>,
+    /// The extent list as the patch leaves it: the one it was given when
+    /// no entry changed.
+    extents: Arc<ExtentList>,
+    /// The cache keys of the blocks it rewrote.
+    keys: Vec<u64>,
+    /// Their new plaintext, slot for slot.
+    plain: Scratch,
 }
 
 /// A rewrite in progress: the caller's transaction, the header the new
@@ -972,11 +988,14 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// — the key space its plaintext blocks are cached under — whatever the
     /// policy: the entry takes the committed extent list (resolved from the
     /// cache when warm) and the header if the patch published one, its
-    /// insert fence moves, and exactly the blocks the patch rewrote drop
-    /// ([`ReadCache::patched`]); the object's other cached blocks stay
-    /// servable.  A failed patch, or one whose object has
-    /// no cache entry, goes through the invalidation every other mutator
-    /// takes.
+    /// insert fence moves, and the plaintext the patch encoded — every
+    /// group it touched — overwrites the blocks it rewrote that are
+    /// resident, once the transaction has committed
+    /// ([`ReadCache::patched`]).  A rewritten block that was not resident
+    /// stays absent, and the object's other cached blocks stay servable, so
+    /// a read after a patch of a warm object touches no device.  A failed
+    /// patch, or one whose object has no cache entry, goes through the
+    /// invalidation every other mutator takes.
     pub fn write_range(&self, obj: &mut HiddenObject, offset: u64, data: &[u8]) -> StegResult<()> {
         if data.is_empty() {
             return Ok(());
@@ -991,14 +1010,17 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             }))?;
         let patched = self.cached_chain(obj).and_then(|(token, extents)| {
             let mut txn = self.fs.begin_txn();
-            let (published, extents, keys) =
-                self.patch(&mut txn, &obj.header, extents, offset, data)?;
+            let patch = self.patch(&mut txn, &obj.header, extents, offset, data)?;
             txn.commit()?;
-            let sig = self.keys.signature();
-            let kept =
-                self.cache
-                    .patched(sig, token, published.clone(), Arc::clone(&extents), &keys);
-            Ok((kept, published, extents))
+            let kept = self.cache.patched(
+                self.keys.signature(),
+                token,
+                patch.published.clone(),
+                Arc::clone(&patch.extents),
+                &patch.keys,
+                &patch.plain,
+            );
+            Ok((kept, patch.published, patch.extents))
         });
         let adopt = |obj: &mut HiddenObject, published: Option<HiddenHeader>| {
             if let Some(header) = published {
@@ -1085,11 +1107,11 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 _ => Some(self.encode_patch(&old, offset, &data[..in_kept], check)?),
             };
             let grown_from = match &kept {
-                Some((groups, _, csums)) => with_checks(&old, groups, csums),
+                Some((groups, _, csums, _)) => with_checks(&old, groups, csums),
                 None => Cow::Borrowed(&*old),
             };
             let grown = self.resize_groups(txn, obj, end, rng, &grown_from, &data[in_kept..])?;
-            if let Some((groups, payload, _)) = kept {
+            if let Some((groups, payload, _, _)) = kept {
                 let span = &grown.data_blocks[groups.start * n..groups.end * n];
                 self.write_encrypted_many(txn, span, payload)?;
             }
@@ -1101,10 +1123,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// `extents`, the chain `header` names: the shares of every group the
     /// range touches ([`Self::encode_patch`]), then, where the entries
     /// carry checks, the chain nodes holding them
-    /// ([`Self::rewrite_chain_nodes`]).  Returns the header the patch
-    /// published, if any, the extent list as the patch leaves it (the one
-    /// it was given when no entry changed) and the cache keys of the blocks
-    /// it rewrote.
+    /// ([`Self::rewrite_chain_nodes`]).
     fn patch(
         &self,
         txn: &mut FsTxn<'_, D>,
@@ -1112,20 +1131,28 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         extents: Arc<ExtentList>,
         offset: u64,
         data: &[u8],
-    ) -> StegResult<(Option<HiddenHeader>, Arc<ExtentList>, Vec<u64>)> {
+    ) -> StegResult<Patched> {
         let (m, n) = extents.coding;
         let check = self.share_check_of(header.policy);
-        let (groups, payload, csums) = self.encode_patch(&extents, offset, data, check)?;
+        let (groups, payload, csums, plain) = self.encode_patch(&extents, offset, data, check)?;
         let entries = groups.start * n..groups.end * n;
         self.write_encrypted_many(txn, &extents.data_blocks[entries.clone()], payload)?;
         let keys = extents
             .block_keys(groups.start * m..groups.end * m)
             .into_owned();
-        let Cow::Owned(checked) = with_checks(&extents, &groups, &csums) else {
-            return Ok((None, extents, keys));
+        let (published, extents) = match with_checks(&extents, &groups, &csums) {
+            Cow::Borrowed(_) => (None, extents),
+            Cow::Owned(checked) => {
+                let published = self.rewrite_chain_nodes(txn, header, &checked, entries)?;
+                (published, Arc::new(checked))
+            }
         };
-        let published = self.rewrite_chain_nodes(txn, header, &checked, entries)?;
-        Ok((published, Arc::new(checked), keys))
+        Ok(Patched {
+            published,
+            extents,
+            keys,
+            plain,
+        })
     }
 
     /// The new shares of the groups of `extents` that `data` at `offset`
@@ -1135,15 +1162,18 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// re-encode every group of the range.  A group damaged beyond
     /// tolerance therefore heals when a patch covers it completely, while a
     /// patch that needs any of its old bytes fails closed before anything
-    /// is written.  Returns the groups, their shares back to back and the
-    /// shares' checks under `check`.
+    /// is written.  Returns the groups, their shares back to back, the
+    /// shares' checks under `check`, and the groups' new plaintext in
+    /// logical block order: a copy, since the (1, 1) code hands the
+    /// plaintext itself back as its share, which is then encrypted in
+    /// place.
     fn encode_patch(
         &self,
         extents: &ExtentList,
         offset: u64,
         data: &[u8],
         check: Option<&ShareCheck>,
-    ) -> StegResult<(Range<usize>, Scratch, Vec<u64>)> {
+    ) -> StegResult<(Range<usize>, Scratch, Vec<u64>, Scratch)> {
         let bs = self.fs.block_size();
         let (m, n) = extents.coding;
         let group_bytes = m * bs;
@@ -1165,8 +1195,10 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         drop(edge_plain);
         let from = (offset - span_start) as usize;
         plain[from..from + data.len()].copy_from_slice(data);
+        let mut image = Scratch::take(plain.len());
+        image.copy_from_slice(&plain);
         let (payload, csums) = GroupCodec::new(m, n, bs).encode_whole(plain, check);
-        Ok((g0..g1 + 1, payload, csums))
+        Ok((g0..g1 + 1, payload, csums, image))
     }
 
     /// Rewrite, in `txn`, the chain nodes of `extents` that hold `entries`,
@@ -1694,7 +1726,7 @@ mod tests {
     use super::*;
     use crate::scratch;
     use std::sync::atomic::Ordering;
-    use stegfs_blockdev::{Dir, FaultDevice, MemBlockDevice, Trigger};
+    use stegfs_blockdev::{Dir, FaultDevice, MemBlockDevice, ObservedDevice, Trigger};
     use stegfs_fs::{FormatOptions, PlainFs};
 
     /// The cache-bypassing context of the object under `keys`.
@@ -1843,37 +1875,75 @@ mod tests {
         io.write_range(&mut obj, 0, &[]).unwrap();
     }
 
+    /// A volume on a device that counts its traffic, an object key set,
+    /// the test parameters and a seeded rng.
+    fn counted_fixture() -> (
+        PlainFs<ObservedDevice<MemBlockDevice>>,
+        ObjectKeys,
+        StegParams,
+        DeterministicRng,
+    ) {
+        let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
+        let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
+        let keys = ObjectKeys::derive("u1:/secret/budget.xls", b"file access key");
+        let rng = DeterministicRng::new(b"hidden-tests");
+        (fs, keys, StegParams::for_tests(), rng)
+    }
+
     #[test]
-    fn a_patch_drops_only_the_cached_blocks_it_rewrote() {
+    fn a_patch_updates_the_cached_blocks_it_rewrote() {
         for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {
-            let (fs, keys, params, mut rng) = fixture();
+            let (fs, keys, params, mut rng) = counted_fixture();
             let cache = ReadCache::new(4096);
             let io = ObjectIo::new(&fs, &params, &cache, &keys);
             let mut obj = create(&io, "warm", ObjectKind::File, policy).unwrap();
             let mut data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
             write(&io, &mut obj, &data, &mut rng).unwrap();
             assert_eq!(io.read(&obj).unwrap(), data);
-            let group = policy.shares().0 * 1024;
+            let blocks_read = || fs.device().stats().blocks_read.load(Ordering::Relaxed);
             // Each patch, then one whole read: 16 KiB aligned, then a
-            // 100-byte patch inside one block.  The blocks it rewrote are
-            // those of every group it touched.
+            // 100-byte patch inside one block.  The blocks the patch
+            // rewrote hold its plaintext, so the read is all hits and
+            // touches no device.
             for (at, len) in [(8 * 1024, 16 * 1024), (40_000, 100)] {
                 let patch = vec![at as u8 ^ 0x5a; len];
                 io.write_range(&mut obj, at as u64, &patch).unwrap();
                 data[at..at + len].copy_from_slice(&patch);
-                let groups = (at + len - 1) / group - at / group + 1;
-                let rewritten = (groups * group / 1024) as u64;
-                let before = cache.stats();
+                let (before, read_before) = (cache.stats(), blocks_read());
                 assert_eq!(io.read(&obj).unwrap(), data, "{policy:?}");
                 let after = cache.stats();
-                assert_eq!(after.block_misses - before.block_misses, rewritten);
-                assert_eq!(after.block_hits - before.block_hits, 64 - rewritten);
+                let hits = after.block_hits - before.block_hits;
+                let misses = after.block_misses - before.block_misses;
+                assert_eq!((hits, misses), (64, 0), "{policy:?}");
+                assert_eq!(blocks_read(), read_before, "{policy:?} read the device");
                 assert_eq!(after.extent_misses, before.extent_misses, "entry kept");
+                assert_eq!(after.resident_blocks, 64, "{policy:?}");
             }
-            // The re-fetched blocks went back in: the object is warm again.
+        }
+    }
+
+    #[test]
+    fn a_patch_of_an_object_with_nothing_resident_caches_nothing() {
+        for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {
+            let (fs, keys, params, mut rng) = fixture();
+            let cache = ReadCache::new(4096);
+            let io = ObjectIo::new(&fs, &params, &cache, &keys);
+            let mut obj = create(&io, "cold", ObjectKind::File, policy).unwrap();
+            let mut data = vec![0x3c; 64 * 1024];
+            write(&io, &mut obj, &data, &mut rng).unwrap();
+            // The write left the entry and its extent list, and no block.
+            assert_eq!(cache.stats().resident_blocks, 0);
+            io.write_range(&mut obj, 8 * 1024, &[0xc3; 16 * 1024])
+                .unwrap();
+            data[8 * 1024..24 * 1024].fill(0xc3);
             let before = cache.stats();
+            assert_eq!(before.resident_blocks, 0, "{policy:?}: no write-allocate");
+            // The patch kept the entry: the read after it misses every
+            // block, and nothing else.
             assert_eq!(io.read(&obj).unwrap(), data);
-            assert_eq!(cache.stats().block_hits - before.block_hits, 64);
+            let after = cache.stats();
+            assert_eq!(after.block_misses - before.block_misses, 64);
+            assert_eq!(after.extent_misses, before.extent_misses, "entry kept");
         }
     }
 
@@ -2740,7 +2810,7 @@ mod tests {
         assert_eq!(io.read(&obj).unwrap(), data);
     }
 
-    type Tripped = stegfs_blockdev::ObservedDevice<FaultDevice<MemBlockDevice>>;
+    type Tripped = ObservedDevice<FaultDevice<MemBlockDevice>>;
 
     /// One mutation the write-trip sweep drives.
     type Mutation =

@@ -88,4 +88,4 @@ pub use keys::{AccessHierarchy, DirectoryEntry, UakDirectory};
 pub use params::StegParams;
 pub use readcache::CacheStats;
 pub use sharing::ShareEnvelope;
-pub use stegfs::{HiddenHandle, Parent, SpaceReport, StegFs};
+pub use stegfs::{Child, HiddenHandle, Parent, SpaceReport, StegFs};

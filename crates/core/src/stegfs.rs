@@ -255,6 +255,37 @@ pub enum Parent<'a> {
     Dir(&'a DirectoryEntry),
 }
 
+/// The child of a [`Parent`] that [`StegFs::remove`] names: whatever the
+/// listing holds under a name (a `str`), or exactly the object an entry
+/// resolved earlier names (`DirectoryEntry`), which the listing no longer
+/// matches once another object took that name.
+pub trait Child {
+    /// The name the child is listed under.
+    fn name(&self) -> &str;
+    /// Whether `listed`, the listing's entry under that name, is this child.
+    fn is(&self, listed: &DirectoryEntry) -> bool;
+}
+
+impl<T: AsRef<str> + ?Sized> Child for T {
+    fn name(&self) -> &str {
+        self.as_ref()
+    }
+
+    fn is(&self, _: &DirectoryEntry) -> bool {
+        true
+    }
+}
+
+impl Child for DirectoryEntry {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn is(&self, listed: &DirectoryEntry) -> bool {
+        listed == self
+    }
+}
+
 impl Parent<'_> {
     /// The physical name of the child `name`: the owner's tag and the name
     /// at top level, the parent's physical name and the name below it, so
@@ -297,6 +328,10 @@ pub struct StegFs<D: BlockDevice> {
     fak_counter: AtomicU64,
     config: VolumeConfig,
     uak_locks: Vec<Mutex<()>>,
+    /// One listing generation per UAK shard, moved by every commit that
+    /// unbinds a name in a UAK listing of that shard
+    /// ([`Self::listing_generation`]).
+    listing_gens: Vec<AtomicU64>,
     object_locks: Vec<Mutex<()>>,
     /// RAM-only read-path cache (headers, extent maps, decrypted blocks).
     /// Every mutating method invalidates the object it touched; sign-off
@@ -329,6 +364,7 @@ impl<D: BlockDevice> StegFs<D> {
             uak_locks: (0..UAK_SHARDS)
                 .map(|_| Mutex::with_stats((), obs.uak_shards.clone()))
                 .collect(),
+            listing_gens: (0..UAK_SHARDS).map(|_| AtomicU64::new(0)).collect(),
             object_locks: (0..OBJECT_SHARDS)
                 .map(|_| Mutex::with_stats((), obs.object_shards.clone()))
                 .collect(),
@@ -775,6 +811,29 @@ impl<D: BlockDevice> StegFs<D> {
         ])
     }
 
+    /// The generation of `uak`'s listing.  Every commit that unbinds a
+    /// name in a UAK listing — a rename, a remove, a re-key — moves the
+    /// generation of the listing's shard once it has landed, so a name
+    /// resolved through the listing, with the generation read *before* the
+    /// walk, still names what the listing binds to it while the generation
+    /// reads the same.  A create binds a name that was free, which no
+    /// current resolution holds, so it leaves the generation alone.  A
+    /// commit to another key's listing in the same shard moves it too:
+    /// that costs a holder of a resolution a needless re-walk, never a
+    /// stale answer.
+    pub fn listing_generation(&self, uak: &str) -> u64 {
+        self.listing_gens[shard_index(uak, UAK_SHARDS)].load(Ordering::Acquire)
+    }
+
+    /// Move the listing generation of `parent`, where it is a UAK listing,
+    /// after a commit that unbinds a name in it, whatever the commit
+    /// returned: a failed commit may still have landed.
+    fn unbound(&self, parent: Parent<'_>) {
+        if let Parent::Uak(uak) = parent {
+            self.listing_gens[shard_index(uak, UAK_SHARDS)].fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
     /// The listing of `parent`: a key's top-level hidden objects, or a
     /// hidden directory's children.  A key that never created anything
     /// lists nothing, exactly as a wrong key does.
@@ -835,7 +894,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// renamed, as [`Self::remove`] returns the one it removed.
     pub fn rename(&self, parent: Parent<'_>, old: &str, new: &str) -> StegResult<DirectoryEntry> {
         check_child_name(new)?;
-        self.update_listing(self.fs.begin_txn(), parent, |txn, listing| {
+        let renamed = self.update_listing(self.fs.begin_txn(), parent, |txn, listing| {
             if listing.find(new).is_some() {
                 return Err(StegError::AlreadyExists(new.to_string()));
             }
@@ -850,13 +909,18 @@ impl<D: BlockDevice> StegFs<D> {
             self.forget_object(txn, &entry, &keys);
             listing.insert(entry.clone())?;
             Ok(entry)
-        })
+        });
+        self.unbound(parent);
+        renamed
     }
 
-    /// Remove the child `name` of `parent` and destroy its object, in one
-    /// transaction, returning the removed entry (so callers that track
-    /// objects by identity, like the VFS registry, need not re-walk the
-    /// listing to learn it).  A hidden directory must be empty.
+    /// Remove the child `child` of `parent` and destroy its object, in one
+    /// transaction, returning the removed entry.  `child` is a name, or the
+    /// entry a caller resolved before (the VFS, which pins its registry
+    /// entry first): when the listing now holds another object under that
+    /// name, the remove fails not-found and destroys nothing, so the caller
+    /// needs no second walk of the listing to check what it pinned.  A
+    /// hidden directory must be empty.
     ///
     /// The child's object shard is held with the listing's guard, so
     /// in-flight I/O on the child drains before its blocks are freed.
@@ -865,13 +929,18 @@ impl<D: BlockDevice> StegFs<D> {
     /// released, the child's shard taken first and the listing loaded
     /// again, until the child listed is one whose shard is held.  A UAK
     /// directory's guard is no object shard, so its removes never retry.
-    pub fn remove(&self, parent: Parent<'_>, name: &str) -> StegResult<DirectoryEntry> {
+    pub fn remove<C: Child + ?Sized>(
+        &self,
+        parent: Parent<'_>,
+        child: &C,
+    ) -> StegResult<DirectoryEntry> {
+        let name = child.name();
         let mut txn = self.fs.begin_txn();
         let mut early: Option<(usize, MutexGuard<'_, ()>)> = None;
         let (mut listing, child, _child_guard) = loop {
             let listing = self.lock_listing(parent)?;
-            let child = listing.entries.find(name).cloned();
-            let child = child.ok_or_else(|| StegError::NotFound(name.to_string()))?;
+            let listed = listing.entries.find(name).filter(|e| child.is(e)).cloned();
+            let child = listed.ok_or_else(|| StegError::NotFound(name.to_string()))?;
             let idx = shard_index(&child.physical_name, OBJECT_SHARDS);
             match parent.object_shard() {
                 _ if early.as_ref().is_some_and(|(held, _)| *held == idx) => {
@@ -888,8 +957,9 @@ impl<D: BlockDevice> StegFs<D> {
         };
         self.destroy_entry(&mut txn, &child)?;
         listing.entries.remove(name);
-        self.commit_listing(txn, parent, listing)?;
-        Ok(child)
+        let committed = self.commit_listing(txn, parent, listing);
+        self.unbound(parent);
+        committed.map(|()| child)
     }
 
     /// Destroy the object behind `entry` in `txn` (its shard held across
@@ -1315,7 +1385,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// transaction, committed under the UAK shard and the old object's.
     pub fn revoke_sharing(&self, objname: &str, uak: &str) -> StegResult<()> {
         let parent = Parent::Uak(uak);
-        self.update_listing(self.fs.begin_txn(), parent, |txn, dir| {
+        let revoked = self.update_listing(self.fs.begin_txn(), parent, |txn, dir| {
             let entry = dir
                 .remove(objname)
                 .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
@@ -1358,8 +1428,9 @@ impl<D: BlockDevice> StegFs<D> {
             }
             dir.insert(rekeyed)?;
             Ok(obj_lock)
-        })
-        .map(drop)
+        });
+        self.unbound(parent);
+        revoked.map(drop)
     }
 
     // ------------------------------------------------------------------
@@ -2290,6 +2361,34 @@ mod tests {
         let fresh = MemBlockDevice::new(1024, 8192);
         let recovered = StegFs::steg_recovery(fresh, &image, b"k", StegParams::for_tests());
         assert!(corrupt(recovered));
+    }
+
+    #[test]
+    fn remove_of_an_entry_the_listing_no_longer_holds_destroys_nothing() {
+        let fs = small_fs();
+        let top = Parent::Uak(UAK);
+        fs.steg_create("doc", UAK, ObjectKind::File).unwrap();
+        fs.write_hidden_with_key("doc", UAK, b"old doc").unwrap();
+        let stale = fs.lookup_entry("doc", UAK).unwrap();
+        let gen = fs.listing_generation(UAK);
+        fs.rename(top, "doc", "moved").unwrap();
+        fs.steg_create("doc", UAK, ObjectKind::File).unwrap();
+        fs.write_hidden_with_key("doc", UAK, b"new").unwrap();
+        assert!(fs.listing_generation(UAK) > gen, "listing commits move it");
+
+        // The name lists another object now: not found, nothing removed.
+        assert!(fs.remove(top, &stale).unwrap_err().is_not_found());
+        assert_eq!(fs.read_hidden_with_key("doc", UAK).unwrap(), b"new");
+        assert_eq!(fs.read_hidden_with_key("moved", UAK).unwrap(), b"old doc");
+
+        // The entry the listing holds, and a bare name, remove.
+        let current = fs.lookup_entry("doc", UAK).unwrap();
+        assert_eq!(fs.remove(top, &current).unwrap(), current);
+        assert_eq!(
+            fs.remove(top, "moved").unwrap().physical_name,
+            stale.physical_name
+        );
+        assert!(fs.list(top).unwrap().entries.is_empty());
     }
 
     #[test]

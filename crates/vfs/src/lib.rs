@@ -439,15 +439,48 @@ mod tests {
         vfs.close(h).unwrap();
         assert_eq!(vfs.stat(b, "/hidden/doc").unwrap().size, 2);
 
-        // After B renames it, the listing entry A remembers still reaches
-        // the object under the old name — a session keeps what it resolved,
-        // like an open fd across a rename.  Once A disconnects the name, it
-        // resolves from disk and is gone.
+        // After B renames it, the listing entry A remembers is outdated:
+        // the rename moved the listing generation, so A walks the listing
+        // again and finds the object under its new name only.
         vfs.rename(b, "/hidden/doc", "/hidden/moved").unwrap();
-        assert_eq!(vfs.stat(a, "/hidden/doc").unwrap().size, 2);
-        vfs.disconnect(a, "doc").unwrap();
         assert!(vfs.stat(a, "/hidden/doc").unwrap_err().is_not_found());
         assert_eq!(vfs.stat(a, "/hidden/moved").unwrap().size, 2);
+    }
+
+    #[test]
+    fn another_sessions_rename_and_recreate_outdate_the_listing_hint() {
+        let vfs = small_vfs();
+        let a = vfs.signon("shared key");
+        let b = vfs.signon("shared key");
+        let h = vfs
+            .open(a, "/hidden/doc", OpenOptions::read_write())
+            .unwrap();
+        vfs.write_at(h, 0, b"old doc").unwrap();
+        vfs.close(h).unwrap();
+        assert_eq!(vfs.stat(a, "/hidden/doc").unwrap().size, 7); // A's hint
+
+        // B moves the object away and creates a new one under the old name.
+        vfs.rename(b, "/hidden/doc", "/hidden/moved").unwrap();
+        let h = vfs
+            .open(b, "/hidden/doc", OpenOptions::read_write())
+            .unwrap();
+        vfs.write_at(h, 0, b"new").unwrap();
+        vfs.close(h).unwrap();
+
+        // A's stat, read and unlink of /hidden/doc all name B's new object.
+        assert_eq!(vfs.stat(a, "/hidden/doc").unwrap().size, 3);
+        let h = vfs
+            .open(a, "/hidden/doc", OpenOptions::read_only())
+            .unwrap();
+        assert_eq!(vfs.read_at(h, 0, 64).unwrap(), b"new");
+        vfs.close(h).unwrap();
+        vfs.unlink(a, "/hidden/doc").unwrap();
+        assert!(vfs.stat(b, "/hidden/doc").unwrap_err().is_not_found());
+        let h = vfs
+            .open(b, "/hidden/moved", OpenOptions::read_only())
+            .unwrap();
+        assert_eq!(vfs.read_at(h, 0, 64).unwrap(), b"old doc");
+        vfs.close(h).unwrap();
     }
 
     #[test]

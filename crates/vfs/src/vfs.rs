@@ -187,11 +187,14 @@ struct SessionState {
 /// fail not-found) until this session disconnects it or signs off.
 #[derive(Default)]
 struct Connected {
-    /// Top-level names this session resolved from its listing, so a repeat
-    /// open is a table hit with no listing walk.  A hint: another session
-    /// with the same key may have unlinked the object since, so a not-found
-    /// through it drops it and the walk is retried.
-    listed: BTreeMap<String, DirectoryEntry>,
+    /// Top-level names this session resolved from its listing, each with
+    /// the listing generation read before the walk that found it
+    /// ([`StegFs::listing_generation`]), so a repeat open is a table hit
+    /// with no listing walk.  A hint holds only while the generation reads
+    /// the same: a commit since that unbinds a name in the key's listing —
+    /// a rename, unlink or re-key, by any session — moves it, and the name
+    /// is walked again.
+    listed: BTreeMap<String, (DirectoryEntry, u64)>,
     /// What [`Vfs::connect`] made visible: the object and, for a directory,
     /// its offspring at any depth, each reachable at `/hidden/<its name>`.
     set: BTreeMap<String, DirectoryEntry>,
@@ -201,7 +204,7 @@ impl Connected {
     /// Drop every entry naming the object `key`: it was unlinked or renamed.
     fn forget(&mut self, key: &ObjectKey) {
         let other = |e: &DirectoryEntry| ObjectKey::hidden(e) != *key;
-        self.listed.retain(|_, e| other(e));
+        self.listed.retain(|_, (e, _)| other(e));
         self.set.retain(|_, e| other(e));
     }
 }
@@ -420,45 +423,42 @@ impl<D: BlockDevice> Vfs<D> {
             .ok_or(VfsError::BadSession(session.0))
     }
 
-    /// Resolve a hidden component chain and run `f` on the result.
-    ///
-    /// The first component is the listing's entry of that name, else the
-    /// connected object of that name.  A name the session resolved from
-    /// the listing before is a table hit; when `f` (or the walk below it)
-    /// then reports not-found, the hint is dropped and the walk retried
-    /// from disk before the error is believed.
+    /// Resolve a hidden component chain and run `f` on the result.  The
+    /// first component is [`Self::resolve_top`]'s, each one below it is
+    /// walked from its directory's listing.
     fn with_hidden_entry<R>(
         &self,
         state: &SessionState,
         comps: &[String],
-        mut f: impl FnMut(&DirectoryEntry) -> VfsResult<R>,
+        f: impl FnOnce(&DirectoryEntry) -> VfsResult<R>,
     ) -> VfsResult<R> {
-        loop {
-            let (top, hint) = self.resolve_top(state, &comps[0])?;
-            match self.resolve_below(top, comps).and_then(|e| f(&e)) {
-                Err(e) if e.is_not_found() && hint => {
-                    state.connected.lock().listed.remove(&comps[0]);
-                }
-                other => return other,
-            }
-        }
+        let top = self.resolve_top(state, &comps[0])?;
+        self.resolve_below(top, comps).and_then(|e| f(&e))
     }
 
-    /// The entry `/hidden/<name>` names for the session, and whether it is
-    /// a remembered listing entry (a hint) rather than a fresh walk.
-    fn resolve_top(&self, state: &SessionState, name: &str) -> VfsResult<(DirectoryEntry, bool)> {
-        if let Some(entry) = state.connected.lock().listed.get(name) {
-            return Ok((entry.clone(), true));
+    /// The entry `/hidden/<name>` names for the session: the listing's
+    /// entry of that name, else the connected object of that name.  A name
+    /// the session resolved from the listing before is a table hit, with
+    /// no walk, while the listing generation it recorded is current.
+    fn resolve_top(&self, state: &SessionState, name: &str) -> VfsResult<DirectoryEntry> {
+        // Read before the walk: a commit that lands during the walk moves
+        // it past what the hint records, so the hint is walked again.
+        let gen = self.fs.listing_generation(&state.uak);
+        if let Some((entry, seen)) = state.connected.lock().listed.get(name) {
+            if *seen == gen {
+                return Ok(entry.clone());
+            }
         }
         match self.fs.lookup_entry(name, &state.uak) {
             Ok(entry) => {
-                let mut connected = state.connected.lock();
-                connected.listed.insert(name.to_string(), entry.clone());
-                Ok((entry, false))
+                let hint = (entry.clone(), gen);
+                state.connected.lock().listed.insert(name.to_string(), hint);
+                Ok(entry)
             }
             Err(e) if e.is_not_found() => {
-                let connected = state.connected.lock().set.get(name).cloned();
-                connected.map(|entry| (entry, false)).ok_or(e.into())
+                let mut connected = state.connected.lock();
+                connected.listed.remove(name);
+                connected.set.get(name).cloned().ok_or(e.into())
             }
             Err(e) => Err(e.into()),
         }
@@ -766,12 +766,12 @@ impl<D: BlockDevice> Vfs<D> {
     /// path under `/hidden`) and that component's name: the session's UAK
     /// directory at top level, else the hidden directory the leading
     /// components resolve to (through [`Self::with_hidden_entry`], so a
-    /// stale session cache falls back to a from-disk walk).
+    /// session hint that a listing commit outdated is walked again).
     fn with_parent<R>(
         &self,
         state: &SessionState,
         comps: &[String],
-        mut f: impl FnMut(Parent<'_>, &str) -> VfsResult<R>,
+        f: impl FnOnce(Parent<'_>, &str) -> VfsResult<R>,
     ) -> VfsResult<R> {
         match comps.split_last() {
             None => Err(VfsError::InvalidPath("/hidden".into())),
@@ -819,14 +819,22 @@ impl<D: BlockDevice> Vfs<D> {
             VfsPath::Hidden(comps) => {
                 self.with_parent(&state, &comps, |parent, name| {
                     // Resolve the victim first (outside the registry lock:
-                    // it is a listing walk) so its entry can be pinned
-                    // before its blocks are freed.  The identity is stable
-                    // for the object's lifetime, so the binding cannot
-                    // change between the walk and the pin.
-                    let listing = self.fs.list(parent).ok();
-                    let key = listing.and_then(|l| l.find(name).map(ObjectKey::hidden));
-                    let removed = self.unlink_pinned(key, || {
-                        Ok(Some(ObjectKey::hidden(&self.fs.remove(parent, name)?)))
+                    // it may be a listing walk; a top-level name is the
+                    // session's hint) so its entry can be pinned before its
+                    // blocks are freed.  `remove` takes that entry and,
+                    // under the listing's guard, removes nothing if the
+                    // name now lists another object.
+                    let victim = match parent {
+                        Parent::Uak(_) => self.resolve_top(&state, name)?,
+                        Parent::Dir(_) => self
+                            .fs
+                            .list(parent)?
+                            .find(name)
+                            .cloned()
+                            .ok_or_else(|| stegfs_core::StegError::NotFound(name.to_string()))?,
+                    };
+                    let removed = self.unlink_pinned(Some(ObjectKey::hidden(&victim)), || {
+                        Ok(Some(ObjectKey::hidden(&self.fs.remove(parent, &victim)?)))
                     })?;
                     // The object may also be connected, under any name
                     // (a connect pulls a directory's offspring in).
@@ -983,16 +991,16 @@ impl<D: BlockDevice> Vfs<D> {
             }
             VfsPath::Hidden(comps) => {
                 // Resolve and pin the shared object.  Runs under
-                // `with_hidden_entry`, so a stale session hint falls back to
-                // a from-disk walk.
-                let mut ensure = |entry: &DirectoryEntry| -> VfsResult<Arc<ObjectEntry>> {
+                // `with_hidden_entry`, so a session hint that a listing
+                // commit outdated is walked again.
+                let ensure = |entry: &DirectoryEntry| -> VfsResult<Arc<ObjectEntry>> {
                     if entry.kind != ObjectKind::File {
                         return Err(VfsError::IsDirectory(path.to_string()));
                     }
                     self.acquire_hidden(entry)
                 };
 
-                let resolved = match self.with_hidden_entry(&state, &comps, &mut ensure) {
+                let resolved = match self.with_hidden_entry(&state, &comps, ensure) {
                     Ok(v) => Ok(v),
                     Err(e) if e.is_not_found() && opts.create => {
                         // Create at any depth; the parent chain must exist.
@@ -1006,7 +1014,7 @@ impl<D: BlockDevice> Vfs<D> {
                             Err(VfsError::Steg(stegfs_core::StegError::AlreadyExists(_))) => {}
                             Err(err) => return Err(err),
                         }
-                        self.with_hidden_entry(&state, &comps, &mut ensure)
+                        self.with_hidden_entry(&state, &comps, ensure)
                     }
                     Err(e) => Err(e),
                 };

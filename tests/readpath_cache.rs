@@ -10,8 +10,9 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
-use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
+use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice, ObservedDevice};
 use stegfs_core::{DirectoryEntry, ObjectKind, Parent, Policy, StegFs, StegParams};
 use stegfs_crypto::kdf;
 use stegfs_tests::{journaled_params, payload, test_volume};
@@ -256,6 +257,44 @@ fn disconnect_all_and_unmount_purge_at_core_level() {
     assert_eq!(stats.resident_blocks, 0);
     assert_eq!(stats.resident_objects, 0);
     assert_eq!(stats.resident_keys, 0);
+}
+
+#[test]
+fn a_patched_warm_object_reads_back_without_the_device() {
+    // A journaled write-back stack, as the gate's: a committed patch writes
+    // its plaintext over the cached blocks it rewrote, so the re-read is
+    // served by the read cache and nothing reaches the device below the
+    // buffer cache, even after plain reads have pushed the patch's blocks
+    // out of it.
+    let params = StegParams {
+        readpath_cache_blocks: 1024,
+        ..journaled_params(160)
+    };
+    let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
+    let below = Arc::clone(dev.stats());
+    let fs = StegFs::format(BufferCache::new_write_back(dev, 64), params).unwrap();
+    let plain = payload(40, 96 * 1024);
+    fs.plain_fs().write_file("/churn.bin", &plain).unwrap();
+    let mut data = payload(41, 64 * 1024);
+    fs.steg_create("warm", OWNER, ObjectKind::File).unwrap();
+    fs.write_hidden_with_key("warm", OWNER, &data).unwrap();
+    let mut h = fs.open_hidden("warm", OWNER).unwrap();
+    assert_eq!(fs.read_range_at(&h, 0, data.len()).unwrap(), data);
+
+    let patch = payload(42, 16 * 1024);
+    fs.write_at_handle(&mut h, 8 * 1024, &patch).unwrap();
+    data[8 * 1024..24 * 1024].copy_from_slice(&patch);
+    assert_eq!(fs.plain_fs().read_file("/churn.bin").unwrap(), plain);
+    let reads = below.reads.load(Ordering::Relaxed);
+    assert_eq!(fs.read_range_at(&h, 0, data.len()).unwrap(), data);
+    assert_eq!(
+        below.reads.load(Ordering::Relaxed),
+        reads,
+        "the re-read went to the device"
+    );
+    // What the cache served is what the device holds.
+    fs.purge_read_caches();
+    assert_eq!(fs.read_range_at(&h, 0, data.len()).unwrap(), data);
 }
 
 // ----------------------------------------------------------------------
