@@ -446,8 +446,8 @@ pub struct CacheStats {
     pub key_misses: u64,
     /// Plaintext blocks evicted (zeroed) to stay within capacity.
     pub evictions: u64,
-    /// Object invalidations (mutations observed, in-place patches
-    /// included).
+    /// Object invalidations (mutations observed).  An in-place patch
+    /// updates what it rewrote and drops nothing, so it is not one.
     pub invalidations: u64,
     /// Inserts dropped because an invalidation or patch raced the disk
     /// walk.
@@ -1004,7 +1004,6 @@ impl ReadCache {
         if !self.enabled() || token.is_dead() {
             return false;
         }
-        let start = Instant::now();
         // Held across the update, as in `invalidate`: `put_blocks` checks
         // the fence under this lock, so an insert either lands before the
         // move (and is overwritten below if it is a patched block) or is
@@ -1018,7 +1017,6 @@ impl ReadCache {
             obj.header = header;
         }
         obj.extents = Some(extents);
-        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         let bs = chunk_len(blocks, images.len()).unwrap_or(0);
         for (shard, slots) in ShardPlan::new(blocks).groups() {
             let mut shard = self.blocks[shard].lock();
@@ -1027,9 +1025,6 @@ impl ReadCache {
             }
         }
         drop(object_guard);
-        self.obs
-            .zeroize_ns
-            .record(start.elapsed().as_nanos() as u64);
         true
     }
 

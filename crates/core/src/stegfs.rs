@@ -42,8 +42,15 @@
 //!
 //! Each mutating operation is one [`FsTxn`], begun before any of these
 //! guards (it holds no lock until it commits) and committed once, inside
-//! the guards that cover its publish; [`StegFs::steg_hide`] and
-//! [`StegFs::steg_unhide`] add a plain commit of their own.
+//! the guards that cover its publish.  The two conversions between the
+//! namespaces, [`StegFs::steg_hide`] and [`StegFs::steg_unhide`], stage
+//! their plain half in the same transaction ([`FsTxn::delete`],
+//! [`FsTxn::write_file`]), holding the plain namespace under their hidden
+//! guards across the one commit.  The format's volume config and
+//! [`StegFs::steg_recovery`]'s plain files commit on their own: neither
+//! is an operation a crash must leave old or new (a crashed format or
+//! recovery is redone from the start), and joining them to the
+//! surrounding transactions would move every journaled image pin.
 //!
 //! Lock order: the table in [`stegfs_obs::lock`].  The derivation a
 //! derived-key cache miss pays ([`StegFs::keys_for`]) runs with that lock
@@ -74,7 +81,7 @@ use stegfs_blockdev::BlockDevice;
 use stegfs_crypto::prng::DeterministicRng;
 use stegfs_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use stegfs_crypto::sha256::sha256_concat;
-use stegfs_fs::{AllocPolicy, FileKind, FormatOptions, FsTxn, PlainFs};
+use stegfs_fs::{AllocPolicy, FileKind, Fill, FormatOptions, FsTxn, PlainFs};
 use stegfs_obs::lock::{Mutex, MutexGuard};
 use stegfs_obs::{span, Obs};
 
@@ -753,34 +760,35 @@ impl<D: BlockDevice> StegFs<D> {
         })
     }
 
-    /// Save `listing` in `txn` and commit, its guard held across the
-    /// commit.  A UAK directory is created on first use, plain and with no
-    /// shadow; a hidden directory's listing is mirrored into its shadow
-    /// listing ([`Self::save_shadow_listing`]).  The listing was just read
-    /// through the cache, so the rewrite's chain walk is served from its
-    /// warm extent map.
-    fn commit_listing<'s>(
+    /// Stage `listing` in `txn`; the caller commits with the listing's
+    /// guard still held.  A UAK directory is created on first use, plain
+    /// and with no shadow; a hidden directory's listing is mirrored into
+    /// its shadow listing ([`Self::save_shadow_listing`]).  The listing was
+    /// just read through the cache, so the rewrite's chain walk is served
+    /// from its warm extent map.
+    fn save_listing<'s>(
         &'s self,
-        mut txn: FsTxn<'s, D>,
+        txn: &mut FsTxn<'s, D>,
         parent: Parent<'_>,
-        listing: Listing<'_>,
+        listing: &mut Listing<'_>,
     ) -> StegResult<()> {
         let io = self.io(&listing.keys);
-        let mut obj = match listing.object {
+        let mut obj = match listing.object.take() {
             Some(obj) => obj,
             None => io.create(
-                &mut txn,
+                txn,
                 UAK_DIRECTORY_NAME,
                 ObjectKind::Directory,
                 Policy::Plain,
             )?,
         };
         let bytes = listing.entries.serialize();
-        io.write(&mut txn, &mut obj, &bytes, &mut self.fork_rng())?;
+        io.write(txn, &mut obj, &bytes, &mut self.fork_rng())?;
+        listing.object = Some(obj);
         if let Parent::Dir(dir) = parent {
-            self.save_shadow_listing(&mut txn, dir, &listing.entries)?;
+            self.save_shadow_listing(txn, dir, &listing.entries)?;
         }
-        Ok(txn.commit()?)
+        Ok(())
     }
 
     /// The one shape of a namespace operation: under the guard of
@@ -796,7 +804,8 @@ impl<D: BlockDevice> StegFs<D> {
     ) -> StegResult<T> {
         let mut listing = self.lock_listing(parent)?;
         let out = edit(&mut txn, &mut listing.entries)?;
-        self.commit_listing(txn, parent, listing)?;
+        self.save_listing(&mut txn, parent, &mut listing)?;
+        txn.commit()?;
         Ok(out)
     }
 
@@ -845,46 +854,64 @@ impl<D: BlockDevice> StegFs<D> {
     /// the volume's default durability policy
     /// ([`StegParams::hidden_policy`](crate::StegParams)).
     pub fn create(&self, parent: Parent<'_>, name: &str, kind: ObjectKind) -> StegResult<()> {
-        self.publish(parent, name, kind, self.params.hidden_policy, None)
+        self.create_with_policy(parent, name, kind, self.params.hidden_policy)
     }
 
-    /// Build the object `name` holding `contents` (none: an empty file, or
-    /// a directory with an empty listing) and publish it in `parent`, in
-    /// one transaction.  The object is built outside the listing's guard
-    /// (no other thread sees its fresh keys), so creates in one listing
-    /// serialise on its rewrite only.  Losing the name race drops the
-    /// transaction, and with it the never-published object's blocks.
-    fn publish(
+    /// [`Self::create`] under `policy`, in one transaction.  The object is
+    /// built before the listing's guard is taken (no other thread sees its
+    /// fresh keys), so creates in one listing serialise on its rewrite
+    /// only.
+    fn create_with_policy(
         &self,
         parent: Parent<'_>,
         name: &str,
         kind: ObjectKind,
         policy: Policy,
-        contents: Option<&[u8]>,
     ) -> StegResult<()> {
+        let mut txn = self.fs.begin_txn();
+        let entry = self.publish(&mut txn, parent, name, kind, policy, None)?;
+        self.update_listing(txn, parent, |_, listing| self.bind(listing, entry))
+    }
+
+    /// Build the object `name` of `parent` holding `contents` (none: an
+    /// empty file, or a directory with an empty listing) in `txn`, and
+    /// return the entry that lists it ([`Self::bind`]).
+    fn publish<'s>(
+        &'s self,
+        txn: &mut FsTxn<'s, D>,
+        parent: Parent<'_>,
+        name: &str,
+        kind: ObjectKind,
+        policy: Policy,
+        contents: Option<&[u8]>,
+    ) -> StegResult<DirectoryEntry> {
         check_child_name(name)?;
         let fak = self.generate_fak(name);
         let physical_name = parent.child_physical_name(name);
         let keys = self.keys_for(&physical_name, &fak);
-        let mut txn = self.fs.begin_txn();
         let io = self.object_io(&keys);
-        let mut obj = io.create(&mut txn, &physical_name, kind, policy)?;
+        let mut obj = io.create(txn, &physical_name, kind, policy)?;
         if let Some(data) = contents {
-            io.write(&mut txn, &mut obj, data, &mut self.fork_rng())?;
+            io.write(txn, &mut obj, data, &mut self.fork_rng())?;
         }
-        self.update_listing(txn, parent, |_, listing| {
-            if listing.find(name).is_some() {
-                self.read_cache.drop_keys(&physical_name, &fak);
-                return Err(StegError::AlreadyExists(name.to_string()));
-            }
-            let name = name.to_string();
-            listing.insert(DirectoryEntry {
-                name,
-                physical_name,
-                fak,
-                kind,
-            })
+        let name = name.to_string();
+        Ok(DirectoryEntry {
+            name,
+            physical_name,
+            fak,
+            kind,
         })
+    }
+
+    /// List `entry`, an object [`Self::publish`] built, in `listing`.
+    /// Losing the name race fails the operation: its transaction drops,
+    /// and with it the never-published object's blocks.
+    fn bind(&self, listing: &mut UakDirectory, entry: DirectoryEntry) -> StegResult<()> {
+        if listing.find(&entry.name).is_some() {
+            self.read_cache.drop_keys(&entry.physical_name, &entry.fak);
+            return Err(StegError::AlreadyExists(entry.name));
+        }
+        listing.insert(entry)
     }
 
     /// Rename the child `old` of `parent` to `new`.  Only the listing entry
@@ -934,8 +961,23 @@ impl<D: BlockDevice> StegFs<D> {
         parent: Parent<'_>,
         child: &C,
     ) -> StegResult<DirectoryEntry> {
+        let txn = self.fs.begin_txn();
+        let (entry, ()) = self.remove_with(txn, parent, child, |_, _| Ok(()))?;
+        Ok(entry)
+    }
+
+    /// [`Self::remove`] in `txn`, begun by the caller.  Once the listing's
+    /// guard and the child's shard are held, `stage` adds to the
+    /// transaction, before the child is destroyed; what it returns (guards
+    /// it took, say) lives through the commit.
+    fn remove_with<'s, C: Child + ?Sized, T>(
+        &'s self,
+        mut txn: FsTxn<'s, D>,
+        parent: Parent<'_>,
+        child: &C,
+        stage: impl FnOnce(&mut FsTxn<'s, D>, &DirectoryEntry) -> StegResult<T>,
+    ) -> StegResult<(DirectoryEntry, T)> {
         let name = child.name();
-        let mut txn = self.fs.begin_txn();
         let mut early: Option<(usize, MutexGuard<'_, ()>)> = None;
         let (mut listing, child, _child_guard) = loop {
             let listing = self.lock_listing(parent)?;
@@ -955,11 +997,13 @@ impl<D: BlockDevice> StegFs<D> {
                 _ => break (listing, child, Some((idx, self.object_guard_at(idx)))),
             }
         };
+        let out = stage(&mut txn, &child)?;
         self.destroy_entry(&mut txn, &child)?;
         listing.entries.remove(name);
-        let committed = self.commit_listing(txn, parent, listing);
+        let committed = self.save_listing(&mut txn, parent, &mut listing);
+        let committed = committed.and_then(|()| Ok(txn.commit()?));
         self.unbound(parent);
-        committed.map(|()| child)
+        committed.map(|()| (child, out))
     }
 
     /// Destroy the object behind `entry` in `txn` (its shard held across
@@ -1147,7 +1191,7 @@ impl<D: BlockDevice> StegFs<D> {
         kind: ObjectKind,
         policy: Policy,
     ) -> StegResult<()> {
-        self.publish(Parent::Uak(uak), objname, kind, policy, None)
+        self.create_with_policy(Parent::Uak(uak), objname, kind, policy)
     }
 
     /// Verify and, where possible, repair one hidden object in place from
@@ -1319,29 +1363,67 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// `steg_hide`: convert the plain file at `pathname` into the hidden
-    /// object `objname`; the plain source is deleted on success.
+    /// object `objname`, and delete the plain source, scrubbed: each of
+    /// its data blocks gets back its format-time fill, so no block of the
+    /// volume holds the file in plaintext any more.
     ///
-    /// Two commits: the hidden object with its name, then the plain delete.
-    /// A crash between them leaves both copies, never neither; closing that
-    /// window needs a plain delete inside the hidden transaction.
+    /// One transaction, committed once, under `uak`'s shard and then the
+    /// plain namespace and the source's stripe, in that order: read the
+    /// source, build the object, save the listing, stage the scrubbing
+    /// delete.  A crash leaves the plain file or the hidden one, never both
+    /// and never neither.  Written through (no journal), the object and its
+    /// listing reach the device before the source is touched, so a failed
+    /// hide leaves both copies at worst.  On a journaled volume the scrub
+    /// rides in the commit's final piece ([`FsTxn`]): a source whose data
+    /// blocks do not fit there with the commit's inode-table and bitmap
+    /// images fails `NoSpace` and stays as it is.
     pub fn steg_hide(&self, pathname: &str, objname: &str, uak: &str) -> StegResult<()> {
-        let data = self.fs.read_file(pathname)?;
         let (parent, policy) = (Parent::Uak(uak), self.params.hidden_policy);
-        self.publish(parent, objname, ObjectKind::File, policy, Some(&data))?;
-        self.fs.delete(pathname)?;
-        Ok(())
+        let mut txn = self.fs.begin_txn();
+        let mut listing = self.lock_listing(parent)?;
+        let mut plain = txn.lock_plain();
+        let data = txn.read_file(&mut plain, pathname)?;
+        let entry = self.publish(
+            &mut txn,
+            parent,
+            objname,
+            ObjectKind::File,
+            policy,
+            Some(&data),
+        )?;
+        self.bind(&mut listing.entries, entry)?;
+        self.save_listing(&mut txn, parent, &mut listing)?;
+        let fill = Fill {
+            random: self.params.random_fill,
+            seed: self.params.volume_seed,
+        };
+        txn.delete(&mut plain, pathname, Some(fill))?;
+        Ok(txn.commit()?)
     }
 
-    /// `steg_unhide`: convert the hidden object `objname` back into a plain
-    /// file at `pathname`; the hidden source is deleted on success.
+    /// `steg_unhide`: convert the hidden file `objname` back into a plain
+    /// file at `pathname` (created, or truncated and rewritten), and
+    /// destroy the hidden object.
     ///
-    /// Two commits, the plain file first, then [`Self::remove`]: as
-    /// in [`Self::steg_hide`], a crash between them leaves both copies.
+    /// One transaction, committed once: [`Self::remove`], with the plain
+    /// write staged under the listing's guard and the object's shard, then
+    /// the plain namespace and the file's stripe, before the object is
+    /// destroyed.  A crash leaves the hidden file or the plain one, never
+    /// both and never neither.  Written through, the plain file reaches the
+    /// device before the object is destroyed, so a failed unhide leaves
+    /// both copies at worst.
     pub fn steg_unhide(&self, pathname: &str, objname: &str, uak: &str) -> StegResult<()> {
-        let data = self.read_hidden_with_key(objname, uak)?;
-        self.fs.write_file(pathname, &data)?;
-        self.remove(Parent::Uak(uak), objname)?;
-        Ok(())
+        let txn = self.fs.begin_txn();
+        self.remove_with(txn, Parent::Uak(uak), objname, |txn, entry| {
+            require_kind(&entry.name, entry.kind, ObjectKind::File)?;
+            let keys = self.keys_for(&entry.physical_name, &entry.fak);
+            let io = self.io(&keys);
+            let data = io.read(&io.open(&entry.physical_name)?)?;
+            let mut plain = txn.lock_plain();
+            txn.write_file(&mut plain, pathname, &data)?;
+            Ok(plain)
+        })
+        .map(drop)
     }
 
     // ------------------------------------------------------------------

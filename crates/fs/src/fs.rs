@@ -22,13 +22,14 @@
 //!   device I/O of file contents.
 //! * **namespace lock** — a reader/writer lock over the directory tree and
 //!   the inode-slot table.  Path resolution and listings take it shared;
-//!   create / rename / delete take it exclusively.  *Path-based* content
-//!   operations (`read_file`, `write_file`, …) keep the shared guard across
-//!   their content I/O — that is what pins the path→inode binding against a
-//!   delete+create recycling the inode id — so namespace mutations wait for
-//!   in-flight path-based transfers.  Inode-handle operations (the VFS hot
-//!   path) never touch the namespace lock; they serialise on their stripe
-//!   alone.
+//!   create / rename / delete and the whole-file `write_file` (which may
+//!   create) take it exclusively.  The other *path-based* content
+//!   operations (`read_file`, `write_file_range`, …) keep the shared guard
+//!   across their content I/O — that is what pins the path→inode binding
+//!   against a delete+create recycling the inode id — so namespace
+//!   mutations wait for in-flight path-based transfers.  Inode-handle
+//!   operations (the VFS hot path) never touch the namespace lock; they
+//!   serialise on their stripe alone.
 //! * **inode stripes** — [`STRIPE_COUNT`] mutexes, one per inode-id class,
 //!   serialising content reads/writes *per file* (concurrent whole-file
 //!   rewrites of one inode must not double-free its old blocks).  Two
@@ -48,6 +49,12 @@
 //! namespace lock exclusively and then the victim's stripe, so an in-flight
 //! content operation (which holds only the stripe) always completes before
 //! its blocks are freed.
+//!
+//! Each namespace mutation has one body.  The two that another layer joins
+//! to its own transaction — the whole-file write and the delete — are
+//! methods on [`FsTxn`] that stage and never commit, with the guards in a
+//! [`PlainGuards`] the caller holds through its commit; [`PlainFs::write_file`]
+//! and [`PlainFs::delete`] are those bodies between a begin and a commit.
 
 use crate::alloc::{AllocPolicy, Allocator};
 use crate::bitmap::Bitmap;
@@ -60,7 +67,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use stegfs_blockdev::{BlockDevice, ObservedDevice};
 use stegfs_journal::{Journal, JournalGeometry, RingScan};
-use stegfs_obs::lock::{Condvar, Mutex, MutexGuard, RwLock};
+use stegfs_obs::lock::{Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use stegfs_obs::{span, Obs, WatchdogStats};
 
 /// Number of per-inode content stripes (see the module docs).
@@ -125,6 +132,38 @@ impl FormatOptions {
         FormatOptions {
             fill_random: true,
             ..FormatOptions::default()
+        }
+    }
+
+    /// What the format leaves in every block it does not structure.
+    pub fn fill(&self) -> Fill {
+        Fill {
+            random: self.fill_random,
+            seed: self.seed,
+        }
+    }
+}
+
+/// A block's format-time image: what [`PlainFs::format`] wrote into it, so
+/// what a block that was never used holds.  A delete that scrubs
+/// ([`FsTxn::delete`]) writes it back over each data block it frees, so the
+/// freed block is byte for byte one that was never written.
+#[derive(Debug, Clone, Copy)]
+pub struct Fill {
+    /// The format filled the volume with pseudorandom bytes
+    /// ([`FormatOptions::fill_random`]); without, a block reads as zeros.
+    pub random: bool,
+    /// The format seed ([`FormatOptions::seed`]).
+    pub seed: u64,
+}
+
+impl Fill {
+    /// Write block `block`'s format-time image into `buf`.
+    pub fn image(&self, block: u64, buf: &mut [u8]) {
+        if self.random {
+            fill_pseudorandom(buf, self.seed ^ block.wrapping_mul(0x9e37_79b9));
+        } else {
+            buf.fill(0);
         }
     }
 }
@@ -261,7 +300,7 @@ impl<D: BlockDevice> PlainFs<D> {
         if opts.fill_random {
             let mut buf = vec![0u8; block_size as usize];
             for b in 0..total_blocks {
-                fill_pseudorandom(&mut buf, opts.seed ^ b.wrapping_mul(0x9e37_79b9));
+                opts.fill().image(b, &mut buf);
                 dev.write_block(b, &buf)?;
             }
         }
@@ -917,48 +956,43 @@ impl<D: BlockDevice> PlainFs<D> {
 
     /// Create an empty directory at `path`.
     pub fn create_dir(&self, path: &str) -> FsResult<InodeId> {
-        self.create_object(path, FileKind::Directory, None)
+        self.create_object(path, FileKind::Directory)
     }
 
     /// Create an empty regular file at `path`.
     pub fn create_file(&self, path: &str) -> FsResult<InodeId> {
-        self.create_object(path, FileKind::File, None)
+        self.create_object(path, FileKind::File)
     }
 
-    /// Create `path` as an object of `kind`, holding `contents` when given.
-    fn create_object(
-        &self,
-        path: &str,
-        kind: FileKind,
-        contents: Option<&[u8]>,
-    ) -> FsResult<InodeId> {
-        let _ns = self.namespace.write();
+    /// Create `path` as an empty object of `kind`, in one transaction.
+    fn create_object(&self, path: &str, kind: FileKind) -> FsResult<InodeId> {
+        let mut txn = self.begin_txn();
+        let _plain = txn.lock_plain();
+        let id = self.link_new(&mut txn, path, kind)?;
+        txn.commit()?;
+        Ok(id)
+    }
+
+    /// Link a new empty object of `kind` at `path` in `txn`, under the
+    /// namespace held exclusively.  The new inode and the parent-directory
+    /// update share the caller's transaction, so a crash can never publish
+    /// a directory entry whose inode slot is still free (or vice versa — an
+    /// orphan inode slot is the worst a torn create can leak, and only on
+    /// unjournaled volumes).
+    fn link_new(&self, txn: &mut FsTxn<'_, D>, path: &str, kind: FileKind) -> FsResult<InodeId> {
         let (pid, pinode, name) = self.resolve_parent(path)?;
-        let entries = self.read_dir_inode(&pinode)?;
+        let mut entries = self.read_dir_inode(&pinode)?;
         if entries.iter().any(|e| e.name == name) {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
         let id = self.find_free_inode()?.ok_or(FsError::NoSpace)?;
-        // One transaction covers the new inode, the parent-directory update
-        // and the contents, so a crash can never publish a directory entry
-        // whose inode slot is still free (or vice versa — an orphan inode
-        // slot is the worst a torn create can leak, and only on unjournaled
-        // volumes).
-        let mut txn = self.begin_txn();
         txn.set_inode(id, &Inode::empty(kind))?;
-
-        let mut entries = entries;
         entries.push(DirEntry {
             name,
             inode: id,
             kind,
         });
-        self.write_dir_inode(&mut txn, pid, &entries)?;
-        let _stripe = contents.is_some().then(|| self.stripe(id).lock());
-        if let Some(data) = contents {
-            self.write_inode_contents(&mut txn, id, data)?;
-        }
-        txn.commit()?;
+        self.write_dir_inode(txn, pid, &entries)?;
         Ok(id)
     }
 
@@ -985,26 +1019,13 @@ impl<D: BlockDevice> PlainFs<D> {
     }
 
     /// Write `data` as the complete contents of the file at `path`, creating
-    /// the file if it does not exist and truncating it if it does.  Either
-    /// way it is one transaction.  Loops because a concurrent creator may
-    /// win the create race, in which case the fresh `AlreadyExists` simply
-    /// means the file is now resolvable.
+    /// the file if it does not exist and truncating it if it does, in one
+    /// transaction ([`FsTxn::write_file`]).
     pub fn write_file(&self, path: &str, data: &[u8]) -> FsResult<()> {
-        loop {
-            match self.with_file_at_path(path, |id, _| {
-                let mut txn = self.begin_txn();
-                self.write_inode_contents(&mut txn, id, data)?;
-                txn.commit()
-            }) {
-                Err(e) if e.is_not_found() => {}
-                other => return other,
-            }
-            match self.create_object(path, FileKind::File, Some(data)) {
-                Ok(_) => return Ok(()),
-                Err(FsError::AlreadyExists(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        let mut txn = self.begin_txn();
+        let mut plain = txn.lock_plain();
+        txn.write_file(&mut plain, path, data)?;
+        txn.commit()
     }
 
     /// Read the complete contents of the file at `path`.
@@ -1216,35 +1237,12 @@ impl<D: BlockDevice> PlainFs<D> {
         txn.commit()
     }
 
-    /// Delete the file or (empty) directory at `path`.
+    /// Delete the file or (empty) directory at `path`, in one transaction
+    /// ([`FsTxn::delete`], with no scrub).
     pub fn delete(&self, path: &str) -> FsResult<()> {
-        let _ns = self.namespace.write();
-        let (id, inode) = self.resolve(path)?;
-        if id == self.sb.root_inode {
-            return Err(FsError::InvalidPath("cannot delete the root".into()));
-        }
-        if inode.kind == FileKind::Directory && !self.read_dir_inode(&inode)?.is_empty() {
-            return Err(FsError::DirectoryNotEmpty(path.to_string()));
-        }
-        // Take the victim's stripe so an in-flight content operation on this
-        // inode finishes before its blocks are freed (namespace writers may
-        // take stripes; content ops never take the namespace lock, so the
-        // order is acyclic).
-        let _stripe = self.stripe(id).lock();
-        // One transaction: the frees, the inode clear and the parent update
-        // commit together (on a journaled volume the frees defer to commit,
-        // so a crash mid-delete leaves the object whole).
         let mut txn = self.begin_txn();
-        let (data, meta) = self.collect_blocks(&inode)?;
-        for b in data.into_iter().chain(meta) {
-            txn.free_block(b)?;
-        }
-        // Clear the inode and the parent entry.
-        txn.set_inode(id, &Inode::empty(FileKind::Free))?;
-        let (pid, pinode, name) = self.resolve_parent(path)?;
-        let mut entries = self.read_dir_inode(&pinode)?;
-        entries.retain(|e| e.name != name);
-        self.write_dir_inode(&mut txn, pid, &entries)?;
+        let mut plain = txn.lock_plain();
+        txn.delete(&mut plain, path, None)?;
         txn.commit()
     }
 
@@ -1463,6 +1461,131 @@ impl<D: BlockDevice> PlainFs<D> {
             }
         }
         Ok((data, meta))
+    }
+}
+
+/// The plain-namespace guards a whole-file write or delete staged in an
+/// [`FsTxn`] holds until that transaction has committed: the namespace
+/// exclusively ([`FsTxn::lock_plain`]), then the stripe of each file the
+/// transaction reads or changes, one per file.  Holding the namespace
+/// exclusively is what lets a transaction take several stripes: every
+/// other holder of more than one is shut out by it.  The caller drops the
+/// guards after `commit`, so an update is visible to others only once it
+/// is durable.
+#[must_use = "the guards must be held through the commit"]
+pub struct PlainGuards<'a> {
+    _namespace: RwLockWriteGuard<'a, ()>,
+    stripes: Vec<(usize, MutexGuard<'a, ()>)>,
+}
+
+impl<'a> PlainGuards<'a> {
+    /// Hold the stripe of inode `id` of `fs`, unless it is held already.
+    fn hold_stripe<D: BlockDevice>(&mut self, fs: &'a PlainFs<D>, id: InodeId) {
+        let idx = (id as usize) % STRIPE_COUNT;
+        if self.stripes.iter().all(|(held, _)| *held != idx) {
+            self.stripes.push((idx, fs.stripes[idx].lock()));
+        }
+    }
+}
+
+/// The plain namespace mutations, staged in a transaction the caller
+/// commits.  [`PlainFs::write_file`] and [`PlainFs::delete`] are these
+/// bodies between a begin and a commit; a caller that joins a plain
+/// mutation to its own update (the hidden layer's `steg_hide` and
+/// `steg_unhide`) stages the same body in its transaction.  Each resolves
+/// its path in the committed namespace, not in what the transaction has
+/// staged, so a transaction stages at most one of them.
+impl<'a, D: BlockDevice> FsTxn<'a, D> {
+    /// Take the plain namespace exclusively for the whole-file writes and
+    /// deletes this transaction stages.  No namespace operation and no
+    /// path-based transfer runs until the guards drop.
+    pub fn lock_plain(&self) -> PlainGuards<'a> {
+        PlainGuards {
+            _namespace: self.fs().namespace.write(),
+            stripes: Vec::new(),
+        }
+    }
+
+    /// Read the committed contents of the regular file at `path`, holding
+    /// its stripe in `plain` from here on, so no write lands between this
+    /// read and a mutation this transaction stages.
+    pub fn read_file(&self, plain: &mut PlainGuards<'a>, path: &str) -> FsResult<Vec<u8>> {
+        let fs = self.fs();
+        let (id, inode) = fs.resolve(path)?;
+        if inode.kind != FileKind::File {
+            return Err(FsError::IsADirectory(path.to_string()));
+        }
+        plain.hold_stripe(fs, id);
+        fs.read_inode_contents(&inode)
+    }
+
+    /// Stage `data` as the complete contents of the file at `path`,
+    /// creating the file if it does not exist and truncating it if it
+    /// does, with its stripe held in `plain`.  Nothing commits.
+    pub fn write_file(
+        &mut self,
+        plain: &mut PlainGuards<'a>,
+        path: &str,
+        data: &[u8],
+    ) -> FsResult<()> {
+        let fs = self.fs();
+        let id = match fs.resolve(path) {
+            Ok((_, inode)) if inode.kind != FileKind::File => {
+                return Err(FsError::IsADirectory(path.to_string()))
+            }
+            Ok((id, _)) => id,
+            Err(e) if e.is_not_found() => fs.link_new(self, path, FileKind::File)?,
+            Err(e) => return Err(e),
+        };
+        plain.hold_stripe(fs, id);
+        fs.write_inode_contents(self, id, data)
+    }
+
+    /// Stage the delete of the file or (empty) directory at `path`, with
+    /// the victim's stripe held in `plain`, so an in-flight content
+    /// operation on it (which holds only the stripe) finishes before its
+    /// blocks are freed.  The frees, the inode clear and the parent update
+    /// stage together; on a journaled volume the frees defer to the
+    /// commit, so a crash mid-delete leaves the object whole.
+    ///
+    /// With `scrub`, each data block first gets its format-time image
+    /// ([`Fill::image`]), staged *before* its free: written through, a
+    /// block freed first could be claimed by another thread before the
+    /// scrub lands on it.  On a journaled volume the images ride in the
+    /// commit's final piece (see [`FsTxn::commit`]).  Nothing commits.
+    pub fn delete(
+        &mut self,
+        plain: &mut PlainGuards<'a>,
+        path: &str,
+        scrub: Option<Fill>,
+    ) -> FsResult<()> {
+        let fs = self.fs();
+        let (id, inode) = fs.resolve(path)?;
+        if id == fs.sb.root_inode {
+            return Err(FsError::InvalidPath("cannot delete the root".into()));
+        }
+        if inode.kind == FileKind::Directory && !fs.read_dir_inode(&inode)?.is_empty() {
+            return Err(FsError::DirectoryNotEmpty(path.to_string()));
+        }
+        plain.hold_stripe(fs, id);
+        let (data, meta) = fs.collect_blocks(&inode)?;
+        if let Some(fill) = scrub {
+            let bs = fs.block_size();
+            let mut images = vec![0u8; data.len() * bs];
+            for (&b, image) in data.iter().zip(images.chunks_exact_mut(bs)) {
+                fill.image(b, image);
+            }
+            self.write_raw_blocks(&data, &images)?;
+        }
+        for b in data.into_iter().chain(meta) {
+            self.free_block(b)?;
+        }
+        // Clear the inode and the parent entry.
+        self.set_inode(id, &Inode::empty(FileKind::Free))?;
+        let (pid, pinode, name) = fs.resolve_parent(path)?;
+        let mut entries = fs.read_dir_inode(&pinode)?;
+        entries.retain(|e| e.name != name);
+        fs.write_dir_inode(self, pid, &entries)
     }
 }
 

@@ -40,7 +40,7 @@ pub mod txn;
 
 pub use alloc::AllocPolicy;
 pub use error::{FsError, FsResult};
-pub use fs::{FormatOptions, PlainFs};
+pub use fs::{Fill, FormatOptions, PlainFs, PlainGuards};
 pub use inode::{FileKind, Inode, InodeId};
 pub use layout::Superblock;
 pub use txn::FsTxn;

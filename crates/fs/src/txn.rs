@@ -34,7 +34,10 @@
 //! commit point (object references and the bitmap change only there), but
 //! a crash or failure mid-sequence can leave a prefix of the new images
 //! applied in place: freshly allocated blocks revert to camouflage, while
-//! blocks the update was rewriting *in place* can be left torn.
+//! blocks the update was rewriting *in place* can be left torn.  A block
+//! the update also frees is never among those: its new image (a scrub)
+//! rides in the final piece, or the update fails `NoSpace` before any piece
+//! commits, so a crash never scrubs a block the volume still links.
 //! Concurrent threads never observe the partial state (callers hold their
 //! operation guards across commit), and on a failed sequence the journal
 //! anchor is advanced past the already-committed pieces so they can never
@@ -395,10 +398,23 @@ impl<'a, D: BlockDevice> FsTxn<'a, D> {
             // Even the bitmap snapshot alone exceeds the ring.
             return Err(FsError::NoSpace);
         }
-        // Cut from the back, so each image is copied once.
+        // Cut from the back, so each image is copied once.  An image of a
+        // block this transaction frees (a delete's scrub, the noise over a
+        // destroyed object's header) rewrites a block that stays linked
+        // until the commit point, so it rides in the final piece, beside
+        // the inode-table blocks; if they do not fit there together, the
+        // update fails before any piece is reserved.
         let mut pieces = Vec::new();
         if tx.len() > final_budget {
-            pieces.push(tx.split_off(tx.len() - final_budget));
+            let frees: BTreeSet<u64> = self.deferred_frees.iter().copied().collect();
+            let freed = tx.extract(|b| frees.contains(&b));
+            let room = final_budget
+                .checked_sub(freed.len())
+                .filter(|&room| freed.is_empty() || room >= by_table_block.len())
+                .ok_or(FsError::NoSpace)?;
+            let mut last = tx.split_off(tx.len() - room);
+            last.append(freed);
+            pieces.push(last);
             while tx.len() > max {
                 pieces.push(tx.split_off((tx.len() - 1) / max * max));
             }

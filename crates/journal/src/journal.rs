@@ -223,6 +223,31 @@ impl Tx {
         tail
     }
 
+    /// Move the writes of the blocks `pick` selects into a transaction of
+    /// their own; both keep staging order.  When `pick` selects none,
+    /// nothing is copied.
+    pub fn extract(&mut self, mut pick: impl FnMut(u64) -> bool) -> Tx {
+        if !self.targets.iter().any(|&block| pick(block)) {
+            return Tx::new();
+        }
+        let bs = self.block_size();
+        let (mut kept, mut taken) = (Tx::new(), Tx::new());
+        for (i, &block) in self.targets.iter().enumerate() {
+            let into = if pick(block) { &mut taken } else { &mut kept };
+            into.write(block, &self.images[i * bs..(i + 1) * bs]);
+        }
+        *self = kept;
+        taken
+    }
+
+    /// Stage every write of `other` after this transaction's own.
+    pub fn append(&mut self, other: Tx) {
+        let bs = other.block_size();
+        for (i, &block) in other.targets.iter().enumerate() {
+            self.write(block, &other.images[i * bs..(i + 1) * bs]);
+        }
+    }
+
     /// Length of each staged image; 0 for an empty transaction.
     fn block_size(&self) -> usize {
         self.images

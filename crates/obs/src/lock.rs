@@ -46,8 +46,8 @@
 //! | per-object lock | `stegfs-vfs` `ObjectEntry` | serialises I/O on one object |
 //! | UAK shard (`core.uak_shards`) | `stegfs-core` | never two at once |
 //! | object shard (`core.object_shards`) | `stegfs-core` | two only in `StegFs::remove` (a child and its directory), ascending shard index |
-//! | namespace (`fs.namespace`) | `stegfs-fs` | exclusive for deletes, then the victim's stripe |
-//! | inode stripe | `stegfs-fs` | one per file |
+//! | namespace (`fs.namespace`) | `stegfs-fs` | exclusive for creates, deletes and whole-file writes, then the file's stripe; taken under a UAK / object shard only by `StegFs::steg_hide` and `StegFs::steg_unhide`, which stage their plain half in their hidden transaction |
+//! | inode stripe | `stegfs-fs` | one per file; several only under the namespace held exclusively (`PlainGuards`) |
 //! | inode-table stripe | `stegfs-fs` | several in ascending stripe index (`FsTxn::commit`) |
 //! | allocator meta (`fs.alloc`) | `stegfs-fs` | placement state only |
 //! | bitmap segment (`fs.alloc.N`) | `stegfs-fs` | several in ascending segment index |

@@ -10,8 +10,9 @@
 use std::collections::HashSet;
 use stegfs_blockdev::{BlockDevice, BufferCache, FaultDevice, MemBlockDevice};
 use stegfs_core::blockmap::{BlockMap, Class};
-use stegfs_core::{ObjectKind, Parent, StegFs};
-use stegfs_tests::{full_feature_params, journaled_params, payload, test_volume};
+use stegfs_core::{ObjectKind, Parent, StegError, StegFs, StegParams};
+use stegfs_fs::Fill;
+use stegfs_tests::{full_feature_params, journaled_params, owned_once, payload, test_volume};
 
 const OWNER: &str = "the real key";
 
@@ -339,7 +340,7 @@ fn formatting_without_random_fill_would_leak_and_is_therefore_detectable() {
     // No random fill, and none of the other camouflage either, so the only
     // allocated-but-unaccounted blocks are the encrypted ones of the hidden
     // file itself.
-    let params = stegfs_core::StegParams {
+    let params = StegParams {
         random_fill: false,
         abandoned_pct: 0.0,
         dummy_file_count: 0,
@@ -359,4 +360,128 @@ fn formatting_without_random_fill_would_leak_and_is_therefore_detectable() {
     assert!(e_hidden > 7.0, "encrypted blocks are high entropy");
     // The gap is the leak: an adversary can spot hidden data immediately.
     assert!(e_hidden - e_free > 5.0);
+}
+
+/// The 28 bytes the hidden sources repeat.  All distinct, so one byte names
+/// the only phase of the source a window starting there can be.
+const MARKER: &[u8; 28] = b"0123456789abcdefghijklmnopqr";
+
+/// A source of `len` bytes: [`MARKER`] over and over.
+fn marker_source(len: usize) -> Vec<u8> {
+    MARKER.iter().copied().cycle().take(len).collect()
+}
+
+/// Blocks of the raw image `raw` that hold some 32-byte window of a
+/// [`marker_source`]: what the inspector who reads the medium with no key
+/// (and no initial information) finds of the file.
+fn blocks_holding_the_source(raw: &[u8], block_size: usize) -> Vec<usize> {
+    let source = marker_source(MARKER.len() + 32);
+    let mut phase = [None; 256];
+    for (p, &b) in MARKER.iter().enumerate() {
+        phase[b as usize] = Some(p);
+    }
+    raw.chunks_exact(block_size)
+        .enumerate()
+        .filter(|(_, block)| {
+            block
+                .windows(32)
+                .any(|w| phase[w[0] as usize].is_some_and(|p| w == &source[p..p + 32]))
+        })
+        .map(|(b, _)| b)
+        .collect()
+}
+
+/// Hide a 20 KiB plain file on `params` and sync: no block of the raw
+/// image holds any 32-byte window of it any more.  The hide scrubs each
+/// data block of the source back to its format-time fill before freeing
+/// it, in the transaction that creates the hidden object, so each reads
+/// byte for byte as a block never written.  On a journaled
+/// volume the ring slots that carried the source's own write are
+/// encrypted under the journal key, so no window shows there either; that
+/// an inspector who derives the journal key could still read them is the
+/// ring's half of the problem, left to the journal.
+fn hide_leaves_no_copy_of_its_source(params: StegParams) {
+    let fill = Fill {
+        random: params.random_fill,
+        seed: params.volume_seed,
+    };
+    let fs = StegFs::format(MemBlockDevice::new(1024, 8192), params).unwrap();
+    let source = marker_source(20 * 1024);
+    fs.plain_fs().write_file("/cover.txt", &source).unwrap();
+    fs.sync().unwrap();
+    let raw = fs.plain_fs().device().snapshot_raw();
+    let held = blocks_holding_the_source(&raw, 1024);
+    assert_eq!(
+        held.len(),
+        20,
+        "the probe misses the source before the hide"
+    );
+
+    fs.steg_hide("/cover.txt", "cover", OWNER).unwrap();
+    fs.sync().unwrap();
+    let raw = fs.plain_fs().device().snapshot_raw();
+    let found = blocks_holding_the_source(&raw, 1024);
+    assert!(
+        found.is_empty(),
+        "blocks still holding the source: {found:?}"
+    );
+    let mut never_written = vec![0u8; 1024];
+    for b in held {
+        fill.image(b as u64, &mut never_written);
+        assert!(raw[b * 1024..][..1024] == never_written, "block {b}");
+    }
+    assert_eq!(fs.read_hidden_with_key("cover", OWNER).unwrap(), source);
+    assert!(!fs.plain_fs().exists("/cover.txt").unwrap());
+}
+
+#[test]
+fn a_hidden_file_leaves_no_plaintext_copy_on_the_raw_device() {
+    hide_leaves_no_copy_of_its_source(full_feature_params());
+    hide_leaves_no_copy_of_its_source(journaled_params(256));
+}
+
+/// A journaled hide of a `kib` KiB source on a 160-block ring, 1 KiB
+/// blocks.  Its transaction is cut into ring-sized pieces, and the scrub
+/// rides in the final one with the inode-table blocks and the bitmap
+/// snapshot: that piece holds 151 scrubbed blocks here, no more.
+fn hide_on_a_small_ring(kib: usize) -> (StegFs<MemBlockDevice>, Vec<u8>, Result<(), StegError>) {
+    let fs = StegFs::format(MemBlockDevice::new(1024, 8192), journaled_params(160)).unwrap();
+    let source = marker_source(kib * 1024);
+    fs.plain_fs().write_file("/big.txt", &source).unwrap();
+    let hidden = fs.steg_hide("/big.txt", "big", OWNER);
+    (fs, source, hidden)
+}
+
+/// A source one block over what the final piece can scrub fails the hide
+/// `NoSpace` before any piece reaches the ring: the plain file reads back
+/// whole, the hidden name does not exist, and no block leaked.
+#[test]
+fn a_hide_too_large_to_scrub_in_the_final_piece_fails_and_keeps_its_source() {
+    let (fs, source, hidden) = hide_on_a_small_ring(152);
+    assert!(matches!(hidden, Err(StegError::NoSpace)), "{hidden:?}");
+    assert_eq!(fs.plain_fs().read_file("/big.txt").unwrap(), source);
+    assert!(fs
+        .read_hidden_with_key("big", OWNER)
+        .unwrap_err()
+        .is_not_found());
+    assert_eq!(owned_once(&fs, &[OWNER]).leak(), Some(0));
+}
+
+/// A source that just fits is hidden and scrubbed, although the rest of
+/// its transaction commits in earlier pieces: every block has one owner,
+/// none leaked, and no block holds the source.
+#[test]
+fn a_hide_just_under_the_final_piece_lands_clean() {
+    let (fs, source, hidden) = hide_on_a_small_ring(151);
+    hidden.unwrap();
+    assert_eq!(fs.read_hidden_with_key("big", OWNER).unwrap(), source);
+    assert!(!fs.plain_fs().exists("/big.txt").unwrap());
+    assert_eq!(owned_once(&fs, &[OWNER]).leak(), Some(0));
+    fs.sync().unwrap();
+    let raw = fs.plain_fs().device().snapshot_raw();
+    let found = blocks_holding_the_source(&raw, 1024);
+    assert!(
+        found.is_empty(),
+        "blocks still holding the source: {found:?}"
+    );
 }

@@ -1030,76 +1030,52 @@ fn a_damaged_payload_slot_drops_its_transaction_at_replay() {
 /// (`plain /path`, no binding).
 type Namespace = BTreeMap<String, (Option<DirectoryEntry>, Option<Vec<u8>>)>;
 
-/// One public namespace operation, and the transactions it commits.
-type Row = (&'static str, fn(&Stack) -> Result<(), StegError>, usize);
+/// One public namespace operation.
+type Row = (&'static str, fn(&Stack) -> Result<(), StegError>);
 
 fn vault(fs: &Stack) -> Result<DirectoryEntry, StegError> {
     fs.lookup_entry("vault", OWNER)
 }
 
-/// The rows of the namespace sweep.  Each is one transaction, except hide
-/// and unhide: their plain step commits on its own.  The growing handle
-/// write changes no name, but its growth and its patch are one commit too:
-/// `doc` keeps its old size and bytes or takes the new ones.
+/// The rows of the namespace sweep.  Each is one transaction; hide and
+/// unhide stage their plain half in it too.  The growing handle write
+/// changes no name, but its growth and its patch are one commit too: `doc`
+/// keeps its old size and bytes or takes the new ones.
 const ROWS: [Row; 11] = [
-    (
-        "steg_create file",
-        |fs| fs.steg_create("fresh", OWNER, ObjectKind::File),
-        1,
-    ),
-    (
-        "steg_create directory",
-        |fs| fs.steg_create("fresh-dir", OWNER, ObjectKind::Directory),
-        1,
-    ),
-    (
-        "create in a directory",
-        |fs| fs.create(Parent::Dir(&vault(fs)?), "c.bin", ObjectKind::File),
-        1,
-    ),
-    (
-        "rename in a directory",
-        |fs| {
-            fs.rename(Parent::Dir(&vault(fs)?), "b.bin", "renamed.bin")
-                .map(drop)
-        },
-        1,
-    ),
-    (
-        "remove from a directory",
-        |fs| fs.remove(Parent::Dir(&vault(fs)?), "sub").map(drop),
-        1,
-    ),
-    (
-        "remove at top level",
-        |fs| fs.remove(Parent::Uak(OWNER), "doc").map(drop),
-        1,
-    ),
-    (
-        "rename at top level",
-        |fs| fs.rename(Parent::Uak(OWNER), "doc", "kept").map(drop),
-        1,
-    ),
-    ("revoke_sharing", |fs| fs.revoke_sharing("doc", OWNER), 1),
-    (
-        "write_at_handle growing",
-        |fs| {
-            // Straddles the old end (2 048) and the block boundary at it.
-            let mut h = fs.open_hidden("doc", OWNER)?;
-            fs.write_at_handle(&mut h, 1500, &payload(34, 3000))
-        },
-        1,
-    ),
-    (
-        "steg_hide",
-        |fs| fs.steg_hide("/cover.txt", "hidden-cover", OWNER),
-        2,
-    ),
-    (
-        "steg_unhide",
-        |fs| fs.steg_unhide("/uncovered.txt", "doc", OWNER),
-        2,
-    ),
+    ("steg_create file", |fs| {
+        fs.steg_create("fresh", OWNER, ObjectKind::File)
+    }),
+    ("steg_create directory", |fs| {
+        fs.steg_create("fresh-dir", OWNER, ObjectKind::Directory)
+    }),
+    ("create in a directory", |fs| {
+        fs.create(Parent::Dir(&vault(fs)?), "c.bin", ObjectKind::File)
+    }),
+    ("rename in a directory", |fs| {
+        fs.rename(Parent::Dir(&vault(fs)?), "b.bin", "renamed.bin")
+            .map(drop)
+    }),
+    ("remove from a directory", |fs| {
+        fs.remove(Parent::Dir(&vault(fs)?), "sub").map(drop)
+    }),
+    ("remove at top level", |fs| {
+        fs.remove(Parent::Uak(OWNER), "doc").map(drop)
+    }),
+    ("rename at top level", |fs| {
+        fs.rename(Parent::Uak(OWNER), "doc", "kept").map(drop)
+    }),
+    ("revoke_sharing", |fs| fs.revoke_sharing("doc", OWNER)),
+    ("write_at_handle growing", |fs| {
+        // Straddles the old end (2 048) and the block boundary at it.
+        let mut h = fs.open_hidden("doc", OWNER)?;
+        fs.write_at_handle(&mut h, 1500, &payload(34, 3000))
+    }),
+    ("steg_hide", |fs| {
+        fs.steg_hide("/cover.txt", "hidden-cover", OWNER)
+    }),
+    ("steg_unhide", |fs| {
+        fs.steg_unhide("/uncovered.txt", "doc", OWNER)
+    }),
 ];
 
 /// The namespace `fs` lists.  A listed name that does not open fails the
@@ -1215,17 +1191,14 @@ struct Case {
 
 impl Case {
     /// The namespace after a crash and replay is the old one or the new one
-    /// (or, for hide and unhide, both copies), and the new one if the
-    /// operation had returned success.  Every binding no longer listed is
-    /// gone, every block has one owner and none is leaked, and every name
-    /// no longer listed can be created again.
+    /// (hide and unhide included: never both copies, never neither), and
+    /// the new one if the operation had returned success.  Every binding no
+    /// longer listed is gone, every block has one owner and none is leaked,
+    /// and every name no longer listed can be created again.
     fn check(&self, script: &NamespaceScript, fs: &Stack, completed: bool, at: &str) {
         let got = namespace(fs);
-        let mut both = script.old.clone();
-        both.extend(self.new.clone());
-        let two_commits = self.row.2 == 2;
         assert!(
-            got == script.old || got == self.new || (two_commits && got == both),
+            got == script.old || got == self.new,
             "{at}: the namespace is neither old nor new: {:?}",
             got.keys().collect::<Vec<_>>()
         );
@@ -1272,9 +1245,9 @@ impl Case {
 /// write that grows its file: the device dies
 /// after the operation's first `trip` block writes, for every `trip` short
 /// of the count that lets it finish, then replay runs at remount.  Each
-/// operation is one transaction (hide and unhide add a plain commit), so
-/// the namespace comes back old or new, never a ghost name or a leaked
-/// object.  Among the rows, an interrupted top-level `remove` never wedges its
+/// operation is one transaction (hide and unhide with their plain half in
+/// it), so the namespace comes back old or new, never a ghost name or a
+/// leaked object.  Among the rows, an interrupted top-level `remove` never wedges its
 /// name: a name still listed reads back, one no longer listed can be
 /// created again.
 #[test]
@@ -1338,8 +1311,8 @@ fn live_commits(fs: &Stack) -> usize {
         .count()
 }
 
-/// Each row of the namespace sweep commits exactly the transactions its
-/// table entry names: one, or two for hide and unhide.
+/// Each row of the namespace sweep commits exactly one transaction, hide
+/// and unhide with their plain half included.
 #[test]
 fn each_namespace_operation_commits_once() {
     let script = NamespaceScript::new();
@@ -1349,7 +1322,7 @@ fn each_namespace_operation_commits_once() {
         fs.sync().unwrap();
         let before = live_commits(&fs);
         row.1(&fs).unwrap();
-        assert_eq!(live_commits(&fs) - before, row.2, "{}", row.0);
+        assert_eq!(live_commits(&fs) - before, 1, "{}", row.0);
     }
 }
 

@@ -102,3 +102,60 @@ fn device_io_spans_equal_device_submissions() {
 fn device_io_spans_equal_device_submissions_on_a_journaled_volume() {
     assert_device_io_spans_equal_submissions(journaled_params(256));
 }
+
+/// A committed in-place patch overwrites the cached blocks it rewrote and
+/// drops nothing, so a run of patches with no namespace change moves the
+/// cache's invalidation count and its zeroize sweeps not at all, through
+/// the engine as through a direct call.
+#[test]
+fn in_place_hidden_patches_are_not_invalidations() {
+    let vfs =
+        Arc::new(Vfs::format(MemBlockDevice::new(1024, 8192), full_feature_params()).unwrap());
+    let obs = Arc::clone(vfs.obs());
+    let engine = Engine::start(Arc::clone(&vfs), 2);
+    let client = engine.client("patch key");
+    round_trip(&client, "/hidden/doc", 7, 16 * 1024);
+    let Response::Handle(handle) = call(
+        &client,
+        Request::Open {
+            path: "/hidden/doc".into(),
+            opts: OpenOptions::read_write(),
+        },
+    ) else {
+        panic!("open returned no handle");
+    };
+    // Warm: every block of the file is resident before the patches.
+    call(
+        &client,
+        Request::ReadAt {
+            handle,
+            offset: 0,
+            len: 16 * 1024,
+        },
+    );
+    let before = vfs.cache_stats().invalidations;
+    let sweeps = obs.readcache.summary().zeroize_ns.count;
+    for i in 0..8u64 {
+        call(
+            &client,
+            Request::WriteAt {
+                handle,
+                offset: 1500 * i,
+                data: payload(40 + i, 900),
+            },
+        );
+        call(
+            &client,
+            Request::ReadAt {
+                handle,
+                offset: 0,
+                len: 16 * 1024,
+            },
+        );
+    }
+    assert_eq!(vfs.cache_stats().invalidations, before, "patches counted");
+    assert_eq!(obs.readcache.summary().zeroize_ns.count, sweeps);
+    call(&client, Request::Close { handle });
+    client.signoff().unwrap();
+    engine.shutdown();
+}
