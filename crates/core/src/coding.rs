@@ -35,11 +35,15 @@
 //! `ObjectIo::encode_patch`); groups it covers completely are re-encoded
 //! from the new bytes without reading a share, and a resize re-encodes
 //! only the group it cuts.  With `m = 1` nothing runs the IDA: a share is
-//! a copy of its block.  What remains on top of a plain object is the keyed check of every share read or written (one AES
-//! pass per 16 bytes, two shares in flight on the VAES kernel — see
-//! `ShareCheck`), AES-CTR over `n / m` times the bytes, and — under
-//! replicated metadata — the check cascade from each patched chain node
-//! back to the header.
+//! a copy of its block.  Shares are encoded straight into the mutation's
+//! write plan (`WritePlan` in `hidden.rs`), beside the chain nodes and
+//! header replicas it rewrites; the plan is encrypted in one call and
+//! leaves in one batch, so redundancy adds blocks to that batch, not
+//! device submissions.  What remains on top of a plain object is the keyed
+//! check of every share read or written (one AES pass per 16 bytes, two
+//! shares in flight on the VAES kernel — see `ShareCheck`), AES-CTR over
+//! `n / m` times the bytes, and — under replicated metadata — the check
+//! cascade from each patched chain node back to the header.
 //!
 //! **Why the share check is keyed.**  Shares are AES-CTR ciphertext, and
 //! CTR is malleable: anyone with the raw device can XOR a chosen δ into a
@@ -65,7 +69,6 @@
 
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
-use crate::scratch::Scratch;
 use stegfs_crypto::check::{KeyedCheck, TAG_LEN};
 use stegfs_crypto::ida::{Decoder, Ida};
 
@@ -293,40 +296,24 @@ impl GroupCodec {
             .map_err(|e| damage(e.to_string()))
     }
 
-    /// Encode `data` into the concatenated share stream of an object:
-    /// `groups * n` blocks of `block_size` bytes, group-major (group 0's
-    /// shares 1..=n, then group 1's, ...), plus one checksum per share
+    /// Encode `data` into `out`, the concatenated share stream of its
+    /// groups: `groups * n` blocks of `block_size` bytes, group-major (group
+    /// 0's shares 1..=n, then group 1's, ...), written in place — `out` is
+    /// a slice of the caller's write plan.  Returns one checksum per share
     /// block under `check` (none without one).  The last group is zero
     /// padded.
     pub(crate) fn encode_groups(
         &self,
         data: &[u8],
         check: Option<&ShareCheck>,
-    ) -> (Scratch, Vec<u64>) {
+        out: &mut [u8],
+    ) -> Vec<u64> {
         let (m, n, bs) = (self.m, self.n, self.block_size);
-        let groups = data.len().div_ceil(m * bs);
-        let mut out = Scratch::take(groups * n * bs);
+        debug_assert_eq!(out.len(), data.len().div_ceil(m * bs) * n * bs);
         for (group, shares) in data.chunks(m * bs).zip(out.chunks_exact_mut(n * bs)) {
             self.split_group(group, shares);
         }
-        let csums = check.map_or_else(Vec::new, |check| check.many(&out, bs));
-        (out, csums)
-    }
-
-    /// [`encode_groups`](Self::encode_groups) of `plain`, whole groups
-    /// that the caller gives up.  With one share per group that share is
-    /// the plaintext, so `plain` itself comes back: no copy.
-    pub(crate) fn encode_whole(
-        &self,
-        plain: Scratch,
-        check: Option<&ShareCheck>,
-    ) -> (Scratch, Vec<u64>) {
-        debug_assert!(plain.len().is_multiple_of(self.m * self.block_size));
-        if self.n > 1 {
-            return self.encode_groups(&plain, check);
-        }
-        let csums = check.map_or_else(Vec::new, |check| check.many(&plain, self.block_size));
-        (plain, csums)
+        check.map_or_else(Vec::new, |check| check.many(out, bs))
     }
 }
 
@@ -339,6 +326,14 @@ pub(crate) fn damage(msg: String) -> StegError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`GroupCodec::encode_groups`] of `data` into a buffer of its own.
+    fn encode(codec: &GroupCodec, data: &[u8], check: &ShareCheck) -> (Vec<u8>, Vec<u64>) {
+        let groups = data.len().div_ceil(codec.m * codec.block_size);
+        let mut stream = vec![0u8; groups * codec.n * codec.block_size];
+        let csums = codec.encode_groups(data, Some(check), &mut stream);
+        (stream, csums)
+    }
 
     #[test]
     fn policy_share_counts_and_expansion() {
@@ -387,7 +382,7 @@ mod tests {
         let data: Vec<u8> = (0..bs * 7 + 13).map(|i| (i * 37 % 251) as u8).collect();
         let mut codec = GroupCodec::new(m, n, bs);
         let check = ShareCheck::new(&ObjectKeys::derive("roundtrip", b"fak"), bs);
-        let (stream, csums) = codec.encode_groups(&data, Some(&check));
+        let (stream, csums) = encode(&codec, &data, &check);
         let groups = data.len().div_ceil(m * bs);
         assert_eq!(stream.len(), groups * n * bs);
         assert_eq!(csums.len(), groups * n);
@@ -517,9 +512,9 @@ mod tests {
     fn encode_is_deterministic() {
         let data: Vec<u8> = (0..1000).map(|i| (i % 256) as u8).collect();
         let check = ShareCheck::new(&ObjectKeys::derive("determinism", b"fak"), 128);
-        let (a, a_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, Some(&check));
-        let (b, b_csums) = GroupCodec::new(2, 4, 128).encode_groups(&data, Some(&check));
-        assert_eq!((&a[..], a_csums), (&b[..], b_csums));
+        let a = encode(&GroupCodec::new(2, 4, 128), &data, &check);
+        let b = encode(&GroupCodec::new(2, 4, 128), &data, &check);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -528,7 +523,7 @@ mod tests {
         let data = vec![0xabu8; bs * 2];
         let mut codec = GroupCodec::new(2, 3, bs);
         let check = ShareCheck::new(&ObjectKeys::derive("closed", b"fak"), bs);
-        let (stream, _) = codec.encode_groups(&data, Some(&check));
+        let (stream, _) = encode(&codec, &data, &check);
         let mut out = vec![0u8; 2 * bs];
         let err = codec
             .reconstruct_group(&[(1u8, &stream[..bs])], &mut out)
@@ -551,7 +546,7 @@ mod tests {
             for (group, shares) in data.chunks(bs).zip(dispersed.chunks_exact_mut(n * bs)) {
                 ida.split_into(group, shares);
             }
-            let (copied, csums) = GroupCodec::new(1, n, bs).encode_groups(&data, Some(&check));
+            let (copied, csums) = encode(&GroupCodec::new(1, n, bs), &data, &check);
             assert_eq!(&copied[..], &dispersed[..], "(1, {n})");
             assert_eq!(csums, check.many(&dispersed, bs));
             for (i, share) in dispersed.chunks_exact(bs).enumerate() {
@@ -559,12 +554,6 @@ mod tests {
                 assert_eq!(&share[..block.len()], block, "(1, {n}) share {i}");
             }
         }
-        // The (1, 1) code hands the plaintext back as its share.
-        let mut plain = Scratch::take(2 * bs);
-        plain[..data.len() - bs].copy_from_slice(&data[bs..]);
-        let at = plain.as_ptr();
-        let (share, csums) = GroupCodec::new(1, 1, bs).encode_whole(plain, None);
-        assert_eq!((share.as_ptr(), csums.len()), (at, 0));
     }
 
     #[test]
@@ -572,7 +561,7 @@ mod tests {
         let bs = 16;
         let data = vec![7u8; bs];
         let check = ShareCheck::new(&ObjectKeys::derive("copies", b"fak"), bs);
-        let (stream, _) = GroupCodec::new(1, 3, bs).encode_groups(&data, Some(&check));
+        let (stream, _) = encode(&GroupCodec::new(1, 3, bs), &data, &check);
         assert_eq!(stream.len(), 3 * bs);
         for j in 0..3 {
             assert_eq!(&stream[j * bs..(j + 1) * bs], &data[..]);

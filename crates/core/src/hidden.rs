@@ -59,6 +59,14 @@
 //! cache entry at once and install the new one when the transaction commits
 //! (`ObjectIo::mutate`).
 //!
+//! Every mutator writes through one `WritePlan`: the blocks it writes, in
+//! order, and their plaintext in one buffer that the encoders fill in place
+//! — the shares, then the chain nodes, then each header replica.  At the end
+//! of the mutation the plan is encrypted in one call and handed to the
+//! transaction as one batch, followed by the frees it carries: on a
+//! write-through volume one device submission per mutation, and nothing
+//! written by a mutation that fails before it.
+//!
 //! # Free pool and durability policy
 //!
 //! The free-block-pool behaviour follows §3.1: a freshly created object
@@ -88,11 +96,12 @@
 //!   group a shrink cuts, so its cost follows the change, not the size.
 //!
 //! With `m = 1` a share *is* the plaintext: no byte goes through the IDA,
-//! and a (1, 1) object's bytes take no extra copy, save the one a patch
-//! keeps for the cache.  A coded read falls back
-//! through surviving shares on a check mismatch, and
-//! [`ObjectIo::repair`] rewrites damaged shares from the survivors.  On the
-//! raw device shares are indistinguishable from any other hidden block.
+//! a span that misses whole, with nothing to read ahead, is read from the
+//! device straight into its output, and a write copies each block once,
+//! into its plan.  A coded read falls back through surviving shares on a
+//! check mismatch, and [`ObjectIo::repair`] rewrites damaged shares from
+//! the survivors.  On the raw device shares are indistinguishable from any
+//! other hidden block.
 
 use crate::coding::{self, GroupCodec, Policy, ShareCheck};
 use crate::crypt::ObjectKeys;
@@ -244,11 +253,106 @@ struct Patched {
     plain: Scratch,
 }
 
-/// A rewrite in progress: the caller's transaction, the header the new
-/// incarnation will publish, and the blocks of the old incarnation that have
-/// not been reused yet.
+/// What one mutation writes: its blocks in write order, their plaintext
+/// back to back in one [`Scratch`], and the blocks it frees.  The encoders
+/// fill their slices of the buffer in place — shares, chain nodes, every
+/// header replica — and [`Self::submit`] encrypts the whole of it in one
+/// call, hands it to the transaction as one batch (on a write-through
+/// volume, one device submission) and only then frees.  A mutation that
+/// fails before its submission has therefore written nothing, and no block
+/// it frees can be handed out while the header on the device still names
+/// it.
+struct WritePlan {
+    blocks: Vec<u64>,
+    buf: Scratch,
+    frees: Vec<u64>,
+    bs: usize,
+}
+
+impl WritePlan {
+    /// An empty plan of `bs`-byte blocks with room for `blocks` of them.
+    fn new(bs: usize, blocks: usize) -> Self {
+        WritePlan {
+            blocks: Vec::with_capacity(blocks),
+            buf: Scratch::with_capacity(blocks * bs),
+            frees: Vec::new(),
+            bs,
+        }
+    }
+
+    /// Make room for `blocks` more blocks: free while the plan is empty,
+    /// a move of what it holds after that.
+    fn reserve(&mut self, blocks: usize) {
+        self.blocks.reserve(blocks);
+        let (held, len) = (self.buf.len(), self.buf.len() + blocks * self.bs);
+        if len > self.buf.as_vec_mut().capacity() {
+            // Growing the buffer in place would free its allocation with
+            // plaintext in it: move to a larger one, and the old one is
+            // zeroed as it drops.
+            let mut larger = Scratch::with_capacity(len.max(2 * held));
+            larger.as_vec_mut().extend_from_slice(&self.buf);
+            self.buf = larger;
+        }
+    }
+
+    /// Append `blocks` and return their slice of the buffer, zero-filled.
+    fn extend(&mut self, blocks: &[u64]) -> &mut [u8] {
+        self.reserve(blocks.len());
+        let at = self.buf.len();
+        self.buf.as_vec_mut().resize(at + blocks.len() * self.bs, 0);
+        self.blocks.extend_from_slice(blocks);
+        &mut self.buf[at..]
+    }
+
+    /// Append `other`'s blocks and frees after this plan's.
+    fn append(&mut self, other: WritePlan) {
+        self.extend(&other.blocks).copy_from_slice(&other.buf);
+        self.frees.extend_from_slice(&other.frees);
+    }
+
+    /// Append the serialised `header`, once per replica block.
+    fn header(&mut self, header: &HiddenHeader) {
+        let plain = header.serialize(self.bs);
+        for replica in self
+            .extend(&header.header_replicas)
+            .chunks_exact_mut(plain.len())
+        {
+            replica.copy_from_slice(&plain);
+        }
+    }
+
+    /// Return `block` to the volume once the plan is written.
+    fn free(&mut self, block: u64) {
+        self.frees.push(block);
+    }
+
+    /// Encrypt every block under `keys`, write them in `txn` as one batch,
+    /// then free what the plan frees.
+    fn submit<D: BlockDevice>(
+        mut self,
+        txn: &mut FsTxn<'_, D>,
+        keys: &ObjectKeys,
+    ) -> StegResult<()> {
+        if !self.blocks.is_empty() {
+            {
+                let _s = span::span(span::Phase::Crypto);
+                keys.encrypt_blocks(&self.blocks, &mut self.buf);
+            }
+            txn.write_raw_blocks(&self.blocks, &self.buf)?;
+        }
+        for &b in &self.frees {
+            txn.free_block(b)?;
+        }
+        Ok(())
+    }
+}
+
+/// A rewrite in progress: the caller's transaction, the plan the mutation
+/// writes, the header the new incarnation will publish, and the blocks of
+/// the old incarnation that have not been reused yet.
 struct Rewrite<'r, 't, D: BlockDevice> {
     txn: &'r mut FsTxn<'t, D>,
+    plan: &'r mut WritePlan,
     header: HiddenHeader,
     recycled: Vec<u64>,
 }
@@ -372,67 +476,26 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     // Block-level helpers
     // ------------------------------------------------------------------
 
-    /// Write the (shared) serialised header to every replica block.
-    fn publish_header(&self, txn: &mut FsTxn<'_, D>, header: &HiddenHeader) -> StegResult<()> {
-        let plain = header.serialize(txn.block_size());
-        for &b in &header.header_replicas {
-            self.write_encrypted(txn, b, &plain)?;
-        }
-        Ok(())
-    }
-
-    fn write_encrypted(
-        &self,
-        txn: &mut FsTxn<'_, D>,
-        block: u64,
-        plaintext_block: &[u8],
-    ) -> StegResult<()> {
-        let mut buf = Scratch::take(plaintext_block.len());
-        buf.copy_from_slice(plaintext_block);
-        {
-            let _s = span::span(span::Phase::Crypto);
-            self.keys.encrypt_block(block, &mut buf);
-        }
-        txn.write_raw_block(block, &buf)?;
-        Ok(())
-    }
-
     /// Read and decrypt one block.
     fn read_decrypted(&self, block: u64) -> StegResult<Scratch> {
         self.read_decrypted_many(&[block])
     }
 
-    /// Read a whole extent list in **one batched device submission**, then
-    /// decrypt each block in place (the cipher is keyed per block number, so
-    /// the crypto stays per-block while the I/O batches).
+    /// [`Self::read_decrypted_into`] a buffer of its own.
     fn read_decrypted_many(&self, blocks: &[u64]) -> StegResult<Scratch> {
-        let bs = self.fs.block_size();
-        let mut buf = Scratch::take(blocks.len() * bs);
-        self.fs.read_raw_blocks_into(blocks, &mut buf)?;
-        {
-            let _s = span::span(span::Phase::Crypto);
-            self.keys.decrypt_blocks(blocks, &mut buf);
-        }
+        let mut buf = Scratch::take(blocks.len() * self.fs.block_size());
+        self.read_decrypted_into(blocks, &mut buf)?;
         Ok(buf)
     }
 
-    /// Encrypt `plaintext` (the concatenation of the blocks' contents) per
-    /// block **in place** and write the whole extent list in **one batched
-    /// device submission** (or stage it into the transaction's redo buffer
-    /// on a journaled volume).
-    fn write_encrypted_many(
-        &self,
-        txn: &mut FsTxn<'_, D>,
-        blocks: &[u64],
-        mut plaintext: Scratch,
-    ) -> StegResult<()> {
-        let bs = txn.block_size();
-        debug_assert_eq!(plaintext.len(), blocks.len() * bs);
-        {
-            let _s = span::span(span::Phase::Crypto);
-            self.keys.encrypt_blocks(blocks, &mut plaintext);
-        }
-        txn.write_raw_blocks(blocks, &plaintext)?;
+    /// Read a whole extent list into `buf` in **one batched device
+    /// submission**, then decrypt each block in place (the cipher is keyed
+    /// per block number, so the crypto stays per-block while the I/O
+    /// batches).
+    fn read_decrypted_into(&self, blocks: &[u64], buf: &mut [u8]) -> StegResult<()> {
+        self.fs.read_raw_blocks_into(blocks, buf)?;
+        let _s = span::span(span::Phase::Crypto);
+        self.keys.decrypt_blocks(blocks, buf);
         Ok(())
     }
 
@@ -600,28 +663,33 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Decode `groups` of the object `extents` indexes: `m` plaintext blocks
-    /// per group, in `groups` order, and the blocks of the groups' primary
-    /// shares (the first `m` of each), which are also their plaintext-cache
-    /// keys.
+    /// Decode `groups` of the object `extents` indexes into `out`: `m`
+    /// plaintext blocks per group, in `groups` order.  Returns the blocks
+    /// of the groups' primary shares (the first `m` of each), which are
+    /// also their plaintext-cache keys.  No group costs nothing: no read,
+    /// no codec and no share check.
     ///
     /// The primary shares of every group come up in one batched submission
     /// — as many blocks as the groups hold logical blocks.  Where the
     /// entries carry checks, a group whose primary shares do not all verify
     /// falls back through its other shares, in one more batch for every
     /// such group, instead of erroring; a group with fewer than `m` live
-    /// shares fails closed, and the error carries no partial plaintext.
+    /// shares fails closed, and the error carries no plaintext.
     ///
-    /// With `m = 1` a live share *is* the plaintext, so when every primary
-    /// share verifies the batch they were read into is the output.
-    /// Otherwise each group is reconstructed from slices of the batched
-    /// buffers straight into its place in the output (for `m = 1`, a copy
-    /// of its first live share).
+    /// With `m = 1` a live share *is* the plaintext, so the primaries are
+    /// read straight into `out` and only a degraded group is rewritten
+    /// there, with its first live fallback share.  Otherwise each group is
+    /// reconstructed from slices of the batched buffers straight into its
+    /// place in `out`.
     fn decode_groups(
         &self,
         extents: &ExtentList,
         groups: &[usize],
-    ) -> StegResult<(Vec<u64>, Scratch)> {
+        out: &mut [u8],
+    ) -> StegResult<Vec<u64>> {
+        if groups.is_empty() {
+            return Ok(Vec::new());
+        }
         let (data_blocks, share_csums) = (&extents.data_blocks, &extents.share_csums);
         let bs = self.fs.block_size();
         let (m, n) = extents.coding;
@@ -635,9 +703,15 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             .iter()
             .flat_map(|&g| data_blocks[g * n..g * n + m].iter().copied())
             .collect();
-        let primary_buf = self.read_decrypted_many(&primary)?;
+        debug_assert_eq!(out.len(), primary.len() * bs);
+        let mut coded_buf = (m > 1).then(|| Scratch::take(out.len()));
+        let primary_buf: &mut [u8] = match &mut coded_buf {
+            Some(buf) => buf,
+            None => &mut *out,
+        };
+        self.read_decrypted_into(&primary, primary_buf)?;
         let primary_csums = if checked {
-            self.share_check().many(&primary_buf, bs)
+            self.share_check().many(primary_buf, bs)
         } else {
             Vec::new()
         };
@@ -648,7 +722,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             .filter(|&gi| !(0..m).all(|j| verified(gi, j)))
             .collect();
         if degraded.is_empty() && m == 1 {
-            return Ok((primary, primary_buf));
+            return Ok(primary);
         }
         let extra = n - m;
         let fallback: Vec<u64> = degraded
@@ -675,15 +749,20 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             rank[gi] = Some(di);
         }
         let mut codec = GroupCodec::new(m, n, bs);
-        let mut out = Scratch::take(groups.len() * m * bs);
         let mut good: Vec<(u8, &[u8])> = Vec::with_capacity(n);
         for (gi, (&g, plain)) in groups.iter().zip(out.chunks_exact_mut(m * bs)).enumerate() {
             good.clear();
-            good.extend(
-                (0..m)
-                    .filter(|&j| verified(gi, j))
-                    .map(|j| ((j + 1) as u8, nth_block(&primary_buf, gi * m + j, bs))),
-            );
+            match &coded_buf {
+                Some(primary_buf) => good.extend(
+                    (0..m)
+                        .filter(|&j| verified(gi, j))
+                        .map(|j| ((j + 1) as u8, nth_block(primary_buf, gi * m + j, bs))),
+                ),
+                // With `m = 1` an intact group's plaintext is in place
+                // already, and a degraded one's primary share is dead.
+                None if rank[gi].is_none() => continue,
+                None => {}
+            }
             if let Some(di) = rank[gi] {
                 good.extend(
                     (m..n)
@@ -696,7 +775,7 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             }
             codec.reconstruct_group(&good, plain)?;
         }
-        Ok((primary, out))
+        Ok(primary)
     }
 
     /// Plaintext of logical blocks `first..=last` of the object `extents`
@@ -743,7 +822,15 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         if fetch.is_empty() {
             return Ok(out);
         }
-        let (fetched, plain) = self.decode_groups(&extents, &fetch)?;
+        if missed.len() == keys.len() && fetch.len() * m == keys.len() {
+            // The span missed whole and the fetch is exactly its groups:
+            // they decode straight into the output.
+            let fetched = self.decode_groups(&extents, &fetch, &mut out)?;
+            cache.put_blocks(self.keys.signature(), token, &fetched, &out);
+            return Ok(out);
+        }
+        let mut plain = Scratch::take(fetch.len() * m * bs);
+        let fetched = self.decode_groups(&extents, &fetch, &mut plain)?;
         cache.put_blocks(self.keys.signature(), token, &fetched, &plain);
         let mut rank = 0;
         for &slot in &missed {
@@ -816,7 +903,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         // Stock the internal free pool (§3.1: "StegFS straightaway allocates
         // several blocks to the file").
         self.fill_pool(txn, &mut header)?;
-        self.publish_header(txn, &header)?;
+        let mut plan = WritePlan::new(self.fs.block_size(), copies);
+        plan.header(&header);
+        plan.submit(txn, self.keys)?;
         Ok(HiddenObject {
             header_block,
             header,
@@ -972,6 +1061,8 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     ) -> StegResult<()> {
         self.mutate(txn, obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
+            let needed = self.shares_of(obj.header.policy, data.len());
+            self.ensure_capacity(&obj.header, needed as u64, &old)?;
             self.rewrite(txn, obj, data, rng, &old).map(Arc::new)
         })
     }
@@ -1068,8 +1159,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         }
         self.mutate_committed(obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
-            self.resize_groups(txn, obj, new_len, rng, &old, &[])
-                .map(Arc::new)
+            let (resized, plan) = self.resize_groups(txn, obj, new_len, rng, &old, &[])?;
+            plan.submit(txn, self.keys)?;
+            Ok(Arc::new(resized))
         })
     }
 
@@ -1096,25 +1188,27 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         }
         self.mutate_committed(obj, |txn, obj| {
             let (_, old) = self.cached_chain(obj)?;
-            let (m, n) = old.coding;
-            let kept_end = (old.groups() * m * self.fs.block_size()) as u64;
+            let bs = self.fs.block_size();
+            let kept_end = (old.groups() * old.coding.0 * bs) as u64;
             let in_kept = (kept_end.saturating_sub(offset) as usize).min(data.len());
             // The kept part is encoded first, so the chain the growth builds
-            // records its shares' new checks.
+            // records its shares' new checks; its shares follow the
+            // growth's blocks in the plan.
             let check = self.share_check_of(obj.header.policy);
-            let kept = match in_kept {
-                0 => None,
-                _ => Some(self.encode_patch(&old, offset, &data[..in_kept], check)?),
+            let mut kept = WritePlan::new(bs, 0);
+            let grown_from = match in_kept {
+                0 => Cow::Borrowed(&*old),
+                _ => {
+                    let patch = &data[..in_kept];
+                    let (groups, csums, _) =
+                        self.encode_patch(&mut kept, &old, offset, patch, check)?;
+                    with_checks(&old, &groups, &csums)
+                }
             };
-            let grown_from = match &kept {
-                Some((groups, _, csums, _)) => with_checks(&old, groups, csums),
-                None => Cow::Borrowed(&*old),
-            };
-            let grown = self.resize_groups(txn, obj, end, rng, &grown_from, &data[in_kept..])?;
-            if let Some((groups, payload, _, _)) = kept {
-                let span = &grown.data_blocks[groups.start * n..groups.end * n];
-                self.write_encrypted_many(txn, span, payload)?;
-            }
+            let (grown, mut plan) =
+                self.resize_groups(txn, obj, end, rng, &grown_from, &data[in_kept..])?;
+            plan.append(kept);
+            plan.submit(txn, self.keys)?;
             Ok(Arc::new(grown))
         })
     }
@@ -1122,8 +1216,8 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// The in-place patch of `data` at `offset`, staged in `txn` against
     /// `extents`, the chain `header` names: the shares of every group the
     /// range touches ([`Self::encode_patch`]), then, where the entries
-    /// carry checks, the chain nodes holding them
-    /// ([`Self::rewrite_chain_nodes`]).
+    /// carry checks, the chain nodes holding them and the header replicas
+    /// ([`Self::rewrite_chain_nodes`]), in one plan.
     fn patch(
         &self,
         txn: &mut FsTxn<'_, D>,
@@ -1134,19 +1228,27 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     ) -> StegResult<Patched> {
         let (m, n) = extents.coding;
         let check = self.share_check_of(header.policy);
-        let (groups, payload, csums, plain) = self.encode_patch(&extents, offset, data, check)?;
+        // Room for the shares of every group the range can touch and, where
+        // the entries carry checks, the whole chain and the header.
+        let groups = data.len().div_ceil(m * self.fs.block_size()) + 1;
+        let meta = match check {
+            Some(_) => extents.chain_blocks.len() + header.header_replicas.len(),
+            None => 0,
+        };
+        let mut plan = WritePlan::new(self.fs.block_size(), groups * n + meta);
+        let (groups, csums, plain) = self.encode_patch(&mut plan, &extents, offset, data, check)?;
         let entries = groups.start * n..groups.end * n;
-        self.write_encrypted_many(txn, &extents.data_blocks[entries.clone()], payload)?;
         let keys = extents
             .block_keys(groups.start * m..groups.end * m)
             .into_owned();
         let (published, extents) = match with_checks(&extents, &groups, &csums) {
             Cow::Borrowed(_) => (None, extents),
             Cow::Owned(checked) => {
-                let published = self.rewrite_chain_nodes(txn, header, &checked, entries)?;
+                let published = self.rewrite_chain_nodes(&mut plan, header, &checked, entries);
                 (published, Arc::new(checked))
             }
         };
+        plan.submit(txn, self.keys)?;
         Ok(Patched {
             published,
             extents,
@@ -1155,25 +1257,24 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         })
     }
 
-    /// The new shares of the groups of `extents` that `data` at `offset`
-    /// touches: decode the (at most two) groups the range covers in part —
-    /// the edge-only [`stegfs_fs::rmw`] plan at group granularity, so an
-    /// aligned patch reads no share at all — splice `data` over them and
-    /// re-encode every group of the range.  A group damaged beyond
-    /// tolerance therefore heals when a patch covers it completely, while a
-    /// patch that needs any of its old bytes fails closed before anything
-    /// is written.  Returns the groups, their shares back to back, the
-    /// shares' checks under `check`, and the groups' new plaintext in
-    /// logical block order: a copy, since the (1, 1) code hands the
-    /// plaintext itself back as its share, which is then encrypted in
-    /// place.
+    /// Append to `plan` the new shares of the groups of `extents` that
+    /// `data` at `offset` touches: decode the (at most two) groups the range
+    /// covers in part — the edge-only [`stegfs_fs::rmw`] plan at group
+    /// granularity, so an aligned patch reads no share at all — splice
+    /// `data` over them and encode every group of the range straight into
+    /// the plan.  A group damaged beyond tolerance therefore heals when a
+    /// patch covers it completely, while a patch that needs any of its old
+    /// bytes fails closed before anything is written.  Returns the groups,
+    /// the shares' checks under `check`, and the groups' new plaintext in
+    /// logical block order, the buffer the shares were encoded from.
     fn encode_patch(
         &self,
+        plan: &mut WritePlan,
         extents: &ExtentList,
         offset: u64,
         data: &[u8],
         check: Option<&ShareCheck>,
-    ) -> StegResult<(Range<usize>, Scratch, Vec<u64>, Scratch)> {
+    ) -> StegResult<(Range<usize>, Vec<u64>, Scratch)> {
         let bs = self.fs.block_size();
         let (m, n) = extents.coding;
         let group_bytes = m * bs;
@@ -1183,25 +1284,25 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         if g1 >= extents.groups() {
             return Err(shorter_than_size());
         }
-        // The plan's "blocks" are group indices: its edges are the groups
-        // whose old plaintext the patch keeps part of.
+        // The rmw plan's "blocks" are group indices: its edges are the
+        // groups whose old plaintext the patch keeps part of.
         let groups: Vec<u64> = (g0 as u64..=g1 as u64).collect();
         let span_start = (g0 * group_bytes) as u64;
-        let plan = stegfs_fs::rmw::plan(&groups, offset, end, span_start, group_bytes);
-        let edges: Vec<usize> = plan.edges.iter().map(|&g| g as usize).collect();
-        let (_, edge_plain) = self.decode_groups(extents, &edges)?;
+        let rmw = stegfs_fs::rmw::plan(&groups, offset, end, span_start, group_bytes);
+        let edges: Vec<usize> = rmw.edges.iter().map(|&g| g as usize).collect();
+        let mut edge_plain = Scratch::take(edges.len() * group_bytes);
+        self.decode_groups(extents, &edges, &mut edge_plain)?;
         let mut plain = Scratch::take(groups.len() * group_bytes);
-        plan.seed_edges(&edge_plain, &mut plain, group_bytes);
+        rmw.seed_edges(&edge_plain, &mut plain, group_bytes);
         drop(edge_plain);
         let from = (offset - span_start) as usize;
         plain[from..from + data.len()].copy_from_slice(data);
-        let mut image = Scratch::take(plain.len());
-        image.copy_from_slice(&plain);
-        let (payload, csums) = GroupCodec::new(m, n, bs).encode_whole(plain, check);
-        Ok((g0..g1 + 1, payload, csums, image))
+        let shares = plan.extend(&extents.data_blocks[g0 * n..(g1 + 1) * n]);
+        let csums = GroupCodec::new(m, n, bs).encode_groups(&plain, check, shares);
+        Ok((g0..g1 + 1, csums, plain))
     }
 
-    /// Rewrite, in `txn`, the chain nodes of `extents` that hold `entries`,
+    /// Append to `plan` the chain nodes of `extents` that hold `entries`,
     /// re-serialised as [`Self::build_chain`] lays them out.  Under
     /// replicated metadata a node's new plaintext changes the check its
     /// *predecessor* records, so the rewrite cascades back to the head and
@@ -1209,26 +1310,26 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     /// header returned, `None` where the metadata has one copy.
     fn rewrite_chain_nodes(
         &self,
-        txn: &mut FsTxn<'_, D>,
+        plan: &mut WritePlan,
         header: &HiddenHeader,
         extents: &ExtentList,
         entries: Range<usize>,
-    ) -> StegResult<Option<HiddenHeader>> {
+    ) -> Option<HiddenHeader> {
         let copies = header.policy.meta_copies();
         let cap = self.chain_capacity(header.policy);
         let last = (entries.end - 1) / cap;
         let first = if copies > 1 { 0 } else { entries.start / cap };
         let entries = (&extents.data_blocks[..], &extents.share_csums[..]);
         let chain = &extents.chain_blocks;
-        let (plain, head_csum) = self.serialize_chain(header.policy, entries, chain, first..=last);
-        self.write_encrypted_many(txn, &chain[first * copies..(last + 1) * copies], plain)?;
+        let out = plan.extend(&chain[first * copies..(last + 1) * copies]);
+        let head_csum = self.serialize_chain(header.policy, entries, chain, first..=last, out);
         if copies == 1 {
-            return Ok(None);
+            return None;
         }
         let mut header = header.clone();
         header.chain_csum = head_csum;
-        self.publish_header(txn, &header)?;
-        Ok(Some(header))
+        plan.header(&header);
+        Some(header)
     }
 
     /// Make sure the volume can hold a new incarnation of `needed` data
@@ -1255,9 +1356,17 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         Ok(())
     }
 
+    /// The share blocks `len` bytes take under `policy`: `groups * n`,
+    /// the zero tail padding the final group.
+    fn shares_of(&self, policy: Policy, len: usize) -> usize {
+        let (m, n) = policy.shares();
+        len.div_ceil(m * self.fs.block_size()) * n
+    }
+
     /// The rewrite core of [`write`](Self::write), against the
-    /// already-resolved old incarnation `old`.  Returns the new
-    /// incarnation's extent list on success (with `obj.header` updated).
+    /// already-resolved old incarnation `old`, once the volume has passed
+    /// [`Self::ensure_capacity`] for it.  Returns the new incarnation's
+    /// extent list on success (with `obj.header` updated).
     fn rewrite(
         &self,
         txn: &mut FsTxn<'_, D>,
@@ -1267,25 +1376,20 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         old: &ExtentList,
     ) -> StegResult<ExtentList> {
         let bs = self.fs.block_size();
-        // Encode first: `groups * n` share blocks, the zero tail padding
-        // the final group.
-        let (m, n) = obj.header.policy.shares();
-        let check = self.share_check_of(obj.header.policy);
-        let (payload, csums) = GroupCodec::new(m, n, bs).encode_groups(data, check);
-        let needed = payload.len() / bs;
-        self.ensure_capacity(&obj.header, needed as u64, old)?;
+        let policy = obj.header.policy;
+        let (m, n) = policy.shares();
+        let needed = self.shares_of(policy, data.len());
 
         // The old blocks are *recycled in place*: they stay allocated in the
         // bitmap and are consumed directly as new data/chain blocks, never
-        // freed mid-operation.  The capacity check above is advisory once
+        // freed mid-operation.  The capacity check is advisory once
         // other writers run in parallel, so every fresh allocation is
         // tracked by the transaction, which hands it back if the operation
         // fails part-way.  On such a failure the object's previous header
-        // stays current and every block it names is still allocated — on a
-        // journaled volume even the recycled blocks' *contents* survive,
-        // because nothing reaches the device before commit; write-through
-        // volumes keep the old caveat that consumed recycled blocks may
-        // already be overwritten.
+        // stays current, every block it names is still allocated, and
+        // nothing has been written: the plan is submitted only once the
+        // whole incarnation is built.
+        let mut plan = WritePlan::new(bs, needed + self.meta_blocks(policy, needed));
         let mut rw = Rewrite {
             header: obj.header.clone(),
             recycled: old
@@ -1294,20 +1398,33 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 .chain(&old.chain_blocks)
                 .copied()
                 .collect(),
-            txn,
+            txn: &mut *txn,
+            plan: &mut plan,
         };
         // Claim every data block first — every share gets its own
-        // independently drawn block — then push the whole extent list down
-        // as one batched submission.
+        // independently drawn block — then encode the shares into the plan.
         let data_blocks = rw.take_blocks(needed, rng)?;
-        self.write_encrypted_many(rw.txn, &data_blocks, payload)?;
-        self.publish_incarnation(rw, obj, data.len() as u64, data_blocks, csums, rng)
+        let check = self.share_check_of(policy);
+        let shares = rw.plan.extend(&data_blocks);
+        let csums = GroupCodec::new(m, n, bs).encode_groups(data, check, shares);
+        let extents =
+            self.publish_incarnation(rw, obj, data.len() as u64, data_blocks, csums, rng)?;
+        plan.submit(txn, self.keys)?;
+        Ok(extents)
+    }
+
+    /// The chain nodes (every replica) and header replicas an incarnation of
+    /// `data_blocks` share blocks writes under `policy`.
+    fn meta_blocks(&self, policy: Policy, data_blocks: usize) -> usize {
+        let copies = policy.meta_copies();
+        (data_blocks.div_ceil(self.chain_capacity(policy)) + 1) * copies
     }
 
     /// The shared tail of every rewrite: build the inode chain over
     /// `data_blocks` (paired with `csums` where the entries carry checks),
-    /// settle the free pool, publish the header of the `size`-byte
-    /// incarnation and release the old incarnation's surplus.
+    /// settle the free pool, and append the header of the `size`-byte
+    /// incarnation and the release of the old incarnation's surplus to the
+    /// plan.
     fn publish_incarnation(
         &self,
         mut rw: Rewrite<'_, '_, D>,
@@ -1334,11 +1451,12 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         }
 
         // Publish the new header and release the old incarnation's surplus.
-        // The frees ride in the same transaction (deferred to its commit on
-        // a journaled volume), so the surplus returns to the volume only
-        // together with the header that stops referencing it; a failure
-        // anywhere above drops the transaction and leaves every block the
-        // old header names allocated.
+        // The frees follow the plan's write and ride in the same
+        // transaction (deferred to its commit on a journaled volume), so
+        // the surplus returns to the volume only together with the header
+        // that stops referencing it; a failure anywhere above drops the
+        // transaction and leaves every block the old header names
+        // allocated.
         rw.header.size = size;
         rw.header.data_block_count = data_blocks.len() as u64;
         rw.header.inode_chain = chain_blocks.first().copied().unwrap_or(NO_BLOCK);
@@ -1346,9 +1464,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             rw.header.inode_chain == NO_BLOCK
                 || rw.header.inode_chain < self.fs.superblock().total_blocks
         );
-        self.publish_header(rw.txn, &rw.header)?;
+        rw.plan.header(&rw.header);
         for b in rw.recycled {
-            rw.txn.free_block(b)?;
+            rw.plan.free(b);
         }
         obj.header = rw.header;
         Ok(ExtentList {
@@ -1360,9 +1478,10 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
     }
 
     /// Serialise `data_blocks` (paired with `csums` where the entries carry
-    /// checks) into a fresh inode chain, drawing chain blocks from the pool
-    /// / free space; returns the chain blocks in walk order (empty for an
-    /// empty object — the head is `first().copied().unwrap_or(NO_BLOCK)`).
+    /// checks) into a fresh inode chain in the plan, drawing chain blocks
+    /// from the pool / free space; returns the chain blocks in walk order
+    /// (empty for an empty object — the head is
+    /// `first().copied().unwrap_or(NO_BLOCK)`).
     ///
     /// Under a redundant [`Policy`] every chain node is written to
     /// [`Policy::meta_copies`] independently located blocks (the returned
@@ -1395,21 +1514,19 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         let nodes = data_blocks.len().div_ceil(self.chain_capacity(policy));
         let chain_blocks = rw.take_blocks(nodes * copies, rng)?;
         let entries = (data_blocks, csums);
-        let (plain, head_csum) =
-            self.serialize_chain(policy, entries, &chain_blocks, 0..=nodes - 1);
-        // The whole chain — every replica of a node carrying the identical
-        // plaintext — goes down in one batched submission.
-        self.write_encrypted_many(rw.txn, &chain_blocks, plain)?;
+        // Every replica of a node carries the identical plaintext.
+        let out = rw.plan.extend(&chain_blocks);
+        let head_csum = self.serialize_chain(policy, entries, &chain_blocks, 0..=nodes - 1, out);
         rw.header.chain_replicas = chain_blocks[1..copies].to_vec();
         rw.header.chain_csum = head_csum;
         Ok(chain_blocks)
     }
 
-    /// The plaintext of nodes `nodes` of the chain that indexes the
-    /// entries `(pointers, csums)` (`csums` empty where the entries carry
-    /// no checks) from the blocks `chain` (node-major, one per replica),
-    /// each node repeated for its replicas, back to back: the image of
-    /// `chain[nodes.start() * copies..]`.  Also returns the check of the
+    /// Serialise nodes `nodes` of the chain that indexes the entries
+    /// `(pointers, csums)` (`csums` empty where the entries carry no
+    /// checks) from the blocks `chain` (node-major, one per replica) into
+    /// `out`, each node repeated for its replicas, back to back: the image
+    /// of `chain[nodes.start() * copies..]`.  Returns the check of the
     /// first node's plaintext, which its predecessor or the header records
     /// (0 with one metadata copy, where no node carries a check).  Node `i`
     /// holds entries `i * capacity ..`; with replicated metadata each node
@@ -1421,18 +1538,19 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         (pointers, csums): (&[u64], &[u64]),
         chain: &[u64],
         nodes: RangeInclusive<usize>,
-    ) -> (Scratch, u64) {
+        out: &mut [u8],
+    ) -> u64 {
         let bs = self.fs.block_size();
         let (coded, copies) = (policy.is_coded(), policy.meta_copies());
         let cap = self.chain_capacity(policy);
         let (first, last) = (*nodes.start(), *nodes.end());
+        debug_assert_eq!(out.len(), (last + 1 - first) * copies * bs);
         // Past `last` a node only matters for the check it hands back.
         let tail = if copies > 1 {
             chain.len() / copies
         } else {
             last + 1
         };
-        let mut plain = Scratch::take((last + 1 - first) * copies * bs);
         let mut succ_csum = 0u64;
         for i in (first..tail).rev() {
             let entries = i * cap..((i + 1) * cap).min(pointers.len());
@@ -1456,12 +1574,12 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             }
             if i <= last {
                 let at = (i - first) * copies * bs;
-                for replica in plain[at..at + copies * bs].chunks_exact_mut(bs) {
+                for replica in out[at..at + copies * bs].chunks_exact_mut(bs) {
                     replica.copy_from_slice(&node_plain);
                 }
             }
         }
-        (plain, succ_csum)
+        succ_csum
     }
 
     /// The core of [`resize`](Self::resize) and of a growing
@@ -1481,13 +1599,13 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         rng: &mut DeterministicRng,
         old: &ExtentList,
         tail: &[u8],
-    ) -> StegResult<ExtentList> {
+    ) -> StegResult<(ExtentList, WritePlan)> {
         let bs = self.fs.block_size();
         let (m, n) = old.coding;
         let group_bytes = (m * bs) as u64;
         let groups = new_len.div_ceil(group_bytes);
-        let check = self.share_check_of(obj.header.policy);
-        let codec = GroupCodec::new(m, n, bs);
+        let policy = obj.header.policy;
+        let check = self.share_check_of(policy);
         let mut data_blocks = old.data_blocks.clone();
         let mut csums = old.share_csums.clone();
         // As in [`write`](Self::write): surplus blocks are recycled in place
@@ -1495,34 +1613,35 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         // the commit), so a mid-operation failure never frees blocks the
         // still-current header references, and the transaction returns fresh
         // allocations to the volume on failure.
+        let mut plan = WritePlan::new(bs, 0);
         let mut rw = Rewrite {
             header: obj.header.clone(),
             recycled: old.chain_blocks.clone(),
             txn,
+            plan: &mut plan,
         };
-        if new_len < obj.header.size {
+        // The share blocks to write, and the plaintext of their groups.
+        let (blocks, plain) = if new_len < obj.header.size {
             debug_assert!(tail.is_empty(), "a shrink writes no tail");
             let kept = groups as usize;
             rw.recycled.extend(data_blocks.drain(kept * n..));
             csums.truncate(data_blocks.len());
             // Re-encode the cut group with zeros past the cut, so the
             // truncated bytes cannot resurface on a later extension.
-            let cut = (new_len % group_bytes) as usize;
-            if cut != 0 {
-                let g = kept - 1;
-                let (_, mut plain) = self.decode_groups(old, &[g])?;
-                plain[cut..].fill(0);
-                let (shares, new) = codec.encode_whole(plain, check);
-                for (&block, share) in data_blocks[g * n..].iter().zip(shares.chunks_exact(bs)) {
-                    self.write_encrypted(rw.txn, block, share)?;
+            match (new_len % group_bytes) as usize {
+                0 => (Vec::new(), Scratch::take(0)),
+                cut => {
+                    let g = kept - 1;
+                    let mut plain = Scratch::take(m * bs);
+                    self.decode_groups(old, &[g], &mut plain)?;
+                    plain[cut..].fill(0);
+                    csums.truncate(g * n);
+                    (data_blocks[g * n..].to_vec(), plain)
                 }
-                csums.truncate(g * n);
-                csums.extend(new);
             }
         } else {
             self.ensure_capacity(&rw.header, groups.saturating_mul(n as u64), old)?;
-            // Claim the new groups' shares, then write them all in one
-            // batched submission.
+            // Claim the new groups' shares.
             let have = old.groups() as u64;
             let added = groups.saturating_sub(have) as usize;
             let grown = rw.take_blocks(added * n, rng)?;
@@ -1531,15 +1650,18 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
                 let at = new_len - tail.len() as u64 - have * group_bytes;
                 plain[at as usize..][..tail.len()].copy_from_slice(tail);
             }
-            let (payload, new) = codec.encode_whole(plain, check);
-            self.write_encrypted_many(rw.txn, &grown, payload)?;
-            data_blocks.extend(grown);
-            csums.extend(new);
-        }
+            data_blocks.extend_from_slice(&grown);
+            (grown, plain)
+        };
+        rw.plan
+            .reserve(blocks.len() + self.meta_blocks(policy, data_blocks.len()));
+        let shares = rw.plan.extend(&blocks);
+        csums.extend(GroupCodec::new(m, n, bs).encode_groups(&plain, check, shares));
         // The chain is rebuilt from the recycled blocks first; the surplus
         // returns to the volume with the commit that publishes the header
         // which stops referencing it.
-        self.publish_incarnation(rw, obj, new_len, data_blocks, csums, rng)
+        let resized = self.publish_incarnation(rw, obj, new_len, data_blocks, csums, rng)?;
+        Ok((resized, plan))
     }
 
     // ------------------------------------------------------------------
@@ -1636,9 +1758,9 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         if shares_rebuilt == 0 {
             return Ok(RepairOutcome::Intact);
         }
-        let mut txn = self.fs.begin_txn();
+        let mut plan = WritePlan::new(bs, shares_rebuilt);
         for &(b, plain) in &meta_rewrites {
-            self.write_encrypted(&mut txn, b, plain)?;
+            plan.extend(&[b]).copy_from_slice(plain);
         }
         let mut codec = GroupCodec::new(m, n, bs);
         let mut plain = Scratch::take(m * bs);
@@ -1648,17 +1770,20 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
             codec.split_group(&plain, &mut shares);
             for &j in &bad[g] {
                 let share = nth_block(&shares, j, bs);
-                self.write_encrypted(&mut txn, data_blocks[g * n + j], share)?;
+                plan.extend(&[data_blocks[g * n + j]])
+                    .copy_from_slice(share);
             }
         }
+        let mut txn = self.fs.begin_txn();
+        plan.submit(&mut txn, self.keys)?;
         txn.commit()?;
         Ok(RepairOutcome::Repaired { shares_rebuilt })
     }
 
-    /// Delete a hidden object in `txn`: every block it holds (data, chain,
-    /// pool, header) is returned to the file system, and the header blocks
-    /// are scrubbed so the signature cannot be found again.  A delete that
-    /// fails on its chain walk has staged nothing.
+    /// Delete a hidden object in `txn`: the header blocks are scrubbed so
+    /// the signature cannot be found again, and then every block the object
+    /// holds (data, chain, pool, header) is returned to the file system.  A
+    /// delete that fails on its chain walk has staged nothing.
     pub fn delete(
         &self,
         txn: &mut FsTxn<'_, D>,
@@ -1666,15 +1791,16 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         rng: &mut DeterministicRng,
     ) -> StegResult<()> {
         let chain = self.read_chain(obj)?;
+        self.destroy_unreadable(txn, obj, rng)?;
         for b in chain.data_blocks.into_iter().chain(chain.chain_blocks) {
             txn.free_block(b)?;
         }
-        self.destroy_unreadable(txn, obj, rng)
+        Ok(())
     }
 
-    /// Tear down what the header itself names, in `txn`: free the pool,
-    /// overwrite every header replica with fresh pseudorandom fill so no
-    /// stale signature survives, and free the replicas.  On its own, the
+    /// Tear down what the header itself names, in `txn`: overwrite every
+    /// header replica with fresh pseudorandom fill so no stale signature
+    /// survives, then free the pool and the replicas.  On its own, the
     /// last resort for an object whose chain cannot be walked (the scavenger
     /// re-creating a lost directory): the unreachable chain/data blocks stay
     /// allocated, a bounded leak rather than freeing unproven blocks.
@@ -1684,13 +1810,17 @@ impl<'a, 'k, D: BlockDevice> ObjectIo<'a, 'k, D> {
         obj: &HiddenObject,
         rng: &mut DeterministicRng,
     ) -> StegResult<()> {
-        for &b in &obj.header.free_pool {
+        // Fill is not plaintext: the replicas take it unencrypted, in one
+        // batch, before a block the header names goes back to the volume
+        // (on a write-through volume a free is handed out at once).
+        let noise: Vec<u8> = obj
+            .header_blocks()
+            .iter()
+            .flat_map(|_| rng.bytes(self.fs.block_size()))
+            .collect();
+        txn.write_raw_blocks(obj.header_blocks(), &noise)?;
+        for &b in obj.header.free_pool.iter().chain(obj.header_blocks()) {
             txn.free_block(b)?;
-        }
-        for &hb in obj.header_blocks() {
-            let noise = rng.bytes(self.fs.block_size());
-            txn.write_raw_block(hb, &noise)?;
-            txn.free_block(hb)?;
         }
         Ok(())
     }
@@ -1919,6 +2049,51 @@ mod tests {
                 assert_eq!(after.extent_misses, before.extent_misses, "entry kept");
                 assert_eq!(after.resident_blocks, 64, "{policy:?}");
             }
+        }
+    }
+
+    /// Every block of `fs`'s device, back to back.
+    fn raw_image<D: BlockDevice>(fs: &PlainFs<D>) -> Vec<u8> {
+        (0..fs.device().total_blocks())
+            .flat_map(|b| fs.device().read_block_vec(b).unwrap())
+            .collect()
+    }
+
+    /// A write-through rewrite that runs out of space building its chain
+    /// has written nothing, so the old incarnation still reads back.  The
+    /// capacity check ([`ObjectIo::write`] runs it before `rewrite`) has
+    /// passed, and then a concurrent writer took the free space, as it may
+    /// between the check and the allocations: the test leaves exactly the
+    /// blocks the new shares take, so the shares take every block the old
+    /// incarnation recycles and the chain finds none.
+    #[test]
+    fn a_rewrite_out_of_space_in_build_chain_leaves_the_image_unchanged() {
+        for policy in [Policy::Plain, Policy::Disperse { m: 2, n: 3 }] {
+            let (fs, keys, params, mut rng) = fixture();
+            let io = bypass(&fs, &keys, &params);
+            let mut obj = create(&io, "full", ObjectKind::File, policy).unwrap();
+            let before: Vec<u8> = (0..6 * 1024u32).map(|i| (i % 253) as u8).collect();
+            write(&io, &mut obj, &before, &mut rng).unwrap();
+            let old = io.read_chain(&obj).unwrap();
+            let (m, n) = policy.shares();
+            let reusable =
+                obj.header.free_pool.len() + old.data_blocks.len() + old.chain_blocks.len();
+            let groups = reusable / n + 1;
+            let needed = groups * n;
+            while fs.free_data_blocks() > (needed - reusable) as u64 {
+                fs.allocate_random_block().unwrap();
+            }
+            let image = raw_image(&fs);
+            let mut txn = fs.begin_txn();
+            let mut next = obj.clone();
+            let data = vec![0x5a; groups * m * fs.block_size()];
+            let err = io
+                .rewrite(&mut txn, &mut next, &data, &mut rng, &old)
+                .unwrap_err();
+            assert!(matches!(err, StegError::NoSpace), "{policy:?}: {err}");
+            drop(txn);
+            assert!(raw_image(&fs) == image, "{policy:?}: the image moved");
+            assert_eq!(io.read(&obj).unwrap(), before, "{policy:?}");
         }
     }
 

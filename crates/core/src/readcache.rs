@@ -950,14 +950,27 @@ impl ReadCache {
         if !self.enabled() {
             return;
         }
+        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now();
+        self.sweep(sig);
+        self.obs
+            .zeroize_ns
+            .record(start.elapsed().as_nanos() as u64);
+    }
+
+    /// The sweep of [`Self::invalidate`], counting no invalidation and
+    /// recording no sample: for a mutation that sweeps its object once more
+    /// when it commits, to drop what a reader installed in between.
+    pub(crate) fn sweep(&self, sig: &ObjectSig) {
+        if !self.enabled() {
+            return;
+        }
         // Bump first (see store() for the ordering argument).
         self.global_gen.fetch_add(1, Ordering::AcqRel);
-        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         // The object shard stays held across the block sweep: `put_blocks`
         // verifies the entry's liveness under this same lock, so once the
         // entry is gone no further plaintext of its generation can be
         // inserted, and everything inserted before is swept here.
-        let start = Instant::now();
         let mut object_guard = self.objects[object_shard(sig)].lock();
         if let Some(obj) = object_guard.remove(sig) {
             if let Some(ext) = obj.extents {
@@ -970,9 +983,6 @@ impl ReadCache {
             }
         }
         drop(object_guard);
-        self.obs
-            .zeroize_ns
-            .record(start.elapsed().as_nanos() as u64);
     }
 
     /// Record a committed in-place patch of `sig` that rewrote the blocks

@@ -613,7 +613,8 @@ impl<D: BlockDevice> StegFs<D> {
     /// Drop everything cached for an object whose `(physical name, FAK)`
     /// binding changes or dies in `txn` (unlink, rename, re-key): header,
     /// extents, plaintext and the derived key set.  Now (a failure may tear
-    /// an unjournaled object) and again when `txn` commits.
+    /// an unjournaled object), counted as one invalidation, and swept again
+    /// when `txn` commits, which is the same mutation.
     fn forget_object<'s>(
         &'s self,
         txn: &mut FsTxn<'s, D>,
@@ -621,12 +622,12 @@ impl<D: BlockDevice> StegFs<D> {
         keys: &ObjectKeys,
     ) {
         let (entry, sig) = (entry.clone(), *keys.signature());
-        let forget = move || {
-            self.read_cache.invalidate(&sig);
+        self.read_cache.invalidate(&sig);
+        self.read_cache.drop_keys(&entry.physical_name, &entry.fak);
+        txn.on_commit(move || {
+            self.read_cache.sweep(&sig);
             self.read_cache.drop_keys(&entry.physical_name, &entry.fak);
-        };
-        forget.clone()();
-        txn.on_commit(forget);
+        });
     }
 
     fn store_config(&self) -> StegResult<()> {

@@ -16,7 +16,11 @@
 //! * **On an unjournaled volume** the transaction is a transparent
 //!   pass-through with exactly the pre-journal write-through behaviour, so
 //!   the simulation harness and the paper-reproduction experiments are
-//!   unaffected.
+//!   unaffected.  Each [`write_raw_blocks`](FsTxn::write_raw_blocks) call
+//!   is one device submission, and every hidden-object mutation makes
+//!   exactly one: its shares, chain nodes and header replicas arrive as one
+//!   batch, so a write-through mutation that fails before that call has
+//!   written nothing.
 //!
 //! Block *allocations* apply to the in-memory bitmap immediately in both
 //! modes (concurrent operations must see them), and are rolled back if the

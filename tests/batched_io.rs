@@ -11,7 +11,9 @@
 //! * metered assertions that the file-system layers actually *use* the batch
 //!   path: a multi-block read or write of a 16-block object reaches the
 //!   device as **one** batched submission, for plain files and hidden
-//!   objects alike.
+//!   objects alike, and every hidden-object mutation on a write-through
+//!   volume — shares, chain nodes and header replicas together — is one
+//!   write submission, moving the same blocks as when they left apart.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -306,8 +308,8 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
     io.write(&mut txn, &mut obj, &data, &mut rng).unwrap();
     txn.commit().unwrap();
 
-    // Rewrite: 16 data blocks in ONE submission, one chain block and the
-    // header as further submissions, and the old chain read as one single.
+    // Rewrite: 16 data blocks, the chain block and the header in ONE
+    // submission, and the old chain read as one single.
     stats.reset();
     let mut txn = fs.begin_txn();
     io.write(&mut txn, &mut obj, &data, &mut rng).unwrap();
@@ -315,8 +317,8 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
     let s = stats.summary();
     assert_eq!(s.blocks_written, 18, "16 data + 1 chain + 1 header: {s:?}");
     assert_eq!(
-        s.writes, 3,
-        "the 16-block extent must ride one batched submission: {s:?}"
+        s.writes, 1,
+        "the rewrite must ride one batched submission: {s:?}"
     );
 
     // Read: one single for the chain block, ONE batch for all 16 data
@@ -329,4 +331,100 @@ fn hidden_16_block_object_io_is_one_batched_submission() {
         s.reads, 2,
         "the 16-block extent must ride one batched submission: {s:?}"
     );
+}
+
+/// Write submissions and blocks written by each `ObjectIo` mutation of one
+/// object on a write-through volume, in script order: create, whole write,
+/// aligned patch, edge patch, a `write_at` that grows the object, a shrink,
+/// a repair (of one damaged share, where the entries carry checks) and a
+/// delete; and the SHA-256 of the raw image the script leaves.
+fn mutation_traffic(policy: Policy) -> (Vec<(&'static str, u64, u64)>, String) {
+    let dev = ObservedDevice::counting(MemBlockDevice::new(1024, 8192));
+    let stats = dev.stats().clone();
+    let fs = PlainFs::format(dev, FormatOptions::default()).unwrap();
+    let keys = ObjectKeys::derive("table", b"fak");
+    let params = StegParams::for_tests();
+    let mut rng = DeterministicRng::new(b"batched-io");
+    let io = ObjectIo::new(&fs, &params, ReadCache::disabled(), &keys);
+    let mut rows = Vec::new();
+    let row = |name, rows: &mut Vec<_>| {
+        let s = stats.summary();
+        rows.push((name, s.writes, s.blocks_written));
+        stats.reset();
+    };
+    stats.reset();
+    let mut txn = fs.begin_txn();
+    let mut obj = io
+        .create(&mut txn, "table", ObjectKind::File, policy)
+        .unwrap();
+    txn.commit().unwrap();
+    row("create", &mut rows);
+    let mut txn = fs.begin_txn();
+    io.write(&mut txn, &mut obj, &[0x3c; 16 * 1024], &mut rng)
+        .unwrap();
+    txn.commit().unwrap();
+    row("write", &mut rows);
+    io.write_range(&mut obj, 4096, &[0x5a; 4096]).unwrap();
+    row("patch aligned", &mut rows);
+    io.write_range(&mut obj, 1000, &[0xa5; 100]).unwrap();
+    row("patch edge", &mut rows);
+    io.write_at(&mut obj, 16 * 1024 - 100, &[0x77; 3000], &mut rng)
+        .unwrap();
+    row("grow", &mut rows);
+    io.resize(&mut obj, 5000, &mut rng).unwrap();
+    row("shrink", &mut rows);
+    if policy.is_coded() {
+        let victim = io.share_extents(&obj).unwrap()[1][0];
+        fs.device().write_block(victim, &[0u8; 1024]).unwrap();
+        stats.reset();
+    }
+    io.repair(&obj).unwrap();
+    row("repair", &mut rows);
+    let mut txn = fs.begin_txn();
+    io.delete(&mut txn, &obj, &mut rng).unwrap();
+    txn.commit().unwrap();
+    row("delete", &mut rows);
+    let mut sha = Sha256::new();
+    for b in 0..fs.device().total_blocks() {
+        sha.update(&fs.device().read_block_vec(b).unwrap());
+    }
+    let digest = sha.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    (rows, digest)
+}
+
+/// Blocks written per row of [`mutation_traffic`], and the image digest,
+/// as recorded when each mutation still wrote its shares, chain nodes and
+/// header replicas as separate submissions: one plan per mutation moves no
+/// block and changes no byte.
+const MUTATION_BLOCKS: [(Policy, [u64; 8], &str); 3] = [
+    (
+        Policy::Plain,
+        [1, 18, 4, 2, 6, 3, 0, 1],
+        "cc447ec1ddfc4994564c917f86eea16f692a0b94250b0b62ac69a1d691f9452b",
+    ),
+    (
+        Policy::Replicate(2),
+        [2, 36, 12, 8, 12, 6, 1, 2],
+        "1bdc3a0800f52fdfb4fed51da09d45d5e98d447572d9d9cbded373bc44ab1428",
+    ),
+    (
+        Policy::Disperse { m: 2, n: 3 },
+        [2, 28, 10, 7, 13, 7, 1, 2],
+        "9dcc74d80904e79e6d2bcc47d84a17bbd2113e8df8ee4b1441c411f33fce78ef",
+    ),
+];
+
+#[test]
+fn every_hidden_mutation_is_one_write_submission() {
+    for (policy, blocks, image) in MUTATION_BLOCKS {
+        let (traffic, digest) = mutation_traffic(policy);
+        let got: Vec<u64> = traffic.iter().map(|&(_, _, b)| b).collect();
+        assert_eq!(got, blocks, "{policy:?} blocks written: {traffic:?}");
+        assert_eq!(digest, image, "{policy:?} image");
+        for (name, writes, written) in traffic {
+            // A repair with nothing to rebuild writes nothing.
+            let expected = u64::from(written > 0);
+            assert_eq!(writes, expected, "{policy:?} {name}: {written} blocks");
+        }
+    }
 }

@@ -159,3 +159,63 @@ fn in_place_hidden_patches_are_not_invalidations() {
     client.signoff().unwrap();
     engine.shutdown();
 }
+
+/// The cache counts one invalidation per mutation that drops an object's
+/// cached state, at most: a rewrite of an object (a listing save, a growth,
+/// a truncate) is one, a rename or remove is one for the listing and one for
+/// the object whose binding moves or dies, and a patch is none.  A mixed
+/// script of all of them, at the top level and in a hidden directory, never
+/// counts more invalidations than it makes such mutations, step by step.
+#[test]
+fn invalidations_never_exceed_the_mutations_that_drop_keys() {
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), full_feature_params()).unwrap();
+    let s = vfs.signon("mixed key");
+    let (mut counted, mut mutations) = (0u64, 0u64);
+    let mut step = |name: &str, dropping: u64| {
+        let now = vfs.cache_stats().invalidations;
+        let delta = now - counted;
+        assert!(
+            delta <= dropping,
+            "{name}: {delta} invalidations, {dropping} mutations"
+        );
+        (counted, mutations) = (now, mutations + dropping);
+    };
+    step("signon", 0);
+    let rw = OpenOptions::read_write;
+    let h = vfs.open(s, "/hidden/a", rw()).unwrap();
+    vfs.write_at(h, 0, &payload(1, 8 * 1024)).unwrap();
+    // The listing's save, and the new object's growth.
+    step("create a", 2);
+    vfs.read_at(h, 0, 8 * 1024).unwrap();
+    vfs.write_at(h, 100, &payload(2, 900)).unwrap();
+    vfs.write_at(h, 5000, &payload(3, 3000)).unwrap();
+    step("patch a", 0);
+    vfs.write_at(h, 8000, &payload(4, 900)).unwrap();
+    step("grow a", 1);
+    vfs.truncate(h, 3000).unwrap();
+    step("truncate a", 1);
+    vfs.close(h).unwrap();
+    let h = vfs.open(s, "/hidden/a", rw().truncate(true)).unwrap();
+    vfs.write_at(h, 0, &payload(5, 5000)).unwrap();
+    vfs.close(h).unwrap();
+    step("rewrite a", 2);
+    vfs.rename(s, "/hidden/a", "/hidden/b").unwrap();
+    step("rename a b", 2);
+    vfs.unlink(s, "/hidden/b").unwrap();
+    step("unlink b", 2);
+    vfs.mkdir(s, "/hidden/d").unwrap();
+    step("mkdir d", 1);
+    let h = vfs.open(s, "/hidden/d/c", rw()).unwrap();
+    vfs.write_at(h, 0, &payload(6, 3000)).unwrap();
+    vfs.write_at(h, 10, &payload(7, 100)).unwrap();
+    vfs.close(h).unwrap();
+    step("create and patch d/c", 2);
+    vfs.rename(s, "/hidden/d/c", "/hidden/d/e").unwrap();
+    step("rename d/c d/e", 2);
+    vfs.unlink(s, "/hidden/d/e").unwrap();
+    step("unlink d/e", 2);
+    assert!(
+        counted > 0 && counted <= mutations,
+        "{counted} of {mutations}"
+    );
+}
